@@ -59,7 +59,7 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
 
-use lbp_sim::{Fault, FaultPlan, Json, LbpConfig, Machine, SimError};
+use lbp_sim::{Fault, FaultPlan, Json, LbpConfig, Machine};
 
 /// The manifest schema identifier.
 pub const MANIFEST_SCHEMA: &str = "lbp-batch-manifest-v1";
@@ -301,11 +301,11 @@ fn prepare(job: &BatchJob) -> Result<(lbp_asm::Image, Machine), JobOutcome> {
             Err(e) => return err("config", e.to_string()),
         };
         if let Err(e) = fast.run(lbp_sim::FastStop::Retired(warm), job.max_cycles) {
-            return err(sim_error_class(&e), e.to_string());
+            return err(e.class(), e.to_string());
         }
         match fast.materialize(&image) {
             Ok(m) => m,
-            Err(e) => return err(sim_error_class(&e), e.to_string()),
+            Err(e) => return err(e.class(), e.to_string()),
         }
     } else {
         match Machine::new(cfg, &image) {
@@ -332,20 +332,9 @@ fn simulate(job: &BatchJob) -> JobOutcome {
             profile: job.profile.then(|| profile_summary(&image, &machine, 5)),
         },
         Err(e) => JobOutcome::Err {
-            class: sim_error_class(&e),
+            class: e.class(),
             message: e.to_string(),
         },
-    }
-}
-
-/// The stable error-class names (matching `lbp-run`'s exit-code map).
-fn sim_error_class(e: &SimError) -> &'static str {
-    match e {
-        SimError::Timeout { .. } => "timeout",
-        SimError::Deadlock { .. } => "deadlock",
-        SimError::Protocol { .. } => "protocol",
-        SimError::Decode { .. } => "decode",
-        SimError::Mem(_) => "mem",
     }
 }
 

@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use lbp_sim::{Json, Machine, MachineState, RunPause, SimError};
 
 use crate::journal::{Journal, JournalError, Rec};
-use crate::{job_hash, prepare, profile_summary, result_line, sim_error_class};
+use crate::{job_hash, prepare, profile_summary, result_line};
 use crate::{BatchJob, JobOutcome};
 
 /// Exit code of a process that died at its crash-injection point (the
@@ -811,7 +811,7 @@ fn attempt_once(
             };
             Attempt::Final {
                 outcome: JobOutcome::Err {
-                    class: sim_error_class(&e),
+                    class: e.class(),
                     message: e.to_string(),
                 },
                 cycles: 0,
@@ -833,7 +833,7 @@ fn attempt_once(
         }
         Err(f) => Attempt::Final {
             outcome: JobOutcome::Err {
-                class: sim_error_class(&f.error),
+                class: f.error.class(),
                 message: f.error.to_string(),
             },
             cycles: 0,

@@ -13,8 +13,7 @@
 //! Four program families, mirroring the paper's workload axes:
 //!
 //! - [`Kind::Seq`]: single-hart RV32IM soup — weighted ALU/branch/loop
-//!   mixes, in-bounds loads and stores. Checked against the ISS in
-//!   lockstep.
+//!   mixes, in-bounds loads and stores.
 //! - [`Kind::Mem`]: single-hart, multi-core memory-sync patterns —
 //!   absolute-addressed traffic across remote shared banks plus
 //!   `p_syncm` fences, driving the r1/r2 interconnect.
@@ -32,7 +31,7 @@ use lbp_testutil::Rng;
 /// The program family a case belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
-    /// Sequential RV32IM instruction soup (lockstep-checkable).
+    /// Sequential RV32IM instruction soup.
     Seq,
     /// Sequential cross-bank memory traffic with `p_syncm` fences.
     Mem,
@@ -710,7 +709,7 @@ fn gen_c(rng: &mut Rng, cfg: &GenConfig) -> GenProgram {
         _ => None,
     };
     // Team sizes the runtime supports on small machines; 1 keeps the
-    // region fork-free, which makes the program lockstep-checkable.
+    // region fork-free.
     // Under codegen sabotage, single-member teams are excluded: the
     // chunk-bounds miscompilation only manifests when count > 1.
     let teams: Vec<usize> = [1usize, 2, 4, 8, 16]

@@ -3,7 +3,7 @@
 //! Seeded generation of well-formed PISC assembly and
 //! Deterministic-OpenMP mini-C programs ([`gen`]), checked by a battery
 //! of differential and metamorphic oracles ([`oracle`]): lockstep
-//! against the sequential ISS, bit-identical repetition, snapshot
+//! against the functional engine, bit-identical repetition, snapshot
 //! round-trips through the `lbp-snap` codec, static verification, and
 //! crash classification. Failing cases are minimized by delta
 //! debugging ([`shrink`]) and persisted to a replayable corpus
@@ -202,13 +202,7 @@ pub fn run_fuzz(opts: &FuzzOptions, mut out: impl Write) -> io::Result<FuzzSumma
                     ("cores", Json::U64(program.cores as u64)),
                     ("cycles", Json::U64(report.cycles)),
                     ("retired", Json::U64(report.retired)),
-                    (
-                        "lockstep_commits",
-                        match report.lockstep_commits {
-                            Some(n) => Json::U64(n),
-                            None => Json::Null,
-                        },
-                    ),
+                    ("lockstep_commits", Json::U64(report.lockstep_commits)),
                 ]);
                 writeln!(out, "{verdict}")?;
             }

@@ -26,7 +26,7 @@ fn usage() -> ! {
          \n\
          Generates seeded PISC/Deterministic-OpenMP programs and checks each\n\
          against the oracle battery (build, verify, run, determinism,\n\
-         race-witness, snapshot round-trip, cross-process resume, ISS\n\
+         race-witness, snapshot round-trip, cross-process resume,\n\
          lockstep, hybrid fast-forward, executable semantics), shrinking\n\
          and persisting any failure. Identical arguments produce\n\
          byte-identical output.\n\

@@ -35,10 +35,12 @@
 //!    the parent's address space may be load-bearing for a resumed run.
 //!    Falls back to an in-process restore when no worker executable is
 //!    configured (library callers, the shrinker).
-//! 8. **lockstep** — replay the commit stream against the sequential
-//!    ISS and demand architectural agreement. Parallel programs are
-//!    skipped (the sequential oracle cannot follow a fork), which the
-//!    battery reports rather than hides.
+//! 8. **lockstep** — run the image on the functional engine too and
+//!    demand architectural agreement: identical per-hart commit streams,
+//!    then equal registers on the exiting hart and equal shared memory.
+//!    Every kind is checked, forked programs included — rendezvous order
+//!    all cross-hart communication, so the streams are
+//!    schedule-independent.
 //! 9. **hybrid** — fast-forward the same image on the functional
 //!    engine to warm targets of 0, mid-run (often mid-rendezvous), and
 //!    past-end retired instructions, materialize through the snapshot
@@ -49,10 +51,10 @@
 //!     lbp-sema's executable semantics and demand the simulated binary
 //!     land on the interpreter's outcome, global word for global word.
 //!     Oracles 3–9 only ever compare the machine against itself (or the
-//!     ISS running the same binary), so a miscompilation that is
-//!     deterministic, race-free and snapshot-stable sails through all of
-//!     them — this is the only oracle holding the binary to what the
-//!     program *means*. `--sabotage codegen:<kind>` plants exactly such
+//!     functional engine running the same binary), so a miscompilation
+//!     that is deterministic, race-free and snapshot-stable sails through
+//!     all of them — this is the only oracle holding the binary to what
+//!     the program *means*. `--sabotage codegen:<kind>` plants exactly such
 //!     bugs to prove it.
 //!
 //! Every step runs under `catch_unwind`: a panic anywhere in the stack
@@ -67,7 +69,7 @@ use lbp_sim::{
 };
 use lbp_verify::Severity;
 
-use crate::gen::{GenProgram, Kind};
+use crate::gen::GenProgram;
 
 /// Names of the oracles, in battery order (stable strings: they appear
 /// in the JSONL verdicts and corpus metadata).
@@ -146,9 +148,8 @@ pub struct PassReport {
     pub cycles: u64,
     /// Instructions retired by the reference run.
     pub retired: u64,
-    /// Commits compared in lockstep (`None` when the program forked and
-    /// the lockstep oracle was skipped).
-    pub lockstep_commits: Option<u64>,
+    /// Commits compared in lockstep, over every hart.
+    pub lockstep_commits: u64,
 }
 
 /// Runs `f` trapping panics into a classified [`Failure`].
@@ -320,22 +321,17 @@ pub fn check_with(program: &GenProgram, opts: &CheckOpts) -> Result<PassReport, 
         resume_in_fresh_process(program, &image, cut, final_hash, report.stats.cycles, opts)?;
     }
 
-    // Oracle 8: differential lockstep against the ISS.
-    let lockstep_commits = match program.kind {
-        // Fork trees always fork; skip the doomed attempt.
-        Kind::Fork => None,
-        _ => guarded("lockstep", || {
-            match run_lockstep(cfg_for(program), &image, program.max_cycles) {
-                Ok(r) => Ok(Some(r.commits)),
-                Err(LockstepError::Parallel { .. }) => Ok(None),
-                Err(LockstepError::Diverged(d)) => {
-                    Err(Failure::new("lockstep", "divergence", d.to_string()))
-                }
-                Err(LockstepError::Machine(f)) => Err(Failure::from_sim("lockstep", &f)),
-                Err(e) => Err(Failure::new("lockstep", "oracle", e.to_string())),
+    // Oracle 8: differential lockstep against the functional engine.
+    let lockstep_commits = guarded("lockstep", || {
+        match run_lockstep(cfg_for(program), &image, program.max_cycles, &[]) {
+            Ok(r) => Ok(r.commits),
+            Err(LockstepError::Diverged(d)) => {
+                Err(Failure::new("lockstep", "divergence", d.to_string()))
             }
-        })?,
-    };
+            Err(LockstepError::Machine(f)) => Err(Failure::from_sim("lockstep", &f)),
+            Err(e) => Err(Failure::new("lockstep", "oracle", e.to_string())),
+        }
+    })?;
 
     // Oracle 9: hybrid fast-forward handoff. The functional engine
     // runs the same image to several warm targets, materializes
@@ -588,7 +584,7 @@ fn resume_in_fresh_process(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{generate, GenConfig};
+    use crate::gen::{generate, GenConfig, Kind};
     use lbp_testutil::Rng;
 
     #[test]
@@ -606,9 +602,9 @@ mod tests {
         });
         assert!(report.cycles > 0);
         assert!(report.retired > 0);
-        assert!(
-            report.lockstep_commits.is_some(),
-            "a seq program is lockstep-checkable"
+        assert_eq!(
+            report.lockstep_commits, report.retired,
+            "every retired instruction is lockstep-checked"
         );
     }
 

@@ -74,15 +74,20 @@ fn each_family_sweeps_clean_through_the_battery() {
         };
         check_cases(6, 0xface ^ kind.name().len() as u64, |rng, case| {
             let program = generate(rng, &cfg, case);
-            if let Err(f) = oracle::check(&program) {
-                panic!(
+            match oracle::check(&program) {
+                Ok(report) => assert!(
+                    report.lockstep_commits > 0,
+                    "kind {} case {case}: no commit was lockstep-checked",
+                    kind.name()
+                ),
+                Err(f) => panic!(
                     "kind {} case {case}: oracle {} tripped ({}): {}\n---\n{}",
                     kind.name(),
                     f.oracle,
                     f.class,
                     f.detail,
                     program.render()
-                );
+                ),
             }
         });
     }

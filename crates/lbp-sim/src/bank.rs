@@ -9,9 +9,9 @@
 
 use std::collections::VecDeque;
 
-use lbp_isa::{HartId, Region, HARTS_PER_CORE, LOCAL_BASE, SHARED_BASE};
+use lbp_isa::{HartId, Region, LOCAL_BASE, SHARED_BASE};
 
-use crate::config::{LbpConfig, CV_FRAME_BYTES};
+use crate::config::{cv_base_in, LbpConfig};
 use crate::io::IoBus;
 use crate::msg::NetMsg;
 use crate::network::Network;
@@ -154,8 +154,7 @@ impl MemSys {
     /// The fixed continuation-value frame base address of a hart (within
     /// its core's local bank).
     pub fn cv_base(&self, hart: HartId) -> u32 {
-        let stack = self.local_bank_bytes / HARTS_PER_CORE as u32;
-        LOCAL_BASE + (hart.local() + 1) * stack - CV_FRAME_BYTES
+        cv_base_in(self.local_bank_bytes, hart)
     }
 
     /// The per-core local banks (hybrid-handoff materialization and
@@ -573,6 +572,7 @@ enum PortSide {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CV_FRAME_BYTES;
 
     fn memsys(cores: usize) -> MemSys {
         MemSys::new(&LbpConfig::cores(cores), &[0x13], &[1, 0, 0, 0]).unwrap()

@@ -1,6 +1,6 @@
 //! Machine configuration.
 
-use lbp_isa::HARTS_PER_CORE;
+use lbp_isa::{HartId, HARTS_PER_CORE, LOCAL_BASE};
 
 use crate::fault::{Fault, FaultPlan};
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
@@ -109,6 +109,13 @@ impl LbpConfig {
         self.local_bank_bytes / HARTS_PER_CORE as u32
     }
 
+    /// The fixed continuation-value frame base address of a hart: the
+    /// top [`CV_FRAME_BYTES`] of its stack within its core's local bank,
+    /// which is also where its `sp` starts.
+    pub fn cv_base(&self, hart: HartId) -> u32 {
+        cv_base_in(self.local_bank_bytes, hart)
+    }
+
     /// Total bytes of the global shared space.
     pub fn shared_bytes(&self) -> u64 {
         self.shared_bank_bytes as u64 * self.cores as u64
@@ -212,6 +219,13 @@ impl LbpConfig {
 /// Bytes reserved at the top of each hart stack for the continuation-value
 /// frame written by `p_swcv` and read by `p_lwcv` (16 word slots).
 pub const CV_FRAME_BYTES: u32 = 64;
+
+/// [`LbpConfig::cv_base`] for a holder of the bank size alone (the memory
+/// system is rebuilt from snapshots without a configuration).
+pub(crate) fn cv_base_in(local_bank_bytes: u32, hart: HartId) -> u32 {
+    let stack = local_bank_bytes / HARTS_PER_CORE as u32;
+    LOCAL_BASE + (hart.local() + 1) * stack - CV_FRAME_BYTES
+}
 
 #[cfg(test)]
 mod tests {

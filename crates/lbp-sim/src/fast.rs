@@ -14,9 +14,12 @@
 //! the same architectural state at every rendezvous point that the
 //! cycle-exact engine reaches.
 //!
-//! The engine exists for hybrid fast-forward simulation: `lbp-run --warm N`
-//! executes the warm-up region here at tens of Minstr/s, then
-//! [`FastEngine::materialize`] builds a cycle-exact
+//! The engine has two jobs. It is the functional reference of the
+//! lockstep checker ([`run_lockstep`](crate::run_lockstep)): it shares the
+//! pipeline's decoder but none of its arithmetic, so a wrong result in
+//! either shows up as a divergence. And it drives hybrid fast-forward
+//! simulation: `lbp-run --warm N` executes the warm-up region here at tens
+//! of Minstr/s, then [`FastEngine::materialize`] builds a cycle-exact
 //! [`Machine`](crate::machine::Machine) from the
 //! architectural state (all pipelines drained, no message in flight) and
 //! the measured window runs at full fidelity. See `DESIGN.md` for the
@@ -35,7 +38,7 @@ use lbp_isa::dispatch::{predecode, UKind, UOp};
 use lbp_isa::{HartId, IdentityWord, Region, HARTS_PER_CORE, INSTR_BYTES, LOCAL_BASE, SHARED_BASE};
 
 use crate::bank::MemFault;
-use crate::config::{LbpConfig, CV_FRAME_BYTES};
+use crate::config::LbpConfig;
 use crate::error::{BlockedHart, SimError};
 use crate::hart::HartState;
 
@@ -164,8 +167,8 @@ pub struct FastEngine {
     /// The scheduler's runnable-set cache is stale (a hart changed state,
     /// blocked, or was started/joined/freed since the last rebuild).
     sched_dirty: bool,
-    /// Per-hart committed-pc streams, recorded when enabled (hybrid
-    /// divergence bisection).
+    /// Per-hart committed-pc streams, recorded when enabled (lockstep
+    /// checking).
     commit_log: Option<Vec<Vec<u32>>>,
 }
 
@@ -196,7 +199,7 @@ impl FastEngine {
         let mut harts: Vec<FHart> = (0..cfg.harts())
             .map(|_| FHart::fresh(cfg.result_slots))
             .collect();
-        let boot_sp = cv_base(&cfg, HartId::FIRST);
+        let boot_sp = cfg.cv_base(HartId::FIRST);
         harts[0].state = HartState::Running;
         harts[0].pc = image.entry;
         harts[0].regs[2] = boot_sp; // sp
@@ -231,9 +234,9 @@ impl FastEngine {
         })
     }
 
-    /// Turns on per-hart committed-pc recording (the functional side of
-    /// hybrid divergence bisection). Costs one `Vec` push per retired
-    /// instruction; leave off for plain fast-forwarding.
+    /// Turns on per-hart committed-pc recording (the reference side of
+    /// [`run_lockstep`](crate::run_lockstep)). Costs one `Vec` push per
+    /// retired instruction; leave off for plain fast-forwarding.
     pub fn enable_commit_log(&mut self) {
         if self.commit_log.is_none() {
             self.commit_log = Some(vec![Vec::new(); self.harts.len()]);
@@ -248,7 +251,7 @@ impl FastEngine {
 
     /// XORs the code word at `pc` with `xor` and re-predecodes it —
     /// deliberate sabotage of the *functional copy only*, used to prove
-    /// that hybrid divergence bisection localizes a functional bug to the
+    /// that the lockstep checker localizes a functional bug to the
     /// exact instruction.
     pub fn sabotage_code(&mut self, pc: u32, xor: u32) {
         let idx = (pc / INSTR_BYTES) as usize;
@@ -266,6 +269,13 @@ impl FastEngine {
     /// Whether the run is parked at the exit `p_ret`.
     pub fn at_exit(&self) -> bool {
         self.at_exit
+    }
+
+    /// The hart parked at the exit `p_ret` and that `p_ret`'s pc — the one
+    /// instruction of a finished program this engine leaves unretired.
+    pub fn exit_hart(&self) -> Option<(HartId, u32)> {
+        let hi = self.harts.iter().position(|h| h.wait == FWait::AtExit)?;
+        Some((self.id(hi), self.harts[hi].pc))
     }
 
     /// Per-hart retired-instruction counts.
@@ -390,7 +400,7 @@ impl FastEngine {
             self.free_q[core].pop_front();
             let requester = self.alloc_q[core].pop_front().expect("checked non-empty");
             let child = base + child_local;
-            let sp = cv_base(&self.cfg, HartId::new(child as u32));
+            let sp = self.cfg.cv_base(HartId::new(child as u32));
             let h = &mut self.harts[child];
             h.regs = [0; 32];
             h.regs[2] = sp;
@@ -604,7 +614,7 @@ impl FastEngine {
     /// Writes a word into a hart's continuation-value frame (the `p_swcv`
     /// target path; never counted, like the cycle-exact `CvWrite`).
     fn cv_store(&mut self, to: HartId, offset: u32, value: u32) -> Result<(), SimError> {
-        let addr = cv_base(&self.cfg, to).wrapping_add(offset);
+        let addr = self.cfg.cv_base(to).wrapping_add(offset);
         if !addr.is_multiple_of(4) {
             return Err(SimError::Mem(MemFault::Unaligned {
                 addr,
@@ -780,14 +790,14 @@ impl FastEngine {
                     .bits(),
             ),
             UKind::PLwcv => {
-                let addr = cv_base(&self.cfg, id).wrapping_add(imm as u32);
+                let addr = self.cfg.cv_base(id).wrapping_add(imm as u32);
                 let v = self.mem_load(hi, addr, 4, false)?;
                 self.set(hi, u.rd, v);
             }
             UKind::PSwcv => {
                 let target = HartId::new(a & 0xffff);
                 if target.core() as usize == core {
-                    let addr = cv_base(&self.cfg, target).wrapping_add(imm as u32);
+                    let addr = self.cfg.cv_base(target).wrapping_add(imm as u32);
                     self.mem_store(hi, addr, b, 4)?;
                 } else if target.core() as usize == core + 1
                     && (target.core() as usize) < self.cfg.cores
@@ -1160,13 +1170,6 @@ pub(crate) struct FastHartView<'a> {
     pub recv: &'a [VecDeque<u32>],
     pub end_signal: bool,
     pub team_succ: Option<HartId>,
-}
-
-/// The fixed continuation-value frame base of a hart (mirrors
-/// `MemSys::cv_base` without needing the bank structures).
-fn cv_base(cfg: &LbpConfig, hart: HartId) -> u32 {
-    let stack = cfg.local_bank_bytes / HARTS_PER_CORE as u32;
-    LOCAL_BASE + (hart.local() + 1) * stack - CV_FRAME_BYTES
 }
 
 #[cfg(test)]

@@ -74,7 +74,6 @@ pub mod fast;
 mod fault;
 mod hart;
 mod io;
-pub mod iss;
 pub mod json;
 mod lockstep;
 mod machine;

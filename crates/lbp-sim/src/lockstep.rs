@@ -1,45 +1,45 @@
-//! Lockstep differential checking: the pipelined machine vs the
-//! sequential ISS oracle.
+//! Lockstep differential checking: the cycle-exact machine vs the
+//! functional engine.
 //!
 //! The paper's determinism claim cuts both ways: because the machine is
-//! deterministic, any architectural divergence from the sequential
-//! reference is a hard bug (or an injected fault doing its job), never a
-//! scheduling artifact. [`Lockstep`] runs a single-hart program on the
-//! full [`Machine`], collects its commit-order pc stream, then replays
-//! that stream one instruction at a time against the [`Iss`] oracle and
-//! reports the **first** architectural divergence: a mismatched commit
-//! pc, a final register difference, or a shared-memory difference.
+//! deterministic, any architectural divergence from the referential
+//! order is a hard bug (or an injected fault doing its job), never a
+//! scheduling artifact. Fork/join rendezvous totally order cross-hart
+//! communication, so every schedule that respects them retires the same
+//! instruction stream *per hart* — which makes [`FastEngine`], with its
+//! own flat-dispatch arithmetic and run-to-block schedule, a reference
+//! for forked programs as much as for sequential ones.
 //!
-//! Only sequential (single-hart) programs can be checked — the ISS cannot
-//! fork — which is exactly the scope where instruction-level equivalence
-//! is well-defined. `lbp-run --lockstep` exposes the checker on the
-//! command line; fault-injection tests use it to prove a flipped bit
-//! surfaces as a divergence rather than silent corruption.
+//! [`run_lockstep`] runs the image on the full [`Machine`] (with the
+//! configuration's fault plan) and on a fault-free [`FastEngine`], then
+//! reports the **first** architectural divergence: a hart whose
+//! committed-pc streams split (localized to the exact commit), a final
+//! register difference on the exiting hart, or a shared-memory
+//! difference. `lbp-run --lockstep` / `--hybrid-bisect` expose the
+//! checker on the command line; fault-injection tests use it to prove a
+//! flipped bit surfaces as a divergence rather than silent corruption.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
 use lbp_asm::Image;
 use lbp_isa::{HartId, Reg, SHARED_BASE};
 
-use crate::config::{LbpConfig, CV_FRAME_BYTES};
+use crate::config::LbpConfig;
 use crate::dump::SimFailure;
-use crate::iss::{Iss, IssError};
+use crate::error::SimError;
+use crate::fast::{FastEngine, FastStop};
 use crate::machine::{Machine, RunReport};
 use crate::trace::{Event, EventKind, TraceSink};
 
-/// A sink that collects the machine's commit stream: `(hart, pc)` in
-/// commit order.
-struct CommitCollector {
-    commits: Rc<RefCell<VecDeque<(HartId, u32)>>>,
-}
+/// A sink that collects each hart's committed pcs in program order.
+struct CommitStreams(Rc<RefCell<Vec<Vec<u32>>>>);
 
-impl TraceSink for CommitCollector {
+impl TraceSink for CommitStreams {
     fn record(&mut self, event: &Event) {
         if let EventKind::Commit { pc } = event.kind {
-            self.commits.borrow_mut().push_back((event.hart, pc));
+            self.0.borrow_mut()[event.hart.global() as usize].push(pc);
         }
     }
 }
@@ -47,29 +47,23 @@ impl TraceSink for CommitCollector {
 /// The first architectural difference between the machine and the oracle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Divergence {
-    /// Commit number `commit` retired a different pc than the oracle was
-    /// about to execute.
+    /// A hart's committed-pc streams split. With a corrupted branch or a
+    /// mis-modeled instruction, `last_agreed_pc` *is* the guilty
+    /// instruction.
     Pc {
-        /// 0-based index into the commit stream.
+        /// The hart whose streams differ.
+        hart: HartId,
+        /// How many commits of that hart matched before the split.
         commit: u64,
-        /// The pc the machine committed.
-        machine_pc: u32,
-        /// The pc the oracle expected.
-        oracle_pc: u32,
+        /// The pc the machine committed there (`None` when its stream
+        /// ended first).
+        machine_pc: Option<u32>,
+        /// The pc the oracle retired there, likewise.
+        oracle_pc: Option<u32>,
+        /// The last pc both retired on that hart before parting ways.
+        last_agreed_pc: Option<u32>,
     },
-    /// The machine kept committing after the oracle exited.
-    MachineRanLong {
-        /// 0-based index of the first surplus commit.
-        commit: u64,
-        /// Its pc.
-        machine_pc: u32,
-    },
-    /// The machine exited before the oracle finished the program.
-    MachineExitedEarly {
-        /// The pc the oracle still had to execute.
-        oracle_pc: u32,
-    },
-    /// A register differs after both finished.
+    /// A register of the exiting hart differs after both finished.
     Register {
         /// The architectural register.
         reg: Reg,
@@ -93,22 +87,24 @@ impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Divergence::Pc {
+                hart,
                 commit,
                 machine_pc,
                 oracle_pc,
-            } => write!(
-                f,
-                "commit #{commit}: machine retired pc {machine_pc:#x}, oracle expected \
-                 {oracle_pc:#x}"
-            ),
-            Divergence::MachineRanLong { commit, machine_pc } => write!(
-                f,
-                "commit #{commit}: machine retired pc {machine_pc:#x} after the oracle exited"
-            ),
-            Divergence::MachineExitedEarly { oracle_pc } => write!(
-                f,
-                "machine exited while the oracle still had pc {oracle_pc:#x} to execute"
-            ),
+                last_agreed_pc,
+            } => {
+                let side = |pc: &Option<u32>| match pc {
+                    Some(pc) => format!("retires pc {pc:#010x}"),
+                    None => "has already stopped".to_owned(),
+                };
+                writeln!(f, "engines diverge at hart {hart}, commit #{commit}")?;
+                writeln!(f, "  functional:  {}", side(oracle_pc))?;
+                write!(f, "  cycle-exact: {}", side(machine_pc))?;
+                if let Some(pc) = last_agreed_pc {
+                    write!(f, "\n  last agreed instruction: pc {pc:#010x}")?;
+                }
+                Ok(())
+            }
             Divergence::Register {
                 reg,
                 machine,
@@ -132,25 +128,13 @@ impl fmt::Display for Divergence {
 /// Why a lockstep check did not complete cleanly.
 #[derive(Debug)]
 pub enum LockstepError {
-    /// The machine could not even be built (bad image or fault plan).
-    Setup(crate::SimError),
-    /// The machine run itself failed (dump attached).
+    /// An engine could not even be built (bad image or fault plan).
+    Setup(SimError),
+    /// The machine run itself failed (dump attached) on a commit stream
+    /// the oracle agrees with as far as it goes.
     Machine(Box<SimFailure>),
-    /// The oracle faulted replaying a commit the machine retired fine.
-    Oracle {
-        /// 0-based index of the commit being replayed.
-        commit: u64,
-        /// The pc being replayed.
-        pc: u32,
-        /// The oracle's error.
-        error: IssError,
-    },
-    /// A hart other than hart 0 committed: the program forked, which the
-    /// sequential oracle cannot follow.
-    Parallel {
-        /// The offending hart.
-        hart: HartId,
-    },
+    /// The oracle failed on a program the machine ran fine.
+    Oracle(SimError),
     /// The two models disagreed architecturally.
     Diverged(Divergence),
 }
@@ -160,15 +144,7 @@ impl fmt::Display for LockstepError {
         match self {
             LockstepError::Setup(e) => write!(f, "could not build the machine: {e}"),
             LockstepError::Machine(fail) => write!(f, "machine run failed: {fail}"),
-            LockstepError::Oracle { commit, pc, error } => write!(
-                f,
-                "oracle faulted at commit #{commit} (pc {pc:#x}): {error}"
-            ),
-            LockstepError::Parallel { hart } => write!(
-                f,
-                "hart {hart} committed instructions: lockstep checking needs a single-hart \
-                 (sequential) program"
-            ),
+            LockstepError::Oracle(e) => write!(f, "functional oracle failed: {e}"),
             LockstepError::Diverged(d) => write!(f, "lockstep divergence: {d}"),
         }
     }
@@ -181,79 +157,95 @@ impl std::error::Error for LockstepError {}
 pub struct LockstepReport {
     /// The machine's run report.
     pub report: RunReport,
-    /// Instructions compared in lockstep.
+    /// Commits compared in lockstep, summed over every hart.
     pub commits: u64,
 }
 
 /// Runs `image` on a machine configured by `cfg` and checks it in
-/// lockstep against the sequential ISS oracle.
+/// lockstep against the functional engine.
+///
+/// `sabotage` XORs instruction words into the *oracle's copy only*
+/// (`(pc, xor)` pairs) — the seeded-divergence workflow for validating
+/// the localizer; pass `&[]` to check an image as-is.
+///
+/// Both engines run to completion or failure before anything is
+/// compared, so a run that faults or deadlocks is still localized by the
+/// commits it did retire.
 ///
 /// # Errors
 ///
-/// [`LockstepError::Diverged`] carries the first architectural
-/// difference; the other variants mean one of the models could not
-/// finish (machine fault, oracle fault, or a parallel program).
+/// In this order: [`LockstepError::Diverged`] with the first hart whose
+/// commit streams split, the machine's failure, the oracle's failure,
+/// then [`LockstepError::Diverged`] with the first differing register of
+/// the exiting hart or shared word.
 pub fn run_lockstep(
     cfg: LbpConfig,
     image: &Image,
     max_cycles: u64,
+    sabotage: &[(u32, u32)],
 ) -> Result<LockstepReport, LockstepError> {
-    let commits = Rc::new(RefCell::new(VecDeque::new()));
-    let shared_bytes = u32::try_from(cfg.shared_bytes()).unwrap_or(u32::MAX);
-    let sp = lbp_isa::LOCAL_BASE + cfg.stack_bytes() - CV_FRAME_BYTES;
-    let mut oracle = Iss::new(image, cfg.stack_bytes(), shared_bytes, sp);
-
+    let harts = cfg.harts();
+    let shared_words = u32::try_from(cfg.shared_bytes() / 4).unwrap_or(u32::MAX);
+    // The functional engine never injects faults: the plan only reaches
+    // the machine.
+    let mut oracle = FastEngine::new(cfg.clone(), image).map_err(LockstepError::Setup)?;
+    oracle.enable_commit_log();
+    for &(pc, xor) in sabotage {
+        oracle.sabotage_code(pc, xor);
+    }
     let mut machine = Machine::new(cfg, image).map_err(LockstepError::Setup)?;
-    machine.set_sink(Box::new(CommitCollector {
-        commits: Rc::clone(&commits),
-    }));
-    let report = machine
-        .run_diagnosed(max_cycles)
-        .map_err(LockstepError::Machine)?;
+    let streams = Rc::new(RefCell::new(vec![Vec::new(); harts]));
+    machine.set_sink(Box::new(CommitStreams(Rc::clone(&streams))));
+    let machine_run = machine.run_diagnosed(max_cycles);
+    let streams = streams.borrow();
+    let commits: u64 = streams.iter().map(|s| s.len() as u64).sum();
+    // Every oracle step retires one instruction, at once or (a queued
+    // fork, at most one per hart) later: past this budget some hart's
+    // stream is already longer than the machine's, which is a divergence.
+    let oracle_run = oracle.run(FastStop::Exit, commits + harts as u64).map(|_| {
+        oracle
+            .exit_hart()
+            .expect("FastStop::Exit only returns Ok parked at the exit p_ret")
+    });
 
-    // A commit from any hart but hart 0 means the program forked; report
-    // that up front rather than letting the oracle choke on the fork
-    // instruction mid-replay.
-    let stream = commits.borrow();
-    if let Some(&(hart, _)) = stream.iter().find(|(h, _)| *h != HartId::FIRST) {
-        return Err(LockstepError::Parallel { hart });
-    }
-
-    // Replay the commit stream against the oracle.
-    let mut replayed = 0u64;
-    for &(_, pc) in stream.iter() {
-        if oracle.exited() {
-            return Err(LockstepError::Diverged(Divergence::MachineRanLong {
-                commit: replayed,
-                machine_pc: pc,
-            }));
-        }
-        let oracle_pc = oracle.pc();
-        if oracle_pc != pc {
+    for (h, (m, o)) in streams.iter().zip(oracle.commit_log()).enumerate() {
+        let hart = HartId::new(h as u32);
+        let split = m
+            .iter()
+            .zip(o)
+            .position(|(a, b)| a != b)
+            .unwrap_or(m.len().min(o.len()));
+        let (machine_pc, oracle_pc) = (m.get(split).copied(), o.get(split).copied());
+        let diverged = match (machine_pc, oracle_pc) {
+            (None, None) => false,
+            (Some(_), Some(_)) => true,
+            // A stream that merely stops short diverges only if its
+            // engine ran to the end...
+            (None, Some(_)) => machine_run.is_ok(),
+            // ...and the exit `p_ret`, which the oracle parks before, is
+            // the one commit the machine alone may carry.
+            (Some(pc), None) => oracle_run
+                .as_ref()
+                .is_ok_and(|&exit| exit != (hart, pc) || m.len() != split + 1),
+        };
+        if diverged {
             return Err(LockstepError::Diverged(Divergence::Pc {
-                commit: replayed,
-                machine_pc: pc,
+                hart,
+                commit: split as u64,
+                machine_pc,
                 oracle_pc,
+                last_agreed_pc: split.checked_sub(1).map(|p| m[p]),
             }));
         }
-        oracle.step().map_err(|error| LockstepError::Oracle {
-            commit: replayed,
-            pc,
-            error,
-        })?;
-        replayed += 1;
     }
-    if !oracle.exited() {
-        return Err(LockstepError::Diverged(Divergence::MachineExitedEarly {
-            oracle_pc: oracle.pc(),
-        }));
-    }
+    let report = machine_run.map_err(LockstepError::Machine)?;
+    let (exit_hart, _) = oracle_run.map_err(LockstepError::Oracle)?;
 
-    // Final architectural state: registers (through the machine's
-    // renaming) and the whole shared space, word by word.
+    // Final architectural state: the exiting hart's registers (through
+    // the machine's renaming) and the whole shared space, word by word.
     for reg in Reg::all().skip(1) {
-        let machine_v = machine.reg(HartId::FIRST, reg);
-        let oracle_v = oracle.reg(reg);
+        let machine_v = machine.reg(exit_hart, reg);
+        let oracle_v = oracle.reg(exit_hart, reg);
         if machine_v != oracle_v {
             return Err(LockstepError::Diverged(Divergence::Register {
                 reg,
@@ -262,7 +254,7 @@ pub fn run_lockstep(
             }));
         }
     }
-    for word in 0..(shared_bytes / 4) {
+    for word in 0..shared_words {
         let addr = SHARED_BASE + word * 4;
         let machine_v = machine.peek_shared(addr).unwrap_or(0);
         let oracle_v = oracle.peek_shared(addr).unwrap_or(0);
@@ -274,8 +266,5 @@ pub fn run_lockstep(
             }));
         }
     }
-    Ok(LockstepReport {
-        report,
-        commits: replayed,
-    })
+    Ok(LockstepReport { report, commits })
 }

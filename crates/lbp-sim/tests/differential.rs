@@ -1,6 +1,6 @@
 //! Differential property test: random single-hart programs executed on
 //! the out-of-order, unordered-memory pipeline must produce exactly the
-//! architectural state the sequential reference ISS produces — same
+//! architectural state the functional reference engine produces — same
 //! registers, same memory, same retired-instruction count. Deterministic
 //! generation via `lbp-testutil`.
 //!
@@ -8,9 +8,8 @@
 //! machine's contract for single-hart RAW through memory).
 
 use lbp_asm::assemble;
-use lbp_isa::{Reg, LOCAL_BASE, SHARED_BASE};
-use lbp_sim::iss::Iss;
-use lbp_sim::{LbpConfig, Machine};
+use lbp_isa::{HartId, Reg, SHARED_BASE};
+use lbp_sim::{FastEngine, FastStop, LbpConfig, Machine};
 use lbp_testutil::{check_cases, Rng};
 
 /// Registers the generator may write (never `zero/ra/sp/t0/t1/s0/s1`,
@@ -191,24 +190,23 @@ fn pipeline_matches_sequential_reference() {
         machine
             .run(10_000_000)
             .unwrap_or_else(|e| panic!("case {case}: {e}\n{src}"));
-        // Sequential reference with the same memory geometry and the
-        // same initial sp.
-        let sp = LOCAL_BASE + cfg.stack_bytes() - lbp_sim::CV_FRAME_BYTES;
-        let mut iss = Iss::new(&image, cfg.local_bank_bytes, cfg.shared_bank_bytes, sp);
-        iss.run(10_000_000)
+        // Functional reference on the same configuration.
+        let mut reference = FastEngine::new(cfg, &image).expect("reference");
+        reference
+            .run(FastStop::Exit, 10_000_000)
             .unwrap_or_else(|e| panic!("case {case}: {e}\n{src}"));
-        // Same retired count.
+        // Same retired count (the reference parks before the exit p_ret).
         assert_eq!(
             machine.stats().retired(),
-            iss.retired,
+            reference.retired() + 1,
             "case {case}: retired mismatch\n{src}"
         );
         // Same registers (the pool plus the structural ones).
         for name in POOL.iter().chain(["s0", "s1"].iter()) {
             let r: Reg = name.parse().unwrap();
             assert_eq!(
-                machine.reg(lbp_isa::HartId::FIRST, r),
-                iss.reg(r),
+                machine.reg(HartId::FIRST, r),
+                reference.reg(HartId::FIRST, r),
                 "case {case}: register {name} mismatch\n{src}"
             );
         }
@@ -217,7 +215,7 @@ fn pipeline_matches_sequential_reference() {
             let addr = SHARED_BASE + 4 * i;
             assert_eq!(
                 machine.peek_shared(addr).unwrap(),
-                iss.peek_shared(addr).unwrap(),
+                reference.peek_shared(addr).unwrap(),
                 "case {case}: scratch[{i}] mismatch\n{src}"
             );
         }

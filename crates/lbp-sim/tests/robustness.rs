@@ -373,7 +373,7 @@ const MUL_PROGRAM: &str = "main:
 #[test]
 fn clean_program_passes_lockstep() {
     let image = assemble(MUL_PROGRAM).unwrap();
-    let report = run_lockstep(LbpConfig::cores(1), &image, 100_000).expect("lockstep passes");
+    let report = run_lockstep(LbpConfig::cores(1), &image, 100_000, &[]).expect("lockstep passes");
     assert_eq!(report.commits, 6);
     assert!(report.report.exited);
 }
@@ -393,7 +393,7 @@ fn late_register_flip_surfaces_as_divergence() {
         .into_iter()
         .collect::<FaultPlan>(),
     );
-    let err = run_lockstep(cfg, &image, 100_000).unwrap_err();
+    let err = run_lockstep(cfg, &image, 100_000, &[]).unwrap_err();
     let LockstepError::Diverged(Divergence::Register {
         reg,
         machine,
@@ -435,7 +435,7 @@ cell: .word 0"
         .into_iter()
         .collect::<FaultPlan>(),
     );
-    let err = run_lockstep(cfg, &image, 100_000).unwrap_err();
+    let err = run_lockstep(cfg, &image, 100_000, &[]).unwrap_err();
     let LockstepError::Diverged(Divergence::Memory {
         addr,
         machine,
@@ -450,11 +450,96 @@ cell: .word 0"
 }
 
 #[test]
-fn parallel_programs_are_rejected_by_lockstep() {
+fn forked_program_passes_lockstep() {
     let image = assemble(FORK_NEXT_CORE).unwrap();
-    let err = run_lockstep(LbpConfig::cores(2), &image, 100_000).unwrap_err();
+    let report = run_lockstep(LbpConfig::cores(2), &image, 100_000, &[]).expect("lockstep passes");
+    assert!(report.report.exited);
+    assert_eq!(report.commits, report.report.stats.retired());
     assert!(
-        matches!(err, LockstepError::Parallel { .. }),
-        "expected Parallel, got {err}"
+        report.report.stats.retired_per_hart[4] > 0,
+        "the forked hart's commits are checked too"
     );
+}
+
+#[test]
+fn memory_flip_in_a_forked_program_surfaces_as_divergence() {
+    // The program never touches shared memory, so nothing but the final
+    // comparison can see the flipped word.
+    let image = assemble(FORK_NEXT_CORE).unwrap();
+    let cfg = LbpConfig::cores(2).with_faults(
+        [Fault::FlipMem {
+            addr: lbp_isa::SHARED_BASE + 8,
+            bit: 5,
+            cycle: 10,
+        }]
+        .into_iter()
+        .collect::<FaultPlan>(),
+    );
+    let err = run_lockstep(cfg, &image, 100_000, &[]).unwrap_err();
+    let LockstepError::Diverged(Divergence::Memory {
+        addr,
+        machine,
+        oracle,
+    }) = err
+    else {
+        panic!("expected a memory divergence, got {err}");
+    };
+    assert_eq!(addr, lbp_isa::SHARED_BASE + 8);
+    assert_eq!(oracle, 0);
+    assert_eq!(machine, 1 << 5);
+}
+
+/// A countdown loop storing squares: one backward branch to sabotage.
+const LOOP_PROGRAM: &str = "main:
+    li   t0, -1
+    li   a0, 0
+    li   a1, 5
+    la   a2, out
+loop:
+    mul  a3, a1, a1
+    sw   a3, 0(a2)
+    addi a1, a1, -1
+    bnez a1, loop
+    p_ret a0, t0
+.data
+out: .word 0";
+
+#[test]
+fn sabotage_is_localized_to_the_exact_instruction() {
+    let image = assemble(LOOP_PROGRAM).unwrap();
+    let clean = run_lockstep(LbpConfig::cores(1), &image, 100_000, &[]);
+    assert!(clean.is_ok(), "clean engines must agree: {clean:?}");
+    // Corrupt the loop's closing branch in the oracle's copy: flipping
+    // bit 10 of `bnez a1, loop` changes its offset, so the first commit
+    // *after* the branch lands somewhere else.
+    let branch_pc = image
+        .symbol("loop")
+        .map(|a| a + 12)
+        .expect("the loop label resolves");
+    let err = run_lockstep(
+        LbpConfig::cores(1),
+        &image,
+        100_000,
+        &[(branch_pc, 1 << 10)],
+    )
+    .unwrap_err();
+    let LockstepError::Diverged(
+        d @ Divergence::Pc {
+            hart,
+            machine_pc,
+            oracle_pc,
+            last_agreed_pc,
+            ..
+        },
+    ) = &err
+    else {
+        panic!("a corrupted branch must diverge, got {err}");
+    };
+    assert_eq!(*hart, HartId::FIRST);
+    assert_eq!(
+        *last_agreed_pc,
+        Some(branch_pc),
+        "the last agreed instruction is the sabotaged branch: {d}"
+    );
+    assert_ne!(oracle_pc, machine_pc, "{d}");
 }

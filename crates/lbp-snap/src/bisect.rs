@@ -16,10 +16,7 @@
 //! configuration-level fault plans — but not yet in behaviour — are
 //! still "equal".
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use lbp_sim::{FastEngine, FastStop, Machine, MachineState, SimError, SnapError};
+use lbp_sim::{Machine, MachineState, SnapError};
 
 /// Where two runs first part ways.
 #[derive(Debug, Clone)]
@@ -215,133 +212,6 @@ fn divergent_events(
     ))
 }
 
-/// Where the functional fast-forward engine first parts ways with the
-/// cycle-exact machine on the same image — localized to the exact
-/// instruction, not just a cycle.
-///
-/// Both engines retire the same per-hart instruction streams when they
-/// agree (the functional engine's correctness contract), so the first
-/// difference in any hart's commit stream *is* the divergent
-/// instruction.
-#[derive(Debug, Clone)]
-pub struct HybridDivergence {
-    /// The global index of the hart whose streams differ.
-    pub hart: u32,
-    /// How many instructions of that hart's stream matched before the
-    /// divergence.
-    pub index: usize,
-    /// The functional engine's pc at that position (`None` when its
-    /// stream ended early).
-    pub functional_pc: Option<u32>,
-    /// The cycle-exact machine's pc at that position, likewise.
-    pub cycle_exact_pc: Option<u32>,
-    /// The last pc both engines retired before parting ways — with a
-    /// corrupted branch or a mis-modeled instruction, this *is* the
-    /// guilty instruction.
-    pub last_common_pc: Option<u32>,
-}
-
-impl std::fmt::Display for HybridDivergence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "engines diverge at hart {}, commit #{}",
-            self.hart, self.index
-        )?;
-        let side = |pc: Option<u32>| match pc {
-            Some(pc) => format!("retires pc {pc:#010x}"),
-            None => "has already stopped".to_owned(),
-        };
-        writeln!(f, "  functional:  {}", side(self.functional_pc))?;
-        write!(f, "  cycle-exact: {}", side(self.cycle_exact_pc))?;
-        if let Some(pc) = self.last_common_pc {
-            write!(f, "\n  last agreed instruction: pc {pc:#010x}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Collects each hart's committed pcs in program order.
-struct CommitStreams(Rc<RefCell<Vec<Vec<u32>>>>);
-
-impl lbp_sim::TraceSink for CommitStreams {
-    fn record(&mut self, event: &lbp_sim::Event) {
-        if let lbp_sim::EventKind::Commit { pc } = event.kind {
-            self.0.borrow_mut()[event.hart.global() as usize].push(pc);
-        }
-    }
-}
-
-/// Runs `image` on both the functional engine and the cycle-exact
-/// machine and localizes their first divergence to the exact
-/// instruction, comparing per-hart commit streams.
-///
-/// `sabotage` XORs instruction words into the *functional copy only*
-/// (`(pc, xor)` pairs) — the seeded-divergence workflow for validating
-/// the localizer; pass `&[]` to check a suspect image as-is. Returns
-/// `None` when every hart's streams match (and, with no sabotage, that
-/// is the expected verdict for any deterministic program).
-///
-/// Both runs are tolerant of errors: a sabotaged functional run may
-/// deadlock or fault, and the commit streams up to that point still
-/// localize where it left the cycle-exact trajectory.
-///
-/// # Errors
-///
-/// [`SimError`] when the *clean* setup fails (either engine rejects the
-/// image or configuration).
-pub fn hybrid_divergence(
-    cfg: lbp_sim::LbpConfig,
-    image: &lbp_asm::Image,
-    max_cycles: u64,
-    sabotage: &[(u32, u32)],
-) -> Result<Option<HybridDivergence>, SimError> {
-    let harts = cfg.harts();
-    let mut fast = FastEngine::new(cfg.clone(), image)?;
-    fast.enable_commit_log();
-    for &(pc, xor) in sabotage {
-        fast.sabotage_code(pc, xor);
-    }
-    let _ = fast.run(FastStop::Exit, max_cycles.saturating_mul(4).max(max_cycles));
-
-    let mut machine = Machine::new(cfg, image)?;
-    let streams = Rc::new(RefCell::new(vec![Vec::new(); harts]));
-    machine.set_sink(Box::new(CommitStreams(Rc::clone(&streams))));
-    machine.set_trace(true);
-    let _ = machine.run(max_cycles);
-
-    let exact = streams.borrow();
-    for h in 0..harts {
-        let f = &fast.commit_log()[h];
-        let e = &exact[h];
-        // The functional engine parks before the exit p_ret, so the
-        // cycle-exact stream legitimately carries it as a suffix; only
-        // compare the overlap plus a functional surplus.
-        let n = f.len().min(e.len());
-        for i in 0..n {
-            if f[i] != e[i] {
-                return Ok(Some(HybridDivergence {
-                    hart: h as u32,
-                    index: i,
-                    functional_pc: Some(f[i]),
-                    cycle_exact_pc: Some(e[i]),
-                    last_common_pc: i.checked_sub(1).map(|p| f[p]),
-                }));
-            }
-        }
-        if f.len() > e.len() {
-            return Ok(Some(HybridDivergence {
-                hart: h as u32,
-                index: n,
-                functional_pc: Some(f[n]),
-                cycle_exact_pc: None,
-                last_common_pc: n.checked_sub(1).map(|p| f[p]),
-            }));
-        }
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,57 +261,5 @@ mod tests {
         let mut m = machine(&[]);
         m.run_to(3).unwrap();
         assert!(first_divergence(&a, &m.snapshot(), 100, 4).is_err());
-    }
-
-    /// The countdown loop from `machine()`, as a standalone image.
-    fn loop_image() -> lbp_asm::Image {
-        lbp_asm::assemble(
-            "main:
-                li   t0, -1
-                li   a0, 0
-                li   a1, 5
-                la   a2, out
-            loop:
-                mul  a3, a1, a1
-                sw   a3, 0(a2)
-                addi a1, a1, -1
-                bnez a1, loop
-                p_ret a0, t0
-            .data
-            out: .word 0",
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn agreeing_engines_report_no_hybrid_divergence() {
-        let d = hybrid_divergence(LbpConfig::cores(1), &loop_image(), 100_000, &[]).unwrap();
-        assert!(d.is_none(), "clean engines must agree: {d:?}");
-    }
-
-    #[test]
-    fn sabotage_is_localized_to_the_exact_instruction() {
-        let image = loop_image();
-        // Corrupt the loop's closing branch in the functional copy:
-        // flipping bit 10 of `bnez a1, loop` changes its offset, so the
-        // first commit *after* the branch lands somewhere else.
-        let branch_pc = image
-            .symbol("loop")
-            .map(|a| a + 12)
-            .expect("the loop label resolves");
-        let d = hybrid_divergence(
-            LbpConfig::cores(1),
-            &image,
-            100_000,
-            &[(branch_pc, 1 << 10)],
-        )
-        .unwrap()
-        .expect("a corrupted branch must diverge");
-        assert_eq!(
-            d.last_common_pc,
-            Some(branch_pc),
-            "the last agreed instruction is the sabotaged branch: {d}"
-        );
-        assert_ne!(d.functional_pc, d.cycle_exact_pc, "{d}");
     }
 }

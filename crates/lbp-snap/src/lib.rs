@@ -59,7 +59,7 @@ use lbp_sim::{MachineState, SnapError};
 
 mod bisect;
 
-pub use bisect::{first_divergence, hybrid_divergence, DivergencePoint, HybridDivergence};
+pub use bisect::{first_divergence, DivergencePoint};
 
 /// The container magic, spelling the format name.
 pub const MAGIC: [u8; 8] = *b"LBPSNAP1";

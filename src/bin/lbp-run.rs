@@ -23,8 +23,10 @@
 //!   `corrupt-instr:PC:XOR:CYCLE`, `drop-msg:NTH`, `delay-msg:NTH:CYCLES`);
 //! - `--dump-on-error FILE` writes an `lbp-dump-v1` crash dump when the
 //!   run fails;
-//! - `--lockstep` checks the run instruction-by-instruction against the
-//!   sequential ISS oracle (single-hart programs only);
+//! - `--lockstep` (also spelled `--hybrid-bisect`) checks the run
+//!   against the functional engine: per-hart commit streams, then the
+//!   exiting hart's registers and all of shared memory, forked programs
+//!   included; `--sabotage PC:XOR` seeds a divergence in the reference;
 //! - `--verify` statically checks the program instead of running it:
 //!   `.c` inputs go through the source-level determinism lint and the
 //!   binary fork-protocol verifier, `.s` inputs through the binary
@@ -87,7 +89,6 @@ struct Options {
     warm_snap: Option<String>,
     snap_info: Option<String>,
     bisect_snaps: Option<(String, String)>,
-    hybrid_bisect: bool,
     sabotage: Vec<(u32, u32)>,
 }
 
@@ -116,7 +117,10 @@ fn usage() -> ! {
                               corrupt-instr:PC:XOR:CYCLE   drop-msg:NTH\n\
                               delay-msg:NTH:CYCLES\n\
            --dump-on-error F  write an lbp-dump-v1 crash dump to F if the run fails\n\
-           --lockstep         check against the sequential ISS oracle (1 hart)\n\
+           --lockstep         check the run against the functional engine: per-hart\n\
+                              commit streams, then final registers and shared\n\
+                              memory; the first divergence is localized to the\n\
+                              exact hart and commit and exits 9\n\
            --verify           statically verify the program instead of running it\n\
            --diag-json FILE   with --verify, write the lbp-diag-v1 report ('-' = stdout)\n\
            --race-witness     collect per-epoch shared-write footprints during the\n\
@@ -142,12 +146,10 @@ fn usage() -> ! {
                               version, producing engine, cycle, cores) and exit\n\
            --bisect-snaps A B bisect two same-cycle snapshots of diverging runs;\n\
                               refuses mixed container versions or engines\n\
-           --hybrid-bisect    run the functional and cycle-exact engines side by\n\
-                              side and localize their first divergence to the\n\
-                              exact instruction (commit-stream comparison)\n\
-           --sabotage PC:XOR  with --hybrid-bisect: XOR a code word in the\n\
-                              functional copy only (repeatable; seeded-divergence\n\
-                              validation of the localizer)\n\
+           --hybrid-bisect    the same check as --lockstep\n\
+           --sabotage PC:XOR  with --lockstep: XOR a code word in the functional\n\
+                              copy only (repeatable; seeded-divergence validation\n\
+                              of the localizer)\n\
          \n\
          exit codes: 0 ok, 2 usage, 1 front-end/I/O, 4 timeout, 5 deadlock,\n\
          6 protocol, 7 decode, 8 memory fault, 9 lockstep divergence,\n\
@@ -186,7 +188,6 @@ fn parse_args() -> Options {
         warm_snap: None,
         snap_info: None,
         bisect_snaps: None,
-        hybrid_bisect: false,
         sabotage: Vec::new(),
     };
     while let Some(arg) = args.next() {
@@ -243,7 +244,7 @@ fn parse_args() -> Options {
             "--dump-on-error" => {
                 opts.dump_on_error = Some(args.next().unwrap_or_else(|| usage()));
             }
-            "--lockstep" => opts.lockstep = true,
+            "--lockstep" | "--hybrid-bisect" => opts.lockstep = true,
             "--verify" => opts.verify = true,
             "--race-witness" => opts.race_witness = true,
             "--diag-json" => opts.diag_json = Some(args.next().unwrap_or_else(|| usage())),
@@ -281,7 +282,6 @@ fn parse_args() -> Options {
                 let b = args.next().unwrap_or_else(|| usage());
                 opts.bisect_snaps = Some((a, b));
             }
-            "--hybrid-bisect" => opts.hybrid_bisect = true,
             "--sabotage" => {
                 let spec = args.next().unwrap_or_else(|| usage());
                 let parse_u32 = |s: &str| -> Option<u32> {
@@ -322,7 +322,6 @@ fn parse_args() -> Options {
             || opts.bisect
             || opts.emit_asm
             || opts.disasm
-            || opts.hybrid_bisect
             || opts.warm.is_some()
             || opts.roi)
     {
@@ -363,8 +362,8 @@ fn parse_args() -> Options {
         eprintln!("lbp-run: --warm-snap needs --warm or --roi to produce the handoff snapshot");
         std::process::exit(2);
     }
-    if !opts.sabotage.is_empty() && !opts.hybrid_bisect {
-        eprintln!("lbp-run: --sabotage only makes sense with --hybrid-bisect");
+    if !opts.sabotage.is_empty() && !opts.lockstep {
+        eprintln!("lbp-run: --sabotage only makes sense with --lockstep");
         std::process::exit(2);
     }
     if opts.cores == 0 || opts.cores > 4096 {
@@ -414,10 +413,10 @@ fn write_dump(path: &str, dump: &MachineDump) {
     }
 }
 
-/// `--lockstep`: run the machine and verify it commit-by-commit against
-/// the sequential ISS oracle.
+/// `--lockstep` / `--hybrid-bisect`: run the machine and verify it
+/// against the functional engine, hart by hart and commit by commit.
 fn run_lockstep_mode(cfg: LbpConfig, image: &lbp::asm::Image, opts: &Options) -> ExitCode {
-    match lbp::sim::run_lockstep(cfg, image, opts.max_cycles) {
+    match lbp::sim::run_lockstep(cfg, image, opts.max_cycles, &opts.sabotage) {
         Ok(ls) => {
             println!("lockstep: OK ({} commits verified)", ls.commits);
             println!("exited:   {}", ls.report.exited);
@@ -435,10 +434,6 @@ fn run_lockstep_mode(cfg: LbpConfig, image: &lbp::asm::Image, opts: &Options) ->
                 write_dump(path, &fail.dump);
             }
             ExitCode::from(sim_exit_code(&fail.error))
-        }
-        Err(e @ LockstepError::Parallel { .. }) => {
-            eprintln!("lbp-run: {e}");
-            ExitCode::from(2)
         }
         Err(e) => {
             // An oracle fault or an architectural divergence.
@@ -736,29 +731,6 @@ fn warm_forward(
     Ok(machine)
 }
 
-/// `--hybrid-bisect`: run the functional and cycle-exact engines side by
-/// side and localize their first commit-stream divergence.
-fn run_hybrid_bisect(opts: &Options, image: &lbp::asm::Image) -> ExitCode {
-    let cfg = LbpConfig::cores(opts.cores);
-    match lbp::snap::hybrid_divergence(cfg, image, opts.max_cycles, &opts.sabotage) {
-        Ok(Some(d)) => {
-            println!("{d}");
-            ExitCode::SUCCESS
-        }
-        Ok(None) => {
-            println!(
-                "no divergence: the functional and cycle-exact engines retire identical \
-                 per-hart instruction streams"
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("lbp-run: {e}");
-            ExitCode::from(sim_exit_code(&e))
-        }
-    }
-}
-
 /// `--bisect`: build a clean machine and one with the `--fault` plan,
 /// then binary-search their runs (over snapshots) for the first cycle —
 /// and the first traced event — where they diverge.
@@ -865,10 +837,6 @@ fn main() -> ExitCode {
     if opts.bisect {
         let image = &front.as_ref().expect("checked by parse_args").1;
         return run_bisect_mode(&opts, image);
-    }
-    if opts.hybrid_bisect {
-        let image = &front.as_ref().expect("checked by parse_args").1;
-        return run_hybrid_bisect(&opts, image);
     }
     if opts.lockstep {
         let image = &front.as_ref().expect("checked by parse_args").1;

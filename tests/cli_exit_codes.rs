@@ -130,6 +130,46 @@ fn exit_9_lockstep_divergence() {
 }
 
 #[test]
+fn hybrid_bisect_shares_the_lockstep_exit_policy() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples");
+    // Clean images agree, forked ones included...
+    for p in ["c/matmul.c", "c/reduce.c", "asm/fork2.s"] {
+        let out = lbp_run()
+            .arg(root.join(p))
+            .arg("--hybrid-bisect")
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{p}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("commits verified") && !stdout.contains("(0 commits"),
+            "{p}: {stdout}"
+        );
+    }
+    // ...and a divergence found is a failure, not a report.
+    let out = lbp_run()
+        .arg(root.join("c/matmul.c"))
+        .args(["--hybrid-bisect", "--sabotage", "68:1024"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(9));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("engines diverge at hart"), "{stderr}");
+    assert!(stderr.contains("last agreed instruction"), "{stderr}");
+    // --fault reaches the machine under either spelling.
+    assert_eq!(
+        code(lbp_run().arg(example("fork2.s")).args([
+            "--cores",
+            "2",
+            "--hybrid-bisect",
+            "--fault",
+            "flip-mem:0x80000000:0:5"
+        ])),
+        9
+    );
+}
+
+#[test]
 fn exit_10_verification_rejection() {
     assert_eq!(code(lbp_run().arg(example("hung.s")).arg("--verify")), 10);
 }

@@ -5,15 +5,9 @@
 //! values, and past-end), and with faults scheduled inside the
 //! cycle-exact window.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
-
 use lbp::asm::Image;
 use lbp::kernels::matmul::{Matmul, Version};
-use lbp::sim::{
-    Event, EventKind, FastEngine, FastStop, Fault, FaultPlan, LbpConfig, Machine, TraceSink,
-};
+use lbp::sim::{EventKind, FastEngine, FastStop, Fault, FaultPlan, LbpConfig, Machine};
 
 const MAX_CYCLES: u64 = 100_000_000;
 const MAX_STEPS: u64 = 100_000_000;
@@ -171,30 +165,20 @@ fn warm_zero_materializes_bit_identical_to_fresh() {
     }
 }
 
-/// A sink collecting per-hart committed pcs (the cycle-exact half of the
+/// Per-hart committed pcs of a traced run (the cycle-exact half of the
 /// commit-stream concatenation property).
-struct PerHartCommits {
-    streams: Rc<RefCell<Vec<VecDeque<u32>>>>,
-}
-
-impl TraceSink for PerHartCommits {
-    fn record(&mut self, event: &Event) {
+fn commit_streams(m: &Machine, harts: usize) -> Vec<Vec<u32>> {
+    let mut streams = vec![Vec::new(); harts];
+    for event in m.trace().events() {
         if let EventKind::Commit { pc } = event.kind {
-            self.streams.borrow_mut()[event.hart.global() as usize].push_back(pc);
+            streams[event.hart.global() as usize].push(pc);
         }
     }
-}
-
-fn commit_streams(m: &mut Machine, harts: usize) -> Rc<RefCell<Vec<VecDeque<u32>>>> {
-    let streams = Rc::new(RefCell::new(vec![VecDeque::new(); harts]));
-    m.set_sink(Box::new(PerHartCommits {
-        streams: Rc::clone(&streams),
-    }));
     streams
 }
 
 /// Per hart: pure commit-pc stream == functional commit log ++ hybrid
-/// window commit stream. This is the property the divergence bisector
+/// window commit stream. This is the property the lockstep checker
 /// relies on to localize a functional bug to one instruction.
 #[test]
 fn per_hart_commit_streams_concatenate() {
@@ -203,24 +187,24 @@ fn per_hart_commit_streams_concatenate() {
     let cfg = LbpConfig::cores(2);
     let harts = cfg.harts();
 
-    let mut pure = Machine::new(cfg.clone(), &image).unwrap();
-    let pure_streams = commit_streams(&mut pure, harts);
+    let mut pure = Machine::new(cfg.clone().with_trace(), &image).unwrap();
     pure.run(MAX_CYCLES).unwrap();
+    let pure_streams = commit_streams(&pure, harts);
 
     let (retired, _) = pure_run(&image, 2);
     let mut fast = FastEngine::new(cfg.clone(), &image).unwrap();
     fast.enable_commit_log();
     fast.run(FastStop::Retired(retired / 2), MAX_STEPS).unwrap();
     let mut hybrid = fast.materialize(&image).unwrap();
-    let window_streams = commit_streams(&mut hybrid, harts);
+    hybrid.set_trace(true);
     hybrid.run(MAX_CYCLES).unwrap();
+    let window_streams = commit_streams(&hybrid, harts);
 
     for h in 0..harts {
         let mut expect: Vec<u32> = fast.commit_log()[h].clone();
-        expect.extend(window_streams.borrow()[h].iter().copied());
-        let got: Vec<u32> = pure_streams.borrow()[h].iter().copied().collect();
+        expect.extend(&window_streams[h]);
         assert_eq!(
-            got, expect,
+            pure_streams[h], expect,
             "hart {h}: pure commit stream != functional log ++ window stream"
         );
     }
