@@ -368,25 +368,12 @@ fn parse_instruction(line: &str, ln: usize, items: &mut Vec<SourceItem>) -> Resu
     // Helper to emit a patchable or folded instruction.
     let patch = |kind: PatchKind, e: Expr| SymInstr::Patch { kind, expr: e };
 
-    if let Some(kind) = branch_kind(mnemonic) {
+    // A base comparison, or a pseudo-branch that swaps its operands.
+    let branch = by_mnemonic(&BranchKind::ALL, BranchKind::mnemonic, mnemonic)
+        .map(|kind| (kind, (0, 1)))
+        .or_else(|| swapped_branch(mnemonic).map(|kind| (kind, (1, 0))));
+    if let Some((kind, (a, b))) = branch {
         need(3)?;
-        let e = expr(2)?;
-        push(
-            items,
-            patch(
-                PatchKind::Branch {
-                    kind,
-                    rs1: reg(0)?,
-                    rs2: reg(1)?,
-                },
-                e,
-            ),
-        );
-        return Ok(());
-    }
-    if let Some((kind, swap)) = swapped_branch(mnemonic) {
-        need(3)?;
-        let (a, b) = if swap { (1, 0) } else { (0, 1) };
         let e = expr(2)?;
         push(
             items,
@@ -412,7 +399,7 @@ fn parse_instruction(line: &str, ln: usize, items: &mut Vec<SourceItem>) -> Resu
         push(items, patch(PatchKind::Branch { kind, rs1, rs2 }, e));
         return Ok(());
     }
-    if let Some(kind) = load_kind(mnemonic) {
+    if let Some(kind) = by_mnemonic(&LoadKind::ALL, LoadKind::mnemonic, mnemonic) {
         need(2)?;
         let (off, base) = parse_mem_operand(args[1], ln)?;
         push(
@@ -428,7 +415,7 @@ fn parse_instruction(line: &str, ln: usize, items: &mut Vec<SourceItem>) -> Resu
         );
         return Ok(());
     }
-    if let Some(kind) = store_kind(mnemonic) {
+    if let Some(kind) = by_mnemonic(&StoreKind::ALL, StoreKind::mnemonic, mnemonic) {
         need(2)?;
         let (off, base) = parse_mem_operand(args[1], ln)?;
         push(
@@ -444,7 +431,7 @@ fn parse_instruction(line: &str, ln: usize, items: &mut Vec<SourceItem>) -> Resu
         );
         return Ok(());
     }
-    if let Some(kind) = op_imm_kind(mnemonic) {
+    if let Some(kind) = by_mnemonic(&OpImmKind::ALL, OpImmKind::mnemonic, mnemonic) {
         need(3)?;
         push(
             items,
@@ -459,7 +446,7 @@ fn parse_instruction(line: &str, ln: usize, items: &mut Vec<SourceItem>) -> Resu
         );
         return Ok(());
     }
-    if let Some(kind) = op_kind(mnemonic) {
+    if let Some(kind) = by_mnemonic(&OpKind::ALL, OpKind::mnemonic, mnemonic) {
         need(3)?;
         push(
             items,
@@ -797,24 +784,19 @@ fn expand_li(rd: Reg, e: Expr, ln: usize, items: &mut Vec<SourceItem>) -> Result
     Ok(())
 }
 
-fn branch_kind(m: &str) -> Option<BranchKind> {
-    Some(match m {
-        "beq" => BranchKind::Eq,
-        "bne" => BranchKind::Ne,
-        "blt" => BranchKind::Lt,
-        "bge" => BranchKind::Ge,
-        "bltu" => BranchKind::Ltu,
-        "bgeu" => BranchKind::Geu,
-        _ => return None,
-    })
+/// Reverse lookup over one of lbp-isa's forward mnemonic tables
+/// (`K::ALL` and `K::mnemonic`), so a new instruction kind is one edit
+/// there and none here.
+fn by_mnemonic<K: Copy>(all: &[K], name: fn(K) -> &'static str, m: &str) -> Option<K> {
+    all.iter().copied().find(|&k| name(k) == m)
 }
 
-fn swapped_branch(m: &str) -> Option<(BranchKind, bool)> {
+fn swapped_branch(m: &str) -> Option<BranchKind> {
     Some(match m {
-        "bgt" => (BranchKind::Lt, true),
-        "ble" => (BranchKind::Ge, true),
-        "bgtu" => (BranchKind::Ltu, true),
-        "bleu" => (BranchKind::Geu, true),
+        "bgt" => BranchKind::Lt,
+        "ble" => BranchKind::Ge,
+        "bgtu" => BranchKind::Ltu,
+        "bleu" => BranchKind::Geu,
         _ => return None,
     })
 }
@@ -832,65 +814,6 @@ fn zero_branch(m: &str) -> Option<(BranchKind, ZeroSide)> {
         "bgez" => (BranchKind::Ge, ZeroSide::Rs2),
         "blez" => (BranchKind::Ge, ZeroSide::Rs1),
         "bgtz" => (BranchKind::Lt, ZeroSide::Rs1),
-        _ => return None,
-    })
-}
-
-fn load_kind(m: &str) -> Option<LoadKind> {
-    Some(match m {
-        "lb" => LoadKind::B,
-        "lh" => LoadKind::H,
-        "lw" => LoadKind::W,
-        "lbu" => LoadKind::Bu,
-        "lhu" => LoadKind::Hu,
-        _ => return None,
-    })
-}
-
-fn store_kind(m: &str) -> Option<StoreKind> {
-    Some(match m {
-        "sb" => StoreKind::B,
-        "sh" => StoreKind::H,
-        "sw" => StoreKind::W,
-        _ => return None,
-    })
-}
-
-fn op_imm_kind(m: &str) -> Option<OpImmKind> {
-    Some(match m {
-        "addi" => OpImmKind::Add,
-        "slti" => OpImmKind::Slt,
-        "sltiu" => OpImmKind::Sltu,
-        "xori" => OpImmKind::Xor,
-        "ori" => OpImmKind::Or,
-        "andi" => OpImmKind::And,
-        "slli" => OpImmKind::Sll,
-        "srli" => OpImmKind::Srl,
-        "srai" => OpImmKind::Sra,
-        _ => return None,
-    })
-}
-
-fn op_kind(m: &str) -> Option<OpKind> {
-    Some(match m {
-        "add" => OpKind::Add,
-        "sub" => OpKind::Sub,
-        "sll" => OpKind::Sll,
-        "slt" => OpKind::Slt,
-        "sltu" => OpKind::Sltu,
-        "xor" => OpKind::Xor,
-        "srl" => OpKind::Srl,
-        "sra" => OpKind::Sra,
-        "or" => OpKind::Or,
-        "and" => OpKind::And,
-        "mul" => OpKind::Mul,
-        "mulh" => OpKind::Mulh,
-        "mulhsu" => OpKind::Mulhsu,
-        "mulhu" => OpKind::Mulhu,
-        "div" => OpKind::Div,
-        "divu" => OpKind::Divu,
-        "rem" => OpKind::Rem,
-        "remu" => OpKind::Remu,
         _ => return None,
     })
 }

@@ -21,6 +21,7 @@
 use std::path::PathBuf;
 
 use lbp_batch::service::ServiceOptions;
+use lbp_sim::ExitClass;
 
 fn usage() -> ! {
     eprintln!(
@@ -50,7 +51,7 @@ fn usage() -> ! {
          --crash-torn           TEST HOOK: with the above, also leave a torn\n\
          \x20                      half-record at the journal tail"
     );
-    std::process::exit(2);
+    ExitClass::Usage.exit();
 }
 
 struct Options {
@@ -135,7 +136,7 @@ fn main() {
         Ok(text) => text,
         Err(e) => {
             eprintln!("lbp-batch: cannot read {}: {e}", opts.manifest.display());
-            std::process::exit(1);
+            ExitClass::Failure.exit();
         }
     };
     let base = opts
@@ -147,7 +148,7 @@ fn main() {
         Ok(jobs) => jobs,
         Err(e) => {
             eprintln!("lbp-batch: {e}");
-            std::process::exit(1);
+            ExitClass::Failure.exit();
         }
     };
     let started = std::time::Instant::now();
@@ -174,7 +175,7 @@ fn main() {
             }
             Err(e) => {
                 eprintln!("lbp-batch: {e}");
-                std::process::exit(1);
+                ExitClass::Failure.exit();
             }
         }
         return;
@@ -184,7 +185,7 @@ fn main() {
             Ok(f) => lbp_batch::run_batch(&jobs, opts.workers, std::io::BufWriter::new(f)),
             Err(e) => {
                 eprintln!("lbp-batch: cannot create {}: {e}", path.display());
-                std::process::exit(1);
+                ExitClass::Failure.exit();
             }
         },
         None => lbp_batch::run_batch(&jobs, opts.workers, std::io::stdout()),
@@ -202,7 +203,7 @@ fn main() {
         }
         Err(e) => {
             eprintln!("lbp-batch: writing results failed: {e}");
-            std::process::exit(1);
+            ExitClass::Failure.exit();
         }
     }
 }

@@ -29,6 +29,7 @@ use std::process::ExitCode;
 
 use lbp_bench::fastforward::{measure, suite_json};
 use lbp_bench::throughput::Workload;
+use lbp_sim::ExitClass;
 
 fn main() -> ExitCode {
     let mut out: Option<String> = None;
@@ -44,14 +45,14 @@ fn main() -> ExitCode {
             "--min-speedup" => {
                 let Some(v) = args.next().and_then(|s| s.parse().ok()) else {
                     eprintln!("fastforward: --min-speedup needs a number");
-                    return ExitCode::from(2);
+                    return ExitClass::Usage.into();
                 };
                 min_speedup = v;
             }
             other => {
                 eprintln!("fastforward: unknown option `{other}`");
                 eprintln!("usage: fastforward [--out FILE] [--quick] [--check] [--min-speedup X]");
-                return ExitCode::from(2);
+                return ExitClass::Usage.into();
             }
         }
     }

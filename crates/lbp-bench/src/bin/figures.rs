@@ -13,6 +13,7 @@ use lbp_bench::{
     benchmark_json, determinism_check, energy_comparison, fork_join_overhead,
     reproduce_figure_with_reports, single_core_ipc,
 };
+use lbp_sim::ExitClass;
 
 fn usage() -> ! {
     eprintln!(
@@ -21,7 +22,7 @@ fn usage() -> ! {
          --csv prints figures as CSV rows instead of tables.\n\
          --stats-dir DIR writes one lbp-stats-v1 JSON per benchmark run into DIR."
     );
-    std::process::exit(2)
+    ExitClass::Usage.exit()
 }
 
 fn run_figure(number: u32, csv: bool, stats_dir: Option<&str>) {
@@ -53,7 +54,7 @@ fn run_figure(number: u32, csv: bool, stats_dir: Option<&str>) {
         t.elapsed()
     );
     if !all_ok {
-        std::process::exit(1);
+        ExitClass::Failure.exit();
     }
 }
 

@@ -23,6 +23,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use lbp_bench::throughput::{overhead_check, suite_json, Workload};
+use lbp_sim::ExitClass;
 
 const OVERHEAD_GUARD: f64 = 3.0;
 
@@ -39,7 +40,7 @@ fn main() -> ExitCode {
             other => {
                 eprintln!("throughput: unknown option `{other}`");
                 eprintln!("usage: throughput [--out FILE] [--quick] [--check]");
-                return ExitCode::from(2);
+                return ExitClass::Usage.into();
             }
         }
     }

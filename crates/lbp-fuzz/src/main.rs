@@ -17,6 +17,7 @@ use std::path::PathBuf;
 
 use lbp_fuzz::gen::{Kind, Sabotage};
 use lbp_fuzz::FuzzOptions;
+use lbp_sim::ExitClass;
 
 fn usage() -> ! {
     eprintln!(
@@ -45,7 +46,7 @@ fn usage() -> ! {
          --shrink-attempts N  shrink budget per failure, 0 = off (default 200)\n\
          --out FILE           write the JSONL stream to FILE instead of stdout"
     );
-    std::process::exit(2);
+    ExitClass::Usage.exit();
 }
 
 /// Hidden helper mode behind the cross-process resume oracle:
@@ -62,26 +63,26 @@ fn resume_worker(snap: &str, max_cycles: &str) -> ! {
         Ok(s) => s,
         Err(e) => {
             eprintln!("lbp-fuzz: cannot load snapshot `{snap}`: {e}");
-            std::process::exit(1);
+            ExitClass::Failure.exit();
         }
     };
     let mut machine = match lbp_sim::Machine::restore(&state) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("lbp-fuzz: cannot restore snapshot `{snap}`: {e}");
-            std::process::exit(1);
+            ExitClass::Failure.exit();
         }
     };
     if let Err(fail) = machine.run_diagnosed(max_cycles) {
         eprintln!("lbp-fuzz: resumed run failed: {}", fail.error);
-        std::process::exit(3);
+        ExitClass::Finding.exit();
     }
     println!(
         "{:016x} {}",
         lbp_snap::content_hash(&machine.snapshot()),
         machine.stats().cycles
     );
-    std::process::exit(0);
+    ExitClass::Ok.exit();
 }
 
 fn parse_args() -> (FuzzOptions, Option<PathBuf>) {
@@ -163,7 +164,7 @@ fn main() {
             Ok(f) => lbp_fuzz::run_fuzz(&opts, std::io::BufWriter::new(f)),
             Err(e) => {
                 eprintln!("lbp-fuzz: cannot create {}: {e}", path.display());
-                std::process::exit(1);
+                ExitClass::Failure.exit();
             }
         },
         None => lbp_fuzz::run_fuzz(&opts, std::io::stdout().lock()),
@@ -183,11 +184,16 @@ fn main() {
                     opts.seed
                 );
             }
-            std::process::exit(if s.clean() { 0 } else { 3 });
+            let class = if s.clean() {
+                ExitClass::Ok
+            } else {
+                ExitClass::Finding
+            };
+            class.exit()
         }
         Err(e) => {
             eprintln!("lbp-fuzz: writing output failed: {e}");
-            std::process::exit(1);
+            ExitClass::Failure.exit();
         }
     }
 }

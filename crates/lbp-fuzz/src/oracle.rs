@@ -62,6 +62,7 @@
 //! panic on generated input.
 
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use lbp_asm::Image;
 use lbp_sim::{
@@ -503,9 +504,14 @@ fn resume_in_fresh_process(
 
         let (hash, cycles) = match &opts.resume_exec {
             Some(exe) => {
+                // The ordinal keeps concurrent checks of the same case (same
+                // pid, same content hash) off each other's file: one's
+                // `remove_file` would delete the snapshot the other reads.
+                static SNAP_ORDINAL: AtomicU64 = AtomicU64::new(0);
                 let snap = std::env::temp_dir().join(format!(
-                    "lbp-fuzz-resume-{}-{:016x}.lbpsnap",
+                    "lbp-fuzz-resume-{}-{}-{:016x}.lbpsnap",
                     std::process::id(),
+                    SNAP_ORDINAL.fetch_add(1, Ordering::Relaxed),
                     lbp_snap::content_hash(&state)
                 ));
                 lbp_snap::save(&state, &snap).map_err(|e| {

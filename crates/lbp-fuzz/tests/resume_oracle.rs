@@ -5,6 +5,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use lbp_fuzz::gen::{generate, GenConfig};
 use lbp_fuzz::oracle::{check_with, CheckOpts};
@@ -65,9 +66,11 @@ fn resume_worker_reports_the_final_hash() {
     let cfg = lbp_sim::LbpConfig::cores(1);
     let mut m = lbp_sim::Machine::new(cfg, &image).unwrap();
     assert!(!m.run_to(100).unwrap());
+    static ORDINAL: AtomicU64 = AtomicU64::new(0);
     let snap = std::env::temp_dir().join(format!(
-        "lbp-fuzz-worker-test-{}.lbpsnap",
-        std::process::id()
+        "lbp-fuzz-worker-test-{}-{}.lbpsnap",
+        std::process::id(),
+        ORDINAL.fetch_add(1, Ordering::Relaxed)
     ));
     lbp_snap::save(&m.snapshot(), &snap).unwrap();
 

@@ -32,7 +32,7 @@
 use std::fmt;
 
 use lbp_asm::Image;
-use lbp_sim::{CoreStalls, Json, ProfData, ProfEventKind, Stats};
+use lbp_sim::{CoreStalls, EventKind, Json, ProfData, Stats};
 
 /// The profiler report schema version tag.
 pub const PROF_SCHEMA: &str = "lbp-prof-v1";
@@ -240,19 +240,27 @@ pub fn build_report(program: &str, stats: &Stats, prof: &ProfData, sym: &SymTab)
         .timeline()
         .iter()
         .map(|ev| {
+            // `lbp-prof-v1` files a fork under the allocated child, with
+            // the requesting hart as `parent`, and spells a hart's end
+            // `"end"`.
+            let (name, hart) = match ev.kind {
+                EventKind::Fork { child } => ("fork", child),
+                EventKind::HartEnd => ("end", ev.hart),
+                ref kind => (kind.name(), ev.hart),
+            };
             let mut pairs = vec![
                 ("cycle".to_owned(), Json::U64(ev.cycle)),
-                ("event".to_owned(), Json::Str(ev.kind.name().to_owned())),
-                ("hart".to_owned(), Json::U64(ev.kind.hart().global() as u64)),
+                ("event".to_owned(), Json::Str(name.to_owned())),
+                ("hart".to_owned(), Json::U64(hart.global() as u64)),
             ];
             match ev.kind {
-                ProfEventKind::Fork { parent, .. } => {
-                    pairs.push(("parent".to_owned(), Json::U64(parent.global() as u64)));
+                EventKind::Fork { .. } => {
+                    pairs.push(("parent".to_owned(), Json::U64(ev.hart.global() as u64)));
                 }
-                ProfEventKind::Start { pc, .. } | ProfEventKind::Join { pc, .. } => {
+                EventKind::Start { pc } | EventKind::Join { pc } => {
                     pairs.push(("pc".to_owned(), Json::U64(pc as u64)));
                 }
-                ProfEventKind::End { .. } | ProfEventKind::Exit { .. } => {}
+                _ => {}
             }
             Json::Obj(pairs)
         })
@@ -351,41 +359,35 @@ pub fn timeline_json(prof: &ProfData, final_cycle: u64) -> String {
             ("tid", Json::U64(hart.local() as u64)),
         ])
     };
+    let instant = |name: &str, at: u64, hart: lbp_isa::HartId, (key, value): (&str, u64)| {
+        Json::obj([
+            ("name", Json::Str(name.to_owned())),
+            ("ph", Json::Str("i".to_owned())),
+            ("s", Json::Str("t".to_owned())),
+            ("ts", Json::U64(at)),
+            ("pid", Json::U64(hart.core() as u64)),
+            ("tid", Json::U64(hart.local() as u64)),
+            ("args", Json::obj([(key, Json::U64(value))])),
+        ])
+    };
     for ev in prof.timeline() {
-        let hart = ev.kind.hart();
+        let hart = ev.hart;
         match ev.kind {
-            ProfEventKind::Start { .. } => open.push((hart, ev.cycle)),
-            ProfEventKind::End { .. } | ProfEventKind::Exit { .. } => {
+            EventKind::Start { .. } => open.push((hart, ev.cycle)),
+            EventKind::HartEnd | EventKind::Exit => {
                 if let Some(i) = open.iter().position(|&(h, _)| h == hart) {
                     let (_, from) = open.remove(i);
                     events.push(span(hart, from, ev.cycle));
                 }
             }
-            ProfEventKind::Fork { parent, child } => {
-                events.push(Json::obj([
-                    ("name", Json::Str("fork".to_owned())),
-                    ("ph", Json::Str("i".to_owned())),
-                    ("s", Json::Str("t".to_owned())),
-                    ("ts", Json::U64(ev.cycle)),
-                    ("pid", Json::U64(parent.core() as u64)),
-                    ("tid", Json::U64(parent.local() as u64)),
-                    (
-                        "args",
-                        Json::obj([("child", Json::U64(child.global() as u64))]),
-                    ),
-                ]));
+            EventKind::Fork { child } => {
+                let child = ("child", child.global() as u64);
+                events.push(instant("fork", ev.cycle, hart, child));
             }
-            ProfEventKind::Join { pc, .. } => {
-                events.push(Json::obj([
-                    ("name", Json::Str("join".to_owned())),
-                    ("ph", Json::Str("i".to_owned())),
-                    ("s", Json::Str("t".to_owned())),
-                    ("ts", Json::U64(ev.cycle)),
-                    ("pid", Json::U64(hart.core() as u64)),
-                    ("tid", Json::U64(hart.local() as u64)),
-                    ("args", Json::obj([("pc", Json::U64(pc as u64))])),
-                ]));
+            EventKind::Join { pc } => {
+                events.push(instant("join", ev.cycle, hart, ("pc", pc as u64)));
             }
+            _ => {}
         }
     }
     for (hart, from) in open {

@@ -15,7 +15,7 @@ use crate::config::{cv_base_in, LbpConfig};
 use crate::io::IoBus;
 use crate::msg::NetMsg;
 use crate::network::Network;
-use crate::prof::ProfData;
+use crate::observe::Observers;
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 
 /// A fatal memory fault. LBP has no traps: a bad access ends the
@@ -219,7 +219,7 @@ impl MemSys {
     /// network port) is also attributed to the requester's core in the
     /// bank-conflict matrix; local-bank (private) backlog stays out of the
     /// matrix, so the matrix totals at most `conflicts`.
-    pub fn tick(&mut self, now: u64, mut prof: Option<&mut ProfData>) -> Result<(), MemFault> {
+    pub fn tick(&mut self, now: u64, obs: &mut Observers) -> Result<(), MemFault> {
         self.now = now;
         for core in 0..self.cores as u32 {
             // Local-bank port.
@@ -242,13 +242,10 @@ impl MemSys {
                 }
             }
             self.conflicts += Self::port_backlog(&self.shared_q[core as usize], now);
-            if let Some(p) = prof.as_deref_mut() {
-                for ported in self.shared_q[core as usize].iter() {
-                    if ported.arrived < now {
-                        p.bank_conflict(ported.msg.hart().core() as usize, core as usize, 1);
-                    }
-                }
-            }
+            let ready = self.shared_q[core as usize]
+                .iter()
+                .filter(|p| p.arrived < now);
+            obs.bank_conflict(core as usize, ready.map(|p| p.msg.hart().core() as usize));
             // Network port of the shared bank.
             if let Some(msg) = self.net.bank_queue(core).pop_front() {
                 let resp = self.perform(core, msg, PortSide::Network)?;
@@ -256,11 +253,8 @@ impl MemSys {
                 self.remote_served += 1;
             }
             self.conflicts += self.net.bank_queue(core).len() as u64;
-            if let Some(p) = prof.as_deref_mut() {
-                for msg in self.net.bank_queue(core).iter() {
-                    p.bank_conflict(msg.hart().core() as usize, core as usize, 1);
-                }
-            }
+            let queued = self.net.bank_queue(core).iter();
+            obs.bank_conflict(core as usize, queued.map(|m| m.hart().core() as usize));
         }
         Ok(())
     }
@@ -613,9 +607,9 @@ mod tests {
             5,
         );
         // Same-cycle service is not allowed.
-        m.tick(5, None).unwrap();
+        m.tick(5, &mut Observers::off(false)).unwrap();
         assert!(m.take_staged(0).is_empty());
-        m.tick(6, None).unwrap();
+        m.tick(6, &mut Observers::off(false)).unwrap();
         let resp = m.take_staged(0);
         assert_eq!(
             resp,
@@ -672,7 +666,7 @@ mod tests {
         let mut got = None;
         for now in 1..20 {
             m.net.tick();
-            m.tick(now, None).unwrap();
+            m.tick(now, &mut Observers::off(false)).unwrap();
             let inbox = m.net.take_core_inbox(3);
             if !inbox.is_empty() {
                 got = Some((now, inbox));

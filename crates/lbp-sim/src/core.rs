@@ -17,10 +17,9 @@ use crate::error::SimError;
 use crate::fabric::Fabric;
 use crate::hart::{Fetched, HartCtx, HartState, ItEntry, Rb, RbWait};
 use crate::msg::{CoreMsg, NetMsg};
-use crate::prof::{ProfData, ProfEventKind};
-use crate::race::RaceData;
+use crate::observe::Observers;
 use crate::stats::{StallKind, Stats};
-use crate::trace::{Event, EventKind, Trace, TraceSink};
+use crate::trace::EventKind;
 
 /// Pipeline stage indices for the round-robin pointers.
 const ST_FETCH: usize = 0;
@@ -29,43 +28,19 @@ const ST_ISSUE: usize = 2;
 const ST_WB: usize = 3;
 const ST_COMMIT: usize = 4;
 
-/// Shared mutable context threaded through the pipeline stages.
+/// Shared mutable context threaded through the pipeline stages; built
+/// once per machine tick and handed to every core in turn.
 pub(crate) struct Env<'a> {
     pub mem: &'a mut MemSys,
     pub fabric: &'a mut Fabric,
     pub stats: &'a mut Stats,
-    pub trace: &'a mut Trace,
-    pub trace_on: bool,
-    pub sink: Option<&'a mut dyn TraceSink>,
+    /// Trace, sink, profiler and race witness: the pipeline reports to
+    /// its hooks and never looks at which of them are on.
+    pub obs: &'a mut Observers,
     pub lat: Latencies,
     pub now: u64,
     pub cores: usize,
     pub exited: &'a mut bool,
-    /// Profiling collectors; `None` unless profiling is enabled, so the
-    /// disabled path costs one branch per hook and changes nothing else.
-    pub prof: Option<&'a mut ProfData>,
-    /// Race-witness collector; `None` unless enabled. Same discipline as
-    /// `prof`: observational, one branch per hook when off.
-    pub race: Option<&'a mut RaceData>,
-}
-
-impl Env<'_> {
-    fn emit(&mut self, hart: HartId, kind: EventKind) {
-        if !self.trace_on && self.sink.is_none() {
-            return;
-        }
-        let event = Event {
-            cycle: self.now,
-            hart,
-            kind,
-        };
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.record(&event);
-        }
-        if self.trace_on {
-            self.trace.push(event.cycle, event.hart, event.kind);
-        }
-    }
 }
 
 /// One core: its four harts, the stage round-robin pointers and the hart
@@ -186,17 +161,11 @@ impl Core {
         // Classifying each slot into exactly one bucket yields the exact
         // partition `sum(stalls) + retired == cycles` per core.
         match committed {
-            Some(pc) => {
-                if let Some(p) = env.prof.as_deref_mut() {
-                    p.retired(self.index as usize, pc);
-                }
-            }
+            Some(pc) => env.obs.retired(self.index as usize, pc),
             None => {
                 let (kind, blamed) = self.classify_stall(env.now);
                 env.stats.stalls_per_core[self.index as usize].bump(kind);
-                if let Some(p) = env.prof.as_deref_mut() {
-                    p.stalled(self.index as usize, blamed, kind);
-                }
+                env.obs.stalled(self.index as usize, kind, blamed);
             }
         }
         Ok(())
@@ -311,16 +280,7 @@ impl Core {
         let sp = env.mem.cv_base(child);
         self.harts[child_local].allocate(sp);
         env.stats.forks += 1;
-        env.emit(requester, EventKind::Fork { child });
-        if let Some(p) = env.prof.as_deref_mut() {
-            p.event(
-                env.now,
-                ProfEventKind::Fork {
-                    parent: requester,
-                    child,
-                },
-            );
-        }
+        env.obs.event(env.now, requester, EventKind::Fork { child });
         if requester.core() == self.index {
             // Complete the local `p_fc`.
             let rb = self.harts[requester.local() as usize]
@@ -375,7 +335,7 @@ impl Core {
         h.ib = Some(Fetched { pc, instr });
         h.fetch_suspended = true;
         let id = h.id;
-        env.emit(id, EventKind::Fetch { pc });
+        env.obs.event(env.now, id, EventKind::Fetch { pc });
         Ok(())
     }
 
@@ -504,9 +464,7 @@ impl Core {
             }
             Instr::Load { kind, offset, .. } => {
                 let addr = v1.wrapping_add(offset as u32);
-                if let Some(r) = env.race.as_deref_mut() {
-                    r.read(id, e.pc, addr, kind.size() as u8);
-                }
+                env.obs.load(id, e.pc, addr, kind.size() as u8);
                 self.send_read(
                     id,
                     addr,
@@ -519,9 +477,7 @@ impl Core {
             }
             Instr::Store { kind, offset, .. } => {
                 let addr = v1.wrapping_add(offset as u32);
-                if let Some(r) = env.race.as_deref_mut() {
-                    r.write(id, e.pc, addr, kind.size() as u8);
-                }
+                env.obs.store(id, e.pc, addr, kind.size() as u8);
                 self.send_write(id, addr, v2, kind.size() as u8, env)?;
                 self.harts[hart_idx].in_flight_mem += 1;
                 silent
@@ -547,7 +503,8 @@ impl Core {
                         },
                         now,
                     );
-                    env.emit(
+                    env.obs.event(
+                        env.now,
                         id,
                         EventKind::MemWrite {
                             addr,
@@ -689,7 +646,8 @@ impl Core {
         };
         self.route_request(hart, addr, msg, env)?;
         let bank = self.bank_of(addr, env);
-        env.emit(hart, EventKind::MemRead { addr, bank });
+        env.obs
+            .event(env.now, hart, EventKind::MemRead { addr, bank });
         Ok(())
     }
 
@@ -710,7 +668,8 @@ impl Core {
         };
         self.route_request(hart, addr, msg, env)?;
         let bank = self.bank_of(addr, env);
-        env.emit(hart, EventKind::MemWrite { addr, bank, value });
+        env.obs
+            .event(env.now, hart, EventKind::MemWrite { addr, bank, value });
         Ok(())
     }
 
@@ -741,9 +700,7 @@ impl Core {
                         hart,
                     }));
                 }
-                if let Some(p) = env.prof.as_deref_mut() {
-                    p.noc_request(self.index as usize, bank as usize);
-                }
+                env.obs.noc_request(self.index as usize, bank as usize);
                 if bank == self.index {
                     env.mem.shared_local_request(self.index, msg, env.now);
                     env.stats.local_accesses += 1;
@@ -809,7 +766,8 @@ impl Core {
         }
         let id = h.id;
         env.stats.retired_per_hart[id.global() as usize] += 1;
-        env.emit(id, EventKind::Commit { pc: entry.pc });
+        env.obs
+            .event(env.now, id, EventKind::Commit { pc: entry.pc });
         if entry.is_pret {
             self.commit_p_ret(i, entry.pret.expect("p_ret resolved at issue"), env)?;
         }
@@ -830,10 +788,7 @@ impl Core {
             if word.is_exit_sentinel() {
                 // Type 3: process exit.
                 *env.exited = true;
-                env.emit(id, EventKind::Exit);
-                if let Some(p) = env.prof.as_deref_mut() {
-                    p.event(env.now, ProfEventKind::Exit { hart: id });
-                }
+                env.obs.event(env.now, id, EventKind::Exit);
             } else if word.joins_to(id) {
                 // Type 2: keep waiting for a join.
                 self.harts[hart_idx].state = HartState::WaitingJoin;
@@ -842,10 +797,7 @@ impl Core {
                 // Type 1: the hart ends.
                 self.harts[hart_idx].end();
                 self.free_q.push_back(hart_idx as u32);
-                env.emit(id, EventKind::HartEnd);
-                if let Some(p) = env.prof.as_deref_mut() {
-                    p.event(env.now, ProfEventKind::End { hart: id });
-                }
+                env.obs.event(env.now, id, EventKind::HartEnd);
                 self.forward_end_signal(hart_idx, env);
             }
         } else {
@@ -868,10 +820,7 @@ impl Core {
             } else {
                 self.harts[hart_idx].end();
                 self.free_q.push_back(hart_idx as u32);
-                env.emit(id, EventKind::HartEnd);
-                if let Some(p) = env.prof.as_deref_mut() {
-                    p.event(env.now, ProfEventKind::End { hart: id });
-                }
+                env.obs.event(env.now, id, EventKind::HartEnd);
             }
         }
         Ok(())
@@ -886,7 +835,7 @@ impl Core {
         if let Some(next) = h.team_succ {
             if (next.core() as usize) < env.cores {
                 env.fabric.send(self.index, CoreMsg::EndSignal { to: next });
-                env.emit(id, EventKind::EndSignal);
+                env.obs.event(env.now, id, EventKind::EndSignal);
             }
         }
     }

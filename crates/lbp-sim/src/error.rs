@@ -67,16 +67,94 @@ pub enum SimError {
 
 impl SimError {
     /// A short machine-readable class name, stable across releases: used
-    /// for the `error_class` field of `lbp-dump-v1` dumps and to derive
-    /// `lbp-run`'s per-class process exit codes.
+    /// for the `error_class` field of `lbp-dump-v1` dumps and the `class`
+    /// field of `lbp-batch-v1`/`lbp-fuzz-v1` lines. It is the name of
+    /// [`SimError::exit_class`].
     pub fn class(&self) -> &'static str {
+        self.exit_class().name()
+    }
+
+    /// The exit class a tool ends with when this error stops a run.
+    pub fn exit_class(&self) -> ExitClass {
         match self {
-            SimError::Mem(_) => "mem",
-            SimError::Decode { .. } => "decode",
-            SimError::Protocol { .. } => "protocol",
-            SimError::Deadlock { .. } => "deadlock",
-            SimError::Timeout { .. } => "timeout",
+            SimError::Mem(_) => ExitClass::Mem,
+            SimError::Decode { .. } => ExitClass::Decode,
+            SimError::Protocol { .. } => ExitClass::Protocol,
+            SimError::Deadlock { .. } => ExitClass::Deadlock,
+            SimError::Timeout { .. } => ExitClass::Timeout,
         }
+    }
+}
+
+/// Why a tool's process ended: the one exit-code vocabulary of `lbp-run`,
+/// `lbp-cc`, `lbp-batch`, `lbp-fuzz` and the `lbp-bench` binaries. The
+/// discriminant is the process exit code; scripts and CI match on the
+/// numbers, so they are load-bearing API.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum ExitClass {
+    /// The tool did what it was asked.
+    Ok = 0,
+    /// A front-end, I/O or self-check failure.
+    Failure = 1,
+    /// Bad command line.
+    Usage = 2,
+    /// `lbp-fuzz` found a failing case.
+    Finding = 3,
+    /// [`SimError::Timeout`].
+    Timeout = 4,
+    /// [`SimError::Deadlock`].
+    Deadlock = 5,
+    /// [`SimError::Protocol`].
+    Protocol = 6,
+    /// [`SimError::Decode`].
+    Decode = 7,
+    /// [`SimError::Mem`].
+    Mem = 8,
+    /// The lockstep check found the engines diverging.
+    Divergence = 9,
+    /// Static verification, the lint or the race witness said no.
+    Rejected = 10,
+    /// The wall-clock watchdog cancelled the run.
+    Cancelled = 11,
+    /// `lbp-cc --diff`: semantics and simulation disagree observably.
+    SemanticsDivergence = 12,
+}
+
+impl ExitClass {
+    /// The process exit code.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The stable machine-readable name.
+    pub fn name(self) -> &'static str {
+        match self {
+            ExitClass::Ok => "ok",
+            ExitClass::Failure => "failure",
+            ExitClass::Usage => "usage",
+            ExitClass::Finding => "finding",
+            ExitClass::Timeout => "timeout",
+            ExitClass::Deadlock => "deadlock",
+            ExitClass::Protocol => "protocol",
+            ExitClass::Decode => "decode",
+            ExitClass::Mem => "mem",
+            ExitClass::Divergence => "divergence",
+            ExitClass::Rejected => "rejected",
+            ExitClass::Cancelled => "cancelled",
+            ExitClass::SemanticsDivergence => "semantics-divergence",
+        }
+    }
+
+    /// Ends the process with this class's code.
+    pub fn exit(self) -> ! {
+        std::process::exit(self.code() as i32)
+    }
+}
+
+impl From<ExitClass> for std::process::ExitCode {
+    fn from(class: ExitClass) -> std::process::ExitCode {
+        std::process::ExitCode::from(class.code())
     }
 }
 

@@ -79,6 +79,7 @@ mod lockstep;
 mod machine;
 mod msg;
 mod network;
+mod observe;
 mod prof;
 mod race;
 mod snapshot;
@@ -88,14 +89,14 @@ mod trace;
 pub use bank::MemFault;
 pub use config::{Latencies, LbpConfig, CV_FRAME_BYTES};
 pub use dump::{HartDump, MachineDump, SimFailure, DUMP_SCHEMA};
-pub use error::{BlockedHart, SimError};
+pub use error::{BlockedHart, ExitClass, SimError};
 pub use fast::{FastEngine, FastStop, FastSummary};
 pub use fault::{Fault, FaultPlan};
 pub use io::{InputDevice, IoBus, OutputDevice, DEVICE_STRIDE};
 pub use json::{Json, JsonError};
 pub use lockstep::{run_lockstep, Divergence, LockstepError, LockstepReport};
 pub use machine::{Machine, RunPause, RunReport};
-pub use prof::{PcCounters, ProfData, ProfEvent, ProfEventKind, ProfInterval};
+pub use prof::{PcCounters, ProfData, ProfInterval};
 pub use race::{RaceData, RaceKind, RaceWitness};
 pub use snapshot::{MachineState, SnapError};
 pub use stats::{CoreStalls, IntervalSample, StallKind, Stats};

@@ -15,7 +15,7 @@
 //! reports the **first** architectural divergence: a hart whose
 //! committed-pc streams split (localized to the exact commit), a final
 //! register difference on the exiting hart, or a shared-memory
-//! difference. `lbp-run --lockstep` / `--hybrid-bisect` expose the
+//! difference. `lbp-run --lockstep` exposes the
 //! checker on the command line; fault-injection tests use it to prove a
 //! flipped bit surfaces as a divergence rather than silent corruption.
 

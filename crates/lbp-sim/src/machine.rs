@@ -14,11 +14,12 @@ use crate::hart::{HartCtx, HartState, RbWait};
 use crate::io::IoBus;
 use crate::json::Json;
 use crate::msg::{CoreMsg, NetMsg};
-use crate::prof::{ProfData, ProfEventKind};
+use crate::observe::Observers;
+use crate::prof::ProfData;
 use crate::race::{RaceData, RaceWitness};
 use crate::snapshot::{MachineState, SnapError, SnapReader, SnapWriter};
 use crate::stats::{CoreStalls, IntervalSample, Stats};
-use crate::trace::{Event, EventKind, Trace, TraceSink};
+use crate::trace::{EventKind, Trace, TraceSink};
 
 /// The result of a completed run.
 #[derive(Debug, Clone)]
@@ -87,16 +88,9 @@ pub struct Machine {
     pub(crate) mem: MemSys,
     pub(crate) fabric: Fabric,
     stats: Stats,
-    trace: Trace,
-    sink: Option<Box<dyn TraceSink>>,
-    /// Profiling collectors; `None` (off) unless
-    /// [`Machine::enable_profiling`] was called. Like the trace and the
-    /// sink, never part of a snapshot.
-    prof: Option<Box<ProfData>>,
-    /// Race-witness collector; `None` (off) unless
-    /// [`Machine::enable_race_witness`] was called. Observational like
-    /// `prof`, and likewise never part of a snapshot.
-    race: Option<Box<RaceData>>,
+    /// Trace, streaming sink, profiler and race witness: everything that
+    /// watches the run. Never part of a snapshot.
+    obs: Observers,
     cursor: SampleCursor,
     pub(crate) cycle: u64,
     pub(crate) exited: bool,
@@ -121,7 +115,7 @@ impl std::fmt::Debug for Machine {
             .field("cycle", &self.cycle)
             .field("exited", &self.exited)
             .field("stats", &self.stats)
-            .field("streaming", &self.sink.is_some())
+            .field("streaming", &self.obs.sink.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -171,10 +165,7 @@ impl Machine {
         Ok(Machine {
             fabric,
             stats: Stats::new(cfg.harts()),
-            trace: Trace::new(),
-            sink: None,
-            prof: None,
-            race: None,
+            obs: Observers::off(cfg.trace),
             cursor: SampleCursor::default(),
             cycle: 0,
             exited: false,
@@ -231,7 +222,7 @@ impl Machine {
 
     /// The event trace (empty unless the configuration enables tracing).
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.obs.trace
     }
 
     /// Attaches a streaming trace sink. Every machine event is forwarded
@@ -239,7 +230,7 @@ impl Machine {
     /// toggle (`cfg.trace`), so multi-million-cycle runs can be traced in
     /// O(1) memory. Call [`Machine::finish_trace`] after the run to flush.
     pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
+        self.obs.sink = Some(sink);
     }
 
     /// Enables guest-program profiling: from now on every core cycle is
@@ -252,15 +243,15 @@ impl Machine {
     /// on or off. The collectors are not serialized into snapshots — a
     /// restored machine starts with profiling off.
     pub fn enable_profiling(&mut self) {
-        if self.prof.is_none() {
-            self.prof = Some(Box::new(ProfData::new(self.cfg.cores)));
+        if self.obs.prof.is_none() {
+            self.obs.prof = Some(Box::new(ProfData::new(self.cfg.cores)));
         }
     }
 
     /// The profiling collectors, if [`Machine::enable_profiling`] was
     /// called.
     pub fn profile(&self) -> Option<&ProfData> {
-        self.prof.as_deref()
+        self.obs.prof.as_deref()
     }
 
     /// Turns on the dynamic race-witness collector (see [`RaceData`]).
@@ -272,8 +263,8 @@ impl Machine {
     /// collector on or off, and it is not serialized into snapshots — a
     /// restored machine starts with collection off.
     pub fn enable_race_witness(&mut self) {
-        if self.race.is_none() {
-            self.race = Some(Box::new(RaceData::new(self.cfg.cores)));
+        if self.obs.race.is_none() {
+            self.obs.race = Some(Box::new(RaceData::new(self.cfg.cores)));
         }
     }
 
@@ -281,7 +272,7 @@ impl Machine {
     /// [`Machine::enable_race_witness`] was never called (or when the
     /// program is race-free).
     pub fn race_witnesses(&self) -> &[RaceWitness] {
-        self.race.as_deref().map_or(&[], |r| r.witnesses.as_slice())
+        self.obs.race.as_deref().map_or(&[], |r| &r.witnesses[..])
     }
 
     /// Finalizes and flushes the attached streaming sink, if any (closes
@@ -291,7 +282,7 @@ impl Machine {
     ///
     /// Returns the first I/O error the sink encountered during the run.
     pub fn finish_trace(&mut self) -> std::io::Result<()> {
-        match self.sink.as_mut() {
+        match &mut self.obs.sink {
             Some(sink) => sink.finish(),
             None => Ok(()),
         }
@@ -427,6 +418,7 @@ impl Machine {
     /// around the cycle under inspection.
     pub fn set_trace(&mut self, on: bool) {
         self.cfg.trace = on;
+        self.obs.trace_on = on;
     }
 
     /// Serializes the complete simulation state into a [`MachineState`].
@@ -530,15 +522,12 @@ impl Machine {
         let fabric = Fabric::unsnap_dyn(&mut r, drop_nth, delay_nth, fabric_faults)?;
         r.finish()?;
         Ok(Machine {
+            obs: Observers::off(cfg.trace),
             cfg,
             cores,
             mem,
             fabric,
             stats,
-            trace: Trace::new(),
-            sink: None,
-            prof: None,
-            race: None,
             cursor,
             cycle,
             exited,
@@ -562,25 +551,21 @@ impl Machine {
         // 2. Deliver arrivals to harts.
         self.deliver()?;
         // 3. Core pipelines.
-        for c in 0..self.cores.len() {
-            let mut env = Env {
-                mem: &mut self.mem,
-                fabric: &mut self.fabric,
-                stats: &mut self.stats,
-                trace: &mut self.trace,
-                trace_on: self.cfg.trace,
-                sink: self.sink.as_deref_mut().map(|s| s as &mut dyn TraceSink),
-                lat: self.cfg.latencies,
-                now,
-                cores: self.cfg.cores,
-                exited: &mut self.exited,
-                prof: self.prof.as_deref_mut(),
-                race: self.race.as_deref_mut(),
-            };
-            self.cores[c].tick(&mut env)?;
+        let mut env = Env {
+            mem: &mut self.mem,
+            fabric: &mut self.fabric,
+            stats: &mut self.stats,
+            obs: &mut self.obs,
+            lat: self.cfg.latencies,
+            now,
+            cores: self.cfg.cores,
+            exited: &mut self.exited,
+        };
+        for core in &mut self.cores {
+            core.tick(&mut env)?;
         }
         // 4. Banks serve their ports.
-        self.mem.tick(now, self.prof.as_deref_mut())?;
+        self.mem.tick(now, &mut self.obs)?;
         self.stats.cycles = self.cycle;
         self.stats.link_hops = self.mem.net.hops + self.fabric.hops;
         self.stats.bank_conflicts = self.mem.conflicts;
@@ -628,9 +613,8 @@ impl Machine {
     fn take_sample(&mut self) {
         let retired = self.stats.retired();
         let stalls = self.stats.stalls_total();
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.take_interval(self.cycle, self.cycle - self.cursor.cycle);
-        }
+        self.obs
+            .interval(self.cycle, self.cycle - self.cursor.cycle);
         self.stats.samples.push(IntervalSample {
             cycle: self.cycle,
             interval: self.cycle - self.cursor.cycle,
@@ -670,23 +654,6 @@ impl Machine {
         &mut self.cores[id.core() as usize].harts[id.local() as usize]
     }
 
-    fn emit(&mut self, hart: HartId, kind: EventKind) {
-        if !self.cfg.trace && self.sink.is_none() {
-            return;
-        }
-        let event = Event {
-            cycle: self.cycle,
-            hart,
-            kind,
-        };
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.record(&event);
-        }
-        if self.cfg.trace {
-            self.trace.push(event.cycle, event.hart, event.kind);
-        }
-    }
-
     /// Decrements a hart's outstanding-memory counter, turning underflow
     /// (a response nobody waits for, e.g. after a fault scrambled the
     /// protocol) into a structured error instead of a panic.
@@ -713,11 +680,13 @@ impl Machine {
                 })?;
                 debug_assert!(matches!(rb.wait, RbWait::Mem));
                 rb.wait = RbWait::Done { value: Some(value) };
-                self.emit(hart, EventKind::MemResp { addr });
+                self.obs
+                    .event(self.cycle, hart, EventKind::MemResp { addr });
             }
             NetMsg::WriteAck { addr, hart } => {
                 self.mem_completion(hart, "a store acknowledgement")?;
-                self.emit(hart, EventKind::MemResp { addr });
+                self.obs
+                    .event(self.cycle, hart, EventKind::MemResp { addr });
             }
             other => {
                 return Err(SimError::Protocol {
@@ -730,30 +699,20 @@ impl Machine {
     }
 
     fn deliver_core_msg(&mut self, core: u32, msg: CoreMsg, now: u64) -> Result<(), SimError> {
-        // Rendezvous deliveries are synchronization edges for the race
-        // collector: the recipient is provably not executing when they
-        // arrive (blocked on the fork result, not yet started, or waiting
-        // in `p_ret`), so it happens-after everything recorded so far.
-        // `CvWrite`/`CvAck`/`EndSignal`/`Result` can reach a hart that is
-        // still running and must NOT count — they would fabricate an
-        // ordering for accesses already in flight.
-        if let Some(r) = self.race.as_deref_mut() {
-            match &msg {
-                CoreMsg::ForkReply { to, .. }
-                | CoreMsg::Start { to, .. }
-                | CoreMsg::Join { to, .. } => r.sync(*to),
-                CoreMsg::ForkReq { .. }
-                | CoreMsg::CvWrite { .. }
-                | CoreMsg::CvAck { .. }
-                | CoreMsg::EndSignal { .. }
-                | CoreMsg::Result { .. } => {}
-            }
-        }
+        // `ForkReply`, `Start` and `Join` are rendezvous deliveries, the
+        // race witness's synchronization edges: the recipient is provably
+        // not executing when they arrive (blocked on the fork result, not
+        // yet started, or waiting in `p_ret`), so it happens-after
+        // everything recorded so far. `CvWrite`/`CvAck`/`EndSignal`/
+        // `Result` can reach a hart that is still running and must NOT
+        // report one — they would fabricate an ordering for accesses
+        // already in flight.
         match msg {
             CoreMsg::ForkReq { from } => {
                 self.cores[core as usize].alloc_q.push_back(from);
             }
             CoreMsg::ForkReply { to, child } => {
+                self.obs.rendezvous(to);
                 let rb = self
                     .hart_mut(to)
                     .rb
@@ -768,6 +727,7 @@ impl Machine {
                 };
             }
             CoreMsg::Start { to, pc } => {
+                self.obs.rendezvous(to);
                 let h = self.hart_mut(to);
                 if h.state != HartState::Reserved {
                     return Err(SimError::Protocol {
@@ -781,10 +741,7 @@ impl Machine {
                 h.state = HartState::Running;
                 h.pc = Some(pc);
                 h.unsuspend_now();
-                self.emit(to, EventKind::Start { pc });
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.event(now, ProfEventKind::Start { hart: to, pc });
-                }
+                self.obs.event(now, to, EventKind::Start { pc });
             }
             CoreMsg::CvWrite {
                 to,
@@ -803,6 +760,7 @@ impl Machine {
                 self.hart_mut(to).end_signal = true;
             }
             CoreMsg::Join { to, pc } => {
+                self.obs.rendezvous(to);
                 let h = self.hart_mut(to);
                 if h.state != HartState::WaitingJoin {
                     return Err(SimError::Protocol {
@@ -818,10 +776,7 @@ impl Machine {
                 h.unsuspend_now();
                 h.end_signal = true; // everything sequentially prior committed
                 self.stats.joins += 1;
-                self.emit(to, EventKind::Join { pc });
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.event(now, ProfEventKind::Join { hart: to, pc });
-                }
+                self.obs.event(now, to, EventKind::Join { pc });
             }
             CoreMsg::Result { to, slot, value } => {
                 let h = self.hart_mut(to);
@@ -833,10 +788,10 @@ impl Machine {
                         what: format!("p_swre to out-of-range result slot {slot}"),
                     })?;
                 slot_q.push_back(value);
-                self.emit(to, EventKind::ResultDelivered { slot, value });
+                self.obs
+                    .event(now, to, EventKind::ResultDelivered { slot, value });
             }
         }
-        let _ = now;
         Ok(())
     }
 

@@ -17,18 +17,16 @@
 //! (fork/start/join/end events), all sampled per interval when the
 //! configuration sets `sample_interval`.
 //!
-//! Profiling is strictly observational: every mutator is reached through
-//! an `Option` that is `None` unless profiling was enabled, so a
-//! non-profiled run executes the same instruction sequence, emits the
-//! same trace and reaches the same final state bit for bit. The profiler
-//! is *not* part of a snapshot, exactly like the trace and streaming
-//! sink: a restored machine starts with profiling off.
+//! Profiling is strictly observational: every mutator is reached only
+//! through the machine's `Observers` hooks (`observe.rs`), which keep
+//! every collector zero-cost when off and out of snapshots. The timeline
+//! is not a second event vocabulary: it is the hart-lifecycle subset
+//! (`Fork`/`Start`/`Join`/`HartEnd`/`Exit`) of the one [`Event`] stream.
 
 use std::collections::BTreeMap;
 
-use lbp_isa::HartId;
-
 use crate::stats::{CoreStalls, StallKind};
+use crate::trace::Event;
 
 /// Cycle attribution of one (core, pc) pair.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,75 +42,6 @@ impl PcCounters {
     pub fn cycles(&self) -> u64 {
         self.retired + self.stalls.total()
     }
-}
-
-/// One fork-tree / hart-lifetime event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProfEventKind {
-    /// A hart was allocated (`p_fc`/`p_fn` satisfied).
-    Fork {
-        /// The hart whose fork instruction requested the allocation.
-        parent: HartId,
-        /// The allocated hart.
-        child: HartId,
-    },
-    /// A start pc was delivered: the hart begins fetching.
-    Start {
-        /// The started hart.
-        hart: HartId,
-        /// Its first pc.
-        pc: u32,
-    },
-    /// A join address resumed a waiting hart.
-    Join {
-        /// The resumed hart.
-        hart: HartId,
-        /// The resumption pc.
-        pc: u32,
-    },
-    /// The hart ended and became free (`p_ret` types 1 and 4).
-    End {
-        /// The ending hart.
-        hart: HartId,
-    },
-    /// The exiting `p_ret` committed (`p_ret` type 3).
-    Exit {
-        /// The exiting hart.
-        hart: HartId,
-    },
-}
-
-impl ProfEventKind {
-    /// The event's stable machine-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ProfEventKind::Fork { .. } => "fork",
-            ProfEventKind::Start { .. } => "start",
-            ProfEventKind::Join { .. } => "join",
-            ProfEventKind::End { .. } => "end",
-            ProfEventKind::Exit { .. } => "exit",
-        }
-    }
-
-    /// The hart the event happens to (the child for a fork).
-    pub fn hart(&self) -> HartId {
-        match *self {
-            ProfEventKind::Fork { child, .. } => child,
-            ProfEventKind::Start { hart, .. }
-            | ProfEventKind::Join { hart, .. }
-            | ProfEventKind::End { hart }
-            | ProfEventKind::Exit { hart } => hart,
-        }
-    }
-}
-
-/// One timeline entry: what happened and when.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProfEvent {
-    /// The cycle the event occurred on.
-    pub cycle: u64,
-    /// What happened.
-    pub kind: ProfEventKind,
 }
 
 /// One per-interval sample of the traffic matrices: the *deltas* over
@@ -143,7 +72,7 @@ pub struct ProfData {
     unattributed: Vec<CoreStalls>,
     noc_requests: Vec<u64>,
     bank_conflicts: Vec<u64>,
-    timeline: Vec<ProfEvent>,
+    timeline: Vec<Event>,
     intervals: Vec<ProfInterval>,
     cursor_noc: Vec<u64>,
     cursor_conflicts: Vec<u64>,
@@ -191,9 +120,9 @@ impl ProfData {
         self.bank_conflicts[requester * self.cores + bank] += n;
     }
 
-    /// Appends one fork-tree timeline event.
-    pub(crate) fn event(&mut self, cycle: u64, kind: ProfEventKind) {
-        self.timeline.push(ProfEvent { cycle, kind });
+    /// Appends one hart-lifecycle event to the fork-tree timeline.
+    pub(crate) fn lifecycle(&mut self, event: Event) {
+        self.timeline.push(event);
     }
 
     /// Closes the current interval: records the matrix deltas since the
@@ -237,8 +166,10 @@ impl ProfData {
         &self.bank_conflicts
     }
 
-    /// The fork-tree timeline, in event order.
-    pub fn timeline(&self) -> &[ProfEvent] {
+    /// The fork-tree timeline: the run's `Fork` (stamped with the
+    /// requesting hart), `Start`, `Join`, `HartEnd` and `Exit` events, in
+    /// event order.
+    pub fn timeline(&self) -> &[Event] {
         &self.timeline
     }
 
@@ -301,16 +232,12 @@ mod tests {
 
     #[test]
     fn timeline_records_order() {
+        use crate::trace::EventKind;
         let mut p = ProfData::new(1);
-        let h = HartId::new(0);
-        p.event(
-            1,
-            ProfEventKind::Fork {
-                parent: h,
-                child: h,
-            },
-        );
-        p.event(2, ProfEventKind::Exit { hart: h });
+        let hart = lbp_isa::HartId::new(0);
+        for (cycle, kind) in [(1, EventKind::Fork { child: hart }), (2, EventKind::Exit)] {
+            p.lifecycle(Event { cycle, hart, kind });
+        }
         assert_eq!(p.timeline().len(), 2);
         assert_eq!(p.timeline()[0].kind.name(), "fork");
         assert_eq!(p.timeline()[1].cycle, 2);

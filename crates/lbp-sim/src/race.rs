@@ -34,8 +34,9 @@
 //! statically *accepted* program must produce zero witnesses.
 //!
 //! Like profiling ([`crate::prof`]), the collector is observational: it
-//! hangs off the machine behind an `Option`, costs one branch per hook
-//! when disabled, never changes the simulation, and is excluded from
+//! is reached only through the machine's `Observers` hooks (`load`,
+//! `store`, `rendezvous` in `observe.rs`), which cost one branch each
+//! when it is off, never change the simulation, and keep it out of
 //! snapshots.
 
 use std::collections::{BTreeMap, BTreeSet};

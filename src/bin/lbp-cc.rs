@@ -34,6 +34,8 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 
+use lbp::sim::ExitClass;
+
 struct Options {
     input: String,
     output: Option<String>,
@@ -63,7 +65,7 @@ fn usage() -> ! {
          exit codes: 0 ok, 1 front-end/I/O, 2 usage, 10 lint rejection,\n\
                      12 observable divergence (--diff)"
     );
-    std::process::exit(2)
+    ExitClass::Usage.exit()
 }
 
 fn parse_args() -> Options {
@@ -179,7 +181,7 @@ fn run_lint(opts: &Options, source: &str) -> ExitCode {
     if ok {
         ExitCode::SUCCESS
     } else {
-        ExitCode::from(10)
+        ExitClass::Rejected.into()
     }
 }
 
@@ -219,7 +221,7 @@ fn run_diff(opts: &Options, source: &str) -> ExitCode {
         }
         Err(lbp::sema::diff::DiffError::Divergence(d)) => {
             eprintln!("lbp-cc: observable divergence: {d}");
-            ExitCode::from(12)
+            ExitClass::SemanticsDivergence.into()
         }
         Err(e) => {
             eprintln!("lbp-cc: {e}");
@@ -232,13 +234,13 @@ fn main() -> ExitCode {
     let opts = parse_args();
     if !opts.input.ends_with(".c") {
         eprintln!("lbp-cc: input must be a `.c` file, got `{}`", opts.input);
-        return ExitCode::from(2);
+        return ExitClass::Usage.into();
     }
     let source = match std::fs::read_to_string(&opts.input) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("lbp-cc: cannot read `{}`: {e}", opts.input);
-            return ExitCode::from(2);
+            return ExitClass::Usage.into();
         }
     };
     if opts.lint {

@@ -23,10 +23,10 @@
 //!   `corrupt-instr:PC:XOR:CYCLE`, `drop-msg:NTH`, `delay-msg:NTH:CYCLES`);
 //! - `--dump-on-error FILE` writes an `lbp-dump-v1` crash dump when the
 //!   run fails;
-//! - `--lockstep` (also spelled `--hybrid-bisect`) checks the run
-//!   against the functional engine: per-hart commit streams, then the
-//!   exiting hart's registers and all of shared memory, forked programs
-//!   included; `--sabotage PC:XOR` seeds a divergence in the reference;
+//! - `--lockstep` checks the run against the functional engine: per-hart
+//!   commit streams, then the exiting hart's registers and all of shared
+//!   memory, forked programs included; `--sabotage PC:XOR` seeds a
+//!   divergence in the reference;
 //! - `--verify` statically checks the program instead of running it:
 //!   `.c` inputs go through the source-level determinism lint and the
 //!   binary fork-protocol verifier, `.s` inputs through the binary
@@ -50,8 +50,8 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use lbp::sim::{
-    ChromeSink, Fault, FaultPlan, JsonlSink, LbpConfig, LockstepError, Machine, MachineDump,
-    RunPause, RunReport, SimError, SimFailure, TextSink, TraceSink,
+    ChromeSink, ExitClass, Fault, FaultPlan, JsonlSink, LbpConfig, LockstepError, Machine,
+    MachineDump, RunPause, RunReport, SimFailure, TextSink, TraceSink,
 };
 
 #[derive(Clone, Copy, PartialEq)]
@@ -146,7 +146,6 @@ fn usage() -> ! {
                               version, producing engine, cycle, cores) and exit\n\
            --bisect-snaps A B bisect two same-cycle snapshots of diverging runs;\n\
                               refuses mixed container versions or engines\n\
-           --hybrid-bisect    the same check as --lockstep\n\
            --sabotage PC:XOR  with --lockstep: XOR a code word in the functional\n\
                               copy only (repeatable; seeded-divergence validation\n\
                               of the localizer)\n\
@@ -155,7 +154,7 @@ fn usage() -> ! {
          6 protocol, 7 decode, 8 memory fault, 9 lockstep divergence,\n\
          10 verification rejection, 11 wall-clock cancellation"
     );
-    std::process::exit(2)
+    ExitClass::Usage.exit()
 }
 
 fn parse_args() -> Options {
@@ -237,14 +236,14 @@ fn parse_args() -> Options {
                     Ok(fault) => opts.faults.push(fault),
                     Err(e) => {
                         eprintln!("lbp-run: bad fault spec `{spec}`: {e}");
-                        std::process::exit(2);
+                        ExitClass::Usage.exit();
                     }
                 }
             }
             "--dump-on-error" => {
                 opts.dump_on_error = Some(args.next().unwrap_or_else(|| usage()));
             }
-            "--lockstep" | "--hybrid-bisect" => opts.lockstep = true,
+            "--lockstep" => opts.lockstep = true,
             "--verify" => opts.verify = true,
             "--race-witness" => opts.race_witness = true,
             "--diag-json" => opts.diag_json = Some(args.next().unwrap_or_else(|| usage())),
@@ -296,7 +295,7 @@ fn parse_args() -> Options {
                     Some(pair) => opts.sabotage.push(pair),
                     None => {
                         eprintln!("lbp-run: bad --sabotage spec `{spec}` (want PC:XOR)");
-                        std::process::exit(2);
+                        ExitClass::Usage.exit();
                     }
                 }
             }
@@ -329,11 +328,11 @@ fn parse_args() -> Options {
     }
     if opts.bisect && opts.faults.is_empty() {
         eprintln!("lbp-run: --bisect needs at least one --fault to diverge from the clean run");
-        std::process::exit(2);
+        ExitClass::Usage.exit();
     }
     if opts.warm.is_some() && opts.roi {
         eprintln!("lbp-run: --warm and --roi both set the fast-forward target; pick one");
-        std::process::exit(2);
+        ExitClass::Usage.exit();
     }
     if opts.warm.is_some() || opts.roi {
         // These modes are defined against cycle-exact execution from
@@ -354,21 +353,21 @@ fn parse_args() -> Options {
                      functionally, outside what {name} checks; run the whole program \
                      cycle-exact instead"
                 );
-                std::process::exit(2);
+                ExitClass::Usage.exit();
             }
         }
     }
     if opts.warm_snap.is_some() && opts.warm.is_none() && !opts.roi {
         eprintln!("lbp-run: --warm-snap needs --warm or --roi to produce the handoff snapshot");
-        std::process::exit(2);
+        ExitClass::Usage.exit();
     }
     if !opts.sabotage.is_empty() && !opts.lockstep {
         eprintln!("lbp-run: --sabotage only makes sense with --lockstep");
-        std::process::exit(2);
+        ExitClass::Usage.exit();
     }
     if opts.cores == 0 || opts.cores > 4096 {
         eprintln!("lbp-run: --cores must be between 1 and 4096");
-        std::process::exit(2);
+        ExitClass::Usage.exit();
     }
     opts
 }
@@ -380,17 +379,6 @@ fn open_out(path: &str) -> std::io::Result<Box<dyn std::io::Write>> {
     } else {
         let file = std::fs::File::create(path)?;
         Ok(Box::new(std::io::BufWriter::new(file)))
-    }
-}
-
-/// Maps an error class to the process exit code documented in `usage`.
-fn sim_exit_code(e: &SimError) -> u8 {
-    match e {
-        SimError::Timeout { .. } => 4,
-        SimError::Deadlock { .. } => 5,
-        SimError::Protocol { .. } => 6,
-        SimError::Decode { .. } => 7,
-        SimError::Mem(_) => 8,
     }
 }
 
@@ -413,7 +401,7 @@ fn write_dump(path: &str, dump: &MachineDump) {
     }
 }
 
-/// `--lockstep` / `--hybrid-bisect`: run the machine and verify it
+/// `--lockstep`: run the machine and verify it
 /// against the functional engine, hart by hart and commit by commit.
 fn run_lockstep_mode(cfg: LbpConfig, image: &lbp::asm::Image, opts: &Options) -> ExitCode {
     match lbp::sim::run_lockstep(cfg, image, opts.max_cycles, &opts.sabotage) {
@@ -426,19 +414,19 @@ fn run_lockstep_mode(cfg: LbpConfig, image: &lbp::asm::Image, opts: &Options) ->
         }
         Err(LockstepError::Setup(e)) => {
             eprintln!("lbp-run: {e}");
-            ExitCode::from(sim_exit_code(&e))
+            e.exit_class().into()
         }
         Err(LockstepError::Machine(fail)) => {
             eprintln!("lbp-run: {}", fail.error);
             if let Some(path) = &opts.dump_on_error {
                 write_dump(path, &fail.dump);
             }
-            ExitCode::from(sim_exit_code(&fail.error))
+            fail.error.exit_class().into()
         }
         Err(e) => {
             // An oracle fault or an architectural divergence.
             eprintln!("lbp-run: {e}");
-            ExitCode::from(9)
+            ExitClass::Divergence.into()
         }
     }
 }
@@ -517,7 +505,7 @@ fn run_verify_mode(opts: &Options, source: &str) -> ExitCode {
     if ok {
         ExitCode::SUCCESS
     } else {
-        ExitCode::from(10)
+        ExitClass::Rejected.into()
     }
 }
 
@@ -625,7 +613,7 @@ fn run_bisect_snaps(a: &str, b: &str, max_cycles: u64) -> ExitCode {
     };
     if let Err(e) = lbp::snap::ensure_bisect_compatible(&meta_a, &meta_b) {
         eprintln!("lbp-run: {e}");
-        return ExitCode::from(2);
+        return ExitClass::Usage.into();
     }
     let (sa, sb) = match (lbp::snap::load(a), lbp::snap::load(b)) {
         (Ok(x), Ok(y)) => (x, y),
@@ -668,7 +656,7 @@ fn warm_forward(
                     "lbp-run: --roi needs a `__roi_start` marker; add `__roi_start();` to \
                      the C source (or a `__roi_start:` label in assembly)"
                 );
-                return Err(ExitCode::from(2));
+                return Err(ExitClass::Usage.into());
             }
         }
     } else {
@@ -678,7 +666,7 @@ fn warm_forward(
         Ok(f) => f,
         Err(e) => {
             eprintln!("lbp-run: {e}");
-            return Err(ExitCode::from(sim_exit_code(&e)));
+            return Err(e.exit_class().into());
         }
     };
     let started = std::time::Instant::now();
@@ -686,7 +674,7 @@ fn warm_forward(
         Ok(s) => s,
         Err(e) => {
             eprintln!("lbp-run: warm phase failed: {e}");
-            return Err(ExitCode::from(sim_exit_code(&e)));
+            return Err(e.exit_class().into());
         }
     };
     let secs = started.elapsed().as_secs_f64();
@@ -715,7 +703,7 @@ fn warm_forward(
         Ok(m) => m,
         Err(e) => {
             eprintln!("lbp-run: {e}");
-            return Err(ExitCode::from(sim_exit_code(&e)));
+            return Err(e.exit_class().into());
         }
     };
     if let Some(path) = &opts.warm_snap {
@@ -746,7 +734,7 @@ fn run_bisect_mode(opts: &Options, image: &lbp::asm::Image) -> ExitCode {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("lbp-run: {e}");
-            return ExitCode::from(sim_exit_code(&e));
+            return e.exit_class().into();
         }
     };
     let stride = (opts.max_cycles / 100).clamp(16, 65_536);
@@ -793,7 +781,7 @@ fn main() -> ExitCode {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("lbp-run: cannot read `{}`: {e}", opts.input);
-                return ExitCode::from(2);
+                return ExitClass::Usage.into();
             }
         };
         if opts.verify {
@@ -878,7 +866,7 @@ fn main() -> ExitCode {
                     Ok(m) => m,
                     Err(e) => {
                         eprintln!("lbp-run: {e}");
-                        return ExitCode::from(sim_exit_code(&e));
+                        return e.exit_class().into();
                     }
                 }
             }
@@ -928,7 +916,7 @@ fn main() -> ExitCode {
                 write_dump(path, &machine.dump_with("cancelled", msg));
             }
             let _ = machine.finish_trace();
-            return ExitCode::from(11);
+            return ExitClass::Cancelled.into();
         }
         Err(fail) => {
             eprintln!("lbp-run: {}", fail.error);
@@ -936,7 +924,7 @@ fn main() -> ExitCode {
                 write_dump(path, &fail.dump);
             }
             let _ = machine.finish_trace();
-            return ExitCode::from(sim_exit_code(&fail.error));
+            return fail.error.exit_class().into();
         }
     };
     if let Err(e) = machine.finish_trace() {
@@ -1051,7 +1039,7 @@ fn main() -> ExitCode {
     if raced {
         // Determinism violated at runtime: same class as a static
         // verification rejection.
-        return ExitCode::from(10);
+        return ExitClass::Rejected.into();
     }
     ExitCode::SUCCESS
 }

@@ -7,6 +7,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use lbp::sim::ExitClass;
 use lbp_testutil::harness;
 
 fn lbp_run() -> Command {
@@ -24,30 +25,69 @@ fn scratch(name: &str, text: &str) -> PathBuf {
     harness::scratch_file("exit-codes", name, text)
 }
 
-fn code(cmd: &mut Command) -> i32 {
-    cmd.output().expect("lbp-run spawns").status.code().unwrap()
+/// The contract itself: every class with the number scripts match on and
+/// its machine-readable name. Every expectation below names a class;
+/// this is the one place the numbers are pinned.
+const CONTRACT: [(ExitClass, u8, &str); 13] = [
+    (ExitClass::Ok, 0, "ok"),
+    (ExitClass::Failure, 1, "failure"),
+    (ExitClass::Usage, 2, "usage"),
+    (ExitClass::Finding, 3, "finding"),
+    (ExitClass::Timeout, 4, "timeout"),
+    (ExitClass::Deadlock, 5, "deadlock"),
+    (ExitClass::Protocol, 6, "protocol"),
+    (ExitClass::Decode, 7, "decode"),
+    (ExitClass::Mem, 8, "mem"),
+    (ExitClass::Divergence, 9, "divergence"),
+    (ExitClass::Rejected, 10, "rejected"),
+    (ExitClass::Cancelled, 11, "cancelled"),
+    (ExitClass::SemanticsDivergence, 12, "semantics-divergence"),
+];
+
+#[test]
+fn exit_class_numbers_and_names_are_pinned() {
+    for (class, code, name) in CONTRACT {
+        assert_eq!((class.code(), class.name()), (code, name));
+    }
+}
+
+/// The exit class a finished process reported (panics on a code outside
+/// the vocabulary, e.g. a signal or a Rust panic's 101).
+fn class_of(status: std::process::ExitStatus) -> ExitClass {
+    let code = status.code().expect("lbp-run exits, not signalled");
+    let row = CONTRACT.iter().find(|&&(_, c, _)| i32::from(c) == code);
+    row.unwrap_or_else(|| panic!("exit code {code} is not an ExitClass"))
+        .0
+}
+
+fn code(cmd: &mut Command) -> ExitClass {
+    class_of(cmd.output().expect("lbp-run spawns").status)
 }
 
 #[test]
 fn exit_0_clean_run() {
     assert_eq!(
         code(lbp_run().arg(example("mul.s")).args(["--cores", "1"])),
-        0
+        ExitClass::Ok
     );
 }
 
 #[test]
 fn exit_2_usage_errors() {
-    assert_eq!(code(&mut lbp_run()), 2, "no arguments");
-    assert_eq!(code(lbp_run().arg("--no-such-flag")), 2, "unknown flag");
+    assert_eq!(code(&mut lbp_run()), ExitClass::Usage, "no arguments");
+    assert_eq!(
+        code(lbp_run().arg("--no-such-flag")),
+        ExitClass::Usage,
+        "unknown flag"
+    );
     assert_eq!(
         code(lbp_run().arg(example("mul.s")).args(["--cores", "0"])),
-        2,
+        ExitClass::Usage,
         "zero cores"
     );
     assert_eq!(
         code(lbp_run().arg(example("mul.s")).arg("--bisect")),
-        2,
+        ExitClass::Usage,
         "--bisect without --fault"
     );
 }
@@ -55,7 +95,7 @@ fn exit_2_usage_errors() {
 #[test]
 fn exit_1_front_end_failure() {
     let bad = scratch("bad.c", "int main( { this is not C }\n");
-    assert_eq!(code(lbp_run().arg(bad)), 1);
+    assert_eq!(code(lbp_run().arg(bad)), ExitClass::Failure);
 }
 
 #[test]
@@ -66,7 +106,7 @@ fn exit_4_timeout() {
                 .arg(example("mul.s"))
                 .args(["--cores", "1", "--max-cycles", "5"])
         ),
-        4
+        ExitClass::Timeout
     );
 }
 
@@ -74,7 +114,7 @@ fn exit_4_timeout() {
 fn exit_5_deadlock() {
     assert_eq!(
         code(lbp_run().arg(example("hung.s")).args(["--cores", "1"])),
-        5
+        ExitClass::Deadlock
     );
 }
 
@@ -82,7 +122,10 @@ fn exit_5_deadlock() {
 fn exit_6_protocol_violation() {
     // p_fn on the last core: the forward line does not wrap.
     let p = scratch("proto.s", "main:\n  p_fn t6\n  p_ret\n");
-    assert_eq!(code(lbp_run().arg(p).args(["--cores", "1"])), 6);
+    assert_eq!(
+        code(lbp_run().arg(p).args(["--cores", "1"])),
+        ExitClass::Protocol
+    );
 }
 
 #[test]
@@ -95,7 +138,7 @@ fn exit_7_decode_fault() {
             "--fault",
             "corrupt-instr:0x0:0xffffffff:1"
         ])),
-        7
+        ExitClass::Decode
     );
 }
 
@@ -111,7 +154,10 @@ fn exit_8_memory_fault() {
   p_ret a0, t0
 ",
     );
-    assert_eq!(code(lbp_run().arg(p).args(["--cores", "1"])), 8);
+    assert_eq!(
+        code(lbp_run().arg(p).args(["--cores", "1"])),
+        ExitClass::Mem
+    );
 }
 
 #[test]
@@ -125,21 +171,21 @@ fn exit_9_lockstep_divergence() {
             "--fault",
             "flip-reg:0:a2:4:14"
         ])),
-        9
+        ExitClass::Divergence
     );
 }
 
 #[test]
-fn hybrid_bisect_shares_the_lockstep_exit_policy() {
+fn lockstep_exit_policy_covers_forked_programs_and_sabotage() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples");
     // Clean images agree, forked ones included...
     for p in ["c/matmul.c", "c/reduce.c", "asm/fork2.s"] {
         let out = lbp_run()
             .arg(root.join(p))
-            .arg("--hybrid-bisect")
+            .arg("--lockstep")
             .output()
             .unwrap();
-        assert_eq!(out.status.code(), Some(0), "{p}");
+        assert_eq!(class_of(out.status), ExitClass::Ok, "{p}");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(
             stdout.contains("commits verified") && !stdout.contains("(0 commits"),
@@ -149,29 +195,32 @@ fn hybrid_bisect_shares_the_lockstep_exit_policy() {
     // ...and a divergence found is a failure, not a report.
     let out = lbp_run()
         .arg(root.join("c/matmul.c"))
-        .args(["--hybrid-bisect", "--sabotage", "68:1024"])
+        .args(["--lockstep", "--sabotage", "68:1024"])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(9));
+    assert_eq!(class_of(out.status), ExitClass::Divergence);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("engines diverge at hart"), "{stderr}");
     assert!(stderr.contains("last agreed instruction"), "{stderr}");
-    // --fault reaches the machine under either spelling.
+    // --fault reaches the machine of a forked program too.
     assert_eq!(
         code(lbp_run().arg(example("fork2.s")).args([
             "--cores",
             "2",
-            "--hybrid-bisect",
+            "--lockstep",
             "--fault",
             "flip-mem:0x80000000:0:5"
         ])),
-        9
+        ExitClass::Divergence
     );
 }
 
 #[test]
 fn exit_10_verification_rejection() {
-    assert_eq!(code(lbp_run().arg(example("hung.s")).arg("--verify")), 10);
+    assert_eq!(
+        code(lbp_run().arg(example("hung.s")).arg("--verify")),
+        ExitClass::Rejected
+    );
 }
 
 #[test]
@@ -187,7 +236,7 @@ fn exit_11_wall_clock_cancellation() {
         .args(["--dump-on-error", dump.to_str().unwrap()])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(11));
+    assert_eq!(class_of(out.status), ExitClass::Cancelled);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("wall-clock budget"),
@@ -217,7 +266,7 @@ fn wall_clock_budget_that_fits_the_run_changes_nothing() {
         .args(["--cores", "1", "--wall-ms", "60000"])
         .output()
         .unwrap();
-    assert_eq!(watched.status.code(), Some(0));
+    assert_eq!(class_of(watched.status), ExitClass::Ok);
     assert_eq!(
         String::from_utf8_lossy(&plain.stdout),
         String::from_utf8_lossy(&watched.stdout),
@@ -269,7 +318,7 @@ fn bisect_reports_the_divergent_cycle() {
         .args(["--cores", "1", "--fault", "flip-reg:0:a2:4:14", "--bisect"])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(class_of(out.status), ExitClass::Ok);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         text.contains("first divergence at cycle 14"),
