@@ -9,11 +9,13 @@
 
 use std::collections::VecDeque;
 
-use lbp_isa::{HartId, Region, LOCAL_BASE, SHARED_BASE};
+use lbp_isa::{HartId, Instr, Region, LOCAL_BASE, SHARED_BASE};
 
 use crate::config::{cv_base_in, LbpConfig};
+use crate::error::SimError;
+use crate::hart::Decoded;
 use crate::io::IoBus;
-use crate::msg::NetMsg;
+use crate::msg::{NetMsg, QUEUE_DEPTH};
 use crate::network::Network;
 use crate::observe::Observers;
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
@@ -76,12 +78,21 @@ pub struct MemSys {
     shared: Vec<Vec<u8>>,
     /// The code image (identical copy in every core's code bank).
     code: Vec<u32>,
+    /// `code`, decoded: what the fetch stage reads. `None` marks a word
+    /// the decoder rejects. Derived state, never serialized: built by
+    /// [`predecode`] wherever `code` is, and patched by
+    /// [`MemSys::corrupt_code`], the only writer of `code`.
+    decoded: Vec<Option<Decoded>>,
     /// Local-bank port queue, one per core (own loads/stores/`p_lwcv`).
     local_q: Vec<VecDeque<Ported>>,
     /// Own-shared-slice local port queue, one per core.
     shared_q: Vec<VecDeque<Ported>>,
+    /// Requests in all of `local_q` and `shared_q` together.
+    queued: usize,
     /// Responses completed by local ports, delivered next cycle.
     staged: Vec<Vec<NetMsg>>,
+    /// Responses in all of `staged` together.
+    staged_total: usize,
     /// The r1/r2/r3 network serving remote shared accesses.
     pub net: Network,
     /// Memory-mapped devices (served through the local ports).
@@ -113,9 +124,18 @@ impl MemSys {
                 .map(|_| vec![0; cfg.shared_bank_bytes as usize])
                 .collect(),
             code: text.to_vec(),
-            local_q: (0..cores).map(|_| VecDeque::new()).collect(),
-            shared_q: (0..cores).map(|_| VecDeque::new()).collect(),
-            staged: (0..cores).map(|_| Vec::new()).collect(),
+            decoded: predecode(text),
+            local_q: (0..cores)
+                .map(|_| VecDeque::with_capacity(QUEUE_DEPTH))
+                .collect(),
+            shared_q: (0..cores)
+                .map(|_| VecDeque::with_capacity(QUEUE_DEPTH))
+                .collect(),
+            queued: 0,
+            staged: (0..cores)
+                .map(|_| Vec::with_capacity(QUEUE_DEPTH))
+                .collect(),
+            staged_total: 0,
             net: Network::new(cores, cfg.shared_bank_bytes),
             io: IoBus::new(),
             local_served: 0,
@@ -136,19 +156,27 @@ impl MemSys {
         (addr - SHARED_BASE) / self.shared_bank_bytes
     }
 
-    /// Fetches a code word (used by the fetch stage; no contention).
-    pub fn fetch(&self, pc: u32, hart: HartId) -> Result<u32, MemFault> {
+    /// Fetches the decoded instruction at `pc` (used by the fetch stage;
+    /// no contention). An undecodable word is an error only here, when it
+    /// is actually fetched, and the error carries the raw word.
+    pub fn fetch(&self, pc: u32, hart: HartId) -> Result<Decoded, SimError> {
         if !pc.is_multiple_of(4) {
-            return Err(MemFault::Unaligned {
+            return Err(SimError::Mem(MemFault::Unaligned {
                 addr: pc,
                 size: 4,
                 hart,
-            });
+            }));
         }
-        self.code
-            .get((pc / 4) as usize)
-            .copied()
-            .ok_or(MemFault::Unmapped { addr: pc, hart })
+        let index = (pc / 4) as usize;
+        match self.decoded.get(index) {
+            Some(Some(op)) => Ok(*op),
+            Some(None) => Err(SimError::Decode {
+                pc,
+                word: self.code[index],
+                hart,
+            }),
+            None => Err(SimError::Mem(MemFault::Unmapped { addr: pc, hart })),
+        }
     }
 
     /// The fixed continuation-value frame base address of a hart (within
@@ -194,11 +222,13 @@ impl MemSys {
     /// Enqueues a request on the owning core's local-bank port.
     pub fn local_request(&mut self, core: u32, msg: NetMsg, now: u64) {
         self.local_q[core as usize].push_back(Ported { msg, arrived: now });
+        self.queued += 1;
     }
 
     /// Enqueues a request on the core's own shared-slice local port.
     pub fn shared_local_request(&mut self, core: u32, msg: NetMsg, now: u64) {
         self.shared_q[core as usize].push_back(Ported { msg, arrived: now });
+        self.queued += 1;
     }
 
     /// Applies a cross-core `p_swcv` continuation-value write (the forward
@@ -208,9 +238,29 @@ impl MemSys {
         self.write_local(to.core(), addr, value, 4, to)
     }
 
-    /// Takes the local-port responses staged for a core.
-    pub fn take_staged(&mut self, core: u32) -> Vec<NetMsg> {
-        std::mem::take(&mut self.staged[core as usize])
+    /// Whether a memory response waits for any core.
+    pub fn any_arrivals(&self) -> bool {
+        self.staged_total != 0 || self.net.any_at_cores()
+    }
+
+    /// The `i`-th memory response waiting for a core this cycle: the
+    /// network's in arrival order, then the local ports'.
+    pub fn arrival(&self, core: u32, i: usize) -> Option<NetMsg> {
+        let inbox = self.net.core_inbox(core);
+        let msg = match inbox.get(i) {
+            Some(msg) => msg,
+            None => self.staged[core as usize].get(i - inbox.len())?,
+        };
+        Some(*msg)
+    }
+
+    /// Forgets the memory responses waiting for a core; their buffers keep
+    /// their capacity.
+    pub fn clear_arrivals(&mut self, core: u32) {
+        self.net.clear_core_inbox(core);
+        let staged = &mut self.staged[core as usize];
+        self.staged_total -= staged.len();
+        staged.clear();
     }
 
     /// One cycle of bank service: each local port and each network port
@@ -221,42 +271,59 @@ impl MemSys {
     /// matrix, so the matrix totals at most `conflicts`.
     pub fn tick(&mut self, now: u64, obs: &mut Observers) -> Result<(), MemFault> {
         self.now = now;
+        if self.queued == 0 && !self.net.any_at_banks() {
+            return Ok(());
+        }
         for core in 0..self.cores as u32 {
+            let c = core as usize;
+            // A core whose three port queues are empty serves nothing and
+            // adds 0 to every counter below.
+            if self.local_q[c].is_empty()
+                && self.shared_q[c].is_empty()
+                && self.net.bank_queue(core).is_empty()
+            {
+                continue;
+            }
             // Local-bank port.
-            if let Some(p) = self.local_q[core as usize].front().copied() {
+            if let Some(p) = self.local_q[c].front().copied() {
                 if p.arrived < now {
-                    self.local_q[core as usize].pop_front();
-                    let resp = self.perform(core, p.msg, PortSide::Local)?;
-                    self.staged[core as usize].push(resp);
-                    self.local_served += 1;
+                    self.local_q[c].pop_front();
+                    self.queued -= 1;
+                    let resp = self.perform(core, p.msg)?;
+                    self.stage(c, resp);
                 }
             }
-            self.conflicts += Self::port_backlog(&self.local_q[core as usize], now);
+            self.conflicts += Self::port_backlog(&self.local_q[c], now);
             // Shared-slice local port.
-            if let Some(p) = self.shared_q[core as usize].front().copied() {
+            if let Some(p) = self.shared_q[c].front().copied() {
                 if p.arrived < now {
-                    self.shared_q[core as usize].pop_front();
-                    let resp = self.perform(core, p.msg, PortSide::Local)?;
-                    self.staged[core as usize].push(resp);
-                    self.local_served += 1;
+                    self.shared_q[c].pop_front();
+                    self.queued -= 1;
+                    let resp = self.perform(core, p.msg)?;
+                    self.stage(c, resp);
                 }
             }
-            self.conflicts += Self::port_backlog(&self.shared_q[core as usize], now);
-            let ready = self.shared_q[core as usize]
-                .iter()
-                .filter(|p| p.arrived < now);
-            obs.bank_conflict(core as usize, ready.map(|p| p.msg.hart().core() as usize));
+            self.conflicts += Self::port_backlog(&self.shared_q[c], now);
+            let ready = self.shared_q[c].iter().filter(|p| p.arrived < now);
+            obs.bank_conflict(c, ready.map(|p| p.msg.hart().core() as usize));
             // Network port of the shared bank.
-            if let Some(msg) = self.net.bank_queue(core).pop_front() {
-                let resp = self.perform(core, msg, PortSide::Network)?;
+            if let Some(msg) = self.net.pop_bank(core) {
+                let resp = self.perform(core, msg)?;
                 self.net.send_from_bank(core, resp);
                 self.remote_served += 1;
             }
-            self.conflicts += self.net.bank_queue(core).len() as u64;
-            let queued = self.net.bank_queue(core).iter();
-            obs.bank_conflict(core as usize, queued.map(|m| m.hart().core() as usize));
+            let queued = self.net.bank_queue(core);
+            self.conflicts += queued.len() as u64;
+            obs.bank_conflict(c, queued.iter().map(|m| m.hart().core() as usize));
         }
         Ok(())
+    }
+
+    /// Stages a local port's response for delivery next cycle.
+    fn stage(&mut self, core: usize, resp: NetMsg) {
+        self.staged[core].push(resp);
+        self.staged_total += 1;
+        self.local_served += 1;
     }
 
     /// Requests at a port that were ready this cycle but not served.
@@ -265,12 +332,7 @@ impl MemSys {
     }
 
     /// Performs a read/write at `bank_core` and builds the response.
-    fn perform(
-        &mut self,
-        bank_core: u32,
-        msg: NetMsg,
-        _side: PortSide,
-    ) -> Result<NetMsg, MemFault> {
+    fn perform(&mut self, bank_core: u32, msg: NetMsg) -> Result<NetMsg, MemFault> {
         match msg {
             NetMsg::ReadReq {
                 addr,
@@ -406,9 +468,7 @@ impl MemSys {
     /// response. Feeds the machine's quiescence-based deadlock detector
     /// (the network's own queues are checked separately).
     pub fn ports_quiet(&self) -> bool {
-        self.local_q.iter().all(VecDeque::is_empty)
-            && self.shared_q.iter().all(VecDeque::is_empty)
-            && self.staged.iter().all(Vec::is_empty)
+        self.queued == 0 && self.staged_total == 0
     }
 
     /// Requests queued at a core's bank ports (crash dumps).
@@ -535,9 +595,12 @@ impl MemSys {
             shared_bank_bytes,
             local,
             shared,
+            decoded: predecode(&code),
             code,
+            queued: local_q.iter().chain(&shared_q).map(VecDeque::len).sum(),
             local_q,
             shared_q,
+            staged_total: staged.iter().map(Vec::len).sum(),
             staged,
             net,
             io,
@@ -551,22 +614,34 @@ impl MemSys {
     /// XORs the code word at `pc` with `xor` (fault injection). Every
     /// core's code bank is the same copy, so all cores see the corruption.
     pub fn corrupt_code(&mut self, pc: u32, xor: u32) {
-        if let Some(word) = self.code.get_mut((pc / 4) as usize) {
+        let index = (pc / 4) as usize;
+        if let Some(word) = self.code.get_mut(index) {
             *word ^= xor;
+            self.decoded[index] = decode_word(*word);
         }
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum PortSide {
-    Local,
-    Network,
+fn decode_word(word: u32) -> Option<Decoded> {
+    Instr::decode(word).ok().map(Decoded::new)
+}
+
+/// Decodes a code image once, so that no fetch decodes again.
+fn predecode(code: &[u32]) -> Vec<Option<Decoded>> {
+    code.iter().map(|&word| decode_word(word)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CV_FRAME_BYTES;
+
+    /// The memory responses waiting for `core`, taken away from it.
+    fn take_arrivals(m: &mut MemSys, core: u32) -> Vec<NetMsg> {
+        let out = (0..).map_while(|i| m.arrival(core, i)).collect();
+        m.clear_arrivals(core);
+        out
+    }
 
     fn memsys(cores: usize) -> MemSys {
         MemSys::new(&LbpConfig::cores(cores), &[0x13], &[1, 0, 0, 0]).unwrap()
@@ -608,9 +683,9 @@ mod tests {
         );
         // Same-cycle service is not allowed.
         m.tick(5, &mut Observers::off(false)).unwrap();
-        assert!(m.take_staged(0).is_empty());
+        assert!(take_arrivals(&mut m, 0).is_empty());
         m.tick(6, &mut Observers::off(false)).unwrap();
-        let resp = m.take_staged(0);
+        let resp = take_arrivals(&mut m, 0);
         assert_eq!(
             resp,
             vec![NetMsg::WriteAck {
@@ -667,7 +742,7 @@ mod tests {
         for now in 1..20 {
             m.net.tick();
             m.tick(now, &mut Observers::off(false)).unwrap();
-            let inbox = m.net.take_core_inbox(3);
+            let inbox = take_arrivals(&mut m, 3);
             if !inbox.is_empty() {
                 got = Some((now, inbox));
                 break;
@@ -689,7 +764,7 @@ mod tests {
     #[test]
     fn code_fetch_bounds() {
         let m = memsys(1);
-        assert_eq!(m.fetch(0, HartId::FIRST).unwrap(), 0x13);
+        assert_eq!(m.fetch(0, HartId::FIRST).unwrap().instr, Instr::NOP);
         assert!(m.fetch(4, HartId::FIRST).is_err());
         assert!(m.fetch(2, HartId::FIRST).is_err());
     }

@@ -41,6 +41,8 @@ pub(crate) struct Env<'a> {
     pub now: u64,
     pub cores: usize,
     pub exited: &'a mut bool,
+    /// Set by any commit stage that retires an instruction this tick.
+    pub retired: bool,
 }
 
 /// One core: its four harts, the stage round-robin pointers and the hart
@@ -62,6 +64,10 @@ pub(crate) struct Core {
     /// exactly. A set-based "lowest free" policy would instead depend on
     /// *when* an in-flight free lands relative to a fork request.
     pub free_q: VecDeque<u32>,
+    /// How many harts are not `Free`. Derived from the harts, so never
+    /// serialized: whoever sets hart states from outside the pipeline
+    /// (boot, restore, the hybrid handoff) calls [`Core::recount_live`].
+    live: usize,
 }
 
 impl Core {
@@ -72,9 +78,22 @@ impl Core {
                 .map(|l| mk_hart(HartId::from_parts(index, l)))
                 .collect(),
             rr: [0; 5],
-            alloc_q: VecDeque::new(),
+            // Each hart has at most one fork request outstanding, and
+            // requests come from this core and its predecessor.
+            alloc_q: VecDeque::with_capacity(2 * HARTS_PER_CORE),
             free_q: (0..HARTS_PER_CORE as u32).collect(),
+            live: 0,
         }
+    }
+
+    /// Re-derives the live-hart count after hart states were set directly.
+    pub fn recount_live(&mut self) {
+        self.live = self.count_live();
+    }
+
+    fn count_live(&self) -> usize {
+        let live = |h: &&HartCtx| h.state != HartState::Free;
+        self.harts.iter().filter(live).count()
     }
 
     pub(crate) fn snap(&self, w: &mut crate::snapshot::SnapWriter) {
@@ -122,24 +141,39 @@ impl Core {
             }
             free_q.push_back(l);
         }
-        Ok(Core {
+        let mut core = Core {
             index,
             harts,
             rr,
             alloc_q,
             free_q,
-        })
+            live: 0,
+        };
+        core.recount_live();
+        Ok(core)
     }
 
     /// Round-robin selection of one hart satisfying `pred`, advancing the
     /// stage pointer past the chosen hart.
     fn select(&mut self, stage: usize, pred: impl Fn(&HartCtx) -> bool) -> Option<usize> {
+        self.select_with(stage, |h| pred(h).then_some(()))
+            .map(|(i, ())| i)
+    }
+
+    /// Round-robin selection of the first hart for which `pick` finds
+    /// something, returned with what it found; advances the stage pointer
+    /// past the chosen hart.
+    fn select_with<T>(
+        &mut self,
+        stage: usize,
+        pick: impl Fn(&HartCtx) -> Option<T>,
+    ) -> Option<(usize, T)> {
         let start = self.rr[stage];
         for k in 0..HARTS_PER_CORE {
             let i = (start + k) % HARTS_PER_CORE;
-            if pred(&self.harts[i]) {
+            if let Some(found) = pick(&self.harts[i]) {
                 self.rr[stage] = (i + 1) % HARTS_PER_CORE;
-                return Some(i);
+                return Some((i, found));
             }
         }
         None
@@ -149,6 +183,23 @@ impl Core {
     /// stage sees the state its predecessors left at the end of the
     /// previous cycle).
     pub fn tick(&mut self, env: &mut Env<'_>) -> Result<(), SimError> {
+        debug_assert_eq!(self.live, self.count_live());
+        if self.live == 0 && self.alloc_q.is_empty() {
+            // Four `Free` harts and no fork request: no stage can fire.
+            // `process_alloc` has nothing to allocate for. A hart becomes
+            // `Free` only by committing its `p_ret`, which is the last
+            // instruction it fetched (rename clears the pc) and commits in
+            // order after everything older, so its instruction buffer,
+            // table, ROB and result buffer are empty and the four stages
+            // behind fetch select nobody; fetch wants a `Running` hart.
+            // `release_syncm` cannot fire either: a decoded `p_syncm`
+            // blocks fetch until it is released, so the `p_ret` was
+            // fetched with `syncm_wait` clear and nothing was renamed
+            // after it. `classify_stall` answers `Idle` for such a core.
+            env.stats.stalls_per_core[self.index as usize].bump(StallKind::Idle);
+            env.obs.stalled(self.index as usize, StallKind::Idle, None);
+            return Ok(());
+        }
         self.process_alloc(env)?;
         self.release_syncm(env.now);
         let committed = self.stage_commit(env)?;
@@ -161,7 +212,10 @@ impl Core {
         // Classifying each slot into exactly one bucket yields the exact
         // partition `sum(stalls) + retired == cycles` per core.
         match committed {
-            Some(pc) => env.obs.retired(self.index as usize, pc),
+            Some(pc) => {
+                env.retired = true;
+                env.obs.retired(self.index as usize, pc);
+            }
             None => {
                 let (kind, blamed) = self.classify_stall(env.now);
                 env.stats.stalls_per_core[self.index as usize].bump(kind);
@@ -279,6 +333,7 @@ impl Core {
         let child = HartId::from_parts(self.index, child_local as u32);
         let sp = env.mem.cv_base(child);
         self.harts[child_local].allocate(sp);
+        self.live += 1;
         env.stats.forks += 1;
         env.obs.event(env.now, requester, EventKind::Fork { child });
         if requester.core() == self.index {
@@ -326,13 +381,8 @@ impl Core {
         };
         let h = &mut self.harts[i];
         let pc = h.pc.expect("checked by predicate");
-        let word = env.mem.fetch(pc, h.id)?;
-        let instr = Instr::decode(word).map_err(|_| SimError::Decode {
-            pc,
-            word,
-            hart: h.id,
-        })?;
-        h.ib = Some(Fetched { pc, instr });
+        let op = env.mem.fetch(pc, h.id)?;
+        h.ib = Some(Fetched { pc, op });
         h.fetch_suspended = true;
         let id = h.id;
         env.obs.event(env.now, id, EventKind::Fetch { pc });
@@ -342,7 +392,7 @@ impl Core {
     fn stage_rename(&mut self, env: &mut Env<'_>) {
         let Some(i) = self.select(ST_RENAME, |h| {
             h.ib.as_ref()
-                .is_some_and(|f| h.rename_capacity(f.instr.dest().is_some()))
+                .is_some_and(|f| h.rename_capacity(f.op.dest.is_some()))
         }) else {
             return;
         };
@@ -350,7 +400,7 @@ impl Core {
         let f = h.ib.take().expect("checked by predicate");
         h.rename(f);
         // Next-pc resolution (releases the post-fetch suspension).
-        match f.instr {
+        match f.op.instr {
             Instr::Jal { offset, .. } | Instr::PJal { offset, .. } => {
                 h.pc = Some(f.pc.wrapping_add(offset as u32));
                 h.unsuspend_next(env.now);
@@ -379,11 +429,14 @@ impl Core {
     }
 
     fn stage_issue(&mut self, env: &mut Env<'_>) -> Result<(), SimError> {
-        let Some(i) = self.select(ST_ISSUE, |h| h.rb.is_none() && h.oldest_ready().is_some())
-        else {
+        let Some((i, idx)) = self.select_with(ST_ISSUE, |h| {
+            if h.rb.is_some() {
+                return None;
+            }
+            h.oldest_ready()
+        }) else {
             return Ok(());
         };
-        let idx = self.harts[i].oldest_ready().expect("checked by predicate");
         let entry = self.harts[i].it.remove(idx);
         if entry.instr.is_mem() {
             self.harts[i].mem_in_it -= 1;
@@ -795,9 +848,7 @@ impl Core {
                 self.forward_end_signal(hart_idx, env);
             } else {
                 // Type 1: the hart ends.
-                self.harts[hart_idx].end();
-                self.free_q.push_back(hart_idx as u32);
-                env.obs.event(env.now, id, EventKind::HartEnd);
+                self.end_hart(hart_idx, env);
                 self.forward_end_signal(hart_idx, env);
             }
         } else {
@@ -818,12 +869,19 @@ impl Core {
             if target == id {
                 self.harts[hart_idx].state = HartState::WaitingJoin;
             } else {
-                self.harts[hart_idx].end();
-                self.free_q.push_back(hart_idx as u32);
-                env.obs.event(env.now, id, EventKind::HartEnd);
+                self.end_hart(hart_idx, env);
             }
         }
         Ok(())
+    }
+
+    /// Ends a hart (`p_ret` types 1 and 4): `Free` again and allocatable.
+    fn end_hart(&mut self, hart_idx: usize, env: &mut Env<'_>) {
+        self.harts[hart_idx].end();
+        self.live -= 1;
+        self.free_q.push_back(hart_idx as u32);
+        let id = self.harts[hart_idx].id;
+        env.obs.event(env.now, id, EventKind::HartEnd);
     }
 
     /// Forwards the ending-hart signal to the team successor — the hart

@@ -35,70 +35,106 @@ pub(crate) enum HartProgress {
     Inert,
     /// Some pipeline stage can still fire for this hart.
     Ready,
-    /// Stuck until an external event arrives — with a description of the
-    /// event, for the deadlock report and the crash dump.
-    Blocked(String),
+    /// Stuck until an external event arrives.
+    Blocked(Waiting),
+}
+
+/// The event a blocked hart waits for. Its `Display` is the description
+/// the deadlock report and the crash dump carry; keeping the text out of
+/// [`classify`] lets the per-cycle check answer without building strings.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Waiting {
+    StartPc,
+    JoinAddress,
+    MemResponse,
+    ForkAllocation,
+    EndSignal,
+    PretDrain,
+    SyncmDrain,
+    RecvSlot(usize),
+    Operands,
+    RenameCapacity,
+    NextFetch(u32),
+    NoPc,
+}
+
+impl std::fmt::Display for Waiting {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Waiting::StartPc => f.write_str("a start pc (p_jal/p_jalr) that never arrived"),
+            Waiting::JoinAddress => f.write_str("a join address that was never sent"),
+            Waiting::MemResponse => f.write_str("a memory response that was lost"),
+            Waiting::ForkAllocation => {
+                f.write_str("a fork allocation (every hart of the target core stays busy)")
+            }
+            Waiting::EndSignal => {
+                f.write_str("its team predecessor's ending signal before committing p_ret")
+            }
+            Waiting::PretDrain => {
+                f.write_str("outstanding memory acknowledgements to drain before committing p_ret")
+            }
+            Waiting::SyncmDrain => {
+                f.write_str("p_syncm: outstanding memory accesses that never completed")
+            }
+            Waiting::RecvSlot(slot) => {
+                write!(f, "a p_swre result in slot {slot} that was never sent")
+            }
+            Waiting::Operands => f.write_str("source operands that can never become ready"),
+            Waiting::RenameCapacity => {
+                f.write_str("rename capacity (ROB/IT/physical registers) that will never free")
+            }
+            Waiting::NextFetch(pc) => {
+                write!(f, "the next fetch address after {pc:#x} to resolve")
+            }
+            Waiting::NoPc => f.write_str("a next pc it has no way to obtain"),
+        }
+    }
 }
 
 /// Classifies one hart. `Blocked` reasons are ordered by root cause: the
 /// stage closest to retirement wins, because that is what actually holds
 /// the hart (everything younger queues behind it).
 pub(crate) fn classify(h: &HartCtx) -> HartProgress {
+    use HartProgress::{Blocked, Ready};
     match h.state {
         HartState::Free => return HartProgress::Inert,
-        HartState::Reserved => {
-            return HartProgress::Blocked("a start pc (p_jal/p_jalr) that never arrived".to_owned())
-        }
-        HartState::WaitingJoin => {
-            return HartProgress::Blocked("a join address that was never sent".to_owned())
-        }
+        HartState::Reserved => return Blocked(Waiting::StartPc),
+        HartState::WaitingJoin => return Blocked(Waiting::JoinAddress),
         HartState::Running => {}
     }
     // The result buffer: Until/Done complete on their own; Mem and Fork
     // need a message that (the caller established) is not in flight.
     if let Some(rb) = &h.rb {
-        match rb.wait {
-            RbWait::Until { .. } | RbWait::Done { .. } => return HartProgress::Ready,
-            RbWait::Mem => {
-                return HartProgress::Blocked("a memory response that was lost".to_owned())
-            }
-            RbWait::Fork => {
-                return HartProgress::Blocked(
-                    "a fork allocation (every hart of the target core stays busy)".to_owned(),
-                )
-            }
-        }
+        return match rb.wait {
+            RbWait::Until { .. } | RbWait::Done { .. } => Ready,
+            RbWait::Mem => Blocked(Waiting::MemResponse),
+            RbWait::Fork => Blocked(Waiting::ForkAllocation),
+        };
     }
     // Commit: a done ROB head retires — unless it is a p_ret gated on the
     // team barrier.
     if let Some(e) = h.rob.front() {
         if e.done {
             if !e.is_pret || (h.end_signal && h.in_flight_mem == 0) {
-                return HartProgress::Ready;
+                return Ready;
             }
             if !h.end_signal {
-                return HartProgress::Blocked(
-                    "its team predecessor's ending signal before committing p_ret".to_owned(),
-                );
+                return Blocked(Waiting::EndSignal);
             }
-            return HartProgress::Blocked(
-                "outstanding memory acknowledgements to drain before committing p_ret".to_owned(),
-            );
+            return Blocked(Waiting::PretDrain);
         }
     }
     // A draining p_syncm (release_syncm fires the moment the drain holds).
     if h.syncm_wait {
         if h.mem_drained() {
-            return HartProgress::Ready;
+            return Ready;
         }
-        return HartProgress::Blocked(
-            "p_syncm: outstanding memory accesses that never completed".to_owned(),
-        );
+        return Blocked(Waiting::SyncmDrain);
     }
     // Issue: the instruction table holds work; is any entry eligible?
     if !h.it.is_empty() {
         if h.oldest_ready().is_some() {
-            return HartProgress::Ready;
+            return Ready;
         }
         // Name the first `p_lwre` gated on an empty receive slot — the
         // classic "the producer never sent my result" deadlock.
@@ -106,38 +142,39 @@ pub(crate) fn classify(h: &HartCtx) -> HartProgress {
             if let Instr::PLwre { offset, .. } = e.instr {
                 let slot = offset as usize;
                 if h.recv.get(slot).is_none_or(|q| q.is_empty()) {
-                    return HartProgress::Blocked(format!(
-                        "a p_swre result in slot {slot} that was never sent"
-                    ));
+                    return Blocked(Waiting::RecvSlot(slot));
                 }
             }
         }
-        return HartProgress::Blocked("source operands that can never become ready".to_owned());
+        return Blocked(Waiting::Operands);
     }
     // Rename: a fetched instruction waits for capacity.
     if let Some(f) = &h.ib {
-        if h.rename_capacity(f.instr.dest().is_some()) {
-            return HartProgress::Ready;
+        if h.rename_capacity(f.op.dest.is_some()) {
+            return Ready;
         }
-        return HartProgress::Blocked(
-            "rename capacity (ROB/IT/physical registers) that will never free".to_owned(),
-        );
+        return Blocked(Waiting::RenameCapacity);
     }
     // Fetch: with a pc and no suspension the front end advances by itself
     // (`resume_at` is always at most one cycle ahead).
     if let Some(pc) = h.pc {
         if !h.fetch_suspended {
-            return HartProgress::Ready;
+            return Ready;
         }
-        return HartProgress::Blocked(format!("the next fetch address after {pc:#x} to resolve"));
+        return Blocked(Waiting::NextFetch(pc));
     }
     // Running, empty pipeline, no pc: nothing can ever wake this hart.
-    HartProgress::Blocked("a next pc it has no way to obtain".to_owned())
+    Blocked(Waiting::NoPc)
 }
 
 /// Checks the whole machine for quiescent deadlock. Returns `None` while
 /// anything can still happen; otherwise the list of blocked harts (empty
 /// when every hart ended without the program executing its exit `p_ret`).
+///
+/// This runs on every quiet cycle, so the common answer — "not yet" — is
+/// reached from the O(1) in-flight counts and, failing that, from one pass
+/// over the harts that builds nothing; the report is put together only
+/// once it is certain there is one.
 pub(crate) fn check(m: &Machine) -> Option<Vec<BlockedHart>> {
     if m.exited {
         return None;
@@ -152,18 +189,16 @@ pub(crate) fn check(m: &Machine) -> Option<Vec<BlockedHart>> {
             return None;
         }
     }
-    let mut blocked = Vec::new();
-    for core in &m.cores {
-        for h in &core.harts {
-            match classify(h) {
-                HartProgress::Inert => {}
-                HartProgress::Ready => return None,
-                HartProgress::Blocked(reason) => blocked.push(BlockedHart {
-                    hart: h.id,
-                    waiting_on: reason,
-                }),
-            }
-        }
+    let harts = || m.cores.iter().flat_map(|core| &core.harts);
+    if harts().any(|h| matches!(classify(h), HartProgress::Ready)) {
+        return None;
     }
-    Some(blocked)
+    let blocked = harts().filter_map(|h| match classify(h) {
+        HartProgress::Blocked(waiting) => Some(BlockedHart {
+            hart: h.id,
+            waiting_on: waiting.to_string(),
+        }),
+        HartProgress::Inert | HartProgress::Ready => None,
+    });
+    Some(blocked.collect())
 }

@@ -63,7 +63,7 @@ impl HartDump {
             RbWait::Done { .. } => "complete, awaiting write-back".to_owned(),
         });
         let waiting_on = match classify(h) {
-            HartProgress::Blocked(reason) => Some(reason),
+            HartProgress::Blocked(waiting) => Some(waiting.to_string()),
             HartProgress::Inert | HartProgress::Ready => None,
         };
         HartDump {

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use crate::msg::CoreMsg;
+use crate::msg::{CoreMsg, QUEUE_DEPTH};
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 
 /// The forward links and backward line of a `cores`-core machine.
@@ -23,6 +23,11 @@ pub struct Fabric {
     bwd: Vec<VecDeque<CoreMsg>>,
     /// Messages delivered to each core this cycle.
     inbox: Vec<Vec<CoreMsg>>,
+    /// Messages on all of `fwd` and `bwd`, and in all of `inbox`. Derived
+    /// from the queues (re-counted on restore), so that "is anything
+    /// there" never walks them.
+    on_links: usize,
+    in_inboxes: usize,
     /// Total messages that crossed any segment (statistics).
     pub hops: u64,
     /// Message-cycles lost to segment contention: each cycle, every
@@ -47,9 +52,17 @@ impl Fabric {
         let links = cores.saturating_sub(1) as usize;
         Fabric {
             cores,
-            fwd: (0..links).map(|_| VecDeque::new()).collect(),
-            bwd: (0..links).map(|_| VecDeque::new()).collect(),
-            inbox: (0..cores).map(|_| Vec::new()).collect(),
+            fwd: (0..links)
+                .map(|_| VecDeque::with_capacity(QUEUE_DEPTH))
+                .collect(),
+            bwd: (0..links)
+                .map(|_| VecDeque::with_capacity(QUEUE_DEPTH))
+                .collect(),
+            inbox: (0..cores)
+                .map(|_| Vec::with_capacity(QUEUE_DEPTH))
+                .collect(),
+            on_links: 0,
+            in_inboxes: 0,
             hops: 0,
             contended: 0,
             sent: 0,
@@ -102,51 +115,69 @@ impl Fabric {
         );
         if dest == from_core {
             // One-cycle local loop: stage on the (empty) path below.
-            self.inbox[dest as usize].push(msg);
+            self.put_in_inbox(dest as usize, msg);
         } else if dest > from_core {
             assert!(
                 dest == from_core + 1,
                 "forward link only reaches the next core (from {from_core} to {dest})"
             );
             self.fwd[from_core as usize].push_back(msg);
+            self.on_links += 1;
         } else {
             // Backward: enter the segment just below `from_core`.
             self.bwd[(from_core - 1) as usize].push_back(msg);
+            self.on_links += 1;
         }
     }
 
-    /// Takes the messages delivered to a core this cycle.
-    pub fn take_inbox(&mut self, core: u32) -> Vec<CoreMsg> {
-        std::mem::take(&mut self.inbox[core as usize])
+    fn put_in_inbox(&mut self, core: usize, msg: CoreMsg) {
+        self.inbox[core].push(msg);
+        self.in_inboxes += 1;
+    }
+
+    /// Whether a message waits in any core's inbox.
+    pub fn any_in_inboxes(&self) -> bool {
+        self.in_inboxes != 0
+    }
+
+    /// Moves the messages delivered to a core this cycle to the end of
+    /// `out`; the inbox keeps its capacity.
+    pub fn drain_inbox(&mut self, core: u32, out: &mut Vec<CoreMsg>) {
+        let inbox = &mut self.inbox[core as usize];
+        self.in_inboxes -= inbox.len();
+        out.append(inbox);
     }
 
     /// Advances every link segment by one cycle.
     pub fn tick(&mut self) {
+        if self.on_links == 0 && self.delayed.is_empty() {
+            return;
+        }
         // Forward links: one message per segment per cycle, delivered to
         // the successor core.
         for i in 0..self.fwd.len() {
             if let Some(msg) = self.fwd[i].pop_front() {
                 self.hops += 1;
                 self.contended += self.fwd[i].len() as u64;
-                self.inbox[i + 1].push(msg);
+                self.on_links -= 1;
+                self.put_in_inbox(i + 1, msg);
             }
         }
         // Backward line: one message per segment per cycle; a message not
-        // yet at its destination re-enters the next segment down.
-        let mut relay = Vec::new();
+        // yet at its destination re-enters the next segment down. That
+        // segment has already moved its message this cycle (segments go in
+        // ascending order), so the relayed one waits there until the next.
         for i in 0..self.bwd.len() {
             if let Some(msg) = self.bwd[i].pop_front() {
                 self.hops += 1;
                 self.contended += self.bwd[i].len() as u64;
                 if msg.dest_core() == i as u32 {
-                    self.inbox[i].push(msg);
+                    self.on_links -= 1;
+                    self.put_in_inbox(i, msg);
                 } else {
-                    relay.push((i - 1, msg));
+                    self.bwd[i - 1].push_back(msg);
                 }
             }
-        }
-        for (seg, msg) in relay {
-            self.bwd[seg].push_back(msg);
         }
         // Release delayed messages whose hold expired onto their links.
         let mut i = 0;
@@ -282,6 +313,8 @@ impl Fabric {
         }
         Ok(Fabric {
             cores,
+            on_links: fwd.iter().chain(&bwd).map(VecDeque::len).sum(),
+            in_inboxes: inbox.iter().map(Vec::len).sum(),
             fwd,
             bwd,
             inbox,
@@ -298,10 +331,7 @@ impl Fabric {
     /// Whether nothing is in flight: no message on any segment, in any
     /// inbox, or held back by a delay fault.
     pub fn is_quiet(&self) -> bool {
-        self.fwd.iter().all(VecDeque::is_empty)
-            && self.bwd.iter().all(VecDeque::is_empty)
-            && self.inbox.iter().all(Vec::is_empty)
-            && self.delayed.is_empty()
+        self.on_links == 0 && self.in_inboxes == 0 && self.delayed.is_empty()
     }
 
     /// Describes every in-flight message with its location (crash dumps).
@@ -341,6 +371,13 @@ mod tests {
     use super::*;
     use lbp_isa::HartId;
 
+    /// The messages delivered to `core` this cycle, taken out of its inbox.
+    fn take_inbox(f: &mut Fabric, core: u32) -> Vec<CoreMsg> {
+        let mut out = Vec::new();
+        f.drain_inbox(core, &mut out);
+        out
+    }
+
     fn join_to(core: u32) -> CoreMsg {
         CoreMsg::Join {
             to: HartId::from_parts(core, 0),
@@ -358,9 +395,9 @@ mod tests {
                 pc: 0x10,
             },
         );
-        assert!(f.take_inbox(1).is_empty());
+        assert!(take_inbox(&mut f, 1).is_empty());
         f.tick();
-        assert_eq!(f.take_inbox(1).len(), 1);
+        assert_eq!(take_inbox(&mut f, 1).len(), 1);
     }
 
     #[test]
@@ -369,10 +406,10 @@ mod tests {
         f.send(5, join_to(1));
         for _ in 0..3 {
             f.tick();
-            assert!(f.take_inbox(1).is_empty());
+            assert!(take_inbox(&mut f, 1).is_empty());
         }
         f.tick();
-        assert_eq!(f.take_inbox(1).len(), 1);
+        assert_eq!(take_inbox(&mut f, 1).len(), 1);
     }
 
     #[test]
@@ -382,9 +419,9 @@ mod tests {
         f.send(2, join_to(0));
         f.tick(); // msg1 on segment 1->0, msg2 waits
         f.tick(); // msg1 delivered, msg2 crosses 2->1... (FIFO per segment)
-        assert_eq!(f.take_inbox(0).len(), 1);
+        assert_eq!(take_inbox(&mut f, 0).len(), 1);
         f.tick();
-        assert_eq!(f.take_inbox(0).len(), 1);
+        assert_eq!(take_inbox(&mut f, 0).len(), 1);
     }
 
     #[test]
@@ -404,7 +441,7 @@ mod tests {
     fn same_core_messages_loop_locally() {
         let mut f = Fabric::new(2);
         f.send(1, join_to(1));
-        assert_eq!(f.take_inbox(1).len(), 1);
+        assert_eq!(take_inbox(&mut f, 1).len(), 1);
     }
 
     fn result_to(core: u32, value: u32) -> CoreMsg {
@@ -428,12 +465,12 @@ mod tests {
         // Two segments (3->2->1) of pipeline fill before the first
         // delivery off segment 1->0.
         f.tick();
-        assert!(f.take_inbox(0).is_empty());
+        assert!(take_inbox(&mut f, 0).is_empty());
         f.tick();
-        assert!(f.take_inbox(0).is_empty());
+        assert!(take_inbox(&mut f, 0).is_empty());
         for v in 0..5u32 {
             f.tick();
-            let inbox = f.take_inbox(0);
+            let inbox = take_inbox(&mut f, 0);
             assert_eq!(inbox.len(), 1, "exactly one delivery per cycle");
             match inbox[0] {
                 CoreMsg::Result { value, .. } => assert_eq!(value, v, "FIFO order preserved"),
@@ -454,11 +491,11 @@ mod tests {
         f.send(2, result_to(0, 22));
         f.send(1, result_to(0, 11));
         f.tick(); // local 11 crosses 1->0; 22 crosses 2->1, relays behind
-        let first = f.take_inbox(0);
+        let first = take_inbox(&mut f, 0);
         assert_eq!(first.len(), 1);
         assert!(matches!(first[0], CoreMsg::Result { value: 11, .. }));
         f.tick();
-        let second = f.take_inbox(0);
+        let second = take_inbox(&mut f, 0);
         assert_eq!(second.len(), 1);
         assert!(matches!(second[0], CoreMsg::Result { value: 22, .. }));
     }
@@ -478,7 +515,7 @@ mod tests {
         }
         for _ in 0..3 {
             f.tick();
-            assert_eq!(f.take_inbox(1).len(), 1);
+            assert_eq!(take_inbox(&mut f, 1).len(), 1);
         }
         assert!(f.is_quiet());
     }
@@ -516,7 +553,7 @@ mod tests {
         );
         f.send(1, join_to(0));
         f.tick();
-        assert_eq!(f.take_inbox(0).len(), 1);
-        assert_eq!(f.take_inbox(1).len(), 1);
+        assert_eq!(take_inbox(&mut f, 0).len(), 1);
+        assert_eq!(take_inbox(&mut f, 1).len(), 1);
     }
 }

@@ -34,11 +34,39 @@ pub(crate) struct PrfEntry {
     pub ready: bool,
 }
 
+/// One predecoded code word: the instruction plus the operand facts the
+/// rename stage asks of it every cycle it sits in the instruction buffer.
+/// Derived from `instr` alone, so it is never serialized.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Decoded {
+    pub instr: Instr,
+    /// `instr.sources()`.
+    pub srcs: [Option<Reg>; 2],
+    /// `instr.dest()`.
+    pub dest: Option<Reg>,
+    /// `instr.is_mem()`.
+    pub is_mem: bool,
+    /// `instr.is_p_ret()`.
+    pub is_pret: bool,
+}
+
+impl Decoded {
+    pub fn new(instr: Instr) -> Decoded {
+        Decoded {
+            instr,
+            srcs: instr.sources(),
+            dest: instr.dest(),
+            is_mem: instr.is_mem(),
+            is_pret: instr.is_p_ret(),
+        }
+    }
+}
+
 /// The fetched instruction sitting in the 1-entry instruction buffer.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Fetched {
     pub pc: u32,
-    pub instr: Instr,
+    pub op: Decoded,
 }
 
 /// One instruction-table (waiting station) entry.
@@ -160,8 +188,8 @@ impl HartCtx {
                 phys_regs
             ],
             free_phys: VecDeque::new(),
-            it: Vec::new(),
-            rob: VecDeque::new(),
+            it: Vec::with_capacity(it_capacity),
+            rob: VecDeque::with_capacity(rob_capacity),
             rb: None,
             next_seq: 0,
             mem_in_it: 0,
@@ -190,7 +218,8 @@ impl HartCtx {
             value: sp,
             ready: true,
         };
-        self.free_phys = (32..self.prf.len() as PhysReg).collect();
+        self.free_phys.clear();
+        self.free_phys.extend(32..self.prf.len() as PhysReg);
         self.it.clear();
         self.rob.clear();
         self.rb = None;
@@ -274,8 +303,8 @@ impl HartCtx {
     pub fn rename(&mut self, f: Fetched) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let srcs = f.instr.sources().map(|s| s.map(|r| self.rat[r.index()]));
-        let dest = f.instr.dest().map(|rd| {
+        let srcs = f.op.srcs.map(|s| s.map(|r| self.rat[r.index()]));
+        let dest = f.op.dest.map(|rd| {
             let new = self.free_phys.pop_front().expect("checked by capacity");
             let old = self.rat[rd.index()];
             self.rat[rd.index()] = new;
@@ -285,7 +314,7 @@ impl HartCtx {
         self.it.push(ItEntry {
             seq,
             pc: f.pc,
-            instr: f.instr,
+            instr: f.op.instr,
             srcs,
             dest: dest.map(|(_, new, _)| new),
         });
@@ -295,53 +324,53 @@ impl HartCtx {
             done: false,
             dest: dest.map(|(_, new, old)| (new, Some(old))),
             pret: None,
-            is_pret: f.instr.is_p_ret(),
+            is_pret: f.op.is_pret,
         });
-        if f.instr.is_mem() {
+        if f.op.is_mem {
             self.mem_in_it += 1;
         }
         seq
     }
 
     /// The oldest instruction-table entry whose operands (and special
-    /// conditions) are satisfied.
+    /// conditions) are satisfied. The table is appended in `seq` order and
+    /// `Vec::remove` keeps order, so the first ready entry is the oldest.
     pub fn oldest_ready(&self) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for (i, e) in self.it.iter().enumerate() {
-            if !self.src_ready(e.srcs[0]) || !self.src_ready(e.srcs[1]) {
-                continue;
-            }
-            if let Instr::PLwre { offset, .. } = e.instr {
-                let slot = offset as usize;
-                if self.recv.get(slot).is_none_or(|q| q.is_empty()) {
-                    continue;
+        debug_assert!(self.it.windows(2).all(|w| w[0].seq < w[1].seq));
+        self.it.iter().position(|e| {
+            self.src_ready(e.srcs[0])
+                && self.src_ready(e.srcs[1])
+                && match e.instr {
+                    Instr::PLwre { offset, .. } => self
+                        .recv
+                        .get(offset as usize)
+                        .is_some_and(|q| !q.is_empty()),
+                    _ => true,
                 }
-            }
-            if best.is_none_or(|(s, _)| e.seq < s) {
-                best = Some((e.seq, i));
-            }
-        }
-        best.map(|(_, i)| i)
+        })
+    }
+
+    /// The ROB entry of `seq`. ROB sequence numbers are consecutive, so
+    /// the entry sits at `seq - front.seq`.
+    fn rob_entry(&mut self, seq: u64) -> &mut RobEntry {
+        let front = self
+            .rob
+            .front()
+            .expect("rob entry for an in-flight seq")
+            .seq;
+        let e = &mut self.rob[(seq - front) as usize];
+        debug_assert_eq!(e.seq, seq, "rob seqs are consecutive");
+        e
     }
 
     /// Marks the ROB entry of `seq` as done.
     pub fn rob_mark_done(&mut self, seq: u64) {
-        let e = self
-            .rob
-            .iter_mut()
-            .find(|e| e.seq == seq)
-            .expect("rob entry for completed instruction");
-        e.done = true;
+        self.rob_entry(seq).done = true;
     }
 
     /// Stores the resolved `(ra, t0)` pair in the ROB entry of a `p_ret`.
     pub fn rob_set_pret(&mut self, seq: u64, ra: u32, t0: u32) {
-        let e = self
-            .rob
-            .iter_mut()
-            .find(|e| e.seq == seq)
-            .expect("rob entry for p_ret");
-        e.pret = Some((ra, t0));
+        self.rob_entry(seq).pret = Some((ra, t0));
     }
 
     /// Whether every memory access decoded so far has completed
@@ -364,7 +393,7 @@ impl HartCtx {
         w.bool(self.syncm_wait);
         w.opt(&self.ib, |w, f| {
             w.u32(f.pc);
-            put_instr(w, &f.instr);
+            put_instr(w, &f.op.instr);
         });
         for &p in &self.rat {
             w.u16(p);
@@ -452,7 +481,7 @@ impl HartCtx {
         let ib = r.opt(|r| {
             Ok(Fetched {
                 pc: r.u32()?,
-                instr: get_instr(r)?,
+                op: Decoded::new(get_instr(r)?),
             })
         })?;
         let mut rat = [0 as PhysReg; 32];
@@ -547,6 +576,31 @@ impl HartCtx {
                 "hart {id}: physical register index beyond the {bound}-entry file"
             )));
         }
+        // Issue picks the first ready table entry as the oldest, and
+        // write-back indexes the ROB at `seq - front.seq`: both orders
+        // must hold in whatever arrives here, and every in-flight `seq`
+        // must name a ROB entry.
+        if !it.windows(2).all(|w| w[0].seq < w[1].seq) {
+            return Err(SnapError::Corrupt(format!(
+                "hart {id}: instruction-table sequence numbers are not ascending"
+            )));
+        }
+        let rob_first = rob.front().map_or(next_seq, |e| e.seq);
+        let consecutive = rob.iter().zip(rob_first..).all(|(e, want)| e.seq == want);
+        if !consecutive || rob_first.checked_add(rob.len() as u64) != Some(next_seq) {
+            return Err(SnapError::Corrupt(format!(
+                "hart {id}: reorder-buffer sequence numbers are not consecutive up to {next_seq}"
+            )));
+        }
+        let in_rob = |seq: u64| (rob_first..next_seq).contains(&seq);
+        if let Some(seq) = (it.iter().map(|e| e.seq))
+            .chain(rb.iter().map(|rb| rb.seq))
+            .find(|&seq| !in_rob(seq))
+        {
+            return Err(SnapError::Corrupt(format!(
+                "hart {id}: in-flight sequence number {seq} names no reorder-buffer entry"
+            )));
+        }
         Ok(HartCtx {
             id,
             state,
@@ -585,12 +639,12 @@ mod tests {
     fn addi(rd: Reg, rs1: Reg, imm: i32) -> Fetched {
         Fetched {
             pc: 0,
-            instr: Instr::OpImm {
+            op: Decoded::new(Instr::OpImm {
                 kind: OpImmKind::Add,
                 rd,
                 rs1,
                 imm,
-            },
+            }),
         }
     }
 
@@ -634,10 +688,10 @@ mod tests {
         h.boot(0, 0x1000);
         h.rename(Fetched {
             pc: 0,
-            instr: Instr::PLwre {
+            op: Decoded::new(Instr::PLwre {
                 rd: Reg::A0,
                 offset: 2,
-            },
+            }),
         });
         assert_eq!(h.oldest_ready(), None);
         h.recv[2].push_back(99);
@@ -673,6 +727,74 @@ mod tests {
         assert_eq!(h.src_value(None), 0);
     }
 
+    /// A hart with three instructions in flight (sequence numbers 0..3),
+    /// the oldest issued into the result buffer.
+    fn in_flight() -> HartCtx {
+        let mut h = hart();
+        h.boot(0, 0x1000);
+        for _ in 0..3 {
+            h.rename(addi(Reg::A0, Reg::A1, 1));
+        }
+        let issued = h.it.remove(0);
+        h.rb = Some(Rb {
+            seq: issued.seq,
+            dest: issued.dest,
+            wait: RbWait::Mem,
+        });
+        h
+    }
+
+    /// What `restore` makes of the snapshot of `h`.
+    fn round_trip(h: &HartCtx) -> Result<HartCtx, SnapError> {
+        let mut w = SnapWriter::new();
+        h.snap(&mut w);
+        let bytes = w.into_bytes();
+        HartCtx::unsnap(&mut SnapReader::new(&bytes))
+    }
+
+    fn assert_corrupt(h: &HartCtx, what: &str) {
+        match round_trip(h) {
+            Err(SnapError::Corrupt(why)) => assert!(why.contains(what), "{why}"),
+            other => panic!("expected a corrupt-snapshot error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unsnap_accepts_a_hart_in_flight() {
+        let h = round_trip(&in_flight()).unwrap();
+        assert_eq!((h.it.len(), h.rob.len(), h.next_seq), (2, 3, 3));
+    }
+
+    /// Issue takes the first ready table entry for the oldest.
+    #[test]
+    fn unsnap_rejects_a_descending_instruction_table() {
+        let mut h = in_flight();
+        h.it.swap(0, 1);
+        assert_corrupt(&h, "not ascending");
+    }
+
+    /// Write-back finds its ROB entry at `seq - front.seq`.
+    #[test]
+    fn unsnap_rejects_a_gap_in_the_reorder_buffer() {
+        let mut h = in_flight();
+        h.rob[1].seq = 7;
+        assert_corrupt(&h, "not consecutive");
+        let mut h = in_flight();
+        h.next_seq = 9; // the next rename would open the gap
+        assert_corrupt(&h, "not consecutive");
+    }
+
+    /// ... and would index past the end for a `seq` the ROB does not hold.
+    #[test]
+    fn unsnap_rejects_a_result_buffer_outside_the_reorder_buffer() {
+        let mut h = in_flight();
+        h.rb.as_mut().unwrap().seq = 3;
+        assert_corrupt(&h, "names no reorder-buffer entry");
+        let mut h = in_flight();
+        h.rob.pop_front(); // seq 0 retired, yet still in the result buffer
+        assert_corrupt(&h, "names no reorder-buffer entry");
+    }
+
     #[test]
     fn mem_counters_feed_syncm() {
         let mut h = hart();
@@ -680,12 +802,12 @@ mod tests {
         assert!(h.mem_drained());
         h.rename(Fetched {
             pc: 0,
-            instr: Instr::Load {
+            op: Decoded::new(Instr::Load {
                 kind: lbp_isa::LoadKind::W,
                 rd: Reg::A0,
                 rs1: Reg::SP,
                 offset: 0,
-            },
+            }),
         });
         assert!(!h.mem_drained());
     }

@@ -101,6 +101,9 @@ pub struct Machine {
     /// Consecutive cycles without a retirement anywhere; once it reaches
     /// [`QUIET_CYCLES`] the deadlock detector starts checking.
     quiet_cycles: u64,
+    /// The fabric messages [`Machine::deliver`] is handing to one core's
+    /// harts; empty between calls, kept for its capacity.
+    core_arrivals: Vec<CoreMsg>,
 }
 
 /// Cycles without any retirement before the deadlock detector runs. The
@@ -162,6 +165,7 @@ impl Machine {
         let boot_sp = mem.cv_base(HartId::FIRST);
         cores[0].harts[0].boot(image.entry, boot_sp);
         cores[0].free_q.retain(|&l| l != 0); // the boot hart starts running, not free
+        cores[0].recount_live();
         Ok(Machine {
             fabric,
             stats: Stats::new(cfg.harts()),
@@ -172,6 +176,7 @@ impl Machine {
             pending_faults,
             faults_applied: 0,
             quiet_cycles: 0,
+            core_arrivals: Vec::new(),
             cores,
             mem,
             cfg,
@@ -338,11 +343,11 @@ impl Machine {
             if self.cycle >= target {
                 return Ok(false);
             }
-            let retired_before = self.stats.retired();
-            if let Err(e) = self.tick() {
-                return Err(self.failure(e));
-            }
-            if self.stats.retired() > retired_before {
+            let retired = match self.step() {
+                Ok(retired) => retired,
+                Err(e) => return Err(self.failure(e)),
+            };
+            if retired {
                 self.quiet_cycles = 0;
             } else {
                 self.quiet_cycles += 1;
@@ -534,11 +539,17 @@ impl Machine {
             pending_faults,
             faults_applied,
             quiet_cycles,
+            core_arrivals: Vec::new(),
         })
     }
 
     /// Advances the machine by one cycle.
     pub fn tick(&mut self) -> Result<(), SimError> {
+        self.step().map(|_| ())
+    }
+
+    /// One cycle; returns whether any core retired an instruction in it.
+    fn step(&mut self) -> Result<bool, SimError> {
         self.cycle += 1;
         let now = self.cycle;
         // 0. Cycle-triggered fault injection (validated at construction).
@@ -560,10 +571,12 @@ impl Machine {
             now,
             cores: self.cfg.cores,
             exited: &mut self.exited,
+            retired: false,
         };
         for core in &mut self.cores {
             core.tick(&mut env)?;
         }
+        let retired = env.retired;
         // 4. Banks serve their ports.
         self.mem.tick(now, &mut self.obs)?;
         self.stats.cycles = self.cycle;
@@ -575,7 +588,7 @@ impl Machine {
         if interval > 0 && self.cycle.is_multiple_of(interval) {
             self.take_sample();
         }
-        Ok(())
+        Ok(retired)
     }
 
     /// Applies every pending fault whose trigger cycle has arrived.
@@ -631,21 +644,36 @@ impl Machine {
     }
 
     /// Delivers network responses and fabric messages that completed their
-    /// last hop.
+    /// last hop. After an error the rest of that core's batch is gone.
     fn deliver(&mut self) -> Result<(), SimError> {
+        if !self.mem.any_arrivals() && !self.fabric.any_in_inboxes() {
+            return Ok(());
+        }
         let now = self.cycle;
         for c in 0..self.cores.len() as u32 {
             // Memory responses: from the network and from the local ports.
-            let mut resps = self.mem.net.take_core_inbox(c);
-            resps.extend(self.mem.take_staged(c));
-            for msg in resps {
-                self.deliver_mem(c, msg)?;
-            }
-            // Fork/join fabric messages.
-            let msgs = self.fabric.take_inbox(c);
-            for msg in msgs {
-                self.deliver_core_msg(c, msg, now)?;
-            }
+            let delivered = self.deliver_mem_arrivals(c);
+            self.mem.clear_arrivals(c);
+            delivered?;
+            // Fork/join fabric messages. Handling one may send another, so
+            // they leave the inbox first: a message sent to this core now
+            // waits for the next cycle.
+            let mut msgs = std::mem::take(&mut self.core_arrivals);
+            self.fabric.drain_inbox(c, &mut msgs);
+            let delivered = (msgs.drain(..)).try_for_each(|msg| self.deliver_core_msg(c, msg, now));
+            self.core_arrivals = msgs;
+            delivered?;
+        }
+        Ok(())
+    }
+
+    /// Hands a core's memory responses to its harts. Handling one changes
+    /// harts only, so they are read where they lie.
+    fn deliver_mem_arrivals(&mut self, core: u32) -> Result<(), SimError> {
+        let mut i = 0;
+        while let Some(msg) = self.mem.arrival(core, i) {
+            self.deliver_mem(msg)?;
+            i += 1;
         }
         Ok(())
     }
@@ -669,7 +697,7 @@ impl Machine {
         Ok(())
     }
 
-    fn deliver_mem(&mut self, _core: u32, msg: NetMsg) -> Result<(), SimError> {
+    fn deliver_mem(&mut self, msg: NetMsg) -> Result<(), SimError> {
         match msg {
             NetMsg::ReadResp { addr, value, hart } => {
                 self.mem_completion(hart, "a load response")?;
@@ -995,6 +1023,7 @@ pub(crate) fn materialize_from_fast(
     }
     for (core, q) in fast.free_queues().iter().enumerate() {
         m.cores[core].free_q.clone_from(q);
+        m.cores[core].recount_live();
     }
     let (local, shared) = fast.bank_contents();
     for (dst, src) in m.mem.local_banks_mut().iter_mut().zip(local) {

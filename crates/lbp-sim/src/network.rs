@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use crate::msg::NetMsg;
+use crate::msg::{NetMsg, QUEUE_DEPTH};
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 
 /// Children per router at every level (cores per r1, r1s per r2, ...).
@@ -59,11 +59,24 @@ pub struct Network {
     levels: u32,
     /// Routers per level, `routers[0] == cores` (a pseudo-level).
     routers: Vec<u32>,
+    /// Index of the first inter-router edge of each level (entry 0 unused).
+    inter_base: Vec<usize>,
+    /// Cores below one router of each level: `FANOUT.pow(level)`.
+    subtree: Vec<u32>,
     edges: Vec<Edge>,
     /// Requests that arrived at each bank's network port.
     bank_inbox: Vec<VecDeque<NetMsg>>,
     /// Responses/acks that arrived back at each core.
     core_inbox: Vec<Vec<NetMsg>>,
+    /// Where the in-flight messages are: on any edge, in any bank inbox,
+    /// in any core inbox. Derived from the queues (re-counted on restore),
+    /// so that "is anything there" never walks them.
+    on_edges: usize,
+    at_banks: usize,
+    at_cores: usize,
+    /// The messages one `tick` moves, between its two phases; empty
+    /// outside it, kept for its capacity.
+    moved: Vec<(Dest, NetMsg)>,
     /// Total link traversals (for utilization statistics).
     pub hops: u64,
     /// Message-cycles lost to link contention: each cycle, every message
@@ -87,14 +100,30 @@ impl Network {
             }
         }
         let levels = routers.len() as u32 - 1;
+        let mut inter_base = vec![0; routers.len()];
+        let mut base = (cores * 4) as usize;
+        for level in 1..routers.len() {
+            inter_base[level] = base;
+            base += routers[level] as usize * 2;
+        }
         let mut net = Network {
             cores,
             shared_bank_bytes,
             levels,
+            subtree: (0..routers.len() as u32).map(|l| FANOUT.pow(l)).collect(),
+            inter_base,
             routers,
             edges: Vec::new(),
-            bank_inbox: (0..cores).map(|_| VecDeque::new()).collect(),
-            core_inbox: (0..cores).map(|_| Vec::new()).collect(),
+            bank_inbox: (0..cores)
+                .map(|_| VecDeque::with_capacity(QUEUE_DEPTH))
+                .collect(),
+            core_inbox: (0..cores)
+                .map(|_| Vec::with_capacity(QUEUE_DEPTH))
+                .collect(),
+            on_edges: 0,
+            at_banks: 0,
+            at_cores: 0,
+            moved: Vec::new(),
             hops: 0,
             contended: 0,
         };
@@ -106,19 +135,19 @@ impl Network {
                 index: c / FANOUT,
             };
             net.edges.push(Edge {
-                queue: VecDeque::new(),
+                queue: VecDeque::with_capacity(QUEUE_DEPTH),
                 dest: Dest::Router(r1),
             }); // core up
             net.edges.push(Edge {
-                queue: VecDeque::new(),
+                queue: VecDeque::with_capacity(QUEUE_DEPTH),
                 dest: Dest::Deliver(Endpoint::Core(c)),
             }); // core down
             net.edges.push(Edge {
-                queue: VecDeque::new(),
+                queue: VecDeque::with_capacity(QUEUE_DEPTH),
                 dest: Dest::Deliver(Endpoint::Bank(c)),
             }); // bank req
             net.edges.push(Edge {
-                queue: VecDeque::new(),
+                queue: VecDeque::with_capacity(QUEUE_DEPTH),
                 dest: Dest::Router(r1),
             }); // bank resp
         }
@@ -133,15 +162,17 @@ impl Network {
                 };
                 let child = Node { level, index: i };
                 net.edges.push(Edge {
-                    queue: VecDeque::new(),
+                    queue: VecDeque::with_capacity(QUEUE_DEPTH),
                     dest: Dest::Router(parent),
                 }); // up
                 net.edges.push(Edge {
-                    queue: VecDeque::new(),
+                    queue: VecDeque::with_capacity(QUEUE_DEPTH),
                     dest: Dest::Router(child),
                 }); // down
             }
         }
+        // At most one message per edge moves in a tick.
+        net.moved.reserve_exact(net.edges.len());
         net
     }
 
@@ -170,67 +201,85 @@ impl Network {
         (b * 4 + 3) as usize
     }
 
-    fn inter_base(&self, level: u32) -> usize {
-        let mut base = (self.cores * 4) as usize;
-        for l in 1..level {
-            base += self.routers[l as usize] as usize * 2;
-        }
-        base
-    }
-
     fn e_up(&self, node: Node) -> usize {
-        self.inter_base(node.level) + node.index as usize * 2
+        self.inter_base[node.level as usize] + node.index as usize * 2
     }
 
     fn e_down(&self, node: Node) -> usize {
-        self.inter_base(node.level) + node.index as usize * 2 + 1
+        self.inter_base[node.level as usize] + node.index as usize * 2 + 1
+    }
+
+    fn push_edge(&mut self, e: usize, msg: NetMsg) {
+        self.edges[e].queue.push_back(msg);
+        self.on_edges += 1;
     }
 
     /// Injects a request from a core into the network (the core's
     /// up-link).
     pub fn send_from_core(&mut self, core: u32, msg: NetMsg) {
-        let e = self.e_core_up(core);
-        self.edges[e].queue.push_back(msg);
+        self.push_edge(self.e_core_up(core), msg);
     }
 
     /// Injects a response from a bank's network port.
     pub fn send_from_bank(&mut self, bank: u32, msg: NetMsg) {
-        let e = self.e_bank_resp(bank);
-        self.edges[e].queue.push_back(msg);
+        self.push_edge(self.e_bank_resp(bank), msg);
     }
 
     /// The requests waiting at a bank's network port.
-    pub fn bank_queue(&mut self, bank: u32) -> &mut VecDeque<NetMsg> {
-        &mut self.bank_inbox[bank as usize]
+    pub fn bank_queue(&self, bank: u32) -> &VecDeque<NetMsg> {
+        &self.bank_inbox[bank as usize]
     }
 
-    /// Takes the responses delivered to a core this cycle.
-    pub fn take_core_inbox(&mut self, core: u32) -> Vec<NetMsg> {
-        std::mem::take(&mut self.core_inbox[core as usize])
+    /// Whether a request waits at any bank's network port.
+    pub fn any_at_banks(&self) -> bool {
+        self.at_banks != 0
+    }
+
+    /// Takes the oldest request waiting at a bank's network port.
+    pub fn pop_bank(&mut self, bank: u32) -> Option<NetMsg> {
+        let msg = self.bank_inbox[bank as usize].pop_front()?;
+        self.at_banks -= 1;
+        Some(msg)
+    }
+
+    /// Whether a response waits in any core's inbox.
+    pub fn any_at_cores(&self) -> bool {
+        self.at_cores != 0
+    }
+
+    /// The responses delivered to a core this cycle.
+    pub fn core_inbox(&self, core: u32) -> &[NetMsg] {
+        &self.core_inbox[core as usize]
+    }
+
+    /// Empties a core's inbox, which keeps its capacity.
+    pub fn clear_core_inbox(&mut self, core: u32) {
+        let inbox = &mut self.core_inbox[core as usize];
+        self.at_cores -= inbox.len();
+        inbox.clear();
     }
 
     /// Whether nothing is in flight: every link queue, bank port and core
     /// inbox is empty. Feeds the machine's quiescence-based deadlock
     /// detector.
     pub fn is_quiet(&self) -> bool {
-        self.edges.iter().all(|e| e.queue.is_empty())
-            && self.bank_inbox.iter().all(VecDeque::is_empty)
-            && self.core_inbox.iter().all(Vec::is_empty)
+        self.in_flight() == 0
     }
 
     /// Messages currently travelling or queued anywhere in the hierarchy
     /// (crash dumps).
     pub fn in_flight(&self) -> usize {
-        self.edges.iter().map(|e| e.queue.len()).sum::<usize>()
-            + self.bank_inbox.iter().map(VecDeque::len).sum::<usize>()
-            + self.core_inbox.iter().map(Vec::len).sum::<usize>()
+        self.on_edges + self.at_banks + self.at_cores
     }
 
     /// Advances every link by one cycle: each edge delivers at most one
     /// message one hop onward.
     pub fn tick(&mut self) {
+        if self.on_edges == 0 {
+            return;
+        }
         // Phase 1: pop one message per edge (the link's bandwidth).
-        let mut moved: Vec<(Dest, NetMsg)> = Vec::new();
+        let mut moved = std::mem::take(&mut self.moved);
         for e in &mut self.edges {
             if let Some(msg) = e.queue.pop_front() {
                 moved.push((e.dest, msg));
@@ -238,14 +287,22 @@ impl Network {
             }
         }
         self.hops += moved.len() as u64;
+        self.on_edges -= moved.len();
         // Phase 2: route each message at the node it just reached.
-        for (dest, msg) in moved {
+        for (dest, msg) in moved.drain(..) {
             match dest {
-                Dest::Deliver(Endpoint::Core(c)) => self.core_inbox[c as usize].push(msg),
-                Dest::Deliver(Endpoint::Bank(b)) => self.bank_inbox[b as usize].push_back(msg),
+                Dest::Deliver(Endpoint::Core(c)) => {
+                    self.core_inbox[c as usize].push(msg);
+                    self.at_cores += 1;
+                }
+                Dest::Deliver(Endpoint::Bank(b)) => {
+                    self.bank_inbox[b as usize].push_back(msg);
+                    self.at_banks += 1;
+                }
                 Dest::Router(node) => self.route(node, msg),
             }
         }
+        self.moved = moved;
     }
 
     /// Serializes the routing parameters and every in-flight message.
@@ -298,6 +355,7 @@ impl Network {
             for _ in 0..r.seq()? {
                 e.queue.push_back(NetMsg::unsnap(r)?);
             }
+            net.on_edges += e.queue.len();
         }
         let banks = r.seq()?;
         if banks != net.bank_inbox.len() {
@@ -309,6 +367,7 @@ impl Network {
             for _ in 0..r.seq()? {
                 q.push_back(NetMsg::unsnap(r)?);
             }
+            net.at_banks += q.len();
         }
         let inboxes = r.seq()?;
         if inboxes != net.core_inbox.len() {
@@ -320,6 +379,7 @@ impl Network {
             for _ in 0..r.seq()? {
                 inbox.push(NetMsg::unsnap(r)?);
             }
+            net.at_cores += inbox.len();
         }
         net.hops = r.u64()?;
         net.contended = r.u64()?;
@@ -339,8 +399,7 @@ impl Network {
     /// target is in this router's subtree, else up.
     fn route(&mut self, node: Node, msg: NetMsg) {
         let (target, is_request) = self.target(&msg);
-        let subtree = FANOUT.pow(node.level);
-        let e = if target / subtree == node.index {
+        let e = if target / self.subtree[node.level as usize] == node.index {
             // Descend one level.
             if node.level == 1 {
                 if is_request {
@@ -351,14 +410,14 @@ impl Network {
             } else {
                 let child = Node {
                     level: node.level - 1,
-                    index: target / FANOUT.pow(node.level - 1),
+                    index: target / self.subtree[node.level as usize - 1],
                 };
                 self.e_down(child)
             }
         } else {
             self.e_up(node)
         };
-        self.edges[e].queue.push_back(msg);
+        self.push_edge(e, msg);
     }
 }
 
@@ -367,6 +426,13 @@ mod tests {
     use super::*;
     use crate::error::SimError;
     use lbp_isa::{HartId, SHARED_BASE};
+
+    /// The responses delivered to `core` this cycle, taken out of its inbox.
+    fn take_core_inbox(net: &mut Network, core: u32) -> Vec<NetMsg> {
+        let out = net.core_inbox(core).to_vec();
+        net.clear_core_inbox(core);
+        out
+    }
 
     fn read_req(addr: u32, hart: u32) -> NetMsg {
         NetMsg::ReadReq {
@@ -445,7 +511,7 @@ mod tests {
         let mut arrived = 0;
         for cycle in 1..100 {
             net.tick();
-            let inbox = net.take_core_inbox(0);
+            let inbox = take_core_inbox(&mut net, 0);
             if !inbox.is_empty() {
                 arrived = cycle;
                 assert_eq!(inbox.len(), 1);
@@ -476,7 +542,7 @@ mod tests {
         let mut order = Vec::new();
         for _ in 0..16 {
             net.tick();
-            while let Some(m) = net.bank_queue(0).pop_front() {
+            while let Some(m) = net.pop_bank(0) {
                 if let NetMsg::ReadReq { hart, .. } = m {
                     order.push(hart.global());
                 }
@@ -537,7 +603,7 @@ mod tests {
         let mut deliveries: Vec<(u32, u32)> = Vec::new(); // (cycle, hart)
         for cycle in 1..=12 {
             net.tick();
-            while let Some(m) = net.bank_queue(0).pop_front() {
+            while let Some(m) = net.pop_bank(0) {
                 if let NetMsg::ReadReq { hart, .. } = m {
                     deliveries.push((cycle, hart.global()));
                 }
@@ -599,7 +665,7 @@ mod tests {
         net.tick();
         net.tick();
         assert_eq!(net.bank_queue(1).len(), 1, "request arrived");
-        assert_eq!(net.take_core_inbox(0).len(), 1, "response arrived");
+        assert_eq!(take_core_inbox(&mut net, 0).len(), 1, "response arrived");
         assert_eq!(net.contended, 0, "opposite directions never contend");
     }
 
@@ -613,10 +679,7 @@ mod tests {
         net.send_from_core(0, read_req(SHARED_BASE + bank_bytes, 0));
         net.tick();
         net.tick();
-        let req = net
-            .bank_queue(1)
-            .pop_front()
-            .expect("request after 2 cycles");
+        let req = net.pop_bank(1).expect("request after 2 cycles");
         let addr = match req {
             NetMsg::ReadReq { addr, .. } => addr,
             _ => panic!("expected a read request"),
@@ -630,10 +693,10 @@ mod tests {
             },
         );
         net.tick();
-        assert!(net.take_core_inbox(0).is_empty());
+        assert!(take_core_inbox(&mut net, 0).is_empty());
         net.tick();
         assert_eq!(
-            net.take_core_inbox(0).len(),
+            take_core_inbox(&mut net, 0).len(),
             1,
             "response after 2 more cycles"
         );

@@ -543,3 +543,123 @@ fn sabotage_is_localized_to_the_exact_instruction() {
     );
     assert_ne!(oracle_pc, machine_pc, "{d}");
 }
+
+// ---------------------------------------------------------------------------
+// Predecode coherence: the fetch stage reads a decoded copy of the code
+// bank, so a `corrupt-instr` fault must reach that copy too.
+// ---------------------------------------------------------------------------
+
+/// A 12-step countdown storing squares. Flipping bit 20 of its `addi`
+/// turns the step from -1 into -2: the program still ends, sooner.
+const COUNTDOWN: &str = "main:
+    li   t0, -1
+    li   a0, 0
+    li   a1, 12
+    la   a2, out
+loop:
+    mul  a3, a1, a1
+    sw   a3, 0(a2)
+step:
+    addi a1, a1, -1
+    bnez a1, loop
+    p_ret a0, t0
+.data
+out: .word 0";
+
+/// The first and the last cycle at which corrupting the `addi` of
+/// [`COUNTDOWN`] catches `a1` going 10 -> 8 -> ... -> 0. A cycle outside
+/// them it steps over zero and the run never ends, so a corruption that
+/// reached the fetch stage one cycle early or late would show at one end.
+const STEP_FAULT_WINDOW: [u64; 2] = [61, 69];
+
+/// How a cycle-exact run of [`COUNTDOWN`] corrupted inside that window
+/// ends (cycles, `arch_hash`), computed before the fetch stage read
+/// predecoded words. Uncorrupted it takes 123 cycles.
+const FAULTED_END: (u64, u64) = (96, 0x0ce0_b0c5_bce5_d53b);
+
+fn step_fault(cycle: u64) -> Fault {
+    let image = assemble(COUNTDOWN).unwrap();
+    Fault::CorruptInstr {
+        pc: image.symbol("step").expect("the step label resolves"),
+        xor: 1 << 20,
+        cycle,
+    }
+}
+
+#[test]
+fn mid_run_corruption_changes_execution_from_its_cycle_on() {
+    for at in STEP_FAULT_WINDOW {
+        let mut clean = machine(1, COUNTDOWN);
+        let mut faulted = machine_with_faults(1, COUNTDOWN, &[step_fault(at)]).unwrap();
+        // Not before: up to the cycle before the fault the two are the
+        // same machine, whatever their plans say.
+        clean.run_to(at - 1).unwrap();
+        faulted.run_to(at - 1).unwrap();
+        assert_eq!(
+            clean.snapshot().dynamic_bytes(),
+            faulted.snapshot().dynamic_bytes()
+        );
+        // From then on: the corrupted step is what gets fetched.
+        let cycles = faulted.run(10_000).unwrap().stats.cycles;
+        assert_eq!((cycles, faulted.arch_hash()), FAULTED_END, "fault at {at}");
+    }
+}
+
+#[test]
+fn snapshot_after_a_corruption_restores_the_corrupted_code() {
+    let [at, _] = STEP_FAULT_WINDOW;
+    let mut m = machine_with_faults(1, COUNTDOWN, &[step_fault(at)]).unwrap();
+    m.run_to(at + 3).unwrap();
+    // The fault has fired and left the plan: only the code words carry it.
+    let mut restored = Machine::restore(&m.snapshot()).unwrap();
+    let cycles = restored.run(10_000).unwrap().stats.cycles;
+    assert_eq!((cycles, restored.arch_hash()), FAULTED_END);
+}
+
+#[test]
+fn undecodable_corruption_is_raised_at_the_fetch_with_the_corrupted_word() {
+    let image = assemble(COUNTDOWN).unwrap();
+    // The exit `p_ret` is fetched once, at cycle 119, long after the fault.
+    let pc = image.symbol("step").unwrap() + 8;
+    let fault = Fault::CorruptInstr {
+        pc,
+        xor: 0xffff_ffff,
+        cycle: 61,
+    };
+    let failure = machine_with_faults(1, COUNTDOWN, &[fault])
+        .unwrap()
+        .run_diagnosed(10_000)
+        .unwrap_err();
+    let corrupted = image.text[(pc / 4) as usize] ^ 0xffff_ffff;
+    assert!(
+        matches!(failure.error, SimError::Decode { pc: at, word, .. } if at == pc && word == corrupted),
+        "expected a decode error for {corrupted:#010x} at {pc:#x}, got {:?}",
+        failure.error
+    );
+    assert_eq!(failure.dump.cycle, 119, "raised when the word is fetched");
+}
+
+#[test]
+fn lockstep_localizes_a_mid_run_corruption() {
+    let image = assemble(COUNTDOWN).unwrap();
+    let [at, _] = STEP_FAULT_WINDOW;
+    let cfg = LbpConfig::cores(1).with_faults([step_fault(at)].into_iter().collect::<FaultPlan>());
+    let err = run_lockstep(cfg, &image, 100_000, &[]).unwrap_err();
+    let LockstepError::Diverged(divergence) = err else {
+        panic!("a corrupted countdown must diverge, got {err}");
+    };
+    // The corrupted machine's 41st commit leaves the loop for the exit
+    // `p_ret` where the oracle goes round again; the `bnez` before it is
+    // the last they agree on.
+    let step = image.symbol("step").unwrap();
+    assert_eq!(
+        divergence,
+        Divergence::Pc {
+            hart: HartId::FIRST,
+            commit: 41,
+            machine_pc: Some(step + 8),
+            oracle_pc: image.symbol("loop"),
+            last_agreed_pc: Some(step + 4),
+        }
+    );
+}
