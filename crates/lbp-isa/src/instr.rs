@@ -305,6 +305,7 @@ impl OpKind {
 
     /// Whether this is an RV32M multiply/divide operation (multi-cycle on
     /// LBP's functional units).
+    #[inline]
     pub fn is_muldiv(self) -> bool {
         matches!(
             self,

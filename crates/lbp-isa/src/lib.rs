@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 mod decode;
-pub mod dispatch;
 mod encode;
 mod hart;
 mod instr;

@@ -99,11 +99,13 @@ impl Reg {
     }
 
     /// The register number as a `usize`, for register-file indexing.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
 
     /// Whether this is the hard-wired zero register `x0`.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }

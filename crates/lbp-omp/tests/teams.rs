@@ -118,7 +118,7 @@ fn consecutive_regions_are_barrier_separated() {
         )
         .parallel_for("set")
         .parallel_for("get");
-    let mut m = run(&p, 2);
+    let m = run(&p, 2);
     let w = p.build().unwrap().symbol("w").unwrap();
     for t in 0..threads {
         assert_eq!(m.peek_shared(w + 4 * t as u32).unwrap(), 2 * (t as u32 + 1));
@@ -143,7 +143,7 @@ fn three_regions_chain() {
         .parallel_for("inc")
         .parallel_for("inc")
         .parallel_for("inc");
-    let mut m = run(&p, 1);
+    let m = run(&p, 1);
     let acc = p.build().unwrap().symbol("acc").unwrap();
     for t in 0..4 {
         assert_eq!(m.peek_shared(acc + 4 * t).unwrap(), 3);
@@ -159,7 +159,7 @@ fn parallel_sections_run_distinct_functions() {
         .function("sec2", "la a2, out\n li a3, 30\n sw a3, 8(a2)\n p_ret")
         .function("sec3", "la a2, out\n li a3, 40\n sw a3, 12(a2)\n p_ret")
         .parallel_sections(&["sec0", "sec1", "sec2", "sec3"]);
-    let mut m = run(&p, 1);
+    let m = run(&p, 1);
     let out = p.build().unwrap().symbol("out").unwrap();
     assert_eq!(m.peek_shared(out).unwrap(), 10);
     assert_eq!(m.peek_shared(out + 4).unwrap(), 20);
@@ -182,7 +182,7 @@ fn reduction_over_backward_line() {
         )
         .parallel_for("sq")
         .collect_reduction(0, threads, ReduceOp::Add, "sum");
-    let mut m = run(&p, 2);
+    let m = run(&p, 2);
     let sum = p.build().unwrap().symbol("sum").unwrap();
     let expect: u32 = (1..=threads as u32).map(|x| x * x).sum();
     assert_eq!(m.peek_shared(sum).unwrap(), expect);
@@ -204,11 +204,11 @@ fn min_and_max_reductions() {
     let pmin = base
         .clone()
         .collect_reduction(1, threads, ReduceOp::Min, "res");
-    let mut m = run(&pmin, 1);
+    let m = run(&pmin, 1);
     let res = pmin.build().unwrap().symbol("res").unwrap();
     assert_eq!(m.peek_shared(res).unwrap() as i32, -6);
     let pmax = base.collect_reduction(1, threads, ReduceOp::Max, "res");
-    let mut m = run(&pmax, 1);
+    let m = run(&pmax, 1);
     assert_eq!(m.peek_shared(res).unwrap() as i32, 6);
 }
 
@@ -235,7 +235,7 @@ fn sequential_steps_interleave_with_regions() {
              sw  a3, 4(a2)
              p_syncm",
         );
-    let mut m = run(&p, 1);
+    let m = run(&p, 1);
     let flag = p.build().unwrap().symbol("flag").unwrap();
     assert_eq!(m.peek_shared(flag + 4).unwrap(), 100);
 }
@@ -258,7 +258,7 @@ fn parallel_for_arg_passes_the_data_pointer() {
              p_ret",
         )
         .parallel_for_arg("scaled", "table");
-    let mut m = run(&p, 1);
+    let m = run(&p, 1);
     let out = p.build().unwrap().symbol("out").unwrap();
     for t in 0..4 {
         assert_eq!(m.peek_shared(out + 4 * t).unwrap(), 200 * (t + 1));
@@ -338,7 +338,7 @@ fn ordered_channels_build_a_pipeline_across_concurrent_members() {
         p = p.function(format!("stage{i}"), stage(i));
     }
     let p = p.parallel_sections(&["stage0", "stage1", "stage2", "stage3"]);
-    let mut m = run(&p, 1);
+    let m = run(&p, 1);
     let out = p.build().unwrap().symbol("pipe_out").unwrap();
     // 7 -> +10 -> +20 -> +30 = 67.
     assert_eq!(m.peek_shared(out).unwrap(), 67);
@@ -425,7 +425,7 @@ cons_loop:",
         .function("produce", producer.into_text())
         .function("consume", consumer.into_text())
         .parallel_sections(&["produce", "consume"]);
-    let mut m = run(&p, 1);
+    let m = run(&p, 1);
     let out = p.build().unwrap().symbol("strm_out").unwrap();
     // sum of 1,3,5,...,15 = 64.
     assert_eq!(m.peek_shared(out).unwrap(), 64);

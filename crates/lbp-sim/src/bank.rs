@@ -6,6 +6,14 @@
 //! core) and one slice of the distributed shared memory. Shared banks are
 //! dual-ported: the local port serves the owning core, the network port
 //! serves remote requests arriving through the r1 router.
+//!
+//! The module is split where the paper splits the machine. [`CodeBank`]
+//! and [`Banks`] are *architectural* state: what the words are, where an
+//! address lives, which accesses fault and in which order the checks run.
+//! Both engines own one of each — the cycle-exact [`MemSys`] and the
+//! functional [`FastEngine`](crate::FastEngine) — so an access that is
+//! undefined gets the same verdict whichever engine meets it. [`MemSys`]
+//! adds the *timing*: port queues, the r1/r2/r3 network and the devices.
 
 use std::collections::VecDeque;
 
@@ -58,6 +66,329 @@ impl std::fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
+/// The code bank: the image's text words (every core's bank holds the
+/// same copy) and, beside them, what the decoder makes of each.
+#[derive(Debug)]
+pub(crate) struct CodeBank {
+    words: Vec<u32>,
+    /// `words`, decoded; `None` marks a word the decoder rejects. Derived
+    /// state, never serialized: built wherever `words` is and patched by
+    /// [`CodeBank::corrupt`], the only writer of `words`.
+    decoded: Vec<Option<Decoded>>,
+}
+
+impl CodeBank {
+    /// Decodes a code image once, so that no fetch decodes again.
+    pub fn new(text: &[u32]) -> CodeBank {
+        CodeBank {
+            words: text.to_vec(),
+            decoded: text.iter().map(|&word| decode_word(word)).collect(),
+        }
+    }
+
+    /// The decoded instruction at `pc` (no contention). An undecodable
+    /// word is an error only here, when it is actually fetched, and the
+    /// error carries the raw word.
+    #[inline]
+    pub fn fetch(&self, pc: u32, hart: HartId) -> Result<&Decoded, SimError> {
+        if !pc.is_multiple_of(4) {
+            return Err(SimError::Mem(MemFault::Unaligned {
+                addr: pc,
+                size: 4,
+                hart,
+            }));
+        }
+        let index = (pc / 4) as usize;
+        match self.decoded.get(index) {
+            Some(Some(op)) => Ok(op),
+            Some(None) => Err(SimError::Decode {
+                pc,
+                word: self.words[index],
+                hart,
+            }),
+            None => Err(SimError::Mem(MemFault::Unmapped { addr: pc, hart })),
+        }
+    }
+
+    /// XORs the code word at `pc` with `xor` (fault injection, lockstep
+    /// sabotage). A `pc` that is not a code word changes nothing — callers
+    /// that take one from outside refuse it first.
+    pub fn corrupt(&mut self, pc: u32, xor: u32) {
+        if is_code_word(self.words.len(), pc) {
+            let index = (pc / 4) as usize;
+            self.words[index] ^= xor;
+            self.decoded[index] = decode_word(self.words[index]);
+        }
+    }
+
+    fn snap(&self, w: &mut SnapWriter) {
+        w.seq(self.words.len());
+        for &word in &self.words {
+            w.u32(word);
+        }
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<CodeBank, SnapError> {
+        let mut words = Vec::new();
+        for _ in 0..r.seq()? {
+            words.push(r.u32()?);
+        }
+        Ok(CodeBank::new(&words))
+    }
+}
+
+fn decode_word(word: u32) -> Option<Decoded> {
+    Instr::decode(word).ok().map(Decoded::new)
+}
+
+/// Whether `pc` names a word of a text section of `words` words — what a
+/// fault plan's `corrupt-instr` and a lockstep sabotage must aim at.
+pub(crate) fn is_code_word(words: usize, pc: u32) -> bool {
+    pc.is_multiple_of(4) && ((pc / 4) as usize) < words
+}
+
+/// The shared bank (the number of the core that owns it) holding a
+/// shared-space address, and the byte offset inside that bank.
+pub(crate) fn shared_slot(addr: u32, shared_bank_bytes: u32) -> (u32, u32) {
+    let rel = addr - SHARED_BASE;
+    (rel / shared_bank_bytes, rel % shared_bank_bytes)
+}
+
+/// The port a data access goes to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// The accessing core's own local bank.
+    Local,
+    /// The shared bank of core `bank`.
+    Shared { bank: u32 },
+    /// A device.
+    Io,
+}
+
+/// A data access that [`Banks::route`] let through: where it goes and,
+/// for the two checks still ahead of it, where it came from. Only `route`
+/// makes one, so nothing reaches a bank past the first two checks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Routed {
+    pub to: Route,
+    addr: u32,
+    /// Byte offset inside the bank.
+    off: u32,
+    hart: HartId,
+}
+
+/// The local and shared banks of every core: their contents, the address
+/// map onto them and the faults of an access that misses them.
+#[derive(Debug, Clone)]
+pub(crate) struct Banks {
+    cores: usize,
+    local_bank_bytes: u32,
+    shared_bank_bytes: u32,
+    /// The local bank of every core, then the shared bank of every core.
+    banks: Vec<Vec<u8>>,
+}
+
+impl Banks {
+    /// Zeroed banks with the image's initialized data distributed over
+    /// the shared ones from [`SHARED_BASE`] up.
+    pub fn new(cfg: &LbpConfig, data: &[u8]) -> Result<Banks, MemFault> {
+        let sized = |bytes: u32| (0..cfg.cores).map(move |_| vec![0; bytes as usize]);
+        let mut banks = Banks {
+            cores: cfg.cores,
+            local_bank_bytes: cfg.local_bank_bytes,
+            shared_bank_bytes: cfg.shared_bank_bytes,
+            banks: sized(cfg.local_bank_bytes)
+                .chain(sized(cfg.shared_bank_bytes))
+                .collect(),
+        };
+        let mut rest = data;
+        for bank in &mut banks.banks[cfg.cores..] {
+            let (block, tail) = rest.split_at(rest.len().min(bank.len()));
+            bank[..block.len()].copy_from_slice(block);
+            rest = tail;
+        }
+        if !rest.is_empty() {
+            return Err(MemFault::Unmapped {
+                addr: SHARED_BASE + (data.len() - rest.len()) as u32,
+                hart: HartId::FIRST,
+            });
+        }
+        Ok(banks)
+    }
+
+    /// The fixed continuation-value frame base address of a hart (within
+    /// its core's local bank).
+    pub fn cv_base(&self, hart: HartId) -> u32 {
+        cv_base_in(self.local_bank_bytes, hart)
+    }
+
+    /// Decides where a data access of `hart` goes: the first two checks of
+    /// every access, in the order the hardware meets them — the region
+    /// (the code bank has no data port), then the shared bank's existence.
+    /// [`Banks::span`] runs the remaining two.
+    #[inline]
+    pub fn route(&self, addr: u32, hart: HartId) -> Result<Routed, SimError> {
+        let (to, off) = match Region::of(addr) {
+            Region::Code => return Err(code_region_access(addr, hart)),
+            Region::Local => (Route::Local, addr - LOCAL_BASE),
+            Region::Shared => {
+                let (bank, off) = shared_slot(addr, self.shared_bank_bytes);
+                if bank as usize >= self.cores {
+                    return Err(SimError::Mem(MemFault::Unmapped { addr, hart }));
+                }
+                (Route::Shared { bank }, off)
+            }
+            Region::Io => (Route::Io, 0),
+        };
+        Ok(Routed {
+            to,
+            addr,
+            off,
+            hart,
+        })
+    }
+
+    /// The last two checks of an access — alignment, then the bank's
+    /// bounds — and the bank and byte it starts at. `core` is the
+    /// accessing core, whose local bank a local access means.
+    #[inline]
+    fn slot(&self, core: u32, at: Routed, size: u8) -> Result<(usize, usize), MemFault> {
+        let (addr, hart) = (at.addr, at.hart);
+        if !addr.is_multiple_of(size as u32) {
+            return Err(MemFault::Unaligned { addr, size, hart });
+        }
+        let bank = match at.to {
+            Route::Local => core as usize,
+            Route::Shared { bank } => self.cores + bank as usize,
+            Route::Io => return Err(MemFault::Unmapped { addr, hart }),
+        };
+        if at.off as usize + size as usize > self.banks[bank].len() {
+            return Err(MemFault::Unmapped { addr, hart });
+        }
+        Ok((bank, at.off as usize))
+    }
+
+    /// The `size` bytes a routed access made on `core` reads.
+    #[inline]
+    pub fn span(&self, core: u32, at: Routed, size: u8) -> Result<&[u8], MemFault> {
+        let (bank, off) = self.slot(core, at, size)?;
+        Ok(&self.banks[bank][off..off + size as usize])
+    }
+
+    /// The `size` bytes a routed access made on `core` writes.
+    #[inline]
+    pub fn span_mut(&mut self, core: u32, at: Routed, size: u8) -> Result<&mut [u8], MemFault> {
+        let (bank, off) = self.slot(core, at, size)?;
+        Ok(&mut self.banks[bank][off..off + size as usize])
+    }
+
+    /// Routes a harness-side access to a shared word; anything that is not
+    /// shared memory is unmapped to the harness.
+    fn shared_word(&self, addr: u32) -> Result<Routed, MemFault> {
+        let hart = HartId::FIRST;
+        match self.route(addr, hart) {
+            Ok(at) if matches!(at.to, Route::Shared { .. }) => Ok(at),
+            _ => Err(MemFault::Unmapped { addr, hart }),
+        }
+    }
+
+    /// Reads a word of shared memory (test harnesses, result extraction).
+    pub fn peek(&self, addr: u32) -> Result<u32, MemFault> {
+        let bytes = self.span(0, self.shared_word(addr)?, 4)?;
+        Ok(u32::from_le_bytes(bytes.try_into().expect("a 4-byte span")))
+    }
+
+    /// Writes a word of shared memory (input loading before a run).
+    pub fn poke(&mut self, addr: u32, value: u32) -> Result<(), MemFault> {
+        let bytes = self.span_mut(0, self.shared_word(addr)?, 4)?;
+        bytes.copy_from_slice(&value.to_le_bytes());
+        Ok(())
+    }
+
+    /// XORs bit `bit` of the shared word holding `addr` (fault injection).
+    /// Out-of-range targets are ignored — the plan was validated up front.
+    pub fn flip(&mut self, addr: u32, bit: u32) {
+        let word = self.shared_word(addr & !3);
+        let bytes = word.and_then(|at| self.span_mut(0, at, 4));
+        if let Some(byte) = bytes.ok().and_then(|b| b.get_mut((bit / 8) as usize)) {
+            *byte ^= 1 << (bit % 8);
+        }
+    }
+
+    /// Every bank's contents — the local banks in core order, then the
+    /// shared ones — as the snapshot and `arch_hash` take them.
+    pub fn each(&self) -> impl Iterator<Item = &[u8]> {
+        self.banks.iter().map(Vec::as_slice)
+    }
+
+    /// The first shared word on which two stores of one configuration
+    /// differ: its address, its value here and its value in `other`.
+    pub fn first_shared_difference(&self, other: &Banks) -> Option<(u32, u32, u32)> {
+        let shared = self.banks[self.cores..].iter();
+        for (bank, (mine, theirs)) in shared.zip(&other.banks[other.cores..]).enumerate() {
+            if mine == theirs {
+                continue;
+            }
+            let byte = mine.iter().zip(theirs).position(|(a, b)| a != b)?;
+            let at = byte & !3;
+            let word = |bank: &[u8]| {
+                let bytes = bank[at..].iter().take(4).rev();
+                bytes.fold(0, |acc, &b| acc << 8 | b as u32)
+            };
+            let addr = SHARED_BASE + bank as u32 * self.shared_bank_bytes + at as u32;
+            return Some((addr, word(mine), word(theirs)));
+        }
+        None
+    }
+
+    fn snap(&self, w: &mut SnapWriter) {
+        w.u64(self.cores as u64);
+        w.u32(self.local_bank_bytes);
+        w.u32(self.shared_bank_bytes);
+        for bank in &self.banks {
+            w.bytes(bank);
+        }
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Banks, SnapError> {
+        let cores = r.u64()? as usize;
+        if cores == 0 {
+            return Err(SnapError::Corrupt(
+                "memory system has zero cores".to_owned(),
+            ));
+        }
+        let local_bank_bytes = r.u32()?;
+        let shared_bank_bytes = r.u32()?;
+        let mut banks = Vec::new();
+        for expect in [local_bank_bytes, shared_bank_bytes] {
+            for _ in 0..cores {
+                let bank = r.bytes()?;
+                if bank.len() != expect as usize {
+                    return Err(SnapError::Corrupt(format!(
+                        "bank holds {} bytes, configured for {expect}",
+                        bank.len()
+                    )));
+                }
+                banks.push(bank);
+            }
+        }
+        Ok(Banks {
+            cores,
+            local_bank_bytes,
+            shared_bank_bytes,
+            banks,
+        })
+    }
+}
+
+#[cold]
+fn code_region_access(addr: u32, hart: HartId) -> SimError {
+    SimError::Protocol {
+        hart,
+        what: format!("data access to the code region at {addr:#010x}"),
+    }
+}
+
 /// A queued request at a bank port, stamped with its arrival cycle so the
 /// bank serves it no earlier than the following cycle.
 #[derive(Debug, Clone, Copy)]
@@ -66,23 +397,12 @@ struct Ported {
     arrived: u64,
 }
 
-/// All memory state of the machine plus the per-core local ports.
+/// The cycle-exact memory system: the banks, and everything that makes
+/// reaching them take time.
 #[derive(Debug)]
 pub struct MemSys {
-    cores: usize,
-    local_bank_bytes: u32,
-    shared_bank_bytes: u32,
-    /// Per-core local banks (stacks, cv frames).
-    local: Vec<Vec<u8>>,
-    /// Per-core shared-bank slices.
-    shared: Vec<Vec<u8>>,
-    /// The code image (identical copy in every core's code bank).
-    code: Vec<u32>,
-    /// `code`, decoded: what the fetch stage reads. `None` marks a word
-    /// the decoder rejects. Derived state, never serialized: built by
-    /// [`predecode`] wherever `code` is, and patched by
-    /// [`MemSys::corrupt_code`], the only writer of `code`.
-    decoded: Vec<Option<Decoded>>,
+    pub(crate) banks: Banks,
+    pub(crate) code: CodeBank,
     /// Local-bank port queue, one per core (own loads/stores/`p_lwcv`).
     local_q: Vec<VecDeque<Ported>>,
     /// Own-shared-slice local port queue, one per core.
@@ -110,21 +430,12 @@ pub struct MemSys {
 }
 
 impl MemSys {
-    /// Builds the memory system and loads the program image copies.
-    pub fn new(cfg: &LbpConfig, text: &[u32], data: &[u8]) -> Result<MemSys, MemFault> {
+    /// Builds idle ports, network and devices around the given banks.
+    pub(crate) fn new(cfg: &LbpConfig, code: CodeBank, banks: Banks) -> MemSys {
         let cores = cfg.cores;
-        let mut mem = MemSys {
-            cores,
-            local_bank_bytes: cfg.local_bank_bytes,
-            shared_bank_bytes: cfg.shared_bank_bytes,
-            local: (0..cores)
-                .map(|_| vec![0; cfg.local_bank_bytes as usize])
-                .collect(),
-            shared: (0..cores)
-                .map(|_| vec![0; cfg.shared_bank_bytes as usize])
-                .collect(),
-            code: text.to_vec(),
-            decoded: predecode(text),
+        MemSys {
+            banks,
+            code,
             local_q: (0..cores)
                 .map(|_| VecDeque::with_capacity(QUEUE_DEPTH))
                 .collect(),
@@ -142,81 +453,7 @@ impl MemSys {
             remote_served: 0,
             conflicts: 0,
             now: 0,
-        };
-        // Distribute the initialized data over the shared banks.
-        for (i, &byte) in data.iter().enumerate() {
-            let addr = SHARED_BASE + i as u32;
-            mem.poke_shared(addr, byte, HartId::FIRST)?;
         }
-        Ok(mem)
-    }
-
-    /// The shared bank (== core number) serving a shared address.
-    pub fn shared_bank_of(&self, addr: u32) -> u32 {
-        (addr - SHARED_BASE) / self.shared_bank_bytes
-    }
-
-    /// Fetches the decoded instruction at `pc` (used by the fetch stage;
-    /// no contention). An undecodable word is an error only here, when it
-    /// is actually fetched, and the error carries the raw word.
-    pub fn fetch(&self, pc: u32, hart: HartId) -> Result<Decoded, SimError> {
-        if !pc.is_multiple_of(4) {
-            return Err(SimError::Mem(MemFault::Unaligned {
-                addr: pc,
-                size: 4,
-                hart,
-            }));
-        }
-        let index = (pc / 4) as usize;
-        match self.decoded.get(index) {
-            Some(Some(op)) => Ok(*op),
-            Some(None) => Err(SimError::Decode {
-                pc,
-                word: self.code[index],
-                hart,
-            }),
-            None => Err(SimError::Mem(MemFault::Unmapped { addr: pc, hart })),
-        }
-    }
-
-    /// The fixed continuation-value frame base address of a hart (within
-    /// its core's local bank).
-    pub fn cv_base(&self, hart: HartId) -> u32 {
-        cv_base_in(self.local_bank_bytes, hart)
-    }
-
-    /// The per-core local banks (hybrid-handoff materialization and
-    /// architectural hashing).
-    pub(crate) fn local_banks(&self) -> &[Vec<u8>] {
-        &self.local
-    }
-
-    /// The per-core shared-bank slices (hybrid-handoff materialization
-    /// and architectural hashing).
-    pub(crate) fn shared_banks(&self) -> &[Vec<u8>] {
-        &self.shared
-    }
-
-    /// Mutable per-core local banks (hybrid-handoff materialization).
-    pub(crate) fn local_banks_mut(&mut self) -> &mut [Vec<u8>] {
-        &mut self.local
-    }
-
-    /// Mutable per-core shared-bank slices (hybrid-handoff
-    /// materialization).
-    pub(crate) fn shared_banks_mut(&mut self) -> &mut [Vec<u8>] {
-        &mut self.shared
-    }
-
-    /// Writes one byte directly into a shared bank (image loading).
-    fn poke_shared(&mut self, addr: u32, byte: u8, hart: HartId) -> Result<(), MemFault> {
-        let bank = self.shared_bank_of(addr) as usize;
-        if bank >= self.cores {
-            return Err(MemFault::Unmapped { addr, hart });
-        }
-        let off = ((addr - SHARED_BASE) % self.shared_bank_bytes) as usize;
-        self.shared[bank][off] = byte;
-        Ok(())
     }
 
     /// Enqueues a request on the owning core's local-bank port.
@@ -233,9 +470,10 @@ impl MemSys {
 
     /// Applies a cross-core `p_swcv` continuation-value write (the forward
     /// link's dedicated port into the local bank).
-    pub fn cv_write(&mut self, to: HartId, offset: u32, value: u32) -> Result<(), MemFault> {
-        let addr = self.cv_base(to) + offset;
-        self.write_local(to.core(), addr, value, 4, to)
+    pub fn cv_write(&mut self, to: HartId, offset: u32, value: u32) -> Result<(), SimError> {
+        let addr = self.banks.cv_base(to).wrapping_add(offset);
+        let at = self.port_route(to.core(), addr, to)?;
+        Ok(self.write(to.core(), at, value, 4)?)
     }
 
     /// Whether a memory response waits for any core.
@@ -269,12 +507,12 @@ impl MemSys {
     /// network port) is also attributed to the requester's core in the
     /// bank-conflict matrix; local-bank (private) backlog stays out of the
     /// matrix, so the matrix totals at most `conflicts`.
-    pub fn tick(&mut self, now: u64, obs: &mut Observers) -> Result<(), MemFault> {
+    pub fn tick(&mut self, now: u64, obs: &mut Observers) -> Result<(), SimError> {
         self.now = now;
         if self.queued == 0 && !self.net.any_at_banks() {
             return Ok(());
         }
-        for core in 0..self.cores as u32 {
+        for core in 0..self.local_q.len() as u32 {
             let c = core as usize;
             // A core whose three port queues are empty serves nothing and
             // adds 0 to every counter below.
@@ -331,8 +569,18 @@ impl MemSys {
         q.iter().filter(|p| p.arrived < now).count() as u64
     }
 
+    /// Routes a request that reached a port of `bank_core`.
+    fn port_route(&self, bank_core: u32, addr: u32, hart: HartId) -> Result<Routed, SimError> {
+        let at = self.banks.route(addr, hart)?;
+        debug_assert!(
+            !matches!(at.to, Route::Shared { bank } if bank != bank_core),
+            "request routed to wrong bank"
+        );
+        Ok(at)
+    }
+
     /// Performs a read/write at `bank_core` and builds the response.
-    fn perform(&mut self, bank_core: u32, msg: NetMsg) -> Result<NetMsg, MemFault> {
+    fn perform(&mut self, bank_core: u32, msg: NetMsg) -> Result<NetMsg, SimError> {
         match msg {
             NetMsg::ReadReq {
                 addr,
@@ -340,12 +588,13 @@ impl MemSys {
                 size,
                 signed,
             } => {
-                let value = if Region::of(addr) == Region::Io {
+                let at = self.port_route(bank_core, addr, hart)?;
+                let value = if at.to == Route::Io {
                     self.io
                         .read(addr, self.now)
                         .ok_or(MemFault::Unmapped { addr, hart })?
                 } else {
-                    self.read(bank_core, addr, size, signed, hart)?
+                    self.read(bank_core, at, size, signed)?
                 };
                 Ok(NetMsg::ReadResp { addr, value, hart })
             }
@@ -355,12 +604,13 @@ impl MemSys {
                 size,
                 hart,
             } => {
-                if Region::of(addr) == Region::Io {
+                let at = self.port_route(bank_core, addr, hart)?;
+                if at.to == Route::Io {
                     self.io
                         .write(addr, value, self.now)
                         .ok_or(MemFault::Unmapped { addr, hart })?;
                 } else {
-                    self.write(bank_core, addr, value, size, hart)?;
+                    self.write(bank_core, at, value, size)?;
                 }
                 Ok(NetMsg::WriteAck { addr, hart })
             }
@@ -368,57 +618,9 @@ impl MemSys {
         }
     }
 
-    fn check_align(addr: u32, size: u8, hart: HartId) -> Result<(), MemFault> {
-        if !addr.is_multiple_of(size as u32) {
-            Err(MemFault::Unaligned { addr, size, hart })
-        } else {
-            Ok(())
-        }
-    }
-
-    fn slice_for(
-        &mut self,
-        bank_core: u32,
-        addr: u32,
-        size: u8,
-        hart: HartId,
-    ) -> Result<&mut [u8], MemFault> {
-        Self::check_align(addr, size, hart)?;
-        let (arr, off) = match Region::of(addr) {
-            Region::Local => (
-                &mut self.local[bank_core as usize],
-                (addr - LOCAL_BASE) as usize,
-            ),
-            Region::Shared => {
-                let bank = self.shared_bank_of(addr) as usize;
-                if bank >= self.cores {
-                    return Err(MemFault::Unmapped { addr, hart });
-                }
-                debug_assert_eq!(bank as u32, bank_core, "request routed to wrong bank");
-                (
-                    &mut self.shared[bank],
-                    ((addr - SHARED_BASE) % self.shared_bank_bytes) as usize,
-                )
-            }
-            Region::Code | Region::Io => return Err(MemFault::Unmapped { addr, hart }),
-        };
-        let end = off + size as usize;
-        if end > arr.len() {
-            return Err(MemFault::Unmapped { addr, hart });
-        }
-        Ok(&mut arr[off..end])
-    }
-
-    /// Reads a value of `size` bytes at `addr` from `bank_core`'s banks.
-    pub fn read(
-        &mut self,
-        bank_core: u32,
-        addr: u32,
-        size: u8,
-        signed: bool,
-        hart: HartId,
-    ) -> Result<u32, MemFault> {
-        let bytes = self.slice_for(bank_core, addr, size, hart)?;
+    /// Reads a value of `size` bytes from `bank_core`'s banks.
+    fn read(&self, bank_core: u32, at: Routed, size: u8, signed: bool) -> Result<u32, MemFault> {
+        let bytes = self.banks.span(bank_core, at, size)?;
         let mut raw = 0u32;
         for (i, b) in bytes.iter().enumerate() {
             raw |= (*b as u32) << (8 * i);
@@ -430,38 +632,13 @@ impl MemSys {
         })
     }
 
-    /// Writes the low `size` bytes of `value` at `addr`.
-    pub fn write(
-        &mut self,
-        bank_core: u32,
-        addr: u32,
-        value: u32,
-        size: u8,
-        hart: HartId,
-    ) -> Result<(), MemFault> {
-        let bytes = self.slice_for(bank_core, addr, size, hart)?;
+    /// Writes the low `size` bytes of `value`.
+    fn write(&mut self, bank_core: u32, at: Routed, value: u32, size: u8) -> Result<(), MemFault> {
+        let bytes = self.banks.span_mut(bank_core, at, size)?;
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = (value >> (8 * i)) as u8;
         }
         Ok(())
-    }
-
-    fn write_local(
-        &mut self,
-        core: u32,
-        addr: u32,
-        value: u32,
-        size: u8,
-        hart: HartId,
-    ) -> Result<(), MemFault> {
-        self.write(core, addr, value, size, hart)
-    }
-
-    /// Directly reads shared memory (for test harnesses and result
-    /// extraction after a run).
-    pub fn peek_shared(&mut self, addr: u32) -> Result<u32, MemFault> {
-        let bank = self.shared_bank_of(addr);
-        self.read(bank, addr, 4, false, HartId::FIRST)
     }
 
     /// Whether every bank port is idle: no queued local request, no staged
@@ -478,37 +655,11 @@ impl MemSys {
             + self.staged[core as usize].len()
     }
 
-    /// XORs one bit of the shared-memory byte holding it (fault
-    /// injection). Out-of-range addresses are ignored — the plan was
-    /// validated up front.
-    pub fn flip_shared_bit(&mut self, addr: u32, bit: u32) {
-        let word = addr & !3;
-        let bank = self.shared_bank_of(word) as usize;
-        if bank >= self.cores {
-            return;
-        }
-        let off = ((word - SHARED_BASE) % self.shared_bank_bytes) as usize + (bit / 8) as usize;
-        if let Some(byte) = self.shared[bank].get_mut(off) {
-            *byte ^= 1 << (bit % 8);
-        }
-    }
-
     /// Serializes the full memory system: bank contents, the code image,
     /// every queued/staged request, the network and the I/O bus.
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.cores as u64);
-        w.u32(self.local_bank_bytes);
-        w.u32(self.shared_bank_bytes);
-        for bank in &self.local {
-            w.bytes(bank);
-        }
-        for bank in &self.shared {
-            w.bytes(bank);
-        }
-        w.seq(self.code.len());
-        for &word in &self.code {
-            w.u32(word);
-        }
+        self.banks.snap(w);
+        self.code.snap(w);
         let put_ports = |w: &mut SnapWriter, qs: &[VecDeque<Ported>]| {
             for q in qs {
                 w.seq(q.len());
@@ -535,34 +686,9 @@ impl MemSys {
     }
 
     pub(crate) fn unsnap(r: &mut SnapReader<'_>) -> Result<MemSys, SnapError> {
-        let cores = r.u64()? as usize;
-        if cores == 0 {
-            return Err(SnapError::Corrupt(
-                "memory system has zero cores".to_owned(),
-            ));
-        }
-        let local_bank_bytes = r.u32()?;
-        let shared_bank_bytes = r.u32()?;
-        let get_banks = |r: &mut SnapReader<'_>, expect: u32| -> Result<Vec<Vec<u8>>, SnapError> {
-            (0..cores)
-                .map(|_| {
-                    let bank = r.bytes()?;
-                    if bank.len() != expect as usize {
-                        return Err(SnapError::Corrupt(format!(
-                            "bank holds {} bytes, configured for {expect}",
-                            bank.len()
-                        )));
-                    }
-                    Ok(bank)
-                })
-                .collect()
-        };
-        let local = get_banks(r, local_bank_bytes)?;
-        let shared = get_banks(r, shared_bank_bytes)?;
-        let mut code = Vec::new();
-        for _ in 0..r.seq()? {
-            code.push(r.u32()?);
-        }
+        let banks = Banks::unsnap(r)?;
+        let cores = banks.cores;
+        let code = CodeBank::unsnap(r)?;
         let get_ports = |r: &mut SnapReader<'_>| -> Result<Vec<VecDeque<Ported>>, SnapError> {
             (0..cores)
                 .map(|_| {
@@ -590,12 +716,7 @@ impl MemSys {
         let net = Network::unsnap(r)?;
         let io = IoBus::unsnap(r)?;
         Ok(MemSys {
-            cores,
-            local_bank_bytes,
-            shared_bank_bytes,
-            local,
-            shared,
-            decoded: predecode(&code),
+            banks,
             code,
             queued: local_q.iter().chain(&shared_q).map(VecDeque::len).sum(),
             local_q,
@@ -610,25 +731,6 @@ impl MemSys {
             now: r.u64()?,
         })
     }
-
-    /// XORs the code word at `pc` with `xor` (fault injection). Every
-    /// core's code bank is the same copy, so all cores see the corruption.
-    pub fn corrupt_code(&mut self, pc: u32, xor: u32) {
-        let index = (pc / 4) as usize;
-        if let Some(word) = self.code.get_mut(index) {
-            *word ^= xor;
-            self.decoded[index] = decode_word(*word);
-        }
-    }
-}
-
-fn decode_word(word: u32) -> Option<Decoded> {
-    Instr::decode(word).ok().map(Decoded::new)
-}
-
-/// Decodes a code image once, so that no fetch decodes again.
-fn predecode(code: &[u32]) -> Vec<Option<Decoded>> {
-    code.iter().map(|&word| decode_word(word)).collect()
 }
 
 #[cfg(test)]
@@ -643,26 +745,54 @@ mod tests {
         out
     }
 
+    fn banks(cores: usize) -> Banks {
+        Banks::new(&LbpConfig::cores(cores), &[1, 0, 0, 0]).unwrap()
+    }
+
     fn memsys(cores: usize) -> MemSys {
-        MemSys::new(&LbpConfig::cores(cores), &[0x13], &[1, 0, 0, 0]).unwrap()
+        let code = CodeBank::new(&[0x13]);
+        MemSys::new(&LbpConfig::cores(cores), code, banks(cores))
+    }
+
+    /// One access through both checks, as a port or the functional engine
+    /// makes it.
+    fn load(b: &Banks, addr: u32, size: u8) -> Result<Vec<u8>, SimError> {
+        let h = HartId::FIRST;
+        Ok(b.span(0, b.route(addr, h)?, size)?.to_vec())
     }
 
     #[test]
     fn image_data_lands_in_shared_bank_zero() {
-        let mut m = memsys(4);
-        assert_eq!(m.peek_shared(SHARED_BASE).unwrap(), 1);
+        assert_eq!(banks(4).peek(SHARED_BASE).unwrap(), 1);
+    }
+
+    #[test]
+    fn image_data_spills_into_the_next_bank_and_no_further() {
+        let cfg = LbpConfig::cores(2);
+        let bank = cfg.shared_bank_bytes;
+        let mut data = vec![0u8; bank as usize + 4];
+        data[bank as usize] = 7;
+        let b = Banks::new(&cfg, &data).unwrap();
+        assert_eq!(b.peek(SHARED_BASE + bank).unwrap(), 7);
+        assert_eq!(
+            Banks::new(&cfg, &vec![0; 2 * bank as usize + 1]).unwrap_err(),
+            MemFault::Unmapped {
+                addr: SHARED_BASE + 2 * bank,
+                hart: HartId::FIRST
+            }
+        );
     }
 
     #[test]
     fn cv_base_is_per_hart() {
-        let m = memsys(4);
+        let b = banks(4);
         // 64 KiB local bank -> 16 KiB stacks.
         assert_eq!(
-            m.cv_base(HartId::from_parts(2, 0)),
+            b.cv_base(HartId::from_parts(2, 0)),
             LOCAL_BASE + 16 * 1024 - CV_FRAME_BYTES
         );
         assert_eq!(
-            m.cv_base(HartId::from_parts(2, 3)),
+            b.cv_base(HartId::from_parts(2, 3)),
             LOCAL_BASE + 64 * 1024 - CV_FRAME_BYTES
         );
     }
@@ -693,35 +823,86 @@ mod tests {
                 hart: h
             }]
         );
-        assert_eq!(m.read(0, LOCAL_BASE, 4, false, h).unwrap(), 42);
+        assert_eq!(load(&m.banks, LOCAL_BASE, 4).unwrap(), [42, 0, 0, 0]);
     }
 
     #[test]
     fn sign_extension() {
         let mut m = memsys(1);
+        let at = |m: &MemSys, addr| m.banks.route(addr, HartId::FIRST).unwrap();
+        m.write(0, at(&m, LOCAL_BASE), 0x80, 1).unwrap();
+        let byte = |signed| m.read(0, at(&m, LOCAL_BASE), 1, signed).unwrap();
+        assert_eq!((byte(true), byte(false)), (0xffff_ff80, 0x80));
+        m.write(0, at(&m, LOCAL_BASE + 2), 0x8000, 2).unwrap();
+        let half = m.read(0, at(&m, LOCAL_BASE + 2), 2, true);
+        assert_eq!(half.unwrap(), 0xffff_8000);
+    }
+
+    #[test]
+    fn checks_run_region_then_bank_then_alignment_then_bounds() {
+        let b = banks(1);
         let h = HartId::FIRST;
-        m.write(0, LOCAL_BASE, 0x80, 1, h).unwrap();
-        assert_eq!(m.read(0, LOCAL_BASE, 1, true, h).unwrap(), 0xffff_ff80);
-        assert_eq!(m.read(0, LOCAL_BASE, 1, false, h).unwrap(), 0x80);
-        m.write(0, LOCAL_BASE + 2, 0x8000, 2, h).unwrap();
-        assert_eq!(m.read(0, LOCAL_BASE + 2, 2, true, h).unwrap(), 0xffff_8000);
+        let unmapped = |addr| Err(SimError::Mem(MemFault::Unmapped { addr, hart: h }));
+        let unaligned = |addr, size| {
+            Err(SimError::Mem(MemFault::Unaligned {
+                addr,
+                size,
+                hart: h,
+            }))
+        };
+        // The code region has no data port, aligned or not.
+        for addr in [2, 4] {
+            assert!(matches!(load(&b, addr, 4), Err(SimError::Protocol { .. })));
+        }
+        // Past the last shared bank: unmapped before it is misaligned.
+        assert_eq!(
+            load(&b, SHARED_BASE + 0x10002, 4),
+            unmapped(SHARED_BASE + 0x10002)
+        );
+        assert_eq!(load(&b, LOCAL_BASE + 2, 4), unaligned(LOCAL_BASE + 2, 4));
+        assert_eq!(load(&b, SHARED_BASE + 1, 2), unaligned(SHARED_BASE + 1, 2));
+        // Past the end of the local bank: nothing but the bounds is wrong.
+        assert_eq!(
+            load(&b, LOCAL_BASE + 0x10000, 4),
+            unmapped(LOCAL_BASE + 0x10000)
+        );
+        assert_eq!(load(&b, LOCAL_BASE + 0xfffc, 4).unwrap(), [0; 4]);
     }
 
     #[test]
-    fn misaligned_access_faults() {
-        let mut m = memsys(1);
-        let err = m
-            .read(0, LOCAL_BASE + 2, 4, false, HartId::FIRST)
-            .unwrap_err();
-        assert!(matches!(err, MemFault::Unaligned { .. }));
+    fn the_harness_sees_shared_words_only() {
+        let mut b = banks(1);
+        let h = HartId::FIRST;
+        b.poke(SHARED_BASE + 8, 0xdead_beef).unwrap();
+        assert_eq!(b.peek(SHARED_BASE + 8).unwrap(), 0xdead_beef);
+        b.flip(SHARED_BASE + 9, 31);
+        assert_eq!(b.peek(SHARED_BASE + 8).unwrap(), 0x5ead_beef);
+        // Beyond the single 64 KiB shared bank, and outside shared space.
+        for addr in [SHARED_BASE + 0x10000, LOCAL_BASE, 0, lbp_isa::IO_BASE] {
+            assert_eq!(b.peek(addr), Err(MemFault::Unmapped { addr, hart: h }));
+            assert_eq!(b.poke(addr, 1), Err(MemFault::Unmapped { addr, hart: h }));
+            b.flip(addr, 0); // ignored
+        }
+        let misaligned = MemFault::Unaligned {
+            addr: SHARED_BASE + 2,
+            size: 4,
+            hart: h,
+        };
+        assert_eq!(b.peek(SHARED_BASE + 2), Err(misaligned));
     }
 
     #[test]
-    fn out_of_range_faults() {
-        let mut m = memsys(1);
-        // Beyond the single 64 KiB shared bank.
-        let err = m.peek_shared(SHARED_BASE + 0x10000).unwrap_err();
-        assert!(matches!(err, MemFault::Unmapped { .. }));
+    fn first_shared_difference_names_the_word() {
+        let (a, mut b) = (banks(2), banks(2));
+        assert_eq!(a.first_shared_difference(&b), None);
+        let addr = SHARED_BASE + 0x10000 + 12;
+        b.poke(addr, 0x0100_0000).unwrap();
+        assert_eq!(a.first_shared_difference(&b), Some((addr, 0, 0x0100_0000)));
+        // Local banks are not part of the comparison.
+        b.poke(addr, 0).unwrap();
+        let local = b.route(LOCAL_BASE, HartId::FIRST).unwrap();
+        b.span_mut(0, local, 1).unwrap()[0] = 1;
+        assert_eq!(a.first_shared_difference(&b), None);
     }
 
     #[test]
@@ -763,9 +944,44 @@ mod tests {
 
     #[test]
     fn code_fetch_bounds() {
-        let m = memsys(1);
-        assert_eq!(m.fetch(0, HartId::FIRST).unwrap().instr, Instr::NOP);
-        assert!(m.fetch(4, HartId::FIRST).is_err());
-        assert!(m.fetch(2, HartId::FIRST).is_err());
+        let code = CodeBank::new(&[0x13, 0xffff_ffff]);
+        let h = HartId::FIRST;
+        assert_eq!(code.fetch(0, h).unwrap().instr, Instr::NOP);
+        // The table is indexed by pc: word 1 is the undecodable one, and
+        // its error carries the raw word.
+        let undecodable = SimError::Decode {
+            pc: 4,
+            word: 0xffff_ffff,
+            hart: h,
+        };
+        assert_eq!(code.fetch(4, h).unwrap_err(), undecodable);
+        let past_the_end = MemFault::Unmapped { addr: 8, hart: h };
+        assert_eq!(code.fetch(8, h).unwrap_err(), SimError::Mem(past_the_end));
+        let misaligned = MemFault::Unaligned {
+            addr: 2,
+            size: 4,
+            hart: h,
+        };
+        assert_eq!(code.fetch(2, h).unwrap_err(), SimError::Mem(misaligned));
+    }
+
+    #[test]
+    fn corrupt_patches_word_and_entry_and_ignores_what_is_not_a_code_word() {
+        let mut code = CodeBank::new(&[0x13, 0x13]);
+        let h = HartId::FIRST;
+        for pc in [6, 8, 4000] {
+            code.corrupt(pc, 0xffff_ffff);
+        }
+        assert_eq!(code.words, [0x13, 0x13]);
+        code.corrupt(4, 0xffff_ffff);
+        assert!(matches!(
+            code.fetch(4, h),
+            Err(SimError::Decode {
+                word: 0xffff_ffec,
+                ..
+            })
+        ));
+        code.corrupt(4, 0xffff_ffff);
+        assert_eq!(code.fetch(4, h).unwrap().instr, Instr::NOP);
     }
 }

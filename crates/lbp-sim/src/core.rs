@@ -9,9 +9,9 @@
 
 use std::collections::VecDeque;
 
-use lbp_isa::{HartId, IdentityWord, Instr, OpKind, Region, HARTS_PER_CORE};
+use lbp_isa::{HartId, IdentityWord, Instr, OpKind, HARTS_PER_CORE};
 
-use crate::bank::MemSys;
+use crate::bank::{MemSys, Route};
 use crate::config::Latencies;
 use crate::error::SimError;
 use crate::fabric::Fabric;
@@ -331,7 +331,7 @@ impl Core {
         self.free_q.pop_front();
         self.alloc_q.pop_front();
         let child = HartId::from_parts(self.index, child_local as u32);
-        let sp = env.mem.cv_base(child);
+        let sp = env.mem.banks.cv_base(child);
         self.harts[child_local].allocate(sp);
         self.live += 1;
         env.stats.forks += 1;
@@ -381,7 +381,7 @@ impl Core {
         };
         let h = &mut self.harts[i];
         let pc = h.pc.expect("checked by predicate");
-        let op = env.mem.fetch(pc, h.id)?;
+        let op = *env.mem.code.fetch(pc, h.id)?;
         h.ib = Some(Fetched { pc, op });
         h.fetch_suspended = true;
         let id = h.id;
@@ -536,7 +536,7 @@ impl Core {
                 silent
             }
             Instr::PLwcv { offset, .. } => {
-                let addr = env.mem.cv_base(id).wrapping_add(offset as u32);
+                let addr = env.mem.banks.cv_base(id).wrapping_add(offset as u32);
                 self.send_read(id, addr, 4, false, env)?;
                 self.harts[hart_idx].in_flight_mem += 1;
                 RbWait::Mem
@@ -545,7 +545,7 @@ impl Core {
                 let target = HartId::new(v1 & 0xffff);
                 self.harts[hart_idx].in_flight_mem += 1;
                 if target.core() == self.index {
-                    let addr = env.mem.cv_base(target).wrapping_add(offset as u32);
+                    let addr = env.mem.banks.cv_base(target).wrapping_add(offset as u32);
                     env.mem.local_request(
                         self.index,
                         NetMsg::WriteReq {
@@ -697,8 +697,7 @@ impl Core {
             size,
             signed,
         };
-        self.route_request(hart, addr, msg, env)?;
-        let bank = self.bank_of(addr, env);
+        let bank = self.route_request(hart, addr, msg, env)?;
         env.obs
             .event(env.now, hart, EventKind::MemRead { addr, bank });
         Ok(())
@@ -719,40 +718,28 @@ impl Core {
             size,
             hart,
         };
-        self.route_request(hart, addr, msg, env)?;
-        let bank = self.bank_of(addr, env);
+        let bank = self.route_request(hart, addr, msg, env)?;
         env.obs
             .event(env.now, hart, EventKind::MemWrite { addr, bank, value });
         Ok(())
     }
 
-    fn bank_of(&self, addr: u32, env: &Env<'_>) -> u32 {
-        match Region::of(addr) {
-            Region::Shared => env.mem.shared_bank_of(addr),
-            _ => self.index,
-        }
-    }
-
+    /// Hands a request to the port that serves its address and returns the
+    /// core whose bank that is.
     fn route_request(
         &mut self,
         hart: HartId,
         addr: u32,
         msg: NetMsg,
         env: &mut Env<'_>,
-    ) -> Result<(), SimError> {
-        match Region::of(addr) {
-            Region::Local | Region::Io => {
+    ) -> Result<u32, SimError> {
+        match env.mem.banks.route(addr, hart)?.to {
+            Route::Local | Route::Io => {
                 env.mem.local_request(self.index, msg, env.now);
                 env.stats.local_accesses += 1;
+                Ok(self.index)
             }
-            Region::Shared => {
-                let bank = env.mem.shared_bank_of(addr);
-                if bank as usize >= env.cores {
-                    return Err(SimError::Mem(crate::bank::MemFault::Unmapped {
-                        addr,
-                        hart,
-                    }));
-                }
+            Route::Shared { bank } => {
                 env.obs.noc_request(self.index as usize, bank as usize);
                 if bank == self.index {
                     env.mem.shared_local_request(self.index, msg, env.now);
@@ -761,15 +748,9 @@ impl Core {
                     env.mem.net.send_from_core(self.index, msg);
                     env.stats.remote_accesses += 1;
                 }
-            }
-            Region::Code => {
-                return Err(SimError::Protocol {
-                    hart,
-                    what: format!("data access to the code region at {addr:#010x}"),
-                });
+                Ok(bank)
             }
         }
-        Ok(())
     }
 
     fn stage_writeback(&mut self, env: &mut Env<'_>) {

@@ -1,5 +1,5 @@
-//! The functional-mode fast engine: a precompiled-dispatch ISS over the
-//! whole machine.
+//! The functional-mode fast engine: an instruction-set simulator over
+//! the whole machine.
 //!
 //! Where [`Machine`](crate::Machine) models every pipeline stage, bank
 //! port and router hop, [`FastEngine`] executes the same assembled image
@@ -15,15 +15,23 @@
 //! cycle-exact engine reaches.
 //!
 //! The engine has two jobs. It is the functional reference of the
-//! lockstep checker ([`run_lockstep`](crate::run_lockstep)): it shares the
-//! pipeline's decoder but none of its arithmetic, so a wrong result in
-//! either shows up as a divergence. And it drives hybrid fast-forward
-//! simulation: `lbp-run --warm N` executes the warm-up region here at tens
-//! of Minstr/s, then [`FastEngine::materialize`] builds a cycle-exact
-//! [`Machine`](crate::machine::Machine) from the
-//! architectural state (all pipelines drained, no message in flight) and
-//! the measured window runs at full fidelity. See `DESIGN.md` for the
-//! functional-mode semantics contract and its precision boundaries.
+//! lockstep checker ([`run_lockstep`](crate::run_lockstep)). What it
+//! shares with the pipeline is what the two must agree on by definition:
+//! the decoder, the code bank (one predecoded entry per word) and the bank
+//! store with its address map and fault checks (`bank.rs`), so an access
+//! that is undefined is the same error on both. What it keeps to itself
+//! is what a reference is for: its own arithmetic, branch comparisons,
+//! load extension and store truncation, its own schedule and its own
+//! rendezvous delivery, so a wrong result in either engine shows up as a
+//! divergence.
+//!
+//! And it drives hybrid fast-forward simulation: `lbp-run --warm N`
+//! executes the warm-up region here at tens of Minstr/s, then
+//! [`FastEngine::materialize`] builds a cycle-exact
+//! [`Machine`](crate::machine::Machine) around a clone of the bank store
+//! (all pipelines drained, no message in flight) and the measured window
+//! runs at full fidelity. See `DESIGN.md` for the functional-mode
+//! semantics contract and its precision boundaries.
 //!
 //! What is deliberately **not** modeled: cycles, stalls, bank conflicts,
 //! link hops and contention (all zero in the produced statistics), fault
@@ -34,10 +42,12 @@
 use std::collections::VecDeque;
 
 use lbp_asm::Image;
-use lbp_isa::dispatch::{predecode, UKind, UOp};
-use lbp_isa::{HartId, IdentityWord, Region, HARTS_PER_CORE, INSTR_BYTES, LOCAL_BASE, SHARED_BASE};
+use lbp_isa::{
+    BranchKind, HartId, IdentityWord, Instr, LoadKind, OpImmKind, OpKind, Reg, StoreKind,
+    HARTS_PER_CORE,
+};
 
-use crate::bank::MemFault;
+use crate::bank::{Banks, CodeBank, Route, Routed};
 use crate::config::LbpConfig;
 use crate::error::{BlockedHart, SimError};
 use crate::hart::HartState;
@@ -51,7 +61,7 @@ enum FWait {
     Ready,
     /// A `p_fc`/`p_fn` is queued at a core allocator; completing the fork
     /// writes the child identity into `rd` and retires the instruction.
-    Fork { rd: u8 },
+    Fork { rd: Reg },
     /// A `p_ret` waiting for the team predecessor's ending-hart signal.
     EndSignal,
     /// A `p_lwre` waiting for data in a receive slot (an out-of-range
@@ -131,20 +141,14 @@ pub struct FastSummary {
     pub stop_hart: Option<HartId>,
 }
 
-/// The functional-mode engine: architectural state for every hart, flat
-/// memory banks, and per-core fork-allocation queues.
+/// The functional-mode engine: architectural state for every hart, the
+/// same code bank and bank store the cycle-exact machine is built on, and
+/// per-core fork-allocation queues.
 #[derive(Debug)]
 pub struct FastEngine {
     cfg: LbpConfig,
-    /// Raw text words (kept for re-predecoding after sabotage and for
-    /// decode-error reporting).
-    text: Vec<u32>,
-    /// The predecoded program, indexed by `pc / 4`.
-    uops: Vec<UOp>,
-    /// Per-core local banks.
-    local: Vec<Vec<u8>>,
-    /// Per-core shared-bank slices.
-    shared: Vec<Vec<u8>>,
+    code: CodeBank,
+    banks: Banks,
     harts: Vec<FHart>,
     /// Pending fork requests per core, in arrival order.
     alloc_q: Vec<VecDeque<HartId>>,
@@ -173,29 +177,16 @@ pub struct FastEngine {
 }
 
 impl FastEngine {
-    /// Builds the engine and loads the image: text predecoded into the
-    /// dispatch form, data distributed over the shared banks, hart 0
-    /// booted at the entry point with the boot ending-signal set.
+    /// Builds the engine and loads the image: text into the code bank,
+    /// data distributed over the shared banks, hart 0 booted at the entry
+    /// point with the boot ending-signal set.
     ///
     /// # Errors
     ///
     /// Fails if the initialized data exceeds the configured shared space.
     pub fn new(cfg: LbpConfig, image: &Image) -> Result<FastEngine, SimError> {
         let cores = cfg.cores;
-        let mut shared: Vec<Vec<u8>> = (0..cores)
-            .map(|_| vec![0; cfg.shared_bank_bytes as usize])
-            .collect();
-        for (i, &byte) in image.data.iter().enumerate() {
-            let addr = SHARED_BASE + i as u32;
-            let bank = ((addr - SHARED_BASE) / cfg.shared_bank_bytes) as usize;
-            if bank >= cores {
-                return Err(SimError::Mem(MemFault::Unmapped {
-                    addr,
-                    hart: HartId::FIRST,
-                }));
-            }
-            shared[bank][((addr - SHARED_BASE) % cfg.shared_bank_bytes) as usize] = byte;
-        }
+        let banks = Banks::new(&cfg, &image.data)?;
         let mut harts: Vec<FHart> = (0..cfg.harts())
             .map(|_| FHart::fresh(cfg.result_slots))
             .collect();
@@ -205,12 +196,8 @@ impl FastEngine {
         harts[0].regs[2] = boot_sp; // sp
         harts[0].end_signal = true; // nothing precedes the boot hart
         Ok(FastEngine {
-            text: image.text.clone(),
-            uops: predecode(&image.text),
-            local: (0..cores)
-                .map(|_| vec![0; cfg.local_bank_bytes as usize])
-                .collect(),
-            shared,
+            code: CodeBank::new(&image.text),
+            banks,
             harts,
             alloc_q: (0..cores).map(|_| VecDeque::new()).collect(),
             free_q: (0..cores)
@@ -249,16 +236,12 @@ impl FastEngine {
         self.commit_log.as_deref().unwrap_or(&[])
     }
 
-    /// XORs the code word at `pc` with `xor` and re-predecodes it —
-    /// deliberate sabotage of the *functional copy only*, used to prove
-    /// that the lockstep checker localizes a functional bug to the
-    /// exact instruction.
+    /// XORs the code word at `pc` with `xor` — deliberate sabotage of the
+    /// *functional copy only*, used to prove that the lockstep checker
+    /// localizes a functional bug to the exact instruction. A `pc` that is
+    /// not a code word of the image changes nothing.
     pub fn sabotage_code(&mut self, pc: u32, xor: u32) {
-        let idx = (pc / INSTR_BYTES) as usize;
-        if let Some(word) = self.text.get_mut(idx) {
-            *word ^= xor;
-            self.uops[idx] = UOp::from_word(*word);
-        }
+        self.code.corrupt(pc, xor);
     }
 
     /// Total instructions retired so far.
@@ -305,16 +288,7 @@ impl FastEngine {
     ///
     /// Faults on unmapped or misaligned addresses.
     pub fn poke_shared(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
-        if !addr.is_multiple_of(4) {
-            return Err(SimError::Mem(MemFault::Unaligned {
-                addr,
-                size: 4,
-                hart: HartId::FIRST,
-            }));
-        }
-        let (bank, off) = self.shared_slot(addr, HartId::FIRST)?;
-        self.shared[bank][off..off + 4].copy_from_slice(&value.to_le_bytes());
-        Ok(())
+        Ok(self.banks.poke(addr, value)?)
     }
 
     /// Reads a word of shared memory (result extraction).
@@ -323,16 +297,7 @@ impl FastEngine {
     ///
     /// Faults on unmapped or misaligned addresses.
     pub fn peek_shared(&self, addr: u32) -> Result<u32, SimError> {
-        if !addr.is_multiple_of(4) {
-            return Err(SimError::Mem(MemFault::Unaligned {
-                addr,
-                size: 4,
-                hart: HartId::FIRST,
-            }));
-        }
-        let (bank, off) = self.shared_slot(addr, HartId::FIRST)?;
-        let bytes = &self.shared[bank][off..off + 4];
-        Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+        Ok(self.banks.peek(addr)?)
     }
 
     fn retired_by_core(&self, core: usize) -> u64 {
@@ -347,13 +312,13 @@ impl FastEngine {
         HartId::new(hi as u32)
     }
 
-    fn get(&self, hi: usize, r: u8) -> u32 {
-        self.harts[hi].regs[r as usize]
+    fn get(&self, hi: usize, r: Reg) -> u32 {
+        self.harts[hi].regs[r.index()]
     }
 
-    fn set(&mut self, hi: usize, rd: u8, value: u32) {
-        if rd != 0 {
-            self.harts[hi].regs[rd as usize] = value;
+    fn set(&mut self, hi: usize, rd: Reg, value: u32) {
+        if !rd.is_zero() {
+            self.harts[hi].regs[rd.index()] = value;
         }
     }
 
@@ -498,313 +463,220 @@ impl FastEngine {
         Ok(())
     }
 
-    fn shared_slot(&self, addr: u32, hart: HartId) -> Result<(usize, usize), SimError> {
-        let bank = ((addr - SHARED_BASE) / self.cfg.shared_bank_bytes) as usize;
-        if bank >= self.cfg.cores {
-            return Err(SimError::Mem(MemFault::Unmapped { addr, hart }));
+    /// Routes a data access of hart `hi` with the machine's own routing
+    /// function and counts it like the cycle-exact router would (local vs
+    /// remote). Devices answer in cycles, which this engine has none of.
+    /// Part of every load and store: left out of line it hands its
+    /// `Result` back through memory.
+    #[inline(always)]
+    fn route(&mut self, hi: usize, addr: u32, what: &str) -> Result<Routed, SimError> {
+        let hart = self.id(hi);
+        let at = self.banks.route(addr, hart)?;
+        match at.to {
+            Route::Io => return Err(io_refusal(hart, addr, what)),
+            Route::Shared { bank } if bank as usize != hi / HARTS_PER_CORE => {
+                self.remote_accesses += 1;
+            }
+            Route::Local | Route::Shared { .. } => self.local_accesses += 1,
         }
-        Ok((
-            bank,
-            ((addr - SHARED_BASE) % self.cfg.shared_bank_bytes) as usize,
-        ))
+        Ok(at)
     }
 
-    /// Loads `size` bytes for `hi`, counting the access like the
-    /// cycle-exact router would (local vs remote).
-    fn mem_load(&mut self, hi: usize, addr: u32, size: u8, signed: bool) -> Result<u32, SimError> {
-        let hart = self.id(hi);
-        let core = hi / HARTS_PER_CORE;
-        if !addr.is_multiple_of(size as u32) {
-            return Err(SimError::Mem(MemFault::Unaligned { addr, size, hart }));
-        }
-        let bytes: &[u8] = match Region::of(addr) {
-            Region::Local => {
-                self.local_accesses += 1;
-                let off = (addr - LOCAL_BASE) as usize;
-                self.local[core]
-                    .get(off..off + size as usize)
-                    .ok_or(SimError::Mem(MemFault::Unmapped { addr, hart }))?
-            }
-            Region::Shared => {
-                let (bank, off) = self.shared_slot(addr, hart)?;
-                if bank == core {
-                    self.local_accesses += 1;
-                } else {
-                    self.remote_accesses += 1;
-                }
-                self.shared[bank]
-                    .get(off..off + size as usize)
-                    .ok_or(SimError::Mem(MemFault::Unmapped { addr, hart }))?
-            }
-            Region::Io => {
-                return Err(SimError::Protocol {
-                    hart,
-                    what: format!(
-                        "functional mode cannot access I/O devices \
-                         (load at {addr:#010x}); run the region cycle-exact"
-                    ),
-                })
-            }
-            Region::Code => {
-                return Err(SimError::Protocol {
-                    hart,
-                    what: format!("data access to the code region at {addr:#010x}"),
-                })
-            }
-        };
+    /// Loads `size` bytes for `hi`, zero-extended.
+    fn mem_load(&mut self, hi: usize, addr: u32, size: u8) -> Result<u32, SimError> {
+        let at = self.route(hi, addr, "load")?;
+        let bytes = self.banks.span((hi / HARTS_PER_CORE) as u32, at, size)?;
         let mut raw = 0u32;
         for (i, b) in bytes.iter().enumerate() {
             raw |= (*b as u32) << (8 * i);
         }
-        Ok(match (size, signed) {
-            (1, true) => raw as u8 as i8 as i32 as u32,
-            (2, true) => raw as u16 as i16 as i32 as u32,
-            _ => raw,
-        })
+        Ok(raw)
     }
 
-    /// Stores the low `size` bytes of `value`, counting the access.
+    /// Stores the low `size` bytes of `value` for `hi`.
     fn mem_store(&mut self, hi: usize, addr: u32, value: u32, size: u8) -> Result<(), SimError> {
-        let hart = self.id(hi);
-        let core = hi / HARTS_PER_CORE;
-        if !addr.is_multiple_of(size as u32) {
-            return Err(SimError::Mem(MemFault::Unaligned { addr, size, hart }));
-        }
-        let bytes: &mut [u8] = match Region::of(addr) {
-            Region::Local => {
-                self.local_accesses += 1;
-                let off = (addr - LOCAL_BASE) as usize;
-                self.local[core]
-                    .get_mut(off..off + size as usize)
-                    .ok_or(SimError::Mem(MemFault::Unmapped { addr, hart }))?
-            }
-            Region::Shared => {
-                let (bank, off) = self.shared_slot(addr, hart)?;
-                if bank == core {
-                    self.local_accesses += 1;
-                } else {
-                    self.remote_accesses += 1;
-                }
-                self.shared[bank]
-                    .get_mut(off..off + size as usize)
-                    .ok_or(SimError::Mem(MemFault::Unmapped { addr, hart }))?
-            }
-            Region::Io => {
-                return Err(SimError::Protocol {
-                    hart,
-                    what: format!(
-                        "functional mode cannot access I/O devices \
-                         (store at {addr:#010x}); run the region cycle-exact"
-                    ),
-                })
-            }
-            Region::Code => {
-                return Err(SimError::Protocol {
-                    hart,
-                    what: format!("data access to the code region at {addr:#010x}"),
-                })
-            }
-        };
+        let at = self.route(hi, addr, "store")?;
+        self.write_bytes((hi / HARTS_PER_CORE) as u32, at, value, size)
+    }
+
+    /// Writes the low `size` bytes of `value` through `core`, uncounted.
+    fn write_bytes(&mut self, core: u32, at: Routed, value: u32, size: u8) -> Result<(), SimError> {
+        let bytes = self.banks.span_mut(core, at, size)?;
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = (value >> (8 * i)) as u8;
         }
         Ok(())
     }
 
-    /// Writes a word into a hart's continuation-value frame (the `p_swcv`
-    /// target path; never counted, like the cycle-exact `CvWrite`).
-    fn cv_store(&mut self, to: HartId, offset: u32, value: u32) -> Result<(), SimError> {
-        let addr = self.cfg.cv_base(to).wrapping_add(offset);
-        if !addr.is_multiple_of(4) {
-            return Err(SimError::Mem(MemFault::Unaligned {
-                addr,
-                size: 4,
-                hart: to,
-            }));
-        }
-        let off = (addr - LOCAL_BASE) as usize;
-        let bytes = self.local[to.core() as usize]
-            .get_mut(off..off + 4)
-            .ok_or(SimError::Mem(MemFault::Unmapped { addr, hart: to }))?;
-        bytes.copy_from_slice(&value.to_le_bytes());
-        Ok(())
-    }
-
     /// Executes one instruction of hart `hi` (which must be runnable).
     /// Returns whether the hart made progress; `Ok(false)` means it
     /// blocked with zero side effects (or parked at the exit `p_ret`).
+    ///
+    /// The arithmetic, comparisons, extension and truncation below are
+    /// this engine's own on purpose — it is the reference the pipeline's
+    /// `OpKind::eval`/`BranchKind::taken` are compared against.
     fn step(&mut self, hi: usize) -> Result<bool, SimError> {
         let id = self.id(hi);
         let core = hi / HARTS_PER_CORE;
         let pc = self.harts[hi].pc;
-        if !pc.is_multiple_of(4) {
-            return Err(SimError::Mem(MemFault::Unaligned {
-                addr: pc,
-                size: 4,
-                hart: id,
-            }));
-        }
-        let Some(u) = self.uops.get((pc / 4) as usize).copied() else {
-            return Err(SimError::Mem(MemFault::Unmapped { addr: pc, hart: id }));
-        };
-        let a = self.get(hi, u.rs1);
-        let b = self.get(hi, u.rs2);
-        let imm = u.imm;
+        let instr = self.code.fetch(pc, id)?.instr;
         let mut next = pc.wrapping_add(4);
-        match u.kind {
-            UKind::Lui => self.set(hi, u.rd, imm as u32),
-            UKind::Auipc => self.set(hi, u.rd, pc.wrapping_add(imm as u32)),
-            UKind::Jal => {
-                self.set(hi, u.rd, pc.wrapping_add(4));
-                next = pc.wrapping_add(imm as u32);
+        match instr {
+            Instr::Lui { rd, imm } => self.set(hi, rd, imm),
+            Instr::Auipc { rd, imm } => self.set(hi, rd, pc.wrapping_add(imm)),
+            Instr::Jal { rd, offset } => {
+                self.set(hi, rd, pc.wrapping_add(4));
+                next = pc.wrapping_add(offset as u32);
             }
-            UKind::Jalr => {
-                next = a.wrapping_add(imm as u32) & !1;
-                self.set(hi, u.rd, pc.wrapping_add(4));
+            Instr::Jalr { rd, rs1, offset } => {
+                next = self.get(hi, rs1).wrapping_add(offset as u32) & !1;
+                self.set(hi, rd, pc.wrapping_add(4));
             }
-            UKind::Beq => {
-                if a == b {
-                    next = pc.wrapping_add(imm as u32);
-                }
-            }
-            UKind::Bne => {
-                if a != b {
-                    next = pc.wrapping_add(imm as u32);
-                }
-            }
-            UKind::Blt => {
-                if (a as i32) < (b as i32) {
-                    next = pc.wrapping_add(imm as u32);
-                }
-            }
-            UKind::Bge => {
-                if (a as i32) >= (b as i32) {
-                    next = pc.wrapping_add(imm as u32);
-                }
-            }
-            UKind::Bltu => {
-                if a < b {
-                    next = pc.wrapping_add(imm as u32);
-                }
-            }
-            UKind::Bgeu => {
-                if a >= b {
-                    next = pc.wrapping_add(imm as u32);
-                }
-            }
-            UKind::Lb | UKind::Lh | UKind::Lw | UKind::Lbu | UKind::Lhu => {
-                let (size, signed) = match u.kind {
-                    UKind::Lb => (1, true),
-                    UKind::Lh => (2, true),
-                    UKind::Lw => (4, false),
-                    UKind::Lbu => (1, false),
-                    _ => (2, false),
+            Instr::Branch {
+                kind,
+                rs1,
+                rs2,
+                offset,
+            } => {
+                let (a, b) = (self.get(hi, rs1), self.get(hi, rs2));
+                let taken = match kind {
+                    BranchKind::Eq => a == b,
+                    BranchKind::Ne => a != b,
+                    BranchKind::Lt => (a as i32) < (b as i32),
+                    BranchKind::Ge => (a as i32) >= (b as i32),
+                    BranchKind::Ltu => a < b,
+                    BranchKind::Geu => a >= b,
                 };
-                let v = self.mem_load(hi, a.wrapping_add(imm as u32), size, signed)?;
-                self.set(hi, u.rd, v);
+                if taken {
+                    next = pc.wrapping_add(offset as u32);
+                }
             }
-            UKind::Sb | UKind::Sh | UKind::Sw => {
-                let size = match u.kind {
-                    UKind::Sb => 1,
-                    UKind::Sh => 2,
-                    _ => 4,
+            Instr::Load {
+                kind,
+                rd,
+                rs1,
+                offset,
+            } => {
+                let addr = self.get(hi, rs1).wrapping_add(offset as u32);
+                let size = match kind {
+                    LoadKind::B | LoadKind::Bu => 1,
+                    LoadKind::H | LoadKind::Hu => 2,
+                    LoadKind::W => 4,
                 };
-                self.mem_store(hi, a.wrapping_add(imm as u32), b, size)?;
-            }
-            UKind::Addi => self.set(hi, u.rd, a.wrapping_add(imm as u32)),
-            UKind::Slti => self.set(hi, u.rd, ((a as i32) < imm) as u32),
-            UKind::Sltiu => self.set(hi, u.rd, (a < imm as u32) as u32),
-            UKind::Xori => self.set(hi, u.rd, a ^ imm as u32),
-            UKind::Ori => self.set(hi, u.rd, a | imm as u32),
-            UKind::Andi => self.set(hi, u.rd, a & imm as u32),
-            UKind::Slli => self.set(hi, u.rd, a.wrapping_shl(imm as u32 & 31)),
-            UKind::Srli => self.set(hi, u.rd, a.wrapping_shr(imm as u32 & 31)),
-            UKind::Srai => self.set(hi, u.rd, ((a as i32).wrapping_shr(imm as u32 & 31)) as u32),
-            UKind::Add => self.set(hi, u.rd, a.wrapping_add(b)),
-            UKind::Sub => self.set(hi, u.rd, a.wrapping_sub(b)),
-            UKind::Sll => self.set(hi, u.rd, a.wrapping_shl(b & 31)),
-            UKind::Slt => self.set(hi, u.rd, ((a as i32) < (b as i32)) as u32),
-            UKind::Sltu => self.set(hi, u.rd, (a < b) as u32),
-            UKind::Xor => self.set(hi, u.rd, a ^ b),
-            UKind::Srl => self.set(hi, u.rd, a.wrapping_shr(b & 31)),
-            UKind::Sra => self.set(hi, u.rd, ((a as i32).wrapping_shr(b & 31)) as u32),
-            UKind::Or => self.set(hi, u.rd, a | b),
-            UKind::And => self.set(hi, u.rd, a & b),
-            UKind::Mul => {
-                self.muldiv_ops += 1;
-                self.set(hi, u.rd, a.wrapping_mul(b));
-            }
-            UKind::Mulh => {
-                self.muldiv_ops += 1;
-                self.set(
-                    hi,
-                    u.rd,
-                    ((((a as i32) as i64) * ((b as i32) as i64)) >> 32) as u32,
-                );
-            }
-            UKind::Mulhsu => {
-                self.muldiv_ops += 1;
-                self.set(hi, u.rd, ((((a as i32) as i64) * (b as i64)) >> 32) as u32);
-            }
-            UKind::Mulhu => {
-                self.muldiv_ops += 1;
-                self.set(hi, u.rd, (((a as u64) * (b as u64)) >> 32) as u32);
-            }
-            UKind::Div => {
-                self.muldiv_ops += 1;
-                let v = if b == 0 {
-                    u32::MAX
-                } else if a == 0x8000_0000 && b == u32::MAX {
-                    a
-                } else {
-                    ((a as i32).wrapping_div(b as i32)) as u32
+                let raw = self.mem_load(hi, addr, size)?;
+                let v = match kind {
+                    LoadKind::B => raw as u8 as i8 as i32 as u32,
+                    LoadKind::H => raw as u16 as i16 as i32 as u32,
+                    LoadKind::W | LoadKind::Bu | LoadKind::Hu => raw,
                 };
-                self.set(hi, u.rd, v);
+                self.set(hi, rd, v);
             }
-            UKind::Divu => {
-                self.muldiv_ops += 1;
-                self.set(hi, u.rd, a.checked_div(b).unwrap_or(u32::MAX));
-            }
-            UKind::Rem => {
-                self.muldiv_ops += 1;
-                let v = if b == 0 {
-                    a
-                } else if a == 0x8000_0000 && b == u32::MAX {
-                    0
-                } else {
-                    ((a as i32).wrapping_rem(b as i32)) as u32
+            Instr::Store {
+                kind,
+                rs1,
+                rs2,
+                offset,
+            } => {
+                let size = match kind {
+                    StoreKind::B => 1,
+                    StoreKind::H => 2,
+                    StoreKind::W => 4,
                 };
-                self.set(hi, u.rd, v);
+                let addr = self.get(hi, rs1).wrapping_add(offset as u32);
+                self.mem_store(hi, addr, self.get(hi, rs2), size)?;
             }
-            UKind::Remu => {
-                self.muldiv_ops += 1;
-                self.set(hi, u.rd, if b == 0 { a } else { a % b });
+            Instr::OpImm { kind, rd, rs1, imm } => {
+                let a = self.get(hi, rs1);
+                let v = match kind {
+                    OpImmKind::Add => a.wrapping_add(imm as u32),
+                    OpImmKind::Slt => ((a as i32) < imm) as u32,
+                    OpImmKind::Sltu => (a < imm as u32) as u32,
+                    OpImmKind::Xor => a ^ imm as u32,
+                    OpImmKind::Or => a | imm as u32,
+                    OpImmKind::And => a & imm as u32,
+                    OpImmKind::Sll => a.wrapping_shl(imm as u32 & 31),
+                    OpImmKind::Srl => a.wrapping_shr(imm as u32 & 31),
+                    OpImmKind::Sra => ((a as i32).wrapping_shr(imm as u32 & 31)) as u32,
+                };
+                self.set(hi, rd, v);
             }
-            UKind::PSyncm => {} // functional memory is always drained
-            UKind::PSet => self.set(hi, u.rd, IdentityWord::from_bits(a).set(id).bits()),
-            UKind::PMerge => self.set(
-                hi,
-                u.rd,
-                IdentityWord::from_bits(a)
-                    .merge(IdentityWord::from_bits(b))
-                    .bits(),
-            ),
-            UKind::PLwcv => {
-                let addr = self.cfg.cv_base(id).wrapping_add(imm as u32);
-                let v = self.mem_load(hi, addr, 4, false)?;
-                self.set(hi, u.rd, v);
+            Instr::Op { kind, rd, rs1, rs2 } => {
+                let (a, b) = (self.get(hi, rs1), self.get(hi, rs2));
+                if kind.is_muldiv() {
+                    self.muldiv_ops += 1;
+                }
+                let v = match kind {
+                    OpKind::Add => a.wrapping_add(b),
+                    OpKind::Sub => a.wrapping_sub(b),
+                    OpKind::Sll => a.wrapping_shl(b & 31),
+                    OpKind::Slt => ((a as i32) < (b as i32)) as u32,
+                    OpKind::Sltu => (a < b) as u32,
+                    OpKind::Xor => a ^ b,
+                    OpKind::Srl => a.wrapping_shr(b & 31),
+                    OpKind::Sra => ((a as i32).wrapping_shr(b & 31)) as u32,
+                    OpKind::Or => a | b,
+                    OpKind::And => a & b,
+                    OpKind::Mul => a.wrapping_mul(b),
+                    OpKind::Mulh => ((((a as i32) as i64) * ((b as i32) as i64)) >> 32) as u32,
+                    OpKind::Mulhsu => ((((a as i32) as i64) * (b as i64)) >> 32) as u32,
+                    OpKind::Mulhu => (((a as u64) * (b as u64)) >> 32) as u32,
+                    OpKind::Div => {
+                        if b == 0 {
+                            u32::MAX
+                        } else if a == 0x8000_0000 && b == u32::MAX {
+                            a
+                        } else {
+                            ((a as i32).wrapping_div(b as i32)) as u32
+                        }
+                    }
+                    OpKind::Divu => a.checked_div(b).unwrap_or(u32::MAX),
+                    OpKind::Rem => {
+                        if b == 0 {
+                            a
+                        } else if a == 0x8000_0000 && b == u32::MAX {
+                            0
+                        } else {
+                            ((a as i32).wrapping_rem(b as i32)) as u32
+                        }
+                    }
+                    OpKind::Remu => {
+                        if b == 0 {
+                            a
+                        } else {
+                            a % b
+                        }
+                    }
+                };
+                self.set(hi, rd, v);
             }
-            UKind::PSwcv => {
-                let target = HartId::new(a & 0xffff);
+            Instr::PSyncm => {} // functional memory is always drained
+            Instr::PSet { rd, rs1 } => {
+                let word = IdentityWord::from_bits(self.get(hi, rs1));
+                self.set(hi, rd, word.set(id).bits());
+            }
+            Instr::PMerge { rd, rs1, rs2 } => {
+                let word = IdentityWord::from_bits(self.get(hi, rs1));
+                let merged = word.merge(IdentityWord::from_bits(self.get(hi, rs2)));
+                self.set(hi, rd, merged.bits());
+            }
+            Instr::PLwcv { rd, offset } => {
+                let addr = self.cfg.cv_base(id).wrapping_add(offset as u32);
+                let v = self.mem_load(hi, addr, 4)?;
+                self.set(hi, rd, v);
+            }
+            Instr::PSwcv { rs1, rs2, offset } => {
+                let target = HartId::new(self.get(hi, rs1) & 0xffff);
+                let value = self.get(hi, rs2);
+                let addr = self.cfg.cv_base(target).wrapping_add(offset as u32);
                 if target.core() as usize == core {
-                    let addr = self.cfg.cv_base(target).wrapping_add(imm as u32);
-                    self.mem_store(hi, addr, b, 4)?;
+                    self.mem_store(hi, addr, value, 4)?;
                 } else if target.core() as usize == core + 1
                     && (target.core() as usize) < self.cfg.cores
                 {
                     // Forward-link CvWrite: delivered immediately, never
                     // counted as a bank access of the sender.
-                    self.cv_store(target, imm as u32, b)?;
+                    let at = self.banks.route(addr, target)?;
+                    self.write_bytes(target.core(), at, value, 4)?;
                 } else {
                     return Err(SimError::Protocol {
                         hart: id,
@@ -814,12 +686,12 @@ impl FastEngine {
                     });
                 }
             }
-            UKind::PLwre => {
-                let slot = imm as usize;
+            Instr::PLwre { rd, offset } => {
+                let slot = offset as usize;
                 match self.harts[hi].recv.get_mut(slot) {
                     Some(q) if !q.is_empty() => {
                         let v = q.pop_front().expect("checked non-empty");
-                        self.set(hi, u.rd, v);
+                        self.set(hi, rd, v);
                     }
                     // Empty or out-of-range slot: issue-gated, blocks with
                     // no side effects (out-of-range blocks forever, like
@@ -831,8 +703,8 @@ impl FastEngine {
                     }
                 }
             }
-            UKind::PSwre => {
-                let target = IdentityWord::from_bits(a).join_hart();
+            Instr::PSwre { rs1, rs2, offset } => {
+                let target = IdentityWord::from_bits(self.get(hi, rs1)).join_hart();
                 if target.core() > core as u32 {
                     return Err(SimError::Protocol {
                         hart: id,
@@ -842,7 +714,8 @@ impl FastEngine {
                         ),
                     });
                 }
-                let slot = imm as u32;
+                let value = self.get(hi, rs2);
+                let slot = offset as u32;
                 let tg = target.global() as usize;
                 let q = self.harts[tg].recv.get_mut(slot as usize).ok_or_else(|| {
                     SimError::Protocol {
@@ -850,7 +723,7 @@ impl FastEngine {
                         what: format!("p_swre to out-of-range result slot {slot}"),
                     }
                 })?;
-                q.push_back(b);
+                q.push_back(value);
                 if self.harts[tg].wait
                     == (FWait::Result {
                         slot: slot as usize,
@@ -860,13 +733,13 @@ impl FastEngine {
                     self.sched_dirty = true;
                 }
             }
-            UKind::PFc => {
+            Instr::PFc { rd } => {
                 self.alloc_q[core].push_back(id);
-                self.harts[hi].wait = FWait::Fork { rd: u.rd };
+                self.harts[hi].wait = FWait::Fork { rd };
                 self.try_alloc(core);
                 return Ok(true); // progress: the request is queued
             }
-            UKind::PFn => {
+            Instr::PFn { rd } => {
                 if core + 1 >= self.cfg.cores {
                     return Err(SimError::Protocol {
                         hart: id,
@@ -874,33 +747,36 @@ impl FastEngine {
                     });
                 }
                 self.alloc_q[core + 1].push_back(id);
-                self.harts[hi].wait = FWait::Fork { rd: u.rd };
+                self.harts[hi].wait = FWait::Fork { rd };
                 self.try_alloc(core + 1);
                 return Ok(true);
             }
-            UKind::PJal => {
-                let target = HartId::new(a & 0xffff);
+            Instr::PJal { rd, rs1, offset } => {
+                let target = HartId::new(self.get(hi, rs1) & 0xffff);
                 self.validate_start_target(id, target)?;
                 self.deliver_start(target, pc.wrapping_add(4))?;
                 self.harts[hi].team_succ = Some(target);
-                self.set(hi, u.rd, 0);
-                next = pc.wrapping_add(imm as u32);
+                self.set(hi, rd, 0);
+                next = pc.wrapping_add(offset as u32);
             }
-            UKind::PCall => {
+            Instr::PJalr { rd, rs1, rs2 } if !rd.is_zero() => {
+                let (a, b) = (self.get(hi, rs1), self.get(hi, rs2));
                 let target = IdentityWord::from_bits(a).allocated_hart();
                 self.validate_start_target(id, target)?;
                 self.deliver_start(target, pc.wrapping_add(4))?;
                 self.harts[hi].team_succ = Some(target);
-                self.set(hi, u.rd, 0);
+                self.set(hi, rd, 0);
                 next = b & !1;
             }
-            UKind::PRet => {
+            // `p_ret`.
+            Instr::PJalr { rs1, rs2, .. } => {
                 // Commit gate: the team predecessor's ending signal.
                 if !self.harts[hi].end_signal {
                     self.harts[hi].wait = FWait::EndSignal;
                     self.sched_dirty = true;
                     return Ok(false);
                 }
+                let (a, b) = (self.get(hi, rs1), self.get(hi, rs2));
                 let word = IdentityWord::from_bits(b);
                 if a == 0 && word.is_exit_sentinel() {
                     // The exit boundary: park *before* the exit p_ret so
@@ -941,13 +817,6 @@ impl FastEngine {
                     }
                 }
                 return Ok(true);
-            }
-            UKind::Invalid => {
-                return Err(SimError::Decode {
-                    pc,
-                    word: u.imm as u32,
-                    hart: id,
-                });
             }
         }
         self.harts[hi].pc = next;
@@ -1120,7 +989,8 @@ impl FastEngine {
         crate::machine::materialize_from_fast(self, image)
     }
 
-    // ---- accessors used by the materialization glue in machine.rs ----
+    // ---- accessors used by the materialization glue in machine.rs and
+    // ---- by the lockstep checker
 
     pub(crate) fn cfg(&self) -> &LbpConfig {
         &self.cfg
@@ -1140,8 +1010,8 @@ impl FastEngine {
         &self.free_q
     }
 
-    pub(crate) fn bank_contents(&self) -> (&[Vec<u8>], &[Vec<u8>]) {
-        (&self.local, &self.shared)
+    pub(crate) fn banks(&self) -> &Banks {
+        &self.banks
     }
 
     pub(crate) fn hart_view(&self, hi: usize) -> FastHartView<'_> {
@@ -1158,6 +1028,17 @@ impl FastEngine {
             end_signal: h.end_signal,
             team_succ: h.team_succ,
         }
+    }
+}
+
+#[cold]
+fn io_refusal(hart: HartId, addr: u32, what: &str) -> SimError {
+    SimError::Protocol {
+        hart,
+        what: format!(
+            "functional mode cannot access I/O devices \
+             ({what} at {addr:#010x}); run the region cycle-exact"
+        ),
     }
 }
 
@@ -1221,7 +1102,7 @@ mod tests {
         );
         e.run(FastStop::Exit, 1_000).unwrap();
         assert_eq!(e.reg(HartId::FIRST, Reg::A2), 1234);
-        assert_eq!(e.peek_shared(SHARED_BASE).unwrap(), 1234);
+        assert_eq!(e.peek_shared(lbp_isa::SHARED_BASE).unwrap(), 1234);
         // cell sits in bank 0, the executing core's own slice.
         assert_eq!(e.local_accesses, 2);
         assert_eq!(e.remote_accesses, 0);

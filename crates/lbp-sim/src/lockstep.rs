@@ -7,8 +7,11 @@
 //! scheduling artifact. Fork/join rendezvous totally order cross-hart
 //! communication, so every schedule that respects them retires the same
 //! instruction stream *per hart* — which makes [`FastEngine`], with its
-//! own flat-dispatch arithmetic and run-to-block schedule, a reference
-//! for forked programs as much as for sequential ones.
+//! own arithmetic, its own schedule and its own rendezvous delivery, a
+//! reference for forked programs as much as for sequential ones. The two
+//! engines share what is not under test — the decoder, the code bank and
+//! the bank store with its address map and fault checks (`bank.rs`) — so
+//! that what they compare is the pipeline's work and nothing else.
 //!
 //! [`run_lockstep`] runs the image on the full [`Machine`] (with the
 //! configuration's fault plan) and on a fault-free [`FastEngine`], then
@@ -24,8 +27,9 @@ use std::fmt;
 use std::rc::Rc;
 
 use lbp_asm::Image;
-use lbp_isa::{HartId, Reg, SHARED_BASE};
+use lbp_isa::{HartId, Reg};
 
+use crate::bank::is_code_word;
 use crate::config::LbpConfig;
 use crate::dump::SimFailure;
 use crate::error::SimError;
@@ -166,7 +170,9 @@ pub struct LockstepReport {
 ///
 /// `sabotage` XORs instruction words into the *oracle's copy only*
 /// (`(pc, xor)` pairs) — the seeded-divergence workflow for validating
-/// the localizer; pass `&[]` to check an image as-is.
+/// the localizer; pass `&[]` to check an image as-is. A pair whose `pc`
+/// is not a code word of the image would sabotage nothing (or a
+/// neighbour) and is refused like a `corrupt-instr` fault aimed there.
 ///
 /// Both engines run to completion or failure before anything is
 /// compared, so a run that faults or deadlocks is still localized by the
@@ -174,8 +180,9 @@ pub struct LockstepReport {
 ///
 /// # Errors
 ///
-/// In this order: [`LockstepError::Diverged`] with the first hart whose
-/// commit streams split, the machine's failure, the oracle's failure,
+/// In this order: [`LockstepError::Setup`] for a fault plan or a sabotage
+/// that targets nothing, [`LockstepError::Diverged`] with the first hart
+/// whose commit streams split, the machine's failure, the oracle's failure,
 /// then [`LockstepError::Diverged`] with the first differing register of
 /// the exiting hart or shared word.
 pub fn run_lockstep(
@@ -185,12 +192,19 @@ pub fn run_lockstep(
     sabotage: &[(u32, u32)],
 ) -> Result<LockstepReport, LockstepError> {
     let harts = cfg.harts();
-    let shared_words = u32::try_from(cfg.shared_bytes() / 4).unwrap_or(u32::MAX);
     // The functional engine never injects faults: the plan only reaches
     // the machine.
     let mut oracle = FastEngine::new(cfg.clone(), image).map_err(LockstepError::Setup)?;
     oracle.enable_commit_log();
     for &(pc, xor) in sabotage {
+        if !is_code_word(image.text.len(), pc) {
+            return Err(LockstepError::Setup(SimError::Protocol {
+                hart: HartId::FIRST,
+                what: format!(
+                    "invalid sabotage `{pc:#x}:{xor:#x}`: pc is not a code word of the image"
+                ),
+            }));
+        }
         oracle.sabotage_code(pc, xor);
     }
     let mut machine = Machine::new(cfg, image).map_err(LockstepError::Setup)?;
@@ -242,7 +256,7 @@ pub fn run_lockstep(
     let (exit_hart, _) = oracle_run.map_err(LockstepError::Oracle)?;
 
     // Final architectural state: the exiting hart's registers (through
-    // the machine's renaming) and the whole shared space, word by word.
+    // the machine's renaming) and the whole shared space.
     for reg in Reg::all().skip(1) {
         let machine_v = machine.reg(exit_hart, reg);
         let oracle_v = oracle.reg(exit_hart, reg);
@@ -254,17 +268,13 @@ pub fn run_lockstep(
             }));
         }
     }
-    for word in 0..shared_words {
-        let addr = SHARED_BASE + word * 4;
-        let machine_v = machine.peek_shared(addr).unwrap_or(0);
-        let oracle_v = oracle.peek_shared(addr).unwrap_or(0);
-        if machine_v != oracle_v {
-            return Err(LockstepError::Diverged(Divergence::Memory {
-                addr,
-                machine: machine_v,
-                oracle: oracle_v,
-            }));
-        }
+    let (machine_mem, oracle_mem) = (&machine.mem.banks, oracle.banks());
+    if let Some((addr, machine_v, oracle_v)) = machine_mem.first_shared_difference(oracle_mem) {
+        return Err(LockstepError::Diverged(Divergence::Memory {
+            addr,
+            machine: machine_v,
+            oracle: oracle_v,
+        }));
     }
     Ok(LockstepReport { report, commits })
 }

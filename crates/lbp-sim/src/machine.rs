@@ -3,7 +3,7 @@
 use lbp_asm::Image;
 use lbp_isa::HartId;
 
-use crate::bank::MemSys;
+use crate::bank::{is_code_word, Banks, CodeBank, MemSys};
 use crate::config::LbpConfig;
 use crate::core::{Core, Env};
 use crate::dump::SimFailure;
@@ -136,6 +136,14 @@ impl Machine {
     /// exist).
     pub fn new(cfg: LbpConfig, image: &Image) -> Result<Machine, SimError> {
         validate_fault_plan(&cfg, image)?;
+        let banks = Banks::new(&cfg, &image.data)?;
+        Ok(Machine::around(cfg, image, banks))
+    }
+
+    /// The machine at cycle 0 — idle ports and links, empty pipelines,
+    /// hart 0 of core 0 booted at the entry point — around the given
+    /// banks. The fault plan was validated by the caller.
+    fn around(cfg: LbpConfig, image: &Image, banks: Banks) -> Machine {
         let mut drop_nth = Vec::new();
         let mut delay_nth = Vec::new();
         let mut pending_faults = Vec::new();
@@ -148,7 +156,7 @@ impl Machine {
         }
         let mut fabric = Fabric::new(cfg.cores);
         fabric.set_faults(drop_nth, delay_nth);
-        let mem = MemSys::new(&cfg, &image.text, &image.data)?;
+        let mem = MemSys::new(&cfg, CodeBank::new(&image.text), banks);
         let mut cores: Vec<Core> = (0..cfg.cores as u32)
             .map(|c| {
                 Core::new(c, |id| {
@@ -162,11 +170,11 @@ impl Machine {
                 })
             })
             .collect();
-        let boot_sp = mem.cv_base(HartId::FIRST);
+        let boot_sp = cfg.cv_base(HartId::FIRST);
         cores[0].harts[0].boot(image.entry, boot_sp);
         cores[0].free_q.retain(|&l| l != 0); // the boot hart starts running, not free
         cores[0].recount_live();
-        Ok(Machine {
+        Machine {
             fabric,
             stats: Stats::new(cfg.harts()),
             obs: Observers::off(cfg.trace),
@@ -180,7 +188,7 @@ impl Machine {
             cores,
             mem,
             cfg,
-        })
+        }
     }
 
     /// Whether the program has executed its exit `p_ret`.
@@ -203,8 +211,8 @@ impl Machine {
     /// # Errors
     ///
     /// Faults on unmapped or misaligned addresses.
-    pub fn peek_shared(&mut self, addr: u32) -> Result<u32, SimError> {
-        Ok(self.mem.peek_shared(addr)?)
+    pub fn peek_shared(&self, addr: u32) -> Result<u32, SimError> {
+        Ok(self.mem.banks.peek(addr)?)
     }
 
     /// Writes a word of shared memory directly, bypassing the pipeline —
@@ -216,8 +224,7 @@ impl Machine {
     ///
     /// Faults on unmapped or misaligned addresses.
     pub fn poke_shared(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
-        let bank = self.mem.shared_bank_of(addr);
-        Ok(self.mem.write(bank, addr, value, 4, HartId::FIRST)?)
+        Ok(self.mem.banks.poke(addr, value)?)
     }
 
     /// The statistics accumulated so far.
@@ -613,8 +620,8 @@ impl Machine {
                 let phys = h.rat[reg.index()] as usize;
                 h.prf[phys].value ^= 1 << bit;
             }
-            Fault::FlipMem { addr, bit, .. } => self.mem.flip_shared_bit(addr, bit),
-            Fault::CorruptInstr { pc, xor, .. } => self.mem.corrupt_code(pc, xor),
+            Fault::FlipMem { addr, bit, .. } => self.mem.banks.flip(addr, bit),
+            Fault::CorruptInstr { pc, xor, .. } => self.mem.code.corrupt(pc, xor),
             Fault::DropMsg { .. } | Fault::DelayMsg { .. } => {
                 unreachable!("message faults are handled inside the fabric")
             }
@@ -893,10 +900,7 @@ impl Machine {
         h.u64(self.stats.muldiv_ops);
         h.u64(self.stats.local_accesses);
         h.u64(self.stats.remote_accesses);
-        for bank in self.mem.local_banks() {
-            h.bytes(bank);
-        }
-        for bank in self.mem.shared_banks() {
+        for bank in self.mem.banks.each() {
             h.bytes(bank);
         }
         h.finish()
@@ -976,7 +980,8 @@ pub(crate) fn materialize_from_fast(
             }
         }
     }
-    let mut m = Machine::new(cfg, image)?;
+    validate_fault_plan(&cfg, image)?;
+    let mut m = Machine::around(cfg, image, fast.banks().clone());
     m.cycle = vcycle;
     m.stats.cycles = vcycle;
     let (forks, joins, muldiv_ops, local_accesses, remote_accesses) = fast.counters();
@@ -1025,13 +1030,6 @@ pub(crate) fn materialize_from_fast(
         m.cores[core].free_q.clone_from(q);
         m.cores[core].recount_live();
     }
-    let (local, shared) = fast.bank_contents();
-    for (dst, src) in m.mem.local_banks_mut().iter_mut().zip(local) {
-        dst.copy_from_slice(src);
-    }
-    for (dst, src) in m.mem.shared_banks_mut().iter_mut().zip(shared) {
-        dst.copy_from_slice(src);
-    }
     m.cursor = SampleCursor {
         cycle: vcycle,
         retired: m.stats.retired(),
@@ -1074,7 +1072,7 @@ fn validate_fault_plan(cfg: &LbpConfig, image: &Image) -> Result<(), SimError> {
                 }
             }
             Fault::CorruptInstr { pc, .. } => {
-                if !pc.is_multiple_of(4) || (pc / 4) as usize >= image.text.len() {
+                if !is_code_word(image.text.len(), pc) {
                     return Err(bad(fault, "pc is not a code word of the image"));
                 }
             }

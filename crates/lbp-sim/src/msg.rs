@@ -59,7 +59,7 @@ impl NetMsg {
     pub fn dest_bank(&self, shared_bank_bytes: u32) -> Option<u32> {
         match self {
             NetMsg::ReadReq { addr, .. } | NetMsg::WriteReq { addr, .. } => {
-                Some((addr - lbp_isa::SHARED_BASE) / shared_bank_bytes)
+                Some(crate::bank::shared_slot(*addr, shared_bank_bytes).0)
             }
             _ => None,
         }

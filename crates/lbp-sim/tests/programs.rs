@@ -19,7 +19,7 @@ const EXIT: &str = "li t0, -1\n    li ra, 0\n    p_ret\n";
 
 #[test]
 fn arithmetic_chain() {
-    let mut m = run(
+    let m = run(
         1,
         &format!(
             "main:
@@ -39,7 +39,7 @@ out: .word 0"
 
 #[test]
 fn loop_sums_first_n_integers() {
-    let mut m = run(
+    let m = run(
         1,
         &format!(
             "main:
@@ -62,7 +62,7 @@ out: .word 0"
 
 #[test]
 fn division_and_remainder() {
-    let mut m = run(
+    let m = run(
         1,
         &format!(
             "main:
@@ -84,7 +84,7 @@ out: .word 0, 0"
 
 #[test]
 fn byte_and_half_accesses() {
-    let mut m = run(
+    let m = run(
         1,
         &format!(
             "main:
@@ -110,7 +110,7 @@ out: .word 0, 0"
 
 #[test]
 fn function_call_and_return() {
-    let mut m = run(
+    let m = run(
         1,
         &format!(
             "main:
@@ -131,7 +131,7 @@ out: .word 0"
 
 #[test]
 fn stack_push_pop_on_local_bank() {
-    let mut m = run(
+    let m = run(
         1,
         &format!(
             "main:
@@ -159,7 +159,7 @@ out: .word 0"
 fn p_syncm_orders_store_before_load() {
     // Without p_syncm, the load could issue before the store completes
     // (LBP has no load/store queue). With it, the value is guaranteed.
-    let mut m = run(
+    let m = run(
         1,
         &format!(
             "main:
@@ -183,7 +183,7 @@ out:  .word 0"
 fn remote_bank_access_works_across_cores() {
     // Data placed in bank 3 of a 4-core machine, accessed from core 0.
     let far = 3 * 64 * 1024; // bank 3 with default 64 KiB banks
-    let mut m = run(
+    let m = run(
         4,
         &format!(
             "main:
@@ -251,7 +251,7 @@ thread1:
 .data
 out: .word 0, 0"
     );
-    let mut m = run(1, &src);
+    let m = run(1, &src);
     assert_eq!(m.peek_shared(SHARED_BASE).unwrap(), 100);
     assert_eq!(m.peek_shared(SHARED_BASE + 4).unwrap(), 200);
     assert_eq!(m.stats().forks, 1);
@@ -302,7 +302,7 @@ consumer:
 .data
 out: .word 0"
     );
-    let mut m = run(1, &src);
+    let m = run(1, &src);
     assert_eq!(m.peek_shared(SHARED_BASE).unwrap(), 40);
 }
 
@@ -352,7 +352,7 @@ thread1:
 .data
 out: .word 0, 0"
     );
-    let mut m = run(2, &src);
+    let m = run(2, &src);
     // thread0 ran on hart 0 (identity word upper = 0), thread1 on core 1
     // hart 0 (global hart 4).
     let w0 = m.peek_shared(SHARED_BASE).unwrap();
@@ -407,7 +407,7 @@ fn register_state_visible_after_run() {
 
 #[test]
 fn branch_directions_both_execute() {
-    let mut m = run(
+    let m = run(
         1,
         &format!(
             "main:

@@ -8,10 +8,10 @@
 //! errors with a valid `lbp-dump-v1` crash dump, never as a panic.
 
 use lbp_asm::assemble;
-use lbp_isa::HartId;
+use lbp_isa::{HartId, IO_BASE, LOCAL_BASE, SHARED_BASE};
 use lbp_sim::{
-    run_lockstep, Divergence, Fault, FaultPlan, Json, LbpConfig, LockstepError, Machine, SimError,
-    DUMP_SCHEMA,
+    run_lockstep, Divergence, FastEngine, FastStop, Fault, FaultPlan, Json, LbpConfig,
+    LockstepError, Machine, MemFault, SimError, DUMP_SCHEMA,
 };
 use lbp_testutil::check_cases;
 use lbp_testutil::harness::{machine, machine_with_faults};
@@ -359,6 +359,69 @@ loop:
 }
 
 // ---------------------------------------------------------------------------
+// Undefined accesses: one verdict, whichever engine meets them
+// ---------------------------------------------------------------------------
+
+/// Runs a one-instruction faulting program on both engines and returns
+/// what stopped the cycle-exact machine and what stopped the functional
+/// engine.
+fn fault_on_both_engines(op: &str, addr: u32) -> (SimError, SimError) {
+    let src = format!("main:\n    li t1, {addr:#x}\n    {op} a0, 0(t1)\n    {EXIT}");
+    let image = assemble(&src).unwrap();
+    let cfg = LbpConfig::cores(1);
+    let exact = Machine::new(cfg.clone(), &image).unwrap().run(10_000);
+    let mut fast = FastEngine::new(cfg, &image).unwrap();
+    let functional = fast.run(FastStop::Exit, 10_000);
+    (exact.unwrap_err(), functional.unwrap_err())
+}
+
+#[test]
+fn a_faulting_access_is_the_same_error_on_both_engines() {
+    let hart = HartId::FIRST;
+    let unmapped = |addr| SimError::Mem(MemFault::Unmapped { addr, hart });
+    let unaligned = |addr, size| SimError::Mem(MemFault::Unaligned { addr, size, hart });
+    let code_region = |addr: u32| SimError::Protocol {
+        hart,
+        what: format!("data access to the code region at {addr:#010x}"),
+    };
+    // The cycle-exact order is the contract: the region first (the code
+    // bank has no data port), then the shared bank's existence, then the
+    // alignment, then the bank's bounds.
+    let table = [
+        ("w", 0x2, code_region(0x2)),
+        ("w", 0x4, code_region(0x4)),
+        ("w", 0x8fff_0002, unmapped(0x8fff_0002)),
+        ("w", LOCAL_BASE + 2, unaligned(LOCAL_BASE + 2, 4)),
+        ("h", SHARED_BASE + 1, unaligned(SHARED_BASE + 1, 2)),
+        ("w", LOCAL_BASE + 0x1_0000, unmapped(LOCAL_BASE + 0x1_0000)),
+        (
+            "w",
+            SHARED_BASE + 0x1_0000,
+            unmapped(SHARED_BASE + 0x1_0000),
+        ),
+    ];
+    for (width, addr, expected) in table {
+        for op in [format!("l{width}"), format!("s{width}")] {
+            let (exact, functional) = fault_on_both_engines(&op, addr);
+            assert_eq!(exact, expected, "{op} at {addr:#x}, cycle-exact");
+            assert_eq!(functional, expected, "{op} at {addr:#x}, functional");
+        }
+    }
+    // Devices answer in cycles, which the functional engine has none of:
+    // it refuses the region where the machine asks the bus (and finds no
+    // device there).
+    for op in ["lw", "sw"] {
+        let (exact, functional) = fault_on_both_engines(op, IO_BASE);
+        assert_eq!(exact, unmapped(IO_BASE), "{op}");
+        assert!(
+            matches!(&functional, SimError::Protocol { hart: h, what }
+                if *h == hart && what.contains("functional mode cannot access I/O devices")),
+            "{op}: {functional}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Lockstep differential checking
 // ---------------------------------------------------------------------------
 
@@ -544,6 +607,21 @@ fn sabotage_is_localized_to_the_exact_instruction() {
     assert_ne!(oracle_pc, machine_pc, "{d}");
 }
 
+#[test]
+fn sabotage_that_names_no_code_word_is_refused() {
+    // `mul.s` has six words: 4000 is past them, 6 is inside the second.
+    // Neither may pass for a check that "found no divergence".
+    let image = assemble(MUL_PROGRAM).unwrap();
+    for pc in [4000, 6] {
+        let err = run_lockstep(LbpConfig::cores(1), &image, 100_000, &[(pc, 1)]).unwrap_err();
+        assert!(
+            matches!(&err, LockstepError::Setup(SimError::Protocol { what, .. })
+                if what.contains("pc is not a code word of the image")),
+            "sabotage at {pc}: {err}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Predecode coherence: the fetch stage reads a decoded copy of the code
 // bank, so a `corrupt-instr` fault must reach that copy too.
@@ -637,6 +715,31 @@ fn undecodable_corruption_is_raised_at_the_fetch_with_the_corrupted_word() {
         failure.error
     );
     assert_eq!(failure.dump.cycle, 119, "raised when the word is fetched");
+}
+
+#[test]
+fn undecodable_sabotage_is_the_decode_error_the_machine_raises() {
+    let image = assemble(COUNTDOWN).unwrap();
+    let pc = image.symbol("step").unwrap() + 8;
+    let fault = Fault::CorruptInstr {
+        pc,
+        xor: 0xffff_ffff,
+        cycle: 61,
+    };
+    let exact = machine_with_faults(1, COUNTDOWN, &[fault])
+        .unwrap()
+        .run(10_000)
+        .unwrap_err();
+    let mut fast = FastEngine::new(LbpConfig::cores(1), &image).unwrap();
+    fast.sabotage_code(pc, 0xffff_ffff);
+    let functional = fast.run(FastStop::Exit, 10_000).unwrap_err();
+    let corrupted = SimError::Decode {
+        pc,
+        word: image.text[(pc / 4) as usize] ^ 0xffff_ffff,
+        hart: HartId::FIRST,
+    };
+    assert_eq!(functional, corrupted);
+    assert_eq!(functional, exact);
 }
 
 #[test]

@@ -126,6 +126,19 @@ fn exit_6_protocol_violation() {
         code(lbp_run().arg(p).args(["--cores", "1"])),
         ExitClass::Protocol
     );
+    // A data access to the code region, misaligned as well: the region is
+    // what is wrong with it, on the functional engine too.
+    let p = scratch(
+        "coderegion.s",
+        "main:\n  li t1, 2\n  lw a0, 0(t1)\n  li t0, -1\n  li ra, 0\n  p_ret\n",
+    );
+    for warm in [&[][..], &["--warm", "100"]] {
+        assert_eq!(
+            code(lbp_run().arg(&p).args(["--cores", "1"]).args(warm)),
+            ExitClass::Protocol,
+            "{warm:?}"
+        );
+    }
 }
 
 #[test]

@@ -104,3 +104,28 @@ fn every_c_example_round_trips() {
         check_round_trip(&name, &compiled.image, 4);
     }
 }
+
+/// `content_hash` of `examples/asm/fork2.s` on two cores, fresh and
+/// paused at [`PINNED_PAUSE`], computed at the commit before the bank
+/// store and the code bank became types of their own. Snapshots written
+/// by one commit are read by the next, so a refactoring of the machine
+/// must leave every payload byte where it was.
+const PINNED_FRESH: u64 = 0xd664_74d2_6289_820f;
+const PINNED_PAUSED: u64 = 0x55a5_5b36_988d_f72a;
+/// Both harts are running and a load response is staged at core 1's
+/// local port.
+const PINNED_PAUSE: u64 = 36;
+
+#[test]
+fn snapshot_bytes_are_pinned_across_commits() {
+    let source = std::fs::read_to_string(format!(
+        "{}/examples/asm/fork2.s",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .unwrap();
+    let image = lbp::asm::assemble(&source).unwrap();
+    let mut m = Machine::new(lbp::sim::LbpConfig::cores(2), &image).unwrap();
+    assert_eq!(snap::content_hash(&m.snapshot()), PINNED_FRESH, "fresh");
+    assert!(!m.run_to(PINNED_PAUSE).unwrap());
+    assert_eq!(snap::content_hash(&m.snapshot()), PINNED_PAUSED, "paused");
+}
