@@ -22,6 +22,7 @@ use lbp_isa::{HartId, Instr, Region, LOCAL_BASE, SHARED_BASE};
 use crate::config::{cv_base_in, LbpConfig};
 use crate::error::SimError;
 use crate::hart::Decoded;
+use crate::index_set::{members, IndexSet};
 use crate::io::IoBus;
 use crate::msg::{NetMsg, QUEUE_DEPTH};
 use crate::network::Network;
@@ -407,12 +408,13 @@ pub struct MemSys {
     local_q: Vec<VecDeque<Ported>>,
     /// Own-shared-slice local port queue, one per core.
     shared_q: Vec<VecDeque<Ported>>,
-    /// Requests in all of `local_q` and `shared_q` together.
-    queued: usize,
     /// Responses completed by local ports, delivered next cycle.
     staged: Vec<Vec<NetMsg>>,
-    /// Responses in all of `staged` together.
-    staged_total: usize,
+    /// The cores with a request in `local_q` or `shared_q`, and those with
+    /// a response in `staged`. Derived from the queues (rebuilt on
+    /// restore): what bank service and delivery walk.
+    port_busy: IndexSet,
+    staged_busy: IndexSet,
     /// The r1/r2/r3 network serving remote shared accesses.
     pub net: Network,
     /// Memory-mapped devices (served through the local ports).
@@ -442,11 +444,11 @@ impl MemSys {
             shared_q: (0..cores)
                 .map(|_| VecDeque::with_capacity(QUEUE_DEPTH))
                 .collect(),
-            queued: 0,
             staged: (0..cores)
                 .map(|_| Vec::with_capacity(QUEUE_DEPTH))
                 .collect(),
-            staged_total: 0,
+            port_busy: IndexSet::new(cores),
+            staged_busy: IndexSet::new(cores),
             net: Network::new(cores, cfg.shared_bank_bytes),
             io: IoBus::new(),
             local_served: 0,
@@ -459,13 +461,13 @@ impl MemSys {
     /// Enqueues a request on the owning core's local-bank port.
     pub fn local_request(&mut self, core: u32, msg: NetMsg, now: u64) {
         self.local_q[core as usize].push_back(Ported { msg, arrived: now });
-        self.queued += 1;
+        self.port_busy.insert(core as usize);
     }
 
     /// Enqueues a request on the core's own shared-slice local port.
     pub fn shared_local_request(&mut self, core: u32, msg: NetMsg, now: u64) {
         self.shared_q[core as usize].push_back(Ported { msg, arrived: now });
-        self.queued += 1;
+        self.port_busy.insert(core as usize);
     }
 
     /// Applies a cross-core `p_swcv` continuation-value write (the forward
@@ -476,9 +478,9 @@ impl MemSys {
         Ok(self.write(to.core(), at, value, 4)?)
     }
 
-    /// Whether a memory response waits for any core.
-    pub fn any_arrivals(&self) -> bool {
-        self.staged_total != 0 || self.net.any_at_cores()
+    /// The `w`-th 64 cores that a memory response waits for, one bit each.
+    pub fn arrival_word(&self, w: usize) -> u64 {
+        self.net.core_word(w) | self.staged_busy.word(w)
     }
 
     /// The `i`-th memory response waiting for a core this cycle: the
@@ -496,9 +498,8 @@ impl MemSys {
     /// their capacity.
     pub fn clear_arrivals(&mut self, core: u32) {
         self.net.clear_core_inbox(core);
-        let staged = &mut self.staged[core as usize];
-        self.staged_total -= staged.len();
-        staged.clear();
+        self.staged[core as usize].clear();
+        self.staged_busy.remove(core as usize);
     }
 
     /// One cycle of bank service: each local port and each network port
@@ -509,58 +510,60 @@ impl MemSys {
     /// matrix, so the matrix totals at most `conflicts`.
     pub fn tick(&mut self, now: u64, obs: &mut Observers) -> Result<(), SimError> {
         self.now = now;
-        if self.queued == 0 && !self.net.any_at_banks() {
-            return Ok(());
-        }
-        for core in 0..self.local_q.len() as u32 {
-            let c = core as usize;
-            // A core whose three port queues are empty serves nothing and
-            // adds 0 to every counter below.
-            if self.local_q[c].is_empty()
-                && self.shared_q[c].is_empty()
-                && self.net.bank_queue(core).is_empty()
-            {
-                continue;
-            }
-            // Local-bank port.
-            if let Some(p) = self.local_q[c].front().copied() {
-                if p.arrived < now {
-                    self.local_q[c].pop_front();
-                    self.queued -= 1;
-                    let resp = self.perform(core, p.msg)?;
+        // A core whose three port queues are empty would serve nothing and
+        // add 0 to every counter below: only the others are visited.
+        for w in 0..self.port_busy.words() {
+            for c in members(w, self.port_busy.word(w) | self.net.bank_word(w)) {
+                let core = c as u32;
+                // Local-bank port.
+                if let Some(msg) = self.pop_port(c, false, now) {
+                    let resp = self.perform(core, msg)?;
                     self.stage(c, resp);
                 }
-            }
-            self.conflicts += Self::port_backlog(&self.local_q[c], now);
-            // Shared-slice local port.
-            if let Some(p) = self.shared_q[c].front().copied() {
-                if p.arrived < now {
-                    self.shared_q[c].pop_front();
-                    self.queued -= 1;
-                    let resp = self.perform(core, p.msg)?;
+                self.conflicts += Self::port_backlog(&self.local_q[c], now);
+                // Shared-slice local port.
+                if let Some(msg) = self.pop_port(c, true, now) {
+                    let resp = self.perform(core, msg)?;
                     self.stage(c, resp);
                 }
+                self.conflicts += Self::port_backlog(&self.shared_q[c], now);
+                let ready = self.shared_q[c].iter().filter(|p| p.arrived < now);
+                obs.bank_conflict(c, ready.map(|p| p.msg.hart().core() as usize));
+                // Network port of the shared bank.
+                if let Some(msg) = self.net.pop_bank(core) {
+                    let resp = self.perform(core, msg)?;
+                    self.net.send_from_bank(core, resp);
+                    self.remote_served += 1;
+                }
+                let queued = self.net.bank_queue(core);
+                self.conflicts += queued.len() as u64;
+                obs.bank_conflict(c, queued.iter().map(|m| m.hart().core() as usize));
             }
-            self.conflicts += Self::port_backlog(&self.shared_q[c], now);
-            let ready = self.shared_q[c].iter().filter(|p| p.arrived < now);
-            obs.bank_conflict(c, ready.map(|p| p.msg.hart().core() as usize));
-            // Network port of the shared bank.
-            if let Some(msg) = self.net.pop_bank(core) {
-                let resp = self.perform(core, msg)?;
-                self.net.send_from_bank(core, resp);
-                self.remote_served += 1;
-            }
-            let queued = self.net.bank_queue(core);
-            self.conflicts += queued.len() as u64;
-            obs.bank_conflict(c, queued.iter().map(|m| m.hart().core() as usize));
         }
         Ok(())
+    }
+
+    /// Takes the oldest request at a core's local-bank port, or at its
+    /// shared-slice port, if it arrived before `now`.
+    fn pop_port(&mut self, core: usize, shared_slice: bool, now: u64) -> Option<NetMsg> {
+        let q = match shared_slice {
+            false => &mut self.local_q[core],
+            true => &mut self.shared_q[core],
+        };
+        if q.front()?.arrived >= now {
+            return None;
+        }
+        let msg = q.pop_front()?.msg;
+        if self.local_q[core].is_empty() && self.shared_q[core].is_empty() {
+            self.port_busy.remove(core);
+        }
+        Some(msg)
     }
 
     /// Stages a local port's response for delivery next cycle.
     fn stage(&mut self, core: usize, resp: NetMsg) {
         self.staged[core].push(resp);
-        self.staged_total += 1;
+        self.staged_busy.insert(core);
         self.local_served += 1;
     }
 
@@ -645,7 +648,7 @@ impl MemSys {
     /// response. Feeds the machine's quiescence-based deadlock detector
     /// (the network's own queues are checked separately).
     pub fn ports_quiet(&self) -> bool {
-        self.queued == 0 && self.staged_total == 0
+        self.port_busy.is_empty() && self.staged_busy.is_empty()
     }
 
     /// Requests queued at a core's bank ports (crash dumps).
@@ -718,10 +721,12 @@ impl MemSys {
         Ok(MemSys {
             banks,
             code,
-            queued: local_q.iter().chain(&shared_q).map(VecDeque::len).sum(),
+            port_busy: IndexSet::from_fn(cores, |c| {
+                !local_q[c].is_empty() || !shared_q[c].is_empty()
+            }),
+            staged_busy: IndexSet::from_fn(cores, |c| !staged[c].is_empty()),
             local_q,
             shared_q,
-            staged_total: staged.iter().map(Vec::len).sum(),
             staged,
             net,
             io,

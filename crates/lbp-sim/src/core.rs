@@ -179,27 +179,30 @@ impl Core {
         None
     }
 
+    /// Whether the core has four `Free` harts and no fork request, so that
+    /// its tick would be an `Idle` stall slot and nothing else — the
+    /// machine lets such a core sleep instead.
+    ///
+    /// No stage can fire: `process_alloc` has nothing to allocate for. A
+    /// hart becomes `Free` only by committing its `p_ret`, which is the
+    /// last instruction it fetched (rename clears the pc) and commits in
+    /// order after everything older, so its instruction buffer, table,
+    /// ROB and result buffer are empty and the four stages behind fetch
+    /// select nobody; fetch wants a `Running` hart. `release_syncm` cannot
+    /// fire either: a decoded `p_syncm` blocks fetch until it is released,
+    /// so the `p_ret` was fetched with `syncm_wait` clear and nothing was
+    /// renamed after it. `classify_stall` answers `Idle` for such a core.
+    /// And it stays so until a message is delivered: only a fork request
+    /// gives it work, and its own harts send none.
+    pub fn is_idle(&self) -> bool {
+        debug_assert_eq!(self.live, self.count_live());
+        self.live == 0 && self.alloc_q.is_empty()
+    }
+
     /// One full core cycle (stages run in reverse pipeline order so each
     /// stage sees the state its predecessors left at the end of the
     /// previous cycle).
     pub fn tick(&mut self, env: &mut Env<'_>) -> Result<(), SimError> {
-        debug_assert_eq!(self.live, self.count_live());
-        if self.live == 0 && self.alloc_q.is_empty() {
-            // Four `Free` harts and no fork request: no stage can fire.
-            // `process_alloc` has nothing to allocate for. A hart becomes
-            // `Free` only by committing its `p_ret`, which is the last
-            // instruction it fetched (rename clears the pc) and commits in
-            // order after everything older, so its instruction buffer,
-            // table, ROB and result buffer are empty and the four stages
-            // behind fetch select nobody; fetch wants a `Running` hart.
-            // `release_syncm` cannot fire either: a decoded `p_syncm`
-            // blocks fetch until it is released, so the `p_ret` was
-            // fetched with `syncm_wait` clear and nothing was renamed
-            // after it. `classify_stall` answers `Idle` for such a core.
-            env.stats.stalls_per_core[self.index as usize].bump(StallKind::Idle);
-            env.obs.stalled(self.index as usize, StallKind::Idle, None);
-            return Ok(());
-        }
         self.process_alloc(env)?;
         self.release_syncm(env.now);
         let committed = self.stage_commit(env)?;
@@ -219,7 +222,7 @@ impl Core {
             None => {
                 let (kind, blamed) = self.classify_stall(env.now);
                 env.stats.stalls_per_core[self.index as usize].bump(kind);
-                env.obs.stalled(self.index as usize, kind, blamed);
+                env.obs.stalled(self.index as usize, kind, blamed, 1);
             }
         }
         Ok(())

@@ -172,9 +172,11 @@ pub(crate) fn classify(h: &HartCtx) -> HartProgress {
 /// when every hart ended without the program executing its exit `p_ret`).
 ///
 /// This runs on every quiet cycle, so the common answer — "not yet" — is
-/// reached from the O(1) in-flight counts and, failing that, from one pass
-/// over the harts that builds nothing; the report is put together only
-/// once it is certain there is one.
+/// reached from the occupancy sets and, failing that, from one pass over
+/// the harts of the cores that are awake, which builds nothing; the report
+/// is put together only once it is certain there is one. A sleeping core
+/// has four `Free` harts and no fork request: it neither blocks nor can
+/// move, so it is not visited.
 pub(crate) fn check(m: &Machine) -> Option<Vec<BlockedHart>> {
     if m.exited {
         return None;
@@ -183,13 +185,14 @@ pub(crate) fn check(m: &Machine) -> Option<Vec<BlockedHart>> {
     if !m.fabric.is_quiet() || !m.mem.net.is_quiet() || !m.mem.ports_quiet() {
         return None;
     }
+    let cores = || m.awake.iter().map(|c| &m.cores[c]);
     // A queued fork request next to a free hart will be satisfied.
-    for core in &m.cores {
+    for core in cores() {
         if !core.alloc_q.is_empty() && core.harts.iter().any(|h| h.state == HartState::Free) {
             return None;
         }
     }
-    let harts = || m.cores.iter().flat_map(|core| &core.harts);
+    let harts = || cores().flat_map(|core| &core.harts);
     if harts().any(|h| matches!(classify(h), HartProgress::Ready)) {
         return None;
     }

@@ -10,6 +10,7 @@
 
 use std::collections::VecDeque;
 
+use crate::index_set::{members, IndexSet};
 use crate::msg::{CoreMsg, QUEUE_DEPTH};
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 
@@ -23,11 +24,12 @@ pub struct Fabric {
     bwd: Vec<VecDeque<CoreMsg>>,
     /// Messages delivered to each core this cycle.
     inbox: Vec<Vec<CoreMsg>>,
-    /// Messages on all of `fwd` and `bwd`, and in all of `inbox`. Derived
-    /// from the queues (re-counted on restore), so that "is anything
-    /// there" never walks them.
-    on_links: usize,
-    in_inboxes: usize,
+    /// The queues of `fwd`, `bwd` and `inbox` that hold a message.
+    /// Derived from them (rebuilt on restore): what `tick` and the
+    /// machine's delivery walk.
+    fwd_busy: IndexSet,
+    bwd_busy: IndexSet,
+    inbox_busy: IndexSet,
     /// Total messages that crossed any segment (statistics).
     pub hops: u64,
     /// Message-cycles lost to segment contention: each cycle, every
@@ -61,8 +63,9 @@ impl Fabric {
             inbox: (0..cores)
                 .map(|_| Vec::with_capacity(QUEUE_DEPTH))
                 .collect(),
-            on_links: 0,
-            in_inboxes: 0,
+            fwd_busy: IndexSet::new(links),
+            bwd_busy: IndexSet::new(links),
+            inbox_busy: IndexSet::new(cores as usize),
             hops: 0,
             contended: 0,
             sent: 0,
@@ -122,44 +125,45 @@ impl Fabric {
                 "forward link only reaches the next core (from {from_core} to {dest})"
             );
             self.fwd[from_core as usize].push_back(msg);
-            self.on_links += 1;
+            self.fwd_busy.insert(from_core as usize);
         } else {
             // Backward: enter the segment just below `from_core`.
             self.bwd[(from_core - 1) as usize].push_back(msg);
-            self.on_links += 1;
+            self.bwd_busy.insert((from_core - 1) as usize);
         }
     }
 
     fn put_in_inbox(&mut self, core: usize, msg: CoreMsg) {
         self.inbox[core].push(msg);
-        self.in_inboxes += 1;
+        self.inbox_busy.insert(core);
     }
 
-    /// Whether a message waits in any core's inbox.
-    pub fn any_in_inboxes(&self) -> bool {
-        self.in_inboxes != 0
+    /// The `w`-th 64 cores with a message in their inbox, one bit each.
+    pub fn inbox_word(&self, w: usize) -> u64 {
+        self.inbox_busy.word(w)
     }
 
     /// Moves the messages delivered to a core this cycle to the end of
     /// `out`; the inbox keeps its capacity.
     pub fn drain_inbox(&mut self, core: u32, out: &mut Vec<CoreMsg>) {
-        let inbox = &mut self.inbox[core as usize];
-        self.in_inboxes -= inbox.len();
-        out.append(inbox);
+        out.append(&mut self.inbox[core as usize]);
+        self.inbox_busy.remove(core as usize);
     }
 
-    /// Advances every link segment by one cycle.
+    /// Advances every link segment that holds a message by one cycle.
     pub fn tick(&mut self) {
-        if self.on_links == 0 && self.delayed.is_empty() {
-            return;
-        }
         // Forward links: one message per segment per cycle, delivered to
         // the successor core.
-        for i in 0..self.fwd.len() {
-            if let Some(msg) = self.fwd[i].pop_front() {
+        for w in 0..self.fwd_busy.words() {
+            for i in members(w, self.fwd_busy.word(w)) {
+                let msg = self.fwd[i]
+                    .pop_front()
+                    .expect("a busy link holds a message");
                 self.hops += 1;
                 self.contended += self.fwd[i].len() as u64;
-                self.on_links -= 1;
+                if self.fwd[i].is_empty() {
+                    self.fwd_busy.remove(i);
+                }
                 self.put_in_inbox(i + 1, msg);
             }
         }
@@ -167,15 +171,21 @@ impl Fabric {
         // yet at its destination re-enters the next segment down. That
         // segment has already moved its message this cycle (segments go in
         // ascending order), so the relayed one waits there until the next.
-        for i in 0..self.bwd.len() {
-            if let Some(msg) = self.bwd[i].pop_front() {
+        for w in 0..self.bwd_busy.words() {
+            for i in members(w, self.bwd_busy.word(w)) {
+                let msg = self.bwd[i]
+                    .pop_front()
+                    .expect("a busy link holds a message");
                 self.hops += 1;
                 self.contended += self.bwd[i].len() as u64;
+                if self.bwd[i].is_empty() {
+                    self.bwd_busy.remove(i);
+                }
                 if msg.dest_core() == i as u32 {
-                    self.on_links -= 1;
                     self.put_in_inbox(i, msg);
                 } else {
                     self.bwd[i - 1].push_back(msg);
+                    self.bwd_busy.insert(i - 1);
                 }
             }
         }
@@ -313,8 +323,9 @@ impl Fabric {
         }
         Ok(Fabric {
             cores,
-            on_links: fwd.iter().chain(&bwd).map(VecDeque::len).sum(),
-            in_inboxes: inbox.iter().map(Vec::len).sum(),
+            fwd_busy: IndexSet::from_fn(links, |i| !fwd[i].is_empty()),
+            bwd_busy: IndexSet::from_fn(links, |i| !bwd[i].is_empty()),
+            inbox_busy: IndexSet::from_fn(inboxes, |c| !inbox[c].is_empty()),
             fwd,
             bwd,
             inbox,
@@ -331,7 +342,10 @@ impl Fabric {
     /// Whether nothing is in flight: no message on any segment, in any
     /// inbox, or held back by a delay fault.
     pub fn is_quiet(&self) -> bool {
-        self.on_links == 0 && self.in_inboxes == 0 && self.delayed.is_empty()
+        self.fwd_busy.is_empty()
+            && self.bwd_busy.is_empty()
+            && self.inbox_busy.is_empty()
+            && self.delayed.is_empty()
     }
 
     /// Describes every in-flight message with its location (crash dumps).

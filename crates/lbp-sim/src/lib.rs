@@ -73,6 +73,8 @@ mod fabric;
 pub mod fast;
 mod fault;
 mod hart;
+mod hash;
+mod index_set;
 mod io;
 pub mod json;
 mod lockstep;
@@ -92,6 +94,7 @@ pub use dump::{HartDump, MachineDump, SimFailure, DUMP_SCHEMA};
 pub use error::{BlockedHart, ExitClass, SimError};
 pub use fast::{FastEngine, FastStop, FastSummary};
 pub use fault::{Fault, FaultPlan};
+pub use hash::fnv1a64;
 pub use io::{InputDevice, IoBus, OutputDevice, DEVICE_STRIDE};
 pub use json::{Json, JsonError};
 pub use lockstep::{run_lockstep, Divergence, LockstepError, LockstepReport};

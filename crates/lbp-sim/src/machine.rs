@@ -11,6 +11,8 @@ use crate::error::SimError;
 use crate::fabric::Fabric;
 use crate::fault::Fault;
 use crate::hart::{HartCtx, HartState, RbWait};
+use crate::hash;
+use crate::index_set::{members, IndexSet};
 use crate::io::IoBus;
 use crate::json::Json;
 use crate::msg::{CoreMsg, NetMsg};
@@ -18,7 +20,7 @@ use crate::observe::Observers;
 use crate::prof::ProfData;
 use crate::race::{RaceData, RaceWitness};
 use crate::snapshot::{MachineState, SnapError, SnapReader, SnapWriter};
-use crate::stats::{CoreStalls, IntervalSample, Stats};
+use crate::stats::{CoreStalls, IntervalSample, StallKind, Stats};
 use crate::trace::{EventKind, Trace, TraceSink};
 
 /// The result of a completed run.
@@ -104,6 +106,14 @@ pub struct Machine {
     /// The fabric messages [`Machine::deliver`] is handing to one core's
     /// harts; empty between calls, kept for its capacity.
     core_arrivals: Vec<CoreMsg>,
+    /// The cores that tick. An idle core ([`Core::is_idle`]) leaves the
+    /// set at its tick and any delivery puts it back; while it sleeps its
+    /// cycles are `Idle` stall slots nobody has written down yet. Derived
+    /// state like `charged`: never serialized, everyone awake after
+    /// `new`, `restore` and the hybrid handoff.
+    pub(crate) awake: IndexSet,
+    /// Per sleeping core, the last cycle its stall slots are charged for.
+    charged: Vec<u64>,
 }
 
 /// Cycles without any retirement before the deadlock detector runs. The
@@ -185,6 +195,8 @@ impl Machine {
             faults_applied: 0,
             quiet_cycles: 0,
             core_arrivals: Vec::new(),
+            awake: IndexSet::from_fn(cfg.cores, |_| true),
+            charged: vec![0; cfg.cores],
             cores,
             mem,
             cfg,
@@ -348,6 +360,7 @@ impl Machine {
     pub fn run_to(&mut self, target: u64) -> Result<bool, Box<SimFailure>> {
         while !self.exited {
             if self.cycle >= target {
+                self.settle();
                 return Ok(false);
             }
             let retired = match self.step() {
@@ -364,11 +377,13 @@ impl Machine {
                             cycle: self.cycle,
                             blocked,
                         };
+                        self.settle();
                         return Err(self.failure(err));
                     }
                 }
             }
         }
+        self.settle();
         // Close the time series with the final partial interval so the
         // samples cover the whole run.
         if self.cfg.sample_interval > 0 && self.cycle > self.cursor.cycle {
@@ -535,6 +550,8 @@ impl Machine {
         r.finish()?;
         Ok(Machine {
             obs: Observers::off(cfg.trace),
+            awake: IndexSet::from_fn(ncores, |_| true),
+            charged: vec![0; ncores],
             cfg,
             cores,
             mem,
@@ -552,10 +569,14 @@ impl Machine {
 
     /// Advances the machine by one cycle.
     pub fn tick(&mut self) -> Result<(), SimError> {
-        self.step().map(|_| ())
+        self.step()?;
+        self.settle();
+        Ok(())
     }
 
     /// One cycle; returns whether any core retired an instruction in it.
+    /// Sleeping cores are left uncharged ([`Machine::settle`]) unless the
+    /// cycle aborts, which settles them as far as it got.
     fn step(&mut self) -> Result<bool, SimError> {
         self.cycle += 1;
         let now = self.cycle;
@@ -567,7 +588,10 @@ impl Machine {
         self.fabric.tick();
         self.mem.net.tick();
         // 2. Deliver arrivals to harts.
-        self.deliver()?;
+        if let Err(e) = self.deliver() {
+            self.settle_aborted(0);
+            return Err(e);
+        }
         // 3. Core pipelines.
         let mut env = Env {
             mem: &mut self.mem,
@@ -580,12 +604,25 @@ impl Machine {
             exited: &mut self.exited,
             retired: false,
         };
-        for core in &mut self.cores {
-            core.tick(&mut env)?;
+        for w in 0..self.awake.words() {
+            for c in members(w, self.awake.word(w)) {
+                let core = &mut self.cores[c];
+                if core.is_idle() {
+                    // Asleep from this cycle on, which is not charged yet.
+                    self.awake.remove(c);
+                    self.charged[c] = now - 1;
+                } else if let Err(e) = core.tick(&mut env) {
+                    self.settle_aborted(c);
+                    return Err(e);
+                }
+            }
         }
         let retired = env.retired;
         // 4. Banks serve their ports.
-        self.mem.tick(now, &mut self.obs)?;
+        if let Err(e) = self.mem.tick(now, &mut self.obs) {
+            self.settle();
+            return Err(e);
+        }
         self.stats.cycles = self.cycle;
         self.stats.link_hops = self.mem.net.hops + self.fabric.hops;
         self.stats.bank_conflicts = self.mem.conflicts;
@@ -593,9 +630,47 @@ impl Machine {
         // 5. Interval sampler.
         let interval = self.cfg.sample_interval;
         if interval > 0 && self.cycle.is_multiple_of(interval) {
+            self.settle();
             self.take_sample();
         }
         Ok(retired)
+    }
+
+    /// Writes down the `Idle` slots the sleeping cores are owed through
+    /// the current cycle. Every return to a caller does, and the sampler
+    /// before it reads the counters.
+    fn settle(&mut self) {
+        self.settle_aborted(self.cores.len());
+    }
+
+    /// [`Machine::settle`] for a cycle that aborted when the cores below
+    /// `ticked` had had their turn in it and the others not: those are
+    /// owed the current cycle, these only the ones before, which leaves
+    /// the counters ticking every core would have left.
+    fn settle_aborted(&mut self, ticked: usize) {
+        for c in 0..self.cores.len() {
+            if !self.awake.contains(c) {
+                let through = self.cycle - u64::from(c >= ticked);
+                self.charge_idle(c, through - self.charged[c]);
+                // The current cycle is over for this core either way.
+                self.charged[c] = self.cycle;
+            }
+        }
+    }
+
+    /// Puts a core that is receiving something back among those that
+    /// tick, charged for the cycles it slept through.
+    fn wake(&mut self, c: usize) {
+        if !self.awake.contains(c) {
+            self.charge_idle(c, self.cycle - 1 - self.charged[c]);
+            self.awake.insert(c);
+        }
+    }
+
+    /// `n` cycles of a core with nothing allocated, all at once.
+    fn charge_idle(&mut self, c: usize, n: u64) {
+        self.stats.stalls_per_core[c].idle += n;
+        self.obs.stalled(c, StallKind::Idle, None, n);
     }
 
     /// Applies every pending fault whose trigger cycle has arrived.
@@ -653,23 +728,26 @@ impl Machine {
     /// Delivers network responses and fabric messages that completed their
     /// last hop. After an error the rest of that core's batch is gone.
     fn deliver(&mut self) -> Result<(), SimError> {
-        if !self.mem.any_arrivals() && !self.fabric.any_in_inboxes() {
-            return Ok(());
-        }
         let now = self.cycle;
-        for c in 0..self.cores.len() as u32 {
-            // Memory responses: from the network and from the local ports.
-            let delivered = self.deliver_mem_arrivals(c);
-            self.mem.clear_arrivals(c);
-            delivered?;
-            // Fork/join fabric messages. Handling one may send another, so
-            // they leave the inbox first: a message sent to this core now
-            // waits for the next cycle.
-            let mut msgs = std::mem::take(&mut self.core_arrivals);
-            self.fabric.drain_inbox(c, &mut msgs);
-            let delivered = (msgs.drain(..)).try_for_each(|msg| self.deliver_core_msg(c, msg, now));
-            self.core_arrivals = msgs;
-            delivered?;
+        for w in 0..self.awake.words() {
+            for c in members(w, self.mem.arrival_word(w) | self.fabric.inbox_word(w)) {
+                self.wake(c);
+                let c = c as u32;
+                // Memory responses: from the network and from the local
+                // ports.
+                let delivered = self.deliver_mem_arrivals(c);
+                self.mem.clear_arrivals(c);
+                delivered?;
+                // Fork/join fabric messages. Handling one may send another,
+                // so they leave the inbox first: a message sent to this core
+                // now waits for the next cycle.
+                let mut msgs = std::mem::take(&mut self.core_arrivals);
+                self.fabric.drain_inbox(c, &mut msgs);
+                let delivered =
+                    (msgs.drain(..)).try_for_each(|msg| self.deliver_core_msg(c, msg, now));
+                self.core_arrivals = msgs;
+                delivered?;
+            }
         }
         Ok(())
     }
@@ -852,8 +930,9 @@ impl Machine {
     /// when the machine is quiescent (exited or at a cycle boundary with
     /// drained pipelines).
     pub fn arch_hash(&self) -> u64 {
-        let mut h = ArchHasher::new();
-        h.u8(self.exited as u8);
+        let mut h = hash::OFFSET_BASIS;
+        let mut put = |bytes: &[u8]| h = hash::extend(h, bytes);
+        put(&[self.exited as u8]);
         for core in &self.cores {
             for hart in &core.harts {
                 let tag = match hart.state {
@@ -862,75 +941,48 @@ impl Machine {
                     HartState::Running => 2,
                     HartState::WaitingJoin => 3,
                 };
-                h.u8(tag);
+                put(&[tag]);
                 if hart.state == HartState::Free {
                     continue; // dead registers carry stale values
                 }
                 match hart.pc {
                     Some(pc) => {
-                        h.u8(1);
-                        h.u32(pc);
+                        put(&[1]);
+                        put(&pc.to_le_bytes());
                     }
-                    None => h.u8(0),
+                    None => put(&[0]),
                 }
                 for r in 0..32 {
-                    h.u32(hart.prf[hart.rat[r] as usize].value);
+                    put(&hart.prf[hart.rat[r] as usize].value.to_le_bytes());
                 }
                 for q in &hart.recv {
-                    h.u64(q.len() as u64);
+                    put(&(q.len() as u64).to_le_bytes());
                     for &v in q {
-                        h.u32(v);
+                        put(&v.to_le_bytes());
                     }
                 }
-                h.u8(hart.end_signal as u8);
+                put(&[hart.end_signal as u8]);
                 match hart.team_succ {
                     Some(succ) => {
-                        h.u8(1);
-                        h.u32(succ.global());
+                        put(&[1]);
+                        put(&succ.global().to_le_bytes());
                     }
-                    None => h.u8(0),
+                    None => put(&[0]),
                 }
             }
         }
         for &n in &self.stats.retired_per_hart {
-            h.u64(n);
+            put(&n.to_le_bytes());
         }
-        h.u64(self.stats.forks);
-        h.u64(self.stats.joins);
-        h.u64(self.stats.muldiv_ops);
-        h.u64(self.stats.local_accesses);
-        h.u64(self.stats.remote_accesses);
+        put(&self.stats.forks.to_le_bytes());
+        put(&self.stats.joins.to_le_bytes());
+        put(&self.stats.muldiv_ops.to_le_bytes());
+        put(&self.stats.local_accesses.to_le_bytes());
+        put(&self.stats.remote_accesses.to_le_bytes());
         for bank in self.mem.banks.each() {
-            h.bytes(bank);
+            put(bank);
         }
-        h.finish()
-    }
-}
-
-/// FNV-1a-64 over architectural state (same constants as `lbp-snap`).
-struct ArchHasher(u64);
-
-impl ArchHasher {
-    fn new() -> ArchHasher {
-        ArchHasher(0xcbf2_9ce4_8422_2325)
-    }
-    fn u8(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.u8(b);
-        }
-    }
-    fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn finish(&self) -> u64 {
-        self.0
+        h
     }
 }
 

@@ -15,6 +15,7 @@
 
 use std::collections::VecDeque;
 
+use crate::index_set::IndexSet;
 use crate::msg::{NetMsg, QUEUE_DEPTH};
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 
@@ -68,12 +69,12 @@ pub struct Network {
     bank_inbox: Vec<VecDeque<NetMsg>>,
     /// Responses/acks that arrived back at each core.
     core_inbox: Vec<Vec<NetMsg>>,
-    /// Where the in-flight messages are: on any edge, in any bank inbox,
-    /// in any core inbox. Derived from the queues (re-counted on restore),
-    /// so that "is anything there" never walks them.
+    /// Messages on all of `edges`, and the bank and core inboxes that hold
+    /// one. Derived from the queues (rebuilt on restore): what lets `tick`
+    /// return at once, and what bank service and delivery walk.
     on_edges: usize,
-    at_banks: usize,
-    at_cores: usize,
+    bank_busy: IndexSet,
+    core_busy: IndexSet,
     /// The messages one `tick` moves, between its two phases; empty
     /// outside it, kept for its capacity.
     moved: Vec<(Dest, NetMsg)>,
@@ -121,8 +122,8 @@ impl Network {
                 .map(|_| Vec::with_capacity(QUEUE_DEPTH))
                 .collect(),
             on_edges: 0,
-            at_banks: 0,
-            at_cores: 0,
+            bank_busy: IndexSet::new(cores as usize),
+            core_busy: IndexSet::new(cores as usize),
             moved: Vec::new(),
             hops: 0,
             contended: 0,
@@ -230,21 +231,25 @@ impl Network {
         &self.bank_inbox[bank as usize]
     }
 
-    /// Whether a request waits at any bank's network port.
-    pub fn any_at_banks(&self) -> bool {
-        self.at_banks != 0
+    /// The `w`-th 64 banks with a request at their network port, one bit
+    /// each.
+    pub fn bank_word(&self, w: usize) -> u64 {
+        self.bank_busy.word(w)
     }
 
     /// Takes the oldest request waiting at a bank's network port.
     pub fn pop_bank(&mut self, bank: u32) -> Option<NetMsg> {
-        let msg = self.bank_inbox[bank as usize].pop_front()?;
-        self.at_banks -= 1;
+        let inbox = &mut self.bank_inbox[bank as usize];
+        let msg = inbox.pop_front()?;
+        if inbox.is_empty() {
+            self.bank_busy.remove(bank as usize);
+        }
         Some(msg)
     }
 
-    /// Whether a response waits in any core's inbox.
-    pub fn any_at_cores(&self) -> bool {
-        self.at_cores != 0
+    /// The `w`-th 64 cores with a response in their inbox, one bit each.
+    pub fn core_word(&self, w: usize) -> u64 {
+        self.core_busy.word(w)
     }
 
     /// The responses delivered to a core this cycle.
@@ -254,22 +259,23 @@ impl Network {
 
     /// Empties a core's inbox, which keeps its capacity.
     pub fn clear_core_inbox(&mut self, core: u32) {
-        let inbox = &mut self.core_inbox[core as usize];
-        self.at_cores -= inbox.len();
-        inbox.clear();
+        self.core_inbox[core as usize].clear();
+        self.core_busy.remove(core as usize);
     }
 
     /// Whether nothing is in flight: every link queue, bank port and core
     /// inbox is empty. Feeds the machine's quiescence-based deadlock
     /// detector.
     pub fn is_quiet(&self) -> bool {
-        self.in_flight() == 0
+        self.on_edges == 0 && self.bank_busy.is_empty() && self.core_busy.is_empty()
     }
 
     /// Messages currently travelling or queued anywhere in the hierarchy
     /// (crash dumps).
     pub fn in_flight(&self) -> usize {
-        self.on_edges + self.at_banks + self.at_cores
+        let banks = self.bank_inbox.iter().map(VecDeque::len);
+        let cores = self.core_inbox.iter().map(Vec::len);
+        self.on_edges + banks.chain(cores).sum::<usize>()
     }
 
     /// Advances every link by one cycle: each edge delivers at most one
@@ -293,11 +299,11 @@ impl Network {
             match dest {
                 Dest::Deliver(Endpoint::Core(c)) => {
                     self.core_inbox[c as usize].push(msg);
-                    self.at_cores += 1;
+                    self.core_busy.insert(c as usize);
                 }
                 Dest::Deliver(Endpoint::Bank(b)) => {
                     self.bank_inbox[b as usize].push_back(msg);
-                    self.at_banks += 1;
+                    self.bank_busy.insert(b as usize);
                 }
                 Dest::Router(node) => self.route(node, msg),
             }
@@ -363,11 +369,11 @@ impl Network {
                 "{banks} bank inboxes for {cores} cores"
             )));
         }
-        for q in &mut net.bank_inbox {
+        for (b, q) in net.bank_inbox.iter_mut().enumerate() {
             for _ in 0..r.seq()? {
                 q.push_back(NetMsg::unsnap(r)?);
+                net.bank_busy.insert(b);
             }
-            net.at_banks += q.len();
         }
         let inboxes = r.seq()?;
         if inboxes != net.core_inbox.len() {
@@ -375,11 +381,11 @@ impl Network {
                 "{inboxes} core inboxes for {cores} cores"
             )));
         }
-        for inbox in &mut net.core_inbox {
+        for (c, inbox) in net.core_inbox.iter_mut().enumerate() {
             for _ in 0..r.seq()? {
                 inbox.push(NetMsg::unsnap(r)?);
+                net.core_busy.insert(c);
             }
-            net.at_cores += inbox.len();
         }
         net.hops = r.u64()?;
         net.contended = r.u64()?;

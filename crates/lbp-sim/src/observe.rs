@@ -83,12 +83,12 @@ impl Observers {
         }
     }
 
-    /// `core` retired nothing this cycle: a `kind` stall slot, blamed on
-    /// the instruction at `blamed` (if any is blamable).
+    /// `core` retired nothing for `n` cycles: that many `kind` stall
+    /// slots, blamed on the instruction at `blamed` (if any is blamable).
     #[inline]
-    pub fn stalled(&mut self, core: usize, kind: StallKind, blamed: Option<u32>) {
+    pub fn stalled(&mut self, core: usize, kind: StallKind, blamed: Option<u32>, n: u64) {
         if let Some(p) = &mut self.prof {
-            p.stalled(core, blamed, kind);
+            p.stalled(core, blamed, kind, n);
         }
     }
 

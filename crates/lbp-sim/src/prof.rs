@@ -99,14 +99,15 @@ impl ProfData {
         self.per_pc[core].entry(pc).or_default().retired += 1;
     }
 
-    /// Attributes one stall slot of `core` to the blamed `pc` (or to the
+    /// Attributes `n` stall slots of `core` to the blamed `pc` (or to the
     /// core's unattributed bucket when no instruction is blamable, e.g.
     /// an idle core).
-    pub(crate) fn stalled(&mut self, core: usize, pc: Option<u32>, kind: StallKind) {
-        match pc {
-            Some(pc) => self.per_pc[core].entry(pc).or_default().stalls.bump(kind),
-            None => self.unattributed[core].bump(kind),
-        }
+    pub(crate) fn stalled(&mut self, core: usize, pc: Option<u32>, kind: StallKind, n: u64) {
+        let stalls = match pc {
+            Some(pc) => &mut self.per_pc[core].entry(pc).or_default().stalls,
+            None => &mut self.unattributed[core],
+        };
+        stalls.charge(kind, n);
     }
 
     /// Counts one shared-memory request from `src` to shared bank `bank`.
@@ -199,9 +200,9 @@ mod tests {
         let mut p = ProfData::new(2);
         p.retired(0, 0x10);
         p.retired(0, 0x10);
-        p.stalled(0, Some(0x14), StallKind::MemWait);
-        p.stalled(0, None, StallKind::Idle);
-        p.stalled(1, None, StallKind::Idle);
+        p.stalled(0, Some(0x14), StallKind::MemWait, 1);
+        p.stalled(0, None, StallKind::Idle, 1);
+        p.stalled(1, None, StallKind::Idle, 1);
         assert_eq!(p.attributed_cycles(0), 4);
         assert_eq!(p.attributed_cycles(1), 1);
         let cells: Vec<_> = p.per_pc(0).collect();

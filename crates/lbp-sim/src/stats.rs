@@ -60,13 +60,18 @@ pub struct CoreStalls {
 impl CoreStalls {
     /// Adds one stall slot of the given kind.
     pub fn bump(&mut self, kind: StallKind) {
+        self.charge(kind, 1);
+    }
+
+    /// Adds `n` stall slots of the given kind.
+    pub(crate) fn charge(&mut self, kind: StallKind, n: u64) {
         match kind {
-            StallKind::FetchStarved => self.fetch_starved += 1,
-            StallKind::MemWait => self.mem_wait += 1,
-            StallKind::OperandWait => self.operand_wait += 1,
-            StallKind::RbFull => self.rb_full += 1,
-            StallKind::SyncWait => self.sync_wait += 1,
-            StallKind::Idle => self.idle += 1,
+            StallKind::FetchStarved => self.fetch_starved += n,
+            StallKind::MemWait => self.mem_wait += n,
+            StallKind::OperandWait => self.operand_wait += n,
+            StallKind::RbFull => self.rb_full += n,
+            StallKind::SyncWait => self.sync_wait += n,
+            StallKind::Idle => self.idle += n,
         }
     }
 

@@ -61,10 +61,16 @@ static GLOBAL: Counting = Counting;
 /// Runs `m` to cycle `warm_up`, then up to 10,000 cycles further (or to
 /// exit), and returns the allocations and cycles of that second leg.
 fn allocations_after(m: &mut Machine, warm_up: u64) -> (u64, u64) {
+    allocations_between(m, warm_up, warm_up + 10_000)
+}
+
+/// The allocations and cycles of the leg from cycle `warm_up` to cycle
+/// `end` (or to exit).
+fn allocations_between(m: &mut Machine, warm_up: u64, end: u64) -> (u64, u64) {
     m.run_to(warm_up).expect("warm-up runs");
     let from = m.stats().cycles;
     let before = ALLOCS.with(Cell::get);
-    m.run_to(warm_up + 10_000).expect("measured leg runs");
+    m.run_to(end).expect("measured leg runs");
     let allocs = ALLOCS.with(Cell::get) - before;
     (allocs, m.stats().cycles - from)
 }
@@ -103,4 +109,22 @@ fn quiet_cycles_do_not_allocate() {
     let (allocs, cycles) = allocations_after(&mut m, 300);
     assert!(cycles > 1_000, "{cycles} cycles measured");
     assert_eq!(allocs, 0, "over {cycles} cycles");
+}
+
+/// The guest of `cx_idle` itself, to its exit: cores go to sleep, are
+/// woken by the fork request that reaches them, sleep again, and are all
+/// settled when the run returns.
+#[test]
+fn sleeping_waking_and_settling_do_not_allocate() {
+    let image = lbp_omp::DetOmp::new(256)
+        .function("empty", "p_ret")
+        .parallel_for("empty")
+        .build()
+        .unwrap();
+    let mut m = Machine::new(LbpConfig::cores(64), &image).unwrap();
+    let (allocs, cycles) = allocations_between(&mut m, 500, u64::MAX);
+    assert!(m.exited() && cycles > 14_000, "{cycles} cycles measured");
+    assert_eq!(allocs, 0, "over {cycles} cycles");
+    let woken = (0..64).filter(|&c| m.stats().retired_by_core(c) > 0);
+    assert_eq!(woken.count(), 64, "every core had its turn");
 }

@@ -210,16 +210,9 @@ impl From<SnapError> for SnapFileError {
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — the format's (non-cryptographic)
-/// integrity and content-addressing hash. Stable across platforms.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a 64-bit — the format's (non-cryptographic) integrity and
+/// content-addressing hash, and the one `Machine::arch_hash` uses.
+pub use lbp_sim::fnv1a64;
 
 /// The content hash of a machine state — equal for machines in equal
 /// states, whatever run produced them.

@@ -129,3 +129,34 @@ fn snapshot_bytes_are_pinned_across_commits() {
     assert!(!m.run_to(PINNED_PAUSE).unwrap());
     assert_eq!(snap::content_hash(&m.snapshot()), PINNED_PAUSED, "paused");
 }
+
+/// `content_hash` of the empty fork-join team of 64 on 16 cores, paused
+/// at [`PINNED_ASLEEP`] and at exit, computed at the commit before idle
+/// cores slept (e15919a), where every core ticked and counted its own
+/// idle cycles. The stall counters are payload: a paused machine must
+/// have written down what its sleepers are owed.
+const PINNED_MID_SLEEP: u64 = 0x7b94_2ff0_0c27_249d;
+const PINNED_TEAM_EXIT: u64 = 0x52f9_8d4f_eb87_f964;
+/// Cores 1–7 have ended their members, core 8 runs, cores 9–15 are yet
+/// to be used.
+const PINNED_ASLEEP: u64 = 2_100;
+
+#[test]
+fn sleepers_are_settled_in_snapshots_pinned_across_commits() {
+    let image = lbp::omp::DetOmp::new(64)
+        .function("empty", "p_ret")
+        .parallel_for("empty")
+        .build()
+        .unwrap();
+    let mut m = Machine::new(lbp::sim::LbpConfig::cores(16), &image).unwrap();
+    assert!(!m.run_to(PINNED_ASLEEP).unwrap());
+    let idle = |c| m.stats().stalls_of_core(c).idle;
+    assert!(idle(3) > 1_000 && idle(8) < idle(12), "not mid-sleep");
+    assert_eq!(
+        snap::content_hash(&m.snapshot()),
+        PINNED_MID_SLEEP,
+        "paused"
+    );
+    assert!(m.run_to(u64::MAX).unwrap());
+    assert_eq!(snap::content_hash(&m.snapshot()), PINNED_TEAM_EXIT, "exit");
+}
