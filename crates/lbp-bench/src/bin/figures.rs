@@ -10,14 +10,14 @@ use std::path::Path;
 use std::time::Instant;
 
 use lbp_bench::{
-    benchmark_json, determinism_check, energy_comparison, fork_join_overhead,
-    reproduce_figure_with_reports, single_core_ipc,
+    ablation, ablation_checks, ablation_table, benchmark_json, determinism_check,
+    energy_comparison, fork_join_overhead, reproduce_figure_with_reports, single_core_ipc,
 };
 use lbp_sim::ExitClass;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures [--csv] [--stats-dir DIR] [fig19] [fig20] [fig21] [determinism] [overhead] [multithreading] [energy] [all]\n\
+        "usage: figures [--csv] [--stats-dir DIR] [fig19] [fig20] [fig21] [determinism] [overhead] [multithreading] [energy] [ablation] [all]\n\
          Regenerates the paper's Figures 19-21 and the claim checks.\n\
          --csv prints figures as CSV rows instead of tables.\n\
          --stats-dir DIR writes one lbp-stats-v1 JSON per benchmark run into DIR."
@@ -43,12 +43,7 @@ fn run_figure(number: u32, csv: bool, stats_dir: Option<&str>) {
         return;
     }
     print!("{}", fig.to_table());
-    println!("shape checks:");
-    let mut all_ok = true;
-    for (what, ok) in fig.check_shapes() {
-        println!("  [{}] {}", if ok { "ok" } else { "FAIL" }, what);
-        all_ok &= ok;
-    }
+    let all_ok = print_checks(&fig.check_shapes());
     println!(
         "(regenerated in {:.1?} of host time; simulated numbers are exact)\n",
         t.elapsed()
@@ -56,6 +51,15 @@ fn run_figure(number: u32, csv: bool, stats_dir: Option<&str>) {
     if !all_ok {
         ExitClass::Failure.exit();
     }
+}
+
+/// Prints the `shape checks:` block and returns whether every check held.
+fn print_checks(checks: &[(String, bool)]) -> bool {
+    println!("shape checks:");
+    for (what, ok) in checks {
+        println!("  [{}] {}", if *ok { "ok" } else { "FAIL" }, what);
+    }
+    checks.iter().all(|(_, ok)| *ok)
 }
 
 fn run_determinism() {
@@ -120,6 +124,16 @@ fn run_energy() {
     );
 }
 
+fn run_ablation() {
+    let rows = ablation();
+    print!("{}", ablation_table(&rows));
+    let all_ok = print_checks(&ablation_checks(&rows));
+    println!();
+    if !all_ok {
+        ExitClass::Failure.exit();
+    }
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let csv = args.iter().any(|a| a == "--csv");
@@ -145,6 +159,7 @@ fn main() {
             "overhead" => run_overhead(),
             "multithreading" => run_multithreading(),
             "energy" => run_energy(),
+            "ablation" => run_ablation(),
             "all" => {
                 run_figure(19, csv, stats_dir);
                 run_figure(20, csv, stats_dir);
@@ -153,6 +168,7 @@ fn main() {
                 run_overhead();
                 run_multithreading();
                 run_energy();
+                run_ablation();
             }
             _ => usage(),
         }

@@ -12,10 +12,12 @@
 //!
 //! Because LBP is cycle-deterministic, *one* simulated run is an exact,
 //! complete measurement — there is no run-to-run variance to average
-//! away, which is precisely the paper's point. The Criterion benches in
-//! `benches/` track the *simulator's* host-side performance; the
-//! simulated numbers come from the `figures` binary
-//! (`cargo run -p lbp-bench --release --bin figures -- all`).
+//! away, which is precisely the paper's point. So this crate holds guest
+//! numbers only: the `figures` binary prints them
+//! (`cargo run -p lbp-bench --release --bin figures -- all`),
+//! `results_reference.txt` records them and `tests/golden_reference.rs`
+//! pins them. How fast the *host* simulates is a noisy number and is
+//! measured, with medians and bounds, by the ledger in `benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,9 +26,7 @@ use std::fmt::Write as _;
 
 use lbp_baseline::PhiModel;
 use lbp_kernels::matmul::{Matmul, Version};
-
-pub mod fastforward;
-pub mod throughput;
+use lbp_sim::{LbpConfig, Machine, Stats};
 
 /// One measured row of a figure.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,6 +54,32 @@ pub struct Figure {
     pub rows: Vec<Row>,
 }
 
+impl Row {
+    fn of(name: String, stats: &Stats) -> Row {
+        Row {
+            name,
+            cycles: stats.cycles,
+            ipc: stats.ipc(),
+            retired: stats.retired(),
+            locality: stats.locality(),
+        }
+    }
+}
+
+/// Runs `mm` to completion on `cfg` and checks the result matrix.
+fn run_matmul(mm: &Matmul, cfg: LbpConfig, name: String) -> (Row, lbp_sim::RunReport) {
+    let mut m = mm.machine_with(cfg).expect("machine builds");
+    let report = m
+        .run(1_000_000_000)
+        .unwrap_or_else(|e| panic!("{name} h={}: {e}", mm.harts));
+    assert!(
+        mm.verify(&mut m).expect("verification reads"),
+        "{name} h={}: wrong result",
+        mm.harts
+    );
+    (Row::of(name, &report.stats), report)
+}
+
 /// Runs one matmul version to completion and returns its row plus the
 /// full run report, for callers that also want the machine-readable
 /// stats (schema `lbp-stats-v1`).
@@ -64,23 +90,7 @@ pub struct Figure {
 /// a figure must never be produced from an incorrect run.
 pub fn measure_with_report(harts: usize, version: Version) -> (Row, lbp_sim::RunReport) {
     let mm = Matmul::new(harts, version);
-    let mut m = mm.machine().expect("machine builds");
-    let report = m
-        .run(1_000_000_000)
-        .unwrap_or_else(|e| panic!("{} h={harts}: {e}", version.name()));
-    assert!(
-        mm.verify(&mut m).expect("verification reads"),
-        "{} h={harts}: wrong result",
-        version.name()
-    );
-    let row = Row {
-        name: version.name().to_owned(),
-        cycles: report.stats.cycles,
-        ipc: report.stats.ipc(),
-        retired: report.stats.retired(),
-        locality: report.stats.locality(),
-    };
-    (row, report)
+    run_matmul(&mm, mm.config(), version.name().to_owned())
 }
 
 /// Runs one matmul version to completion and returns its row.
@@ -158,6 +168,28 @@ pub fn reproduce_figure_with_reports(number: u32) -> (Figure, Vec<(String, lbp_s
     (figure, reports)
 }
 
+/// Appends `rows` as an aligned text table under a header line whose
+/// first column is `first`.
+fn write_rows(s: &mut String, first: &str, rows: &[Row]) {
+    let _ = writeln!(
+        s,
+        "{first:<24} {:>12} {:>8} {:>12} {:>9}",
+        "cycles", "IPC", "retired", "locality"
+    );
+    for r in rows {
+        let loc = if r.locality.is_nan() {
+            "-".to_owned()
+        } else {
+            format!("{:.2}", r.locality)
+        };
+        let _ = writeln!(
+            s,
+            "{:<24} {:>12} {:>8.2} {:>12} {:>9}",
+            r.name, r.cycles, r.ipc, r.retired, loc
+        );
+    }
+}
+
 impl Figure {
     /// Renders the figure as an aligned text table (the three histograms
     /// of the paper, as columns).
@@ -171,23 +203,7 @@ impl Figure {
             self.harts / 4,
             self.harts / 4,
         );
-        let _ = writeln!(
-            s,
-            "{:<24} {:>12} {:>8} {:>12} {:>9}",
-            "version", "cycles", "IPC", "retired", "locality"
-        );
-        for r in &self.rows {
-            let loc = if r.locality.is_nan() {
-                "-".to_owned()
-            } else {
-                format!("{:.2}", r.locality)
-            };
-            let _ = writeln!(
-                s,
-                "{:<24} {:>12} {:>8.2} {:>12} {:>9}",
-                r.name, r.cycles, r.ipc, r.retired, loc
-            );
-        }
+        write_rows(&mut s, "version", &self.rows);
         s
     }
 
@@ -304,25 +320,83 @@ impl Figure {
     }
 }
 
-/// Measures claim **C2**: the cycle and instruction overhead of creating,
-/// distributing and joining a team of `threads` members doing no work.
-pub fn fork_join_overhead(threads: usize) -> Row {
-    use lbp_omp::DetOmp;
-    use lbp_sim::{LbpConfig, Machine};
-    let p = DetOmp::new(threads)
-        .function("empty", "p_ret")
-        .parallel_for("empty");
+/// Runs `regions` consecutive parallel regions of a team of `threads`
+/// members doing no work.
+fn empty_regions(name: String, threads: usize, regions: usize) -> Row {
+    let mut p = lbp_omp::DetOmp::new(threads).function("empty", "p_ret");
+    for _ in 0..regions {
+        p = p.parallel_for("empty");
+    }
     let image = p.build().expect("program assembles");
     let cores = threads.div_ceil(4);
     let mut m = Machine::new(LbpConfig::cores(cores), &image).expect("machine");
     let report = m.run(10_000_000).expect("run");
-    Row {
-        name: format!("fork-join x{threads}"),
-        cycles: report.stats.cycles,
-        ipc: report.stats.ipc(),
-        retired: report.stats.retired(),
-        locality: report.stats.locality(),
-    }
+    Row::of(name, &report.stats)
+}
+
+/// Measures claim **C2**: the cycle and instruction overhead of creating,
+/// distributing and joining a team of `threads` members doing no work.
+pub fn fork_join_overhead(threads: usize) -> Row {
+    empty_regions(format!("fork-join x{threads}"), threads, 1)
+}
+
+/// The two ablations, one row per variant:
+///
+/// - **multiplier latency** 1 / 3 / 8 on the Fig. 19 base matmul: the
+///   cacheless core hides functional-unit latency behind its other harts
+///   (paper §5.2), so cycles must grow far less than the latency does;
+/// - **consecutive regions** 1 / 4 / 16 of an empty 16-member team: the
+///   hardware barrier between regions adds nothing, so a re-spawn costs
+///   what the first spawn did, never more.
+///
+/// Latency 3 is the default, so that row is Fig. 19's `base`, and one
+/// region is `fork-join x16` of claim C2.
+pub fn ablation() -> Vec<Row> {
+    let mm = Matmul::new(16, Version::Base);
+    let mul = [1, 3, 8].map(|lat| {
+        let mut cfg = mm.config();
+        cfg.latencies.mul = lat;
+        run_matmul(&mm, cfg, format!("mul latency {lat}")).0
+    });
+    let regions = [1, 4, 16].map(|n| empty_regions(format!("regions x{n}"), 16, n));
+    mul.into_iter().chain(regions).collect()
+}
+
+/// Renders [`ablation`]'s rows as the table `figures ablation` prints.
+pub fn ablation_table(rows: &[Row]) -> String {
+    let mut s = String::from(
+        "Ablation — multiplier latency (Fig. 19 base matmul); consecutive regions (empty 16-member team)\n",
+    );
+    write_rows(&mut s, "variant", rows);
+    s
+}
+
+/// Checks the two claims [`ablation`] measures, like
+/// [`Figure::check_shapes`].
+///
+/// # Panics
+///
+/// Panics if `rows` are not the six rows of [`ablation`].
+pub fn ablation_checks(rows: &[Row]) -> Vec<(String, bool)> {
+    let [fast, _, slow, one, _, many] = rows else {
+        panic!("the six rows of `ablation`, not {}", rows.len());
+    };
+    vec![
+        (
+            format!(
+                "an 8x slower multiplier costs < 5% ({} vs {} cycles)",
+                slow.cycles, fast.cycles
+            ),
+            slow.cycles * 100 < fast.cycles * 105,
+        ),
+        (
+            format!(
+                "16 regions cost at most 16x one ({} vs {} cycles)",
+                many.cycles, one.cycles
+            ),
+            many.cycles <= 16 * one.cycles,
+        ),
+    ]
 }
 
 /// Compares the energy proxies of LBP and the Phi-class comparator on
@@ -356,7 +430,6 @@ pub fn energy_comparison(harts: usize) -> (f64, f64, lbp_baseline::Activity) {
 /// work on a single core and reports the achieved core IPC.
 pub fn single_core_ipc(members: usize) -> f64 {
     use lbp_omp::DetOmp;
-    use lbp_sim::{LbpConfig, Machine};
     assert!((1..=4).contains(&members));
     let p = DetOmp::new(members)
         .function(
@@ -380,22 +453,9 @@ spin_loop:
 /// Measures claim **C1**: runs the given figure's tiled version twice
 /// with tracing and reports whether the traces are bit-identical.
 pub fn determinism_check(harts: usize) -> bool {
-    use lbp_sim::Machine;
     let mm = Matmul::new(harts, Version::Tiled);
-    let image = mm.build();
     let run = || {
-        let mut m = Machine::new(mm.config().with_trace(), &image).expect("machine");
-        let l = mm.layout();
-        for i in 0..l.n {
-            for k in 0..l.m {
-                m.poke_shared(l.x(i, k), 1).expect("poke");
-            }
-        }
-        for k in 0..l.m {
-            for j in 0..l.n {
-                m.poke_shared(l.y(k, j), 1).expect("poke");
-            }
-        }
+        let mut m = mm.machine_with(mm.config().with_trace()).expect("machine");
         m.run(1_000_000_000).expect("run");
         (m.stats().cycles, m.stats().retired(), m.trace().clone())
     };

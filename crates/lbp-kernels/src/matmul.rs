@@ -247,8 +247,20 @@ impl Matmul {
     ///
     /// Propagates machine-construction faults.
     pub fn machine(&self) -> Result<Machine, SimError> {
+        self.machine_with(self.config())
+    }
+
+    /// [`Matmul::machine`] on a configuration of the caller's: the way to
+    /// run the same program and inputs with tracing on or a latency
+    /// changed. `cfg` must keep the core count and bank sizes of
+    /// [`Matmul::config`], which the layout was computed for.
+    ///
+    /// # Errors
+    ///
+    /// Propagates machine-construction faults.
+    pub fn machine_with(&self, cfg: LbpConfig) -> Result<Machine, SimError> {
         let image = self.build();
-        let mut m = Machine::new(self.config(), &image)?;
+        let mut m = Machine::new(cfg, &image)?;
         let l = self.layout();
         for i in 0..l.n {
             for k in 0..l.m {

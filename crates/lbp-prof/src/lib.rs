@@ -17,10 +17,9 @@
 //!   fork tree as a `chrome://tracing` file of hart-lifetime spans.
 //! * [`hotspot_table`] prints the per-function hot-spot table.
 //! * [`BenchRow`] is the simulator *self*-metrics record (sim-cycles/sec,
-//!   host-ns/sim-cycle, events/sec, peak-RSS proxy) shared by the
-//!   `lbp-bench` throughput suite and the converted benches; a set of
-//!   rows plus an overhead check forms the committed `BENCH_*.json`
-//!   trajectory (kind `bench-suite`).
+//!   host-ns/sim-cycle, events/sec, peak-RSS proxy) that `lbp-batch`
+//!   writes to `bench.jsonl`; the ledger in `benchmark/` counts its
+//!   events with [`BenchRow::events_of`] and reads [`peak_rss_kb`].
 //!
 //! Everything serializes through the dependency-free
 //! [`lbp_sim::json::Json`] writer, so reports are bit-identical across
@@ -175,9 +174,8 @@ fn matrix_json(flat: &[u64], cores: usize) -> Json {
 
 /// Builds the `lbp-prof-v1` profile report for one finished run.
 ///
-/// Layout (`kind` distinguishes the three record shapes of the schema
-/// family — `"profile"` here, `"bench"` / `"bench-suite"` for the
-/// self-metrics):
+/// Layout (`kind` distinguishes the two record shapes of the schema
+/// family — `"profile"` here, `"bench"` for the self-metrics):
 ///
 /// ```json
 /// { "schema": "lbp-prof-v1", "kind": "profile", "program": ...,
@@ -544,7 +542,7 @@ pub fn validate_envelope(record: &Json) -> Result<&str, ProfError> {
         ));
     }
     let kind = require_str(record, "kind", "record")?;
-    if !matches!(kind, "profile" | "bench" | "bench-suite") {
+    if !matches!(kind, "profile" | "bench") {
         return Err(ProfError::new(
             "LBP-P002",
             format!("unknown record kind `{kind}`"),
@@ -607,17 +605,6 @@ pub fn validate(record: &Json) -> Result<&str, ProfError> {
         }
         "bench" => {
             validate_bench_row(record)?;
-        }
-        "bench-suite" => {
-            require_str(record, "bench_id", "bench-suite record")?;
-            require_str(record, "invocation", "bench-suite record")?;
-            let rows = record.get("rows").and_then(Json::as_arr).ok_or_else(|| {
-                ProfError::new("LBP-P003", "bench-suite record has no `rows` array")
-            })?;
-            for (i, row) in rows.iter().enumerate() {
-                validate_bench_row(row)
-                    .map_err(|e| ProfError::new(e.code, format!("rows[{i}]: {}", e.message)))?;
-            }
         }
         _ => unreachable!("validate_envelope admits only known kinds"),
     }

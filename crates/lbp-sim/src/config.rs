@@ -5,11 +5,12 @@ use lbp_isa::{HartId, HARTS_PER_CORE, LOCAL_BASE};
 use crate::fault::{Fault, FaultPlan};
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 
-/// Functional-unit and interconnect latencies, in cycles.
+/// Functional-unit latencies, in cycles.
 ///
 /// The defaults model the FPGA implementation the paper reports on: a
-/// single-cycle ALU, a short pipelined multiplier, an iterative divider,
-/// single-cycle link hops and single-cycle bank service.
+/// single-cycle ALU, a short pipelined multiplier and an iterative
+/// divider. Link hops and bank service take one cycle each by
+/// construction of the interconnect model; they are not knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Latencies {
     /// ALU operations (result available the next cycle).
@@ -18,10 +19,6 @@ pub struct Latencies {
     pub mul: u32,
     /// RV32M divisions/remainders.
     pub div: u32,
-    /// One traversal of any inter-core or router link.
-    pub link_hop: u32,
-    /// Bank access time once a request is at the bank port.
-    pub bank: u32,
 }
 
 impl Default for Latencies {
@@ -30,8 +27,6 @@ impl Default for Latencies {
             alu: 1,
             mul: 3,
             div: 12,
-            link_hop: 1,
-            bank: 1,
         }
     }
 }
@@ -64,7 +59,7 @@ pub struct LbpConfig {
     pub it_entries: usize,
     /// `p_swre`/`p_lwre` result-buffer slots per hart.
     pub result_slots: usize,
-    /// Functional-unit and interconnect latencies.
+    /// Functional-unit latencies.
     pub latencies: Latencies,
     /// Record a full event trace (costly; for determinism checks and
     /// debugging).
@@ -145,18 +140,28 @@ impl Latencies {
         w.u32(self.alu);
         w.u32(self.mul);
         w.u32(self.div);
-        w.u32(self.link_hop);
-        w.u32(self.bank);
+        // Two reserved words of the format (once a `link_hop` and a
+        // `bank` latency that nothing read): always 1, which keeps every
+        // snapshot byte and content hash what older containers hold.
+        w.u32(1);
+        w.u32(1);
     }
 
     pub(crate) fn unsnap(r: &mut SnapReader<'_>) -> Result<Latencies, SnapError> {
-        Ok(Latencies {
+        let lat = Latencies {
             alu: r.u32()?,
             mul: r.u32()?,
             div: r.u32()?,
-            link_hop: r.u32()?,
-            bank: r.u32()?,
-        })
+        };
+        for reserved in ["link_hop", "bank"] {
+            let value = r.u32()?;
+            if value != 1 {
+                return Err(SnapError::Corrupt(format!(
+                    "reserved latency word `{reserved}` is {value}, not 1"
+                )));
+            }
+        }
+        Ok(lat)
     }
 }
 

@@ -185,3 +185,31 @@ fn truncated_and_corrupt_snapshots_are_rejected() {
         }
     }
 }
+
+/// The two words after the `alu`/`mul`/`div` latencies held a `link_hop`
+/// and a `bank` latency that nothing read; they are reserved now and
+/// always 1, and a snapshot that says otherwise asks for a machine this
+/// simulator cannot build.
+#[test]
+fn reserved_latency_words_other_than_one_are_rejected() {
+    let mut m = machine(2, &busy_program());
+    m.run_to(20).unwrap();
+    let bytes = m.snapshot().as_bytes().to_vec();
+    let words: Vec<u8> = [1u32, 3, 12, 1, 1]
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    let at = bytes
+        .windows(words.len())
+        .position(|w| w == words)
+        .expect("the default latencies are in the static section");
+    for (word, name) in [(3, "link_hop"), (4, "bank")] {
+        let mut bent = bytes.clone();
+        bent[at + 4 * word] = 2;
+        let state = MachineState::from_bytes(bent).unwrap();
+        match Machine::restore(&state) {
+            Err(SnapError::Corrupt(msg)) => assert!(msg.contains(name), "{msg}"),
+            other => panic!("`{name}` = 2 must be refused, got {:?}", other.map(|_| ())),
+        }
+    }
+}

@@ -365,6 +365,10 @@ fn parse_args() -> Options {
         eprintln!("lbp-run: --sabotage only makes sense with --lockstep");
         ExitClass::Usage.exit();
     }
+    if opts.diag_json.is_some() && !opts.verify {
+        eprintln!("lbp-run: --diag-json writes the report of --verify; a run has none");
+        ExitClass::Usage.exit();
+    }
     if opts.cores == 0 || opts.cores > 4096 {
         eprintln!("lbp-run: --cores must be between 1 and 4096");
         ExitClass::Usage.exit();
@@ -509,69 +513,56 @@ fn run_verify_mode(opts: &Options, source: &str) -> ExitCode {
     }
 }
 
-/// `--checkpoint-every N`: run in N-cycle legs, writing an `lbp-snap-v1`
-/// snapshot after each one. Checkpointing never changes the run — the
-/// machine is cycle-deterministic and `run_to` stops on exact cycle
-/// boundaries — so the final report equals an uncheckpointed run's.
-fn run_with_checkpoints(
-    machine: &mut Machine,
-    opts: &Options,
-) -> Result<RunReport, Box<SimFailure>> {
-    loop {
-        let cur = machine.stats().cycles;
-        if cur >= opts.max_cycles {
-            // Out of budget: let run_diagnosed raise the timeout with its
-            // crash dump attached.
-            return machine.run_diagnosed(opts.max_cycles);
-        }
-        let target = cur
-            .saturating_add(opts.checkpoint_every)
-            .min(opts.max_cycles);
-        if machine.run_to(target)? {
-            return Ok(machine.report());
-        }
-        let state = machine.snapshot();
-        let path = format!("{}{}.lbpsnap", opts.checkpoint_prefix, state.cycle());
-        match lbp::snap::save(&state, &path) {
-            Ok(()) => eprintln!("lbp-run: checkpoint written to {path}"),
-            Err(e) => eprintln!("lbp-run: cannot write checkpoint `{path}`: {e}"),
-        }
+/// Writes the paused machine's state to `<prefix><cycle>.lbpsnap`.
+fn save_checkpoint(machine: &Machine, opts: &Options) {
+    let state = machine.snapshot();
+    let path = format!("{}{}.lbpsnap", opts.checkpoint_prefix, state.cycle());
+    match lbp::snap::save(&state, &path) {
+        Ok(()) => eprintln!("lbp-run: checkpoint written to {path}"),
+        Err(e) => eprintln!("lbp-run: cannot write checkpoint `{path}`: {e}"),
     }
 }
 
-/// `--wall-ms MS`: run cooperatively, polling the host clock at cycle
-/// boundaries. A run past its wall budget is cancelled *gracefully* —
-/// the machine stays valid, so a partial `lbp-dump-v1` report can still
-/// be taken — and the caller maps it to exit code 11. Composes with
-/// `--checkpoint-every`: legs shrink to the checkpoint interval and a
-/// snapshot is written after each completed leg.
-fn run_with_wall_clock(
+/// `--checkpoint-every N` and `--wall-ms MS`, alone or together: run in
+/// slices, stopping on exact cycle boundaries, so neither changes the run
+/// — the final report equals an unsliced run's.
+///
+/// With `--checkpoint-every` a slice is N cycles and an `lbp-snap-v1`
+/// snapshot is written at every boundary the run reaches without
+/// exiting, the cycle budget's included. With `--wall-ms` the host clock
+/// is polled at each boundary and a run past its budget is cancelled
+/// *gracefully* (`None`): the machine stays valid, so a partial
+/// `lbp-dump-v1` report can still be taken, and the caller exits 11.
+fn run_in_slices(
     machine: &mut Machine,
     opts: &Options,
-    wall_ms: u64,
 ) -> Result<Option<RunReport>, Box<SimFailure>> {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(wall_ms);
-    let slice = if opts.checkpoint_every > 0 {
+    let deadline = opts
+        .wall_ms
+        .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
+    let checkpointing = opts.checkpoint_every > 0;
+    let slice = if checkpointing {
         opts.checkpoint_every
     } else {
         10_000
     };
+    let start = machine.stats().cycles;
     let pause = machine.run_cooperative(opts.max_cycles, slice, |m| {
-        if opts.checkpoint_every > 0 && m.stats().cycles < opts.max_cycles {
-            let state = m.snapshot();
-            let path = format!("{}{}.lbpsnap", opts.checkpoint_prefix, state.cycle());
-            match lbp::snap::save(&state, &path) {
-                Ok(()) => eprintln!("lbp-run: checkpoint written to {path}"),
-                Err(e) => eprintln!("lbp-run: cannot write checkpoint `{path}`: {e}"),
-            }
+        if checkpointing {
+            save_checkpoint(m, opts);
         }
-        std::time::Instant::now() < deadline
+        deadline.is_none_or(|d| std::time::Instant::now() < d)
     })?;
     match pause {
         RunPause::Exited => Ok(Some(machine.report())),
-        // Out of cycle budget before wall budget: re-raise the timeout
-        // with its crash dump attached, as the plain run path would.
-        RunPause::Target => machine.run_diagnosed(opts.max_cycles).map(Some),
+        RunPause::Target => {
+            if checkpointing && machine.stats().cycles > start {
+                save_checkpoint(machine, opts);
+            }
+            // Out of cycle budget: let run_diagnosed raise the timeout
+            // with its crash dump attached, as the plain run path would.
+            machine.run_diagnosed(opts.max_cycles).map(Some)
+        }
         RunPause::Cancelled => Ok(None),
     }
 }
@@ -893,10 +884,8 @@ fn main() -> ExitCode {
         };
         machine.set_sink(sink);
     }
-    let run_result = if let Some(wall_ms) = opts.wall_ms {
-        run_with_wall_clock(&mut machine, &opts, wall_ms)
-    } else if opts.checkpoint_every > 0 {
-        run_with_checkpoints(&mut machine, &opts).map(Some)
+    let run_result = if opts.wall_ms.is_some() || opts.checkpoint_every > 0 {
+        run_in_slices(&mut machine, &opts)
     } else {
         machine.run_diagnosed(opts.max_cycles).map(Some)
     };

@@ -90,6 +90,15 @@ fn exit_2_usage_errors() {
         ExitClass::Usage,
         "--bisect without --fault"
     );
+    assert_eq!(
+        code(
+            lbp_run()
+                .arg(example("mul.s"))
+                .args(["--diag-json", "d.json"])
+        ),
+        ExitClass::Usage,
+        "--diag-json without --verify"
+    );
 }
 
 #[test]
@@ -322,6 +331,41 @@ fn checkpoint_resume_reaches_the_same_state() {
         "a resumed run must report the same stats as the original"
     );
     harness::scratch_cleanup(&dir);
+}
+
+#[test]
+fn checkpoints_are_the_same_files_with_and_without_a_watchdog() {
+    // A checkpoint at every interval boundary the run reaches without
+    // exiting, the cycle budget's included; then the timeout. An
+    // unexpired `--wall-ms` changes neither the files nor the exit.
+    let p = scratch("spin-ck.s", "main:\nloop:\n  j loop\n");
+    for (max_cycles, want) in [("20", vec![10, 20]), ("25", vec![10, 20, 25])] {
+        for watchdog in [&[][..], &["--wall-ms", "100000"]] {
+            let dir = harness::scratch_dir(&format!("ckpt-files-{max_cycles}-{}", watchdog.len()));
+            let out = lbp_run()
+                .arg(&p)
+                .args(["--cores", "1", "--max-cycles", max_cycles])
+                .args(["--checkpoint-every", "10", "--checkpoint-prefix"])
+                .arg(dir.join("ck-"))
+                .args(watchdog)
+                .output()
+                .unwrap();
+            assert_eq!(class_of(out.status), ExitClass::Timeout, "{watchdog:?}");
+            let mut written: Vec<u64> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .map(|f| {
+                    let cycle = f
+                        .strip_prefix("ck-")
+                        .and_then(|f| f.strip_suffix(".lbpsnap"));
+                    cycle.and_then(|c| c.parse().ok()).expect("a checkpoint")
+                })
+                .collect();
+            written.sort_unstable();
+            assert_eq!(written, want, "--max-cycles {max_cycles} {watchdog:?}");
+            harness::scratch_cleanup(&dir);
+        }
+    }
 }
 
 #[test]

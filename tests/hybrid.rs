@@ -7,6 +7,7 @@
 
 use lbp::asm::Image;
 use lbp::kernels::matmul::{Matmul, Version};
+use lbp::omp::DetOmp;
 use lbp::sim::{EventKind, FastEngine, FastStop, Fault, FaultPlan, LbpConfig, Machine};
 
 const MAX_CYCLES: u64 = 100_000_000;
@@ -17,7 +18,9 @@ fn repo(rel: &str) -> String {
 }
 
 /// Every example program the suite proves the handoff on: assembly
-/// examples, compiled C samples, and a kernels-built fork tree.
+/// examples, compiled C samples, a kernels-built fork tree, and two
+/// `DetOmp` teams — four members of pure ALU work on one core, and an
+/// empty 16-member team, which is all spawn, barrier and join.
 fn example_images() -> Vec<(String, Image, usize)> {
     let mut out = Vec::new();
     for (file, cores) in [("examples/asm/mul.s", 1), ("examples/asm/fork2.s", 2)] {
@@ -36,6 +39,15 @@ fn example_images() -> Vec<(String, Image, usize)> {
     }
     let mm = Matmul::new(16, Version::Base);
     out.push(("kernels/matmul-base-16".to_owned(), mm.build(), mm.cores()));
+    let spin = "li a2, 2000\nli a3, 0\nspin_loop:\naddi a3, a3, 1\nxori a3, a3, 5\n\
+                addi a2, a2, -1\nbnez a2, spin_loop\np_ret";
+    for (name, members, body) in [
+        ("omp/spin-alu-4", 4, spin),
+        ("omp/fork-join-16", 16, "p_ret"),
+    ] {
+        let p = DetOmp::new(members).function("f", body).parallel_for("f");
+        out.push((name.to_owned(), p.build().unwrap(), members.div_ceil(4)));
+    }
     out
 }
 
