@@ -87,6 +87,11 @@ impl CodeBank {
         }
     }
 
+    /// How many words the bank holds.
+    pub fn words(&self) -> usize {
+        self.words.len()
+    }
+
     /// The decoded instruction at `pc` (no contention). An undecodable
     /// word is an error only here, when it is actually fetched, and the
     /// error carries the raw word.
@@ -150,9 +155,17 @@ pub(crate) fn is_code_word(words: usize, pc: u32) -> bool {
 
 /// The shared bank (the number of the core that owns it) holding a
 /// shared-space address, and the byte offset inside that bank.
+#[inline]
 pub(crate) fn shared_slot(addr: u32, shared_bank_bytes: u32) -> (u32, u32) {
     let rel = addr - SHARED_BASE;
-    (rel / shared_bank_bytes, rel % shared_bank_bytes)
+    if shared_bank_bytes.is_power_of_two() {
+        // A shift and a mask where a divide and a remainder would do the
+        // same: this runs per request, per port service and per hop.
+        let shift = shared_bank_bytes.trailing_zeros();
+        (rel >> shift, rel & (shared_bank_bytes - 1))
+    } else {
+        (rel / shared_bank_bytes, rel % shared_bank_bytes)
+    }
 }
 
 /// The port a data access goes to.

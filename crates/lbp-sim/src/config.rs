@@ -51,9 +51,14 @@ pub struct LbpConfig {
     /// Bytes of shared bank per core; the global shared space is the
     /// concatenation of all shared banks.
     pub shared_bank_bytes: u32,
-    /// Renaming (physical) registers per hart.
+    /// Renaming (physical) registers per hart, 34 to 64: the 32
+    /// architectural registers, at least two to rename into, and no more
+    /// than the one word of ready flags has bits. Outside that range the
+    /// machine refuses to be built ([`SimError::Protocol`](crate::SimError)).
     pub phys_regs: usize,
-    /// Reorder-buffer entries per hart.
+    /// Reorder-buffer entries per hart, at most 64 (one word of flags over
+    /// the instructions in flight; more is refused like `phys_regs`). With
+    /// 0, as with 0 `it_entries`, nothing renames and the run deadlocks.
     pub rob_entries: usize,
     /// Instruction-table (waiting-station) entries per hart.
     pub it_entries: usize,
@@ -114,6 +119,21 @@ impl LbpConfig {
     /// Total bytes of the global shared space.
     pub fn shared_bytes(&self) -> u64 {
         self.shared_bank_bytes as u64 * self.cores as u64
+    }
+
+    /// Whether a hart's pipeline can hold this configuration; if not, the
+    /// field that is out of range and the range.
+    pub(crate) fn check_pipeline(&self) -> Result<(), String> {
+        if !(34..=64).contains(&self.phys_regs) {
+            return Err(format!("phys_regs = {} is outside 34..=64", self.phys_regs));
+        }
+        if self.rob_entries > 64 {
+            return Err(format!(
+                "rob_entries = {} is outside 0..=64",
+                self.rob_entries
+            ));
+        }
+        Ok(())
     }
 
     /// Enables event tracing.
@@ -205,7 +225,7 @@ impl LbpConfig {
             let spec = r.str()?;
             faults.push(Fault::parse(&spec).map_err(SnapError::Corrupt)?);
         }
-        Ok(LbpConfig {
+        let cfg = LbpConfig {
             cores,
             local_bank_bytes,
             shared_bank_bytes,
@@ -217,7 +237,11 @@ impl LbpConfig {
             trace,
             sample_interval,
             faults,
-        })
+        };
+        match cfg.check_pipeline() {
+            Ok(()) => Ok(cfg),
+            Err(why) => Err(SnapError::Corrupt(format!("configuration: {why}"))),
+        }
     }
 }
 

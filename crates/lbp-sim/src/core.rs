@@ -12,10 +12,10 @@ use std::collections::VecDeque;
 use lbp_isa::{HartId, IdentityWord, Instr, OpKind, HARTS_PER_CORE};
 
 use crate::bank::{MemSys, Route};
-use crate::config::Latencies;
+use crate::config::{Latencies, LbpConfig};
 use crate::error::SimError;
 use crate::fabric::Fabric;
-use crate::hart::{Fetched, HartCtx, HartState, ItEntry, Rb, RbWait};
+use crate::hart::{Fetched, HartCtx, HartState, Rb, RbWait, Slot};
 use crate::msg::{CoreMsg, NetMsg};
 use crate::observe::Observers;
 use crate::stats::{StallKind, Stats};
@@ -50,7 +50,7 @@ pub(crate) struct Env<'a> {
 #[derive(Debug)]
 pub(crate) struct Core {
     pub index: u32,
-    pub harts: Vec<HartCtx>,
+    pub harts: [HartCtx; HARTS_PER_CORE],
     rr: [usize; 5],
     /// Pending fork requests (own `p_fc`s and `ForkReq`s from the
     /// predecessor core), satisfied one per cycle in arrival order.
@@ -68,27 +68,37 @@ pub(crate) struct Core {
     /// serialized: whoever sets hart states from outside the pipeline
     /// (boot, restore, the hybrid handoff) calls [`Core::recount_live`].
     live: usize,
+    /// The harts whose `syncm_wait` is set, one bit each: what lets a
+    /// cycle skip [`Core::release_syncm`], which almost every cycle can.
+    /// Derived like `live`, and re-derived in the same place.
+    syncm: u8,
 }
 
 impl Core {
     pub fn new(index: u32, mk_hart: impl Fn(HartId) -> HartCtx) -> Core {
         Core {
             index,
-            harts: (0..HARTS_PER_CORE as u32)
-                .map(|l| mk_hart(HartId::from_parts(index, l)))
-                .collect(),
+            harts: std::array::from_fn(|l| mk_hart(HartId::from_parts(index, l as u32))),
             rr: [0; 5],
             // Each hart has at most one fork request outstanding, and
             // requests come from this core and its predecessor.
             alloc_q: VecDeque::with_capacity(2 * HARTS_PER_CORE),
             free_q: (0..HARTS_PER_CORE as u32).collect(),
             live: 0,
+            syncm: 0,
         }
     }
 
-    /// Re-derives the live-hart count after hart states were set directly.
+    /// Re-derives the live-hart count and the `p_syncm` mask after hart
+    /// states were set directly.
     pub fn recount_live(&mut self) {
         self.live = self.count_live();
+        self.syncm = self.syncm_mask();
+    }
+
+    fn syncm_mask(&self) -> u8 {
+        let bit = |(l, h): (usize, &HartCtx)| (h.syncm_wait as u8) << l;
+        self.harts.iter().enumerate().map(bit).sum()
     }
 
     fn count_live(&self) -> usize {
@@ -117,12 +127,16 @@ impl Core {
 
     pub(crate) fn unsnap(
         r: &mut crate::snapshot::SnapReader<'_>,
+        cfg: &LbpConfig,
     ) -> Result<Core, crate::snapshot::SnapError> {
         let index = r.u32()?;
-        let mut harts = Vec::new();
-        for _ in 0..r.seq()? {
-            harts.push(HartCtx::unsnap(r)?);
-        }
+        let harts = (0..r.seq()?)
+            .map(|_| HartCtx::unsnap(r, cfg))
+            .collect::<Result<Vec<_>, _>>()?;
+        let harts = harts.try_into().map_err(|harts: Vec<_>| {
+            let n = harts.len();
+            crate::snapshot::SnapError::Corrupt(format!("core {index} has {n} harts"))
+        })?;
         let mut rr = [0usize; 5];
         for p in &mut rr {
             *p = r.u64()? as usize;
@@ -148,6 +162,7 @@ impl Core {
             alloc_q,
             free_q,
             live: 0,
+            syncm: 0,
         };
         core.recount_live();
         Ok(core)
@@ -155,25 +170,14 @@ impl Core {
 
     /// Round-robin selection of one hart satisfying `pred`, advancing the
     /// stage pointer past the chosen hart.
+    #[inline]
     fn select(&mut self, stage: usize, pred: impl Fn(&HartCtx) -> bool) -> Option<usize> {
-        self.select_with(stage, |h| pred(h).then_some(()))
-            .map(|(i, ())| i)
-    }
-
-    /// Round-robin selection of the first hart for which `pick` finds
-    /// something, returned with what it found; advances the stage pointer
-    /// past the chosen hart.
-    fn select_with<T>(
-        &mut self,
-        stage: usize,
-        pick: impl Fn(&HartCtx) -> Option<T>,
-    ) -> Option<(usize, T)> {
         let start = self.rr[stage];
         for k in 0..HARTS_PER_CORE {
             let i = (start + k) % HARTS_PER_CORE;
-            if let Some(found) = pick(&self.harts[i]) {
+            if pred(&self.harts[i]) {
                 self.rr[stage] = (i + 1) % HARTS_PER_CORE;
-                return Some((i, found));
+                return Some(i);
             }
         }
         None
@@ -203,8 +207,11 @@ impl Core {
     /// stage sees the state its predecessors left at the end of the
     /// previous cycle).
     pub fn tick(&mut self, env: &mut Env<'_>) -> Result<(), SimError> {
+        debug_assert_eq!(self.syncm, self.syncm_mask());
         self.process_alloc(env)?;
-        self.release_syncm(env.now);
+        if self.syncm != 0 {
+            self.release_syncm(env.now);
+        }
         let committed = self.stage_commit(env)?;
         self.stage_writeback(env);
         self.stage_issue(env)?;
@@ -232,8 +239,7 @@ impl Core {
     /// in-flight instruction (ROB head), else the fetched-but-unrenamed
     /// instruction, else the next fetch pc.
     fn blame_loc(h: &HartCtx) -> Option<u32> {
-        h.rob
-            .front()
+        h.head()
             .map(|e| e.pc)
             .or_else(|| h.ib.as_ref().map(|f| f.pc))
             .or(h.pc)
@@ -254,10 +260,9 @@ impl Core {
         // Synchronization: a committing p_ret held by the barrier, or a
         // draining p_syncm.
         for h in self.harts.iter().filter(running) {
-            let pret_blocked = h
-                .rob
-                .front()
-                .is_some_and(|e| e.done && e.is_pret && !(h.end_signal && h.in_flight_mem == 0));
+            // A head that has written back and still cannot commit is a
+            // `p_ret`.
+            let pret_blocked = h.head_done() && !h.can_commit();
             if pret_blocked || h.syncm_wait {
                 return (StallKind::SyncWait, Self::blame_loc(h));
             }
@@ -289,7 +294,7 @@ impl Core {
         }
         // Instructions waiting in the table with no ready operands.
         for h in self.harts.iter().filter(running) {
-            if !h.it.is_empty() && h.oldest_ready().is_none() {
+            if h.it_len() != 0 && h.oldest_ready().is_none() {
                 return (StallKind::OperandWait, Self::blame_loc(h));
             }
         }
@@ -336,6 +341,7 @@ impl Core {
         let child = HartId::from_parts(self.index, child_local as u32);
         let sp = env.mem.banks.cv_base(child);
         self.harts[child_local].allocate(sp);
+        self.syncm &= !(1 << child_local);
         self.live += 1;
         env.stats.forks += 1;
         env.obs.event(env.now, requester, EventKind::Fork { child });
@@ -367,9 +373,10 @@ impl Core {
 
     /// Releases harts whose `p_syncm` drain condition is now met.
     fn release_syncm(&mut self, now: u64) {
-        for h in &mut self.harts {
+        for (l, h) in self.harts.iter_mut().enumerate() {
             if h.syncm_wait && h.mem_drained() {
                 h.syncm_wait = false;
+                self.syncm &= !(1 << l);
                 h.unsuspend_next(now);
             }
         }
@@ -423,6 +430,7 @@ impl Core {
                 // drain (released by `release_syncm`).
                 h.pc = Some(f.pc.wrapping_add(4));
                 h.syncm_wait = true;
+                self.syncm |= 1 << i;
             }
             _ => {
                 h.pc = Some(f.pc.wrapping_add(4));
@@ -432,21 +440,15 @@ impl Core {
     }
 
     fn stage_issue(&mut self, env: &mut Env<'_>) -> Result<(), SimError> {
-        let Some((i, idx)) = self.select_with(ST_ISSUE, |h| {
-            if h.rb.is_some() {
-                return None;
-            }
-            h.oldest_ready()
-        }) else {
+        let Some(i) = self.select(ST_ISSUE, |h| h.rb.is_none() && h.oldest_ready().is_some())
+        else {
             return Ok(());
         };
-        let entry = self.harts[i].it.remove(idx);
-        if entry.instr.is_mem() {
-            self.harts[i].mem_in_it -= 1;
-        }
+        let seq = self.harts[i].oldest_ready().expect("checked by predicate");
+        let entry = self.harts[i].issue(seq);
         let wait = self.execute(i, &entry, env)?;
         self.harts[i].rb = Some(Rb {
-            seq: entry.seq,
+            seq,
             dest: entry.dest,
             wait,
         });
@@ -458,7 +460,7 @@ impl Core {
     fn execute(
         &mut self,
         hart_idx: usize,
-        e: &ItEntry,
+        e: &Slot,
         env: &mut Env<'_>,
     ) -> Result<RbWait, SimError> {
         let now = env.now;
@@ -648,7 +650,7 @@ impl Core {
                 if rd.is_zero() {
                     // p_ret: resolved here, acted on at commit (in team
                     // order).
-                    self.harts[hart_idx].rob_set_pret(e.seq, v1, v2);
+                    self.harts[hart_idx].pret = Some((v1, v2));
                     silent
                 } else {
                     // Parallelized call: jump locally to rs2, start the
@@ -774,9 +776,10 @@ impl Core {
             _ => unreachable!("predicate admits only completed buffers"),
         };
         if let Some(dest) = rb.dest {
-            let slot = &mut h.prf[dest as usize];
-            slot.value = value.expect("instruction with a destination produced a value");
-            slot.ready = true;
+            h.write_phys(
+                dest,
+                value.expect("instruction with a destination produced a value"),
+            );
         }
         h.rob_mark_done(rb.seq);
     }
@@ -784,31 +787,19 @@ impl Core {
     /// Commits at most one instruction; returns the committed pc, if one
     /// retired.
     fn stage_commit(&mut self, env: &mut Env<'_>) -> Result<Option<u32>, SimError> {
-        let Some(i) = self.select(ST_COMMIT, |h| {
-            h.rob.front().is_some_and(|e| {
-                // A p_ret additionally needs the team predecessor's ending
-                // signal AND a quiescent memory interface: the hardware
-                // barrier guarantees that a consuming region's loads see
-                // the producing region's stores (paper §3, Fig. 4), which
-                // only holds if a hart's stores are done before it ends.
-                e.done && (!e.is_pret || (h.end_signal && h.in_flight_mem == 0))
-            })
-        }) else {
+        let Some(i) = self.select(ST_COMMIT, HartCtx::can_commit) else {
             return Ok(None);
         };
         let h = &mut self.harts[i];
-        let entry = h.rob.pop_front().expect("checked by predicate");
-        if let Some((_new, Some(old))) = entry.dest {
-            h.free_phys.push_back(old);
-        }
+        let (pc, is_pret) = h.pop_head();
         let id = h.id;
         env.stats.retired_per_hart[id.global() as usize] += 1;
-        env.obs
-            .event(env.now, id, EventKind::Commit { pc: entry.pc });
-        if entry.is_pret {
-            self.commit_p_ret(i, entry.pret.expect("p_ret resolved at issue"), env)?;
+        env.obs.event(env.now, id, EventKind::Commit { pc });
+        if is_pret {
+            let resolved = h.pret.take().expect("p_ret resolved at issue");
+            self.commit_p_ret(i, resolved, env)?;
         }
-        Ok(Some(entry.pc))
+        Ok(Some(pc))
     }
 
     /// The four ending types of a committing `p_ret` (paper §4).

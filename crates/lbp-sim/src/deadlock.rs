@@ -113,16 +113,14 @@ pub(crate) fn classify(h: &HartCtx) -> HartProgress {
     }
     // Commit: a done ROB head retires — unless it is a p_ret gated on the
     // team barrier.
-    if let Some(e) = h.rob.front() {
-        if e.done {
-            if !e.is_pret || (h.end_signal && h.in_flight_mem == 0) {
-                return Ready;
-            }
-            if !h.end_signal {
-                return Blocked(Waiting::EndSignal);
-            }
-            return Blocked(Waiting::PretDrain);
+    if h.head_done() {
+        if h.can_commit() {
+            return Ready;
         }
+        if !h.end_signal {
+            return Blocked(Waiting::EndSignal);
+        }
+        return Blocked(Waiting::PretDrain);
     }
     // A draining p_syncm (release_syncm fires the moment the drain holds).
     if h.syncm_wait {
@@ -132,14 +130,14 @@ pub(crate) fn classify(h: &HartCtx) -> HartProgress {
         return Blocked(Waiting::SyncmDrain);
     }
     // Issue: the instruction table holds work; is any entry eligible?
-    if !h.it.is_empty() {
+    if h.it_len() != 0 {
         if h.oldest_ready().is_some() {
             return Ready;
         }
         // Name the first `p_lwre` gated on an empty receive slot — the
         // classic "the producer never sent my result" deadlock.
-        for e in &h.it {
-            if let Instr::PLwre { offset, .. } = e.instr {
+        for seq in h.waiting_seqs() {
+            if let Instr::PLwre { offset, .. } = h.slot(seq).instr {
                 let slot = offset as usize;
                 if h.recv.get(slot).is_none_or(|q| q.is_empty()) {
                     return Blocked(Waiting::RecvSlot(slot));

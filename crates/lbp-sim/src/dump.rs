@@ -72,9 +72,9 @@ impl HartDump {
             state: state.to_owned(),
             pc: h.pc,
             waiting_on,
-            rob: h.rob.len(),
-            rob_head_pc: h.rob.front().map(|e| e.pc),
-            it: h.it.len(),
+            rob: h.rob_len(),
+            rob_head_pc: h.head().map(|e| e.pc),
+            it: h.it_len(),
             rb,
             in_flight_mem: h.in_flight_mem,
             recv: h.recv.iter().map(|q| q.len()).collect(),

@@ -183,8 +183,11 @@ impl FastEngine {
     ///
     /// # Errors
     ///
-    /// Fails if the initialized data exceeds the configured shared space.
+    /// Fails if the initialized data exceeds the configured shared space,
+    /// or if the configuration is one the cycle-exact machine refuses
+    /// (this engine could not hand over to it).
     pub fn new(cfg: LbpConfig, image: &Image) -> Result<FastEngine, SimError> {
+        crate::machine::validate_pipeline(&cfg)?;
         let cores = cfg.cores;
         let banks = Banks::new(&cfg, &image.data)?;
         let mut harts: Vec<FHart> = (0..cfg.harts())

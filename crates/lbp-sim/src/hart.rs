@@ -1,18 +1,21 @@
 //! Per-hart microarchitectural state: program counter, instruction buffer,
-//! renaming table, renaming register file, instruction table (waiting
-//! station), reorder buffer, result buffer and `p_swre` receive slots
-//! (paper Figs. 11-12).
+//! renaming table, renaming register file, the in-flight window that is
+//! both instruction table (waiting station) and reorder buffer, the result
+//! buffer and the `p_swre` receive slots (paper Figs. 11-12).
 
 use std::collections::VecDeque;
 
 use lbp_isa::{HartId, Instr, Reg};
 
+use crate::config::LbpConfig;
+use crate::index_set::members;
 use crate::snapshot::{
     get_hart, get_instr, put_hart, put_instr, SnapError, SnapReader, SnapWriter,
 };
 
-/// Index into a hart's renaming (physical) register file.
-pub(crate) type PhysReg = u16;
+/// Index into a hart's renaming (physical) register file, which has at
+/// most 64 registers: one bit each in a `u64`.
+pub(crate) type PhysReg = u8;
 
 /// Lifecycle of a hart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,13 +28,6 @@ pub(crate) enum HartState {
     Running,
     /// Ended with a type-2 `p_ret`; waiting for a join address.
     WaitingJoin,
-}
-
-/// One renamed-register-file entry.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PrfEntry {
-    pub value: u32,
-    pub ready: bool,
 }
 
 /// One predecoded code word: the instruction plus the operand facts the
@@ -69,16 +65,43 @@ pub(crate) struct Fetched {
     pub op: Decoded,
 }
 
-/// One instruction-table (waiting station) entry.
+/// One in-flight instruction: what rename made of it, kept in the window
+/// from rename to commit. Issue reads all of it; afterwards only `pc`,
+/// `old` and `is_pret` are looked at again, by commit.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ItEntry {
-    pub seq: u64,
+pub(crate) struct Slot {
     pub pc: u32,
     pub instr: Instr,
     /// Renamed sources (positionally rs1, rs2); `None` reads as zero.
     pub srcs: [Option<PhysReg>; 2],
     /// Renamed destination.
     pub dest: Option<PhysReg>,
+    /// The mapping `dest` replaced, freed at commit.
+    pub old: Option<PhysReg>,
+    pub is_pret: bool,
+    pub is_mem: bool,
+    /// One bit per renamed source: the registers issue waits for.
+    need: u64,
+}
+
+impl Slot {
+    /// What a slot holds before its first rename; nothing reads it.
+    const EMPTY: Slot = Slot {
+        pc: 0,
+        instr: Instr::NOP,
+        srcs: [None; 2],
+        dest: None,
+        old: None,
+        is_pret: false,
+        is_mem: false,
+        need: 0,
+    };
+}
+
+/// The registers `srcs` names, one bit each.
+#[inline]
+fn need_of(srcs: [Option<PhysReg>; 2]) -> u64 {
+    srcs.iter().flatten().fold(0, |need, &p| need | 1 << p)
 }
 
 /// What the 1-entry result buffer is waiting for.
@@ -104,19 +127,6 @@ pub(crate) struct Rb {
     pub wait: RbWait,
 }
 
-/// One reorder-buffer entry (in-order commit).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RobEntry {
-    pub seq: u64,
-    pub pc: u32,
-    pub done: bool,
-    /// `(new_phys, old_phys)`: the old mapping is freed at commit.
-    pub dest: Option<(PhysReg, Option<PhysReg>)>,
-    /// For `p_ret`: the resolved `(ra, t0)` pair, filled at issue.
-    pub pret: Option<(u32, u32)>,
-    pub is_pret: bool,
-}
-
 /// Full per-hart context.
 #[derive(Debug)]
 pub(crate) struct HartCtx {
@@ -137,12 +147,33 @@ pub(crate) struct HartCtx {
     pub ib: Option<Fetched>,
     /// Renaming table: architectural → physical.
     pub rat: [PhysReg; 32],
-    pub prf: Vec<PrfEntry>,
+    /// The renaming registers' values. Written through
+    /// [`HartCtx::write_phys`], which keeps `ready` in step.
+    pub prf: Vec<u32>,
+    /// Bit `p`: `prf[p]` holds its value (cleared by the rename that
+    /// hands `p` out, set by the write-back into it).
+    ready: u64,
     pub free_phys: VecDeque<PhysReg>,
-    pub it: Vec<ItEntry>,
-    pub rob: VecDeque<RobEntry>,
-    pub rb: Option<Rb>,
+    /// The in-flight window: the instruction with sequence number `seq`
+    /// sits at `seq & (win.len() - 1)` from rename to commit, and the
+    /// instructions in flight are `head_seq..next_seq`. The length is the
+    /// reorder buffer's capacity rounded up to a power of two, so that
+    /// finding a slot is a mask, and at most 64, so that a word has a bit
+    /// for every slot; the capacity itself is whatever was configured.
+    win: Vec<Slot>,
+    /// The oldest instruction not yet committed: the reorder buffer is
+    /// `head_seq..next_seq`.
+    head_seq: u64,
     pub next_seq: u64,
+    /// The slots renamed and not yet issued: the instruction table.
+    waiting: u64,
+    /// The slots written back and not yet committed.
+    done: u64,
+    /// The resolved `(ra, t0)` of the `p_ret` in flight, from its issue to
+    /// its commit. One per hart is enough: rename clears the pc at a
+    /// `p_ret`, so nothing is fetched behind it until it has committed.
+    pub pret: Option<(u32, u32)>,
+    pub rb: Option<Rb>,
     /// Memory instructions renamed but not yet issued.
     pub mem_in_it: u32,
     /// Memory accesses issued and not yet completed/acknowledged.
@@ -162,15 +193,10 @@ pub(crate) struct HartCtx {
 }
 
 impl HartCtx {
-    /// Creates a hart in the `Free` state.
-    pub fn new(
-        id: HartId,
-        phys_regs: usize,
-        it_capacity: usize,
-        rob_capacity: usize,
-        result_slots: usize,
-    ) -> HartCtx {
-        assert!(phys_regs >= 34, "need at least 32 + 2 physical registers");
+    /// Creates a hart in the `Free` state, of the shape `cfg` gives every
+    /// hart (which [`LbpConfig::check_pipeline`] has accepted).
+    pub fn new(id: HartId, cfg: &LbpConfig) -> HartCtx {
+        debug_assert_eq!(cfg.check_pipeline(), Ok(()));
         let mut h = HartCtx {
             id,
             state: HartState::Free,
@@ -180,48 +206,44 @@ impl HartCtx {
             syncm_wait: false,
             ib: None,
             rat: [0; 32],
-            prf: vec![
-                PrfEntry {
-                    value: 0,
-                    ready: true
-                };
-                phys_regs
-            ],
-            free_phys: VecDeque::new(),
-            it: Vec::with_capacity(it_capacity),
-            rob: VecDeque::with_capacity(rob_capacity),
-            rb: None,
+            prf: vec![0; cfg.phys_regs],
+            ready: !0 >> (64 - cfg.phys_regs),
+            free_phys: VecDeque::with_capacity(cfg.phys_regs - 32),
+            win: vec![Slot::EMPTY; cfg.rob_entries.next_power_of_two()],
+            head_seq: 0,
             next_seq: 0,
+            waiting: 0,
+            done: 0,
+            pret: None,
+            rb: None,
             mem_in_it: 0,
             in_flight_mem: 0,
-            recv: (0..result_slots).map(|_| VecDeque::new()).collect(),
+            recv: (0..cfg.result_slots).map(|_| VecDeque::new()).collect(),
             end_signal: false,
             team_succ: None,
-            it_capacity,
-            rob_capacity,
+            it_capacity: cfg.it_entries,
+            rob_capacity: cfg.rob_entries,
         };
         h.reset_register_state(0);
         h
     }
 
     /// Resets the renaming state: architectural register `i` maps to
-    /// physical register `i`, all zero except `sp`.
+    /// physical register `i`, all zero except `sp`. The registers from 32
+    /// up keep their value and their ready bit, which a snapshot holds.
     fn reset_register_state(&mut self, sp: u32) {
         for i in 0..32 {
             self.rat[i] = i as PhysReg;
-            self.prf[i] = PrfEntry {
-                value: 0,
-                ready: true,
-            };
         }
-        self.prf[Reg::SP.index()] = PrfEntry {
-            value: sp,
-            ready: true,
-        };
+        self.prf[..32].fill(0);
+        self.prf[Reg::SP.index()] = sp;
+        self.ready |= (1 << 32) - 1;
         self.free_phys.clear();
         self.free_phys.extend(32..self.prf.len() as PhysReg);
-        self.it.clear();
-        self.rob.clear();
+        self.head_seq = self.next_seq;
+        self.waiting = 0;
+        self.done = 0;
+        self.pret = None;
         self.rb = None;
         self.ib = None;
         self.mem_in_it = 0;
@@ -263,6 +285,7 @@ impl HartCtx {
 
     /// Clears the fetch suspension, effective from the *next* cycle
     /// (pipeline-internal next-pc signals cross a cycle boundary).
+    #[inline]
     pub fn unsuspend_next(&mut self, now: u64) {
         self.fetch_suspended = false;
         self.resume_at = now + 1;
@@ -276,70 +299,163 @@ impl HartCtx {
     }
 
     /// Whether the fetch stage may select this hart at `now`.
+    #[inline]
     pub fn can_fetch(&self, now: u64) -> bool {
         !self.fetch_suspended && now >= self.resume_at
     }
 
-    /// Reads a source operand value if ready.
-    pub fn src_ready(&self, src: Option<PhysReg>) -> bool {
-        src.is_none_or(|p| self.prf[p as usize].ready)
+    /// The value of a renamed source (`None` reads as zero, i.e. `x0`).
+    #[inline]
+    pub fn src_value(&self, src: Option<PhysReg>) -> u32 {
+        src.map_or(0, |p| self.prf[p as usize])
     }
 
-    /// The value of a renamed source (`None` reads as zero, i.e. `x0`).
-    pub fn src_value(&self, src: Option<PhysReg>) -> u32 {
-        src.map_or(0, |p| self.prf[p as usize].value)
+    /// Writes a renaming register, which makes it ready.
+    #[inline]
+    pub fn write_phys(&mut self, p: PhysReg, value: u32) {
+        self.prf[p as usize] = value;
+        self.ready |= 1 << p;
+    }
+
+    /// Where the window keeps the instruction `seq`.
+    #[inline]
+    fn index(&self, seq: u64) -> usize {
+        seq as usize & (self.win.len() - 1)
+    }
+
+    /// The in-flight instruction `seq`.
+    #[inline]
+    pub fn slot(&self, seq: u64) -> &Slot {
+        debug_assert!((self.head_seq..self.next_seq).contains(&seq));
+        &self.win[self.index(seq)]
+    }
+
+    /// Reorder-buffer occupancy.
+    #[inline]
+    pub fn rob_len(&self) -> usize {
+        (self.next_seq - self.head_seq) as usize
+    }
+
+    /// Instruction-table occupancy.
+    #[inline]
+    pub fn it_len(&self) -> usize {
+        self.waiting.count_ones() as usize
+    }
+
+    /// The oldest instruction in flight (the reorder buffer's head).
+    #[inline]
+    pub fn head(&self) -> Option<&Slot> {
+        (self.head_seq != self.next_seq).then(|| self.slot(self.head_seq))
+    }
+
+    /// Whether the reorder buffer's head has written back.
+    #[inline]
+    pub fn head_done(&self) -> bool {
+        // `done` holds in-flight slots only: an empty buffer has no bit.
+        self.done >> self.index(self.head_seq) & 1 != 0
+    }
+
+    /// Whether the commit stage may select this hart: its head has written
+    /// back, and a `p_ret` additionally has the team predecessor's ending
+    /// signal AND a quiescent memory interface — the hardware barrier
+    /// guarantees that a consuming region's loads see the producing
+    /// region's stores (paper §3, Fig. 4), which only holds if a hart's
+    /// stores are done before it ends.
+    #[inline]
+    pub fn can_commit(&self) -> bool {
+        self.head_done()
+            && (!self.win[self.index(self.head_seq)].is_pret
+                || (self.end_signal && self.in_flight_mem == 0))
+    }
+
+    /// Retires the head and frees the mapping its destination replaced;
+    /// returns its pc and whether it is the `p_ret`.
+    #[inline]
+    pub fn pop_head(&mut self) -> (u32, bool) {
+        debug_assert!(self.head_done());
+        let i = self.index(self.head_seq);
+        self.done &= !(1 << i);
+        self.head_seq += 1;
+        let Slot {
+            pc, old, is_pret, ..
+        } = self.win[i];
+        if let Some(old) = old {
+            self.free_phys.push_back(old);
+        }
+        debug_assert!(self.window_holds());
+        (pc, is_pret)
+    }
+
+    /// `bits`, a word over the window's slots, turned so that bit `k` is
+    /// the slot of `head_seq + k`. The ring has `win.len()` slots, so what
+    /// is shifted out below the head comes back in under that bit, not
+    /// under bit 64.
+    #[inline]
+    fn by_age(&self, bits: u64) -> u64 {
+        let slots = self.win.len() as u32;
+        let head = self.index(self.head_seq) as u32;
+        let turned = bits >> head | bits << ((slots - head) & 63);
+        turned & (!0 >> (64 - slots))
+    }
+
+    /// The instruction table's sequence numbers, oldest first.
+    #[inline]
+    pub fn waiting_seqs(&self) -> impl Iterator<Item = u64> + '_ {
+        members(0, self.by_age(self.waiting)).map(|age| self.head_seq + age as u64)
     }
 
     /// Whether rename can accept one more instruction.
+    #[inline]
     pub fn rename_capacity(&self, needs_dest: bool) -> bool {
-        self.rob.len() < self.rob_capacity
-            && self.it.len() < self.it_capacity
+        self.rob_len() < self.rob_capacity
+            && self.it_len() < self.it_capacity
             && (!needs_dest || !self.free_phys.is_empty())
     }
 
-    /// Renames and inserts an instruction; returns its sequence number.
+    /// Renames an instruction into the window; returns its sequence
+    /// number.
     ///
     /// The caller must have checked [`HartCtx::rename_capacity`].
+    #[inline]
     pub fn rename(&mut self, f: Fetched) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         let srcs = f.op.srcs.map(|s| s.map(|r| self.rat[r.index()]));
-        let dest = f.op.dest.map(|rd| {
-            let new = self.free_phys.pop_front().expect("checked by capacity");
-            let old = self.rat[rd.index()];
-            self.rat[rd.index()] = new;
-            self.prf[new as usize].ready = false;
-            (rd, new, old)
-        });
-        self.it.push(ItEntry {
-            seq,
+        let (dest, old) = match f.op.dest {
+            Some(rd) => {
+                let new = self.free_phys.pop_front().expect("checked by capacity");
+                let old = std::mem::replace(&mut self.rat[rd.index()], new);
+                self.ready &= !(1 << new);
+                (Some(new), Some(old))
+            }
+            None => (None, None),
+        };
+        let i = self.index(seq);
+        self.win[i] = Slot {
             pc: f.pc,
             instr: f.op.instr,
             srcs,
-            dest: dest.map(|(_, new, _)| new),
-        });
-        self.rob.push_back(RobEntry {
-            seq,
-            pc: f.pc,
-            done: false,
-            dest: dest.map(|(_, new, old)| (new, Some(old))),
-            pret: None,
+            dest,
+            old,
             is_pret: f.op.is_pret,
-        });
+            is_mem: f.op.is_mem,
+            need: need_of(srcs),
+        };
+        self.waiting |= 1 << i;
         if f.op.is_mem {
             self.mem_in_it += 1;
         }
+        debug_assert!(self.window_holds());
         seq
     }
 
     /// The oldest instruction-table entry whose operands (and special
-    /// conditions) are satisfied. The table is appended in `seq` order and
-    /// `Vec::remove` keeps order, so the first ready entry is the oldest.
-    pub fn oldest_ready(&self) -> Option<usize> {
-        debug_assert!(self.it.windows(2).all(|w| w[0].seq < w[1].seq));
-        self.it.iter().position(|e| {
-            self.src_ready(e.srcs[0])
-                && self.src_ready(e.srcs[1])
+    /// conditions) are satisfied.
+    #[inline]
+    pub fn oldest_ready(&self) -> Option<u64> {
+        self.waiting_seqs().find(|&seq| {
+            let e = self.slot(seq);
+            e.need & !self.ready == 0
                 && match e.instr {
                     Instr::PLwre { offset, .. } => self
                         .recv
@@ -350,33 +466,48 @@ impl HartCtx {
         })
     }
 
-    /// The ROB entry of `seq`. ROB sequence numbers are consecutive, so
-    /// the entry sits at `seq - front.seq`.
-    fn rob_entry(&mut self, seq: u64) -> &mut RobEntry {
-        let front = self
-            .rob
-            .front()
-            .expect("rob entry for an in-flight seq")
-            .seq;
-        let e = &mut self.rob[(seq - front) as usize];
-        debug_assert_eq!(e.seq, seq, "rob seqs are consecutive");
-        e
+    /// Takes `seq` out of the instruction table for execution.
+    #[inline]
+    pub fn issue(&mut self, seq: u64) -> Slot {
+        let i = self.index(seq);
+        debug_assert!(self.waiting >> i & 1 != 0, "issuing what is not waiting");
+        self.waiting &= !(1 << i);
+        let slot = self.win[i];
+        if slot.is_mem {
+            self.mem_in_it -= 1;
+        }
+        slot
     }
 
-    /// Marks the ROB entry of `seq` as done.
+    /// Marks the instruction `seq` as written back.
+    #[inline]
     pub fn rob_mark_done(&mut self, seq: u64) {
-        self.rob_entry(seq).done = true;
-    }
-
-    /// Stores the resolved `(ra, t0)` pair in the ROB entry of a `p_ret`.
-    pub fn rob_set_pret(&mut self, seq: u64, ra: u32, t0: u32) {
-        self.rob_entry(seq).pret = Some((ra, t0));
+        self.done |= 1 << self.index(seq);
+        debug_assert!(self.window_holds());
     }
 
     /// Whether every memory access decoded so far has completed
     /// (the `p_syncm` drain condition).
+    #[inline]
     pub fn mem_drained(&self) -> bool {
         self.mem_in_it == 0 && self.in_flight_mem == 0
+    }
+
+    /// What the representation relies on, for `debug_assert!`: the
+    /// instruction table and the written-back slots are disjoint and in
+    /// flight, the reorder buffer is within its capacity, and every
+    /// waiting slot's `need` is its sources.
+    fn window_holds(&self) -> bool {
+        let len = self.next_seq - self.head_seq;
+        assert!(len <= self.rob_capacity as u64, "{len} in flight");
+        let in_flight = (self.head_seq..self.next_seq).fold(0, |m, s| m | 1 << self.index(s));
+        assert_eq!(self.waiting & self.done, 0, "waiting and written back");
+        assert_eq!((self.waiting | self.done) & !in_flight, 0, "not in flight");
+        for seq in self.waiting_seqs() {
+            let e = self.slot(seq);
+            assert_eq!(e.need, need_of(e.srcs), "need of {seq}");
+        }
+        true
     }
 
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
@@ -395,38 +526,44 @@ impl HartCtx {
             w.u32(f.pc);
             put_instr(w, &f.op.instr);
         });
-        for &p in &self.rat {
-            w.u16(p);
+        let phys = |w: &mut SnapWriter, &p: &PhysReg| w.u16(p.into());
+        for p in &self.rat {
+            phys(w, p);
         }
         w.seq(self.prf.len());
-        for e in &self.prf {
-            w.u32(e.value);
-            w.bool(e.ready);
+        for (p, &value) in self.prf.iter().enumerate() {
+            w.u32(value);
+            w.bool(self.ready >> p & 1 != 0);
         }
         w.seq(self.free_phys.len());
-        for &p in &self.free_phys {
-            w.u16(p);
+        for p in &self.free_phys {
+            phys(w, p);
         }
-        w.seq(self.it.len());
-        for e in &self.it {
-            w.u64(e.seq);
+        // The instruction table: the waiting slots, oldest first.
+        w.seq(self.it_len());
+        for seq in self.waiting_seqs() {
+            let e = self.slot(seq);
+            w.u64(seq);
             w.u32(e.pc);
             put_instr(w, &e.instr);
             for s in &e.srcs {
-                w.opt(s, |w, &p| w.u16(p));
+                w.opt(s, phys);
             }
-            w.opt(&e.dest, |w, &p| w.u16(p));
+            w.opt(&e.dest, phys);
         }
-        w.seq(self.rob.len());
-        for e in &self.rob {
-            w.u64(e.seq);
+        // The reorder buffer: everything in flight, oldest first.
+        w.seq(self.rob_len());
+        for seq in self.head_seq..self.next_seq {
+            let e = self.slot(seq);
+            w.u64(seq);
             w.u32(e.pc);
-            w.bool(e.done);
-            w.opt(&e.dest, |w, &(new, old)| {
-                w.u16(new);
-                w.opt(&old, |w, &p| w.u16(p));
+            w.bool(self.done >> self.index(seq) & 1 != 0);
+            w.opt(&e.dest, |w, new| {
+                phys(w, new);
+                w.opt(&e.old, phys);
             });
-            w.opt(&e.pret, |w, &(ra, t0)| {
+            let pret = self.pret.filter(|_| e.is_pret);
+            w.opt(&pret, |w, &(ra, t0)| {
                 w.u32(ra);
                 w.u32(t0);
             });
@@ -434,7 +571,7 @@ impl HartCtx {
         }
         w.opt(&self.rb, |w, rb| {
             w.u64(rb.seq);
-            w.opt(&rb.dest, |w, &p| w.u16(p));
+            w.opt(&rb.dest, phys);
             match rb.wait {
                 RbWait::Until { at, value } => {
                     w.u8(0);
@@ -465,79 +602,148 @@ impl HartCtx {
         w.u64(self.rob_capacity as u64);
     }
 
-    pub(crate) fn unsnap(r: &mut SnapReader<'_>) -> Result<HartCtx, SnapError> {
-        let id = get_hart(r)?;
-        let state = match r.u8()? {
+    /// Reads a hart of the shape `cfg` gives every hart, filling the
+    /// window as the entries come. The format lists the instruction table
+    /// before the reorder buffer and carries `instr` and `srcs` for table
+    /// entries only: an issued slot gets [`Slot::EMPTY`]'s, which nothing
+    /// reads once an instruction has issued.
+    pub(crate) fn unsnap(r: &mut SnapReader<'_>, cfg: &LbpConfig) -> Result<HartCtx, SnapError> {
+        let mut h = HartCtx::new(get_hart(r)?, cfg);
+        let id = h.id;
+        let corrupt = |why: String| SnapError::Corrupt(format!("hart {id}: {why}"));
+        h.state = match r.u8()? {
             0 => HartState::Free,
             1 => HartState::Reserved,
             2 => HartState::Running,
             3 => HartState::WaitingJoin,
             other => return Err(SnapError::Corrupt(format!("bad hart state tag {other}"))),
         };
-        let pc = r.opt(|r| r.u32())?;
-        let fetch_suspended = r.bool()?;
-        let resume_at = r.u64()?;
-        let syncm_wait = r.bool()?;
-        let ib = r.opt(|r| {
+        h.pc = r.opt(|r| r.u32())?;
+        h.fetch_suspended = r.bool()?;
+        h.resume_at = r.u64()?;
+        h.syncm_wait = r.bool()?;
+        h.ib = r.opt(|r| {
             Ok(Fetched {
                 pc: r.u32()?,
                 op: Decoded::new(get_instr(r)?),
             })
         })?;
-        let mut rat = [0 as PhysReg; 32];
-        for slot in &mut rat {
-            *slot = r.u16()?;
+        // Every renamed physical register must exist.
+        let bound = cfg.phys_regs;
+        let phys = |r: &mut SnapReader<'_>| {
+            let p = r.u16()?;
+            if usize::from(p) >= bound {
+                return Err(corrupt(format!(
+                    "physical register index beyond the {bound}-entry file"
+                )));
+            }
+            Ok(p as PhysReg)
+        };
+        for slot in &mut h.rat {
+            *slot = phys(r)?;
         }
-        let mut prf = Vec::new();
+        let prf = r.seq()?;
+        if prf != bound {
+            return Err(corrupt(format!(
+                "{prf} renaming registers, configuration says phys_regs = {bound}"
+            )));
+        }
+        h.ready = 0;
+        for p in 0..prf {
+            h.prf[p] = r.u32()?;
+            h.ready |= u64::from(r.bool()?) << p;
+        }
+        h.free_phys.clear();
         for _ in 0..r.seq()? {
-            prf.push(PrfEntry {
-                value: r.u32()?,
-                ready: r.bool()?,
-            });
+            h.free_phys.push_back(phys(r)?);
         }
-        let mut free_phys = VecDeque::new();
-        for _ in 0..r.seq()? {
-            free_phys.push_back(r.u16()?);
-        }
-        let mut it = Vec::new();
+        // Issue takes the first ready table entry for the oldest, so the
+        // table must come in ascending order; and since every entry will
+        // have to lie in the reorder buffer, the first and the last say
+        // whether they all do.
+        let mut table: Option<(u64, u64)> = None;
         for _ in 0..r.seq()? {
             let seq = r.u64()?;
+            if table.is_some_and(|(_, last)| last >= seq) {
+                return Err(corrupt(
+                    "instruction-table sequence numbers are not ascending".to_owned(),
+                ));
+            }
+            table = Some((table.map_or(seq, |(first, _)| first), seq));
             let pc = r.u32()?;
-            let instr = get_instr(r)?;
-            let srcs = [r.opt(|r| r.u16())?, r.opt(|r| r.u16())?];
-            let dest = r.opt(|r| r.u16())?;
-            it.push(ItEntry {
-                seq,
+            let op = Decoded::new(get_instr(r)?);
+            let srcs = [r.opt(phys)?, r.opt(phys)?];
+            let i = h.index(seq);
+            h.win[i] = Slot {
                 pc,
-                instr,
+                instr: op.instr,
                 srcs,
-                dest,
-            });
+                dest: r.opt(phys)?,
+                old: None,
+                is_pret: op.is_pret,
+                is_mem: op.is_mem,
+                need: need_of(srcs),
+            };
+            h.waiting |= 1 << i;
         }
-        let mut rob = VecDeque::new();
-        for _ in 0..r.seq()? {
+        // Write-back and commit find an instruction at its sequence
+        // number: the reorder buffer must be consecutive up to `next_seq`.
+        let rob = r.seq()?;
+        if rob > h.rob_capacity {
+            return Err(corrupt(format!(
+                "{rob} reorder-buffer entries, configuration says rob_entries = {}",
+                h.rob_capacity
+            )));
+        }
+        let mut prets = 0;
+        for k in 0..rob as u64 {
             let seq = r.u64()?;
+            if k == 0 {
+                h.head_seq = seq;
+            }
+            if h.head_seq.checked_add(k) != Some(seq) {
+                return Err(corrupt(format!(
+                    "reorder-buffer sequence numbers are not consecutive from {}",
+                    h.head_seq
+                )));
+            }
+            let i = h.index(seq);
+            let waits = h.waiting >> i & 1 != 0;
+            let mut e = if waits { h.win[i] } else { Slot::EMPTY };
             let pc = r.u32()?;
             let done = r.bool()?;
-            let dest = r.opt(|r| {
-                let new = r.u16()?;
-                let old = r.opt(|r| r.u16())?;
-                Ok((new, old))
-            })?;
+            let dest = r.opt(|r| Ok((phys(r)?, r.opt(phys)?)))?;
             let pret = r.opt(|r| Ok((r.u32()?, r.u32()?)))?;
             let is_pret = r.bool()?;
-            rob.push_back(RobEntry {
-                seq,
-                pc,
-                done,
-                dest,
-                pret,
-                is_pret,
-            });
+            let new = dest.map(|(new, _)| new);
+            if waits && (e.pc != pc || e.dest != new || e.is_pret != is_pret || done) {
+                return Err(corrupt(format!(
+                    "instruction-table entry {seq} contradicts its reorder-buffer entry"
+                )));
+            }
+            e.pc = pc;
+            e.dest = new;
+            e.old = dest.and_then(|(_, old)| old);
+            e.is_pret = is_pret;
+            h.win[i] = e;
+            h.done |= u64::from(done) << i;
+            // One resolved pair per hart: it belongs to the one `p_ret`
+            // that can be in flight, from its issue on.
+            prets += u32::from(is_pret);
+            if prets > 1 {
+                return Err(corrupt("two p_rets in flight".to_owned()));
+            }
+            if pret.is_some() != (is_pret && !waits) {
+                return Err(corrupt(format!(
+                    "reorder-buffer entry {seq}: a resolved (ra, t0) pair is what \
+                     an issued p_ret has, and nothing else"
+                )));
+            }
+            h.pret = h.pret.or(pret);
         }
-        let rb = r.opt(|r| {
+        h.rb = r.opt(|r| {
             let seq = r.u64()?;
-            let dest = r.opt(|r| r.u16())?;
+            let dest = r.opt(phys)?;
             let wait = match r.u8()? {
                 0 => RbWait::Until {
                     at: r.u64()?,
@@ -552,78 +758,54 @@ impl HartCtx {
             };
             Ok(Rb { seq, dest, wait })
         })?;
-        let next_seq = r.u64()?;
-        let mem_in_it = r.u32()?;
-        let in_flight_mem = r.u32()?;
-        let mut recv = Vec::new();
-        for _ in 0..r.seq()? {
-            let mut q = VecDeque::new();
+        h.next_seq = r.u64()?;
+        if rob == 0 {
+            h.head_seq = h.next_seq;
+        }
+        if h.head_seq.checked_add(rob as u64) != Some(h.next_seq) {
+            return Err(corrupt(format!(
+                "reorder-buffer sequence numbers are not consecutive up to {}",
+                h.next_seq
+            )));
+        }
+        // Every in-flight `seq` must name a reorder-buffer entry, and the
+        // result buffer one that has issued and not yet written back.
+        let in_rob = |seq: &u64| (h.head_seq..h.next_seq).contains(seq);
+        let (first, last) = table.unzip();
+        let rb_seq = h.rb.map(|rb| rb.seq);
+        if let Some(seq) = [first, last, rb_seq].iter().flatten().find(|s| !in_rob(s)) {
+            return Err(corrupt(format!(
+                "in-flight sequence number {seq} names no reorder-buffer entry"
+            )));
+        }
+        if let Some(seq) = rb_seq.filter(|&s| (h.waiting | h.done) >> h.index(s) & 1 != 0) {
+            return Err(corrupt(format!(
+                "the result buffer holds {seq}, which has not issued or has written back"
+            )));
+        }
+        h.mem_in_it = r.u32()?;
+        h.in_flight_mem = r.u32()?;
+        h.recv.resize_with(r.seq()?, VecDeque::new);
+        for q in &mut h.recv {
             for _ in 0..r.seq()? {
                 q.push_back(r.u32()?);
             }
-            recv.push(q);
         }
-        let end_signal = r.bool()?;
-        let team_succ = r.opt(get_hart)?;
-        let it_capacity = r.u64()? as usize;
-        let rob_capacity = r.u64()? as usize;
-        // Sanity: every renamed physical register must exist.
-        let bound = prf.len() as u64;
-        let bad_phys =
-            rat.iter().any(|&p| p as u64 >= bound) || free_phys.iter().any(|&p| p as u64 >= bound);
-        if bad_phys {
-            return Err(SnapError::Corrupt(format!(
-                "hart {id}: physical register index beyond the {bound}-entry file"
-            )));
+        h.end_signal = r.bool()?;
+        h.team_succ = r.opt(get_hart)?;
+        for (field, ours) in [
+            ("it_entries", h.it_capacity),
+            ("rob_entries", h.rob_capacity),
+        ] {
+            let theirs = r.u64()?;
+            if theirs != ours as u64 {
+                return Err(corrupt(format!(
+                    "capacity {theirs}, configuration says {field} = {ours}"
+                )));
+            }
         }
-        // Issue picks the first ready table entry as the oldest, and
-        // write-back indexes the ROB at `seq - front.seq`: both orders
-        // must hold in whatever arrives here, and every in-flight `seq`
-        // must name a ROB entry.
-        if !it.windows(2).all(|w| w[0].seq < w[1].seq) {
-            return Err(SnapError::Corrupt(format!(
-                "hart {id}: instruction-table sequence numbers are not ascending"
-            )));
-        }
-        let rob_first = rob.front().map_or(next_seq, |e| e.seq);
-        let consecutive = rob.iter().zip(rob_first..).all(|(e, want)| e.seq == want);
-        if !consecutive || rob_first.checked_add(rob.len() as u64) != Some(next_seq) {
-            return Err(SnapError::Corrupt(format!(
-                "hart {id}: reorder-buffer sequence numbers are not consecutive up to {next_seq}"
-            )));
-        }
-        let in_rob = |seq: u64| (rob_first..next_seq).contains(&seq);
-        if let Some(seq) = (it.iter().map(|e| e.seq))
-            .chain(rb.iter().map(|rb| rb.seq))
-            .find(|&seq| !in_rob(seq))
-        {
-            return Err(SnapError::Corrupt(format!(
-                "hart {id}: in-flight sequence number {seq} names no reorder-buffer entry"
-            )));
-        }
-        Ok(HartCtx {
-            id,
-            state,
-            pc,
-            fetch_suspended,
-            resume_at,
-            syncm_wait,
-            ib,
-            rat,
-            prf,
-            free_phys,
-            it,
-            rob,
-            rb,
-            next_seq,
-            mem_in_it,
-            in_flight_mem,
-            recv,
-            end_signal,
-            team_succ,
-            it_capacity,
-            rob_capacity,
-        })
+        debug_assert!(h.window_holds());
+        Ok(h)
     }
 }
 
@@ -633,12 +815,12 @@ mod tests {
     use lbp_isa::OpImmKind;
 
     fn hart() -> HartCtx {
-        HartCtx::new(HartId::new(0), 64, 32, 32, 8)
+        HartCtx::new(HartId::new(0), &LbpConfig::cores(1))
     }
 
-    fn addi(rd: Reg, rs1: Reg, imm: i32) -> Fetched {
+    fn addi_at(pc: u32, rd: Reg, rs1: Reg, imm: i32) -> Fetched {
         Fetched {
-            pc: 0,
+            pc,
             op: Decoded::new(Instr::OpImm {
                 kind: OpImmKind::Add,
                 rd,
@@ -648,18 +830,30 @@ mod tests {
         }
     }
 
+    fn addi(rd: Reg, rs1: Reg, imm: i32) -> Fetched {
+        addi_at(0, rd, rs1, imm)
+    }
+
+    /// Issues `seq` into the result buffer, as the issue stage does.
+    fn issue(h: &mut HartCtx, seq: u64, wait: RbWait) {
+        let dest = h.issue(seq).dest;
+        h.rb = Some(Rb { seq, dest, wait });
+    }
+
     #[test]
     fn rename_allocates_and_tracks_old_mapping() {
         let mut h = hart();
         h.boot(0, 0x1000);
         let before = h.rat[Reg::A0.index()];
-        h.rename(addi(Reg::A0, Reg::A0, 1));
+        let seq = h.rename(addi(Reg::A0, Reg::A0, 1));
         let after = h.rat[Reg::A0.index()];
         assert_ne!(before, after);
-        assert_eq!(h.rob[0].dest, Some((after, Some(before))));
-        assert!(!h.prf[after as usize].ready);
+        let e = h.slot(seq);
+        assert_eq!((e.dest, e.old), (Some(after), Some(before)));
+        assert_eq!(h.ready >> after & 1, 0);
         // Source was renamed against the old mapping.
-        assert_eq!(h.it[0].srcs[0], Some(before));
+        assert_eq!(e.srcs[0], Some(before));
+        assert_eq!((h.rob_len(), h.it_len()), (1, 1));
     }
 
     #[test]
@@ -668,18 +862,61 @@ mod tests {
         h.boot(0, 0x1000);
         h.rename(addi(Reg::A0, Reg::A1, 1)); // ready (a1 ready)
         h.rename(addi(Reg::A2, Reg::A0, 1)); // depends on the first
-        let idx = h.oldest_ready().unwrap();
-        assert_eq!(h.it[idx].seq, 0);
+        assert_eq!(h.oldest_ready(), Some(0));
         // Make the first's dest ready: second becomes eligible, but the
         // first is still older.
-        let d = h.it[0].dest.unwrap();
-        h.prf[d as usize] = PrfEntry {
-            value: 7,
-            ready: true,
-        };
-        h.it.remove(0);
-        let idx = h.oldest_ready().unwrap();
-        assert_eq!(h.it[idx].seq, 1);
+        let d = h.slot(0).dest.unwrap();
+        h.write_phys(d, 7);
+        assert_eq!(h.oldest_ready(), Some(0));
+        h.issue(0);
+        assert_eq!(h.oldest_ready(), Some(1));
+    }
+
+    /// The window of a three-entry reorder buffer has four slots, so the
+    /// head goes round it; age order is order from the head, wherever in
+    /// the ring the head is, and a word of four bits turns within four.
+    #[test]
+    fn age_order_survives_the_head_going_round_the_ring() {
+        let mut cfg = LbpConfig::cores(1);
+        cfg.rob_entries = 3;
+        let mut h = HartCtx::new(HartId::new(0), &cfg);
+        h.boot(0, 0x1000);
+        for lap in 0..3 * 4 {
+            // Three in flight, the middle one waiting on the first.
+            let first = h.rename(addi(Reg::A0, Reg::A1, 1));
+            h.rename(addi(Reg::A2, Reg::A0, 1));
+            h.rename(addi(Reg::A3, Reg::A1, 1));
+            assert!(!h.rename_capacity(false), "lap {lap}: three is full");
+            assert_eq!(
+                h.waiting_seqs().collect::<Vec<_>>(),
+                [first, first + 1, first + 2]
+            );
+            let write_back = |h: &mut HartCtx| {
+                let rb = h.rb.take().unwrap();
+                h.write_phys(rb.dest.unwrap(), 0);
+                h.rob_mark_done(rb.seq);
+            };
+            assert_eq!(h.oldest_ready(), Some(first));
+            issue(&mut h, first, RbWait::Mem);
+            assert_eq!(h.oldest_ready(), Some(first + 2), "lap {lap}");
+            write_back(&mut h);
+            assert_eq!(h.oldest_ready(), Some(first + 1), "lap {lap}");
+            issue(&mut h, first + 2, RbWait::Mem);
+            write_back(&mut h);
+            assert!(h.can_commit());
+            h.pop_head();
+            assert!(
+                !h.can_commit(),
+                "lap {lap}: the youngest is done, the head is not"
+            );
+            issue(&mut h, first + 1, RbWait::Mem);
+            write_back(&mut h);
+            for _ in 0..2 {
+                assert!(h.can_commit());
+                h.pop_head();
+            }
+            assert!(!h.head_done() && h.head().is_none());
+        }
     }
 
     #[test]
@@ -706,9 +943,9 @@ mod tests {
         h.end();
         h.allocate(0x2000);
         assert_eq!(h.state, HartState::Reserved);
-        assert!(h.it.is_empty() && h.rob.is_empty());
-        assert_eq!(h.prf[h.rat[Reg::SP.index()] as usize].value, 0x2000);
-        assert_eq!(h.prf[h.rat[Reg::A0.index()] as usize].value, 0);
+        assert_eq!((h.it_len(), h.rob_len()), (0, 0));
+        assert_eq!(h.prf[h.rat[Reg::SP.index()] as usize], 0x2000);
+        assert_eq!(h.prf[h.rat[Reg::A0.index()] as usize], 0);
         assert!(!h.end_signal);
     }
 
@@ -723,37 +960,79 @@ mod tests {
     #[test]
     fn x0_sources_read_zero() {
         let h = hart();
-        assert!(h.src_ready(None));
+        assert_eq!(need_of([None, None]), 0);
         assert_eq!(h.src_value(None), 0);
     }
+
+    /// The pcs of the three instructions of [`in_flight`], which its
+    /// snapshot holds nowhere else: an entry is found by its pc.
+    const PCS: [u32; 3] = [0x1111_1110, 0x2222_2220, 0x3333_3330];
 
     /// A hart with three instructions in flight (sequence numbers 0..3),
     /// the oldest issued into the result buffer.
     fn in_flight() -> HartCtx {
+        in_flight_of(PCS.map(|pc| addi_at(pc, Reg::A0, Reg::A1, 1)))
+    }
+
+    fn in_flight_of(three: [Fetched; 3]) -> HartCtx {
         let mut h = hart();
         h.boot(0, 0x1000);
-        for _ in 0..3 {
-            h.rename(addi(Reg::A0, Reg::A1, 1));
+        for f in three {
+            h.rename(f);
         }
-        let issued = h.it.remove(0);
-        h.rb = Some(Rb {
-            seq: issued.seq,
-            dest: issued.dest,
-            wait: RbWait::Mem,
-        });
+        issue(&mut h, 0, RbWait::Mem);
         h
     }
 
-    /// What `restore` makes of the snapshot of `h`.
-    fn round_trip(h: &HartCtx) -> Result<HartCtx, SnapError> {
-        let mut w = SnapWriter::new();
-        h.snap(&mut w);
-        let bytes = w.into_bytes();
-        HartCtx::unsnap(&mut SnapReader::new(&bytes))
+    fn p_ret_at(pc: u32) -> Fetched {
+        let p_ret = Instr::PJalr {
+            rd: Reg::ZERO,
+            rs1: Reg::RA,
+            rs2: Reg::T0,
+        };
+        Fetched {
+            pc,
+            op: Decoded::new(p_ret),
+        }
     }
 
-    fn assert_corrupt(h: &HartCtx, what: &str) {
-        match round_trip(h) {
+    fn snap_bytes(h: &HartCtx) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        h.snap(&mut w);
+        w.into_bytes()
+    }
+
+    fn unsnap_bytes(bytes: &[u8]) -> Result<HartCtx, SnapError> {
+        HartCtx::unsnap(&mut SnapReader::new(bytes), &LbpConfig::cores(1))
+    }
+
+    /// Where the entries of the instruction at `pc` start in the snapshot
+    /// of [`in_flight`] (at their `seq`, the eight bytes before the pc):
+    /// the instruction table's, if it is waiting, then the reorder
+    /// buffer's.
+    fn entries_of(bytes: &[u8], pc: u32) -> Vec<usize> {
+        let found = |at: &usize| bytes[*at..].starts_with(&pc.to_le_bytes());
+        (8..bytes.len() - 4)
+            .filter(found)
+            .map(|at| at - 8)
+            .collect()
+    }
+
+    /// Where `next_seq` is, from the fixed-size tail of the snapshot of
+    /// [`in_flight`]: two counters, eight empty receive slots, the ending
+    /// signal, no team successor, two capacities.
+    fn next_seq_of(bytes: &[u8]) -> usize {
+        bytes.len() - (8 + 2 * 4 + 9 * 8 + 1 + 1 + 2 * 8)
+    }
+
+    /// Where the result buffer's `seq` is: before its destination, its
+    /// `Mem` tag and `next_seq`.
+    fn rb_seq_of(bytes: &[u8]) -> usize {
+        next_seq_of(bytes) - (8 + 3 + 1)
+    }
+
+    fn assert_corrupt(bytes: &[u8], what: &str) {
+        match unsnap_bytes(bytes) {
             Err(SnapError::Corrupt(why)) => assert!(why.contains(what), "{why}"),
             other => panic!("expected a corrupt-snapshot error, got {other:?}"),
         }
@@ -761,38 +1040,127 @@ mod tests {
 
     #[test]
     fn unsnap_accepts_a_hart_in_flight() {
-        let h = round_trip(&in_flight()).unwrap();
-        assert_eq!((h.it.len(), h.rob.len(), h.next_seq), (2, 3, 3));
+        let bytes = snap_bytes(&in_flight());
+        // The helpers find what they say they do.
+        let [first, second, third] = PCS.map(|pc| entries_of(&bytes, pc));
+        assert_eq!((first.len(), second.len(), third.len()), (1, 2, 2));
+        assert_eq!(bytes[next_seq_of(&bytes)..][..8], 3u64.to_le_bytes());
+        assert_eq!(bytes[rb_seq_of(&bytes)..][..8], 0u64.to_le_bytes());
+        let h = unsnap_bytes(&bytes).unwrap();
+        assert_eq!((h.it_len(), h.rob_len(), h.next_seq), (2, 3, 3));
+        assert_eq!(snap_bytes(&h), bytes);
     }
 
     /// Issue takes the first ready table entry for the oldest.
     #[test]
     fn unsnap_rejects_a_descending_instruction_table() {
-        let mut h = in_flight();
-        h.it.swap(0, 1);
-        assert_corrupt(&h, "not ascending");
+        let mut bytes = snap_bytes(&in_flight());
+        let (second, third) = (entries_of(&bytes, PCS[1])[0], entries_of(&bytes, PCS[2])[0]);
+        bytes[second] = 2;
+        bytes[third] = 1;
+        assert_corrupt(&bytes, "not ascending");
     }
 
-    /// Write-back finds its ROB entry at `seq - front.seq`.
+    /// Write-back and commit find an instruction at its sequence number.
     #[test]
     fn unsnap_rejects_a_gap_in_the_reorder_buffer() {
-        let mut h = in_flight();
-        h.rob[1].seq = 7;
-        assert_corrupt(&h, "not consecutive");
-        let mut h = in_flight();
-        h.next_seq = 9; // the next rename would open the gap
-        assert_corrupt(&h, "not consecutive");
+        let good = snap_bytes(&in_flight());
+        let mut bytes = good.clone();
+        bytes[entries_of(&good, PCS[1])[1]] = 7;
+        assert_corrupt(&bytes, "not consecutive");
+        let mut bytes = good.clone();
+        bytes[next_seq_of(&good)] = 9; // the next rename would open the gap
+        assert_corrupt(&bytes, "not consecutive");
     }
 
-    /// ... and would index past the end for a `seq` the ROB does not hold.
+    /// ... and would find another, or none, for a `seq` the ROB does not
+    /// hold.
     #[test]
     fn unsnap_rejects_a_result_buffer_outside_the_reorder_buffer() {
+        let mut bytes = snap_bytes(&in_flight());
+        let at = rb_seq_of(&bytes);
+        bytes[at] = 3;
+        assert_corrupt(&bytes, "names no reorder-buffer entry");
+        // Seq 0 retired, yet still in the result buffer.
         let mut h = in_flight();
-        h.rb.as_mut().unwrap().seq = 3;
-        assert_corrupt(&h, "names no reorder-buffer entry");
-        let mut h = in_flight();
-        h.rob.pop_front(); // seq 0 retired, yet still in the result buffer
-        assert_corrupt(&h, "names no reorder-buffer entry");
+        let rb = h.rb.take().unwrap();
+        h.write_phys(rb.dest.unwrap(), 0);
+        h.rob_mark_done(0);
+        h.pop_head();
+        issue(&mut h, 1, RbWait::Mem);
+        let mut bytes = snap_bytes(&h);
+        let at = rb_seq_of(&bytes);
+        assert_eq!(bytes[at], 1);
+        bytes[at] = 0;
+        assert_corrupt(&bytes, "names no reorder-buffer entry");
+        // Seq 2 is in the reorder buffer, but has not issued.
+        bytes[at] = 2;
+        assert_corrupt(&bytes, "has not issued");
+    }
+
+    /// A hart has one resolved `(ra, t0)` pair, for the one `p_ret` it can
+    /// have in flight; the format has room for one per entry.
+    #[test]
+    fn unsnap_rejects_what_one_resolved_p_ret_per_hart_cannot_hold() {
+        let good = snap_bytes(&in_flight());
+        // A reorder-buffer entry here is seq, pc, done, dest (tag, new,
+        // tag, old), pret (tag), is_pret.
+        let (pret, is_pret) = (8 + 4 + 1 + 6, 8 + 4 + 1 + 6 + 1);
+        let rob = PCS.map(|pc| *entries_of(&good, pc).last().unwrap());
+        let resolved = [1, 0, 0, 0, 0, 0, 0, 0, 0];
+        // The flag on a waiting entry contradicts the table: an `addi` is
+        // no `p_ret`. On an issued one it wants its pair.
+        let mut bytes = good.clone();
+        bytes[rob[1] + is_pret] = 1;
+        assert_corrupt(&bytes, "contradicts its reorder-buffer entry");
+        let mut bytes = good.clone();
+        bytes[rob[0] + is_pret] = 1;
+        assert_corrupt(&bytes, "an issued p_ret has");
+        // With it, it is the hart's one `p_ret` — unless there is another.
+        bytes.splice(rob[0] + pret..rob[0] + is_pret, resolved);
+        assert_eq!(unsnap_bytes(&bytes).unwrap().pret, Some((0, 0)));
+        let [first, _, third] = PCS.map(|pc| addi_at(pc, Reg::A0, Reg::A1, 1));
+        let mut bytes = snap_bytes(&in_flight_of([first, p_ret_at(PCS[1]), third]));
+        assert!(unsnap_bytes(&bytes).is_ok());
+        let oldest = entries_of(&bytes, PCS[0])[0];
+        bytes[oldest + is_pret] = 1;
+        bytes.splice(oldest + pret..oldest + is_pret, resolved);
+        assert_corrupt(&bytes, "two p_rets in flight");
+        // A resolved pair on an entry that is not a `p_ret`.
+        let mut bytes = good.clone();
+        bytes.splice(rob[0] + pret..rob[0] + is_pret, resolved);
+        assert_corrupt(&bytes, "an issued p_ret has");
+    }
+
+    /// The resolved pair of a `p_ret` goes out in its own entry and comes
+    /// back as the hart's.
+    #[test]
+    fn a_resolved_p_ret_round_trips_through_its_entry() {
+        let mut h = hart();
+        h.boot(0, 0x1000);
+        h.rename(addi(Reg::A0, Reg::A1, 1));
+        let seq = h.rename(p_ret_at(4));
+        let waiting = snap_bytes(&h);
+        assert_eq!(snap_bytes(&unsnap_bytes(&waiting).unwrap()), waiting);
+        issue(&mut h, seq, RbWait::Done { value: None });
+        h.pret = Some((0x40, 0xdead_beef));
+        let issued = snap_bytes(&h);
+        let back = unsnap_bytes(&issued).unwrap();
+        assert_eq!(back.pret, h.pret);
+        assert_eq!(snap_bytes(&back), issued);
+    }
+
+    /// The shape of a hart is its configuration's.
+    #[test]
+    fn unsnap_rejects_a_hart_of_another_shape() {
+        let mut bytes = snap_bytes(&in_flight());
+        let at = bytes.len() - 8;
+        bytes[at] = 65;
+        assert_corrupt(&bytes, "rob_entries = 32");
+        let mut cfg = LbpConfig::cores(1);
+        cfg.phys_regs = 34;
+        let small = snap_bytes(&HartCtx::new(HartId::new(0), &cfg));
+        assert_corrupt(&small, "phys_regs = 64");
     }
 
     #[test]
@@ -800,7 +1168,7 @@ mod tests {
         let mut h = hart();
         h.boot(0, 0x1000);
         assert!(h.mem_drained());
-        h.rename(Fetched {
+        let seq = h.rename(Fetched {
             pc: 0,
             op: Decoded::new(Instr::Load {
                 kind: lbp_isa::LoadKind::W,
@@ -810,5 +1178,7 @@ mod tests {
             }),
         });
         assert!(!h.mem_drained());
+        h.issue(seq);
+        assert!(h.mem_drained());
     }
 }

@@ -67,6 +67,7 @@ impl IndexSet {
 /// below `i` waits for the next walk, which is what a loop over every
 /// index does with a queue that fills behind it. No body inserts or
 /// removes above `i`.
+#[inline]
 pub(crate) fn members(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         if bits == 0 {

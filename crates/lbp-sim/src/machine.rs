@@ -141,10 +141,12 @@ impl Machine {
     /// # Errors
     ///
     /// Fails if the initialized data exceeds the configured shared space,
-    /// or if the configuration's fault plan targets something outside the
-    /// machine (a hart, register, address or code word that does not
-    /// exist).
+    /// if the configuration asks for a pipeline the model cannot hold
+    /// (see [`LbpConfig::phys_regs`] and [`LbpConfig::rob_entries`]), or if
+    /// its fault plan targets something outside the machine (a hart,
+    /// register, address or code word that does not exist).
     pub fn new(cfg: LbpConfig, image: &Image) -> Result<Machine, SimError> {
+        validate_pipeline(&cfg)?;
         validate_fault_plan(&cfg, image)?;
         let banks = Banks::new(&cfg, &image.data)?;
         Ok(Machine::around(cfg, image, banks))
@@ -168,17 +170,7 @@ impl Machine {
         fabric.set_faults(drop_nth, delay_nth);
         let mem = MemSys::new(&cfg, CodeBank::new(&image.text), banks);
         let mut cores: Vec<Core> = (0..cfg.cores as u32)
-            .map(|c| {
-                Core::new(c, |id| {
-                    HartCtx::new(
-                        id,
-                        cfg.phys_regs,
-                        cfg.it_entries,
-                        cfg.rob_entries,
-                        cfg.result_slots,
-                    )
-                })
-            })
+            .map(|c| Core::new(c, |id| HartCtx::new(id, &cfg)))
             .collect();
         let boot_sp = cfg.cv_base(HartId::FIRST);
         cores[0].harts[0].boot(image.entry, boot_sp);
@@ -268,7 +260,8 @@ impl Machine {
     /// restored machine starts with profiling off.
     pub fn enable_profiling(&mut self) {
         if self.obs.prof.is_none() {
-            self.obs.prof = Some(Box::new(ProfData::new(self.cfg.cores)));
+            let code_words = self.mem.code.words();
+            self.obs.prof = Some(Box::new(ProfData::new(self.cfg.cores, code_words)));
         }
     }
 
@@ -543,7 +536,7 @@ impl Machine {
             )));
         }
         let cores = (0..ncores)
-            .map(|_| Core::unsnap(&mut r))
+            .map(|_| Core::unsnap(&mut r, &cfg))
             .collect::<Result<Vec<_>, _>>()?;
         let mem = MemSys::unsnap(&mut r)?;
         let fabric = Fabric::unsnap_dyn(&mut r, drop_nth, delay_nth, fabric_faults)?;
@@ -693,7 +686,7 @@ impl Machine {
             Fault::FlipReg { hart, reg, bit, .. } => {
                 let h = self.hart_mut(hart);
                 let phys = h.rat[reg.index()] as usize;
-                h.prf[phys].value ^= 1 << bit;
+                h.prf[phys] ^= 1 << bit;
             }
             Fault::FlipMem { addr, bit, .. } => self.mem.banks.flip(addr, bit),
             Fault::CorruptInstr { pc, xor, .. } => self.mem.code.corrupt(pc, xor),
@@ -913,7 +906,7 @@ impl Machine {
     /// pipeline is drained).
     pub fn reg(&self, hart: HartId, reg: lbp_isa::Reg) -> u32 {
         let h = &self.cores[hart.core() as usize].harts[hart.local() as usize];
-        h.prf[h.rat[reg.index()] as usize].value
+        h.prf[h.rat[reg.index()] as usize]
     }
 
     /// An FNV-1a-64 hash of the machine's *architectural* state: hart
@@ -953,7 +946,7 @@ impl Machine {
                     None => put(&[0]),
                 }
                 for r in 0..32 {
-                    put(&hart.prf[hart.rat[r] as usize].value.to_le_bytes());
+                    put(&hart.prf[hart.rat[r] as usize].to_le_bytes());
                 }
                 for q in &hart.recv {
                     put(&(q.len() as u64).to_le_bytes());
@@ -1032,6 +1025,7 @@ pub(crate) fn materialize_from_fast(
             }
         }
     }
+    validate_pipeline(&cfg)?;
     validate_fault_plan(&cfg, image)?;
     let mut m = Machine::around(cfg, image, fast.banks().clone());
     m.cycle = vcycle;
@@ -1069,9 +1063,7 @@ pub(crate) fn materialize_from_fast(
             // The renaming table of an untouched hart is the identity, so
             // architectural register r lives in physical register r.
             for r in 0..32 {
-                let phys = h.rat[r] as usize;
-                h.prf[phys].value = view.regs[r];
-                h.prf[phys].ready = true;
+                h.write_phys(h.rat[r], view.regs[r]);
             }
         }
         for (q, src) in h.recv.iter_mut().zip(view.recv) {
@@ -1089,6 +1081,15 @@ pub(crate) fn materialize_from_fast(
         stalls: m.stats.stalls_total(),
     };
     Ok(m)
+}
+
+/// Rejects a configuration whose pipeline the per-hart window and
+/// renaming file cannot hold, before anything is sized from it.
+pub(crate) fn validate_pipeline(cfg: &LbpConfig) -> Result<(), SimError> {
+    cfg.check_pipeline().map_err(|why| SimError::Protocol {
+        hart: HartId::FIRST,
+        what: format!("invalid configuration: {why}"),
+    })
 }
 
 /// Rejects fault plans that target something outside the machine, so the

@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use crate::index_set::IndexSet;
+use crate::index_set::{members, IndexSet};
 use crate::msg::{NetMsg, QUEUE_DEPTH};
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 
@@ -58,8 +58,6 @@ pub struct Network {
     shared_bank_bytes: u32,
     #[cfg_attr(not(test), allow(dead_code))] // reported by levels(), used in tests
     levels: u32,
-    /// Routers per level, `routers[0] == cores` (a pseudo-level).
-    routers: Vec<u32>,
     /// Index of the first inter-router edge of each level (entry 0 unused).
     inter_base: Vec<usize>,
     /// Cores below one router of each level: `FANOUT.pow(level)`.
@@ -69,10 +67,12 @@ pub struct Network {
     bank_inbox: Vec<VecDeque<NetMsg>>,
     /// Responses/acks that arrived back at each core.
     core_inbox: Vec<Vec<NetMsg>>,
-    /// Messages on all of `edges`, and the bank and core inboxes that hold
-    /// one. Derived from the queues (rebuilt on restore): what lets `tick`
-    /// return at once, and what bank service and delivery walk.
+    /// Messages on all of `edges`, the edges that hold one, and the bank
+    /// and core inboxes that hold one. Derived from the queues (rebuilt on
+    /// restore): what lets `tick` return at once, and what it, bank
+    /// service and delivery walk.
     on_edges: usize,
+    edge_busy: IndexSet,
     bank_busy: IndexSet,
     core_busy: IndexSet,
     /// The messages one `tick` moves, between its two phases; empty
@@ -91,6 +91,7 @@ impl Network {
     /// where the single r1 *is* the top).
     pub fn new(cores: usize, shared_bank_bytes: u32) -> Network {
         let cores = cores as u32;
+        // Routers per level; level 0 is the cores themselves.
         let mut routers = vec![cores];
         loop {
             let prev = *routers.last().expect("nonempty");
@@ -107,14 +108,42 @@ impl Network {
             inter_base[level] = base;
             base += routers[level] as usize * 2;
         }
-        let mut net = Network {
+        // Level-0 <-> level-1 edges: core up, core down, bank req, bank
+        // resp — four per core, in core order.
+        let edge = |dest| Edge {
+            queue: VecDeque::with_capacity(QUEUE_DEPTH),
+            dest,
+        };
+        let mut edges = Vec::new();
+        for c in 0..cores {
+            let r1 = Node {
+                level: 1,
+                index: c / FANOUT,
+            };
+            edges.push(edge(Dest::Router(r1))); // core up
+            edges.push(edge(Dest::Deliver(Endpoint::Core(c)))); // core down
+            edges.push(edge(Dest::Deliver(Endpoint::Bank(c)))); // bank req
+            edges.push(edge(Dest::Router(r1))); // bank resp
+        }
+        // Inter-router edges: one up and one down per router per level
+        // boundary.
+        for level in 1..levels {
+            for i in 0..routers[level as usize] {
+                let parent = Node {
+                    level: level + 1,
+                    index: i / FANOUT,
+                };
+                let child = Node { level, index: i };
+                edges.push(edge(Dest::Router(parent))); // up
+                edges.push(edge(Dest::Router(child))); // down
+            }
+        }
+        Network {
             cores,
             shared_bank_bytes,
             levels,
             subtree: (0..routers.len() as u32).map(|l| FANOUT.pow(l)).collect(),
             inter_base,
-            routers,
-            edges: Vec::new(),
             bank_inbox: (0..cores)
                 .map(|_| VecDeque::with_capacity(QUEUE_DEPTH))
                 .collect(),
@@ -122,59 +151,15 @@ impl Network {
                 .map(|_| Vec::with_capacity(QUEUE_DEPTH))
                 .collect(),
             on_edges: 0,
+            edge_busy: IndexSet::new(edges.len()),
             bank_busy: IndexSet::new(cores as usize),
             core_busy: IndexSet::new(cores as usize),
-            moved: Vec::new(),
+            // At most one message per edge moves in a tick.
+            moved: Vec::with_capacity(edges.len()),
+            edges,
             hops: 0,
             contended: 0,
-        };
-        // Level-0 <-> level-1 edges: core up, core down, bank req, bank
-        // resp — four per core, in core order.
-        for c in 0..cores {
-            let r1 = Node {
-                level: 1,
-                index: c / FANOUT,
-            };
-            net.edges.push(Edge {
-                queue: VecDeque::with_capacity(QUEUE_DEPTH),
-                dest: Dest::Router(r1),
-            }); // core up
-            net.edges.push(Edge {
-                queue: VecDeque::with_capacity(QUEUE_DEPTH),
-                dest: Dest::Deliver(Endpoint::Core(c)),
-            }); // core down
-            net.edges.push(Edge {
-                queue: VecDeque::with_capacity(QUEUE_DEPTH),
-                dest: Dest::Deliver(Endpoint::Bank(c)),
-            }); // bank req
-            net.edges.push(Edge {
-                queue: VecDeque::with_capacity(QUEUE_DEPTH),
-                dest: Dest::Router(r1),
-            }); // bank resp
         }
-        // Inter-router edges: one up and one down per router per level
-        // boundary.
-        for level in 1..levels {
-            let count = net.routers[level as usize];
-            for i in 0..count {
-                let parent = Node {
-                    level: level + 1,
-                    index: i / FANOUT,
-                };
-                let child = Node { level, index: i };
-                net.edges.push(Edge {
-                    queue: VecDeque::with_capacity(QUEUE_DEPTH),
-                    dest: Dest::Router(parent),
-                }); // up
-                net.edges.push(Edge {
-                    queue: VecDeque::with_capacity(QUEUE_DEPTH),
-                    dest: Dest::Router(child),
-                }); // down
-            }
-        }
-        // At most one message per edge moves in a tick.
-        net.moved.reserve_exact(net.edges.len());
-        net
     }
 
     /// Number of router levels (1 = r1 only, 3 = the paper's 64-core
@@ -212,6 +197,7 @@ impl Network {
 
     fn push_edge(&mut self, e: usize, msg: NetMsg) {
         self.edges[e].queue.push_back(msg);
+        self.edge_busy.insert(e);
         self.on_edges += 1;
     }
 
@@ -284,12 +270,18 @@ impl Network {
         if self.on_edges == 0 {
             return;
         }
-        // Phase 1: pop one message per edge (the link's bandwidth).
+        // Phase 1: pop one message per occupied edge (the link's
+        // bandwidth), in edge order. Nothing is pushed until phase 2.
         let mut moved = std::mem::take(&mut self.moved);
-        for e in &mut self.edges {
-            if let Some(msg) = e.queue.pop_front() {
+        for w in 0..self.edge_busy.words() {
+            for i in members(w, self.edge_busy.word(w)) {
+                let e = &mut self.edges[i];
+                let msg = e.queue.pop_front().expect("a busy edge holds a message");
                 moved.push((e.dest, msg));
                 self.contended += e.queue.len() as u64;
+                if e.queue.is_empty() {
+                    self.edge_busy.remove(i);
+                }
             }
         }
         self.hops += moved.len() as u64;
@@ -357,9 +349,10 @@ impl Network {
                 net.edges.len()
             )));
         }
-        for e in &mut net.edges {
+        for (i, e) in net.edges.iter_mut().enumerate() {
             for _ in 0..r.seq()? {
                 e.queue.push_back(NetMsg::unsnap(r)?);
+                net.edge_busy.insert(i);
             }
             net.on_edges += e.queue.len();
         }

@@ -25,6 +25,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::bank::is_code_word;
 use crate::stats::{CoreStalls, StallKind};
 use crate::trace::Event;
 
@@ -68,7 +69,16 @@ pub struct ProfInterval {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfData {
     cores: usize,
-    per_pc: Vec<BTreeMap<u32, PcCounters>>,
+    /// Words in the code bank: the row length of `per_word`.
+    code_words: usize,
+    /// The counters of every code word of every core, core by core, a
+    /// core's at `pc >> 2`: one retiring or stalling core-cycle is one
+    /// indexed add. A word is listed once it has been charged.
+    per_word: Vec<PcCounters>,
+    /// Per core, whatever else a stall was blamed on: the misaligned
+    /// target of a `jalr`, a pc past the bank (blamed before the fetch
+    /// of it faults).
+    elsewhere: Vec<BTreeMap<u32, PcCounters>>,
     unattributed: Vec<CoreStalls>,
     noc_requests: Vec<u64>,
     bank_conflicts: Vec<u64>,
@@ -79,11 +89,14 @@ pub struct ProfData {
 }
 
 impl ProfData {
-    /// Creates empty collectors for a `cores`-core machine.
-    pub fn new(cores: usize) -> ProfData {
+    /// Creates empty collectors for a `cores`-core machine running a
+    /// program of `code_words` instruction words.
+    pub fn new(cores: usize, code_words: usize) -> ProfData {
         ProfData {
             cores,
-            per_pc: vec![BTreeMap::new(); cores],
+            code_words,
+            per_word: vec![PcCounters::default(); cores * code_words],
+            elsewhere: vec![BTreeMap::new(); cores],
             unattributed: vec![CoreStalls::default(); cores],
             noc_requests: vec![0; cores * cores],
             bank_conflicts: vec![0; cores * cores],
@@ -94,17 +107,29 @@ impl ProfData {
         }
     }
 
+    /// The counters of `pc` on `core`.
+    #[inline]
+    fn counters(&mut self, core: usize, pc: u32) -> &mut PcCounters {
+        if is_code_word(self.code_words, pc) {
+            &mut self.per_word[core * self.code_words + (pc >> 2) as usize]
+        } else {
+            self.elsewhere[core].entry(pc).or_default()
+        }
+    }
+
     /// Attributes one retiring cycle of `core` to the committed `pc`.
+    #[inline]
     pub(crate) fn retired(&mut self, core: usize, pc: u32) {
-        self.per_pc[core].entry(pc).or_default().retired += 1;
+        self.counters(core, pc).retired += 1;
     }
 
     /// Attributes `n` stall slots of `core` to the blamed `pc` (or to the
     /// core's unattributed bucket when no instruction is blamable, e.g.
     /// an idle core).
+    #[inline]
     pub(crate) fn stalled(&mut self, core: usize, pc: Option<u32>, kind: StallKind, n: u64) {
         let stalls = match pc {
-            Some(pc) => &mut self.per_pc[core].entry(pc).or_default().stalls,
+            Some(pc) => &mut self.counters(core, pc).stalls,
             None => &mut self.unattributed[core],
         };
         stalls.charge(kind, n);
@@ -147,9 +172,28 @@ impl ProfData {
         self.cores
     }
 
+    /// The code words of one core that were charged, in pc order. Every
+    /// charge is of at least one cycle, so an untouched word is one whose
+    /// cycles are zero.
+    fn charged_words(&self, core: usize) -> impl Iterator<Item = (u32, &PcCounters)> {
+        let row = &self.per_word[core * self.code_words..][..self.code_words];
+        let charged = row.iter().enumerate().filter(|(_, c)| c.cycles() != 0);
+        charged.map(|(word, c)| ((word as u32) << 2, c))
+    }
+
     /// The per-pc attribution of one core, in pc order.
     pub fn per_pc(&self, core: usize) -> impl Iterator<Item = (u32, &PcCounters)> {
-        self.per_pc[core].iter().map(|(&pc, c)| (pc, c))
+        let mut words = self.charged_words(core).peekable();
+        let mut elsewhere = self.elsewhere[core]
+            .iter()
+            .map(|(&pc, c)| (pc, c))
+            .peekable();
+        // No pc is in both.
+        std::iter::from_fn(move || match (words.peek(), elsewhere.peek()) {
+            (Some(word), Some(other)) if other.0 < word.0 => elsewhere.next(),
+            (Some(_), _) => words.next(),
+            (None, _) => elsewhere.next(),
+        })
     }
 
     /// Stall slots of one core no instruction could be blamed for.
@@ -183,11 +227,8 @@ impl ProfData {
     /// stalls + unattributed stalls. Equals the machine cycle count for
     /// every core of a profiled run (the exactness invariant).
     pub fn attributed_cycles(&self, core: usize) -> u64 {
-        self.per_pc[core]
-            .values()
-            .map(PcCounters::cycles)
-            .sum::<u64>()
-            + self.unattributed[core].total()
+        let charged = self.per_pc(core).map(|(_, c)| c.cycles());
+        charged.sum::<u64>() + self.unattributed[core].total()
     }
 }
 
@@ -197,7 +238,7 @@ mod tests {
 
     #[test]
     fn attribution_partitions() {
-        let mut p = ProfData::new(2);
+        let mut p = ProfData::new(2, 8);
         p.retired(0, 0x10);
         p.retired(0, 0x10);
         p.stalled(0, Some(0x14), StallKind::MemWait, 1);
@@ -213,9 +254,26 @@ mod tests {
         assert_eq!(p.unattributed(0).idle, 1);
     }
 
+    /// A stall can be blamed on a pc that is no code word — the odd
+    /// target of a `jalr`, a pc past the bank — and those come out in pc
+    /// order among the table's.
+    #[test]
+    fn pcs_that_are_no_code_word_are_listed_in_order_with_those_that_are() {
+        let mut p = ProfData::new(1, 4); // code words at 0x0, 0x4, 0x8, 0xc
+        p.stalled(0, Some(0x40), StallKind::FetchStarved, 1); // past the bank
+        p.retired(0, 0xc);
+        p.stalled(0, Some(0x6), StallKind::FetchStarved, 1); // misaligned
+        p.retired(0, 0x4);
+        p.stalled(0, Some(0x10), StallKind::MemWait, 2); // the first pc past it
+        p.retired(0, 0x4);
+        let listed: Vec<_> = p.per_pc(0).map(|(pc, c)| (pc, c.cycles())).collect();
+        assert_eq!(listed, [(0x4, 2), (0x6, 1), (0xc, 1), (0x10, 2), (0x40, 1)]);
+        assert_eq!(p.attributed_cycles(0), 7);
+    }
+
     #[test]
     fn matrices_and_intervals_delta() {
-        let mut p = ProfData::new(2);
+        let mut p = ProfData::new(2, 0);
         p.noc_request(0, 1);
         p.noc_request(0, 1);
         p.bank_conflict(1, 0, 3);
@@ -234,7 +292,7 @@ mod tests {
     #[test]
     fn timeline_records_order() {
         use crate::trace::EventKind;
-        let mut p = ProfData::new(1);
+        let mut p = ProfData::new(1, 0);
         let hart = lbp_isa::HartId::new(0);
         for (cycle, kind) in [(1, EventKind::Fork { child: hart }), (2, EventKind::Exit)] {
             p.lifecycle(Event { cycle, hart, kind });

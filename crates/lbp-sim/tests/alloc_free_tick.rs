@@ -95,6 +95,31 @@ fn tiled_matmul_ticks_without_allocating() {
     assert_eq!(allocs, 0, "over {cycles} cycles");
 }
 
+/// The profiler's per-pc counters are a table over the code bank, sized
+/// when profiling is turned on: charging a pc for the first time, which
+/// this leg still does, is an indexed add like any other. The team is
+/// forked by cycle 1,200 and its first member ends after cycle 11,000; in
+/// between no hart starts or ends, so the timeline, the one list the
+/// collector grows, stays as it is.
+#[test]
+fn profiled_ticks_do_not_allocate_for_a_pc_they_have_not_seen() {
+    let mut m = Matmul::new(16, Version::Tiled).machine().unwrap();
+    m.enable_profiling();
+    let seen = |m: &Machine| {
+        let prof = m.profile().unwrap();
+        let pcs = (0..4).map(|core| prof.per_pc(core).count()).sum::<usize>();
+        (pcs, prof.timeline().len())
+    };
+    m.run_to(2_000).unwrap();
+    let (pcs, events) = seen(&m);
+    let (allocs, cycles) = allocations_between(&mut m, 2_000, 10_000);
+    assert_eq!(cycles, 8_000, "the guest outlasts the measured leg");
+    let (pcs_after, events_after) = seen(&m);
+    assert!(pcs_after > pcs, "{pcs} pcs charged before and after");
+    assert_eq!(events_after, events, "a hart started or ended");
+    assert_eq!(allocs, 0, "over {cycles} cycles");
+}
+
 /// The guest of `cx_idle`, smaller: an empty fork-join team. Most of its
 /// cycles retire nothing anywhere, so every one past the eighth asks the
 /// deadlock detector, which must answer without building its report.

@@ -11,7 +11,7 @@ use lbp_asm::assemble;
 use lbp_isa::{HartId, IO_BASE, LOCAL_BASE, SHARED_BASE};
 use lbp_sim::{
     run_lockstep, Divergence, FastEngine, FastStop, Fault, FaultPlan, Json, LbpConfig,
-    LockstepError, Machine, MemFault, SimError, DUMP_SCHEMA,
+    LockstepError, Machine, MachineState, MemFault, SimError, SnapError, DUMP_SCHEMA,
 };
 use lbp_testutil::check_cases;
 use lbp_testutil::harness::{machine, machine_with_faults};
@@ -418,6 +418,121 @@ fn a_faulting_access_is_the_same_error_on_both_engines() {
                 if *h == hart && what.contains("functional mode cannot access I/O devices")),
             "{op}: {functional}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A configuration the pipeline cannot hold is an error, not a panic
+// ---------------------------------------------------------------------------
+
+/// The default one-core configuration with one knob turned.
+fn patched(patch: impl Fn(&mut LbpConfig)) -> LbpConfig {
+    let mut cfg = LbpConfig::cores(1);
+    patch(&mut cfg);
+    cfg
+}
+
+/// A renaming file or a reorder buffer outside `34..=64` / `0..=64`, by
+/// the field that says so; 70,000 is more than a register index holds.
+fn misfits() -> [(&'static str, LbpConfig); 5] {
+    [
+        ("phys_regs", patched(|cfg| cfg.phys_regs = 10)),
+        ("phys_regs", patched(|cfg| cfg.phys_regs = 33)),
+        ("phys_regs", patched(|cfg| cfg.phys_regs = 65)),
+        ("phys_regs", patched(|cfg| cfg.phys_regs = 70_000)),
+        ("rob_entries", patched(|cfg| cfg.rob_entries = 65)),
+    ]
+}
+
+#[test]
+fn a_pipeline_that_does_not_fit_is_refused_by_both_engines_and_the_handoff() {
+    let image = assemble(MUL_PROGRAM).unwrap();
+    for (field, cfg) in misfits() {
+        let exact = Machine::new(cfg.clone(), &image).map(|_| ());
+        let functional = FastEngine::new(cfg.clone(), &image).map(|_| ());
+        let handoff = FastEngine::new(cfg.clone(), &image).and_then(|mut fast| {
+            fast.run(FastStop::Retired(2), 100)?;
+            fast.materialize(&image).map(|_| ())
+        });
+        for (engine, refusal) in [
+            ("cycle-exact", exact),
+            ("functional", functional),
+            ("handoff", handoff),
+        ] {
+            let err = refusal.expect_err(engine);
+            assert!(
+                matches!(&err, SimError::Protocol { what, .. }
+                    if what.contains("invalid configuration") && what.contains(field)),
+                "{engine}, {field}: {err:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_ends_of_the_range_fit_and_an_empty_buffer_still_deadlocks() {
+    let image = assemble(MUL_PROGRAM).unwrap();
+    for cfg in [
+        patched(|cfg| cfg.phys_regs = 34),
+        patched(|cfg| cfg.rob_entries = 64),
+        patched(|cfg| cfg.rob_entries = 1),
+    ] {
+        let mut m = Machine::new(cfg, &image).unwrap();
+        assert!(m.run(10_000).unwrap().exited);
+        assert_eq!(m.reg(HartId::FIRST, lbp_isa::Reg::A2), 42);
+    }
+    // Nothing can rename into a buffer or a table of no entries: the run
+    // is the deadlock it always was.
+    for cfg in [
+        patched(|cfg| cfg.rob_entries = 0),
+        patched(|cfg| cfg.it_entries = 0),
+    ] {
+        let err = Machine::new(cfg, &image).unwrap().run(10_000).unwrap_err();
+        let SimError::Deadlock { blocked, .. } = &err else {
+            panic!("expected Deadlock, got {err:?}");
+        };
+        assert!(blocked[0].waiting_on.contains("rename capacity"), "{err}");
+    }
+}
+
+#[test]
+fn a_snapshot_of_a_pipeline_that_does_not_fit_is_corrupt() {
+    // A table one entry short of the buffer, so that a hart's two
+    // capacities are a pattern the configuration's (buffer first) is not.
+    let mut m = Machine::new(
+        patched(|cfg| cfg.it_entries = 31),
+        &assemble(MUL_PROGRAM).unwrap(),
+    )
+    .unwrap();
+    m.run_to(5).unwrap();
+    let bytes = m.snapshot().as_bytes().to_vec();
+    let find = |words: [u64; 2]| {
+        let pattern: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let at = bytes.windows(16).position(|w| w == pattern);
+        at.expect("the capacities are in the snapshot")
+    };
+    // The configuration holds phys_regs, rob_entries, it_entries in that
+    // order; every hart ends in it_capacity, rob_capacity.
+    let cfg_rob = find([32, 31]);
+    let hart_it = find([31, 32]);
+    for (at, value, field) in [
+        (cfg_rob - 8, 10, "phys_regs"),
+        (cfg_rob - 8, 65, "phys_regs"),
+        (cfg_rob, 65, "rob_entries"),
+        (hart_it + 8, 65, "rob_entries"),
+        (hart_it + 8, 33, "rob_entries"),
+        (hart_it, 30, "it_entries"),
+    ] {
+        let mut bent = bytes.clone();
+        bent[at..at + 8].copy_from_slice(&u64::to_le_bytes(value));
+        let state = MachineState::from_bytes(bent).unwrap();
+        match Machine::restore(&state) {
+            Err(SnapError::Corrupt(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!(
+                "`{field}` = {value} must be refused, got {:?}",
+                other.map(|_| ())
+            ),
+        }
     }
 }
 
