@@ -206,6 +206,8 @@ pub(crate) fn parse_expr(s: &str, line_no: usize) -> Result<Expr, AsmError> {
         text: s,
         pos: 0,
         line_no,
+        depth: 0,
+        height: 0,
     };
     let e = p.expr()?;
     p.skip_ws();
@@ -218,10 +220,21 @@ pub(crate) fn parse_expr(s: &str, line_no: usize) -> Result<Expr, AsmError> {
     Ok(e.fold())
 }
 
+/// Deepest nesting of parentheses and unary minus an operand accepts,
+/// and the tallest expression tree it builds. The parser, `fold`,
+/// `eval` and `Drop` all recurse on the tree, so this one bound keeps
+/// every one of them off the end of the stack; generated and shipped
+/// operands nest two or three levels.
+pub(crate) const MAX_NEST: usize = 64;
+
 struct ExprParser<'a> {
     text: &'a str,
     pos: usize,
     line_no: usize,
+    /// `term`s open around `pos`.
+    depth: usize,
+    /// Height of the expression tree most recently returned.
+    height: usize,
 }
 
 impl<'a> ExprParser<'a> {
@@ -245,30 +258,57 @@ impl<'a> ExprParser<'a> {
         Some(c)
     }
 
+    /// Records a node built over subtrees of height `below`.
+    fn grow(&mut self, below: usize) -> Result<(), AsmError> {
+        if below >= MAX_NEST {
+            return Err(self.err(format!(
+                "expression too deep at column {} (limit {MAX_NEST})",
+                self.pos + 1
+            )));
+        }
+        self.height = below + 1;
+        Ok(())
+    }
+
     fn expr(&mut self) -> Result<Expr, AsmError> {
         let mut acc = self.term()?;
         loop {
             self.skip_ws();
-            match self.peek() {
-                Some('+') => {
-                    self.bump();
-                    acc = acc.add(self.term()?);
-                }
-                Some('-') => {
-                    self.bump();
-                    acc = acc.sub(self.term()?);
-                }
+            let op = match self.peek() {
+                Some('+') => Expr::add,
+                Some('-') => Expr::sub,
                 _ => return Ok(acc),
-            }
+            };
+            self.bump();
+            let below = self.height;
+            let rhs = self.term()?;
+            self.grow(below.max(self.height))?;
+            acc = op(acc, rhs);
         }
     }
 
     fn term(&mut self) -> Result<Expr, AsmError> {
         self.skip_ws();
+        if self.depth == MAX_NEST {
+            return Err(self.err(format!(
+                "expression nested too deep at column {} (limit {MAX_NEST})",
+                self.pos + 1
+            )));
+        }
+        self.depth += 1;
+        let e = self.term_body();
+        self.depth -= 1;
+        e
+    }
+
+    fn term_body(&mut self) -> Result<Expr, AsmError> {
+        self.height = 1;
         match self.peek() {
             Some('-') => {
                 self.bump();
-                Ok(Expr::konst(0).sub(self.term()?))
+                let e = self.term()?;
+                self.grow(self.height)?;
+                Ok(Expr::konst(0).sub(e))
             }
             Some('%') => {
                 self.bump();
@@ -282,6 +322,7 @@ impl<'a> ExprParser<'a> {
                 if self.bump() != Some(')') {
                     return Err(self.err(format!("expected `)` closing %{name}")));
                 }
+                self.grow(self.height)?;
                 match name.as_str() {
                     "hi" => Ok(inner.hi()),
                     "lo" => Ok(inner.lo()),
@@ -821,6 +862,28 @@ fn zero_branch(m: &str) -> Option<(BranchKind, ZeroSide)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn operand_nesting_is_bounded_with_a_positioned_error() {
+        let li = |operand: String| parse_program(&format!("main:\n  li a0, {operand}"));
+        let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        // The innermost operand is itself a term: MAX_NEST - 1 pairs fit.
+        assert!(li(parens(MAX_NEST - 1)).is_ok());
+        let e = li(parens(MAX_NEST)).unwrap_err();
+        assert_eq!(e.line, 2);
+        let at = format!("nested too deep at column {}", MAX_NEST + 1);
+        assert!(e.message.contains(&at), "{e}");
+        // A chain nests the tree without nesting the parser.
+        let chain = |n: usize| vec!["x"; n].join("+");
+        assert!(li(chain(MAX_NEST)).is_ok());
+        assert!(li(chain(MAX_NEST + 1))
+            .unwrap_err()
+            .message
+            .contains("too deep"));
+        for hostile in [parens(100_000), chain(100_000), "-".repeat(100_000) + "1"] {
+            assert!(li(hostile).is_err());
+        }
+    }
 
     fn one_instr(src: &str) -> SymInstr {
         let items = parse_program(src).unwrap();

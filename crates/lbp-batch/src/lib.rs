@@ -59,7 +59,8 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
 
-use lbp_sim::{Fault, FaultPlan, Json, LbpConfig, Machine};
+pub use lbp_cc::SourceKind;
+use lbp_sim::{FastEngine, FastStop, Fault, FaultPlan, Json, LbpConfig, Machine, WarmError};
 
 /// The manifest schema identifier.
 pub const MANIFEST_SCHEMA: &str = "lbp-batch-manifest-v1";
@@ -78,15 +79,6 @@ impl std::fmt::Display for BatchError {
 }
 
 impl std::error::Error for BatchError {}
-
-/// How a job's program text reaches the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceKind {
-    /// PISC assembly, fed to `lbp-asm`.
-    Asm,
-    /// The C subset, fed to `lbp-cc`.
-    C,
-}
 
 /// One fully-loaded simulation job: program source plus configuration.
 #[derive(Debug, Clone)]
@@ -178,11 +170,7 @@ pub fn load_manifest(text: &str, base_dir: &Path) -> Result<Vec<BatchJob>, Batch
         let path = base_dir.join(program);
         let source = std::fs::read_to_string(&path)
             .map_err(|e| bad(format!("job `{id}`: cannot read {}: {e}", path.display())))?;
-        let kind = if program.ends_with(".c") {
-            SourceKind::C
-        } else {
-            SourceKind::Asm
-        };
+        let kind = SourceKind::of(program);
         let cores = j.get("cores").and_then(Json::as_u64).unwrap_or(1) as usize;
         let max_cycles = j
             .get("max_cycles")
@@ -275,15 +263,9 @@ fn profile_summary(image: &lbp_asm::Image, machine: &Machine, top: usize) -> Jso
 /// one-shot runner and the crash-recoverable service worker.
 fn prepare(job: &BatchJob) -> Result<(lbp_asm::Image, Machine), JobOutcome> {
     let err = |class: &'static str, message: String| Err(JobOutcome::Err { class, message });
-    let image = match job.kind {
-        SourceKind::C => match lbp_cc::compile(&job.source) {
-            Ok(c) => c.image,
-            Err(e) => return err("compile", e.to_string()),
-        },
-        SourceKind::Asm => match lbp_asm::assemble(&job.source) {
-            Ok(image) => image,
-            Err(e) => return err("assemble", e.to_string()),
-        },
+    let image = match lbp_cc::build(job.kind, &job.source, &Default::default()) {
+        Ok(built) => built.image,
+        Err(e) => return err(e.stage(), e.to_string()),
     };
     let plan: FaultPlan = job
         .faults
@@ -296,16 +278,10 @@ fn prepare(job: &BatchJob) -> Result<(lbp_asm::Image, Machine), JobOutcome> {
         // materialized machine to the cycle-exact window. Warm-phase
         // refusals (message faults, faults scheduled inside the warm
         // window) land in the job's result line like any other error.
-        let mut fast = match lbp_sim::FastEngine::new(cfg, &image) {
-            Ok(f) => f,
-            Err(e) => return err("config", e.to_string()),
-        };
-        if let Err(e) = fast.run(lbp_sim::FastStop::Retired(warm), job.max_cycles) {
-            return err(e.class(), e.to_string());
-        }
-        match fast.materialize(&image) {
-            Ok(m) => m,
-            Err(e) => return err(e.class(), e.to_string()),
+        match FastEngine::warm(cfg, &image, FastStop::Retired(warm), job.max_cycles) {
+            Ok((machine, _)) => machine,
+            Err(WarmError::Setup(e)) => return err("config", e.to_string()),
+            Err(e) => return err(e.sim().class(), e.sim().to_string()),
         }
     } else {
         match Machine::new(cfg, &image) {

@@ -14,133 +14,108 @@
 //! the journal says it stood, finishing with `DIR/results.jsonl`
 //! byte-identical to an uninterrupted run.
 //!
-//! Exit code 0 when every job reached a verdict (even a failing one —
-//! its line says so), 1 on manifest/front-end/state-dir problems, 2 on
-//! usage errors, 86 when an injected crash point fired.
+//! `lbp-batch --help` prints the flag table with the mode (one-shot or
+//! service) each flag belongs to. Exit code 0 when every job reached a
+//! verdict (even a failing one — its line says so), 1 on
+//! manifest/front-end/state-dir problems, 2 on usage errors, 86 when an
+//! injected crash point fired.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use lbp_batch::service::ServiceOptions;
+use lbp_sim::cli::{self, Args, Flag, Grammar, Positional, ALL_MODES};
 use lbp_sim::ExitClass;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: lbp-batch MANIFEST.json [--workers N] [--out FILE]\n\
-         \x20      lbp-batch MANIFEST.json --state-dir DIR [service options]\n\
-         \n\
-         Runs every job in an lbp-batch-manifest-v1 file across a worker\n\
-         pool, streaming one lbp-batch-v1 JSONL result line per job.\n\
-         \n\
-         --workers N   worker threads (default: available parallelism)\n\
-         --out FILE    write results to FILE instead of stdout\n\
-         \n\
-         Service mode (crash-recoverable; results land in DIR/results.jsonl):\n\
-         --state-dir DIR        durable journal + checkpoints under DIR;\n\
-         \x20                      rerunning resumes an interrupted sweep\n\
-         --max-attempts N       attempts before a job is quarantined (default 3)\n\
-         --queue-cap N          distinct jobs admitted, rest shed as\n\
-         \x20                      `rejected` backpressure (default 0 = unbounded)\n\
-         --checkpoint-every N   cycles between checkpoints (default 250000;\n\
-         \x20                      0 disables)\n\
-         --slice N              cycles between watchdog polls (default 10000)\n\
-         --wall-ms MS           per-attempt wall-clock budget; a cancelled\n\
-         \x20                      attempt retries with backoff (default 0 = off)\n\
-         --backoff-ms MS        retry backoff base (default 10)\n\
-         --crash-after-appends N  TEST HOOK: exit 86 after the Nth journal\n\
-         \x20                      append (crash injection for the soak suite)\n\
-         --crash-torn           TEST HOOK: with the above, also leave a torn\n\
-         \x20                      half-record at the journal tail"
-    );
-    ExitClass::Usage.exit();
+const BATCH: u32 = 1 << 0;
+const SERVICE: u32 = 1 << 1;
+
+lbp_sim::flags! { FLAGS:
+    WORKERS = Flag::new("--workers", &["N"], ALL_MODES,
+        "worker threads (default: available parallelism)");
+    OUT = Flag::new("--out", &["FILE"], BATCH,
+        "write results to FILE instead of stdout");
+    STATE_DIR = Flag::new("--state-dir", &["DIR"], SERVICE,
+        "durable journal + checkpoints under DIR; results land\n\
+         in DIR/results.jsonl; rerunning resumes an\n\
+         interrupted sweep").selects(SERVICE);
+    MAX_ATTEMPTS = Flag::new("--max-attempts", &["N"], SERVICE,
+        "attempts before a job is quarantined (default 3)");
+    QUEUE_CAP = Flag::new("--queue-cap", &["N"], SERVICE,
+        "distinct jobs admitted, rest shed as `rejected`\n\
+         backpressure (default 0 = unbounded)");
+    CHECKPOINT_EVERY = Flag::new("--checkpoint-every", &["N"], SERVICE,
+        "cycles between checkpoints (default 250000; 0 disables)");
+    SLICE = Flag::new("--slice", &["N"], SERVICE,
+        "cycles between watchdog polls (default 10000)");
+    WALL_MS = Flag::new("--wall-ms", &["MS"], SERVICE,
+        "per-attempt wall-clock budget; a cancelled attempt\n\
+         retries with backoff (default 0 = off)");
+    BACKOFF_MS = Flag::new("--backoff-ms", &["MS"], SERVICE,
+        "retry backoff base (default 10)");
+    CRASH_AFTER_APPENDS = Flag::new("--crash-after-appends", &["N"], SERVICE,
+        "TEST HOOK: exit 86 after the Nth journal append\n\
+         (crash injection for the soak suite)");
+    CRASH_TORN = Flag::new("--crash-torn", &[], SERVICE,
+        "TEST HOOK: also leave a torn half-record at the\n\
+         journal tail").requires(&[CRASH_AFTER_APPENDS]);
 }
 
-struct Options {
-    manifest: PathBuf,
-    workers: usize,
-    out: Option<PathBuf>,
-    state_dir: Option<PathBuf>,
-    service: ServiceOptions,
-}
+static GRAMMAR: Grammar = Grammar {
+    tool: "lbp-batch",
+    synopsis: &[
+        "lbp-batch MANIFEST.json [--workers N] [--out FILE]",
+        "lbp-batch MANIFEST.json --state-dir DIR [service options]",
+    ],
+    about: "Runs every job in an lbp-batch-manifest-v1 file across a worker\n\
+            pool, streaming one lbp-batch-v1 JSONL result line per job.",
+    modes: &[
+        ("batch", "one shot: results stream to --out"),
+        ("service", "crash-recoverable: journaled under DIR"),
+    ],
+    positional: Positional::one("MANIFEST.json", ALL_MODES, ALL_MODES),
+    flags: FLAGS,
+    footer: "exit codes: 0 every job reached a verdict, 1 manifest/front-end/\n\
+             state-dir failure, 2 usage, 86 an injected crash point fired",
+};
 
-fn parse_args() -> Options {
-    let mut manifest = None;
-    let mut workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = None;
-    let mut state_dir = None;
-    let mut service = ServiceOptions {
-        checkpoint_every: 250_000,
-        ..ServiceOptions::default()
+/// The service's policy knobs, each flag at least `min`.
+fn service_options(args: &Args, workers: usize) -> Result<ServiceOptions, String> {
+    let at_least = |flag: &Flag, min: u64, default: u64| match args.get::<u64>(flag)? {
+        Some(n) if n < min => Err(format!("`{}` must be at least {min}", flag.name)),
+        n => Ok(n.unwrap_or(default)),
     };
-    let mut args = std::env::args().skip(1);
-    let num = |args: &mut dyn Iterator<Item = String>| -> u64 {
-        match args.next().and_then(|v| v.parse::<u64>().ok()) {
-            Some(n) => n,
-            None => usage(),
-        }
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--workers" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => workers = n,
-                _ => usage(),
-            },
-            "--out" => match args.next() {
-                Some(path) => out = Some(PathBuf::from(path)),
-                None => usage(),
-            },
-            "--state-dir" => match args.next() {
-                Some(dir) => state_dir = Some(PathBuf::from(dir)),
-                None => usage(),
-            },
-            "--max-attempts" => match num(&mut args) {
-                n if n >= 1 && n <= u32::MAX as u64 => service.max_attempts = n as u32,
-                _ => usage(),
-            },
-            "--queue-cap" => service.queue_cap = num(&mut args) as usize,
-            "--checkpoint-every" => service.checkpoint_every = num(&mut args),
-            "--slice" => match num(&mut args) {
-                n if n >= 1 => service.slice = n,
-                _ => usage(),
-            },
-            "--wall-ms" => service.wall_ms = num(&mut args),
-            "--backoff-ms" => service.backoff_ms = num(&mut args),
-            "--crash-after-appends" => service.crash_after_appends = Some(num(&mut args)),
-            "--crash-torn" => service.crash_torn = true,
-            "--help" | "-h" => usage(),
-            _ if arg.starts_with('-') => usage(),
-            _ if manifest.is_none() => manifest = Some(PathBuf::from(arg)),
-            _ => usage(),
-        }
-    }
-    let Some(manifest) = manifest else { usage() };
-    if state_dir.is_some() && out.is_some() {
-        // Service results are the state dir's; --out would silently
-        // split the source of truth.
-        usage();
-    }
-    service.workers = workers;
-    Options {
-        manifest,
+    let max_attempts = at_least(MAX_ATTEMPTS, 1, 3)?;
+    Ok(ServiceOptions {
         workers,
-        out,
-        state_dir,
-        service,
-    }
+        max_attempts: u32::try_from(max_attempts)
+            .map_err(|_| format!("`{}` is too large", MAX_ATTEMPTS.name))?,
+        queue_cap: at_least(QUEUE_CAP, 0, 0)? as usize,
+        checkpoint_every: at_least(CHECKPOINT_EVERY, 0, 250_000)?,
+        slice: at_least(SLICE, 1, 10_000)?,
+        wall_ms: at_least(WALL_MS, 0, 0)?,
+        backoff_ms: at_least(BACKOFF_MS, 0, 10)?,
+        crash_after_appends: args.get(CRASH_AFTER_APPENDS)?,
+        crash_torn: args.has(CRASH_TORN),
+    })
 }
 
 fn main() {
-    let opts = parse_args();
-    let text = match std::fs::read_to_string(&opts.manifest) {
+    let args = GRAMMAR.parse_env();
+    let workers = match args.get::<usize>(WORKERS) {
+        Ok(Some(0)) => GRAMMAR.refuse(&format!("`{}` must be at least 1", WORKERS.name)),
+        Ok(n) => n.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        Err(what) => GRAMMAR.refuse(&what),
+    };
+    let service = service_options(&args, workers).unwrap_or_else(|what| GRAMMAR.refuse(&what));
+    let manifest = Path::new(&args.positional()[0]);
+    let text = match std::fs::read_to_string(manifest) {
         Ok(text) => text,
         Err(e) => {
-            eprintln!("lbp-batch: cannot read {}: {e}", opts.manifest.display());
+            eprintln!("lbp-batch: cannot read {}: {e}", manifest.display());
             ExitClass::Failure.exit();
         }
     };
-    let base = opts
-        .manifest
+    let base = manifest
         .parent()
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("."));
@@ -152,8 +127,8 @@ fn main() {
         }
     };
     let started = std::time::Instant::now();
-    if let Some(dir) = &opts.state_dir {
-        match lbp_batch::service::run_service(&text, &jobs, dir, &opts.service) {
+    if let Some(dir) = args.str(STATE_DIR).map(Path::new) {
+        match lbp_batch::service::run_service(&text, &jobs, dir, &service) {
             Ok(r) => {
                 eprintln!(
                     "lbp-batch: epoch {}: {} jobs ({} admitted, {} rejected, {} failed, \
@@ -168,7 +143,7 @@ fn main() {
                     r.attempted,
                     r.resumed,
                     r.retries,
-                    opts.workers,
+                    workers,
                     started.elapsed(),
                     dir.join("results.jsonl").display()
                 );
@@ -180,15 +155,13 @@ fn main() {
         }
         return;
     }
-    let summary = match &opts.out {
-        Some(path) => match std::fs::File::create(path) {
-            Ok(f) => lbp_batch::run_batch(&jobs, opts.workers, std::io::BufWriter::new(f)),
-            Err(e) => {
-                eprintln!("lbp-batch: cannot create {}: {e}", path.display());
-                ExitClass::Failure.exit();
-            }
-        },
-        None => lbp_batch::run_batch(&jobs, opts.workers, std::io::stdout()),
+    let out = args.str(OUT).unwrap_or("-");
+    let summary = match cli::open_out(out) {
+        Ok(out) => lbp_batch::run_batch(&jobs, workers, out),
+        Err(e) => {
+            eprintln!("lbp-batch: cannot create {out}: {e}");
+            ExitClass::Failure.exit();
+        }
     };
     match summary {
         Ok(s) => {
@@ -197,7 +170,7 @@ fn main() {
                 s.jobs,
                 s.unique,
                 s.failed,
-                opts.workers,
+                workers,
                 started.elapsed()
             );
         }

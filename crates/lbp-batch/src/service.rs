@@ -48,7 +48,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use lbp_sim::{Json, Machine, MachineState, RunPause, SimError};
+use lbp_sim::{Json, Machine, MachineState, Watch, Watched};
 
 use crate::journal::{Journal, JournalError, Rec};
 use crate::{job_hash, prepare, profile_summary, result_line};
@@ -775,50 +775,30 @@ fn attempt_once(
         shared.inner.lock().unwrap().resumed += 1;
     }
 
-    let deadline = (opts.wall_ms > 0).then(|| started + Duration::from_millis(opts.wall_ms));
-    let every = opts.checkpoint_every;
-    let mut next_ck = match machine.stats().cycles.checked_div(every) {
-        Some(n) => (n + 1) * every,
-        None => u64::MAX,
+    let watch = Watch {
+        slice: opts.slice,
+        checkpoint_every: opts.checkpoint_every,
+        deadline: (opts.wall_ms > 0).then(|| started + Duration::from_millis(opts.wall_ms)),
     };
-    let run = machine.run_cooperative(job.max_cycles, opts.slice.max(1), |m| {
-        if m.stats().cycles >= next_ck {
-            if let Err(e) = write_checkpoint(shared, idx, attempt, m) {
-                eprintln!(
-                    "lbp-batch: job `{}`: checkpoint failed ({e}); continuing without",
-                    job.id
-                );
-            }
-            next_ck = (m.stats().cycles / every + 1) * every;
+    let run = machine.run_watched(job.max_cycles, &watch, |m| {
+        if let Err(e) = write_checkpoint(shared, idx, attempt, m) {
+            eprintln!(
+                "lbp-batch: job `{}`: checkpoint failed ({e}); continuing without",
+                job.id
+            );
         }
-        deadline.is_none_or(|d| Instant::now() < d)
     });
 
     match run {
-        Ok(RunPause::Exited) => Attempt::Final {
+        Ok(Watched::Exited(report)) => Attempt::Final {
             outcome: JobOutcome::Ok {
-                report: machine.report().to_json(),
+                report: report.to_json(),
                 profile: job.profile.then(|| profile_summary(&image, &machine, 5)),
             },
             cycles: machine.stats().cycles,
             dump: None,
         },
-        Ok(RunPause::Target) => {
-            // The deterministic cycle-budget watchdog: same verdict,
-            // message and class the one-shot runner produces.
-            let e = SimError::Timeout {
-                cycles: job.max_cycles,
-            };
-            Attempt::Final {
-                outcome: JobOutcome::Err {
-                    class: e.class(),
-                    message: e.to_string(),
-                },
-                cycles: 0,
-                dump: Some(machine.dump_with("timeout", e.to_string()).to_json()),
-            }
-        }
-        Ok(RunPause::Cancelled) => {
+        Ok(Watched::Cancelled) => {
             let message = format!(
                 "wall-clock budget of {}ms exceeded at cycle {}",
                 opts.wall_ms,
@@ -831,6 +811,9 @@ fn attempt_once(
                 dump: Some(dump),
             }
         }
+        // A fault, a deadlock or the deterministic cycle-budget
+        // watchdog: same verdict, message and class the one-shot runner
+        // produces.
         Err(f) => Attempt::Final {
             outcome: JobOutcome::Err {
                 class: f.error.class(),

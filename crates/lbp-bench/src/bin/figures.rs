@@ -4,6 +4,7 @@
 //! cargo run -p lbp-bench --release --bin figures -- all
 //! cargo run -p lbp-bench --release --bin figures -- fig19 fig20
 //! cargo run -p lbp-bench --release --bin figures -- determinism overhead
+//! cargo run -p lbp-bench --release --bin figures -- --help
 //! ```
 
 use std::path::Path;
@@ -13,17 +14,32 @@ use lbp_bench::{
     ablation, ablation_checks, ablation_table, benchmark_json, determinism_check,
     energy_comparison, fork_join_overhead, reproduce_figure_with_reports, single_core_ipc,
 };
+use lbp_sim::cli::{Flag, Grammar, Positional, ALL_MODES};
 use lbp_sim::ExitClass;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: figures [--csv] [--stats-dir DIR] [fig19] [fig20] [fig21] [determinism] [overhead] [multithreading] [energy] [ablation] [all]\n\
-         Regenerates the paper's Figures 19-21 and the claim checks.\n\
-         --csv prints figures as CSV rows instead of tables.\n\
-         --stats-dir DIR writes one lbp-stats-v1 JSON per benchmark run into DIR."
-    );
-    ExitClass::Usage.exit()
+lbp_sim::flags! { FLAGS:
+    CSV = Flag::new("--csv", &[], ALL_MODES, "print figures as CSV rows instead of tables");
+    STATS_DIR = Flag::new("--stats-dir", &["DIR"], ALL_MODES,
+        "write one lbp-stats-v1 JSON per benchmark run into DIR");
 }
+
+static GRAMMAR: Grammar = Grammar {
+    tool: "figures",
+    synopsis: &[
+        "figures [--csv] [--stats-dir DIR] TARGET...",
+        "TARGET: fig19 fig20 fig21 determinism overhead multithreading energy ablation all",
+    ],
+    about: "Regenerates the paper's Figures 19-21 and the claim checks.",
+    modes: &[("figures", "")],
+    positional: Positional {
+        name: "a TARGET",
+        required: ALL_MODES,
+        allowed: ALL_MODES,
+        many: true,
+    },
+    flags: FLAGS,
+    footer: "",
+};
 
 fn run_figure(number: u32, csv: bool, stats_dir: Option<&str>) {
     let t = Instant::now();
@@ -135,22 +151,10 @@ fn run_ablation() {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let csv = args.iter().any(|a| a == "--csv");
-    args.retain(|a| a != "--csv");
-    let mut stats_dir = None;
-    if let Some(i) = args.iter().position(|a| a == "--stats-dir") {
-        if i + 1 >= args.len() {
-            usage();
-        }
-        stats_dir = Some(args.remove(i + 1));
-        args.remove(i);
-    }
-    let stats_dir = stats_dir.as_deref();
-    if args.is_empty() {
-        usage();
-    }
-    for arg in &args {
+    let args = GRAMMAR.parse_env();
+    let csv = args.has(CSV);
+    let stats_dir = args.str(STATS_DIR);
+    for arg in args.positional() {
         match arg.as_str() {
             "fig19" => run_figure(19, csv, stats_dir),
             "fig20" => run_figure(20, csv, stats_dir),
@@ -170,7 +174,7 @@ fn main() {
                 run_energy();
                 run_ablation();
             }
-            _ => usage(),
+            other => GRAMMAR.refuse(&format!("unknown target `{other}`")),
         }
     }
 }

@@ -142,6 +142,32 @@ pub enum Stmt {
     },
 }
 
+/// Visits every statement of `stmts` in pre-order, descending into
+/// `if` arms, `while` bodies and `for` loops (init, body, step — the
+/// order that fixes register and frame assignment in the code
+/// generator). Parallel regions are visited but not entered: their
+/// bodies are separate functions with their own locals.
+pub fn walk<'a>(stmts: &'a [Stmt], visit: &mut impl FnMut(&'a Stmt)) {
+    for s in stmts {
+        visit(s);
+        match s {
+            Stmt::If { then, els, .. } => {
+                walk(then, visit);
+                walk(els, visit);
+            }
+            Stmt::While { body, .. } => walk(body, visit),
+            Stmt::For {
+                init, step, body, ..
+            } => {
+                walk(init.as_slice(), visit);
+                walk(body, visit);
+                walk(step.as_slice(), visit);
+            }
+            _ => {}
+        }
+    }
+}
+
 /// A place an assignment can write.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Place {

@@ -1155,32 +1155,12 @@ fn expr_calls(e: &Expr) -> bool {
 
 /// Collects the local arrays of a function, in declaration order.
 fn collect_local_arrays(f: &Function) -> Vec<(String, u32)> {
-    fn walk(stmts: &[Stmt], out: &mut Vec<(String, u32)>) {
-        for s in stmts {
-            match s {
-                Stmt::DeclArray { name, elems, .. } => out.push((name.clone(), *elems)),
-                Stmt::If { then, els, .. } => {
-                    walk(then, out);
-                    walk(els, out);
-                }
-                Stmt::While { body, .. } => walk(body, out),
-                Stmt::For {
-                    init, step, body, ..
-                } => {
-                    if let Some(i) = init.as_ref() {
-                        walk(std::slice::from_ref(i), out);
-                    }
-                    walk(body, out);
-                    if let Some(st) = step.as_ref() {
-                        walk(std::slice::from_ref(st), out);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
     let mut out = Vec::new();
-    walk(&f.body, &mut out);
+    walk(&f.body, &mut |s| {
+        if let Stmt::DeclArray { name, elems, .. } = s {
+            out.push((name.clone(), *elems));
+        }
+    });
     out
 }
 
@@ -1188,35 +1168,10 @@ fn collect_local_arrays(f: &Function) -> Vec<(String, u32)> {
 /// declarations in source order.
 fn collect_locals(f: &Function) -> Vec<String> {
     let mut out = f.params.clone();
-    fn walk(stmts: &[Stmt], out: &mut Vec<String>) {
-        for s in stmts {
-            match s {
-                Stmt::Decl { name, .. } if !out.contains(name) => {
-                    out.push(name.clone());
-                }
-                Stmt::If { then, els, .. } => {
-                    walk(then, out);
-                    walk(els, out);
-                }
-                Stmt::While { body, .. } => walk(body, out),
-                Stmt::For {
-                    init, step, body, ..
-                } => {
-                    if let Some(i) = init.as_ref() {
-                        walk(std::slice::from_ref(i), out);
-                    }
-                    walk(body, out);
-                    if let Some(st) = step.as_ref() {
-                        walk(std::slice::from_ref(st), out);
-                    }
-                }
-                // Parallel bodies become separate functions with their
-                // own locals.
-                _ => {}
-            }
-        }
-    }
-    walk(&f.body, &mut out);
+    walk(&f.body, &mut |s| match s {
+        Stmt::Decl { name, .. } if !out.contains(name) => out.push(name.clone()),
+        _ => {}
+    });
     out
 }
 
@@ -1224,57 +1179,34 @@ fn collect_locals(f: &Function) -> Vec<String> {
 /// heads).
 fn stores_of(stmts: &[Stmt], cx: &Checked) -> Pending {
     let mut p = Pending::default();
-    fn walk(stmts: &[Stmt], p: &mut Pending, cx: &Checked) {
-        for s in stmts {
-            match s {
-                Stmt::Assign { lhs, rhs, .. } => {
-                    if expr_calls(rhs) {
+    walk(stmts, &mut |s| match s {
+        Stmt::Assign { lhs, rhs, .. } => {
+            if expr_calls(rhs) {
+                p.unknown = true;
+            }
+            match lhs {
+                Place::Var(name) => {
+                    if cx.globals.contains_key(name) {
+                        p.syms.insert(name.clone());
+                    }
+                }
+                Place::Index(name, _) => {
+                    if cx.globals.contains_key(name) {
+                        p.syms.insert(name.clone());
+                    } else {
+                        // A frame array (keyed so array-only loops
+                        // stay fenceless) or an unknown pointer.
+                        p.syms.insert(format!("%frame%{name}"));
                         p.unknown = true;
                     }
-                    match lhs {
-                        Place::Var(name) => {
-                            if cx.globals.contains_key(name) {
-                                p.syms.insert(name.clone());
-                            }
-                        }
-                        Place::Index(name, _) => {
-                            if cx.globals.contains_key(name) {
-                                p.syms.insert(name.clone());
-                            } else {
-                                // A frame array (keyed so array-only loops
-                                // stay fenceless) or an unknown pointer.
-                                p.syms.insert(format!("%frame%{name}"));
-                                p.unknown = true;
-                            }
-                        }
-                        Place::Deref(_) => p.unknown = true,
-                    }
                 }
-                // Calls drain at their epilogue, but their writes are
-                // unknown to the caller (also when nested in expressions).
-                Stmt::Expr(e, _) if expr_calls(e) => {
-                    p.unknown = true;
-                }
-                Stmt::If { then, els, .. } => {
-                    walk(then, p, cx);
-                    walk(els, p, cx);
-                }
-                Stmt::While { body, .. } => walk(body, p, cx),
-                Stmt::For {
-                    init, step, body, ..
-                } => {
-                    if let Some(i) = init.as_ref() {
-                        walk(std::slice::from_ref(i), p, cx);
-                    }
-                    walk(body, p, cx);
-                    if let Some(st) = step.as_ref() {
-                        walk(std::slice::from_ref(st), p, cx);
-                    }
-                }
-                _ => {}
+                Place::Deref(_) => p.unknown = true,
             }
         }
-    }
-    walk(stmts, &mut p, cx);
+        // Calls drain at their epilogue, but their writes are
+        // unknown to the caller (also when nested in expressions).
+        Stmt::Expr(e, _) if expr_calls(e) => p.unknown = true,
+        _ => {}
+    });
     p
 }

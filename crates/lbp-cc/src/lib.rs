@@ -198,6 +198,97 @@ pub fn compile_with(source: &str, opts: &CcOptions) -> Result<Compiled, CcError>
     Ok(Compiled { asm, image })
 }
 
+/// How a program's text reaches the machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SourceKind {
+    /// PISC assembly, fed to `lbp-asm`.
+    Asm,
+    /// The C subset, fed to this crate's translator.
+    C,
+}
+
+impl SourceKind {
+    /// The kind of the program at `path`: `.c` is mini-C, everything
+    /// else assembly.
+    pub fn of(path: &str) -> SourceKind {
+        if path.ends_with(".c") {
+            SourceKind::C
+        } else {
+            SourceKind::Asm
+        }
+    }
+}
+
+/// Why [`build`] or [`judge`] produced nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BuildError {
+    /// The translator rejected a mini-C source.
+    Compile(CcError),
+    /// The assembler rejected an assembly source.
+    Assemble(lbp_asm::AsmError),
+}
+
+impl BuildError {
+    /// The stage that failed, as `lbp-batch-v1` lines spell it.
+    pub fn stage(&self) -> &'static str {
+        match self {
+            BuildError::Compile(_) => "compile",
+            BuildError::Assemble(_) => "assemble",
+        }
+    }
+}
+
+impl fmt::Display for BuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BuildError::Compile(e) => e.fmt(f),
+            BuildError::Assemble(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
+
+/// Source to image, for either kind: mini-C through [`compile_with`],
+/// assembly through the assembler (its `asm` is the source itself).
+///
+/// # Errors
+///
+/// The front end's first error.
+pub fn build(kind: SourceKind, source: &str, opts: &CcOptions) -> Result<Compiled, BuildError> {
+    match kind {
+        SourceKind::C => compile_with(source, opts).map_err(BuildError::Compile),
+        SourceKind::Asm => match lbp_asm::assemble(source) {
+            Ok(image) => Ok(Compiled {
+                asm: source.to_owned(),
+                image,
+            }),
+            Err(e) => Err(BuildError::Assemble(e)),
+        },
+    }
+}
+
+/// The static verdict on a program, for either kind: mini-C goes through
+/// the source [`lint`] and — only a source-accepted program compiles to
+/// an image worth checking — the binary verifier over the generated
+/// image; assembly through the binary verifier alone. Source diagnostics
+/// come first; binary ones carry generated-assembly lines and a `pc`.
+///
+/// # Errors
+///
+/// The source does not parse, assemble or (once accepted) compile.
+pub fn judge(kind: SourceKind, source: &str) -> Result<Vec<lbp_verify::Diag>, BuildError> {
+    let mut diags = match kind {
+        SourceKind::C => lint(source).map_err(BuildError::Compile)?,
+        SourceKind::Asm => Vec::new(),
+    };
+    if lbp_verify::accepted(&diags) {
+        let built = build(kind, source, &CcOptions::default())?;
+        diags.extend(lbp_verify::verify_image(&built.image));
+    }
+    Ok(diags)
+}
+
 /// Runs the front end only — lex, parse and semantic check — returning
 /// the typed, checked AST both the code generator and the lbp-sema
 /// reference interpreter consume.

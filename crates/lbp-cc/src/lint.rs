@@ -44,73 +44,55 @@ const MAX_INLINE_DEPTH: usize = 8;
 pub fn lint_unit(cx: &Checked) -> Vec<Diag> {
     let mut diags = Vec::new();
     for f in &cx.unit.functions {
-        lint_block(&f.body, cx, &mut diags);
+        walk(&f.body, &mut |s| lint_region(s, cx, &mut diags));
     }
     diags
 }
 
-fn lint_block(stmts: &[Stmt], cx: &Checked, diags: &mut Vec<Diag>) {
-    for s in stmts {
-        match s {
-            Stmt::ParallelFor {
-                var,
-                count,
-                body,
-                line,
-            } => {
+fn lint_region(s: &Stmt, cx: &Checked, diags: &mut Vec<Diag>) {
+    match s {
+        Stmt::ParallelFor {
+            var,
+            count,
+            body,
+            line,
+        } => {
+            let mut linter = Linter::new(cx);
+            let mut env = Env::new();
+            env.insert(var.clone(), Sub::Affine { a: 1, b: 0 });
+            linter.declared.insert(var.clone());
+            linter.walk_block(body, &mut env);
+            let declared = std::mem::take(&mut linter.declared);
+            let acc = linter.finish();
+            report_region(
+                &format!("parallel for over `{var}`"),
+                *line,
+                *count,
+                std::slice::from_ref(&acc),
+                &declared,
+                diags,
+            );
+        }
+        Stmt::ParallelSections { sections, line } => {
+            let mut accs = Vec::new();
+            let mut declared = BTreeSet::new();
+            for body in sections {
                 let mut linter = Linter::new(cx);
                 let mut env = Env::new();
-                env.insert(var.clone(), Sub::Affine { a: 1, b: 0 });
-                linter.declared.insert(var.clone());
                 linter.walk_block(body, &mut env);
-                let declared = std::mem::take(&mut linter.declared);
-                let acc = linter.finish();
-                report_region(
-                    &format!("parallel for over `{var}`"),
-                    *line,
-                    *count,
-                    std::slice::from_ref(&acc),
-                    &declared,
-                    diags,
-                );
+                declared.extend(linter.declared.iter().cloned());
+                accs.push(linter.finish());
             }
-            Stmt::ParallelSections { sections, line } => {
-                let mut accs = Vec::new();
-                let mut declared = BTreeSet::new();
-                for body in sections {
-                    let mut linter = Linter::new(cx);
-                    let mut env = Env::new();
-                    linter.walk_block(body, &mut env);
-                    declared.extend(linter.declared.iter().cloned());
-                    accs.push(linter.finish());
-                }
-                report_region(
-                    "parallel sections",
-                    *line,
-                    accs.len() as i64,
-                    &accs,
-                    &declared,
-                    diags,
-                );
-            }
-            Stmt::If { then, els, .. } => {
-                lint_block(then, cx, diags);
-                lint_block(els, cx, diags);
-            }
-            Stmt::While { body, .. } => lint_block(body, cx, diags),
-            Stmt::For {
-                init, step, body, ..
-            } => {
-                if let Some(i) = init.as_ref() {
-                    lint_block(std::slice::from_ref(i), cx, diags);
-                }
-                if let Some(st) = step.as_ref() {
-                    lint_block(std::slice::from_ref(st), cx, diags);
-                }
-                lint_block(body, cx, diags);
-            }
-            _ => {}
+            report_region(
+                "parallel sections",
+                *line,
+                accs.len() as i64,
+                &accs,
+                &declared,
+                diags,
+            );
         }
+        _ => {}
     }
 }
 
@@ -492,45 +474,18 @@ fn mul(l: Sub, r: Sub) -> Sub {
 /// Degrades every local assigned (or re-declared) anywhere in `stmts` to
 /// Unknown: its value is loop-variant.
 fn invalidate_assigned(stmts: &[Stmt], env: &mut Env) {
-    let mut names = BTreeSet::new();
-    collect_assigned(stmts, &mut names);
-    for n in names {
-        if let Some(v) = env.get_mut(&n) {
+    walk(stmts, &mut |s| {
+        let (Stmt::Assign {
+            lhs: Place::Var(n), ..
+        }
+        | Stmt::Decl { name: n, .. }) = s
+        else {
+            return;
+        };
+        if let Some(v) = env.get_mut(n) {
             *v = Sub::Unknown;
         }
-    }
-}
-
-fn collect_assigned(stmts: &[Stmt], out: &mut BTreeSet<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Assign {
-                lhs: Place::Var(n), ..
-            } => {
-                out.insert(n.clone());
-            }
-            Stmt::Decl { name, .. } => {
-                out.insert(name.clone());
-            }
-            Stmt::If { then, els, .. } => {
-                collect_assigned(then, out);
-                collect_assigned(els, out);
-            }
-            Stmt::While { body, .. } => collect_assigned(body, out),
-            Stmt::For {
-                init, step, body, ..
-            } => {
-                if let Some(i) = init.as_ref() {
-                    collect_assigned(std::slice::from_ref(i), out);
-                }
-                if let Some(st) = step.as_ref() {
-                    collect_assigned(std::slice::from_ref(st), out);
-                }
-                collect_assigned(body, out);
-            }
-            _ => {}
-        }
-    }
+    });
 }
 
 /// The number of harts two accesses can be distributed over: for

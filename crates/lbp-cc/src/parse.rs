@@ -10,13 +10,29 @@ use crate::CcError;
 ///
 /// Returns the first syntax error with its source line.
 pub fn parse(tokens: Vec<Token>) -> Result<Unit, CcError> {
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        height: 0,
+    };
     p.unit()
 }
+
+/// Deepest nesting of statements and of expressions the parser accepts,
+/// and the tallest expression tree it builds. The parser, sema, the
+/// lint, the code generator, lbp-sema and `Drop` all recurse on the
+/// tree, so this one bound keeps every one of them off the end of the
+/// stack; the shipped programs nest under a dozen levels.
+pub const MAX_NEST: usize = 64;
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Statements and unary/parenthesized expressions open around `pos`.
+    depth: usize,
+    /// Height of the expression tree most recently returned.
+    height: usize,
 }
 
 /// The three clauses of a `for (init; cond; step)` header, each optional.
@@ -49,6 +65,29 @@ impl Parser {
 
     fn err(&self, msg: impl Into<String>) -> CcError {
         CcError::at(self.line(), self.col(), msg)
+    }
+
+    /// Runs one level of a recursive descent, refusing at [`MAX_NEST`].
+    fn nested<T>(
+        &mut self,
+        descend: impl FnOnce(&mut Parser) -> Result<T, CcError>,
+    ) -> Result<T, CcError> {
+        if self.depth == MAX_NEST {
+            return Err(self.err(format!("nested too deep (limit {MAX_NEST})")));
+        }
+        self.depth += 1;
+        let r = descend(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Records a node built over subtrees of height `below`.
+    fn grow(&mut self, below: usize) -> Result<(), CcError> {
+        if below >= MAX_NEST {
+            return Err(self.err(format!("expression too deep (limit {MAX_NEST})")));
+        }
+        self.height = below + 1;
+        Ok(())
     }
 
     fn eat_sym(&mut self, sym: &str) -> Result<(), CcError> {
@@ -294,6 +333,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CcError> {
+        self.nested(Parser::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, CcError> {
         let line = self.line();
         if self.at_sym("{") {
             // A bare block statement (scoping is flat: locals are
@@ -705,7 +748,9 @@ impl Parser {
             for &(sym, op) in TIERS[min_tier] {
                 if self.at_sym(sym) {
                     self.bump();
+                    let below = self.height;
                     let rhs = self.binary(min_tier + 1)?;
+                    self.grow(below.max(self.height))?;
                     lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
                     continue 'outer;
                 }
@@ -715,33 +760,34 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<Expr, CcError> {
-        if self.at_sym("-") {
-            self.bump();
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?)));
-        }
-        if self.at_sym("!") {
-            self.bump();
-            return Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)));
-        }
-        if self.at_sym("~") {
-            self.bump();
-            return Ok(Expr::Unary(UnOp::BitNot, Box::new(self.unary()?)));
-        }
-        if self.at_sym("*") {
-            self.bump();
-            return Ok(Expr::Deref(Box::new(self.unary()?)));
-        }
-        if self.at_sym("&") {
-            self.bump();
-            let e = self.unary()?;
-            let place = expr_to_place(&e)
-                .ok_or_else(|| self.err("`&` needs a variable or array element"))?;
-            return Ok(Expr::AddrOf(Box::new(place)));
-        }
-        self.postfix()
+        self.nested(Parser::unary_body)
+    }
+
+    fn unary_body(&mut self) -> Result<Expr, CcError> {
+        let Some(op) = ["-", "!", "~", "*", "&"]
+            .into_iter()
+            .find(|op| self.at_sym(op))
+        else {
+            return self.postfix();
+        };
+        self.bump();
+        let e = Box::new(self.unary()?);
+        self.grow(self.height)?;
+        Ok(match op {
+            "-" => Expr::Unary(UnOp::Neg, e),
+            "!" => Expr::Unary(UnOp::Not, e),
+            "~" => Expr::Unary(UnOp::BitNot, e),
+            "*" => Expr::Deref(e),
+            _ => {
+                let place = expr_to_place(&e)
+                    .ok_or_else(|| self.err("`&` needs a variable or array element"))?;
+                Expr::AddrOf(Box::new(place))
+            }
+        })
     }
 
     fn postfix(&mut self) -> Result<Expr, CcError> {
+        self.height = 1;
         match self.bump() {
             Tok::Int(v) => Ok(Expr::Int(v)),
             Tok::Sym("(") => {
@@ -766,9 +812,11 @@ impl Parser {
                 if self.at_sym("(") {
                     self.bump();
                     let mut args = Vec::new();
+                    let mut below = 0;
                     if !self.at_sym(")") {
                         loop {
                             args.push(self.expr()?);
+                            below = below.max(self.height);
                             if self.at_sym(",") {
                                 self.bump();
                             } else {
@@ -777,12 +825,14 @@ impl Parser {
                         }
                     }
                     self.eat_sym(")")?;
+                    self.grow(below)?;
                     return Ok(Expr::Call(name, args));
                 }
                 if self.at_sym("[") {
                     self.bump();
                     let idx = self.expr()?;
                     self.eat_sym("]")?;
+                    self.grow(self.height)?;
                     return Ok(Expr::Index(name, Box::new(idx)));
                 }
                 Ok(Expr::Var(name))
@@ -797,8 +847,11 @@ impl Parser {
     fn maybe_index_or_call_on(&mut self, e: Expr) -> Result<Expr, CcError> {
         if self.at_sym("[") {
             self.bump();
+            let below = self.height;
             let idx = self.expr()?;
             self.eat_sym("]")?;
+            // Three nodes over `e` and `idx`.
+            self.grow(below.max(self.height) + 2)?;
             // `(p)[i]` == `*(p + i)` in words: scale by 4 at codegen via
             // Deref of pointer arithmetic.
             return Ok(Expr::Deref(Box::new(Expr::Binary(
@@ -943,5 +996,30 @@ void main(void) {
     fn sensible_errors() {
         let e = parse(lex("int f( { }").unwrap()).unwrap_err();
         assert!(e.to_string().contains("expected"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_positioned_error() {
+        let parse_main = |body: &str| parse(lex(&format!("void main(void) {{ {body} }}")).unwrap());
+        // `return` is one statement deep and its operand one `unary`
+        // deep, so MAX_NEST - 2 parentheses still fit.
+        let parens = |n: usize| format!("return {}1{};", "(".repeat(n), ")".repeat(n));
+        assert!(parse_main(&parens(MAX_NEST - 2)).is_ok());
+        let e = parse_main(&parens(MAX_NEST - 1)).unwrap_err();
+        assert!(e.message.contains("nested too deep"), "{e}");
+        // Positioned at the operand the last parenthesis would hold.
+        assert_eq!((e.line, e.col), (1, 25 + MAX_NEST), "{e}");
+        // Statements count against the same bound...
+        let blocks = |n: usize| format!("{}{}", "{".repeat(n), "}".repeat(n));
+        assert!(parse_main(&blocks(MAX_NEST)).is_ok());
+        assert!(parse_main(&blocks(MAX_NEST + 1)).is_err());
+        // ...and an operator chain, which nests the *tree* without
+        // nesting the parser, against the tree's height.
+        let chain = |n: usize| format!("return {};", vec!["1"; n].join("+"));
+        assert!(parse_main(&chain(MAX_NEST)).is_ok());
+        let e = parse_main(&chain(MAX_NEST + 1)).unwrap_err();
+        assert!(e.message.contains("expression too deep"), "{e}");
+        assert!(parse_main(&chain(100_000)).is_err());
+        assert!(parse_main(&parens(100_000)).is_err());
     }
 }

@@ -65,6 +65,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lbp_asm::Image;
+use lbp_cc::SourceKind;
 use lbp_sim::{
     run_lockstep, FastEngine, FastStop, LbpConfig, LockstepError, Machine, RunReport, SimFailure,
 };
@@ -171,7 +172,7 @@ fn guarded<T>(oracle: &'static str, f: impl FnOnce() -> Result<T, Failure>) -> R
 /// Oracle 1+2: front end and static verification. Returns the image.
 pub fn build_and_verify(program: &GenProgram) -> Result<Image, Failure> {
     let src = program.render();
-    let image = if program.is_c() {
+    let kind = if program.is_c() {
         // Determinism lint first: it sees the source-level parallel
         // structure the binary verifier cannot reconstruct.
         let diags = guarded("verify", || {
@@ -184,21 +185,20 @@ pub fn build_and_verify(program: &GenProgram) -> Result<Image, Failure> {
                 format!("line {}: {}", d.line, d.message),
             ));
         }
-        guarded("build", || {
-            // `codegen_sabotage` rides only the compiled side: the
-            // rendered source the semantics oracle interprets is clean.
-            let cc = lbp_cc::CcOptions {
-                sabotage: program.codegen_sabotage,
-            };
-            lbp_cc::compile_with(&src, &cc)
-                .map(|c| c.image)
-                .map_err(|e| Failure::new("build", "frontend", e.to_string()))
-        })?
+        SourceKind::C
     } else {
-        guarded("build", || {
-            lbp_asm::assemble(&src).map_err(|e| Failure::new("build", "frontend", e.to_string()))
-        })?
+        SourceKind::Asm
     };
+    let image = guarded("build", || {
+        // `codegen_sabotage` rides only the compiled side: the
+        // rendered source the semantics oracle interprets is clean.
+        let cc = lbp_cc::CcOptions {
+            sabotage: program.codegen_sabotage,
+        };
+        lbp_cc::build(kind, &src, &cc)
+            .map(|built| built.image)
+            .map_err(|e| Failure::new("build", "frontend", e.to_string()))
+    })?;
     let diags = guarded("verify", || Ok(lbp_verify::verify_image(&image)))?;
     if let Some(d) = diags.iter().find(|d| d.severity == Severity::Error) {
         return Err(Failure::new(
@@ -344,13 +344,15 @@ pub fn check_with(program: &GenProgram, opts: &CheckOpts) -> Result<PassReport, 
     guarded("hybrid", || {
         let budget = program.max_cycles.saturating_mul(4);
         for warm in [0, report.stats.retired() / 2, u64::MAX] {
-            let mut fast = FastEngine::new(cfg_for(program), &image)
-                .map_err(|e| Failure::new("hybrid", e.class(), e.to_string()))?;
-            fast.run(FastStop::Retired(warm), budget)
-                .map_err(|e| Failure::new("hybrid", e.class(), format!("warm={warm}: {e}")))?;
-            let mut m = fast
-                .materialize(&image)
-                .map_err(|e| Failure::new("hybrid", e.class(), format!("warm={warm}: {e}")))?;
+            let (mut m, _) =
+                FastEngine::warm(cfg_for(program), &image, FastStop::Retired(warm), budget)
+                    .map_err(|e| {
+                        Failure::new(
+                            "hybrid",
+                            e.sim().class(),
+                            format!("warm={warm}: {}", e.sim()),
+                        )
+                    })?;
             m.run_diagnosed(program.max_cycles).map_err(|f| {
                 let mut f = Failure::from_sim("hybrid", &f);
                 f.detail = format!("warm={warm}: {}", f.detail);

@@ -69,24 +69,12 @@ impl DiffReport {
 pub fn required_cores(cx: &Checked) -> usize {
     let mut team = 1usize;
     if let Some(main) = cx.unit.functions.iter().find(|f| f.name == "main") {
-        let mut stack: Vec<&lbp_cc::ast::Stmt> = main.body.iter().collect();
-        while let Some(s) = stack.pop() {
-            use lbp_cc::ast::Stmt;
-            match s {
-                Stmt::ParallelFor { count, .. } => team = team.max(*count as usize),
-                Stmt::ParallelSections { sections, .. } => team = team.max(sections.len()),
-                Stmt::If { then, els, .. } => stack.extend(then.iter().chain(els)),
-                Stmt::While { body, .. } => stack.extend(body),
-                Stmt::For {
-                    init, step, body, ..
-                } => {
-                    stack.extend(body);
-                    stack.extend(init.as_ref().iter());
-                    stack.extend(step.as_ref().iter());
-                }
-                _ => {}
-            }
-        }
+        use lbp_cc::ast::Stmt;
+        lbp_cc::ast::walk(&main.body, &mut |s| match s {
+            Stmt::ParallelFor { count, .. } => team = team.max(*count as usize),
+            Stmt::ParallelSections { sections, .. } => team = team.max(sections.len()),
+            _ => {}
+        });
     }
     team.div_ceil(lbp_isa::HARTS_PER_CORE).max(1)
 }

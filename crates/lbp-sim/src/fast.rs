@@ -141,6 +141,27 @@ pub struct FastSummary {
     pub stop_hart: Option<HartId>,
 }
 
+/// Which step of [`FastEngine::warm`] refused, with its error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WarmError {
+    /// [`FastEngine::new`]: the configuration or image is refused.
+    Setup(SimError),
+    /// [`FastEngine::run`]: the warm phase itself failed.
+    Run(SimError),
+    /// [`FastEngine::materialize`]: the fault plan cannot be honored
+    /// across the handoff.
+    Handoff(SimError),
+}
+
+impl WarmError {
+    /// The underlying error, whichever step raised it.
+    pub fn sim(&self) -> &SimError {
+        match self {
+            WarmError::Setup(e) | WarmError::Run(e) | WarmError::Handoff(e) => e,
+        }
+    }
+}
+
 /// The functional-mode engine: architectural state for every hart, the
 /// same code bank and bank store the cycle-exact machine is built on, and
 /// per-core fork-allocation queues.
@@ -222,6 +243,26 @@ impl FastEngine {
             commit_log: None,
             cfg,
         })
+    }
+
+    /// The hybrid start in one call: build the engine, fast-forward to
+    /// `stop` within `budget` steps, and materialize the cycle-exact
+    /// machine at the handoff boundary.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`FastEngine::new`], [`FastEngine::run`] or
+    /// [`FastEngine::materialize`] refuses, tagged with the step.
+    pub fn warm(
+        cfg: LbpConfig,
+        image: &Image,
+        stop: FastStop,
+        budget: u64,
+    ) -> Result<(crate::Machine, FastSummary), WarmError> {
+        let mut fast = FastEngine::new(cfg, image).map_err(WarmError::Setup)?;
+        let summary = fast.run(stop, budget).map_err(WarmError::Run)?;
+        let machine = fast.materialize(image).map_err(WarmError::Handoff)?;
+        Ok((machine, summary))
     }
 
     /// Turns on per-hart committed-pc recording (the reference side of

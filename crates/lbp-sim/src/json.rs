@@ -171,6 +171,7 @@ impl Json {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -245,9 +246,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser, the writers and `Drop` all recurse on the tree, so this one
+/// bound keeps every one of them off the end of the stack; nothing the
+/// tools write nests deeper than a dozen levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -289,8 +298,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nested too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -445,6 +465,19 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_bounded_with_a_positioned_error() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((e.at, e.what), (MAX_DEPTH, "nested too deep"));
+        // Objects count against the same bound, and a hostile input
+        // never reaches the stack's end.
+        let objs = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(Json::parse(&objs).unwrap_err().what, "nested too deep");
+        assert_eq!(Json::parse(&"[".repeat(200_000)).unwrap_err().at, MAX_DEPTH);
+    }
 
     #[test]
     fn roundtrips_compact() {

@@ -64,6 +64,7 @@
 #![warn(missing_docs)]
 
 mod bank;
+pub mod cli;
 mod config;
 mod core;
 mod deadlock;
@@ -92,13 +93,13 @@ pub use bank::MemFault;
 pub use config::{Latencies, LbpConfig, CV_FRAME_BYTES};
 pub use dump::{HartDump, MachineDump, SimFailure, DUMP_SCHEMA};
 pub use error::{BlockedHart, ExitClass, SimError};
-pub use fast::{FastEngine, FastStop, FastSummary};
+pub use fast::{FastEngine, FastStop, FastSummary, WarmError};
 pub use fault::{Fault, FaultPlan};
 pub use hash::fnv1a64;
 pub use io::{InputDevice, IoBus, OutputDevice, DEVICE_STRIDE};
 pub use json::{Json, JsonError};
 pub use lockstep::{run_lockstep, Divergence, LockstepError, LockstepReport};
-pub use machine::{Machine, RunPause, RunReport};
+pub use machine::{Machine, RunPause, RunReport, Watch, Watched};
 pub use prof::{PcCounters, ProfData, ProfInterval};
 pub use race::{RaceData, RaceKind, RaceWitness};
 pub use snapshot::{MachineState, SnapError};

@@ -56,6 +56,27 @@ pub enum RunPause {
     Cancelled,
 }
 
+/// What [`Machine::run_watched`] does between slices.
+#[derive(Debug, Clone, Copy)]
+pub struct Watch {
+    /// Cycles between polls (cancellation latency; at least 1).
+    pub slice: u64,
+    /// Cycles between checkpoints; 0 takes none.
+    pub checkpoint_every: u64,
+    /// Host time past which the run is cancelled at the next poll.
+    pub deadline: Option<std::time::Instant>,
+}
+
+/// How a [`Machine::run_watched`] call ended without an error.
+#[derive(Debug, Clone)]
+pub enum Watched {
+    /// The program exited.
+    Exited(RunReport),
+    /// The deadline passed; the machine is paused, valid, at a cycle
+    /// boundary.
+    Cancelled,
+}
+
 /// Snapshot of the cumulative counters at the last interval boundary,
 /// used to turn cumulative stats into per-interval deltas.
 #[derive(Debug, Default, Clone, Copy)]
@@ -422,6 +443,43 @@ impl Machine {
             if !poll(self) {
                 return Ok(RunPause::Cancelled);
             }
+        }
+    }
+
+    /// Runs to exit under a [`Watch`]: in slices, calling `checkpoint`
+    /// at the first slice boundary on or past each multiple of
+    /// `watch.checkpoint_every` and cancelling at the first boundary past
+    /// `watch.deadline`. Every stop is a cycle boundary, so neither
+    /// changes the run — the report equals an unwatched run's. This is
+    /// the one sliced run under `lbp-run --checkpoint-every/--wall-ms`
+    /// and the `lbp-batch` service.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run_diagnosed`]: the cycle budget running out is the
+    /// [`SimError::Timeout`] failure with its dump.
+    pub fn run_watched(
+        &mut self,
+        max_cycles: u64,
+        watch: &Watch,
+        mut checkpoint: impl FnMut(&Machine),
+    ) -> Result<Watched, Box<SimFailure>> {
+        let every = watch.checkpoint_every;
+        let mut next = match self.cycle.checked_div(every) {
+            Some(n) => (n + 1) * every,
+            None => u64::MAX,
+        };
+        let pause = self.run_cooperative(max_cycles, watch.slice, |m| {
+            if m.cycle >= next {
+                checkpoint(m);
+                next = (m.cycle / every + 1) * every;
+            }
+            watch.deadline.is_none_or(|d| std::time::Instant::now() < d)
+        })?;
+        match pause {
+            RunPause::Exited => Ok(Watched::Exited(self.report())),
+            RunPause::Cancelled => Ok(Watched::Cancelled),
+            RunPause::Target => Err(self.failure(SimError::Timeout { cycles: max_cycles })),
         }
     }
 

@@ -232,6 +232,34 @@ pub fn accepted(diags: &[Diag]) -> bool {
     diags.iter().all(|d| d.severity != Severity::Error)
 }
 
+/// The human-readable verdict: one line per diagnostic, then the
+/// summary line with the per-code breakdown.
+pub fn report_text(diags: &[Diag]) -> String {
+    let mut out = String::new();
+    let mut counts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
+    for d in diags {
+        out.push_str(&format!("{d}\n"));
+        *counts.entry(d.code.as_str()).or_insert(0) += 1;
+    }
+    let breakdown = if counts.is_empty() {
+        String::new()
+    } else {
+        let parts: Vec<String> = counts.iter().map(|(c, n)| format!("{c} x{n}")).collect();
+        format!(": {}", parts.join(", "))
+    };
+    out.push_str(&format!(
+        "verify:   {} ({} diagnostic{}{breakdown})\n",
+        if accepted(diags) {
+            "accepted"
+        } else {
+            "rejected"
+        },
+        diags.len(),
+        if diags.len() == 1 { "" } else { "s" }
+    ));
+    out
+}
+
 /// Serializes diagnostics as an `lbp-diag-v1` JSON report.
 ///
 /// Layout:

@@ -52,4 +52,4 @@ mod diag;
 mod mpass;
 
 pub use binary::verify_image;
-pub use diag::{accepted, report_json, Diag, DiagCode, Severity};
+pub use diag::{accepted, report_json, report_text, Diag, DiagCode, Severity};
