@@ -49,6 +49,7 @@
 
 mod binary;
 mod diag;
+mod flow;
 mod mpass;
 
 pub use binary::verify_image;

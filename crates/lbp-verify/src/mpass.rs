@@ -56,12 +56,12 @@
 //! this pass under-approximates (helper-function bodies, loop-carried
 //! subscripts widened to unknown).
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
-use lbp_asm::Image;
 use lbp_isa::{Instr, OpImmKind, OpKind, Reg, HARTS_PER_CORE, IO_BASE, SHARED_BASE};
 
 use crate::diag::{Diag, DiagCode, Severity};
+use crate::flow::{Facts, Fixpoint, Program, State, Value};
 
 /// Safety bound on fixpoint steps across all passes of one image.
 const MAX_STEPS: usize = 2_000_000;
@@ -74,6 +74,9 @@ const MAX_ACCESSES: usize = 192;
 /// Budget of pairwise footprint evaluations per epoch.
 const PAIR_BUDGET: usize = 2_000_000;
 /// Coefficient/offset magnitude beyond which a value widens to unknown.
+/// Every register value is clamped to it, so its products with a member
+/// index (at most [`MAX_TEAM`]) in `record`, `overlap_pair` and the bank
+/// check stay far inside `i64`.
 const MAG_LIMIT: i64 = 1 << 33;
 /// The default shared-bank geometry (LbpConfig::default), for `M006`.
 const BANK_BYTES: i64 = 64 * 1024;
@@ -133,6 +136,57 @@ impl MVal {
         }
     }
 
+    /// The affine form with these parts, Unknown if computing any of them
+    /// overflowed (`slli`/`mul` chains reach 2^64 in two steps) or ran
+    /// past [`MAG_LIMIT`].
+    fn checked(a: Option<i64>, lo: Option<i64>, hi: Option<i64>) -> MVal {
+        match (a, lo, hi) {
+            (Some(a), Some(lo), Some(hi)) => Aff { a, lo, hi }.norm(),
+            _ => MVal::Unknown,
+        }
+    }
+
+    fn add(self, other: MVal) -> MVal {
+        match (self, other) {
+            (MVal::Abs(x), MVal::Abs(y)) => MVal::checked(
+                x.a.checked_add(y.a),
+                x.lo.checked_add(y.lo),
+                x.hi.checked_add(y.hi),
+            ),
+            // sp ± small constant stays on the member's private stack.
+            (MVal::Priv, MVal::Abs(p)) | (MVal::Abs(p), MVal::Priv) if p.a == 0 => MVal::Priv,
+            _ => MVal::Unknown,
+        }
+    }
+
+    fn sub(self, other: MVal) -> MVal {
+        match (self, other) {
+            (MVal::Abs(x), MVal::Abs(y)) => MVal::checked(
+                x.a.checked_sub(y.a),
+                x.lo.checked_sub(y.hi),
+                x.hi.checked_sub(y.lo),
+            ),
+            (MVal::Priv, MVal::Abs(p)) if p.a == 0 => MVal::Priv,
+            _ => MVal::Unknown,
+        }
+    }
+
+    /// Multiplication by a compile-time point scales the affine form.
+    fn scale(self, k: i64) -> MVal {
+        match self {
+            MVal::Abs(x) => {
+                let (lo, hi) = if k >= 0 { (x.lo, x.hi) } else { (x.hi, x.lo) };
+                MVal::checked(x.a.checked_mul(k), lo.checked_mul(k), hi.checked_mul(k))
+            }
+            _ => MVal::Unknown,
+        }
+    }
+}
+
+impl Value for MVal {
+    const UNKNOWN: MVal = MVal::Unknown;
+    const ZERO: MVal = MVal::Abs(Aff { a: 0, lo: 0, hi: 0 });
+
     /// Meet with one-step widening: a point may grow into an interval;
     /// an interval that would grow again (or a stride mismatch) goes to
     /// Unknown. The chain point → interval → Unknown bounds the fixpoint.
@@ -158,55 +212,12 @@ impl MVal {
             _ => MVal::Unknown,
         }
     }
-
-    fn add(self, other: MVal) -> MVal {
-        match (self, other) {
-            (MVal::Abs(x), MVal::Abs(y)) => Aff {
-                a: x.a + y.a,
-                lo: x.lo + y.lo,
-                hi: x.hi + y.hi,
-            }
-            .norm(),
-            // sp ± small constant stays on the member's private stack.
-            (MVal::Priv, MVal::Abs(p)) | (MVal::Abs(p), MVal::Priv) if p.a == 0 => MVal::Priv,
-            _ => MVal::Unknown,
-        }
-    }
-
-    fn sub(self, other: MVal) -> MVal {
-        match (self, other) {
-            (MVal::Abs(x), MVal::Abs(y)) => Aff {
-                a: x.a - y.a,
-                lo: x.lo - y.hi,
-                hi: x.hi - y.lo,
-            }
-            .norm(),
-            (MVal::Priv, MVal::Abs(p)) if p.a == 0 => MVal::Priv,
-            _ => MVal::Unknown,
-        }
-    }
-
-    /// Multiplication by a compile-time point scales the affine form.
-    fn scale(self, k: i64) -> MVal {
-        match self {
-            MVal::Abs(x) => {
-                let (lo, hi) = if k >= 0 {
-                    (x.lo * k, x.hi * k)
-                } else {
-                    (x.hi * k, x.lo * k)
-                };
-                Aff { a: x.a * k, lo, hi }.norm()
-            }
-            _ => MVal::Unknown,
-        }
-    }
 }
 
-/// Per-program-point abstract state: registers plus the member-index
-/// range this path is known to cover and a control-dependence taint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct MState {
-    regs: [MVal; 32],
+/// The member-index range a path is known to cover and its
+/// control-dependence taint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
     /// Member indices that can reach this point (refined by branches on
     /// the exact member index, e.g. a `t == 0` master block).
     tlo: i64,
@@ -216,62 +227,39 @@ struct MState {
     tainted: bool,
 }
 
-impl MState {
-    fn get(&self, r: Reg) -> MVal {
-        if r.is_zero() {
-            MVal::point(0)
-        } else {
-            self.regs[r.index()]
+impl Span {
+    /// The untainted path every member of a team of `n` takes.
+    fn of(n: i64) -> Span {
+        Span {
+            tlo: 0,
+            thi: n - 1,
+            tainted: false,
         }
     }
+}
 
-    fn set(&mut self, r: Reg, v: MVal) {
-        if !r.is_zero() {
-            self.regs[r.index()] = v;
+impl Facts for Span {
+    fn meet(self, other: Span) -> Span {
+        Span {
+            tlo: self.tlo.min(other.tlo),
+            thi: self.thi.max(other.thi),
+            tainted: self.tainted || other.tainted,
         }
     }
+}
 
-    /// Meets `other` into `self`; true if `self` changed.
-    fn meet(&mut self, other: &MState) -> bool {
-        let mut changed = false;
-        for i in 0..32 {
-            let m = self.regs[i].meet(other.regs[i]);
-            changed |= m != self.regs[i];
-            self.regs[i] = m;
-        }
-        let tlo = self.tlo.min(other.tlo);
-        let thi = self.thi.max(other.thi);
-        changed |= (tlo, thi) != (self.tlo, self.thi);
-        self.tlo = tlo;
-        self.thi = thi;
-        let t = self.tainted || other.tainted;
-        changed |= t != self.tainted;
-        self.tainted = t;
-        changed
-    }
+/// Per-program-point abstract state: registers plus the path's [`Span`].
+/// Calls clobber what the protocol pass clobbers (`sp`/`s*`/`t0`/`t1`
+/// preserved).
+type MState = State<MVal, Span>;
 
-    /// Call effects, mirroring the protocol pass: caller-saved registers
-    /// clobbered, `sp`/`s*`/`t0`/`t1` preserved.
-    fn havoc_call(&mut self) {
-        for r in [
-            Reg::RA,
-            Reg::T2,
-            Reg::T3,
-            Reg::T4,
-            Reg::T5,
-            Reg::T6,
-            Reg::A0,
-            Reg::A1,
-            Reg::A2,
-            Reg::A3,
-            Reg::A4,
-            Reg::A5,
-            Reg::A6,
-            Reg::A7,
-        ] {
-            self.set(r, MVal::Unknown);
-        }
-    }
+/// A hart that starts on the path `span` — the program's first, a team
+/// member, or a fork continuation: nothing known but its own private
+/// stack.
+fn fresh_hart(span: Span) -> MState {
+    let mut st = State::unknown(span);
+    st.set(Reg::SP, MVal::Priv);
+    st
 }
 
 /// One shared access collected from a member body.
@@ -299,67 +287,21 @@ type Site = (u32, Option<i64>);
 /// (pc, is-write, affine (a, lo, hi), size, team span, tainted).
 type AccKey = (u32, bool, (i64, i64, i64), i64, (i64, i64), bool);
 
-/// Runs the shared-memory determinism pass over an assembled image.
-pub(crate) fn analyze(image: &Image) -> Vec<Diag> {
-    let mut eng = Engine {
-        image,
-        steps: 0,
-        diags: Vec::new(),
-        seen: BTreeSet::new(),
-    };
-
-    // Pass A: discover spawn sites from the entry point.
-    let mut pending: VecDeque<Site> = VecDeque::new();
-    let mut visited: BTreeSet<Site> = BTreeSet::new();
-    let mut entry = MState {
-        regs: [MVal::Unknown; 32],
-        tlo: 0,
-        thi: 0,
-        tainted: false,
-    };
-    entry.set(Reg::SP, MVal::Priv);
-    let (sites, _) = eng.interpret(image.entry, entry, None);
-    for s in sites {
-        if visited.insert(s) {
-            pending.push_back(s);
-        }
-    }
-
-    // Pass B: analyze each spawned function as a team member; nested
-    // parallel starts found inside members are analyzed in turn.
-    let mut analyzed = 0usize;
-    while let Some((func, nt)) = pending.pop_front() {
-        if analyzed >= MAX_SITES {
-            eng.report(
-                Diag::new(
-                    DiagCode::MUnprovableSubscript,
-                    Severity::Warning,
-                    0,
-                    format!(
-                        "more than {MAX_SITES} distinct parallel start sites; \
-                         shared-memory analysis truncated"
-                    ),
-                )
-                .with_pc(func),
-                func,
-            );
-            break;
-        }
-        analyzed += 1;
-        let (nested, accesses) = eng.member_pass(func, nt);
-        eng.check_epoch(func, nt, &accesses);
-        for s in nested {
-            if visited.insert(s) {
-                pending.push_back(s);
-            }
-        }
-    }
-    eng.diags
+/// Runs the shared-memory determinism pass over a decoded image; the
+/// findings and the fixpoint steps it took.
+pub(crate) fn analyze(program: &Program<'_>) -> (Vec<Diag>, usize) {
+    Engine::new(program, MAX_STEPS).analyze()
 }
 
 /// The shared fixpoint engine for both passes.
 struct Engine<'a> {
-    image: &'a Image,
+    program: &'a Program<'a>,
+    /// The per-instruction states of the running fixpoint, reused from
+    /// one `interpret` to the next.
+    fix: Fixpoint<MVal, Span>,
+    /// Fixpoint steps all passes of the image may take together, and
+    /// those taken so far.
+    budget: usize,
     steps: usize,
     diags: Vec<Diag>,
     /// Dedup: (code, pc) pairs already reported.
@@ -375,11 +317,153 @@ struct Collected {
     /// Shared-pointer values stored to shared memory, by pc.
     escapes: BTreeSet<u32>,
     truncated: bool,
+    /// The shapes already in `accesses`.
+    seen: BTreeSet<AccKey>,
+}
+
+impl Collected {
+    /// Classifies one memory access of a member body and records it.
+    #[allow(clippy::too_many_arguments)]
+    fn record(
+        &mut self,
+        path: Span,
+        span: i64,
+        pc: u32,
+        write: bool,
+        addr: MVal,
+        size: i64,
+        value: MVal,
+    ) {
+        let aff = match addr {
+            MVal::Priv => return,
+            MVal::Unknown => {
+                if write {
+                    self.unknown_stores.insert(pc);
+                }
+                return;
+            }
+            MVal::Abs(aff) => aff,
+        };
+        // Normalize the offset to an unsigned 32-bit base (a `lui`-built
+        // shared address decodes as a negative i32 constant) and bound
+        // the footprint over the whole team in un-wrapped space.
+        let base = (aff.lo as u32) as i64;
+        let aff = Aff {
+            a: aff.a,
+            lo: base,
+            hi: base + (aff.hi - aff.lo),
+        };
+        let tmax = span - 1;
+        let (smin, smax) = if aff.a >= 0 {
+            (aff.lo, aff.hi + aff.a * tmax)
+        } else {
+            (aff.lo + aff.a * tmax, aff.hi)
+        };
+        let (lo, hi) = (smin, smax + size);
+        let shared = (SHARED_BASE as i64, IO_BASE as i64);
+        if lo >= shared.0 && hi <= shared.1 {
+            // Entirely shared: subject to the epoch disjointness check.
+            if value.as_point().is_some_and(|v| {
+                let v = (v as u32) as i64;
+                v >= shared.0 && v < shared.1
+            }) {
+                self.escapes.insert(pc);
+            }
+            if self.accesses.len() >= MAX_ACCESSES {
+                self.truncated = true;
+                return;
+            }
+            let key = (
+                pc,
+                write,
+                (aff.a, aff.lo, aff.hi),
+                size,
+                (path.tlo, path.thi),
+                path.tainted,
+            );
+            if self.seen.insert(key) {
+                self.accesses.push(Access {
+                    pc,
+                    write,
+                    addr: aff,
+                    size,
+                    tlo: path.tlo.max(0),
+                    thi: path.thi.min(tmax),
+                    tainted: path.tainted,
+                });
+            }
+        } else if hi <= shared.0 || lo >= shared.1 || lo < 0 || hi > (1i64 << 32) {
+            // Entirely private/code/io, or wraps 32 bits: not this
+            // pass's concern unless it wraps, which no provable address
+            // does — degrade wrapping stores like unknown ones.
+            if write && (lo < 0 || hi > (1i64 << 32)) {
+                self.unknown_stores.insert(pc);
+            }
+        } else if write {
+            // Straddles the shared-region boundary: unprovable.
+            self.unknown_stores.insert(pc);
+        }
+    }
 }
 
 impl<'a> Engine<'a> {
+    fn new(program: &'a Program<'a>, budget: usize) -> Engine<'a> {
+        Engine {
+            program,
+            fix: Fixpoint::new(program),
+            budget,
+            steps: 0,
+            diags: Vec::new(),
+            seen: BTreeSet::new(),
+        }
+    }
+
+    fn analyze(mut self) -> (Vec<Diag>, usize) {
+        // Pass A: discover spawn sites from the entry point.
+        let mut pending: VecDeque<Site> = VecDeque::new();
+        let mut visited: BTreeSet<Site> = BTreeSet::new();
+        let entry = self.program.image.entry;
+        let (sites, _) = self.interpret(entry, fresh_hart(Span::of(1)), None);
+        for s in sites {
+            if visited.insert(s) {
+                pending.push_back(s);
+            }
+        }
+
+        // Pass B: analyze each spawned function as a team member; nested
+        // parallel starts found inside members are analyzed in turn.
+        let mut analyzed = 0usize;
+        while let Some((func, nt)) = pending.pop_front() {
+            if analyzed >= MAX_SITES {
+                self.report(
+                    Diag::new(
+                        DiagCode::MUnprovableSubscript,
+                        Severity::Warning,
+                        0,
+                        format!(
+                            "more than {MAX_SITES} distinct parallel start sites; \
+                             shared-memory analysis truncated"
+                        ),
+                    )
+                    .with_pc(func),
+                    func,
+                );
+                break;
+            }
+            analyzed += 1;
+            let (nested, accesses) = self.member_pass(func, nt);
+            self.check_epoch(func, nt, &accesses);
+            for s in nested {
+                if visited.insert(s) {
+                    pending.push_back(s);
+                }
+            }
+        }
+        (self.diags, self.steps)
+    }
+
     fn line(&self, pc: u32) -> usize {
-        self.image.line_of(pc).unwrap_or(0)
+        self.program.line(pc)
     }
 
     fn report(&mut self, diag: Diag, pc: u32) {
@@ -393,12 +477,7 @@ impl<'a> Engine<'a> {
     /// accesses of the epoch.
     fn member_pass(&mut self, func: u32, nt: Option<i64>) -> (BTreeSet<Site>, Vec<Access>) {
         let span = nt.unwrap_or(2).clamp(1, MAX_TEAM);
-        let mut seed = MState {
-            regs: [MVal::Unknown; 32],
-            tlo: 0,
-            thi: span - 1,
-            tainted: false,
-        };
+        let mut seed = fresh_hart(Span::of(span));
         // The documented team ABI (lbp-omp codegen, mirrored by the
         // fuzzer): the member index arrives in `a0` (and `s1`), the team
         // size in `s2`, and the member runs on its own private stack.
@@ -408,9 +487,8 @@ impl<'a> Engine<'a> {
         if let Some(n) = nt {
             seed.set(Reg::S2, MVal::point(n));
         }
-        seed.set(Reg::SP, MVal::Priv);
         let (sites, col) = self.interpret(func, seed, Some(span));
-        let fname = self.func_name(func);
+        let fname = self.program.name(func);
         for &pc in &col.unknown_stores {
             self.report(
                 Diag::new(
@@ -474,341 +552,193 @@ impl<'a> Engine<'a> {
         seed: MState,
         member: Option<i64>,
     ) -> (BTreeSet<Site>, Collected) {
-        let mut states: HashMap<u32, MState> = HashMap::new();
-        let mut worklist: VecDeque<u32> = VecDeque::new();
+        let program = self.program;
         let mut sites: BTreeSet<Site> = BTreeSet::new();
         let mut col = Collected::default();
-        let mut acc_seen: BTreeSet<AccKey> = BTreeSet::new();
-        let push = |states: &mut HashMap<u32, MState>,
-                    worklist: &mut VecDeque<u32>,
-                    pc: u32,
-                    st: MState| {
-            match states.get_mut(&pc) {
-                None => {
-                    states.insert(pc, st);
-                    worklist.push_back(pc);
-                }
-                Some(existing) => {
-                    if existing.meet(&st) {
-                        worklist.push_back(pc);
-                    }
-                }
-            }
-        };
-        if self.decodable(root) {
-            push(&mut states, &mut worklist, root, seed);
+        self.fix.clear();
+        if program.decodable(root) {
+            self.fix.push(root, seed);
         }
-        while let Some(pc) = worklist.pop_front() {
-            self.steps += 1;
-            if self.steps > MAX_STEPS {
-                break;
-            }
-            let mut st = states[&pc].clone();
-            let word = match self.image.text_word(pc) {
-                Some(w) => w,
-                None => continue,
-            };
-            let instr = match Instr::decode(word) {
-                Ok(i) => i,
-                // Undecodable words are the protocol pass's B008 to flag.
-                Err(_) => continue,
-            };
-            let next = pc.wrapping_add(4);
-            match instr {
-                Instr::Lui { rd, imm } => {
-                    st.set(rd, MVal::point((imm as i32) as i64));
-                    push(&mut states, &mut worklist, next, st);
-                }
-                Instr::Auipc { rd, imm } => {
-                    st.set(rd, MVal::point((pc.wrapping_add(imm) as i32) as i64));
-                    push(&mut states, &mut worklist, next, st);
-                }
-                Instr::OpImm { kind, rd, rs1, imm } => {
-                    let a = st.get(rs1);
-                    let v = match kind {
-                        OpImmKind::Add => a.add(MVal::point(imm as i64)),
-                        OpImmKind::Sll if (0..32).contains(&imm) => a.scale(1i64 << imm),
-                        _ => match a.as_point() {
-                            Some(p) => MVal::point((kind.eval(p as u32, imm) as i32) as i64),
-                            None => MVal::Unknown,
-                        },
-                    };
-                    st.set(rd, v);
-                    push(&mut states, &mut worklist, next, st);
-                }
-                Instr::Op { kind, rd, rs1, rs2 } => {
-                    let (a, b) = (st.get(rs1), st.get(rs2));
-                    let v = match kind {
-                        OpKind::Add => a.add(b),
-                        OpKind::Sub => a.sub(b),
-                        OpKind::Mul => match (a.as_point(), b.as_point()) {
-                            (Some(k), _) => b.scale(k),
-                            (_, Some(k)) => a.scale(k),
-                            _ => MVal::Unknown,
-                        },
-                        OpKind::Sll => match b.as_point() {
-                            Some(s) if (0..32).contains(&s) => a.scale(1i64 << s),
-                            _ => MVal::Unknown,
-                        },
-                        _ => match (a.as_point(), b.as_point()) {
-                            (Some(x), Some(y)) => {
-                                MVal::point((kind.eval(x as u32, y as u32) as i32) as i64)
-                            }
-                            _ => MVal::Unknown,
-                        },
-                    };
-                    st.set(rd, v);
-                    push(&mut states, &mut worklist, next, st);
-                }
-                Instr::Load {
-                    kind,
-                    rd,
-                    rs1,
-                    offset,
-                } => {
-                    if let Some(span) = member {
-                        self.collect(
-                            &mut col,
-                            &mut acc_seen,
-                            &st,
-                            span,
-                            pc,
-                            false,
-                            st.get(rs1).add(MVal::point(offset as i64)),
-                            kind.size() as i64,
-                            MVal::Unknown,
-                        );
+        let ran = self
+            .fix
+            .run(program, self.budget - self.steps, |fix, pc, instr| {
+                // Undecodable words are the protocol pass's B008 to flag, and
+                // so is an edge that leaves the text: here it goes nowhere.
+                let Some(instr) = instr else { return };
+                let st = fix.state(pc);
+                let facts = st.facts;
+                // The team a parallel start here launches, when the
+                // conventional team-size register holds a usable constant.
+                let team = || {
+                    let n = st.get(Reg::S2).as_point();
+                    n.filter(|n| (2..=MAX_TEAM).contains(n))
+                };
+                let next = pc.wrapping_add(4);
+                // As in the protocol pass: an arm is the register its
+                // instruction writes before falling through, unless it steers
+                // control, flows its own edges and returns.
+                let write = match instr {
+                    Instr::Lui { rd, imm } => (rd, MVal::point((imm as i32) as i64)),
+                    Instr::Auipc { rd, imm } => {
+                        (rd, MVal::point((pc.wrapping_add(imm) as i32) as i64))
                     }
-                    st.set(rd, MVal::Unknown);
-                    push(&mut states, &mut worklist, next, st);
-                }
-                Instr::Store {
-                    kind,
-                    rs1,
-                    rs2,
-                    offset,
-                } => {
-                    if let Some(span) = member {
-                        self.collect(
-                            &mut col,
-                            &mut acc_seen,
-                            &st,
-                            span,
-                            pc,
-                            true,
-                            st.get(rs1).add(MVal::point(offset as i64)),
-                            kind.size() as i64,
-                            st.get(rs2),
-                        );
+                    Instr::OpImm { kind, rd, rs1, imm } => {
+                        let a = st.get(rs1);
+                        let v = match kind {
+                            OpImmKind::Add => a.add(MVal::point(imm as i64)),
+                            OpImmKind::Sll if (0..32).contains(&imm) => a.scale(1i64 << imm),
+                            _ => match a.as_point() {
+                                Some(p) => MVal::point((kind.eval(p as u32, imm) as i32) as i64),
+                                None => MVal::Unknown,
+                            },
+                        };
+                        (rd, v)
                     }
-                    push(&mut states, &mut worklist, next, st);
-                }
-                Instr::Branch {
-                    kind,
-                    rs1,
-                    rs2,
-                    offset,
-                } => {
-                    let target = pc.wrapping_add(offset as u32);
-                    let (a, b) = (st.get(rs1), st.get(rs2));
-                    match (a.as_point(), b.as_point()) {
-                        (Some(x), Some(y)) => {
+                    Instr::Op { kind, rd, rs1, rs2 } => {
+                        let (a, b) = (st.get(rs1), st.get(rs2));
+                        let v = match kind {
+                            OpKind::Add => a.add(b),
+                            OpKind::Sub => a.sub(b),
+                            OpKind::Mul => match (a.as_point(), b.as_point()) {
+                                (Some(k), _) => b.scale(k),
+                                (_, Some(k)) => a.scale(k),
+                                _ => MVal::Unknown,
+                            },
+                            OpKind::Sll => match b.as_point() {
+                                Some(s) if (0..32).contains(&s) => a.scale(1i64 << s),
+                                _ => MVal::Unknown,
+                            },
+                            _ => match (a.as_point(), b.as_point()) {
+                                (Some(x), Some(y)) => {
+                                    MVal::point((kind.eval(x as u32, y as u32) as i32) as i64)
+                                }
+                                _ => MVal::Unknown,
+                            },
+                        };
+                        (rd, v)
+                    }
+                    Instr::Load {
+                        kind,
+                        rd,
+                        rs1,
+                        offset,
+                    } => {
+                        if let Some(span) = member {
+                            col.record(
+                                facts,
+                                span,
+                                pc,
+                                false,
+                                st.get(rs1).add(MVal::point(offset as i64)),
+                                kind.size() as i64,
+                                MVal::Unknown,
+                            );
+                        }
+                        (rd, MVal::Unknown)
+                    }
+                    Instr::Store {
+                        kind,
+                        rs1,
+                        rs2,
+                        offset,
+                    } => {
+                        if let Some(span) = member {
+                            col.record(
+                                facts,
+                                span,
+                                pc,
+                                true,
+                                st.get(rs1).add(MVal::point(offset as i64)),
+                                kind.size() as i64,
+                                st.get(rs2),
+                            );
+                        }
+                        MVal::KEEP
+                    }
+                    Instr::Branch {
+                        kind,
+                        rs1,
+                        rs2,
+                        offset,
+                    } => {
+                        let target = pc.wrapping_add(offset as u32);
+                        let (a, b) = (st.get(rs1), st.get(rs2));
+                        let (taken, fall) = match (a.as_point(), b.as_point()) {
                             // Decidable: only the real side.
-                            if kind.taken(x as u32, y as u32) {
-                                push(&mut states, &mut worklist, target, st);
-                            } else {
-                                push(&mut states, &mut worklist, next, st);
+                            (Some(x), Some(y)) => {
+                                let taken = kind.taken(x as u32, y as u32);
+                                (taken.then_some(facts), (!taken).then_some(facts))
                             }
+                            _ => refine(facts, kind, a, b),
+                        };
+                        if let Some(facts) = taken {
+                            fix.flow(pc, target, MVal::KEEP, facts);
                         }
-                        _ => {
-                            let (tk, fl) = refine(&st, kind, a, b);
-                            if let Some(s) = tk {
-                                push(&mut states, &mut worklist, target, s);
+                        if let Some(facts) = fall {
+                            fix.flow(pc, next, MVal::KEEP, facts);
+                        }
+                        return;
+                    }
+                    Instr::Jal { rd, offset } => {
+                        return jump(fix, program, pc, rd, Some(pc.wrapping_add(offset as u32)));
+                    }
+                    Instr::Jalr { rd, rs1, offset } => {
+                        let base = st.get(rs1).as_point();
+                        let target = base.map(|b| (b as u32).wrapping_add(offset as u32) & !1);
+                        return jump(fix, program, pc, rd, target);
+                    }
+                    Instr::PFc { rd }
+                    | Instr::PFn { rd }
+                    | Instr::PSet { rd, .. }
+                    | Instr::PMerge { rd, .. }
+                    | Instr::PLwcv { rd, .. }
+                    | Instr::PLwre { rd, .. } => (rd, MVal::Unknown),
+                    Instr::PSyncm | Instr::PSwre { .. } | Instr::PSwcv { .. } => MVal::KEEP,
+                    Instr::PJalr { rd, rs2, .. } => {
+                        // rd = x0 is p_ret: the member body (and this path)
+                        // ends.
+                        if !rd.is_zero() {
+                            if let Some(f) = st.get(rs2).as_point() {
+                                sites.insert(((f as u32) & !1, team()));
                             }
-                            if let Some(s) = fl {
-                                push(&mut states, &mut worklist, next, s);
-                            }
+                            // The freshly started hart runs the continuation
+                            // at pc + 4 with a clean register file; the
+                            // spawned function is analyzed as its own epoch.
+                            fix.push(next, fresh_hart(facts));
                         }
+                        return;
                     }
-                }
-                Instr::Jal { rd, offset } => {
-                    let target = pc.wrapping_add(offset as u32);
-                    if rd.is_zero() {
-                        push(&mut states, &mut worklist, target, st);
-                    } else {
-                        // Follow the callee with a linked return address
-                        // (keeps argument affinity visible inside
-                        // helpers) *and* summarize with a havoc edge.
-                        let mut callee = st.clone();
-                        callee.set(rd, MVal::point(next as i64));
-                        if self.decodable(target) {
-                            push(&mut states, &mut worklist, target, callee);
-                        }
-                        st.havoc_call();
-                        push(&mut states, &mut worklist, next, st);
+                    Instr::PJal { offset, .. } => {
+                        sites.insert((pc.wrapping_add(offset as u32), team()));
+                        fix.push(next, fresh_hart(facts));
+                        return;
                     }
-                }
-                Instr::Jalr { rd, rs1, offset } => {
-                    if rd.is_zero() {
-                        if let Some(base) = st.get(rs1).as_point() {
-                            let target = (base as u32).wrapping_add(offset as u32) & !1;
-                            push(&mut states, &mut worklist, target, st);
-                        }
-                    } else {
-                        if let Some(base) = st.get(rs1).as_point() {
-                            let target = (base as u32).wrapping_add(offset as u32) & !1;
-                            let mut callee = st.clone();
-                            callee.set(rd, MVal::point(next as i64));
-                            if self.decodable(target) {
-                                push(&mut states, &mut worklist, target, callee);
-                            }
-                        }
-                        st.havoc_call();
-                        push(&mut states, &mut worklist, next, st);
-                    }
-                }
-                Instr::PFc { rd } | Instr::PFn { rd } => {
-                    st.set(rd, MVal::Unknown);
-                    push(&mut states, &mut worklist, next, st);
-                }
-                Instr::PSet { rd, .. } | Instr::PMerge { rd, .. } => {
-                    st.set(rd, MVal::Unknown);
-                    push(&mut states, &mut worklist, next, st);
-                }
-                Instr::PSyncm | Instr::PSwre { .. } | Instr::PSwcv { .. } => {
-                    push(&mut states, &mut worklist, next, st);
-                }
-                Instr::PLwcv { rd, .. } | Instr::PLwre { rd, .. } => {
-                    st.set(rd, MVal::Unknown);
-                    push(&mut states, &mut worklist, next, st);
-                }
-                Instr::PJalr { rd, rs1: _, rs2 } => {
-                    if rd.is_zero() {
-                        // p_ret: the member body (and this path) ends.
-                    } else {
-                        if let Some(f) = st.get(rs2).as_point() {
-                            sites.insert((
-                                (f as u32) & !1,
-                                st.get(Reg::S2)
-                                    .as_point()
-                                    .filter(|n| (2..=MAX_TEAM).contains(n)),
-                            ));
-                        }
-                        // The freshly started hart runs the continuation
-                        // at pc + 4 with a clean register file; the
-                        // spawned function is analyzed as its own epoch.
-                        push(&mut states, &mut worklist, next, continuation(&st));
-                    }
-                }
-                Instr::PJal { rs1: _, offset, .. } => {
-                    let target = pc.wrapping_add(offset as u32);
-                    sites.insert((
-                        target,
-                        st.get(Reg::S2)
-                            .as_point()
-                            .filter(|n| (2..=MAX_TEAM).contains(n)),
-                    ));
-                    push(&mut states, &mut worklist, next, continuation(&st));
-                }
-            }
+                };
+                fix.flow(pc, next, write, facts);
+            });
+        self.steps += ran.steps;
+        if ran.cut {
+            self.report(
+                Diag::new(
+                    DiagCode::MUnprovableSubscript,
+                    Severity::Warning,
+                    self.line(root),
+                    format!(
+                        "analysis budget of {MAX_STEPS} steps exhausted while \
+                         interpreting from {root:#x}; shared accesses beyond the \
+                         explored paths were not checked"
+                    ),
+                )
+                .with_pc(root),
+                root,
+            );
         }
         (sites, col)
     }
 
-    fn decodable(&self, pc: u32) -> bool {
-        self.image
-            .text_word(pc)
-            .is_some_and(|w| Instr::decode(w).is_ok())
-    }
-
-    /// Classifies one memory access of a member body and records it.
-    #[allow(clippy::too_many_arguments)]
-    fn collect(
-        &mut self,
-        col: &mut Collected,
-        acc_seen: &mut BTreeSet<AccKey>,
-        st: &MState,
-        span: i64,
-        pc: u32,
-        write: bool,
-        addr: MVal,
-        size: i64,
-        value: MVal,
-    ) {
-        let aff = match addr {
-            MVal::Priv => return,
-            MVal::Unknown => {
-                if write {
-                    col.unknown_stores.insert(pc);
-                }
-                return;
-            }
-            MVal::Abs(aff) => aff,
-        };
-        // Normalize the offset to an unsigned 32-bit base (a `lui`-built
-        // shared address decodes as a negative i32 constant) and bound
-        // the footprint over the whole team in un-wrapped space.
-        let base = (aff.lo as u32) as i64;
-        let aff = Aff {
-            a: aff.a,
-            lo: base,
-            hi: base + (aff.hi - aff.lo),
-        };
-        let tmax = span - 1;
-        let (smin, smax) = if aff.a >= 0 {
-            (aff.lo, aff.hi + aff.a * tmax)
-        } else {
-            (aff.lo + aff.a * tmax, aff.hi)
-        };
-        let (lo, hi) = (smin, smax + size);
-        let shared = (SHARED_BASE as i64, IO_BASE as i64);
-        if lo >= shared.0 && hi <= shared.1 {
-            // Entirely shared: subject to the epoch disjointness check.
-            if value.as_point().is_some_and(|v| {
-                let v = (v as u32) as i64;
-                v >= shared.0 && v < shared.1
-            }) {
-                col.escapes.insert(pc);
-            }
-            if col.accesses.len() >= MAX_ACCESSES {
-                col.truncated = true;
-                return;
-            }
-            let key = (
-                pc,
-                write,
-                (aff.a, aff.lo, aff.hi),
-                size,
-                (st.tlo, st.thi),
-                st.tainted,
-            );
-            if acc_seen.insert(key) {
-                col.accesses.push(Access {
-                    pc,
-                    write,
-                    addr: aff,
-                    size,
-                    tlo: st.tlo.max(0),
-                    thi: st.thi.min(tmax),
-                    tainted: st.tainted,
-                });
-            }
-        } else if hi <= shared.0 || lo >= shared.1 || lo < 0 || hi > (1i64 << 32) {
-            // Entirely private/code/io, or wraps 32 bits: not this
-            // pass's concern unless it wraps, which no provable address
-            // does — degrade wrapping stores like unknown ones.
-            if write && (lo < 0 || hi > (1i64 << 32)) {
-                col.unknown_stores.insert(pc);
-            }
-        } else if write {
-            // Straddles the shared-region boundary: unprovable.
-            col.unknown_stores.insert(pc);
-        }
-    }
-
     /// The cross-member disjointness check for one epoch.
     fn check_epoch(&mut self, func: u32, nt: Option<i64>, accesses: &[Access]) {
-        let fname = self.func_name(func);
+        let fname = self.program.name(func);
         let span = nt.unwrap_or(2).clamp(1, MAX_TEAM);
         if span < 2 {
             return;
@@ -979,41 +909,43 @@ impl<'a> Engine<'a> {
             );
         }
     }
-
-    /// The symbol naming `pc`, for messages.
-    fn func_name(&self, pc: u32) -> String {
-        self.image
-            .symbols
-            .iter()
-            .filter(|&(_, &a)| a == pc)
-            .map(|(n, _)| n.clone())
-            .min()
-            .unwrap_or_else(|| format!("{pc:#x}"))
-    }
 }
 
-/// The state a fork continuation starts in on the freshly started hart.
-fn continuation(st: &MState) -> MState {
-    let mut c = MState {
-        regs: [MVal::Unknown; 32],
-        tlo: st.tlo,
-        thi: st.thi,
-        tainted: st.tainted,
-    };
-    c.set(Reg::SP, MVal::Priv);
-    c
+/// The edges of the `jal`/`jalr` at `pc` linking `rd`; `target` is `None`
+/// for an indirect jump through a register the lattice cannot name.
+fn jump(
+    fix: &mut Fixpoint<MVal, Span>,
+    program: &Program<'_>,
+    pc: u32,
+    rd: Reg,
+    target: Option<u32>,
+) {
+    let st = fix.state(pc);
+    let facts = st.facts;
+    let next = pc.wrapping_add(4);
+    if rd.is_zero() {
+        // A plain jump; with an unknown target the path ends here.
+        if let Some(target) = target {
+            fix.flow(pc, target, MVal::KEEP, facts);
+        }
+    } else {
+        // Follow the callee with a linked return address (keeps argument
+        // affinity visible inside helpers) *and* summarize with a havoc
+        // edge, built before the callee edge can touch the state here.
+        let mut returned = st.clone();
+        returned.havoc_call();
+        if let Some(target) = target.filter(|&t| program.decodable(t)) {
+            fix.flow(pc, target, (rd, MVal::point(next as i64)), facts);
+        }
+        fix.push(next, returned);
+    }
 }
 
 /// Branch handling when the condition is not decidable: refine the
 /// member-index range when the comparison is exactly `t + k` against a
 /// constant; otherwise taint both sides (control now depends on data
 /// the lattice cannot prove uniform across members).
-fn refine(
-    st: &MState,
-    kind: lbp_isa::BranchKind,
-    a: MVal,
-    b: MVal,
-) -> (Option<MState>, Option<MState>) {
+fn refine(path: Span, kind: lbp_isa::BranchKind, a: MVal, b: MVal) -> (Option<Span>, Option<Span>) {
     use lbp_isa::BranchKind as B;
     let dep = |v: MVal| matches!(v, MVal::Abs(x) if x.a != 0);
     // value = t + k (exact), compared against a point constant.
@@ -1021,8 +953,8 @@ fn refine(
         MVal::Abs(x) if x.a == 1 && x.lo == x.hi => Some(x.lo),
         _ => None,
     };
-    let mut taken = st.clone();
-    let mut fall = st.clone();
+    let mut taken = path;
+    let mut fall = path;
     match (exact_t(a), b.as_point(), a.as_point(), exact_t(b)) {
         // t + k <op> c, with everything small and non-negative so the
         // signed and unsigned comparisons agree.
@@ -1100,7 +1032,7 @@ fn refine(
             }
         }
     }
-    let keep = |s: MState| if s.tlo <= s.thi { Some(s) } else { None };
+    let keep = |s: Span| (s.tlo <= s.thi).then_some(s);
     (keep(taken), keep(fall))
 }
 
@@ -1166,6 +1098,44 @@ mod tests {
 
     fn aff(a: i64, lo: i64, hi: i64) -> Aff {
         Aff { a, lo, hi }
+    }
+
+    /// An analysis that stops on its budget has not looked at every
+    /// access: it says so, at the root it was interpreting from.
+    #[test]
+    fn a_cut_short_analysis_says_so() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/m_overlap_write.s"
+        );
+        let image = lbp_asm::assemble(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let program = Program::new(&image);
+        let budget_warnings = |diags: &[Diag]| -> Vec<Option<u32>> {
+            let cut = diags.iter().filter(|d| d.message.contains("budget"));
+            cut.map(|d| {
+                assert_eq!(
+                    (d.code, d.severity),
+                    (DiagCode::MUnprovableSubscript, Severity::Warning)
+                );
+                d.pc
+            })
+            .collect()
+        };
+
+        let (full, steps) = analyze(&program);
+        assert!(full.iter().any(|d| d.code == DiagCode::MOverlappingWrite));
+        assert_eq!(budget_warnings(&full), []);
+
+        // One step short: the member body, interpreted last, is cut.
+        let (short, used) = Engine::new(&program, steps - 1).analyze();
+        assert_eq!(used, steps - 1);
+        assert_eq!(budget_warnings(&short), [image.symbol("work")]);
+
+        // Cut in the entry walk: no start site is found, one warning.
+        let (blind, used) = Engine::new(&program, 3).analyze();
+        assert_eq!(used, 3);
+        assert_eq!(budget_warnings(&blind), [Some(image.entry)]);
+        assert_eq!(blind.len(), 1);
     }
 
     #[test]

@@ -148,3 +148,24 @@ fn committed_examples_stay_m_clean() {
         assert!(accepted(&diags), "{file}:\n{}", render(&diags));
     }
 }
+
+/// `slli`/`mul` chains that leave 64 bits: the address lattice answers
+/// unknown. It used to multiply first and clamp after — a panic in a
+/// debug build, and in release a product wrapped to the *exact point* 0
+/// that a later `M001`/`M002` could have been built on.
+#[test]
+fn overflowing_scale_chains_are_unknown_not_a_panic() {
+    for chain in ["slli t0, t0, 31", "mul t1, t0, t0"] {
+        let source = format!(
+            "main:\n    li t0, 0x40000000\n    slli t0, t0, 3\n    {chain}\n    \
+             li t0, -1\n    li ra, 0\n    p_ret\n"
+        );
+        let diags = verify_image(&lbp_asm::assemble(&source).unwrap());
+        assert!(accepted(&diags), "{chain}:\n{}", render(&diags));
+        assert!(
+            diags.iter().all(|d| !d.code.as_str().starts_with("LBP-M")),
+            "{chain}:\n{}",
+            render(&diags)
+        );
+    }
+}

@@ -245,6 +245,18 @@ fn exit_10_verification_rejection() {
     );
 }
 
+/// The M-pass multiplies abstract addresses: a shift chain that leaves
+/// 64 bits is an unknown value, not an arithmetic panic (exit 101).
+#[test]
+fn exit_0_verifying_an_overflowing_shift_chain() {
+    let p = scratch(
+        "shift-chain.s",
+        "main:\n  li t0, 0x40000000\n  slli t0, t0, 3\n  slli t0, t0, 31\n  \
+         li t0, -1\n  li ra, 0\n  p_ret\n",
+    );
+    assert_eq!(code(lbp_run().arg(p).arg("--verify")), ExitClass::Ok);
+}
+
 #[test]
 fn exit_11_wall_clock_cancellation() {
     // `--wall-ms 0` arms an already-expired watchdog: the run is
