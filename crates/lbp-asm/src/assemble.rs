@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use lbp_isa::{Instr, CODE_BASE, SHARED_BASE};
+use lbp_isa::{Instr, CODE_BASE, IO_BASE, LOCAL_BASE, SHARED_BASE};
 
 use crate::error::AsmError;
 use crate::expr::Expr;
@@ -257,6 +257,16 @@ fn resolve(
     })
 }
 
+/// The largest image — text and data bytes together — the assembler lays
+/// out: 64 MiB, sixteen times the largest shared space a shipped
+/// configuration has (64 cores of 64 KiB). A `.space` or `.align` past it
+/// is an error of pass 1 instead of an allocation of pass 2.
+const MAX_IMAGE_BYTES: u32 = 64 << 20;
+
+fn overflow(si: &SourceItem) -> AsmError {
+    AsmError::new(si.line, "section overflow")
+}
+
 /// The text/data location counters of one pass.
 struct LocationCounters {
     section: Section,
@@ -280,29 +290,39 @@ impl LocationCounters {
         }
     }
 
+    /// Moves the current counter, refusing one that leaves its region of
+    /// the memory map (text ends at or below `LOCAL_BASE`, data at or
+    /// below `IO_BASE`) or an image past [`MAX_IMAGE_BYTES`]. Pass 1 walks
+    /// every item through here before pass 2 allocates anything.
     fn advance(&mut self, si: &SourceItem, bytes: u32) -> Result<(), AsmError> {
-        let lc = match self.section {
-            Section::Text => &mut self.text,
-            Section::Data => &mut self.data,
+        let (lc, end) = match self.section {
+            Section::Text => (&mut self.text, LOCAL_BASE),
+            Section::Data => (&mut self.data, IO_BASE),
         };
-        *lc = lc
-            .checked_add(bytes)
-            .ok_or_else(|| AsmError::new(si.line, "section overflow"))?;
+        let moved = lc.checked_add(bytes).filter(|&at| at <= end);
+        *lc = moved.ok_or_else(|| overflow(si))?;
+        if (self.text - CODE_BASE) + (self.data - SHARED_BASE) > MAX_IMAGE_BYTES {
+            return Err(overflow(si));
+        }
         Ok(())
+    }
+
+    /// The bytes from here to the next multiple of `to`.
+    fn pad_to(&self, si: &SourceItem, to: u32) -> Result<u32, AsmError> {
+        let here = self.here();
+        let aligned = here.checked_next_multiple_of(to);
+        Ok(aligned.ok_or_else(|| overflow(si))? - here)
     }
 
     /// Pass-1 alignment (no emission).
     fn align(&mut self, si: &SourceItem, to: u32) -> Result<(), AsmError> {
-        let here = self.here();
-        let aligned = here.next_multiple_of(to);
-        self.advance(si, aligned - here)
+        let bytes = self.pad_to(si, to)?;
+        self.advance(si, bytes)
     }
 
     /// Pass-2 alignment, emitting the pad bytes.
     fn align_emit(&mut self, si: &SourceItem, to: u32, image: &mut Image) -> Result<(), AsmError> {
-        let here = self.here();
-        let aligned = here.next_multiple_of(to);
-        let bytes = aligned - here;
+        let bytes = self.pad_to(si, to)?;
         if bytes > 0 {
             pad(image, self.section, bytes, si.line)?;
             self.advance(si, bytes)?;
@@ -429,6 +449,34 @@ mod tests {
     fn space_in_text_must_be_word_aligned() {
         assert!(assemble(".space 3\n").is_err());
         assert!(assemble(".space 8\n").is_ok());
+    }
+
+    #[test]
+    fn oversized_sections_are_refused_before_anything_is_allocated() {
+        let overflow = |src: &str, line: usize| {
+            let e = assemble(src).unwrap_err();
+            assert_eq!(
+                (e.line, e.message.as_str()),
+                (line, "section overflow"),
+                "{src}"
+            );
+        };
+        // Past the end of the region: 2 GB of text, 2 GB of data.
+        overflow("main: p_ret\n.space 0x7ffffff0\n", 2);
+        overflow(".data\n.space 0x7ffffff0\n", 2);
+        // Inside the region and past the image bound, alone or together.
+        overflow(".space 0x4000004\n", 1);
+        overflow(".data\nv: .space 0x4000001\n", 2);
+        overflow(".space 0x2000000\n.data\n.space 0x2000004\n", 3);
+        // An alignment is a `.space` by another name, wrapping or not.
+        overflow("nop\n.align 0x80000000\n", 2);
+        overflow(".data\n.word 1\n.align 0x80000000\n", 3);
+        // An item built directly, where no parser refused the zero.
+        let zero = [SourceItem::generated(Item::Align(0))];
+        assert_eq!(
+            assemble_items(&zero).unwrap_err().message,
+            "section overflow"
+        );
     }
 
     #[test]

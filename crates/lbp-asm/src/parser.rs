@@ -5,6 +5,14 @@
 //! `#` comments, `.text`/`.data`/`.word`/`.space`/`.align`/`.equ`
 //! directives, and the usual RV32 pseudo-instructions (`li`, `la`, `mv`,
 //! `j`, `call`, `ret`, `beqz`, ..., plus the paper's `p_ret`).
+//!
+//! A line is scanned once, by bytes: the comment and the leading labels
+//! come off, the first word is packed into a `u64` as it is read and
+//! looked up in the one table of [`Mnemonics`], and the operands are split
+//! in place. Whitespace keeps `char` semantics (U+00A0 separates operands
+//! as a blank does); only the decoding is skipped while bytes are ASCII.
+
+use std::sync::OnceLock;
 
 use lbp_isa::{BranchKind, Instr, LoadKind, OpImmKind, OpKind, Reg, StoreKind};
 
@@ -26,172 +34,137 @@ use crate::item::{Item, PatchKind, Section, SourceItem, SymInstr};
 /// # Ok::<(), lbp_asm::AsmError>(())
 /// ```
 pub fn parse_program(source: &str) -> Result<Vec<SourceItem>, AsmError> {
-    let mut items = Vec::new();
-    for (idx, raw) in source.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        parse_line(line, line_no, &mut items)?;
-    }
-    Ok(items)
-}
-
-fn strip_comment(line: &str) -> &str {
-    match line.find('#') {
-        Some(pos) => &line[..pos],
-        None => line,
-    }
-}
-
-fn parse_line(line: &str, line_no: usize, items: &mut Vec<SourceItem>) -> Result<(), AsmError> {
-    // Leading labels: `name:` possibly followed by more content.
-    if let Some(colon) = line.find(':') {
-        let (head, rest) = line.split_at(colon);
-        let head = head.trim();
-        if is_ident(head) {
-            items.push(SourceItem {
-                item: Item::Label(head.to_owned()),
-                line: line_no,
-            });
-            let rest = rest[1..].trim();
-            if rest.is_empty() {
-                return Ok(());
+    let mut scanner = Scanner {
+        mnemonics: Mnemonics::get(),
+        items: Vec::new(),
+        line_no: 0,
+    };
+    // One pass finds where each line ends and where its code does: `\n`
+    // ends the line (a `\r` before it is trimmed with the other
+    // whitespace, so lines number as `str::lines` numbers them) and the
+    // first `#` ends the code.
+    let mut rest = source;
+    while !rest.is_empty() {
+        let (mut code, mut line) = (usize::MAX, rest.len());
+        for (i, b) in rest.bytes().enumerate() {
+            match b {
+                b'\n' => {
+                    line = i;
+                    break;
+                }
+                b'#' => code = code.min(i),
+                _ => {}
             }
-            return parse_line(rest, line_no, items);
         }
+        scanner.line_no += 1;
+        scanner.line(&rest[..line.min(code)])?;
+        rest = rest.get(line + 1..).unwrap_or("");
     }
-    if let Some(rest) = line.strip_prefix('.') {
-        return parse_directive(rest, line_no, items);
+    Ok(scanner.items)
+}
+
+/// `char::is_whitespace` of an ASCII byte.
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// `str::trim_start`, decoding `char`s only from the first non-ASCII byte.
+fn trim_start(s: &str) -> &str {
+    let ascii = s.bytes().take_while(|&b| is_space(b)).count();
+    match s.as_bytes().get(ascii) {
+        Some(b) if !b.is_ascii() => s[ascii..].trim_start(),
+        _ => &s[ascii..],
     }
-    parse_instruction(line, line_no, items)
+}
+
+/// `str::trim_end`, likewise.
+fn trim_end(s: &str) -> &str {
+    let kept = s.len() - s.bytes().rev().take_while(|&b| is_space(b)).count();
+    match s.as_bytes()[..kept].last() {
+        Some(b) if !b.is_ascii() => s[..kept].trim_end(),
+        _ => &s[..kept],
+    }
+}
+
+fn trim(s: &str) -> &str {
+    trim_end(trim_start(s))
+}
+
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'.'
 }
 
 fn is_ident(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == '.')
-        && s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
+    s.bytes().next().is_some_and(|b| !b.is_ascii_digit()) && s.bytes().all(is_ident_byte)
 }
 
-fn parse_directive(
-    rest: &str,
-    line_no: usize,
-    items: &mut Vec<SourceItem>,
-) -> Result<(), AsmError> {
-    let (name, args) = split_mnemonic(rest);
-    let push = |items: &mut Vec<SourceItem>, item| {
-        items.push(SourceItem {
-            item,
-            line: line_no,
-        });
-    };
-    match name {
-        "text" => push(items, Item::Section(Section::Text)),
-        "data" => push(items, Item::Section(Section::Data)),
-        "word" => {
-            if args.is_empty() {
-                return Err(AsmError::new(line_no, ".word needs at least one value"));
-            }
-            for a in split_operands(args) {
-                let e = parse_expr(a.trim(), line_no)?;
-                push(items, Item::Word(e));
-            }
+/// The identifier bytes at the front of `s`: how many there are, and the
+/// run packed little-endian into the key [`Mnemonics`] is indexed by. A
+/// run longer than eight bytes packs to 0, which is no mnemonic's key.
+fn ident_run(s: &str) -> (usize, u64) {
+    let mut key = 0;
+    let mut len = 0;
+    for b in s.bytes().take_while(|&b| is_ident_byte(b)) {
+        if len < 8 {
+            key |= u64::from(b) << (8 * len);
         }
-        "space" | "skip" => {
-            let n = parse_expr(args.trim(), line_no)?;
-            push(items, Item::Space(n));
-        }
-        "align" | "balign" => {
-            let n = parse_expr(args.trim(), line_no)?;
-            match n {
-                Expr::Const(v) if v > 0 && (v as u64).is_power_of_two() => {
-                    push(items, Item::Align(v as u32));
+        len += 1;
+    }
+    (len, if len <= 8 { key } else { 0 })
+}
+
+/// The pieces of an operand list between its top-level commas (commas
+/// inside parentheses, as in `%hi(a, b)` — which we do not generate but
+/// guard against — stay). A blank list has no pieces.
+fn pieces(list: &str) -> impl Iterator<Item = &str> {
+    let mut rest = (!list.is_empty()).then_some(list);
+    std::iter::from_fn(move || {
+        let list = rest.take()?;
+        let mut depth = 0usize;
+        for (i, b) in list.bytes().enumerate() {
+            match b {
+                b'(' => depth += 1,
+                b')' => depth = depth.saturating_sub(1),
+                b',' if depth == 0 => {
+                    rest = Some(&list[i + 1..]);
+                    return Some(&list[..i]);
                 }
-                _ => {
-                    return Err(AsmError::new(
-                        line_no,
-                        ".align needs a positive power-of-two byte count",
-                    ))
-                }
+                _ => {}
             }
         }
-        "equ" | "set" => {
-            let mut parts = split_operands(args);
-            if parts.len() != 2 {
-                return Err(AsmError::new(line_no, ".equ needs `name, value`"));
-            }
-            let value = parse_expr(parts.pop().expect("len 2").trim(), line_no)?;
-            let name = parts.pop().expect("len 1").trim().to_owned();
-            if !is_ident(&name) {
-                return Err(AsmError::new(line_no, format!("bad symbol name `{name}`")));
-            }
-            push(items, Item::Equ(name, value));
-        }
-        // Accepted and ignored: visibility/metadata directives that have no
-        // meaning in a flat memory image.
-        "global" | "globl" | "local" | "type" | "size" | "file" | "option" | "section" => {}
-        _ => {
-            return Err(AsmError::new(
-                line_no,
-                format!("unknown directive `.{name}`"),
-            ))
-        }
-    }
-    Ok(())
+        Some(list)
+    })
 }
 
-fn split_mnemonic(line: &str) -> (&str, &str) {
-    match line.find(|c: char| c.is_whitespace()) {
-        Some(pos) => (&line[..pos], line[pos..].trim()),
-        None => (line, ""),
-    }
-}
-
-/// Splits an operand list on top-level commas (commas inside parentheses,
-/// as in `%hi(a, b)` — which we do not generate but guard against — stay).
-fn split_operands(args: &str) -> Vec<&str> {
-    if args.trim().is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in args.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                out.push(&args[start..i]);
-                start = i + 1;
-            }
-            _ => {}
+/// The operands of one instruction: the first four, trimmed, and how many
+/// were written — the count the arity messages print.
+fn operands(args: &str) -> ([&str; 4], usize) {
+    let mut at = [""; 4];
+    let mut count = 0;
+    for piece in pieces(args) {
+        if let Some(slot) = at.get_mut(count) {
+            *slot = trim(piece);
         }
+        count += 1;
     }
-    out.push(&args[start..]);
-    out
+    (at, count)
 }
 
-fn parse_reg(s: &str, line_no: usize) -> Result<Reg, AsmError> {
-    s.trim()
-        .parse::<Reg>()
+fn parse_reg(name: &str, line_no: usize) -> Result<Reg, AsmError> {
+    name.parse::<Reg>()
         .map_err(|e| AsmError::new(line_no, e.to_string()))
 }
 
-/// Parses `expr` or `expr(reg)` or `(reg)`.
+/// Parses `expr(reg)` or `(reg)`.
 fn parse_mem_operand(s: &str, line_no: usize) -> Result<(Expr, Reg), AsmError> {
-    let s = s.trim();
     let open = s
         .rfind('(')
         .ok_or_else(|| AsmError::new(line_no, format!("expected `offset(base)`, got `{s}`")))?;
     if !s.ends_with(')') {
         return Err(AsmError::new(line_no, format!("unclosed `(` in `{s}`")));
     }
-    let base = parse_reg(&s[open + 1..s.len() - 1], line_no)?;
-    let off_text = s[..open].trim();
+    let base = parse_reg(trim(&s[open + 1..s.len() - 1]), line_no)?;
+    let off_text = trim_end(&s[..open]);
     let off = if off_text.is_empty() {
         Expr::konst(0)
     } else {
@@ -202,6 +175,9 @@ fn parse_mem_operand(s: &str, line_no: usize) -> Result<(Expr, Reg), AsmError> {
 
 /// Parses a constant expression: `term (('+'|'-') term)*`.
 pub(crate) fn parse_expr(s: &str, line_no: usize) -> Result<Expr, AsmError> {
+    if let Some(leaf) = parse_leaf(s) {
+        return Ok(leaf);
+    }
     let mut p = ExprParser {
         text: s,
         pos: 0,
@@ -218,6 +194,25 @@ pub(crate) fn parse_expr(s: &str, line_no: usize) -> Result<Expr, AsmError> {
         ));
     }
     Ok(e.fold())
+}
+
+/// What nearly every operand is — a decimal literal, negated or not, or a
+/// bare symbol — read without a parser. Anything else, a literal that
+/// could overflow included, is `None` and goes the long way.
+fn parse_leaf(s: &str) -> Option<Expr> {
+    let digits = s.strip_prefix('-').unwrap_or(s);
+    if !digits.bytes().next()?.is_ascii_digit() {
+        return is_ident(s).then(|| Expr::sym(s));
+    }
+    if digits.len() > 18 || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let value = digits.bytes().fold(0, |v, b| v * 10 + i64::from(b - b'0'));
+    Some(Expr::Const(if digits.len() < s.len() {
+        -value
+    } else {
+        value
+    }))
 }
 
 /// Deepest nesting of parentheses and unary minus an operand accepts,
@@ -244,7 +239,7 @@ impl<'a> ExprParser<'a> {
 
     fn skip_ws(&mut self) {
         while self.peek().is_some_and(|c| c.is_whitespace()) {
-            self.pos += 1;
+            self.bump();
         }
     }
 
@@ -363,8 +358,13 @@ impl<'a> ExprParser<'a> {
         {
             self.pos += 1;
         }
-        let digits = self.text[start + skip..self.pos].replace('_', "");
-        i64::from_str_radix(&digits, radix)
+        let digits = &self.text[start + skip..self.pos];
+        let value = if digits.contains('_') {
+            i64::from_str_radix(&digits.replace('_', ""), radix)
+        } else {
+            i64::from_str_radix(digits, radix)
+        };
+        value
             .map(Expr::konst)
             .map_err(|_| self.err(format!("bad number `{}`", &self.text[start..self.pos])))
     }
@@ -384,479 +384,460 @@ impl<'a> ExprParser<'a> {
     }
 }
 
-fn parse_instruction(line: &str, ln: usize, items: &mut Vec<SourceItem>) -> Result<(), AsmError> {
-    let (mnemonic, args_text) = split_mnemonic(line);
-    let args = split_operands(args_text);
-    let argc = args.len();
-    let need = |n: usize| -> Result<(), AsmError> {
-        if argc == n {
-            Ok(())
-        } else {
-            Err(AsmError::new(
-                ln,
-                format!("`{mnemonic}` expects {n} operands, got {argc}"),
-            ))
+/// What the first word of an instruction line stands for: a base kind
+/// of one of lbp-isa's tables, or a pseudo-instruction with the operands
+/// it fixes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mnemonic {
+    /// `beq a, b, L`, or with the flag `bgt a, b, L`: `blt b, a, L`.
+    Branch(BranchKind, bool),
+    /// `beqz a, L` compares `a` with `zero`; with the flag, as in
+    /// `blez a, L`, `zero` with `a`.
+    BranchZero(BranchKind, bool),
+    Load(LoadKind),
+    Store(StoreKind),
+    OpImm(OpImmKind),
+    Op(OpKind),
+    Lui,
+    Auipc,
+    Jal,
+    Jalr,
+    /// `j L` and `call L`: `jal` with the link register fixed.
+    Jump(Reg),
+    Jr,
+    Ret,
+    Nop,
+    Li,
+    La,
+    /// `mv`, `not`, `seqz`: `rd, rs` over an `OpImm` with a fixed immediate.
+    UnaryImm(OpImmKind, i32),
+    /// `neg`, `snez`: `rd, rs` over an `Op` whose first source is `zero`.
+    UnaryOp(OpKind),
+    PFc,
+    PFn,
+    PSet,
+    PMerge,
+    PSyncm,
+    PJalr,
+    PJal,
+    PRet,
+    PSwcv,
+    PLwcv,
+    PSwre,
+    PLwre,
+}
+
+/// Every mnemonic with its meaning: lbp-isa's forward tables (`K::ALL` and
+/// `K::mnemonic`, so a new instruction kind is one edit there and none
+/// here), then the pseudo-instructions and X_PAR.
+fn mnemonic_list() -> impl Iterator<Item = (&'static str, Mnemonic)> {
+    use Mnemonic as M;
+    let base = BranchKind::ALL.map(|k| (k.mnemonic(), M::Branch(k, false)));
+    base.into_iter()
+        .chain(LoadKind::ALL.map(|k| (k.mnemonic(), M::Load(k))))
+        .chain(StoreKind::ALL.map(|k| (k.mnemonic(), M::Store(k))))
+        .chain(OpImmKind::ALL.map(|k| (k.mnemonic(), M::OpImm(k))))
+        .chain(OpKind::ALL.map(|k| (k.mnemonic(), M::Op(k))))
+        .chain([
+            ("bgt", M::Branch(BranchKind::Lt, true)),
+            ("ble", M::Branch(BranchKind::Ge, true)),
+            ("bgtu", M::Branch(BranchKind::Ltu, true)),
+            ("bleu", M::Branch(BranchKind::Geu, true)),
+            ("beqz", M::BranchZero(BranchKind::Eq, false)),
+            ("bnez", M::BranchZero(BranchKind::Ne, false)),
+            ("bltz", M::BranchZero(BranchKind::Lt, false)),
+            ("bgez", M::BranchZero(BranchKind::Ge, false)),
+            ("blez", M::BranchZero(BranchKind::Ge, true)),
+            ("bgtz", M::BranchZero(BranchKind::Lt, true)),
+            ("lui", M::Lui),
+            ("auipc", M::Auipc),
+            ("jal", M::Jal),
+            ("jalr", M::Jalr),
+            ("j", M::Jump(Reg::ZERO)),
+            ("call", M::Jump(Reg::RA)),
+            ("jr", M::Jr),
+            ("ret", M::Ret),
+            ("nop", M::Nop),
+            ("li", M::Li),
+            ("la", M::La),
+            ("mv", M::UnaryImm(OpImmKind::Add, 0)),
+            ("not", M::UnaryImm(OpImmKind::Xor, -1)),
+            ("seqz", M::UnaryImm(OpImmKind::Sltu, 1)),
+            ("neg", M::UnaryOp(OpKind::Sub)),
+            ("snez", M::UnaryOp(OpKind::Sltu)),
+            ("p_fc", M::PFc),
+            ("p_fn", M::PFn),
+            ("p_set", M::PSet),
+            ("p_merge", M::PMerge),
+            ("p_syncm", M::PSyncm),
+            ("p_jalr", M::PJalr),
+            ("p_jal", M::PJal),
+            ("p_ret", M::PRet),
+            ("p_swcv", M::PSwcv),
+            ("p_lwcv", M::PLwcv),
+            ("p_swre", M::PSwre),
+            ("p_lwre", M::PLwre),
+        ])
+}
+
+/// The one mnemonic table: an open-addressed hash of the packed names of
+/// [`mnemonic_list`], built on first use. Eight bytes hold every name, so
+/// a lookup compares integers and never a string.
+struct Mnemonics {
+    /// `(key, meaning)`; key 0 marks a free slot.
+    slots: [(u64, Mnemonic); Mnemonics::SLOTS],
+}
+
+impl Mnemonics {
+    const SLOTS: usize = 256;
+
+    fn get() -> &'static Mnemonics {
+        static TABLE: OnceLock<Mnemonics> = OnceLock::new();
+        TABLE.get_or_init(|| {
+            let mut table = Mnemonics {
+                slots: [(0, Mnemonic::Nop); Mnemonics::SLOTS],
+            };
+            for (name, meaning) in mnemonic_list() {
+                table.insert(name, meaning);
+            }
+            table
+        })
+    }
+
+    fn home(key: u64) -> usize {
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as usize
+    }
+
+    fn insert(&mut self, name: &str, meaning: Mnemonic) {
+        let (len, key) = ident_run(name);
+        assert!(
+            len == name.len() && key != 0,
+            "mnemonic `{name}` does not pack into eight identifier bytes"
+        );
+        let mut at = Mnemonics::home(key);
+        while self.slots[at].0 != 0 {
+            assert_ne!(self.slots[at].0, key, "mnemonic `{name}` is listed twice");
+            at = (at + 1) % Mnemonics::SLOTS;
         }
-    };
-    let reg = |i: usize| parse_reg(args[i], ln);
-    let expr = |i: usize| parse_expr(args[i].trim(), ln);
-    let push = |items: &mut Vec<SourceItem>, si: SymInstr| {
-        items.push(SourceItem {
-            item: Item::Instr(si),
-            line: ln,
+        self.slots[at] = (key, meaning);
+    }
+
+    fn lookup(&self, key: u64) -> Option<Mnemonic> {
+        let mut at = Mnemonics::home(key);
+        loop {
+            match self.slots[at] {
+                (0, _) => return None,
+                (found, meaning) if found == key => return Some(meaning),
+                _ => at = (at + 1) % Mnemonics::SLOTS,
+            }
+        }
+    }
+}
+
+/// The state of one [`parse_program`] call.
+struct Scanner {
+    mnemonics: &'static Mnemonics,
+    items: Vec<SourceItem>,
+    line_no: usize,
+}
+
+impl Scanner {
+    fn push(&mut self, item: Item) {
+        self.items.push(SourceItem {
+            item,
+            line: self.line_no,
         });
-    };
-    // Helper to emit a patchable or folded instruction.
-    let patch = |kind: PatchKind, e: Expr| SymInstr::Patch { kind, expr: e };
-
-    // A base comparison, or a pseudo-branch that swaps its operands.
-    let branch = by_mnemonic(&BranchKind::ALL, BranchKind::mnemonic, mnemonic)
-        .map(|kind| (kind, (0, 1)))
-        .or_else(|| swapped_branch(mnemonic).map(|kind| (kind, (1, 0))));
-    if let Some((kind, (a, b))) = branch {
-        need(3)?;
-        let e = expr(2)?;
-        push(
-            items,
-            patch(
-                PatchKind::Branch {
-                    kind,
-                    rs1: reg(a)?,
-                    rs2: reg(b)?,
-                },
-                e,
-            ),
-        );
-        return Ok(());
     }
-    if let Some((kind, zero_side)) = zero_branch(mnemonic) {
-        need(2)?;
-        let r = reg(0)?;
-        let (rs1, rs2) = match zero_side {
-            ZeroSide::Rs2 => (r, Reg::ZERO),
-            ZeroSide::Rs1 => (Reg::ZERO, r),
+
+    fn err(&self, message: impl Into<String>) -> AsmError {
+        AsmError::new(self.line_no, message)
+    }
+
+    /// One line, its comment already off.
+    fn line(&mut self, code: &str) -> Result<(), AsmError> {
+        let mut rest = trim(code);
+        // `name:` comes off before dispatch, any number of times: a label
+        // may be spelled like a mnemonic.
+        let (len, key, after) = loop {
+            let (len, key) = ident_run(rest);
+            let after = trim_start(&rest[len..]);
+            match after.strip_prefix(':') {
+                Some(tail) if len > 0 && !rest.as_bytes()[0].is_ascii_digit() => {
+                    self.push(Item::Label(rest[..len].to_owned()));
+                    rest = trim_start(tail);
+                }
+                _ => break (len, key, after),
+            }
         };
-        let e = expr(1)?;
-        push(items, patch(PatchKind::Branch { kind, rs1, rs2 }, e));
-        return Ok(());
-    }
-    if let Some(kind) = by_mnemonic(&LoadKind::ALL, LoadKind::mnemonic, mnemonic) {
-        need(2)?;
-        let (off, base) = parse_mem_operand(args[1], ln)?;
-        push(
-            items,
-            patch(
-                PatchKind::Load {
-                    kind,
-                    rd: reg(0)?,
-                    rs1: base,
-                },
-                off,
-            ),
-        );
-        return Ok(());
-    }
-    if let Some(kind) = by_mnemonic(&StoreKind::ALL, StoreKind::mnemonic, mnemonic) {
-        need(2)?;
-        let (off, base) = parse_mem_operand(args[1], ln)?;
-        push(
-            items,
-            patch(
-                PatchKind::Store {
-                    kind,
-                    rs1: base,
-                    rs2: reg(0)?,
-                },
-                off,
-            ),
-        );
-        return Ok(());
-    }
-    if let Some(kind) = by_mnemonic(&OpImmKind::ALL, OpImmKind::mnemonic, mnemonic) {
-        need(3)?;
-        push(
-            items,
-            patch(
-                PatchKind::OpImm {
-                    kind,
-                    rd: reg(0)?,
-                    rs1: reg(1)?,
-                },
-                expr(2)?,
-            ),
-        );
-        return Ok(());
-    }
-    if let Some(kind) = by_mnemonic(&OpKind::ALL, OpKind::mnemonic, mnemonic) {
-        need(3)?;
-        push(
-            items,
-            SymInstr::Ready(Instr::Op {
-                kind,
-                rd: reg(0)?,
-                rs1: reg(1)?,
-                rs2: reg(2)?,
-            }),
-        );
-        return Ok(());
+        // The first word ends at whitespace: one that runs past its
+        // identifier bytes is searched the slow way and has no key.
+        let (word, key, args) = if len + after.len() < rest.len() || after.is_empty() {
+            (&rest[..len], key, after)
+        } else {
+            let end = rest[len..].find(char::is_whitespace);
+            let end = end.map_or(rest.len(), |at| len + at);
+            (&rest[..end], 0, trim_start(&rest[end..]))
+        };
+        match word.strip_prefix('.') {
+            _ if word.is_empty() => Ok(()),
+            Some(name) => self.directive(name, args),
+            None => self.instruction(word, key, args),
+        }
     }
 
-    match mnemonic {
-        "lui" => {
-            need(2)?;
-            push(items, patch(PatchKind::Lui { rd: reg(0)? }, expr(1)?));
-        }
-        "auipc" => {
-            need(2)?;
-            push(items, patch(PatchKind::Auipc { rd: reg(0)? }, expr(1)?));
-        }
-        "jal" => match argc {
-            1 => push(items, patch(PatchKind::Jal { rd: Reg::RA }, expr(0)?)),
-            2 => push(items, patch(PatchKind::Jal { rd: reg(0)? }, expr(1)?)),
-            _ => return Err(AsmError::new(ln, "`jal` expects 1 or 2 operands")),
-        },
-        "jalr" => match argc {
-            1 => {
-                // `jalr rs` == jalr ra, 0(rs)
-                let rs = reg(0)?;
-                push(
-                    items,
-                    SymInstr::Ready(Instr::Jalr {
-                        rd: Reg::RA,
-                        rs1: rs,
-                        offset: 0,
-                    }),
-                );
+    fn directive(&mut self, name: &str, args: &str) -> Result<(), AsmError> {
+        let ln = self.line_no;
+        match name {
+            "text" => self.push(Item::Section(Section::Text)),
+            "data" => self.push(Item::Section(Section::Data)),
+            "word" => {
+                if args.is_empty() {
+                    return Err(self.err(".word needs at least one value"));
+                }
+                for value in pieces(args) {
+                    let e = parse_expr(trim(value), ln)?;
+                    self.push(Item::Word(e));
+                }
             }
-            2 => {
-                let (off, base) = parse_mem_operand(args[1], ln)?;
-                push(
-                    items,
-                    patch(
-                        PatchKind::Jalr {
-                            rd: reg(0)?,
-                            rs1: base,
-                        },
-                        off,
-                    ),
-                );
+            "space" | "skip" => {
+                let n = parse_expr(args, ln)?;
+                self.push(Item::Space(n));
             }
-            _ => return Err(AsmError::new(ln, "`jalr` expects 1 or 2 operands")),
-        },
-        "j" => {
-            need(1)?;
-            push(items, patch(PatchKind::Jal { rd: Reg::ZERO }, expr(0)?));
+            "align" | "balign" => {
+                // The location counters are `u32`: a count past them is
+                // refused here, not truncated to zero.
+                let bytes = match parse_expr(args, ln)? {
+                    Expr::Const(v) => u32::try_from(v).ok().filter(|b| b.is_power_of_two()),
+                    _ => None,
+                };
+                let bytes = bytes
+                    .ok_or_else(|| self.err(".align needs a positive power-of-two byte count"))?;
+                self.push(Item::Align(bytes));
+            }
+            "equ" | "set" => {
+                let ([name, value, ..], 2) = operands(args) else {
+                    return Err(self.err(".equ needs `name, value`"));
+                };
+                let value = parse_expr(value, ln)?;
+                if !is_ident(name) {
+                    return Err(self.err(format!("bad symbol name `{name}`")));
+                }
+                self.push(Item::Equ(name.to_owned(), value));
+            }
+            // Accepted and ignored: visibility/metadata directives that have no
+            // meaning in a flat memory image.
+            "global" | "globl" | "local" | "type" | "size" | "file" | "option" | "section" => {}
+            _ => return Err(self.err(format!("unknown directive `.{name}`"))),
         }
-        "jr" => {
-            need(1)?;
-            push(
-                items,
-                SymInstr::Ready(Instr::Jalr {
-                    rd: Reg::ZERO,
-                    rs1: reg(0)?,
-                    offset: 0,
-                }),
-            );
-        }
-        "call" => {
-            need(1)?;
-            push(items, patch(PatchKind::Jal { rd: Reg::RA }, expr(0)?));
-        }
-        "ret" => {
-            need(0)?;
-            push(
-                items,
-                SymInstr::Ready(Instr::Jalr {
-                    rd: Reg::ZERO,
-                    rs1: Reg::RA,
-                    offset: 0,
-                }),
-            );
-        }
-        "nop" => {
-            need(0)?;
-            push(items, SymInstr::Ready(Instr::NOP));
-        }
-        "li" => {
-            need(2)?;
-            expand_li(reg(0)?, expr(1)?, ln, items)?;
-        }
-        "la" => {
-            need(2)?;
-            let rd = reg(0)?;
-            let e = expr(1)?;
-            items.push(SourceItem {
-                item: Item::Instr(patch(PatchKind::Lui { rd }, e.clone().hi())),
-                line: ln,
-            });
-            items.push(SourceItem {
-                item: Item::Instr(patch(
-                    PatchKind::OpImm {
-                        kind: OpImmKind::Add,
-                        rd,
-                        rs1: rd,
-                    },
-                    e.lo(),
-                )),
-                line: ln,
-            });
-        }
-        "mv" => {
-            need(2)?;
-            push(
-                items,
-                SymInstr::Ready(Instr::OpImm {
-                    kind: OpImmKind::Add,
-                    rd: reg(0)?,
-                    rs1: reg(1)?,
-                    imm: 0,
-                }),
-            );
-        }
-        "not" => {
-            need(2)?;
-            push(
-                items,
-                SymInstr::Ready(Instr::OpImm {
-                    kind: OpImmKind::Xor,
-                    rd: reg(0)?,
-                    rs1: reg(1)?,
-                    imm: -1,
-                }),
-            );
-        }
-        "neg" => {
-            need(2)?;
-            push(
-                items,
-                SymInstr::Ready(Instr::Op {
-                    kind: OpKind::Sub,
-                    rd: reg(0)?,
-                    rs1: Reg::ZERO,
-                    rs2: reg(1)?,
-                }),
-            );
-        }
-        "seqz" => {
-            need(2)?;
-            push(
-                items,
-                SymInstr::Ready(Instr::OpImm {
-                    kind: OpImmKind::Sltu,
-                    rd: reg(0)?,
-                    rs1: reg(1)?,
-                    imm: 1,
-                }),
-            );
-        }
-        "snez" => {
-            need(2)?;
-            push(
-                items,
-                SymInstr::Ready(Instr::Op {
-                    kind: OpKind::Sltu,
-                    rd: reg(0)?,
-                    rs1: Reg::ZERO,
-                    rs2: reg(1)?,
-                }),
-            );
-        }
-        // --- X_PAR ---
-        "p_fc" => {
-            need(1)?;
-            push(items, SymInstr::Ready(Instr::PFc { rd: reg(0)? }));
-        }
-        "p_fn" => {
-            need(1)?;
-            push(items, SymInstr::Ready(Instr::PFn { rd: reg(0)? }));
-        }
-        "p_set" => match argc {
-            1 => {
+        Ok(())
+    }
+
+    fn instruction(&mut self, mnemonic: &str, key: u64, args: &str) -> Result<(), AsmError> {
+        use Mnemonic as M;
+        let ln = self.line_no;
+        let Some(meaning) = self.mnemonics.lookup(key) else {
+            return Err(self.err(format!("unknown mnemonic `{mnemonic}`")));
+        };
+        let (at, count) = operands(args);
+        let arity = |wanted: &str| AsmError::new(ln, format!("`{mnemonic}` expects {wanted}"));
+        let need = |n: usize| match count == n {
+            true => Ok(()),
+            false => Err(arity(&format!("{n} operands, got {count}"))),
+        };
+        let reg = |i: usize| parse_reg(at[i], ln);
+        let expr = |i: usize| parse_expr(at[i], ln);
+        let mem = |i: usize| parse_mem_operand(at[i], ln);
+        let patch = |kind: PatchKind, expr: Expr| SymInstr::Patch { kind, expr };
+        let jalr = |rd: Reg, rs1: Reg| SymInstr::Ready(Instr::Jalr { rd, rs1, offset: 0 });
+        // Within an arm the operands are read in the order the errors of
+        // a line with several bad ones have always come out.
+        let instr = match meaning {
+            M::Branch(kind, swap) => {
+                need(3)?;
+                let target = expr(2)?;
+                let (a, b) = if swap { (1, 0) } else { (0, 1) };
+                let (rs1, rs2) = (reg(a)?, reg(b)?);
+                patch(PatchKind::Branch { kind, rs1, rs2 }, target)
+            }
+            M::BranchZero(kind, zero_first) => {
+                need(2)?;
                 let r = reg(0)?;
-                push(items, SymInstr::Ready(Instr::PSet { rd: r, rs1: r }));
+                let (rs1, rs2) = if zero_first {
+                    (Reg::ZERO, r)
+                } else {
+                    (r, Reg::ZERO)
+                };
+                patch(PatchKind::Branch { kind, rs1, rs2 }, expr(1)?)
             }
-            2 => push(
-                items,
-                SymInstr::Ready(Instr::PSet {
-                    rd: reg(0)?,
-                    rs1: reg(1)?,
-                }),
-            ),
-            _ => return Err(AsmError::new(ln, "`p_set` expects 1 or 2 operands")),
-        },
-        "p_merge" => {
-            need(3)?;
-            push(
-                items,
-                SymInstr::Ready(Instr::PMerge {
-                    rd: reg(0)?,
-                    rs1: reg(1)?,
-                    rs2: reg(2)?,
-                }),
-            );
-        }
-        "p_syncm" => {
-            need(0)?;
-            push(items, SymInstr::Ready(Instr::PSyncm));
-        }
-        "p_jalr" => {
-            need(3)?;
-            push(
-                items,
-                SymInstr::Ready(Instr::PJalr {
-                    rd: reg(0)?,
-                    rs1: reg(1)?,
-                    rs2: reg(2)?,
-                }),
-            );
-        }
-        "p_jal" => {
-            need(3)?;
-            push(
-                items,
-                patch(
-                    PatchKind::PJal {
-                        rd: reg(0)?,
-                        rs1: reg(1)?,
-                    },
-                    expr(2)?,
-                ),
-            );
-        }
-        "p_ret" => match argc {
-            0 => push(
-                items,
-                SymInstr::Ready(Instr::PJalr {
-                    rd: Reg::ZERO,
-                    rs1: Reg::RA,
-                    rs2: Reg::T0,
-                }),
-            ),
-            2 => push(
-                items,
-                SymInstr::Ready(Instr::PJalr {
-                    rd: Reg::ZERO,
-                    rs1: reg(0)?,
-                    rs2: reg(1)?,
-                }),
-            ),
-            _ => return Err(AsmError::new(ln, "`p_ret` expects 0 or 2 operands")),
-        },
-        // Paper operand order: value register first, then target hart.
-        "p_swcv" => {
-            need(3)?;
-            push(
-                items,
-                patch(
-                    PatchKind::PSwcv {
-                        rs1: reg(1)?,
-                        rs2: reg(0)?,
-                    },
-                    expr(2)?,
-                ),
-            );
-        }
-        "p_lwcv" => {
-            need(2)?;
-            push(items, patch(PatchKind::PLwcv { rd: reg(0)? }, expr(1)?));
-        }
-        "p_swre" => {
-            need(3)?;
-            push(
-                items,
-                patch(
-                    PatchKind::PSwre {
-                        rs1: reg(1)?,
-                        rs2: reg(0)?,
-                    },
-                    expr(2)?,
-                ),
-            );
-        }
-        "p_lwre" => {
-            need(2)?;
-            push(items, patch(PatchKind::PLwre { rd: reg(0)? }, expr(1)?));
-        }
-        other => {
-            return Err(AsmError::new(ln, format!("unknown mnemonic `{other}`")));
-        }
-    }
-    Ok(())
-}
-
-/// Expands `li rd, expr`. Constant values that fit 12 bits become a single
-/// `addi`; everything else becomes `lui %hi` + `addi %lo`.
-fn expand_li(rd: Reg, e: Expr, ln: usize, items: &mut Vec<SourceItem>) -> Result<(), AsmError> {
-    if let Expr::Const(v) = e {
-        if !(i32::MIN as i64..=u32::MAX as i64).contains(&v) {
-            return Err(AsmError::new(ln, format!("`li` value {v} exceeds 32 bits")));
-        }
-        if (-2048..=2047).contains(&v) {
-            items.push(SourceItem {
-                item: Item::Instr(SymInstr::Ready(Instr::OpImm {
-                    kind: OpImmKind::Add,
-                    rd,
-                    rs1: Reg::ZERO,
-                    imm: v as i32,
-                })),
-                line: ln,
-            });
-            return Ok(());
-        }
-    }
-    items.push(SourceItem {
-        item: Item::Instr(SymInstr::Patch {
-            kind: PatchKind::Lui { rd },
-            expr: e.clone().hi(),
-        }),
-        line: ln,
-    });
-    items.push(SourceItem {
-        item: Item::Instr(SymInstr::Patch {
-            kind: PatchKind::OpImm {
-                kind: OpImmKind::Add,
-                rd,
-                rs1: rd,
+            M::Load(kind) => {
+                need(2)?;
+                let (off, rs1) = mem(1)?;
+                let rd = reg(0)?;
+                patch(PatchKind::Load { kind, rd, rs1 }, off)
+            }
+            M::Store(kind) => {
+                need(2)?;
+                let (off, rs1) = mem(1)?;
+                let rs2 = reg(0)?;
+                patch(PatchKind::Store { kind, rs1, rs2 }, off)
+            }
+            M::OpImm(kind) => {
+                need(3)?;
+                let (rd, rs1) = (reg(0)?, reg(1)?);
+                patch(PatchKind::OpImm { kind, rd, rs1 }, expr(2)?)
+            }
+            M::Op(kind) => {
+                need(3)?;
+                let (rd, rs1, rs2) = (reg(0)?, reg(1)?, reg(2)?);
+                SymInstr::Ready(Instr::Op { kind, rd, rs1, rs2 })
+            }
+            M::Lui => {
+                need(2)?;
+                patch(PatchKind::Lui { rd: reg(0)? }, expr(1)?)
+            }
+            M::Auipc => {
+                need(2)?;
+                patch(PatchKind::Auipc { rd: reg(0)? }, expr(1)?)
+            }
+            M::Jal => match count {
+                1 => patch(PatchKind::Jal { rd: Reg::RA }, expr(0)?),
+                2 => patch(PatchKind::Jal { rd: reg(0)? }, expr(1)?),
+                _ => return Err(arity("1 or 2 operands")),
             },
-            expr: e.lo(),
-        }),
-        line: ln,
-    });
-    Ok(())
-}
+            M::Jalr => match count {
+                // `jalr rs` == jalr ra, 0(rs)
+                1 => jalr(Reg::RA, reg(0)?),
+                2 => {
+                    let (off, rs1) = mem(1)?;
+                    let rd = reg(0)?;
+                    patch(PatchKind::Jalr { rd, rs1 }, off)
+                }
+                _ => return Err(arity("1 or 2 operands")),
+            },
+            M::Jump(rd) => {
+                need(1)?;
+                patch(PatchKind::Jal { rd }, expr(0)?)
+            }
+            M::Jr => {
+                need(1)?;
+                jalr(Reg::ZERO, reg(0)?)
+            }
+            M::Ret => {
+                need(0)?;
+                jalr(Reg::ZERO, Reg::RA)
+            }
+            M::Nop => {
+                need(0)?;
+                SymInstr::Ready(Instr::NOP)
+            }
+            // A constant that fits 12 bits is a single `addi`; everything
+            // else goes the way of `la`.
+            M::Li => {
+                need(2)?;
+                let rd = reg(0)?;
+                match expr(1)? {
+                    Expr::Const(v) if !(i32::MIN as i64..=u32::MAX as i64).contains(&v) => {
+                        return Err(self.err(format!("`li` value {v} exceeds 32 bits")));
+                    }
+                    Expr::Const(v) if (-2048..=2047).contains(&v) => {
+                        let (kind, rs1, imm) = (OpImmKind::Add, Reg::ZERO, v as i32);
+                        SymInstr::Ready(Instr::OpImm { kind, rd, rs1, imm })
+                    }
+                    wide => return self.hi_lo(rd, wide),
+                }
+            }
+            M::La => {
+                need(2)?;
+                let rd = reg(0)?;
+                return self.hi_lo(rd, expr(1)?);
+            }
+            M::UnaryImm(kind, imm) => {
+                need(2)?;
+                let (rd, rs1) = (reg(0)?, reg(1)?);
+                SymInstr::Ready(Instr::OpImm { kind, rd, rs1, imm })
+            }
+            M::UnaryOp(kind) => {
+                need(2)?;
+                let (rd, rs1, rs2) = (reg(0)?, Reg::ZERO, reg(1)?);
+                SymInstr::Ready(Instr::Op { kind, rd, rs1, rs2 })
+            }
+            M::PFc => {
+                need(1)?;
+                SymInstr::Ready(Instr::PFc { rd: reg(0)? })
+            }
+            M::PFn => {
+                need(1)?;
+                SymInstr::Ready(Instr::PFn { rd: reg(0)? })
+            }
+            M::PSet => {
+                let (rd, rs1) = match count {
+                    1 => reg(0).map(|r| (r, r))?,
+                    2 => (reg(0)?, reg(1)?),
+                    _ => return Err(arity("1 or 2 operands")),
+                };
+                SymInstr::Ready(Instr::PSet { rd, rs1 })
+            }
+            M::PMerge => {
+                need(3)?;
+                let (rd, rs1, rs2) = (reg(0)?, reg(1)?, reg(2)?);
+                SymInstr::Ready(Instr::PMerge { rd, rs1, rs2 })
+            }
+            M::PSyncm => {
+                need(0)?;
+                SymInstr::Ready(Instr::PSyncm)
+            }
+            M::PJalr => {
+                need(3)?;
+                let (rd, rs1, rs2) = (reg(0)?, reg(1)?, reg(2)?);
+                SymInstr::Ready(Instr::PJalr { rd, rs1, rs2 })
+            }
+            M::PJal => {
+                need(3)?;
+                let (rd, rs1) = (reg(0)?, reg(1)?);
+                patch(PatchKind::PJal { rd, rs1 }, expr(2)?)
+            }
+            M::PRet => {
+                let (rs1, rs2) = match count {
+                    0 => (Reg::RA, Reg::T0),
+                    2 => (reg(0)?, reg(1)?),
+                    _ => return Err(arity("0 or 2 operands")),
+                };
+                let rd = Reg::ZERO;
+                SymInstr::Ready(Instr::PJalr { rd, rs1, rs2 })
+            }
+            // Paper operand order: value register first, then target hart.
+            M::PSwcv => {
+                need(3)?;
+                let (rs1, rs2) = (reg(1)?, reg(0)?);
+                patch(PatchKind::PSwcv { rs1, rs2 }, expr(2)?)
+            }
+            M::PLwcv => {
+                need(2)?;
+                patch(PatchKind::PLwcv { rd: reg(0)? }, expr(1)?)
+            }
+            M::PSwre => {
+                need(3)?;
+                let (rs1, rs2) = (reg(1)?, reg(0)?);
+                patch(PatchKind::PSwre { rs1, rs2 }, expr(2)?)
+            }
+            M::PLwre => {
+                need(2)?;
+                patch(PatchKind::PLwre { rd: reg(0)? }, expr(1)?)
+            }
+        };
+        self.push(Item::Instr(instr));
+        Ok(())
+    }
 
-/// Reverse lookup over one of lbp-isa's forward mnemonic tables
-/// (`K::ALL` and `K::mnemonic`), so a new instruction kind is one edit
-/// there and none here.
-fn by_mnemonic<K: Copy>(all: &[K], name: fn(K) -> &'static str, m: &str) -> Option<K> {
-    all.iter().copied().find(|&k| name(k) == m)
-}
-
-fn swapped_branch(m: &str) -> Option<BranchKind> {
-    Some(match m {
-        "bgt" => BranchKind::Lt,
-        "ble" => BranchKind::Ge,
-        "bgtu" => BranchKind::Ltu,
-        "bleu" => BranchKind::Geu,
-        _ => return None,
-    })
-}
-
-enum ZeroSide {
-    Rs1,
-    Rs2,
-}
-
-fn zero_branch(m: &str) -> Option<(BranchKind, ZeroSide)> {
-    Some(match m {
-        "beqz" => (BranchKind::Eq, ZeroSide::Rs2),
-        "bnez" => (BranchKind::Ne, ZeroSide::Rs2),
-        "bltz" => (BranchKind::Lt, ZeroSide::Rs2),
-        "bgez" => (BranchKind::Ge, ZeroSide::Rs2),
-        "blez" => (BranchKind::Ge, ZeroSide::Rs1),
-        "bgtz" => (BranchKind::Lt, ZeroSide::Rs1),
-        _ => return None,
-    })
+    /// `lui rd, %hi(e)` then `addi rd, rd, %lo(e)`: how `la` and a wide
+    /// `li` build a 32-bit value.
+    fn hi_lo(&mut self, rd: Reg, e: Expr) -> Result<(), AsmError> {
+        let kind = OpImmKind::Add;
+        let patch = |kind, expr| Item::Instr(SymInstr::Patch { kind, expr });
+        self.push(patch(PatchKind::Lui { rd }, e.clone().hi()));
+        self.push(patch(PatchKind::OpImm { kind, rd, rs1: rd }, e.lo()));
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -882,6 +863,102 @@ mod tests {
             .contains("too deep"));
         for hostile in [parens(100_000), chain(100_000), "-".repeat(100_000) + "1"] {
             assert!(li(hostile).is_err());
+        }
+    }
+
+    #[test]
+    fn a_line_of_200_000_labels_is_a_loop_not_a_recursion() {
+        let mut line: String = (0..200_000).map(|i| format!("l{i}: ")).collect();
+        line.push_str("nop");
+        let items = parse_program(&line).unwrap();
+        assert_eq!(items.len(), 200_001);
+        assert_eq!(items[199_999].item, Item::Label("l199999".into()));
+        assert_eq!(
+            items[200_000].item,
+            Item::Instr(SymInstr::Ready(Instr::NOP))
+        );
+    }
+
+    #[test]
+    fn an_alignment_past_u32_is_refused_not_truncated_to_zero() {
+        for count in ["0x100000000", "0x4000000000000000", "-0x100000000"] {
+            let e = parse_program(&format!("nop\n.align {count}")).unwrap_err();
+            assert_eq!(e.line, 2);
+            assert_eq!(
+                e.message, ".align needs a positive power-of-two byte count",
+                "{count}"
+            );
+        }
+        let items = parse_program(".align 0x80000000").unwrap();
+        assert_eq!(items[0].item, Item::Align(1 << 31));
+    }
+
+    #[test]
+    fn wide_whitespace_inside_an_expression_is_skipped_whole() {
+        // U+00A0 and U+3000 are two and three bytes: stepping over one a
+        // byte at a time landed inside it.
+        assert_eq!(one_instr("li a0, 1\u{a0}+\u{3000}2"), one_instr("li a0, 3"));
+        assert_eq!(
+            one_instr("lui a0, %hi\u{3000}(\u{a0}x\u{a0})"),
+            one_instr("lui a0, %hi(x)")
+        );
+    }
+
+    /// The table is data: every name of lbp-isa's forward tables and every
+    /// pseudo-instruction resolves to its own entry, and a name that does
+    /// not pack (`Mnemonics::insert` asserts) fails here, not as an
+    /// `unknown mnemonic` in somebody's program.
+    #[test]
+    fn every_mnemonic_resolves_to_its_own_entry() {
+        use Mnemonic as M;
+        let table = Mnemonics::get();
+        let lookup = |name: &str| {
+            let (len, key) = ident_run(name);
+            assert_eq!(len, name.len(), "`{name}`");
+            table.lookup(key)
+        };
+        let mut keys = std::collections::HashSet::new();
+        for (name, meaning) in mnemonic_list() {
+            assert!(name.len() <= 8, "`{name}` is longer than a key");
+            assert_eq!(lookup(name), Some(meaning), "`{name}`");
+            assert!(keys.insert(ident_run(name).1), "`{name}` shares a key");
+        }
+        let filled = table.slots.iter().filter(|(key, _)| *key != 0).count();
+        assert_eq!((keys.len(), filled), (79, 79));
+        // Against the forward tables themselves, not the list built from them.
+        for k in BranchKind::ALL {
+            assert_eq!(lookup(k.mnemonic()), Some(M::Branch(k, false)));
+        }
+        for k in LoadKind::ALL {
+            assert_eq!(lookup(k.mnemonic()), Some(M::Load(k)));
+        }
+        for k in StoreKind::ALL {
+            assert_eq!(lookup(k.mnemonic()), Some(M::Store(k)));
+        }
+        for k in OpImmKind::ALL {
+            assert_eq!(lookup(k.mnemonic()), Some(M::OpImm(k)));
+        }
+        for k in OpKind::ALL {
+            assert_eq!(lookup(k.mnemonic()), Some(M::Op(k)));
+        }
+        // The twelve X_PAR names of the crate documentation.
+        let x_par = [
+            "p_fc", "p_fn", "p_swcv", "p_lwcv", "p_swre", "p_lwre", "p_jal", "p_jalr", "p_ret",
+            "p_set", "p_merge", "p_syncm",
+        ];
+        assert!(x_par.iter().all(|name| lookup(name).is_some()));
+        // Near misses: a prefix, an extension, another case, a long run.
+        for name in [
+            "",
+            "ad",
+            "addx",
+            "ADD",
+            "p_syncmx",
+            "p_syncmxx",
+            "add.",
+            "_",
+        ] {
+            assert_eq!(lookup(name), None, "`{name}`");
         }
     }
 

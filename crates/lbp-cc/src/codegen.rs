@@ -19,7 +19,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use lbp_asm::Asm;
+use lbp_asm::{emit, Asm};
 use lbp_omp::{emit_parallel_region, TeamBody};
 
 use crate::ast::*;
@@ -84,20 +84,20 @@ pub fn generate_with(cx: &Checked, sabotage: Option<CodegenSabotage>) -> Result<
         match &global.fill {
             Some(Init::Uniform(v)) if *v != 0 => {
                 for _ in 0..global.elems {
-                    g.asm.line(format!(".word {v}"));
+                    emit!(g.asm, ".word {v}");
                 }
             }
             Some(Init::List(values)) => {
                 for v in values.iter().take(global.elems as usize) {
-                    g.asm.line(format!(".word {v}"));
+                    emit!(g.asm, ".word {v}");
                 }
                 let rest = global.elems as usize - values.len().min(global.elems as usize);
                 if rest > 0 {
-                    g.asm.line(format!(".space {}", rest * 4));
+                    emit!(g.asm, ".space {}", rest * 4);
                 }
             }
             _ => {
-                g.asm.line(format!(".space {}", global.elems * 4));
+                emit!(g.asm, ".space {}", global.elems * 4);
             }
         }
     }
@@ -105,7 +105,7 @@ pub fn generate_with(cx: &Checked, sabotage: Option<CodegenSabotage>) -> Result<
         g.asm.line(".align 4");
         g.asm.label(name);
         for f in fns {
-            g.asm.line(format!(".word {f}"));
+            emit!(g.asm, ".word {f}");
         }
     }
     Ok(g.asm.into_text())
@@ -226,46 +226,44 @@ impl Gen<'_> {
         self.asm.label(&f.name);
         // Prologue (a frame beyond the addi range uses li/add).
         if fx.frame <= 2048 {
-            self.asm.line(format!("addi sp, sp, -{}", fx.frame));
+            emit!(self.asm, "addi sp, sp, -{}", fx.frame);
         } else {
-            self.asm.line(format!("li   t6, {}", fx.frame));
+            emit!(self.asm, "li   t6, {}", fx.frame);
             self.asm.line("sub  sp, sp, t6");
         }
-        self.asm.line(format!("sw   ra, {OFF_RA}(sp)"));
+        emit!(self.asm, "sw   ra, {OFF_RA}(sp)");
         if kind == FnKind::Main {
             self.asm.line("li   t0, -1");
-            self.asm.line(format!("sw   t0, {OFF_T0}(sp)"));
+            emit!(self.asm, "sw   t0, {OFF_T0}(sp)");
             self.asm.line("p_set t0");
         }
         for (i, reg) in LOCALS.iter().enumerate().take(fx.n_locals) {
-            self.asm
-                .line(format!("sw   {}, {}(sp)", reg, OFF_SREG + 4 * i as i32));
+            emit!(self.asm, "sw   {}, {}(sp)", reg, OFF_SREG + 4 * i as i32);
         }
         // Parameters arrive in a0.. and move into their local registers.
         for (i, _p) in f.params.iter().enumerate() {
-            self.asm.line(format!("mv   {}, a{i}", LOCALS[i]));
+            emit!(self.asm, "mv   {}, a{i}", LOCALS[i]);
         }
         // Body.
         self.block(&f.body, &mut fx)?;
         // Epilogue.
         self.asm.label(fx.epilogue.clone());
         self.asm.line("p_syncm");
-        self.asm.line(format!("lw   ra, {OFF_RA}(sp)"));
+        emit!(self.asm, "lw   ra, {OFF_RA}(sp)");
         if kind == FnKind::Main {
-            self.asm.line(format!("lw   t0, {OFF_T0}(sp)"));
+            emit!(self.asm, "lw   t0, {OFF_T0}(sp)");
         }
         for (i, reg) in LOCALS.iter().enumerate().take(fx.n_locals) {
-            self.asm
-                .line(format!("lw   {}, {}(sp)", reg, OFF_SREG + 4 * i as i32));
+            emit!(self.asm, "lw   {}, {}(sp)", reg, OFF_SREG + 4 * i as i32);
         }
         // The register restores are loads from the frame this function's
         // own stores filled; a second p_syncm lets them land before the
         // control transfer reads `ra`/`t0`.
         self.asm.line("p_syncm");
         if fx.frame <= 2047 {
-            self.asm.line(format!("addi sp, sp, {}", fx.frame));
+            emit!(self.asm, "addi sp, sp, {}", fx.frame);
         } else {
-            self.asm.line(format!("li   t6, {}", fx.frame));
+            emit!(self.asm, "li   t6, {}", fx.frame);
             self.asm.line("add  sp, sp, t6");
         }
         match kind {
@@ -315,7 +313,7 @@ impl Gen<'_> {
                     self.asm.label(&else_l);
                     fx.pending.union(&then_pending);
                 } else {
-                    self.asm.line(format!("j    {end_l}"));
+                    emit!(self.asm, "j    {end_l}");
                     self.asm.label(&else_l);
                     fx.pending = entry_pending;
                     self.block(els, fx)?;
@@ -335,7 +333,7 @@ impl Gen<'_> {
                 fx.loop_labels.push((head.clone(), end.clone()));
                 self.block(body, fx)?;
                 fx.loop_labels.pop();
-                self.asm.line(format!("j    {head}"));
+                emit!(self.asm, "j    {head}");
                 self.asm.label(&end);
                 fx.pending.union(&stores_of(body, self.cx));
                 Ok(())
@@ -369,7 +367,7 @@ impl Gen<'_> {
                 if let Some(st) = step.as_ref() {
                     self.stmt(st, fx)?;
                 }
-                self.asm.line(format!("j    {head}"));
+                emit!(self.asm, "j    {head}");
                 self.asm.label(&end);
                 fx.pending.union(&loop_stores);
                 Ok(())
@@ -380,7 +378,7 @@ impl Gen<'_> {
                     .last()
                     .cloned()
                     .expect("sema rejects break outside loops");
-                self.asm.line(format!("j    {brk}"));
+                emit!(self.asm, "j    {brk}");
                 Ok(())
             }
             Stmt::Continue(_) => {
@@ -389,7 +387,7 @@ impl Gen<'_> {
                     .last()
                     .cloned()
                     .expect("sema rejects continue outside loops");
-                self.asm.line(format!("j    {cont}"));
+                emit!(self.asm, "j    {cont}");
                 Ok(())
             }
             Stmt::Return(value, line) => {
@@ -397,7 +395,7 @@ impl Gen<'_> {
                     let v = self.expr(e, fx, *line)?;
                     self.move_into("a0", v, fx);
                 }
-                self.asm.line(format!("j    {}", fx.epilogue));
+                emit!(self.asm, "j    {}", fx.epilogue);
                 Ok(())
             }
             Stmt::ParallelFor {
@@ -521,9 +519,9 @@ impl Gen<'_> {
                 }
                 // Scalar global.
                 let addr = fx.alloc(line)?;
-                self.asm.line(format!("la   {addr}, {name}"));
+                emit!(self.asm, "la   {addr}, {name}");
                 let vr = self.to_reg(v, fx, line)?;
-                self.asm.line(format!("sw   {}, 0({addr})", reg_name(vr)));
+                emit!(self.asm, "sw   {}, 0({addr})", reg_name(vr));
                 fx.release(vr);
                 fx.free_scratch_reg(addr);
                 fx.pending.add(&Alias::Global(name.clone()));
@@ -532,8 +530,7 @@ impl Gen<'_> {
             Place::Index(name, idx_expr) => {
                 let (addr, class) = self.element_addr(name, idx_expr, fx, line)?;
                 let vr = self.to_reg(v, fx, line)?;
-                self.asm
-                    .line(format!("sw   {}, 0({})", reg_name(vr), reg_name(addr)));
+                emit!(self.asm, "sw   {}, 0({})", reg_name(vr), reg_name(addr));
                 fx.release(vr);
                 fx.release(addr);
                 fx.pending.add(&class);
@@ -543,8 +540,7 @@ impl Gen<'_> {
                 let p = self.expr(ptr, fx, line)?;
                 let pr = self.to_reg(p, fx, line)?;
                 let vr = self.to_reg(v, fx, line)?;
-                self.asm
-                    .line(format!("sw   {}, 0({})", reg_name(vr), reg_name(pr)));
+                emit!(self.asm, "sw   {}, 0({})", reg_name(vr), reg_name(pr));
                 fx.release(vr);
                 fx.release(pr);
                 fx.pending.add(&Alias::Unknown);
@@ -568,37 +564,39 @@ impl Gen<'_> {
             let dest = self.to_owned_reg(off, fx, line)?;
             let dn = reg_name(dest);
             if base_off <= 2047 {
-                self.asm.line(format!("addi {dn}, {dn}, {base_off}"));
+                emit!(self.asm, "addi {dn}, {dn}, {base_off}");
             } else {
                 let t = fx.alloc(line)?;
-                self.asm.line(format!("li   {t}, {base_off}"));
-                self.asm.line(format!("add  {dn}, {dn}, {t}"));
+                emit!(self.asm, "li   {t}, {base_off}");
+                emit!(self.asm, "add  {dn}, {dn}, {t}");
                 fx.free_scratch_reg(t);
             }
-            self.asm.line(format!("add  {dn}, {dn}, sp"));
+            emit!(self.asm, "add  {dn}, {dn}, sp");
             return Ok((dest, Alias::Global(format!("%frame%{name}"))));
         }
         if fx.locals.contains_key(name) {
             // Pointer variable.
             let idx_local = fx.locals[name];
             let dest = self.to_owned_reg(off, fx, line)?;
-            self.asm.line(format!(
+            emit!(
+                self.asm,
                 "add  {}, {}, {}",
                 reg_name(dest),
                 reg_name(dest),
                 LOCALS[idx_local]
-            ));
+            );
             Ok((dest, Alias::Unknown))
         } else {
             // Global array (or scalar used as one-element array).
             let base = fx.alloc(line)?;
-            self.asm.line(format!("la   {base}, {name}"));
+            emit!(self.asm, "la   {base}, {name}");
             let dest = self.to_owned_reg(off, fx, line)?;
-            self.asm.line(format!(
+            emit!(
+                self.asm,
                 "add  {}, {}, {base}",
                 reg_name(dest),
                 reg_name(dest)
-            ));
+            );
             fx.free_scratch_reg(base);
             Ok((dest, Alias::Global(name.to_owned())))
         }
@@ -610,7 +608,7 @@ impl Gen<'_> {
             self.asm.line("p_syncm");
             fx.pending.clear();
         }
-        self.asm.line(format!("lw   {dest}, 0({addr})"));
+        emit!(self.asm, "lw   {dest}, 0({addr})");
     }
 
     // ----- expressions -----
@@ -622,8 +620,8 @@ impl Gen<'_> {
                 if let Some(&base_off) = fx.arrays.get(name) {
                     // Array name decays to its frame address.
                     let r = fx.alloc(line)?;
-                    self.asm.line(format!("li   {r}, {base_off}"));
-                    self.asm.line(format!("add  {r}, {r}, sp"));
+                    emit!(self.asm, "li   {r}, {base_off}");
+                    emit!(self.asm, "add  {r}, {r}, sp");
                     return Ok(Val::Reg {
                         name: r,
                         owned: true,
@@ -636,9 +634,9 @@ impl Gen<'_> {
                 let r = fx.alloc(line)?;
                 if is_array {
                     // Array names decay to their address.
-                    self.asm.line(format!("la   {r}, {name}"));
+                    emit!(self.asm, "la   {r}, {name}");
                 } else {
-                    self.asm.line(format!("la   {r}, {name}"));
+                    emit!(self.asm, "la   {r}, {name}");
                     let class = Alias::Global(name.clone());
                     self.emit_load(r, r, &class, fx);
                 }
@@ -663,7 +661,7 @@ impl Gen<'_> {
             Expr::AddrOf(place) => match place.as_ref() {
                 Place::Var(name) => {
                     let r = fx.alloc(line)?;
-                    self.asm.line(format!("la   {r}, {name}"));
+                    emit!(self.asm, "la   {r}, {name}");
                     Ok(Val::Reg {
                         name: r,
                         owned: true,
@@ -687,9 +685,9 @@ impl Gen<'_> {
                 let r = self.to_owned_reg(v, fx, line)?;
                 let rn = reg_name(r);
                 match op {
-                    UnOp::Neg => self.asm.line(format!("neg  {rn}, {rn}")),
-                    UnOp::Not => self.asm.line(format!("seqz {rn}, {rn}")),
-                    UnOp::BitNot => self.asm.line(format!("not  {rn}, {rn}")),
+                    UnOp::Neg => emit!(self.asm, "neg  {rn}, {rn}"),
+                    UnOp::Not => emit!(self.asm, "seqz {rn}, {rn}"),
+                    UnOp::BitNot => emit!(self.asm, "not  {rn}, {rn}"),
                 };
                 Ok(r)
             }
@@ -728,7 +726,7 @@ impl Gen<'_> {
                 if imm_fits(op, y) {
                     let d = self.to_owned_reg(va, fx, line)?;
                     let dn = reg_name(d);
-                    self.asm.line(format!("{mn} {dn}, {dn}, {y}"));
+                    emit!(self.asm, "{mn} {dn}, {dn}, {y}");
                     return Ok(d);
                 }
             }
@@ -745,33 +743,33 @@ impl Gen<'_> {
         };
         let (an, bn) = (reg_name(ra), reg_name(rb));
         match op {
-            BinOp::Add => self.asm.line(format!("add  {dest}, {an}, {bn}")),
-            BinOp::Sub => self.asm.line(format!("sub  {dest}, {an}, {bn}")),
-            BinOp::Mul => self.asm.line(format!("mul  {dest}, {an}, {bn}")),
-            BinOp::Div => self.asm.line(format!("div  {dest}, {an}, {bn}")),
-            BinOp::Rem => self.asm.line(format!("rem  {dest}, {an}, {bn}")),
-            BinOp::And => self.asm.line(format!("and  {dest}, {an}, {bn}")),
-            BinOp::Or => self.asm.line(format!("or   {dest}, {an}, {bn}")),
-            BinOp::Xor => self.asm.line(format!("xor  {dest}, {an}, {bn}")),
-            BinOp::Shl => self.asm.line(format!("sll  {dest}, {an}, {bn}")),
-            BinOp::Shr => self.asm.line(format!("sra  {dest}, {an}, {bn}")),
-            BinOp::Lt => self.asm.line(format!("slt  {dest}, {an}, {bn}")),
-            BinOp::Gt => self.asm.line(format!("slt  {dest}, {bn}, {an}")),
+            BinOp::Add => emit!(self.asm, "add  {dest}, {an}, {bn}"),
+            BinOp::Sub => emit!(self.asm, "sub  {dest}, {an}, {bn}"),
+            BinOp::Mul => emit!(self.asm, "mul  {dest}, {an}, {bn}"),
+            BinOp::Div => emit!(self.asm, "div  {dest}, {an}, {bn}"),
+            BinOp::Rem => emit!(self.asm, "rem  {dest}, {an}, {bn}"),
+            BinOp::And => emit!(self.asm, "and  {dest}, {an}, {bn}"),
+            BinOp::Or => emit!(self.asm, "or   {dest}, {an}, {bn}"),
+            BinOp::Xor => emit!(self.asm, "xor  {dest}, {an}, {bn}"),
+            BinOp::Shl => emit!(self.asm, "sll  {dest}, {an}, {bn}"),
+            BinOp::Shr => emit!(self.asm, "sra  {dest}, {an}, {bn}"),
+            BinOp::Lt => emit!(self.asm, "slt  {dest}, {an}, {bn}"),
+            BinOp::Gt => emit!(self.asm, "slt  {dest}, {bn}, {an}"),
             BinOp::Le => {
-                self.asm.line(format!("slt  {dest}, {bn}, {an}"));
-                self.asm.line(format!("xori {dest}, {dest}, 1"))
+                emit!(self.asm, "slt  {dest}, {bn}, {an}");
+                emit!(self.asm, "xori {dest}, {dest}, 1")
             }
             BinOp::Ge => {
-                self.asm.line(format!("slt  {dest}, {an}, {bn}"));
-                self.asm.line(format!("xori {dest}, {dest}, 1"))
+                emit!(self.asm, "slt  {dest}, {an}, {bn}");
+                emit!(self.asm, "xori {dest}, {dest}, 1")
             }
             BinOp::Eq => {
-                self.asm.line(format!("sub  {dest}, {an}, {bn}"));
-                self.asm.line(format!("seqz {dest}, {dest}"))
+                emit!(self.asm, "sub  {dest}, {an}, {bn}");
+                emit!(self.asm, "seqz {dest}, {dest}")
             }
             BinOp::Ne => {
-                self.asm.line(format!("sub  {dest}, {an}, {bn}"));
-                self.asm.line(format!("snez {dest}, {dest}"))
+                emit!(self.asm, "sub  {dest}, {an}, {bn}");
+                emit!(self.asm, "snez {dest}, {dest}")
             }
             BinOp::LAnd | BinOp::LOr => unreachable!("handled above"),
         };
@@ -799,16 +797,16 @@ impl Gen<'_> {
         let end = self.fresh("sc");
         let va = self.expr(a, fx, line)?;
         let ra = self.to_reg(va, fx, line)?;
-        self.asm.line(format!("snez {dest}, {}", reg_name(ra)));
+        emit!(self.asm, "snez {dest}, {}", reg_name(ra));
         fx.release(ra);
         match op {
-            BinOp::LAnd => self.asm.line(format!("beqz {dest}, {end}")),
-            BinOp::LOr => self.asm.line(format!("bnez {dest}, {end}")),
+            BinOp::LAnd => emit!(self.asm, "beqz {dest}, {end}"),
+            BinOp::LOr => emit!(self.asm, "bnez {dest}, {end}"),
             _ => unreachable!(),
         };
         let vb = self.expr(b, fx, line)?;
         let rb = self.to_reg(vb, fx, line)?;
-        self.asm.line(format!("snez {dest}, {}", reg_name(rb)));
+        emit!(self.asm, "snez {dest}, {}", reg_name(rb));
         fx.release(rb);
         self.asm.label(&end);
         Ok(Val::Reg {
@@ -845,11 +843,12 @@ impl Gen<'_> {
         for (i, arg) in args.iter().enumerate() {
             let v = self.expr(arg, fx, line)?;
             let r = self.to_reg(v, fx, line)?;
-            self.asm.line(format!(
+            emit!(
+                self.asm,
                 "sw   {}, {}(sp)",
                 reg_name(r),
                 OFF_SPILL + 4 * (SCRATCH.len() + i) as i32
-            ));
+            );
             fx.release(r);
         }
         // Save the scratch registers still holding enclosing-expression
@@ -858,35 +857,38 @@ impl Gen<'_> {
             .filter(|i| !fx.free_scratch.contains(i))
             .collect();
         for &i in &live {
-            self.asm.line(format!(
+            emit!(
+                self.asm,
                 "sw   {}, {}(sp)",
                 SCRATCH[i],
                 OFF_SPILL + 4 * i as i32
-            ));
+            );
         }
         // The spill stores must land before the argument reloads.
         self.asm.line("p_syncm");
         fx.pending.clear();
         for i in 0..args.len() {
-            self.asm.line(format!(
+            emit!(
+                self.asm,
                 "lw   a{i}, {}(sp)",
                 OFF_SPILL + 4 * (SCRATCH.len() + i) as i32
-            ));
+            );
         }
         if !args.is_empty() {
             // The a-register values must be architecturally ready before
             // the callee reads them; the loads complete out of order but
             // register renaming orders them — no fence needed.
         }
-        self.asm.line(format!("jal  {name}"));
+        emit!(self.asm, "jal  {name}");
         // The callee's epilogue p_syncm drained every store, including
         // our scratch saves.
         for &i in &live {
-            self.asm.line(format!(
+            emit!(
+                self.asm,
                 "lw   {}, {}(sp)",
                 SCRATCH[i],
                 OFF_SPILL + 4 * i as i32
-            ));
+            );
         }
         fx.pending.clear();
         let returns = self
@@ -897,7 +899,7 @@ impl Gen<'_> {
             .unwrap_or(false);
         if returns {
             let r = fx.alloc(line)?;
-            self.asm.line(format!("mv   {r}, a0"));
+            emit!(self.asm, "mv   {r}, a0");
             Ok(Val::Reg {
                 name: r,
                 owned: true,
@@ -927,7 +929,7 @@ impl Gen<'_> {
                 } else {
                     (reg_name(ra), reg_name(rb))
                 };
-                self.asm.line(format!("{mn} {x}, {y}, {target}"));
+                emit!(self.asm, "{mn} {x}, {y}, {target}");
                 fx.release(ra);
                 fx.release(rb);
                 return Ok(());
@@ -935,12 +937,12 @@ impl Gen<'_> {
         }
         match self.expr(cond, fx, line)? {
             Val::Imm(0) => {
-                self.asm.line(format!("j    {target}"));
+                emit!(self.asm, "j    {target}");
             }
             Val::Imm(_) => {}
             v => {
                 let r = self.to_reg(v, fx, line)?;
-                self.asm.line(format!("beqz {}, {target}", reg_name(r)));
+                emit!(self.asm, "beqz {}, {target}", reg_name(r));
                 fx.release(r);
             }
         }
@@ -955,7 +957,7 @@ impl Gen<'_> {
         match v {
             Val::Imm(i) => {
                 let r = fx.alloc(line)?;
-                self.asm.line(format!("li   {r}, {i}"));
+                emit!(self.asm, "li   {r}, {i}");
                 Ok(Val::Reg {
                     name: r,
                     owned: true,
@@ -973,7 +975,7 @@ impl Gen<'_> {
             Val::Reg { owned: true, .. } => Ok(v),
             Val::Imm(i) => {
                 let r = fx.alloc(line)?;
-                self.asm.line(format!("li   {r}, {i}"));
+                emit!(self.asm, "li   {r}, {i}");
                 Ok(Val::Reg {
                     name: r,
                     owned: true,
@@ -981,7 +983,7 @@ impl Gen<'_> {
             }
             Val::Local(idx) => {
                 let r = fx.alloc(line)?;
-                self.asm.line(format!("mv   {r}, {}", LOCALS[idx]));
+                emit!(self.asm, "mv   {r}, {}", LOCALS[idx]);
                 Ok(Val::Reg {
                     name: r,
                     owned: true,
@@ -989,7 +991,7 @@ impl Gen<'_> {
             }
             Val::Reg { name, owned: false } => {
                 let r = fx.alloc(line)?;
-                self.asm.line(format!("mv   {r}, {name}"));
+                emit!(self.asm, "mv   {r}, {name}");
                 Ok(Val::Reg {
                     name: r,
                     owned: true,
@@ -1002,16 +1004,16 @@ impl Gen<'_> {
     fn move_into(&mut self, dest: &str, v: Val, fx: &mut FnGen) {
         match v {
             Val::Imm(i) => {
-                self.asm.line(format!("li   {dest}, {i}"));
+                emit!(self.asm, "li   {dest}, {i}");
             }
             Val::Local(idx) => {
                 if LOCALS[idx] != dest {
-                    self.asm.line(format!("mv   {dest}, {}", LOCALS[idx]));
+                    emit!(self.asm, "mv   {dest}, {}", LOCALS[idx]);
                 }
             }
             Val::Reg { name, .. } => {
                 if name != dest {
-                    self.asm.line(format!("mv   {dest}, {name}"));
+                    emit!(self.asm, "mv   {dest}, {name}");
                 }
                 fx.release(v);
             }

@@ -95,10 +95,12 @@ fn strip_comments(source: &str) -> Result<String, CcError> {
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'*' {
-            let start_line = out.chars().filter(|&c| c == '\n').count() + 1;
             let mut j = i + 2;
             loop {
                 if j + 1 >= bytes.len() {
+                    // Counted here, on the one path that needs it: counted
+                    // at every `/*`, many comments made lexing quadratic.
+                    let start_line = bytes[..i].iter().filter(|&&b| b == b'\n').count() + 1;
                     return Err(CcError::new(start_line, "unterminated /* comment"));
                 }
                 if bytes[j] == b'*' && bytes[j + 1] == b'/' {
@@ -379,6 +381,20 @@ mod tests {
     #[test]
     fn unterminated_comment_is_an_error() {
         assert!(lex("/* nope").is_err());
+        // The error carries the line of its `/*`, whatever came before.
+        let e = lex("int x; // a\n/* b\n*/ int y;\n\n  /* nope\n\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (5, "unterminated /* comment"));
+    }
+
+    #[test]
+    fn two_hundred_thousand_block_comments_lex_in_linear_time() {
+        let mut src = "/**/\n".repeat(200_000);
+        let started = std::time::Instant::now();
+        assert_eq!(lex(&src).unwrap().last().unwrap().line, 200_001);
+        src.push_str("/*");
+        assert_eq!(lex(&src).unwrap_err().line, 200_001);
+        let took = started.elapsed();
+        assert!(took.as_secs() < 2, "took {took:?}");
     }
 
     #[test]

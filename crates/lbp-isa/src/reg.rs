@@ -153,24 +153,35 @@ impl FromStr for Reg {
     /// Parses either an ABI name (`a0`, `t6`, `fp`, ...) or a numeric name
     /// (`x0` ..= `x31`).
     fn from_str(s: &str) -> Result<Reg, ParseRegError> {
-        if s == "fp" {
-            return Ok(Reg::S0);
-        }
-        if let Some(pos) = ABI_NAMES.iter().position(|&n| n == s) {
-            return Ok(Reg(pos as u8));
-        }
-        if let Some(num) = s.strip_prefix('x') {
-            if let Ok(n) = num.parse::<u8>() {
-                if let Some(r) = Reg::new(n) {
-                    // Reject non-canonical spellings like `x07`.
-                    if num == n.to_string() {
-                        return Ok(r);
-                    }
-                }
-            }
-        }
-        Err(ParseRegError { name: s.to_owned() })
+        decode(s.as_bytes()).ok_or_else(|| ParseRegError { name: s.to_owned() })
     }
+}
+
+/// A register name read by its bytes: one of the six words, or a letter
+/// and a canonical decimal index (no `x07`) within the letter's range.
+fn decode(name: &[u8]) -> Option<Reg> {
+    let (letter, index) = match name {
+        b"zero" => return Some(Reg::ZERO),
+        b"ra" => return Some(Reg::RA),
+        b"sp" => return Some(Reg::SP),
+        b"gp" => return Some(Reg::GP),
+        b"tp" => return Some(Reg::TP),
+        b"fp" => return Some(Reg::S0),
+        &[letter, ones @ b'0'..=b'9'] => (letter, ones - b'0'),
+        &[letter, tens @ b'1'..=b'9', ones @ b'0'..=b'9'] => {
+            (letter, (tens - b'0') * 10 + (ones - b'0'))
+        }
+        _ => return None,
+    };
+    Some(Reg(match (letter, index) {
+        (b'x', 0..=31) => index,
+        (b't', 0..=2) => 5 + index,
+        (b's', 0..=1) => 8 + index,
+        (b'a', 0..=7) => 10 + index,
+        (b's', 2..=11) => 16 + index,
+        (b't', 3..=6) => 25 + index,
+        _ => return None,
+    }))
 }
 
 #[cfg(test)]
@@ -202,6 +213,34 @@ mod tests {
         assert!("x32".parse::<Reg>().is_err());
         assert!("x07".parse::<Reg>().is_err());
         assert!("q0".parse::<Reg>().is_err());
+    }
+
+    /// The byte decoder against the definitional rule, over every string
+    /// of up to three bytes of `[a-z0-9]` and every canonical name.
+    #[test]
+    fn every_short_string_parses_as_the_rule_says() {
+        let rule = |s: &str| {
+            let abi = ABI_NAMES.iter().position(|&n| n == s);
+            let numeric = (0..32).find(|n| s == format!("x{n}"));
+            let fp = (s == "fp").then_some(8);
+            abi.or(numeric).or(fp).map(|n| Reg(n as u8))
+        };
+        let alphabet = "abcdefghijklmnopqrstuvwxyz0123456789";
+        let mut strings = vec![String::new()];
+        for from in [0, 1, 37] {
+            for i in from..strings.len() {
+                for c in alphabet.chars() {
+                    strings.push(format!("{}{c}", strings[i]));
+                }
+            }
+        }
+        assert_eq!(strings.len(), 1 + 36 + 36 * 36 + 36 * 36 * 36);
+        strings.extend(["zero", "zer", "zeroo", "x031", "s011", "X1", "a0 "].map(String::from));
+        for s in &strings {
+            assert_eq!(s.parse::<Reg>().ok(), rule(s), "`{s}`");
+        }
+        let err = "t7".parse::<Reg>().unwrap_err();
+        assert_eq!(err.to_string(), "unknown register name `t7`");
     }
 
     #[test]

@@ -440,6 +440,43 @@ fn lbp_run_on_an_li_operand_nested_100_000_deep_is_a_positioned_failure() {
     }
 }
 
+/// Sizes the assembler takes from its input. At the parent `.align
+/// 0x100000000` truncated to `Align(0)` and divided by it (exit 101), a
+/// `.space` of 2 GB was allocated word by word (exit 134 under a memory
+/// limit) and a line of 200,000 labels recursed once a label (exit 134).
+#[test]
+fn lbp_run_on_sizes_past_the_machine_is_a_positioned_failure_not_an_abort() {
+    let exit = "  li t0, -1\n  li ra, 0\n  p_ret\n";
+    let rows = [
+        (".align 0x100000000", ".align needs a positive power-of-two"),
+        (".space 0x7ffffff0", "section overflow"),
+        (".data\n.space 0x7ffffff0", "section overflow"),
+        (".align 0x80000000", "section overflow"),
+    ];
+    for (i, (directive, what)) in rows.iter().enumerate() {
+        let src = format!("main:\n{exit}{directive}\n");
+        let file = harness::scratch_file("grammar-sizes", &format!("size{i}.s"), &src);
+        for mode in [&[][..], &["--verify"], &["--disasm"]] {
+            let out = run(LBP_RUN, &[&[file.to_str().unwrap()], mode].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(i32::from(ExitClass::Failure.code())),
+                "{directive} {mode:?}: {stderr}"
+            );
+            assert!(
+                stderr.contains("at line") && stderr.contains(what),
+                "{stderr}"
+            );
+        }
+    }
+    let labels: String = (0..200_000).map(|i| format!("l{i}: ")).collect();
+    let src = format!("main: {labels}li t0, -1\n  li ra, 0\n  p_ret\n");
+    let file = harness::scratch_file("grammar-sizes", "labels.s", &src);
+    let out = run(LBP_RUN, &[file.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(i32::from(ExitClass::Ok.code())));
+}
+
 /// The third reproducer; `lbp-batch`'s own `tests/cli_grammar.rs` holds
 /// the exit class of the binary, this the parser under it.
 #[test]

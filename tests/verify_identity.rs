@@ -8,9 +8,10 @@
 //! from hash maps to a word-indexed arena; any change to worklist order,
 //! meet points or message text moves one of them.
 
-use lbp::kernels::matmul::{Matmul, Version};
-use lbp_fuzz::gen::{self, GenConfig, Kind};
-use lbp_testutil::Rng;
+mod identity_corpus;
+
+use identity_corpus::{dir, generated, hash, matmul_kernels};
+use lbp_fuzz::gen::Kind;
 
 /// The `lbp-diag-v1` report of a source, or how it failed to build.
 fn report_of(name: &str, source: &str) -> String {
@@ -21,21 +22,10 @@ fn report_of(name: &str, source: &str) -> String {
     }
 }
 
-/// The hash of the reports of every `ext` file of a directory, by name.
-fn hash_dir(dir: &str, ext: &str) -> (usize, u64) {
-    let root = format!("{}/{dir}", env!("CARGO_MANIFEST_DIR"));
-    let mut names: Vec<String> = std::fs::read_dir(&root)
-        .unwrap_or_else(|e| panic!("{root}: {e}"))
-        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
-        .filter(|name| name.ends_with(ext))
-        .collect();
-    names.sort();
-    let mut all = String::new();
-    for name in &names {
-        let source = std::fs::read_to_string(format!("{root}/{name}")).unwrap();
-        all.push_str(&report_of(name, &source));
-    }
-    (names.len(), lbp::snap::fnv1a64(all.as_bytes()))
+/// How many `ext` files a directory has, and the hash of their reports.
+fn hash_dir(path: &str, ext: &str) -> (usize, u64) {
+    let programs = dir(path, ext);
+    (programs.len(), hash(&programs, report_of))
 }
 
 #[test]
@@ -59,17 +49,7 @@ fn shipped_sources_verify_to_the_pinned_bytes() {
 
 #[test]
 fn matmul_kernels_verify_to_the_pinned_bytes() {
-    let mut all = String::new();
-    for harts in [16, 64] {
-        for version in Version::ALL {
-            let name = format!("matmul/{}/h{harts}.s", version.name());
-            all.push_str(&report_of(
-                &name,
-                &Matmul::new(harts, version).program().source(),
-            ));
-        }
-    }
-    assert_eq!(lbp::snap::fnv1a64(all.as_bytes()), 0xa6fe_7b0f_84a8_1be6);
+    assert_eq!(hash(&matmul_kernels(), report_of), 0xa6fe_7b0f_84a8_1be6);
 }
 
 /// 100 programs of each generator family at seed 42, one hash a family.
@@ -82,19 +62,8 @@ fn generated_programs_verify_to_the_pinned_bytes() {
         (Kind::Fork, 0xb0b1_8831_c4c2_1c09),
     ];
     for (kind, want) in pinned {
-        let cfg = GenConfig {
-            kinds: vec![kind],
-            ..GenConfig::default()
-        };
-        let mut all = String::new();
-        for case in 0..100 {
-            let mut rng = Rng::new(lbp_fuzz::case_seed(42, case));
-            let program = gen::generate(&mut rng, &cfg, case);
-            let name = format!("{}/{case}/{}", kind.name(), program.file_name());
-            all.push_str(&report_of(&name, &program.render()));
-        }
         assert_eq!(
-            lbp::snap::fnv1a64(all.as_bytes()),
+            hash(&generated(kind), report_of),
             want,
             "kind {}",
             kind.name()
