@@ -1,6 +1,8 @@
 //! The two-pass assembler: symbolic items → [`Image`].
 
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::RangeInclusive;
 
 use lbp_isa::{Instr, CODE_BASE, IO_BASE, LOCAL_BASE, SHARED_BASE};
 
@@ -69,7 +71,8 @@ fn layout(items: &[SourceItem]) -> Result<HashMap<String, u32>, AsmError> {
                 let v = expr
                     .eval(&symbols)
                     .map_err(|e| AsmError::new(si.line, format!("in .equ {name}: {e}")))?;
-                if symbols.insert(name.clone(), v as u32).is_some() {
+                let v = word(v, si.line, format_args!("in .equ {name}:"))?;
+                if symbols.insert(name.clone(), v).is_some() {
                     return Err(AsmError::new(si.line, format!("duplicate symbol `{name}`")));
                 }
             }
@@ -105,12 +108,13 @@ fn emit(items: &[SourceItem], symbols: HashMap<String, u32>) -> Result<Image, As
                 let v = e
                     .eval(&image.symbols)
                     .map_err(|err| AsmError::new(si.line, err.to_string()))?;
+                let v = word(v, si.line, "`.word`")?;
                 match lc.section {
                     Section::Text => {
-                        image.text.push(v as u32);
+                        image.text.push(v);
                         image.lines.push(si.line);
                     }
-                    Section::Data => image.data.extend_from_slice(&(v as u32).to_le_bytes()),
+                    Section::Data => image.data.extend_from_slice(&v.to_le_bytes()),
                 }
                 lc.advance(si, 4)?;
             }
@@ -167,15 +171,14 @@ fn resolve(
     let value = expr
         .eval(symbols)
         .map_err(|e| AsmError::new(line, e.to_string()))?;
+    let value = word(value, line, "operand")?;
     let imm32 = value as i32;
     // Branch/jump targets that reference symbols are absolute addresses and
     // become pc-relative here; pure constants are raw offsets.
-    let rel = |v: i64| -> i32 {
-        if expr.references_symbol() {
-            (v as u32).wrapping_sub(pc) as i32
-        } else {
-            v as i32
-        }
+    let rel = if expr.references_symbol() {
+        value.wrapping_sub(pc) as i32
+    } else {
+        imm32
     };
     Ok(match *kind {
         PatchKind::Jalr { rd, rs1 } => Instr::Jalr {
@@ -202,45 +205,40 @@ fn resolve(
             imm: imm32,
         },
         PatchKind::Lui { rd } => {
-            let field = value as u32;
-            if field > 0xfffff {
+            if value > 0xfffff {
                 return Err(AsmError::new(
                     line,
-                    format!("lui field {field:#x} exceeds 20 bits"),
+                    format!("lui field {value:#x} exceeds 20 bits"),
                 ));
             }
             Instr::Lui {
                 rd,
-                imm: field << 12,
+                imm: value << 12,
             }
         }
         PatchKind::Auipc { rd } => {
-            let field = value as u32;
-            if field > 0xfffff {
+            if value > 0xfffff {
                 return Err(AsmError::new(
                     line,
-                    format!("auipc field {field:#x} exceeds 20 bits"),
+                    format!("auipc field {value:#x} exceeds 20 bits"),
                 ));
             }
             Instr::Auipc {
                 rd,
-                imm: field << 12,
+                imm: value << 12,
             }
         }
         PatchKind::Branch { kind, rs1, rs2 } => Instr::Branch {
             kind,
             rs1,
             rs2,
-            offset: rel(value),
+            offset: rel,
         },
-        PatchKind::Jal { rd } => Instr::Jal {
-            rd,
-            offset: rel(value),
-        },
+        PatchKind::Jal { rd } => Instr::Jal { rd, offset: rel },
         PatchKind::PJal { rd, rs1 } => Instr::PJal {
             rd,
             rs1,
-            offset: rel(value),
+            offset: rel,
         },
         PatchKind::PLwcv { rd } => Instr::PLwcv { rd, offset: imm32 },
         PatchKind::PSwcv { rs1, rs2 } => Instr::PSwcv {
@@ -341,6 +339,22 @@ impl LocationCounters {
         }
         Ok(())
     }
+}
+
+/// The values a 32-bit word holds, read signed or unsigned: what `li`
+/// materializes and what every other operand is narrowed from.
+pub(crate) const WORD: RangeInclusive<i64> = i32::MIN as i64..=u32::MAX as i64;
+
+/// Narrows an expression value to a word. Anything wider is an error at
+/// `line`, not a silently dropped high half.
+fn word(v: i64, line: usize, what: impl fmt::Display) -> Result<u32, AsmError> {
+    if WORD.contains(&v) {
+        return Ok(v as u32);
+    }
+    Err(AsmError::new(
+        line,
+        format!("{what} value {v} exceeds 32 bits"),
+    ))
 }
 
 /// Evaluates a `.space` byte count from the symbols defined so far.

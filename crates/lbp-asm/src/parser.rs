@@ -16,6 +16,7 @@ use std::sync::OnceLock;
 
 use lbp_isa::{BranchKind, Instr, LoadKind, OpImmKind, OpKind, Reg, StoreKind};
 
+use crate::assemble::WORD;
 use crate::error::AsmError;
 use crate::expr::Expr;
 use crate::item::{Item, PatchKind, Section, SourceItem, SymInstr};
@@ -736,7 +737,7 @@ impl Scanner {
                 need(2)?;
                 let rd = reg(0)?;
                 match expr(1)? {
-                    Expr::Const(v) if !(i32::MIN as i64..=u32::MAX as i64).contains(&v) => {
+                    Expr::Const(v) if !WORD.contains(&v) => {
                         return Err(self.err(format!("`li` value {v} exceeds 32 bits")));
                     }
                     Expr::Const(v) if (-2048..=2047).contains(&v) => {

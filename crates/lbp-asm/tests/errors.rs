@@ -64,6 +64,97 @@ fn out_of_range_immediates_rejected() {
     );
 }
 
+// A value wider than a word is refused where it would have lost its
+// high half: one test per place the assembler narrows to 32 bits. The
+// bound is `li`'s, -2^31 ..= 2^32-1.
+
+#[test]
+fn equ_value_past_32_bits_rejected() {
+    rejected(
+        ".equ N, 4294967298\n",
+        "in .equ N: value 4294967298 exceeds 32 bits",
+        1,
+    );
+}
+
+#[test]
+fn text_word_past_32_bits_rejected() {
+    rejected(
+        "main:\n.word 4294967298\n",
+        "`.word` value 4294967298 exceeds 32 bits",
+        2,
+    );
+    rejected(
+        ".word -2147483649\n",
+        "value -2147483649 exceeds 32 bits",
+        1,
+    );
+    let image = assemble(".word 4294967295\n.word -2147483648\n").unwrap();
+    assert_eq!(image.text, [u32::MAX, 0x8000_0000]);
+}
+
+#[test]
+fn data_word_past_32_bits_rejected() {
+    rejected(
+        ".data\n.word 1, 4294967298\n",
+        "`.word` value 4294967298 exceeds 32 bits",
+        2,
+    );
+}
+
+#[test]
+fn immediate_past_32_bits_rejected() {
+    for (src, v) in [
+        ("addi a0, a0, 4294967297", 4294967297u64),
+        ("lw a1, 4294967300(a0)", 4294967300),
+        ("p_lwre a2, 4294967296", 4294967296),
+    ] {
+        let message = format!("operand value {v} exceeds 32 bits");
+        rejected(&format!("main:\n    {src}\n"), &message, 2);
+    }
+}
+
+#[test]
+fn symbolic_target_past_32_bits_rejected() {
+    rejected(
+        "x:\n    beq a0, a1, x + 0x100000000\n",
+        "operand value 4294967296 exceeds 32 bits",
+        2,
+    );
+}
+
+#[test]
+fn constant_target_past_32_bits_rejected() {
+    rejected(
+        "    beq a0, a1, 0x100000008\n",
+        "operand value 4294967304 exceeds 32 bits",
+        1,
+    );
+    rejected(
+        "    jal ra, 0x100000010\n",
+        "operand value 4294967312 exceeds 32 bits",
+        1,
+    );
+}
+
+#[test]
+fn lui_field_past_32_bits_rejected() {
+    rejected(
+        "    lui a0, 0x100000001\n",
+        "operand value 4294967297 exceeds 32 bits",
+        1,
+    );
+}
+
+#[test]
+fn auipc_field_past_32_bits_rejected() {
+    rejected(
+        "    auipc a0, 0x100000001\n",
+        "operand value 4294967297 exceeds 32 bits",
+        1,
+    );
+}
+
 #[test]
 fn duplicate_labels_and_symbols_rejected() {
     rejected("a:\n    nop\na:\n    nop\n", "duplicate label `a`", 3);

@@ -20,6 +20,7 @@ use crate::msg::{CoreMsg, NetMsg};
 use crate::observe::Observers;
 use crate::stats::{StallKind, Stats};
 use crate::trace::EventKind;
+use crate::xpar::{self, Ending};
 
 /// Pipeline stage indices for the round-robin pointers.
 const ST_FETCH: usize = 0;
@@ -547,8 +548,8 @@ impl Core {
                 RbWait::Mem
             }
             Instr::PSwcv { offset, .. } => {
-                let target = HartId::new(v1 & 0xffff);
                 self.harts[hart_idx].in_flight_mem += 1;
+                let target = xpar::cv_target(id, v1, env.cores)?;
                 if target.core() == self.index {
                     let addr = env.mem.banks.cv_base(target).wrapping_add(offset as u32);
                     env.mem.local_request(
@@ -571,7 +572,7 @@ impl Core {
                         },
                     );
                     env.stats.local_accesses += 1;
-                } else if target.core() == self.index + 1 && (target.core() as usize) < env.cores {
+                } else {
                     env.fabric.send(
                         self.index,
                         CoreMsg::CvWrite {
@@ -581,18 +582,11 @@ impl Core {
                             from: id,
                         },
                     );
-                } else {
-                    return Err(SimError::Protocol {
-                        hart: id,
-                        what: format!(
-                            "p_swcv to hart {target}, which is neither on this core nor the next"
-                        ),
-                    });
                 }
                 silent
             }
             Instr::PLwre { offset, .. } => {
-                let slot = offset as usize;
+                let slot = xpar::slot(offset) as usize;
                 let value = self.harts[hart_idx].recv[slot]
                     .pop_front()
                     .expect("issue gated on a full slot");
@@ -601,21 +595,12 @@ impl Core {
             Instr::PSwre { offset, .. } => {
                 // rs1 is an identity word: the receiving (prior) hart is in
                 // the upper half (`p_set` puts it there; `p_merge` keeps it).
-                let target = IdentityWord::from_bits(v1).join_hart();
-                if target.core() > self.index {
-                    return Err(SimError::Protocol {
-                        hart: id,
-                        what: format!(
-                            "p_swre to hart {target}, which follows this core: the backward \
-                             line cannot send data forward in the sequential order"
-                        ),
-                    });
-                }
+                let target = xpar::result_target(id, v1)?;
                 env.fabric.send(
                     self.index,
                     CoreMsg::Result {
                         to: target,
-                        slot: offset as u32,
+                        slot: xpar::slot(offset),
                         value: v2,
                     },
                 );
@@ -626,12 +611,7 @@ impl Core {
                 RbWait::Fork
             }
             Instr::PFn { .. } => {
-                if self.index as usize + 1 >= env.cores {
-                    return Err(SimError::Protocol {
-                        hart: id,
-                        what: "p_fn on the last core: the core line does not wrap".to_owned(),
-                    });
-                }
+                xpar::fork_next(id, env.cores)?;
                 env.fabric.send(self.index, CoreMsg::ForkReq { from: id });
                 RbWait::Fork
             }
@@ -640,51 +620,27 @@ impl Core {
                 .merge(IdentityWord::from_bits(v2))
                 .bits()),
             Instr::PSyncm => silent,
-            Instr::PJal { .. } => {
-                let target = HartId::new(v1 & 0xffff);
-                self.send_start(id, target, e.pc.wrapping_add(4), env)?;
-                self.harts[hart_idx].team_succ = Some(target);
-                alu(0) // rd is cleared
+            Instr::PJalr { rd, .. } if rd.is_zero() => {
+                // p_ret: resolved here, acted on at commit (in team order).
+                self.harts[hart_idx].pret = Some((v1, v2));
+                silent
             }
-            Instr::PJalr { rd, .. } => {
-                if rd.is_zero() {
-                    // p_ret: resolved here, acted on at commit (in team
-                    // order).
-                    self.harts[hart_idx].pret = Some((v1, v2));
-                    silent
-                } else {
-                    // Parallelized call: jump locally to rs2, start the
-                    // allocated hart (low half of rs1) at pc+4, clear rd.
-                    let target_hart = IdentityWord::from_bits(v1).allocated_hart();
-                    self.send_start(id, target_hart, e.pc.wrapping_add(4), env)?;
-                    let h = &mut self.harts[hart_idx];
-                    h.team_succ = Some(target_hart);
+            Instr::PJal { .. } | Instr::PJalr { .. } => {
+                // Parallelized call: start the allocated hart (low half of
+                // rs1) at pc+4 as the team successor and clear rd; `p_jalr`
+                // jumps locally to rs2 (`p_jal`'s target is known at rename).
+                let to = xpar::start_target(id, v1, env.cores)?;
+                let pc = e.pc.wrapping_add(4);
+                env.fabric.send(self.index, CoreMsg::Start { to, pc });
+                let h = &mut self.harts[hart_idx];
+                h.team_succ = Some(to);
+                if let Instr::PJalr { .. } = e.instr {
                     h.pc = Some(v2 & !1);
                     h.unsuspend_next(now);
-                    alu(0)
                 }
+                alu(0)
             }
         })
-    }
-
-    /// Sends a start pc to an allocated hart (same or next core).
-    fn send_start(
-        &mut self,
-        from: HartId,
-        to: HartId,
-        pc: u32,
-        env: &mut Env<'_>,
-    ) -> Result<(), SimError> {
-        if (to.core() != self.index && to.core() != self.index + 1)
-            || to.core() as usize >= env.cores
-        {
-            return Err(SimError::Protocol {
-                hart: from,
-                what: format!("start pc sent to hart {to}, which is neither local nor next-core"),
-            });
-        }
-        env.fabric.send(self.index, CoreMsg::Start { to, pc });
-        Ok(())
     }
 
     /// Routes a read request to the right port.
@@ -811,40 +767,31 @@ impl Core {
     ) -> Result<(), SimError> {
         let id = self.harts[hart_idx].id;
         self.harts[hart_idx].end_signal = false; // consumed
-        let word = IdentityWord::from_bits(t0);
-        if ra == 0 {
-            if word.is_exit_sentinel() {
-                // Type 3: process exit.
+        match Ending::of(id, ra, t0) {
+            Ending::Exit => {
                 *env.exited = true;
                 env.obs.event(env.now, id, EventKind::Exit);
-            } else if word.joins_to(id) {
-                // Type 2: keep waiting for a join.
+            }
+            Ending::AwaitJoin => {
                 self.harts[hart_idx].state = HartState::WaitingJoin;
                 self.forward_end_signal(hart_idx, env);
-            } else {
-                // Type 1: the hart ends.
+            }
+            Ending::End => {
                 self.end_hart(hart_idx, env);
                 self.forward_end_signal(hart_idx, env);
             }
-        } else {
-            // Type 4: end and send the continuation address to the join
-            // hart over the backward line. A join to the hart itself (the
-            // paper's Fig. 7: the team's last member calls the thread
-            // function with a plain `jalr` after `p_set t0`) resumes this
-            // same hart, so it waits instead of freeing.
-            let target = word.join_hart();
-            if target.core() > self.index {
-                return Err(SimError::Protocol {
-                    hart: id,
-                    what: format!("join address sent forward to hart {target}"),
-                });
-            }
-            env.fabric
-                .send(self.index, CoreMsg::Join { to: target, pc: ra });
-            if target == id {
-                self.harts[hart_idx].state = HartState::WaitingJoin;
-            } else {
-                self.end_hart(hart_idx, env);
+            Ending::Join { to } => {
+                // A join to the hart itself (the paper's Fig. 7: the
+                // team's last member calls the thread function with a
+                // plain `jalr` after `p_set t0`) resumes this same hart,
+                // so it waits instead of freeing.
+                xpar::join_target(id, to)?;
+                env.fabric.send(self.index, CoreMsg::Join { to, pc: ra });
+                if to == id {
+                    self.harts[hart_idx].state = HartState::WaitingJoin;
+                } else {
+                    self.end_hart(hart_idx, env);
+                }
             }
         }
         Ok(())

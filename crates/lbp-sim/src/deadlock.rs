@@ -23,11 +23,12 @@
 //! counter at zero and still gets the honest
 //! [`SimError::Timeout`](crate::SimError::Timeout).
 
-use lbp_isa::Instr;
+use lbp_isa::{HartId, Instr};
 
 use crate::error::BlockedHart;
 use crate::hart::{HartCtx, HartState, RbWait};
 use crate::machine::Machine;
+use crate::xpar;
 
 /// What one hart can do next, from its own state alone.
 pub(crate) enum HartProgress {
@@ -40,7 +41,9 @@ pub(crate) enum HartProgress {
 }
 
 /// The event a blocked hart waits for. Its `Display` is the description
-/// the deadlock report and the crash dump carry; keeping the text out of
+/// the deadlock report and the crash dump carry — of both engines: the
+/// functional one names its parked harts with the same variants, so a
+/// hang reads the same cold and warm. Keeping the text out of
 /// [`classify`] lets the per-cycle check answer without building strings.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Waiting {
@@ -51,11 +54,21 @@ pub(crate) enum Waiting {
     EndSignal,
     PretDrain,
     SyncmDrain,
-    RecvSlot(usize),
+    RecvSlot(u32),
     Operands,
     RenameCapacity,
     NextFetch(u32),
     NoPc,
+}
+
+impl Waiting {
+    /// The deadlock report's line for `hart`.
+    pub(crate) fn for_hart(self, hart: HartId) -> BlockedHart {
+        BlockedHart {
+            hart,
+            waiting_on: self.to_string(),
+        }
+    }
 }
 
 impl std::fmt::Display for Waiting {
@@ -138,8 +151,8 @@ pub(crate) fn classify(h: &HartCtx) -> HartProgress {
         // classic "the producer never sent my result" deadlock.
         for seq in h.waiting_seqs() {
             if let Instr::PLwre { offset, .. } = h.slot(seq).instr {
-                let slot = offset as usize;
-                if h.recv.get(slot).is_none_or(|q| q.is_empty()) {
+                let slot = xpar::slot(offset);
+                if h.recv.get(slot as usize).is_none_or(|q| q.is_empty()) {
                     return Blocked(Waiting::RecvSlot(slot));
                 }
             }
@@ -195,10 +208,7 @@ pub(crate) fn check(m: &Machine) -> Option<Vec<BlockedHart>> {
         return None;
     }
     let blocked = harts().filter_map(|h| match classify(h) {
-        HartProgress::Blocked(waiting) => Some(BlockedHart {
-            hart: h.id,
-            waiting_on: waiting.to_string(),
-        }),
+        HartProgress::Blocked(waiting) => Some(waiting.for_hart(h.id)),
         HartProgress::Inert | HartProgress::Ready => None,
     });
     Some(blocked.collect())

@@ -19,7 +19,10 @@
 //! shares with the pipeline is what the two must agree on by definition:
 //! the decoder, the code bank (one predecoded entry per word) and the bank
 //! store with its address map and fault checks (`bank.rs`), so an access
-//! that is undefined is the same error on both. What it keeps to itself
+//! that is undefined is the same error on both; the X_PAR rulebook
+//! (`xpar.rs`: every fork/join legality rule and the `p_ret` ending
+//! decision), so a protocol violation is too; and the deadlock wording
+//! (`deadlock::Waiting`), so a hang reads the same. What it keeps to itself
 //! is what a reference is for: its own arithmetic, branch comparisons,
 //! load extension and store truncation, its own schedule and its own
 //! rendezvous delivery, so a wrong result in either engine shows up as a
@@ -49,8 +52,10 @@ use lbp_isa::{
 
 use crate::bank::{Banks, CodeBank, Route, Routed};
 use crate::config::LbpConfig;
+use crate::deadlock::Waiting;
 use crate::error::{BlockedHart, SimError};
 use crate::hart::HartState;
+use crate::xpar::{self, Ending};
 
 /// Why a functional hart cannot execute its next instruction right now.
 /// Parked harts leave the scheduler's runnable set; the delivery that
@@ -66,7 +71,7 @@ enum FWait {
     EndSignal,
     /// A `p_lwre` waiting for data in a receive slot (an out-of-range
     /// slot waits forever, like the cycle-exact issue gate).
-    Result { slot: usize },
+    Result { slot: u32 },
     /// Parked just before the program's exit `p_ret` (never executed
     /// functionally).
     AtExit,
@@ -460,50 +465,15 @@ impl FastEngine {
         }
     }
 
-    fn deliver_start(&mut self, to: HartId, pc: u32) -> Result<(), SimError> {
+    /// Starts the hart allocated in identity word `rs1` at `pc` as the
+    /// team successor of `hi`.
+    fn start_member(&mut self, hi: usize, rs1: u32, pc: u32) -> Result<(), SimError> {
+        let to = xpar::start_target(self.id(hi), rs1, self.cfg.cores)?;
         let h = &mut self.harts[to.global() as usize];
-        if h.state != HartState::Reserved {
-            return Err(SimError::Protocol {
-                hart: to,
-                what: format!(
-                    "start pc {pc:#x} delivered to a hart in state {:?}",
-                    h.state
-                ),
-            });
-        }
-        h.state = HartState::Running;
+        xpar::resume(to, &mut h.state, HartState::Reserved, pc)?;
         h.pc = pc;
+        self.harts[hi].team_succ = Some(to);
         self.sched_dirty = true;
-        Ok(())
-    }
-
-    fn deliver_join(&mut self, to: HartId, pc: u32) -> Result<(), SimError> {
-        let h = &mut self.harts[to.global() as usize];
-        if h.state != HartState::WaitingJoin {
-            return Err(SimError::Protocol {
-                hart: to,
-                what: format!(
-                    "join address {pc:#x} delivered to a hart in state {:?}",
-                    h.state
-                ),
-            });
-        }
-        h.state = HartState::Running;
-        h.pc = pc;
-        h.end_signal = true; // everything sequentially prior committed
-        self.joins += 1;
-        self.sched_dirty = true;
-        Ok(())
-    }
-
-    fn validate_start_target(&self, from: HartId, to: HartId) -> Result<(), SimError> {
-        let c = from.core();
-        if (to.core() != c && to.core() != c + 1) || to.core() as usize >= self.cfg.cores {
-            return Err(SimError::Protocol {
-                hart: from,
-                what: format!("start pc sent to hart {to}, which is neither local nor next-core"),
-            });
-        }
         Ok(())
     }
 
@@ -709,108 +679,61 @@ impl FastEngine {
                 self.set(hi, rd, v);
             }
             Instr::PSwcv { rs1, rs2, offset } => {
-                let target = HartId::new(self.get(hi, rs1) & 0xffff);
+                let target = xpar::cv_target(id, self.get(hi, rs1), self.cfg.cores)?;
                 let value = self.get(hi, rs2);
                 let addr = self.cfg.cv_base(target).wrapping_add(offset as u32);
                 if target.core() as usize == core {
                     self.mem_store(hi, addr, value, 4)?;
-                } else if target.core() as usize == core + 1
-                    && (target.core() as usize) < self.cfg.cores
-                {
+                } else {
                     // Forward-link CvWrite: delivered immediately, never
                     // counted as a bank access of the sender.
                     let at = self.banks.route(addr, target)?;
                     self.write_bytes(target.core(), at, value, 4)?;
-                } else {
-                    return Err(SimError::Protocol {
-                        hart: id,
-                        what: format!(
-                            "p_swcv to hart {target}, which is neither on this core nor the next"
-                        ),
-                    });
                 }
             }
             Instr::PLwre { rd, offset } => {
-                let slot = offset as usize;
-                match self.harts[hi].recv.get_mut(slot) {
-                    Some(q) if !q.is_empty() => {
-                        let v = q.pop_front().expect("checked non-empty");
-                        self.set(hi, rd, v);
-                    }
-                    // Empty or out-of-range slot: issue-gated, blocks with
-                    // no side effects (out-of-range blocks forever, like
-                    // the cycle-exact machine).
-                    _ => {
-                        self.harts[hi].wait = FWait::Result { slot };
-                        self.sched_dirty = true;
-                        return Ok(false);
-                    }
-                }
+                let slot = xpar::slot(offset);
+                let queue = self.harts[hi].recv.get_mut(slot as usize);
+                // Empty or out-of-range slot: issue-gated, blocks with no
+                // side effects (out-of-range blocks forever, like the
+                // cycle-exact machine).
+                let Some(v) = queue.and_then(VecDeque::pop_front) else {
+                    self.harts[hi].wait = FWait::Result { slot };
+                    self.sched_dirty = true;
+                    return Ok(false);
+                };
+                self.set(hi, rd, v);
             }
             Instr::PSwre { rs1, rs2, offset } => {
-                let target = IdentityWord::from_bits(self.get(hi, rs1)).join_hart();
-                if target.core() > core as u32 {
-                    return Err(SimError::Protocol {
-                        hart: id,
-                        what: format!(
-                            "p_swre to hart {target}, which follows this core: the backward \
-                             line cannot send data forward in the sequential order"
-                        ),
-                    });
-                }
+                let target = xpar::result_target(id, self.get(hi, rs1))?;
                 let value = self.get(hi, rs2);
-                let slot = offset as u32;
+                let slot = xpar::slot(offset);
                 let tg = target.global() as usize;
-                let q = self.harts[tg].recv.get_mut(slot as usize).ok_or_else(|| {
-                    SimError::Protocol {
-                        hart: target,
-                        what: format!("p_swre to out-of-range result slot {slot}"),
-                    }
-                })?;
-                q.push_back(value);
-                if self.harts[tg].wait
-                    == (FWait::Result {
-                        slot: slot as usize,
-                    })
-                {
+                xpar::result_slot(&mut self.harts[tg].recv, target, slot)?.push_back(value);
+                if self.harts[tg].wait == (FWait::Result { slot }) {
                     self.harts[tg].wait = FWait::Ready;
                     self.sched_dirty = true;
                 }
             }
-            Instr::PFc { rd } => {
-                self.alloc_q[core].push_back(id);
+            Instr::PFc { rd } | Instr::PFn { rd } => {
+                let at = match instr {
+                    Instr::PFn { .. } => xpar::fork_next(id, self.cfg.cores)? as usize,
+                    _ => core,
+                };
+                self.alloc_q[at].push_back(id);
                 self.harts[hi].wait = FWait::Fork { rd };
-                self.try_alloc(core);
+                self.try_alloc(at);
                 return Ok(true); // progress: the request is queued
             }
-            Instr::PFn { rd } => {
-                if core + 1 >= self.cfg.cores {
-                    return Err(SimError::Protocol {
-                        hart: id,
-                        what: "p_fn on the last core: the core line does not wrap".to_owned(),
-                    });
-                }
-                self.alloc_q[core + 1].push_back(id);
-                self.harts[hi].wait = FWait::Fork { rd };
-                self.try_alloc(core + 1);
-                return Ok(true);
-            }
             Instr::PJal { rd, rs1, offset } => {
-                let target = HartId::new(self.get(hi, rs1) & 0xffff);
-                self.validate_start_target(id, target)?;
-                self.deliver_start(target, pc.wrapping_add(4))?;
-                self.harts[hi].team_succ = Some(target);
+                self.start_member(hi, self.get(hi, rs1), pc.wrapping_add(4))?;
                 self.set(hi, rd, 0);
                 next = pc.wrapping_add(offset as u32);
             }
             Instr::PJalr { rd, rs1, rs2 } if !rd.is_zero() => {
-                let (a, b) = (self.get(hi, rs1), self.get(hi, rs2));
-                let target = IdentityWord::from_bits(a).allocated_hart();
-                self.validate_start_target(id, target)?;
-                self.deliver_start(target, pc.wrapping_add(4))?;
-                self.harts[hi].team_succ = Some(target);
+                self.start_member(hi, self.get(hi, rs1), pc.wrapping_add(4))?;
+                next = self.get(hi, rs2) & !1;
                 self.set(hi, rd, 0);
-                next = b & !1;
             }
             // `p_ret`.
             Instr::PJalr { rs1, rs2, .. } => {
@@ -820,9 +743,9 @@ impl FastEngine {
                     self.sched_dirty = true;
                     return Ok(false);
                 }
-                let (a, b) = (self.get(hi, rs1), self.get(hi, rs2));
-                let word = IdentityWord::from_bits(b);
-                if a == 0 && word.is_exit_sentinel() {
+                let ra = self.get(hi, rs1);
+                let ending = Ending::of(id, ra, self.get(hi, rs2));
+                if ending == Ending::Exit {
                     // The exit boundary: park *before* the exit p_ret so
                     // the cycle-exact engine retires it.
                     self.at_exit = true;
@@ -832,32 +755,30 @@ impl FastEngine {
                 }
                 self.harts[hi].end_signal = false; // consumed
                 self.retire(hi, pc);
-                if a == 0 {
-                    if word.joins_to(id) {
-                        // Type 2: wait for a join address.
+                match ending {
+                    Ending::Exit => unreachable!("parked above"),
+                    Ending::AwaitJoin => {
                         self.harts[hi].state = HartState::WaitingJoin;
                         self.forward_end_signal(hi);
-                    } else {
-                        // Type 1: the hart ends.
+                    }
+                    Ending::End => {
                         self.forward_end_signal(hi);
                         self.end_hart(hi);
                     }
-                } else {
-                    // Type 4: send the continuation backward, then end
-                    // (or wait, on a self-join). No end-signal forward.
-                    let target = word.join_hart();
-                    if target.core() > core as u32 {
-                        return Err(SimError::Protocol {
-                            hart: id,
-                            what: format!("join address sent forward to hart {target}"),
-                        });
-                    }
-                    if target == id {
-                        self.harts[hi].state = HartState::WaitingJoin;
-                        self.deliver_join(target, a)?;
-                    } else {
-                        self.end_hart(hi);
-                        self.deliver_join(target, a)?;
+                    // No end-signal forward: the join carries it.
+                    Ending::Join { to } => {
+                        xpar::join_target(id, to)?;
+                        if to == id {
+                            self.harts[hi].state = HartState::WaitingJoin;
+                        } else {
+                            self.end_hart(hi);
+                        }
+                        let h = &mut self.harts[to.global() as usize];
+                        xpar::resume(to, &mut h.state, HartState::WaitingJoin, ra)?;
+                        h.pc = ra;
+                        h.end_signal = true; // everything sequentially prior committed
+                        self.joins += 1;
+                        self.sched_dirty = true;
                     }
                 }
                 return Ok(true);
@@ -868,39 +789,21 @@ impl FastEngine {
         Ok(true)
     }
 
-    /// Describes every blocked hart (functional deadlock diagnostics).
+    /// Every blocked hart, in the cycle-exact detector's words.
     fn blocked_report(&self) -> Vec<BlockedHart> {
-        let mut blocked = Vec::new();
-        for hi in 0..self.harts.len() {
-            let h = &self.harts[hi];
-            let reason = match (h.state, h.wait) {
-                (HartState::Free, _) => continue,
-                (_, FWait::Fork { .. }) => {
-                    format!("a free hart on core {} (fork pending)", {
-                        // The request sits in whichever queue holds it.
-                        self.alloc_q
-                            .iter()
-                            .position(|q| q.contains(&self.id(hi)))
-                            .unwrap_or(hi / HARTS_PER_CORE)
-                    })
-                }
-                (HartState::Reserved, _) => "its start pc (p_jal/p_jalr)".to_owned(),
-                (HartState::WaitingJoin, _) => "a join address (p_ret)".to_owned(),
-                (_, FWait::EndSignal) => "the ending-hart signal (p_ret)".to_owned(),
-                (_, FWait::Result { slot }) => {
-                    format!("data in result slot {slot} (p_lwre)")
-                }
-                (_, FWait::AtExit) => continue, // parked at the exit, not stuck
-                (HartState::Running, FWait::Ready) => {
-                    "an event that can no longer happen".to_owned()
-                }
-            };
-            blocked.push(BlockedHart {
-                hart: self.id(hi),
-                waiting_on: reason,
-            });
-        }
-        blocked
+        let waiting = |h: &FHart| match (h.state, h.wait) {
+            // Free, runnable or parked at the exit: not stuck.
+            (HartState::Free, _) | (_, FWait::AtExit) | (HartState::Running, FWait::Ready) => None,
+            (_, FWait::Fork { .. }) => Some(Waiting::ForkAllocation),
+            (HartState::Reserved, _) => Some(Waiting::StartPc),
+            (HartState::WaitingJoin, _) => Some(Waiting::JoinAddress),
+            (_, FWait::EndSignal) => Some(Waiting::EndSignal),
+            (_, FWait::Result { slot }) => Some(Waiting::RecvSlot(slot)),
+        };
+        let harts = self.harts.iter().enumerate();
+        harts
+            .filter_map(|(hi, h)| Some(waiting(h)?.for_hart(self.id(hi))))
+            .collect()
     }
 
     /// Runs the engine until `stop` is met (then drains pending fork
@@ -1229,7 +1132,7 @@ mod tests {
         match err {
             SimError::Deadlock { blocked, .. } => {
                 assert_eq!(blocked.len(), 1);
-                assert!(blocked[0].waiting_on.contains("result slot"));
+                assert!(blocked[0].waiting_on.contains("result in slot 3"));
             }
             other => panic!("expected deadlock, got {other}"),
         }

@@ -12,6 +12,7 @@ use crate::index_set::members;
 use crate::snapshot::{
     get_hart, get_instr, put_hart, put_instr, SnapError, SnapReader, SnapWriter,
 };
+use crate::xpar;
 
 /// Index into a hart's renaming (physical) register file, which has at
 /// most 64 registers: one bit each in a `u64`.
@@ -459,7 +460,7 @@ impl HartCtx {
                 && match e.instr {
                     Instr::PLwre { offset, .. } => self
                         .recv
-                        .get(offset as usize)
+                        .get(xpar::slot(offset) as usize)
                         .is_some_and(|q| !q.is_empty()),
                     _ => true,
                 }

@@ -88,6 +88,7 @@ mod race;
 mod snapshot;
 mod stats;
 mod trace;
+mod xpar;
 
 pub use bank::MemFault;
 pub use config::{Latencies, LbpConfig, CV_FRAME_BYTES};

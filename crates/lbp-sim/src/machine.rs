@@ -22,6 +22,7 @@ use crate::race::{RaceData, RaceWitness};
 use crate::snapshot::{MachineState, SnapError, SnapReader, SnapWriter};
 use crate::stats::{CoreStalls, IntervalSample, StallKind, Stats};
 use crate::trace::{EventKind, Trace, TraceSink};
+use crate::xpar;
 
 /// The result of a completed run.
 #[derive(Debug, Clone)]
@@ -893,16 +894,7 @@ impl Machine {
             CoreMsg::Start { to, pc } => {
                 self.obs.rendezvous(to);
                 let h = self.hart_mut(to);
-                if h.state != HartState::Reserved {
-                    return Err(SimError::Protocol {
-                        hart: to,
-                        what: format!(
-                            "start pc {pc:#x} delivered to a hart in state {:?}",
-                            h.state
-                        ),
-                    });
-                }
-                h.state = HartState::Running;
+                xpar::resume(to, &mut h.state, HartState::Reserved, pc)?;
                 h.pc = Some(pc);
                 h.unsuspend_now();
                 self.obs.event(now, to, EventKind::Start { pc });
@@ -926,16 +918,7 @@ impl Machine {
             CoreMsg::Join { to, pc } => {
                 self.obs.rendezvous(to);
                 let h = self.hart_mut(to);
-                if h.state != HartState::WaitingJoin {
-                    return Err(SimError::Protocol {
-                        hart: to,
-                        what: format!(
-                            "join address {pc:#x} delivered to a hart in state {:?}",
-                            h.state
-                        ),
-                    });
-                }
-                h.state = HartState::Running;
+                xpar::resume(to, &mut h.state, HartState::WaitingJoin, pc)?;
                 h.pc = Some(pc);
                 h.unsuspend_now();
                 h.end_signal = true; // everything sequentially prior committed
@@ -943,15 +926,7 @@ impl Machine {
                 self.obs.event(now, to, EventKind::Join { pc });
             }
             CoreMsg::Result { to, slot, value } => {
-                let h = self.hart_mut(to);
-                let slot_q = h
-                    .recv
-                    .get_mut(slot as usize)
-                    .ok_or_else(|| SimError::Protocol {
-                        hart: to,
-                        what: format!("p_swre to out-of-range result slot {slot}"),
-                    })?;
-                slot_q.push_back(value);
+                xpar::result_slot(&mut self.hart_mut(to).recv, to, slot)?.push_back(value);
                 self.obs
                     .event(now, to, EventKind::ResultDelivered { slot, value });
             }

@@ -362,17 +362,21 @@ loop:
 // Undefined accesses: one verdict, whichever engine meets them
 // ---------------------------------------------------------------------------
 
-/// Runs a one-instruction faulting program on both engines and returns
-/// what stopped the cycle-exact machine and what stopped the functional
+/// Runs `body` and the exit idiom on both engines and returns what
+/// stopped the cycle-exact machine and what stopped the functional
 /// engine.
-fn fault_on_both_engines(op: &str, addr: u32) -> (SimError, SimError) {
-    let src = format!("main:\n    li t1, {addr:#x}\n    {op} a0, 0(t1)\n    {EXIT}");
-    let image = assemble(&src).unwrap();
-    let cfg = LbpConfig::cores(1);
+fn stop_on_both_engines(cores: usize, body: &str) -> (SimError, SimError) {
+    let image = assemble(&format!("main:\n    {body}\n    {EXIT}")).unwrap();
+    let cfg = LbpConfig::cores(cores);
     let exact = Machine::new(cfg.clone(), &image).unwrap().run(10_000);
     let mut fast = FastEngine::new(cfg, &image).unwrap();
     let functional = fast.run(FastStop::Exit, 10_000);
     (exact.unwrap_err(), functional.unwrap_err())
+}
+
+/// A one-instruction faulting program on both engines.
+fn fault_on_both_engines(op: &str, addr: u32) -> (SimError, SimError) {
+    stop_on_both_engines(1, &format!("li t1, {addr:#x}\n    {op} a0, 0(t1)"))
 }
 
 #[test]
@@ -418,6 +422,74 @@ fn a_faulting_access_is_the_same_error_on_both_engines() {
                 if *h == hart && what.contains("functional mode cannot access I/O devices")),
             "{op}: {functional}"
         );
+    }
+}
+
+#[test]
+fn a_protocol_violation_is_the_same_error_on_both_engines() {
+    let protocol = |hart, what: &str| SimError::Protocol {
+        hart,
+        what: what.to_owned(),
+    };
+    let (c0h0, c0h1) = (HartId::FIRST, HartId::from_parts(0, 1));
+    // One row per rule of the X_PAR rulebook: the cores, the program
+    // before the exit idiom, and the verdict.
+    let table = [
+        (
+            1,
+            "p_fn t6",
+            protocol(c0h0, "p_fn on the last core: the core line does not wrap"),
+        ),
+        (
+            3,
+            "li t1, 8\n    p_jal ra, t1, main",
+            protocol(
+                c0h0,
+                "start pc sent to hart c2h0, which is neither local nor next-core",
+            ),
+        ),
+        (
+            3,
+            "li t1, 8\n    p_swcv a0, t1, 0",
+            protocol(
+                c0h0,
+                "p_swcv to hart c2h0, which is neither on this core nor the next",
+            ),
+        ),
+        (
+            2,
+            "li t1, 0x40000\n    p_swre a0, t1, 0",
+            protocol(
+                c0h0,
+                "p_swre to hart c1h0, which follows this core: the backward line cannot \
+                 send data forward in the sequential order",
+            ),
+        ),
+        (
+            2,
+            "li t0, 0x40000\n    li ra, 0x40\n    p_ret",
+            protocol(c0h0, "join address sent forward to hart c1h0"),
+        ),
+        (
+            1,
+            "li t1, 1\n    p_jal ra, t1, main",
+            protocol(c0h1, "start pc 0x8 delivered to a hart in state Free"),
+        ),
+        (
+            1,
+            "li t0, 0x10000\n    li ra, 0x40\n    p_ret",
+            protocol(c0h1, "join address 0x40 delivered to a hart in state Free"),
+        ),
+        (
+            1,
+            "li t1, 0\n    p_swre a0, t1, -1",
+            protocol(c0h0, "p_swre to out-of-range result slot 4294967295"),
+        ),
+    ];
+    for (cores, body, expected) in table {
+        let (exact, functional) = stop_on_both_engines(cores, body);
+        assert_eq!(exact, expected, "{body:?}, cycle-exact");
+        assert_eq!(functional, expected, "{body:?}, functional");
     }
 }
 

@@ -127,6 +127,51 @@ fn exit_5_deadlock() {
     );
 }
 
+/// The blocked harts of a deadlocked run, without the cycle (which is
+/// each engine's own).
+fn blocked_harts(cmd: &mut Command) -> String {
+    let out = cmd.output().expect("lbp-run spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(class_of(out.status), ExitClass::Deadlock, "{stderr}");
+    let (_, harts) = stderr.split_once("blocked: ").expect("names the harts");
+    harts.trim_end().to_owned()
+}
+
+#[test]
+fn a_hang_reads_the_same_cold_and_warm() {
+    let exit = "  li t0, -1\n  li ra, 0\n  p_ret\n";
+    let programs = [
+        example("hung.s"),
+        scratch("slot-minus-1.s", &format!("main:\n  p_lwre a0, -1\n{exit}")),
+        // The team's first member waits in its p_ret for a join address
+        // the second one ends without sending.
+        scratch(
+            "join-never-sent.s",
+            "main:\n  p_set t0\n  p_fc t6\n  p_jal ra, t6, wait\n  p_ret\n\
+             wait:\n  li ra, 0\n  p_ret\n",
+        ),
+        scratch(
+            "core-busy.s",
+            &format!("main:\n  p_fc t1\n  p_fc t2\n  p_fc t3\n  p_fc t4\n{exit}"),
+        ),
+    ];
+    let mut texts = Vec::new();
+    for p in &programs {
+        let run = || {
+            let mut cmd = lbp_run();
+            cmd.arg(p).args(["--cores", "1"]);
+            cmd
+        };
+        let cold = blocked_harts(&mut run());
+        let warm = blocked_harts(run().args(["--warm", "1000000"]));
+        assert!(cold.contains("waiting for"), "{cold}");
+        assert_eq!(cold, warm, "{}", p.display());
+        texts.push(cold);
+    }
+    // A slot of -1 reads as the `p_swre` error renders it.
+    assert!(texts[1].contains("slot 4294967295 "), "{}", texts[1]);
+}
+
 #[test]
 fn exit_6_protocol_violation() {
     // p_fn on the last core: the forward line does not wrap.

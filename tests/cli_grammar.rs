@@ -444,6 +444,7 @@ fn lbp_run_on_an_li_operand_nested_100_000_deep_is_a_positioned_failure() {
 /// 0x100000000` truncated to `Align(0)` and divided by it (exit 101), a
 /// `.space` of 2 GB was allocated word by word (exit 134 under a memory
 /// limit) and a line of 200,000 labels recursed once a label (exit 134).
+/// An immediate past 32 bits lost its high half and ran (exit 0).
 #[test]
 fn lbp_run_on_sizes_past_the_machine_is_a_positioned_failure_not_an_abort() {
     let exit = "  li t0, -1\n  li ra, 0\n  p_ret\n";
@@ -452,6 +453,10 @@ fn lbp_run_on_sizes_past_the_machine_is_a_positioned_failure_not_an_abort() {
         (".space 0x7ffffff0", "section overflow"),
         (".data\n.space 0x7ffffff0", "section overflow"),
         (".align 0x80000000", "section overflow"),
+        (
+            "addi a0, a0, 4294967297",
+            "operand value 4294967297 exceeds 32 bits",
+        ),
     ];
     for (i, (directive, what)) in rows.iter().enumerate() {
         let src = format!("main:\n{exit}{directive}\n");
