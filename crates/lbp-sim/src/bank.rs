@@ -264,18 +264,21 @@ impl Banks {
 
     /// The last two checks of an access — alignment, then the bank's
     /// bounds — and the bank and byte it starts at. `core` is the
-    /// accessing core, whose local bank a local access means.
+    /// accessing core, whose local bank a local access means. An I/O
+    /// address has no bank: it is unmapped, aligned or not, as the
+    /// machine's bus finds it with no device there.
     #[inline]
     fn slot(&self, core: u32, at: Routed, size: u8) -> Result<(usize, usize), MemFault> {
         let (addr, hart) = (at.addr, at.hart);
-        if !addr.is_multiple_of(size as u32) {
-            return Err(MemFault::Unaligned { addr, size, hart });
-        }
+        debug_assert!(matches!(size, 1 | 2 | 4), "a {size}-byte access");
         let bank = match at.to {
             Route::Local => core as usize,
             Route::Shared { bank } => self.cores + bank as usize,
             Route::Io => return Err(MemFault::Unmapped { addr, hart }),
         };
+        if addr & (size as u32 - 1) != 0 {
+            return Err(MemFault::Unaligned { addr, size, hart });
+        }
         if at.off as usize + size as usize > self.banks[bank].len() {
             return Err(MemFault::Unmapped { addr, hart });
         }

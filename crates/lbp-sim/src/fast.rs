@@ -36,25 +36,30 @@
 //! runs at full fidelity. See `DESIGN.md` for the functional-mode
 //! semantics contract and its precision boundaries.
 //!
+//! Execution is one dispatch per instruction: the code bank keeps a
+//! one-byte opcode beside each predecoded instruction, one per mnemonic,
+//! and `step` is one `match` on it. Round-robin over hundreds of harts
+//! puts a different pc behind every dispatch, so each extra level (the
+//! `Instr` variant, then its kind) would be one more mispredicted jump
+//! per instruction.
+//!
 //! What is deliberately **not** modeled: cycles, stalls, bank conflicts,
 //! link hops and contention (all zero in the produced statistics), fault
 //! injection (the warm phase must be fault-free; [`FastEngine::materialize`]
-//! enforces it), and I/O devices (whose replies are cycle-dependent —
-//! accessing the I/O region functionally is an error).
+//! enforces it), and I/O devices (whose replies are cycle-dependent). The
+//! engine has none, so an I/O access faults as it does on a machine with
+//! no device there: an unmapped address.
 
 use std::collections::VecDeque;
 
 use lbp_asm::Image;
-use lbp_isa::{
-    BranchKind, HartId, IdentityWord, Instr, LoadKind, OpImmKind, OpKind, Reg, StoreKind,
-    HARTS_PER_CORE,
-};
+use lbp_isa::{HartId, IdentityWord, Instr, Reg, HARTS_PER_CORE};
 
 use crate::bank::{Banks, CodeBank, Route, Routed};
 use crate::config::LbpConfig;
 use crate::deadlock::Waiting;
 use crate::error::{BlockedHart, SimError};
-use crate::hart::HartState;
+use crate::hart::{HartState, Op};
 use crate::xpar::{self, Ending};
 
 /// Why a functional hart cannot execute its next instruction right now.
@@ -361,16 +366,21 @@ impl FastEngine {
         HartId::new(hi as u32)
     }
 
+    /// The register of hart `hi`. A `Reg` is below 32: the mask says so
+    /// to the compiler, which then checks no bounds.
+    #[inline(always)]
     fn get(&self, hi: usize, r: Reg) -> u32 {
-        self.harts[hi].regs[r.index()]
+        self.harts[hi].regs[r.index() & 31]
     }
 
+    #[inline(always)]
     fn set(&mut self, hi: usize, rd: Reg, value: u32) {
         if !rd.is_zero() {
-            self.harts[hi].regs[rd.index()] = value;
+            self.harts[hi].regs[rd.index() & 31] = value;
         }
     }
 
+    #[inline(always)]
     fn retire(&mut self, hi: usize, pc: u32) {
         self.retired_per_hart[hi] += 1;
         self.total_retired += 1;
@@ -479,219 +489,273 @@ impl FastEngine {
 
     /// Routes a data access of hart `hi` with the machine's own routing
     /// function and counts it like the cycle-exact router would (local vs
-    /// remote). Devices answer in cycles, which this engine has none of.
-    /// Part of every load and store: left out of line it hands its
-    /// `Result` back through memory.
+    /// remote). An I/O address goes on to the bank store, which answers
+    /// what the machine's bus answers with no device behind it. Part of
+    /// every load and store: left out of line it hands its `Result` back
+    /// through memory.
     #[inline(always)]
-    fn route(&mut self, hi: usize, addr: u32, what: &str) -> Result<Routed, SimError> {
-        let hart = self.id(hi);
-        let at = self.banks.route(addr, hart)?;
+    fn route(&mut self, hi: usize, addr: u32) -> Result<Routed, SimError> {
+        let at = self.banks.route(addr, self.id(hi))?;
         match at.to {
-            Route::Io => return Err(io_refusal(hart, addr, what)),
             Route::Shared { bank } if bank as usize != hi / HARTS_PER_CORE => {
                 self.remote_accesses += 1;
             }
             Route::Local | Route::Shared { .. } => self.local_accesses += 1,
+            Route::Io => {}
         }
         Ok(at)
     }
 
     /// Loads `size` bytes for `hi`, zero-extended.
+    #[inline(always)]
     fn mem_load(&mut self, hi: usize, addr: u32, size: u8) -> Result<u32, SimError> {
-        let at = self.route(hi, addr, "load")?;
-        let bytes = self.banks.span((hi / HARTS_PER_CORE) as u32, at, size)?;
-        let mut raw = 0u32;
-        for (i, b) in bytes.iter().enumerate() {
-            raw |= (*b as u32) << (8 * i);
-        }
-        Ok(raw)
+        let at = self.route(hi, addr)?;
+        let b = self.banks.span((hi / HARTS_PER_CORE) as u32, at, size)?;
+        Ok(match size {
+            1 => b[0] as u32,
+            2 => u16::from_le_bytes([b[0], b[1]]) as u32,
+            _ => u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+        })
     }
 
     /// Stores the low `size` bytes of `value` for `hi`.
+    #[inline(always)]
     fn mem_store(&mut self, hi: usize, addr: u32, value: u32, size: u8) -> Result<(), SimError> {
-        let at = self.route(hi, addr, "store")?;
+        let at = self.route(hi, addr)?;
         self.write_bytes((hi / HARTS_PER_CORE) as u32, at, value, size)
     }
 
     /// Writes the low `size` bytes of `value` through `core`, uncounted.
+    #[inline(always)]
     fn write_bytes(&mut self, core: u32, at: Routed, value: u32, size: u8) -> Result<(), SimError> {
-        let bytes = self.banks.span_mut(core, at, size)?;
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = (value >> (8 * i)) as u8;
+        let b = self.banks.span_mut(core, at, size)?;
+        match size {
+            1 => b[0] = value as u8,
+            2 => b.copy_from_slice(&(value as u16).to_le_bytes()),
+            _ => b.copy_from_slice(&value.to_le_bytes()),
         }
         Ok(())
+    }
+
+    /// `rd = f(rs1, rs2)` of a register-register instruction.
+    #[inline(always)]
+    fn op(&mut self, hi: usize, i: Instr, f: impl FnOnce(u32, u32) -> u32) {
+        let Instr::Op { rd, rs1, rs2, .. } = i else {
+            unreachable!()
+        };
+        let v = f(self.get(hi, rs1), self.get(hi, rs2));
+        self.set(hi, rd, v);
+    }
+
+    /// [`FastEngine::op`] for the RV32M operations, counted.
+    #[inline(always)]
+    fn muldiv(&mut self, hi: usize, i: Instr, f: impl FnOnce(u32, u32) -> u32) {
+        self.muldiv_ops += 1;
+        self.op(hi, i, f);
+    }
+
+    /// `rd = f(rs1, imm)` of a register-immediate instruction.
+    #[inline(always)]
+    fn op_imm(&mut self, hi: usize, i: Instr, f: impl FnOnce(u32, i32) -> u32) {
+        let Instr::OpImm { rd, rs1, imm, .. } = i else {
+            unreachable!()
+        };
+        let v = f(self.get(hi, rs1), imm);
+        self.set(hi, rd, v);
+    }
+
+    /// The next pc of a conditional branch at `pc` that is taken when
+    /// `taken(rs1, rs2)`.
+    #[inline(always)]
+    fn branch(&self, hi: usize, i: Instr, pc: u32, taken: impl FnOnce(u32, u32) -> bool) -> u32 {
+        let Instr::Branch {
+            rs1, rs2, offset, ..
+        } = i
+        else {
+            unreachable!()
+        };
+        if taken(self.get(hi, rs1), self.get(hi, rs2)) {
+            pc.wrapping_add(offset as u32)
+        } else {
+            pc.wrapping_add(4)
+        }
+    }
+
+    /// `rd = extend(the size bytes at rs1 + offset)`.
+    #[inline(always)]
+    fn load(
+        &mut self,
+        hi: usize,
+        i: Instr,
+        size: u8,
+        extend: impl FnOnce(u32) -> u32,
+    ) -> Result<(), SimError> {
+        let Instr::Load {
+            rd, rs1, offset, ..
+        } = i
+        else {
+            unreachable!()
+        };
+        let addr = self.get(hi, rs1).wrapping_add(offset as u32);
+        let raw = self.mem_load(hi, addr, size)?;
+        self.set(hi, rd, extend(raw));
+        Ok(())
+    }
+
+    /// The low `size` bytes of rs2 to rs1 + offset.
+    #[inline(always)]
+    fn store(&mut self, hi: usize, i: Instr, size: u8) -> Result<(), SimError> {
+        let Instr::Store {
+            rs1, rs2, offset, ..
+        } = i
+        else {
+            unreachable!()
+        };
+        let addr = self.get(hi, rs1).wrapping_add(offset as u32);
+        self.mem_store(hi, addr, self.get(hi, rs2), size)
     }
 
     /// Executes one instruction of hart `hi` (which must be runnable).
     /// Returns whether the hart made progress; `Ok(false)` means it
     /// blocked with zero side effects (or parked at the exit `p_ret`).
     ///
+    /// One `match` on the code-bank entry's opcode byte, one arm per
+    /// mnemonic, so one indirect jump per instruction: round-robin over
+    /// hundreds of harts puts a different pc behind every jump, and each
+    /// further level of dispatch (the `Instr` variant, then its kind)
+    /// would be one more misprediction per instruction.
+    ///
     /// The arithmetic, comparisons, extension and truncation below are
     /// this engine's own on purpose — it is the reference the pipeline's
-    /// `OpKind::eval`/`BranchKind::taken` are compared against.
+    /// `OpKind::eval`/`BranchKind::taken` are compared against. The
+    /// longer X_PAR arms are helpers of their own for reading's sake; they
+    /// inline all the same, since one that does not hands its `Result`
+    /// back through memory on every instruction's path.
+    #[inline(always)]
     fn step(&mut self, hi: usize) -> Result<bool, SimError> {
-        let id = self.id(hi);
-        let core = hi / HARTS_PER_CORE;
         let pc = self.harts[hi].pc;
-        let instr = self.code.fetch(pc, id)?.instr;
+        let d = *self.code.fetch(pc, self.id(hi))?;
+        let i = d.instr;
         let mut next = pc.wrapping_add(4);
-        match instr {
-            Instr::Lui { rd, imm } => self.set(hi, rd, imm),
-            Instr::Auipc { rd, imm } => self.set(hi, rd, pc.wrapping_add(imm)),
-            Instr::Jal { rd, offset } => {
+        match d.op {
+            Op::Lui => {
+                let Instr::Lui { rd, imm } = i else {
+                    unreachable!()
+                };
+                self.set(hi, rd, imm);
+            }
+            Op::Auipc => {
+                let Instr::Auipc { rd, imm } = i else {
+                    unreachable!()
+                };
+                self.set(hi, rd, pc.wrapping_add(imm));
+            }
+            Op::Jal => {
+                let Instr::Jal { rd, offset } = i else {
+                    unreachable!()
+                };
                 self.set(hi, rd, pc.wrapping_add(4));
                 next = pc.wrapping_add(offset as u32);
             }
-            Instr::Jalr { rd, rs1, offset } => {
+            Op::Jalr => {
+                let Instr::Jalr { rd, rs1, offset } = i else {
+                    unreachable!()
+                };
                 next = self.get(hi, rs1).wrapping_add(offset as u32) & !1;
                 self.set(hi, rd, pc.wrapping_add(4));
             }
-            Instr::Branch {
-                kind,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                let (a, b) = (self.get(hi, rs1), self.get(hi, rs2));
-                let taken = match kind {
-                    BranchKind::Eq => a == b,
-                    BranchKind::Ne => a != b,
-                    BranchKind::Lt => (a as i32) < (b as i32),
-                    BranchKind::Ge => (a as i32) >= (b as i32),
-                    BranchKind::Ltu => a < b,
-                    BranchKind::Geu => a >= b,
-                };
-                if taken {
-                    next = pc.wrapping_add(offset as u32);
+            Op::Beq => next = self.branch(hi, i, pc, |a, b| a == b),
+            Op::Bne => next = self.branch(hi, i, pc, |a, b| a != b),
+            Op::Blt => next = self.branch(hi, i, pc, |a, b| (a as i32) < (b as i32)),
+            Op::Bge => next = self.branch(hi, i, pc, |a, b| (a as i32) >= (b as i32)),
+            Op::Bltu => next = self.branch(hi, i, pc, |a, b| a < b),
+            Op::Bgeu => next = self.branch(hi, i, pc, |a, b| a >= b),
+            Op::Addi => self.op_imm(hi, i, |a, imm| a.wrapping_add(imm as u32)),
+            Op::Slti => self.op_imm(hi, i, |a, imm| ((a as i32) < imm) as u32),
+            Op::Sltiu => self.op_imm(hi, i, |a, imm| (a < imm as u32) as u32),
+            Op::Xori => self.op_imm(hi, i, |a, imm| a ^ imm as u32),
+            Op::Ori => self.op_imm(hi, i, |a, imm| a | imm as u32),
+            Op::Andi => self.op_imm(hi, i, |a, imm| a & imm as u32),
+            Op::Slli => self.op_imm(hi, i, |a, imm| a.wrapping_shl(imm as u32 & 31)),
+            Op::Srli => self.op_imm(hi, i, |a, imm| a.wrapping_shr(imm as u32 & 31)),
+            Op::Srai => self.op_imm(hi, i, |a, imm| {
+                ((a as i32).wrapping_shr(imm as u32 & 31)) as u32
+            }),
+            Op::Add => self.op(hi, i, |a, b| a.wrapping_add(b)),
+            Op::Sub => self.op(hi, i, |a, b| a.wrapping_sub(b)),
+            Op::Sll => self.op(hi, i, |a, b| a.wrapping_shl(b & 31)),
+            Op::Slt => self.op(hi, i, |a, b| ((a as i32) < (b as i32)) as u32),
+            Op::Sltu => self.op(hi, i, |a, b| (a < b) as u32),
+            Op::Xor => self.op(hi, i, |a, b| a ^ b),
+            Op::Srl => self.op(hi, i, |a, b| a.wrapping_shr(b & 31)),
+            Op::Sra => self.op(hi, i, |a, b| ((a as i32).wrapping_shr(b & 31)) as u32),
+            Op::Or => self.op(hi, i, |a, b| a | b),
+            Op::And => self.op(hi, i, |a, b| a & b),
+            Op::Mul => self.muldiv(hi, i, |a, b| a.wrapping_mul(b)),
+            Op::Mulh => self.muldiv(hi, i, |a, b| {
+                ((((a as i32) as i64) * ((b as i32) as i64)) >> 32) as u32
+            }),
+            Op::Mulhsu => self.muldiv(hi, i, |a, b| {
+                ((((a as i32) as i64) * (b as i64)) >> 32) as u32
+            }),
+            Op::Mulhu => self.muldiv(hi, i, |a, b| (((a as u64) * (b as u64)) >> 32) as u32),
+            Op::Div => self.muldiv(hi, i, |a, b| {
+                if b == 0 {
+                    u32::MAX
+                } else if a == 0x8000_0000 && b == u32::MAX {
+                    a
+                } else {
+                    ((a as i32).wrapping_div(b as i32)) as u32
                 }
-            }
-            Instr::Load {
-                kind,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let addr = self.get(hi, rs1).wrapping_add(offset as u32);
-                let size = match kind {
-                    LoadKind::B | LoadKind::Bu => 1,
-                    LoadKind::H | LoadKind::Hu => 2,
-                    LoadKind::W => 4,
-                };
-                let raw = self.mem_load(hi, addr, size)?;
-                let v = match kind {
-                    LoadKind::B => raw as u8 as i8 as i32 as u32,
-                    LoadKind::H => raw as u16 as i16 as i32 as u32,
-                    LoadKind::W | LoadKind::Bu | LoadKind::Hu => raw,
-                };
-                self.set(hi, rd, v);
-            }
-            Instr::Store {
-                kind,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                let size = match kind {
-                    StoreKind::B => 1,
-                    StoreKind::H => 2,
-                    StoreKind::W => 4,
-                };
-                let addr = self.get(hi, rs1).wrapping_add(offset as u32);
-                self.mem_store(hi, addr, self.get(hi, rs2), size)?;
-            }
-            Instr::OpImm { kind, rd, rs1, imm } => {
-                let a = self.get(hi, rs1);
-                let v = match kind {
-                    OpImmKind::Add => a.wrapping_add(imm as u32),
-                    OpImmKind::Slt => ((a as i32) < imm) as u32,
-                    OpImmKind::Sltu => (a < imm as u32) as u32,
-                    OpImmKind::Xor => a ^ imm as u32,
-                    OpImmKind::Or => a | imm as u32,
-                    OpImmKind::And => a & imm as u32,
-                    OpImmKind::Sll => a.wrapping_shl(imm as u32 & 31),
-                    OpImmKind::Srl => a.wrapping_shr(imm as u32 & 31),
-                    OpImmKind::Sra => ((a as i32).wrapping_shr(imm as u32 & 31)) as u32,
-                };
-                self.set(hi, rd, v);
-            }
-            Instr::Op { kind, rd, rs1, rs2 } => {
-                let (a, b) = (self.get(hi, rs1), self.get(hi, rs2));
-                if kind.is_muldiv() {
-                    self.muldiv_ops += 1;
+            }),
+            Op::Divu => self.muldiv(hi, i, |a, b| a.checked_div(b).unwrap_or(u32::MAX)),
+            Op::Rem => self.muldiv(hi, i, |a, b| {
+                if b == 0 {
+                    a
+                } else if a == 0x8000_0000 && b == u32::MAX {
+                    0
+                } else {
+                    ((a as i32).wrapping_rem(b as i32)) as u32
                 }
-                let v = match kind {
-                    OpKind::Add => a.wrapping_add(b),
-                    OpKind::Sub => a.wrapping_sub(b),
-                    OpKind::Sll => a.wrapping_shl(b & 31),
-                    OpKind::Slt => ((a as i32) < (b as i32)) as u32,
-                    OpKind::Sltu => (a < b) as u32,
-                    OpKind::Xor => a ^ b,
-                    OpKind::Srl => a.wrapping_shr(b & 31),
-                    OpKind::Sra => ((a as i32).wrapping_shr(b & 31)) as u32,
-                    OpKind::Or => a | b,
-                    OpKind::And => a & b,
-                    OpKind::Mul => a.wrapping_mul(b),
-                    OpKind::Mulh => ((((a as i32) as i64) * ((b as i32) as i64)) >> 32) as u32,
-                    OpKind::Mulhsu => ((((a as i32) as i64) * (b as i64)) >> 32) as u32,
-                    OpKind::Mulhu => (((a as u64) * (b as u64)) >> 32) as u32,
-                    OpKind::Div => {
-                        if b == 0 {
-                            u32::MAX
-                        } else if a == 0x8000_0000 && b == u32::MAX {
-                            a
-                        } else {
-                            ((a as i32).wrapping_div(b as i32)) as u32
-                        }
-                    }
-                    OpKind::Divu => a.checked_div(b).unwrap_or(u32::MAX),
-                    OpKind::Rem => {
-                        if b == 0 {
-                            a
-                        } else if a == 0x8000_0000 && b == u32::MAX {
-                            0
-                        } else {
-                            ((a as i32).wrapping_rem(b as i32)) as u32
-                        }
-                    }
-                    OpKind::Remu => {
-                        if b == 0 {
-                            a
-                        } else {
-                            a % b
-                        }
-                    }
+            }),
+            Op::Remu => self.muldiv(hi, i, |a, b| if b == 0 { a } else { a % b }),
+            Op::Lb => self.load(hi, i, 1, |raw| raw as u8 as i8 as i32 as u32)?,
+            Op::Lh => self.load(hi, i, 2, |raw| raw as u16 as i16 as i32 as u32)?,
+            Op::Lw => self.load(hi, i, 4, |raw| raw)?,
+            Op::Lbu => self.load(hi, i, 1, |raw| raw)?,
+            Op::Lhu => self.load(hi, i, 2, |raw| raw)?,
+            Op::Sb => self.store(hi, i, 1)?,
+            Op::Sh => self.store(hi, i, 2)?,
+            Op::Sw => self.store(hi, i, 4)?,
+            Op::PLwcv => {
+                let Instr::PLwcv { rd, offset } = i else {
+                    unreachable!()
                 };
+                let addr = self.cfg.cv_base(self.id(hi)).wrapping_add(offset as u32);
+                let v = self.mem_load(hi, addr, 4)?;
                 self.set(hi, rd, v);
             }
-            Instr::PSyncm => {} // functional memory is always drained
-            Instr::PSet { rd, rs1 } => {
+            Op::PSwcv => self.p_swcv(hi, i)?,
+            Op::PSyncm => {} // functional memory is always drained
+            Op::PSet => {
+                let Instr::PSet { rd, rs1 } = i else {
+                    unreachable!()
+                };
                 let word = IdentityWord::from_bits(self.get(hi, rs1));
-                self.set(hi, rd, word.set(id).bits());
+                self.set(hi, rd, word.set(self.id(hi)).bits());
             }
-            Instr::PMerge { rd, rs1, rs2 } => {
+            Op::PMerge => {
+                let Instr::PMerge { rd, rs1, rs2 } = i else {
+                    unreachable!()
+                };
                 let word = IdentityWord::from_bits(self.get(hi, rs1));
                 let merged = word.merge(IdentityWord::from_bits(self.get(hi, rs2)));
                 self.set(hi, rd, merged.bits());
             }
-            Instr::PLwcv { rd, offset } => {
-                let addr = self.cfg.cv_base(id).wrapping_add(offset as u32);
-                let v = self.mem_load(hi, addr, 4)?;
-                self.set(hi, rd, v);
-            }
-            Instr::PSwcv { rs1, rs2, offset } => {
-                let target = xpar::cv_target(id, self.get(hi, rs1), self.cfg.cores)?;
-                let value = self.get(hi, rs2);
-                let addr = self.cfg.cv_base(target).wrapping_add(offset as u32);
-                if target.core() as usize == core {
-                    self.mem_store(hi, addr, value, 4)?;
-                } else {
-                    // Forward-link CvWrite: delivered immediately, never
-                    // counted as a bank access of the sender.
-                    let at = self.banks.route(addr, target)?;
-                    self.write_bytes(target.core(), at, value, 4)?;
-                }
-            }
-            Instr::PLwre { rd, offset } => {
+            Op::PLwre => {
+                let Instr::PLwre { rd, offset } = i else {
+                    unreachable!()
+                };
                 let slot = xpar::slot(offset);
                 let queue = self.harts[hi].recv.get_mut(slot as usize);
                 // Empty or out-of-range slot: issue-gated, blocks with no
@@ -704,88 +768,139 @@ impl FastEngine {
                 };
                 self.set(hi, rd, v);
             }
-            Instr::PSwre { rs1, rs2, offset } => {
-                let target = xpar::result_target(id, self.get(hi, rs1))?;
-                let value = self.get(hi, rs2);
-                let slot = xpar::slot(offset);
-                let tg = target.global() as usize;
-                xpar::result_slot(&mut self.harts[tg].recv, target, slot)?.push_back(value);
-                if self.harts[tg].wait == (FWait::Result { slot }) {
-                    self.harts[tg].wait = FWait::Ready;
-                    self.sched_dirty = true;
-                }
-            }
-            Instr::PFc { rd } | Instr::PFn { rd } => {
-                let at = match instr {
-                    Instr::PFn { .. } => xpar::fork_next(id, self.cfg.cores)? as usize,
-                    _ => core,
-                };
-                self.alloc_q[at].push_back(id);
-                self.harts[hi].wait = FWait::Fork { rd };
-                self.try_alloc(at);
+            Op::PSwre => self.p_swre(hi, i)?,
+            Op::PFc => {
+                let Instr::PFc { rd } = i else { unreachable!() };
+                self.fork(hi, hi / HARTS_PER_CORE, rd);
                 return Ok(true); // progress: the request is queued
             }
-            Instr::PJal { rd, rs1, offset } => {
+            Op::PFn => {
+                let Instr::PFn { rd } = i else { unreachable!() };
+                let at = xpar::fork_next(self.id(hi), self.cfg.cores)?;
+                self.fork(hi, at as usize, rd);
+                return Ok(true);
+            }
+            Op::PJal => {
+                let Instr::PJal { rd, rs1, offset } = i else {
+                    unreachable!()
+                };
                 self.start_member(hi, self.get(hi, rs1), pc.wrapping_add(4))?;
                 self.set(hi, rd, 0);
                 next = pc.wrapping_add(offset as u32);
             }
-            Instr::PJalr { rd, rs1, rs2 } if !rd.is_zero() => {
+            Op::PJalr => {
+                let Instr::PJalr { rd, rs1, rs2 } = i else {
+                    unreachable!()
+                };
                 self.start_member(hi, self.get(hi, rs1), pc.wrapping_add(4))?;
                 next = self.get(hi, rs2) & !1;
                 self.set(hi, rd, 0);
             }
-            // `p_ret`.
-            Instr::PJalr { rs1, rs2, .. } => {
-                // Commit gate: the team predecessor's ending signal.
-                if !self.harts[hi].end_signal {
-                    self.harts[hi].wait = FWait::EndSignal;
-                    self.sched_dirty = true;
-                    return Ok(false);
-                }
-                let ra = self.get(hi, rs1);
-                let ending = Ending::of(id, ra, self.get(hi, rs2));
-                if ending == Ending::Exit {
-                    // The exit boundary: park *before* the exit p_ret so
-                    // the cycle-exact engine retires it.
-                    self.at_exit = true;
-                    self.harts[hi].wait = FWait::AtExit;
-                    self.sched_dirty = true;
-                    return Ok(false);
-                }
-                self.harts[hi].end_signal = false; // consumed
-                self.retire(hi, pc);
-                match ending {
-                    Ending::Exit => unreachable!("parked above"),
-                    Ending::AwaitJoin => {
-                        self.harts[hi].state = HartState::WaitingJoin;
-                        self.forward_end_signal(hi);
-                    }
-                    Ending::End => {
-                        self.forward_end_signal(hi);
-                        self.end_hart(hi);
-                    }
-                    // No end-signal forward: the join carries it.
-                    Ending::Join { to } => {
-                        xpar::join_target(id, to)?;
-                        if to == id {
-                            self.harts[hi].state = HartState::WaitingJoin;
-                        } else {
-                            self.end_hart(hi);
-                        }
-                        let h = &mut self.harts[to.global() as usize];
-                        xpar::resume(to, &mut h.state, HartState::WaitingJoin, ra)?;
-                        h.pc = ra;
-                        h.end_signal = true; // everything sequentially prior committed
-                        self.joins += 1;
-                        self.sched_dirty = true;
-                    }
-                }
-                return Ok(true);
-            }
+            Op::PRet => return self.p_ret(hi, i, pc),
         }
         self.harts[hi].pc = next;
         self.retire(hi, pc);
+        Ok(true)
+    }
+
+    /// `p_swcv`: a continuation value into the target hart's frame — a
+    /// store of this hart's on its own core, a forward-link message
+    /// delivered at once on the next.
+    fn p_swcv(&mut self, hi: usize, i: Instr) -> Result<(), SimError> {
+        let Instr::PSwcv { rs1, rs2, offset } = i else {
+            unreachable!()
+        };
+        let target = xpar::cv_target(self.id(hi), self.get(hi, rs1), self.cfg.cores)?;
+        let value = self.get(hi, rs2);
+        let addr = self.cfg.cv_base(target).wrapping_add(offset as u32);
+        if target.core() as usize == hi / HARTS_PER_CORE {
+            self.mem_store(hi, addr, value, 4)
+        } else {
+            // Forward-link CvWrite: delivered immediately, never
+            // counted as a bank access of the sender.
+            let at = self.banks.route(addr, target)?;
+            self.write_bytes(target.core(), at, value, 4)
+        }
+    }
+
+    /// `p_swre`: a result into a prior hart's receive slot, waking it if
+    /// it waits on that slot.
+    fn p_swre(&mut self, hi: usize, i: Instr) -> Result<(), SimError> {
+        let Instr::PSwre { rs1, rs2, offset } = i else {
+            unreachable!()
+        };
+        let target = xpar::result_target(self.id(hi), self.get(hi, rs1))?;
+        let value = self.get(hi, rs2);
+        let slot = xpar::slot(offset);
+        let tg = target.global() as usize;
+        xpar::result_slot(&mut self.harts[tg].recv, target, slot)?.push_back(value);
+        if self.harts[tg].wait == (FWait::Result { slot }) {
+            self.harts[tg].wait = FWait::Ready;
+            self.sched_dirty = true;
+        }
+        Ok(())
+    }
+
+    /// `p_fc`/`p_fn`: queues a fork request of `hi` at core `at`'s
+    /// allocator; the allocation retires the instruction.
+    fn fork(&mut self, hi: usize, at: usize, rd: Reg) {
+        let id = self.id(hi);
+        self.alloc_q[at].push_back(id);
+        self.harts[hi].wait = FWait::Fork { rd };
+        self.try_alloc(at);
+    }
+
+    /// `p_ret` at `pc`: waits for the team predecessor's ending signal,
+    /// then ends, joins or parks at the exit as [`Ending::of`] decides.
+    fn p_ret(&mut self, hi: usize, i: Instr, pc: u32) -> Result<bool, SimError> {
+        let Instr::PJalr { rs1, rs2, .. } = i else {
+            unreachable!()
+        };
+        // Commit gate: the team predecessor's ending signal.
+        if !self.harts[hi].end_signal {
+            self.harts[hi].wait = FWait::EndSignal;
+            self.sched_dirty = true;
+            return Ok(false);
+        }
+        let id = self.id(hi);
+        let ra = self.get(hi, rs1);
+        let ending = Ending::of(id, ra, self.get(hi, rs2));
+        if ending == Ending::Exit {
+            // The exit boundary: park *before* the exit p_ret so the
+            // cycle-exact engine retires it.
+            self.at_exit = true;
+            self.harts[hi].wait = FWait::AtExit;
+            self.sched_dirty = true;
+            return Ok(false);
+        }
+        self.harts[hi].end_signal = false; // consumed
+        self.retire(hi, pc);
+        match ending {
+            Ending::Exit => unreachable!("parked above"),
+            Ending::AwaitJoin => {
+                self.harts[hi].state = HartState::WaitingJoin;
+                self.forward_end_signal(hi);
+            }
+            Ending::End => {
+                self.forward_end_signal(hi);
+                self.end_hart(hi);
+            }
+            // No end-signal forward: the join carries it.
+            Ending::Join { to } => {
+                xpar::join_target(id, to)?;
+                if to == id {
+                    self.harts[hi].state = HartState::WaitingJoin;
+                } else {
+                    self.end_hart(hi);
+                }
+                let h = &mut self.harts[to.global() as usize];
+                xpar::resume(to, &mut h.state, HartState::WaitingJoin, ra)?;
+                h.pc = ra;
+                h.end_signal = true; // everything sequentially prior committed
+                self.joins += 1;
+                self.sched_dirty = true;
+            }
+        }
         Ok(true)
     }
 
@@ -975,17 +1090,6 @@ impl FastEngine {
             end_signal: h.end_signal,
             team_succ: h.team_succ,
         }
-    }
-}
-
-#[cold]
-fn io_refusal(hart: HartId, addr: u32, what: &str) -> SimError {
-    SimError::Protocol {
-        hart,
-        what: format!(
-            "functional mode cannot access I/O devices \
-             ({what} at {addr:#010x}); run the region cycle-exact"
-        ),
     }
 }
 

@@ -31,9 +31,172 @@ pub(crate) enum HartState {
     WaitingJoin,
 }
 
-/// One predecoded code word: the instruction plus the operand facts the
-/// rename stage asks of it every cycle it sits in the instruction buffer.
-/// Derived from `instr` alone, so it is never serialized.
+/// One mnemonic: an [`Instr`] variant and its kind folded into one byte,
+/// so that an executor can dispatch on an instruction with one jump
+/// instead of one per level of `Instr` and its `*Kind`. `p_jalr` and
+/// `p_ret` are two mnemonics of one variant and two opcodes here.
+///
+/// Memory instructions are contiguous (`Lb..=PSwcv`), which makes
+/// [`Op::is_mem`] one range compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+pub(crate) enum Op {
+    Lui,
+    Auipc,
+    Jal,
+    Jalr,
+    Beq,
+    Bne,
+    Blt,
+    Bge,
+    Bltu,
+    Bgeu,
+    Addi,
+    Slti,
+    Sltiu,
+    Xori,
+    Ori,
+    Andi,
+    Slli,
+    Srli,
+    Srai,
+    Add,
+    Sub,
+    Sll,
+    Slt,
+    Sltu,
+    Xor,
+    Srl,
+    Sra,
+    Or,
+    And,
+    Mul,
+    Mulh,
+    Mulhsu,
+    Mulhu,
+    Div,
+    Divu,
+    Rem,
+    Remu,
+    Lb,
+    Lh,
+    Lw,
+    Lbu,
+    Lhu,
+    Sb,
+    Sh,
+    Sw,
+    PLwcv,
+    PSwcv,
+    PFc,
+    PFn,
+    PSet,
+    PMerge,
+    PSyncm,
+    PJalr,
+    PRet,
+    PJal,
+    PLwre,
+    PSwre,
+}
+
+impl Op {
+    /// The opcode of `instr`.
+    fn of(instr: Instr) -> Op {
+        use lbp_isa::{
+            BranchKind as B, LoadKind as L, OpImmKind as I, OpKind as K, StoreKind as S,
+        };
+        match instr {
+            Instr::Lui { .. } => Op::Lui,
+            Instr::Auipc { .. } => Op::Auipc,
+            Instr::Jal { .. } => Op::Jal,
+            Instr::Jalr { .. } => Op::Jalr,
+            Instr::Branch { kind, .. } => match kind {
+                B::Eq => Op::Beq,
+                B::Ne => Op::Bne,
+                B::Lt => Op::Blt,
+                B::Ge => Op::Bge,
+                B::Ltu => Op::Bltu,
+                B::Geu => Op::Bgeu,
+            },
+            Instr::OpImm { kind, .. } => match kind {
+                I::Add => Op::Addi,
+                I::Slt => Op::Slti,
+                I::Sltu => Op::Sltiu,
+                I::Xor => Op::Xori,
+                I::Or => Op::Ori,
+                I::And => Op::Andi,
+                I::Sll => Op::Slli,
+                I::Srl => Op::Srli,
+                I::Sra => Op::Srai,
+            },
+            Instr::Op { kind, .. } => match kind {
+                K::Add => Op::Add,
+                K::Sub => Op::Sub,
+                K::Sll => Op::Sll,
+                K::Slt => Op::Slt,
+                K::Sltu => Op::Sltu,
+                K::Xor => Op::Xor,
+                K::Srl => Op::Srl,
+                K::Sra => Op::Sra,
+                K::Or => Op::Or,
+                K::And => Op::And,
+                K::Mul => Op::Mul,
+                K::Mulh => Op::Mulh,
+                K::Mulhsu => Op::Mulhsu,
+                K::Mulhu => Op::Mulhu,
+                K::Div => Op::Div,
+                K::Divu => Op::Divu,
+                K::Rem => Op::Rem,
+                K::Remu => Op::Remu,
+            },
+            Instr::Load { kind, .. } => match kind {
+                L::B => Op::Lb,
+                L::H => Op::Lh,
+                L::W => Op::Lw,
+                L::Bu => Op::Lbu,
+                L::Hu => Op::Lhu,
+            },
+            Instr::Store { kind, .. } => match kind {
+                S::B => Op::Sb,
+                S::H => Op::Sh,
+                S::W => Op::Sw,
+            },
+            Instr::PLwcv { .. } => Op::PLwcv,
+            Instr::PSwcv { .. } => Op::PSwcv,
+            Instr::PFc { .. } => Op::PFc,
+            Instr::PFn { .. } => Op::PFn,
+            Instr::PSet { .. } => Op::PSet,
+            Instr::PMerge { .. } => Op::PMerge,
+            Instr::PSyncm => Op::PSyncm,
+            Instr::PJalr { rd, .. } if rd.is_zero() => Op::PRet,
+            Instr::PJalr { .. } => Op::PJalr,
+            Instr::PJal { .. } => Op::PJal,
+            Instr::PLwre { .. } => Op::PLwre,
+            Instr::PSwre { .. } => Op::PSwre,
+        }
+    }
+
+    /// [`Instr::is_mem`].
+    #[inline]
+    pub fn is_mem(self) -> bool {
+        (Op::Lb as u8..=Op::PSwcv as u8).contains(&(self as u8))
+    }
+
+    /// [`Instr::is_p_ret`].
+    #[inline]
+    pub fn is_p_ret(self) -> bool {
+        self == Op::PRet
+    }
+}
+
+/// One predecoded code word: the instruction, its opcode, and the operand
+/// facts the rename stage asks of it every cycle it sits in the
+/// instruction buffer. Derived from `instr` alone, so it is never
+/// serialized. The functional engine dispatches on `op` and reads the
+/// operands out of `instr`; the pipeline reads `srcs`, `dest` and the
+/// predicates on `op`. The whole entry is 16 bytes, a quarter of a cache
+/// line.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Decoded {
     pub instr: Instr,
@@ -41,11 +204,11 @@ pub(crate) struct Decoded {
     pub srcs: [Option<Reg>; 2],
     /// `instr.dest()`.
     pub dest: Option<Reg>,
-    /// `instr.is_mem()`.
-    pub is_mem: bool,
-    /// `instr.is_p_ret()`.
-    pub is_pret: bool,
+    /// `Op::of(instr)`.
+    pub op: Op,
 }
+
+const _: () = assert!(std::mem::size_of::<Option<Decoded>>() == 16);
 
 impl Decoded {
     pub fn new(instr: Instr) -> Decoded {
@@ -53,8 +216,7 @@ impl Decoded {
             instr,
             srcs: instr.sources(),
             dest: instr.dest(),
-            is_mem: instr.is_mem(),
-            is_pret: instr.is_p_ret(),
+            op: Op::of(instr),
         }
     }
 }
@@ -438,12 +600,12 @@ impl HartCtx {
             srcs,
             dest,
             old,
-            is_pret: f.op.is_pret,
-            is_mem: f.op.is_mem,
+            is_pret: f.op.op.is_p_ret(),
+            is_mem: f.op.op.is_mem(),
             need: need_of(srcs),
         };
         self.waiting |= 1 << i;
-        if f.op.is_mem {
+        if f.op.op.is_mem() {
             self.mem_in_it += 1;
         }
         debug_assert!(self.window_holds());
@@ -681,8 +843,8 @@ impl HartCtx {
                 srcs,
                 dest: r.opt(phys)?,
                 old: None,
-                is_pret: op.is_pret,
-                is_mem: op.is_mem,
+                is_pret: op.op.is_p_ret(),
+                is_mem: op.op.is_mem(),
                 need: need_of(srcs),
             };
             h.waiting |= 1 << i;
@@ -1162,6 +1324,84 @@ mod tests {
         cfg.phys_regs = 34;
         let small = snap_bytes(&HartCtx::new(HartId::new(0), &cfg));
         assert_corrupt(&small, "phys_regs = 64");
+    }
+
+    /// One instruction of every variant and every kind, `p_jalr` and
+    /// `p_ret` both.
+    fn every_instr() -> Vec<Instr> {
+        use lbp_isa::{BranchKind, LoadKind, OpKind, StoreKind};
+        let (rd, rs1, rs2, offset) = (Reg::A0, Reg::A1, Reg::A2, 8);
+        let mut all = vec![
+            Instr::Lui { rd, imm: 0x1000 },
+            Instr::Auipc { rd, imm: 0x1000 },
+            Instr::Jal { rd, offset },
+            Instr::Jalr { rd, rs1, offset },
+            Instr::PFc { rd },
+            Instr::PFn { rd },
+            Instr::PSet { rd, rs1 },
+            Instr::PMerge { rd, rs1, rs2 },
+            Instr::PSyncm,
+            Instr::PJalr { rd, rs1, rs2 },
+            Instr::PJalr {
+                rd: Reg::ZERO,
+                rs1,
+                rs2,
+            },
+            Instr::PJal { rd, rs1, offset },
+            Instr::PLwcv { rd, offset },
+            Instr::PSwcv { rs1, rs2, offset },
+            Instr::PLwre { rd, offset },
+            Instr::PSwre { rs1, rs2, offset },
+        ];
+        all.extend(BranchKind::ALL.map(|kind| Instr::Branch {
+            kind,
+            rs1,
+            rs2,
+            offset,
+        }));
+        all.extend(LoadKind::ALL.map(|kind| Instr::Load {
+            kind,
+            rd,
+            rs1,
+            offset,
+        }));
+        all.extend(StoreKind::ALL.map(|kind| Instr::Store {
+            kind,
+            rs1,
+            rs2,
+            offset,
+        }));
+        all.extend(OpImmKind::ALL.map(|kind| Instr::OpImm {
+            kind,
+            rd,
+            rs1,
+            imm: 3,
+        }));
+        all.extend(OpKind::ALL.map(|kind| Instr::Op { kind, rd, rs1, rs2 }));
+        all
+    }
+
+    /// The opcode byte names the disassembler's mnemonic (`Op::PRet` is
+    /// `p_ret`), no two mnemonics share one, every opcode is some
+    /// instruction's, and the predicates on it are the instruction's.
+    #[test]
+    fn the_opcode_byte_is_total_and_faithful() {
+        let all = every_instr();
+        let mut seen = std::collections::HashSet::new();
+        for instr in &all {
+            let op = Decoded::new(*instr).op;
+            let text = instr.to_string();
+            let mnemonic = text.split(' ').next().unwrap().replace('_', "");
+            assert_eq!(format!("{op:?}").to_lowercase(), mnemonic, "{text}");
+            assert!(seen.insert(op), "{op:?} is two mnemonics' ({text})");
+            assert_eq!(op.is_mem(), instr.is_mem(), "{text}");
+            assert_eq!(op.is_p_ret(), instr.is_p_ret(), "{text}");
+        }
+        assert_eq!(
+            all.len(),
+            Op::PSwre as usize + 1,
+            "an opcode of no mnemonic"
+        );
     }
 
     #[test]

@@ -227,6 +227,36 @@ fn exit_8_memory_fault() {
     );
 }
 
+/// An I/O access with no device there faults the same way whichever
+/// engine meets it: the same exit and the same fault line, cold and in
+/// the functional warm phase.
+#[test]
+fn an_io_access_is_the_same_fault_cold_and_warm() {
+    let p = scratch(
+        "io.s",
+        "main:\n  li t1, 0xf0000000\n  lw a0, 0(t1)\n  li t0, -1\n  li ra, 0\n  p_ret\n",
+    );
+    let run = |warm: &[&str]| {
+        let out = lbp_run()
+            .arg(&p)
+            .args(["--cores", "1"])
+            .args(warm)
+            .output()
+            .expect("lbp-run spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        let line = stderr.lines().last().unwrap_or_default().to_owned();
+        (class_of(out.status), line)
+    };
+    let (cold_class, cold) = run(&[]);
+    let (warm_class, warm) = run(&["--warm", "100"]);
+    assert_eq!(cold_class, ExitClass::Mem, "{cold}");
+    assert_eq!(warm_class, cold_class, "{warm}");
+    let fault = "hart c0h0 accessed unmapped address 0xf0000000";
+    assert_eq!(cold, format!("lbp-run: {fault}"));
+    // The warm phase met the access, not the cycle-exact tail.
+    assert_eq!(warm, format!("lbp-run: warm phase failed: {fault}"));
+}
+
 #[test]
 fn exit_9_lockstep_divergence() {
     // Flip a2 after `mul` wrote it: only the differential check sees it.

@@ -8,7 +8,10 @@
 use lbp::asm::Image;
 use lbp::kernels::matmul::{Matmul, Version};
 use lbp::omp::DetOmp;
-use lbp::sim::{EventKind, FastEngine, FastStop, Fault, FaultPlan, LbpConfig, Machine};
+use lbp::sim::{
+    EventKind, FastEngine, FastStop, FastSummary, Fault, FaultPlan, LbpConfig, Machine,
+};
+use lbp::snap;
 
 const MAX_CYCLES: u64 = 100_000_000;
 const MAX_STEPS: u64 = 100_000_000;
@@ -158,6 +161,67 @@ void main(void) {
     let report = m.run(MAX_CYCLES).unwrap();
     assert!(report.exited);
     assert_eq!(m.arch_hash(), pure_hash, "ROI handoff diverged");
+}
+
+/// One pinned handoff: the warm target, then what the functional engine
+/// hands over there — `retired`, `virtual_cycle`, `clamped`, and the
+/// `content_hash` of the machine it materializes.
+type Handoff = (u64, [u64; 4]);
+
+/// `examples/asm/fork2.s` on two cores, mid-fork targets included.
+const FORK2_HANDOFFS: [Handoff; 6] = [
+    (3, [3, 3, 0, 0xe478_cd8f_79d5_6b68]),
+    (10, [10, 10, 0, 0xfc6f_daa3_a73c_21bd]),
+    (17, [17, 16, 0, 0xb3a5_9a16_1226_4f54]),
+    (20, [20, 16, 0, 0x93d9_b33b_336d_148a]),
+    (28, [28, 17, 0, 0x5c0c_4854_d230_ee3a]),
+    // Past the end: parked at the exit p_ret.
+    (33, [32, 21, 0, 0x6afb_6ed2_e568_b952]),
+];
+
+/// The h=64 tiled matmul (16 cores, all-ones inputs): inside the team's
+/// spawn, mid-run, and the 90 % target the `ff_scale` benchmark warms to.
+const MATMUL64_HANDOFFS: [Handoff; 3] = [
+    (1_000, [1_000, 726, 0, 0x7334_4734_6d93_38c5]),
+    (500_000, [500_000, 34_586, 0, 0x8679_4121_8f36_a539]),
+    (1_539_518, [1_539_518, 99_558, 0, 0x7bcf_cedc_486b_3172]),
+];
+
+/// What the engine hands over at `target`.
+fn handoff(mut fast: FastEngine, image: &Image, target: u64) -> [u64; 4] {
+    let s: FastSummary = fast.run(FastStop::Retired(target), MAX_STEPS).unwrap();
+    let m = fast.materialize(image).unwrap();
+    let hash = snap::content_hash(&m.snapshot());
+    [s.retired, s.virtual_cycle, s.clamped, hash]
+}
+
+/// The warm handoff state is a function of the functional engine's
+/// schedule: the order in which its harts retire decides which hart a fork
+/// gets, where the virtual clock stands and how far a target clamps. Any
+/// change to the engine that claims to keep that order must keep these.
+#[test]
+fn the_warm_handoff_state_is_pinned() {
+    let src = std::fs::read_to_string(repo("examples/asm/fork2.s")).unwrap();
+    let image = lbp::asm::assemble(&src).unwrap();
+    for (target, pinned) in FORK2_HANDOFFS {
+        let fast = FastEngine::new(LbpConfig::cores(2), &image).unwrap();
+        let got = handoff(fast, &image, target);
+        assert_eq!(got, pinned, "fork2.s at {target}: {got:#x?}");
+    }
+    let mm = Matmul::new(64, Version::Tiled);
+    let image = mm.build();
+    let l = mm.layout();
+    for (target, pinned) in MATMUL64_HANDOFFS {
+        let mut fast = FastEngine::new(mm.config(), &image).unwrap();
+        for i in 0..l.n {
+            for k in 0..l.m {
+                fast.poke_shared(l.x(i, k), 1).unwrap();
+                fast.poke_shared(l.y(k, i), 1).unwrap();
+            }
+        }
+        let got = handoff(fast, &image, target);
+        assert_eq!(got, pinned, "tiled h=64 at {target}: {got:#x?}");
+    }
 }
 
 #[test]
