@@ -22,11 +22,12 @@ use lbp_isa::{HartId, Instr, Region, LOCAL_BASE, SHARED_BASE};
 use crate::config::{cv_base_in, LbpConfig};
 use crate::error::SimError;
 use crate::hart::Decoded;
-use crate::index_set::{members, IndexSet};
+use crate::index_set::members;
 use crate::io::IoBus;
-use crate::msg::{NetMsg, QUEUE_DEPTH};
+use crate::msg::NetMsg;
 use crate::network::Network;
 use crate::observe::Observers;
+use crate::queues::Queues;
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 
 /// A fatal memory fault. LBP has no traps: a bad access ends the
@@ -367,12 +368,12 @@ impl Banks {
         }
     }
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Banks, SnapError> {
-        let cores = r.u64()? as usize;
-        if cores == 0 {
-            return Err(SnapError::Corrupt(
-                "memory system has zero cores".to_owned(),
-            ));
+    fn unsnap(r: &mut SnapReader<'_>, cores: usize) -> Result<Banks, SnapError> {
+        let held = r.u64()?;
+        if held != cores as u64 {
+            return Err(SnapError::Corrupt(format!(
+                "memory system has {held} cores, configuration says {cores}"
+            )));
         }
         let local_bank_bytes = r.u32()?;
         let shared_bank_bytes = r.u32()?;
@@ -414,6 +415,28 @@ struct Ported {
     arrived: u64,
 }
 
+impl Ported {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.msg.snap(w);
+        w.u64(self.arrived);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Ported, SnapError> {
+        Ok(Ported {
+            msg: NetMsg::unsnap(r)?,
+            arrived: r.u64()?,
+        })
+    }
+}
+
+/// Takes the oldest request at a port if it arrived before `now`.
+fn pop_ready(port: &mut Queues<Ported>, core: usize, now: u64) -> Option<NetMsg> {
+    if port[core].front()?.arrived >= now {
+        return None;
+    }
+    port.pop(core).map(|p| p.msg)
+}
+
 /// The cycle-exact memory system: the banks, and everything that makes
 /// reaching them take time.
 #[derive(Debug)]
@@ -421,16 +444,11 @@ pub struct MemSys {
     pub(crate) banks: Banks,
     pub(crate) code: CodeBank,
     /// Local-bank port queue, one per core (own loads/stores/`p_lwcv`).
-    local_q: Vec<VecDeque<Ported>>,
+    local_q: Queues<Ported>,
     /// Own-shared-slice local port queue, one per core.
-    shared_q: Vec<VecDeque<Ported>>,
+    shared_q: Queues<Ported>,
     /// Responses completed by local ports, delivered next cycle.
-    staged: Vec<Vec<NetMsg>>,
-    /// The cores with a request in `local_q` or `shared_q`, and those with
-    /// a response in `staged`. Derived from the queues (rebuilt on
-    /// restore): what bank service and delivery walk.
-    port_busy: IndexSet,
-    staged_busy: IndexSet,
+    staged: Queues<NetMsg>,
     /// The r1/r2/r3 network serving remote shared accesses.
     pub net: Network,
     /// Memory-mapped devices (served through the local ports).
@@ -454,17 +472,9 @@ impl MemSys {
         MemSys {
             banks,
             code,
-            local_q: (0..cores)
-                .map(|_| VecDeque::with_capacity(QUEUE_DEPTH))
-                .collect(),
-            shared_q: (0..cores)
-                .map(|_| VecDeque::with_capacity(QUEUE_DEPTH))
-                .collect(),
-            staged: (0..cores)
-                .map(|_| Vec::with_capacity(QUEUE_DEPTH))
-                .collect(),
-            port_busy: IndexSet::new(cores),
-            staged_busy: IndexSet::new(cores),
+            local_q: Queues::new(cores),
+            shared_q: Queues::new(cores),
+            staged: Queues::new(cores),
             net: Network::new(cores, cfg.shared_bank_bytes),
             io: IoBus::new(),
             local_served: 0,
@@ -476,14 +486,14 @@ impl MemSys {
 
     /// Enqueues a request on the owning core's local-bank port.
     pub fn local_request(&mut self, core: u32, msg: NetMsg, now: u64) {
-        self.local_q[core as usize].push_back(Ported { msg, arrived: now });
-        self.port_busy.insert(core as usize);
+        self.local_q
+            .push(core as usize, Ported { msg, arrived: now });
     }
 
     /// Enqueues a request on the core's own shared-slice local port.
     pub fn shared_local_request(&mut self, core: u32, msg: NetMsg, now: u64) {
-        self.shared_q[core as usize].push_back(Ported { msg, arrived: now });
-        self.port_busy.insert(core as usize);
+        self.shared_q
+            .push(core as usize, Ported { msg, arrived: now });
     }
 
     /// Applies a cross-core `p_swcv` continuation-value write (the forward
@@ -496,13 +506,13 @@ impl MemSys {
 
     /// The `w`-th 64 cores that a memory response waits for, one bit each.
     pub fn arrival_word(&self, w: usize) -> u64 {
-        self.net.core_word(w) | self.staged_busy.word(w)
+        self.net.core_inbox.word(w) | self.staged.word(w)
     }
 
     /// The `i`-th memory response waiting for a core this cycle: the
     /// network's in arrival order, then the local ports'.
     pub fn arrival(&self, core: u32, i: usize) -> Option<NetMsg> {
-        let inbox = self.net.core_inbox(core);
+        let inbox = &self.net.core_inbox[core as usize];
         let msg = match inbox.get(i) {
             Some(msg) => msg,
             None => self.staged[core as usize].get(i - inbox.len())?,
@@ -513,9 +523,8 @@ impl MemSys {
     /// Forgets the memory responses waiting for a core; their buffers keep
     /// their capacity.
     pub fn clear_arrivals(&mut self, core: u32) {
-        self.net.clear_core_inbox(core);
-        self.staged[core as usize].clear();
-        self.staged_busy.remove(core as usize);
+        self.net.core_inbox.clear(core as usize);
+        self.staged.clear(core as usize);
     }
 
     /// One cycle of bank service: each local port and each network port
@@ -528,17 +537,18 @@ impl MemSys {
         self.now = now;
         // A core whose three port queues are empty would serve nothing and
         // add 0 to every counter below: only the others are visited.
-        for w in 0..self.port_busy.words() {
-            for c in members(w, self.port_busy.word(w) | self.net.bank_word(w)) {
+        for w in 0..self.local_q.words() {
+            let ports = self.local_q.word(w) | self.shared_q.word(w);
+            for c in members(w, ports | self.net.bank_inbox.word(w)) {
                 let core = c as u32;
                 // Local-bank port.
-                if let Some(msg) = self.pop_port(c, false, now) {
+                if let Some(msg) = pop_ready(&mut self.local_q, c, now) {
                     let resp = self.perform(core, msg)?;
                     self.stage(c, resp);
                 }
                 self.conflicts += Self::port_backlog(&self.local_q[c], now);
                 // Shared-slice local port.
-                if let Some(msg) = self.pop_port(c, true, now) {
+                if let Some(msg) = pop_ready(&mut self.shared_q, c, now) {
                     let resp = self.perform(core, msg)?;
                     self.stage(c, resp);
                 }
@@ -546,12 +556,12 @@ impl MemSys {
                 let ready = self.shared_q[c].iter().filter(|p| p.arrived < now);
                 obs.bank_conflict(c, ready.map(|p| p.msg.hart().core() as usize));
                 // Network port of the shared bank.
-                if let Some(msg) = self.net.pop_bank(core) {
+                if let Some(msg) = self.net.bank_inbox.pop(c) {
                     let resp = self.perform(core, msg)?;
                     self.net.send_from_bank(core, resp);
                     self.remote_served += 1;
                 }
-                let queued = self.net.bank_queue(core);
+                let queued = &self.net.bank_inbox[c];
                 self.conflicts += queued.len() as u64;
                 obs.bank_conflict(c, queued.iter().map(|m| m.hart().core() as usize));
             }
@@ -559,27 +569,9 @@ impl MemSys {
         Ok(())
     }
 
-    /// Takes the oldest request at a core's local-bank port, or at its
-    /// shared-slice port, if it arrived before `now`.
-    fn pop_port(&mut self, core: usize, shared_slice: bool, now: u64) -> Option<NetMsg> {
-        let q = match shared_slice {
-            false => &mut self.local_q[core],
-            true => &mut self.shared_q[core],
-        };
-        if q.front()?.arrived >= now {
-            return None;
-        }
-        let msg = q.pop_front()?.msg;
-        if self.local_q[core].is_empty() && self.shared_q[core].is_empty() {
-            self.port_busy.remove(core);
-        }
-        Some(msg)
-    }
-
     /// Stages a local port's response for delivery next cycle.
     fn stage(&mut self, core: usize, resp: NetMsg) {
-        self.staged[core].push(resp);
-        self.staged_busy.insert(core);
+        self.staged.push(core, resp);
         self.local_served += 1;
     }
 
@@ -664,7 +656,7 @@ impl MemSys {
     /// response. Feeds the machine's quiescence-based deadlock detector
     /// (the network's own queues are checked separately).
     pub fn ports_quiet(&self) -> bool {
-        self.port_busy.is_empty() && self.staged_busy.is_empty()
+        self.local_q.is_empty() && self.shared_q.is_empty() && self.staged.is_empty()
     }
 
     /// Requests queued at a core's bank ports (crash dumps).
@@ -679,23 +671,9 @@ impl MemSys {
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
         self.banks.snap(w);
         self.code.snap(w);
-        let put_ports = |w: &mut SnapWriter, qs: &[VecDeque<Ported>]| {
-            for q in qs {
-                w.seq(q.len());
-                for p in q {
-                    p.msg.snap(w);
-                    w.u64(p.arrived);
-                }
-            }
-        };
-        put_ports(w, &self.local_q);
-        put_ports(w, &self.shared_q);
-        for staged in &self.staged {
-            w.seq(staged.len());
-            for msg in staged {
-                msg.snap(w);
-            }
-        }
+        self.local_q.snap(w, Ported::snap);
+        self.shared_q.snap(w, Ported::snap);
+        self.staged.snap(w, NetMsg::snap);
         self.net.snap(w);
         self.io.snap(w);
         w.u64(self.local_served);
@@ -704,43 +682,18 @@ impl MemSys {
         w.u64(self.now);
     }
 
-    pub(crate) fn unsnap(r: &mut SnapReader<'_>) -> Result<MemSys, SnapError> {
-        let banks = Banks::unsnap(r)?;
-        let cores = banks.cores;
+    /// Reads back the memory system of a `cores`-core machine.
+    pub(crate) fn unsnap(r: &mut SnapReader<'_>, cores: usize) -> Result<MemSys, SnapError> {
+        let banks = Banks::unsnap(r, cores)?;
         let code = CodeBank::unsnap(r)?;
-        let get_ports = |r: &mut SnapReader<'_>| -> Result<Vec<VecDeque<Ported>>, SnapError> {
-            (0..cores)
-                .map(|_| {
-                    let mut q = VecDeque::new();
-                    for _ in 0..r.seq()? {
-                        q.push_back(Ported {
-                            msg: NetMsg::unsnap(r)?,
-                            arrived: r.u64()?,
-                        });
-                    }
-                    Ok(q)
-                })
-                .collect()
-        };
-        let local_q = get_ports(r)?;
-        let shared_q = get_ports(r)?;
-        let mut staged = Vec::with_capacity(cores);
-        for _ in 0..cores {
-            let mut v = Vec::new();
-            for _ in 0..r.seq()? {
-                v.push(NetMsg::unsnap(r)?);
-            }
-            staged.push(v);
-        }
-        let net = Network::unsnap(r)?;
+        let local_q = Queues::unsnap(r, cores, Ported::unsnap)?;
+        let shared_q = Queues::unsnap(r, cores, Ported::unsnap)?;
+        let staged = Queues::unsnap(r, cores, NetMsg::unsnap)?;
+        let net = Network::unsnap(r, cores)?;
         let io = IoBus::unsnap(r)?;
         Ok(MemSys {
             banks,
             code,
-            port_busy: IndexSet::from_fn(cores, |c| {
-                !local_q[c].is_empty() || !shared_q[c].is_empty()
-            }),
-            staged_busy: IndexSet::from_fn(cores, |c| !staged[c].is_empty()),
             local_q,
             shared_q,
             staged,

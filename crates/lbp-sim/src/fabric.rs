@@ -8,10 +8,8 @@
 //! addresses, fork replies, cv-write acks, and `p_swre` results/reductions.
 //! Each segment moves one message per cycle, FIFO — deterministic.
 
-use std::collections::VecDeque;
-
-use crate::index_set::{members, IndexSet};
-use crate::msg::{CoreMsg, QUEUE_DEPTH};
+use crate::msg::CoreMsg;
+use crate::queues::Queues;
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 
 /// The forward links and backward line of a `cores`-core machine.
@@ -19,17 +17,15 @@ use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 pub struct Fabric {
     cores: u32,
     /// `fwd[i]`: queue of messages traversing the link core i → core i+1.
-    fwd: Vec<VecDeque<CoreMsg>>,
+    fwd: Queues<CoreMsg>,
     /// `bwd[i]`: queue of messages traversing the segment core i+1 → core i.
-    bwd: Vec<VecDeque<CoreMsg>>,
-    /// Messages delivered to each core this cycle.
-    inbox: Vec<Vec<CoreMsg>>,
-    /// The queues of `fwd`, `bwd` and `inbox` that hold a message.
-    /// Derived from them (rebuilt on restore): what `tick` and the
-    /// machine's delivery walk.
-    fwd_busy: IndexSet,
-    bwd_busy: IndexSet,
-    inbox_busy: IndexSet,
+    bwd: Queues<CoreMsg>,
+    /// Messages delivered to each core this cycle, handed to its harts by
+    /// `Machine::deliver`.
+    pub(crate) inbox: Queues<CoreMsg>,
+    /// The messages one direction moves in a `tick`, between the move and
+    /// the routing; empty outside it, kept for its capacity.
+    moved: Vec<(usize, CoreMsg)>,
     /// Total messages that crossed any segment (statistics).
     pub hops: u64,
     /// Message-cycles lost to segment contention: each cycle, every
@@ -50,22 +46,14 @@ pub struct Fabric {
 impl Fabric {
     /// Builds the fabric for `cores` cores.
     pub fn new(cores: usize) -> Fabric {
-        let cores = cores as u32;
-        let links = cores.saturating_sub(1) as usize;
+        let links = cores.saturating_sub(1);
         Fabric {
-            cores,
-            fwd: (0..links)
-                .map(|_| VecDeque::with_capacity(QUEUE_DEPTH))
-                .collect(),
-            bwd: (0..links)
-                .map(|_| VecDeque::with_capacity(QUEUE_DEPTH))
-                .collect(),
-            inbox: (0..cores)
-                .map(|_| Vec::with_capacity(QUEUE_DEPTH))
-                .collect(),
-            fwd_busy: IndexSet::new(links),
-            bwd_busy: IndexSet::new(links),
-            inbox_busy: IndexSet::new(cores as usize),
+            cores: cores as u32,
+            fwd: Queues::new(links),
+            bwd: Queues::new(links),
+            inbox: Queues::new(cores),
+            // At most one message per link moves in a direction.
+            moved: Vec::with_capacity(links),
             hops: 0,
             contended: 0,
             sent: 0,
@@ -118,77 +106,41 @@ impl Fabric {
         );
         if dest == from_core {
             // One-cycle local loop: stage on the (empty) path below.
-            self.put_in_inbox(dest as usize, msg);
+            self.inbox.push(dest as usize, msg);
         } else if dest > from_core {
             assert!(
                 dest == from_core + 1,
                 "forward link only reaches the next core (from {from_core} to {dest})"
             );
-            self.fwd[from_core as usize].push_back(msg);
-            self.fwd_busy.insert(from_core as usize);
+            self.fwd.push(from_core as usize, msg);
         } else {
             // Backward: enter the segment just below `from_core`.
-            self.bwd[(from_core - 1) as usize].push_back(msg);
-            self.bwd_busy.insert((from_core - 1) as usize);
+            self.bwd.push((from_core - 1) as usize, msg);
         }
-    }
-
-    fn put_in_inbox(&mut self, core: usize, msg: CoreMsg) {
-        self.inbox[core].push(msg);
-        self.inbox_busy.insert(core);
-    }
-
-    /// The `w`-th 64 cores with a message in their inbox, one bit each.
-    pub fn inbox_word(&self, w: usize) -> u64 {
-        self.inbox_busy.word(w)
-    }
-
-    /// Moves the messages delivered to a core this cycle to the end of
-    /// `out`; the inbox keeps its capacity.
-    pub fn drain_inbox(&mut self, core: u32, out: &mut Vec<CoreMsg>) {
-        out.append(&mut self.inbox[core as usize]);
-        self.inbox_busy.remove(core as usize);
     }
 
     /// Advances every link segment that holds a message by one cycle.
     pub fn tick(&mut self) {
-        // Forward links: one message per segment per cycle, delivered to
-        // the successor core.
-        for w in 0..self.fwd_busy.words() {
-            for i in members(w, self.fwd_busy.word(w)) {
-                let msg = self.fwd[i]
-                    .pop_front()
-                    .expect("a busy link holds a message");
-                self.hops += 1;
-                self.contended += self.fwd[i].len() as u64;
-                if self.fwd[i].is_empty() {
-                    self.fwd_busy.remove(i);
-                }
-                self.put_in_inbox(i + 1, msg);
+        let mut moved = std::mem::take(&mut self.moved);
+        // Forward links: delivered to the successor core.
+        self.contended += self.fwd.advance(&mut moved);
+        self.hops += moved.len() as u64;
+        for (i, msg) in moved.drain(..) {
+            self.inbox.push(i + 1, msg);
+        }
+        // Backward line: a message not yet at its destination re-enters
+        // the next segment down, which has moved its message this cycle,
+        // so the relayed one waits there until the next.
+        self.contended += self.bwd.advance(&mut moved);
+        self.hops += moved.len() as u64;
+        for (i, msg) in moved.drain(..) {
+            if msg.dest_core() == i as u32 {
+                self.inbox.push(i, msg);
+            } else {
+                self.bwd.push(i - 1, msg);
             }
         }
-        // Backward line: one message per segment per cycle; a message not
-        // yet at its destination re-enters the next segment down. That
-        // segment has already moved its message this cycle (segments go in
-        // ascending order), so the relayed one waits there until the next.
-        for w in 0..self.bwd_busy.words() {
-            for i in members(w, self.bwd_busy.word(w)) {
-                let msg = self.bwd[i]
-                    .pop_front()
-                    .expect("a busy link holds a message");
-                self.hops += 1;
-                self.contended += self.bwd[i].len() as u64;
-                if self.bwd[i].is_empty() {
-                    self.bwd_busy.remove(i);
-                }
-                if msg.dest_core() == i as u32 {
-                    self.put_in_inbox(i, msg);
-                } else {
-                    self.bwd[i - 1].push_back(msg);
-                    self.bwd_busy.insert(i - 1);
-                }
-            }
-        }
+        self.moved = moved;
         // Release delayed messages whose hold expired onto their links.
         let mut i = 0;
         while i < self.delayed.len() {
@@ -239,26 +191,9 @@ impl Fabric {
     /// section).
     pub(crate) fn snap_dyn(&self, w: &mut SnapWriter) {
         w.u32(self.cores);
-        w.seq(self.fwd.len());
-        for q in &self.fwd {
-            w.seq(q.len());
-            for msg in q {
-                msg.snap(w);
-            }
-        }
-        w.seq(self.bwd.len());
-        for q in &self.bwd {
-            w.seq(q.len());
-            for msg in q {
-                msg.snap(w);
-            }
-        }
-        w.seq(self.inbox.len());
-        for inbox in &self.inbox {
-            w.seq(inbox.len());
-            for msg in inbox {
-                msg.snap(w);
-            }
+        for queues in [&self.fwd, &self.bwd, &self.inbox] {
+            w.seq(queues.queues());
+            queues.snap(w, CoreMsg::snap);
         }
         w.u64(self.hops);
         w.u64(self.contended);
@@ -271,80 +206,53 @@ impl Fabric {
         }
     }
 
-    /// Rebuilds the fabric from its dynamic section plus the fault
-    /// schedule recovered by [`Fabric::unsnap_static`].
+    /// Rebuilds the fabric of a `cores`-core machine from its dynamic
+    /// section plus the fault schedule recovered by
+    /// [`Fabric::unsnap_static`].
     pub(crate) fn unsnap_dyn(
         r: &mut SnapReader<'_>,
+        cores: usize,
         drop_nth: Vec<u64>,
         delay_nth: Vec<(u64, u32)>,
         faults_applied: u64,
     ) -> Result<Fabric, SnapError> {
-        let cores = r.u32()?;
-        let links = cores.saturating_sub(1) as usize;
-        let read_queues = |r: &mut SnapReader<'_>, expect: usize, what: &str| {
-            let n = r.seq()?;
-            if n != expect {
-                return Err(SnapError::Corrupt(format!(
-                    "fabric has {n} {what} queues, expected {expect}"
-                )));
-            }
-            let mut queues = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut q = VecDeque::new();
-                for _ in 0..r.seq()? {
-                    q.push_back(CoreMsg::unsnap(r)?);
-                }
-                queues.push(q);
-            }
-            Ok(queues)
-        };
-        let fwd = read_queues(r, links, "forward")?;
-        let bwd = read_queues(r, links, "backward")?;
-        let inboxes = r.seq()?;
-        if inboxes != cores as usize {
+        let held = r.u32()?;
+        if held as usize != cores {
             return Err(SnapError::Corrupt(format!(
-                "fabric has {inboxes} inboxes, expected {cores}"
+                "fabric has {held} cores, configuration says {cores}"
             )));
         }
-        let mut inbox = Vec::with_capacity(inboxes);
-        for _ in 0..inboxes {
-            let mut msgs = Vec::new();
-            for _ in 0..r.seq()? {
-                msgs.push(CoreMsg::unsnap(r)?);
+        let mut f = Fabric::new(cores);
+        for (queues, what) in [
+            (&mut f.fwd, "forward queues"),
+            (&mut f.bwd, "backward queues"),
+            (&mut f.inbox, "inboxes"),
+        ] {
+            let (n, expect) = (r.seq()?, queues.queues());
+            if n != expect {
+                return Err(SnapError::Corrupt(format!(
+                    "fabric has {n} {what}, expected {expect}"
+                )));
             }
-            inbox.push(msgs);
+            *queues = Queues::unsnap(r, n, CoreMsg::unsnap)?;
         }
-        let hops = r.u64()?;
-        let contended = r.u64()?;
-        let sent = r.u64()?;
-        let mut delayed = Vec::new();
+        f.hops = r.u64()?;
+        f.contended = r.u64()?;
+        f.sent = r.u64()?;
         for _ in 0..r.seq()? {
-            delayed.push((r.u32()?, r.u32()?, CoreMsg::unsnap(r)?));
+            f.delayed.push((r.u32()?, r.u32()?, CoreMsg::unsnap(r)?));
         }
-        Ok(Fabric {
-            cores,
-            fwd_busy: IndexSet::from_fn(links, |i| !fwd[i].is_empty()),
-            bwd_busy: IndexSet::from_fn(links, |i| !bwd[i].is_empty()),
-            inbox_busy: IndexSet::from_fn(inboxes, |c| !inbox[c].is_empty()),
-            fwd,
-            bwd,
-            inbox,
-            hops,
-            contended,
-            sent,
-            drop_nth,
-            delay_nth,
-            delayed,
-            faults_applied,
-        })
+        f.set_faults(drop_nth, delay_nth);
+        f.faults_applied = faults_applied;
+        Ok(f)
     }
 
     /// Whether nothing is in flight: no message on any segment, in any
     /// inbox, or held back by a delay fault.
     pub fn is_quiet(&self) -> bool {
-        self.fwd_busy.is_empty()
-            && self.bwd_busy.is_empty()
-            && self.inbox_busy.is_empty()
+        self.fwd.is_empty()
+            && self.bwd.is_empty()
+            && self.inbox.is_empty()
             && self.delayed.is_empty()
     }
 
@@ -388,7 +296,7 @@ mod tests {
     /// The messages delivered to `core` this cycle, taken out of its inbox.
     fn take_inbox(f: &mut Fabric, core: u32) -> Vec<CoreMsg> {
         let mut out = Vec::new();
-        f.drain_inbox(core, &mut out);
+        f.inbox.drain_into(core as usize, &mut out);
         out
     }
 

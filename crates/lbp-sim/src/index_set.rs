@@ -1,9 +1,10 @@
 //! The occupancy set: which cores, links or ports hold something.
 //!
 //! Every per-cycle loop of the machine walks one of these instead of
-//! everything that exists, so a cycle costs what is occupied. A set is
-//! derived state: its owner keeps it in step with the queues it
-//! describes, never serializes it, and rebuilds it from them on restore.
+//! everything that exists, so a cycle costs what is occupied. Two owners
+//! keep one: [`Queues`](crate::queues::Queues), whose set is its
+//! non-empty queues, and `Machine::awake`, the cores that tick. Neither
+//! is serialized.
 
 /// A set of small indices, one bit each.
 #[derive(Debug)]
@@ -36,10 +37,6 @@ impl IndexSet {
 
     pub fn contains(&self, i: usize) -> bool {
         self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
     }
 
     /// How many words of 64 members the set has.
@@ -88,8 +85,8 @@ mod tests {
         let set = IndexSet::from_fn(68, |i| [0, 5, 63, 64, 67].contains(&i));
         assert_eq!(set.iter().collect::<Vec<_>>(), [0, 5, 63, 64, 67]);
         assert_eq!(set.words(), 2);
-        assert!(set.contains(64) && !set.contains(65) && !set.is_empty());
-        assert!(IndexSet::new(0).is_empty() && IndexSet::new(0).words() == 0);
+        assert!(set.contains(64) && !set.contains(65));
+        assert_eq!(IndexSet::new(0).words(), 0);
     }
 
     #[test]

@@ -84,6 +84,7 @@ mod msg;
 mod network;
 mod observe;
 mod prof;
+mod queues;
 mod race;
 mod snapshot;
 mod stats;

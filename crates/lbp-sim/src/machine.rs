@@ -597,8 +597,8 @@ impl Machine {
         let cores = (0..ncores)
             .map(|_| Core::unsnap(&mut r, &cfg))
             .collect::<Result<Vec<_>, _>>()?;
-        let mem = MemSys::unsnap(&mut r)?;
-        let fabric = Fabric::unsnap_dyn(&mut r, drop_nth, delay_nth, fabric_faults)?;
+        let mem = MemSys::unsnap(&mut r, ncores)?;
+        let fabric = Fabric::unsnap_dyn(&mut r, ncores, drop_nth, delay_nth, fabric_faults)?;
         r.finish()?;
         Ok(Machine {
             obs: Observers::off(cfg.trace),
@@ -782,7 +782,7 @@ impl Machine {
     fn deliver(&mut self) -> Result<(), SimError> {
         let now = self.cycle;
         for w in 0..self.awake.words() {
-            for c in members(w, self.mem.arrival_word(w) | self.fabric.inbox_word(w)) {
+            for c in members(w, self.mem.arrival_word(w) | self.fabric.inbox.word(w)) {
                 self.wake(c);
                 let c = c as u32;
                 // Memory responses: from the network and from the local
@@ -794,7 +794,7 @@ impl Machine {
                 // so they leave the inbox first: a message sent to this core
                 // now waits for the next cycle.
                 let mut msgs = std::mem::take(&mut self.core_arrivals);
-                self.fabric.drain_inbox(c, &mut msgs);
+                self.fabric.inbox.drain_into(c as usize, &mut msgs);
                 let delivered =
                     (msgs.drain(..)).try_for_each(|msg| self.deliver_core_msg(c, msg, now));
                 self.core_arrivals = msgs;

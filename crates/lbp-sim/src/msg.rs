@@ -4,11 +4,6 @@ use lbp_isa::HartId;
 
 use crate::snapshot::{get_hart, put_hart, SnapError, SnapReader, SnapWriter};
 
-/// Initial capacity of every link queue, port queue and inbox. They are
-/// unbounded, but an uncontended run never fills this, so their first-use
-/// growth happens in `Machine::new` and not cycle by cycle inside the run.
-pub(crate) const QUEUE_DEPTH: usize = 8;
-
 /// A memory-network message (requests toward shared banks, responses back).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetMsg {

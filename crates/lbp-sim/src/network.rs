@@ -13,10 +13,8 @@
 //! bandwidth, which preserves the contention behaviour the paper
 //! evaluates.)
 
-use std::collections::VecDeque;
-
-use crate::index_set::{members, IndexSet};
-use crate::msg::{NetMsg, QUEUE_DEPTH};
+use crate::msg::NetMsg;
+use crate::queues::Queues;
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 
 /// Children per router at every level (cores per r1, r1s per r2, ...).
@@ -37,14 +35,7 @@ enum Endpoint {
     Bank(u32),
 }
 
-/// One directed link with its FIFO queue.
-#[derive(Debug)]
-struct Edge {
-    queue: VecDeque<NetMsg>,
-    /// Where a message landing off this edge is processed.
-    dest: Dest,
-}
-
+/// Where a message landing off an edge is processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Dest {
     Router(Node),
@@ -62,22 +53,18 @@ pub struct Network {
     inter_base: Vec<usize>,
     /// Cores below one router of each level: `FANOUT.pow(level)`.
     subtree: Vec<u32>,
-    edges: Vec<Edge>,
-    /// Requests that arrived at each bank's network port.
-    bank_inbox: Vec<VecDeque<NetMsg>>,
-    /// Responses/acks that arrived back at each core.
-    core_inbox: Vec<Vec<NetMsg>>,
-    /// Messages on all of `edges`, the edges that hold one, and the bank
-    /// and core inboxes that hold one. Derived from the queues (rebuilt on
-    /// restore): what lets `tick` return at once, and what it, bank
-    /// service and delivery walk.
-    on_edges: usize,
-    edge_busy: IndexSet,
-    bank_busy: IndexSet,
-    core_busy: IndexSet,
-    /// The messages one `tick` moves, between its two phases; empty
-    /// outside it, kept for its capacity.
-    moved: Vec<(Dest, NetMsg)>,
+    /// One FIFO per directed link, and where each link lands.
+    edges: Queues<NetMsg>,
+    dest: Vec<Dest>,
+    /// Requests that arrived at each bank's network port, served by
+    /// `MemSys::tick`.
+    pub(crate) bank_inbox: Queues<NetMsg>,
+    /// Responses/acks that arrived back at each core, delivered by
+    /// `Machine::deliver`.
+    pub(crate) core_inbox: Queues<NetMsg>,
+    /// The messages one `tick` moves, between the move and the routing;
+    /// empty outside it, kept for its capacity.
+    moved: Vec<(usize, NetMsg)>,
     /// Total link traversals (for utilization statistics).
     pub hops: u64,
     /// Message-cycles lost to link contention: each cycle, every message
@@ -110,20 +97,16 @@ impl Network {
         }
         // Level-0 <-> level-1 edges: core up, core down, bank req, bank
         // resp — four per core, in core order.
-        let edge = |dest| Edge {
-            queue: VecDeque::with_capacity(QUEUE_DEPTH),
-            dest,
-        };
-        let mut edges = Vec::new();
+        let mut dest = Vec::new();
         for c in 0..cores {
             let r1 = Node {
                 level: 1,
                 index: c / FANOUT,
             };
-            edges.push(edge(Dest::Router(r1))); // core up
-            edges.push(edge(Dest::Deliver(Endpoint::Core(c)))); // core down
-            edges.push(edge(Dest::Deliver(Endpoint::Bank(c)))); // bank req
-            edges.push(edge(Dest::Router(r1))); // bank resp
+            dest.push(Dest::Router(r1)); // core up
+            dest.push(Dest::Deliver(Endpoint::Core(c))); // core down
+            dest.push(Dest::Deliver(Endpoint::Bank(c))); // bank req
+            dest.push(Dest::Router(r1)); // bank resp
         }
         // Inter-router edges: one up and one down per router per level
         // boundary.
@@ -134,8 +117,8 @@ impl Network {
                     index: i / FANOUT,
                 };
                 let child = Node { level, index: i };
-                edges.push(edge(Dest::Router(parent))); // up
-                edges.push(edge(Dest::Router(child))); // down
+                dest.push(Dest::Router(parent)); // up
+                dest.push(Dest::Router(child)); // down
             }
         }
         Network {
@@ -144,19 +127,12 @@ impl Network {
             levels,
             subtree: (0..routers.len() as u32).map(|l| FANOUT.pow(l)).collect(),
             inter_base,
-            bank_inbox: (0..cores)
-                .map(|_| VecDeque::with_capacity(QUEUE_DEPTH))
-                .collect(),
-            core_inbox: (0..cores)
-                .map(|_| Vec::with_capacity(QUEUE_DEPTH))
-                .collect(),
-            on_edges: 0,
-            edge_busy: IndexSet::new(edges.len()),
-            bank_busy: IndexSet::new(cores as usize),
-            core_busy: IndexSet::new(cores as usize),
+            edges: Queues::new(dest.len()),
+            bank_inbox: Queues::new(cores as usize),
+            core_inbox: Queues::new(cores as usize),
             // At most one message per edge moves in a tick.
-            moved: Vec::with_capacity(edges.len()),
-            edges,
+            moved: Vec::with_capacity(dest.len()),
+            dest,
             hops: 0,
             contended: 0,
         }
@@ -195,108 +171,41 @@ impl Network {
         self.inter_base[node.level as usize] + node.index as usize * 2 + 1
     }
 
-    fn push_edge(&mut self, e: usize, msg: NetMsg) {
-        self.edges[e].queue.push_back(msg);
-        self.edge_busy.insert(e);
-        self.on_edges += 1;
-    }
-
     /// Injects a request from a core into the network (the core's
     /// up-link).
     pub fn send_from_core(&mut self, core: u32, msg: NetMsg) {
-        self.push_edge(self.e_core_up(core), msg);
+        self.edges.push(self.e_core_up(core), msg);
     }
 
     /// Injects a response from a bank's network port.
     pub fn send_from_bank(&mut self, bank: u32, msg: NetMsg) {
-        self.push_edge(self.e_bank_resp(bank), msg);
-    }
-
-    /// The requests waiting at a bank's network port.
-    pub fn bank_queue(&self, bank: u32) -> &VecDeque<NetMsg> {
-        &self.bank_inbox[bank as usize]
-    }
-
-    /// The `w`-th 64 banks with a request at their network port, one bit
-    /// each.
-    pub fn bank_word(&self, w: usize) -> u64 {
-        self.bank_busy.word(w)
-    }
-
-    /// Takes the oldest request waiting at a bank's network port.
-    pub fn pop_bank(&mut self, bank: u32) -> Option<NetMsg> {
-        let inbox = &mut self.bank_inbox[bank as usize];
-        let msg = inbox.pop_front()?;
-        if inbox.is_empty() {
-            self.bank_busy.remove(bank as usize);
-        }
-        Some(msg)
-    }
-
-    /// The `w`-th 64 cores with a response in their inbox, one bit each.
-    pub fn core_word(&self, w: usize) -> u64 {
-        self.core_busy.word(w)
-    }
-
-    /// The responses delivered to a core this cycle.
-    pub fn core_inbox(&self, core: u32) -> &[NetMsg] {
-        &self.core_inbox[core as usize]
-    }
-
-    /// Empties a core's inbox, which keeps its capacity.
-    pub fn clear_core_inbox(&mut self, core: u32) {
-        self.core_inbox[core as usize].clear();
-        self.core_busy.remove(core as usize);
+        self.edges.push(self.e_bank_resp(bank), msg);
     }
 
     /// Whether nothing is in flight: every link queue, bank port and core
     /// inbox is empty. Feeds the machine's quiescence-based deadlock
     /// detector.
     pub fn is_quiet(&self) -> bool {
-        self.on_edges == 0 && self.bank_busy.is_empty() && self.core_busy.is_empty()
+        self.in_flight() == 0
     }
 
     /// Messages currently travelling or queued anywhere in the hierarchy
     /// (crash dumps).
     pub fn in_flight(&self) -> usize {
-        let banks = self.bank_inbox.iter().map(VecDeque::len);
-        let cores = self.core_inbox.iter().map(Vec::len);
-        self.on_edges + banks.chain(cores).sum::<usize>()
+        self.edges.items() + self.bank_inbox.items() + self.core_inbox.items()
     }
 
     /// Advances every link by one cycle: each edge delivers at most one
     /// message one hop onward.
     pub fn tick(&mut self) {
-        if self.on_edges == 0 {
-            return;
-        }
-        // Phase 1: pop one message per occupied edge (the link's
-        // bandwidth), in edge order. Nothing is pushed until phase 2.
         let mut moved = std::mem::take(&mut self.moved);
-        for w in 0..self.edge_busy.words() {
-            for i in members(w, self.edge_busy.word(w)) {
-                let e = &mut self.edges[i];
-                let msg = e.queue.pop_front().expect("a busy edge holds a message");
-                moved.push((e.dest, msg));
-                self.contended += e.queue.len() as u64;
-                if e.queue.is_empty() {
-                    self.edge_busy.remove(i);
-                }
-            }
-        }
+        self.contended += self.edges.advance(&mut moved);
         self.hops += moved.len() as u64;
-        self.on_edges -= moved.len();
-        // Phase 2: route each message at the node it just reached.
-        for (dest, msg) in moved.drain(..) {
-            match dest {
-                Dest::Deliver(Endpoint::Core(c)) => {
-                    self.core_inbox[c as usize].push(msg);
-                    self.core_busy.insert(c as usize);
-                }
-                Dest::Deliver(Endpoint::Bank(b)) => {
-                    self.bank_inbox[b as usize].push_back(msg);
-                    self.bank_busy.insert(b as usize);
-                }
+        // Route each message at the node it just reached.
+        for (e, msg) in moved.drain(..) {
+            match self.dest[e] {
+                Dest::Deliver(Endpoint::Core(c)) => self.core_inbox.push(c as usize, msg),
+                Dest::Deliver(Endpoint::Bank(b)) => self.bank_inbox.push(b as usize, msg),
                 Dest::Router(node) => self.route(node, msg),
             }
         }
@@ -310,76 +219,45 @@ impl Network {
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
         w.u32(self.cores);
         w.u32(self.shared_bank_bytes);
-        w.seq(self.edges.len());
-        for e in &self.edges {
-            w.seq(e.queue.len());
-            for msg in &e.queue {
-                msg.snap(w);
-            }
-        }
-        w.seq(self.bank_inbox.len());
-        for q in &self.bank_inbox {
-            w.seq(q.len());
-            for msg in q {
-                msg.snap(w);
-            }
-        }
-        w.seq(self.core_inbox.len());
-        for inbox in &self.core_inbox {
-            w.seq(inbox.len());
-            for msg in inbox {
-                msg.snap(w);
-            }
+        for queues in [&self.edges, &self.bank_inbox, &self.core_inbox] {
+            w.seq(queues.queues());
+            queues.snap(w, NetMsg::snap);
         }
         w.u64(self.hops);
         w.u64(self.contended);
     }
 
-    pub(crate) fn unsnap(r: &mut SnapReader<'_>) -> Result<Network, SnapError> {
-        let cores = r.u32()?;
-        let shared_bank_bytes = r.u32()?;
-        if cores == 0 {
-            return Err(SnapError::Corrupt("network has zero cores".to_owned()));
-        }
-        let mut net = Network::new(cores as usize, shared_bank_bytes);
-        let edges = r.seq()?;
-        if edges != net.edges.len() {
+    /// Reads back the network of a `cores`-core machine.
+    pub(crate) fn unsnap(r: &mut SnapReader<'_>, cores: usize) -> Result<Network, SnapError> {
+        let held = r.u32()?;
+        if held as usize != cores {
             return Err(SnapError::Corrupt(format!(
-                "network has {edges} edges, topology for {cores} cores has {}",
-                net.edges.len()
+                "network has {held} cores, configuration says {cores}"
             )));
         }
-        for (i, e) in net.edges.iter_mut().enumerate() {
-            for _ in 0..r.seq()? {
-                e.queue.push_back(NetMsg::unsnap(r)?);
-                net.edge_busy.insert(i);
-            }
-            net.on_edges += e.queue.len();
+        let mut net = Network::new(cores, r.u32()?);
+        let edges = r.seq()?;
+        if edges != net.edges.queues() {
+            return Err(SnapError::Corrupt(format!(
+                "network has {edges} edges, topology for {cores} cores has {}",
+                net.edges.queues()
+            )));
         }
+        net.edges = Queues::unsnap(r, edges, NetMsg::unsnap)?;
         let banks = r.seq()?;
-        if banks != net.bank_inbox.len() {
+        if banks != cores {
             return Err(SnapError::Corrupt(format!(
                 "{banks} bank inboxes for {cores} cores"
             )));
         }
-        for (b, q) in net.bank_inbox.iter_mut().enumerate() {
-            for _ in 0..r.seq()? {
-                q.push_back(NetMsg::unsnap(r)?);
-                net.bank_busy.insert(b);
-            }
-        }
+        net.bank_inbox = Queues::unsnap(r, banks, NetMsg::unsnap)?;
         let inboxes = r.seq()?;
-        if inboxes != net.core_inbox.len() {
+        if inboxes != cores {
             return Err(SnapError::Corrupt(format!(
                 "{inboxes} core inboxes for {cores} cores"
             )));
         }
-        for (c, inbox) in net.core_inbox.iter_mut().enumerate() {
-            for _ in 0..r.seq()? {
-                inbox.push(NetMsg::unsnap(r)?);
-                net.core_busy.insert(c);
-            }
-        }
+        net.core_inbox = Queues::unsnap(r, inboxes, NetMsg::unsnap)?;
         net.hops = r.u64()?;
         net.contended = r.u64()?;
         Ok(net)
@@ -416,7 +294,7 @@ impl Network {
         } else {
             self.e_up(node)
         };
-        self.push_edge(e, msg);
+        self.edges.push(e, msg);
     }
 }
 
@@ -428,8 +306,8 @@ mod tests {
 
     /// The responses delivered to `core` this cycle, taken out of its inbox.
     fn take_core_inbox(net: &mut Network, core: u32) -> Vec<NetMsg> {
-        let out = net.core_inbox(core).to_vec();
-        net.clear_core_inbox(core);
+        let mut out = Vec::new();
+        net.core_inbox.drain_into(core as usize, &mut out);
         out
     }
 
@@ -452,7 +330,7 @@ mod tests {
         net.send_from_core(from_core, read_req(addr, from_core * 4));
         for cycle in 1..100 {
             net.tick();
-            if !net.bank_queue(to_bank).is_empty() {
+            if !net.bank_inbox[to_bank as usize].is_empty() {
                 return Ok(cycle);
             }
             if net.is_quiet() {
@@ -527,9 +405,9 @@ mod tests {
         net.send_from_core(0, read_req(SHARED_BASE + 0x10000, 1));
         net.tick();
         net.tick();
-        assert_eq!(net.bank_queue(1).len(), 1);
+        assert_eq!(net.bank_inbox[1].len(), 1);
         net.tick();
-        assert_eq!(net.bank_queue(1).len(), 2);
+        assert_eq!(net.bank_inbox[1].len(), 2);
     }
 
     #[test]
@@ -541,7 +419,7 @@ mod tests {
         let mut order = Vec::new();
         for _ in 0..16 {
             net.tick();
-            while let Some(m) = net.pop_bank(0) {
+            while let Some(m) = net.bank_inbox.pop(0) {
                 if let NetMsg::ReadReq { hart, .. } = m {
                     order.push(hart.global());
                 }
@@ -602,7 +480,7 @@ mod tests {
         let mut deliveries: Vec<(u32, u32)> = Vec::new(); // (cycle, hart)
         for cycle in 1..=12 {
             net.tick();
-            while let Some(m) = net.pop_bank(0) {
+            while let Some(m) = net.bank_inbox.pop(0) {
                 if let NetMsg::ReadReq { hart, .. } = m {
                     deliveries.push((cycle, hart.global()));
                 }
@@ -641,8 +519,8 @@ mod tests {
             net.tick();
         }
         assert_eq!(net.contended, 0);
-        assert_eq!(net.bank_queue(1).len(), 1);
-        assert_eq!(net.bank_queue(5).len(), 1);
+        assert_eq!(net.bank_inbox[1].len(), 1);
+        assert_eq!(net.bank_inbox[5].len(), 1);
     }
 
     /// Requests and responses ride separate links: a read request into a
@@ -663,7 +541,7 @@ mod tests {
         );
         net.tick();
         net.tick();
-        assert_eq!(net.bank_queue(1).len(), 1, "request arrived");
+        assert_eq!(net.bank_inbox[1].len(), 1, "request arrived");
         assert_eq!(take_core_inbox(&mut net, 0).len(), 1, "response arrived");
         assert_eq!(net.contended, 0, "opposite directions never contend");
     }
@@ -678,7 +556,7 @@ mod tests {
         net.send_from_core(0, read_req(SHARED_BASE + bank_bytes, 0));
         net.tick();
         net.tick();
-        let req = net.pop_bank(1).expect("request after 2 cycles");
+        let req = net.bank_inbox.pop(1).expect("request after 2 cycles");
         let addr = match req {
             NetMsg::ReadReq { addr, .. } => addr,
             _ => panic!("expected a read request"),

@@ -213,3 +213,21 @@ fn reserved_latency_words_other_than_one_are_rejected() {
         }
     }
 }
+
+/// The fabric, the network and the memory system each carry their core
+/// count; a payload in which one disagrees with the configuration is
+/// refused before anything is sized from it. A consistent 1-core fabric
+/// under a 2-core machine used to restore, and the first fork request
+/// then panicked in the fabric.
+#[test]
+fn a_section_sized_for_other_cores_is_refused() {
+    let image = assemble(include_str!("../../../examples/asm/fork2.s")).unwrap();
+    let m = Machine::new(LbpConfig::cores(2), &image).unwrap();
+    let state = lbp_testutil::harness::fabric_one_core_short(&m);
+    match Machine::restore(&state) {
+        Err(SnapError::Corrupt(msg)) => {
+            assert_eq!(msg, "fabric has 1 cores, configuration says 2")
+        }
+        other => panic!("a 1-core fabric was not refused: {:?}", other.map(|_| ())),
+    }
+}

@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 
 use lbp_asm::Image;
-use lbp_sim::{Fault, FaultPlan, LbpConfig, Machine, SimError};
+use lbp_sim::{Fault, FaultPlan, LbpConfig, Machine, MachineState, SimError};
 
 /// Assembles a test program, panicking with the source on failure.
 pub fn assemble(src: &str) -> Image {
@@ -45,6 +45,31 @@ pub fn machine_with_faults(cores: usize, src: &str, faults: &[Fault]) -> Result<
     let image = assemble(src);
     let cfg = LbpConfig::cores(cores).with_faults(faults.iter().copied().collect::<FaultPlan>());
     Machine::new(cfg, &image)
+}
+
+/// `m`'s snapshot with its fabric section, the last of the payload,
+/// rewritten as the consistent fabric of a machine one core smaller: a
+/// payload whose parts disagree on the core count. `m`'s fabric must hold
+/// nothing and have counted nothing, as a fresh machine's.
+pub fn fabric_one_core_short(m: &Machine) -> MachineState {
+    // The core count, the forward, backward and inbox queues (a count,
+    // then an empty queue each), hops, contention, sent, no delayed one.
+    let quiet = |cores: u64| {
+        let mut bytes = (cores as u32).to_le_bytes().to_vec();
+        for queues in [cores - 1, cores - 1, cores] {
+            bytes.extend(queues.to_le_bytes());
+            bytes.extend(vec![0; 8 * queues as usize]);
+        }
+        bytes.extend([0u8; 32]);
+        bytes
+    };
+    let cores = m.config().cores as u64;
+    let bytes = m.snapshot().as_bytes().to_vec();
+    let fabric = quiet(cores);
+    assert!(bytes.ends_with(&fabric), "the fabric is not a fresh one");
+    let mut patched = bytes[..bytes.len() - fabric.len()].to_vec();
+    patched.extend(quiet(cores - 1));
+    MachineState::from_bytes(patched).expect("the header is untouched")
 }
 
 /// A per-process scratch directory for tests that must round-trip

@@ -455,6 +455,24 @@ fn checkpoints_are_the_same_files_with_and_without_a_watchdog() {
     }
 }
 
+/// A checkpoint whose fabric is sized for fewer cores than its
+/// configuration is refused when read, not run into a panic (exit 101).
+#[test]
+fn exit_1_resuming_a_checkpoint_whose_parts_disagree_on_cores() {
+    let source = std::fs::read_to_string(example("fork2.s")).unwrap();
+    let image = harness::assemble(&source);
+    let m = lbp::sim::Machine::new(lbp::sim::LbpConfig::cores(2), &image).unwrap();
+    let dir = harness::scratch_dir("short-fabric");
+    let path = dir.join("short.lbpsnap");
+    lbp::snap::save(&harness::fabric_one_core_short(&m), &path).unwrap();
+    let out = lbp_run().arg("--resume-from").arg(&path).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(class_of(out.status), ExitClass::Failure, "{stderr}");
+    assert!(stderr.contains("cannot restore"), "{stderr}");
+    assert!(stderr.contains("fabric has 1 cores"), "{stderr}");
+    harness::scratch_cleanup(&dir);
+}
+
 #[test]
 fn bisect_reports_the_divergent_cycle() {
     let out = lbp_run()

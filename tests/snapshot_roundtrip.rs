@@ -160,3 +160,68 @@ fn sleepers_are_settled_in_snapshots_pinned_across_commits() {
     assert!(m.run_to(u64::MAX).unwrap());
     assert_eq!(snap::content_hash(&m.snapshot()), PINNED_TEAM_EXIT, "exit");
 }
+
+/// `content_hash` of the h=64 base matmul on 16 cores, paused where a
+/// fabric message is on a backward segment, messages ride the router
+/// edges and requests wait at the bank ports, computed at the commit
+/// before the link, inbox and port queues became one type. Each pause
+/// restores to the same bytes.
+const PINNED_MATMUL_PAUSES: [(u64, u64); 3] = [
+    (579, 0x71b4_4a0c_f968_f203),
+    (2_033, 0xd2fb_3ca5_3022_a82c),
+    (4_199, 0x5ed6_764c_9c0e_7a90),
+];
+
+/// `content_hash` of `examples/asm/fork2.s` on two cores with its first
+/// fabric message held back five cycles, paused while it is held, from
+/// the same commit. fork2 makes no shared access, so its network and
+/// bank ports are empty then.
+const PINNED_HELD: (u64, u64) = (19, 0xe818_dbac_2912_3468);
+
+/// The snapshot of `m`, after checking that it restores to the same bytes.
+fn restorable(m: &Machine) -> lbp::sim::MachineState {
+    let state = m.snapshot();
+    let again = Machine::restore(&state).unwrap().snapshot();
+    assert_eq!(
+        again.as_bytes(),
+        state.as_bytes(),
+        "cycle {}",
+        state.cycle()
+    );
+    state
+}
+
+#[test]
+fn in_flight_queues_are_pinned_across_commits() {
+    use lbp::kernels::matmul::{Matmul, Version};
+    let mut m = Matmul::new(64, Version::Base).machine().unwrap();
+    for (at, pinned) in PINNED_MATMUL_PAUSES {
+        assert!(!m.run_to(at).unwrap());
+        let dump = m.dump_with("paused", String::new());
+        let backward = dump.fabric_in_flight.iter().any(|s| s.contains("backward"));
+        assert!(backward, "{at}: {:?}", dump.fabric_in_flight);
+        assert!(dump.network_in_flight > 0, "{at}: network empty");
+        assert!(dump.bank_queues.iter().any(|&n| n > 0), "{at}: ports empty");
+        let hash = snap::content_hash(&restorable(&m));
+        assert_eq!(hash, pinned, "matmul at {at}: {hash:#018x}");
+    }
+
+    let source = std::fs::read_to_string(format!(
+        "{}/examples/asm/fork2.s",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .unwrap();
+    let image = lbp::asm::assemble(&source).unwrap();
+    let delay = lbp::sim::Fault::parse("delay-msg:0:5").unwrap();
+    let cfg = lbp::sim::LbpConfig::cores(2).with_faults([delay].into_iter().collect());
+    let mut m = Machine::new(cfg, &image).unwrap();
+    let (at, pinned) = PINNED_HELD;
+    assert!(!m.run_to(at).unwrap());
+    let dump = m.dump_with("paused", String::new());
+    assert_eq!(
+        dump.fabric_in_flight,
+        ["ForkReq from hart c0h0 held by a delay fault (3 cycles left)"]
+    );
+    let hash = snap::content_hash(&restorable(&m));
+    assert_eq!(hash, pinned, "fork2 held at {at}: {hash:#018x}");
+}
