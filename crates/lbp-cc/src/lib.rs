@@ -185,8 +185,13 @@ pub fn compile(source: &str) -> Result<Compiled, CcError> {
 /// Returns the first lexical, syntactic, semantic or code-generation
 /// error with its source line.
 pub fn compile_with(source: &str, opts: &CcOptions) -> Result<Compiled, CcError> {
-    let checked = front_end(source)?;
-    let asm = codegen::generate_with(&checked, opts.sabotage)?;
+    compile_checked(&front_end(source)?, opts)
+}
+
+/// The back end of [`compile_with`]: code generation and assembly of a
+/// unit the front end accepted.
+fn compile_checked(checked: &sema::Checked, opts: &CcOptions) -> Result<Compiled, CcError> {
+    let asm = codegen::generate_with(checked, opts.sabotage)?;
     let image = lbp_asm::assemble(&asm).map_err(|e| {
         // An assembler error on generated code is a compiler bug; point
         // at the generated line for debugging.
@@ -270,20 +275,30 @@ pub fn build(kind: SourceKind, source: &str, opts: &CcOptions) -> Result<Compile
 
 /// The static verdict on a program, for either kind: mini-C goes through
 /// the source [`lint`] and — only a source-accepted program compiles to
-/// an image worth checking — the binary verifier over the generated
-/// image; assembly through the binary verifier alone. Source diagnostics
-/// come first; binary ones carry generated-assembly lines and a `pc`.
+/// an image worth checking — the binary verifier over the image
+/// generated from the unit the lint checked; assembly through the binary
+/// verifier alone. Source diagnostics come first; binary ones carry
+/// generated-assembly lines and a `pc`.
 ///
 /// # Errors
 ///
 /// The source does not parse, assemble or (once accepted) compile.
 pub fn judge(kind: SourceKind, source: &str) -> Result<Vec<lbp_verify::Diag>, BuildError> {
-    let mut diags = match kind {
-        SourceKind::C => lint(source).map_err(BuildError::Compile)?,
-        SourceKind::Asm => Vec::new(),
+    let opts = CcOptions::default();
+    let (mut diags, built) = match kind {
+        SourceKind::C => {
+            let (diags, checked) = lint_keeping(source).map_err(BuildError::Compile)?;
+            let built = match checked {
+                Some(checked) if lbp_verify::accepted(&diags) => {
+                    Some(compile_checked(&checked, &opts).map_err(BuildError::Compile)?)
+                }
+                _ => None,
+            };
+            (diags, built)
+        }
+        SourceKind::Asm => (Vec::new(), Some(build(kind, source, &opts)?)),
     };
-    if lbp_verify::accepted(&diags) {
-        let built = build(kind, source, &CcOptions::default())?;
+    if let Some(built) = built {
         diags.extend(lbp_verify::verify_image(&built.image));
     }
     Ok(diags)
@@ -317,20 +332,30 @@ pub fn front_end(source: &str) -> Result<sema::Checked, CcError> {
 /// Returns an error only when the source cannot be parsed at all
 /// (lexical or syntactic failure); everything later is a diagnostic.
 pub fn lint(source: &str) -> Result<Vec<lbp_verify::Diag>, CcError> {
+    lint_keeping(source).map(|(diags, _)| diags)
+}
+
+/// [`lint`], keeping the checked unit when sema accepts it: the one
+/// [`front_end`] returns, since [`sema::check`] is [`sema::check_all`]
+/// cut to its first error.
+fn lint_keeping(source: &str) -> Result<(Vec<lbp_verify::Diag>, Option<sema::Checked>), CcError> {
     let tokens = lex::lex(source)?;
     let unit = parse::parse(tokens)?;
     match sema::check_all(unit) {
-        Err(errs) => Ok(errs
-            .into_iter()
-            .map(|e| {
-                lbp_verify::Diag::new(
-                    lbp_verify::DiagCode::CSema,
-                    lbp_verify::Severity::Error,
-                    e.line,
-                    e.message,
-                )
-            })
-            .collect()),
-        Ok(checked) => Ok(lint::lint_unit(&checked)),
+        Err(errs) => {
+            let diags = errs
+                .into_iter()
+                .map(|e| {
+                    lbp_verify::Diag::new(
+                        lbp_verify::DiagCode::CSema,
+                        lbp_verify::Severity::Error,
+                        e.line,
+                        e.message,
+                    )
+                })
+                .collect();
+            Ok((diags, None))
+        }
+        Ok(checked) => Ok((lint::lint_unit(&checked), Some(checked))),
     }
 }

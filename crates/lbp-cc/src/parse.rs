@@ -1,4 +1,6 @@
-//! Recursive-descent parser for the mini-C subset.
+//! Recursive-descent parser for the mini-C subset. Statements, assignment
+//! and unary operators are each one `match` on the next token; binary
+//! expressions climb one operator table.
 
 use crate::ast::*;
 use crate::lex::{Tok, Token};
@@ -9,7 +11,7 @@ use crate::CcError;
 /// # Errors
 ///
 /// Returns the first syntax error with its source line.
-pub fn parse(tokens: Vec<Token>) -> Result<Unit, CcError> {
+pub fn parse(tokens: Vec<Token<'_>>) -> Result<Unit, CcError> {
     let mut p = Parser {
         tokens,
         pos: 0,
@@ -26,8 +28,8 @@ pub fn parse(tokens: Vec<Token>) -> Result<Unit, CcError> {
 /// stack; the shipped programs nest under a dozen levels.
 pub const MAX_NEST: usize = 64;
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'src> {
+    tokens: Vec<Token<'src>>,
     pos: usize,
     /// Statements and unary/parenthesized expressions open around `pos`.
     depth: usize,
@@ -38,27 +40,59 @@ struct Parser {
 /// The three clauses of a `for (init; cond; step)` header, each optional.
 type ForHeader = (Option<Stmt>, Option<Expr>, Option<Stmt>);
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+/// The binary operator a token spells, with its tier: 0 binds loosest
+/// (`||`), 9 tightest (`*`, `/`, `%`). Every tier is left-associative.
+fn binary_op(tok: Tok<'_>) -> Option<(usize, BinOp)> {
+    let Tok::Sym(sym) = tok else {
+        return None;
+    };
+    Some(match sym {
+        "||" => (0, BinOp::LOr),
+        "&&" => (1, BinOp::LAnd),
+        "|" => (2, BinOp::Or),
+        "^" => (3, BinOp::Xor),
+        "&" => (4, BinOp::And),
+        "==" => (5, BinOp::Eq),
+        "!=" => (5, BinOp::Ne),
+        "<" => (6, BinOp::Lt),
+        "<=" => (6, BinOp::Le),
+        ">" => (6, BinOp::Gt),
+        ">=" => (6, BinOp::Ge),
+        "<<" => (7, BinOp::Shl),
+        ">>" => (7, BinOp::Shr),
+        "+" => (8, BinOp::Add),
+        "-" => (8, BinOp::Sub),
+        "*" => (9, BinOp::Mul),
+        "/" => (9, BinOp::Div),
+        "%" => (9, BinOp::Rem),
+        _ => return None,
+    })
+}
+
+impl<'src> Parser<'src> {
+    /// The token at `pos`; past the end, the last one (`Eof`).
+    fn tok(&self) -> Token<'src> {
+        self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
+    fn peek(&self) -> Tok<'src> {
+        self.tok().kind
+    }
+
+    fn peek2(&self) -> Tok<'src> {
+        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
     }
 
     fn line(&self) -> usize {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].line
+        self.tok().line
     }
 
     fn col(&self) -> usize {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].col
+        self.tok().col
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .kind
-            .clone();
+    fn bump(&mut self) -> Tok<'src> {
+        let t = self.peek();
         self.pos += 1;
         t
     }
@@ -70,7 +104,7 @@ impl Parser {
     /// Runs one level of a recursive descent, refusing at [`MAX_NEST`].
     fn nested<T>(
         &mut self,
-        descend: impl FnOnce(&mut Parser) -> Result<T, CcError>,
+        descend: impl FnOnce(&mut Parser<'src>) -> Result<T, CcError>,
     ) -> Result<T, CcError> {
         if self.depth == MAX_NEST {
             return Err(self.err(format!("nested too deep (limit {MAX_NEST})")));
@@ -92,7 +126,7 @@ impl Parser {
 
     fn eat_sym(&mut self, sym: &str) -> Result<(), CcError> {
         match self.peek() {
-            Tok::Sym(s) if *s == sym => {
+            Tok::Sym(s) if s == sym => {
                 self.bump();
                 Ok(())
             }
@@ -101,14 +135,16 @@ impl Parser {
     }
 
     fn at_sym(&self, sym: &str) -> bool {
-        matches!(self.peek(), Tok::Sym(s) if *s == sym)
+        matches!(self.peek(), Tok::Sym(s) if s == sym)
     }
 
     fn eat_ident(&mut self) -> Result<String, CcError> {
-        match self.bump() {
-            Tok::Ident(s) => Ok(s),
+        let t = self.tok();
+        self.pos += 1;
+        match t.kind {
+            Tok::Ident(s) => Ok(s.to_owned()),
             other => Err(CcError::new(
-                self.tokens[self.pos - 1].line,
+                t.line,
                 format!("expected an identifier, found {other}"),
             )),
         }
@@ -132,7 +168,7 @@ impl Parser {
             globals: Vec::new(),
             functions: Vec::new(),
         };
-        while *self.peek() != Tok::Eof {
+        while self.peek() != Tok::Eof {
             let line = self.line();
             let returns_value = if self.at_keyword("void") {
                 self.bump();
@@ -275,7 +311,7 @@ impl Parser {
         let mut params = Vec::new();
         if !self.at_sym(")") {
             loop {
-                if self.at_keyword("void") && params.is_empty() && self.peek2() == &Tok::Sym(")") {
+                if self.at_keyword("void") && params.is_empty() && self.peek2() == Tok::Sym(")") {
                     self.bump();
                     break;
                 }
@@ -349,7 +385,7 @@ impl Parser {
                 line,
             });
         }
-        match self.peek().clone() {
+        match self.peek() {
             Tok::PragmaParallelFor => {
                 self.bump();
                 self.parallel_for(line)
@@ -361,7 +397,7 @@ impl Parser {
             Tok::PragmaSection => {
                 Err(self.err("`#pragma omp section` outside a `parallel sections` block"))
             }
-            Tok::Ident(kw) if kw == "int" => {
+            Tok::Ident("int") => {
                 self.bump();
                 while self.at_sym("*") {
                     self.bump();
@@ -386,7 +422,7 @@ impl Parser {
                         None
                     };
                     decls.push(Stmt::Decl {
-                        name: current.clone(),
+                        name: current,
                         init,
                         line,
                     });
@@ -415,7 +451,7 @@ impl Parser {
                     })
                 }
             }
-            Tok::Ident(kw) if kw == "if" => {
+            Tok::Ident("if") => {
                 self.bump();
                 self.eat_sym("(")?;
                 let cond = self.expr()?;
@@ -434,7 +470,7 @@ impl Parser {
                     line,
                 })
             }
-            Tok::Ident(kw) if kw == "do" => {
+            Tok::Ident("do") => {
                 self.bump();
                 let body = self.stmt_or_block()?;
                 self.eat_keyword("while")?;
@@ -464,7 +500,7 @@ impl Parser {
                     line,
                 })
             }
-            Tok::Ident(kw) if kw == "while" => {
+            Tok::Ident("while") => {
                 self.bump();
                 self.eat_sym("(")?;
                 let cond = self.expr()?;
@@ -472,7 +508,7 @@ impl Parser {
                 let body = self.stmt_or_block()?;
                 Ok(Stmt::While { cond, body, line })
             }
-            Tok::Ident(kw) if kw == "for" => {
+            Tok::Ident("for") => {
                 self.bump();
                 let (init, cond, step) = self.for_header()?;
                 let body = self.stmt_or_block()?;
@@ -484,17 +520,17 @@ impl Parser {
                     line,
                 })
             }
-            Tok::Ident(kw) if kw == "break" => {
+            Tok::Ident("break") => {
                 self.bump();
                 self.eat_sym(";")?;
                 Ok(Stmt::Break(line))
             }
-            Tok::Ident(kw) if kw == "continue" => {
+            Tok::Ident("continue") => {
                 self.bump();
                 self.eat_sym(";")?;
                 Ok(Stmt::Continue(line))
             }
-            Tok::Ident(kw) if kw == "return" => {
+            Tok::Ident("return") => {
                 self.bump();
                 let value = if self.at_sym(";") {
                     None
@@ -576,43 +612,39 @@ impl Parser {
         let e = self.expr()?;
         // `x = e`, `x += e`, `x++`: rewrite the parsed lhs expression
         // into a place.
-        for (sym, op) in [
-            ("+=", Some(BinOp::Add)),
-            ("-=", Some(BinOp::Sub)),
-            ("*=", Some(BinOp::Mul)),
-            ("/=", Some(BinOp::Div)),
-            ("%=", Some(BinOp::Rem)),
-            ("=", None),
-        ] {
-            if self.at_sym(sym) {
-                self.bump();
-                let place = expr_to_place(&e)
-                    .ok_or_else(|| CcError::new(line, "left side is not assignable"))?;
-                let rhs = self.expr()?;
-                let rhs = match op {
-                    Some(op) => Expr::Binary(op, Box::new(e), Box::new(rhs)),
-                    None => rhs,
-                };
-                return Ok(Stmt::Assign {
-                    lhs: place,
-                    rhs,
-                    line,
-                });
-            }
-        }
-        for (sym, op) in [("++", BinOp::Add), ("--", BinOp::Sub)] {
-            if self.at_sym(sym) {
-                self.bump();
-                let place = expr_to_place(&e)
-                    .ok_or_else(|| CcError::new(line, "operand of ++/-- is not assignable"))?;
-                return Ok(Stmt::Assign {
-                    lhs: place,
-                    rhs: Expr::Binary(op, Box::new(e), Box::new(Expr::Int(1))),
-                    line,
-                });
-            }
-        }
-        Ok(Stmt::Expr(e, line))
+        let (op, step) = match self.peek() {
+            Tok::Sym("=") => (None, false),
+            Tok::Sym("+=") => (Some(BinOp::Add), false),
+            Tok::Sym("-=") => (Some(BinOp::Sub), false),
+            Tok::Sym("*=") => (Some(BinOp::Mul), false),
+            Tok::Sym("/=") => (Some(BinOp::Div), false),
+            Tok::Sym("%=") => (Some(BinOp::Rem), false),
+            Tok::Sym("++") => (Some(BinOp::Add), true),
+            Tok::Sym("--") => (Some(BinOp::Sub), true),
+            _ => return Ok(Stmt::Expr(e, line)),
+        };
+        self.bump();
+        let not_assignable = || {
+            let what = if step {
+                "operand of ++/--"
+            } else {
+                "left side"
+            };
+            CcError::new(line, format!("{what} is not assignable"))
+        };
+        let Some(op) = op else {
+            // A plain `=` moves its left side into the place.
+            let lhs = expr_to_place(e).ok_or_else(not_assignable)?;
+            let rhs = self.expr()?;
+            return Ok(Stmt::Assign { lhs, rhs, line });
+        };
+        let lhs = expr_to_place(e.clone()).ok_or_else(not_assignable)?;
+        let by = if step { Expr::Int(1) } else { self.expr()? };
+        Ok(Stmt::Assign {
+            lhs,
+            rhs: Expr::Binary(op, Box::new(e), Box::new(by)),
+            line,
+        })
     }
 
     /// The canonical parallel-for form: `for (v = 0; v < N; v++) body`.
@@ -722,41 +754,21 @@ impl Parser {
         self.binary(0)
     }
 
+    /// An operand followed by every operator of tier `min_tier` or
+    /// tighter, folded to the left within a tier.
     fn binary(&mut self, min_tier: usize) -> Result<Expr, CcError> {
-        const TIERS: [&[(&str, BinOp)]; 10] = [
-            &[("||", BinOp::LOr)],
-            &[("&&", BinOp::LAnd)],
-            &[("|", BinOp::Or)],
-            &[("^", BinOp::Xor)],
-            &[("&", BinOp::And)],
-            &[("==", BinOp::Eq), ("!=", BinOp::Ne)],
-            &[
-                ("<", BinOp::Lt),
-                ("<=", BinOp::Le),
-                (">", BinOp::Gt),
-                (">=", BinOp::Ge),
-            ],
-            &[("<<", BinOp::Shl), (">>", BinOp::Shr)],
-            &[("+", BinOp::Add), ("-", BinOp::Sub)],
-            &[("*", BinOp::Mul), ("/", BinOp::Div), ("%", BinOp::Rem)],
-        ];
-        if min_tier >= TIERS.len() {
-            return self.unary();
-        }
-        let mut lhs = self.binary(min_tier + 1)?;
-        'outer: loop {
-            for &(sym, op) in TIERS[min_tier] {
-                if self.at_sym(sym) {
-                    self.bump();
-                    let below = self.height;
-                    let rhs = self.binary(min_tier + 1)?;
-                    self.grow(below.max(self.height))?;
-                    lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-                    continue 'outer;
-                }
+        let mut lhs = self.unary()?;
+        while let Some((tier, op)) = binary_op(self.peek()) {
+            if tier < min_tier {
+                break;
             }
-            return Ok(lhs);
+            self.bump();
+            let below = self.height;
+            let rhs = self.binary(tier + 1)?;
+            self.grow(below.max(self.height))?;
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, CcError> {
@@ -764,22 +776,20 @@ impl Parser {
     }
 
     fn unary_body(&mut self) -> Result<Expr, CcError> {
-        let Some(op) = ["-", "!", "~", "*", "&"]
-            .into_iter()
-            .find(|op| self.at_sym(op))
-        else {
+        let op = self.peek();
+        if !matches!(op, Tok::Sym("-" | "!" | "~" | "*" | "&")) {
             return self.postfix();
-        };
+        }
         self.bump();
         let e = Box::new(self.unary()?);
         self.grow(self.height)?;
         Ok(match op {
-            "-" => Expr::Unary(UnOp::Neg, e),
-            "!" => Expr::Unary(UnOp::Not, e),
-            "~" => Expr::Unary(UnOp::BitNot, e),
-            "*" => Expr::Deref(e),
+            Tok::Sym("-") => Expr::Unary(UnOp::Neg, e),
+            Tok::Sym("!") => Expr::Unary(UnOp::Not, e),
+            Tok::Sym("~") => Expr::Unary(UnOp::BitNot, e),
+            Tok::Sym("*") => Expr::Deref(e),
             _ => {
-                let place = expr_to_place(&e)
+                let place = expr_to_place(*e)
                     .ok_or_else(|| self.err("`&` needs a variable or array element"))?;
                 Expr::AddrOf(Box::new(place))
             }
@@ -788,15 +798,16 @@ impl Parser {
 
     fn postfix(&mut self) -> Result<Expr, CcError> {
         self.height = 1;
-        match self.bump() {
+        let t = self.tok();
+        self.pos += 1;
+        match t.kind {
             Tok::Int(v) => Ok(Expr::Int(v)),
             Tok::Sym("(") => {
                 // Casts like `(int *)` or `(type_t *)` are erased. Only
                 // type-looking names count, so `(a * b)` stays a product
                 // (we have no typedef table to disambiguate with).
-                if let Tok::Ident(id) = self.peek().clone() {
-                    if (id == "int" || id.ends_with("_t")) && matches!(self.peek2(), Tok::Sym("*"))
-                    {
+                if let Tok::Ident(id) = self.peek() {
+                    if (id == "int" || id.ends_with("_t")) && self.peek2() == Tok::Sym("*") {
                         self.bump();
                         self.bump();
                         self.eat_sym(")")?;
@@ -809,6 +820,7 @@ impl Parser {
                 self.maybe_index_or_call_on(e)
             }
             Tok::Ident(name) => {
+                let name = name.to_owned();
                 if self.at_sym("(") {
                     self.bump();
                     let mut args = Vec::new();
@@ -838,7 +850,7 @@ impl Parser {
                 Ok(Expr::Var(name))
             }
             other => Err(CcError::new(
-                self.tokens[self.pos - 1].line,
+                t.line,
                 format!("expected an expression, found {other}"),
             )),
         }
@@ -881,11 +893,11 @@ fn body_has_toplevel_continue(stmts: &[Stmt]) -> bool {
 }
 
 /// Rewrites an already-parsed expression into an assignable place.
-fn expr_to_place(e: &Expr) -> Option<Place> {
+fn expr_to_place(e: Expr) -> Option<Place> {
     match e {
-        Expr::Var(name) => Some(Place::Var(name.clone())),
-        Expr::Index(name, idx) => Some(Place::Index(name.clone(), (**idx).clone())),
-        Expr::Deref(inner) => Some(Place::Deref((**inner).clone())),
+        Expr::Var(name) => Some(Place::Var(name)),
+        Expr::Index(name, idx) => Some(Place::Index(name, *idx)),
+        Expr::Deref(inner) => Some(Place::Deref(*inner)),
         _ => None,
     }
 }
@@ -984,6 +996,42 @@ void main(void) {
             Stmt::Return(Some(Expr::Binary(BinOp::LAnd, ..)), _) => {}
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn a_tier_folds_left_and_a_tighter_tier_binds_first() {
+        let ret = |e: &str| match parse_src(&format!("int f(void) {{ return {e}; }}"))
+            .functions
+            .remove(0)
+            .body
+            .remove(0)
+        {
+            Stmt::Return(Some(e), _) => e,
+            other => panic!("{other:?}"),
+        };
+        let bin = |op, l, r| Expr::Binary(op, Box::new(l), Box::new(r));
+        let (a, b, c) = (
+            Expr::Var("a".into()),
+            Expr::Var("b".into()),
+            Expr::Var("c".into()),
+        );
+        assert_eq!(
+            ret("a - b + c"),
+            bin(BinOp::Add, bin(BinOp::Sub, a.clone(), b.clone()), c.clone())
+        );
+        assert_eq!(
+            ret("a || b && c"),
+            bin(
+                BinOp::LOr,
+                a.clone(),
+                bin(BinOp::LAnd, b.clone(), c.clone())
+            )
+        );
+        assert_eq!(
+            ret("a << b < c"),
+            bin(BinOp::Lt, bin(BinOp::Shl, a.clone(), b.clone()), c.clone())
+        );
+        assert_eq!(ret("a & b == c"), bin(BinOp::And, a, bin(BinOp::Eq, b, c)));
     }
 
     #[test]

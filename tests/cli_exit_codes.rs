@@ -107,6 +107,26 @@ fn exit_1_front_end_failure() {
     assert_eq!(code(lbp_run().arg(bad)), ExitClass::Failure);
 }
 
+/// A comment between two names is a space, not glue: `a/**/b = 7;` is
+/// `a b = 7;`, a syntax error at the `b`, not an assignment to `ab`.
+#[test]
+fn exit_1_compiling_two_names_a_comment_apart() {
+    let glued = scratch(
+        "glued.c",
+        "int a;\nint b;\nvoid main(void) {\n    a/**/b = 7;\n}\n",
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_lbp-cc"))
+        .arg(glued)
+        .output()
+        .expect("lbp-cc spawns");
+    assert_eq!(class_of(out.status), ExitClass::Failure);
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("line 4:10: expected `;`, found `b`"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn exit_4_timeout() {
     assert_eq!(

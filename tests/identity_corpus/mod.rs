@@ -1,7 +1,8 @@
 //! The 431 programs the identity suites judge, as `(name, source)`: the
 //! shipped sources of a directory, the ten matmul kernels and 100
 //! programs of a generator family at seed 42. One definition, so
-//! `verify_identity.rs` and `asm_identity.rs` cannot drift apart.
+//! `verify_identity.rs`, `asm_identity.rs` and `cc_identity.rs` cannot
+//! drift apart.
 
 use lbp::kernels::matmul::{Matmul, Version};
 use lbp_fuzz::gen::{self, GenConfig, Kind};
