@@ -175,22 +175,19 @@ pub struct Compiled {
 /// Returns the first lexical, syntactic, semantic or code-generation
 /// error with its source line.
 pub fn compile(source: &str) -> Result<Compiled, CcError> {
-    compile_with(source, &CcOptions::default())
+    compile_checked(&front_end(source)?, &CcOptions::default())
 }
 
-/// [`compile`] with explicit [`CcOptions`] (e.g. codegen sabotage).
+/// The back end: code generation (with `opts`, e.g. codegen sabotage)
+/// and assembly of a unit the front end accepted. Every path from a
+/// mini-C source to an image goes through here, so a caller that already
+/// holds the [`sema::Checked`] never runs the front end again.
 ///
 /// # Errors
 ///
-/// Returns the first lexical, syntactic, semantic or code-generation
-/// error with its source line.
-pub fn compile_with(source: &str, opts: &CcOptions) -> Result<Compiled, CcError> {
-    compile_checked(&front_end(source)?, opts)
-}
-
-/// The back end of [`compile_with`]: code generation and assembly of a
-/// unit the front end accepted.
-fn compile_checked(checked: &sema::Checked, opts: &CcOptions) -> Result<Compiled, CcError> {
+/// A code-generation error, or generated assembly the assembler refuses
+/// (a compiler bug).
+pub fn compile_checked(checked: &sema::Checked, opts: &CcOptions) -> Result<Compiled, CcError> {
     let asm = codegen::generate_with(checked, opts.sabotage)?;
     let image = lbp_asm::assemble(&asm).map_err(|e| {
         // An assembler error on generated code is a compiler bug; point
@@ -254,15 +251,18 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Source to image, for either kind: mini-C through [`compile_with`],
-/// assembly through the assembler (its `asm` is the source itself).
+/// Source to image, for either kind: mini-C through [`front_end`] and
+/// [`compile_checked`], assembly through the assembler (its `asm` is the
+/// source itself).
 ///
 /// # Errors
 ///
 /// The front end's first error.
 pub fn build(kind: SourceKind, source: &str, opts: &CcOptions) -> Result<Compiled, BuildError> {
     match kind {
-        SourceKind::C => compile_with(source, opts).map_err(BuildError::Compile),
+        SourceKind::C => front_end(source)
+            .and_then(|checked| compile_checked(&checked, opts))
+            .map_err(BuildError::Compile),
         SourceKind::Asm => match lbp_asm::assemble(source) {
             Ok(image) => Ok(Compiled {
                 asm: source.to_owned(),
@@ -273,35 +273,53 @@ pub fn build(kind: SourceKind, source: &str, opts: &CcOptions) -> Result<Compile
     }
 }
 
+/// What [`judge`] found, and what it built on the way.
+#[derive(Debug)]
+pub struct Judged {
+    /// The source lint's diagnostics (mini-C only).
+    pub lint: Vec<lbp_verify::Diag>,
+    /// The binary verifier's, which carry generated-assembly lines and a
+    /// `pc`.
+    pub binary: Vec<lbp_verify::Diag>,
+    /// The unit sema accepted (mini-C only): the one [`front_end`]
+    /// returns.
+    pub checked: Option<sema::Checked>,
+    /// The image, unless the source lint rejected the program.
+    pub compiled: Option<Compiled>,
+}
+
 /// The static verdict on a program, for either kind: mini-C goes through
 /// the source [`lint`] and — only a source-accepted program compiles to
 /// an image worth checking — the binary verifier over the image
-/// generated from the unit the lint checked; assembly through the binary
-/// verifier alone. Source diagnostics come first; binary ones carry
-/// generated-assembly lines and a `pc`.
+/// [`compile_checked`] generates, with `opts`, from the unit the lint
+/// checked; assembly through the binary verifier alone. The front end
+/// runs once.
 ///
 /// # Errors
 ///
 /// The source does not parse, assemble or (once accepted) compile.
-pub fn judge(kind: SourceKind, source: &str) -> Result<Vec<lbp_verify::Diag>, BuildError> {
-    let opts = CcOptions::default();
-    let (mut diags, built) = match kind {
+pub fn judge(kind: SourceKind, source: &str, opts: &CcOptions) -> Result<Judged, BuildError> {
+    let (lint, checked, compiled) = match kind {
         SourceKind::C => {
             let (diags, checked) = lint_keeping(source).map_err(BuildError::Compile)?;
-            let built = match checked {
-                Some(checked) if lbp_verify::accepted(&diags) => {
-                    Some(compile_checked(&checked, &opts).map_err(BuildError::Compile)?)
-                }
-                _ => None,
-            };
-            (diags, built)
+            let compiled = checked
+                .as_ref()
+                .filter(|_| lbp_verify::accepted(&diags))
+                .map(|checked| compile_checked(checked, opts).map_err(BuildError::Compile))
+                .transpose()?;
+            (diags, checked, compiled)
         }
-        SourceKind::Asm => (Vec::new(), Some(build(kind, source, &opts)?)),
+        SourceKind::Asm => (Vec::new(), None, Some(build(kind, source, opts)?)),
     };
-    if let Some(built) = built {
-        diags.extend(lbp_verify::verify_image(&built.image));
-    }
-    Ok(diags)
+    let binary = compiled.as_ref().map_or_else(Vec::new, |compiled| {
+        lbp_verify::verify_image(&compiled.image)
+    });
+    Ok(Judged {
+        lint,
+        binary,
+        checked,
+        compiled,
+    })
 }
 
 /// Runs the front end only — lex, parse and semantic check — returning

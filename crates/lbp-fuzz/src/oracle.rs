@@ -65,11 +65,14 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lbp_asm::Image;
+use lbp_cc::sema::Checked;
 use lbp_cc::SourceKind;
+use lbp_sema::diff::DiffError;
 use lbp_sim::{
-    run_lockstep, FastEngine, FastStop, LbpConfig, LockstepError, Machine, RunReport, SimFailure,
+    run_lockstep, FastEngine, FastStop, LbpConfig, LockstepError, Machine, MachineState, RunReport,
+    SimFailure,
 };
-use lbp_verify::Severity;
+use lbp_verify::{Diag, Severity};
 
 use crate::gen::GenProgram;
 
@@ -169,49 +172,56 @@ fn guarded<T>(oracle: &'static str, f: impl FnOnce() -> Result<T, Failure>) -> R
     }
 }
 
-/// Oracle 1+2: front end and static verification. Returns the image.
-pub fn build_and_verify(program: &GenProgram) -> Result<Image, Failure> {
+/// Oracle 1+2: front end and static verification, one
+/// [`lbp_cc::judge`]: for C the determinism lint first (it sees the
+/// source-level parallel structure the binary verifier cannot
+/// reconstruct), then the binary verifier over the image compiled from
+/// the unit the lint checked. Returns the image and, for C, that unit.
+pub fn build_and_verify(program: &GenProgram) -> Result<(Image, Option<Checked>), Failure> {
     let src = program.render();
     let kind = if program.is_c() {
-        // Determinism lint first: it sees the source-level parallel
-        // structure the binary verifier cannot reconstruct.
-        let diags = guarded("verify", || {
-            lbp_cc::lint(&src).map_err(|e| Failure::new("build", "frontend", e.to_string()))
-        })?;
-        if let Some(d) = diags.iter().find(|d| d.severity == Severity::Error) {
-            return Err(Failure::new(
-                "verify",
-                d.code.as_str(),
-                format!("line {}: {}", d.line, d.message),
-            ));
-        }
         SourceKind::C
     } else {
         SourceKind::Asm
     };
-    let image = guarded("build", || {
-        // `codegen_sabotage` rides only the compiled side: the
-        // rendered source the semantics oracle interprets is clean.
-        let cc = lbp_cc::CcOptions {
-            sabotage: program.codegen_sabotage,
-        };
-        lbp_cc::build(kind, &src, &cc)
-            .map(|built| built.image)
-            .map_err(|e| Failure::new("build", "frontend", e.to_string()))
+    // `codegen_sabotage` rides only the compiled side: the unit the
+    // semantics oracle interprets is the clean source's.
+    let cc = lbp_cc::CcOptions {
+        sabotage: program.codegen_sabotage,
+    };
+    let judged = guarded("build", || {
+        lbp_cc::judge(kind, &src, &cc).map_err(|e| Failure::new("build", "frontend", e.to_string()))
     })?;
-    let diags = guarded("verify", || Ok(lbp_verify::verify_image(&image)))?;
-    if let Some(d) = diags.iter().find(|d| d.severity == Severity::Error) {
+    let error = |d: &&Diag| d.severity == Severity::Error;
+    if let Some(d) = judged.lint.iter().find(error) {
+        return Err(Failure::new(
+            "verify",
+            d.code.as_str(),
+            format!("line {}: {}", d.line, d.message),
+        ));
+    }
+    if let Some(d) = judged.binary.iter().find(error) {
         return Err(Failure::new(
             "verify",
             d.code.as_str(),
             format!("{} (pc line {})", d.message, d.line),
         ));
     }
-    Ok(image)
+    // Only a source rejection leaves `judge` without an image.
+    let compiled = judged
+        .compiled
+        .expect("a source-accepted program is compiled");
+    Ok((compiled.image, judged.checked))
 }
 
 fn cfg_for(program: &GenProgram) -> LbpConfig {
     LbpConfig::cores(program.cores)
+}
+
+/// A machine at reset on `image`; refusing the image trips `oracle`.
+fn machine(oracle: &'static str, program: &GenProgram, image: &Image) -> Result<Machine, Failure> {
+    Machine::new(cfg_for(program), image)
+        .map_err(|e| Failure::new(oracle, e.class(), e.to_string()))
 }
 
 /// One full run from reset; `Err` carries the dump. Returns the
@@ -220,8 +230,7 @@ fn cfg_for(program: &GenProgram) -> LbpConfig {
 /// functional engine only approximates).
 fn reference_run(program: &GenProgram, image: &Image) -> Result<(RunReport, u64, u64), Failure> {
     guarded("run", || {
-        let mut m = Machine::new(cfg_for(program), image)
-            .map_err(|e| Failure::new("run", e.class(), e.to_string()))?;
+        let mut m = machine("run", program, image)?;
         let report = m
             .run_diagnosed(program.max_cycles)
             .map_err(|f| Failure::from_sim("run", &f))?;
@@ -238,7 +247,7 @@ pub fn check(program: &GenProgram) -> Result<PassReport, Failure> {
 
 /// The full battery. The first failing oracle wins.
 pub fn check_with(program: &GenProgram, opts: &CheckOpts) -> Result<PassReport, Failure> {
-    let image = build_and_verify(program)?;
+    let (image, checked) = build_and_verify(program)?;
 
     // Oracle 3: the reference run.
     let (report, final_hash, pure_arch) = reference_run(program, &image)?;
@@ -274,8 +283,7 @@ pub fn check_with(program: &GenProgram, opts: &CheckOpts) -> Result<PassReport, 
     // observe zero concrete shared-memory overlaps — and, being
     // observational, must not perturb the run.
     guarded("race", || {
-        let mut m = Machine::new(cfg_for(program), &image)
-            .map_err(|e| Failure::new("race", e.class(), e.to_string()))?;
+        let mut m = machine("race", program, &image)?;
         m.enable_race_witness();
         let witnessed = m
             .run_diagnosed(program.max_cycles)
@@ -306,20 +314,69 @@ pub fn check_with(program: &GenProgram, opts: &CheckOpts) -> Result<PassReport, 
         Ok(())
     })?;
 
-    // Oracle 6: snapshot round-trip at the reference run's mid-cycle.
     if report.stats.cycles >= 2 {
+        // Oracle 6: snapshot at the reference run's mid-cycle, resume in
+        // process, and demand the straight run's report and final state.
         let cut = report.stats.cycles / 2;
-        snapshot_roundtrip(program, &image, cut, &a, final_hash)?;
-    }
+        guarded("snapshot", || {
+            let state = pause_at("snapshot", program, &image, cut)?;
+            let (resumed_report, resumed) = resume_in_process("snapshot", program, &state)?;
+            let resumed_json = resumed_report.to_json().to_string();
+            if resumed_json != a {
+                return Err(Failure::new(
+                    "snapshot",
+                    "divergence",
+                    format!(
+                        "snapshot-at-{cut} run report differs from the straight run:\n  \
+                         straight: {a}\n  resumed:  {resumed_json}"
+                    ),
+                ));
+            }
+            let resumed_hash = lbp_snap::content_hash(&resumed.snapshot());
+            if resumed_hash != final_hash {
+                return Err(Failure::new(
+                    "snapshot",
+                    "divergence",
+                    format!(
+                        "final state content hash differs after a snapshot-at-{cut} resume: \
+                         {final_hash:#018x} vs {resumed_hash:#018x}"
+                    ),
+                ));
+            }
+            Ok(())
+        })?;
 
-    // Oracle 7: cross-process resume at a fuzzer-chosen cycle. The cut
-    // is a pure function of the program text, so the verdict stream
-    // stays bit-reproducible while different cases cut at different
-    // fractions of their runs.
-    if report.stats.cycles >= 2 {
-        let span = report.stats.cycles - 1;
-        let cut = 1 + lbp_snap::fnv1a64(program.render().as_bytes()) % span;
-        resume_in_fresh_process(program, &image, cut, final_hash, report.stats.cycles, opts)?;
+        // Oracle 7: resume at a fuzzer-chosen cycle in a fresh process
+        // (in process when `opts.resume_exec` is `None`), and demand the
+        // straight run's final content hash and cycle count. The cut is a
+        // pure function of the program text, so the verdict stream stays
+        // bit-reproducible while different cases cut at different
+        // fractions of their runs.
+        let straight_cycles = report.stats.cycles;
+        let cut = 1 + lbp_snap::fnv1a64(program.render().as_bytes()) % (straight_cycles - 1);
+        guarded("resume", || {
+            let state = pause_at("resume", program, &image, cut)?;
+            let (hash, cycles) = match &opts.resume_exec {
+                Some(exe) => resume_in_worker(exe, program, &state)?,
+                None => {
+                    let (_, resumed) = resume_in_process("resume", program, &state)?;
+                    let cycles = resumed.stats().cycles;
+                    (lbp_snap::content_hash(&resumed.snapshot()), cycles)
+                }
+            };
+            if hash != final_hash || cycles != straight_cycles {
+                return Err(Failure::new(
+                    "resume",
+                    "divergence",
+                    format!(
+                        "resume-at-{cut} disagrees with the straight run: \
+                         hash {hash:#018x} vs {final_hash:#018x}, \
+                         cycles {cycles} vs {straight_cycles}"
+                    ),
+                ));
+            }
+            Ok(())
+        })?;
     }
 
     // Oracle 8: differential lockstep against the functional engine.
@@ -378,23 +435,18 @@ pub fn check_with(program: &GenProgram, opts: &CheckOpts) -> Result<PassReport, 
     // interpreter's observable outcome — the one oracle that compares
     // the machine against the program's *meaning* rather than against
     // another run of the same binary.
-    if program.is_c() {
+    if let Some(checked) = &checked {
         guarded("semantics", || {
-            let src = program.render();
-            match lbp_sema::diff::diff_compiled(
-                &src,
+            match lbp_sema::diff::diff(
+                checked,
                 &image,
                 program.cores,
                 program.max_cycles,
                 &lbp_sema::InterpOptions::default(),
             ) {
                 Ok(_) => Ok(()),
-                Err(lbp_sema::diff::DiffError::Divergence(d)) => {
-                    Err(Failure::new("semantics", "divergence", d))
-                }
-                Err(lbp_sema::diff::DiffError::Trap(t)) => {
-                    Err(Failure::new("semantics", t.class, t.to_string()))
-                }
+                Err(DiffError::Divergence(d)) => Err(Failure::new("semantics", "divergence", d)),
+                Err(DiffError::Trap(t)) => Err(Failure::new("semantics", t.class, t.to_string())),
                 Err(e) => Err(Failure::new("semantics", "oracle", e.to_string())),
             }
         })?;
@@ -407,186 +459,112 @@ pub fn check_with(program: &GenProgram, opts: &CheckOpts) -> Result<PassReport, 
     })
 }
 
-/// Oracle 6 body: pause at `cut`, round-trip the state through the
-/// `lbp-snap` codec, resume, and compare against the straight run.
-fn snapshot_roundtrip(
+/// Runs `image` from reset to `cut`, which falls before the straight
+/// run's end, and returns the state there (oracles 6 and 7).
+fn pause_at(
+    oracle: &'static str,
     program: &GenProgram,
     image: &Image,
     cut: u64,
-    straight_report: &str,
-    straight_hash: u64,
-) -> Result<(), Failure> {
-    guarded("snapshot", || {
-        let mut prefix = Machine::new(cfg_for(program), image)
-            .map_err(|e| Failure::new("snapshot", e.class(), e.to_string()))?;
-        let exited = prefix
-            .run_to(cut)
-            .map_err(|f| Failure::from_sim("snapshot", &f))?;
-        if exited {
-            // The cut is below the straight run's cycle count, so the
-            // program cannot have exited yet on a deterministic machine.
-            return Err(Failure::new(
-                "snapshot",
-                "divergence",
-                format!("program exited before cycle {cut}, earlier than the straight run"),
-            ));
-        }
-        let state = prefix.snapshot();
-        let decoded = lbp_snap::decode(&lbp_snap::encode(&state)).map_err(|e| {
-            Failure::new(
-                "snapshot",
-                "codec",
-                format!("round-trip decode failed: {e}"),
-            )
-        })?;
-        if decoded.as_bytes() != state.as_bytes() {
-            return Err(Failure::new(
-                "snapshot",
-                "codec",
-                "state bytes changed across an encode/decode round trip".to_owned(),
-            ));
-        }
-        let mut resumed = Machine::restore(&decoded)
-            .map_err(|e| Failure::new("snapshot", "codec", format!("restore failed: {e}")))?;
-        let report = resumed
-            .run_diagnosed(program.max_cycles)
-            .map_err(|f| Failure::from_sim("snapshot", &f))?;
-        let resumed_json = report.to_json().to_string();
-        if resumed_json != straight_report {
-            return Err(Failure::new(
-                "snapshot",
-                "divergence",
-                format!(
-                    "snapshot-at-{cut} run report differs from the straight run:\n  \
-                     straight: {straight_report}\n  resumed:  {resumed_json}"
-                ),
-            ));
-        }
-        let resumed_hash = lbp_snap::content_hash(&resumed.snapshot());
-        if resumed_hash != straight_hash {
-            return Err(Failure::new(
-                "snapshot",
-                "divergence",
-                format!(
-                    "final state content hash differs after a snapshot-at-{cut} resume: \
-                     {straight_hash:#018x} vs {resumed_hash:#018x}"
-                ),
-            ));
-        }
-        Ok(())
-    })
+) -> Result<MachineState, Failure> {
+    let mut prefix = machine(oracle, program, image)?;
+    let exited = prefix
+        .run_to(cut)
+        .map_err(|f| Failure::from_sim(oracle, &f))?;
+    if exited {
+        // The cut is below the straight run's cycle count, so the
+        // program cannot have exited yet on a deterministic machine.
+        return Err(Failure::new(
+            oracle,
+            "divergence",
+            format!("program exited before cycle {cut}, earlier than the straight run"),
+        ));
+    }
+    Ok(prefix.snapshot())
 }
 
-/// Oracle 7 body: pause at `cut`, hand the snapshot to a fresh process
-/// (or an in-process restore when `opts.resume_exec` is `None`), and
-/// demand the resumed run land on the straight run's final content hash
-/// and cycle count.
-fn resume_in_fresh_process(
+/// Round-trips `state` through the `lbp-snap` codec, restores a machine
+/// from what comes back and runs it to the end (oracles 6 and 7).
+fn resume_in_process(
+    oracle: &'static str,
     program: &GenProgram,
-    image: &Image,
-    cut: u64,
-    straight_hash: u64,
-    straight_cycles: u64,
-    opts: &CheckOpts,
-) -> Result<(), Failure> {
-    guarded("resume", || {
-        let mut prefix = Machine::new(cfg_for(program), image)
-            .map_err(|e| Failure::new("resume", e.class(), e.to_string()))?;
-        let exited = prefix
-            .run_to(cut)
-            .map_err(|f| Failure::from_sim("resume", &f))?;
-        if exited {
-            return Err(Failure::new(
-                "resume",
-                "divergence",
-                format!("program exited before cycle {cut}, earlier than the straight run"),
-            ));
-        }
-        let state = prefix.snapshot();
+    state: &MachineState,
+) -> Result<(RunReport, Machine), Failure> {
+    let decoded = lbp_snap::decode(&lbp_snap::encode(state))
+        .map_err(|e| Failure::new(oracle, "codec", format!("round-trip decode failed: {e}")))?;
+    if decoded.as_bytes() != state.as_bytes() {
+        return Err(Failure::new(
+            oracle,
+            "codec",
+            "state bytes changed across an encode/decode round trip".to_owned(),
+        ));
+    }
+    let mut resumed = Machine::restore(&decoded)
+        .map_err(|e| Failure::new(oracle, "codec", format!("restore failed: {e}")))?;
+    let report = resumed
+        .run_diagnosed(program.max_cycles)
+        .map_err(|f| Failure::from_sim(oracle, &f))?;
+    Ok((report, resumed))
+}
 
-        let (hash, cycles) = match &opts.resume_exec {
-            Some(exe) => {
-                // The ordinal keeps concurrent checks of the same case (same
-                // pid, same content hash) off each other's file: one's
-                // `remove_file` would delete the snapshot the other reads.
-                static SNAP_ORDINAL: AtomicU64 = AtomicU64::new(0);
-                let snap = std::env::temp_dir().join(format!(
-                    "lbp-fuzz-resume-{}-{}-{:016x}.lbpsnap",
-                    std::process::id(),
-                    SNAP_ORDINAL.fetch_add(1, Ordering::Relaxed),
-                    lbp_snap::content_hash(&state)
-                ));
-                lbp_snap::save(&state, &snap).map_err(|e| {
-                    Failure::new("resume", "worker", format!("cannot write snapshot: {e}"))
-                })?;
-                let out = std::process::Command::new(exe)
-                    .arg("--resume-worker")
-                    .arg(&snap)
-                    .arg(program.max_cycles.to_string())
-                    .output();
-                let _ = std::fs::remove_file(&snap);
-                let out = out.map_err(|e| {
-                    Failure::new(
-                        "resume",
-                        "worker",
-                        format!("cannot spawn resume worker: {e}"),
-                    )
-                })?;
-                if !out.status.success() {
-                    return Err(Failure::new(
-                        "resume",
-                        "worker",
-                        format!(
-                            "resume worker exited {:?}: {}",
-                            out.status.code(),
-                            String::from_utf8_lossy(&out.stderr).trim()
-                        ),
-                    ));
-                }
-                let text = String::from_utf8_lossy(&out.stdout);
-                let mut fields = text.split_whitespace();
-                let parsed = (
-                    fields.next().and_then(|h| u64::from_str_radix(h, 16).ok()),
-                    fields.next().and_then(|c| c.parse().ok()),
-                );
-                match parsed {
-                    (Some(h), Some(c)) => (h, c),
-                    _ => {
-                        return Err(Failure::new(
-                            "resume",
-                            "worker",
-                            format!("malformed resume worker reply: {text:?}"),
-                        ))
-                    }
-                }
-            }
-            None => {
-                let decoded = lbp_snap::decode(&lbp_snap::encode(&state)).map_err(|e| {
-                    Failure::new("resume", "codec", format!("round-trip decode failed: {e}"))
-                })?;
-                let mut resumed = Machine::restore(&decoded)
-                    .map_err(|e| Failure::new("resume", "codec", format!("restore failed: {e}")))?;
-                resumed
-                    .run_diagnosed(program.max_cycles)
-                    .map_err(|f| Failure::from_sim("resume", &f))?;
-                let cycles = resumed.stats().cycles;
-                (lbp_snap::content_hash(&resumed.snapshot()), cycles)
-            }
-        };
-
-        if hash != straight_hash || cycles != straight_cycles {
-            return Err(Failure::new(
-                "resume",
-                "divergence",
-                format!(
-                    "resume-at-{cut} disagrees with the straight run: \
-                     hash {hash:#018x} vs {straight_hash:#018x}, \
-                     cycles {cycles} vs {straight_cycles}"
-                ),
-            ));
-        }
-        Ok(())
-    })
+/// Oracle 7 across the process boundary: `exe --resume-worker` finishes
+/// the run from `state` and replies with its final content hash and
+/// cycle count.
+fn resume_in_worker(
+    exe: &std::path::Path,
+    program: &GenProgram,
+    state: &MachineState,
+) -> Result<(u64, u64), Failure> {
+    // The ordinal keeps concurrent checks of the same case (same
+    // pid, same content hash) off each other's file: one's
+    // `remove_file` would delete the snapshot the other reads.
+    static SNAP_ORDINAL: AtomicU64 = AtomicU64::new(0);
+    let snap = std::env::temp_dir().join(format!(
+        "lbp-fuzz-resume-{}-{}-{:016x}.lbpsnap",
+        std::process::id(),
+        SNAP_ORDINAL.fetch_add(1, Ordering::Relaxed),
+        lbp_snap::content_hash(state)
+    ));
+    lbp_snap::save(state, &snap)
+        .map_err(|e| Failure::new("resume", "worker", format!("cannot write snapshot: {e}")))?;
+    let out = std::process::Command::new(exe)
+        .arg("--resume-worker")
+        .arg(&snap)
+        .arg(program.max_cycles.to_string())
+        .output();
+    let _ = std::fs::remove_file(&snap);
+    let out = out.map_err(|e| {
+        Failure::new(
+            "resume",
+            "worker",
+            format!("cannot spawn resume worker: {e}"),
+        )
+    })?;
+    if !out.status.success() {
+        return Err(Failure::new(
+            "resume",
+            "worker",
+            format!(
+                "resume worker exited {:?}: {}",
+                out.status.code(),
+                String::from_utf8_lossy(&out.stderr).trim()
+            ),
+        ));
+    }
+    let text = String::from_utf8_lossy(&out.stdout);
+    let mut fields = text.split_whitespace();
+    let parsed = (
+        fields.next().and_then(|h| u64::from_str_radix(h, 16).ok()),
+        fields.next().and_then(|c| c.parse().ok()),
+    );
+    match parsed {
+        (Some(h), Some(c)) => Ok((h, c)),
+        _ => Err(Failure::new(
+            "resume",
+            "worker",
+            format!("malformed resume worker reply: {text:?}"),
+        )),
+    }
 }
 
 #[cfg(test)]

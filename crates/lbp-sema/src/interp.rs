@@ -1007,7 +1007,7 @@ mod tests {
         );
         assert_eq!(
             out.content_hash(),
-            lbp_snap::fnv1a64(out.render().as_bytes())
+            lbp_sim::fnv1a64(out.render().as_bytes())
         );
     }
 

@@ -22,9 +22,10 @@
 //!
 //! The observable outcome — final shared store plus the ordered effect
 //! trace — renders to a canonical text form and content-hashes like a
-//! simulator report, so "same behavior" is one `u64` comparison. The
-//! [`diff`] module runs the same source through lbp-cc + lbp-sim and
-//! demands the two observables agree, word for word.
+//! simulator report, so "same behavior" is one `u64` comparison.
+//! [`diff::diff`] takes a checked unit and the image lbp-cc compiled from
+//! it, runs the image on lbp-sim and demands the two observables agree,
+//! word for word.
 //!
 //! # Examples
 //!
@@ -137,7 +138,7 @@ impl Outcome {
     /// Content hash of the rendered outcome (FNV-1a 64, the same hash
     /// the snapshot/report tooling uses).
     pub fn content_hash(&self) -> u64 {
-        lbp_snap::fnv1a64(self.render().as_bytes())
+        lbp_sim::fnv1a64(self.render().as_bytes())
     }
 }
 

@@ -15,13 +15,21 @@
 //! generated image, merged into one `lbp-diag-v1` report; a rejection
 //! exits 10. `--interp` prints the canonical observable outcome under
 //! lbp-sema's executable semantics with its content hash; `--diff` also
-//! compiles and simulates and demands the simulator reproduce every
-//! global word — a divergence exits 12 and is, by construction, a
-//! compiler or simulator bug (`--sabotage codegen:KIND` plants one).
+//! simulates and demands the simulator reproduce every global word — a
+//! divergence exits 12 and is, by construction, a compiler or simulator
+//! bug (`--sabotage codegen:KIND` plants one), and a failed simulation
+//! exits with its class, as under `lbp-run`. Every mode runs the front
+//! end once and compiles from the unit it built (`--lint` only a program
+//! it accepts); `--interp` lays the globals out where that image puts
+//! them.
 
 use std::process::ExitCode;
 
+use lbp::asm::Image;
+use lbp::cc::sema::Checked;
 use lbp::cc::{CcOptions, CodegenSabotage, SourceKind};
+use lbp::sema::diff::{diff, required_cores, DiffError};
+use lbp::sema::{interp, InterpOptions, Layout};
 use lbp::sim::cli::{self, Flag, Grammar, Positional, ALL_MODES};
 use lbp::sim::ExitClass;
 
@@ -61,42 +69,39 @@ static GRAMMAR: Grammar = Grammar {
     positional: Positional::one("<program.c>", ALL_MODES, ALL_MODES),
     flags: FLAGS,
     footer: "exit codes: 0 ok, 1 front-end/I/O, 2 usage, 10 lint rejection,\n\
-             12 observable divergence (--diff)",
+             12 observable divergence (--diff); a failed --diff simulation exits\n\
+             4 timeout, 5 deadlock, 6 protocol, 7 decode or 8 memory fault",
 };
 
-fn run_interp(source: &str) -> ExitCode {
-    match lbp::sema::diff::interp_source(source, &Default::default()) {
-        Ok(outcome) => {
+/// `--interp`, or with a cycle budget `--diff`: the outcome under the
+/// executable semantics, then, for `--diff`, the simulated image
+/// compared against it.
+fn run_semantics(checked: &Checked, image: &Image, max_cycles: Option<u64>) -> ExitCode {
+    let opts = InterpOptions::default();
+    let ran = match max_cycles {
+        None => interp::run(checked, &Layout::from_image(checked, image), &opts)
+            .map(|outcome| (outcome, None))
+            .map_err(DiffError::Trap),
+        Some(max) => diff(checked, image, required_cores(checked), max, &opts)
+            .map(|report| (report.outcome, Some(report.cycles))),
+    };
+    match ran {
+        Ok((outcome, simulated)) => {
             print!("{}", outcome.render());
             println!("hash {:016x}", outcome.content_hash());
+            if let Some(cycles) = simulated {
+                println!("diff:     observables agree (simulated in {cycles} cycles)");
+            }
             ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("lbp-cc: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_diff(source: &str, cc_opts: &CcOptions, max_cycles: u64) -> ExitCode {
-    match lbp::sema::diff::diff_source_with(source, cc_opts, None, max_cycles, &Default::default())
-    {
-        Ok(report) => {
-            print!("{}", report.outcome.render());
-            println!("hash {:016x}", report.hash());
-            println!(
-                "diff:     observables agree (simulated in {} cycles)",
-                report.cycles
-            );
-            ExitCode::SUCCESS
-        }
-        Err(lbp::sema::diff::DiffError::Divergence(d)) => {
-            eprintln!("lbp-cc: observable divergence: {d}");
-            ExitClass::SemanticsDivergence.into()
-        }
-        Err(e) => {
-            eprintln!("lbp-cc: {e}");
-            ExitCode::FAILURE
+            match e {
+                DiffError::Trap(_) => ExitClass::Failure,
+                DiffError::Sim(sim) => sim.exit_class(),
+                DiffError::Divergence(_) => ExitClass::SemanticsDivergence,
+            }
+            .into()
         }
     }
 }
@@ -124,18 +129,23 @@ fn main() -> ExitCode {
             return ExitClass::Usage.into();
         }
     };
+    if args.mode() == LINT {
+        return lbp::verdict("lbp-cc", input, &source, args.str(DIAG_JSON)).into();
+    }
+    // The front end once; the back end compiles from the unit it built.
+    let built = lbp::cc::front_end(&source)
+        .and_then(|cx| lbp::cc::compile_checked(&cx, &cc_opts).map(|compiled| (cx, compiled)));
+    let (checked, compiled) = match built {
+        Ok(built) => built,
+        Err(e) => {
+            eprintln!("lbp-cc: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     match args.mode() {
-        LINT => lbp::verdict("lbp-cc", input, &source, args.str(DIAG_JSON)).into(),
-        DIFF => run_diff(&source, &cc_opts, max_cycles),
-        INTERP => run_interp(&source),
+        DIFF => run_semantics(&checked, &compiled.image, Some(max_cycles)),
+        INTERP => run_semantics(&checked, &compiled.image, None),
         _ => {
-            let compiled = match lbp::cc::compile_with(&source, &cc_opts) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("lbp-cc: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
             let dest = args.str(OUTPUT).unwrap_or("-");
             if let Err(e) = cli::write_out(dest, &compiled.asm) {
                 eprintln!("lbp-cc: cannot write assembly to `{dest}`: {e}");

@@ -22,8 +22,8 @@ pub use lbp_verify as verify;
 /// [`ExitClass::Rejected`](sim::ExitClass::Rejected) when an error-class
 /// diagnostic says no.
 pub fn verdict(tool: &str, path: &str, source: &str, diag_json: Option<&str>) -> sim::ExitClass {
-    let diags = match cc::judge(cc::SourceKind::of(path), source) {
-        Ok(diags) => diags,
+    let diags = match cc::judge(cc::SourceKind::of(path), source, &Default::default()) {
+        Ok(judged) => [judged.lint, judged.binary].concat(),
         Err(e) => {
             eprintln!("{tool}: {e}");
             return sim::ExitClass::Failure;

@@ -9,12 +9,23 @@
 //! A sample passing here therefore certifies compiler, simulator and
 //! interpreter all agree on what the program means.
 
-use lbp::sema::diff::{diff_source, DiffReport};
+use lbp::sema::diff::{diff, required_cores, DiffReport};
 
 fn diff_sample(name: &str) -> DiffReport {
     let path = format!("{}/examples/c/{name}", env!("CARGO_MANIFEST_DIR"));
     let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    diff_source(&source, None, 100_000_000).unwrap_or_else(|e| panic!("{name}: {e}"))
+    let cx = lbp::cc::front_end(&source).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let image = lbp::cc::compile_checked(&cx, &Default::default())
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .image;
+    diff(
+        &cx,
+        &image,
+        required_cores(&cx),
+        100_000_000,
+        &Default::default(),
+    )
+    .unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 fn global(report: &DiffReport, name: &str) -> Vec<i32> {

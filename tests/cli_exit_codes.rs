@@ -127,6 +127,30 @@ fn exit_1_compiling_two_names_a_comment_apart() {
     );
 }
 
+/// `lbp-cc --diff` whose simulation runs out of cycles exits with the
+/// timeout's class, as `lbp-run` does on the same program and budget.
+#[test]
+fn exit_4_a_diff_whose_simulation_times_out() {
+    let matmul = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/c/matmul.c");
+    let budget = ["--max-cycles", "100"];
+    assert_eq!(
+        code(lbp_run().arg(&matmul).args(budget)),
+        ExitClass::Timeout
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_lbp-cc"))
+        .arg(&matmul)
+        .arg("--diff")
+        .args(budget)
+        .output()
+        .expect("lbp-cc spawns");
+    assert_eq!(class_of(out.status), ExitClass::Timeout);
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("simulation failed"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn exit_4_timeout() {
     assert_eq!(

@@ -10,13 +10,40 @@
 //! shift widths — to the same answers on both paths, so the semantics
 //! can never silently fork from the hardware.
 
-use lbp::sema::diff::{diff_source, interp_source, required_cores, DiffError};
-use lbp::sema::{InterpOptions, Schedule};
+use lbp::asm::Image;
+use lbp::cc::sema::Checked;
+use lbp::cc::{CcOptions, CodegenSabotage};
+use lbp::sema::diff::{diff, required_cores, DiffError, DiffReport};
+use lbp::sema::{InterpOptions, Layout, Outcome, Schedule};
+
+/// The front end once, then the back end with `sabotage`: the unit and
+/// its image, as the tools build them.
+fn built(src: &str, sabotage: Option<CodegenSabotage>) -> (Checked, Image) {
+    let cx = lbp::cc::front_end(src).unwrap_or_else(|e| panic!("{e}\n--- source ---\n{src}"));
+    let image = lbp::cc::compile_checked(&cx, &CcOptions { sabotage })
+        .unwrap_or_else(|e| panic!("{e}\n--- source ---\n{src}"))
+        .image;
+    (cx, image)
+}
+
+/// The differential check of an honest compile, on `cores` cores (the
+/// widest region's need by default).
+fn diff_built(src: &str, cores: Option<usize>, max_cycles: u64) -> Result<DiffReport, DiffError> {
+    let (cx, image) = built(src, None);
+    let cores = cores.unwrap_or_else(|| required_cores(&cx));
+    diff(&cx, &image, cores, max_cycles, &InterpOptions::default())
+}
+
+/// The interpreted outcome, globals laid out where the image puts them.
+fn interpret(src: &str, opts: &InterpOptions) -> Outcome {
+    let (cx, image) = built(src, None);
+    lbp::sema::interp::run(&cx, &Layout::from_image(&cx, &image), opts).expect("interp")
+}
 
 /// Differential check with the default budget, panicking with the
 /// program attached on any failure.
-fn diff_ok(name: &str, src: &str) -> lbp::sema::diff::DiffReport {
-    diff_source(src, None, 100_000_000)
+fn diff_ok(name: &str, src: &str) -> DiffReport {
+    diff_built(src, None, 100_000_000)
         .unwrap_or_else(|e| panic!("{name}: {e}\n--- source ---\n{src}"))
 }
 
@@ -57,7 +84,7 @@ fn every_shipped_example_is_differentially_clean() {
 fn hello_team_effect_trace_is_golden() {
     let path = format!("{}/examples/c/hello_team.c", env!("CARGO_MANIFEST_DIR"));
     let src = std::fs::read_to_string(&path).unwrap();
-    let outcome = interp_source(&src, &InterpOptions::default()).expect("interp");
+    let outcome = interpret(&src, &InterpOptions::default());
     let effects: Vec<String> = outcome.effects.iter().map(|e| e.to_string()).collect();
     assert_eq!(
         effects,
@@ -263,18 +290,16 @@ void main(void) {
 fn outcome_is_independent_of_the_interpreter_schedule() {
     let path = format!("{}/examples/c/matmul.c", env!("CARGO_MANIFEST_DIR"));
     let src = std::fs::read_to_string(&path).unwrap();
-    let reference = interp_source(&src, &InterpOptions::default())
-        .expect("round-robin")
-        .content_hash();
+    let reference = interpret(&src, &InterpOptions::default()).content_hash();
     for seed in [1u64, 7, 42, 0xdead_beef] {
         let opts = InterpOptions {
             schedule: Schedule::Seeded(seed),
             ..InterpOptions::default()
         };
-        let hash = interp_source(&src, &opts).expect("seeded").content_hash();
+        let hash = interpret(&src, &opts).content_hash();
         assert_eq!(hash, reference, "seed {seed} changed the outcome");
     }
-    let report = diff_source(&src, None, 100_000_000).expect("diff");
+    let report = diff_built(&src, None, 100_000_000).expect("diff");
     assert_eq!(report.hash(), reference);
 }
 
@@ -298,7 +323,7 @@ fn two_hundred_generated_programs_diff_clean() {
         let mut rng = lbp_testutil::Rng::new(lbp_fuzz::case_seed(42, case));
         let program = generate(&mut rng, &cfg, case);
         let src = program.render();
-        let report = diff_source(&src, Some(program.cores), program.max_cycles)
+        let report = diff_built(&src, Some(program.cores), program.max_cycles)
             .unwrap_or_else(|e| panic!("case {case}: {e}\n--- source ---\n{src}"));
         assert!(report.cycles > 0, "case {case}");
     }
@@ -319,16 +344,12 @@ fn sabotage_witness_diverges_under_every_kind_and_is_otherwise_clean() {
     );
     let src = std::fs::read_to_string(&path).unwrap();
     diff_ok("sabotage_witness (clean)", &src);
-    let cores = required_cores(&lbp::cc::front_end(&src).expect("front end"));
-    for kind in lbp::cc::CodegenSabotage::ALL {
-        let cc = lbp::cc::CcOptions {
-            sabotage: Some(kind),
-        };
-        let image = lbp::cc::compile_with(&src, &cc).expect("compile").image;
-        let err = lbp::sema::diff::diff_compiled(
-            &src,
+    for kind in CodegenSabotage::ALL {
+        let (cx, image) = built(&src, Some(kind));
+        let err = diff(
+            &cx,
             &image,
-            cores,
+            required_cores(&cx),
             100_000_000,
             &InterpOptions::default(),
         )
@@ -362,7 +383,7 @@ fn required_cores_matches_the_widest_region() {
 /// rejected by the interpreter rather than silently compared.
 #[test]
 fn undefined_programs_trap_instead_of_diffing() {
-    let err = diff_source("int g;\nvoid main(void) { int x; g = x; }", None, 1_000_000)
+    let err = diff_built("int g;\nvoid main(void) { int x; g = x; }", None, 1_000_000)
         .expect_err("uninit read must trap");
     match err {
         DiffError::Trap(t) => assert_eq!(t.class, "uninit"),
