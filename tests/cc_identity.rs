@@ -1,14 +1,21 @@
 //! Byte-identity of `lbp_cc::lex` and `lbp_cc::parse` across rewrites of
-//! the front end.
+//! the front end, and of lbp-sema's interpreter across its rewrite.
 //!
-//! The constants below are FNV-1a hashes computed at the commit before
-//! the lexer became one byte pass over borrowed `Copy` tokens: the token
-//! stream (each token's kind, line and column) and the parsed `Unit`, or
-//! the error, of the mini-C programs of `tests/identity_corpus` and of
-//! tables of odd sources, deep nesting and operator pairs. Any change to
-//! what a source lexes or parses to, to an error message or to which
-//! error comes first moves one of them. A lexical error is rendered by
-//! its line and message: its column is pinned by the lexer's own tests.
+//! The front-end constants are FNV-1a hashes computed at the commit
+//! before the lexer became one byte pass over borrowed `Copy` tokens: the
+//! token stream (each token's kind, line and column) and the parsed
+//! `Unit`, or the error, of the mini-C programs of `tests/identity_corpus`
+//! and of tables of odd sources, deep nesting and operator pairs. Any
+//! change to what a source lexes or parses to, to an error message or to
+//! which error comes first moves one of them. A lexical error is rendered
+//! by its line and message: its column is pinned by the lexer's own
+//! tests.
+//!
+//! The interpreter constants were computed at the commit before lbp-sema
+//! resolved names ahead of the first step: each program's meaning (its
+//! outcome hash, or its trap's class and line), once with the default
+//! step budget and once with a budget small enough that many programs
+//! trap on it, which pins every point where a step is charged.
 
 use std::fmt::Write as _;
 
@@ -17,6 +24,7 @@ use std::fmt::Write as _;
 mod identity_corpus;
 
 use identity_corpus::{dir, generated, hash};
+use lbp::sema::{InterpOptions, Layout};
 use lbp_fuzz::gen::Kind;
 
 /// Everything the first two stages of the front end say about a source.
@@ -225,4 +233,54 @@ fn every_pair_of_binary_operators_parses_to_the_pinned_trees() {
     }
     assert_eq!(sources.len(), 324);
     assert_eq!(hash_rows(&sources), 0x8c74_4af0_63e3_856f);
+}
+
+/// What lbp-sema says a source means: the outcome's hash, or the trap's
+/// class and line.
+fn meaning(source: &str, budget: u64) -> String {
+    let cx = match lbp::cc::front_end(source) {
+        Ok(cx) => cx,
+        Err(e) => return format!("front end: {e}"),
+    };
+    let opts = InterpOptions {
+        budget,
+        ..InterpOptions::default()
+    };
+    match lbp::sema::interp::run(&cx, &Layout::synthetic(&cx), &opts) {
+        Ok(outcome) => format!("{:016x}", outcome.content_hash()),
+        Err(trap) => format!("trap:{}:{}", trap.class, trap.line),
+    }
+}
+
+/// The fixtures whose team members overlap on a shared word. Before the
+/// join checked for that, the highest-indexed writer won and each had an
+/// outcome: `race_carried.c` 7fdbb778f1df7436, `race_const_index.c`
+/// 4fd4e3f3a0419eef, `race_scalar.c` b0fffe86e0f2b877.
+const RACY: [(&str, &str); 3] = [
+    ("race_carried.c", "trap:conflict:8"),
+    ("race_const_index.c", "trap:conflict:7"),
+    ("race_scalar.c", "trap:conflict:7"),
+];
+
+#[test]
+fn the_interpreter_gives_every_program_its_pinned_meaning() {
+    let mut programs = dir("crates/lbp-verify/tests/fixtures", ".c");
+    programs.extend(dir("examples/c", ".c"));
+    programs.extend(generated(Kind::C));
+    let (racy, clean): (Vec<_>, Vec<_>) =
+        (programs.into_iter()).partition(|(name, _)| RACY.iter().any(|&(racy, _)| racy == name));
+    assert_eq!((clean.len(), racy.len()), (107, 3));
+    let default = InterpOptions::default().budget;
+    let got = [default, 2_000].map(|budget| {
+        hash(&clean, |name, source| {
+            format!("{name}: {}\n", meaning(source, budget))
+        })
+    });
+    assert_eq!(got, [0xd5d6_e480_81a6_f40c, 0xe1c0_dccd_0b65_3289]);
+    for ((name, source), (want_name, want)) in racy.iter().zip(RACY) {
+        assert_eq!(
+            (name.as_str(), meaning(source, default).as_str()),
+            (want_name, want)
+        );
+    }
 }

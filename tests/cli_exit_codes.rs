@@ -151,6 +151,42 @@ fn exit_4_a_diff_whose_simulation_times_out() {
     );
 }
 
+fn lbp_cc(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_lbp-cc"))
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args(args)
+        .output()
+        .expect("lbp-cc spawns")
+}
+
+/// Team members that overlap on a shared word give the program no
+/// meaning: the interpreter traps at the join, naming both members, and
+/// `--diff` stops there too. Conflict-free programs are untouched.
+#[test]
+fn exit_1_a_conflict_between_team_members() {
+    let fixtures = "crates/lbp-verify/tests/fixtures";
+    let out = lbp_cc(&[&format!("{fixtures}/race_scalar.c"), "--interp"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(class_of(out.status), ExitClass::Failure, "{stderr}");
+    assert!(stderr.contains("[conflict]"), "{stderr}");
+    assert!(stderr.contains("members 0 and 1 both write"), "{stderr}");
+    assert!(out.stdout.is_empty());
+
+    let out = lbp_cc(&[&format!("{fixtures}/race_carried.c"), "--diff"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(class_of(out.status), ExitClass::Failure, "{stderr}");
+    assert!(
+        stderr.contains("read/write conflict on `v[1]`: member 1 writes it and member 0 reads it"),
+        "{stderr}"
+    );
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("observables agree"));
+
+    for example in ["hello_team", "matmul", "reduce", "set_get"] {
+        let out = lbp_cc(&[&format!("examples/c/{example}.c"), "--interp"]);
+        assert_eq!(class_of(out.status), ExitClass::Ok, "{example}");
+    }
+}
+
 #[test]
 fn exit_4_timeout() {
     assert_eq!(
