@@ -10,7 +10,7 @@ use lbp_isa::{CODE_BASE, SHARED_BASE};
 /// [`CODE_BASE`] (every LBP core receives a copy in its code bank); the
 /// data section is a byte array based at [`SHARED_BASE`] (block-distributed
 /// over the cores' shared banks by the simulator).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Image {
     /// Encoded instruction words, based at [`CODE_BASE`].
     pub text: Vec<u32>,

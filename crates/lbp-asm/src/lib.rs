@@ -1,8 +1,10 @@
 //! # lbp-asm — assembler and code builder for the PISC ISA
 //!
 //! A two-pass assembler for RV32IM + X_PAR assembly text, the symbolic
-//! program model behind it, and a text-oriented code-generation builder
-//! used by the Deterministic OpenMP runtime and the mini-C compiler.
+//! program model behind it, and the code-generation builder the
+//! Deterministic OpenMP runtime and the mini-C compiler write through: it
+//! holds a program's listing and, beside it, the items the assembler
+//! consumes, so generated code is never parsed back.
 //!
 //! The accepted syntax is the GNU-as subset the paper's listings use,
 //! extended with the twelve X_PAR mnemonics (`p_fc`, `p_fn`, `p_swcv`,
@@ -43,7 +45,7 @@ mod item;
 mod parser;
 
 pub use assemble::{assemble, assemble_items};
-pub use builder::Asm;
+pub use builder::{Asm, Mark};
 pub use error::AsmError;
 pub use expr::{hi20, lo12, Expr, UndefinedSymbol};
 pub use image::Image;

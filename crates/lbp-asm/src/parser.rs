@@ -95,7 +95,7 @@ fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b == b'.'
 }
 
-fn is_ident(s: &str) -> bool {
+pub(crate) fn is_ident(s: &str) -> bool {
     s.bytes().next().is_some_and(|b| !b.is_ascii_digit()) && s.bytes().all(is_ident_byte)
 }
 
@@ -338,7 +338,8 @@ impl<'a> ExprParser<'a> {
             Some(c) if c.is_ascii_alphabetic() || c == '_' || c == '.' => {
                 Ok(Expr::sym(self.ident()?))
             }
-            other => Err(self.err(format!("unexpected {other:?} in expression"))),
+            Some(c) => Err(self.err(format!("unexpected `{c}` at column {}", self.pos + 1))),
+            None => Err(self.err(format!("expression ends early at column {}", self.pos + 1))),
         }
     }
 
@@ -389,7 +390,7 @@ impl<'a> ExprParser<'a> {
 /// of one of lbp-isa's tables, or a pseudo-instruction with the operands
 /// it fixes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Mnemonic {
+pub(crate) enum Mnemonic {
     /// `beq a, b, L`, or with the flag `bgt a, b, L`: `blt b, a, L`.
     Branch(BranchKind, bool),
     /// `beqz a, L` compares `a` with `zero`; with the flag, as in
@@ -634,211 +635,284 @@ impl Scanner {
     }
 
     fn instruction(&mut self, mnemonic: &str, key: u64, args: &str) -> Result<(), AsmError> {
-        use Mnemonic as M;
-        let ln = self.line_no;
         let Some(meaning) = self.mnemonics.lookup(key) else {
             return Err(self.err(format!("unknown mnemonic `{mnemonic}`")));
         };
         let (at, count) = operands(args);
-        let arity = |wanted: &str| AsmError::new(ln, format!("`{mnemonic}` expects {wanted}"));
-        let need = |n: usize| match count == n {
-            true => Ok(()),
-            false => Err(arity(&format!("{n} operands, got {count}"))),
+        let ops = TextOperands {
+            at,
+            count,
+            line: self.line_no,
         };
-        let reg = |i: usize| parse_reg(at[i], ln);
-        let expr = |i: usize| parse_expr(at[i], ln);
-        let mem = |i: usize| parse_mem_operand(at[i], ln);
-        let patch = |kind: PatchKind, expr: Expr| SymInstr::Patch { kind, expr };
-        let jalr = |rd: Reg, rs1: Reg| SymInstr::Ready(Instr::Jalr { rd, rs1, offset: 0 });
-        // Within an arm the operands are read in the order the errors of
-        // a line with several bad ones have always come out.
-        let instr = match meaning {
-            M::Branch(kind, swap) => {
-                need(3)?;
-                let target = expr(2)?;
-                let (a, b) = if swap { (1, 0) } else { (0, 1) };
-                let (rs1, rs2) = (reg(a)?, reg(b)?);
-                patch(PatchKind::Branch { kind, rs1, rs2 }, target)
-            }
-            M::BranchZero(kind, zero_first) => {
-                need(2)?;
-                let r = reg(0)?;
-                let (rs1, rs2) = if zero_first {
-                    (Reg::ZERO, r)
-                } else {
-                    (r, Reg::ZERO)
-                };
-                patch(PatchKind::Branch { kind, rs1, rs2 }, expr(1)?)
-            }
-            M::Load(kind) => {
-                need(2)?;
-                let (off, rs1) = mem(1)?;
-                let rd = reg(0)?;
-                patch(PatchKind::Load { kind, rd, rs1 }, off)
-            }
-            M::Store(kind) => {
-                need(2)?;
-                let (off, rs1) = mem(1)?;
-                let rs2 = reg(0)?;
-                patch(PatchKind::Store { kind, rs1, rs2 }, off)
-            }
-            M::OpImm(kind) => {
-                need(3)?;
-                let (rd, rs1) = (reg(0)?, reg(1)?);
-                patch(PatchKind::OpImm { kind, rd, rs1 }, expr(2)?)
-            }
-            M::Op(kind) => {
-                need(3)?;
-                let (rd, rs1, rs2) = (reg(0)?, reg(1)?, reg(2)?);
-                SymInstr::Ready(Instr::Op { kind, rd, rs1, rs2 })
-            }
-            M::Lui => {
-                need(2)?;
-                patch(PatchKind::Lui { rd: reg(0)? }, expr(1)?)
-            }
-            M::Auipc => {
-                need(2)?;
-                patch(PatchKind::Auipc { rd: reg(0)? }, expr(1)?)
-            }
-            M::Jal => match count {
-                1 => patch(PatchKind::Jal { rd: Reg::RA }, expr(0)?),
-                2 => patch(PatchKind::Jal { rd: reg(0)? }, expr(1)?),
-                _ => return Err(arity("1 or 2 operands")),
-            },
-            M::Jalr => match count {
-                // `jalr rs` == jalr ra, 0(rs)
-                1 => jalr(Reg::RA, reg(0)?),
-                2 => {
-                    let (off, rs1) = mem(1)?;
-                    let rd = reg(0)?;
-                    patch(PatchKind::Jalr { rd, rs1 }, off)
-                }
-                _ => return Err(arity("1 or 2 operands")),
-            },
-            M::Jump(rd) => {
-                need(1)?;
-                patch(PatchKind::Jal { rd }, expr(0)?)
-            }
-            M::Jr => {
-                need(1)?;
-                jalr(Reg::ZERO, reg(0)?)
-            }
-            M::Ret => {
-                need(0)?;
-                jalr(Reg::ZERO, Reg::RA)
-            }
-            M::Nop => {
-                need(0)?;
-                SymInstr::Ready(Instr::NOP)
-            }
-            // A constant that fits 12 bits is a single `addi`; everything
-            // else goes the way of `la`.
-            M::Li => {
-                need(2)?;
-                let rd = reg(0)?;
-                match expr(1)? {
-                    Expr::Const(v) if !WORD.contains(&v) => {
-                        return Err(self.err(format!("`li` value {v} exceeds 32 bits")));
-                    }
-                    Expr::Const(v) if (-2048..=2047).contains(&v) => {
-                        let (kind, rs1, imm) = (OpImmKind::Add, Reg::ZERO, v as i32);
-                        SymInstr::Ready(Instr::OpImm { kind, rd, rs1, imm })
-                    }
-                    wide => return self.hi_lo(rd, wide),
-                }
-            }
-            M::La => {
-                need(2)?;
-                let rd = reg(0)?;
-                return self.hi_lo(rd, expr(1)?);
-            }
-            M::UnaryImm(kind, imm) => {
-                need(2)?;
-                let (rd, rs1) = (reg(0)?, reg(1)?);
-                SymInstr::Ready(Instr::OpImm { kind, rd, rs1, imm })
-            }
-            M::UnaryOp(kind) => {
-                need(2)?;
-                let (rd, rs1, rs2) = (reg(0)?, Reg::ZERO, reg(1)?);
-                SymInstr::Ready(Instr::Op { kind, rd, rs1, rs2 })
-            }
-            M::PFc => {
-                need(1)?;
-                SymInstr::Ready(Instr::PFc { rd: reg(0)? })
-            }
-            M::PFn => {
-                need(1)?;
-                SymInstr::Ready(Instr::PFn { rd: reg(0)? })
-            }
-            M::PSet => {
-                let (rd, rs1) = match count {
-                    1 => reg(0).map(|r| (r, r))?,
-                    2 => (reg(0)?, reg(1)?),
-                    _ => return Err(arity("1 or 2 operands")),
-                };
-                SymInstr::Ready(Instr::PSet { rd, rs1 })
-            }
-            M::PMerge => {
-                need(3)?;
-                let (rd, rs1, rs2) = (reg(0)?, reg(1)?, reg(2)?);
-                SymInstr::Ready(Instr::PMerge { rd, rs1, rs2 })
-            }
-            M::PSyncm => {
-                need(0)?;
-                SymInstr::Ready(Instr::PSyncm)
-            }
-            M::PJalr => {
-                need(3)?;
-                let (rd, rs1, rs2) = (reg(0)?, reg(1)?, reg(2)?);
-                SymInstr::Ready(Instr::PJalr { rd, rs1, rs2 })
-            }
-            M::PJal => {
-                need(3)?;
-                let (rd, rs1) = (reg(0)?, reg(1)?);
-                patch(PatchKind::PJal { rd, rs1 }, expr(2)?)
-            }
-            M::PRet => {
-                let (rs1, rs2) = match count {
-                    0 => (Reg::RA, Reg::T0),
-                    2 => (reg(0)?, reg(1)?),
-                    _ => return Err(arity("0 or 2 operands")),
-                };
-                let rd = Reg::ZERO;
-                SymInstr::Ready(Instr::PJalr { rd, rs1, rs2 })
-            }
-            // Paper operand order: value register first, then target hart.
-            M::PSwcv => {
-                need(3)?;
-                let (rs1, rs2) = (reg(1)?, reg(0)?);
-                patch(PatchKind::PSwcv { rs1, rs2 }, expr(2)?)
-            }
-            M::PLwcv => {
-                need(2)?;
-                patch(PatchKind::PLwcv { rd: reg(0)? }, expr(1)?)
-            }
-            M::PSwre => {
-                need(3)?;
-                let (rs1, rs2) = (reg(1)?, reg(0)?);
-                patch(PatchKind::PSwre { rs1, rs2 }, expr(2)?)
-            }
-            M::PLwre => {
-                need(2)?;
-                patch(PatchKind::PLwre { rd: reg(0)? }, expr(1)?)
-            }
-        };
-        self.push(Item::Instr(instr));
-        Ok(())
+        let (items, line) = (&mut self.items, self.line_no);
+        expand(meaning, mnemonic, &ops, line, |item| {
+            items.push(SourceItem { item, line })
+        })
+    }
+}
+
+/// The meaning of a mnemonic, from the one table the parser reads.
+pub(crate) fn meaning(mnemonic: &str) -> Option<Mnemonic> {
+    let (len, key) = ident_run(mnemonic);
+    (len == mnemonic.len())
+        .then(|| Mnemonics::get().lookup(key))
+        .flatten()
+}
+
+/// Where the operands of one instruction come from: the text of a line,
+/// read in the order an arm of [`expand`] asks for them, or the typed
+/// values of a [`builder`](crate::builder) call.
+pub(crate) trait Operands {
+    /// How many operands were written.
+    fn count(&self) -> usize;
+    /// Operand `i` as a register.
+    fn reg(&self, i: usize) -> Result<Reg, AsmError>;
+    /// Operand `i` as an expression.
+    fn expr(&self, i: usize) -> Result<Expr, AsmError>;
+    /// Operand `i` as `offset(base)`.
+    fn mem(&self, i: usize) -> Result<(Expr, Reg), AsmError>;
+}
+
+/// The trimmed operand texts of one line.
+struct TextOperands<'a> {
+    at: [&'a str; 4],
+    count: usize,
+    line: usize,
+}
+
+impl Operands for TextOperands<'_> {
+    fn count(&self) -> usize {
+        self.count
     }
 
-    /// `lui rd, %hi(e)` then `addi rd, rd, %lo(e)`: how `la` and a wide
-    /// `li` build a 32-bit value.
-    fn hi_lo(&mut self, rd: Reg, e: Expr) -> Result<(), AsmError> {
-        let kind = OpImmKind::Add;
-        let patch = |kind, expr| Item::Instr(SymInstr::Patch { kind, expr });
-        self.push(patch(PatchKind::Lui { rd }, e.clone().hi()));
-        self.push(patch(PatchKind::OpImm { kind, rd, rs1: rd }, e.lo()));
-        Ok(())
+    fn reg(&self, i: usize) -> Result<Reg, AsmError> {
+        parse_reg(self.at[i], self.line)
     }
+
+    fn expr(&self, i: usize) -> Result<Expr, AsmError> {
+        parse_expr(self.at[i], self.line)
+    }
+
+    fn mem(&self, i: usize) -> Result<(Expr, Reg), AsmError> {
+        parse_mem_operand(self.at[i], self.line)
+    }
+}
+
+/// The items one instruction line stands for: the base instruction, or
+/// the expansion of a pseudo-instruction. The parser and the builder's
+/// typed calls both come through here, so a typed call yields exactly
+/// the items its printed line parses to.
+pub(crate) fn expand(
+    meaning: Mnemonic,
+    mnemonic: &str,
+    ops: &impl Operands,
+    line: usize,
+    mut push: impl FnMut(Item),
+) -> Result<(), AsmError> {
+    use Mnemonic as M;
+    let count = ops.count();
+    let arity = |wanted: &str| AsmError::new(line, format!("`{mnemonic}` expects {wanted}"));
+    let need = |n: usize| match count == n {
+        true => Ok(()),
+        false => Err(arity(&format!("{n} operands, got {count}"))),
+    };
+    let reg = |i: usize| ops.reg(i);
+    let expr = |i: usize| ops.expr(i);
+    let mem = |i: usize| ops.mem(i);
+    let patch = |kind: PatchKind, expr: Expr| SymInstr::Patch { kind, expr };
+    let jalr = |rd: Reg, rs1: Reg| SymInstr::Ready(Instr::Jalr { rd, rs1, offset: 0 });
+    // `lui rd, %hi(e)` then `addi rd, rd, %lo(e)`: how `la` and a wide
+    // `li` build a 32-bit value.
+    let mut hi_lo = |rd: Reg, e: Expr| {
+        let kind = OpImmKind::Add;
+        push(Item::Instr(patch(PatchKind::Lui { rd }, e.clone().hi())));
+        push(Item::Instr(patch(
+            PatchKind::OpImm { kind, rd, rs1: rd },
+            e.lo(),
+        )));
+        Ok(())
+    };
+    // Within an arm the operands are read in the order the errors of
+    // a line with several bad ones have always come out.
+    let instr = match meaning {
+        M::Branch(kind, swap) => {
+            need(3)?;
+            let target = expr(2)?;
+            let (a, b) = if swap { (1, 0) } else { (0, 1) };
+            let (rs1, rs2) = (reg(a)?, reg(b)?);
+            patch(PatchKind::Branch { kind, rs1, rs2 }, target)
+        }
+        M::BranchZero(kind, zero_first) => {
+            need(2)?;
+            let r = reg(0)?;
+            let (rs1, rs2) = if zero_first {
+                (Reg::ZERO, r)
+            } else {
+                (r, Reg::ZERO)
+            };
+            patch(PatchKind::Branch { kind, rs1, rs2 }, expr(1)?)
+        }
+        M::Load(kind) => {
+            need(2)?;
+            let (off, rs1) = mem(1)?;
+            let rd = reg(0)?;
+            patch(PatchKind::Load { kind, rd, rs1 }, off)
+        }
+        M::Store(kind) => {
+            need(2)?;
+            let (off, rs1) = mem(1)?;
+            let rs2 = reg(0)?;
+            patch(PatchKind::Store { kind, rs1, rs2 }, off)
+        }
+        M::OpImm(kind) => {
+            need(3)?;
+            let (rd, rs1) = (reg(0)?, reg(1)?);
+            patch(PatchKind::OpImm { kind, rd, rs1 }, expr(2)?)
+        }
+        M::Op(kind) => {
+            need(3)?;
+            let (rd, rs1, rs2) = (reg(0)?, reg(1)?, reg(2)?);
+            SymInstr::Ready(Instr::Op { kind, rd, rs1, rs2 })
+        }
+        M::Lui => {
+            need(2)?;
+            patch(PatchKind::Lui { rd: reg(0)? }, expr(1)?)
+        }
+        M::Auipc => {
+            need(2)?;
+            patch(PatchKind::Auipc { rd: reg(0)? }, expr(1)?)
+        }
+        M::Jal => match count {
+            1 => patch(PatchKind::Jal { rd: Reg::RA }, expr(0)?),
+            2 => patch(PatchKind::Jal { rd: reg(0)? }, expr(1)?),
+            _ => return Err(arity("1 or 2 operands")),
+        },
+        M::Jalr => match count {
+            // `jalr rs` == jalr ra, 0(rs)
+            1 => jalr(Reg::RA, reg(0)?),
+            2 => {
+                let (off, rs1) = mem(1)?;
+                let rd = reg(0)?;
+                patch(PatchKind::Jalr { rd, rs1 }, off)
+            }
+            _ => return Err(arity("1 or 2 operands")),
+        },
+        M::Jump(rd) => {
+            need(1)?;
+            patch(PatchKind::Jal { rd }, expr(0)?)
+        }
+        M::Jr => {
+            need(1)?;
+            jalr(Reg::ZERO, reg(0)?)
+        }
+        M::Ret => {
+            need(0)?;
+            jalr(Reg::ZERO, Reg::RA)
+        }
+        M::Nop => {
+            need(0)?;
+            SymInstr::Ready(Instr::NOP)
+        }
+        // A constant that fits 12 bits is a single `addi`; everything
+        // else goes the way of `la`.
+        M::Li => {
+            need(2)?;
+            let rd = reg(0)?;
+            match expr(1)? {
+                Expr::Const(v) if !WORD.contains(&v) => {
+                    return Err(AsmError::new(
+                        line,
+                        format!("`li` value {v} exceeds 32 bits"),
+                    ));
+                }
+                Expr::Const(v) if (-2048..=2047).contains(&v) => {
+                    let (kind, rs1, imm) = (OpImmKind::Add, Reg::ZERO, v as i32);
+                    SymInstr::Ready(Instr::OpImm { kind, rd, rs1, imm })
+                }
+                wide => return hi_lo(rd, wide),
+            }
+        }
+        M::La => {
+            need(2)?;
+            let rd = reg(0)?;
+            return hi_lo(rd, expr(1)?);
+        }
+        M::UnaryImm(kind, imm) => {
+            need(2)?;
+            let (rd, rs1) = (reg(0)?, reg(1)?);
+            SymInstr::Ready(Instr::OpImm { kind, rd, rs1, imm })
+        }
+        M::UnaryOp(kind) => {
+            need(2)?;
+            let (rd, rs1, rs2) = (reg(0)?, Reg::ZERO, reg(1)?);
+            SymInstr::Ready(Instr::Op { kind, rd, rs1, rs2 })
+        }
+        M::PFc => {
+            need(1)?;
+            SymInstr::Ready(Instr::PFc { rd: reg(0)? })
+        }
+        M::PFn => {
+            need(1)?;
+            SymInstr::Ready(Instr::PFn { rd: reg(0)? })
+        }
+        M::PSet => {
+            let (rd, rs1) = match count {
+                1 => reg(0).map(|r| (r, r))?,
+                2 => (reg(0)?, reg(1)?),
+                _ => return Err(arity("1 or 2 operands")),
+            };
+            SymInstr::Ready(Instr::PSet { rd, rs1 })
+        }
+        M::PMerge => {
+            need(3)?;
+            let (rd, rs1, rs2) = (reg(0)?, reg(1)?, reg(2)?);
+            SymInstr::Ready(Instr::PMerge { rd, rs1, rs2 })
+        }
+        M::PSyncm => {
+            need(0)?;
+            SymInstr::Ready(Instr::PSyncm)
+        }
+        M::PJalr => {
+            need(3)?;
+            let (rd, rs1, rs2) = (reg(0)?, reg(1)?, reg(2)?);
+            SymInstr::Ready(Instr::PJalr { rd, rs1, rs2 })
+        }
+        M::PJal => {
+            need(3)?;
+            let (rd, rs1) = (reg(0)?, reg(1)?);
+            patch(PatchKind::PJal { rd, rs1 }, expr(2)?)
+        }
+        M::PRet => {
+            let (rs1, rs2) = match count {
+                0 => (Reg::RA, Reg::T0),
+                2 => (reg(0)?, reg(1)?),
+                _ => return Err(arity("0 or 2 operands")),
+            };
+            let rd = Reg::ZERO;
+            SymInstr::Ready(Instr::PJalr { rd, rs1, rs2 })
+        }
+        // Paper operand order: value register first, then target hart.
+        M::PSwcv => {
+            need(3)?;
+            let (rs1, rs2) = (reg(1)?, reg(0)?);
+            patch(PatchKind::PSwcv { rs1, rs2 }, expr(2)?)
+        }
+        M::PLwcv => {
+            need(2)?;
+            patch(PatchKind::PLwcv { rd: reg(0)? }, expr(1)?)
+        }
+        M::PSwre => {
+            need(3)?;
+            let (rs1, rs2) = (reg(1)?, reg(0)?);
+            patch(PatchKind::PSwre { rs1, rs2 }, expr(2)?)
+        }
+        M::PLwre => {
+            need(2)?;
+            patch(PatchKind::PLwre { rd: reg(0)? }, expr(1)?)
+        }
+    };
+    push(Item::Instr(instr));
+    Ok(())
 }
 
 #[cfg(test)]

@@ -184,6 +184,29 @@ fn expression_syntax_rejected() {
     rejected("    li a0, (1 + 2) 3\n", "trailing text in expression", 1);
 }
 
+/// A character no term starts with is named, and a term that never
+/// comes is an early end; both at their column within the operand.
+#[test]
+fn expression_errors_name_the_character_and_its_column() {
+    let message = |src: &str| assemble(src).unwrap_err().message;
+    assert_eq!(
+        message("main: addi a0, a0, $"),
+        "unexpected `$` at column 1"
+    );
+    assert_eq!(message("    li a0, 2 - é"), "unexpected `é` at column 5");
+    assert_eq!(
+        message("main: addi a0, a0, 1+"),
+        "expression ends early at column 3"
+    );
+    assert_eq!(message(".word 1,,2"), "expression ends early at column 1");
+    assert_eq!(message("    li a0, (4"), "expected `)`");
+    rejected(
+        "x:\n    li a0, 1 + (2 -\n",
+        "expression ends early at column 9",
+        2,
+    );
+}
+
 #[test]
 fn error_lines_skip_comments_and_blanks() {
     // The reported line must be the physical source line, counting

@@ -17,9 +17,8 @@
 //!   functions ending in `p_ret` and lowered through
 //!   [`lbp_omp::emit_parallel_region`] — the paper's Fig. 2 translation.
 
-use std::collections::{HashMap, HashSet};
-
-use lbp_asm::{emit, Asm};
+use lbp_asm::{Asm, Section};
+use lbp_isa::{BranchKind, Instr, OpImmKind, OpKind, Reg};
 use lbp_omp::{emit_parallel_region, TeamBody};
 
 use crate::ast::*;
@@ -27,9 +26,26 @@ use crate::sema::Checked;
 use crate::{CcError, CodegenSabotage};
 
 /// Expression scratch registers (order = allocation preference).
-const SCRATCH: [&str; 7] = ["t2", "t3", "t4", "t5", "t6", "a6", "a7"];
+const SCRATCH: [Reg; 7] = [
+    Reg::T2,
+    Reg::T3,
+    Reg::T4,
+    Reg::T5,
+    Reg::T6,
+    Reg::A6,
+    Reg::A7,
+];
 /// Register-local pool.
-const LOCALS: [&str; 8] = ["s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11"];
+const LOCALS: [Reg; 8] = [
+    Reg::S4,
+    Reg::S5,
+    Reg::S6,
+    Reg::S7,
+    Reg::S8,
+    Reg::S9,
+    Reg::S10,
+    Reg::S11,
+];
 
 /// Frame layout.
 const FRAME: i32 = 96;
@@ -38,8 +54,12 @@ const OFF_T0: i32 = 4;
 const OFF_SREG: i32 = 8; // 8 words
 const OFF_SPILL: i32 = 40; // 13 words
 
-/// Generates the complete assembly program, optionally injecting a
-/// deliberate miscompilation (see [`CodegenSabotage`]) — the hook behind
+/// Instruction words a conditional branch can skip forward: its reach is
+/// 4,094 bytes, counted from the branch itself.
+const BRANCH_REACH: usize = 1022;
+
+/// Generates the complete program, optionally injecting a deliberate
+/// miscompilation (see [`CodegenSabotage`]) — the hook behind
 /// `lbp-cc --sabotage codegen:*` that red-tests the `semantics`
 /// differential oracle.
 ///
@@ -47,7 +67,7 @@ const OFF_SPILL: i32 = 40; // 13 words
 ///
 /// Returns an error for constructs the generator cannot express
 /// (expressions deeper than the scratch pool, unsupported builtins).
-pub fn generate_with(cx: &Checked, sabotage: Option<CodegenSabotage>) -> Result<String, CcError> {
+pub fn generate_with(cx: &Checked, sabotage: Option<CodegenSabotage>) -> Result<Asm, CcError> {
     let mut g = Gen {
         cx,
         asm: Asm::new(),
@@ -77,38 +97,38 @@ pub fn generate_with(cx: &Checked, sabotage: Option<CodegenSabotage>) -> Result<
     }
     // Data section.
     g.asm.blank();
-    g.asm.line(".data");
+    g.asm.section(Section::Data);
     for global in &cx.unit.globals {
-        g.asm.line(".align 4");
+        g.asm.align(4);
         g.asm.label(&global.name);
         match &global.fill {
             Some(Init::Uniform(v)) if *v != 0 => {
                 for _ in 0..global.elems {
-                    emit!(g.asm, ".word {v}");
+                    g.asm.word(*v);
                 }
             }
             Some(Init::List(values)) => {
                 for v in values.iter().take(global.elems as usize) {
-                    emit!(g.asm, ".word {v}");
+                    g.asm.word(*v);
                 }
                 let rest = global.elems as usize - values.len().min(global.elems as usize);
                 if rest > 0 {
-                    emit!(g.asm, ".space {}", rest * 4);
+                    g.asm.space((rest * 4) as i64);
                 }
             }
             _ => {
-                emit!(g.asm, ".space {}", global.elems * 4);
+                g.asm.space(i64::from(global.elems * 4));
             }
         }
     }
     for (name, fns) in &g.section_tables {
-        g.asm.line(".align 4");
+        g.asm.align(4);
         g.asm.label(name);
         for f in fns {
-            emit!(g.asm, ".word {f}");
+            g.asm.word_label(f);
         }
     }
-    Ok(g.asm.into_text())
+    Ok(g.asm)
 }
 
 /// What kind of epilogue a function needs.
@@ -122,11 +142,12 @@ enum FnKind {
     TeamMember,
 }
 
-/// Pending (possibly still in-flight) stores, by alias class.
+/// Pending (possibly still in-flight) stores, by alias class. A function
+/// touches a handful of symbols, so the set is a list.
 #[derive(Debug, Clone, Default)]
 struct Pending {
     unknown: bool,
-    syms: HashSet<String>,
+    syms: Vec<String>,
 }
 
 impl Pending {
@@ -139,23 +160,33 @@ impl Pending {
         self.unknown || !self.syms.is_empty()
     }
 
+    fn has(&self, sym: &str) -> bool {
+        self.syms.iter().any(|s| s == sym)
+    }
+
+    fn insert(&mut self, sym: &str) {
+        if !self.has(sym) {
+            self.syms.push(sym.to_owned());
+        }
+    }
+
     fn add(&mut self, class: &Alias) {
         match class {
-            Alias::Global(s) => {
-                self.syms.insert(s.clone());
-            }
+            Alias::Global(s) => self.insert(s),
             Alias::Unknown => self.unknown = true,
         }
     }
 
     fn union(&mut self, other: &Pending) {
         self.unknown |= other.unknown;
-        self.syms.extend(other.syms.iter().cloned());
+        for s in &other.syms {
+            self.insert(s);
+        }
     }
 
     fn conflicts(&self, load: &Alias) -> bool {
         match load {
-            Alias::Global(s) => self.unknown || self.syms.contains(s),
+            Alias::Global(s) => self.unknown || self.has(s),
             Alias::Unknown => self.any(),
         }
     }
@@ -174,11 +205,24 @@ enum Alias {
 enum Val {
     Imm(i64),
     Reg {
-        name: &'static str,
+        reg: Reg,
         owned: bool,
     },
     /// A local register, referred by pool index (read-only).
     Local(usize),
+}
+
+/// How control leaves a statement whose condition is false.
+#[derive(Debug, Clone, Copy)]
+enum Exit {
+    /// `b<kind> rs1, rs2` is taken when the condition is false.
+    Branch(BranchKind, Reg, Reg),
+    /// The condition is false when the register is zero.
+    Zero(Reg),
+    /// A constant false condition.
+    Always,
+    /// A constant true condition.
+    Never,
 }
 
 struct Gen<'a> {
@@ -198,24 +242,18 @@ impl Gen<'_> {
     }
 
     fn function(&mut self, f: &Function, kind: FnKind) -> Result<(), CcError> {
-        let locals = collect_locals(f);
         // Local arrays sit above the fixed header in the frame.
-        let mut arrays = HashMap::new();
+        let mut arrays = Vec::new();
         let mut frame = FRAME;
         for (name, elems) in collect_local_arrays(f) {
-            arrays.insert(name, frame);
+            arrays.push((name, frame));
             frame += (elems * 4) as i32;
         }
         frame = (frame + 7) & !7;
         let mut fx = FnGen {
-            locals: locals
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (n.clone(), i))
-                .collect(),
+            locals: collect_locals(f),
             arrays,
             frame,
-            n_locals: locals.len(),
             free_scratch: (0..SCRATCH.len()).rev().collect(),
             pending: Pending::default(),
             epilogue: String::new(),
@@ -226,49 +264,52 @@ impl Gen<'_> {
         self.asm.label(&f.name);
         // Prologue (a frame beyond the addi range uses li/add).
         if fx.frame <= 2048 {
-            emit!(self.asm, "addi sp, sp, -{}", fx.frame);
+            self.asm.op_imm(OpImmKind::Add, Reg::SP, Reg::SP, -fx.frame);
         } else {
-            emit!(self.asm, "li   t6, {}", fx.frame);
-            self.asm.line("sub  sp, sp, t6");
+            self.asm.li(Reg::T6, fx.frame.into());
+            self.asm.op(OpKind::Sub, Reg::SP, Reg::SP, Reg::T6);
         }
-        emit!(self.asm, "sw   ra, {OFF_RA}(sp)");
+        self.asm.sw(Reg::RA, OFF_RA, Reg::SP);
         if kind == FnKind::Main {
-            self.asm.line("li   t0, -1");
-            emit!(self.asm, "sw   t0, {OFF_T0}(sp)");
-            self.asm.line("p_set t0");
+            self.asm.li(Reg::T0, -1);
+            self.asm.sw(Reg::T0, OFF_T0, Reg::SP);
+            self.asm.instr(Instr::PSet {
+                rd: Reg::T0,
+                rs1: Reg::T0,
+            });
         }
-        for (i, reg) in LOCALS.iter().enumerate().take(fx.n_locals) {
-            emit!(self.asm, "sw   {}, {}(sp)", reg, OFF_SREG + 4 * i as i32);
+        for (i, &reg) in LOCALS.iter().enumerate().take(fx.locals.len()) {
+            self.asm.sw(reg, OFF_SREG + 4 * i as i32, Reg::SP);
         }
         // Parameters arrive in a0.. and move into their local registers.
         for (i, _p) in f.params.iter().enumerate() {
-            emit!(self.asm, "mv   {}, a{i}", LOCALS[i]);
+            self.asm.mv(LOCALS[i], arg_reg(i));
         }
         // Body.
         self.block(&f.body, &mut fx)?;
         // Epilogue.
-        self.asm.label(fx.epilogue.clone());
-        self.asm.line("p_syncm");
-        emit!(self.asm, "lw   ra, {OFF_RA}(sp)");
+        self.asm.label(&fx.epilogue);
+        self.asm.instr(Instr::PSyncm);
+        self.asm.lw(Reg::RA, OFF_RA, Reg::SP);
         if kind == FnKind::Main {
-            emit!(self.asm, "lw   t0, {OFF_T0}(sp)");
+            self.asm.lw(Reg::T0, OFF_T0, Reg::SP);
         }
-        for (i, reg) in LOCALS.iter().enumerate().take(fx.n_locals) {
-            emit!(self.asm, "lw   {}, {}(sp)", reg, OFF_SREG + 4 * i as i32);
+        for (i, &reg) in LOCALS.iter().enumerate().take(fx.locals.len()) {
+            self.asm.lw(reg, OFF_SREG + 4 * i as i32, Reg::SP);
         }
         // The register restores are loads from the frame this function's
         // own stores filled; a second p_syncm lets them land before the
         // control transfer reads `ra`/`t0`.
-        self.asm.line("p_syncm");
+        self.asm.instr(Instr::PSyncm);
         if fx.frame <= 2047 {
-            emit!(self.asm, "addi sp, sp, {}", fx.frame);
+            self.asm.op_imm(OpImmKind::Add, Reg::SP, Reg::SP, fx.frame);
         } else {
-            emit!(self.asm, "li   t6, {}", fx.frame);
-            self.asm.line("add  sp, sp, t6");
+            self.asm.li(Reg::T6, fx.frame.into());
+            self.asm.op(OpKind::Add, Reg::SP, Reg::SP, Reg::T6);
         }
         match kind {
-            FnKind::Main | FnKind::TeamMember => self.asm.line("p_ret"),
-            FnKind::Normal => self.asm.line("ret"),
+            FnKind::Main | FnKind::TeamMember => self.asm.p_ret(),
+            FnKind::Normal => self.asm.ret(),
         };
         Ok(())
     }
@@ -284,7 +325,7 @@ impl Gen<'_> {
         match s {
             Stmt::DeclArray { .. } => Ok(()),
             Stmt::Decl { name, init, line } => {
-                let idx = fx.locals[name];
+                let idx = fx.local(name).expect("sema declares every local");
                 if let Some(e) = init {
                     let v = self.expr(e, fx, *line)?;
                     self.move_into(LOCALS[idx], v, fx);
@@ -305,16 +346,20 @@ impl Gen<'_> {
             } => {
                 let else_l = self.fresh("else");
                 let end_l = self.fresh("endif");
-                self.branch_if_false(cond, &else_l, fx)?;
+                let exit = self.exit_when_false(cond, fx)?;
                 let entry_pending = fx.pending.clone();
-                self.block(then, fx)?;
+                self.skip_unless(exit, &else_l, fx, |g, fx| {
+                    g.block(then, fx)?;
+                    if !els.is_empty() {
+                        g.asm.j(&end_l);
+                    }
+                    Ok(())
+                })?;
                 let then_pending = fx.pending.clone();
+                self.asm.label(&else_l);
                 if els.is_empty() {
-                    self.asm.label(&else_l);
                     fx.pending.union(&then_pending);
                 } else {
-                    emit!(self.asm, "j    {end_l}");
-                    self.asm.label(&else_l);
                     fx.pending = entry_pending;
                     self.block(els, fx)?;
                     fx.pending.union(&then_pending);
@@ -327,15 +372,19 @@ impl Gen<'_> {
                 let end = self.fresh("wend");
                 // Any iteration may observe the previous iteration's
                 // stores.
-                fx.pending.union(&stores_of(body, self.cx));
+                let stores = stores_of(body, self.cx);
+                fx.pending.union(&stores);
                 self.asm.label(&head);
-                self.branch_if_false(cond, &end, fx)?;
-                fx.loop_labels.push((head.clone(), end.clone()));
-                self.block(body, fx)?;
-                fx.loop_labels.pop();
-                emit!(self.asm, "j    {head}");
+                let exit = self.exit_when_false(cond, fx)?;
+                self.skip_unless(exit, &end, fx, |g, fx| {
+                    fx.loop_labels.push((head.clone(), end.clone()));
+                    g.block(body, fx)?;
+                    fx.loop_labels.pop();
+                    g.asm.j(&head);
+                    Ok(())
+                })?;
                 self.asm.label(&end);
-                fx.pending.union(&stores_of(body, self.cx));
+                fx.pending.union(&stores);
                 Ok(())
             }
             Stmt::For {
@@ -357,17 +406,21 @@ impl Gen<'_> {
                 let step_l = self.fresh("fstep");
                 fx.pending.union(&loop_stores);
                 self.asm.label(&head);
-                if let Some(c) = cond {
-                    self.branch_if_false(c, &end, fx)?;
-                }
-                fx.loop_labels.push((step_l.clone(), end.clone()));
-                self.block(body, fx)?;
-                fx.loop_labels.pop();
-                self.asm.label(&step_l);
-                if let Some(st) = step.as_ref() {
-                    self.stmt(st, fx)?;
-                }
-                emit!(self.asm, "j    {head}");
+                let exit = match cond {
+                    Some(c) => self.exit_when_false(c, fx)?,
+                    None => Exit::Never,
+                };
+                self.skip_unless(exit, &end, fx, |g, fx| {
+                    fx.loop_labels.push((step_l.clone(), end.clone()));
+                    g.block(body, fx)?;
+                    fx.loop_labels.pop();
+                    g.asm.label(&step_l);
+                    if let Some(st) = step.as_ref() {
+                        g.stmt(st, fx)?;
+                    }
+                    g.asm.j(&head);
+                    Ok(())
+                })?;
                 self.asm.label(&end);
                 fx.pending.union(&loop_stores);
                 Ok(())
@@ -376,26 +429,24 @@ impl Gen<'_> {
                 let (_, brk) = fx
                     .loop_labels
                     .last()
-                    .cloned()
                     .expect("sema rejects break outside loops");
-                emit!(self.asm, "j    {brk}");
+                self.asm.j(brk);
                 Ok(())
             }
             Stmt::Continue(_) => {
                 let (cont, _) = fx
                     .loop_labels
                     .last()
-                    .cloned()
                     .expect("sema rejects continue outside loops");
-                emit!(self.asm, "j    {cont}");
+                self.asm.j(cont);
                 Ok(())
             }
             Stmt::Return(value, line) => {
                 if let Some(e) = value {
                     let v = self.expr(e, fx, *line)?;
-                    self.move_into("a0", v, fx);
+                    self.move_into(Reg::A0, v, fx);
                 }
-                emit!(self.asm, "j    {}", fx.epilogue);
+                self.asm.j(&fx.epilogue);
                 Ok(())
             }
             Stmt::ParallelFor {
@@ -513,15 +564,15 @@ impl Gen<'_> {
     ) -> Result<(), CcError> {
         match place {
             Place::Var(name) => {
-                if let Some(&idx) = fx.locals.get(name) {
+                if let Some(idx) = fx.local(name) {
                     self.move_into(LOCALS[idx], v, fx);
                     return Ok(());
                 }
                 // Scalar global.
                 let addr = fx.alloc(line)?;
-                emit!(self.asm, "la   {addr}, {name}");
+                self.asm.la(addr, name);
                 let vr = self.to_reg(v, fx, line)?;
-                emit!(self.asm, "sw   {}, 0({addr})", reg_name(vr));
+                self.asm.sw(reg_of(vr), 0, addr);
                 fx.release(vr);
                 fx.free_scratch_reg(addr);
                 fx.pending.add(&Alias::Global(name.clone()));
@@ -530,7 +581,7 @@ impl Gen<'_> {
             Place::Index(name, idx_expr) => {
                 let (addr, class) = self.element_addr(name, idx_expr, fx, line)?;
                 let vr = self.to_reg(v, fx, line)?;
-                emit!(self.asm, "sw   {}, 0({})", reg_name(vr), reg_name(addr));
+                self.asm.sw(reg_of(vr), 0, reg_of(addr));
                 fx.release(vr);
                 fx.release(addr);
                 fx.pending.add(&class);
@@ -540,7 +591,7 @@ impl Gen<'_> {
                 let p = self.expr(ptr, fx, line)?;
                 let pr = self.to_reg(p, fx, line)?;
                 let vr = self.to_reg(v, fx, line)?;
-                emit!(self.asm, "sw   {}, 0({})", reg_name(vr), reg_name(pr));
+                self.asm.sw(reg_of(vr), 0, reg_of(pr));
                 fx.release(vr);
                 fx.release(pr);
                 fx.pending.add(&Alias::Unknown);
@@ -557,58 +608,47 @@ impl Gen<'_> {
         fx: &mut FnGen,
         line: usize,
     ) -> Result<(Val, Alias), CcError> {
-        let scaled = Expr::Binary(BinOp::Mul, Box::new(idx.clone()), Box::new(Expr::Int(4)));
-        let off = self.expr(&scaled, fx, line)?;
-        if let Some(&base_off) = fx.arrays.get(name) {
+        let off = self.binary(BinOp::Mul, idx, &Expr::Int(4), fx, line)?;
+        if let Some(base_off) = fx.array(name) {
             // A stack-local array: sp + frame offset + scaled index.
             let dest = self.to_owned_reg(off, fx, line)?;
-            let dn = reg_name(dest);
+            let d = reg_of(dest);
             if base_off <= 2047 {
-                emit!(self.asm, "addi {dn}, {dn}, {base_off}");
+                self.asm.op_imm(OpImmKind::Add, d, d, base_off);
             } else {
                 let t = fx.alloc(line)?;
-                emit!(self.asm, "li   {t}, {base_off}");
-                emit!(self.asm, "add  {dn}, {dn}, {t}");
+                self.asm.li(t, base_off.into());
+                self.asm.op(OpKind::Add, d, d, t);
                 fx.free_scratch_reg(t);
             }
-            emit!(self.asm, "add  {dn}, {dn}, sp");
+            self.asm.op(OpKind::Add, d, d, Reg::SP);
             return Ok((dest, Alias::Global(format!("%frame%{name}"))));
         }
-        if fx.locals.contains_key(name) {
+        if let Some(idx_local) = fx.local(name) {
             // Pointer variable.
-            let idx_local = fx.locals[name];
             let dest = self.to_owned_reg(off, fx, line)?;
-            emit!(
-                self.asm,
-                "add  {}, {}, {}",
-                reg_name(dest),
-                reg_name(dest),
-                LOCALS[idx_local]
-            );
+            let d = reg_of(dest);
+            self.asm.op(OpKind::Add, d, d, LOCALS[idx_local]);
             Ok((dest, Alias::Unknown))
         } else {
             // Global array (or scalar used as one-element array).
             let base = fx.alloc(line)?;
-            emit!(self.asm, "la   {base}, {name}");
+            self.asm.la(base, name);
             let dest = self.to_owned_reg(off, fx, line)?;
-            emit!(
-                self.asm,
-                "add  {}, {}, {base}",
-                reg_name(dest),
-                reg_name(dest)
-            );
+            let d = reg_of(dest);
+            self.asm.op(OpKind::Add, d, d, base);
             fx.free_scratch_reg(base);
             Ok((dest, Alias::Global(name.to_owned())))
         }
     }
 
     /// Emits a load with the pending-store fence when needed.
-    fn emit_load(&mut self, dest: &str, addr: &str, class: &Alias, fx: &mut FnGen) {
+    fn emit_load(&mut self, dest: Reg, addr: Reg, class: &Alias, fx: &mut FnGen) {
         if fx.pending.conflicts(class) {
-            self.asm.line("p_syncm");
+            self.asm.instr(Instr::PSyncm);
             fx.pending.clear();
         }
-        emit!(self.asm, "lw   {dest}, 0({addr})");
+        self.asm.lw(dest, 0, addr);
     }
 
     // ----- expressions -----
@@ -617,55 +657,44 @@ impl Gen<'_> {
         match e {
             Expr::Int(v) => Ok(Val::Imm(*v)),
             Expr::Var(name) => {
-                if let Some(&base_off) = fx.arrays.get(name) {
+                if let Some(base_off) = fx.array(name) {
                     // Array name decays to its frame address.
                     let r = fx.alloc(line)?;
-                    emit!(self.asm, "li   {r}, {base_off}");
-                    emit!(self.asm, "add  {r}, {r}, sp");
-                    return Ok(Val::Reg {
-                        name: r,
-                        owned: true,
-                    });
+                    self.asm.li(r, base_off.into());
+                    self.asm.op(OpKind::Add, r, r, Reg::SP);
+                    return Ok(owned(r));
                 }
-                if let Some(&idx) = fx.locals.get(name) {
+                if let Some(idx) = fx.local(name) {
                     return Ok(Val::Local(idx));
                 }
                 let is_array = *self.cx.globals.get(name).unwrap_or(&false);
                 let r = fx.alloc(line)?;
-                if is_array {
-                    // Array names decay to their address.
-                    emit!(self.asm, "la   {r}, {name}");
-                } else {
-                    emit!(self.asm, "la   {r}, {name}");
+                // Array names decay to their address; a scalar is loaded.
+                self.asm.la(r, name);
+                if !is_array {
                     let class = Alias::Global(name.clone());
                     self.emit_load(r, r, &class, fx);
                 }
-                Ok(Val::Reg {
-                    name: r,
-                    owned: true,
-                })
+                Ok(owned(r))
             }
             Expr::Index(name, idx) => {
                 let (addr, class) = self.element_addr(name, idx, fx, line)?;
-                let ar = reg_name(addr);
+                let ar = reg_of(addr);
                 self.emit_load(ar, ar, &class, fx);
                 Ok(addr)
             }
             Expr::Deref(ptr) => {
                 let p = self.expr(ptr, fx, line)?;
                 let pr = self.to_owned_reg(p, fx, line)?;
-                let r = reg_name(pr);
+                let r = reg_of(pr);
                 self.emit_load(r, r, &Alias::Unknown, fx);
                 Ok(pr)
             }
             Expr::AddrOf(place) => match place.as_ref() {
                 Place::Var(name) => {
                     let r = fx.alloc(line)?;
-                    emit!(self.asm, "la   {r}, {name}");
-                    Ok(Val::Reg {
-                        name: r,
-                        owned: true,
-                    })
+                    self.asm.la(r, name);
+                    Ok(owned(r))
                 }
                 Place::Index(name, idx) => {
                     let (addr, _class) = self.element_addr(name, idx, fx, line)?;
@@ -683,11 +712,11 @@ impl Gen<'_> {
                     }));
                 }
                 let r = self.to_owned_reg(v, fx, line)?;
-                let rn = reg_name(r);
+                let rn = reg_of(r);
                 match op {
-                    UnOp::Neg => emit!(self.asm, "neg  {rn}, {rn}"),
-                    UnOp::Not => emit!(self.asm, "seqz {rn}, {rn}"),
-                    UnOp::BitNot => emit!(self.asm, "not  {rn}, {rn}"),
+                    UnOp::Neg => self.asm.neg(rn, rn),
+                    UnOp::Not => self.asm.seqz(rn, rn),
+                    UnOp::BitNot => self.asm.not(rn, rn),
                 };
                 Ok(r)
             }
@@ -722,11 +751,11 @@ impl Gen<'_> {
         }
         // Immediate forms for commutative/offset-friendly operations.
         if let Val::Imm(y) = vb {
-            if let Some(mn) = imm_mnemonic(op) {
+            if let Some(kind) = imm_kind(op) {
                 if imm_fits(op, y) {
                     let d = self.to_owned_reg(va, fx, line)?;
-                    let dn = reg_name(d);
-                    emit!(self.asm, "{mn} {dn}, {dn}, {y}");
+                    let dn = reg_of(d);
+                    self.asm.op_imm(kind, dn, dn, y as i32);
                     return Ok(d);
                 }
             }
@@ -735,54 +764,33 @@ impl Gen<'_> {
         let rb = self.to_reg(vb, fx, line)?;
         // Destination: reuse an owned operand or allocate.
         let dest = if is_owned(ra) {
-            reg_name(ra)
+            reg_of(ra)
         } else if is_owned(rb) {
-            reg_name(rb)
+            reg_of(rb)
         } else {
             fx.alloc(line)?
         };
-        let (an, bn) = (reg_name(ra), reg_name(rb));
+        let (an, bn) = (reg_of(ra), reg_of(rb));
+        let asm = &mut self.asm;
         match op {
-            BinOp::Add => emit!(self.asm, "add  {dest}, {an}, {bn}"),
-            BinOp::Sub => emit!(self.asm, "sub  {dest}, {an}, {bn}"),
-            BinOp::Mul => emit!(self.asm, "mul  {dest}, {an}, {bn}"),
-            BinOp::Div => emit!(self.asm, "div  {dest}, {an}, {bn}"),
-            BinOp::Rem => emit!(self.asm, "rem  {dest}, {an}, {bn}"),
-            BinOp::And => emit!(self.asm, "and  {dest}, {an}, {bn}"),
-            BinOp::Or => emit!(self.asm, "or   {dest}, {an}, {bn}"),
-            BinOp::Xor => emit!(self.asm, "xor  {dest}, {an}, {bn}"),
-            BinOp::Shl => emit!(self.asm, "sll  {dest}, {an}, {bn}"),
-            BinOp::Shr => emit!(self.asm, "sra  {dest}, {an}, {bn}"),
-            BinOp::Lt => emit!(self.asm, "slt  {dest}, {an}, {bn}"),
-            BinOp::Gt => emit!(self.asm, "slt  {dest}, {bn}, {an}"),
-            BinOp::Le => {
-                emit!(self.asm, "slt  {dest}, {bn}, {an}");
-                emit!(self.asm, "xori {dest}, {dest}, 1")
-            }
-            BinOp::Ge => {
-                emit!(self.asm, "slt  {dest}, {an}, {bn}");
-                emit!(self.asm, "xori {dest}, {dest}, 1")
-            }
-            BinOp::Eq => {
-                emit!(self.asm, "sub  {dest}, {an}, {bn}");
-                emit!(self.asm, "seqz {dest}, {dest}")
-            }
-            BinOp::Ne => {
-                emit!(self.asm, "sub  {dest}, {an}, {bn}");
-                emit!(self.asm, "snez {dest}, {dest}")
-            }
-            BinOp::LAnd | BinOp::LOr => unreachable!("handled above"),
+            BinOp::Gt => asm.op(OpKind::Slt, dest, bn, an),
+            BinOp::Le => asm
+                .op(OpKind::Slt, dest, bn, an)
+                .op_imm(OpImmKind::Xor, dest, dest, 1),
+            BinOp::Ge => asm
+                .op(OpKind::Slt, dest, an, bn)
+                .op_imm(OpImmKind::Xor, dest, dest, 1),
+            BinOp::Eq => asm.op(OpKind::Sub, dest, an, bn).seqz(dest, dest),
+            BinOp::Ne => asm.op(OpKind::Sub, dest, an, bn).snez(dest, dest),
+            _ => asm.op(reg_kind(op), dest, an, bn),
         };
         // Free whichever owned operand is not the destination.
         for r in [ra, rb] {
-            if is_owned(r) && reg_name(r) != dest {
-                fx.free_scratch_reg(reg_name(r));
+            if is_owned(r) && reg_of(r) != dest {
+                fx.free_scratch_reg(reg_of(r));
             }
         }
-        Ok(Val::Reg {
-            name: dest,
-            owned: true,
-        })
+        Ok(owned(dest))
     }
 
     fn short_circuit(
@@ -797,22 +805,19 @@ impl Gen<'_> {
         let end = self.fresh("sc");
         let va = self.expr(a, fx, line)?;
         let ra = self.to_reg(va, fx, line)?;
-        emit!(self.asm, "snez {dest}, {}", reg_name(ra));
+        self.asm.snez(dest, reg_of(ra));
         fx.release(ra);
         match op {
-            BinOp::LAnd => emit!(self.asm, "beqz {dest}, {end}"),
-            BinOp::LOr => emit!(self.asm, "bnez {dest}, {end}"),
+            BinOp::LAnd => self.asm.beqz(dest, &end),
+            BinOp::LOr => self.asm.bnez(dest, &end),
             _ => unreachable!(),
         };
         let vb = self.expr(b, fx, line)?;
         let rb = self.to_reg(vb, fx, line)?;
-        emit!(self.asm, "snez {dest}, {}", reg_name(rb));
+        self.asm.snez(dest, reg_of(rb));
         fx.release(rb);
         self.asm.label(&end);
-        Ok(Val::Reg {
-            name: dest,
-            owned: true,
-        })
+        Ok(owned(dest))
     }
 
     fn call(
@@ -835,20 +840,16 @@ impl Gen<'_> {
             // anchored on a nop so the marker owns a concrete pc even at
             // a block boundary.
             self.asm.label(name);
-            self.asm.line("nop");
+            self.asm.nop();
             return Ok(Val::Imm(0));
         }
+        let arg_slot = |i: usize| OFF_SPILL + 4 * (SCRATCH.len() + i) as i32;
         // Evaluate arguments into spill slots (robust against nested
         // calls), then save live scratch, reload the arguments and call.
         for (i, arg) in args.iter().enumerate() {
             let v = self.expr(arg, fx, line)?;
             let r = self.to_reg(v, fx, line)?;
-            emit!(
-                self.asm,
-                "sw   {}, {}(sp)",
-                reg_name(r),
-                OFF_SPILL + 4 * (SCRATCH.len() + i) as i32
-            );
+            self.asm.sw(reg_of(r), arg_slot(i), Reg::SP);
             fx.release(r);
         }
         // Save the scratch registers still holding enclosing-expression
@@ -857,38 +858,22 @@ impl Gen<'_> {
             .filter(|i| !fx.free_scratch.contains(i))
             .collect();
         for &i in &live {
-            emit!(
-                self.asm,
-                "sw   {}, {}(sp)",
-                SCRATCH[i],
-                OFF_SPILL + 4 * i as i32
-            );
+            self.asm.sw(SCRATCH[i], OFF_SPILL + 4 * i as i32, Reg::SP);
         }
         // The spill stores must land before the argument reloads.
-        self.asm.line("p_syncm");
+        self.asm.instr(Instr::PSyncm);
         fx.pending.clear();
+        // The a-register values must be architecturally ready before the
+        // callee reads them; the loads complete out of order but register
+        // renaming orders them — no fence needed.
         for i in 0..args.len() {
-            emit!(
-                self.asm,
-                "lw   a{i}, {}(sp)",
-                OFF_SPILL + 4 * (SCRATCH.len() + i) as i32
-            );
+            self.asm.lw(arg_reg(i), arg_slot(i), Reg::SP);
         }
-        if !args.is_empty() {
-            // The a-register values must be architecturally ready before
-            // the callee reads them; the loads complete out of order but
-            // register renaming orders them — no fence needed.
-        }
-        emit!(self.asm, "jal  {name}");
+        self.asm.jal(name);
         // The callee's epilogue p_syncm drained every store, including
         // our scratch saves.
         for &i in &live {
-            emit!(
-                self.asm,
-                "lw   {}, {}(sp)",
-                SCRATCH[i],
-                OFF_SPILL + 4 * i as i32
-            );
+            self.asm.lw(SCRATCH[i], OFF_SPILL + 4 * i as i32, Reg::SP);
         }
         fx.pending.clear();
         let returns = self
@@ -899,52 +884,80 @@ impl Gen<'_> {
             .unwrap_or(false);
         if returns {
             let r = fx.alloc(line)?;
-            emit!(self.asm, "mv   {r}, a0");
-            Ok(Val::Reg {
-                name: r,
-                owned: true,
-            })
+            self.asm.mv(r, Reg::A0);
+            Ok(owned(r))
         } else {
             Ok(Val::Imm(0))
         }
     }
 
-    /// Emits a branch to `target` when `cond` is false, using native
-    /// branch instructions for comparisons.
-    fn branch_if_false(
-        &mut self,
-        cond: &Expr,
-        target: &str,
-        fx: &mut FnGen,
-    ) -> Result<(), CcError> {
+    /// Computes `cond` and returns how to leave when it is false, using
+    /// native branch instructions for comparisons.
+    fn exit_when_false(&mut self, cond: &Expr, fx: &mut FnGen) -> Result<Exit, CcError> {
         let line = 0;
         if let Expr::Binary(op, a, b) = cond {
-            if let Some((mn, swap)) = inverse_branch(*op) {
+            if let Some((kind, swap)) = inverse_branch(*op) {
                 let va = self.expr(a, fx, line)?;
                 let vb = self.expr(b, fx, line)?;
                 let ra = self.to_reg(va, fx, line)?;
                 let rb = self.to_reg(vb, fx, line)?;
                 let (x, y) = if swap {
-                    (reg_name(rb), reg_name(ra))
+                    (reg_of(rb), reg_of(ra))
                 } else {
-                    (reg_name(ra), reg_name(rb))
+                    (reg_of(ra), reg_of(rb))
                 };
-                emit!(self.asm, "{mn} {x}, {y}, {target}");
                 fx.release(ra);
                 fx.release(rb);
-                return Ok(());
+                return Ok(Exit::Branch(kind, x, y));
             }
         }
-        match self.expr(cond, fx, line)? {
-            Val::Imm(0) => {
-                emit!(self.asm, "j    {target}");
-            }
-            Val::Imm(_) => {}
+        Ok(match self.expr(cond, fx, line)? {
+            Val::Imm(0) => Exit::Always,
+            Val::Imm(_) => Exit::Never,
             v => {
                 let r = self.to_reg(v, fx, line)?;
-                emit!(self.asm, "beqz {}, {target}", reg_name(r));
                 fx.release(r);
+                Exit::Zero(reg_of(r))
             }
+        })
+    }
+
+    /// Emits the code `body` generates behind a jump to `target` taken
+    /// when `exit` says so. A conditional branch reaches 1,022 words;
+    /// past a longer body it becomes the inverse branch around a `j`.
+    fn skip_unless(
+        &mut self,
+        exit: Exit,
+        target: &str,
+        fx: &mut FnGen,
+        body: impl FnOnce(&mut Self, &mut FnGen) -> Result<(), CcError>,
+    ) -> Result<(), CcError> {
+        let (kind, rs1, rs2) = match exit {
+            Exit::Branch(kind, rs1, rs2) => (kind, rs1, rs2),
+            Exit::Zero(rs) => (BranchKind::Eq, rs, Reg::ZERO),
+            Exit::Always | Exit::Never => {
+                if let Exit::Always = exit {
+                    self.asm.j(target);
+                }
+                return body(self, fx);
+            }
+        };
+        let zero = matches!(exit, Exit::Zero(_));
+        let at = self.asm.mark();
+        match zero {
+            true => self.asm.beqz(rs1, target),
+            false => self.asm.branch(kind, rs1, rs2, target),
+        };
+        body(self, fx)?;
+        if self.asm.words_since(at) - 1 > BRANCH_REACH {
+            let over = self.fresh("far");
+            let mut far = Asm::new();
+            match zero {
+                true => far.bnez(rs1, &over),
+                false => far.branch(negated(kind), rs1, rs2, &over),
+            };
+            far.j(target).label(&over);
+            self.asm.replace_line(at, far);
         }
         Ok(())
     }
@@ -957,11 +970,8 @@ impl Gen<'_> {
         match v {
             Val::Imm(i) => {
                 let r = fx.alloc(line)?;
-                emit!(self.asm, "li   {r}, {i}");
-                Ok(Val::Reg {
-                    name: r,
-                    owned: true,
-                })
+                self.asm.li(r, i);
+                Ok(owned(r))
             }
             other => Ok(other),
         }
@@ -975,45 +985,36 @@ impl Gen<'_> {
             Val::Reg { owned: true, .. } => Ok(v),
             Val::Imm(i) => {
                 let r = fx.alloc(line)?;
-                emit!(self.asm, "li   {r}, {i}");
-                Ok(Val::Reg {
-                    name: r,
-                    owned: true,
-                })
+                self.asm.li(r, i);
+                Ok(owned(r))
             }
             Val::Local(idx) => {
                 let r = fx.alloc(line)?;
-                emit!(self.asm, "mv   {r}, {}", LOCALS[idx]);
-                Ok(Val::Reg {
-                    name: r,
-                    owned: true,
-                })
+                self.asm.mv(r, LOCALS[idx]);
+                Ok(owned(r))
             }
-            Val::Reg { name, owned: false } => {
+            Val::Reg { reg, owned: false } => {
                 let r = fx.alloc(line)?;
-                emit!(self.asm, "mv   {r}, {name}");
-                Ok(Val::Reg {
-                    name: r,
-                    owned: true,
-                })
+                self.asm.mv(r, reg);
+                Ok(owned(r))
             }
         }
     }
 
     /// Moves a value into a named register and releases it.
-    fn move_into(&mut self, dest: &str, v: Val, fx: &mut FnGen) {
+    fn move_into(&mut self, dest: Reg, v: Val, fx: &mut FnGen) {
         match v {
             Val::Imm(i) => {
-                emit!(self.asm, "li   {dest}, {i}");
+                self.asm.li(dest, i);
             }
             Val::Local(idx) => {
                 if LOCALS[idx] != dest {
-                    emit!(self.asm, "mv   {dest}, {}", LOCALS[idx]);
+                    self.asm.mv(dest, LOCALS[idx]);
                 }
             }
-            Val::Reg { name, .. } => {
-                if name != dest {
-                    emit!(self.asm, "mv   {dest}, {name}");
+            Val::Reg { reg, .. } => {
+                if reg != dest {
+                    self.asm.mv(dest, reg);
                 }
                 fx.release(v);
             }
@@ -1023,12 +1024,13 @@ impl Gen<'_> {
 
 /// Per-function emission state.
 struct FnGen {
-    locals: HashMap<String, usize>,
-    /// Local array name -> byte offset from sp.
-    arrays: HashMap<String, i32>,
+    /// Register locals by pool index: parameters, then declarations (at
+    /// most eight, so a list).
+    locals: Vec<String>,
+    /// Local arrays and their byte offsets from sp.
+    arrays: Vec<(String, i32)>,
     /// This function's frame size (the 96-byte header + array storage).
     frame: i32,
-    n_locals: usize,
     free_scratch: Vec<usize>,
     pending: Pending,
     epilogue: String,
@@ -1037,31 +1039,50 @@ struct FnGen {
 }
 
 impl FnGen {
-    fn alloc(&mut self, line: usize) -> Result<&'static str, CcError> {
+    fn local(&self, name: &str) -> Option<usize> {
+        self.locals.iter().position(|l| l == name)
+    }
+
+    fn array(&self, name: &str) -> Option<i32> {
+        let mut found = self.arrays.iter().rev().filter(|(a, _)| a == name);
+        found.next().map(|&(_, offset)| offset)
+    }
+
+    fn alloc(&mut self, line: usize) -> Result<Reg, CcError> {
         let i = self.free_scratch.pop().ok_or_else(|| {
             CcError::new(line, "expression too complex for the scratch register pool")
         })?;
         Ok(SCRATCH[i])
     }
 
-    fn free_scratch_reg(&mut self, name: &str) {
-        if let Some(i) = SCRATCH.iter().position(|&s| s == name) {
-            debug_assert!(!self.free_scratch.contains(&i), "double free of {name}");
+    fn free_scratch_reg(&mut self, reg: Reg) {
+        if let Some(i) = SCRATCH.iter().position(|&s| s == reg) {
+            debug_assert!(!self.free_scratch.contains(&i), "double free of {reg}");
             self.free_scratch.push(i);
         }
     }
 
     fn release(&mut self, v: Val) {
-        if let Val::Reg { name, owned: true } = v {
-            self.free_scratch_reg(name);
+        if let Val::Reg { reg, owned: true } = v {
+            self.free_scratch_reg(reg);
         }
     }
 }
 
+/// The register argument `i` is passed in: `a0`, `a1`, ...
+fn arg_reg(i: usize) -> Reg {
+    Reg::new(Reg::A0.number() + i as u8).expect("sema bounds the arguments")
+}
+
+/// An owned scratch register value.
+fn owned(reg: Reg) -> Val {
+    Val::Reg { reg, owned: true }
+}
+
 /// The register a value lives in (must not be `Imm`).
-fn reg_name(v: Val) -> &'static str {
+fn reg_of(v: Val) -> Reg {
     match v {
-        Val::Reg { name, .. } => name,
+        Val::Reg { reg, .. } => reg,
         Val::Local(idx) => LOCALS[idx],
         Val::Imm(_) => unreachable!("immediate has no register"),
     }
@@ -1107,18 +1128,36 @@ fn fold(op: BinOp, x: i64, y: i64) -> i64 {
     }) as i64
 }
 
-/// The `op rd, rs, imm` mnemonic for immediate-friendly operations.
-fn imm_mnemonic(op: BinOp) -> Option<&'static str> {
+/// The `op rd, rs, imm` form of immediate-friendly operations.
+fn imm_kind(op: BinOp) -> Option<OpImmKind> {
     Some(match op {
-        BinOp::Add => "addi",
-        BinOp::And => "andi",
-        BinOp::Or => "ori",
-        BinOp::Xor => "xori",
-        BinOp::Shl => "slli",
-        BinOp::Shr => "srai",
-        BinOp::Lt => "slti",
+        BinOp::Add => OpImmKind::Add,
+        BinOp::And => OpImmKind::And,
+        BinOp::Or => OpImmKind::Or,
+        BinOp::Xor => OpImmKind::Xor,
+        BinOp::Shl => OpImmKind::Sll,
+        BinOp::Shr => OpImmKind::Sra,
+        BinOp::Lt => OpImmKind::Slt,
         _ => return None,
     })
+}
+
+/// The `op rd, rs1, rs2` form of an operation that is one instruction.
+fn reg_kind(op: BinOp) -> OpKind {
+    match op {
+        BinOp::Add => OpKind::Add,
+        BinOp::Sub => OpKind::Sub,
+        BinOp::Mul => OpKind::Mul,
+        BinOp::Div => OpKind::Div,
+        BinOp::Rem => OpKind::Rem,
+        BinOp::And => OpKind::And,
+        BinOp::Or => OpKind::Or,
+        BinOp::Xor => OpKind::Xor,
+        BinOp::Shl => OpKind::Sll,
+        BinOp::Shr => OpKind::Sra,
+        BinOp::Lt => OpKind::Slt,
+        _ => unreachable!("{op:?} is not one register-register instruction"),
+    }
 }
 
 fn imm_fits(op: BinOp, y: i64) -> bool {
@@ -1128,17 +1167,29 @@ fn imm_fits(op: BinOp, y: i64) -> bool {
     }
 }
 
-/// The branch mnemonic taken when `op` is FALSE, with operand swap.
-fn inverse_branch(op: BinOp) -> Option<(&'static str, bool)> {
+/// The branch taken when `op` is FALSE, with operand swap.
+fn inverse_branch(op: BinOp) -> Option<(BranchKind, bool)> {
     Some(match op {
-        BinOp::Lt => ("bge ", false),
-        BinOp::Ge => ("blt ", false),
-        BinOp::Gt => ("bge ", true),
-        BinOp::Le => ("blt ", true),
-        BinOp::Eq => ("bne ", false),
-        BinOp::Ne => ("beq ", false),
+        BinOp::Lt => (BranchKind::Ge, false),
+        BinOp::Ge => (BranchKind::Lt, false),
+        BinOp::Gt => (BranchKind::Ge, true),
+        BinOp::Le => (BranchKind::Lt, true),
+        BinOp::Eq => (BranchKind::Ne, false),
+        BinOp::Ne => (BranchKind::Eq, false),
         _ => return None,
     })
+}
+
+/// The branch taken exactly when `kind` is not.
+fn negated(kind: BranchKind) -> BranchKind {
+    match kind {
+        BranchKind::Eq => BranchKind::Ne,
+        BranchKind::Ne => BranchKind::Eq,
+        BranchKind::Lt => BranchKind::Ge,
+        BranchKind::Ge => BranchKind::Lt,
+        BranchKind::Ltu => BranchKind::Geu,
+        BranchKind::Geu => BranchKind::Ltu,
+    }
 }
 
 /// Whether an expression contains a function call.
@@ -1189,16 +1240,16 @@ fn stores_of(stmts: &[Stmt], cx: &Checked) -> Pending {
             match lhs {
                 Place::Var(name) => {
                     if cx.globals.contains_key(name) {
-                        p.syms.insert(name.clone());
+                        p.insert(name);
                     }
                 }
                 Place::Index(name, _) => {
                     if cx.globals.contains_key(name) {
-                        p.syms.insert(name.clone());
+                        p.insert(name);
                     } else {
                         // A frame array (keyed so array-only loops
                         // stay fenceless) or an unknown pointer.
-                        p.syms.insert(format!("%frame%{name}"));
+                        p.insert(&format!("%frame%{name}"));
                         p.unknown = true;
                     }
                 }

@@ -183,21 +183,33 @@ pub fn compile(source: &str) -> Result<Compiled, CcError> {
 /// mini-C source to an image goes through here, so a caller that already
 /// holds the [`sema::Checked`] never runs the front end again.
 ///
+/// The generator hands the assembler the items it built beside the
+/// listing; nothing here parses the listing back.
+///
 /// # Errors
 ///
-/// A code-generation error, or generated assembly the assembler refuses
-/// (a compiler bug).
+/// A code-generation error, or generated code the assembler refuses (a
+/// compiler bug: a value out of range or a missing label), naming the
+/// generated line.
 pub fn compile_checked(checked: &sema::Checked, opts: &CcOptions) -> Result<Compiled, CcError> {
-    let asm = codegen::generate_with(checked, opts.sabotage)?;
-    let image = lbp_asm::assemble(&asm).map_err(|e| {
-        // An assembler error on generated code is a compiler bug; point
-        // at the generated line for debugging.
+    let mut asm = codegen::generate_with(checked, opts.sabotage)?;
+    let image = asm.items().and_then(lbp_asm::assemble_items).map_err(|e| {
+        let line = e
+            .line
+            .checked_sub(1)
+            .and_then(|at| asm.text().lines().nth(at));
         CcError::new(
             0,
-            format!("internal error: generated assembly rejected: {e}\n--- generated ---\n{asm}"),
+            format!(
+                "internal error: generated assembly rejected: {e} (generated line: `{}`)",
+                line.unwrap_or_default().trim()
+            ),
         )
     })?;
-    Ok(Compiled { asm, image })
+    Ok(Compiled {
+        asm: asm.into_text(),
+        image,
+    })
 }
 
 /// How a program's text reaches the machine.

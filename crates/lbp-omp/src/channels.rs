@@ -25,6 +25,30 @@
 //! below receiver rank.)
 
 use lbp_asm::Asm;
+use lbp_isa::{Instr, OpImmKind, OpKind, Reg};
+
+/// Raises the flag word at `0(t5)` once the value stored before it has
+/// landed, and lets the flag land before the hart goes on.
+fn raise_flag(asm: &mut Asm) {
+    asm.instr(Instr::PSyncm); // the value lands before the flag rises
+    asm.li(Reg::T6, 1);
+    asm.sw(Reg::T6, 0, Reg::T5);
+    asm.instr(Instr::PSyncm); // the flag is visible before this hart ends
+}
+
+/// Polls the flag word at `0(t5)` into `dest` until it is set, then
+/// loads the value word through an address that data-depends on it.
+fn poll_then_load(asm: &mut Asm, poll: &str, dest: Reg) {
+    asm.label(poll);
+    asm.lw(dest, 0, Reg::T5);
+    asm.beqz(dest, poll);
+    // Address the value *through the observed flag* (flag == 1, so
+    // t5 + 4*flag is the value word): the load data-depends on the
+    // poll and cannot issue early.
+    asm.op_imm(OpImmKind::Sll, Reg::T6, dest, 2);
+    asm.op(OpKind::Add, Reg::T6, Reg::T6, Reg::T5);
+    asm.lw(dest, 0, Reg::T6);
+}
 
 /// A single-shot one-word channel between two team members.
 ///
@@ -52,33 +76,22 @@ impl Channel {
     }
 
     /// Emits the send of register `value_reg` (clobbers `t5`/`t6`).
-    pub fn emit_send(&self, asm: &mut Asm, value_reg: &str) {
+    pub fn emit_send(&self, asm: &mut Asm, value_reg: Reg) {
         asm.comment(format!("send {value_reg} over channel {}", self.symbol));
-        asm.line(format!("la   t5, {}", self.symbol));
-        asm.line(format!("sw   {value_reg}, 4(t5)"));
-        asm.line("p_syncm"); // the value lands before the flag rises
-        asm.line("li   t6, 1");
-        asm.line("sw   t6, 0(t5)");
-        asm.line("p_syncm"); // the flag is visible before this hart ends
+        asm.la(Reg::T5, &self.symbol);
+        asm.sw(value_reg, 4, Reg::T5);
+        raise_flag(asm);
     }
 
     /// Emits the receive into `dest_reg` (clobbers `t5`/`t6` and
     /// `dest_reg`).
-    pub fn emit_recv(&self, asm: &mut Asm, dest_reg: &str) {
+    pub fn emit_recv(&self, asm: &mut Asm, dest_reg: Reg) {
         // Channels are single-shot, so the symbol itself makes a unique
         // label even when stages are assembled by separate builders.
         let poll = format!("{}_poll", self.symbol);
         asm.comment(format!("receive {dest_reg} from channel {}", self.symbol));
-        asm.line(format!("la   t5, {}", self.symbol));
-        asm.label(&poll);
-        asm.line(format!("lw   {dest_reg}, 0(t5)"));
-        asm.line(format!("beqz {dest_reg}, {poll}"));
-        // Address the value *through the observed flag* (flag == 1, so
-        // t5 + 4*flag is the value word): the load data-depends on the
-        // poll and cannot issue early.
-        asm.line(format!("slli t6, {dest_reg}, 2"));
-        asm.line("add  t6, t6, t5");
-        asm.line(format!("lw   {dest_reg}, 0(t6)"));
+        asm.la(Reg::T5, &self.symbol);
+        poll_then_load(asm, &poll, dest_reg);
     }
 }
 
@@ -120,39 +133,34 @@ impl StreamChannel {
 
     /// Emits the send of `value_reg` into the slot selected by
     /// `index_reg` (clobbers `t5`/`t6`; `index_reg` is preserved).
-    pub fn emit_send_indexed(&self, asm: &mut Asm, value_reg: &str, index_reg: &str) {
+    pub fn emit_send_indexed(&self, asm: &mut Asm, value_reg: Reg, index_reg: Reg) {
         asm.comment(format!(
             "send {value_reg} into {}[{index_reg}]",
             self.symbol
         ));
-        asm.line(format!("slli t5, {index_reg}, 3"));
-        asm.line(format!("la   t6, {}", self.symbol));
-        asm.line("add  t5, t5, t6");
-        asm.line(format!("sw   {value_reg}, 4(t5)"));
-        asm.line("p_syncm");
-        asm.line("li   t6, 1");
-        asm.line("sw   t6, 0(t5)");
-        asm.line("p_syncm");
+        self.slot_address(asm, index_reg);
+        asm.sw(value_reg, 4, Reg::T5);
+        raise_flag(asm);
+    }
+
+    /// `t5` = the address of slot `index_reg` (clobbers `t6`).
+    fn slot_address(&self, asm: &mut Asm, index_reg: Reg) {
+        asm.op_imm(OpImmKind::Sll, Reg::T5, index_reg, 3);
+        asm.la(Reg::T6, &self.symbol);
+        asm.op(OpKind::Add, Reg::T5, Reg::T5, Reg::T6);
     }
 
     /// Emits the receive of the slot selected by `index_reg` into
     /// `dest_reg` (clobbers `t5`/`t6`; `index_reg` is preserved). Emit at
     /// most once per program — put it inside the consuming loop.
-    pub fn emit_recv_indexed(&self, asm: &mut Asm, dest_reg: &str, index_reg: &str) {
+    pub fn emit_recv_indexed(&self, asm: &mut Asm, dest_reg: Reg, index_reg: Reg) {
         let poll = format!("{}_rpoll", self.symbol);
         asm.comment(format!(
             "receive {dest_reg} from {}[{index_reg}]",
             self.symbol
         ));
-        asm.line(format!("slli t5, {index_reg}, 3"));
-        asm.line(format!("la   t6, {}", self.symbol));
-        asm.line("add  t5, t5, t6");
-        asm.label(&poll);
-        asm.line(format!("lw   {dest_reg}, 0(t5)"));
-        asm.line(format!("beqz {dest_reg}, {poll}"));
-        asm.line(format!("slli t6, {dest_reg}, 2"));
-        asm.line("add  t6, t6, t5");
-        asm.line(format!("lw   {dest_reg}, 0(t6)"));
+        self.slot_address(asm, index_reg);
+        poll_then_load(asm, &poll, dest_reg);
     }
 }
 
@@ -163,7 +171,7 @@ mod tests {
     #[test]
     fn send_emits_value_before_flag() {
         let mut a = Asm::new();
-        Channel::new("ch").emit_send(&mut a, "a2");
+        Channel::new("ch").emit_send(&mut a, Reg::A2);
         let text = a.text();
         let value_pos = text.find("sw   a2, 4(t5)").expect("value store");
         let sync_pos = text.find("p_syncm").expect("fence");
@@ -174,7 +182,7 @@ mod tests {
     #[test]
     fn recv_data_depends_on_the_flag() {
         let mut a = Asm::new();
-        Channel::new("ch").emit_recv(&mut a, "a3");
+        Channel::new("ch").emit_recv(&mut a, Reg::A3);
         let text = a.text();
         assert!(text.contains("slli t6, a3, 2"), "{text}");
         assert!(text.contains("lw   a3, 0(t6)"), "{text}");

@@ -30,6 +30,7 @@
 //! re-stamped with its own identity for the self-join of Fig. 7).
 
 use lbp_asm::Asm;
+use lbp_isa::{BranchKind, Instr, OpImmKind, OpKind, Reg};
 
 /// Continuation-value frame slots used by the team protocol (byte
 /// offsets within the allocated hart's cv frame).
@@ -77,73 +78,103 @@ pub fn emit_parallel_region(asm: &mut Asm, threads: usize, body: &TeamBody, arg:
     asm.blank();
     asm.comment(format!("--- parallel region: {threads} team member(s) ---"));
     // Re-stamp the identity word: the join hart is this hart.
-    asm.line("p_set t0");
-    if let Some(sym) = arg {
-        asm.line(format!("la   a1, {sym}"));
-    } else {
-        asm.line("li   a1, 0");
-    }
+    p_set_t0(asm);
+    match arg {
+        Some(sym) => asm.la(Reg::A1, sym),
+        None => asm.li(Reg::A1, 0),
+    };
     match body {
-        TeamBody::Uniform { function } => {
-            asm.line(format!("la   s0, {function}"));
-        }
-        TeamBody::Sections { table } => {
-            asm.line(format!("la   s0, {table}"));
-        }
-    }
+        TeamBody::Uniform { function } => asm.la(Reg::S0, function),
+        TeamBody::Sections { table } => asm.la(Reg::S0, table),
+    };
     if threads == 1 {
         // Degenerate team: a plain local call, no fork, no barrier needed.
-        asm.line("li   s1, 0");
-        emit_last_member_call(asm, body, &rp, true);
+        asm.li(Reg::S1, 0);
+        emit_last_member_call(asm, body, true);
         asm.label(&rp);
         return;
     }
-    asm.line(format!("la   ra, {rp}"));
-    asm.line("li   s1, 0");
-    asm.line(format!("li   s2, {threads}"));
+    asm.la(Reg::RA, &rp);
+    asm.li(Reg::S1, 0);
+    asm.li(Reg::S2, threads as i64);
     let loop_l = asm.fresh_label("team");
     let last_l = asm.fresh_label("last");
     let next_l = asm.fresh_label("fnext");
     let forked_l = asm.fresh_label("forked");
     asm.label(&loop_l);
-    asm.line("addi t5, s2, -1");
-    asm.line(format!("beq  s1, t5, {last_l}"));
+    asm.op_imm(OpImmKind::Add, Reg::T5, Reg::S2, -1);
+    asm.branch(BranchKind::Eq, Reg::S1, Reg::T5, &last_l);
     // Placement (paper Fig. 3): fill the four harts of the current core,
     // then expand to the next core.
-    asm.line("andi t4, s1, 3");
-    asm.line("addi t3, zero, 3");
-    asm.line(format!("beq  t4, t3, {next_l}"));
-    asm.line("p_fc t6");
-    asm.line(format!("j    {forked_l}"));
+    asm.op_imm(OpImmKind::And, Reg::T4, Reg::S1, 3);
+    asm.op_imm(OpImmKind::Add, Reg::T3, Reg::ZERO, 3);
+    asm.branch(BranchKind::Eq, Reg::T4, Reg::T3, &next_l);
+    asm.instr(Instr::PFc { rd: Reg::T6 });
+    asm.j(&forked_l);
     asm.label(&next_l);
-    asm.line("p_fn t6");
+    asm.instr(Instr::PFn { rd: Reg::T6 });
     asm.label(&forked_l);
     // Transmit the continuation state to the allocated hart (Fig. 8).
-    asm.line(format!("p_swcv ra, t6, {}", cv_slots::RA));
-    asm.line(format!("p_swcv t0, t6, {}", cv_slots::T0));
-    asm.line(format!("p_swcv s0, t6, {}", cv_slots::S0));
-    asm.line(format!("p_swcv a1, t6, {}", cv_slots::A1));
-    asm.line(format!("p_swcv s2, t6, {}", cv_slots::S2));
-    asm.line("addi s1, s1, 1");
-    asm.line(format!("p_swcv s1, t6, {}", cv_slots::S1));
-    asm.line("addi s1, s1, -1");
-    asm.line("p_merge t0, t0, t6");
-    asm.line("p_syncm");
+    let swcv = |asm: &mut Asm, rs2: Reg, slot: u32| {
+        let offset = slot as i32;
+        asm.instr(Instr::PSwcv {
+            rs1: Reg::T6,
+            rs2,
+            offset,
+        });
+    };
+    swcv(asm, Reg::RA, cv_slots::RA);
+    swcv(asm, Reg::T0, cv_slots::T0);
+    swcv(asm, Reg::S0, cv_slots::S0);
+    swcv(asm, Reg::A1, cv_slots::A1);
+    swcv(asm, Reg::S2, cv_slots::S2);
+    asm.op_imm(OpImmKind::Add, Reg::S1, Reg::S1, 1);
+    swcv(asm, Reg::S1, cv_slots::S1);
+    asm.op_imm(OpImmKind::Add, Reg::S1, Reg::S1, -1);
+    asm.instr(Instr::PMerge {
+        rd: Reg::T0,
+        rs1: Reg::T0,
+        rs2: Reg::T6,
+    });
+    asm.instr(Instr::PSyncm);
     emit_member_arg(asm, body);
     // Call the member function locally; the continuation (the rest of
     // this loop) starts on the allocated hart at pc+4.
-    asm.line("p_jalr ra, t0, s3");
+    asm.instr(Instr::PJalr {
+        rd: Reg::RA,
+        rs1: Reg::T0,
+        rs2: Reg::S3,
+    });
     asm.comment("-- continuation: runs on the freshly forked hart --");
-    asm.line(format!("p_lwcv ra, {}", cv_slots::RA));
-    asm.line(format!("p_lwcv t0, {}", cv_slots::T0));
-    asm.line(format!("p_lwcv s0, {}", cv_slots::S0));
-    asm.line(format!("p_lwcv a1, {}", cv_slots::A1));
-    asm.line(format!("p_lwcv s1, {}", cv_slots::S1));
-    asm.line(format!("p_lwcv s2, {}", cv_slots::S2));
-    asm.line(format!("j    {loop_l}"));
+    for (rd, slot) in [
+        (Reg::RA, cv_slots::RA),
+        (Reg::T0, cv_slots::T0),
+        (Reg::S0, cv_slots::S0),
+        (Reg::A1, cv_slots::A1),
+        (Reg::S1, cv_slots::S1),
+        (Reg::S2, cv_slots::S2),
+    ] {
+        lwcv(asm, rd, slot);
+    }
+    asm.j(&loop_l);
     asm.label(&last_l);
-    emit_last_member_call(asm, body, &rp, false);
+    emit_last_member_call(asm, body, false);
     asm.label(&rp);
+}
+
+/// `p_set t0`.
+fn p_set_t0(asm: &mut Asm) {
+    asm.instr(Instr::PSet {
+        rd: Reg::T0,
+        rs1: Reg::T0,
+    });
+}
+
+fn lwcv(asm: &mut Asm, rd: Reg, slot: u32) {
+    asm.instr(Instr::PLwcv {
+        rd,
+        offset: slot as i32,
+    });
 }
 
 /// Loads the member's function pointer into `s3`, its index into `a0`,
@@ -151,32 +182,32 @@ pub fn emit_parallel_region(asm: &mut Asm, threads: usize, body: &TeamBody, arg:
 fn emit_member_arg(asm: &mut Asm, body: &TeamBody) {
     match body {
         TeamBody::Uniform { .. } => {
-            asm.line("mv   s3, s0");
+            asm.mv(Reg::S3, Reg::S0);
         }
         TeamBody::Sections { .. } => {
-            asm.line("slli t4, s1, 2");
-            asm.line("add  t4, s0, t4");
-            asm.line("lw   s3, 0(t4)");
-            asm.line("p_syncm");
+            asm.op_imm(OpImmKind::Sll, Reg::T4, Reg::S1, 2);
+            asm.op(OpKind::Add, Reg::T4, Reg::S0, Reg::T4);
+            asm.lw(Reg::S3, 0, Reg::T4);
+            asm.instr(Instr::PSyncm);
         }
     }
-    asm.line("mv   a0, s1");
-    asm.line("mv   t1, t0");
+    asm.mv(Reg::A0, Reg::S1);
+    asm.mv(Reg::T1, Reg::T0);
 }
 
 /// The last team member calls the function with a plain `jalr` after
 /// `p_set t0`, so the thread's `p_ret` self-joins (paper Fig. 7); it then
 /// forwards the join address to the team's first hart — unless the team
 /// has a single member, in which case execution simply falls through.
-fn emit_last_member_call(asm: &mut Asm, body: &TeamBody, _rp: &str, solo: bool) {
+fn emit_last_member_call(asm: &mut Asm, body: &TeamBody, solo: bool) {
     emit_member_arg(asm, body);
-    asm.line("p_set t0");
-    asm.line("jalr s3");
+    p_set_t0(asm);
+    asm.jalr(Reg::S3);
     if !solo {
         asm.comment("-- resumed by the self-join; forward to the join hart --");
-        asm.line(format!("p_lwcv ra, {}", cv_slots::RA));
-        asm.line(format!("p_lwcv t0, {}", cv_slots::T0));
-        asm.line("p_ret");
+        lwcv(asm, Reg::RA, cv_slots::RA);
+        lwcv(asm, Reg::T0, cv_slots::T0);
+        asm.p_ret();
     }
 }
 

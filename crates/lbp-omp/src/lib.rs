@@ -19,7 +19,8 @@
 //!
 //! This crate generates those programs: [`DetOmp`] is the builder
 //! (the `det_omp.h` of the paper's Fig. 1), and [`codegen`] emits the
-//! Fig. 2/7/8 translation as inspectable assembly text.
+//! Fig. 2/7/8 translation through typed `lbp_asm::Asm` calls: an
+//! inspectable listing with the assembler's items beside it.
 //!
 //! # Examples
 //!

@@ -222,6 +222,11 @@ impl DetOmp {
 
     /// Generates the complete assembly source.
     pub fn source(&self) -> String {
+        self.asm().into_text()
+    }
+
+    /// The program's listing and items.
+    fn asm(&self) -> Asm {
         let mut a = Asm::new();
         a.comment("Generated by Deterministic OpenMP (lbp-omp)");
         a.label("main");
@@ -336,7 +341,7 @@ impl DetOmp {
                 }
             }
         }
-        a.into_text()
+        a
     }
 
     /// The function symbols of a sections table, if `name` is one.
@@ -354,7 +359,7 @@ impl DetOmp {
     /// Propagates assembler errors (line numbers refer to
     /// [`DetOmp::source`]).
     pub fn build(&self) -> Result<Image, AsmError> {
-        lbp_asm::assemble(&self.source())
+        self.asm().assemble()
     }
 }
 
@@ -410,6 +415,25 @@ mod tests {
             .parallel_for("thread")
             .collect_reduction(0, 4, ReduceOp::Add, "out");
         assert!(p.build().is_ok(), "{}", p.source());
+    }
+
+    /// `build` assembles the builder's items; its source assembles to the
+    /// same image, and a wrong body fails at the same line either way.
+    #[test]
+    fn build_equals_assembling_the_source() {
+        let p = DetOmp::new(6)
+            .data_words("out", &[0])
+            .function("s0f", "p_swre a0, t1, 1\n p_ret")
+            .function("s1f", "p_swre a0, t1, 1\n p_ret")
+            .function("thread", "p_swre a0, t1, 0\n p_ret")
+            .parallel_for("thread")
+            .collect_reduction(0, 6, ReduceOp::Max, "out")
+            .parallel_sections(&["s0f", "s1f"])
+            .collect_reduction(1, 2, ReduceOp::Min, "out");
+        assert_eq!(p.build(), lbp_asm::assemble(&p.source()));
+        let bad = p.seq("addi a0, a0, $");
+        assert_eq!(bad.build(), lbp_asm::assemble(&bad.source()));
+        assert!(bad.build().is_err());
     }
 
     #[test]

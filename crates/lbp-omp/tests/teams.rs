@@ -1,6 +1,7 @@
 //! Integration tests: Deterministic OpenMP programs running on the LBP
 //! simulator.
 
+use lbp_isa::Reg;
 use lbp_omp::{DetOmp, ReduceOp};
 use lbp_sim::{LbpConfig, Machine};
 
@@ -317,11 +318,11 @@ fn ordered_channels_build_a_pipeline_across_concurrent_members() {
         if idx == 0 {
             a.line("li   a2, 7");
         } else {
-            chans[idx - 1].emit_recv(&mut a, "a2");
+            chans[idx - 1].emit_recv(&mut a, Reg::A2);
             a.line(format!("addi a2, a2, {}", 10 * idx));
         }
         if idx < 3 {
-            chans[idx].emit_send(&mut a, "a2");
+            chans[idx].emit_send(&mut a, Reg::A2);
         } else {
             a.line("la   a3, pipe_out");
             a.line("sw   a2, 0(a3)");
@@ -356,10 +357,10 @@ fn channel_pipelines_replay_cycle_exactly() {
     producer.label("pdelay");
     producer.line("addi a4, a4, -1");
     producer.line("bnez a4, pdelay");
-    ch.emit_send(&mut producer, "a2");
+    ch.emit_send(&mut producer, Reg::A2);
     producer.line("p_ret");
     let mut consumer = Asm::new();
-    ch.emit_recv(&mut consumer, "a3");
+    ch.emit_recv(&mut consumer, Reg::A3);
     consumer.line("la a4, cx_out");
     consumer.line("sw a3, 0(a4)");
     consumer.line("p_ret");
@@ -396,7 +397,7 @@ prod_loop:
     slli a3, a2, 1
     addi a3, a3, 1        # item = 2i + 1",
     );
-    stream.emit_send_indexed(&mut producer, "a3", "a2");
+    stream.emit_send_indexed(&mut producer, Reg::A3, Reg::A2);
     producer.raw(
         "    addi a2, a2, 1
     li   a4, 8
@@ -409,7 +410,7 @@ prod_loop:
     li   a5, 0            # running sum
 cons_loop:",
     );
-    stream.emit_recv_indexed(&mut consumer, "a4", "a2");
+    stream.emit_recv_indexed(&mut consumer, Reg::A4, Reg::A2);
     consumer.raw(
         "    add  a5, a5, a4
     addi a2, a2, 1

@@ -8,6 +8,7 @@
 //! ```
 
 use lbp::asm::Asm;
+use lbp::isa::Reg;
 use lbp::omp::{Channel, DetOmp};
 use lbp::sim::{LbpConfig, Machine};
 
@@ -32,12 +33,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 // Source: produce item^2 + 1.
                 a.line(format!("li   a2, {}", item * item + 1));
             } else {
-                chan(stage - 1, item).emit_recv(&mut a, "a2");
+                chan(stage - 1, item).emit_recv(&mut a, Reg::A2);
                 // Transform: each stage adds 100*stage.
                 a.line(format!("addi a2, a2, {}", 100 * stage));
             }
             if stage < STAGES - 1 {
-                chan(stage, item).emit_send(&mut a, "a2");
+                chan(stage, item).emit_send(&mut a, Reg::A2);
             } else {
                 a.line("la   a3, pipe_out");
                 a.line(format!("sw   a2, {}(a3)", 4 * item));

@@ -159,6 +159,70 @@ fn lbp_cc(args: &[&str]) -> std::process::Output {
         .expect("lbp-cc spawns")
 }
 
+/// An `if` or `while` whose body is longer than a branch reaches (4 KiB)
+/// compiles to the inverse branch around a `j`, and runs as the
+/// interpreter says it should. Each `g = g + 1;` is 8 words, so the 700
+/// of them span 5,600.
+#[test]
+fn exit_0_a_condition_whose_body_is_past_a_branchs_reach() {
+    let body = "        g = g + 1;\n".repeat(700);
+    for (name, source, g) in [
+        (
+            "far_if.c",
+            format!("int g;\nvoid main(void) {{\n    if (g == 0) {{\n{body}    }}\n}}\n"),
+            700,
+        ),
+        (
+            "far_while.c",
+            format!(
+                "int g;\nvoid main(void) {{\n    int i;\n    i = 0;\n    while (i < 3) {{\n\
+                 {body}        i = i + 1;\n    }}\n}}\n"
+            ),
+            2100,
+        ),
+    ] {
+        let path = scratch(name, &source);
+        let path = path.to_str().unwrap();
+        let out = lbp_cc(&[path, "-o", "-"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(class_of(out.status), ExitClass::Ok, "{name}: {stderr}");
+        let listing = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            listing.contains("\n_cc_far_"),
+            "{name}: no branch around a `j`"
+        );
+
+        let out = lbp_run().args([path, "--dump", "g:1"]).output().unwrap();
+        assert_eq!(class_of(out.status), ExitClass::Ok, "{name}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(&format!("g: {g}\n")), "{name}: {stdout}");
+
+        let out = lbp_cc(&[path, "--diff"]);
+        assert_eq!(class_of(out.status), ExitClass::Ok, "{name}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("observables agree"), "{name}: {stdout}");
+    }
+}
+
+/// Generated code the assembler refuses is a compiler bug; the error
+/// names the one generated line, not the whole listing. A literal wider
+/// than a word still reaches the assembler as a `li` it refuses.
+#[test]
+fn exit_1_generated_code_the_assembler_refuses_names_its_line() {
+    let wide = scratch(
+        "wide.c",
+        "int g;\nvoid main(void) {\n    g = 5000000000;\n}\n",
+    );
+    let out = lbp_cc(&[wide.to_str().unwrap()]);
+    assert_eq!(class_of(out.status), ExitClass::Failure);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "lbp-cc: compile error at line 0: internal error: generated assembly rejected: \
+         assembly error at line 10: `li` value 5000000000 exceeds 32 bits \
+         (generated line: `li   t3, 5000000000`)\n"
+    );
+}
+
 /// Team members that overlap on a shared word give the program no
 /// meaning: the interpreter traps at the join, naming both members, and
 /// `--diff` stops there too. Conflict-free programs are untouched.

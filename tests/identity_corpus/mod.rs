@@ -40,11 +40,16 @@ pub fn matmul_kernels() -> Programs {
 
 /// 100 programs of one generator family at seed 42.
 pub fn generated(kind: Kind) -> Programs {
+    generated_n(kind, 100)
+}
+
+/// The first `count` programs of one generator family at seed 42.
+pub fn generated_n(kind: Kind, count: u64) -> Programs {
     let cfg = GenConfig {
         kinds: vec![kind],
         ..GenConfig::default()
     };
-    (0..100)
+    (0..count)
         .map(|case| {
             let mut rng = Rng::new(lbp_fuzz::case_seed(42, case));
             let program = gen::generate(&mut rng, &cfg, case);
