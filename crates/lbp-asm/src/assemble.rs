@@ -9,7 +9,7 @@ use lbp_isa::{Instr, CODE_BASE, IO_BASE, LOCAL_BASE, SHARED_BASE};
 use crate::error::AsmError;
 use crate::expr::Expr;
 use crate::image::Image;
-use crate::item::{Item, PatchKind, Section, SourceItem, SymInstr};
+use crate::item::{Item, Section, SourceItem, SymInstr};
 use crate::parser::parse_program;
 
 /// Assembles source text into an executable image.
@@ -163,96 +163,23 @@ fn resolve(
     symbols: &HashMap<String, u32>,
     line: usize,
 ) -> Result<Instr, AsmError> {
-    let patch = match sym {
+    let (instr, expr) = match sym {
         SymInstr::Ready(i) => return Ok(*i),
-        SymInstr::Patch { kind, expr } => (kind, expr),
+        SymInstr::Patch { instr, expr } => (instr, expr),
     };
-    let (kind, expr) = patch;
     let value = expr
         .eval(symbols)
         .map_err(|e| AsmError::new(line, e.to_string()))?;
     let value = word(value, line, "operand")?;
-    let imm32 = value as i32;
     // Branch/jump targets that reference symbols are absolute addresses and
     // become pc-relative here; pure constants are raw offsets.
-    let rel = if expr.references_symbol() {
-        value.wrapping_sub(pc) as i32
-    } else {
-        imm32
+    let imm = match instr.is_pc_relative() && expr.references_symbol() {
+        true => value.wrapping_sub(pc),
+        false => value,
     };
-    Ok(match *kind {
-        PatchKind::Jalr { rd, rs1 } => Instr::Jalr {
-            rd,
-            rs1,
-            offset: imm32,
-        },
-        PatchKind::Load { kind, rd, rs1 } => Instr::Load {
-            kind,
-            rd,
-            rs1,
-            offset: imm32,
-        },
-        PatchKind::Store { kind, rs1, rs2 } => Instr::Store {
-            kind,
-            rs1,
-            rs2,
-            offset: imm32,
-        },
-        PatchKind::OpImm { kind, rd, rs1 } => Instr::OpImm {
-            kind,
-            rd,
-            rs1,
-            imm: imm32,
-        },
-        PatchKind::Lui { rd } => {
-            if value > 0xfffff {
-                return Err(AsmError::new(
-                    line,
-                    format!("lui field {value:#x} exceeds 20 bits"),
-                ));
-            }
-            Instr::Lui {
-                rd,
-                imm: value << 12,
-            }
-        }
-        PatchKind::Auipc { rd } => {
-            if value > 0xfffff {
-                return Err(AsmError::new(
-                    line,
-                    format!("auipc field {value:#x} exceeds 20 bits"),
-                ));
-            }
-            Instr::Auipc {
-                rd,
-                imm: value << 12,
-            }
-        }
-        PatchKind::Branch { kind, rs1, rs2 } => Instr::Branch {
-            kind,
-            rs1,
-            rs2,
-            offset: rel,
-        },
-        PatchKind::Jal { rd } => Instr::Jal { rd, offset: rel },
-        PatchKind::PJal { rd, rs1 } => Instr::PJal {
-            rd,
-            rs1,
-            offset: rel,
-        },
-        PatchKind::PLwcv { rd } => Instr::PLwcv { rd, offset: imm32 },
-        PatchKind::PSwcv { rs1, rs2 } => Instr::PSwcv {
-            rs1,
-            rs2,
-            offset: imm32,
-        },
-        PatchKind::PLwre { rd } => Instr::PLwre { rd, offset: imm32 },
-        PatchKind::PSwre { rs1, rs2 } => Instr::PSwre {
-            rs1,
-            rs2,
-            offset: imm32,
-        },
-    })
+    instr
+        .with_imm(imm as i32)
+        .map_err(|e| AsmError::new(line, e.to_string()))
 }
 
 /// The largest image — text and data bytes together — the assembler lays

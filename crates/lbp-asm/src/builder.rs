@@ -16,7 +16,7 @@
 //!   pseudo-instructions through one function, so the two cannot drift:
 //!   `parse_program(asm.text())` equals [`Asm::items`], line numbers
 //!   included. A typed call is never parsed.
-//! - A **text call** ([`Asm::line`], [`Asm::raw`], [`emit!`]) writes text
+//! - A **text call** ([`Asm::line`], [`Asm::raw`]) writes text
 //!   only. It is parsed when items are first asked for, by [`Asm::items`],
 //!   [`Asm::assemble`] or [`Asm::mark`]; a builder that is only rendered
 //!   ([`Asm::text`], [`Asm::into_text`]) parses nothing.
@@ -193,13 +193,6 @@ impl Asm {
         self.unparsed_from(start)
     }
 
-    /// Appends a formatted instruction line.
-    pub fn linef(&mut self, args: std::fmt::Arguments<'_>) -> &mut Asm {
-        let start = self.text.len();
-        let _ = writeln!(self.text, "    {args}");
-        self.unparsed_from(start)
-    }
-
     /// Appends raw multi-line assembly verbatim.
     pub fn raw(&mut self, block: impl AsRef<str>) -> &mut Asm {
         let start = self.text.len();
@@ -321,7 +314,7 @@ impl Asm {
     /// `.word symbol`: the address of a label.
     pub fn word_label(&mut self, symbol: &str) -> &mut Asm {
         if !is_ident(symbol) {
-            return self.linef(format_args!(".word {symbol}"));
+            return self.line(format!(".word {symbol}"));
         }
         self.directive(".word", Op::Sym(symbol));
         self.push(Item::Word(Expr::sym(symbol)))
@@ -729,15 +722,6 @@ impl Asm {
     }
 }
 
-/// Convenience macro for formatted emission:
-/// `emit!(asm, "addi {rd}, {rs}, {imm}")`.
-#[macro_export]
-macro_rules! emit {
-    ($asm:expr, $($fmt:tt)*) => {
-        $asm.linef(format_args!($($fmt)*))
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,7 +732,7 @@ mod tests {
         let mut a = Asm::new();
         a.label("main");
         a.comment("the answer");
-        emit!(a, "li a0, {}", 42);
+        a.line("li a0, 42");
         a.line("p_ret");
         let img = a.assemble().unwrap();
         assert_eq!(img.text.len(), 2);
@@ -828,7 +812,7 @@ mod tests {
             rs1: Reg::SP,
             offset: 4,
         });
-        emit!(a, "p_swcv ra, t6, {}", 8);
+        a.line("p_swcv ra, t6, 8");
         a.instr(Instr::PSwcv {
             rs1: Reg::T6,
             rs2: Reg::T0,

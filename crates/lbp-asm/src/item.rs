@@ -2,131 +2,55 @@
 //! [`builder`](crate::builder) both produce, and what the two-pass assembler
 //! consumes.
 
-use lbp_isa::{BranchKind, Instr, LoadKind, OpImmKind, Reg, StoreKind};
+use std::fmt;
+
+use lbp_isa::Instr;
 
 use crate::expr::Expr;
 
 /// An instruction whose immediate operand may still reference symbols.
-///
-/// `Ready` carries a fully resolved [`Instr`]; `Patch` carries the register
-/// fields plus an unevaluated [`Expr`] with the shape of the hole described
-/// by [`PatchKind`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub enum SymInstr {
     /// Already fully resolved.
     Ready(Instr),
     /// Needs the expression evaluated and the immediate patched in.
     Patch {
-        /// Which instruction shape and register fields to build.
-        kind: PatchKind,
+        /// The instruction, its immediate zero until
+        /// [`Instr::with_imm`] sets it. If [`Instr::is_pc_relative`],
+        /// an expression naming a symbol is an absolute target address
+        /// that becomes an offset from the instruction's own address.
+        instr: Instr,
         /// The unevaluated immediate/target expression.
         expr: Expr,
     },
+}
+
+/// A patch renders as `Patch { kind: <the instruction without its
+/// immediate>, expr: .. }`: the form whose hashes `tests/asm_identity.rs`
+/// pins.
+impl fmt::Debug for SymInstr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SymInstr::Ready(instr) => f.debug_tuple("Ready").field(instr).finish(),
+            SymInstr::Patch { instr, expr } => {
+                // The immediate is the instruction's last field.
+                let shape = format!("{instr:?}");
+                let fields = shape
+                    .rsplit_once(", ")
+                    .map_or(&*shape, |(fields, _)| fields);
+                f.debug_struct("Patch")
+                    .field("kind", &format_args!("{fields} }}"))
+                    .field("expr", expr)
+                    .finish()
+            }
+        }
+    }
 }
 
 impl From<Instr> for SymInstr {
     fn from(i: Instr) -> SymInstr {
         SymInstr::Ready(i)
     }
-}
-
-/// The shape of an instruction with a symbolic immediate.
-///
-/// *Absolute-target* variants (`Branch`, `Jal`) take the evaluated
-/// expression as an absolute address and convert it to a pc-relative offset
-/// at the instruction's own address; *raw* variants use the value directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PatchKind {
-    /// `jalr rd, expr(rs1)`.
-    Jalr {
-        /// Link register.
-        rd: Reg,
-        /// Base register.
-        rs1: Reg,
-    },
-    /// Load with symbolic offset.
-    Load {
-        /// Width/sign.
-        kind: LoadKind,
-        /// Destination.
-        rd: Reg,
-        /// Base register.
-        rs1: Reg,
-    },
-    /// Store with symbolic offset.
-    Store {
-        /// Width.
-        kind: StoreKind,
-        /// Base register.
-        rs1: Reg,
-        /// Source register.
-        rs2: Reg,
-    },
-    /// ALU register-immediate with symbolic immediate.
-    OpImm {
-        /// Operation.
-        kind: OpImmKind,
-        /// Destination.
-        rd: Reg,
-        /// Source.
-        rs1: Reg,
-    },
-    /// `lui rd, expr` where the evaluated value is a raw 20-bit field
-    /// (the assembler shifts it left by 12).
-    Lui {
-        /// Destination.
-        rd: Reg,
-    },
-    /// `auipc rd, expr` (raw 20-bit field).
-    Auipc {
-        /// Destination.
-        rd: Reg,
-    },
-    /// Conditional branch to an absolute target address.
-    Branch {
-        /// Comparison.
-        kind: BranchKind,
-        /// First source.
-        rs1: Reg,
-        /// Second source.
-        rs2: Reg,
-    },
-    /// `jal rd, target` with an absolute target address.
-    Jal {
-        /// Link register.
-        rd: Reg,
-    },
-    /// `p_jal rd, rs1, expr` (raw offset relative to pc, byte units).
-    PJal {
-        /// Cleared register.
-        rd: Reg,
-        /// Allocated-hart register.
-        rs1: Reg,
-    },
-    /// `p_lwcv rd, expr`.
-    PLwcv {
-        /// Destination.
-        rd: Reg,
-    },
-    /// `p_swcv rs2 -> hart rs1, slot expr`.
-    PSwcv {
-        /// Target hart register.
-        rs1: Reg,
-        /// Value register.
-        rs2: Reg,
-    },
-    /// `p_lwre rd, expr`.
-    PLwre {
-        /// Destination.
-        rd: Reg,
-    },
-    /// `p_swre rs2 -> hart rs1, slot expr`.
-    PSwre {
-        /// Target hart register.
-        rs1: Reg,
-        /// Value register.
-        rs2: Reg,
-    },
 }
 
 /// Which section an item is emitted into.

@@ -49,5 +49,5 @@ pub use builder::{Asm, Mark};
 pub use error::AsmError;
 pub use expr::{hi20, lo12, Expr, UndefinedSymbol};
 pub use image::Image;
-pub use item::{Item, PatchKind, Section, SourceItem, SymInstr};
+pub use item::{Item, Section, SourceItem, SymInstr};
 pub use parser::parse_program;

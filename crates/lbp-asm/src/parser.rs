@@ -19,7 +19,7 @@ use lbp_isa::{BranchKind, Instr, LoadKind, OpImmKind, OpKind, Reg, StoreKind};
 use crate::assemble::WORD;
 use crate::error::AsmError;
 use crate::expr::Expr;
-use crate::item::{Item, PatchKind, Section, SourceItem, SymInstr};
+use crate::item::{Item, Section, SourceItem, SymInstr};
 
 /// Parses a whole assembly source into symbolic items.
 ///
@@ -719,17 +719,16 @@ pub(crate) fn expand(
     let reg = |i: usize| ops.reg(i);
     let expr = |i: usize| ops.expr(i);
     let mem = |i: usize| ops.mem(i);
-    let patch = |kind: PatchKind, expr: Expr| SymInstr::Patch { kind, expr };
+    let patch = |instr: Instr, expr: Expr| SymInstr::Patch { instr, expr };
     let jalr = |rd: Reg, rs1: Reg| SymInstr::Ready(Instr::Jalr { rd, rs1, offset: 0 });
     // `lui rd, %hi(e)` then `addi rd, rd, %lo(e)`: how `la` and a wide
     // `li` build a 32-bit value.
     let mut hi_lo = |rd: Reg, e: Expr| {
-        let kind = OpImmKind::Add;
-        push(Item::Instr(patch(PatchKind::Lui { rd }, e.clone().hi())));
-        push(Item::Instr(patch(
-            PatchKind::OpImm { kind, rd, rs1: rd },
-            e.lo(),
-        )));
+        let (kind, rs1, imm) = (OpImmKind::Add, rd, 0);
+        let hi = patch(Instr::Lui { rd, imm: 0 }, e.clone().hi());
+        let lo = patch(Instr::OpImm { kind, rd, rs1, imm }, e.lo());
+        push(Item::Instr(hi));
+        push(Item::Instr(lo));
         Ok(())
     };
     // Within an arm the operands are read in the order the errors of
@@ -740,7 +739,15 @@ pub(crate) fn expand(
             let target = expr(2)?;
             let (a, b) = if swap { (1, 0) } else { (0, 1) };
             let (rs1, rs2) = (reg(a)?, reg(b)?);
-            patch(PatchKind::Branch { kind, rs1, rs2 }, target)
+            patch(
+                Instr::Branch {
+                    kind,
+                    rs1,
+                    rs2,
+                    offset: 0,
+                },
+                target,
+            )
         }
         M::BranchZero(kind, zero_first) => {
             need(2)?;
@@ -750,24 +757,56 @@ pub(crate) fn expand(
             } else {
                 (r, Reg::ZERO)
             };
-            patch(PatchKind::Branch { kind, rs1, rs2 }, expr(1)?)
+            patch(
+                Instr::Branch {
+                    kind,
+                    rs1,
+                    rs2,
+                    offset: 0,
+                },
+                expr(1)?,
+            )
         }
         M::Load(kind) => {
             need(2)?;
             let (off, rs1) = mem(1)?;
             let rd = reg(0)?;
-            patch(PatchKind::Load { kind, rd, rs1 }, off)
+            patch(
+                Instr::Load {
+                    kind,
+                    rd,
+                    rs1,
+                    offset: 0,
+                },
+                off,
+            )
         }
         M::Store(kind) => {
             need(2)?;
             let (off, rs1) = mem(1)?;
             let rs2 = reg(0)?;
-            patch(PatchKind::Store { kind, rs1, rs2 }, off)
+            patch(
+                Instr::Store {
+                    kind,
+                    rs1,
+                    rs2,
+                    offset: 0,
+                },
+                off,
+            )
         }
         M::OpImm(kind) => {
             need(3)?;
             let (rd, rs1) = (reg(0)?, reg(1)?);
-            patch(PatchKind::OpImm { kind, rd, rs1 }, expr(2)?)
+            patch(
+                Instr::OpImm {
+                    kind,
+                    rd,
+                    rs1,
+                    imm: 0,
+                },
+                expr(2)?,
+            )
         }
         M::Op(kind) => {
             need(3)?;
@@ -776,30 +815,35 @@ pub(crate) fn expand(
         }
         M::Lui => {
             need(2)?;
-            patch(PatchKind::Lui { rd: reg(0)? }, expr(1)?)
+            let rd = reg(0)?;
+            patch(Instr::Lui { rd, imm: 0 }, expr(1)?)
         }
         M::Auipc => {
             need(2)?;
-            patch(PatchKind::Auipc { rd: reg(0)? }, expr(1)?)
+            let rd = reg(0)?;
+            patch(Instr::Auipc { rd, imm: 0 }, expr(1)?)
         }
-        M::Jal => match count {
-            1 => patch(PatchKind::Jal { rd: Reg::RA }, expr(0)?),
-            2 => patch(PatchKind::Jal { rd: reg(0)? }, expr(1)?),
-            _ => return Err(arity("1 or 2 operands")),
-        },
+        M::Jal => {
+            let (rd, target) = match count {
+                1 => (Reg::RA, expr(0)?),
+                2 => (reg(0)?, expr(1)?),
+                _ => return Err(arity("1 or 2 operands")),
+            };
+            patch(Instr::Jal { rd, offset: 0 }, target)
+        }
         M::Jalr => match count {
             // `jalr rs` == jalr ra, 0(rs)
             1 => jalr(Reg::RA, reg(0)?),
             2 => {
                 let (off, rs1) = mem(1)?;
                 let rd = reg(0)?;
-                patch(PatchKind::Jalr { rd, rs1 }, off)
+                patch(Instr::Jalr { rd, rs1, offset: 0 }, off)
             }
             _ => return Err(arity("1 or 2 operands")),
         },
         M::Jump(rd) => {
             need(1)?;
-            patch(PatchKind::Jal { rd }, expr(0)?)
+            patch(Instr::Jal { rd, offset: 0 }, expr(0)?)
         }
         M::Jr => {
             need(1)?;
@@ -880,7 +924,7 @@ pub(crate) fn expand(
         M::PJal => {
             need(3)?;
             let (rd, rs1) = (reg(0)?, reg(1)?);
-            patch(PatchKind::PJal { rd, rs1 }, expr(2)?)
+            patch(Instr::PJal { rd, rs1, offset: 0 }, expr(2)?)
         }
         M::PRet => {
             let (rs1, rs2) = match count {
@@ -894,21 +938,23 @@ pub(crate) fn expand(
         // Paper operand order: value register first, then target hart.
         M::PSwcv => {
             need(3)?;
-            let (rs1, rs2) = (reg(1)?, reg(0)?);
-            patch(PatchKind::PSwcv { rs1, rs2 }, expr(2)?)
+            let (rs1, rs2, offset) = (reg(1)?, reg(0)?, 0);
+            patch(Instr::PSwcv { rs1, rs2, offset }, expr(2)?)
         }
         M::PLwcv => {
             need(2)?;
-            patch(PatchKind::PLwcv { rd: reg(0)? }, expr(1)?)
+            let rd = reg(0)?;
+            patch(Instr::PLwcv { rd, offset: 0 }, expr(1)?)
         }
         M::PSwre => {
             need(3)?;
-            let (rs1, rs2) = (reg(1)?, reg(0)?);
-            patch(PatchKind::PSwre { rs1, rs2 }, expr(2)?)
+            let (rs1, rs2, offset) = (reg(1)?, reg(0)?, 0);
+            patch(Instr::PSwre { rs1, rs2, offset }, expr(2)?)
         }
         M::PLwre => {
             need(2)?;
-            patch(PatchKind::PLwre { rd: reg(0)? }, expr(1)?)
+            let rd = reg(0)?;
+            patch(Instr::PLwre { rd, offset: 0 }, expr(1)?)
         }
     };
     push(Item::Instr(instr));
@@ -1065,10 +1111,11 @@ mod tests {
         assert_eq!(
             si,
             SymInstr::Patch {
-                kind: PatchKind::Load {
+                instr: Instr::Load {
                     kind: LoadKind::W,
                     rd: Reg::RA,
-                    rs1: Reg::SP
+                    rs1: Reg::SP,
+                    offset: 0
                 },
                 expr: Expr::konst(0),
             }
@@ -1077,7 +1124,7 @@ mod tests {
         assert!(matches!(
             si,
             SymInstr::Patch {
-                kind: PatchKind::Store {
+                instr: Instr::Store {
                     rs2: Reg::T0,
                     rs1: Reg::SP,
                     ..
@@ -1113,7 +1160,7 @@ mod tests {
         assert!(matches!(
             &items[0].item,
             Item::Instr(SymInstr::Patch {
-                kind: PatchKind::Lui { .. },
+                instr: Instr::Lui { .. },
                 expr: Expr::Hi(_)
             })
         ));
@@ -1153,7 +1200,7 @@ p_lwcv a1, 8
         // p_swcv's first text operand is the value (rs2), second the hart (rs1).
         match &items[1].item {
             Item::Instr(SymInstr::Patch {
-                kind: PatchKind::PSwcv { rs1, rs2 },
+                instr: Instr::PSwcv { rs1, rs2, .. },
                 ..
             }) => {
                 assert_eq!(*rs1, Reg::T6);

@@ -156,6 +156,21 @@ fn auipc_field_past_32_bits_rejected() {
 }
 
 #[test]
+fn upper_field_past_20_bits_rejected() {
+    assert!(assemble("    lui a0, 0xfffff\n    auipc a0, 0xfffff\n").is_ok());
+    rejected(
+        "    lui a0, 0x100000\n",
+        "lui field 0x100000 exceeds 20 bits",
+        1,
+    );
+    rejected(
+        "    auipc a0, -1\n",
+        "auipc field 0xffffffff exceeds 20 bits",
+        1,
+    );
+}
+
+#[test]
 fn duplicate_labels_and_symbols_rejected() {
     rejected("a:\n    nop\na:\n    nop\n", "duplicate label `a`", 3);
     rejected(".equ N, 4\n.equ N, 5\n", "duplicate symbol `N`", 2);

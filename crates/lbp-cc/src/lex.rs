@@ -58,6 +58,10 @@ impl fmt::Display for Tok<'_> {
     }
 }
 
+/// The values `li` loads: a signed or an unsigned word. A `#define`
+/// value or an integer literal outside it is refused where it stands.
+pub(crate) const LI_RANGE: std::ops::RangeInclusive<i64> = i32::MIN as i64..=u32::MAX as i64;
+
 /// Lexes a full translation unit.
 ///
 /// # Errors
@@ -278,6 +282,13 @@ impl<'src> Lexer<'src> {
                     CcError::new(line, format!("bad #define value `{value_text}`"))
                 })?,
             };
+            if !LI_RANGE.contains(&value) {
+                // The value is a word of the source, so its offset is
+                // where it starts.
+                let at = value_text.as_ptr() as usize - src.as_ptr() as usize;
+                let message = format!("#define value `{value_text}` exceeds 32 bits");
+                return Err(self.err(at, message));
+            }
             self.defines.insert(name, value);
             return Ok(());
         }
@@ -321,7 +332,9 @@ fn parse_int(text: &str) -> Option<i64> {
 
 fn parse_shift_expr(t: &str) -> Option<i64> {
     if let Some((a, b)) = t.split_once("<<") {
-        return Some(a.parse::<i64>().ok()? << b.parse::<i64>().ok()?);
+        let (a, b) = (a.parse::<i64>().ok()?, b.parse::<u32>().ok()?);
+        // A shift that loses bits is no number.
+        return a.checked_shl(b).filter(|v| v >> b == a);
     }
     t.parse().ok()
 }
@@ -488,6 +501,28 @@ mod tests {
         assert_eq!(err("x = 12ab;"), (1, 5, "bad number `12ab`".into()));
         assert_eq!(err("\tx = 'ab';"), (1, 6, "bad character constant".into()));
         assert_eq!(err("x; # y"), (1, 4, "unexpected character `#`".into()));
+    }
+
+    #[test]
+    fn define_values_past_a_word_are_refused_where_they_stand() {
+        let wide = |v: &str| format!("#define value `{v}` exceeds 32 bits");
+        assert_eq!(err("#define N (1<<40)\nint g;"), (1, 11, wide("(1<<40)")));
+        assert_eq!(
+            err("int g;\n#define N 5000000000"),
+            (2, 11, wide("5000000000"))
+        );
+        assert_eq!(err("#defineN 0x100000000"), (1, 10, wide("0x100000000")));
+        assert_eq!(err("#define N -2147483649"), (1, 11, wide("-2147483649")));
+        // A shift that loses bits is no number, and never a panic.
+        assert_eq!(
+            err("#define N (1<<70)"),
+            (1, 0, "bad #define value `(1<<70)`".into())
+        );
+        // The edges of `li`: a signed and an unsigned word.
+        let int = |src| kinds(src)[0];
+        assert_eq!(int("#define M -2147483648\nM"), Tok::Int(i32::MIN as i64));
+        assert_eq!(int("#define K 0xffffffff\nK"), Tok::Int(u32::MAX as i64));
+        assert_eq!(int("#define K (1<<31)\nK"), Tok::Int(1 << 31));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! expressions climb one operator table.
 
 use crate::ast::*;
-use crate::lex::{Tok, Token};
+use crate::lex::{Tok, Token, LI_RANGE};
 use crate::CcError;
 
 /// Parses a token stream into a translation unit.
@@ -99,6 +99,21 @@ impl<'src> Parser<'src> {
 
     fn err(&self, msg: impl Into<String>) -> CcError {
         CcError::at(self.line(), self.col(), msg)
+    }
+
+    /// `v`, the value of the integer literal just read (negated if a `-`
+    /// came before it), or an error at the literal if `li` cannot load
+    /// it. An array bound is not a value and keeps its own check.
+    fn literal(&self, v: i64) -> Result<i64, CcError> {
+        let t = self.tokens[self.pos - 1];
+        match LI_RANGE.contains(&v) {
+            true => Ok(v),
+            false => Err(CcError::at(
+                t.line,
+                t.col,
+                format!("literal {v} exceeds 32 bits"),
+            )),
+        }
     }
 
     /// Runs one level of a recursive descent, refusing at [`MAX_NEST`].
@@ -259,7 +274,7 @@ impl<'src> Parser<'src> {
     fn initializer(&mut self, is_array: bool) -> Result<Init, CcError> {
         if !is_array {
             return match self.bump() {
-                Tok::Int(v) => Ok(Init::Uniform(v)),
+                Tok::Int(v) => Ok(Init::Uniform(self.literal(v)?)),
                 other => Err(self.err(format!("expected a constant initializer, found {other}"))),
             };
         }
@@ -274,7 +289,7 @@ impl<'src> Parser<'src> {
             }
             self.eat_sym("=")?;
             let v = match self.bump() {
-                Tok::Int(v) => v,
+                Tok::Int(v) => self.literal(v)?,
                 other => return Err(self.err(format!("expected a fill constant, found {other}"))),
             };
             self.eat_sym("}")?;
@@ -283,9 +298,9 @@ impl<'src> Parser<'src> {
         let mut values = Vec::new();
         loop {
             let v = match self.bump() {
-                Tok::Int(v) => v,
+                Tok::Int(v) => self.literal(v)?,
                 Tok::Sym("-") => match self.bump() {
-                    Tok::Int(v) => -v,
+                    Tok::Int(v) => self.literal(-v)?,
                     other => return Err(self.err(format!("expected a constant, found {other}"))),
                 },
                 other => return Err(self.err(format!("expected a constant, found {other}"))),
@@ -801,7 +816,7 @@ impl<'src> Parser<'src> {
         let t = self.tok();
         self.pos += 1;
         match t.kind {
-            Tok::Int(v) => Ok(Expr::Int(v)),
+            Tok::Int(v) => Ok(Expr::Int(self.literal(v)?)),
             Tok::Sym("(") => {
                 // Casts like `(int *)` or `(type_t *)` are erased. Only
                 // type-looking names count, so `(a * b)` stays a product
@@ -909,6 +924,34 @@ mod tests {
 
     fn parse_src(src: &str) -> Unit {
         parse(lex(src).unwrap()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    #[test]
+    fn literals_past_a_word_are_refused_where_they_stand() {
+        let err = |src: &str| parse(lex(src).unwrap()).unwrap_err();
+        let at = |e: CcError| (e.line, e.col, e.message);
+        let wide = |v: &str| format!("literal {v} exceeds 32 bits");
+        let main = |body| format!("int g;\nvoid main(void) {{\n    {body}\n}}\n");
+        assert_eq!(
+            at(err(&main("g = 5000000000;"))),
+            (3, 9, wide("5000000000"))
+        );
+        assert_eq!(
+            at(err(&main("g = 1 + 0x100000000;"))),
+            (3, 13, wide("4294967296"))
+        );
+        assert_eq!(at(err("int h = 4294967296;")), (1, 9, wide("4294967296")));
+        assert_eq!(
+            at(err("int v[2] = {1, -2147483649};")),
+            (1, 17, wide("-2147483649"))
+        );
+        assert_eq!(
+            at(err("int v[2] = {[0 ... 1] = 5000000000};")),
+            (1, 25, wide("5000000000"))
+        );
+        // The edges of `li` parse; an array bound keeps its own check.
+        parse_src("int v[2] = {-2147483648, 4294967295}; int w = 0xffffffff;");
+        assert_eq!(at(err("int u[4294967296];")).2, "bad array size 4294967296");
     }
 
     #[test]

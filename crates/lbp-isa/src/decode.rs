@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use crate::encode::{OPC_CUSTOM0, OPC_CUSTOM1};
+use crate::encode::*;
 use crate::instr::{BranchKind, Instr, LoadKind, OpImmKind, OpKind, StoreKind};
 use crate::Reg;
 
@@ -21,292 +21,120 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn rd(word: u32) -> Reg {
-    Reg::new(((word >> 7) & 0x1f) as u8).expect("5-bit field")
-}
-
-fn rs1(word: u32) -> Reg {
-    Reg::new(((word >> 15) & 0x1f) as u8).expect("5-bit field")
-}
-
-fn rs2(word: u32) -> Reg {
-    Reg::new(((word >> 20) & 0x1f) as u8).expect("5-bit field")
-}
-
-fn funct3(word: u32) -> u32 {
-    (word >> 12) & 0x7
-}
-
-fn funct7(word: u32) -> u32 {
-    word >> 25
-}
-
-/// Sign-extended 12-bit I-type immediate.
-fn i_imm(word: u32) -> i32 {
-    (word as i32) >> 20
-}
-
-/// Sign-extended 12-bit S-type immediate.
-fn s_imm(word: u32) -> i32 {
-    let hi = (word as i32) >> 25; // sign-extends imm[11:5]
-    let lo = ((word >> 7) & 0x1f) as i32;
-    (hi << 5) | lo
-}
-
-/// Sign-extended 13-bit B-type immediate.
-fn b_imm(word: u32) -> i32 {
-    let bit11 = (((word >> 7) & 1) as i32) << 11;
-    let bits10_5 = (((word >> 25) & 0x3f) as i32) << 5;
-    let bits4_1 = (((word >> 8) & 0xf) as i32) << 1;
-    let unsigned = bit11 | bits10_5 | bits4_1;
-    if word & 0x8000_0000 != 0 {
-        unsigned | (-1i32 << 12)
-    } else {
-        unsigned
-    }
-}
-
-/// Sign-extended 21-bit J-type immediate.
-fn j_imm(word: u32) -> i32 {
-    let bits19_12 = ((word >> 12) & 0xff) << 12;
-    let bit11 = ((word >> 20) & 1) << 11;
-    let bits10_1 = ((word >> 21) & 0x3ff) << 1;
-    let unsigned = (bits19_12 | bit11 | bits10_1) as i32;
-    if word & 0x8000_0000 != 0 {
-        unsigned | (-1i32 << 20)
-    } else {
-        unsigned
-    }
-}
-
 impl Instr {
     /// Decodes a 32-bit instruction word.
+    ///
+    /// The major opcode, funct3 and funct7 choose the instruction, its
+    /// fields fill it in, and the word is accepted only if that
+    /// instruction encodes back to it: a field the instruction does not
+    /// have (a register of `p_fc`, any of `p_syncm`) must be zero.
     ///
     /// # Errors
     ///
     /// Returns [`DecodeError`] for words outside the implemented RV32IM +
-    /// X_PAR space (including reserved funct encodings).
+    /// X_PAR space and for words that do not encode back to themselves.
     pub fn decode(word: u32) -> Result<Instr, DecodeError> {
-        let err = Err(DecodeError { word });
-        let opcode = word & 0x7f;
-        Ok(match opcode {
-            0b0110111 => Instr::Lui {
-                rd: rd(word),
-                imm: word & 0xffff_f000,
+        let err = DecodeError { word };
+        let reg = |at: u32| Reg::new(((word >> at) & 0x1f) as u8).expect("5-bit field");
+        let (rd, rs1, rs2) = (reg(7), reg(15), reg(20));
+        let funct = (word >> 25, (word >> 12) & 0x7);
+        // Where a format has immediate bits in place of funct7.
+        let funct3 = (0, funct.1);
+        let instr = match word & 0x7f {
+            OPC_LUI => Instr::Lui {
+                rd,
+                imm: word & !0xfff,
             },
-            0b0010111 => Instr::Auipc {
-                rd: rd(word),
-                imm: word & 0xffff_f000,
+            OPC_AUIPC => Instr::Auipc {
+                rd,
+                imm: word & !0xfff,
             },
-            0b1101111 => Instr::Jal {
-                rd: rd(word),
-                offset: j_imm(word),
+            OPC_JAL => Instr::Jal {
+                rd,
+                offset: J.get(word),
             },
-            0b1100111 => {
-                if funct3(word) != 0 {
-                    return err;
-                }
-                Instr::Jalr {
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    offset: i_imm(word),
-                }
-            }
-            0b1100011 => {
-                let kind = match funct3(word) {
-                    0b000 => BranchKind::Eq,
-                    0b001 => BranchKind::Ne,
-                    0b100 => BranchKind::Lt,
-                    0b101 => BranchKind::Ge,
-                    0b110 => BranchKind::Ltu,
-                    0b111 => BranchKind::Geu,
-                    _ => return err,
-                };
-                Instr::Branch {
-                    kind,
-                    rs1: rs1(word),
-                    rs2: rs2(word),
-                    offset: b_imm(word),
-                }
-            }
-            0b0000011 => {
-                let kind = match funct3(word) {
-                    0b000 => LoadKind::B,
-                    0b001 => LoadKind::H,
-                    0b010 => LoadKind::W,
-                    0b100 => LoadKind::Bu,
-                    0b101 => LoadKind::Hu,
-                    _ => return err,
-                };
-                Instr::Load {
-                    kind,
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    offset: i_imm(word),
-                }
-            }
-            0b0100011 => {
-                let kind = match funct3(word) {
-                    0b000 => StoreKind::B,
-                    0b001 => StoreKind::H,
-                    0b010 => StoreKind::W,
-                    _ => return err,
-                };
-                Instr::Store {
-                    kind,
-                    rs1: rs1(word),
-                    rs2: rs2(word),
-                    offset: s_imm(word),
-                }
-            }
-            0b0010011 => {
-                let kind = match funct3(word) {
-                    0b000 => OpImmKind::Add,
-                    0b010 => OpImmKind::Slt,
-                    0b011 => OpImmKind::Sltu,
-                    0b100 => OpImmKind::Xor,
-                    0b110 => OpImmKind::Or,
-                    0b111 => OpImmKind::And,
-                    0b001 => {
-                        if funct7(word) != 0 {
-                            return err;
-                        }
-                        return Ok(Instr::OpImm {
-                            kind: OpImmKind::Sll,
-                            rd: rd(word),
-                            rs1: rs1(word),
-                            imm: ((word >> 20) & 0x1f) as i32,
-                        });
-                    }
-                    0b101 => {
-                        let kind = match funct7(word) {
-                            0b0000000 => OpImmKind::Srl,
-                            0b0100000 => OpImmKind::Sra,
-                            _ => return err,
-                        };
-                        return Ok(Instr::OpImm {
-                            kind,
-                            rd: rd(word),
-                            rs1: rs1(word),
-                            imm: ((word >> 20) & 0x1f) as i32,
-                        });
-                    }
-                    _ => return err,
-                };
-                Instr::OpImm {
-                    kind,
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    imm: i_imm(word),
-                }
-            }
-            0b0110011 => {
-                let kind = match (funct7(word), funct3(word)) {
-                    (0b0000000, 0b000) => OpKind::Add,
-                    (0b0100000, 0b000) => OpKind::Sub,
-                    (0b0000000, 0b001) => OpKind::Sll,
-                    (0b0000000, 0b010) => OpKind::Slt,
-                    (0b0000000, 0b011) => OpKind::Sltu,
-                    (0b0000000, 0b100) => OpKind::Xor,
-                    (0b0000000, 0b101) => OpKind::Srl,
-                    (0b0100000, 0b101) => OpKind::Sra,
-                    (0b0000000, 0b110) => OpKind::Or,
-                    (0b0000000, 0b111) => OpKind::And,
-                    (0b0000001, 0b000) => OpKind::Mul,
-                    (0b0000001, 0b001) => OpKind::Mulh,
-                    (0b0000001, 0b010) => OpKind::Mulhsu,
-                    (0b0000001, 0b011) => OpKind::Mulhu,
-                    (0b0000001, 0b100) => OpKind::Div,
-                    (0b0000001, 0b101) => OpKind::Divu,
-                    (0b0000001, 0b110) => OpKind::Rem,
-                    (0b0000001, 0b111) => OpKind::Remu,
-                    _ => return err,
-                };
-                Instr::Op {
-                    kind,
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    rs2: rs2(word),
-                }
-            }
-            OPC_CUSTOM0 => match (funct7(word), funct3(word)) {
-                (0b0000000, 0b000) => {
-                    if rs1(word) != Reg::ZERO || rs2(word) != Reg::ZERO {
-                        return err;
-                    }
-                    Instr::PFc { rd: rd(word) }
-                }
-                (0b0000001, 0b000) => {
-                    if rs1(word) != Reg::ZERO || rs2(word) != Reg::ZERO {
-                        return err;
-                    }
-                    Instr::PFn { rd: rd(word) }
-                }
-                (0b0000000, 0b001) => {
-                    if rs2(word) != Reg::ZERO {
-                        return err;
-                    }
-                    Instr::PSet {
-                        rd: rd(word),
-                        rs1: rs1(word),
-                    }
-                }
-                (0b0000000, 0b010) => Instr::PMerge {
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    rs2: rs2(word),
-                },
-                (0b0000000, 0b011) => {
-                    if word != Instr::PSyncm.encode().expect("constant encodes") {
-                        return err;
-                    }
-                    Instr::PSyncm
-                }
-                (0b0000000, 0b100) => Instr::PJalr {
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    rs2: rs2(word),
-                },
-                _ => return err,
+            OPC_JALR => Instr::Jalr {
+                rd,
+                rs1,
+                offset: I.get(word),
             },
-            OPC_CUSTOM1 => match funct3(word) {
-                0b000 => {
-                    if rs1(word) != Reg::ZERO {
-                        return err;
-                    }
-                    Instr::PLwcv {
-                        rd: rd(word),
-                        offset: i_imm(word),
-                    }
-                }
-                0b001 => Instr::PSwcv {
-                    rs1: rs1(word),
-                    rs2: rs2(word),
-                    offset: s_imm(word),
-                },
-                0b010 => {
-                    if rs1(word) != Reg::ZERO {
-                        return err;
-                    }
-                    Instr::PLwre {
-                        rd: rd(word),
-                        offset: i_imm(word),
-                    }
-                }
-                0b011 => Instr::PSwre {
-                    rs1: rs1(word),
-                    rs2: rs2(word),
-                    offset: s_imm(word),
-                },
-                0b100 => Instr::PJal {
-                    rd: rd(word),
-                    rs1: rs1(word),
-                    offset: i_imm(word),
-                },
-                _ => return err,
+            OPC_BRANCH => Instr::Branch {
+                kind: BranchKind::from_funct(funct3).ok_or(err)?,
+                rs1,
+                rs2,
+                offset: B.get(word),
             },
-            _ => return err,
-        })
+            OPC_LOAD => Instr::Load {
+                kind: LoadKind::from_funct(funct3).ok_or(err)?,
+                rd,
+                rs1,
+                offset: I.get(word),
+            },
+            OPC_STORE => Instr::Store {
+                kind: StoreKind::from_funct(funct3).ok_or(err)?,
+                rs1,
+                rs2,
+                offset: S.get(word),
+            },
+            OPC_OP_IMM => {
+                // Only a shift has a funct7; above any other kind sit
+                // immediate bits.
+                let kind = OpImmKind::from_funct(funct).or(OpImmKind::from_funct(funct3));
+                let kind = kind.ok_or(err)?;
+                let imm = if kind.is_shift() {
+                    SHAMT.get(word)
+                } else {
+                    I.get(word)
+                };
+                Instr::OpImm { kind, rd, rs1, imm }
+            }
+            OPC_OP => Instr::Op {
+                kind: OpKind::from_funct(funct).ok_or(err)?,
+                rd,
+                rs1,
+                rs2,
+            },
+            OPC_CUSTOM0 => match funct {
+                P_FC => Instr::PFc { rd },
+                P_FN => Instr::PFn { rd },
+                P_SET => Instr::PSet { rd, rs1 },
+                P_MERGE => Instr::PMerge { rd, rs1, rs2 },
+                P_SYNCM => Instr::PSyncm,
+                P_JALR => Instr::PJalr { rd, rs1, rs2 },
+                _ => return Err(err),
+            },
+            OPC_CUSTOM1 => match funct3 {
+                P_LWCV => Instr::PLwcv {
+                    rd,
+                    offset: I.get(word),
+                },
+                P_SWCV => Instr::PSwcv {
+                    rs1,
+                    rs2,
+                    offset: S.get(word),
+                },
+                P_LWRE => Instr::PLwre {
+                    rd,
+                    offset: I.get(word),
+                },
+                P_SWRE => Instr::PSwre {
+                    rs1,
+                    rs2,
+                    offset: S.get(word),
+                },
+                P_JAL => Instr::PJal {
+                    rd,
+                    rs1,
+                    offset: I.get(word),
+                },
+                _ => return Err(err),
+            },
+            _ => return Err(err),
+        };
+        match instr.encode() {
+            Ok(w) if w == word => Ok(instr),
+            _ => Err(err),
+        }
     }
 }
 

@@ -4,10 +4,16 @@
 //! X_PAR extension occupies the *custom-0* (`0001011`) and *custom-1*
 //! (`0101011`) major opcodes reserved by the RISC-V specification for
 //! vendor extensions.
+//!
+//! Each encoding is written once: the funct fields of a kind sit in its
+//! row beside its mnemonic ([`crate::instr`]), those of an X_PAR
+//! instruction in a `P_*` constant here, and each immediate format is one
+//! [`Layout`]. [`Instr::decode`](crate::Instr::decode) reads the same
+//! rows and layouts.
 
 use core::fmt;
 
-use crate::instr::{BranchKind, Instr, LoadKind, OpImmKind, OpKind, StoreKind};
+use crate::instr::Instr;
 use crate::Reg;
 
 /// Major opcode for register-form X_PAR instructions
@@ -16,6 +22,120 @@ pub const OPC_CUSTOM0: u32 = 0b0001011;
 /// Major opcode for immediate-form X_PAR instructions
 /// (`p_lwcv`, `p_swcv`, `p_lwre`, `p_swre`, `p_jal`).
 pub const OPC_CUSTOM1: u32 = 0b0101011;
+
+pub(crate) const OPC_LUI: u32 = 0b0110111;
+pub(crate) const OPC_AUIPC: u32 = 0b0010111;
+pub(crate) const OPC_JAL: u32 = 0b1101111;
+pub(crate) const OPC_JALR: u32 = 0b1100111;
+pub(crate) const OPC_BRANCH: u32 = 0b1100011;
+pub(crate) const OPC_LOAD: u32 = 0b0000011;
+pub(crate) const OPC_STORE: u32 = 0b0100011;
+pub(crate) const OPC_OP_IMM: u32 = 0b0010011;
+pub(crate) const OPC_OP: u32 = 0b0110011;
+
+/// The `(funct7, funct3)` of an instruction that its major opcode alone
+/// selects (or, for `jalr`, with a zero funct3).
+pub(crate) const NO_FUNCT: (u32, u32) = (0, 0);
+
+// The X_PAR rows: `(funct7, funct3)` under custom-0, ...
+pub(crate) const P_FC: (u32, u32) = (0b0000000, 0b000);
+pub(crate) const P_FN: (u32, u32) = (0b0000001, 0b000);
+pub(crate) const P_SET: (u32, u32) = (0b0000000, 0b001);
+pub(crate) const P_MERGE: (u32, u32) = (0b0000000, 0b010);
+pub(crate) const P_SYNCM: (u32, u32) = (0b0000000, 0b011);
+pub(crate) const P_JALR: (u32, u32) = (0b0000000, 0b100);
+// ... and funct3 under custom-1, whose immediates sit where funct7 would.
+pub(crate) const P_LWCV: (u32, u32) = (0, 0b000);
+pub(crate) const P_SWCV: (u32, u32) = (0, 0b001);
+pub(crate) const P_LWRE: (u32, u32) = (0, 0b010);
+pub(crate) const P_SWRE: (u32, u32) = (0, 0b011);
+pub(crate) const P_JAL: (u32, u32) = (0, 0b100);
+
+/// An immediate format: where each run of the immediate's bits sits in
+/// the word. Its range and alignment follow from the runs.
+pub(crate) struct Layout {
+    /// `(immediate lsb, word lsb, width)` of each run, lowest bits first.
+    runs: &'static [(u32, u32, u32)],
+    /// Whether the top bit is a sign bit (a shift amount has none).
+    signed: bool,
+}
+
+/// I-type: loads, `jalr`, register-immediate ALU, `p_lwcv`/`p_lwre`/`p_jal`.
+pub(crate) const I: Layout = Layout {
+    runs: &[(0, 20, 12)],
+    signed: true,
+};
+/// S-type: stores, `p_swcv`/`p_swre`.
+pub(crate) const S: Layout = Layout {
+    runs: &[(0, 7, 5), (5, 25, 7)],
+    signed: true,
+};
+/// B-type: conditional branches.
+pub(crate) const B: Layout = Layout {
+    runs: &[(1, 8, 4), (5, 25, 6), (11, 7, 1), (12, 31, 1)],
+    signed: true,
+};
+/// J-type: `jal`.
+pub(crate) const J: Layout = Layout {
+    runs: &[(1, 21, 10), (11, 20, 1), (12, 12, 8), (20, 31, 1)],
+    signed: true,
+};
+/// The shift amount of `slli`/`srli`/`srai`.
+pub(crate) const SHAMT: Layout = Layout {
+    runs: &[(0, 20, 5)],
+    signed: false,
+};
+
+fn mask(width: u32) -> u32 {
+    (1 << width) - 1
+}
+
+impl Layout {
+    /// The immediate's bit count and its alignment in bytes.
+    fn shape(&self) -> (u32, i32) {
+        let (low, _, _) = self.runs[0];
+        let (high, _, width) = self.runs[self.runs.len() - 1];
+        (high + width, 1 << low)
+    }
+
+    /// The word bits that hold `value`, or why it does not fit.
+    fn put(&self, what: &'static str, value: i32) -> Result<u32, EncodeError> {
+        let (bits, align) = self.shape();
+        if value % align != 0 {
+            return Err(EncodeError::MisalignedOffset {
+                what,
+                offset: value,
+            });
+        }
+        let (lo, hi) = match self.signed {
+            true => (-(1 << (bits - 1)), (1 << (bits - 1)) - align),
+            false => (0, (1 << bits) - align),
+        };
+        if !(lo..=hi).contains(&value) {
+            return Err(EncodeError::ImmOutOfRange {
+                what,
+                value: value as i64,
+                range: (lo as i64, hi as i64),
+            });
+        }
+        let bits = value as u32;
+        Ok(self.runs.iter().fold(0, |word, &(lsb, at, width)| {
+            word | ((bits >> lsb) & mask(width)) << at
+        }))
+    }
+
+    /// The immediate `word` holds, sign-extended if the format is signed.
+    pub(crate) fn get(&self, word: u32) -> i32 {
+        let value = self.runs.iter().fold(0, |value, &(lsb, at, width)| {
+            value | ((word >> at) & mask(width)) << lsb
+        });
+        let (bits, _) = self.shape();
+        match self.signed {
+            true => ((value << (32 - bits)) as i32) >> (32 - bits),
+            false => value as i32,
+        }
+    }
+}
 
 /// Error produced when an [`Instr`] cannot be represented in 32 bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,6 +161,14 @@ pub enum EncodeError {
         /// The offending value.
         value: u32,
     },
+    /// A `lui`/`auipc` operand given to [`Instr::with_imm`] does not fit
+    /// the 20-bit field.
+    UpperFieldOutOfRange {
+        /// The instruction mnemonic.
+        what: &'static str,
+        /// The offending field value.
+        value: u32,
+    },
 }
 
 impl fmt::Display for EncodeError {
@@ -57,98 +185,37 @@ impl fmt::Display for EncodeError {
             EncodeError::DirtyUpperImm { value } => {
                 write!(f, "upper immediate {value:#x} has non-zero low 12 bits")
             }
+            EncodeError::UpperFieldOutOfRange { what, value } => {
+                write!(f, "{what} field {value:#x} exceeds 20 bits")
+            }
         }
     }
 }
 
 impl std::error::Error for EncodeError {}
 
-fn check_i_imm(what: &'static str, imm: i32) -> Result<u32, EncodeError> {
-    if (-2048..=2047).contains(&imm) {
-        Ok((imm as u32) & 0xfff)
-    } else {
-        Err(EncodeError::ImmOutOfRange {
-            what,
-            value: imm as i64,
-            range: (-2048, 2047),
-        })
+/// The word of an instruction with these fields; the caller ORs in the
+/// immediate, whose bits the unused register and funct fields leave zero.
+fn fields(opcode: u32, (funct7, funct3): (u32, u32), rd: Reg, rs1: Reg, rs2: Reg) -> u32 {
+    let n = |r: Reg| r.number() as u32;
+    opcode | n(rd) << 7 | funct3 << 12 | n(rs1) << 15 | n(rs2) << 20 | funct7 << 25
+}
+
+/// The upper 20 bits of a `lui`/`auipc` word.
+fn upper(imm: u32) -> Result<u32, EncodeError> {
+    match imm & 0xfff {
+        0 => Ok(imm),
+        _ => Err(EncodeError::DirtyUpperImm { value: imm }),
     }
 }
 
-fn r_type(funct7: u32, rs2: u32, rs1: u32, funct3: u32, rd: u32, opcode: u32) -> u32 {
-    (funct7 << 25) | (rs2 << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
-}
-
-fn i_type(imm12: u32, rs1: u32, funct3: u32, rd: u32, opcode: u32) -> u32 {
-    (imm12 << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
-}
-
-fn s_type(imm12: u32, rs2: u32, rs1: u32, funct3: u32, opcode: u32) -> u32 {
-    let hi = (imm12 >> 5) & 0x7f;
-    let lo = imm12 & 0x1f;
-    (hi << 25) | (rs2 << 20) | (rs1 << 15) | (funct3 << 12) | (lo << 7) | opcode
-}
-
-fn b_type(
-    what: &'static str,
-    offset: i32,
-    rs2: u32,
-    rs1: u32,
-    funct3: u32,
-) -> Result<u32, EncodeError> {
-    if offset % 2 != 0 {
-        return Err(EncodeError::MisalignedOffset { what, offset });
+/// The `lui`/`auipc` immediate whose 20-bit field is `value`.
+fn upper_field(what: &'static str, value: i32) -> Result<u32, EncodeError> {
+    let value = value as u32;
+    match value <= 0xfffff {
+        true => Ok(value << 12),
+        false => Err(EncodeError::UpperFieldOutOfRange { what, value }),
     }
-    if !(-4096..=4094).contains(&offset) {
-        return Err(EncodeError::ImmOutOfRange {
-            what,
-            value: offset as i64,
-            range: (-4096, 4094),
-        });
-    }
-    let imm = offset as u32;
-    let bit12 = (imm >> 12) & 1;
-    let bit11 = (imm >> 11) & 1;
-    let bits10_5 = (imm >> 5) & 0x3f;
-    let bits4_1 = (imm >> 1) & 0xf;
-    Ok((bit12 << 31)
-        | (bits10_5 << 25)
-        | (rs2 << 20)
-        | (rs1 << 15)
-        | (funct3 << 12)
-        | (bits4_1 << 8)
-        | (bit11 << 7)
-        | 0b1100011)
-}
-
-fn j_type(what: &'static str, offset: i32, rd: u32) -> Result<u32, EncodeError> {
-    if offset % 2 != 0 {
-        return Err(EncodeError::MisalignedOffset { what, offset });
-    }
-    if !(-(1 << 20)..=(1 << 20) - 2).contains(&offset) {
-        return Err(EncodeError::ImmOutOfRange {
-            what,
-            value: offset as i64,
-            range: (-(1 << 20) as i64, ((1 << 20) - 2) as i64),
-        });
-    }
-    let imm = offset as u32;
-    let bit20 = (imm >> 20) & 1;
-    let bits10_1 = (imm >> 1) & 0x3ff;
-    let bit11 = (imm >> 11) & 1;
-    let bits19_12 = (imm >> 12) & 0xff;
-    Ok(
-        (bit20 << 31)
-            | (bits10_1 << 21)
-            | (bit11 << 20)
-            | (bits19_12 << 12)
-            | (rd << 7)
-            | 0b1101111,
-    )
-}
-
-fn rnum(r: Reg) -> u32 {
-    r.number() as u32
 }
 
 impl Instr {
@@ -159,202 +226,115 @@ impl Instr {
     /// Returns [`EncodeError`] if an immediate or offset does not fit its
     /// encoding field. The assembler catches these at assembly time.
     pub fn encode(&self) -> Result<u32, EncodeError> {
+        const Z: Reg = Reg::ZERO;
         Ok(match *self {
-            Instr::Lui { rd, imm } => {
-                if imm & 0xfff != 0 {
-                    return Err(EncodeError::DirtyUpperImm { value: imm });
-                }
-                imm | (rnum(rd) << 7) | 0b0110111
+            Instr::Lui { rd, imm } => upper(imm)? | fields(OPC_LUI, NO_FUNCT, rd, Z, Z),
+            Instr::Auipc { rd, imm } => upper(imm)? | fields(OPC_AUIPC, NO_FUNCT, rd, Z, Z),
+            Instr::Jal { rd, offset } => {
+                J.put("jal", offset)? | fields(OPC_JAL, NO_FUNCT, rd, Z, Z)
             }
-            Instr::Auipc { rd, imm } => {
-                if imm & 0xfff != 0 {
-                    return Err(EncodeError::DirtyUpperImm { value: imm });
-                }
-                imm | (rnum(rd) << 7) | 0b0010111
+            Instr::Jalr { rd, rs1, offset } => {
+                I.put("jalr", offset)? | fields(OPC_JALR, NO_FUNCT, rd, rs1, Z)
             }
-            Instr::Jal { rd, offset } => j_type("jal", offset, rnum(rd))?,
-            Instr::Jalr { rd, rs1, offset } => i_type(
-                check_i_imm("jalr", offset)?,
-                rnum(rs1),
-                0b000,
-                rnum(rd),
-                0b1100111,
-            ),
             Instr::Branch {
                 kind,
                 rs1,
                 rs2,
                 offset,
-            } => {
-                let funct3 = match kind {
-                    BranchKind::Eq => 0b000,
-                    BranchKind::Ne => 0b001,
-                    BranchKind::Lt => 0b100,
-                    BranchKind::Ge => 0b101,
-                    BranchKind::Ltu => 0b110,
-                    BranchKind::Geu => 0b111,
-                };
-                b_type(kind.mnemonic(), offset, rnum(rs2), rnum(rs1), funct3)?
-            }
+            } => B.put(kind.mnemonic(), offset)? | fields(OPC_BRANCH, kind.funct(), Z, rs1, rs2),
             Instr::Load {
                 kind,
                 rd,
                 rs1,
                 offset,
-            } => {
-                let funct3 = match kind {
-                    LoadKind::B => 0b000,
-                    LoadKind::H => 0b001,
-                    LoadKind::W => 0b010,
-                    LoadKind::Bu => 0b100,
-                    LoadKind::Hu => 0b101,
-                };
-                i_type(
-                    check_i_imm(kind.mnemonic(), offset)?,
-                    rnum(rs1),
-                    funct3,
-                    rnum(rd),
-                    0b0000011,
-                )
-            }
+            } => I.put(kind.mnemonic(), offset)? | fields(OPC_LOAD, kind.funct(), rd, rs1, Z),
             Instr::Store {
                 kind,
                 rs1,
                 rs2,
                 offset,
-            } => {
-                let funct3 = match kind {
-                    StoreKind::B => 0b000,
-                    StoreKind::H => 0b001,
-                    StoreKind::W => 0b010,
-                };
-                s_type(
-                    check_i_imm(kind.mnemonic(), offset)?,
-                    rnum(rs2),
-                    rnum(rs1),
-                    funct3,
-                    0b0100011,
-                )
+            } => S.put(kind.mnemonic(), offset)? | fields(OPC_STORE, kind.funct(), Z, rs1, rs2),
+            Instr::OpImm { kind, rd, rs1, imm } => {
+                let layout = if kind.is_shift() { &SHAMT } else { &I };
+                layout.put(kind.mnemonic(), imm)? | fields(OPC_OP_IMM, kind.funct(), rd, rs1, Z)
             }
-            Instr::OpImm { kind, rd, rs1, imm } => match kind {
-                OpImmKind::Sll | OpImmKind::Srl | OpImmKind::Sra => {
-                    if !(0..32).contains(&imm) {
-                        return Err(EncodeError::ImmOutOfRange {
-                            what: kind.mnemonic(),
-                            value: imm as i64,
-                            range: (0, 31),
-                        });
-                    }
-                    let funct7 = if kind == OpImmKind::Sra { 0b0100000 } else { 0 };
-                    let funct3 = if kind == OpImmKind::Sll { 0b001 } else { 0b101 };
-                    r_type(funct7, imm as u32, rnum(rs1), funct3, rnum(rd), 0b0010011)
-                }
-                _ => {
-                    let funct3 = match kind {
-                        OpImmKind::Add => 0b000,
-                        OpImmKind::Slt => 0b010,
-                        OpImmKind::Sltu => 0b011,
-                        OpImmKind::Xor => 0b100,
-                        OpImmKind::Or => 0b110,
-                        OpImmKind::And => 0b111,
-                        _ => unreachable!("shift kinds are handled by the arm above"),
-                    };
-                    i_type(
-                        check_i_imm(kind.mnemonic(), imm)?,
-                        rnum(rs1),
-                        funct3,
-                        rnum(rd),
-                        0b0010011,
-                    )
-                }
-            },
-            Instr::Op { kind, rd, rs1, rs2 } => {
-                let (funct7, funct3) = match kind {
-                    OpKind::Add => (0b0000000, 0b000),
-                    OpKind::Sub => (0b0100000, 0b000),
-                    OpKind::Sll => (0b0000000, 0b001),
-                    OpKind::Slt => (0b0000000, 0b010),
-                    OpKind::Sltu => (0b0000000, 0b011),
-                    OpKind::Xor => (0b0000000, 0b100),
-                    OpKind::Srl => (0b0000000, 0b101),
-                    OpKind::Sra => (0b0100000, 0b101),
-                    OpKind::Or => (0b0000000, 0b110),
-                    OpKind::And => (0b0000000, 0b111),
-                    OpKind::Mul => (0b0000001, 0b000),
-                    OpKind::Mulh => (0b0000001, 0b001),
-                    OpKind::Mulhsu => (0b0000001, 0b010),
-                    OpKind::Mulhu => (0b0000001, 0b011),
-                    OpKind::Div => (0b0000001, 0b100),
-                    OpKind::Divu => (0b0000001, 0b101),
-                    OpKind::Rem => (0b0000001, 0b110),
-                    OpKind::Remu => (0b0000001, 0b111),
-                };
-                r_type(funct7, rnum(rs2), rnum(rs1), funct3, rnum(rd), 0b0110011)
+            Instr::Op { kind, rd, rs1, rs2 } => fields(OPC_OP, kind.funct(), rd, rs1, rs2),
+            Instr::PFc { rd } => fields(OPC_CUSTOM0, P_FC, rd, Z, Z),
+            Instr::PFn { rd } => fields(OPC_CUSTOM0, P_FN, rd, Z, Z),
+            Instr::PSet { rd, rs1 } => fields(OPC_CUSTOM0, P_SET, rd, rs1, Z),
+            Instr::PMerge { rd, rs1, rs2 } => fields(OPC_CUSTOM0, P_MERGE, rd, rs1, rs2),
+            Instr::PSyncm => fields(OPC_CUSTOM0, P_SYNCM, Z, Z, Z),
+            Instr::PJalr { rd, rs1, rs2 } => fields(OPC_CUSTOM0, P_JALR, rd, rs1, rs2),
+            Instr::PLwcv { rd, offset } => {
+                I.put("p_lwcv", offset)? | fields(OPC_CUSTOM1, P_LWCV, rd, Z, Z)
             }
-            Instr::PFc { rd } => r_type(0b0000000, 0, 0, 0b000, rnum(rd), OPC_CUSTOM0),
-            Instr::PFn { rd } => r_type(0b0000001, 0, 0, 0b000, rnum(rd), OPC_CUSTOM0),
-            Instr::PSet { rd, rs1 } => {
-                r_type(0b0000000, 0, rnum(rs1), 0b001, rnum(rd), OPC_CUSTOM0)
+            Instr::PSwcv { rs1, rs2, offset } => {
+                S.put("p_swcv", offset)? | fields(OPC_CUSTOM1, P_SWCV, Z, rs1, rs2)
             }
-            Instr::PMerge { rd, rs1, rs2 } => r_type(
-                0b0000000,
-                rnum(rs2),
-                rnum(rs1),
-                0b010,
-                rnum(rd),
-                OPC_CUSTOM0,
-            ),
-            Instr::PSyncm => r_type(0b0000000, 0, 0, 0b011, 0, OPC_CUSTOM0),
-            Instr::PJalr { rd, rs1, rs2 } => r_type(
-                0b0000000,
-                rnum(rs2),
-                rnum(rs1),
-                0b100,
-                rnum(rd),
-                OPC_CUSTOM0,
-            ),
-            Instr::PLwcv { rd, offset } => i_type(
-                check_i_imm("p_lwcv", offset)?,
-                0,
-                0b000,
-                rnum(rd),
-                OPC_CUSTOM1,
-            ),
-            Instr::PSwcv { rs1, rs2, offset } => s_type(
-                check_i_imm("p_swcv", offset)?,
-                rnum(rs2),
-                rnum(rs1),
-                0b001,
-                OPC_CUSTOM1,
-            ),
-            Instr::PLwre { rd, offset } => i_type(
-                check_i_imm("p_lwre", offset)?,
-                0,
-                0b010,
-                rnum(rd),
-                OPC_CUSTOM1,
-            ),
-            Instr::PSwre { rs1, rs2, offset } => s_type(
-                check_i_imm("p_swre", offset)?,
-                rnum(rs2),
-                rnum(rs1),
-                0b011,
-                OPC_CUSTOM1,
-            ),
-            Instr::PJal { rd, rs1, offset } => i_type(
-                check_i_imm("p_jal", offset)?,
-                rnum(rs1),
-                0b100,
-                rnum(rd),
-                OPC_CUSTOM1,
-            ),
+            Instr::PLwre { rd, offset } => {
+                I.put("p_lwre", offset)? | fields(OPC_CUSTOM1, P_LWRE, rd, Z, Z)
+            }
+            Instr::PSwre { rs1, rs2, offset } => {
+                S.put("p_swre", offset)? | fields(OPC_CUSTOM1, P_SWRE, Z, rs1, rs2)
+            }
+            Instr::PJal { rd, rs1, offset } => {
+                I.put("p_jal", offset)? | fields(OPC_CUSTOM1, P_JAL, rd, rs1, Z)
+            }
         })
+    }
+
+    /// Whether the assembly syntax writes this instruction's immediate as
+    /// a target relative to its own address (`jal`, the branches,
+    /// `p_jal`): an operand naming a symbol is an address there, which
+    /// the assembler turns into an offset.
+    pub fn is_pc_relative(&self) -> bool {
+        matches!(
+            self,
+            Instr::Jal { .. } | Instr::Branch { .. } | Instr::PJal { .. }
+        )
+    }
+
+    /// This instruction with its immediate set to `value` as the assembly
+    /// syntax writes it: the offset, immediate or slot number, or for
+    /// `lui`/`auipc` the 20-bit field the instruction shifts left by 12.
+    /// An instruction without an immediate comes back unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`EncodeError::UpperFieldOutOfRange`] if a `lui`/`auipc` field
+    /// does not fit 20 bits. Every other range is checked by
+    /// [`Instr::encode`].
+    pub fn with_imm(mut self, value: i32) -> Result<Instr, EncodeError> {
+        match &mut self {
+            Instr::Lui { imm, .. } => *imm = upper_field("lui", value)?,
+            Instr::Auipc { imm, .. } => *imm = upper_field("auipc", value)?,
+            Instr::OpImm { imm, .. } => *imm = value,
+            Instr::Jal { offset, .. }
+            | Instr::Jalr { offset, .. }
+            | Instr::Branch { offset, .. }
+            | Instr::Load { offset, .. }
+            | Instr::Store { offset, .. }
+            | Instr::PJal { offset, .. }
+            | Instr::PLwcv { offset, .. }
+            | Instr::PSwcv { offset, .. }
+            | Instr::PLwre { offset, .. }
+            | Instr::PSwre { offset, .. } => *offset = value,
+            Instr::Op { .. }
+            | Instr::PFc { .. }
+            | Instr::PFn { .. }
+            | Instr::PSet { .. }
+            | Instr::PMerge { .. }
+            | Instr::PSyncm
+            | Instr::PJalr { .. } => {}
+        }
+        Ok(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instr::{BranchKind, LoadKind, OpKind, StoreKind};
 
     #[test]
     fn known_words() {
@@ -415,50 +395,5 @@ mod tests {
             offset: 8,
         };
         assert_eq!(j.encode().unwrap(), 0x0080_00ef);
-    }
-
-    #[test]
-    fn imm_range_checked() {
-        let i = Instr::OpImm {
-            kind: OpImmKind::Add,
-            rd: Reg::A0,
-            rs1: Reg::A0,
-            imm: 4096,
-        };
-        assert!(matches!(i.encode(), Err(EncodeError::ImmOutOfRange { .. })));
-    }
-
-    #[test]
-    fn misaligned_branch_rejected() {
-        let b = Instr::Branch {
-            kind: BranchKind::Ne,
-            rs1: Reg::A0,
-            rs2: Reg::A1,
-            offset: 3,
-        };
-        assert!(matches!(
-            b.encode(),
-            Err(EncodeError::MisalignedOffset { .. })
-        ));
-    }
-
-    #[test]
-    fn dirty_lui_rejected() {
-        let l = Instr::Lui {
-            rd: Reg::A0,
-            imm: 0x1234,
-        };
-        assert!(matches!(l.encode(), Err(EncodeError::DirtyUpperImm { .. })));
-    }
-
-    #[test]
-    fn shift_amount_range() {
-        let s = Instr::OpImm {
-            kind: OpImmKind::Sll,
-            rd: Reg::A0,
-            rs1: Reg::A0,
-            imm: 32,
-        };
-        assert!(s.encode().is_err());
     }
 }

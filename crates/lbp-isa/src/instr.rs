@@ -4,48 +4,74 @@ use core::fmt;
 
 use crate::Reg;
 
-/// Conditional-branch comparison kinds (RV32I `BRANCH` major opcode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BranchKind {
-    /// `beq`: branch if equal.
-    Eq,
-    /// `bne`: branch if not equal.
-    Ne,
-    /// `blt`: branch if less than (signed).
-    Lt,
-    /// `bge`: branch if greater or equal (signed).
-    Ge,
-    /// `bltu`: branch if less than (unsigned).
-    Ltu,
-    /// `bgeu`: branch if greater or equal (unsigned).
-    Geu,
+/// Declares a kind enum from its rows: each variant with its assembly
+/// mnemonic and the funct7 and funct3 fields that select it under its
+/// major opcode. `ALL`, `mnemonic`, and the encoder and decoder all read
+/// these rows. Kinds whose format puts immediate bits where funct7 would
+/// be write 0 there.
+macro_rules! kinds {
+    (
+        $(#[$meta:meta])*
+        pub enum $kind:ident[$n:literal] {
+            $($(#[$doc:meta])* $v:ident = $mnemonic:literal, $funct7:literal, $funct3:literal;)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $kind {
+            $($(#[$doc])* $v,)*
+        }
+
+        impl $kind {
+            /// Every kind, in encoding order. Generators (such as
+            /// `lbp-fuzz`) sample from this table instead of hard-coding
+            /// the variant list, so a new kind is automatically fuzzed.
+            pub const ALL: [$kind; $n] = [$($kind::$v),*];
+
+            /// The assembly mnemonic.
+            pub fn mnemonic(self) -> &'static str {
+                match self {
+                    $($kind::$v => $mnemonic,)*
+                }
+            }
+
+            /// The `(funct7, funct3)` fields that select this kind.
+            pub(crate) fn funct(self) -> (u32, u32) {
+                match self {
+                    $($kind::$v => ($funct7, $funct3),)*
+                }
+            }
+
+            /// The kind that `(funct7, funct3)` selects, if any.
+            pub(crate) fn from_funct(funct: (u32, u32)) -> Option<$kind> {
+                match funct {
+                    $(($funct7, $funct3) => Some($kind::$v),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+kinds! {
+    /// Conditional-branch comparison kinds (RV32I `BRANCH` major opcode).
+    pub enum BranchKind[6] {
+        /// `beq`: branch if equal.
+        Eq = "beq", 0, 0b000;
+        /// `bne`: branch if not equal.
+        Ne = "bne", 0, 0b001;
+        /// `blt`: branch if less than (signed).
+        Lt = "blt", 0, 0b100;
+        /// `bge`: branch if greater or equal (signed).
+        Ge = "bge", 0, 0b101;
+        /// `bltu`: branch if less than (unsigned).
+        Ltu = "bltu", 0, 0b110;
+        /// `bgeu`: branch if greater or equal (unsigned).
+        Geu = "bgeu", 0, 0b111;
+    }
 }
 
 impl BranchKind {
-    /// Every branch comparison, in encoding order. Generators (such as
-    /// `lbp-fuzz`) sample from this table instead of hard-coding the
-    /// variant list, so a new comparison is automatically fuzzed.
-    pub const ALL: [BranchKind; 6] = [
-        BranchKind::Eq,
-        BranchKind::Ne,
-        BranchKind::Lt,
-        BranchKind::Ge,
-        BranchKind::Ltu,
-        BranchKind::Geu,
-    ];
-
-    /// The assembly mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            BranchKind::Eq => "beq",
-            BranchKind::Ne => "bne",
-            BranchKind::Lt => "blt",
-            BranchKind::Ge => "bge",
-            BranchKind::Ltu => "bltu",
-            BranchKind::Geu => "bgeu",
-        }
-    }
-
     /// Evaluates the branch condition on two register values.
     pub fn taken(self, a: u32, b: u32) -> bool {
         match self {
@@ -59,42 +85,23 @@ impl BranchKind {
     }
 }
 
-/// Load width/sign kinds (RV32I `LOAD` major opcode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LoadKind {
-    /// `lb`: sign-extended byte.
-    B,
-    /// `lh`: sign-extended half-word.
-    H,
-    /// `lw`: word.
-    W,
-    /// `lbu`: zero-extended byte.
-    Bu,
-    /// `lhu`: zero-extended half-word.
-    Hu,
+kinds! {
+    /// Load width/sign kinds (RV32I `LOAD` major opcode).
+    pub enum LoadKind[5] {
+        /// `lb`: sign-extended byte.
+        B = "lb", 0, 0b000;
+        /// `lh`: sign-extended half-word.
+        H = "lh", 0, 0b001;
+        /// `lw`: word.
+        W = "lw", 0, 0b010;
+        /// `lbu`: zero-extended byte.
+        Bu = "lbu", 0, 0b100;
+        /// `lhu`: zero-extended half-word.
+        Hu = "lhu", 0, 0b101;
+    }
 }
 
 impl LoadKind {
-    /// Every load width/sign combination, in encoding order.
-    pub const ALL: [LoadKind; 5] = [
-        LoadKind::B,
-        LoadKind::H,
-        LoadKind::W,
-        LoadKind::Bu,
-        LoadKind::Hu,
-    ];
-
-    /// The assembly mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            LoadKind::B => "lb",
-            LoadKind::H => "lh",
-            LoadKind::W => "lw",
-            LoadKind::Bu => "lbu",
-            LoadKind::Hu => "lhu",
-        }
-    }
-
     /// Access size in bytes.
     pub fn size(self) -> u32 {
         match self {
@@ -105,30 +112,19 @@ impl LoadKind {
     }
 }
 
-/// Store width kinds (RV32I `STORE` major opcode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StoreKind {
-    /// `sb`: byte.
-    B,
-    /// `sh`: half-word.
-    H,
-    /// `sw`: word.
-    W,
+kinds! {
+    /// Store width kinds (RV32I `STORE` major opcode).
+    pub enum StoreKind[3] {
+        /// `sb`: byte.
+        B = "sb", 0, 0b000;
+        /// `sh`: half-word.
+        H = "sh", 0, 0b001;
+        /// `sw`: word.
+        W = "sw", 0, 0b010;
+    }
 }
 
 impl StoreKind {
-    /// Every store width, in encoding order.
-    pub const ALL: [StoreKind; 3] = [StoreKind::B, StoreKind::H, StoreKind::W];
-
-    /// The assembly mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            StoreKind::B => "sb",
-            StoreKind::H => "sh",
-            StoreKind::W => "sw",
-        }
-    }
-
     /// Access size in bytes.
     pub fn size(self) -> u32 {
         match self {
@@ -139,62 +135,36 @@ impl StoreKind {
     }
 }
 
-/// Register-immediate ALU operations (RV32I `OP-IMM` major opcode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpImmKind {
-    /// `addi`.
-    Add,
-    /// `slti` (signed set-less-than).
-    Slt,
-    /// `sltiu`.
-    Sltu,
-    /// `xori`.
-    Xor,
-    /// `ori`.
-    Or,
-    /// `andi`.
-    And,
-    /// `slli` (shift amount in the low 5 immediate bits).
-    Sll,
-    /// `srli`.
-    Srl,
-    /// `srai`.
-    Sra,
+kinds! {
+    /// Register-immediate ALU operations (RV32I `OP-IMM` major opcode).
+    /// Only the shifts have a funct7; above the others sit immediate bits.
+    pub enum OpImmKind[9] {
+        /// `addi`.
+        Add = "addi", 0, 0b000;
+        /// `slti` (signed set-less-than).
+        Slt = "slti", 0, 0b010;
+        /// `sltiu`.
+        Sltu = "sltiu", 0, 0b011;
+        /// `xori`.
+        Xor = "xori", 0, 0b100;
+        /// `ori`.
+        Or = "ori", 0, 0b110;
+        /// `andi`.
+        And = "andi", 0, 0b111;
+        /// `slli` (shift amount in the low 5 immediate bits).
+        Sll = "slli", 0, 0b001;
+        /// `srli`.
+        Srl = "srli", 0, 0b101;
+        /// `srai`.
+        Sra = "srai", 0b0100000, 0b101;
+    }
 }
 
 impl OpImmKind {
-    /// Every register-immediate operation, in encoding order.
-    pub const ALL: [OpImmKind; 9] = [
-        OpImmKind::Add,
-        OpImmKind::Slt,
-        OpImmKind::Sltu,
-        OpImmKind::Xor,
-        OpImmKind::Or,
-        OpImmKind::And,
-        OpImmKind::Sll,
-        OpImmKind::Srl,
-        OpImmKind::Sra,
-    ];
-
     /// Whether the immediate operand is a 5-bit shift amount rather than
     /// a sign-extended 12-bit value.
     pub fn is_shift(self) -> bool {
         matches!(self, OpImmKind::Sll | OpImmKind::Srl | OpImmKind::Sra)
-    }
-
-    /// The assembly mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            OpImmKind::Add => "addi",
-            OpImmKind::Slt => "slti",
-            OpImmKind::Sltu => "sltiu",
-            OpImmKind::Xor => "xori",
-            OpImmKind::Or => "ori",
-            OpImmKind::And => "andi",
-            OpImmKind::Sll => "slli",
-            OpImmKind::Srl => "srli",
-            OpImmKind::Sra => "srai",
-        }
     }
 
     /// Evaluates the operation on a register value and an immediate.
@@ -214,95 +184,49 @@ impl OpImmKind {
     }
 }
 
-/// Register-register ALU operations (RV32I `OP` major opcode + RV32M).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// `add`.
-    Add,
-    /// `sub`.
-    Sub,
-    /// `sll`.
-    Sll,
-    /// `slt`.
-    Slt,
-    /// `sltu`.
-    Sltu,
-    /// `xor`.
-    Xor,
-    /// `srl`.
-    Srl,
-    /// `sra`.
-    Sra,
-    /// `or`.
-    Or,
-    /// `and`.
-    And,
-    /// `mul` (RV32M).
-    Mul,
-    /// `mulh` (RV32M): upper 32 bits of signed×signed.
-    Mulh,
-    /// `mulhsu` (RV32M): upper 32 bits of signed×unsigned.
-    Mulhsu,
-    /// `mulhu` (RV32M): upper 32 bits of unsigned×unsigned.
-    Mulhu,
-    /// `div` (RV32M, signed).
-    Div,
-    /// `divu` (RV32M).
-    Divu,
-    /// `rem` (RV32M, signed).
-    Rem,
-    /// `remu` (RV32M).
-    Remu,
+kinds! {
+    /// Register-register ALU operations (RV32I `OP` major opcode + RV32M).
+    pub enum OpKind[18] {
+        /// `add`.
+        Add = "add", 0b0000000, 0b000;
+        /// `sub`.
+        Sub = "sub", 0b0100000, 0b000;
+        /// `sll`.
+        Sll = "sll", 0b0000000, 0b001;
+        /// `slt`.
+        Slt = "slt", 0b0000000, 0b010;
+        /// `sltu`.
+        Sltu = "sltu", 0b0000000, 0b011;
+        /// `xor`.
+        Xor = "xor", 0b0000000, 0b100;
+        /// `srl`.
+        Srl = "srl", 0b0000000, 0b101;
+        /// `sra`.
+        Sra = "sra", 0b0100000, 0b101;
+        /// `or`.
+        Or = "or", 0b0000000, 0b110;
+        /// `and`.
+        And = "and", 0b0000000, 0b111;
+        /// `mul` (RV32M).
+        Mul = "mul", 0b0000001, 0b000;
+        /// `mulh` (RV32M): upper 32 bits of signed×signed.
+        Mulh = "mulh", 0b0000001, 0b001;
+        /// `mulhsu` (RV32M): upper 32 bits of signed×unsigned.
+        Mulhsu = "mulhsu", 0b0000001, 0b010;
+        /// `mulhu` (RV32M): upper 32 bits of unsigned×unsigned.
+        Mulhu = "mulhu", 0b0000001, 0b011;
+        /// `div` (RV32M, signed).
+        Div = "div", 0b0000001, 0b100;
+        /// `divu` (RV32M).
+        Divu = "divu", 0b0000001, 0b101;
+        /// `rem` (RV32M, signed).
+        Rem = "rem", 0b0000001, 0b110;
+        /// `remu` (RV32M).
+        Remu = "remu", 0b0000001, 0b111;
+    }
 }
 
 impl OpKind {
-    /// Every register-register operation, in encoding order (RV32I then
-    /// RV32M).
-    pub const ALL: [OpKind; 18] = [
-        OpKind::Add,
-        OpKind::Sub,
-        OpKind::Sll,
-        OpKind::Slt,
-        OpKind::Sltu,
-        OpKind::Xor,
-        OpKind::Srl,
-        OpKind::Sra,
-        OpKind::Or,
-        OpKind::And,
-        OpKind::Mul,
-        OpKind::Mulh,
-        OpKind::Mulhsu,
-        OpKind::Mulhu,
-        OpKind::Div,
-        OpKind::Divu,
-        OpKind::Rem,
-        OpKind::Remu,
-    ];
-
-    /// The assembly mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            OpKind::Add => "add",
-            OpKind::Sub => "sub",
-            OpKind::Sll => "sll",
-            OpKind::Slt => "slt",
-            OpKind::Sltu => "sltu",
-            OpKind::Xor => "xor",
-            OpKind::Srl => "srl",
-            OpKind::Sra => "sra",
-            OpKind::Or => "or",
-            OpKind::And => "and",
-            OpKind::Mul => "mul",
-            OpKind::Mulh => "mulh",
-            OpKind::Mulhsu => "mulhsu",
-            OpKind::Mulhu => "mulhu",
-            OpKind::Div => "div",
-            OpKind::Divu => "divu",
-            OpKind::Rem => "rem",
-            OpKind::Remu => "remu",
-        }
-    }
-
     /// Whether this is an RV32M multiply/divide operation (multi-cycle on
     /// LBP's functional units).
     #[inline]

@@ -12,6 +12,12 @@
 //! runtime (`lbp-omp`) and the cycle-level simulator (`lbp-sim`) all speak
 //! [`Instr`].
 //!
+//! Each encoding is written once: a kind's funct bits sit in its row
+//! beside its mnemonic, an X_PAR instruction's in one constant, and each
+//! immediate format is one bit layout. [`Instr::encode`] and
+//! [`Instr::decode`] both read them, and a word decodes only if the
+//! instruction it decodes to encodes back to it.
+//!
 //! # Examples
 //!
 //! Encode, decode and disassemble an X_PAR fork:

@@ -210,3 +210,23 @@ fn odd_even_sort_orders_the_array() {
         );
     }
 }
+
+/// The sensor kernel's listing, two `parallel sections` regions and
+/// their function tables included, is pinned byte for byte.
+#[test]
+fn sensor_listing_is_pinned() {
+    let source = SensorApp::new(2).program().source();
+    let fnv = source.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!((source.len(), fnv), (4127, 0x6025_7239_27f7_45ed));
+    let data = &source[source.find(".data").unwrap()..];
+    assert_eq!(
+        data,
+        ".data\n    .align 4\ns_vals:\n    .space 16\n\
+         _omp_sections_0:\n    .word get_sensor0\n    .word get_sensor1\n\
+         \x20   .word get_sensor2\n    .word get_sensor3\n\
+         _omp_sections_1:\n    .word get_sensor0\n    .word get_sensor1\n\
+         \x20   .word get_sensor2\n    .word get_sensor3\n"
+    );
+}

@@ -47,8 +47,19 @@ enum Step {
 /// A global data definition.
 #[derive(Debug, Clone)]
 enum DataDef {
-    Words { name: String, values: Vec<i64> },
-    Space { name: String, bytes: u32 },
+    Words {
+        name: String,
+        values: Vec<i64>,
+    },
+    Space {
+        name: String,
+        bytes: u32,
+    },
+    /// A `parallel sections` table: the address of each member function.
+    Table {
+        name: String,
+        functions: Vec<String>,
+    },
 }
 
 /// Builder for a Deterministic OpenMP program.
@@ -173,26 +184,14 @@ impl DetOmp {
         assert!(!functions.is_empty(), "sections need at least one function");
         let table = format!("_omp_sections_{}", self.section_tables);
         self.section_tables += 1;
-        let values = functions
-            .iter()
-            .map(|f| (*f).to_owned())
-            .collect::<Vec<_>>();
         self.steps.push(Step::ParallelSections {
             table: table.clone(),
             count: functions.len(),
         });
-        // The table is materialized as words of function addresses.
-        self.data.push(DataDef::Words {
+        self.data.push(DataDef::Table {
             name: table,
-            values: Vec::new(), // placeholder; symbols emitted specially
+            functions: functions.iter().map(|f| (*f).to_owned()).collect(),
         });
-        // Stash the symbol names in a companion function entry is ugly;
-        // instead keep them in the data def via a dedicated variant.
-        if let Some(DataDef::Words { name, .. }) = self.data.last() {
-            let name = name.clone();
-            self.functions
-                .push((format!("__table__{name}"), values.join(",")));
-        }
         self
     }
 
@@ -309,9 +308,6 @@ impl DetOmp {
         a.line("p_ret");
         // Functions.
         for (name, body) in &self.functions {
-            if name.starts_with("__table__") {
-                continue;
-            }
             a.blank();
             a.label(name);
             a.raw(indent(body));
@@ -322,16 +318,15 @@ impl DetOmp {
         for d in &self.data {
             match d {
                 DataDef::Words { name, values } => {
-                    if let Some(symbols) = self.table_symbols(name) {
-                        a.label(name);
-                        for s in symbols {
-                            a.line(format!(".word {s}"));
-                        }
-                    } else {
-                        a.label(name);
-                        for v in values {
-                            a.line(format!(".word {v}"));
-                        }
+                    a.label(name);
+                    for v in values {
+                        a.line(format!(".word {v}"));
+                    }
+                }
+                DataDef::Table { name, functions } => {
+                    a.label(name);
+                    for f in functions {
+                        a.word_label(f);
                     }
                 }
                 DataDef::Space { name, bytes } => {
@@ -342,14 +337,6 @@ impl DetOmp {
             }
         }
         a
-    }
-
-    /// The function symbols of a sections table, if `name` is one.
-    fn table_symbols(&self, name: &str) -> Option<Vec<String>> {
-        let key = format!("__table__{name}");
-        self.functions
-            .iter()
-            .find_map(|(n, body)| (n == &key).then(|| body.split(',').map(str::to_owned).collect()))
     }
 
     /// Generates and assembles the program.

@@ -168,6 +168,29 @@ fn parallel_sections_run_distinct_functions() {
     assert_eq!(m.peek_shared(out + 12).unwrap(), 40);
 }
 
+/// Two `parallel sections` regions: each gets its own table of function
+/// addresses, and the whole listing is pinned byte for byte.
+#[test]
+fn two_sections_regions_render_the_pinned_listing() {
+    let p = DetOmp::new(2)
+        .function("left", "p_ret")
+        .function("right", "p_ret")
+        .parallel_sections(&["left", "right"])
+        .parallel_sections(&["right", "left", "right"]);
+    let source = p.source();
+    let fnv = source.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!((source.len(), fnv), (2628, 0xe863_f32a_ec75_78ed));
+    let data = &source[source.find(".data").unwrap()..];
+    assert_eq!(
+        data,
+        ".data\n_omp_sections_0:\n    .word left\n    .word right\n\
+         _omp_sections_1:\n    .word right\n    .word left\n    .word right\n"
+    );
+    p.build().unwrap();
+}
+
 #[test]
 fn reduction_over_backward_line() {
     // Each member sends (index+1)^2 to the join hart; hart 0 folds.

@@ -204,23 +204,30 @@ fn exit_0_a_condition_whose_body_is_past_a_branchs_reach() {
     }
 }
 
-/// Generated code the assembler refuses is a compiler bug; the error
-/// names the one generated line, not the whole listing. A literal wider
-/// than a word still reaches the assembler as a `li` it refuses.
+/// A literal or `#define` value wider than a word is refused at its line
+/// and column; it never reaches the assembler as a `li` it refuses.
 #[test]
-fn exit_1_generated_code_the_assembler_refuses_names_its_line() {
-    let wide = scratch(
-        "wide.c",
-        "int g;\nvoid main(void) {\n    g = 5000000000;\n}\n",
-    );
-    let out = lbp_cc(&[wide.to_str().unwrap()]);
-    assert_eq!(class_of(out.status), ExitClass::Failure);
-    assert_eq!(
-        String::from_utf8_lossy(&out.stderr),
-        "lbp-cc: compile error at line 0: internal error: generated assembly rejected: \
-         assembly error at line 10: `li` value 5000000000 exceeds 32 bits \
-         (generated line: `li   t3, 5000000000`)\n"
-    );
+fn exit_1_a_literal_wider_than_a_word_names_its_column() {
+    for (name, source, error) in [
+        (
+            "wide.c",
+            "int g;\nvoid main(void) {\n    g = 5000000000;\n}\n",
+            "3:9: literal 5000000000 exceeds 32 bits",
+        ),
+        (
+            "wide_define.c",
+            "#define N (1<<40)\nint g;\nvoid main(void) {\n    g = N;\n}\n",
+            "1:11: #define value `(1<<40)` exceeds 32 bits",
+        ),
+    ] {
+        let wide = scratch(name, source);
+        let out = lbp_cc(&[wide.to_str().unwrap()]);
+        assert_eq!(class_of(out.status), ExitClass::Failure);
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("lbp-cc: compile error at line {error}\n")
+        );
+    }
 }
 
 /// Team members that overlap on a shared word give the program no
