@@ -355,7 +355,7 @@ pub fn ablation() -> Vec<Row> {
     let mm = Matmul::new(16, Version::Base);
     let mul = [1, 3, 8].map(|lat| {
         let mut cfg = mm.config();
-        cfg.latencies.mul = lat;
+        cfg.mul_latency = lat;
         run_matmul(&mm, cfg, format!("mul latency {lat}")).0
     });
     let regions = [1, 4, 16].map(|n| empty_regions(format!("regions x{n}"), 16, n));

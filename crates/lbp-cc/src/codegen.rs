@@ -117,7 +117,7 @@ pub fn generate_with(cx: &Checked, sabotage: Option<CodegenSabotage>) -> Result<
                 }
             }
             _ => {
-                g.asm.space(i64::from(global.elems * 4));
+                g.asm.space(i64::from(global.elems) * 4);
             }
         }
     }

@@ -243,29 +243,45 @@ impl<'src> Parser<'src> {
         }
     }
 
-    /// A constant expression for array bounds (literals and `<<` only —
-    /// `#define`s were already substituted by the lexer).
+    /// An array bound: a literal, or two joined by `<<` or `*` (`#define`s
+    /// were already substituted by the lexer). The element count must be
+    /// at least one and its bytes must fit the 32-bit address space; the
+    /// arithmetic is checked, so a bound that overflows is an error
+    /// rather than the size it wraps to.
     fn const_expr(&mut self) -> Result<u32, CcError> {
         let v = match self.bump() {
             Tok::Int(v) => v,
             other => return Err(self.err(format!("expected a constant, found {other}"))),
         };
-        let v = if self.at_sym("<<") {
-            self.bump();
-            match self.bump() {
-                Tok::Int(s) => v << s,
-                other => return Err(self.err(format!("expected a constant, found {other}"))),
+        let op = ["<<", "*"].into_iter().find(|op| self.at_sym(op));
+        let v = match op {
+            Some(op) => {
+                self.bump();
+                let s = match self.bump() {
+                    Tok::Int(s) => s,
+                    other => return Err(self.err(format!("expected a constant, found {other}"))),
+                };
+                // A shift overflows if shifting back does not restore `v`.
+                let value = match op {
+                    "<<" => (u32::try_from(s).ok())
+                        .and_then(|by| v.checked_shl(by))
+                        .filter(|r| r >> s == v),
+                    _ => v.checked_mul(s),
+                };
+                value.ok_or_else(|| self.err(format!("array size {v} {op} {s} overflows")))?
             }
-        } else if self.at_sym("*") {
-            self.bump();
-            match self.bump() {
-                Tok::Int(s) => v * s,
-                other => return Err(self.err(format!("expected a constant, found {other}"))),
-            }
-        } else {
-            v
+            None => v,
         };
-        u32::try_from(v).map_err(|_| self.err(format!("bad array size {v}")))
+        let elems = u32::try_from(v).map_err(|_| self.err(format!("bad array size {v}")))?;
+        if elems == 0 {
+            return Err(self.err("an array needs at least one element"));
+        }
+        if elems > u32::MAX / 4 {
+            return Err(self.err(format!(
+                "array of {elems} words exceeds the 4 GiB address space"
+            )));
+        }
+        Ok(elems)
     }
 
     /// `= 3` for scalars; for arrays, `= {[0 ... N-1] = 1}` (the paper's

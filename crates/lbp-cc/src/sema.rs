@@ -183,13 +183,8 @@ fn check_stmt_depth(
             *counter += 1;
         }
         Stmt::DeclArray { name, elems, line } => {
-            if *elems == 0 {
-                errs.push(CcError::new(
-                    *line,
-                    format!("array `{name}` has zero elements"),
-                ));
-            }
-            if *elems * 4 > 8192 {
+            // The parser refused a bound of no elements or past 4 GiB.
+            if *elems > 8192 / 4 {
                 errs.push(CcError::new(
                     *line,
                     format!("local array `{name}` exceeds the 8 KiB frame budget"),

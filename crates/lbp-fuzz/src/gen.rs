@@ -24,7 +24,10 @@
 //! - [`Kind::C`]: Deterministic-OpenMP mini-C sources (disjoint
 //!   affine-subscript parallel loops) fed through `lbp-cc`.
 
-use lbp_isa::{BranchKind, LoadKind, OpImmKind, OpKind, StoreKind, HARTS_PER_CORE, SHARED_BASE};
+use lbp_isa::{
+    BranchKind, LoadKind, OpImmKind, OpKind, StoreKind, DEFAULT_SHARED_BANK_BYTES, HARTS_PER_CORE,
+    SHARED_BASE,
+};
 use lbp_omp::{emit_parallel_region, TeamBody};
 use lbp_testutil::Rng;
 
@@ -476,7 +479,6 @@ fn gen_asm(rng: &mut Rng, cfg: &GenConfig, kind: Kind) -> GenProgram {
         Kind::Mem => 2 + rng.index(cfg.max_cores.clamp(2, 4) - 1),
         _ => 1 + rng.index(cfg.max_cores.min(2)),
     };
-    let bank_bytes: u32 = 64 * 1024; // LbpConfig::cores default
     let remote_banks: Vec<u32> = if kind == Kind::Mem {
         // One remote bank per program keeps the window arithmetic
         // simple; bank 0 is excluded so absolute traffic never aliases
@@ -501,7 +503,7 @@ fn gen_asm(rng: &mut Rng, cfg: &GenConfig, kind: Kind) -> GenProgram {
     for bank in &g.remote_banks {
         prologue.push_str(&format!(
             "    li s11, {:#x}\n",
-            SHARED_BASE + bank * bank_bytes
+            SHARED_BASE + bank * DEFAULT_SHARED_BANK_BYTES
         ));
     }
     // Give every scratch register a seeded value so loads/ALU soup are

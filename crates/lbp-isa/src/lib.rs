@@ -48,7 +48,10 @@ pub use decode::DecodeError;
 pub use encode::{EncodeError, OPC_CUSTOM0, OPC_CUSTOM1};
 pub use hart::{fork_result, HartId, IdentityWord, HARTS_PER_CORE, IDENTITY_VALID};
 pub use instr::{BranchKind, Instr, LoadKind, OpImmKind, OpKind, StoreKind};
-pub use mem::{Region, CODE_BASE, IO_BASE, LOCAL_BASE, SHARED_BASE};
+pub use mem::{
+    Region, CODE_BASE, DEFAULT_SHARED_BANK_BYTES, IO_BASE, LOCAL_BANK_BYTES, LOCAL_BASE,
+    SHARED_BASE,
+};
 pub use reg::{ParseRegError, Reg};
 
 /// The size of one instruction word in bytes.

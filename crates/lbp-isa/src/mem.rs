@@ -18,9 +18,16 @@ pub const CODE_BASE: u32 = 0x0000_0000;
 /// Base address of the per-core local bank (hart stacks and cv frames).
 pub const LOCAL_BASE: u32 = 0x4000_0000;
 
+/// Bytes of every core's local bank: four 16 KiB hart stacks.
+pub const LOCAL_BANK_BYTES: u32 = 64 * 1024;
+
 /// Base address of the global shared memory (block-distributed over the
 /// cores' shared banks).
 pub const SHARED_BASE: u32 = 0x8000_0000;
+
+/// Bytes of a core's shared bank unless a machine is configured with
+/// another size: bank `k` begins at `SHARED_BASE + k * 64 KiB`.
+pub const DEFAULT_SHARED_BANK_BYTES: u32 = 64 * 1024;
 
 /// Base address of the memory-mapped I/O request ports.
 pub const IO_BASE: u32 = 0xF000_0000;

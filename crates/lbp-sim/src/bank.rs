@@ -17,9 +17,9 @@
 
 use std::collections::VecDeque;
 
-use lbp_isa::{HartId, Instr, Region, LOCAL_BASE, SHARED_BASE};
+use lbp_isa::{HartId, Instr, Region, LOCAL_BANK_BYTES, LOCAL_BASE, SHARED_BASE};
 
-use crate::config::{cv_base_in, LbpConfig};
+use crate::config::{cv_base, fixed, LbpConfig};
 use crate::error::SimError;
 use crate::hart::Decoded;
 use crate::index_set::members;
@@ -197,7 +197,6 @@ pub(crate) struct Routed {
 #[derive(Debug, Clone)]
 pub(crate) struct Banks {
     cores: usize,
-    local_bank_bytes: u32,
     shared_bank_bytes: u32,
     /// The local bank of every core, then the shared bank of every core.
     banks: Vec<Vec<u8>>,
@@ -210,9 +209,8 @@ impl Banks {
         let sized = |bytes: u32| (0..cfg.cores).map(move |_| vec![0; bytes as usize]);
         let mut banks = Banks {
             cores: cfg.cores,
-            local_bank_bytes: cfg.local_bank_bytes,
             shared_bank_bytes: cfg.shared_bank_bytes,
-            banks: sized(cfg.local_bank_bytes)
+            banks: sized(LOCAL_BANK_BYTES)
                 .chain(sized(cfg.shared_bank_bytes))
                 .collect(),
         };
@@ -229,12 +227,6 @@ impl Banks {
             });
         }
         Ok(banks)
-    }
-
-    /// The fixed continuation-value frame base address of a hart (within
-    /// its core's local bank).
-    pub fn cv_base(&self, hart: HartId) -> u32 {
-        cv_base_in(self.local_bank_bytes, hart)
     }
 
     /// Decides where a data access of `hart` goes: the first two checks of
@@ -361,7 +353,7 @@ impl Banks {
 
     fn snap(&self, w: &mut SnapWriter) {
         w.u64(self.cores as u64);
-        w.u32(self.local_bank_bytes);
+        w.u32(LOCAL_BANK_BYTES);
         w.u32(self.shared_bank_bytes);
         for bank in &self.banks {
             w.bytes(bank);
@@ -375,10 +367,11 @@ impl Banks {
                 "memory system has {held} cores, configuration says {cores}"
             )));
         }
-        let local_bank_bytes = r.u32()?;
+        let field = "memory system: local_bank_bytes";
+        fixed(field, r.u32()?.into(), LOCAL_BANK_BYTES.into())?;
         let shared_bank_bytes = r.u32()?;
         let mut banks = Vec::new();
-        for expect in [local_bank_bytes, shared_bank_bytes] {
+        for expect in [LOCAL_BANK_BYTES, shared_bank_bytes] {
             for _ in 0..cores {
                 let bank = r.bytes()?;
                 if bank.len() != expect as usize {
@@ -392,7 +385,6 @@ impl Banks {
         }
         Ok(Banks {
             cores,
-            local_bank_bytes,
             shared_bank_bytes,
             banks,
         })
@@ -499,7 +491,7 @@ impl MemSys {
     /// Applies a cross-core `p_swcv` continuation-value write (the forward
     /// link's dedicated port into the local bank).
     pub fn cv_write(&mut self, to: HartId, offset: u32, value: u32) -> Result<(), SimError> {
-        let addr = self.banks.cv_base(to).wrapping_add(offset);
+        let addr = cv_base(to).wrapping_add(offset);
         let at = self.port_route(to.core(), addr, to)?;
         Ok(self.write(to.core(), at, value, 4)?)
     }
@@ -759,14 +751,13 @@ mod tests {
 
     #[test]
     fn cv_base_is_per_hart() {
-        let b = banks(4);
         // 64 KiB local bank -> 16 KiB stacks.
         assert_eq!(
-            b.cv_base(HartId::from_parts(2, 0)),
+            cv_base(HartId::from_parts(2, 0)),
             LOCAL_BASE + 16 * 1024 - CV_FRAME_BYTES
         );
         assert_eq!(
-            b.cv_base(HartId::from_parts(2, 3)),
+            cv_base(HartId::from_parts(2, 3)),
             LOCAL_BASE + 64 * 1024 - CV_FRAME_BYTES
         );
     }

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use lbp_isa::{HartId, IdentityWord, Instr, OpKind, HARTS_PER_CORE};
 
 use crate::bank::{MemSys, Route};
-use crate::config::{Latencies, LbpConfig};
+use crate::config::{cv_base, ALU_LATENCY, DIV_LATENCY};
 use crate::error::SimError;
 use crate::fabric::Fabric;
 use crate::hart::{Fetched, HartCtx, HartState, Rb, RbWait, Slot};
@@ -38,7 +38,8 @@ pub(crate) struct Env<'a> {
     /// Trace, sink, profiler and race witness: the pipeline reports to
     /// its hooks and never looks at which of them are on.
     pub obs: &'a mut Observers,
-    pub lat: Latencies,
+    /// RV32M multiplication latency in cycles.
+    pub mul_latency: u32,
     pub now: u64,
     pub cores: usize,
     pub exited: &'a mut bool,
@@ -76,10 +77,10 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    pub fn new(index: u32, mk_hart: impl Fn(HartId) -> HartCtx) -> Core {
+    pub fn new(index: u32) -> Core {
         Core {
             index,
-            harts: std::array::from_fn(|l| mk_hart(HartId::from_parts(index, l as u32))),
+            harts: std::array::from_fn(|l| HartCtx::new(HartId::from_parts(index, l as u32))),
             rr: [0; 5],
             // Each hart has at most one fork request outstanding, and
             // requests come from this core and its predecessor.
@@ -128,11 +129,10 @@ impl Core {
 
     pub(crate) fn unsnap(
         r: &mut crate::snapshot::SnapReader<'_>,
-        cfg: &LbpConfig,
     ) -> Result<Core, crate::snapshot::SnapError> {
         let index = r.u32()?;
         let harts = (0..r.seq()?)
-            .map(|_| HartCtx::unsnap(r, cfg))
+            .map(|_| HartCtx::unsnap(r))
             .collect::<Result<Vec<_>, _>>()?;
         let harts = harts.try_into().map_err(|harts: Vec<_>| {
             let n = harts.len();
@@ -340,7 +340,7 @@ impl Core {
         self.free_q.pop_front();
         self.alloc_q.pop_front();
         let child = HartId::from_parts(self.index, child_local as u32);
-        let sp = env.mem.banks.cv_base(child);
+        let sp = cv_base(child);
         self.harts[child_local].allocate(sp);
         self.syncm &= !(1 << child_local);
         self.live += 1;
@@ -465,13 +465,12 @@ impl Core {
         env: &mut Env<'_>,
     ) -> Result<RbWait, SimError> {
         let now = env.now;
-        let lat = env.lat;
         let alu = |v: u32| RbWait::Until {
-            at: now + lat.alu as u64,
+            at: now + ALU_LATENCY as u64,
             value: Some(v),
         };
         let silent = RbWait::Until {
-            at: now + lat.alu as u64,
+            at: now + ALU_LATENCY as u64,
             value: None,
         };
         let id = self.harts[hart_idx].id;
@@ -490,12 +489,12 @@ impl Core {
                         kind,
                         OpKind::Mul | OpKind::Mulh | OpKind::Mulhsu | OpKind::Mulhu
                     ) {
-                        lat.mul
+                        env.mul_latency
                     } else {
-                        lat.div
+                        DIV_LATENCY
                     }
                 } else {
-                    lat.alu
+                    ALU_LATENCY
                 };
                 RbWait::Until {
                     at: now + cycles as u64,
@@ -542,7 +541,7 @@ impl Core {
                 silent
             }
             Instr::PLwcv { offset, .. } => {
-                let addr = env.mem.banks.cv_base(id).wrapping_add(offset as u32);
+                let addr = cv_base(id).wrapping_add(offset as u32);
                 self.send_read(id, addr, 4, false, env)?;
                 self.harts[hart_idx].in_flight_mem += 1;
                 RbWait::Mem
@@ -551,7 +550,7 @@ impl Core {
                 self.harts[hart_idx].in_flight_mem += 1;
                 let target = xpar::cv_target(id, v1, env.cores)?;
                 if target.core() == self.index {
-                    let addr = env.mem.banks.cv_base(target).wrapping_add(offset as u32);
+                    let addr = cv_base(target).wrapping_add(offset as u32);
                     env.mem.local_request(
                         self.index,
                         NetMsg::WriteReq {

@@ -56,7 +56,7 @@ use lbp_asm::Image;
 use lbp_isa::{HartId, IdentityWord, Instr, Reg, HARTS_PER_CORE};
 
 use crate::bank::{Banks, CodeBank, Route, Routed};
-use crate::config::LbpConfig;
+use crate::config::{cv_base, LbpConfig, RESULT_SLOTS};
 use crate::deadlock::Waiting;
 use crate::error::{BlockedHart, SimError};
 use crate::hart::{HartState, Op};
@@ -98,12 +98,12 @@ struct FHart {
 }
 
 impl FHart {
-    fn fresh(result_slots: usize) -> FHart {
+    fn fresh() -> FHart {
         FHart {
             state: HartState::Free,
             pc: 0,
             regs: [0; 32],
-            recv: (0..result_slots).map(|_| VecDeque::new()).collect(),
+            recv: (0..RESULT_SLOTS).map(|_| VecDeque::new()).collect(),
             end_signal: false,
             team_succ: None,
             wait: FWait::Ready,
@@ -214,17 +214,12 @@ impl FastEngine {
     ///
     /// # Errors
     ///
-    /// Fails if the initialized data exceeds the configured shared space,
-    /// or if the configuration is one the cycle-exact machine refuses
-    /// (this engine could not hand over to it).
+    /// Fails if the initialized data exceeds the configured shared space.
     pub fn new(cfg: LbpConfig, image: &Image) -> Result<FastEngine, SimError> {
-        crate::machine::validate_pipeline(&cfg)?;
         let cores = cfg.cores;
         let banks = Banks::new(&cfg, &image.data)?;
-        let mut harts: Vec<FHart> = (0..cfg.harts())
-            .map(|_| FHart::fresh(cfg.result_slots))
-            .collect();
-        let boot_sp = cfg.cv_base(HartId::FIRST);
+        let mut harts: Vec<FHart> = (0..cfg.harts()).map(|_| FHart::fresh()).collect();
+        let boot_sp = cv_base(HartId::FIRST);
         harts[0].state = HartState::Running;
         harts[0].pc = image.entry;
         harts[0].regs[2] = boot_sp; // sp
@@ -424,7 +419,7 @@ impl FastEngine {
             self.free_q[core].pop_front();
             let requester = self.alloc_q[core].pop_front().expect("checked non-empty");
             let child = base + child_local;
-            let sp = self.cfg.cv_base(HartId::new(child as u32));
+            let sp = cv_base(HartId::new(child as u32));
             let h = &mut self.harts[child];
             h.regs = [0; 32];
             h.regs[2] = sp;
@@ -731,7 +726,7 @@ impl FastEngine {
                 let Instr::PLwcv { rd, offset } = i else {
                     unreachable!()
                 };
-                let addr = self.cfg.cv_base(self.id(hi)).wrapping_add(offset as u32);
+                let addr = cv_base(self.id(hi)).wrapping_add(offset as u32);
                 let v = self.mem_load(hi, addr, 4)?;
                 self.set(hi, rd, v);
             }
@@ -812,7 +807,7 @@ impl FastEngine {
         };
         let target = xpar::cv_target(self.id(hi), self.get(hi, rs1), self.cfg.cores)?;
         let value = self.get(hi, rs2);
-        let addr = self.cfg.cv_base(target).wrapping_add(offset as u32);
+        let addr = cv_base(target).wrapping_add(offset as u32);
         if target.core() as usize == hi / HARTS_PER_CORE {
             self.mem_store(hi, addr, value, 4)
         } else {

@@ -7,15 +7,15 @@ use std::collections::VecDeque;
 
 use lbp_isa::{HartId, Instr, Reg};
 
-use crate::config::LbpConfig;
+use crate::config::{PHYS_REGS, RESULT_SLOTS, WINDOW};
 use crate::index_set::members;
 use crate::snapshot::{
     get_hart, get_instr, put_hart, put_instr, SnapError, SnapReader, SnapWriter,
 };
 use crate::xpar;
 
-/// Index into a hart's renaming (physical) register file, which has at
-/// most 64 registers: one bit each in a `u64`.
+/// Index into a hart's renaming (physical) register file, which has 64
+/// registers: one bit each in a `u64`.
 pub(crate) type PhysReg = u8;
 
 /// Lifecycle of a hart.
@@ -317,12 +317,11 @@ pub(crate) struct HartCtx {
     /// hands `p` out, set by the write-back into it).
     ready: u64,
     pub free_phys: VecDeque<PhysReg>,
-    /// The in-flight window: the instruction with sequence number `seq`
-    /// sits at `seq & (win.len() - 1)` from rename to commit, and the
-    /// instructions in flight are `head_seq..next_seq`. The length is the
-    /// reorder buffer's capacity rounded up to a power of two, so that
-    /// finding a slot is a mask, and at most 64, so that a word has a bit
-    /// for every slot; the capacity itself is whatever was configured.
+    /// The in-flight window of [`WINDOW`] slots: the instruction with
+    /// sequence number `seq` sits at `seq & (WINDOW - 1)` from rename to
+    /// commit, and the instructions in flight are `head_seq..next_seq`.
+    /// A power of two, so that finding a slot is a mask, and at most 64,
+    /// so that a word has a bit for every slot.
     win: Vec<Slot>,
     /// The oldest instruction not yet committed: the reorder buffer is
     /// `head_seq..next_seq`.
@@ -350,16 +349,13 @@ pub(crate) struct HartCtx {
     /// started (the paper's §3 "the hardware memorizes the necessary
     /// links"). The ending-hart signal is forwarded to it.
     pub team_succ: Option<HartId>,
-    /// Capacity limits (from the machine configuration).
-    it_capacity: usize,
-    rob_capacity: usize,
 }
 
+const _: () = assert!(WINDOW.is_power_of_two() && WINDOW <= 64 && PHYS_REGS == 64);
+
 impl HartCtx {
-    /// Creates a hart in the `Free` state, of the shape `cfg` gives every
-    /// hart (which [`LbpConfig::check_pipeline`] has accepted).
-    pub fn new(id: HartId, cfg: &LbpConfig) -> HartCtx {
-        debug_assert_eq!(cfg.check_pipeline(), Ok(()));
+    /// Creates a hart in the `Free` state.
+    pub fn new(id: HartId) -> HartCtx {
         let mut h = HartCtx {
             id,
             state: HartState::Free,
@@ -369,10 +365,10 @@ impl HartCtx {
             syncm_wait: false,
             ib: None,
             rat: [0; 32],
-            prf: vec![0; cfg.phys_regs],
-            ready: !0 >> (64 - cfg.phys_regs),
-            free_phys: VecDeque::with_capacity(cfg.phys_regs - 32),
-            win: vec![Slot::EMPTY; cfg.rob_entries.next_power_of_two()],
+            prf: vec![0; PHYS_REGS],
+            ready: !0,
+            free_phys: VecDeque::with_capacity(PHYS_REGS - 32),
+            win: vec![Slot::EMPTY; WINDOW],
             head_seq: 0,
             next_seq: 0,
             waiting: 0,
@@ -381,11 +377,9 @@ impl HartCtx {
             rb: None,
             mem_in_it: 0,
             in_flight_mem: 0,
-            recv: (0..cfg.result_slots).map(|_| VecDeque::new()).collect(),
+            recv: (0..RESULT_SLOTS).map(|_| VecDeque::new()).collect(),
             end_signal: false,
             team_succ: None,
-            it_capacity: cfg.it_entries,
-            rob_capacity: cfg.rob_entries,
         };
         h.reset_register_state(0);
         h
@@ -483,7 +477,7 @@ impl HartCtx {
     /// Where the window keeps the instruction `seq`.
     #[inline]
     fn index(&self, seq: u64) -> usize {
-        seq as usize & (self.win.len() - 1)
+        seq as usize & (WINDOW - 1)
     }
 
     /// The in-flight instruction `seq`.
@@ -550,12 +544,12 @@ impl HartCtx {
     }
 
     /// `bits`, a word over the window's slots, turned so that bit `k` is
-    /// the slot of `head_seq + k`. The ring has `win.len()` slots, so what
+    /// the slot of `head_seq + k`. The ring has [`WINDOW`] slots, so what
     /// is shifted out below the head comes back in under that bit, not
     /// under bit 64.
     #[inline]
     fn by_age(&self, bits: u64) -> u64 {
-        let slots = self.win.len() as u32;
+        let slots = WINDOW as u32;
         let head = self.index(self.head_seq) as u32;
         let turned = bits >> head | bits << ((slots - head) & 63);
         turned & (!0 >> (64 - slots))
@@ -567,12 +561,12 @@ impl HartCtx {
         members(0, self.by_age(self.waiting)).map(|age| self.head_seq + age as u64)
     }
 
-    /// Whether rename can accept one more instruction.
+    /// Whether rename can accept one more instruction. The instruction
+    /// table lives inside the window and has its capacity, so a window
+    /// with room has a table with room.
     #[inline]
     pub fn rename_capacity(&self, needs_dest: bool) -> bool {
-        self.rob_len() < self.rob_capacity
-            && self.it_len() < self.it_capacity
-            && (!needs_dest || !self.free_phys.is_empty())
+        self.rob_len() < WINDOW && (!needs_dest || !self.free_phys.is_empty())
     }
 
     /// Renames an instruction into the window; returns its sequence
@@ -658,11 +652,11 @@ impl HartCtx {
 
     /// What the representation relies on, for `debug_assert!`: the
     /// instruction table and the written-back slots are disjoint and in
-    /// flight, the reorder buffer is within its capacity, and every
-    /// waiting slot's `need` is its sources.
+    /// flight, the window is within its capacity, and every waiting
+    /// slot's `need` is its sources.
     fn window_holds(&self) -> bool {
         let len = self.next_seq - self.head_seq;
-        assert!(len <= self.rob_capacity as u64, "{len} in flight");
+        assert!(len <= WINDOW as u64, "{len} in flight");
         let in_flight = (self.head_seq..self.next_seq).fold(0, |m, s| m | 1 << self.index(s));
         assert_eq!(self.waiting & self.done, 0, "waiting and written back");
         assert_eq!((self.waiting | self.done) & !in_flight, 0, "not in flight");
@@ -761,17 +755,19 @@ impl HartCtx {
         }
         w.bool(self.end_signal);
         w.opt(&self.team_succ, |w, &h| put_hart(w, h));
-        w.u64(self.it_capacity as u64);
-        w.u64(self.rob_capacity as u64);
+        // The format's instruction-table and reorder-buffer capacities.
+        w.u64(WINDOW as u64);
+        w.u64(WINDOW as u64);
     }
 
-    /// Reads a hart of the shape `cfg` gives every hart, filling the
-    /// window as the entries come. The format lists the instruction table
-    /// before the reorder buffer and carries `instr` and `srcs` for table
-    /// entries only: an issued slot gets [`Slot::EMPTY`]'s, which nothing
-    /// reads once an instruction has issued.
-    pub(crate) fn unsnap(r: &mut SnapReader<'_>, cfg: &LbpConfig) -> Result<HartCtx, SnapError> {
-        let mut h = HartCtx::new(get_hart(r)?, cfg);
+    /// Reads a hart, filling the window as the entries come. The format
+    /// lists the instruction table before the reorder buffer and carries
+    /// `instr` and `srcs` for table entries only: an issued slot gets
+    /// [`Slot::EMPTY`]'s, which nothing reads once an instruction has
+    /// issued. A register file, result buffer or capacity of any other
+    /// size than every hart's is refused.
+    pub(crate) fn unsnap(r: &mut SnapReader<'_>) -> Result<HartCtx, SnapError> {
+        let mut h = HartCtx::new(get_hart(r)?);
         let id = h.id;
         let corrupt = |why: String| SnapError::Corrupt(format!("hart {id}: {why}"));
         h.state = match r.u8()? {
@@ -791,13 +787,15 @@ impl HartCtx {
                 op: Decoded::new(get_instr(r)?),
             })
         })?;
+        let fixed = |field, got, want: usize| {
+            crate::config::fixed(format_args!("hart {id}: {field}"), got, want as u64)
+        };
         // Every renamed physical register must exist.
-        let bound = cfg.phys_regs;
         let phys = |r: &mut SnapReader<'_>| {
             let p = r.u16()?;
-            if usize::from(p) >= bound {
+            if usize::from(p) >= PHYS_REGS {
                 return Err(corrupt(format!(
-                    "physical register index beyond the {bound}-entry file"
+                    "physical register index beyond the {PHYS_REGS}-entry file"
                 )));
             }
             Ok(p as PhysReg)
@@ -806,11 +804,7 @@ impl HartCtx {
             *slot = phys(r)?;
         }
         let prf = r.seq()?;
-        if prf != bound {
-            return Err(corrupt(format!(
-                "{prf} renaming registers, configuration says phys_regs = {bound}"
-            )));
-        }
+        fixed("phys_regs", prf as u64, PHYS_REGS)?;
         h.ready = 0;
         for p in 0..prf {
             h.prf[p] = r.u32()?;
@@ -852,10 +846,9 @@ impl HartCtx {
         // Write-back and commit find an instruction at its sequence
         // number: the reorder buffer must be consecutive up to `next_seq`.
         let rob = r.seq()?;
-        if rob > h.rob_capacity {
+        if rob > WINDOW {
             return Err(corrupt(format!(
-                "{rob} reorder-buffer entries, configuration says rob_entries = {}",
-                h.rob_capacity
+                "{rob} reorder-buffer entries in a window of {WINDOW}"
             )));
         }
         let mut prets = 0;
@@ -948,7 +941,7 @@ impl HartCtx {
         }
         h.mem_in_it = r.u32()?;
         h.in_flight_mem = r.u32()?;
-        h.recv.resize_with(r.seq()?, VecDeque::new);
+        fixed("result_slots", r.seq()? as u64, RESULT_SLOTS)?;
         for q in &mut h.recv {
             for _ in 0..r.seq()? {
                 q.push_back(r.u32()?);
@@ -956,16 +949,8 @@ impl HartCtx {
         }
         h.end_signal = r.bool()?;
         h.team_succ = r.opt(get_hart)?;
-        for (field, ours) in [
-            ("it_entries", h.it_capacity),
-            ("rob_entries", h.rob_capacity),
-        ] {
-            let theirs = r.u64()?;
-            if theirs != ours as u64 {
-                return Err(corrupt(format!(
-                    "capacity {theirs}, configuration says {field} = {ours}"
-                )));
-            }
+        for field in ["it_entries", "rob_entries"] {
+            fixed(field, r.u64()?, WINDOW)?;
         }
         debug_assert!(h.window_holds());
         Ok(h)
@@ -978,7 +963,7 @@ mod tests {
     use lbp_isa::OpImmKind;
 
     fn hart() -> HartCtx {
-        HartCtx::new(HartId::new(0), &LbpConfig::cores(1))
+        HartCtx::new(HartId::new(0))
     }
 
     fn addi_at(pc: u32, rd: Reg, rs1: Reg, imm: i32) -> Fetched {
@@ -1035,21 +1020,19 @@ mod tests {
         assert_eq!(h.oldest_ready(), Some(1));
     }
 
-    /// The window of a three-entry reorder buffer has four slots, so the
-    /// head goes round it; age order is order from the head, wherever in
-    /// the ring the head is, and a word of four bits turns within four.
+    /// Three instructions at a time go round the [`WINDOW`]-slot ring, and
+    /// since three and the window are coprime the oldest of them sits in
+    /// every slot in turn; age order is order from the head, wherever in
+    /// the ring the head is, and a word of `WINDOW` bits turns within it.
     #[test]
     fn age_order_survives_the_head_going_round_the_ring() {
-        let mut cfg = LbpConfig::cores(1);
-        cfg.rob_entries = 3;
-        let mut h = HartCtx::new(HartId::new(0), &cfg);
+        let mut h = hart();
         h.boot(0, 0x1000);
-        for lap in 0..3 * 4 {
+        for lap in 0..3 * WINDOW {
             // Three in flight, the middle one waiting on the first.
             let first = h.rename(addi(Reg::A0, Reg::A1, 1));
             h.rename(addi(Reg::A2, Reg::A0, 1));
             h.rename(addi(Reg::A3, Reg::A1, 1));
-            assert!(!h.rename_capacity(false), "lap {lap}: three is full");
             assert_eq!(
                 h.waiting_seqs().collect::<Vec<_>>(),
                 [first, first + 1, first + 2]
@@ -1166,7 +1149,7 @@ mod tests {
     }
 
     fn unsnap_bytes(bytes: &[u8]) -> Result<HartCtx, SnapError> {
-        HartCtx::unsnap(&mut SnapReader::new(bytes), &LbpConfig::cores(1))
+        HartCtx::unsnap(&mut SnapReader::new(bytes))
     }
 
     /// Where the entries of the instruction at `pc` start in the snapshot
@@ -1313,17 +1296,81 @@ mod tests {
         assert_eq!(snap_bytes(&back), issued);
     }
 
-    /// The shape of a hart is its configuration's.
+    /// Every hart has one shape; the words the format keeps for its sizes
+    /// hold nothing else.
     #[test]
     fn unsnap_rejects_a_hart_of_another_shape() {
-        let mut bytes = snap_bytes(&in_flight());
-        let at = bytes.len() - 8;
-        bytes[at] = 65;
-        assert_corrupt(&bytes, "rob_entries = 32");
-        let mut cfg = LbpConfig::cores(1);
-        cfg.phys_regs = 34;
-        let small = snap_bytes(&HartCtx::new(HartId::new(0), &cfg));
-        assert_corrupt(&small, "phys_regs = 64");
+        let good = snap_bytes(&in_flight());
+        // No renaming register is 64, so the first 64 is the file's length.
+        let prf = (good.windows(8).position(|w| w == 64u64.to_le_bytes()))
+            .expect("the register file is in the snapshot");
+        let recv = next_seq_of(&good) + 8 + 2 * 4;
+        let tail = good.len() - 2 * 8;
+        for (at, value, field) in [
+            (prf, 34, "hart c0h0: phys_regs = 34"),
+            (recv, 3, "hart c0h0: result_slots = 3"),
+            (tail, 31, "hart c0h0: it_entries = 31"),
+            (tail + 8, 65, "hart c0h0: rob_entries = 65"),
+        ] {
+            let mut bytes = good.clone();
+            bytes[at] = value;
+            assert_corrupt(&bytes, field);
+        }
+    }
+
+    /// Retires the oldest instruction in flight, which has no destination
+    /// to write or has had it written, as issue, write-back and commit do.
+    fn retire_head(h: &mut HartCtx) {
+        let seq = h.head_seq;
+        issue(h, seq, RbWait::Mem);
+        let rb = h.rb.take().unwrap();
+        if let Some(dest) = rb.dest {
+            h.write_phys(dest, 0);
+        }
+        h.rob_mark_done(seq);
+        h.pop_head();
+    }
+
+    /// Rename stalls when the window is full and resumes at the first
+    /// commit. Stores fill the window and leave the 32 spare registers
+    /// free; `addi`s fill the window and the spare registers together,
+    /// since every instruction in flight holds at most one register and
+    /// there are as many spare registers as slots.
+    #[test]
+    fn a_full_window_and_no_free_register_stall_rename_until_a_commit() {
+        let mut h = hart();
+        h.boot(0, 0x1000);
+        let store = Fetched {
+            pc: 0,
+            op: Decoded::new(Instr::Store {
+                kind: lbp_isa::StoreKind::W,
+                rs1: Reg::SP,
+                rs2: Reg::A0,
+                offset: 0,
+            }),
+        };
+        for _ in 0..WINDOW {
+            assert!(h.rename_capacity(false));
+            h.rename(store);
+        }
+        assert_eq!((h.rob_len(), h.free_phys.len()), (WINDOW, PHYS_REGS - 32));
+        assert!(!h.rename_capacity(false) && !h.rename_capacity(true));
+        retire_head(&mut h);
+        assert!(h.rename_capacity(false) && h.rename_capacity(true));
+        while h.head().is_some() {
+            retire_head(&mut h);
+        }
+        for _ in 0..PHYS_REGS - 32 {
+            assert!(h.rename_capacity(true));
+            h.rename(addi(Reg::A0, Reg::A0, 1));
+        }
+        assert_eq!((h.rob_len(), h.free_phys.len()), (WINDOW, 0));
+        assert!(!h.rename_capacity(false) && !h.rename_capacity(true));
+        retire_head(&mut h);
+        assert_eq!((h.rob_len(), h.free_phys.len()), (WINDOW - 1, 1));
+        assert!(h.rename_capacity(true));
+        h.rename(addi(Reg::A0, Reg::A0, 1));
+        assert!(!h.rename_capacity(true));
     }
 
     /// One instruction of every variant and every kind, `p_jalr` and

@@ -92,7 +92,7 @@ mod trace;
 mod xpar;
 
 pub use bank::MemFault;
-pub use config::{Latencies, LbpConfig, CV_FRAME_BYTES};
+pub use config::{LbpConfig, CV_FRAME_BYTES};
 pub use dump::{HartDump, MachineDump, SimFailure, DUMP_SCHEMA};
 pub use error::{BlockedHart, ExitClass, SimError};
 pub use fast::{FastEngine, FastStop, FastSummary, WarmError};

@@ -4,7 +4,7 @@ use lbp_asm::Image;
 use lbp_isa::HartId;
 
 use crate::bank::{is_code_word, Banks, CodeBank, MemSys};
-use crate::config::LbpConfig;
+use crate::config::{cv_base, LbpConfig};
 use crate::core::{Core, Env};
 use crate::dump::SimFailure;
 use crate::error::SimError;
@@ -163,12 +163,10 @@ impl Machine {
     /// # Errors
     ///
     /// Fails if the initialized data exceeds the configured shared space,
-    /// if the configuration asks for a pipeline the model cannot hold
-    /// (see [`LbpConfig::phys_regs`] and [`LbpConfig::rob_entries`]), or if
-    /// its fault plan targets something outside the machine (a hart,
-    /// register, address or code word that does not exist).
+    /// or if the configuration's fault plan targets something outside the
+    /// machine (a hart, register, address or code word that does not
+    /// exist).
     pub fn new(cfg: LbpConfig, image: &Image) -> Result<Machine, SimError> {
-        validate_pipeline(&cfg)?;
         validate_fault_plan(&cfg, image)?;
         let banks = Banks::new(&cfg, &image.data)?;
         Ok(Machine::around(cfg, image, banks))
@@ -191,10 +189,8 @@ impl Machine {
         let mut fabric = Fabric::new(cfg.cores);
         fabric.set_faults(drop_nth, delay_nth);
         let mem = MemSys::new(&cfg, CodeBank::new(&image.text), banks);
-        let mut cores: Vec<Core> = (0..cfg.cores as u32)
-            .map(|c| Core::new(c, |id| HartCtx::new(id, &cfg)))
-            .collect();
-        let boot_sp = cfg.cv_base(HartId::FIRST);
+        let mut cores: Vec<Core> = (0..cfg.cores as u32).map(Core::new).collect();
+        let boot_sp = cv_base(HartId::FIRST);
         cores[0].harts[0].boot(image.entry, boot_sp);
         cores[0].free_q.retain(|&l| l != 0); // the boot hart starts running, not free
         cores[0].recount_live();
@@ -595,7 +591,7 @@ impl Machine {
             )));
         }
         let cores = (0..ncores)
-            .map(|_| Core::unsnap(&mut r, &cfg))
+            .map(|_| Core::unsnap(&mut r))
             .collect::<Result<Vec<_>, _>>()?;
         let mem = MemSys::unsnap(&mut r, ncores)?;
         let fabric = Fabric::unsnap_dyn(&mut r, ncores, drop_nth, delay_nth, fabric_faults)?;
@@ -650,7 +646,7 @@ impl Machine {
             fabric: &mut self.fabric,
             stats: &mut self.stats,
             obs: &mut self.obs,
-            lat: self.cfg.latencies,
+            mul_latency: self.cfg.mul_latency,
             now,
             cores: self.cfg.cores,
             exited: &mut self.exited,
@@ -1058,7 +1054,6 @@ pub(crate) fn materialize_from_fast(
             }
         }
     }
-    validate_pipeline(&cfg)?;
     validate_fault_plan(&cfg, image)?;
     let mut m = Machine::around(cfg, image, fast.banks().clone());
     m.cycle = vcycle;
@@ -1114,15 +1109,6 @@ pub(crate) fn materialize_from_fast(
         stalls: m.stats.stalls_total(),
     };
     Ok(m)
-}
-
-/// Rejects a configuration whose pipeline the per-hart window and
-/// renaming file cannot hold, before anything is sized from it.
-pub(crate) fn validate_pipeline(cfg: &LbpConfig) -> Result<(), SimError> {
-    cfg.check_pipeline().map_err(|why| SimError::Protocol {
-        hart: HartId::FIRST,
-        what: format!("invalid configuration: {why}"),
-    })
 }
 
 /// Rejects fault plans that target something outside the machine, so the

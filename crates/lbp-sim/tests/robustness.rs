@@ -486,116 +486,122 @@ fn a_protocol_violation_is_the_same_error_on_both_engines() {
 }
 
 // ---------------------------------------------------------------------------
-// A configuration the pipeline cannot hold is an error, not a panic
+// A snapshot of another hart shape is corrupt, not a different machine
 // ---------------------------------------------------------------------------
 
-/// The default one-core configuration with one knob turned.
-fn patched(patch: impl Fn(&mut LbpConfig)) -> LbpConfig {
-    let mut cfg = LbpConfig::cores(1);
-    patch(&mut cfg);
-    cfg
+/// Each `(value, width)` as `width` little-endian bytes, as the snapshot
+/// format writes a word (zero-extended past eight bytes).
+fn words(parts: &[(u64, usize)]) -> Vec<u8> {
+    let word = |&(value, width): &(u64, usize)| {
+        let bytes = value.to_le_bytes().into_iter().chain(std::iter::repeat(0));
+        bytes.take(width)
+    };
+    parts.iter().flat_map(word).collect()
 }
 
-/// A renaming file or a reorder buffer outside `34..=64` / `0..=64`, by
-/// the field that says so; 70,000 is more than a register index holds.
-fn misfits() -> [(&'static str, LbpConfig); 5] {
-    [
-        ("phys_regs", patched(|cfg| cfg.phys_regs = 10)),
-        ("phys_regs", patched(|cfg| cfg.phys_regs = 33)),
-        ("phys_regs", patched(|cfg| cfg.phys_regs = 65)),
-        ("phys_regs", patched(|cfg| cfg.phys_regs = 70_000)),
-        ("rob_entries", patched(|cfg| cfg.rob_entries = 65)),
-    ]
-}
-
+/// Every machine has one hart shape and one local-bank size. The format
+/// keeps a word for each size that used to be a setting: the
+/// configuration's seven, every hart's register-file length, result-slot
+/// count and two capacities, and the memory system's local-bank size. A
+/// snapshot holding any other value there is refused, naming the field.
+/// A consistent snapshot whose first hart has 3 result slots used to
+/// restore and run to exit with a different shape.
 #[test]
-fn a_pipeline_that_does_not_fit_is_refused_by_both_engines_and_the_handoff() {
-    let image = assemble(MUL_PROGRAM).unwrap();
-    for (field, cfg) in misfits() {
-        let exact = Machine::new(cfg.clone(), &image).map(|_| ());
-        let functional = FastEngine::new(cfg.clone(), &image).map(|_| ());
-        let handoff = FastEngine::new(cfg.clone(), &image).and_then(|mut fast| {
-            fast.run(FastStop::Retired(2), 100)?;
-            fast.materialize(&image).map(|_| ())
-        });
-        for (engine, refusal) in [
-            ("cycle-exact", exact),
-            ("functional", functional),
-            ("handoff", handoff),
-        ] {
-            let err = refusal.expect_err(engine);
-            assert!(
-                matches!(&err, SimError::Protocol { what, .. }
-                    if what.contains("invalid configuration") && what.contains(field)),
-                "{engine}, {field}: {err:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn the_ends_of_the_range_fit_and_an_empty_buffer_still_deadlocks() {
-    let image = assemble(MUL_PROGRAM).unwrap();
-    for cfg in [
-        patched(|cfg| cfg.phys_regs = 34),
-        patched(|cfg| cfg.rob_entries = 64),
-        patched(|cfg| cfg.rob_entries = 1),
-    ] {
-        let mut m = Machine::new(cfg, &image).unwrap();
-        assert!(m.run(10_000).unwrap().exited);
-        assert_eq!(m.reg(HartId::FIRST, lbp_isa::Reg::A2), 42);
-    }
-    // Nothing can rename into a buffer or a table of no entries: the run
-    // is the deadlock it always was.
-    for cfg in [
-        patched(|cfg| cfg.rob_entries = 0),
-        patched(|cfg| cfg.it_entries = 0),
-    ] {
-        let err = Machine::new(cfg, &image).unwrap().run(10_000).unwrap_err();
-        let SimError::Deadlock { blocked, .. } = &err else {
-            panic!("expected Deadlock, got {err:?}");
-        };
-        assert!(blocked[0].waiting_on.contains("rename capacity"), "{err}");
-    }
-}
-
-#[test]
-fn a_snapshot_of_a_pipeline_that_does_not_fit_is_corrupt() {
-    // A table one entry short of the buffer, so that a hart's two
-    // capacities are a pattern the configuration's (buffer first) is not.
-    let mut m = Machine::new(
-        patched(|cfg| cfg.it_entries = 31),
-        &assemble(MUL_PROGRAM).unwrap(),
-    )
-    .unwrap();
+fn a_snapshot_of_another_shape_is_corrupt() {
+    let mut m = Machine::new(LbpConfig::cores(1), &assemble(MUL_PROGRAM).unwrap()).unwrap();
     m.run_to(5).unwrap();
     let bytes = m.snapshot().as_bytes().to_vec();
-    let find = |words: [u64; 2]| {
-        let pattern: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let at = bytes.windows(16).position(|w| w == pattern);
-        at.expect("the capacities are in the snapshot")
+    let find = |pattern: &[u8], from: usize| {
+        let at = bytes[from..]
+            .windows(pattern.len())
+            .position(|w| w == pattern);
+        from + at.expect("the pattern is in the snapshot")
     };
-    // The configuration holds phys_regs, rob_entries, it_entries in that
-    // order; every hart ends in it_capacity, rob_capacity.
-    let cfg_rob = find([32, 31]);
-    let hart_it = find([31, 32]);
-    for (at, value, field) in [
-        (cfg_rob - 8, 10, "phys_regs"),
-        (cfg_rob - 8, 65, "phys_regs"),
-        (cfg_rob, 65, "rob_entries"),
-        (hart_it + 8, 65, "rob_entries"),
-        (hart_it + 8, 33, "rob_entries"),
-        (hart_it, 30, "it_entries"),
+    let bank = 64 * 1024;
+    // Local and shared bank, phys_regs, rob_entries, it_entries,
+    // result_slots, then the alu, mul and div latencies.
+    let cfg = find(
+        &words(&[(bank, 4), (bank, 4), (64, 8), (32, 8), (32, 8), (8, 8)]),
+        0,
+    );
+    // Every hart ends in its result slots (eight empty ones on the boot
+    // hart), its ending signal, no team successor and its two capacities.
+    let recv = find(
+        &words(&[(8, 8), (0, 64), (1, 1), (0, 1), (32, 8), (32, 8)]),
+        cfg + 40,
+    );
+    let tail = recv + 8 + 64 + 2;
+    // The first hart's register file is the first 64 after the
+    // configuration; the memory system's two bank sizes are followed by
+    // the first local bank's length.
+    let prf = find(&words(&[(64, 8)]), cfg + 40);
+    let mem = find(&words(&[(bank, 4), (bank, 4), (bank, 8)]), tail);
+    let slots = words(&[(3, 8), (0, 24)]);
+    for (at, len, value, field) in [
+        (
+            cfg,
+            4,
+            words(&[(32 * 1024, 4)]),
+            "configuration: local_bank_bytes = 32768",
+        ),
+        (
+            cfg + 8,
+            8,
+            words(&[(34, 8)]),
+            "configuration: phys_regs = 34",
+        ),
+        (
+            cfg + 16,
+            8,
+            words(&[(64, 8)]),
+            "configuration: rob_entries = 64",
+        ),
+        (
+            cfg + 24,
+            8,
+            words(&[(31, 8)]),
+            "configuration: it_entries = 31",
+        ),
+        (
+            cfg + 32,
+            8,
+            words(&[(3, 8)]),
+            "configuration: result_slots = 3",
+        ),
+        (
+            cfg + 40,
+            4,
+            words(&[(2, 4)]),
+            "configuration: latencies.alu = 2",
+        ),
+        (
+            cfg + 48,
+            4,
+            words(&[(34, 4)]),
+            "configuration: latencies.div = 34",
+        ),
+        (prf, 8, words(&[(34, 8)]), "hart c0h0: phys_regs = 34"),
+        (recv, 8 + 64, slots, "hart c0h0: result_slots = 3"),
+        (tail, 8, words(&[(31, 8)]), "hart c0h0: it_entries = 31"),
+        (
+            tail + 8,
+            8,
+            words(&[(65, 8)]),
+            "hart c0h0: rob_entries = 65",
+        ),
+        (
+            mem,
+            4,
+            words(&[(32 * 1024, 4)]),
+            "memory system: local_bank_bytes = 32768",
+        ),
     ] {
         let mut bent = bytes.clone();
-        bent[at..at + 8].copy_from_slice(&u64::to_le_bytes(value));
+        bent.splice(at..at + len, value);
         let state = MachineState::from_bytes(bent).unwrap();
         match Machine::restore(&state) {
-            Err(SnapError::Corrupt(msg)) => assert!(msg.contains(field), "{msg}"),
-            other => panic!(
-                "`{field}` = {value} must be refused, got {:?}",
-                other.map(|_| ())
-            ),
+            Err(SnapError::Corrupt(msg)) => assert!(msg.starts_with(field), "{field}: {msg}"),
+            other => panic!("`{field}` must be refused, got {:?}", other.map(|_| ())),
         }
     }
 }

@@ -76,7 +76,7 @@ fn division_blocks_the_result_buffer() {
         "    div a0, a0, a1\n".repeat(n)
     ));
     let div_cost = (divs - base) as f64 / n as f64;
-    // Latencies::default().div == 12.
+    // Every divider takes 12 cycles (`DIV_LATENCY` in lbp-sim).
     assert!(
         div_cost >= 11.0,
         "a division chain must pay the 12-cycle divider: {div_cost}"

@@ -58,7 +58,9 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use lbp_isa::{Instr, OpImmKind, OpKind, Reg, HARTS_PER_CORE, IO_BASE, SHARED_BASE};
+use lbp_isa::{
+    Instr, OpImmKind, OpKind, Reg, DEFAULT_SHARED_BANK_BYTES, HARTS_PER_CORE, IO_BASE, SHARED_BASE,
+};
 
 use crate::diag::{Diag, DiagCode, Severity};
 use crate::flow::{Facts, Fixpoint, Program, State, Value};
@@ -78,8 +80,6 @@ const PAIR_BUDGET: usize = 2_000_000;
 /// index (at most [`MAX_TEAM`]) in `record`, `overlap_pair` and the bank
 /// check stay far inside `i64`.
 const MAG_LIMIT: i64 = 1 << 33;
-/// The default shared-bank geometry (LbpConfig::default), for `M006`.
-const BANK_BYTES: i64 = 64 * 1024;
 
 /// An affine value `a·t + v` for some `v ∈ [lo, hi]`, `t` the member
 /// index. `a = 0, lo = hi` is a constant; `lo < hi` an interval.
@@ -885,8 +885,10 @@ impl<'a> Engine<'a> {
             hi = hi.max(smax + w.size);
             pc = pc.min(w.pc);
         }
-        let b0 = (lo - SHARED_BASE as i64) / BANK_BYTES;
-        let b1 = (hi - 1 - SHARED_BASE as i64) / BANK_BYTES;
+        // The default shared-bank geometry, which `M006` assumes.
+        let bank_bytes = i64::from(DEFAULT_SHARED_BANK_BYTES);
+        let b0 = (lo - SHARED_BASE as i64) / bank_bytes;
+        let b1 = (hi - 1 - SHARED_BASE as i64) / bank_bytes;
         if b0 == b1 {
             self.report(
                 Diag::new(

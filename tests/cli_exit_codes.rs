@@ -230,6 +230,42 @@ fn exit_1_a_literal_wider_than_a_word_names_its_column() {
     }
 }
 
+/// An array bound whose arithmetic overflows, whose bytes pass the
+/// 32-bit address space or that has no element is refused at its line
+/// and column, in release as in debug: a shift or product never wraps to
+/// a small size, and a local array never to a slot in the caller's frame.
+#[test]
+fn exit_1_an_array_size_past_the_machine_names_its_column() {
+    let main = "void main(void) { }\n";
+    for (source, error) in [
+        ("int u[1 << 70];", "1:14: array size 1 << 70 overflows"),
+        ("int u[1 << 64];", "1:14: array size 1 << 64 overflows"),
+        ("int u[3 << 62];", "1:14: array size 3 << 62 overflows"),
+        (
+            "int g[1 << 31];",
+            "1:14: array of 2147483648 words exceeds the 4 GiB address space",
+        ),
+        ("int g[0];", "1:8: an array needs at least one element"),
+        (
+            "void f(void) { int a[0]; }",
+            "1:23: an array needs at least one element",
+        ),
+        (
+            "void f(void) { int a[1073741824]; a[5] = 1; }",
+            "1:32: array of 1073741824 words exceeds the 4 GiB address space",
+        ),
+    ] {
+        let path = scratch("array_size.c", &format!("{source}\n{main}"));
+        let out = lbp_cc(&[path.to_str().unwrap()]);
+        assert_eq!(class_of(out.status), ExitClass::Failure, "{source}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("lbp-cc: compile error at line {error}\n"),
+            "{source}"
+        );
+    }
+}
+
 /// Team members that overlap on a shared word give the program no
 /// meaning: the interpreter traps at the join, naming both members, and
 /// `--diff` stops there too. Conflict-free programs are untouched.
