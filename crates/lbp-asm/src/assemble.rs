@@ -186,7 +186,7 @@ fn resolve(
 /// out: 64 MiB, sixteen times the largest shared space a shipped
 /// configuration has (64 cores of 64 KiB). A `.space` or `.align` past it
 /// is an error of pass 1 instead of an allocation of pass 2.
-const MAX_IMAGE_BYTES: u32 = 64 << 20;
+pub const MAX_IMAGE_BYTES: u32 = 64 << 20;
 
 fn overflow(si: &SourceItem) -> AsmError {
     AsmError::new(si.line, "section overflow")

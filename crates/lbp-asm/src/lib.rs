@@ -44,7 +44,7 @@ mod image;
 mod item;
 mod parser;
 
-pub use assemble::{assemble, assemble_items};
+pub use assemble::{assemble, assemble_items, MAX_IMAGE_BYTES};
 pub use builder::{Asm, Mark};
 pub use error::AsmError;
 pub use expr::{hi20, lo12, Expr, UndefinedSymbol};

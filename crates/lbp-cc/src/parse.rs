@@ -219,6 +219,16 @@ impl<'src> Parser<'src> {
                 self.bump();
                 elems = self.const_expr()?;
                 is_array = true;
+                // The globals are the image's data: refuse the array that
+                // takes them past the largest image the assembler lays out.
+                let before: u64 = unit.globals.iter().map(|g| u64::from(g.elems) * 4).sum();
+                let bytes = before + u64::from(elems) * 4;
+                if bytes > u64::from(lbp_asm::MAX_IMAGE_BYTES) {
+                    return Err(self.err(format!(
+                        "globals through `{name}` take {bytes} bytes, past the {}-byte image",
+                        lbp_asm::MAX_IMAGE_BYTES
+                    )));
+                }
                 self.eat_sym("]")?;
             }
             let mut fill = None;

@@ -41,7 +41,12 @@
 //! and `step` is one `match` on it. Round-robin over hundreds of harts
 //! puts a different pc behind every dispatch, so each extra level (the
 //! `Instr` variant, then its kind) would be one more mispredicted jump
-//! per instruction.
+//! per instruction. A run to the exit keeps only the final state, which
+//! any rendezvous-respecting schedule reaches, so there each hart takes
+//! turns of up to `EXIT_TURN` (32) instructions and the jumps see one hart's
+//! loop at a time. A run that stops for a handoff keeps one instruction
+//! per turn: the machine materialized from it continues its clock, and
+//! long turns would leave that machine's cores out of step.
 //!
 //! What is deliberately **not** modeled: cycles, stalls, bank conflicts,
 //! link hops and contention (all zero in the produced statistics), fault
@@ -110,6 +115,10 @@ impl FHart {
         }
     }
 }
+
+/// Instructions a hart executes per turn on a [`FastStop::Exit`] run.
+/// Handoff stops (`Retired`, `Pc`) take one per turn.
+const EXIT_TURN: u32 = 32;
 
 /// The condition a [`FastEngine::run`] call stops on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -623,9 +632,11 @@ impl FastEngine {
     /// The arithmetic, comparisons, extension and truncation below are
     /// this engine's own on purpose — it is the reference the pipeline's
     /// `OpKind::eval`/`BranchKind::taken` are compared against. The
-    /// longer X_PAR arms are helpers of their own for reading's sake; they
-    /// inline all the same, since one that does not hands its `Result`
-    /// back through memory on every instruction's path.
+    /// longer X_PAR arms are helpers of their own for reading's sake, and
+    /// `#[inline(always)]`: one that does not inline hands its `Result`
+    /// back through memory on every instruction's path, and with `step`
+    /// in both turn lengths of [`FastEngine::run`] the inliner no longer
+    /// inlines them by itself (the one-instruction path ran ≈ 10 % slower).
     #[inline(always)]
     fn step(&mut self, hi: usize) -> Result<bool, SimError> {
         let pc = self.harts[hi].pc;
@@ -801,6 +812,7 @@ impl FastEngine {
     /// `p_swcv`: a continuation value into the target hart's frame — a
     /// store of this hart's on its own core, a forward-link message
     /// delivered at once on the next.
+    #[inline(always)]
     fn p_swcv(&mut self, hi: usize, i: Instr) -> Result<(), SimError> {
         let Instr::PSwcv { rs1, rs2, offset } = i else {
             unreachable!()
@@ -820,6 +832,7 @@ impl FastEngine {
 
     /// `p_swre`: a result into a prior hart's receive slot, waking it if
     /// it waits on that slot.
+    #[inline(always)]
     fn p_swre(&mut self, hi: usize, i: Instr) -> Result<(), SimError> {
         let Instr::PSwre { rs1, rs2, offset } = i else {
             unreachable!()
@@ -847,6 +860,7 @@ impl FastEngine {
 
     /// `p_ret` at `pc`: waits for the team predecessor's ending signal,
     /// then ends, joins or parks at the exit as [`Ending::of`] decides.
+    #[inline(always)]
     fn p_ret(&mut self, hi: usize, i: Instr, pc: u32) -> Result<bool, SimError> {
         let Instr::PJalr { rs1, rs2, .. } = i else {
             unreachable!()
@@ -920,14 +934,23 @@ impl FastEngine {
     /// allocations to the next rendezvous-quiet point), the exit `p_ret`
     /// is reached, or `max_steps` instructions have executed.
     ///
-    /// The schedule is deterministic: one instruction per runnable hart
-    /// per round, in hart order. The interleaving approximates the
-    /// cycle-exact machine's concurrency, which matters for hart
-    /// *allocation* fidelity — a run-to-block schedule would let early
-    /// team members end (freeing their harts) before later forks arrive,
-    /// so `p_fc` would reuse harts the concurrent machine never frees in
-    /// time. The runnable set is cached and rebuilt only when a hart
-    /// parks, wakes, or changes state, so serial phases stay fast.
+    /// The schedule is deterministic: runnable harts take turns in hart
+    /// order, and a turn runs until the hart blocks, parks or reaches the
+    /// exit, or until it has executed `EXIT_TURN` (32) instructions on an
+    /// [`FastStop::Exit`] run and one on any other. The interleaving
+    /// approximates the cycle-exact machine's concurrency, which matters
+    /// for hart *allocation* fidelity — a run-to-block schedule would let
+    /// early team members end (freeing their harts) before later forks
+    /// arrive, so `p_fc` would reuse harts the concurrent machine never
+    /// frees in time. An Exit run keeps only the final state, which any
+    /// schedule that respects the rendezvous edges reaches, so its turns
+    /// are long; the state a handoff stop leaves is materialized into a
+    /// machine whose clock continues from it, and long turns would leave
+    /// that machine's cores unbalanced (on tiled h=64 the hybrid's cycle
+    /// error goes from 1.3–1.7 % to 2.4–2.5 % at 32-instruction turns),
+    /// so those stops keep one instruction per turn. The runnable set is cached and rebuilt
+    /// only when a hart parks, wakes, or changes state, so serial phases
+    /// stay fast.
     ///
     /// # Errors
     ///
@@ -935,59 +958,76 @@ impl FastEngine {
     /// [`SimError::Timeout`] when the step budget runs out, or any fatal
     /// fault the program raises (same classes as the cycle-exact engine).
     pub fn run(&mut self, stop: FastStop, max_steps: u64) -> Result<FastSummary, SimError> {
+        match stop {
+            FastStop::Exit => self.run_turns::<EXIT_TURN>(stop, max_steps),
+            FastStop::Retired(_) | FastStop::Pc(_) => self.run_turns::<1>(stop, max_steps),
+        }
+    }
+
+    /// [`FastEngine::run`] with turns of up to `TURN` instructions. The
+    /// turn length is a const parameter so that the `TURN = 1` turn loop
+    /// folds away: a runtime length in this loop made the
+    /// one-instruction path 18–29 % slower.
+    fn run_turns<const TURN: u32>(
+        &mut self,
+        stop: FastStop,
+        max_steps: u64,
+    ) -> Result<FastSummary, SimError> {
         let mut steps = 0u64;
         let mut clamped = 0u64;
         let mut stopping = self.stop_met(stop);
         let mut stop_hart: Option<HartId> = None;
         let mut include_stopped = false;
-        let mut runnable: Vec<usize> = Vec::new();
+        let mut runnable: Vec<usize> = Vec::with_capacity(self.harts.len());
         self.sched_dirty = true;
         'outer: loop {
             if self.at_exit || (stopping && self.rendezvous_quiet()) {
                 break;
             }
             if self.sched_dirty {
-                runnable = (0..self.harts.len())
-                    .filter(|&h| self.runnable(h))
-                    .collect();
+                runnable.clear();
+                runnable.extend((0..self.harts.len()).filter(|&h| self.runnable(h)));
                 self.sched_dirty = false;
             }
             let mut progress = false;
             for &hi in &runnable {
-                if !self.runnable(hi) {
-                    continue; // parked or freed since the set was built
-                }
-                if stopping {
-                    if self.rendezvous_quiet() {
-                        break 'outer;
+                // One turn. A hart that parked, blocked on a fork or was
+                // freed ends it: stepping it again would re-issue its
+                // blocked instruction.
+                let mut left = TURN;
+                while left > 0 && self.runnable(hi) {
+                    left -= 1;
+                    if stopping {
+                        if self.rendezvous_quiet() {
+                            break 'outer;
+                        }
+                        if !include_stopped && stop_hart == Some(self.id(hi)) {
+                            break; // keep the ROI hart parked while draining
+                        }
+                    } else if let FastStop::Pc(p) = stop {
+                        if self.harts[hi].pc == p {
+                            stopping = true;
+                            stop_hart = Some(self.id(hi));
+                            break;
+                        }
                     }
-                    if !include_stopped && stop_hart == Some(self.id(hi)) {
-                        continue; // keep the ROI hart parked while draining
+                    let before = self.total_retired;
+                    if !self.step(hi)? {
+                        if self.at_exit {
+                            break 'outer;
+                        }
+                        break; // parked with a wait reason; pruned on rebuild
                     }
-                } else if let FastStop::Pc(p) = stop {
-                    if self.harts[hi].pc == p {
+                    progress = true;
+                    steps += 1;
+                    if steps > max_steps {
+                        return Err(SimError::Timeout { cycles: max_steps });
+                    }
+                    if stopping {
+                        clamped += self.total_retired - before;
+                    } else if self.stop_met(stop) {
                         stopping = true;
-                        stop_hart = Some(self.id(hi));
-                        continue;
                     }
-                }
-                let before = self.total_retired;
-                let stepped = self.step(hi)?;
-                if self.at_exit {
-                    break 'outer;
-                }
-                if !stepped {
-                    continue; // parked with a wait reason; pruned on rebuild
-                }
-                progress = true;
-                steps += 1;
-                if steps > max_steps {
-                    return Err(SimError::Timeout { cycles: max_steps });
-                }
-                if stopping {
-                    clamped += self.total_retired - before;
-                } else if self.stop_met(stop) {
-                    stopping = true;
                 }
             }
             if self.at_exit || (stopping && self.rendezvous_quiet()) {

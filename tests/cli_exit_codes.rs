@@ -231,7 +231,8 @@ fn exit_1_a_literal_wider_than_a_word_names_its_column() {
 }
 
 /// An array bound whose arithmetic overflows, whose bytes pass the
-/// 32-bit address space or that has no element is refused at its line
+/// 32-bit address space or, with the globals before it, the largest
+/// image, or that has no element is refused at its line
 /// and column, in release as in debug: a shift or product never wraps to
 /// a small size, and a local array never to a slot in the caller's frame.
 #[test]
@@ -244,6 +245,14 @@ fn exit_1_an_array_size_past_the_machine_names_its_column() {
         (
             "int g[1 << 31];",
             "1:14: array of 2147483648 words exceeds the 4 GiB address space",
+        ),
+        (
+            "int u[1073741823];",
+            "1:17: globals through `u` take 4294967292 bytes, past the 67108864-byte image",
+        ),
+        (
+            "int a[12000000]; int b[5000000];",
+            "1:31: globals through `b` take 68000000 bytes, past the 67108864-byte image",
         ),
         ("int g[0];", "1:8: an array needs at least one element"),
         (

@@ -210,17 +210,106 @@ fn the_warm_handoff_state_is_pinned() {
     }
     let mm = Matmul::new(64, Version::Tiled);
     let image = mm.build();
-    let l = mm.layout();
     for (target, pinned) in MATMUL64_HANDOFFS {
-        let mut fast = FastEngine::new(mm.config(), &image).unwrap();
-        for i in 0..l.n {
-            for k in 0..l.m {
-                fast.poke_shared(l.x(i, k), 1).unwrap();
-                fast.poke_shared(l.y(k, i), 1).unwrap();
-            }
-        }
-        let got = handoff(fast, &image, target);
+        let got = handoff(ones_engine(&mm, &image), &image, target);
         assert_eq!(got, pinned, "tiled h=64 at {target}: {got:#x?}");
+    }
+}
+
+/// A functional engine for `mm` with the all-ones inputs
+/// [`Matmul::machine`] loads.
+fn ones_engine(mm: &Matmul, image: &Image) -> FastEngine {
+    let mut fast = FastEngine::new(mm.config(), image).unwrap();
+    let l = mm.layout();
+    for i in 0..l.n {
+        for k in 0..l.m {
+            fast.poke_shared(l.x(i, k), 1).unwrap();
+            fast.poke_shared(l.y(k, i), 1).unwrap();
+        }
+    }
+    fast
+}
+
+/// Tiled h=64 run to the exit: the virtual cycle, the clock of the tail
+/// materialized there once it exits, and the tail's `arch_hash`.
+const TILED64_EXIT: [u64; 3] = [106_920, 106_925, 0x2cf3_3cd3_2dfc_856e];
+
+/// An Exit run keeps only its final state, so its schedule is free:
+/// whatever turns the harts take, each retires exactly the instructions it
+/// retires cycle-exactly (the exit `p_ret` aside, which the tail retires),
+/// and the tail ends on the cycle-exact state.
+#[test]
+fn exit_runs_retire_what_the_cycle_exact_run_retires() {
+    let mut guests: Vec<(String, Image, Machine, FastEngine)> = Vec::new();
+    for (file, cores) in [
+        ("examples/asm/fork2.s", 2),
+        ("examples/c/hello_team.c", 2),
+        ("examples/c/matmul.c", 4),
+        ("examples/c/set_get.c", 4),
+        ("examples/c/reduce.c", 2),
+    ] {
+        let src = std::fs::read_to_string(repo(file)).unwrap();
+        let image = if file.ends_with(".s") {
+            lbp::asm::assemble(&src).unwrap()
+        } else {
+            lbp::cc::compile(&src).unwrap().image
+        };
+        let cfg = LbpConfig::cores(cores);
+        let exact = Machine::new(cfg.clone(), &image).unwrap();
+        let fast = FastEngine::new(cfg, &image).unwrap();
+        guests.push((file.to_owned(), image, exact, fast));
+    }
+    for version in [Version::Tiled, Version::Base] {
+        for h in [16, 64] {
+            let mm = Matmul::new(h, version);
+            let image = mm.build();
+            let fast = ones_engine(&mm, &image);
+            let name = format!("{} h={h}", version.name());
+            guests.push((name, image, mm.machine().unwrap(), fast));
+        }
+    }
+    for (name, image, mut exact, mut fast) in guests {
+        assert!(exact.run(MAX_CYCLES).unwrap().exited, "{name}");
+        let s = fast.run(FastStop::Exit, MAX_STEPS).unwrap();
+        assert!(s.at_exit && s.rendezvous_clean, "{name}: {s:?}");
+        let mut per_hart = fast.retired_per_hart().to_vec();
+        let (exit_hart, _) = fast.exit_hart().unwrap();
+        per_hart[exit_hart.global() as usize] += 1;
+        assert_eq!(per_hart, exact.stats().retired_per_hart, "{name}");
+        let mut tail = fast.materialize(&image).unwrap();
+        assert!(tail.run(MAX_CYCLES).unwrap().exited, "{name}");
+        assert_eq!(tail.arch_hash(), exact.arch_hash(), "{name}");
+        if name == "tiled h=64" {
+            let got = [s.virtual_cycle, tail.stats().cycles, tail.arch_hash()];
+            assert_eq!(got, TILED64_EXIT, "{name}: {got:#x?}");
+        }
+    }
+}
+
+/// The hybrid's cycle count for tiled h=64 warmed to 10, 50 and 90 % of
+/// its 1,710,576 retired instructions and finished cycle-exact; the exact
+/// run takes 112,262. The warm phase's schedule decides where each core's
+/// clock stands at the handoff, so a schedule change that unbalances the
+/// cores (long turns at a handoff stop) moves these.
+const TILED64_HYBRID_CYCLES: [(u64, u64); 3] = [(1, 114_115), (5, 113_893), (9, 113_671)];
+
+#[test]
+fn the_hybrid_cycle_estimate_is_pinned() {
+    let mm = Matmul::new(64, Version::Tiled);
+    let image = mm.build();
+    let mut exact = mm.machine().unwrap();
+    let report = exact.run(MAX_CYCLES).unwrap();
+    assert_eq!(report.stats.cycles, 112_262);
+    let retired = report.stats.retired();
+    assert_eq!(retired, 1_710_576);
+    for (tenths, cycles) in TILED64_HYBRID_CYCLES {
+        let mut fast = ones_engine(&mm, &image);
+        let target = FastStop::Retired(retired * tenths / 10);
+        fast.run(target, MAX_STEPS).unwrap();
+        let mut tail = fast.materialize(&image).unwrap();
+        assert!(tail.run(MAX_CYCLES).unwrap().exited);
+        assert_eq!(tail.arch_hash(), exact.arch_hash(), "{tenths}0 % warm");
+        assert_eq!(tail.stats().cycles, cycles, "{tenths}0 % warm");
     }
 }
 
