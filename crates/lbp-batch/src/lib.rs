@@ -280,13 +280,13 @@ fn prepare(job: &BatchJob) -> Result<(lbp_asm::Image, Machine), JobOutcome> {
         // window) land in the job's result line like any other error.
         match FastEngine::warm(cfg, &image, FastStop::Retired(warm), job.max_cycles) {
             Ok((machine, _)) => machine,
-            Err(WarmError::Setup(e)) => return err("config", e.to_string()),
+            Err(WarmError::Setup(e)) => return err(e.class(), e.to_string()),
             Err(e) => return err(e.sim().class(), e.sim().to_string()),
         }
     } else {
         match Machine::new(cfg, &image) {
             Ok(m) => m,
-            Err(e) => return err("config", e.to_string()),
+            Err(e) => return err(e.class(), e.to_string()),
         }
     };
     if job.profile {
@@ -589,6 +589,29 @@ mod tests {
             msg.contains("warm"),
             "diagnostic names the warm phase: {msg}"
         );
+    }
+
+    /// A fault plan aimed outside the machine carries the class `lbp-run`
+    /// exits with, cold and warm.
+    #[test]
+    fn an_invalid_fault_plan_is_a_usage_refusal() {
+        let mut cold = job("cold", 1);
+        cold.faults = vec!["flip-reg:99:a0:0:5".to_owned()];
+        let mut warm = cold.clone();
+        warm.id = "warm".to_owned();
+        warm.warm = Some(2);
+        let mut out = Vec::new();
+        let summary = run_batch(&[cold, warm], 1, &mut out).unwrap();
+        assert_eq!(summary.failed, 2);
+        for l in &lines(&out) {
+            let v = Json::parse(l).unwrap();
+            assert_eq!(v.get("status").and_then(Json::as_str), Some("usage"), "{l}");
+            let msg = v.get("error").and_then(Json::as_str).unwrap();
+            assert!(
+                msg.starts_with("invalid fault plan: `flip-reg:99:a0:0:5`"),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -66,15 +66,16 @@ pub(crate) struct Core {
     /// exactly. A set-based "lowest free" policy would instead depend on
     /// *when* an in-flight free lands relative to a fork request.
     pub free_q: VecDeque<u32>,
-    /// How many harts are not `Free`. Derived from the harts, so never
-    /// serialized: whoever sets hart states from outside the pipeline
-    /// (boot, restore, the hybrid handoff) calls [`Core::recount_live`].
-    live: usize,
     /// The harts whose `syncm_wait` is set, one bit each: what lets a
     /// cycle skip [`Core::release_syncm`], which almost every cycle can.
-    /// Derived like `live`, and re-derived in the same place.
+    /// Derived from the harts, so never serialized: restore re-derives it,
+    /// and nothing else sets `syncm_wait` from outside the pipeline.
     syncm: u8,
 }
+
+/// The stall slot a core records for a cycle in which it retires nothing:
+/// the bucket, and the pc it blames if any.
+pub(crate) type StallSlot = (StallKind, Option<u32>);
 
 impl Core {
     pub fn new(index: u32) -> Core {
@@ -86,26 +87,13 @@ impl Core {
             // requests come from this core and its predecessor.
             alloc_q: VecDeque::with_capacity(2 * HARTS_PER_CORE),
             free_q: (0..HARTS_PER_CORE as u32).collect(),
-            live: 0,
             syncm: 0,
         }
-    }
-
-    /// Re-derives the live-hart count and the `p_syncm` mask after hart
-    /// states were set directly.
-    pub fn recount_live(&mut self) {
-        self.live = self.count_live();
-        self.syncm = self.syncm_mask();
     }
 
     fn syncm_mask(&self) -> u8 {
         let bit = |(l, h): (usize, &HartCtx)| (h.syncm_wait as u8) << l;
         self.harts.iter().enumerate().map(bit).sum()
-    }
-
-    fn count_live(&self) -> usize {
-        let live = |h: &&HartCtx| h.state != HartState::Free;
-        self.harts.iter().filter(live).count()
     }
 
     pub(crate) fn snap(&self, w: &mut crate::snapshot::SnapWriter) {
@@ -162,15 +150,15 @@ impl Core {
             rr,
             alloc_q,
             free_q,
-            live: 0,
             syncm: 0,
         };
-        core.recount_live();
+        core.syncm = core.syncm_mask();
         Ok(core)
     }
 
     /// Round-robin selection of one hart satisfying `pred`, advancing the
-    /// stage pointer past the chosen hart.
+    /// stage pointer past the chosen hart. Picking nobody leaves the
+    /// pointer alone, so a tick that fires nothing changes nothing.
     #[inline]
     fn select(&mut self, stage: usize, pred: impl Fn(&HartCtx) -> bool) -> Option<usize> {
         let start = self.rr[stage];
@@ -184,56 +172,42 @@ impl Core {
         None
     }
 
-    /// Whether the core has four `Free` harts and no fork request, so that
-    /// its tick would be an `Idle` stall slot and nothing else — the
-    /// machine lets such a core sleep instead.
-    ///
-    /// No stage can fire: `process_alloc` has nothing to allocate for. A
-    /// hart becomes `Free` only by committing its `p_ret`, which is the
-    /// last instruction it fetched (rename clears the pc) and commits in
-    /// order after everything older, so its instruction buffer, table,
-    /// ROB and result buffer are empty and the four stages behind fetch
-    /// select nobody; fetch wants a `Running` hart. `release_syncm` cannot
-    /// fire either: a decoded `p_syncm` blocks fetch until it is released,
-    /// so the `p_ret` was fetched with `syncm_wait` clear and nothing was
-    /// renamed after it. `classify_stall` answers `Idle` for such a core.
-    /// And it stays so until a message is delivered: only a fork request
-    /// gives it work, and its own harts send none.
-    pub fn is_idle(&self) -> bool {
-        debug_assert_eq!(self.live, self.count_live());
-        self.live == 0 && self.alloc_q.is_empty()
-    }
-
     /// One full core cycle (stages run in reverse pipeline order so each
     /// stage sees the state its predecessors left at the end of the
     /// previous cycle).
-    pub fn tick(&mut self, env: &mut Env<'_>) -> Result<(), SimError> {
+    ///
+    /// Returns the stall slot the core can sleep on: `Some` when no stage
+    /// fired and no hart waits on the clock ([`HartCtx::waits_on_clock`]).
+    /// Such a tick changed nothing, and every stage's choice depends only
+    /// on the harts, the fork queue and those two clock-driven waits, so
+    /// the next tick finds the same state and records the same slot — and
+    /// so does every one after it until something from outside the core
+    /// (a delivery, a `flip-reg` fault) changes it.
+    pub fn tick(&mut self, env: &mut Env<'_>) -> Result<Option<StallSlot>, SimError> {
         debug_assert_eq!(self.syncm, self.syncm_mask());
-        self.process_alloc(env)?;
+        let mut fired = self.process_alloc(env)?;
         if self.syncm != 0 {
-            self.release_syncm(env.now);
+            fired |= self.release_syncm(env.now);
         }
         let committed = self.stage_commit(env)?;
-        self.stage_writeback(env);
-        self.stage_issue(env)?;
-        self.stage_rename(env);
-        self.stage_fetch(env)?;
+        fired |= self.stage_writeback(env);
+        fired |= self.stage_issue(env)?;
+        fired |= self.stage_rename(env);
+        fired |= self.stage_fetch(env)?;
         // Stall attribution: commit selects at most one hart per cycle, so
         // a core cycle either retires one instruction or is a stall slot.
         // Classifying each slot into exactly one bucket yields the exact
         // partition `sum(stalls) + retired == cycles` per core.
-        match committed {
-            Some(pc) => {
-                env.retired = true;
-                env.obs.retired(self.index as usize, pc);
-            }
-            None => {
-                let (kind, blamed) = self.classify_stall(env.now);
-                env.stats.stalls_per_core[self.index as usize].bump(kind);
-                env.obs.stalled(self.index as usize, kind, blamed, 1);
-            }
-        }
-        Ok(())
+        let Some(pc) = committed else {
+            let slot @ (kind, blamed) = self.classify_stall();
+            env.stats.stalls_per_core[self.index as usize].bump(kind);
+            env.obs.stalled(self.index as usize, kind, blamed, 1);
+            let asleep = !fired && !self.harts.iter().any(|h| h.waits_on_clock(env.now));
+            return Ok(asleep.then_some(slot));
+        };
+        env.retired = true;
+        env.obs.retired(self.index as usize, pc);
+        Ok(None)
     }
 
     /// The program location a stalling hart is blamed at: the oldest
@@ -253,7 +227,7 @@ impl Core {
     /// classifier names the program location it blames — the oldest
     /// in-flight instruction of the hart that triggered the
     /// classification — or `None` when no instruction is blamable.
-    fn classify_stall(&self, now: u64) -> (StallKind, Option<u32>) {
+    fn classify_stall(&self) -> StallSlot {
         if self.harts.iter().all(|h| h.state == HartState::Free) {
             return (StallKind::Idle, None);
         }
@@ -316,20 +290,20 @@ impl Core {
         // produced a committable instruction (post-fetch suspension
         // waiting for the next pc, or the pipeline is filling). Blame the
         // first running hart's location.
-        let _ = now;
         let loc = self.harts.iter().find(running).and_then(Self::blame_loc);
         (StallKind::FetchStarved, loc)
     }
 
     /// Satisfies at most one pending fork request with the head of the
     /// free queue (never-allocated harts in index order, then recycled
-    /// harts in `p_ret`-commit order — see [`Core::free_q`]).
-    fn process_alloc(&mut self, env: &mut Env<'_>) -> Result<(), SimError> {
+    /// harts in `p_ret`-commit order — see [`Core::free_q`]). Returns
+    /// whether it allocated.
+    fn process_alloc(&mut self, env: &mut Env<'_>) -> Result<bool, SimError> {
         let Some(&requester) = self.alloc_q.front() else {
-            return Ok(());
+            return Ok(false);
         };
         let Some(&child_front) = self.free_q.front() else {
-            return Ok(()); // all four harts busy: the fork stalls, deterministically
+            return Ok(false); // all four harts busy: the fork stalls, deterministically
         };
         let child_local = child_front as usize;
         debug_assert_eq!(
@@ -343,7 +317,6 @@ impl Core {
         let sp = cv_base(child);
         self.harts[child_local].allocate(sp);
         self.syncm &= !(1 << child_local);
-        self.live += 1;
         env.stats.forks += 1;
         env.obs.event(env.now, requester, EventKind::Fork { child });
         if requester.core() == self.index {
@@ -369,26 +342,32 @@ impl Core {
                 },
             );
         }
-        Ok(())
+        Ok(true)
     }
 
-    /// Releases harts whose `p_syncm` drain condition is now met.
-    fn release_syncm(&mut self, now: u64) {
+    /// Releases harts whose `p_syncm` drain condition is now met; returns
+    /// whether it released any.
+    fn release_syncm(&mut self, now: u64) -> bool {
+        let mut released = false;
         for (l, h) in self.harts.iter_mut().enumerate() {
             if h.syncm_wait && h.mem_drained() {
                 h.syncm_wait = false;
                 self.syncm &= !(1 << l);
                 h.unsuspend_next(now);
+                released = true;
             }
         }
+        released
     }
 
-    fn stage_fetch(&mut self, env: &mut Env<'_>) -> Result<(), SimError> {
+    // Each stage below returns whether it selected a hart.
+
+    fn stage_fetch(&mut self, env: &mut Env<'_>) -> Result<bool, SimError> {
         let now = env.now;
         let Some(i) = self.select(ST_FETCH, |h| {
             h.state == HartState::Running && h.pc.is_some() && h.can_fetch(now) && h.ib.is_none()
         }) else {
-            return Ok(());
+            return Ok(false);
         };
         let h = &mut self.harts[i];
         let pc = h.pc.expect("checked by predicate");
@@ -397,15 +376,15 @@ impl Core {
         h.fetch_suspended = true;
         let id = h.id;
         env.obs.event(env.now, id, EventKind::Fetch { pc });
-        Ok(())
+        Ok(true)
     }
 
-    fn stage_rename(&mut self, env: &mut Env<'_>) {
+    fn stage_rename(&mut self, env: &mut Env<'_>) -> bool {
         let Some(i) = self.select(ST_RENAME, |h| {
             h.ib.as_ref()
                 .is_some_and(|f| h.rename_capacity(f.op.dest.is_some()))
         }) else {
-            return;
+            return false;
         };
         let h = &mut self.harts[i];
         let f = h.ib.take().expect("checked by predicate");
@@ -438,12 +417,13 @@ impl Core {
                 h.unsuspend_next(env.now);
             }
         }
+        true
     }
 
-    fn stage_issue(&mut self, env: &mut Env<'_>) -> Result<(), SimError> {
+    fn stage_issue(&mut self, env: &mut Env<'_>) -> Result<bool, SimError> {
         let Some(i) = self.select(ST_ISSUE, |h| h.rb.is_none() && h.oldest_ready().is_some())
         else {
-            return Ok(());
+            return Ok(false);
         };
         let seq = self.harts[i].oldest_ready().expect("checked by predicate");
         let entry = self.harts[i].issue(seq);
@@ -453,7 +433,7 @@ impl Core {
             dest: entry.dest,
             wait,
         });
-        Ok(())
+        Ok(true)
     }
 
     /// Executes one instruction (the issue + functional-unit step),
@@ -713,7 +693,7 @@ impl Core {
         }
     }
 
-    fn stage_writeback(&mut self, env: &mut Env<'_>) {
+    fn stage_writeback(&mut self, env: &mut Env<'_>) -> bool {
         let now = env.now;
         let Some(i) = self.select(ST_WB, |h| {
             h.rb.as_ref().is_some_and(|rb| match rb.wait {
@@ -722,7 +702,7 @@ impl Core {
                 RbWait::Mem | RbWait::Fork => false,
             })
         }) else {
-            return;
+            return false;
         };
         let h = &mut self.harts[i];
         let rb = h.rb.take().expect("checked by predicate");
@@ -737,6 +717,7 @@ impl Core {
             );
         }
         h.rob_mark_done(rb.seq);
+        true
     }
 
     /// Commits at most one instruction; returns the committed pc, if one
@@ -799,7 +780,6 @@ impl Core {
     /// Ends a hart (`p_ret` types 1 and 4): `Free` again and allocatable.
     fn end_hart(&mut self, hart_idx: usize, env: &mut Env<'_>) {
         self.harts[hart_idx].end();
-        self.live -= 1;
         self.free_q.push_back(hart_idx as u32);
         let id = self.harts[hart_idx].id;
         env.obs.event(env.now, id, EventKind::HartEnd);

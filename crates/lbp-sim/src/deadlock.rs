@@ -180,14 +180,19 @@ pub(crate) fn classify(h: &HartCtx) -> HartProgress {
 
 /// Checks the whole machine for quiescent deadlock. Returns `None` while
 /// anything can still happen; otherwise the list of blocked harts (empty
-/// when every hart ended without the program executing its exit `p_ret`).
+/// when every hart ended without the program executing its exit `p_ret`),
+/// in core order.
 ///
 /// This runs on every quiet cycle, so the common answer — "not yet" — is
 /// reached from the occupancy sets and, failing that, from one pass over
 /// the harts of the cores that are awake, which builds nothing; the report
 /// is put together only once it is certain there is one. A sleeping core
-/// has four `Free` harts and no fork request: it neither blocks nor can
-/// move, so it is not visited.
+/// is not visited by that pass: its last tick fired no stage and left no
+/// hart waiting on the clock, and nothing has reached it since, so no
+/// stage can fire for any of its harts — none is
+/// [`HartProgress::Ready`] — and its fork queue is not one a free hart
+/// can serve (the allocator would have fired). The report does walk it,
+/// because its harts may well be blocked.
 pub(crate) fn check(m: &Machine) -> Option<Vec<BlockedHart>> {
     if m.exited {
         return None;
@@ -196,18 +201,19 @@ pub(crate) fn check(m: &Machine) -> Option<Vec<BlockedHart>> {
     if !m.fabric.is_quiet() || !m.mem.net.is_quiet() || !m.mem.ports_quiet() {
         return None;
     }
-    let cores = || m.awake.iter().map(|c| &m.cores[c]);
+    let awake = || m.awake.iter().map(|c| &m.cores[c]);
     // A queued fork request next to a free hart will be satisfied.
-    for core in cores() {
+    for core in awake() {
         if !core.alloc_q.is_empty() && core.harts.iter().any(|h| h.state == HartState::Free) {
             return None;
         }
     }
-    let harts = || cores().flat_map(|core| &core.harts);
-    if harts().any(|h| matches!(classify(h), HartProgress::Ready)) {
+    let ready = |h: &HartCtx| matches!(classify(h), HartProgress::Ready);
+    if awake().flat_map(|core| &core.harts).any(ready) {
         return None;
     }
-    let blocked = harts().filter_map(|h| match classify(h) {
+    let blocked = m.cores.iter().flat_map(|core| &core.harts);
+    let blocked = blocked.filter_map(|h| match classify(h) {
         HartProgress::Blocked(waiting) => Some(waiting.for_hart(h.id)),
         HartProgress::Inert | HartProgress::Ready => None,
     });

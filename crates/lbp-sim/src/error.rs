@@ -63,7 +63,21 @@ pub enum SimError {
         /// The budget that was exhausted.
         cycles: u64,
     },
+    /// The configuration's fault plan targets something outside the
+    /// machine (a hart, register, bit, address or code word that does not
+    /// exist): refused before the run, like a bad command line.
+    FaultPlan {
+        /// The refused fault, in the `--fault` spec syntax.
+        spec: Box<str>,
+        /// Why it is refused.
+        why: &'static str,
+    },
 }
+
+// Both engines return `Result<_, SimError>` from every pipeline stage and
+// every instruction step, so the error's size is stack traffic on the hot
+// path: a variant that widens it slows the functional engine measurably.
+const _: () = assert!(std::mem::size_of::<SimError>() <= 40);
 
 impl SimError {
     /// A short machine-readable class name, stable across releases: used
@@ -82,6 +96,7 @@ impl SimError {
             SimError::Protocol { .. } => ExitClass::Protocol,
             SimError::Deadlock { .. } => ExitClass::Deadlock,
             SimError::Timeout { .. } => ExitClass::Timeout,
+            SimError::FaultPlan { .. } => ExitClass::Usage,
         }
     }
 }
@@ -97,7 +112,7 @@ pub enum ExitClass {
     Ok = 0,
     /// A front-end, I/O or self-check failure.
     Failure = 1,
-    /// Bad command line.
+    /// Bad command line, or a [`SimError::FaultPlan`].
     Usage = 2,
     /// `lbp-fuzz` found a failing case.
     Finding = 3,
@@ -193,6 +208,9 @@ impl fmt::Display for SimError {
             }
             SimError::Timeout { cycles } => {
                 write!(f, "run did not exit within {cycles} cycles")
+            }
+            SimError::FaultPlan { spec, why } => {
+                write!(f, "invalid fault plan: `{spec}`: {why}")
             }
         }
     }

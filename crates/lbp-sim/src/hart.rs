@@ -461,6 +461,19 @@ impl HartCtx {
         !self.fetch_suspended && now >= self.resume_at
     }
 
+    /// Whether this hart would change at a later cycle by time alone: a
+    /// result buffer counting down a latency, or a fetch held back only by
+    /// `resume_at`. Every other wait ends with a delivery.
+    pub fn waits_on_clock(&self, now: u64) -> bool {
+        let counting = |rb: &Rb| matches!(rb.wait, RbWait::Until { .. });
+        self.rb.as_ref().is_some_and(counting)
+            || (self.state == HartState::Running
+                && self.pc.is_some()
+                && !self.fetch_suspended
+                && self.ib.is_none()
+                && self.resume_at > now)
+    }
+
     /// The value of a renamed source (`None` reads as zero, i.e. `x0`).
     #[inline]
     pub fn src_value(&self, src: Option<PhysReg>) -> u32 {

@@ -5,7 +5,7 @@ use lbp_isa::HartId;
 
 use crate::bank::{is_code_word, Banks, CodeBank, MemSys};
 use crate::config::{cv_base, LbpConfig};
-use crate::core::{Core, Env};
+use crate::core::{Core, Env, StallSlot};
 use crate::dump::SimFailure;
 use crate::error::SimError;
 use crate::fabric::Fabric;
@@ -128,14 +128,19 @@ pub struct Machine {
     /// The fabric messages [`Machine::deliver`] is handing to one core's
     /// harts; empty between calls, kept for its capacity.
     core_arrivals: Vec<CoreMsg>,
-    /// The cores that tick. An idle core ([`Core::is_idle`]) leaves the
-    /// set at its tick and any delivery puts it back; while it sleeps its
-    /// cycles are `Idle` stall slots nobody has written down yet. Derived
-    /// state like `charged`: never serialized, everyone awake after
-    /// `new`, `restore` and the hybrid handoff.
+    /// The cores that tick. A core whose tick fired nothing and left no
+    /// hart waiting on the clock ([`Core::tick`] returns its stall slot)
+    /// leaves the set from the next cycle; any delivery to it, or a
+    /// `flip-reg` fault on one of its harts, puts it back. While it
+    /// sleeps, each of its cycles is that slot, which nobody has written
+    /// down yet. An idle core is the case `(Idle, None)`. Derived state
+    /// like `charged` and `slept_on`: never serialized, everyone awake
+    /// after `new`, `restore` and the hybrid handoff.
     pub(crate) awake: IndexSet,
     /// Per sleeping core, the last cycle its stall slots are charged for.
     charged: Vec<u64>,
+    /// Per sleeping core, the stall slot each of its cycles is charged as.
+    slept_on: Vec<StallSlot>,
 }
 
 /// Cycles without any retirement before the deadlock detector runs. The
@@ -193,7 +198,6 @@ impl Machine {
         let boot_sp = cv_base(HartId::FIRST);
         cores[0].harts[0].boot(image.entry, boot_sp);
         cores[0].free_q.retain(|&l| l != 0); // the boot hart starts running, not free
-        cores[0].recount_live();
         Machine {
             fabric,
             stats: Stats::new(cfg.harts()),
@@ -207,6 +211,7 @@ impl Machine {
             core_arrivals: Vec::new(),
             awake: IndexSet::from_fn(cfg.cores, |_| true),
             charged: vec![0; cfg.cores],
+            slept_on: vec![(StallKind::Idle, None); cfg.cores],
             cores,
             mem,
             cfg,
@@ -600,6 +605,7 @@ impl Machine {
             obs: Observers::off(cfg.trace),
             awake: IndexSet::from_fn(ncores, |_| true),
             charged: vec![0; ncores],
+            slept_on: vec![(StallKind::Idle, None); ncores],
             cfg,
             cores,
             mem,
@@ -654,14 +660,18 @@ impl Machine {
         };
         for w in 0..self.awake.words() {
             for c in members(w, self.awake.word(w)) {
-                let core = &mut self.cores[c];
-                if core.is_idle() {
-                    // Asleep from this cycle on, which is not charged yet.
-                    self.awake.remove(c);
-                    self.charged[c] = now - 1;
-                } else if let Err(e) = core.tick(&mut env) {
-                    self.settle_aborted(c);
-                    return Err(e);
+                match self.cores[c].tick(&mut env) {
+                    Ok(None) => {}
+                    Ok(Some(slot)) => {
+                        // Asleep from the next cycle on; this one is charged.
+                        self.awake.remove(c);
+                        self.charged[c] = now;
+                        self.slept_on[c] = slot;
+                    }
+                    Err(e) => {
+                        self.settle_aborted(c);
+                        return Err(e);
+                    }
                 }
             }
         }
@@ -684,7 +694,7 @@ impl Machine {
         Ok(retired)
     }
 
-    /// Writes down the `Idle` slots the sleeping cores are owed through
+    /// Writes down the stall slots the sleeping cores are owed through
     /// the current cycle. Every return to a caller does, and the sampler
     /// before it reads the counters.
     fn settle(&mut self) {
@@ -699,26 +709,29 @@ impl Machine {
         for c in 0..self.cores.len() {
             if !self.awake.contains(c) {
                 let through = self.cycle - u64::from(c >= ticked);
-                self.charge_idle(c, through - self.charged[c]);
+                self.charge(c, through - self.charged[c]);
                 // The current cycle is over for this core either way.
                 self.charged[c] = self.cycle;
             }
         }
     }
 
-    /// Puts a core that is receiving something back among those that
-    /// tick, charged for the cycles it slept through.
+    /// Puts a core that something from outside is about to change (a
+    /// delivery, a `flip-reg` fault) back among those that tick, charged
+    /// for the cycles it slept through.
     fn wake(&mut self, c: usize) {
         if !self.awake.contains(c) {
-            self.charge_idle(c, self.cycle - 1 - self.charged[c]);
+            self.charge(c, self.cycle - 1 - self.charged[c]);
             self.awake.insert(c);
         }
     }
 
-    /// `n` cycles of a core with nothing allocated, all at once.
-    fn charge_idle(&mut self, c: usize, n: u64) {
-        self.stats.stalls_per_core[c].idle += n;
-        self.obs.stalled(c, StallKind::Idle, None, n);
+    /// `n` cycles of a sleeping core, all at once: `n` of the stall slot
+    /// it sleeps on.
+    fn charge(&mut self, c: usize, n: u64) {
+        let (kind, blamed) = self.slept_on[c];
+        self.stats.stalls_per_core[c].charge(kind, n);
+        self.obs.stalled(c, kind, blamed, n);
     }
 
     /// Applies every pending fault whose trigger cycle has arrived.
@@ -739,6 +752,8 @@ impl Machine {
     fn apply_fault(&mut self, fault: Fault) {
         match fault {
             Fault::FlipReg { hart, reg, bit, .. } => {
+                // A change from outside the pipeline, like a delivery.
+                self.wake(hart.core() as usize);
                 let h = self.hart_mut(hart);
                 let phys = h.rat[reg.index()] as usize;
                 h.prf[phys] ^= 1 << bit;
@@ -1100,7 +1115,6 @@ pub(crate) fn materialize_from_fast(
     }
     for (core, q) in fast.free_queues().iter().enumerate() {
         m.cores[core].free_q.clone_from(q);
-        m.cores[core].recount_live();
     }
     m.cursor = SampleCursor {
         cycle: vcycle,
@@ -1114,11 +1128,9 @@ pub(crate) fn materialize_from_fast(
 /// Rejects fault plans that target something outside the machine, so the
 /// injectors themselves never need bounds checks.
 fn validate_fault_plan(cfg: &LbpConfig, image: &Image) -> Result<(), SimError> {
-    let bad = |fault: &Fault, why: &str| -> SimError {
-        SimError::Protocol {
-            hart: HartId::FIRST,
-            what: format!("invalid fault plan: `{fault}`: {why}"),
-        }
+    let bad = |fault: &Fault, why| SimError::FaultPlan {
+        spec: fault.to_string().into(),
+        why,
     };
     for fault in &cfg.faults.faults {
         match *fault {

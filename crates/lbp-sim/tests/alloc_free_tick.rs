@@ -153,3 +153,14 @@ fn sleeping_waking_and_settling_do_not_allocate() {
     let woken = (0..64).filter(|&c| m.stats().retired_by_core(c) > 0);
     assert_eq!(woken.count(), 64, "every core had its turn");
 }
+
+/// Base matmul on 16 harts from its warm-up to its exit: cores sleep with
+/// live harts (core 0 waits for the join through cycles 4,632-5,639), are
+/// woken by the message they wait for, and sleep again.
+#[test]
+fn blocked_cores_sleep_and_wake_without_allocating() {
+    let mut m = Matmul::new(16, Version::Base).machine().unwrap();
+    let (allocs, cycles) = allocations_between(&mut m, 2_000, u64::MAX);
+    assert!(m.exited() && cycles > 3_000, "{cycles} cycles measured");
+    assert_eq!(allocs, 0, "over {cycles} cycles");
+}

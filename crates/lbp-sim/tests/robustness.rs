@@ -10,7 +10,7 @@
 use lbp_asm::assemble;
 use lbp_isa::{HartId, IO_BASE, LOCAL_BASE, SHARED_BASE};
 use lbp_sim::{
-    run_lockstep, Divergence, FastEngine, FastStop, Fault, FaultPlan, Json, LbpConfig,
+    run_lockstep, Divergence, ExitClass, FastEngine, FastStop, Fault, FaultPlan, Json, LbpConfig,
     LockstepError, Machine, MachineState, MemFault, SimError, SnapError, DUMP_SCHEMA,
 };
 use lbp_testutil::check_cases;
@@ -234,9 +234,10 @@ fn invalid_fault_plans_are_rejected_at_build_time() {
     ] {
         let err = machine_with_faults(1, &src, &[fault]).unwrap_err();
         assert!(
-            matches!(&err, SimError::Protocol { what, .. } if what.contains("invalid fault plan")),
+            matches!(&err, SimError::FaultPlan { spec, .. } if **spec == fault.to_string()),
             "fault {fault} should be rejected, got {err:?}"
         );
+        assert_eq!(err.exit_class(), ExitClass::Usage, "{err}");
     }
 }
 

@@ -101,6 +101,53 @@ fn exit_2_usage_errors() {
     );
 }
 
+/// A fault plan aimed outside the machine is refused before the run, as a
+/// bad command line: the refusal names the spec and the reason, and no
+/// hart, since no hart did anything.
+#[test]
+fn exit_2_an_invalid_fault_plan_names_the_spec_and_the_reason() {
+    let rows = [
+        (
+            "flip-reg:99999:a0:1:5",
+            "`flip-reg:99999:a0:1:5`: no such hart in this configuration",
+        ),
+        (
+            "flip-reg:0:x0:1:5",
+            "`flip-reg:0:zero:1:5`: x0 is hard-wired to zero",
+        ),
+        (
+            "flip-reg:0:a0:32:5",
+            "`flip-reg:0:a0:32:5`: registers have 32 bits",
+        ),
+        (
+            "flip-mem:0x100:0:5",
+            "`flip-mem:0x100:0:5`: address is outside the shared space",
+        ),
+        (
+            "corrupt-instr:0x100000:1:5",
+            "`corrupt-instr:0x100000:0x1:5`: pc is not a code word of the image",
+        ),
+        (
+            "delay-msg:3:0",
+            "`delay-msg:3:0`: a delay of 0 cycles injects nothing",
+        ),
+    ];
+    for (spec, reason) in rows {
+        let out = lbp_run()
+            .arg(example("fork2.s"))
+            .args(["--fault", spec])
+            .output()
+            .expect("lbp-run spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(class_of(out.status), ExitClass::Usage, "{spec}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("lbp-run: invalid fault plan: {reason}"),
+            "{spec}"
+        );
+    }
+}
+
 #[test]
 fn exit_1_front_end_failure() {
     let bad = scratch("bad.c", "int main( { this is not C }\n");

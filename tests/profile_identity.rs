@@ -341,3 +341,36 @@ fn observer_output_bytes_are_pinned() {
         }
     }
 }
+
+/// `profile.json` and `folded.txt` of base matmul on 16 harts, whose
+/// cores sleep with live harts (waiting for a start pc or the join), and
+/// the profiler is handed those cycles' stall slots in one piece, as the
+/// commit before such cores slept computed them (6ccfa35).
+const PINNED_BASE16: (u64, u64) = (0x5e07_9391_f4f5_303d, 0x849e_3517_fb8d_9a15);
+
+#[test]
+fn blocked_sleepers_are_blamed_per_pc_as_when_every_core_ticked() {
+    use lbp::kernels::matmul::{Matmul, Version};
+    let mm = Matmul::new(16, Version::Base);
+    let mut plain = mm.machine().expect("machine builds");
+    let plain_outcome = run_outcome(&mut plain);
+    let mut m = mm.machine().expect("machine builds");
+    m.enable_profiling();
+    assert_eq!(run_outcome(&mut m), plain_outcome);
+    assert_eq!(
+        plain.stats().to_json().to_string(),
+        m.stats().to_json().to_string()
+    );
+    assert_exact_partition("base matmul h=16", &m);
+    let prof = m.profile().expect("profiling was enabled");
+    let sym = lbp::prof::SymTab::from_image(&mm.build());
+    let mut profile_json = String::new();
+    lbp::prof::build_report("base matmul h=16", m.stats(), prof, &sym)
+        .write_pretty(&mut profile_json);
+    let folded = lbp::prof::folded_stacks(prof, &sym);
+    let got = (
+        lbp::snap::fnv1a64(profile_json.as_bytes()),
+        lbp::snap::fnv1a64(folded.as_bytes()),
+    );
+    assert_eq!(got, PINNED_BASE16, "{got:#018x?}");
+}
