@@ -574,21 +574,27 @@ mod tests {
                 .and_then(Json::as_bool);
             assert_eq!(exited, Some(true), "{l}");
         }
-        // A fault scheduled inside the warm window is refused, and the
-        // refusal lands in the result line rather than panicking.
+        // A fault scheduled inside the warm window, and a message fault
+        // the warm phase cannot count, are usage refusals, and each lands
+        // in its result line rather than panicking.
         let mut clash = job("clash", 1);
         clash.warm = Some(2);
         clash.faults = vec!["flip-reg:0:a0:0:1".to_owned()];
+        let mut drop = job("drop", 1);
+        drop.warm = Some(2);
+        drop.faults = vec!["drop-msg:0".to_owned()];
         let mut out = Vec::new();
-        let summary = run_batch(&[clash], 1, &mut out).unwrap();
-        assert_eq!(summary.failed, 1);
-        let v = Json::parse(&lines(&out)[0]).unwrap();
-        assert_eq!(v.get("status").and_then(Json::as_str), Some("protocol"));
-        let msg = v.get("error").and_then(Json::as_str).unwrap();
-        assert!(
-            msg.contains("warm"),
-            "diagnostic names the warm phase: {msg}"
-        );
+        let summary = run_batch(&[clash, drop], 1, &mut out).unwrap();
+        assert_eq!(summary.failed, 2);
+        for (l, why) in lines(&out).iter().zip(["warm", "functional"]) {
+            let v = Json::parse(l).unwrap();
+            assert_eq!(v.get("status").and_then(Json::as_str), Some("usage"), "{l}");
+            let msg = v.get("error").and_then(Json::as_str).unwrap();
+            assert!(
+                msg.starts_with("invalid fault plan: `") && msg.contains(why),
+                "the diagnostic names the plan and why: {msg}"
+            );
+        }
     }
 
     /// A fault plan aimed outside the machine carries the class `lbp-run`

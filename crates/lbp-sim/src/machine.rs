@@ -1042,29 +1042,28 @@ pub(crate) fn materialize_from_fast(
     // The hybrid timeline cannot honor every fault plan: message faults
     // count fabric messages the warm phase never sends, and a
     // cycle-triggered fault inside the warm window would have hit a state
-    // the fast engine never modeled. Refuse both up front.
+    // the fast engine never modeled. Refuse both up front, as a plan
+    // aimed outside the machine is: no hart has done anything wrong.
+    let bad = |fault: &Fault, why| SimError::FaultPlan {
+        spec: fault.to_string().into(),
+        why,
+    };
     for fault in &cfg.faults.faults {
         match fault {
             Fault::DropMsg { .. } | Fault::DelayMsg { .. } => {
-                return Err(SimError::Protocol {
-                    hart: HartId::FIRST,
-                    what: format!(
-                        "fault `{fault}` counts fabric messages, which functional \
-                         fast-forwarding does not model; run cycle-exact from cycle 0"
-                    ),
-                });
+                return Err(bad(
+                    fault,
+                    "message faults count fabric messages, which functional \
+                     fast-forwarding does not model; run cycle-exact from cycle 0",
+                ));
             }
             _ => {
                 if vcycle > 0 && fault.cycle().is_some_and(|c| c <= vcycle) {
-                    return Err(SimError::Protocol {
-                        hart: HartId::FIRST,
-                        what: format!(
-                            "fault `{fault}` triggers at cycle {} but the functional warm \
-                             phase already covers cycles 1..={vcycle}; schedule it after the \
-                             handoff or shrink --warm",
-                            fault.cycle().unwrap_or(0)
-                        ),
-                    });
+                    return Err(bad(
+                        fault,
+                        "it triggers inside the functional warm phase; schedule it \
+                         after the handoff or shrink --warm",
+                    ));
                 }
             }
         }

@@ -124,8 +124,8 @@ fn bank_aliasing_noted_but_accepted() {
 /// The precision boundary, static half: the dynamic-only fixture passes
 /// verification with nothing stronger than the unknown-provenance
 /// warning. Its dynamic half — the race-witness collector catching the
-/// concrete overlap — lives in the workspace-level `race_identity` test
-/// and the fuzzer's `race` oracle.
+/// concrete overlap — is the workspace-level `tests/golden_cli.rs` row
+/// `race-witness-dynamic-only` and the fuzzer's `race` oracle.
 #[test]
 fn dynamic_only_race_is_statically_accepted() {
     assert_flagged("tests/fixtures/race_dynamic_only.s", "LBP-M004");

@@ -4,9 +4,9 @@
 //! The constants below are FNV-1a hashes computed at the commit before
 //! the parser became a byte scanner with one mnemonic table: the parsed
 //! items and the assembled image (text, data, name-sorted symbols, line
-//! table, entry) of the same 431 programs `tests/verify_identity.rs`
-//! judges, or the error text of the ones that do not build; and the
-//! items or error text of a table of malformed and odd lines. Any change
+//! table, entry) of the 431 programs of `tests/identity_corpus`, or the
+//! error text of the ones that do not build; and the items or error text
+//! of a table of malformed and odd lines. Any change
 //! to what a line parses to, to an error message or to which error comes
 //! first moves one of them.
 

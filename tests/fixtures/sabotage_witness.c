@@ -1,6 +1,6 @@
 /* A minimal program whose observables diverge under EVERY
- * `--sabotage codegen:*` kind, used by the CLI red checks (CI
- * semantics-smoke) and the differential suite:
+ * `--sabotage codegen:*` kind, used by the CLI red checks
+ * (`tests/golden_cli.rs`) and the differential suite:
  *
  *   - chunk-bounds: the team of 4 loses its last member, so acc[3]
  *     keeps its initial zero instead of 4.

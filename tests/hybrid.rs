@@ -9,7 +9,7 @@ use lbp::asm::Image;
 use lbp::kernels::matmul::{Matmul, Version};
 use lbp::omp::DetOmp;
 use lbp::sim::{
-    EventKind, FastEngine, FastStop, FastSummary, Fault, FaultPlan, LbpConfig, Machine,
+    EventKind, FastEngine, FastStop, FastSummary, Fault, FaultPlan, LbpConfig, Machine, SimError,
 };
 use lbp::snap;
 
@@ -430,9 +430,12 @@ fn warm_phase_faults_are_refused_with_a_clear_diagnostic() {
     let cfg = LbpConfig::cores(1).with_faults(early);
     let mut fast = FastEngine::new(cfg, &image).unwrap();
     fast.run(FastStop::Retired(3), MAX_STEPS).unwrap();
-    let err = fast.materialize(&image).unwrap_err().to_string();
+    let err = fast.materialize(&image).unwrap_err();
+    assert!(matches!(err, SimError::FaultPlan { .. }), "{err:?}");
+    assert_eq!(err.class(), "usage");
+    let err = err.to_string();
     assert!(
-        err.contains("warm"),
+        err.starts_with("invalid fault plan: `flip-reg:0:a0:0:1`: ") && err.contains("warm"),
         "warm-phase fault refusal must say why: {err}"
     );
 
@@ -440,9 +443,12 @@ fn warm_phase_faults_are_refused_with_a_clear_diagnostic() {
     let drops: FaultPlan = [Fault::parse("drop-msg:0").unwrap()].into_iter().collect();
     let cfg = LbpConfig::cores(1).with_faults(drops);
     let fast = FastEngine::new(cfg, &image).unwrap();
-    let err = fast.materialize(&image).unwrap_err().to_string();
+    let err = fast.materialize(&image).unwrap_err();
+    assert!(matches!(err, SimError::FaultPlan { .. }), "{err:?}");
+    assert_eq!(err.class(), "usage");
+    let err = err.to_string();
     assert!(
-        err.contains("functional"),
+        err.starts_with("invalid fault plan: `drop-msg:0`: ") && err.contains("functional"),
         "message-fault refusal must say why: {err}"
     );
 }

@@ -1,8 +1,10 @@
-//! The 431 programs the identity suites judge, as `(name, source)`: the
-//! shipped sources of a directory, the ten matmul kernels and 100
+//! The programs the identity tests judge, as `(name, source)`: the
+//! shipped sources of a directory, the ten matmul kernels and the
 //! programs of a generator family at seed 42. One definition, so
-//! `verify_identity.rs`, `asm_identity.rs` and `cc_identity.rs` cannot
-//! drift apart.
+//! `golden_cli.rs`, `verify_identity.rs`, `asm_identity.rs`,
+//! `cc_identity.rs` and `determinism_judges.rs` cannot drift apart.
+//! `roi.c` marks its region of interest with `__roi_start();`, the
+//! target of `lbp-run --roi`.
 
 use lbp::kernels::matmul::{Matmul, Version};
 use lbp_fuzz::gen::{self, GenConfig, Kind};
