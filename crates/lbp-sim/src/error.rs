@@ -63,11 +63,13 @@ pub enum SimError {
         /// The budget that was exhausted.
         cycles: u64,
     },
-    /// The configuration's fault plan targets something outside the
-    /// machine (a hart, register, bit, address or code word that does not
-    /// exist): refused before the run, like a bad command line.
+    /// The configuration's fault plan, or a lockstep sabotage of the
+    /// oracle's code, targets something outside the machine (a hart,
+    /// register, bit, address or code word that does not exist): refused
+    /// before the run, like a bad command line.
     FaultPlan {
-        /// The refused fault, in the `--fault` spec syntax.
+        /// The refused fault, in the `--fault` spec syntax, or
+        /// `sabotage:PC:XOR`.
         spec: Box<str>,
         /// Why it is refused.
         why: &'static str,
@@ -102,9 +104,9 @@ impl SimError {
 }
 
 /// Why a tool's process ended: the one exit-code vocabulary of `lbp-run`,
-/// `lbp-cc`, `lbp-batch`, `lbp-fuzz` and the `lbp-bench` binaries. The
-/// discriminant is the process exit code; scripts and CI match on the
-/// numbers, so they are load-bearing API.
+/// `lbp-cc`, `lbp-batch`, `lbp-fuzz` and `figures`. The discriminant is
+/// the process exit code; scripts and CI match on the numbers, so they are
+/// load-bearing API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ExitClass {

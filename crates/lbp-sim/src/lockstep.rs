@@ -198,11 +198,9 @@ pub fn run_lockstep(
     oracle.enable_commit_log();
     for &(pc, xor) in sabotage {
         if !is_code_word(image.text.len(), pc) {
-            return Err(LockstepError::Setup(SimError::Protocol {
-                hart: HartId::FIRST,
-                what: format!(
-                    "invalid sabotage `{pc:#x}:{xor:#x}`: pc is not a code word of the image"
-                ),
+            return Err(LockstepError::Setup(SimError::FaultPlan {
+                spec: format!("sabotage:{pc:#x}:{xor:#x}").into(),
+                why: "pc is not a code word of the image",
             }));
         }
         oracle.sabotage_code(pc, xor);

@@ -793,6 +793,8 @@ fn sabotage_is_localized_to_the_exact_instruction() {
     assert_ne!(oracle_pc, machine_pc, "{d}");
 }
 
+/// A sabotage aimed at no code word is a usage refusal naming no hart,
+/// like a fault plan aimed outside the machine.
 #[test]
 fn sabotage_that_names_no_code_word_is_refused() {
     // `mul.s` has six words: 4000 is past them, 6 is inside the second.
@@ -800,11 +802,12 @@ fn sabotage_that_names_no_code_word_is_refused() {
     let image = assemble(MUL_PROGRAM).unwrap();
     for pc in [4000, 6] {
         let err = run_lockstep(LbpConfig::cores(1), &image, 100_000, &[(pc, 1)]).unwrap_err();
-        assert!(
-            matches!(&err, LockstepError::Setup(SimError::Protocol { what, .. })
-                if what.contains("pc is not a code word of the image")),
-            "sabotage at {pc}: {err}"
-        );
+        let LockstepError::Setup(setup @ SimError::FaultPlan { spec, why }) = &err else {
+            panic!("sabotage at {pc}: {err}");
+        };
+        assert_eq!(**spec, format!("sabotage:{pc:#x}:0x1"));
+        assert_eq!(*why, "pc is not a code word of the image");
+        assert_eq!(setup.exit_class(), ExitClass::Usage, "{err}");
     }
 }
 

@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Sizes are hart counts (16 → 4-core LBP of Fig. 19, 64 → Fig. 20,
-//! 256 → Fig. 21). Use `cargo run -p lbp-bench --release --bin figures`
-//! to regenerate the full figures.
+//! 256 → Fig. 21). Use `cargo run --release --bin figures -- all` to
+//! regenerate the full figures.
 
 use lbp::kernels::matmul::{Matmul, Version};
 

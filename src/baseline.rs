@@ -1,11 +1,11 @@
-//! # lbp-baseline — a Xeon-Phi-2-class comparator model
+//! A Xeon-Phi-2-class comparator model
 //!
 //! The paper's Fig. 21 compares the 64-core LBP against a Xeon Phi 2
 //! (Knights Landing) running the tiled matmul under PAPI, reporting for
 //! the Phi: **391 K cycles**, **32 M retired instructions** and
 //! **IPC 81.86** (1.28 per core over 64 cores, 21 % of its 6-IPC peak).
 //!
-//! We do not have that machine; this crate substitutes an analytic model
+//! We do not have that machine; this module substitutes an analytic model
 //! of the same class of processor: wide out-of-order SMT cores with
 //! 512-bit vector units and a cached memory hierarchy. The model has two
 //! parts:
@@ -23,9 +23,6 @@
 //! model reproduces the paper's three reported numbers at `h = 256`;
 //! the interesting output is how the *shape* extrapolates across sizes
 //! next to the LBP simulator's measurements.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod energy;
 

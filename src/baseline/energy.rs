@@ -16,7 +16,7 @@
 //! The interesting output is the *ratio*: the shape of the efficiency
 //! argument, not absolute joules.
 
-use crate::Estimate;
+use super::Estimate;
 
 /// Per-event energies (picojoules) and static power for an LBP-class
 /// embedded manycore.
@@ -66,7 +66,7 @@ impl LbpEnergyModel {
 }
 
 /// The activity counts of one LBP run (a plain-old-data mirror of the
-/// simulator's `Stats`, so this crate stays simulator-independent).
+/// simulator's `Stats`, so this module stays simulator-independent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Activity {
     /// Machine cycles.
@@ -110,7 +110,7 @@ impl PhiEnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PhiModel;
+    use crate::baseline::PhiModel;
 
     /// The h = 256 tiled-matmul activity of the checked-in reference run.
     fn lbp_reference_activity() -> Activity {

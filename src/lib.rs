@@ -2,8 +2,10 @@
 
 #![forbid(unsafe_code)]
 
+pub mod baseline;
+pub mod figures;
+
 pub use lbp_asm as asm;
-pub use lbp_baseline as baseline;
 pub use lbp_cc as cc;
 pub use lbp_isa as isa;
 pub use lbp_kernels as kernels;

@@ -1,9 +1,9 @@
-//! Shared by the five `cli_grammar.rs` suites (this package's and, by
-//! `#[path]`, each tool crate's): the contract every tool's command line
-//! holds, checked on the built binary: `--help` is an answer (stdout, exit 0) listing exactly the
-//! pinned spellings, a bad command line is a usage error (the same text
-//! on stderr, exit 2), and no document spells a flag the tool's table
-//! does not have.
+//! Shared by the three `cli_grammar.rs` suites (this package's and, by
+//! `#[path]`, lbp-batch's and lbp-fuzz's): the contract every tool's
+//! command line holds, checked on the built binary: `--help` is an answer
+//! (stdout, exit 0) listing exactly the pinned spellings, a bad command
+//! line is a usage error (the same text on stderr, exit 2), and no
+//! document spells a flag the tool's table does not have.
 
 #![allow(dead_code)] // each suite uses its share
 
@@ -134,7 +134,7 @@ pub fn check_contract(exe: &Path, tool: &str, pinned: &[&str]) {
         "{stderr}"
     );
 
-    // Compiled into this package and into three tool crates below it.
+    // Compiled into this package and into two tool crates below it.
     let mut root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     while !root.join("ROADMAP.md").exists() {
         assert!(root.pop(), "no workspace root above the manifest");
@@ -158,7 +158,7 @@ mod tests {
     fn documented_flags_stop_at_the_next_tool_and_skip_cargo_arguments() {
         let doc = "run `lbp-run a.c --verify` or `lbp-cc a.c --lint --diag-json -`\n\
                    cargo build --release --bin lbp-run --bin lbp-cc\n\
-                   cargo run -p lbp-bench --release --bin figures -- fig19 --csv\n\
+                   cargo run --release --bin figures -- fig19 --csv\n\
                    ./lbp-run x.s --trace - \\\n     --trace-format jsonl\n\
                    my-lbp-run --nope and lbp-runner --nope\n";
         assert_eq!(

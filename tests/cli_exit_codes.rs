@@ -148,6 +148,22 @@ fn exit_2_an_invalid_fault_plan_names_the_spec_and_the_reason() {
     }
 }
 
+/// An output `figures` cannot write is the classified failure `lbp-run`
+/// gives for one, naming the path, not a panic.
+#[test]
+fn exit_1_figures_cannot_write_its_stats_dir() {
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["fig19", "--stats-dir", "/dev/null/x"])
+        .output()
+        .expect("figures spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(class_of(out.status), ExitClass::Failure, "{stderr}");
+    assert!(
+        stderr.contains("figures: cannot write stats JSON to `/dev/null/x`: "),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn exit_1_front_end_failure() {
     let bad = scratch("bad.c", "int main( { this is not C }\n");

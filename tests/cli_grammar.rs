@@ -1,8 +1,8 @@
 //! The grammar is the contract: each tool's flag table is its `--help`
 //! text, its parser and its legality check, so what a command line does
-//! can be read off the command line. For `lbp-run` and `lbp-cc` (the
-//! binaries of this package; `lbp-batch`, `lbp-fuzz` and `figures` hold
-//! the same contract in their own crates' `tests/cli_grammar.rs`):
+//! can be read off the command line. For `lbp-run`, `lbp-cc` and
+//! `figures` (the binaries of this package; `lbp-batch` and `lbp-fuzz`
+//! hold the same contract in their own crates' `tests/cli_grammar.rs`):
 //! nothing was added, removed or renamed against the parent's usage
 //! text; a flag the selected mode would ignore is a usage error naming
 //! both; the documents spell no flag the tables lack; `lbp-run --verify`
@@ -20,6 +20,7 @@ use lbp_testutil::harness;
 
 const LBP_RUN: &str = env!("CARGO_BIN_EXE_lbp-run");
 const LBP_CC: &str = env!("CARGO_BIN_EXE_lbp-cc");
+const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
 
 fn repo(path: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(path)
@@ -97,6 +98,18 @@ fn lbp_cc_lists_the_7_flags_of_the_parent_and_the_documents_spell_no_other() {
         "-o",
     ];
     check_contract(Path::new(LBP_CC), "lbp-cc", &pinned);
+}
+
+#[test]
+fn figures_lists_the_2_flags_of_the_parent_and_the_documents_spell_no_other() {
+    check_contract(Path::new(FIGURES), "figures", &["--csv", "--stats-dir"]);
+}
+
+#[test]
+fn figures_without_a_target_or_with_an_unknown_one_is_a_usage_error() {
+    refused(&run(FIGURES, &[]), &["TARGET"], "no target");
+    refused(&run(FIGURES, &["--csv"]), &["TARGET"], "--csv alone");
+    refused(&run(FIGURES, &["fig22"]), &["`fig22`"], "fig22");
 }
 
 /// A command line that selects `mode` of `lbp-run` and is legal as it

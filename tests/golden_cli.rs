@@ -231,7 +231,7 @@ const ROWS: [Row; 80] = [
     run("lockstep-sabotage", MATMUL, &["--lockstep --sabotage 68:1024"],
         Pinned(1, 0x5b47_1d43_0e3c_bb38)),
     run("lockstep-sabotage-not-a-code-word", MUL, &["--lockstep --sabotage 4000:1"],
-        Pinned(1, 0xa16a_0180_a8fe_e743)),
+        Pinned(1, 0x1d1e_3dc7_fa6f_3017)),
     // The fault matrix, each case with a crash dump on error.
     run("fault-none-hung", HUNG, &[DUMP], Pinned(1, 0x8384_1887_55a1_f22e)),
     run("fault-lockstep-flip-reg", MUL, &["--lockstep --fault flip-reg:0:a2:4:14", DUMP],

@@ -1,35 +1,14 @@
 //! Acceptance check for the profiler: a *profiled* Figure-19 matmul run
-//! must land on exactly the golden cycle counts in
-//! `results_reference.txt` (profiling is observationally free), and the
-//! per-function hot-spot attribution must reconcile with the run's
-//! stats — function cycles plus unattributed stalls partition the full
-//! `cycles x cores` budget, function retired counts sum to the retired
-//! total.
+//! must land on exactly the cycle count of the unprofiled run that
+//! `tests/golden_reference.rs` pins (profiling is observationally free),
+//! and the per-function hot-spot attribution must reconcile with the
+//! run's stats — function cycles plus unattributed stalls partition the
+//! full `cycles x cores` budget, function retired counts sum to the
+//! retired total.
 
-use lbp_kernels::matmul::{Matmul, Version};
-use lbp_prof::{function_rows, SymTab};
-
-/// The golden Figure-19 cycle count for `version`, parsed from the row's
-/// first numeric field.
-fn golden_cycles(version: Version) -> u64 {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results_reference.txt");
-    let text = std::fs::read_to_string(path).expect("results_reference.txt is checked in");
-    let mut in_figure = false;
-    for line in text.lines() {
-        if line.starts_with("Figure 19") {
-            in_figure = true;
-            continue;
-        }
-        if in_figure && line.starts_with(version.name()) {
-            let cycles = line
-                .split_whitespace()
-                .nth(1)
-                .expect("row has a cycles column");
-            return cycles.parse().expect("cycles parse");
-        }
-    }
-    panic!("Figure 19 row for {:?} not found", version.name());
-}
+use lbp::figures::measure;
+use lbp::kernels::matmul::{Matmul, Version};
+use lbp::prof::{function_rows, SymTab};
 
 #[test]
 fn profiled_figure19_reconciles_with_the_reference() {
@@ -41,13 +20,11 @@ fn profiled_figure19_reconciles_with_the_reference() {
         let report = m.run(1_000_000_000).expect("run completes");
         assert!(mm.verify(&mut m).expect("peek"), "wrong result");
 
-        // Identity with the golden trajectory: the profiled run's cycle
-        // count is the unprofiled one, which is the committed reference.
-        let golden = golden_cycles(version);
+        let (unprofiled, _) = measure(16, version);
         assert_eq!(
             report.stats.cycles,
-            golden,
-            "{}: profiled cycle count diverges from results_reference.txt",
+            unprofiled.cycles,
+            "{}: profiled cycle count diverges from the unprofiled run",
             version.name()
         );
 
