@@ -155,7 +155,8 @@ fn konst(v: i64, line: usize) -> Result<Expr, AsmError> {
     if v.unsigned_abs() < 1_000_000_000_000_000_000 {
         Ok(Expr::Const(v))
     } else {
-        parse_expr(&v.to_string(), line)
+        let text = v.to_string();
+        parse_expr(&text, &text, line)
     }
 }
 

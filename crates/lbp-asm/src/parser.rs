@@ -156,8 +156,8 @@ fn parse_reg(name: &str, line_no: usize) -> Result<Reg, AsmError> {
         .map_err(|e| AsmError::new(line_no, e.to_string()))
 }
 
-/// Parses `expr(reg)` or `(reg)`.
-fn parse_mem_operand(s: &str, line_no: usize) -> Result<(Expr, Reg), AsmError> {
+/// Parses `expr(reg)` or `(reg)`; `s` is a slice of the line `code`.
+fn parse_mem_operand(s: &str, code: &str, line_no: usize) -> Result<(Expr, Reg), AsmError> {
     let open = s
         .rfind('(')
         .ok_or_else(|| AsmError::new(line_no, format!("expected `offset(base)`, got `{s}`")))?;
@@ -169,19 +169,22 @@ fn parse_mem_operand(s: &str, line_no: usize) -> Result<(Expr, Reg), AsmError> {
     let off = if off_text.is_empty() {
         Expr::konst(0)
     } else {
-        parse_expr(off_text, line_no)?
+        parse_expr(off_text, code, line_no)?
     };
     Ok((off, base))
 }
 
-/// Parses a constant expression: `term (('+'|'-') term)*`.
-pub(crate) fn parse_expr(s: &str, line_no: usize) -> Result<Expr, AsmError> {
+/// Parses a constant expression: `term (('+'|'-') term)*`. `s` is a
+/// slice of the line `code`, so that an error names the column of the
+/// line, not of the operand.
+pub(crate) fn parse_expr(s: &str, code: &str, line_no: usize) -> Result<Expr, AsmError> {
     if let Some(leaf) = parse_leaf(s) {
         return Ok(leaf);
     }
     let mut p = ExprParser {
         text: s,
         pos: 0,
+        col: s.as_ptr() as usize - code.as_ptr() as usize + 1,
         line_no,
         depth: 0,
         height: 0,
@@ -226,6 +229,8 @@ pub(crate) const MAX_NEST: usize = 64;
 struct ExprParser<'a> {
     text: &'a str,
     pos: usize,
+    /// The line column of `text`'s first byte.
+    col: usize,
     line_no: usize,
     /// `term`s open around `pos`.
     depth: usize,
@@ -236,6 +241,11 @@ struct ExprParser<'a> {
 impl<'a> ExprParser<'a> {
     fn err(&self, msg: String) -> AsmError {
         AsmError::new(self.line_no, msg)
+    }
+
+    /// The line column of `pos`.
+    fn column(&self) -> usize {
+        self.col + self.pos
     }
 
     fn skip_ws(&mut self) {
@@ -259,7 +269,7 @@ impl<'a> ExprParser<'a> {
         if below >= MAX_NEST {
             return Err(self.err(format!(
                 "expression too deep at column {} (limit {MAX_NEST})",
-                self.pos + 1
+                self.column()
             )));
         }
         self.height = below + 1;
@@ -288,7 +298,7 @@ impl<'a> ExprParser<'a> {
         if self.depth == MAX_NEST {
             return Err(self.err(format!(
                 "expression nested too deep at column {} (limit {MAX_NEST})",
-                self.pos + 1
+                self.column()
             )));
         }
         self.depth += 1;
@@ -338,8 +348,8 @@ impl<'a> ExprParser<'a> {
             Some(c) if c.is_ascii_alphabetic() || c == '_' || c == '.' => {
                 Ok(Expr::sym(self.ident()?))
             }
-            Some(c) => Err(self.err(format!("unexpected `{c}` at column {}", self.pos + 1))),
-            None => Err(self.err(format!("expression ends early at column {}", self.pos + 1))),
+            Some(c) => Err(self.err(format!("unexpected `{c}` at column {}", self.column()))),
+            None => Err(self.err(format!("expression ends early at column {}", self.column()))),
         }
     }
 
@@ -582,12 +592,12 @@ impl Scanner {
         };
         match word.strip_prefix('.') {
             _ if word.is_empty() => Ok(()),
-            Some(name) => self.directive(name, args),
-            None => self.instruction(word, key, args),
+            Some(name) => self.directive(name, args, code),
+            None => self.instruction(word, key, args, code),
         }
     }
 
-    fn directive(&mut self, name: &str, args: &str) -> Result<(), AsmError> {
+    fn directive(&mut self, name: &str, args: &str, code: &str) -> Result<(), AsmError> {
         let ln = self.line_no;
         match name {
             "text" => self.push(Item::Section(Section::Text)),
@@ -597,18 +607,18 @@ impl Scanner {
                     return Err(self.err(".word needs at least one value"));
                 }
                 for value in pieces(args) {
-                    let e = parse_expr(trim(value), ln)?;
+                    let e = parse_expr(trim(value), code, ln)?;
                     self.push(Item::Word(e));
                 }
             }
             "space" | "skip" => {
-                let n = parse_expr(args, ln)?;
+                let n = parse_expr(args, code, ln)?;
                 self.push(Item::Space(n));
             }
             "align" | "balign" => {
                 // The location counters are `u32`: a count past them is
                 // refused here, not truncated to zero.
-                let bytes = match parse_expr(args, ln)? {
+                let bytes = match parse_expr(args, code, ln)? {
                     Expr::Const(v) => u32::try_from(v).ok().filter(|b| b.is_power_of_two()),
                     _ => None,
                 };
@@ -620,7 +630,7 @@ impl Scanner {
                 let ([name, value, ..], 2) = operands(args) else {
                     return Err(self.err(".equ needs `name, value`"));
                 };
-                let value = parse_expr(value, ln)?;
+                let value = parse_expr(value, code, ln)?;
                 if !is_ident(name) {
                     return Err(self.err(format!("bad symbol name `{name}`")));
                 }
@@ -634,13 +644,20 @@ impl Scanner {
         Ok(())
     }
 
-    fn instruction(&mut self, mnemonic: &str, key: u64, args: &str) -> Result<(), AsmError> {
+    fn instruction(
+        &mut self,
+        mnemonic: &str,
+        key: u64,
+        args: &str,
+        code: &str,
+    ) -> Result<(), AsmError> {
         let Some(meaning) = self.mnemonics.lookup(key) else {
             return Err(self.err(format!("unknown mnemonic `{mnemonic}`")));
         };
         let (at, count) = operands(args);
         let ops = TextOperands {
             at,
+            code,
             count,
             line: self.line_no,
         };
@@ -676,6 +693,8 @@ pub(crate) trait Operands {
 /// The trimmed operand texts of one line.
 struct TextOperands<'a> {
     at: [&'a str; 4],
+    /// The line they are slices of.
+    code: &'a str,
     count: usize,
     line: usize,
 }
@@ -690,11 +709,11 @@ impl Operands for TextOperands<'_> {
     }
 
     fn expr(&self, i: usize) -> Result<Expr, AsmError> {
-        parse_expr(self.at[i], self.line)
+        parse_expr(self.at[i], self.code, self.line)
     }
 
     fn mem(&self, i: usize) -> Result<(Expr, Reg), AsmError> {
-        parse_mem_operand(self.at[i], self.line)
+        parse_mem_operand(self.at[i], self.code, self.line)
     }
 }
 
@@ -973,7 +992,8 @@ mod tests {
         assert!(li(parens(MAX_NEST - 1)).is_ok());
         let e = li(parens(MAX_NEST)).unwrap_err();
         assert_eq!(e.line, 2);
-        let at = format!("nested too deep at column {}", MAX_NEST + 1);
+        // Columns count from the line: `  li a0, ` is nine bytes.
+        let at = format!("nested too deep at column {}", 9 + MAX_NEST + 1);
         assert!(e.message.contains(&at), "{e}");
         // A chain nests the tree without nesting the parser.
         let chain = |n: usize| vec!["x"; n].join("+");

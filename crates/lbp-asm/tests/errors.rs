@@ -200,24 +200,25 @@ fn expression_syntax_rejected() {
 }
 
 /// A character no term starts with is named, and a term that never
-/// comes is an early end; both at their column within the operand.
+/// comes is an early end; both at their column in the line (bytes,
+/// from 1), as lbp-cc counts them.
 #[test]
 fn expression_errors_name_the_character_and_its_column() {
     let message = |src: &str| assemble(src).unwrap_err().message;
     assert_eq!(
         message("main: addi a0, a0, $"),
-        "unexpected `$` at column 1"
+        "unexpected `$` at column 20"
     );
-    assert_eq!(message("    li a0, 2 - é"), "unexpected `é` at column 5");
+    assert_eq!(message("    li a0, 2 - é"), "unexpected `é` at column 16");
     assert_eq!(
         message("main: addi a0, a0, 1+"),
-        "expression ends early at column 3"
+        "expression ends early at column 22"
     );
-    assert_eq!(message(".word 1,,2"), "expression ends early at column 1");
+    assert_eq!(message(".word 1,,2"), "expression ends early at column 9");
     assert_eq!(message("    li a0, (4"), "expected `)`");
     rejected(
         "x:\n    li a0, 1 + (2 -\n",
-        "expression ends early at column 9",
+        "expression ends early at column 20",
         2,
     );
 }

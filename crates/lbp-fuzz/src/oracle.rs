@@ -21,8 +21,9 @@
 //!    implementation actually is.)
 //! 5. **race** — re-run with the dynamic race-witness collector armed
 //!    (`Machine::enable_race_witness`): a statically accepted program
-//!    must produce **zero** concrete shared-memory overlap witnesses —
-//!    the cross-validation of `lbp-verify`'s M-pass — and the collector,
+//!    must produce **zero** witnesses, no team whose members conflict on
+//!    a shared word at the join — the cross-validation of
+//!    `lbp-verify`'s M-pass — and the collector,
 //!    being observational, must leave the report and the final state
 //!    hash bit-identical to the reference run.
 //! 6. **snapshot** — snapshot at the mid-cycle of the reference run,
@@ -633,7 +634,12 @@ mod tests {
         let f = check(&p).unwrap_err();
         assert_eq!(f.oracle, "race");
         assert_eq!(f.class, "race-witness");
-        assert!(f.detail.contains("write-write"), "detail: {}", f.detail);
+        assert!(
+            f.detail
+                .contains("write/write conflict on 0x80000004: members 0 (hart c0h0"),
+            "detail: {}",
+            f.detail
+        );
     }
 
     #[test]

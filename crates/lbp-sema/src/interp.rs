@@ -24,6 +24,7 @@
 
 use lbp_cc::ast::{BinOp, Init, UnOp};
 use lbp_cc::sema::Checked;
+use lbp_sim::race::{note, Overlap, Two, NOBODY};
 
 use crate::lower::{self, Base, Body, Expr, ExprId, Loop, Place, Program, Stmt};
 use crate::{Effect, Layout, Outcome, Trap};
@@ -103,7 +104,7 @@ pub fn run(cx: &Checked, layout: &Layout, opts: &InterpOptions) -> Result<Outcom
 const ARENA_BASE: u32 = 0x4000_0000;
 
 /// `Interp::member` while `main` runs; also "nobody" in a [`Word`].
-const MAIN: u32 = u32::MAX;
+const MAIN: u32 = NOBODY;
 
 /// The step path's result: the error is boxed so that `Ok` stays small.
 type Step<T> = Result<T, Box<Trap>>;
@@ -152,66 +153,17 @@ struct Word {
     owner: u32,
     value: i32,
     /// The two lowest-indexed members that wrote the word, and that read
-    /// it (`MAIN` for none): enough to name the lowest conflicting pair.
-    writers: [u32; 2],
-    readers: [u32; 2],
+    /// it: enough to name the lowest conflicting pair.
+    writers: Two<()>,
+    readers: Two<()>,
 }
 
 const UNTOUCHED: Word = Word {
     owner: MAIN,
     value: 0,
-    writers: [MAIN; 2],
-    readers: [MAIN; 2],
+    writers: [(MAIN, ()); 2],
+    readers: [(MAIN, ()); 2],
 };
-
-/// Adds member `m` to a lowest-two set.
-fn note(two: &mut [u32; 2], m: u32) {
-    if m < two[0] {
-        two[1] = two[0];
-        two[0] = m;
-    } else if m != two[0] && m < two[1] {
-        two[1] = m;
-    }
-}
-
-/// The overlap of two members on one word.
-#[derive(Clone, Copy)]
-enum Overlap {
-    /// Both members wrote it.
-    Writes(u32, u32),
-    /// One wrote it, the other read it.
-    ReadWrite { writer: u32, reader: u32 },
-}
-
-impl Overlap {
-    /// The member pair, lower index first.
-    fn pair(self) -> (u32, u32) {
-        match self {
-            Overlap::Writes(a, b) => (a, b),
-            Overlap::ReadWrite { writer, reader } => (writer.min(reader), writer.max(reader)),
-        }
-    }
-
-    /// The lowest conflicting member pair on a word, if any. A lowest
-    /// pair never needs a member past the two lowest writers and readers:
-    /// swapping one for a lower member of the same set lowers the pair.
-    fn of(w: &Word) -> Option<Overlap> {
-        let mut best =
-            (w.writers[1] != MAIN).then_some(Overlap::Writes(w.writers[0], w.writers[1]));
-        for writer in w.writers {
-            for reader in w.readers {
-                if writer == MAIN || reader == MAIN || writer == reader {
-                    continue;
-                }
-                let rw = Overlap::ReadWrite { writer, reader };
-                if best.is_none_or(|b| rw.pair() < b.pair()) {
-                    best = Some(rw);
-                }
-            }
-        }
-        best
-    }
-}
 
 /// The deterministic-consistency state of a region, allocated at the
 /// first region and reset word by word at each join.
@@ -521,7 +473,10 @@ impl<'p> Interp<'p> {
     fn join(&mut self, team: usize, line: usize) -> Step<()> {
         let r = &mut self.region;
         let conflict = (r.touched.iter())
-            .filter_map(|&w| Overlap::of(&r.words[w]).map(|o| (w, o)))
+            .filter_map(|&w| {
+                let word = &r.words[w];
+                Overlap::of(&word.writers, &word.readers).map(|(o, _)| (w, o))
+            })
             .min_by_key(|&(w, o)| (w, o.pair()));
         if let Some((w, overlap)) = conflict {
             return Err(self.conflict(w, overlap, line));
@@ -550,14 +505,7 @@ impl<'p> Interp<'p> {
             })
             .expect("every store word belongs to a global");
         let at = format!("`{}[{}]`", global.name, w + global.elems as usize - end);
-        let message = match overlap {
-            Overlap::Writes(a, b) => {
-                format!("write/write conflict on {at}: members {a} and {b} both write it")
-            }
-            Overlap::ReadWrite { writer, reader } => format!(
-                "read/write conflict on {at}: member {writer} writes it and member {reader} reads it"
-            ),
-        };
+        let message = overlap.message(at, |m| m.to_string());
         trap("conflict", line, message)
     }
 
@@ -751,10 +699,10 @@ impl<'p> Interp<'p> {
         }
         let r = &mut self.region;
         let word = &mut r.words[w];
-        if word.owner == MAIN && word.readers[0] == MAIN {
+        if word.owner == MAIN && word.readers[0].0 == MAIN {
             r.touched.push(w);
         }
-        note(&mut word.readers, m);
+        note(&mut word.readers, m, ());
         let owner = word.owner;
         if owner == m {
             return word.value;
@@ -777,10 +725,10 @@ impl<'p> Interp<'p> {
         }
         let r = &mut self.region;
         let word = &mut r.words[w];
-        if word.owner == MAIN && word.readers[0] == MAIN {
+        if word.owner == MAIN && word.readers[0].0 == MAIN {
             r.touched.push(w);
         }
-        note(&mut word.writers, m);
+        note(&mut word.writers, m, ());
         if word.owner == MAIN || word.owner == m {
             word.owner = m;
             word.value = v;

@@ -502,7 +502,7 @@ impl Core {
             }
             Instr::Load { kind, offset, .. } => {
                 let addr = v1.wrapping_add(offset as u32);
-                env.obs.load(id, e.pc, addr, kind.size() as u8);
+                env.obs.access(id, e.pc, addr, false);
                 self.send_read(
                     id,
                     addr,
@@ -515,7 +515,7 @@ impl Core {
             }
             Instr::Store { kind, offset, .. } => {
                 let addr = v1.wrapping_add(offset as u32);
-                env.obs.store(id, e.pc, addr, kind.size() as u8);
+                env.obs.access(id, e.pc, addr, true);
                 self.send_write(id, addr, v2, kind.size() as u8, env)?;
                 self.harts[hart_idx].in_flight_mem += 1;
                 silent
@@ -611,6 +611,7 @@ impl Core {
                 let to = xpar::start_target(id, v1, env.cores)?;
                 let pc = e.pc.wrapping_add(4);
                 env.fabric.send(self.index, CoreMsg::Start { to, pc });
+                env.obs.start(id, to);
                 let h = &mut self.harts[hart_idx];
                 h.team_succ = Some(to);
                 if let Instr::PJalr { .. } = e.instr {

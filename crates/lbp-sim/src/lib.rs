@@ -85,7 +85,7 @@ mod network;
 mod observe;
 mod prof;
 mod queues;
-mod race;
+pub mod race;
 mod snapshot;
 mod stats;
 mod trace;
@@ -103,7 +103,7 @@ pub use json::{Json, JsonError};
 pub use lockstep::{run_lockstep, Divergence, LockstepError, LockstepReport};
 pub use machine::{Machine, RunPause, RunReport, Watch, Watched};
 pub use prof::{PcCounters, ProfData, ProfInterval};
-pub use race::{RaceData, RaceKind, RaceWitness};
+pub use race::{Overlap, RaceData, RaceWitness};
 pub use snapshot::{MachineState, SnapError};
 pub use stats::{CoreStalls, IntervalSample, StallKind, Stats};
 pub use trace::{ChromeSink, Event, EventKind, JsonlSink, TextSink, Trace, TraceSink};

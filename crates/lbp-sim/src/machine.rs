@@ -294,9 +294,9 @@ impl Machine {
         self.obs.prof.as_deref()
     }
 
-    /// Turns on the dynamic race-witness collector (see [`RaceData`]).
-    /// Every subsequent shared-memory access is checked byte-by-byte for
-    /// cross-hart overlap with no fork/join protocol message in between.
+    /// Turns on the dynamic race-witness collector (see [`RaceData`]):
+    /// from here on, every team the hardware forks is checked at its join
+    /// for two members that overlap on a shared word, one of them writing.
     ///
     /// Collection is observational only: the run's instruction sequence,
     /// trace, statistics and final state are bit-identical with the
@@ -304,7 +304,7 @@ impl Machine {
     /// restored machine starts with collection off.
     pub fn enable_race_witness(&mut self) {
         if self.obs.race.is_none() {
-            self.obs.race = Some(Box::new(RaceData::new(self.cfg.cores)));
+            self.obs.race = Some(Box::new(RaceData::new(&self.cfg)));
         }
     }
 
@@ -875,20 +875,11 @@ impl Machine {
     }
 
     fn deliver_core_msg(&mut self, core: u32, msg: CoreMsg, now: u64) -> Result<(), SimError> {
-        // `ForkReply`, `Start` and `Join` are rendezvous deliveries, the
-        // race witness's synchronization edges: the recipient is provably
-        // not executing when they arrive (blocked on the fork result, not
-        // yet started, or waiting in `p_ret`), so it happens-after
-        // everything recorded so far. `CvWrite`/`CvAck`/`EndSignal`/
-        // `Result` can reach a hart that is still running and must NOT
-        // report one — they would fabricate an ordering for accesses
-        // already in flight.
         match msg {
             CoreMsg::ForkReq { from } => {
                 self.cores[core as usize].alloc_q.push_back(from);
             }
             CoreMsg::ForkReply { to, child } => {
-                self.obs.rendezvous(to);
                 let rb = self
                     .hart_mut(to)
                     .rb
@@ -903,7 +894,6 @@ impl Machine {
                 };
             }
             CoreMsg::Start { to, pc } => {
-                self.obs.rendezvous(to);
                 let h = self.hart_mut(to);
                 xpar::resume(to, &mut h.state, HartState::Reserved, pc)?;
                 h.pc = Some(pc);
@@ -927,7 +917,7 @@ impl Machine {
                 self.hart_mut(to).end_signal = true;
             }
             CoreMsg::Join { to, pc } => {
-                self.obs.rendezvous(to);
+                self.obs.join(to);
                 let h = self.hart_mut(to);
                 xpar::resume(to, &mut h.state, HartState::WaitingJoin, pc)?;
                 h.pc = Some(pc);

@@ -92,19 +92,28 @@ impl Observers {
         }
     }
 
-    /// `hart` issued the load at `pc`: `size` bytes at `addr`.
+    /// `hart` issued the load (`write` false) or store at `pc` to `addr`.
     #[inline]
-    pub fn load(&mut self, hart: HartId, pc: u32, addr: u32, size: u8) {
+    pub fn access(&mut self, hart: HartId, pc: u32, addr: u32, write: bool) {
         if let Some(r) = &mut self.race {
-            r.read(hart, pc, addr, size);
+            r.access(hart, pc, addr, write);
         }
     }
 
-    /// `hart` issued the store at `pc`: `size` bytes at `addr`.
+    /// `from` sent `to` a start pc: `to` is the next member of `from`'s
+    /// team.
     #[inline]
-    pub fn store(&mut self, hart: HartId, pc: u32, addr: u32, size: u8) {
+    pub fn start(&mut self, from: HartId, to: HartId) {
         if let Some(r) = &mut self.race {
-            r.write(hart, pc, addr, size);
+            r.start(from, to);
+        }
+    }
+
+    /// A join address reached `to`: its team's members are done.
+    #[inline]
+    pub fn join(&mut self, to: HartId) {
+        if let Some(r) = &mut self.race {
+            r.join(to);
         }
     }
 
@@ -124,15 +133,6 @@ impl Observers {
             for requester in requesters {
                 p.bank_conflict(requester, bank, 1);
             }
-        }
-    }
-
-    /// A rendezvous message (fork reply, start, join) reached `to`, which
-    /// was provably not executing: a happens-before edge.
-    #[inline]
-    pub fn rendezvous(&mut self, to: HartId) {
-        if let Some(r) = &mut self.race {
-            r.sync(to);
         }
     }
 

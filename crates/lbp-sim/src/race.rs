@@ -1,206 +1,251 @@
-//! Dynamic race-witness collector — the soundness net under the static
-//! M-pass (`lbp-verify`'s `LBP-M001`..`M006`).
+//! The race witness: deterministic OpenMP's join check, run on the team
+//! the machine forks — the soundness net under `lbp-verify`'s M-pass.
 //!
-//! The static analyzer proves cross-member disjointness of shared
-//! accesses where it can and *warns* where it cannot (`LBP-M003`/`M004`).
-//! This module closes the loop at runtime: with the collector enabled
-//! ([`crate::Machine::enable_race_witness`]), every shared-memory load
-//! and store is checked, byte by byte, against the accesses that came
-//! before it, and a concrete [`RaceWitness`] is recorded whenever two
-//! different harts touch the same byte (at least one writing) without an
-//! intervening fork/join synchronization edge between them.
+//! Members of a team must not conflict between fork and join: no shared
+//! word may be written by two members, or written by one and read by
+//! another (*Deterministic Consistency*). lbp-sema checks that on the
+//! source at each join, and the witness on the machine, with the same
+//! code: [`note`] keeps a word's two lowest writers and readers,
+//! [`Overlap::of`] picks the lowest conflicting pair and
+//! [`Overlap::message`] words it.
 //!
-//! # Ordering model
+//! *Teams.* A `p_jal`/`p_jalr` starts the allocated hart on the rest of
+//! the fork loop, and that hart forks the next member. So the `Start`
+//! send gives the started hart its starter's team and member index + 1,
+//! and a starter in no team opens one as member 0: lbp-sema's member
+//! numbering. The `Join` delivered to a member closes its team.
 //!
-//! The fabric's deterministic protocol messages are the only cross-hart
-//! synchronization in LBP. The collector keeps one global counter `g`,
-//! bumped on every *rendezvous* [`crate::msg::CoreMsg`] delivery — fork
-//! reply, start, join — where the recipient is provably not executing
-//! (blocked on the fork result, not yet started, or waiting in `p_ret`),
-//! plus a per-hart *watermark*: the `g` value of the last rendezvous that
-//! hart received. An access is tagged with the current `g`; a later
-//! access by hart `b` is considered ordered after a prior access tagged
-//! `g_a` iff `watermark[b] > g_a`, i.e. `b` passed a rendezvous after the
-//! prior access happened. Deliveries that can reach a hart mid-execution
-//! (cv writes and acks, end signals, result-line values) do not bump —
-//! they would fabricate an ordering for accesses already in flight.
+//! *The table.* One entry per shared word, allocated zeroed (untouched
+//! pages cost nothing): the tag of the team that last touched the word,
+//! then its writers and readers, each with the hart and pc of its first
+//! such access. At the join, the team's touched words give the lowest
+//! conflicting word, member pair and kind: one [`RaceWitness`].
 //!
-//! This over-approximates the true happens-before relation (every
-//! delivery is treated as a transitive join with the whole machine), so
-//! the collector can *miss* exotic races but never fabricates one: a
-//! reported witness is two accesses with no protocol message between
-//! them, which on this machine means no synchronization at all. That
-//! direction is exactly what the cross-validation oracle needs — a
-//! statically *accepted* program must produce zero witnesses.
-//!
-//! Like profiling ([`crate::prof`]), the collector is observational: it
-//! is reached only through the machine's `Observers` hooks (`load`,
-//! `store`, `rendezvous` in `observe.rs`), which cost one branch each
-//! when it is off, never change the simulation, and keep it out of
-//! snapshots.
+//! The collector is reached only through the machine's `Observers`
+//! hooks, which cost one branch each when it is off; it never changes the
+//! simulation and is never snapshotted.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
-use lbp_isa::{HartId, Region, HARTS_PER_CORE};
+use lbp_isa::{HartId, HARTS_PER_CORE, SHARED_BASE};
 
-/// Witnesses stop accumulating past this count; racy loops would
-/// otherwise grow the list with one entry per iteration even after
-/// pc-pair deduplication has seen every distinct site.
+use crate::LbpConfig;
+
+/// Witnesses stop accumulating past this count; a racy loop of regions
+/// would otherwise add one per join.
 const MAX_WITNESSES: usize = 64;
 
-/// What the two unsynchronized accesses were.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RaceKind {
-    /// Two writes to the same byte.
-    WriteWrite,
-    /// A read of a byte after an unordered write.
-    WriteRead,
-    /// A write of a byte after an unordered read.
-    ReadWrite,
+/// An empty slot of a lowest-two set.
+pub const NOBODY: u32 = u32::MAX;
+
+/// A lowest-two set: the two lowest-indexed members that did something,
+/// each with where it first did it ([`NOBODY`] marks an empty slot).
+pub type Two<A> = [(u32, A); 2];
+
+/// Adds member `m`, seen at `at`, to a lowest-two set; a member already
+/// there keeps its first `at`.
+#[inline]
+pub fn note<A: Copy>(two: &mut Two<A>, m: u32, at: A) {
+    if m < two[0].0 {
+        two[1] = two[0];
+        two[0] = (m, at);
+    } else if m != two[0].0 && m < two[1].0 {
+        two[1] = (m, at);
+    }
 }
 
-impl RaceKind {
-    fn as_str(self) -> &'static str {
+/// The overlap of two members on one word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Overlap {
+    /// Both members wrote it (lower index first).
+    Writes(u32, u32),
+    /// One wrote it, the other read it.
+    ReadWrite {
+        /// The writing member.
+        writer: u32,
+        /// The reading member.
+        reader: u32,
+    },
+}
+
+impl Overlap {
+    /// The member pair, lower index first.
+    #[inline]
+    pub fn pair(self) -> (u32, u32) {
         match self {
-            RaceKind::WriteWrite => "write-write",
-            RaceKind::WriteRead => "write-read",
-            RaceKind::ReadWrite => "read-write",
+            Overlap::Writes(a, b) => (a, b),
+            Overlap::ReadWrite { writer, reader } => (writer.min(reader), writer.max(reader)),
+        }
+    }
+
+    /// The lowest conflicting member pair on a word with these writers
+    /// and readers, if any, with where each of the two (first writer,
+    /// then the other writer or the reader) did it. A lowest pair never
+    /// needs a member past the two lowest writers and readers: swapping
+    /// one for a lower member of the same set lowers the pair.
+    #[inline]
+    pub fn of<A: Copy>(writers: &Two<A>, readers: &Two<A>) -> Option<(Overlap, [A; 2])> {
+        let [(w0, at0), (w1, at1)] = *writers;
+        let mut best = (w1 != NOBODY).then_some((Overlap::Writes(w0, w1), [at0, at1]));
+        for &(writer, w_at) in writers {
+            for &(reader, r_at) in readers {
+                if writer == NOBODY || reader == NOBODY || writer == reader {
+                    continue;
+                }
+                let rw = Overlap::ReadWrite { writer, reader };
+                if best.is_none_or(|(b, _)| rw.pair() < b.pair()) {
+                    best = Some((rw, [w_at, r_at]));
+                }
+            }
+        }
+        best
+    }
+
+    /// The conflict in lbp-sema's words: `on` names the word and `who`
+    /// a member.
+    #[cold]
+    pub fn message(self, on: impl fmt::Display, who: impl Fn(u32) -> String) -> String {
+        match self {
+            Overlap::Writes(a, b) => format!(
+                "write/write conflict on {on}: members {} and {} both write it",
+                who(a),
+                who(b)
+            ),
+            Overlap::ReadWrite { writer, reader } => format!(
+                "read/write conflict on {on}: member {} writes it and member {} reads it",
+                who(writer),
+                who(reader)
+            ),
         }
     }
 }
 
-/// One concrete race: two accesses to the same shared byte by different
-/// harts with no protocol message between them.
+/// One conflict the machine showed: the lowest conflicting word of a
+/// team at its join, and the lowest member pair on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaceWitness {
-    /// The contested byte address (first racing byte of the access).
+    /// The conflicting shared word's address.
     pub addr: u32,
-    /// Write-write, write-read or read-write.
-    pub kind: RaceKind,
-    /// The earlier access: hart and pc of the instruction.
+    /// The kind and the member pair.
+    pub overlap: Overlap,
+    /// Hart and pc of the first member the message names (the lower
+    /// writer, or the writer): the pc of its first such access.
     pub first: (HartId, u32),
-    /// The later access: hart and pc of the instruction.
+    /// Hart and pc of the second member.
     pub second: (HartId, u32),
 }
 
-impl std::fmt::Display for RaceWitness {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} race on {:#010x}: hart {} pc {:#x} vs hart {} pc {:#x}",
-            self.kind.as_str(),
-            self.addr,
-            self.first.0,
-            self.first.1,
-            self.second.0,
-            self.second.1,
-        )
+impl fmt::Display for RaceWitness {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let second = match self.overlap {
+            Overlap::Writes(_, b) => b,
+            Overlap::ReadWrite { reader, .. } => reader,
+        };
+        let who = |m: u32| {
+            let (hart, pc) = if m == second { self.second } else { self.first };
+            format!("{m} (hart {hart}, pc {pc:#x})")
+        };
+        let on = format!("{:#010x}", self.addr);
+        f.write_str(&self.overlap.message(on, who))
     }
 }
 
-/// Per-byte record of the last shared write: (hart, delivery tag, pc).
-type ByteWrite = (u32, u64, u32);
+/// Where a member first touched a word: its hart (global id) and pc.
+type At = (u32, u32);
+
+/// What one team did to one shared word: the team's tag (0: none yet),
+/// its writers and its readers. Plain integers, so the table allocates
+/// zeroed.
+type Shadow = (u32, Two<At>, Two<At>);
 
 /// The race-witness collector. Created by
 /// [`crate::Machine::enable_race_witness`]; read back through
 /// [`crate::Machine::race_witnesses`].
 #[derive(Debug)]
 pub struct RaceData {
-    /// Global protocol-delivery counter.
-    g: u64,
-    /// Per hart (global id): `g` of the last delivery it received.
-    watermark: Vec<u64>,
-    /// Last write per shared byte.
-    last_write: BTreeMap<u32, ByteWrite>,
-    /// Reads of each shared byte since its last write, at most one entry
-    /// per hart: (hart, delivery tag, pc).
-    reads: BTreeMap<u32, Vec<ByteWrite>>,
-    /// Deduplication of witnesses by (kind, first pc, second pc).
-    seen: BTreeSet<(RaceKind, u32, u32)>,
-    /// Collected witnesses, in discovery order, capped at
-    /// [`MAX_WITNESSES`] distinct pc pairs.
+    /// Per hart (global id): its team's tag (0: none) and member index.
+    member: Vec<(u32, u32)>,
+    /// The tag the next team opened gets.
+    next_tag: u32,
+    /// One entry per shared word.
+    shadow: Vec<Shadow>,
+    /// The words open teams touched, each once per team.
+    touched: Vec<u32>,
+    /// Collected witnesses, in join order, at most [`MAX_WITNESSES`].
     pub(crate) witnesses: Vec<RaceWitness>,
 }
 
 impl RaceData {
-    /// An empty collector for a machine of `cores` cores.
-    pub(crate) fn new(cores: usize) -> RaceData {
+    /// An empty collector for a machine of configuration `cfg`.
+    pub(crate) fn new(cfg: &LbpConfig) -> RaceData {
         RaceData {
-            g: 0,
-            watermark: vec![0; cores * HARTS_PER_CORE],
-            last_write: BTreeMap::new(),
-            reads: BTreeMap::new(),
-            seen: BTreeSet::new(),
+            member: vec![(0, 0); cfg.cores * HARTS_PER_CORE],
+            next_tag: 1,
+            shadow: vec![(0, [(0, (0, 0)); 2], [(0, (0, 0)); 2]); cfg.shared_bytes() as usize / 4],
+            touched: Vec::new(),
             witnesses: Vec::new(),
         }
     }
 
-    /// A rendezvous message (fork reply / start / join) was delivered to
-    /// `to`, which was not executing: everything recorded so far
-    /// happens-before whatever `to` does next.
-    pub(crate) fn sync(&mut self, to: HartId) {
-        self.g += 1;
-        self.watermark[to.global() as usize] = self.g;
+    /// `from` sent hart `to` its start pc: `to` joins `from`'s team as
+    /// the next member, and a `from` in no team opens one as member 0.
+    pub(crate) fn start(&mut self, from: HartId, to: HartId) {
+        let starter = &mut self.member[from.global() as usize];
+        if starter.0 == 0 {
+            *starter = (self.next_tag, 0);
+            self.next_tag += 1;
+        }
+        let (tag, m) = *starter;
+        self.member[to.global() as usize] = (tag, m + 1);
     }
 
-    fn witness(&mut self, kind: RaceKind, addr: u32, first: (u32, u32), second: (u32, u32)) {
-        if self.witnesses.len() >= MAX_WITNESSES {
+    /// `hart` accessed the shared word at `addr` at `pc`, writing it or
+    /// reading it. Accesses outside a team or the banks are not checked.
+    /// Not `#[inline]`: inlined into the issue stage's two memory arms it
+    /// made the machine ~7 % slower with the collector off (empty
+    /// fork-joins on 64 cores, 2-core x86-64 host).
+    pub(crate) fn access(&mut self, hart: HartId, pc: u32, addr: u32, write: bool) {
+        let (tag, m) = self.member[hart.global() as usize];
+        // Below the banks the subtraction wraps past the table's end.
+        let word = addr.wrapping_sub(SHARED_BASE) / 4;
+        let Some(entry) = self.shadow.get_mut(word as usize).filter(|_| tag != 0) else {
             return;
+        };
+        if entry.0 != tag {
+            *entry = (tag, [(NOBODY, (0, 0)); 2], [(NOBODY, (0, 0)); 2]);
+            self.touched.push(word);
         }
-        if !self.seen.insert((kind, first.1, second.1)) {
-            return;
-        }
-        self.witnesses.push(RaceWitness {
-            addr,
-            kind,
-            first: (HartId::new(first.0), first.1),
-            second: (HartId::new(second.0), second.1),
+        let set = if write { &mut entry.1 } else { &mut entry.2 };
+        note(set, m, (hart.global(), pc));
+    }
+
+    /// A join address reached `to`: its team closes, and `to` leaves it.
+    pub(crate) fn join(&mut self, to: HartId) {
+        let tag = std::mem::take(&mut self.member[to.global() as usize]).0;
+        let mut lowest = None::<(u32, Overlap, [At; 2])>;
+        let shadow = &self.shadow;
+        self.touched.retain(|&w| {
+            let (t, writers, readers) = &shadow[w as usize];
+            if *t != tag {
+                return true;
+            }
+            if let Some((o, at)) = Overlap::of(writers, readers) {
+                if lowest.is_none_or(|(lw, lo, _)| (w, o.pair()) < (lw, lo.pair())) {
+                    lowest = Some((w, o, at));
+                }
+            }
+            false
         });
-    }
-
-    /// Records a shared-memory write of `size` bytes at `addr` by `hart`
-    /// executing the store at `pc`. Non-shared addresses are ignored.
-    pub(crate) fn write(&mut self, hart: HartId, pc: u32, addr: u32, size: u8) {
-        if Region::of(addr) != Region::Shared {
+        let Some((w, overlap, [a, b])) = lowest else {
             return;
-        }
-        let h = hart.global();
-        let unordered = |tag: u64, wm: &[u64]| wm[h as usize] <= tag;
-        for byte in (0..size as u32).map(|i| addr.wrapping_add(i)) {
-            if let Some(&(w, gw, wpc)) = self.last_write.get(&byte) {
-                if w != h && unordered(gw, &self.watermark) {
-                    self.witness(RaceKind::WriteWrite, byte, (w, wpc), (h, pc));
-                }
-            }
-            if let Some(readers) = self.reads.remove(&byte) {
-                for (r, gr, rpc) in readers {
-                    if r != h && unordered(gr, &self.watermark) {
-                        self.witness(RaceKind::ReadWrite, byte, (r, rpc), (h, pc));
-                    }
-                }
-            }
-            self.last_write.insert(byte, (h, self.g, pc));
-        }
-    }
-
-    /// Records a shared-memory read of `size` bytes at `addr` by `hart`
-    /// executing the load at `pc`. Non-shared addresses are ignored.
-    pub(crate) fn read(&mut self, hart: HartId, pc: u32, addr: u32, size: u8) {
-        if Region::of(addr) != Region::Shared {
-            return;
-        }
-        let h = hart.global();
-        for byte in (0..size as u32).map(|i| addr.wrapping_add(i)) {
-            if let Some(&(w, gw, wpc)) = self.last_write.get(&byte) {
-                if w != h && self.watermark[h as usize] <= gw {
-                    self.witness(RaceKind::WriteRead, byte, (w, wpc), (h, pc));
-                }
-            }
-            let readers = self.reads.entry(byte).or_default();
-            match readers.iter_mut().find(|(r, ..)| *r == h) {
-                Some(entry) => *entry = (h, self.g, pc),
-                None => readers.push((h, self.g, pc)),
-            }
+        };
+        if self.witnesses.len() < MAX_WITNESSES {
+            self.witnesses.push(RaceWitness {
+                addr: SHARED_BASE + w * 4,
+                overlap,
+                first: (HartId::new(a.0), a.1),
+                second: (HartId::new(b.0), b.1),
+            });
         }
     }
 }
@@ -213,67 +258,93 @@ mod tests {
         HartId::new(n)
     }
 
-    const A: u32 = 0x8000_0100;
+    const A: u32 = SHARED_BASE + 0x100;
 
-    #[test]
-    fn unsynchronized_cross_hart_write_write_is_a_witness() {
-        let mut r = RaceData::new(2);
-        r.sync(hart(0));
-        r.sync(hart(1));
-        r.write(hart(0), 0x10, A, 4);
-        r.write(hart(1), 0x20, A, 4);
-        assert_eq!(r.witnesses.len(), 1, "one witness after pc-pair dedup");
-        let w = r.witnesses[0];
-        assert_eq!(w.kind, RaceKind::WriteWrite);
-        assert_eq!(w.addr, A);
-        assert_eq!((w.first.1, w.second.1), (0x10, 0x20));
-    }
-
-    #[test]
-    fn delivery_between_accesses_orders_them() {
-        let mut r = RaceData::new(2);
-        r.write(hart(0), 0x10, A, 4);
-        r.sync(hart(1)); // e.g. the Join/Start edge
-        r.write(hart(1), 0x20, A, 4);
-        assert!(r.witnesses.is_empty(), "synchronized accesses do not race");
-    }
-
-    #[test]
-    fn same_hart_never_races_and_local_is_ignored() {
-        let mut r = RaceData::new(1);
-        r.write(hart(0), 0x10, A, 4);
-        r.write(hart(0), 0x14, A, 4);
-        r.read(hart(0), 0x18, A, 4);
-        r.write(hart(1), 0x20, 0x4000_0000, 4); // Local region
-        r.read(hart(1), 0x24, 0x4000_0000, 4);
-        assert!(r.witnesses.is_empty());
-    }
-
-    #[test]
-    fn read_write_and_write_read_directions_fire() {
-        let mut r = RaceData::new(2);
-        r.read(hart(0), 0x10, A, 4);
-        r.write(hart(1), 0x20, A, 4); // unordered after the read
-        r.read(hart(0), 0x30, A + 2, 2); // unordered after the write
-        let kinds: Vec<_> = r.witnesses.iter().map(|w| w.kind).collect();
-        assert_eq!(kinds, vec![RaceKind::ReadWrite, RaceKind::WriteRead]);
-    }
-
-    #[test]
-    fn disjoint_bytes_do_not_race() {
-        let mut r = RaceData::new(2);
-        r.write(hart(0), 0x10, A, 4);
-        r.write(hart(1), 0x20, A + 4, 4);
-        assert!(r.witnesses.is_empty());
-    }
-
-    #[test]
-    fn witnesses_dedup_by_pc_pair_and_cap() {
-        let mut r = RaceData::new(2);
-        for i in 0..100 {
-            r.write(hart(0), 0x10, A + 8 * i, 4);
-            r.write(hart(1), 0x20, A + 8 * i, 4);
+    /// A two-core collector with hart 0 opening a team of `n` harts,
+    /// member `i` on hart `i`.
+    fn team(n: u32) -> RaceData {
+        let mut r = RaceData::new(&LbpConfig::cores(2));
+        for i in 1..n {
+            r.start(hart(i - 1), hart(i));
         }
-        assert_eq!(r.witnesses.len(), 1, "same pc pair reported once");
+        r
+    }
+
+    #[test]
+    fn two_members_writing_one_word_conflict_at_the_join() {
+        let mut r = team(2);
+        r.access(hart(0), 0x10, A, true);
+        r.access(hart(1), 0x20, A + 2, true);
+        assert!(
+            r.witnesses.is_empty(),
+            "nothing is reported before the join"
+        );
+        r.join(hart(0));
+        assert_eq!(
+            r.witnesses,
+            [RaceWitness {
+                addr: A,
+                overlap: Overlap::Writes(0, 1),
+                first: (hart(0), 0x10),
+                second: (hart(1), 0x20),
+            }]
+        );
+        assert_eq!(
+            r.witnesses[0].to_string(),
+            "write/write conflict on 0x80000100: members 0 (hart c0h0, pc 0x10) and \
+             1 (hart c0h1, pc 0x20) both write it"
+        );
+    }
+
+    #[test]
+    fn the_lowest_word_then_the_lowest_pair_is_reported() {
+        let mut r = team(4);
+        r.access(hart(3), 0x30, A + 8, true);
+        r.access(hart(2), 0x24, A + 4, true);
+        r.access(hart(1), 0x18, A + 4, false);
+        r.access(hart(3), 0x34, A + 4, true);
+        r.access(hart(0), 0x04, A + 8, false);
+        r.join(hart(0));
+        let w = r.witnesses[0];
+        assert_eq!(w.addr, A + 4);
+        assert_eq!(
+            w.overlap,
+            Overlap::ReadWrite {
+                writer: 2,
+                reader: 1
+            }
+        );
+        assert_eq!((w.first, w.second), ((hart(2), 0x24), (hart(1), 0x18)));
+        assert_eq!(
+            w.to_string(),
+            "read/write conflict on 0x80000104: member 2 (hart c0h2, pc 0x24) writes it \
+             and member 1 (hart c0h1, pc 0x18) reads it"
+        );
+        assert_eq!(r.witnesses.len(), 1, "one witness per join");
+    }
+
+    #[test]
+    fn a_member_alone_a_hart_in_no_team_and_local_words_never_conflict() {
+        let mut r = RaceData::new(&LbpConfig::cores(1));
+        r.access(hart(1), 0x20, A, true); // hart 1 is in no team
+        r.start(hart(0), hart(1));
+        r.access(hart(0), 0x10, A + 4, true);
+        r.access(hart(0), 0x14, A + 4, false);
+        r.access(hart(1), 0x24, 0x4000_0000, true); // local bank
+        r.join(hart(0));
+        r.access(hart(0), 0x18, A + 4, true); // after the join
+        assert!(r.witnesses.is_empty());
+        assert!(r.touched.is_empty());
+    }
+
+    #[test]
+    fn each_region_is_judged_alone() {
+        let mut r = team(2);
+        r.access(hart(1), 0x20, A, true);
+        r.join(hart(0));
+        r.start(hart(0), hart(1));
+        r.access(hart(0), 0x10, A, true);
+        r.join(hart(0));
+        assert!(r.witnesses.is_empty(), "two regions, one writer each");
     }
 }

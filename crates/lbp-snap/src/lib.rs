@@ -19,12 +19,14 @@
 //!     43     …  payload (the `MachineState` bytes)
 //! ```
 //!
-//! Version-1 containers (no engine byte; every snapshot implicitly
-//! cycle-exact) still decode. The engine byte records *provenance*: a
-//! snapshot materialized from the functional fast-forward engine
-//! ([`lbp_sim::FastEngine`]) carries approximate timing (its cycle is a
-//! retirement lower bound, its stall ledger synthetic), so tools that
-//! compare timing — the bisector above all — must refuse to mix the two.
+//! A container of any other version — v1 had no engine byte and a
+//! machine payload without the hart free queues — is refused by
+//! [`peek`], and so by every reader, with one message. The engine byte
+//! records *provenance*: a snapshot materialized from the functional
+//! fast-forward engine ([`lbp_sim::FastEngine`]) carries approximate
+//! timing (its cycle is a retirement lower bound, its stall ledger
+//! synthetic), so tools that compare timing — the bisector above all —
+//! must refuse to mix the two.
 //!
 //! The hash makes snapshots *content-addressed*: two machines in the same
 //! state produce byte-identical files with the same
@@ -70,9 +72,6 @@ pub const FORMAT_VERSION: u16 = 2;
 /// Bytes of container header before the payload (current format).
 pub const CONTAINER_HEADER_BYTES: usize = 43;
 
-/// Header size of the legacy version-1 container (no engine byte).
-pub const V1_HEADER_BYTES: usize = 42;
-
 /// Which simulation engine produced a snapshot.
 ///
 /// Functional snapshots come from the fast-forward interpreter: their
@@ -117,10 +116,10 @@ impl std::fmt::Display for Engine {
 /// Container metadata, readable without restoring the machine.
 #[derive(Debug, Clone, Copy)]
 pub struct Meta {
-    /// The container format version (1 or 2).
+    /// The container format version: [`FORMAT_VERSION`], the only one
+    /// [`peek`] reads.
     pub version: u16,
-    /// The engine that produced the snapshot (v1 containers predate the
-    /// field and are always cycle-exact).
+    /// The engine that produced the snapshot.
     pub engine: Engine,
     /// The cycle the machine was snapshotted at.
     pub cycle: u64,
@@ -243,48 +242,41 @@ pub fn encode_with_engine(state: &MachineState, engine: Engine) -> Vec<u8> {
 
 /// Reads and verifies the container header without touching the payload
 /// beyond hashing it — cheap inspection of cycle, cores and producing
-/// engine. Accepts both format versions.
+/// engine.
 ///
 /// # Errors
 ///
 /// [`SnapFileError::ShortRead`], [`SnapFileError::HashMismatch`] or
-/// [`SnapFileError::Format`] exactly as [`decode`] classifies them.
+/// [`SnapFileError::Format`] exactly as [`decode`] classifies them; a
+/// container of an older format version is a `Format` refusal.
 pub fn peek(bytes: &[u8]) -> Result<Meta, SnapFileError> {
     let bad = |what: String| Err(SnapFileError::Format(what));
-    if bytes.len() < V1_HEADER_BYTES {
-        // Too short for any header; report against the declared version
-        // when readable, else the current format's size.
-        let expected = if bytes.len() >= 10 && bytes[8..10] == 1u16.to_le_bytes() {
-            V1_HEADER_BYTES
-        } else {
-            CONTAINER_HEADER_BYTES
-        };
+    let header = CONTAINER_HEADER_BYTES;
+    if bytes.len() >= 10 && bytes[..8] == MAGIC {
+        let version = u16::from_le_bytes([bytes[8], bytes[9]]);
+        if version < FORMAT_VERSION {
+            // The v2 payload gained the per-core hart free queue; an
+            // older payload lacks it and cannot be restored by this build.
+            return bad(format!(
+                "snapshot container v{version} predates this build's machine-state layout: \
+                 re-run the producing simulation to regenerate the snapshot"
+            ));
+        }
+        if version > FORMAT_VERSION {
+            return bad(format!("unsupported format version {version}"));
+        }
+    }
+    if bytes.len() < header {
         return Err(SnapFileError::ShortRead {
-            expected: expected as u64,
+            expected: header as u64,
             got: bytes.len() as u64,
         });
     }
     if bytes[..8] != MAGIC {
         return bad("bad magic".to_owned());
     }
-    let version = u16::from_le_bytes(bytes[8..10].try_into().unwrap());
-    // v1 has no engine byte; numeric fields start right after the
-    // version and every snapshot is implicitly cycle-exact.
-    let (engine, header) = match version {
-        1 => (Engine::CycleExact, V1_HEADER_BYTES),
-        2 => {
-            if bytes.len() < CONTAINER_HEADER_BYTES {
-                return Err(SnapFileError::ShortRead {
-                    expected: CONTAINER_HEADER_BYTES as u64,
-                    got: bytes.len() as u64,
-                });
-            }
-            match Engine::from_byte(bytes[10]) {
-                Some(e) => (e, CONTAINER_HEADER_BYTES),
-                None => return bad(format!("unknown producing engine {}", bytes[10])),
-            }
-        }
-        v => return bad(format!("unsupported format version {v}")),
+    let Some(engine) = Engine::from_byte(bytes[10]) else {
+        return bad(format!("unknown producing engine {}", bytes[10]));
     };
     let base = header - 32;
     let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
@@ -315,7 +307,7 @@ pub fn peek(bytes: &[u8]) -> Result<Meta, SnapFileError> {
         });
     }
     Ok(Meta {
-        version,
+        version: FORMAT_VERSION,
         engine,
         cycle,
         cores,
@@ -325,8 +317,8 @@ pub fn peek(bytes: &[u8]) -> Result<Meta, SnapFileError> {
 }
 
 /// Parses a container back into a [`MachineState`], verifying the
-/// magic, version, length and integrity hash. Both format versions are
-/// accepted; use [`peek`] first when the producing engine matters.
+/// magic, version, length and integrity hash; use [`peek`] first when the
+/// producing engine matters.
 ///
 /// # Errors
 ///
@@ -338,15 +330,6 @@ pub fn peek(bytes: &[u8]) -> Result<Meta, SnapFileError> {
 /// validation.
 pub fn decode(bytes: &[u8]) -> Result<MachineState, SnapFileError> {
     let meta = peek(bytes)?;
-    if meta.version < FORMAT_VERSION {
-        // The v2 payload gained the per-core hart free queue; a v1
-        // payload lacks it and cannot be restored by this build.
-        return Err(SnapFileError::Format(format!(
-            "snapshot container v{} predates this build's machine-state layout: \
-             re-run the producing simulation to regenerate the snapshot",
-            meta.version
-        )));
-    }
     let state = MachineState::from_bytes(bytes[CONTAINER_HEADER_BYTES..].to_vec())?;
     if state.cycle() != meta.cycle || state.cores() as u64 != meta.cores {
         return Err(SnapFileError::Format(format!(
@@ -364,22 +347,15 @@ pub fn decode(bytes: &[u8]) -> Result<MachineState, SnapFileError> {
 /// Checks that two snapshots may be bisected against each other.
 ///
 /// Bisection compares *timing* evolution, so both snapshots must come
-/// from the same container format version and the same engine; a
-/// functional snapshot's virtual cycle cannot be lined up against a
-/// cycle-exact one's.
+/// from the same engine; a functional snapshot's virtual cycle cannot be
+/// lined up against a cycle-exact one's. (Both are of this build's
+/// format version: [`peek`] refuses any other.)
 ///
 /// # Errors
 ///
-/// [`SnapFileError::Format`] naming the mismatched field and both
-/// values, with the fix (re-snapshot, or bisect within one engine).
+/// [`SnapFileError::Format`] naming both engines, with the fix (bisect
+/// within one engine).
 pub fn ensure_bisect_compatible(a: &Meta, b: &Meta) -> Result<(), SnapFileError> {
-    if a.version != b.version {
-        return Err(SnapFileError::Format(format!(
-            "cannot bisect across container format versions (one snapshot is v{}, the \
-             other v{}); re-save the older snapshot with this tool to upgrade it",
-            a.version, b.version
-        )));
-    }
     if a.engine != b.engine {
         return Err(SnapFileError::Format(format!(
             "cannot bisect a {} snapshot against a {} one: functional snapshots carry \
@@ -516,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_containers_peek_as_cycle_exact_but_refuse_decode() {
+    fn v1_containers_are_refused_by_peek_and_so_by_decode() {
         let state = snapped();
         let payload = state.as_bytes();
         // Hand-build a legacy v1 container (42-byte header, no engine).
@@ -528,17 +504,19 @@ mod tests {
         v1.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         v1.extend_from_slice(&fnv1a64(payload).to_le_bytes());
         v1.extend_from_slice(payload);
-        let meta = peek(&v1).unwrap();
-        assert_eq!(meta.version, 1);
-        assert_eq!(meta.engine, Engine::CycleExact);
         // The v2 machine-state layout (hart free queues) is not present
-        // in a v1 payload, so decode refuses rather than misparsing.
-        let msg = decode(&v1).unwrap_err().to_string();
-        assert!(msg.contains("v1") && msg.contains("re-run"), "{msg}");
+        // in a v1 payload: one refusal, torn or whole, never a misparse.
+        for bytes in [&v1[..], &v1[..20]] {
+            let Err(SnapFileError::Format(msg)) = peek(bytes) else {
+                panic!("a v1 container is a format refusal");
+            };
+            assert!(msg.contains("v1") && msg.contains("re-run"), "{msg}");
+            assert!(matches!(decode(bytes), Err(SnapFileError::Format(m)) if m == msg));
+        }
     }
 
     #[test]
-    fn bisect_refuses_mixed_engines_and_versions() {
+    fn bisect_refuses_mixed_engines() {
         let state = snapped();
         let exact = peek(&encode(&state)).unwrap();
         let fast = peek(&encode_with_engine(&state, Engine::Functional)).unwrap();
@@ -550,12 +528,6 @@ mod tests {
             msg.contains("cycle-exact") && msg.contains("functional"),
             "{msg}"
         );
-        let mut v1 = exact;
-        v1.version = 1;
-        let msg = ensure_bisect_compatible(&v1, &exact)
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("v1") && msg.contains("v2"), "{msg}");
     }
 
     #[test]

@@ -51,10 +51,11 @@
 //! footprints, and accesses not control-dependent on unproven data (a
 //! branch the interpreter cannot decide or refine *taints* its paths,
 //! demoting findings to `M003`). Everything the lattice cannot prove is
-//! at most a warning, so accepted programs stay accepted — the dynamic
-//! `RaceWitness` collector in `lbp-sim` is the soundness net for what
-//! this pass under-approximates (helper-function bodies, loop-carried
-//! subscripts widened to unknown).
+//! at most a warning, so accepted programs stay accepted — the race
+//! witness in `lbp-sim`, lbp-sema's join check run on the team the
+//! machine forks, is the soundness net for what this pass
+//! under-approximates (helper-function bodies, loop-carried subscripts
+//! widened to unknown).
 
 use std::collections::{BTreeSet, VecDeque};
 

@@ -12,6 +12,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use lbp::figures::{self, Figure, Section};
+use lbp::kernels::matmul::Version;
 use lbp::sim::cli::{Flag, Grammar, Positional, ALL_MODES};
 use lbp::sim::{ExitClass, Json};
 
@@ -69,12 +70,11 @@ fn write_stats(fig: &Figure, dir: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Figure `number` as a table with its checks, or as CSV rows, which
-/// carry no checks.
-fn figure(number: u32, csv: bool, stats_dir: Option<&str>) -> Section {
-    let fig = figures::reproduce_figure(number);
+/// Figure `fig` as a table with its checks, or as CSV rows, which carry
+/// no checks.
+fn figure(fig: &Figure, csv: bool, stats_dir: Option<&str>) -> Section {
     if let Some(dir) = stats_dir {
-        if let Err(e) = write_stats(&fig, dir) {
+        if let Err(e) = write_stats(fig, dir) {
             eprintln!("figures: cannot write stats JSON to `{dir}`: {e}");
             ExitClass::Failure.exit();
         }
@@ -92,6 +92,8 @@ fn main() {
     let args = GRAMMAR.parse_env();
     let csv = args.has(CSV);
     let stats_dir = args.str(STATS_DIR);
+    // Fig. 20's tiled run, which the energy section reads too.
+    let mut tiled_h64 = None;
     for arg in args.positional() {
         let targets = if arg == "all" {
             &ALL[..]
@@ -101,13 +103,19 @@ fn main() {
         for &target in targets {
             let t = Instant::now();
             let section = match target {
-                "fig19" => figure(19, csv, stats_dir),
-                "fig20" => figure(20, csv, stats_dir),
-                "fig21" => figure(21, csv, stats_dir),
+                "fig19" => figure(&figures::reproduce_figure(19), csv, stats_dir),
+                "fig20" => {
+                    let fig = figures::reproduce_figure(20);
+                    tiled_h64 = Some(fig.report(Version::Tiled).clone());
+                    figure(&fig, csv, stats_dir)
+                }
+                "fig21" => figure(&figures::reproduce_figure(21), csv, stats_dir),
                 "determinism" => figures::determinism(),
                 "overhead" => figures::overhead(),
                 "multithreading" => figures::multithreading(),
-                "energy" => figures::energy(),
+                "energy" => figures::energy(
+                    tiled_h64.get_or_insert_with(|| figures::measure(64, Version::Tiled).1),
+                ),
                 "ablation" => figures::ablation(),
                 other => GRAMMAR.refuse(&format!("unknown target `{other}`")),
             };

@@ -89,9 +89,9 @@ lbp::sim::flags! { FLAGS:
     DIAG_JSON = Flag::new("--diag-json", &["FILE"], VERIFY,
         "write the lbp-diag-v1 report ('-' = stdout)");
     RACE_WITNESS = Flag::new("--race-witness", &[], RUN | RESUME,
-        "collect per-epoch shared-write footprints during the\n\
-         run and report concrete cross-hart overlaps; any\n\
-         witness exits 10");
+        "check every team the run forks at its join: two\n\
+         members overlapping on a shared word, one writing,\n\
+         are a witness; any witness exits 10");
     CHECKPOINT_EVERY = Flag::new("--checkpoint-every", &["N"], RUNS,
         "write an lbp-snap-v1 snapshot every N cycles");
     CHECKPOINT_PREFIX = Flag::new("--checkpoint-prefix", &["P"], RUNS,

@@ -192,6 +192,15 @@ impl Figure {
         section(s, &self.check_shapes())
     }
 
+    /// The run report of `version`.
+    pub fn report(&self, version: Version) -> &RunReport {
+        let name = format!("fig{}_{}", self.number, version.name());
+        (self.reports.iter())
+            .find(|(n, _)| *n == name)
+            .map(|(_, report)| report)
+            .expect("every version of a figure is simulated")
+    }
+
     /// Renders the figure as CSV (`figure,version,cycles,ipc,retired,locality`).
     pub fn to_csv(&self) -> String {
         let mut s = String::from("figure,version,cycles,ipc,retired,locality\n");
@@ -383,11 +392,11 @@ spin_loop:
 
 /// The energy proxies of LBP and the Phi-class comparator on the tiled
 /// matmul at `h = 64` (paper §7's closing low-power argument), and the
-/// LBP activity the estimate was computed from.
-pub fn energy() -> Section {
+/// LBP activity the estimate was computed from: `tiled` is that run's
+/// report, which Fig. 20 already made (`Figure::report`).
+pub fn energy(tiled: &RunReport) -> Section {
     let harts = 64;
-    let (_, report) = measure(harts, Version::Tiled);
-    let s = &report.stats;
+    let s = &tiled.stats;
     let a = Activity {
         cycles: s.cycles,
         retired: s.retired(),

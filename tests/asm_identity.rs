@@ -250,14 +250,15 @@ fn odd_lines_parse_to_the_pinned_items_or_errors() {
             }
         }
     }
-    // Moved once since it was computed, when an expression that stops at
-    // a character no term starts with, or ends before a term, began to
-    // say so with the column (`unexpected `+` at column 1`, `expression
-    // ends early at column 3`) instead of printing a `Debug` `Option`:
-    // seven rows.
+    // Moved twice since it was computed, both times in the same seven
+    // rows: when an expression that stops at a character no term starts
+    // with, or ends before a term, began to say so with the column
+    // instead of printing a `Debug` `Option`; then when that column
+    // began to count from the line, not the operand (`li a0, +5`:
+    // `unexpected `+` at column 8`, was 1).
     assert_eq!(
         lbp::snap::fnv1a64(all.as_bytes()),
-        0x8216_b001_4feb_8bc9,
+        0xe0ac_e9f9_5deb_7094,
         "the table renders as:\n{all}"
     );
 }

@@ -190,6 +190,21 @@ fn exit_1_compiling_two_names_a_comment_apart() {
     );
 }
 
+/// An expression error in an operand names its column in the line, as
+/// lbp-cc does: the same operand indented further sits further right.
+#[test]
+fn exit_1_an_assembler_expression_error_names_its_line_column() {
+    for (name, indent, column) in [("two.s", 2, 14), ("eight.s", 8, 20)] {
+        let source = format!("main:\n{}li a0, 1 + )\n", " ".repeat(indent));
+        let out = lbp_run().arg(scratch(name, &source)).output().unwrap();
+        assert_eq!(class_of(out.status), ExitClass::Failure);
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("lbp-run: assembly error at line 2: unexpected `)` at column {column}\n")
+        );
+    }
+}
+
 /// `lbp-cc --diff` whose simulation runs out of cycles exits with the
 /// timeout's class, as `lbp-run` does on the same program and budget.
 #[test]

@@ -1,18 +1,21 @@
 //! The three determinism judges agree on what a conflicting program is.
 //!
-//! - lbp-sema's interpreter traps `conflict` at a region's join when two
-//!   team members overlap on a shared word (write/write or read/write);
+//! A conflict is two members of one team that overlap on a shared word
+//! between fork and join, one of them writing (*Deterministic
+//! Consistency*). Each judge looks for it in its own place:
+//!
+//! - lbp-sema's interpreter traps `conflict` at a region's join;
 //! - the verifier's M-pass rejects an image whose members provably
 //!   overlap (`LBP-M001` overlapping writes, `LBP-M002` a racing read);
-//! - the race witness reports overlaps it observes on the machine.
+//! - the race witness runs lbp-sema's join check on the team the
+//!   hardware forks, and reports at the join.
 //!
-//! Over the shipped mini-C sources and 200 generated programs this holds
-//! two implications: an M001/M002 rejection means a sema conflict, and a
-//! sema conflict means at least one race witness when the image runs.
-//! The M-pass is also sound the other way on this corpus: every conflict
-//! it meets is one it rejects.
+//! Over the shipped mini-C sources, the verifier's C fixtures,
+//! `tests/fixtures` and 200 generated programs this is an equivalence:
+//! an M001/M002 rejection ⇔ a sema conflict ⇔ a witness naming the same
+//! word, member pair and kind in the same words.
 //!
-//! Named precision boundaries, where the judges stay silent by design:
+//! Named precision boundaries, where the judges part by design:
 //! - *Unknown provenance (M004).* `race_opaque.c` and `race_pointer.c`
 //!   are accepted with a warning: the M-pass cannot prove their members
 //!   disjoint, and at run time they are.
@@ -21,21 +24,24 @@
 //!   writes one of `main`'s arrays through a pointer held in a global is
 //!   neither tracked by the join (sema), nor seen on shared memory (the
 //!   witness), nor provable (the M-pass warns M004).
+//! - *Words, not bytes.* Mini-C has only words; in assembly, members that
+//!   store disjoint bytes of one word conflict on that word for the
+//!   witness, as they would for lbp-sema's word store.
 
 use std::collections::BTreeSet;
 
-// Only the directory reader is used here.
+// Only the directory reader and the generator are used here.
 #[allow(dead_code)]
 mod identity_corpus;
 
-use identity_corpus::dir;
+use identity_corpus::{dir, generated_n};
 use lbp::cc::sema::Checked;
+use lbp::omp::{emit_parallel_region, TeamBody};
 use lbp::sema::diff::required_cores;
 use lbp::sema::{interp, InterpOptions, Layout, Trap};
-use lbp::sim::{LbpConfig, Machine};
+use lbp::sim::{LbpConfig, Machine, Overlap, RaceWitness};
 use lbp::verify::{verify_image, DiagCode};
-use lbp_fuzz::gen::{self, GenConfig, Kind};
-use lbp_testutil::Rng;
+use lbp_fuzz::gen::Kind;
 
 /// The corpus: shipped examples, the verifier's C fixtures, the sabotage
 /// witness and 200 generated programs at seed 42.
@@ -43,24 +49,32 @@ fn corpus() -> Vec<(String, String)> {
     let mut programs = dir("examples/c", ".c");
     programs.extend(dir("crates/lbp-verify/tests/fixtures", ".c"));
     programs.extend(dir("tests/fixtures", ".c"));
-    let cfg = GenConfig {
-        kinds: vec![Kind::C],
-        ..GenConfig::default()
-    };
-    for case in 0..200 {
-        let mut rng = Rng::new(lbp_fuzz::case_seed(42, case));
-        let program = gen::generate(&mut rng, &cfg, case);
-        programs.push((format!("c/{case}"), program.render()));
-    }
+    programs.extend(generated_n(Kind::C, 200));
     programs
 }
 
 /// The sema verdict on an image's layout: the conflict trap, if any.
-fn conflict(cx: &Checked, image: &lbp::asm::Image) -> Option<Trap> {
-    let layout = Layout::from_image(cx, image);
-    interp::run(cx, &layout, &InterpOptions::default())
+fn conflict(cx: &Checked, layout: &Layout) -> Option<Trap> {
+    interp::run(cx, layout, &InterpOptions::default())
         .err()
         .filter(|t| t.class == "conflict")
+}
+
+/// The witnesses of a run of `image` on the cores the program asks for.
+fn witnesses(cores: usize, image: &lbp::asm::Image) -> Vec<RaceWitness> {
+    let mut m = Machine::new(LbpConfig::cores(cores), image).unwrap();
+    m.enable_race_witness();
+    m.run(10_000_000).unwrap();
+    m.race_witnesses().to_vec()
+}
+
+/// A witness in lbp-sema's words: the word by its global's name.
+fn in_sema_words(cx: &Checked, layout: &Layout, w: &RaceWitness) -> String {
+    let (gi, elem) = layout
+        .resolve(w.addr)
+        .expect("a witness word is a global's");
+    let on = format!("`{}[{elem}]`", cx.unit.globals[gi].name);
+    w.overlap.message(on, |m| m.to_string())
 }
 
 #[test]
@@ -79,25 +93,23 @@ fn the_three_determinism_judges_agree_on_conflicts() {
         let rejected = verify_image(&image)
             .iter()
             .any(|d| matches!(d.code, DiagCode::MOverlappingWrite | DiagCode::MRacingRead));
-        let trap = conflict(&cx, &image);
-        assert!(
-            !rejected || trap.is_some(),
-            "{name}: the M-pass rejects it, sema finds no conflict"
+        let layout = Layout::from_image(&cx, &image);
+        let trap = conflict(&cx, &layout);
+        assert_eq!(
+            rejected,
+            trap.is_some(),
+            "{name}: M-pass rejects: {rejected}, sema: {trap:?}"
         );
-        assert!(
-            rejected || trap.is_none(),
-            "{name}: sema conflict the M-pass accepts ({trap:?})"
+        let witnessed = witnesses(required_cores(&cx), &image);
+        let witnessed = witnessed.first().map(|w| in_sema_words(&cx, &layout, w));
+        assert_eq!(
+            witnessed.as_deref(),
+            trap.as_ref().map(|t| t.message.as_str()),
+            "{name}: the witness and sema disagree"
         );
-        let Some(trap) = trap else { continue };
-        let mut m = Machine::new(LbpConfig::cores(required_cores(&cx)), &image)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        m.enable_race_witness();
-        m.run(10_000_000).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(
-            !m.race_witnesses().is_empty(),
-            "{name}: sema conflict ({trap}) but no race witness"
-        );
-        conflicting.insert(name);
+        if trap.is_some() {
+            conflicting.insert(name);
+        }
     }
     assert_eq!(judged, 4 + 5 + 1 + 200);
     // `race_const_index.c` and `race_carried.c` are the mini-C twins of
@@ -124,7 +136,11 @@ fn members_disjoint_at_run_time_do_not_conflict() {
             .map(|d| d.code.as_str())
             .collect();
         assert_eq!(codes, BTreeSet::from(["LBP-M004"]), "{name}");
-        assert!(conflict(&cx, &image).is_none(), "{name}");
+        assert!(
+            conflict(&cx, &Layout::from_image(&cx, &image)).is_none(),
+            "{name}"
+        );
+        assert!(witnesses(required_cores(&cx), &image).is_empty(), "{name}");
     }
 }
 
@@ -145,8 +161,48 @@ fn a_frame_array_reached_through_a_pointer_is_outside_the_join() {
     let outcome = interp::run(&cx, &Layout::from_image(&cx, &image), &Default::default())
         .expect("no conflict is found");
     assert_eq!(outcome.global("r"), Some(&[3, 0, 0, 0][..]));
-    let mut m = Machine::new(LbpConfig::cores(1), &image).unwrap();
-    m.enable_race_witness();
-    m.run(10_000_000).unwrap();
-    assert!(m.race_witnesses().is_empty());
+    assert!(witnesses(1, &image).is_empty());
+}
+
+/// The word boundary: a team of four whose member `i` stores one byte at
+/// `out + i`. No byte is stored twice, but every member writes the one
+/// word `out[0]`, so the witness reports the lowest pair, members 0 and
+/// 1, as lbp-sema would on its word store.
+#[test]
+fn members_storing_disjoint_bytes_of_one_word_conflict_on_the_word() {
+    let mut asm = lbp::asm::Asm::new();
+    for line in [
+        "main:",
+        "li t0, -1",
+        "addi sp, sp, -8",
+        "sw ra, 0(sp)",
+        "sw t0, 4(sp)",
+    ] {
+        asm.line(line);
+    }
+    let body = TeamBody::Uniform {
+        function: "byte".to_owned(),
+    };
+    emit_parallel_region(&mut asm, 4, &body, None);
+    for line in [
+        "lw ra, 0(sp)",
+        "lw t0, 4(sp)",
+        "addi sp, sp, 8",
+        "p_ret",
+        "byte:",
+        "la a2, out",
+        "add a2, a2, a0",
+        "sb a0, 0(a2)",
+        "p_ret",
+        ".data",
+        ".align 4",
+        "out: .space 4",
+    ] {
+        asm.line(line);
+    }
+    let image = asm.assemble().unwrap();
+    let found = witnesses(1, &image);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].overlap, Overlap::Writes(0, 1));
+    assert_eq!(found[0].addr, image.symbol("out").unwrap());
 }

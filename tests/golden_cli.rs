@@ -199,7 +199,7 @@ const ROWS: [Row; 80] = [
         Pinned(1, 0x2af7_fac2_7900_d398)),
     run("race-witness", EXAMPLES, &["--race-witness"], Pinned(7, 0x05c9_e599_6a23_2c91)),
     run("race-witness-dynamic-only", DYNAMIC_ONLY, &["--cores 1 --race-witness"],
-        Pinned(1, 0x4724_586d_5705_1704)),
+        Pinned(1, 0xa5d1_d735_a2a5_8dcc)),
     // lbp-run --verify, and lbp-cc --lint as the same function.
     run("verify-asm-examples", ASM_EXAMPLES, &[VERIFY], Pinned(3, 0xeef2_3433_16cf_5e39)),
     run("verify-c-examples", C_EXAMPLES, &[VERIFY], Pinned(4, 0xd303_f7ba_f348_ec9c)),
@@ -251,7 +251,7 @@ const ROWS: [Row; 80] = [
         &["--cores 2 --lockstep --fault flip-mem:0x80000000:0:5", DUMP],
         Pinned(1, 0x082a_f4ef_7977_5653)),
     run("fault-not-a-fault", MUL, &["--fault not-a-fault:1", DUMP],
-        Pinned(1, 0x2dac_8b6d_54b1_4dcc)),
+        Pinned(1, 0x91e0_fbfd_f3a8_936e)),
     // Checkpoint, resume and bisect: checkpointing and resuming print
     // what the uninterrupted run prints.
     run("mul-1-core", MUL, &["--cores 1", STATS], Pinned(1, 0xe212_7e75_5388_f9f2)),

@@ -1,8 +1,8 @@
 //! The programs the identity tests judge, as `(name, source)`: the
 //! shipped sources of a directory, the ten matmul kernels and the
 //! programs of a generator family at seed 42. One definition, so
-//! `golden_cli.rs`, `verify_identity.rs`, `asm_identity.rs`,
-//! `cc_identity.rs` and `determinism_judges.rs` cannot drift apart.
+//! `golden_cli.rs`, `asm_identity.rs`, `cc_identity.rs` and
+//! `determinism_judges.rs` cannot drift apart.
 //! `roi.c` marks its region of interest with `__roi_start();`, the
 //! target of `lbp-run --roi`.
 
