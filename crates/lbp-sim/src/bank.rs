@@ -15,13 +15,16 @@
 //! undefined gets the same verdict whichever engine meets it. [`MemSys`]
 //! adds the *timing*: port queues, the r1/r2/r3 network and the devices.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use lbp_isa::{HartId, Instr, Region, LOCAL_BANK_BYTES, LOCAL_BASE, SHARED_BASE};
 
 use crate::config::{cv_base, fixed, LbpConfig};
 use crate::error::SimError;
 use crate::hart::Decoded;
+use crate::hash;
 use crate::index_set::members;
 use crate::io::IoBus;
 use crate::msg::NetMsg;
@@ -192,41 +195,184 @@ pub(crate) struct Routed {
     hart: HartId,
 }
 
+/// Bytes of a page, the unit in which the banks track what was written.
+const PAGE_BYTES: usize = 4096;
+const PAGE_SHIFT: u32 = PAGE_BYTES.trailing_zeros();
+
+/// Bytes of zeroed banks a thread keeps for the banks it builds next: two
+/// machines of 64 cores.
+const SPARE_BYTES: usize = 16 << 20;
+
+thread_local! {
+    static SPARES: RefCell<Spares> = RefCell::new(Spares::default());
+}
+
+/// The zeroed banks of dropped machines a thread keeps, by size.
+#[derive(Default)]
+struct Spares {
+    bytes: usize,
+    by_size: Vec<(usize, Vec<Vec<u8>>)>,
+}
+
+impl Spares {
+    /// A kept bank of `size` bytes.
+    fn take(&mut self, size: usize) -> Option<Vec<u8>> {
+        let (_, banks) = self.by_size.iter_mut().find(|(s, _)| *s == size)?;
+        let bank = banks.pop()?;
+        self.bytes -= size;
+        Some(bank)
+    }
+
+    /// Keeps a zeroed bank, unless the thread keeps enough already.
+    fn keep(&mut self, bank: Vec<u8>) {
+        let size = bank.len();
+        if self.bytes + size > SPARE_BYTES {
+            return;
+        }
+        self.bytes += size;
+        match self.by_size.iter_mut().find(|(s, _)| *s == size) {
+            Some((_, banks)) => banks.push(bank),
+            None => self.by_size.push((size, vec![bank])),
+        }
+    }
+}
+
+/// A zeroed bank of `size` bytes: one the thread kept, else a fresh one.
+fn zeroed_bank(size: usize) -> Vec<u8> {
+    let kept = SPARES.try_with(|spares| spares.borrow_mut().take(size));
+    kept.ok().flatten().unwrap_or_else(|| vec![0; size])
+}
+
 /// The local and shared banks of every core: their contents, the address
 /// map onto them and the faults of an access that misses them.
-#[derive(Debug, Clone)]
+///
+/// Beside the banks a bit per 4 KiB page records whether a write reached
+/// it, so that everything but an access costs what the written pages
+/// cost: the hash, the snapshot and a copy pass over a page never written
+/// without reading it, and dropped banks zero the pages written and leave
+/// the banks to the thread's next ones, which then zero nothing.
+#[derive(Debug)]
 pub(crate) struct Banks {
     cores: usize,
     shared_bank_bytes: u32,
     /// The local bank of every core, then the shared bank of every core.
     banks: Vec<Vec<u8>>,
+    /// Pages of a bank in `written`: those of the larger kind of bank.
+    stride: usize,
+    /// Per page of every bank (`stride` pages a bank), one bit: whether
+    /// it was written.
+    written: Vec<u64>,
+}
+
+impl Clone for Banks {
+    /// A copy that copies only the pages written.
+    fn clone(&self) -> Banks {
+        let mut copy = Banks::zeroed(self.cores, self.shared_bank_bytes);
+        for (bank, page) in self.written_pages() {
+            copy.banks[bank][page.clone()].copy_from_slice(&self.banks[bank][page]);
+        }
+        copy.written.copy_from_slice(&self.written);
+        copy
+    }
+}
+
+impl Drop for Banks {
+    /// Zeroes the pages written and leaves the banks to the thread.
+    fn drop(&mut self) {
+        let pages = self.written.iter().enumerate();
+        for p in pages.flat_map(|(w, &bits)| members(w, bits)) {
+            let bank = &mut self.banks[p / self.stride];
+            let page = p % self.stride * PAGE_BYTES;
+            let end = bank.len().min(page + PAGE_BYTES);
+            bank[page..end].fill(0);
+        }
+        let banks = std::mem::take(&mut self.banks);
+        // A thread that is ending keeps nothing.
+        let _ = SPARES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            banks.into_iter().for_each(|bank| spares.keep(bank));
+        });
+    }
 }
 
 impl Banks {
     /// Zeroed banks with the image's initialized data distributed over
     /// the shared ones from [`SHARED_BASE`] up.
     pub fn new(cfg: &LbpConfig, data: &[u8]) -> Result<Banks, MemFault> {
-        let sized = |bytes: u32| (0..cfg.cores).map(move |_| vec![0; bytes as usize]);
-        let mut banks = Banks {
-            cores: cfg.cores,
-            shared_bank_bytes: cfg.shared_bank_bytes,
-            banks: sized(LOCAL_BANK_BYTES)
-                .chain(sized(cfg.shared_bank_bytes))
-                .collect(),
-        };
-        let mut rest = data;
-        for bank in &mut banks.banks[cfg.cores..] {
-            let (block, tail) = rest.split_at(rest.len().min(bank.len()));
-            bank[..block.len()].copy_from_slice(block);
-            rest = tail;
-        }
-        if !rest.is_empty() {
+        let shared = cfg.cores * cfg.shared_bank_bytes as usize;
+        if data.len() > shared {
             return Err(MemFault::Unmapped {
-                addr: SHARED_BASE + (data.len() - rest.len()) as u32,
+                addr: SHARED_BASE + shared as u32,
                 hart: HartId::FIRST,
             });
         }
+        let mut banks = Banks::zeroed(cfg.cores, cfg.shared_bank_bytes);
+        let blocks = data.chunks(cfg.shared_bank_bytes as usize);
+        for (k, block) in blocks.enumerate() {
+            banks.fill(cfg.cores + k, block);
+        }
         Ok(banks)
+    }
+
+    /// Banks of `cores` cores that hold nothing but zeros.
+    fn zeroed(cores: usize, shared_bank_bytes: u32) -> Banks {
+        let sized = |bytes: u32| (0..cores).map(move |_| zeroed_bank(bytes as usize));
+        let stride = LOCAL_BANK_BYTES.max(shared_bank_bytes) as usize;
+        let stride = stride.div_ceil(PAGE_BYTES);
+        Banks {
+            cores,
+            shared_bank_bytes,
+            banks: sized(LOCAL_BANK_BYTES)
+                .chain(sized(shared_bank_bytes))
+                .collect(),
+            stride,
+            written: vec![0; (2 * cores * stride).div_ceil(64)],
+        }
+    }
+
+    /// Records a write to byte `off` of bank `bank`.
+    #[inline]
+    fn mark(&mut self, bank: usize, off: usize) {
+        let p = bank * self.stride + (off >> PAGE_SHIFT);
+        self.written[p / 64] |= 1 << (p % 64);
+    }
+
+    /// Whether page `page` of bank `bank` was written.
+    fn is_written(&self, bank: usize, page: usize) -> bool {
+        let p = bank * self.stride + page;
+        self.written[p / 64] & 1 << (p % 64) != 0
+    }
+
+    /// The pages written: each one's bank and where in the bank it lies.
+    fn written_pages(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let pages = self.written.iter().enumerate();
+        let pages = pages.flat_map(|(w, &bits)| members(w, bits));
+        pages.map(|p| {
+            let (bank, page) = (p / self.stride, p % self.stride);
+            let end = self.banks[bank].len().min((page + 1) * PAGE_BYTES);
+            (bank, page * PAGE_BYTES..end)
+        })
+    }
+
+    /// Writes `bytes` into the start of never-written bank `bank`,
+    /// touching a page only where they are not all zero.
+    fn fill(&mut self, bank: usize, bytes: &[u8]) {
+        for (page, chunk) in bytes.chunks(PAGE_BYTES).enumerate() {
+            // An OR over the whole chunk, not a search: it vectorizes.
+            if chunk.iter().fold(0, |any, &b| any | b) != 0 {
+                let at = page * PAGE_BYTES;
+                self.banks[bank][at..at + chunk.len()].copy_from_slice(chunk);
+                self.mark(bank, at);
+            }
+        }
+    }
+
+    /// The bytes of bank `bank` a page at a time: whether the page was
+    /// written, and its bytes. A page never written is all zeros, and
+    /// its bytes are best left unread.
+    fn pieces(&self, bank: usize) -> impl Iterator<Item = (bool, &[u8])> {
+        let pages = self.banks[bank].chunks(PAGE_BYTES).enumerate();
+        pages.map(move |(page, bytes)| (self.is_written(bank, page), bytes))
     }
 
     /// Decides where a data access of `hart` goes: the first two checks of
@@ -289,6 +435,7 @@ impl Banks {
     #[inline]
     pub fn span_mut(&mut self, core: u32, at: Routed, size: u8) -> Result<&mut [u8], MemFault> {
         let (bank, off) = self.slot(core, at, size)?;
+        self.mark(bank, off);
         Ok(&mut self.banks[bank][off..off + size as usize])
     }
 
@@ -325,28 +472,35 @@ impl Banks {
         }
     }
 
-    /// Every bank's contents — the local banks in core order, then the
-    /// shared ones — as the snapshot and `arch_hash` take them.
-    pub fn each(&self) -> impl Iterator<Item = &[u8]> {
-        self.banks.iter().map(Vec::as_slice)
+    /// Continues the FNV-1a hash `h` over every bank's contents, the local
+    /// banks in core order and then the shared ones, as one byte string.
+    /// A page never written is one multiplication.
+    pub fn extend_hash(&self, h: u64) -> u64 {
+        let pages = (0..self.banks.len()).flat_map(|bank| self.pieces(bank));
+        pages.fold(h, |h, (written, bytes)| match written {
+            true => hash::extend(h, bytes),
+            false => hash::extend_zeros(h, bytes.len()),
+        })
     }
 
     /// The first shared word on which two stores of one configuration
     /// differ: its address, its value here and its value in `other`.
     pub fn first_shared_difference(&self, other: &Banks) -> Option<(u32, u32, u32)> {
-        let shared = self.banks[self.cores..].iter();
-        for (bank, (mine, theirs)) in shared.zip(&other.banks[other.cores..]).enumerate() {
-            if mine == theirs {
-                continue;
+        for bank in self.cores..self.banks.len() {
+            let pages = self.pieces(bank).zip(other.pieces(bank)).enumerate();
+            for (page, ((here, mine), (there, theirs))) in pages {
+                if !(here || there) || mine == theirs {
+                    continue;
+                }
+                let at = mine.iter().zip(theirs).position(|(a, b)| a != b)? & !3;
+                let word = |page: &[u8]| {
+                    let bytes = page[at..].iter().take(4).rev();
+                    bytes.fold(0, |acc, &b| acc << 8 | b as u32)
+                };
+                let off = (bank - self.cores) as u32 * self.shared_bank_bytes;
+                let addr = SHARED_BASE + off + (page * PAGE_BYTES + at) as u32;
+                return Some((addr, word(mine), word(theirs)));
             }
-            let byte = mine.iter().zip(theirs).position(|(a, b)| a != b)?;
-            let at = byte & !3;
-            let word = |bank: &[u8]| {
-                let bytes = bank[at..].iter().take(4).rev();
-                bytes.fold(0, |acc, &b| acc << 8 | b as u32)
-            };
-            let addr = SHARED_BASE + bank as u32 * self.shared_bank_bytes + at as u32;
-            return Some((addr, word(mine), word(theirs)));
         }
         None
     }
@@ -355,8 +509,14 @@ impl Banks {
         w.u64(self.cores as u64);
         w.u32(LOCAL_BANK_BYTES);
         w.u32(self.shared_bank_bytes);
-        for bank in &self.banks {
-            w.bytes(bank);
+        for bank in 0..self.banks.len() {
+            w.u64(self.banks[bank].len() as u64);
+            for (written, bytes) in self.pieces(bank) {
+                match written {
+                    true => w.raw(bytes),
+                    false => w.zeros(bytes.len()),
+                }
+            }
         }
     }
 
@@ -370,24 +530,26 @@ impl Banks {
         let field = "memory system: local_bank_bytes";
         fixed(field, r.u32()?.into(), LOCAL_BANK_BYTES.into())?;
         let shared_bank_bytes = r.u32()?;
-        let mut banks = Vec::new();
+        // Every bank is read before any is built, so that a hostile core
+        // count cannot build more than the snapshot holds.
+        let mut blocks = Vec::new();
         for expect in [LOCAL_BANK_BYTES, shared_bank_bytes] {
             for _ in 0..cores {
-                let bank = r.bytes()?;
-                if bank.len() != expect as usize {
+                let block = r.block()?;
+                if block.len() != expect as usize {
                     return Err(SnapError::Corrupt(format!(
                         "bank holds {} bytes, configured for {expect}",
-                        bank.len()
+                        block.len()
                     )));
                 }
-                banks.push(bank);
+                blocks.push(block);
             }
         }
-        Ok(Banks {
-            cores,
-            shared_bank_bytes,
-            banks,
-        })
+        let mut banks = Banks::zeroed(cores, shared_bank_bytes);
+        for (bank, block) in blocks.into_iter().enumerate() {
+            banks.fill(bank, block);
+        }
+        Ok(banks)
     }
 }
 
@@ -703,6 +865,7 @@ impl MemSys {
 mod tests {
     use super::*;
     use crate::config::CV_FRAME_BYTES;
+    use lbp_testutil::Rng;
 
     /// The memory responses waiting for `core`, taken away from it.
     fn take_arrivals(m: &mut MemSys, core: u32) -> Vec<NetMsg> {
@@ -868,6 +1031,219 @@ mod tests {
         let local = b.route(LOCAL_BASE, HartId::FIRST).unwrap();
         b.span_mut(0, local, 1).unwrap()[0] = 1;
         assert_eq!(a.first_shared_difference(&b), None);
+    }
+
+    /// Banks built after others were dropped on the thread take the banks
+    /// those left, and they hold zeros only.
+    #[test]
+    fn spare_banks_come_back_zeroed() {
+        let cfg = LbpConfig {
+            shared_bank_bytes: PAGE_BYTES as u32 + 2052,
+            ..LbpConfig::cores(2)
+        };
+        let kept = |b: &Banks| b.banks.iter().map(|bank| bank.as_ptr()).collect::<Vec<_>>();
+        let mut used = Banks::new(&cfg, &[]).unwrap();
+        for bank in 0..used.banks.len() {
+            for at in (0..used.banks[bank].len()).step_by(PAGE_BYTES / 2) {
+                used.banks[bank][at] = 0xff;
+                used.mark(bank, at);
+            }
+        }
+        let mut banks = kept(&used);
+        drop(used);
+        let fresh = Banks::new(&cfg, &[]).unwrap();
+        let mut taken = kept(&fresh);
+        banks.sort();
+        taken.sort();
+        assert_eq!(taken, banks, "the dropped banks are taken again");
+        assert!(fresh.banks.iter().flatten().all(|&b| b == 0));
+        assert!(fresh.written.iter().all(|&w| w == 0));
+    }
+
+    /// The banks as plain dense arrays that record nothing of what was
+    /// written: the model [`Banks`] is checked against.
+    #[derive(Clone)]
+    struct Dense {
+        cfg: LbpConfig,
+        /// The local bank of every core, then the shared bank of every core.
+        banks: Vec<Vec<u8>>,
+    }
+
+    impl Dense {
+        fn new(cfg: &LbpConfig, data: &[u8]) -> Dense {
+            let sized = |bytes: u32| (0..cfg.cores).map(move |_| vec![0; bytes as usize]);
+            let mut banks: Vec<_> = sized(LOCAL_BANK_BYTES)
+                .chain(sized(cfg.shared_bank_bytes))
+                .collect();
+            let shared = banks[cfg.cores..].iter_mut().flatten();
+            for (byte, &d) in shared.zip(data) {
+                *byte = d;
+            }
+            let cfg = cfg.clone();
+            Dense { cfg, banks }
+        }
+
+        /// The bank and byte an access of `size` bytes at `addr` made on
+        /// `core` lands on, or `None` where [`Banks`] must refuse it.
+        fn place(&self, core: u32, addr: u32, size: u8) -> Option<(usize, usize)> {
+            let (bank, off) = if addr >= SHARED_BASE {
+                let (bank, off) = shared_slot(addr, self.cfg.shared_bank_bytes);
+                (self.cfg.cores + bank as usize, off as usize)
+            } else {
+                (core as usize, (addr - LOCAL_BASE) as usize)
+            };
+            let fits = bank < self.banks.len() && off + size as usize <= self.banks[bank].len();
+            (addr.is_multiple_of(size as u32) && fits).then_some((bank, off))
+        }
+
+        fn span(&self, core: u32, addr: u32, size: u8) -> Option<&[u8]> {
+            let (bank, off) = self.place(core, addr, size)?;
+            Some(&self.banks[bank][off..off + size as usize])
+        }
+
+        fn span_mut(&mut self, core: u32, addr: u32, size: u8) -> Option<&mut [u8]> {
+            let (bank, off) = self.place(core, addr, size)?;
+            Some(&mut self.banks[bank][off..off + size as usize])
+        }
+
+        /// What a snapshot of dense banks held: each a length-prefixed block.
+        fn snapshot(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            w.u64(self.cfg.cores as u64);
+            w.u32(LOCAL_BANK_BYTES);
+            w.u32(self.cfg.shared_bank_bytes);
+            for bank in &self.banks {
+                w.bytes(bank);
+            }
+            w.into_bytes()
+        }
+
+        fn first_shared_difference(&self, other: &Dense) -> Option<(u32, u32, u32)> {
+            let shared = |d: &Dense| d.banks[d.cfg.cores..].concat();
+            let (mine, theirs) = (shared(self), shared(other));
+            let at = mine.iter().zip(&theirs).position(|(a, b)| a != b)? & !3;
+            let word = |bytes: &[u8]| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            Some((SHARED_BASE + at as u32, word(&mine), word(&theirs)))
+        }
+    }
+
+    fn snapshot(b: &Banks) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        b.snap(&mut w);
+        w.into_bytes()
+    }
+
+    /// An address in the local or the shared space of `model`'s machine,
+    /// aligned to `size`: at or near a page's edges or anywhere in it, in
+    /// any page of any bank or just past the last.
+    fn address(rng: &mut Rng, model: &Dense, size: u8) -> u32 {
+        let (base, bank_bytes, banks) = match rng.flip() {
+            true => (LOCAL_BASE, LOCAL_BANK_BYTES, 1),
+            false => (SHARED_BASE, model.cfg.shared_bank_bytes, model.cfg.cores),
+        };
+        let bank = rng.index(banks + 1) as u32;
+        let page = rng.index(bank_bytes as usize / PAGE_BYTES + 1) as u32;
+        let edge = PAGE_BYTES as u32;
+        let anywhere = rng.range_u32(0, edge - 1);
+        let byte = rng.pick(&[0, 4, edge - 4, edge - 1, anywhere]);
+        base + bank * bank_bytes + page * edge + (byte & !(size as u32 - 1))
+    }
+
+    /// Banks against the dense model under seeded random accesses,
+    /// harness pokes and flips, copies and snapshot round trips; one
+    /// configuration's shared bank is not a whole number of pages.
+    #[test]
+    fn banks_agree_with_a_dense_model() {
+        let mut rng = Rng::new(41);
+        let odd = LbpConfig {
+            shared_bank_bytes: PAGE_BYTES as u32 + 2052,
+            ..LbpConfig::cores(3)
+        };
+        for cfg in [LbpConfig::cores(2), odd] {
+            // Image data that spills into the second shared bank, with a
+            // page-sized run of zeros in it.
+            let mut data: Vec<u8> = (0..cfg.shared_bank_bytes + PAGE_BYTES as u32 + 700)
+                .map(|_| rng.next_u32() as u8)
+                .collect();
+            data[PAGE_BYTES..2 * PAGE_BYTES].fill(0);
+            let (mut tracked, mut model) =
+                (Banks::new(&cfg, &data).unwrap(), Dense::new(&cfg, &data));
+            let (mut base_tracked, mut base_model) = (tracked.clone(), model.clone());
+            let h = HartId::FIRST;
+            for step in 0..600 {
+                let size = rng.pick(&[1u8, 2, 4]);
+                let core = rng.index(cfg.cores) as u32;
+                let addr = address(&mut rng, &model, size);
+                let value = match rng.flip() {
+                    true => 0,
+                    false => rng.next_u32(),
+                };
+                match rng.index(7) {
+                    0 => {
+                        let at = tracked.route(addr, h).ok();
+                        let got = at.and_then(|at| tracked.span_mut(core, at, size).ok());
+                        let want = model.span_mut(core, addr, size);
+                        assert_eq!(got.is_some(), want.is_some(), "store {addr:#x}");
+                        for span in [got, want].into_iter().flatten() {
+                            span.copy_from_slice(&value.to_le_bytes()[..size as usize]);
+                        }
+                    }
+                    1 => {
+                        let at = tracked.route(addr, h).ok();
+                        let got = at.and_then(|at| tracked.span(core, at, size).ok());
+                        assert_eq!(got, model.span(core, addr, size), "load {addr:#x}");
+                    }
+                    2 => {
+                        let addr = SHARED_BASE.max(addr & !3);
+                        let want = model.span_mut(0, addr, 4);
+                        assert_eq!(tracked.poke(addr, value).is_ok(), want.is_some());
+                        if let Some(span) = want {
+                            span.copy_from_slice(&value.to_le_bytes());
+                        }
+                    }
+                    3 => {
+                        let addr = SHARED_BASE.max(addr & !3);
+                        let want = model
+                            .span(0, addr, 4)
+                            .map(|b| u32::from_le_bytes(b.try_into().unwrap()));
+                        assert_eq!(tracked.peek(addr).ok(), want, "peek {addr:#x}");
+                    }
+                    4 => {
+                        let (addr, bit) = (SHARED_BASE.max(addr), rng.range_u32(0, 40));
+                        tracked.flip(addr, bit);
+                        if let Some(byte) = model
+                            .span_mut(0, addr & !3, 4)
+                            .and_then(|b| b.get_mut(bit as usize / 8))
+                        {
+                            *byte ^= 1 << (bit % 8);
+                        }
+                    }
+                    5 => tracked = tracked.clone(),
+                    _ => {
+                        let bytes = snapshot(&tracked);
+                        let mut r = SnapReader::new(&bytes);
+                        tracked = Banks::unsnap(&mut r, cfg.cores).unwrap();
+                        r.finish().unwrap();
+                    }
+                }
+                assert_eq!(snapshot(&tracked), model.snapshot(), "step {step}");
+                let dense_hash = hash::fnv1a64(&model.banks.concat());
+                assert_eq!(
+                    tracked.extend_hash(hash::OFFSET_BASIS),
+                    dense_hash,
+                    "step {step}"
+                );
+                for (a, b, x, y) in [
+                    (&tracked, &base_tracked, &model, &base_model),
+                    (&base_tracked, &tracked, &base_model, &model),
+                ] {
+                    assert_eq!(a.first_shared_difference(b), x.first_shared_difference(y));
+                }
+                if step % 50 == 0 {
+                    (base_tracked, base_model) = (tracked.clone(), model.clone());
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,6 @@
 
 pub(crate) const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
-/// What eight zero bytes multiply the hash by.
-const PRIME_POW_8: u64 = pow(PRIME, 8);
 
 /// FNV-1a 64-bit over `bytes`. Non-cryptographic; stable across platforms.
 ///
@@ -30,14 +28,16 @@ pub(crate) fn extend(mut h: u64, bytes: &[u8]) -> u64 {
         if *word == [0; 8] {
             zero_words += 1;
         } else {
-            h = serial(h.wrapping_mul(pow(PRIME_POW_8, zero_words)), word);
+            h = serial(extend_zeros(h, 8 * zero_words), word);
             zero_words = 0;
         }
     }
-    serial(
-        h.wrapping_mul(pow(PRIME_POW_8, zero_words)),
-        words.remainder(),
-    )
+    serial(extend_zeros(h, 8 * zero_words), words.remainder())
+}
+
+/// Continues the hash `h` over `n` zero bytes: `h·PRIME`ⁿ.
+pub(crate) fn extend_zeros(h: u64, n: usize) -> u64 {
+    h.wrapping_mul(pow(PRIME, n))
 }
 
 /// `base` to the `exp`, mod 2⁶⁴.

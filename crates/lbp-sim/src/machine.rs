@@ -308,6 +308,17 @@ impl Machine {
         }
     }
 
+    /// Whether the machine is inside a parallel region: a hart other than
+    /// the first is live, or the first waits for a join. A race witness
+    /// enabled here would miss what the open team did before this cycle.
+    pub fn in_parallel_region(&self) -> bool {
+        let mut harts = self.cores.iter().flat_map(|core| &core.harts);
+        harts.any(|h| match h.id == HartId::FIRST {
+            true => h.state == HartState::WaitingJoin,
+            false => h.state != HartState::Free,
+        })
+    }
+
     /// The race witnesses collected so far; empty when
     /// [`Machine::enable_race_witness`] was never called (or when the
     /// program is race-free).
@@ -1006,10 +1017,7 @@ impl Machine {
         put(&self.stats.muldiv_ops.to_le_bytes());
         put(&self.stats.local_accesses.to_le_bytes());
         put(&self.stats.remote_accesses.to_le_bytes());
-        for bank in self.mem.banks.each() {
-            put(bank);
-        }
-        h
+        self.mem.banks.extend_hash(h)
     }
 }
 

@@ -167,7 +167,17 @@ impl SnapWriter {
     /// A length-prefixed raw byte block.
     pub fn bytes(&mut self, b: &[u8]) {
         self.u64(b.len() as u64);
+        self.raw(b);
+    }
+
+    /// Raw bytes with no length prefix (a block written in parts).
+    pub fn raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
+    }
+
+    /// `n` zero bytes with no length prefix (a block written in parts).
+    pub fn zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
     }
 
     /// A length-prefixed UTF-8 string.
@@ -249,8 +259,13 @@ impl<'a> SnapReader<'a> {
 
     /// A length-prefixed raw byte block.
     pub fn bytes(&mut self) -> Result<Vec<u8>, SnapError> {
+        Ok(self.block()?.to_vec())
+    }
+
+    /// A length-prefixed raw byte block, borrowed from the stream.
+    pub fn block(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.u64()? as usize;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 
     /// A length-prefixed UTF-8 string.

@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use lbp_kernels::matmul::{Matmul, Version};
-use lbp_sim::{LbpConfig, Machine};
+use lbp_sim::{FastEngine, FastStop, LbpConfig, Machine};
 use lbp_testutil::harness::assemble;
 
 thread_local! {
@@ -163,4 +163,62 @@ fn blocked_cores_sleep_and_wake_without_allocating() {
     let (allocs, cycles) = allocations_between(&mut m, 2_000, u64::MAX);
     assert!(m.exited() && cycles > 3_000, "{cycles} cycles measured");
     assert_eq!(allocs, 0, "over {cycles} cycles");
+}
+
+/// One hart keeps its local port and its shared-slice port busy for
+/// 500 iterations, then stores to a shared page nothing wrote before.
+const FRESH_PAGE: &str = "
+main:
+    li   t1, 500
+    la   s0, word
+    addi sp, sp, -4
+loop:
+    sw   t1, 0(sp)
+    lw   t2, 0(s0)
+    addi t1, t1, -1
+    bnez t1, loop
+    li   t3, 0x80008000
+    sw   t3, 0(t3)
+    li   t0, -1
+    li   ra, 0
+    p_ret
+.data
+word: .word 7
+";
+
+/// The page the guest above writes last, and what it writes there.
+const FRESH: u32 = 0x8000_8000;
+
+/// Runs `m`, built at some cycle of [`FRESH_PAGE`] that the loop has not
+/// left, 300 cycles on and then to its exit, which writes a fresh page:
+/// the second leg must not allocate.
+fn first_write_to_a_fresh_page_does_not_allocate(m: &mut Machine) {
+    let warm_up = m.stats().cycles + 300;
+    m.run_to(warm_up).expect("warm-up runs");
+    assert_eq!(m.peek_shared(FRESH).unwrap(), 0, "the page is still fresh");
+    let (allocs, cycles) = allocations_between(m, warm_up, u64::MAX);
+    assert!(m.exited(), "the measured leg ends the program");
+    assert_eq!(m.peek_shared(FRESH).unwrap(), FRESH, "the leg wrote it");
+    assert_eq!(allocs, 0, "over {cycles} cycles");
+}
+
+/// The hybrid handoff copies the functional engine's banks: the copy
+/// holds every page too, written or not.
+#[test]
+fn a_materialized_machine_writes_a_fresh_page_without_allocating() {
+    let image = assemble(FRESH_PAGE);
+    let mut fast = FastEngine::new(LbpConfig::cores(1), &image).unwrap();
+    fast.run(FastStop::Retired(400), u64::MAX).unwrap();
+    let mut m = fast.materialize(&image).unwrap();
+    first_write_to_a_fresh_page_does_not_allocate(&mut m);
+}
+
+/// A restored machine's banks are built from the snapshot's pages: they
+/// hold every page as well.
+#[test]
+fn a_restored_machine_writes_a_fresh_page_without_allocating() {
+    let mut m = Machine::new(LbpConfig::cores(1), &assemble(FRESH_PAGE)).unwrap();
+    m.run_to(500).unwrap();
+    let mut m = Machine::restore(&m.snapshot()).unwrap();
+    first_write_to_a_fresh_page_does_not_allocate(&mut m);
 }

@@ -813,7 +813,18 @@ fn run(mode: Mode, input: &str) -> Result<ExitCode, ExitCode> {
                         "" => None,
                         _ => Some(load(input)?),
                     };
-                    (resume(&path)?, program)
+                    let machine = resume(&path)?;
+                    if opts.race_witness && machine.in_parallel_region() {
+                        eprintln!(
+                            "lbp-run: `{}` cannot judge a run resumed inside a parallel \
+                             region: `{path}` was taken at cycle {}, after a team was forked \
+                             and before its join; resume from a checkpoint outside every region",
+                            RACE_WITNESS.name,
+                            machine.stats().cycles
+                        );
+                        return Err(ExitClass::Usage.into());
+                    }
+                    (machine, program)
                 }
                 Start::Cold(cfg) => {
                     let program = load(input)?;

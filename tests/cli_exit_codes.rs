@@ -761,3 +761,52 @@ fn bisect_reports_the_divergent_cycle() {
         "bisect must name the fault's trigger cycle, got:\n{text}"
     );
 }
+
+/// The race witness judges a team over its whole fork-join interval, and
+/// a checkpoint does not record what the team did before it: enabling the
+/// witness on a run resumed inside a parallel region is a usage refusal
+/// naming the checkpoint's cycle. Resumed before the fork, it still finds
+/// the race; without the witness the same checkpoint resumes.
+#[test]
+fn exit_2_resuming_inside_a_parallel_region_with_the_race_witness() {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/lbp-verify/tests/fixtures/race_dynamic_only.s");
+    let dir = harness::scratch_dir("race-resume");
+    let ckpt = lbp_run()
+        .arg(&fixture)
+        .args([
+            "--cores",
+            "1",
+            "--checkpoint-every",
+            "10",
+            "--checkpoint-prefix",
+        ])
+        .arg(dir.join("ck-"))
+        .output()
+        .unwrap();
+    assert_eq!(class_of(ckpt.status), ExitClass::Ok);
+    let resume = |cycle: u32, witness: &[&str]| {
+        let path = dir.join(format!("ck-{cycle}.lbpsnap"));
+        let out = lbp_run()
+            .arg("--resume-from")
+            .arg(path)
+            .args(witness)
+            .output();
+        out.unwrap()
+    };
+    let inside = resume(80, &["--race-witness"]);
+    let stderr = String::from_utf8_lossy(&inside.stderr);
+    assert_eq!(class_of(inside.status), ExitClass::Usage, "{stderr}");
+    assert!(stderr.contains("inside a parallel region"), "{stderr}");
+    assert!(stderr.contains("at cycle 80"), "{stderr}");
+    assert!(inside.stdout.is_empty(), "nothing ran");
+    assert_eq!(class_of(resume(80, &[]).status), ExitClass::Ok);
+    let before = resume(10, &["--race-witness"]);
+    let stdout = String::from_utf8_lossy(&before.stdout);
+    assert_eq!(class_of(before.status), ExitClass::Rejected, "{stdout}");
+    assert!(
+        stdout.contains("races:    1 concrete overlap observed"),
+        "{stdout}"
+    );
+    harness::scratch_cleanup(&dir);
+}

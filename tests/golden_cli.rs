@@ -160,13 +160,17 @@ const OBSERVED: &str = "--profile {tmp}/prof --race-witness";
 /// The runs `--resume-from`, `--snap-info` and `--bisect-snaps` read.
 const CHECKPOINT_MUL: &str =
     "examples/asm/mul.s --cores 1 --checkpoint-every 10 --checkpoint-prefix {tmp}/ck-";
+/// Checkpoints before race_dynamic_only.s forks its team (10) and inside
+/// the team (80).
+const CHECKPOINT_DYNAMIC_ONLY: &str = "crates/lbp-verify/tests/fixtures/race_dynamic_only.s \
+     --cores 1 --checkpoint-every 10 --checkpoint-prefix {tmp}/ck-";
 const BAD_CHECKPOINT_MUL: &str = "examples/asm/mul.s --cores 1 --fault flip-reg:0:a2:4:14 \
      --checkpoint-every 10 --checkpoint-prefix {tmp}/bad-";
 
 /// Every mode of both tools over `examples/`, the verifier fixtures,
 /// `tests/fixtures` and the identity corpus.
 #[rustfmt::skip]
-const ROWS: [Row; 80] = [
+const ROWS: [Row; 82] = [
     // lbp-run: run, on the default four cores and on fewer and more.
     run("run", EXAMPLES, &[STATS], Pinned(7, 0xcd28_9922_2176_332a)),
     run("run-1-core", ASM_1_CORE, &["--cores 1", STATS], Pinned(3, 0xd6fd_fea0_b22a_599c)),
@@ -260,6 +264,14 @@ const ROWS: [Row; 80] = [
         Same("mul-1-core", NoStderr)),
     run("mul-resumed", Inputs::None, &["--resume-from {tmp}/ck-10.lbpsnap", STATS],
         Same("mul-1-core", NoStderr)).after(&[CHECKPOINT_MUL]),
+    // The race witness judges a team over its whole fork-join interval: a
+    // resume inside one is refused, a resume before it sees the race.
+    run("race-witness-resumed-before-the-fork", Inputs::None,
+        &["--resume-from {tmp}/ck-10.lbpsnap --race-witness"],
+        Same("race-witness-dynamic-only", NoStderr)).after(&[CHECKPOINT_DYNAMIC_ONLY]),
+    run("race-witness-resumed-inside-a-region", Inputs::None,
+        &["--resume-from {tmp}/ck-80.lbpsnap --race-witness"],
+        Pinned(1, 0x97e2_0539_bbf5_16bb)).after(&[CHECKPOINT_DYNAMIC_ONLY]),
     run("checkpoints", MATMUL, &["--checkpoint-every 5000 --checkpoint-prefix {out}/ck-"],
         Pinned(1, 0x65de_5856_6f25_aa2e)),
     run("snap-info", Inputs::None, &["--snap-info {tmp}/ck-10.lbpsnap"],
