@@ -6,11 +6,11 @@
 //!
 //! Each machine is cycle-deterministic, so a job's result line depends
 //! only on the job itself: the output of an N-worker run equals the
-//! output of a 1-worker run after sorting by job id, which the CI smoke
-//! job checks byte-for-byte. For the same reason identical jobs are
-//! **deduplicated** by content hash — each distinct job simulates once,
-//! and every duplicate's line is emitted from the one run, marked with
-//! `dedup_of`.
+//! output of a 1-worker run after sorting by job id, which
+//! `tests/worker_count.rs` checks byte for byte. For the same reason
+//! identical jobs are **deduplicated** by content hash — each distinct
+//! job simulates once, and every duplicate's line is emitted from the
+//! one run, marked with `dedup_of`.
 //!
 //! ## Manifest (`lbp-batch-manifest-v1`)
 //!
@@ -26,13 +26,15 @@
 //!
 //! `program` paths are resolved relative to the manifest file. `id`
 //! defaults to `job-<index>`; `cores` to 1; `max_cycles` to 1,000,000;
-//! `faults` to none. Programs ending in `.c` go through the `lbp-cc`
-//! front end, everything else through the assembler. A job may opt into
-//! profiling with `"profile": true` (default false): the run then
-//! carries the `lbp-prof` collectors and its result line gains a
-//! hot-function summary. Profiling is part of the job's content hash —
-//! a profiled job never dedups against an unprofiled twin — but an
-//! unprofiled job's hash is unchanged from earlier schema revisions.
+//! `faults` to none. A number field that is present must be a whole
+//! number, and `cores` at most [`lbp_sim::MAX_CORES`]. Programs ending
+//! in `.c` go through the `lbp-cc` front end, everything else through
+//! the assembler. A job may opt into profiling with `"profile": true`
+//! (default false): the run then carries the `lbp-prof` collectors and
+//! its result line gains a hot-function summary. Profiling is part of
+//! the job's content hash — a profiled job never dedups against an
+//! unprofiled twin — but an unprofiled job's hash is unchanged from
+//! earlier schema revisions.
 //! A job may set `"warm": N` to fast-forward its first N retired
 //! instructions on the functional engine (`lbp_sim::FastEngine`) before
 //! the cycle-exact window — hybrid jobs hash apart from cold twins the
@@ -60,7 +62,9 @@ use std::path::Path;
 use std::sync::Mutex;
 
 pub use lbp_cc::SourceKind;
-use lbp_sim::{FastEngine, FastStop, Fault, FaultPlan, Json, LbpConfig, Machine, WarmError};
+use lbp_sim::{
+    FastEngine, FastStop, Fault, FaultPlan, Json, LbpConfig, Machine, WarmError, MAX_CORES,
+};
 
 /// The manifest schema identifier.
 pub const MANIFEST_SCHEMA: &str = "lbp-batch-manifest-v1";
@@ -119,7 +123,7 @@ pub fn job_hash(job: &BatchJob) -> u64 {
         key.push('\0');
     }
     // Appended only when set so unprofiled jobs keep their historical
-    // hashes (the CI smoke fixtures pin them).
+    // hashes.
     if job.profile {
         key.push_str("profile\0");
     }
@@ -171,11 +175,23 @@ pub fn load_manifest(text: &str, base_dir: &Path) -> Result<Vec<BatchJob>, Batch
         let source = std::fs::read_to_string(&path)
             .map_err(|e| bad(format!("job `{id}`: cannot read {}: {e}", path.display())))?;
         let kind = SourceKind::of(program);
-        let cores = j.get("cores").and_then(Json::as_u64).unwrap_or(1) as usize;
-        let max_cycles = j
-            .get("max_cycles")
-            .and_then(Json::as_u64)
-            .unwrap_or(1_000_000);
+        // A number field that is present must be a whole number: a
+        // mistyped one is refused, never read as its default.
+        let whole = |field: &str| match j.get(field) {
+            None => Ok(None),
+            Some(v) => v
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| bad(format!("job `{id}`: {field} must be a whole number"))),
+        };
+        let cores = whole("cores")?.unwrap_or(1);
+        if cores == 0 || cores > MAX_CORES as u64 {
+            return Err(bad(format!(
+                "job `{id}`: cores must be between 1 and {MAX_CORES}"
+            )));
+        }
+        let max_cycles = whole("max_cycles")?.unwrap_or(1_000_000);
+        let warm = whole("warm")?;
         let mut faults = Vec::new();
         if let Some(arr) = j.get("faults").and_then(Json::as_arr) {
             for f in arr {
@@ -188,27 +204,17 @@ pub fn load_manifest(text: &str, base_dir: &Path) -> Result<Vec<BatchJob>, Batch
                 faults.push(spec.to_owned());
             }
         }
-        if cores == 0 {
-            return Err(bad(format!("job `{id}`: cores must be at least 1")));
-        }
         let profile = match j.get("profile") {
             None => false,
             Some(v) => v
                 .as_bool()
                 .ok_or_else(|| bad(format!("job `{id}`: profile must be a boolean")))?,
         };
-        let warm = match j.get("warm") {
-            None => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| bad(format!("job `{id}`: warm must be a number")))?,
-            ),
-        };
         out.push(BatchJob {
             id,
             source,
             kind,
-            cores,
+            cores: cores as usize,
             max_cycles,
             faults,
             profile,
@@ -665,6 +671,28 @@ mod tests {
         // So is a non-numeric warm target.
         let bad_warm = manifest.replace("\"warm\": 5", "\"warm\": \"lots\"");
         assert!(load_manifest(&bad_warm, &dir).is_err());
+        // A number field that is present but not a whole number, or a
+        // core count outside 1..=MAX_CORES, names the job and the field.
+        for (from, to, field) in [
+            ("\"cores\": 2", "\"cores\": \"16\"", "cores"),
+            ("\"cores\": 2", "\"cores\": 16.0", "cores"),
+            ("\"cores\": 2", "\"cores\": 1e3", "cores"),
+            ("\"cores\": 2", "\"cores\": -1", "cores"),
+            ("\"cores\": 2", "\"cores\": 0", "cores"),
+            ("\"cores\": 2", "\"cores\": 4097", "cores"),
+            ("\"cores\": 2", "\"cores\": 99999999999", "cores"),
+            ("\"max_cycles\": 77", "\"max_cycles\": \"5\"", "max_cycles"),
+            ("\"max_cycles\": 77", "\"max_cycles\": 77.5", "max_cycles"),
+        ] {
+            let text = manifest.replace(from, to);
+            let err = load_manifest(&text, &dir).expect_err(to).0;
+            assert!(
+                err.starts_with(&format!("job `two`: {field} must be ")),
+                "{to}: {err}"
+            );
+        }
+        let largest = manifest.replace("\"cores\": 2", &format!("\"cores\": {MAX_CORES}"));
+        assert_eq!(load_manifest(&largest, &dir).unwrap()[1].cores, MAX_CORES);
         // Bad fault spec fails the whole manifest up front.
         let bad = manifest.replace("drop-msg:0", "warp-core:9");
         assert!(load_manifest(&bad, &dir).is_err());

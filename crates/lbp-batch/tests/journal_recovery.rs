@@ -170,7 +170,8 @@ fn mid_file_corruption_is_refused_with_a_diagnostic() {
     let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
     assert!(lines.len() >= 3);
     lines[1] = lines[1].replace(':', ";");
-    std::fs::write(&journal, lines.join("\n") + "\n").unwrap();
+    let damaged = lines.join("\n") + "\n";
+    std::fs::write(&journal, &damaged).unwrap();
 
     let out = cmd(&manifest, &state).output().unwrap();
     assert_eq!(out.status.code(), Some(1), "damage must abort, not resume");
@@ -179,10 +180,11 @@ fn mid_file_corruption_is_refused_with_a_diagnostic() {
         stderr.contains("corrupt") && stderr.contains("torn"),
         "diagnostic must name the failure mode: {stderr}"
     );
-    // The refusal never truncates the file.
-    assert_eq!(
-        std::fs::read_to_string(&journal).unwrap().lines().count(),
-        lines.len()
+    // The refusal leaves the journal exactly as it found it.
+    let after = std::fs::read(&journal).unwrap();
+    assert!(
+        after == damaged.as_bytes(),
+        "the refusal changed the journal"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

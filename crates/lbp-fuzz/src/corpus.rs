@@ -15,7 +15,7 @@
 //! case without the corpus: the fuzzer seed, the case index, the full
 //! generator configuration, and the failure classification. Nothing in
 //! the corpus depends on wall-clock time or the host, so two runs with
-//! the same seed write byte-identical corpora — asserted by CI.
+//! the same seed write byte-identical corpora.
 
 use std::io;
 use std::path::{Path, PathBuf};

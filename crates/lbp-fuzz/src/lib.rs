@@ -13,8 +13,8 @@
 //! `lbp-testutil`'s SplitMix64, the verdict stream carries no
 //! timestamps, and the corpus names no host state — `lbp-fuzz --seed S
 //! --count N` writes byte-identical output on every machine, every
-//! run. CI leans on that: reproducibility is asserted by diffing two
-//! sweeps.
+//! run. `tests/sweeps.rs` leans on that: it asserts reproducibility by
+//! comparing two sweeps byte for byte.
 //!
 //! Case `i` of a run seeds its generator with
 //! `seed ^ (i * 0x9e37_79b9_7f4a_7c15)` — the same derivation as
@@ -243,8 +243,6 @@ pub fn run_fuzz(opts: &FuzzOptions, mut out: impl Write) -> io::Result<FuzzSumma
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gen::Sabotage;
-    use lbp_testutil::harness;
 
     /// The headline acceptance property: the verdict stream is a pure
     /// function of (seed, options).
@@ -290,79 +288,5 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a, b);
-    }
-
-    /// End-to-end red fixture: a sabotaged sweep fails, shrinks, and
-    /// persists a replayable corpus entry; the clean sweep stays green.
-    #[test]
-    fn sabotaged_sweep_writes_a_corpus() {
-        let root = harness::scratch_dir("fuzz-red-sweep");
-        let corpus = root.join("corpus");
-        let opts = FuzzOptions {
-            seed: 7,
-            count: 2,
-            config: GenConfig {
-                sabotage: Some(Sabotage::WildStore),
-                ..GenConfig::default()
-            },
-            corpus: Some(corpus.clone()),
-            shrink_attempts: 300,
-            ..FuzzOptions::default()
-        };
-        let mut out = Vec::new();
-        let summary = run_fuzz(&opts, &mut out).unwrap();
-        assert_eq!(summary.passed, 0, "every sabotaged case must fail");
-        assert_eq!(summary.failures.len(), 2);
-        assert!(summary.failures.iter().all(|(_, c)| c == "run/mem"));
-        // The corpus holds one directory per failing case, with the
-        // shrunk reproducer alongside the original.
-        let dirs: Vec<_> = std::fs::read_dir(&corpus).unwrap().collect();
-        assert_eq!(dirs.len(), 2);
-        for d in dirs {
-            let d = d.unwrap().path();
-            assert!(d.join("program.s").exists());
-            assert!(d.join("shrunk.s").exists());
-            assert!(d.join("meta.json").exists());
-            assert!(d.join("dump.json").exists());
-        }
-        harness::scratch_cleanup(&root);
-    }
-
-    /// Red fixture for the semantics oracle end to end: a sweep with a
-    /// planted miscompilation restricts itself to C programs, every
-    /// case fails as `semantics/divergence` (proving the other nine
-    /// oracles saw nothing), the shrinker reproduces the divergence on
-    /// a reduced program, and the corpus holds the C reproducer.
-    #[test]
-    fn codegen_sabotaged_sweep_shrinks_to_a_c_reproducer() {
-        let root = harness::scratch_dir("fuzz-codegen-red-sweep");
-        let corpus = root.join("corpus");
-        let opts = FuzzOptions {
-            seed: 42,
-            count: 1,
-            config: GenConfig {
-                sabotage: Some(Sabotage::Codegen(lbp_cc::CodegenSabotage::IndexShift)),
-                ..GenConfig::default()
-            },
-            corpus: Some(corpus.clone()),
-            shrink_attempts: 120,
-            ..FuzzOptions::default()
-        };
-        let mut out = Vec::new();
-        let summary = run_fuzz(&opts, &mut out).unwrap();
-        assert_eq!(summary.passed, 0, "every sabotaged case must fail");
-        assert!(summary
-            .failures
-            .iter()
-            .all(|(_, c)| c == "semantics/divergence"));
-        let dirs: Vec<_> = std::fs::read_dir(&corpus).unwrap().collect();
-        assert_eq!(dirs.len(), 1);
-        let d = dirs.into_iter().next().unwrap().unwrap().path();
-        assert!(d.join("program.c").exists());
-        assert!(d.join("shrunk.c").exists(), "shrinker must reproduce");
-        assert!(d.join("meta.json").exists());
-        let meta = std::fs::read_to_string(d.join("meta.json")).unwrap();
-        assert!(meta.contains("codegen:index-shift"));
-        harness::scratch_cleanup(&root);
     }
 }

@@ -24,6 +24,10 @@ pub(crate) const ALU_LATENCY: u32 = 1;
 /// RV32M division/remainder latency in cycles (an iterative divider).
 pub(crate) const DIV_LATENCY: u32 = 12;
 
+/// The largest core count the tools build a machine for: `lbp-run
+/// --cores` and a batch manifest's `cores` are refused above it.
+pub const MAX_CORES: usize = 4096;
+
 /// The settings of an LBP machine instance.
 ///
 /// Every hart has the one pipeline of the FPGA implementation the paper

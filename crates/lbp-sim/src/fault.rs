@@ -10,7 +10,7 @@
 //! `Decode` or a lockstep divergence), never as a panic.
 //!
 //! Faults can be written as compact spec strings (the `--fault` flag of
-//! `lbp-run` and the CI smoke matrix use them):
+//! `lbp-run` and a batch manifest's `faults` use them):
 //!
 //! ```text
 //! flip-reg:HART:REG:BIT:CYCLE    flip-reg:0:a0:3:500

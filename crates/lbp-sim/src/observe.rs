@@ -14,7 +14,14 @@
 //!   and both `Machine::new` and `Machine::restore` call it: a restored
 //!   machine starts with an empty trace, no sink and both collectors
 //!   off. The one bit that does cross a snapshot, `cfg.trace`, is
-//!   configuration, which is why the constructor takes it.
+//!   configuration, which is why the constructor takes it. An observer
+//!   switched on after a restore reports from the restore on, so the
+//!   prefix's output followed by the resumed run's is the unsplit run's
+//!   (`tests/snapshot_roundtrip.rs`). An observer whose verdict spans an
+//!   interval cannot do that for a restore inside the interval, and
+//!   refuses it: the race witness judges a team from its fork to its
+//!   join, so `lbp-run` refuses it on a machine restored inside a
+//!   parallel region ([`Machine::in_parallel_region`](crate::Machine::in_parallel_region)).
 
 use lbp_isa::HartId;
 

@@ -26,7 +26,7 @@ use lbp::sim::cli::{self, Args, Flag, Grammar, Positional};
 use lbp::sim::{
     ChromeSink, ExitClass, FastEngine, FastStop, Fault, FaultPlan, JsonlSink, LbpConfig,
     LockstepError, Machine, MachineDump, SimFailure, TextSink, TraceSink, WarmError, Watch,
-    Watched,
+    Watched, MAX_CORES,
 };
 
 const RUN: u32 = 1 << 0;
@@ -215,8 +215,11 @@ enum Mode {
 /// `--fault`) describe.
 fn config(args: &Args, faulted: bool) -> Result<LbpConfig, String> {
     let cores = args.get::<usize>(CORES)?.unwrap_or(4);
-    if cores == 0 || cores > 4096 {
-        return Err(format!("`{}` must be between 1 and 4096", CORES.name));
+    if cores == 0 || cores > MAX_CORES {
+        return Err(format!(
+            "`{}` must be between 1 and {MAX_CORES}",
+            CORES.name
+        ));
     }
     let mut cfg = LbpConfig::cores(cores);
     if let Some(interval) = args.get::<u64>(INTERVAL)?.filter(|&n| n > 0) {

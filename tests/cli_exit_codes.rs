@@ -85,6 +85,12 @@ fn exit_2_usage_errors() {
         ExitClass::Usage,
         "zero cores"
     );
+    let too_many = (lbp::sim::MAX_CORES + 1).to_string();
+    assert_eq!(
+        code(lbp_run().arg(example("mul.s")).args(["--cores", &too_many])),
+        ExitClass::Usage,
+        "more cores than MAX_CORES"
+    );
     assert_eq!(
         code(lbp_run().arg(example("mul.s")).arg("--bisect")),
         ExitClass::Usage,
@@ -162,6 +168,43 @@ fn exit_1_figures_cannot_write_its_stats_dir() {
         stderr.contains("figures: cannot write stats JSON to `/dev/null/x`: "),
         "{stderr}"
     );
+}
+
+/// `--stats-dir` writes one `lbp-stats-v1` report per figure and matmul
+/// version, named after both.
+#[test]
+fn exit_0_figures_writes_one_stats_json_per_version() {
+    use lbp::kernels::matmul::Version;
+    use lbp::sim::Json;
+    let dir = harness::scratch_dir("figures-stats").join("stats");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["fig19", "fig20", "--stats-dir"])
+        .arg(&dir)
+        .output()
+        .expect("figures spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(class_of(out.status), ExitClass::Ok, "{stderr}");
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    let mut expected: Vec<String> = ["fig19", "fig20"]
+        .iter()
+        .flat_map(|fig| Version::ALL.map(|v| format!("{fig}_{}.json", v.name())))
+        .collect();
+    expected.sort();
+    assert_eq!(written, expected);
+    for name in written {
+        let text = std::fs::read_to_string(dir.join(&name)).unwrap();
+        let json = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let schema = json.get("schema").and_then(Json::as_str);
+        assert_eq!(schema, Some("lbp-stats-v1"), "{name}");
+        let benchmark = json.get("benchmark").and_then(Json::as_str);
+        assert_eq!(benchmark.map(|b| format!("{b}.json")), Some(name));
+    }
+    harness::scratch_cleanup(&dir);
 }
 
 #[test]

@@ -334,8 +334,8 @@ fn two_hundred_generated_programs_diff_clean() {
 // ---------------------------------------------------------------------------
 
 /// The committed witness program trips every `codegen:*` sabotage kind
-/// (this is the file the CI red loop drives through `lbp-cc --diff
-/// --sabotage`), and diffs clean when compiled honestly.
+/// (`tests/golden_cli.rs` drives it through `lbp-cc --diff --sabotage`),
+/// and diffs clean when compiled honestly.
 #[test]
 fn sabotage_witness_diverges_under_every_kind_and_is_otherwise_clean() {
     let path = format!(

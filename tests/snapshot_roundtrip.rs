@@ -1,11 +1,17 @@
 //! Snapshot round-trip smoke over every shipped example program:
 //! for each `examples/asm/*.s` and `examples/c/*.c`, checkpoint the run
-//! at two cycles through the `lbp-snap-v1` container, resume, and demand
+//! at three cycles through the `lbp-snap-v1` container, resume, and demand
 //! the resumed run is bit-identical to the uninterrupted one — run
 //! report, spliced trace events, and the machine's entire final state
 //! (compared as snapshot bytes, which cover all memory and statistics).
+//! The observers, which are never snapshotted, splice too: the per-pc
+//! profile of the prefix plus that of the resumed run is the unsplit
+//! run's, and so are the race witnesses when the checkpoint is outside
+//! every parallel region (inside one, the witness refuses the restore).
 
-use lbp::sim::{Event, Machine, RunReport, SimError};
+use std::collections::BTreeMap;
+
+use lbp::sim::{Event, Machine, PcCounters, RaceWitness, RunReport, SimError};
 use lbp::snap;
 use lbp_testutil::harness;
 
@@ -30,18 +36,51 @@ fn finish(m: &mut Machine, outcome: Result<RunReport, SimError>) -> Outcome {
 
 const MAX_CYCLES: u64 = 2_000_000;
 
-/// Runs `image` from reset and split at `at`, asserting both paths agree.
-fn check_round_trip(name: &str, image: &lbp::asm::Image, cores: usize) {
-    let mut full = harness::machine_from_image(image, cores);
+/// Per-pc profile counters by (core, pc), and each core's unattributed
+/// stalls under (core, `None`).
+type Profile = BTreeMap<(usize, Option<u32>), PcCounters>;
+
+/// Adds `m`'s profile into `sum`.
+fn add_profile(sum: &mut Profile, m: &Machine) {
+    let prof = m.profile().expect("profiling was enabled");
+    let mut add = |key, c: &PcCounters| {
+        let row = sum.entry(key).or_default();
+        row.retired += c.retired;
+        row.stalls = row.stalls.add(&c.stalls);
+    };
+    for core in 0..prof.cores() {
+        for (pc, c) in prof.per_pc(core) {
+            add((core, Some(pc)), c);
+        }
+        let stalls = *prof.unattributed(core);
+        add((core, None), &PcCounters { retired: 0, stalls });
+    }
+}
+
+/// A machine for `image` with the profiler and the race witness on.
+fn observed(image: &lbp::asm::Image, cores: usize) -> Machine {
+    let mut m = harness::machine_from_image(image, cores);
+    m.enable_profiling();
+    m.enable_race_witness();
+    m
+}
+
+/// Runs `image` from reset and split at three cycles, asserting both paths
+/// agree. Returns the race witnesses that were compared across a split.
+fn check_round_trip(name: &str, image: &lbp::asm::Image, cores: usize) -> Vec<RaceWitness> {
+    let mut full = observed(image, cores);
     let outcome = full.run(MAX_CYCLES);
     let total = full.stats().cycles;
     assert!(total > 4, "{name}: too short to checkpoint meaningfully");
     let reference = finish(&mut full, outcome);
     let events: Vec<Event> = full.trace().events().to_vec();
+    let mut unsplit = Profile::new();
+    add_profile(&mut unsplit, &full);
+    let mut compared = Vec::new();
 
-    for at in [total / 3, (2 * total) / 3] {
+    for at in [total / 8, total / 3, (2 * total) / 3] {
         let at = at.max(1).min(total - 1);
-        let mut prefix = harness::machine_from_image(image, cores);
+        let mut prefix = observed(image, cores);
         let exited = prefix
             .run_to(at)
             .unwrap_or_else(|e| panic!("{name}: prefix run failed: {e}"));
@@ -54,6 +93,11 @@ fn check_round_trip(name: &str, image: &lbp::asm::Image, cores: usize) {
         assert_eq!(snap::content_hash(&decoded), snap::content_hash(&state));
 
         let mut resumed = Machine::restore(&decoded).unwrap();
+        resumed.enable_profiling();
+        let witnessed = !prefix.in_parallel_region();
+        if witnessed {
+            resumed.enable_race_witness();
+        }
         let outcome = resumed.run(MAX_CYCLES);
         let replay = finish(&mut resumed, outcome);
         assert_eq!(
@@ -70,7 +114,25 @@ fn check_round_trip(name: &str, image: &lbp::asm::Image, cores: usize) {
             events, spliced,
             "{name}: trace diverged across a checkpoint at cycle {at}"
         );
+        let mut split = Profile::new();
+        add_profile(&mut split, &prefix);
+        add_profile(&mut split, &resumed);
+        assert!(
+            unsplit == split,
+            "{name}: per-pc profile diverged across a checkpoint at cycle {at}"
+        );
+        if witnessed {
+            let mut races = prefix.race_witnesses().to_vec();
+            races.extend_from_slice(resumed.race_witnesses());
+            assert_eq!(
+                full.race_witnesses(),
+                races,
+                "{name}: race witnesses diverged across a checkpoint at cycle {at}"
+            );
+            compared.extend(races);
+        }
     }
+    compared
 }
 
 fn examples(subdir: &str, ext: &str) -> Vec<(String, String)> {
@@ -103,6 +165,21 @@ fn every_c_example_round_trips() {
         let compiled = lbp::cc::compile(&source).unwrap_or_else(|e| panic!("{name}: {e}"));
         check_round_trip(&name, &compiled.image, 4);
     }
+}
+
+/// A race the witness sees in the unsplit run is seen across a
+/// checkpoint taken outside the region that races.
+#[test]
+fn a_race_is_witnessed_across_a_checkpoint_outside_its_region() {
+    let name = "race_dynamic_only.s";
+    let path = format!(
+        "{}/crates/lbp-verify/tests/fixtures/{name}",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let image = lbp::asm::assemble(&source).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let compared = check_round_trip(name, &image, 1);
+    assert!(!compared.is_empty(), "{name}: no split compared a witness");
 }
 
 /// `content_hash` of `examples/asm/fork2.s` on two cores, fresh and
