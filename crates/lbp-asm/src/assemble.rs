@@ -1,6 +1,6 @@
 //! The two-pass assembler: symbolic items → [`Image`].
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::RangeInclusive;
 
@@ -43,8 +43,8 @@ pub fn assemble_items(items: &[SourceItem]) -> Result<Image, AsmError> {
 
 /// Pass 1: walk the items, maintain the two location counters, record label
 /// addresses and `.equ` definitions.
-fn layout(items: &[SourceItem]) -> Result<HashMap<String, u32>, AsmError> {
-    let mut symbols: HashMap<String, u32> = HashMap::new();
+fn layout(items: &[SourceItem]) -> Result<BTreeMap<String, u32>, AsmError> {
+    let mut symbols: BTreeMap<String, u32> = BTreeMap::new();
     let mut lc = LocationCounters::new();
     for si in items {
         match &si.item {
@@ -82,7 +82,7 @@ fn layout(items: &[SourceItem]) -> Result<HashMap<String, u32>, AsmError> {
 }
 
 /// Pass 2: evaluate expressions and encode instructions and data.
-fn emit(items: &[SourceItem], symbols: HashMap<String, u32>) -> Result<Image, AsmError> {
+fn emit(items: &[SourceItem], symbols: BTreeMap<String, u32>) -> Result<Image, AsmError> {
     let mut image = Image {
         symbols,
         ..Image::default()
@@ -160,7 +160,7 @@ fn pad(image: &mut Image, section: Section, bytes: u32, line: usize) -> Result<(
 fn resolve(
     sym: &SymInstr,
     pc: u32,
-    symbols: &HashMap<String, u32>,
+    symbols: &BTreeMap<String, u32>,
     line: usize,
 ) -> Result<Instr, AsmError> {
     let (instr, expr) = match sym {
@@ -285,7 +285,7 @@ fn word(v: i64, line: usize, what: impl fmt::Display) -> Result<u32, AsmError> {
 }
 
 /// Evaluates a `.space` byte count from the symbols defined so far.
-fn eval_space(expr: &Expr, symbols: &HashMap<String, u32>, line: usize) -> Result<u32, AsmError> {
+fn eval_space(expr: &Expr, symbols: &BTreeMap<String, u32>, line: usize) -> Result<u32, AsmError> {
     let v = expr
         .eval(symbols)
         .map_err(|e| AsmError::new(line, format!("in .space: {e}")))?;

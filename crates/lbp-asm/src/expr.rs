@@ -1,6 +1,6 @@
 //! Constant expressions over symbols, as they appear in assembly operands.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A constant expression: integer literals, symbols, sums/differences, and
@@ -10,10 +10,10 @@ use std::fmt;
 ///
 /// ```
 /// use lbp_asm::Expr;
-/// use std::collections::HashMap;
+/// use std::collections::BTreeMap;
 ///
 /// let e = Expr::sym("table").add(Expr::konst(8));
-/// let mut syms = HashMap::new();
+/// let mut syms = BTreeMap::new();
 /// syms.insert("table".to_owned(), 0x8000_0100);
 /// assert_eq!(e.eval(&syms).unwrap(), 0x8000_0108);
 /// ```
@@ -71,7 +71,7 @@ impl Expr {
     /// # Errors
     ///
     /// Returns the name of the first undefined symbol encountered.
-    pub fn eval(&self, symbols: &HashMap<String, u32>) -> Result<i64, UndefinedSymbol> {
+    pub fn eval(&self, symbols: &BTreeMap<String, u32>) -> Result<i64, UndefinedSymbol> {
         Ok(match self {
             Expr::Const(v) => *v,
             Expr::Symbol(name) => symbols
@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn eval_arithmetic() {
-        let syms = HashMap::from([("a".to_owned(), 100u32)]);
+        let syms = BTreeMap::from([("a".to_owned(), 100u32)]);
         let e = Expr::sym("a").add(Expr::konst(5)).sub(Expr::konst(2));
         assert_eq!(e.eval(&syms).unwrap(), 103);
     }
@@ -194,7 +194,7 @@ mod tests {
     fn undefined_symbol_reported() {
         let e = Expr::sym("missing");
         assert_eq!(
-            e.eval(&HashMap::new()),
+            e.eval(&BTreeMap::new()),
             Err(UndefinedSymbol("missing".into()))
         );
     }

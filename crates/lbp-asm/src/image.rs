@@ -1,6 +1,6 @@
 //! The assembled program image loaded into the LBP banks at boot.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use lbp_isa::{CODE_BASE, SHARED_BASE};
 
@@ -16,8 +16,11 @@ pub struct Image {
     pub text: Vec<u32>,
     /// Initialized shared data, based at [`SHARED_BASE`].
     pub data: Vec<u8>,
-    /// Resolved symbol table (labels and `.equ` constants).
-    pub symbols: HashMap<String, u32>,
+    /// Resolved symbol table (labels and `.equ` constants). Ordered, so
+    /// that walking or dropping it takes the same steps in every process:
+    /// a hashed table's random order reached the heap's layout and made
+    /// peak memory differ from one run to the next.
+    pub symbols: BTreeMap<String, u32>,
     /// Entry point: the `main` (or `_start`) symbol, else [`CODE_BASE`].
     pub entry: u32,
     /// Source line of each text word (same length as `text`; 0 for

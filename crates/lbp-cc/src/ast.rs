@@ -31,7 +31,8 @@ pub struct Global {
 pub enum Init {
     /// Every element takes the same value (also scalars).
     Uniform(i64),
-    /// Explicit leading elements (`{1, 2, 3}`); the rest are zero.
+    /// Explicit leading elements (`{1, 2, 3}`), no more than the array
+    /// holds; the rest are zero.
     List(Vec<i64>),
 }
 

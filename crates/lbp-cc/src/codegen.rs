@@ -108,10 +108,11 @@ pub fn generate_with(cx: &Checked, sabotage: Option<CodegenSabotage>) -> Result<
                 }
             }
             Some(Init::List(values)) => {
-                for v in values.iter().take(global.elems as usize) {
+                // The parser refuses a list longer than the array.
+                for v in values {
                     g.asm.word(*v);
                 }
-                let rest = global.elems as usize - values.len().min(global.elems as usize);
+                let rest = global.elems as usize - values.len();
                 if rest > 0 {
                     g.asm.space((rest * 4) as i64);
                 }
@@ -327,13 +328,17 @@ impl Gen<'_> {
             Stmt::Decl { name, init, line } => {
                 let idx = fx.local(name).expect("sema declares every local");
                 if let Some(e) = init {
-                    let v = self.expr(e, fx, *line)?;
+                    let v = self.expr_into(e, Some(LOCALS[idx]), fx, *line)?;
                     self.move_into(LOCALS[idx], v, fx);
                 }
                 Ok(())
             }
             Stmt::Assign { lhs, rhs, line } => {
-                let v = self.expr(rhs, fx, *line)?;
+                let into = match lhs {
+                    Place::Var(name) => fx.local(name).map(|idx| LOCALS[idx]),
+                    _ => None,
+                };
+                let v = self.expr_into(rhs, into, fx, *line)?;
                 self.store_place(lhs, v, fx, *line)
             }
             Stmt::Expr(e, line) => {
@@ -608,7 +613,7 @@ impl Gen<'_> {
         fx: &mut FnGen,
         line: usize,
     ) -> Result<(Val, Alias), CcError> {
-        let off = self.binary(BinOp::Mul, idx, &Expr::Int(4), fx, line)?;
+        let off = self.binary(BinOp::Mul, idx, &Expr::Int(4), None, fx, line)?;
         if let Some(base_off) = fx.array(name) {
             // A stack-local array: sp + frame offset + scaled index.
             let dest = self.to_owned_reg(off, fx, line)?;
@@ -720,16 +725,37 @@ impl Gen<'_> {
                 };
                 Ok(r)
             }
-            Expr::Binary(op, a, b) => self.binary(*op, a, b, fx, line),
+            Expr::Binary(op, a, b) => self.binary(*op, a, b, None, fx, line),
             Expr::Call(name, args) => self.call(name, args, fx, line),
         }
     }
 
+    /// Computes `e` for an assignment to the local register `into`: a
+    /// binary operation writes its result there with its last
+    /// instruction, so `k = k + 1` is one `addi`. Every operand is read
+    /// before that write (a two-instruction compare reads only `into`
+    /// after it), so the local may be an operand too.
+    fn expr_into(
+        &mut self,
+        e: &Expr,
+        into: Option<Reg>,
+        fx: &mut FnGen,
+        line: usize,
+    ) -> Result<Val, CcError> {
+        match e {
+            Expr::Binary(op, a, b) => self.binary(*op, a, b, into, fx, line),
+            _ => self.expr(e, fx, line),
+        }
+    }
+
+    /// `a op b`, written to `into` if given (see [`Gen::expr_into`]), else
+    /// to an owned operand or a fresh scratch register.
     fn binary(
         &mut self,
         op: BinOp,
         a: &Expr,
         b: &Expr,
+        into: Option<Reg>,
         fx: &mut FnGen,
         line: usize,
     ) -> Result<Val, CcError> {
@@ -749,27 +775,26 @@ impl Gen<'_> {
             };
             return Ok(Val::Imm(fold(op, x, y)));
         }
-        // Immediate forms for commutative/offset-friendly operations.
-        if let Val::Imm(y) = vb {
-            if let Some(kind) = imm_kind(op) {
-                if imm_fits(op, y) {
-                    let d = self.to_owned_reg(va, fx, line)?;
-                    let dn = reg_of(d);
-                    self.asm.op_imm(kind, dn, dn, y as i32);
-                    return Ok(d);
-                }
+        // `x * 2^k` (or `2^k * x`) is `x << k`: RV32's wrapping product
+        // keeps the low 32 bits of x * 2^k, which is what `slli` leaves,
+        // for every x, negative x included.
+        let (op, va, vb) = match (op, pow2_log(va), pow2_log(vb)) {
+            (BinOp::Mul, _, Some(k)) => (BinOp::Shl, va, Val::Imm(k)),
+            (BinOp::Mul, Some(k), None) => (BinOp::Shl, vb, Val::Imm(k)),
+            _ => (op, va, vb),
+        };
+        // Immediate forms for commutative/offset-friendly operations. Two
+        // constants were folded above, so `va` is a register.
+        if let (Val::Imm(y), Some(kind)) = (vb, imm_kind(op)) {
+            if imm_fits(op, y) {
+                let dest = fx.dest(into, &[va], line)?;
+                self.asm.op_imm(kind, dest, reg_of(va), y as i32);
+                return Ok(fx.result(dest, into, &[va]));
             }
         }
         let ra = self.to_reg(va, fx, line)?;
         let rb = self.to_reg(vb, fx, line)?;
-        // Destination: reuse an owned operand or allocate.
-        let dest = if is_owned(ra) {
-            reg_of(ra)
-        } else if is_owned(rb) {
-            reg_of(rb)
-        } else {
-            fx.alloc(line)?
-        };
+        let dest = fx.dest(into, &[ra, rb], line)?;
         let (an, bn) = (reg_of(ra), reg_of(rb));
         let asm = &mut self.asm;
         match op {
@@ -784,13 +809,7 @@ impl Gen<'_> {
             BinOp::Ne => asm.op(OpKind::Sub, dest, an, bn).snez(dest, dest),
             _ => asm.op(reg_kind(op), dest, an, bn),
         };
-        // Free whichever owned operand is not the destination.
-        for r in [ra, rb] {
-            if is_owned(r) && reg_of(r) != dest {
-                fx.free_scratch_reg(reg_of(r));
-            }
-        }
-        Ok(owned(dest))
+        Ok(fx.result(dest, into, &[ra, rb]))
     }
 
     fn short_circuit(
@@ -1067,6 +1086,31 @@ impl FnGen {
             self.free_scratch_reg(reg);
         }
     }
+
+    /// The register a binary operation writes: `into` if given, else an
+    /// owned operand, else a fresh scratch register.
+    fn dest(&mut self, into: Option<Reg>, operands: &[Val], line: usize) -> Result<Reg, CcError> {
+        match (into, operands.iter().find(|&&v| is_owned(v))) {
+            (Some(reg), _) => Ok(reg),
+            (None, Some(&v)) => Ok(reg_of(v)),
+            (None, None) => self.alloc(line),
+        }
+    }
+
+    /// What a binary operation wrote to `dest`, once whichever owned
+    /// operand it did not reuse is freed: owned scratch, or the local
+    /// register `into`.
+    fn result(&mut self, dest: Reg, into: Option<Reg>, operands: &[Val]) -> Val {
+        for &r in operands {
+            if is_owned(r) && reg_of(r) != dest {
+                self.free_scratch_reg(reg_of(r));
+            }
+        }
+        Val::Reg {
+            reg: dest,
+            owned: into.is_none(),
+        }
+    }
 }
 
 /// The register argument `i` is passed in: `a0`, `a1`, ...
@@ -1090,6 +1134,17 @@ fn reg_of(v: Val) -> Reg {
 
 fn is_owned(v: Val) -> bool {
     matches!(v, Val::Reg { owned: true, .. })
+}
+
+/// `k` if `v` is the constant 2^k with k in 1..=30 (a product by it is
+/// one `slli`).
+fn pow2_log(v: Val) -> Option<i64> {
+    match v {
+        Val::Imm(y) if (2..=1 << 30).contains(&y) && y.count_ones() == 1 => {
+            Some(y.trailing_zeros().into())
+        }
+        _ => None,
+    }
 }
 
 fn fold(op: BinOp, x: i64, y: i64) -> i64 {

@@ -348,7 +348,7 @@ fn symbol_len(b: u8, next: u8) -> Option<usize> {
         [b'&', b'&'] | [b'|', b'|'] | [b'+', b'+' | b'='] | [b'-', b'-' | b'=' | b'>'] => Some(2),
         [b'*' | b'/' | b'%', b'='] => Some(2),
         // `.` only appears inside `[0 ... N-1]` designated initializers,
-        // which the parser skips.
+        // which the parser checks token by token.
         [b'+' | b'-' | b'*' | b'/' | b'%' | b'<' | b'>' | b'=' | b'!' | b'&' | b'|', _] => Some(1),
         [b'^' | b'~' | b'(' | b')' | b'{' | b'}' | b'[' | b']' | b',' | b';' | b'.', _] => Some(1),
         _ => None,

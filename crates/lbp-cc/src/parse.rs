@@ -234,7 +234,7 @@ impl<'src> Parser<'src> {
             let mut fill = None;
             if self.at_sym("=") {
                 self.bump();
-                fill = Some(self.initializer(is_array)?);
+                fill = Some(self.initializer(is_array, elems)?);
             }
             unit.globals.push(Global {
                 name,
@@ -294,10 +294,11 @@ impl<'src> Parser<'src> {
         Ok(elems)
     }
 
-    /// `= 3` for scalars; for arrays, `= {[0 ... N-1] = 1}` (the paper's
-    /// fill form) or an explicit list `= {1, 2, 3}` (remaining elements
+    /// `= 3` for scalars; for arrays of `elems`, `= {[0 ... N-1] = 1}`
+    /// (the paper's fill form, over the whole array only) or an explicit
+    /// list `= {1, 2, 3}` of at most `elems` values (remaining elements
     /// zero).
-    fn initializer(&mut self, is_array: bool) -> Result<Init, CcError> {
+    fn initializer(&mut self, is_array: bool, elems: u32) -> Result<Init, CcError> {
         if !is_array {
             return match self.bump() {
                 Tok::Int(v) => Ok(Init::Uniform(self.literal(v)?)),
@@ -306,13 +307,7 @@ impl<'src> Parser<'src> {
         }
         self.eat_sym("{")?;
         if self.at_sym("[") {
-            // `[0 ... N-1] = fill` — accept any range, use the fill value.
-            while !self.at_sym("=") {
-                if matches!(self.peek(), Tok::Eof) {
-                    return Err(self.err("unterminated designated initializer"));
-                }
-                self.bump();
-            }
+            self.designator(elems)?;
             self.eat_sym("=")?;
             let v = match self.bump() {
                 Tok::Int(v) => self.literal(v)?,
@@ -323,6 +318,11 @@ impl<'src> Parser<'src> {
         }
         let mut values = Vec::new();
         loop {
+            if values.len() == elems as usize {
+                return Err(self.err(format!(
+                    "more initializers than the {elems} elements of the array"
+                )));
+            }
             let v = match self.bump() {
                 Tok::Int(v) => self.literal(v)?,
                 Tok::Sym("-") => match self.bump() {
@@ -340,6 +340,39 @@ impl<'src> Parser<'src> {
         }
         self.eat_sym("}")?;
         Ok(Init::List(values))
+    }
+
+    /// `[0 ... N-1]` with literal bounds and `N == elems`, the one
+    /// designator a fill may carry: any other range would fill elements
+    /// the initializer does not name. Refused at its `[`.
+    fn designator(&mut self, elems: u32) -> Result<(), CcError> {
+        let open = self.tok();
+        let last = i64::from(elems) - 1;
+        let mut got = Vec::new();
+        while !self.at_sym("=") {
+            match self.peek() {
+                Tok::Eof => return Err(self.err("unterminated designated initializer")),
+                t => got.push(t),
+            }
+            self.bump();
+        }
+        let whole = [
+            Tok::Sym("["),
+            Tok::Int(0),
+            Tok::Sym("."),
+            Tok::Sym("."),
+            Tok::Sym("."),
+            Tok::Int(last),
+            Tok::Sym("]"),
+        ];
+        match got == whole {
+            true => Ok(()),
+            false => Err(CcError::at(
+                open.line,
+                open.col,
+                format!("only the whole-array designator `[0 ... {last}]` is supported"),
+            )),
+        }
     }
 
     fn function(
@@ -988,6 +1021,42 @@ mod tests {
         assert_eq!(u.globals[2].fill, Some(Init::Uniform(1)));
         assert_eq!(u.globals[3].fill, Some(Init::Uniform(7)));
         assert!(!u.globals[3].is_array);
+        let u = parse_src("int v[6] = {1, 2, 3, 4, 5, 6}; int w[1] = {[0 ... 0] = 9};");
+        assert_eq!(u.globals[0].fill, Some(Init::List(vec![1, 2, 3, 4, 5, 6])));
+        assert_eq!(u.globals[1].fill, Some(Init::Uniform(9)));
+    }
+
+    /// A fill names the whole array or nothing: a partial, out-of-range
+    /// or reversed designator, or a list longer than the array, would
+    /// give elements values the source does not say.
+    #[test]
+    fn initializers_that_do_not_fit_the_array_are_refused_where_they_stand() {
+        let err = |src: &str| {
+            let e = parse(lex(src).unwrap()).unwrap_err();
+            (e.line, e.col, e.message)
+        };
+        let whole =
+            |last: u32| format!("only the whole-array designator `[0 ... {last}]` is supported");
+        for (src, col, last) in [
+            ("int A[4] = {[2 ... 3] = 7};", 13, 3),
+            ("int A[4] = {[5] = 7};", 13, 3),
+            ("int A[4] = {[3 ... 1] = 7};", 13, 3),
+            ("int A[4] = {[0 ... 4] = 7};", 13, 3),
+            ("int A[4] = {[0 ... 2] = 7};", 13, 3),
+            ("int A[4] = {[0 .. 3] = 7};", 13, 3),
+            ("#define N 4\nint A[N] = {[0 ... N-1] = 7};", 13, 3),
+            ("int A[2], B[8] = {[0 ... 1] = 7};", 19, 7),
+        ] {
+            let line = 1 + src.matches('\n').count();
+            assert_eq!(err(src), (line, col, whole(last)), "{src}");
+        }
+        let long = "more initializers than the 4 elements of the array".to_owned();
+        assert_eq!(err("int A[4] = {1, 2, 3, 4, 5, 6};"), (1, 25, long.clone()));
+        assert_eq!(err("int A[4] = {1, 2, 3, 4, -5};"), (1, 25, long));
+        assert_eq!(
+            err("int u[2] = {[0 ...").2,
+            "unterminated designated initializer"
+        );
     }
 
     #[test]

@@ -260,6 +260,27 @@ void main(void) {
     }
 }
 
+/// What the shipped Fig. 18 source costs on four cores, the job size
+/// the batch sweep starts at. Its inner loop is 20 instructions: each
+/// product by a power of two is one `slli`, and `tmp += ...` and `k++`
+/// write their local's register directly. A back end that gives any of
+/// that back exceeds the bound.
+#[test]
+fn shipped_matmul_costs_at_most_the_pinned_cycles_and_instructions() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/c/matmul.c");
+    let src = std::fs::read_to_string(path).expect("examples/c/matmul.c");
+    let compiled = compile(&src).unwrap_or_else(|e| panic!("{e}"));
+    let mut m = Machine::new(LbpConfig::cores(4), &compiled.image).unwrap();
+    let report = m.run(1_000_000).unwrap();
+    assert!(report.exited);
+    let (cycles, retired) = (report.stats.cycles, report.stats.retired());
+    assert!(cycles <= 12_607, "{cycles} cycles\n{}", compiled.asm);
+    assert!(retired <= 46_048, "{retired} retired\n{}", compiled.asm);
+    for e in 0..256 {
+        assert_eq!(word(&mut m, &compiled.image, "Z", e), 8, "Z[{e}]");
+    }
+}
+
 #[test]
 fn syncm_inserted_for_readback() {
     // Read-after-write to the same array within one hart: the compiler

@@ -98,7 +98,7 @@ fn row(name: &'static str, image: &Image, cores: usize) -> Row {
 #[rustfmt::skip]
 const PINNED: &[Row] = &[
     ("fork2.s", (32, 32, 64), 76, 0x4f5fb9af3903f277, 0x51fceb7268fb4c51, 0x0a239b7d0b7b6388),
-    ("matmul.c", (32, 32, 64), 16506, 0xfbeed5a5a8f9a30f, 0x87eff0048297cf5c, 0x65c6260d1732caa2),
+    ("matmul.c", (32, 32, 64), 12591, 0xb98b25c1c480fe06, 0x1cd5fece3c9c7ad6, 0x8201399593f91dec),
     ("sync_team", (32, 32, 64), 36608, 0x16b899a9bde08bf7, 0xfe34ed3ef70c0278, 0x2fc7f998f504eec1),
 ];
 

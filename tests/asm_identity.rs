@@ -54,7 +54,7 @@ fn shipped_sources_assemble_to_the_pinned_bytes() {
         [
             (14, 0xc95c_bb9f_6baf_c2e0),
             (3, 0x67b3_fe51_e8d0_3f28),
-            (4, 0xd34e_6e1d_94a7_d44b)
+            (4, 0x1e13_3382_2516_d8d6)
         ]
     );
 }
@@ -75,7 +75,7 @@ fn generated_programs_assemble_to_the_pinned_bytes() {
     assert_eq!(
         got,
         [
-            ("c", 0x2c87_3180_9a3d_fbcc),
+            ("c", 0xf23a_0290_9ecc_2952),
             ("seq", 0x3f60_c1a1_0dbb_592d),
             ("mem", 0x126d_a296_27f5_46e7),
             ("fork", 0xbbb2_d7a3_fc45_aa05)

@@ -351,6 +351,33 @@ fn exit_1_a_literal_wider_than_a_word_names_its_column() {
     }
 }
 
+/// An initializer that does not fit its array is refused at its line and
+/// column: a fill over part of the array, or a list longer than it,
+/// would otherwise compile to values the source does not say.
+#[test]
+fn exit_1_an_initializer_that_does_not_fit_its_array_names_its_column() {
+    let main = "void main(void) { }\n";
+    for (source, error) in [
+        (
+            "int A[4] = {[2 ... 3] = 7};",
+            "1:13: only the whole-array designator `[0 ... 3]` is supported",
+        ),
+        (
+            "int A[4] = {1, 2, 3, 4, 5, 6};",
+            "1:25: more initializers than the 4 elements of the array",
+        ),
+    ] {
+        let path = scratch("initializer.c", &format!("{source}\n{main}"));
+        let out = lbp_cc(&[path.to_str().unwrap()]);
+        assert_eq!(class_of(out.status), ExitClass::Failure, "{source}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("lbp-cc: compile error at line {error}\n"),
+            "{source}"
+        );
+    }
+}
+
 /// An array bound whose arithmetic overflows, whose bytes pass the
 /// 32-bit address space or, with the globals before it, the largest
 /// image, or that has no element is refused at its line

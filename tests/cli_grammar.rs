@@ -436,25 +436,25 @@ fn lbp_cc_interp_diff_and_lint_print_the_pinned_bytes() {
         (
             &["examples/c/hello_team.c", "--diff"],
             0,
-            0x7940197c32b000d6,
+            0x833220e9b8cd9366,
             EMPTY,
         ),
         (
             &["examples/c/matmul.c", "--diff"],
             0,
-            0x541592e5d3230ed9,
+            0xcffbe8fdb02707b1,
             EMPTY,
         ),
         (
             &["examples/c/reduce.c", "--diff"],
             0,
-            0x72cb7c4e2a28e2e7,
+            0x0a39acbcee7570ba,
             EMPTY,
         ),
         (
             &["examples/c/set_get.c", "--diff"],
             0,
-            0x58bd7f56e47c770d,
+            0x67faf3dfc464053a,
             EMPTY,
         ),
         (
@@ -493,25 +493,25 @@ fn lbp_cc_interp_diff_and_lint_print_the_pinned_bytes() {
         (
             &["examples/c/hello_team.c", "--lint", "--diag-json", "-"],
             0,
-            0x7a5bb319f5a99c3b,
+            0x4999ba6f6cba9c50,
             EMPTY,
         ),
         (
             &["examples/c/matmul.c", "--lint", "--diag-json", "-"],
             0,
-            0x87b277088e50cb8e,
+            0x8223880e0b939800,
             EMPTY,
         ),
         (
             &["examples/c/reduce.c", "--lint", "--diag-json", "-"],
             0,
-            0xd828cfadf605b7ac,
+            0x2c1566861e938b5f,
             EMPTY,
         ),
         (
             &["examples/c/set_get.c", "--lint", "--diag-json", "-"],
             0,
-            0xb4589b82196b82ba,
+            0x7671af9a27d2efb2,
             EMPTY,
         ),
         (
@@ -555,7 +555,7 @@ fn lbp_cc_interp_diff_and_lint_print_the_pinned_bytes() {
                 "-",
             ],
             0,
-            0x592e844f339bec9d,
+            0x1dfb9f066d1826a7,
             EMPTY,
         ),
         (

@@ -172,16 +172,16 @@ const BAD_CHECKPOINT_MUL: &str = "examples/asm/mul.s --cores 1 --fault flip-reg:
 #[rustfmt::skip]
 const ROWS: [Row; 82] = [
     // lbp-run: run, on the default four cores and on fewer and more.
-    run("run", EXAMPLES, &[STATS], Pinned(7, 0xcd28_9922_2176_332a)),
+    run("run", EXAMPLES, &[STATS], Pinned(7, 0xc3ea_fbf9_9c31_bde7)),
     run("run-1-core", ASM_1_CORE, &["--cores 1", STATS], Pinned(3, 0xd6fd_fea0_b22a_599c)),
     run("run-32-cores", TRACED, &["--cores 32 --interval 500", STATS],
-        Pinned(2, 0x476f_d674_74d4_167d)),
+        Pinned(2, 0x6f40_91be_fc8e_ca7c)),
     run("run-stats-stdout", MUL, &["--stats-json -"], Pinned(1, 0x60d6_9d9a_1719_6b3a)),
-    run("run-dump", MATMUL, &["--dump Z:16"], Pinned(1, 0x593e_630a_2850_4151)),
+    run("run-dump", MATMUL, &["--dump Z:16"], Pinned(1, 0xbb23_0043_5410_2075)),
     // Observers change nothing: with the sampler on, the stats report,
     // every checkpoint and any crash dump are the same bytes when the
     // profiler, the race witness and a trace sink watch too.
-    run("sampled", EXAMPLES, &[SAMPLED, STATS, DUMP], Pinned(7, 0x31b1_c71e_f1d3_2808)),
+    run("sampled", EXAMPLES, &[SAMPLED, STATS, DUMP], Pinned(7, 0x1acb_f436_1f38_68b6)),
     run("sampled-observed", EXAMPLES,
         &[SAMPLED, STATS, DUMP, OBSERVED, "--trace {tmp}/trace --trace-format jsonl"],
         Same("sampled", Files)),
@@ -190,27 +190,27 @@ const ROWS: [Row; 82] = [
     run("sampled-1-core-observed", ONE_CORE, &[SAMPLED_1_CORE, STATS, DUMP, OBSERVED],
         Same("sampled-1-core", Files)),
     // What the observers write.
-    run("profile", EXAMPLES, &["--profile {out}/prof"], Pinned(7, 0x1338_5f0c_97e3_1bcf)),
+    run("profile", EXAMPLES, &["--profile {out}/prof"], Pinned(7, 0xfa60_01c3_3205_f713)),
     run("profile-16-cores", FORK2, &["--cores 16 --profile {out}/prof"],
         Pinned(1, 0xd9a9_a01b_50f5_fe92)),
     run("trace-text", TRACED, &["--trace {out}/trace --trace-format text"],
-        Pinned(2, 0x5fc2_a987_2206_3331)),
+        Pinned(2, 0x27fd_4850_d6f1_50df)),
     run("trace-jsonl", TRACED, &["--trace {out}/trace --trace-format jsonl"],
-        Pinned(2, 0x303e_1e15_3c4a_8a80)),
+        Pinned(2, 0x4472_5cc0_1ddd_e024)),
     run("trace-chrome", TRACED, &["--trace {out}/trace --trace-format chrome"],
-        Pinned(2, 0x42f5_6f34_9a3a_ddac)),
+        Pinned(2, 0xdb0a_f35e_6a60_733b)),
     run("trace-stdout", MUL, &["--cores 1 --trace - --trace-format jsonl"],
         Pinned(1, 0x2af7_fac2_7900_d398)),
-    run("race-witness", EXAMPLES, &["--race-witness"], Pinned(7, 0x05c9_e599_6a23_2c91)),
+    run("race-witness", EXAMPLES, &["--race-witness"], Pinned(7, 0x4d8e_13b1_c32e_55a2)),
     run("race-witness-dynamic-only", DYNAMIC_ONLY, &["--cores 1 --race-witness"],
         Pinned(1, 0xa5d1_d735_a2a5_8dcc)),
     // lbp-run --verify, and lbp-cc --lint as the same function.
     run("verify-asm-examples", ASM_EXAMPLES, &[VERIFY], Pinned(3, 0xeef2_3433_16cf_5e39)),
-    run("verify-c-examples", C_EXAMPLES, &[VERIFY], Pinned(4, 0xd303_f7ba_f348_ec9c)),
+    run("verify-c-examples", C_EXAMPLES, &[VERIFY], Pinned(4, 0xbffb_0adb_0feb_913a)),
     run("verify-asm-fixtures", ASM_FIXTURES, &[VERIFY], Pinned(14, 0xc511_35e8_72b3_0931)),
-    run("verify-c-fixtures", C_FIXTURES, &[VERIFY], Pinned(6, 0xe9ad_b8f2_7644_0021)),
+    run("verify-c-fixtures", C_FIXTURES, &[VERIFY], Pinned(6, 0x490f_73ef_0f5f_4876)),
     run("verify-matmul-kernels", MATMUL_KERNELS, &[VERIFY], Pinned(10, 0x009b_e40a_c8b2_ec55)),
-    run("verify-generated-c", GEN_C, &[VERIFY], Pinned(100, 0x33aa_dc51_08d6_6bf1)),
+    run("verify-generated-c", GEN_C, &[VERIFY], Pinned(100, 0x4a35_ac54_98dd_f0cc)),
     run("verify-generated-seq", GEN_SEQ, &[VERIFY], Pinned(100, 0x33d1_9e7d_f9ea_09f9)),
     run("verify-generated-mem", GEN_MEM, &[VERIFY], Pinned(100, 0xae10_34ef_87d8_8494)),
     run("verify-generated-fork", GEN_FORK, &[VERIFY], Pinned(100, 0xb557_86e1_f49e_83a1)),
@@ -219,19 +219,19 @@ const ROWS: [Row; 82] = [
     cc("lint-c-examples", C_EXAMPLES, &[LINT], Same("verify-c-examples", All)),
     cc("lint-c-fixtures", C_FIXTURES, &[LINT], Same("verify-c-fixtures", All)),
     cc("lint-generated-c", GEN_C, &[LINT], Same("verify-generated-c", All)),
-    cc("lint-plain", MATMUL, &["--lint"], Pinned(1, 0xf61c_0a7b_061e_ad45)),
+    cc("lint-plain", MATMUL, &["--lint"], Pinned(1, 0xe556_ae1a_b25a_0fcc)),
     // Listings: lbp-run --emit-asm prints what lbp-cc -o writes.
-    run("emit-asm", C_EXAMPLES, &["--emit-asm"], Pinned(4, 0xb560_9cb5_7c2e_d379)),
+    run("emit-asm", C_EXAMPLES, &["--emit-asm"], Pinned(4, 0x798c_f779_42d1_1b1e)),
     cc("compile-stdout", C_EXAMPLES, &["-o -"], Same("emit-asm", All)),
-    cc("compile", C_EXAMPLES, &["-o {out}/prog.s"], Pinned(4, 0xa953_d4f9_b00d_d91f)),
-    cc("compile-c-fixtures", C_FIXTURES, &["-o {out}/prog.s"], Pinned(6, 0x33e6_67bb_2a16_7565)),
+    cc("compile", C_EXAMPLES, &["-o {out}/prog.s"], Pinned(4, 0xf7cd_acc7_10cd_c9dd)),
+    cc("compile-c-fixtures", C_FIXTURES, &["-o {out}/prog.s"], Pinned(6, 0x6a28_c16f_661f_5c14)),
     cc("compile-generated-c", GEN_C_200, &["-o {out}/prog.s"],
-        Pinned(200, 0x4933_9e0a_a37d_4a27)),
-    cc("compile-witness", WITNESS, &["-o -"], Pinned(1, 0x5dc2_cdbc_aee7_145f)),
+        Pinned(200, 0x75ec_2d9e_1634_b8fd)),
+    cc("compile-witness", WITNESS, &["-o -"], Pinned(1, 0xfec8_ea06_f82e_1b39)),
     cc("no-such-file", Inputs::None, &["examples/c/missing.c"], Pinned(1, 0xfcf9_75aa_939f_1384)),
-    run("disasm", EXAMPLES, &["--disasm"], Pinned(7, 0xd74e_ad66_a765_0eeb)),
+    run("disasm", EXAMPLES, &["--disasm"], Pinned(7, 0xd80a_3c70_6a73_3526)),
     // Lockstep, clean and sabotaged.
-    run("lockstep", LOCKSTEPPED, &["--lockstep"], Pinned(4, 0x8596_fb4f_7931_7c21)),
+    run("lockstep", LOCKSTEPPED, &["--lockstep"], Pinned(4, 0x03d2_ea02_4a9c_2a04)),
     run("lockstep-sabotage", MATMUL, &["--lockstep --sabotage 68:1024"],
         Pinned(1, 0x5b47_1d43_0e3c_bb38)),
     run("lockstep-sabotage-not-a-code-word", MUL, &["--lockstep --sabotage 4000:1"],
@@ -250,7 +250,7 @@ const ROWS: [Row; 82] = [
     run("fault-none-lockstep-fork2", FORK2, &["--lockstep", DUMP],
         Pinned(1, 0xc7b3_cdb3_3ec1_1e0b)),
     run("fault-none-lockstep-matmul", MATMUL, &["--lockstep", DUMP],
-        Pinned(1, 0xee7f_1fa9_8c20_ddac)),
+        Pinned(1, 0xcd17_d6a8_9195_1280)),
     run("fault-lockstep-flip-mem", FORK2,
         &["--cores 2 --lockstep --fault flip-mem:0x80000000:0:5", DUMP],
         Pinned(1, 0x082a_f4ef_7977_5653)),
@@ -273,7 +273,7 @@ const ROWS: [Row; 82] = [
         &["--resume-from {tmp}/ck-80.lbpsnap --race-witness"],
         Pinned(1, 0x97e2_0539_bbf5_16bb)).after(&[CHECKPOINT_DYNAMIC_ONLY]),
     run("checkpoints", MATMUL, &["--checkpoint-every 5000 --checkpoint-prefix {out}/ck-"],
-        Pinned(1, 0x65de_5856_6f25_aa2e)),
+        Pinned(1, 0x3626_71cd_92ec_1dcc)),
     run("snap-info", Inputs::None, &["--snap-info {tmp}/ck-10.lbpsnap"],
         Pinned(1, 0xfff5_3819_dfd4_ea06)).after(&[CHECKPOINT_MUL]),
     run("bisect", MUL, &["--cores 1 --fault flip-reg:0:a2:4:14 --bisect"],
@@ -284,10 +284,10 @@ const ROWS: [Row; 82] = [
     // The hybrid engine: --warm and --roi, and the fault plans its
     // handoff refuses as usage errors.
     run("warm", MATMUL, &["--warm 1000", STATS, "--warm-snap {out}/warm.lbpsnap"],
-        Pinned(1, 0x0e8f_dda4_ab7a_3854)),
+        Pinned(1, 0xf55e_4bf2_515b_9eb2)),
     run("warm-past-the-exit", EXAMPLES, &["--warm 100000000", STATS],
-        Pinned(7, 0x9220_8582_b6d2_5c4a)),
-    run("roi", ROI, &["--cores 2 --roi", STATS], Pinned(1, 0x7048_15e6_13d0_1212)),
+        Pinned(7, 0xf17b_3ec6_5ddf_5b09)),
+    run("roi", ROI, &["--cores 2 --roi", STATS], Pinned(1, 0x99dc_d4c0_418b_ee34)),
     run("roi-without-a-marker", MATMUL, &["--roi"], Pinned(1, 0x3c13_b4e9_159f_2842)),
     run("warm-drop-msg", MATMUL, &["--cores 4 --warm 1000 --fault drop-msg:0"],
         Pinned(1, 0x360c_9668_7bfd_d0e1)),
@@ -300,9 +300,9 @@ const ROWS: [Row; 82] = [
     cc("interp-generated-c", GEN_C, &["--interp"], Pinned(100, 0x06ab_769d_736a_6bcb)),
     cc("interp-witness", WITNESS, &["--interp"], Pinned(1, 0x53a1_347c_2b12_9913)),
     // lbp-cc --diff: clean, failed simulations, and each sabotage.
-    cc("diff-c-examples", C_EXAMPLES, &["--diff"], Pinned(4, 0xcf37_55cf_8acf_62d3)),
-    cc("diff-c-fixtures", C_FIXTURES, &["--diff"], Pinned(6, 0x05bb_96dd_b300_b05b)),
-    cc("diff-witness", WITNESS, &["--diff"], Pinned(1, 0x3235_a773_8995_8695)),
+    cc("diff-c-examples", C_EXAMPLES, &["--diff"], Pinned(4, 0xb8fe_aa08_65b8_81b0)),
+    cc("diff-c-fixtures", C_FIXTURES, &["--diff"], Pinned(6, 0x5b03_c37b_afe3_b9cb)),
+    cc("diff-witness", WITNESS, &["--diff"], Pinned(1, 0xd5f2_5b5a_faf2_f9ba)),
     cc("diff-timeout", MATMUL, &["--diff --max-cycles 1000"], Pinned(1, 0xb94e_d185_7822_52ef)),
     cc("diff-hang", Inputs::None, &["examples/asm/hung.s --diff"],
         Pinned(1, 0xbc32_14f8_77ae_38a3)),
@@ -313,11 +313,11 @@ const ROWS: [Row; 82] = [
     cc("diff-sabotage-const-fold", WITNESS, &["--diff --sabotage codegen:const-fold"],
         Pinned(1, 0xb4c1_6240_2eda_9469)),
     cc("compile-sabotage-chunk-bounds", WITNESS, &["-o - --sabotage codegen:chunk-bounds"],
-        Pinned(1, 0x897c_dc16_2772_6349)),
+        Pinned(1, 0xe949_fca6_4b11_d0cd)),
     cc("compile-sabotage-index-shift", WITNESS, &["-o - --sabotage codegen:index-shift"],
-        Pinned(1, 0x92e9_c78f_9615_44b0)),
+        Pinned(1, 0x1c11_7f99_3d26_efca)),
     cc("compile-sabotage-const-fold", WITNESS, &["-o - --sabotage codegen:const-fold"],
-        Pinned(1, 0x2bb4_321b_77f0_37b0)),
+        Pinned(1, 0x42be_95fe_8d10_f92f)),
 ];
 
 /// What a row produced: how many inputs ran, and its hash of each

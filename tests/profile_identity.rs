@@ -197,12 +197,12 @@ const PINNED: [Pinned; 2] = [
     Pinned {
         name: "examples/c/matmul.c",
         cores: 4,
-        profile_json: 0xfc7a_4d04_c418_9b96,
-        folded_txt: 0xedb9_8307_77b5_d3c6,
-        timeline_json: 0x4f1e_b94a_7540_a3db,
-        trace_text: 0x24b6_549e_62b8_d639,
-        trace_jsonl: 0x7d52_0adf_74c8_8ad5,
-        trace_chrome: 0x7fab_380f_1fc3_323f,
+        profile_json: 0x5318_5bce_70d9_169d,
+        folded_txt: 0x611b_8839_714a_3187,
+        timeline_json: 0x5f11_cc4f_dc92_dbbc,
+        trace_text: 0xb333_86a8_922e_f752,
+        trace_jsonl: 0x6a1d_8f75_ae0a_8dec,
+        trace_chrome: 0xb7fd_6480_8104_20fd,
     },
     Pinned {
         name: "examples/asm/fork2.s",

@@ -278,6 +278,34 @@ void main(void) {
     );
 }
 
+/// A product by the constant 2^k compiles to `slli` by k, in either
+/// operand order: for k = 1..30 and the words where wrapping shows, the
+/// simulated shift and the interpreter's wrapping product agree.
+#[test]
+fn power_of_two_products_are_identical_on_both_paths() {
+    let xs = [0, 1, -1, i32::MIN, i32::MAX];
+    let mut body = String::new();
+    for k in 1..=30 {
+        let (lo, hi, p) = (2 * k - 2, 2 * k - 1, 1 << k);
+        body += &format!("        r[j * 64 + {lo}] = x * {p}; r[j * 64 + {hi}] = {p} * x;\n");
+    }
+    let src = format!(
+        "int xs[5] = {{0, 1, -1, -2147483648, 2147483647}};\nint r[320];\n\
+         void main(void) {{\n    int j; int x;\n    for (j = 0; j < 5; j++) {{\n        x = xs[j];\n{body}    }}\n}}"
+    );
+    let asm = lbp::cc::compile(&src).expect("compiles").asm;
+    assert!(!asm.contains("mul"), "a product by 2^k is a shift:\n{asm}");
+    let report = diff_ok("pow2", &src);
+    let want: Vec<i32> = xs
+        .iter()
+        .flat_map(|&x| {
+            let row = (1..=30).flat_map(move |k| [x.wrapping_mul(1 << k); 2]);
+            row.chain([0; 4])
+        })
+        .collect();
+    assert_eq!(report.outcome.global("r").unwrap(), want.as_slice());
+}
+
 // ---------------------------------------------------------------------------
 // Schedule independence
 // ---------------------------------------------------------------------------
