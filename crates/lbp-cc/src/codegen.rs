@@ -363,7 +363,8 @@ impl Gen<'_> {
                 let then_pending = fx.pending.clone();
                 self.asm.label(&else_l);
                 if els.is_empty() {
-                    fx.pending.union(&then_pending);
+                    // The skip path carries what was pending at entry.
+                    fx.pending.union(&entry_pending);
                 } else {
                     fx.pending = entry_pending;
                     self.block(els, fx)?;
@@ -381,6 +382,8 @@ impl Gen<'_> {
                 fx.pending.union(&stores);
                 self.asm.label(&head);
                 let exit = self.exit_when_false(cond, fx)?;
+                // The exit taken at the test carries what is pending there.
+                let exit_pending = fx.pending.clone();
                 self.skip_unless(exit, &end, fx, |g, fx| {
                     fx.loop_labels.push((head.clone(), end.clone()));
                     g.block(body, fx)?;
@@ -390,6 +393,7 @@ impl Gen<'_> {
                 })?;
                 self.asm.label(&end);
                 fx.pending.union(&stores);
+                fx.pending.union(&exit_pending);
                 Ok(())
             }
             Stmt::For {
@@ -415,6 +419,7 @@ impl Gen<'_> {
                     Some(c) => self.exit_when_false(c, fx)?,
                     None => Exit::Never,
                 };
+                let exit_pending = fx.pending.clone();
                 self.skip_unless(exit, &end, fx, |g, fx| {
                     fx.loop_labels.push((step_l.clone(), end.clone()));
                     g.block(body, fx)?;
@@ -428,6 +433,7 @@ impl Gen<'_> {
                 })?;
                 self.asm.label(&end);
                 fx.pending.union(&loop_stores);
+                fx.pending.union(&exit_pending);
                 Ok(())
             }
             Stmt::Break(_) => {

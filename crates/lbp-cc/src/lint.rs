@@ -5,22 +5,23 @@
 //! variable and region locals), *shared* (globals), or *reduction*
 //! (shared scalars only ever updated as `g = g op …`), then checks that
 //! no two harts of the ordered team can touch the same shared location
-//! with at least one write:
+//! with at least one write. A `parallel for` is one body run by harts
+//! `t ∈ [0, n)`, `parallel sections` one body per section, section `i`
+//! run by hart `i`:
 //!
-//! - Shared-scalar writes two harts both reach are definite races
-//!   (`LBP-S001`), with the reduction classification called out in the
-//!   hint (LBP has no atomic reduction; the paper's idiom is a per-hart
-//!   partial array folded sequentially — `examples/c/reduce.c`).
-//! - Array subscripts are evaluated in an affine domain `a·t + b` over
-//!   the member index `t` (interprocedurally: calls are inlined to a
-//!   fixed depth with the argument's affine form bound to the
-//!   parameter). A *definite* collision — concrete harts `t1 ≠ t2` with
-//!   `a1·t1 + b1 = a2·t2 + b2` inside the team — is reported with the
-//!   hart-pair witness: write/write as `LBP-S002`, write/read (a
-//!   loop-carried dependence across members) as `LBP-S003`.
-//! - Subscripts the affine domain cannot represent (loop-variant
-//!   locals, products of the index) degrade to warnings (`LBP-S004`),
-//!   never errors: the analysis only *rejects* what it can prove racy.
+//! - Subscripts are evaluated as `a·t + b` in the member index `t`
+//!   (calls are inlined to a fixed depth, the argument's form bound to
+//!   the parameter); a scalar is its own element 0. Every pair of
+//!   accesses to one shared object, at least one a write, asks
+//!   [`lbp_verify::affine::overlap_pair`], the M-pass's solver, for harts
+//!   `t1 ≠ t2` that meet: a *definite* race with that witness. A shared
+//!   scalar is `LBP-S001` (the hint names a reduction: LBP has no atomic
+//!   one; the paper's idiom is a per-hart partial array folded
+//!   sequentially, `examples/c/reduce.c`), an element two harts write
+//!   `LBP-S002`, one a hart writes and another reads `LBP-S003`.
+//! - Subscripts the domain cannot represent (loop-variant locals,
+//!   products of the index), and pairs past the solver's budget, warn
+//!   (`LBP-S004`): the analysis only *rejects* what it proves racy.
 //! - Stores through pointers defeat the separation argument entirely
 //!   and warn as `LBP-S005`.
 //!
@@ -29,6 +30,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use lbp_verify::affine::{overlap_pair, Aff, Footprint, PAIR_BUDGET};
 use lbp_verify::{Diag, DiagCode, Severity};
 
 use crate::ast::*;
@@ -42,110 +44,94 @@ const MAX_INLINE_DEPTH: usize = 8;
 /// follow the severity discipline above: errors are definite races with
 /// witnesses, warnings mark what the analysis cannot prove.
 pub fn lint_unit(cx: &Checked) -> Vec<Diag> {
+    lint_within(cx, PAIR_BUDGET)
+}
+
+/// [`lint_unit`] with `budget` solver evaluations per region.
+fn lint_within(cx: &Checked, budget: usize) -> Vec<Diag> {
     let mut diags = Vec::new();
     for f in &cx.unit.functions {
-        walk(&f.body, &mut |s| lint_region(s, cx, &mut diags));
+        walk(&f.body, &mut |s| lint_region(s, cx, budget, &mut diags));
     }
     diags
 }
 
-fn lint_region(s: &Stmt, cx: &Checked, diags: &mut Vec<Diag>) {
-    match s {
+fn lint_region(s: &Stmt, cx: &Checked, budget: usize, diags: &mut Vec<Diag>) {
+    // Each member body with its starting bindings and the harts that run it.
+    let (what, line, bodies) = match s {
         Stmt::ParallelFor {
             var,
             count,
             body,
             line,
         } => {
-            let mut linter = Linter::new(cx);
-            let mut env = Env::new();
-            env.insert(var.clone(), Sub::Affine { a: 1, b: 0 });
-            linter.declared.insert(var.clone());
-            linter.walk_block(body, &mut env);
-            let declared = std::mem::take(&mut linter.declared);
-            let acc = linter.finish();
-            report_region(
-                &format!("parallel for over `{var}`"),
-                *line,
-                *count,
-                std::slice::from_ref(&acc),
-                &declared,
-                diags,
-            );
+            let t = Env::from([(var.clone(), Some(Aff { a: 1, lo: 0, hi: 0 }))]);
+            let what = format!("parallel for over `{var}`");
+            (what, line, vec![(body, t, 0, count - 1)])
         }
         Stmt::ParallelSections { sections, line } => {
-            let mut accs = Vec::new();
-            let mut declared = BTreeSet::new();
-            for body in sections {
-                let mut linter = Linter::new(cx);
-                let mut env = Env::new();
-                linter.walk_block(body, &mut env);
-                declared.extend(linter.declared.iter().cloned());
-                accs.push(linter.finish());
-            }
-            report_region(
-                "parallel sections",
-                *line,
-                accs.len() as i64,
-                &accs,
-                &declared,
-                diags,
-            );
+            let bodies = (0..).zip(sections);
+            let bodies = bodies.map(|(t, body)| (body, Env::new(), t, t)).collect();
+            ("parallel sections".to_owned(), line, bodies)
         }
-        _ => {}
+        _ => return,
+    };
+    let mut declared = BTreeSet::new();
+    let mut members = Vec::new();
+    for (body, mut env, tlo, thi) in bodies {
+        let mut linter = Linter::new(cx);
+        declared.extend(env.keys().cloned());
+        linter.walk_block(body, &mut env);
+        declared.append(&mut linter.declared);
+        members.push(Member {
+            acc: linter.acc,
+            tlo,
+            thi,
+        });
+    }
+    let count = members.last().map_or(0, |m| m.thi + 1);
+    summarize(&what, *line, count, &members, &declared, diags);
+    if count < 2 {
+        return; // A 0/1-hart team cannot race with itself.
+    }
+    check_region(&what, *line, &members, budget, diags);
+    for m in &members {
+        soft_warnings(&m.acc, members.len() == 1, diags);
     }
 }
 
-/// A symbolic subscript: affine in the member index `t`, or unknown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Sub {
-    /// `a·t + b`.
-    Affine { a: i64, b: i64 },
-    /// Not representable in the affine domain.
-    Unknown,
-}
+/// Locals and parameters by name: their affine form in the member index
+/// `t`, `None` when the affine domain cannot represent it.
+type Env = HashMap<String, Option<Aff>>;
 
-impl Sub {
-    const fn constant(v: i64) -> Sub {
-        Sub::Affine { a: 0, b: v }
-    }
-
-    fn map2(self, other: Sub, f: impl Fn(i64, i64) -> Option<i64>) -> Sub {
-        match (self, other) {
-            (Sub::Affine { a: a1, b: b1 }, Sub::Affine { a: a2, b: b2 }) => {
-                match (f(a1, a2), f(b1, b2)) {
-                    (Some(a), Some(b)) => Sub::Affine { a, b },
-                    _ => Sub::Unknown,
-                }
-            }
-            _ => Sub::Unknown,
-        }
-    }
-}
-
-type Env = HashMap<String, Sub>;
-
-/// One recorded shared-memory access inside a region.
+/// One recorded shared-array access inside a region.
 #[derive(Debug, Clone)]
 struct Access {
-    sub: Sub,
+    write: bool,
+    /// The subscript's affine form, if it has one.
+    sub: Option<Aff>,
     line: usize,
 }
 
-/// Everything one hart (one `parallel for` body, or one section) does to
-/// shared state.
+/// Everything one member body (a `parallel for` body, or one section)
+/// does to shared state.
 #[derive(Debug, Default, Clone)]
 struct Accesses {
     /// Shared scalar name → (read lines, write lines, all-reduction?).
     scalars: BTreeMap<String, ScalarUse>,
-    /// Shared array name → accesses.
-    array_reads: BTreeMap<String, Vec<Access>>,
-    array_writes: BTreeMap<String, Vec<Access>>,
-    /// Lines with loads/stores through pointers.
+    /// Shared array name → accesses, in walk order.
+    arrays: BTreeMap<String, Vec<Access>>,
+    /// Lines with stores through pointers.
     pointer_stores: Vec<usize>,
-    pointer_loads: Vec<usize>,
     /// Calls the inliner gave up on: (callee, line).
     opaque_calls: Vec<(String, usize)>,
+}
+
+/// A member body and the harts `t ∈ [tlo, thi]` that run it.
+struct Member {
+    acc: Accesses,
+    tlo: i64,
+    thi: i64,
 }
 
 #[derive(Debug, Default, Clone)]
@@ -156,6 +142,13 @@ struct ScalarUse {
     /// `g = g op …` with one commutative operator.
     reduction: bool,
     reduction_op: Option<BinOp>,
+}
+
+impl ScalarUse {
+    /// Written, and only ever as `g = g op …` with one operator.
+    fn is_reduction(&self) -> bool {
+        !self.writes.is_empty() && self.reduction && self.reduction_op.is_some()
+    }
 }
 
 /// The per-region walker: evaluates expressions in the affine domain and
@@ -172,7 +165,7 @@ struct Linter<'a> {
     /// because sema enforces unique locals per scope.
     local_arrays: BTreeSet<String>,
     /// Return-value collector frames for inlined calls.
-    returns: Vec<Vec<Sub>>,
+    returns: Vec<Vec<Option<Aff>>>,
 }
 
 impl<'a> Linter<'a> {
@@ -187,20 +180,22 @@ impl<'a> Linter<'a> {
         }
     }
 
-    fn finish(self) -> Accesses {
-        self.acc
+    /// Whether `name` is a global the region shares: `Some(true)` for an
+    /// array, `Some(false)` for a scalar.
+    fn shared(&self, name: &str, env: &Env) -> Option<bool> {
+        if env.contains_key(name) || self.local_arrays.contains(name) {
+            return None;
+        }
+        self.cx.globals.get(name).copied()
     }
 
-    fn is_shared_array(&self, name: &str, env: &Env) -> bool {
-        !env.contains_key(name)
-            && !self.local_arrays.contains(name)
-            && self.cx.globals.get(name) == Some(&true)
-    }
-
-    fn is_shared_scalar(&self, name: &str, env: &Env) -> bool {
-        !env.contains_key(name)
-            && !self.local_arrays.contains(name)
-            && self.cx.globals.get(name) == Some(&false)
+    /// The use record of shared scalar `name`.
+    fn scalar(&mut self, name: &str) -> &mut ScalarUse {
+        let fresh = ScalarUse {
+            reduction: true,
+            ..ScalarUse::default()
+        };
+        self.acc.scalars.entry(name.to_owned()).or_insert(fresh)
     }
 
     fn walk_block(&mut self, stmts: &[Stmt], env: &mut Env) {
@@ -212,10 +207,7 @@ impl<'a> Linter<'a> {
     fn walk_stmt(&mut self, s: &Stmt, env: &mut Env) {
         match s {
             Stmt::Decl { name, init, line } => {
-                let v = init
-                    .as_ref()
-                    .map(|e| self.eval(e, env, *line))
-                    .unwrap_or(Sub::Unknown);
+                let v = init.as_ref().and_then(|e| self.eval(e, env, *line));
                 env.insert(name.clone(), v);
                 if self.stack.is_empty() {
                     self.declared.insert(name.clone());
@@ -233,26 +225,13 @@ impl<'a> Linter<'a> {
                     Place::Var(name) => {
                         if env.contains_key(name) {
                             env.insert(name.clone(), v);
-                        } else if self.is_shared_scalar(name, env) {
+                        } else if self.shared(name, env) == Some(false) {
                             self.record_scalar_write(name, rhs, *line);
                         }
                     }
                     Place::Index(name, idx) => {
-                        let isub = self.eval(idx, env, *line);
-                        if self.is_shared_array(name, env) {
-                            self.acc
-                                .array_writes
-                                .entry(name.clone())
-                                .or_default()
-                                .push(Access {
-                                    sub: isub,
-                                    line: *line,
-                                });
-                        } else if !self.local_arrays.contains(name) && env.contains_key(name) {
-                            // Indexing a pointer-valued local/param: the
-                            // separation argument cannot see the target.
-                            self.acc.pointer_stores.push(*line);
-                        }
+                        let sub = self.eval(idx, env, *line);
+                        self.record_index(name, sub, true, *line, env);
                     }
                     Place::Deref(e) => {
                         self.eval(e, env, *line);
@@ -276,9 +255,9 @@ impl<'a> Linter<'a> {
                 self.walk_block(els, &mut env_els);
                 // Join: keep only bindings both branches agree on.
                 for (name, v) in env.iter_mut() {
-                    let a = env_then.get(name).copied().unwrap_or(Sub::Unknown);
-                    let b = env_els.get(name).copied().unwrap_or(Sub::Unknown);
-                    *v = if a == b { a } else { Sub::Unknown };
+                    let a = env_then.get(name).copied().flatten();
+                    let b = env_els.get(name).copied().flatten();
+                    *v = if a == b { a } else { None };
                 }
             }
             Stmt::While { cond, body, line } => {
@@ -299,7 +278,7 @@ impl<'a> Linter<'a> {
                 }
                 // Anything written by the body or step is loop-variant:
                 // its affine form (if any) only holds for the first
-                // iteration, so degrade it to Unknown before analyzing.
+                // iteration, so forget it before analyzing.
                 invalidate_assigned(body, env);
                 if let Some(st) = step.as_ref() {
                     invalidate_assigned(std::slice::from_ref(st), env);
@@ -314,10 +293,7 @@ impl<'a> Linter<'a> {
                 }
             }
             Stmt::Return(value, line) => {
-                let v = value
-                    .as_ref()
-                    .map(|e| self.eval(e, env, *line))
-                    .unwrap_or(Sub::Unknown);
+                let v = value.as_ref().and_then(|e| self.eval(e, env, *line));
                 if let Some(frame) = self.returns.last_mut() {
                     frame.push(v);
                 }
@@ -325,6 +301,22 @@ impl<'a> Linter<'a> {
             Stmt::Break(_) | Stmt::Continue(_) => {}
             // Nested regions are rejected by sema; nothing to do here.
             Stmt::ParallelFor { .. } | Stmt::ParallelSections { .. } => {}
+        }
+    }
+
+    /// Records `name[sub]`: an access to a shared array, or a store
+    /// through a pointer-valued local or parameter, whose target the
+    /// separation argument cannot see.
+    fn record_index(&mut self, name: &str, sub: Option<Aff>, write: bool, line: usize, env: &Env) {
+        if self.shared(name, env) == Some(true) {
+            let access = Access { write, sub, line };
+            self.acc
+                .arrays
+                .entry(name.to_owned())
+                .or_default()
+                .push(access);
+        } else if write && !self.local_arrays.contains(name) && env.contains_key(name) {
+            self.acc.pointer_stores.push(line);
         }
     }
 
@@ -339,14 +331,7 @@ impl<'a> Linter<'a> {
             }
             _ => None,
         };
-        let entry = self
-            .acc
-            .scalars
-            .entry(name.to_owned())
-            .or_insert(ScalarUse {
-                reduction: true,
-                ..ScalarUse::default()
-            });
+        let entry = self.scalar(name);
         entry.writes.push(line);
         match (shape, entry.reduction_op) {
             (Some(op), None) => entry.reduction_op = Some(op),
@@ -355,86 +340,68 @@ impl<'a> Linter<'a> {
         }
     }
 
-    fn eval(&mut self, e: &Expr, env: &Env, line: usize) -> Sub {
+    fn eval(&mut self, e: &Expr, env: &Env, line: usize) -> Option<Aff> {
         match e {
-            Expr::Int(v) => Sub::constant(*v),
+            Expr::Int(v) => Aff::point(*v).bounded(),
             Expr::Var(name) => {
                 if let Some(&v) = env.get(name) {
                     v
                 } else {
-                    if self.is_shared_scalar(name, env) {
-                        self.acc
-                            .scalars
-                            .entry(name.clone())
-                            .or_insert(ScalarUse {
-                                reduction: true,
-                                ..ScalarUse::default()
-                            })
-                            .reads
-                            .push(line);
+                    if self.shared(name, env) == Some(false) {
+                        self.scalar(name).reads.push(line);
                     }
                     // Array names decay to addresses; neither is affine
                     // in t.
-                    Sub::Unknown
+                    None
                 }
             }
             Expr::Index(name, idx) => {
-                let isub = self.eval(idx, env, line);
-                if self.is_shared_array(name, env) {
-                    self.acc
-                        .array_reads
-                        .entry(name.clone())
-                        .or_default()
-                        .push(Access { sub: isub, line });
-                } else if !self.local_arrays.contains(name) && env.contains_key(name) {
-                    self.acc.pointer_loads.push(line);
-                }
-                Sub::Unknown
+                let sub = self.eval(idx, env, line);
+                self.record_index(name, sub, false, line, env);
+                None
             }
             Expr::Deref(inner) => {
                 self.eval(inner, env, line);
-                self.acc.pointer_loads.push(line);
-                Sub::Unknown
+                None
             }
             Expr::AddrOf(place) => {
                 if let Place::Index(_, idx) = place.as_ref() {
                     self.eval(idx, env, line);
                 }
-                Sub::Unknown
+                None
             }
             Expr::Unary(op, inner) => {
-                let v = self.eval(inner, env, line);
-                match (op, v) {
-                    (UnOp::Neg, Sub::Affine { a, b }) => match (a.checked_neg(), b.checked_neg()) {
-                        (Some(a), Some(b)) => Sub::Affine { a, b },
-                        _ => Sub::Unknown,
-                    },
-                    _ => Sub::Unknown,
+                let v = self.eval(inner, env, line)?;
+                match op {
+                    UnOp::Neg => v.scale(-1),
+                    _ => None,
                 }
             }
             Expr::Binary(op, l, r) => {
-                let lv = self.eval(l, env, line);
-                let rv = self.eval(r, env, line);
+                let (l, r) = (self.eval(l, env, line), self.eval(r, env, line));
+                let (l, r) = (l?, r?);
                 match op {
-                    BinOp::Add => lv.map2(rv, i64::checked_add),
-                    BinOp::Sub => lv.map2(rv, i64::checked_sub),
-                    BinOp::Mul => mul(lv, rv),
-                    _ => Sub::Unknown,
+                    BinOp::Add => l.checked_add(r),
+                    BinOp::Sub => l.checked_sub(r),
+                    // A product stays affine only when one side is constant.
+                    BinOp::Mul if r.is_point() => l.scale(r.lo),
+                    BinOp::Mul if l.is_point() => r.scale(l.lo),
+                    _ => None,
                 }
             }
             Expr::Call(name, args) => self.eval_call(name, args, env, line),
         }
     }
 
-    fn eval_call(&mut self, name: &str, args: &[Expr], env: &Env, line: usize) -> Sub {
-        let arg_subs: Vec<Sub> = args.iter().map(|a| self.eval(a, env, line)).collect();
+    fn eval_call(&mut self, name: &str, args: &[Expr], env: &Env, line: usize) -> Option<Aff> {
+        let arg_subs: Vec<Option<Aff>> = args.iter().map(|a| self.eval(a, env, line)).collect();
         let Some(f) = self.cx.unit.functions.iter().find(|f| f.name == name) else {
             // A builtin (`omp_set_num_threads`): no shared-memory effect.
-            return Sub::Unknown;
+            return None;
         };
         if self.stack.len() >= MAX_INLINE_DEPTH || self.stack.iter().any(|n| n == name) {
             self.acc.opaque_calls.push((name.to_owned(), line));
-            return Sub::Unknown;
+            return None;
         }
         self.stack.push(name.to_owned());
         self.returns.push(Vec::new());
@@ -445,7 +412,7 @@ impl<'a> Linter<'a> {
         match rets.as_slice() {
             [only] => *only,
             [first, rest @ ..] if rest.iter().all(|r| r == first) => *first,
-            _ => Sub::Unknown,
+            _ => None,
         }
     }
 }
@@ -457,22 +424,8 @@ fn is_commutative(op: BinOp) -> bool {
     )
 }
 
-fn mul(l: Sub, r: Sub) -> Sub {
-    match (l, r) {
-        // Multiplication stays affine only when one side is constant.
-        (Sub::Affine { a, b }, Sub::Affine { a: 0, b: k })
-        | (Sub::Affine { a: 0, b: k }, Sub::Affine { a, b }) => {
-            match (a.checked_mul(k), b.checked_mul(k)) {
-                (Some(a), Some(b)) => Sub::Affine { a, b },
-                _ => Sub::Unknown,
-            }
-        }
-        _ => Sub::Unknown,
-    }
-}
-
-/// Degrades every local assigned (or re-declared) anywhere in `stmts` to
-/// Unknown: its value is loop-variant.
+/// Forgets the affine form of every local assigned (or re-declared)
+/// anywhere in `stmts`: its value is loop-variant.
 fn invalidate_assigned(stmts: &[Stmt], env: &mut Env) {
     walk(stmts, &mut |s| {
         let (Stmt::Assign {
@@ -483,34 +436,9 @@ fn invalidate_assigned(stmts: &[Stmt], env: &mut Env) {
             return;
         };
         if let Some(v) = env.get_mut(n) {
-            *v = Sub::Unknown;
+            *v = None;
         }
     });
-}
-
-/// The number of harts two accesses can be distributed over: for
-/// `parallel for` both come from the same body with symbolic `t`; for
-/// sections each section index is the hart.
-fn report_region(
-    what: &str,
-    line: usize,
-    count: i64,
-    accs: &[Accesses],
-    declared: &BTreeSet<String>,
-    diags: &mut Vec<Diag>,
-) {
-    summarize(what, line, count, accs, declared, diags);
-    if count < 2 {
-        return; // A 0/1-hart team cannot race with itself.
-    }
-    if accs.len() == 1 {
-        check_team(&accs[0], count, diags);
-    } else {
-        check_sections(accs, diags);
-    }
-    for acc in accs {
-        soft_warnings(acc, accs.len() == 1, diags);
-    }
 }
 
 /// The classification note (Info; never affects the verdict).
@@ -518,22 +446,21 @@ fn summarize(
     what: &str,
     line: usize,
     count: i64,
-    accs: &[Accesses],
+    members: &[Member],
     declared: &BTreeSet<String>,
     diags: &mut Vec<Diag>,
 ) {
     let mut shared = BTreeSet::new();
     let mut reduction = BTreeSet::new();
-    for acc in accs {
+    for Member { acc, .. } in members {
         for (name, u) in &acc.scalars {
-            if !u.writes.is_empty() && u.reduction && u.reduction_op.is_some() {
+            if u.is_reduction() {
                 reduction.insert(name.clone());
             } else {
                 shared.insert(name.clone());
             }
         }
-        shared.extend(acc.array_reads.keys().cloned());
-        shared.extend(acc.array_writes.keys().cloned());
+        shared.extend(acc.arrays.keys().cloned());
     }
     let fmt = |set: &BTreeSet<String>| {
         if set.is_empty() {
@@ -558,182 +485,150 @@ fn summarize(
     ));
 }
 
-/// Definite-race checks for a `parallel for` team: all harts run the
-/// same accesses with different `t`.
-fn check_team(acc: &Accesses, count: i64, diags: &mut Vec<Diag>) {
-    for (name, u) in &acc.scalars {
-        if u.writes.is_empty() {
-            continue;
-        }
-        let wline = u.writes[0];
-        let mut d = Diag::new(
-            DiagCode::SSharedScalar,
-            Severity::Error,
-            wline,
-            format!(
-                "shared scalar `{name}` is written by every hart of the team; \
-                 the members are not ordered by a barrier, so the final value \
-                 is a race"
-            ),
-        )
-        .with_witness(format!(
-            "harts t=0 and t=1 both reach the write of `{name}` at line {wline}"
-        ));
-        d = if u.reduction && u.reduction_op.is_some() {
-            d.with_hint(format!(
-                "`{name}` has the reduction shape `{name} = {name} op …`, but LBP \
-                 has no atomic reduction: accumulate into a per-hart partial \
-                 array and fold it sequentially after the region \
-                 (the `examples/c/reduce.c` idiom)"
-            ))
-        } else {
-            d.with_hint(format!(
-                "make `{name}` private to the member (a local), or give each \
-                 hart its own element of a shared array"
-            ))
+/// One affine access to a shared object, as the solver sees it: a
+/// scalar is element 0 of itself.
+struct Touch {
+    write: bool,
+    line: usize,
+    at: Footprint,
+    /// A scalar whose every write has the reduction shape.
+    reduction: bool,
+}
+
+/// The definite races of a region: every pair of affine accesses to one
+/// shared object, at least one a write, that two different harts make.
+/// Scalars come first, then arrays, each by name.
+fn check_region(what: &str, line: usize, members: &[Member], budget: usize, diags: &mut Vec<Diag>) {
+    let mut objects: BTreeMap<(bool, &str), Vec<Touch>> = BTreeMap::new();
+    for &Member { ref acc, tlo, thi } in members {
+        let at = |addr| Footprint {
+            addr,
+            size: 1,
+            tlo,
+            thi,
         };
-        diags.push(d);
+        for (name, u) in &acc.scalars {
+            if let Some(&line) = u.writes.first().or(u.reads.first()) {
+                objects.entry((false, name)).or_default().push(Touch {
+                    write: !u.writes.is_empty(),
+                    line,
+                    at: at(Aff::point(0)),
+                    reduction: u.is_reduction(),
+                });
+            }
+        }
+        for (name, list) in &acc.arrays {
+            for a in list {
+                if let Some(addr) = a.sub {
+                    objects.entry((true, name)).or_default().push(Touch {
+                        write: a.write,
+                        line: a.line,
+                        at: at(addr),
+                        reduction: false,
+                    });
+                }
+            }
+        }
     }
-    for (name, writes) in &acc.array_writes {
-        // Write/write: every unordered pair, including a write against
-        // itself on two different harts.
-        for (i, w1) in writes.iter().enumerate() {
-            for w2 in &writes[i..] {
-                if let Some((t1, t2, elem)) = collide(w1.sub, w2.sub, count) {
-                    diags.push(
-                        Diag::new(
-                            DiagCode::SOverlappingWrite,
-                            Severity::Error,
-                            w1.line,
-                            format!(
-                                "two harts of the team write the same element of \
-                                 shared array `{name}`"
-                            ),
-                        )
-                        .with_witness(format!(
-                            "hart t={t1} (line {}) and hart t={t2} (line {}) both \
-                             write `{name}[{elem}]`",
-                            w1.line, w2.line
-                        ))
-                        .with_hint(format!(
-                            "make the subscript injective in the member index \
-                             (e.g. `{name}[t]`), or split the region"
-                        )),
-                    );
+    let mut budget = budget;
+    let mut unchecked = false;
+    for ((array, name), touches) in &objects {
+        for (i, x) in touches.iter().enumerate() {
+            for y in &touches[i..] {
+                if !x.write && !y.write {
+                    continue;
+                }
+                match overlap_pair(&x.at, &y.at, &mut budget) {
+                    Some((t1, t2)) => diags.push(conflict(name, *array, (x, t1), (y, t2))),
+                    None => unchecked |= budget == 0,
                 }
             }
         }
-        // Write/read across harts: a loop-carried dependence.
-        for r in acc.array_reads.get(name).into_iter().flatten() {
-            for w in writes {
-                if let Some((t1, t2, elem)) = collide(w.sub, r.sub, count) {
-                    diags.push(
-                        Diag::new(
-                            DiagCode::SLoopCarried,
-                            Severity::Error,
-                            w.line,
-                            format!(
-                                "loop-carried dependence: a hart reads an element \
-                                 of `{name}` another hart writes"
-                            ),
-                        )
-                        .with_witness(format!(
-                            "hart t={t1} writes `{name}[{elem}]` (line {}) while \
-                             hart t={t2} reads it (line {})",
-                            w.line, r.line
-                        ))
-                        .with_hint(
-                            "members of a team run concurrently: read only \
-                             elements the region does not write, or compute into \
-                             a second array (double-buffer) and swap after the \
-                             region",
-                        ),
-                    );
-                }
-            }
-        }
+    }
+    if unchecked {
+        diags.push(
+            Diag::new(
+                DiagCode::SUnprovable,
+                Severity::Warning,
+                line,
+                format!(
+                    "{what}: the member-pair budget of the overlap check ran out; \
+                     some pairs of shared accesses were not checked"
+                ),
+            )
+            .with_hint("split the region into smaller ones"),
+        );
     }
 }
 
-/// Definite-race checks across `parallel sections`: section `i` runs on
-/// hart `i`, so conflicts are between different sections.
-fn check_sections(accs: &[Accesses], diags: &mut Vec<Diag>) {
-    for (i, a) in accs.iter().enumerate() {
-        for (j, b) in accs.iter().enumerate().skip(i + 1) {
-            for (name, ua) in &a.scalars {
-                let Some(ub) = b.scalars.get(name) else {
-                    continue;
-                };
-                let a_writes = !ua.writes.is_empty();
-                let b_writes = !ub.writes.is_empty();
-                let conflict = (a_writes && (b_writes || !ub.reads.is_empty()))
-                    || (b_writes && !ua.reads.is_empty());
-                if conflict {
-                    let la = *ua.writes.first().or(ua.reads.first()).unwrap_or(&0);
-                    let lb = *ub.writes.first().or(ub.reads.first()).unwrap_or(&0);
-                    diags.push(
-                        Diag::new(
-                            DiagCode::SSharedScalar,
-                            Severity::Error,
-                            la.min(lb),
-                            format!(
-                                "sections {i} and {j} conflict on shared scalar \
-                                 `{name}`"
-                            ),
-                        )
-                        .with_witness(format!(
-                            "hart {i} (section {i}, line {la}) and hart {j} \
-                             (section {j}, line {lb}) touch `{name}`, at least \
-                             one writing"
-                        ))
-                        .with_hint(format!(
-                            "give each section its own scalar, or make `{name}` \
-                             an array indexed by section"
-                        )),
-                    );
-                }
-            }
-            for (name, writes) in &a.array_writes {
-                let reads_b = b.array_reads.get(name).map(Vec::as_slice).unwrap_or(&[]);
-                let writes_b = b.array_writes.get(name).map(Vec::as_slice).unwrap_or(&[]);
-                for w in writes {
-                    for other in writes_b.iter().chain(reads_b) {
-                        if let (Sub::Affine { a: 0, b: e1 }, Sub::Affine { a: 0, b: e2 }) =
-                            (w.sub, other.sub)
-                        {
-                            if e1 == e2 {
-                                diags.push(
-                                    Diag::new(
-                                        DiagCode::SOverlappingWrite,
-                                        Severity::Error,
-                                        w.line,
-                                        format!(
-                                            "sections {i} and {j} conflict on \
-                                             `{name}[{e1}]`"
-                                        ),
-                                    )
-                                    .with_witness(format!(
-                                        "hart {i} writes `{name}[{e1}]` (line {}) \
-                                         while hart {j} accesses it (line {})",
-                                        w.line, other.line
-                                    ))
-                                    .with_hint("partition the array between the sections"),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+/// The diagnostic for harts `t1` running `x` and `t2` running `y` that
+/// meet on shared object `name`, reported at the write (the first, if
+/// both write).
+fn conflict(name: &str, array: bool, x: (&Touch, i64), y: (&Touch, i64)) -> Diag {
+    let ((w, tw), (o, to)) = if x.0.write { (x, y) } else { (y, x) };
+    let (code, message, hint, what) = match (array, o.write) {
+        (false, _) => (
+            DiagCode::SSharedScalar,
+            format!(
+                "shared scalar `{name}` is written by one hart of the team while another \
+                 accesses it; the members are not ordered by a barrier, so the outcome is a race"
+            ),
+            if w.reduction {
+                format!(
+                    "`{name}` has the reduction shape `{name} = {name} op …`, but LBP has no \
+                     atomic reduction: accumulate into a per-hart partial array and fold it \
+                     sequentially after the region (the `examples/c/reduce.c` idiom)"
+                )
+            } else {
+                format!(
+                    "make `{name}` private to the member (a local), or give each hart its own \
+                     element of a shared array"
+                )
+            },
+            name.to_owned(),
+        ),
+        (true, true) => (
+            DiagCode::SOverlappingWrite,
+            format!("two harts of the team write the same element of shared array `{name}`"),
+            format!(
+                "make the subscript injective in the member index (e.g. `{name}[t]`), or split \
+                 the region"
+            ),
+            format!("{name}[{}]", w.at.start(tw)),
+        ),
+        (true, false) => (
+            DiagCode::SLoopCarried,
+            format!(
+                "loop-carried dependence: a hart reads an element of `{name}` another hart writes"
+            ),
+            "members of a team run concurrently: read only elements the region does not write, \
+             or compute into a second array (double-buffer) and swap after the region"
+                .to_owned(),
+            format!("{name}[{}]", w.at.start(tw)),
+        ),
+    };
+    let witness = if o.write {
+        format!(
+            "hart t={tw} (line {}) and hart t={to} (line {}) both write `{what}`",
+            w.line, o.line
+        )
+    } else {
+        format!(
+            "hart t={tw} writes `{what}` (line {}) while hart t={to} reads it (line {})",
+            w.line, o.line
+        )
+    };
+    Diag::new(code, Severity::Error, w.line, message)
+        .with_witness(witness)
+        .with_hint(hint)
 }
 
 /// Warnings for what the analysis cannot prove (never rejections).
 fn soft_warnings(acc: &Accesses, team: bool, diags: &mut Vec<Diag>) {
     let mut seen = BTreeSet::new();
-    for (name, writes) in &acc.array_writes {
-        for w in writes {
-            if w.sub == Sub::Unknown && seen.insert((name.clone(), w.line, true)) {
+    for (name, list) in &acc.arrays {
+        for w in list.iter().filter(|a| a.write && a.sub.is_none()) {
+            if seen.insert((name.clone(), w.line, true)) {
                 diags.push(
                     Diag::new(
                         DiagCode::SUnprovable,
@@ -755,12 +650,12 @@ fn soft_warnings(acc: &Accesses, team: bool, diags: &mut Vec<Diag>) {
         }
     }
     if team {
-        for (name, reads) in &acc.array_reads {
-            if !acc.array_writes.contains_key(name) {
+        for (name, list) in &acc.arrays {
+            if !list.iter().any(|a| a.write) {
                 continue; // Read-only arrays cannot race.
             }
-            for r in reads {
-                if r.sub == Sub::Unknown && seen.insert((name.clone(), r.line, false)) {
+            for r in list.iter().filter(|a| !a.write && a.sub.is_none()) {
+                if seen.insert((name.clone(), r.line, false)) {
                     diags.push(
                         Diag::new(
                             DiagCode::SUnprovable,
@@ -814,32 +709,6 @@ fn soft_warnings(acc: &Accesses, team: bool, diags: &mut Vec<Diag>) {
     }
 }
 
-/// Finds concrete harts `t1 ≠ t2` in `0..count` whose subscripts
-/// collide; returns `(t1, t2, element)`. Both subscripts must be affine
-/// (Unknown never produces a *definite* race).
-fn collide(s1: Sub, s2: Sub, count: i64) -> Option<(i64, i64, i64)> {
-    let (Sub::Affine { a: a1, b: b1 }, Sub::Affine { a: a2, b: b2 }) = (s1, s2) else {
-        return None;
-    };
-    // Teams are capped at 256 harts by sema, so the pair space is tiny;
-    // brute force keeps the witness search obviously correct.
-    for t1 in 0..count {
-        for t2 in 0..count {
-            if t1 == t2 {
-                continue;
-            }
-            let e1 = a1.checked_mul(t1).and_then(|v| v.checked_add(b1));
-            let e2 = a2.checked_mul(t2).and_then(|v| v.checked_add(b2));
-            if let (Some(e1), Some(e2)) = (e1, e2) {
-                if e1 == e2 {
-                    return Some((t1, t2, e1));
-                }
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,8 +717,11 @@ mod tests {
     use crate::sema;
 
     fn lint_src(src: &str) -> Vec<Diag> {
-        let checked = sema::check(parse(lex(src).unwrap()).unwrap()).unwrap();
-        lint_unit(&checked)
+        lint_unit(&check(src))
+    }
+
+    fn check(src: &str) -> sema::Checked {
+        sema::check(parse(lex(src).unwrap()).unwrap()).unwrap()
     }
 
     fn errors(diags: &[Diag]) -> Vec<&Diag> {
@@ -1003,7 +875,98 @@ void main(void) {
         let errs = errors(&diags);
         assert_eq!(errs.len(), 1, "{diags:?}");
         assert_eq!(errs[0].code, DiagCode::SSharedScalar);
-        assert!(errs[0].witness.as_deref().unwrap().contains("section"));
+        assert_eq!(
+            errs[0].witness.as_deref(),
+            Some("hart t=0 (line 2) and hart t=1 (line 3) both write `g`")
+        );
+    }
+
+    /// Two sections over `int v[4]; int w[4];`, in the given order.
+    fn sections(first: &str, second: &str) -> Vec<Diag> {
+        lint_src(&format!(
+            "int v[4]; int w[4];
+void main(void) {{
+#pragma omp parallel sections
+    {{
+#pragma omp section
+        {{ {first} }}
+#pragma omp section
+        {{ {second} }}
+    }}
+}}"
+        ))
+    }
+
+    /// One error, with its code, line and witness.
+    fn only_error(diags: &[Diag]) -> (DiagCode, usize, &str) {
+        let errs = errors(diags);
+        assert_eq!(errs.len(), 1, "{diags:?}");
+        (
+            errs[0].code,
+            errs[0].line,
+            errs[0].witness.as_deref().unwrap(),
+        )
+    }
+
+    #[test]
+    fn a_section_reading_what_a_later_section_writes_races() {
+        let diags = sections("w[0] = v[0];", "v[0] = 1;");
+        assert_eq!(
+            only_error(&diags),
+            (
+                DiagCode::SLoopCarried,
+                8,
+                "hart t=1 writes `v[0]` (line 8) while hart t=0 reads it (line 6)"
+            )
+        );
+    }
+
+    #[test]
+    fn a_section_reading_what_an_earlier_section_writes_races() {
+        let diags = sections("v[0] = 1;", "w[0] = v[0];");
+        assert_eq!(
+            only_error(&diags),
+            (
+                DiagCode::SLoopCarried,
+                6,
+                "hart t=0 writes `v[0]` (line 6) while hart t=1 reads it (line 8)"
+            )
+        );
+    }
+
+    #[test]
+    fn sections_writing_one_element_race() {
+        let diags = sections("v[2] = 1;", "v[1 + 1] = 2;");
+        assert_eq!(
+            only_error(&diags),
+            (
+                DiagCode::SOverlappingWrite,
+                6,
+                "hart t=0 (line 6) and hart t=1 (line 8) both write `v[2]`"
+            )
+        );
+    }
+
+    #[test]
+    fn an_exhausted_solver_budget_warns_and_accepts() {
+        let src = "int v[8];
+void main(void) {
+    int t;
+#pragma omp parallel for
+    for (t = 0; t < 4; t++) v[0] = t;
+}";
+        let checked = check(src);
+        let diags = lint_within(&checked, 0);
+        assert!(errors(&diags).is_empty(), "{diags:?}");
+        let warned: Vec<_> = diags
+            .iter()
+            .filter(|d| d.severity == Severity::Warning)
+            .map(|d| (d.code, d.line))
+            .collect();
+        assert_eq!(warned, [(DiagCode::SUnprovable, 4)]);
+        assert!(lbp_verify::accepted(&diags));
+        // With the budget the lint runs under, the same program is a race.
+        assert!(!lbp_verify::accepted(&lint_unit(&checked)));
     }
 
     #[test]

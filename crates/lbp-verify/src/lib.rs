@@ -21,6 +21,9 @@
 //! - The source-level race analysis lives in `lbp-cc` (`lbp_cc::lint`)
 //!   and reports through this crate's [`Diag`] type, so both layers
 //!   speak one diagnostic format: `lbp-diag-v1` (see [`report_json`]).
+//!   Both layers ask [`affine::overlap_pair`] whether two members'
+//!   footprints meet: one solver, in bytes for the M-pass and in
+//!   elements for the lint.
 //!
 //! The verdict discipline: an [`Severity::Error`] is a *definite*
 //! violation on some path (with a witness or wait-reason), a
@@ -47,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod affine;
 mod binary;
 mod diag;
 mod flow;

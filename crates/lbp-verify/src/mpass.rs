@@ -30,7 +30,8 @@
 //!    cross-member checking.
 //!
 //! Within an epoch, every pair of accesses (at least one a write) is
-//! checked for overlap over all member pairs `t1 ≠ t2`. The verdict
+//! checked for overlap over all member pairs `t1 ≠ t2` by
+//! [`overlap_pair`], the solver the source lint shares. The verdict
 //! discipline matches the rest of the crate — errors are *definite*:
 //!
 //! - `LBP-M001` (error): two members' exact store footprints overlap.
@@ -63,6 +64,7 @@ use lbp_isa::{
     Instr, OpImmKind, OpKind, Reg, DEFAULT_SHARED_BANK_BYTES, HARTS_PER_CORE, IO_BASE, SHARED_BASE,
 };
 
+use crate::affine::{overlap_pair, Aff, Footprint, PAIR_BUDGET};
 use crate::diag::{Diag, DiagCode, Severity};
 use crate::flow::{Facts, Fixpoint, Program, State, Value};
 
@@ -74,45 +76,6 @@ const MAX_TEAM: i64 = 256;
 const MAX_SITES: usize = 64;
 /// Shared accesses collected per epoch before truncating (with a warning).
 const MAX_ACCESSES: usize = 192;
-/// Budget of pairwise footprint evaluations per epoch.
-const PAIR_BUDGET: usize = 2_000_000;
-/// Coefficient/offset magnitude beyond which a value widens to unknown.
-/// Every register value is clamped to it, so its products with a member
-/// index (at most [`MAX_TEAM`]) in `record`, `overlap_pair` and the bank
-/// check stay far inside `i64`.
-const MAG_LIMIT: i64 = 1 << 33;
-
-/// An affine value `a·t + v` for some `v ∈ [lo, hi]`, `t` the member
-/// index. `a = 0, lo = hi` is a constant; `lo < hi` an interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Aff {
-    a: i64,
-    lo: i64,
-    hi: i64,
-}
-
-impl Aff {
-    fn point(v: i64) -> Aff {
-        Aff { a: 0, lo: v, hi: v }
-    }
-
-    fn is_point(self) -> bool {
-        self.a == 0 && self.lo == self.hi
-    }
-
-    fn is_exact(self) -> bool {
-        self.lo == self.hi
-    }
-
-    /// Clamps runaway magnitudes to Unknown (keeps i64 arithmetic safe).
-    fn norm(self) -> MVal {
-        if self.a.abs() > MAG_LIMIT || self.lo.abs() > MAG_LIMIT || self.hi.abs() > MAG_LIMIT {
-            MVal::Unknown
-        } else {
-            MVal::Abs(self)
-        }
-    }
-}
 
 /// What a register abstractly holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,23 +100,15 @@ impl MVal {
         }
     }
 
-    /// The affine form with these parts, Unknown if computing any of them
-    /// overflowed (`slli`/`mul` chains reach 2^64 in two steps) or ran
-    /// past [`MAG_LIMIT`].
-    fn checked(a: Option<i64>, lo: Option<i64>, hi: Option<i64>) -> MVal {
-        match (a, lo, hi) {
-            (Some(a), Some(lo), Some(hi)) => Aff { a, lo, hi }.norm(),
-            _ => MVal::Unknown,
-        }
+    /// The affine value, Unknown where the arithmetic gave none (an
+    /// overflow, or a part past [`MAG_LIMIT`](crate::affine::MAG_LIMIT)).
+    fn of(aff: Option<Aff>) -> MVal {
+        aff.map_or(MVal::Unknown, MVal::Abs)
     }
 
     fn add(self, other: MVal) -> MVal {
         match (self, other) {
-            (MVal::Abs(x), MVal::Abs(y)) => MVal::checked(
-                x.a.checked_add(y.a),
-                x.lo.checked_add(y.lo),
-                x.hi.checked_add(y.hi),
-            ),
+            (MVal::Abs(x), MVal::Abs(y)) => MVal::of(x.checked_add(y)),
             // sp ± small constant stays on the member's private stack.
             (MVal::Priv, MVal::Abs(p)) | (MVal::Abs(p), MVal::Priv) if p.a == 0 => MVal::Priv,
             _ => MVal::Unknown,
@@ -162,11 +117,7 @@ impl MVal {
 
     fn sub(self, other: MVal) -> MVal {
         match (self, other) {
-            (MVal::Abs(x), MVal::Abs(y)) => MVal::checked(
-                x.a.checked_sub(y.a),
-                x.lo.checked_sub(y.hi),
-                x.hi.checked_sub(y.lo),
-            ),
+            (MVal::Abs(x), MVal::Abs(y)) => MVal::of(x.checked_sub(y)),
             (MVal::Priv, MVal::Abs(p)) if p.a == 0 => MVal::Priv,
             _ => MVal::Unknown,
         }
@@ -175,10 +126,7 @@ impl MVal {
     /// Multiplication by a compile-time point scales the affine form.
     fn scale(self, k: i64) -> MVal {
         match self {
-            MVal::Abs(x) => {
-                let (lo, hi) = if k >= 0 { (x.lo, x.hi) } else { (x.hi, x.lo) };
-                MVal::checked(x.a.checked_mul(k), lo.checked_mul(k), hi.checked_mul(k))
-            }
+            MVal::Abs(x) => MVal::of(x.scale(k)),
             _ => MVal::Unknown,
         }
     }
@@ -205,7 +153,7 @@ impl Value for MVal {
                 if u == x {
                     MVal::Abs(x)
                 } else if x.is_exact() {
-                    u.norm()
+                    MVal::of(u.bounded())
                 } else {
                     MVal::Unknown
                 }
@@ -268,13 +216,10 @@ fn fresh_hart(span: Span) -> MState {
 struct Access {
     pc: u32,
     write: bool,
-    /// Address set: `addr.a·t + [addr.lo, addr.hi]`, absolute, already
-    /// proven to stay inside the shared region for the whole team.
-    addr: Aff,
-    size: i64,
-    /// Member indices this access executes for.
-    tlo: i64,
-    thi: i64,
+    /// Absolute byte footprint for the member indices it executes for,
+    /// already proven to stay inside the shared region for the whole
+    /// team.
+    at: Footprint,
     /// Control-dependent on unproven data: never a definite finding.
     tainted: bool,
 }
@@ -386,10 +331,12 @@ impl Collected {
                 self.accesses.push(Access {
                     pc,
                     write,
-                    addr: aff,
-                    size,
-                    tlo: path.tlo.max(0),
-                    thi: path.thi.min(tmax),
+                    at: Footprint {
+                        addr: aff,
+                        size,
+                        tlo: path.tlo.max(0),
+                        thi: path.thi.min(tmax),
+                    },
                     tainted: path.tainted,
                 });
             }
@@ -752,9 +699,9 @@ impl<'a> Engine<'a> {
                 if !x.write && !y.write {
                     continue;
                 }
-                if let Some((t1, t2)) = overlap_pair(&x, &y, &mut budget) {
-                    let exact = x.addr.is_exact()
-                        && y.addr.is_exact()
+                if let Some((t1, t2)) = overlap_pair(&x.at, &y.at, &mut budget) {
+                    let exact = x.at.addr.is_exact()
+                        && y.at.addr.is_exact()
                         && !x.tainted
                         && !y.tainted
                         && nt.is_some();
@@ -779,7 +726,7 @@ impl<'a> Engine<'a> {
                 func,
             );
         }
-        self.check_bank_aliasing(func, &fname, nt, accesses);
+        self.check_bank_aliasing(&fname, nt, accesses);
     }
 
     /// Emits `M001`/`M002` (definite) or `M003` (unprovable) for an
@@ -799,10 +746,10 @@ impl<'a> Engine<'a> {
         let what = if both_write { "write" } else { "access" };
         let witness = format!(
             "member t={t1} {what}s {} at {:#x} while member t={t2} {}s {} at {:#x}",
-            footprint_str(&x.addr, x.size, t1),
+            footprint_str(&x.at, t1),
             x.pc,
             if y.write { "write" } else { "read" },
-            footprint_str(&y.addr, y.size, t2),
+            footprint_str(&y.at, t2),
             y.pc,
         );
         if exact {
@@ -857,13 +804,7 @@ impl<'a> Engine<'a> {
     }
 
     /// `M006`: the whole team's write footprint serializes at one bank.
-    fn check_bank_aliasing(
-        &mut self,
-        _func: u32,
-        fname: &str,
-        nt: Option<i64>,
-        accesses: &[Access],
-    ) {
+    fn check_bank_aliasing(&mut self, fname: &str, nt: Option<i64>, accesses: &[Access]) {
         let Some(n) = nt else { return };
         if n <= HARTS_PER_CORE as i64 {
             return;
@@ -877,13 +818,14 @@ impl<'a> Engine<'a> {
         let mut pc = u32::MAX;
         for w in &writes {
             let tmax = n - 1;
-            let (smin, smax) = if w.addr.a >= 0 {
-                (w.addr.lo, w.addr.hi + w.addr.a * tmax)
+            let addr = w.at.addr;
+            let (smin, smax) = if addr.a >= 0 {
+                (addr.lo, addr.hi + addr.a * tmax)
             } else {
-                (w.addr.lo + w.addr.a * tmax, w.addr.hi)
+                (addr.lo + addr.a * tmax, addr.hi)
             };
             lo = lo.min(smin);
-            hi = hi.max(smax + w.size);
+            hi = hi.max(smax + w.at.size);
             pc = pc.min(w.pc);
         }
         // The default shared-bank geometry, which `M006` assumes.
@@ -956,79 +898,48 @@ fn refine(path: Span, kind: lbp_isa::BranchKind, a: MVal, b: MVal) -> (Option<Sp
         MVal::Abs(x) if x.a == 1 && x.lo == x.hi => Some(x.lo),
         _ => None,
     };
+    // The comparison as `t <op> c` on the member index itself: from
+    // `t + k <op> c`, or from the mirror `c <op> t + k` (`c < t` is
+    // `t >= c + 1`, `c >= t` is `t < c + 1`), with everything small and
+    // non-negative so the signed and unsigned comparisons agree.
+    let small = |k: i64, c: i64| k >= 0 && c >= 0 && c < i64::from(i32::MAX);
+    let on_t = match (exact_t(a), b.as_point(), a.as_point(), exact_t(b)) {
+        (Some(k), Some(c), _, _) if small(k, c) => Some((kind, c - k)),
+        (_, _, Some(c), Some(k)) if small(k, c) => Some(match kind {
+            B::Lt | B::Ltu => (B::Ge, c - k + 1),
+            B::Ge | B::Geu => (B::Lt, c - k + 1),
+            eq_or_ne => (eq_or_ne, c - k),
+        }),
+        _ => None,
+    };
     let mut taken = path;
     let mut fall = path;
-    match (exact_t(a), b.as_point(), a.as_point(), exact_t(b)) {
-        // t + k <op> c, with everything small and non-negative so the
-        // signed and unsigned comparisons agree.
-        (Some(k), Some(c), _, _) if k >= 0 && c >= 0 && c < i64::from(i32::MAX) => {
-            let c = c - k; // constraint on t itself
-            match kind {
-                B::Eq => {
-                    taken.tlo = taken.tlo.max(c);
-                    taken.thi = taken.thi.min(c);
-                    if fall.tlo == c {
-                        fall.tlo += 1;
-                    }
-                    if fall.thi == c {
-                        fall.thi -= 1;
-                    }
-                }
-                B::Ne => {
-                    fall.tlo = fall.tlo.max(c);
-                    fall.thi = fall.thi.min(c);
-                    if taken.tlo == c {
-                        taken.tlo += 1;
-                    }
-                    if taken.thi == c {
-                        taken.thi -= 1;
-                    }
-                }
-                B::Lt | B::Ltu => {
-                    taken.thi = taken.thi.min(c - 1);
-                    fall.tlo = fall.tlo.max(c);
-                }
-                B::Ge | B::Geu => {
-                    taken.tlo = taken.tlo.max(c);
-                    fall.thi = fall.thi.min(c - 1);
-                }
+    match on_t {
+        Some((op @ (B::Eq | B::Ne), c)) => {
+            // `t == c` on one side, `t != c` on the other.
+            let (is, isnt) = if op == B::Eq {
+                (&mut taken, &mut fall)
+            } else {
+                (&mut fall, &mut taken)
+            };
+            is.tlo = is.tlo.max(c);
+            is.thi = is.thi.min(c);
+            if isnt.tlo == c {
+                isnt.tlo += 1;
+            }
+            if isnt.thi == c {
+                isnt.thi -= 1;
             }
         }
-        // c <op> t + k: mirror.
-        (_, _, Some(c), Some(k)) if k >= 0 && c >= 0 && c < i64::from(i32::MAX) => {
-            let c = c - k;
-            match kind {
-                B::Eq => {
-                    taken.tlo = taken.tlo.max(c);
-                    taken.thi = taken.thi.min(c);
-                    if fall.tlo == c {
-                        fall.tlo += 1;
-                    }
-                    if fall.thi == c {
-                        fall.thi -= 1;
-                    }
-                }
-                B::Ne => {
-                    fall.tlo = fall.tlo.max(c);
-                    fall.thi = fall.thi.min(c);
-                    if taken.tlo == c {
-                        taken.tlo += 1;
-                    }
-                    if taken.thi == c {
-                        taken.thi -= 1;
-                    }
-                }
-                B::Lt | B::Ltu => {
-                    taken.tlo = taken.tlo.max(c + 1);
-                    fall.thi = fall.thi.min(c);
-                }
-                B::Ge | B::Geu => {
-                    taken.thi = taken.thi.min(c);
-                    fall.tlo = fall.tlo.max(c + 1);
-                }
-            }
+        Some((B::Lt | B::Ltu, c)) => {
+            taken.thi = taken.thi.min(c - 1);
+            fall.tlo = fall.tlo.max(c);
         }
-        _ => {
+        Some((B::Ge | B::Geu, c)) => {
+            taken.tlo = taken.tlo.max(c);
+            fall.thi = fall.thi.min(c - 1);
+        }
+        None => {
             if dep(a) || dep(b) || a == MVal::Unknown || b == MVal::Unknown {
                 taken.tainted = true;
                 fall.tainted = true;
@@ -1039,59 +950,10 @@ fn refine(path: Span, kind: lbp_isa::BranchKind, a: MVal, b: MVal) -> (Option<Sp
     (keep(taken), keep(fall))
 }
 
-/// Finds a member pair `t1 ≠ t2` whose footprints can overlap.
-fn overlap_pair(x: &Access, y: &Access, budget: &mut usize) -> Option<(i64, i64)> {
-    let wx = x.addr.hi - x.addr.lo + x.size;
-    let wy = y.addr.hi - y.addr.lo + y.size;
-    let hit = |t1: i64, t2: i64| {
-        let sx = x.addr.lo + x.addr.a * t1;
-        let sy = y.addr.lo + y.addr.a * t2;
-        sx < sy + wy && sy < sx + wx
-    };
-    if x.addr.a == y.addr.a {
-        // Equal strides: overlap depends only on the member distance
-        // `d = t1 - t2`, so one representative pair per distance.
-        let dmin = x.tlo - y.thi;
-        let dmax = x.thi - y.tlo;
-        for d in dmin..=dmax {
-            if d == 0 {
-                continue;
-            }
-            let t2 = y.tlo.max(x.tlo - d);
-            if t2 > y.thi || t2 + d > x.thi {
-                continue;
-            }
-            if *budget == 0 {
-                return None;
-            }
-            *budget -= 1;
-            if hit(t2 + d, t2) {
-                return Some((t2 + d, t2));
-            }
-        }
-        return None;
-    }
-    for t1 in x.tlo..=x.thi {
-        for t2 in y.tlo..=y.thi {
-            if t1 == t2 {
-                continue;
-            }
-            if *budget == 0 {
-                return None;
-            }
-            *budget -= 1;
-            if hit(t1, t2) {
-                return Some((t1, t2));
-            }
-        }
-    }
-    None
-}
-
 /// Renders one member's footprint, e.g. `[0x80000040, 0x80000044)`.
-fn footprint_str(addr: &Aff, size: i64, t: i64) -> String {
-    let s = addr.lo + addr.a * t;
-    let e = addr.hi + addr.a * t + size;
+fn footprint_str(at: &Footprint, t: i64) -> String {
+    let s = at.start(t);
+    let e = at.addr.hi + at.addr.a * t + at.size;
     format!("[{s:#x}, {e:#x})")
 }
 
@@ -1171,52 +1033,5 @@ mod tests {
         assert_eq!(MVal::Priv.add(t4), MVal::Unknown);
         // Magnitude clamp.
         assert_eq!(MVal::point(1 << 33).scale(1 << 10), MVal::Unknown);
-    }
-
-    #[test]
-    fn overlap_disjoint_strides() {
-        // sw to base + 16t, 4 bytes, team of 4: provably disjoint.
-        let w = |pc: u32| Access {
-            pc,
-            write: true,
-            addr: aff(16, 0x8000_0000, 0x8000_0000),
-            size: 4,
-            tlo: 0,
-            thi: 3,
-            tainted: false,
-        };
-        let mut budget = 1000;
-        assert_eq!(overlap_pair(&w(0), &w(0), &mut budget), None);
-        // A footprint wider than the stride makes t and t+1 collide.
-        let wide = Access { size: 20, ..w(4) };
-        assert!(overlap_pair(&wide, &wide, &mut budget).is_some());
-    }
-
-    #[test]
-    fn overlap_const_vs_stride() {
-        // Member-strided writes at 0x80000000 + 8t (4 bytes) vs a fixed
-        // read at 0x80000010: only member t=2 touches it.
-        let w = Access {
-            pc: 0,
-            write: true,
-            addr: aff(8, 0x8000_0000, 0x8000_0000),
-            size: 4,
-            tlo: 0,
-            thi: 7,
-            tainted: false,
-        };
-        let r = Access {
-            pc: 4,
-            write: false,
-            addr: aff(0, 0x8000_0010, 0x8000_0010),
-            size: 4,
-            tlo: 0,
-            thi: 7,
-            tainted: false,
-        };
-        let mut budget = 1000;
-        let (t1, t2) = overlap_pair(&w, &r, &mut budget).unwrap();
-        assert_eq!(t1, 2);
-        assert_ne!(t1, t2);
     }
 }

@@ -30,8 +30,10 @@ fn race_scalar_rejected_with_witness() {
         .iter()
         .find(|d| d.code == DiagCode::SSharedScalar)
         .unwrap();
-    let w = err.witness.as_deref().unwrap();
-    assert!(w.contains("t=0") && w.contains("t=1"), "{w}");
+    assert_eq!(
+        err.witness.as_deref(),
+        Some("hart t=0 (line 8) and hart t=3 (line 8) both write `g`")
+    );
     assert_eq!(err.line, 8);
 }
 

@@ -499,7 +499,6 @@ fn warm_forward(
             return Err(ExitClass::Usage.into());
         }
     };
-    let started = std::time::Instant::now();
     let (machine, summary) = match FastEngine::warm(cfg, image, stop, max_cycles) {
         Ok(warmed) => warmed,
         Err(e) => {
@@ -512,14 +511,9 @@ fn warm_forward(
             return Err(e.sim().exit_class().into());
         }
     };
-    let secs = started.elapsed().as_secs_f64();
     eprintln!(
-        "lbp-run: warm phase retired {} instructions (virtual cycle {}) in {:.1}ms \
-         ({:.1} Minstr/s)",
-        summary.retired,
-        summary.virtual_cycle,
-        secs * 1e3,
-        summary.retired as f64 / secs.max(1e-9) / 1e6
+        "lbp-run: warm phase retired {} instructions (virtual cycle {})",
+        summary.retired, summary.virtual_cycle
     );
     if summary.clamped > 0 {
         eprintln!(

@@ -544,7 +544,7 @@ fn lbp_cc_interp_diff_and_lint_print_the_pinned_bytes() {
                 "-",
             ],
             10,
-            0x34315e8cbc871404,
+            0x1d3b31c19f8507ce,
             EMPTY,
         ),
         (
@@ -577,7 +577,7 @@ fn lbp_cc_interp_diff_and_lint_print_the_pinned_bytes() {
                 "-",
             ],
             10,
-            0xa24142c3ea4ea64b,
+            0xa7940eb713c28858,
             EMPTY,
         ),
     ];

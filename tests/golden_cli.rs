@@ -208,7 +208,7 @@ const ROWS: [Row; 82] = [
     run("verify-asm-examples", ASM_EXAMPLES, &[VERIFY], Pinned(3, 0xeef2_3433_16cf_5e39)),
     run("verify-c-examples", C_EXAMPLES, &[VERIFY], Pinned(4, 0xbffb_0adb_0feb_913a)),
     run("verify-asm-fixtures", ASM_FIXTURES, &[VERIFY], Pinned(14, 0xc511_35e8_72b3_0931)),
-    run("verify-c-fixtures", C_FIXTURES, &[VERIFY], Pinned(6, 0x490f_73ef_0f5f_4876)),
+    run("verify-c-fixtures", C_FIXTURES, &[VERIFY], Pinned(6, 0xb911_51b5_c893_012a)),
     run("verify-matmul-kernels", MATMUL_KERNELS, &[VERIFY], Pinned(10, 0x009b_e40a_c8b2_ec55)),
     run("verify-generated-c", GEN_C, &[VERIFY], Pinned(100, 0x4a35_ac54_98dd_f0cc)),
     run("verify-generated-seq", GEN_SEQ, &[VERIFY], Pinned(100, 0x33d1_9e7d_f9ea_09f9)),
@@ -284,10 +284,10 @@ const ROWS: [Row; 82] = [
     // The hybrid engine: --warm and --roi, and the fault plans its
     // handoff refuses as usage errors.
     run("warm", MATMUL, &["--warm 1000", STATS, "--warm-snap {out}/warm.lbpsnap"],
-        Pinned(1, 0xf55e_4bf2_515b_9eb2)),
+        Pinned(1, 0x8c4f_645f_62f0_2b50)),
     run("warm-past-the-exit", EXAMPLES, &["--warm 100000000", STATS],
-        Pinned(7, 0xf17b_3ec6_5ddf_5b09)),
-    run("roi", ROI, &["--cores 2 --roi", STATS], Pinned(1, 0x99dc_d4c0_418b_ee34)),
+        Pinned(7, 0x5a08_a035_a2ac_7416)),
+    run("roi", ROI, &["--cores 2 --roi", STATS], Pinned(1, 0xf537_7277_151c_9c13)),
     run("roi-without-a-marker", MATMUL, &["--roi"], Pinned(1, 0x3c13_b4e9_159f_2842)),
     run("warm-drop-msg", MATMUL, &["--cores 4 --warm 1000 --fault drop-msg:0"],
         Pinned(1, 0x360c_9668_7bfd_d0e1)),
@@ -384,23 +384,6 @@ fn replace(bytes: Vec<u8>, from: &str, to: &str) -> Vec<u8> {
     }
 }
 
-/// `stderr` with the one host-time figure either tool prints, the warm
-/// phase's speed, replaced by a token.
-fn mask_host_time(stderr: Vec<u8>) -> Vec<u8> {
-    let text = String::from_utf8_lossy(&stderr);
-    let mut out = String::new();
-    for line in text.split_inclusive('\n') {
-        match line.rfind(" in ") {
-            Some(at) if line.starts_with("lbp-run: warm phase retired") => {
-                out.push_str(&line[..at]);
-                out.push_str(" in <host time>\n");
-            }
-            _ => out.push_str(line),
-        }
-    }
-    out.into_bytes()
-}
-
 /// Every file under `dir`, by path relative to it, in name order.
 fn files_under(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut files = Vec::new();
@@ -495,7 +478,7 @@ fn run_row(row: &Row, inputs: &[Option<String>], root: &Path) -> Got {
         let name = fnv1a64(&dirs.clean(input.clone().unwrap_or_default().into_bytes()));
         let exit = fnv1a64(format!("{:?}", output.status.code()).as_bytes());
         let stdout = fnv1a64(&dirs.clean(output.stdout));
-        let stderr = fnv1a64(&dirs.clean(mask_host_time(output.stderr)));
+        let stderr = fnv1a64(&dirs.clean(output.stderr));
         let mut written = Vec::new();
         for (name, bytes) in files_under(&dirs.out) {
             written.extend(fnv1a64(name.as_bytes()).to_le_bytes());
