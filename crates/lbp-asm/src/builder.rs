@@ -93,6 +93,7 @@ pub struct Mark {
     items: usize,
     lines: usize,
     words: usize,
+    fresh: u32,
 }
 
 /// One operand of a typed line.
@@ -632,7 +633,23 @@ impl Asm {
             items: self.items.len(),
             lines: self.lines,
             words: self.words,
+            fresh: self.fresh,
         }
+    }
+
+    /// Drops everything written since `mark`, as if it had never been
+    /// written: code can be measured by writing it, then taken back.
+    pub fn truncate(&mut self, mark: Mark) -> &mut Asm {
+        self.text.truncate(mark.text);
+        self.items.truncate(mark.items);
+        // `mark` parsed the text calls before it.
+        self.unparsed.clear();
+        (self.lines, self.words, self.fresh) = (mark.lines, mark.words, mark.fresh);
+        // The kept error has the lowest line, so none was before the mark.
+        if self.error.as_ref().is_some_and(|e| e.line > mark.lines) {
+            self.error = None;
+        }
+        self
     }
 
     /// Instruction words written since `mark`.
@@ -875,6 +892,29 @@ mod tests {
         assert_eq!(a.words(), 8);
         a.li(Reg::T4, 1 << 40).label("end");
         assert_eq!(a.items().unwrap_err(), parse_program(a.text()).unwrap_err());
+    }
+
+    /// Lines written after a mark and truncated leave no trace: the
+    /// builder holds what one that never wrote them holds.
+    #[test]
+    fn truncating_at_a_mark_forgets_what_followed() {
+        let mut a = Asm::new();
+        a.label("main").line("li t2, 1");
+        let at = a.mark();
+        a.la(Reg::T3, "x")
+            .raw("    nop\n    bogus")
+            .li(Reg::T4, 1 << 40);
+        a.fresh_label("l");
+        assert_eq!(a.words_since(at), 2);
+        a.truncate(at).nop().label("end");
+        let mut b = Asm::new();
+        b.label("main").line("li t2, 1").nop().label("end");
+        assert_eq!(a.text(), b.text());
+        assert_eq!(a.items().unwrap(), b.items().unwrap());
+        assert_eq!(
+            (a.words(), a.fresh_label("l")),
+            (b.words(), b.fresh_label("l"))
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   functions ending in `p_ret` and lowered through
 //!   [`lbp_omp::emit_parallel_region`] — the paper's Fig. 2 translation.
 
-use lbp_asm::{Asm, Section};
+use lbp_asm::{Asm, Mark, Section};
 use lbp_isa::{BranchKind, Instr, OpImmKind, OpKind, Reg};
 use lbp_omp::{emit_parallel_region, TeamBody};
 
@@ -54,8 +54,9 @@ const OFF_T0: i32 = 4;
 const OFF_SREG: i32 = 8; // 8 words
 const OFF_SPILL: i32 = 40; // 13 words
 
-/// Instruction words a conditional branch can skip forward: its reach is
-/// 4,094 bytes, counted from the branch itself.
+/// Instruction words a conditional branch can skip forward or reach
+/// back: its reach is 4,094 bytes ahead and 4,096 behind, counted from
+/// the branch itself.
 const BRANCH_REACH: usize = 1022;
 
 /// Generates the complete program, optionally injecting a deliberate
@@ -259,6 +260,7 @@ impl Gen<'_> {
             pending: Pending::default(),
             epilogue: String::new(),
             loop_labels: Vec::new(),
+            pointers: Vec::new(),
         };
         fx.epilogue = self.fresh(&format!("{}_end", f.name));
         self.asm.blank();
@@ -401,40 +403,10 @@ impl Gen<'_> {
                 cond,
                 step,
                 body,
-                ..
+                line,
             } => {
-                if let Some(i) = init.as_ref() {
-                    self.stmt(i, fx)?;
-                }
-                let head = self.fresh("for");
-                let end = self.fresh("fend");
-                let mut loop_stores = stores_of(body, self.cx);
-                if let Some(st) = step.as_ref() {
-                    loop_stores.union(&stores_of(std::slice::from_ref(st), self.cx));
-                }
-                let step_l = self.fresh("fstep");
-                fx.pending.union(&loop_stores);
-                self.asm.label(&head);
-                let exit = match cond {
-                    Some(c) => self.exit_when_false(c, fx)?,
-                    None => Exit::Never,
-                };
-                let exit_pending = fx.pending.clone();
-                self.skip_unless(exit, &end, fx, |g, fx| {
-                    fx.loop_labels.push((step_l.clone(), end.clone()));
-                    g.block(body, fx)?;
-                    fx.loop_labels.pop();
-                    g.asm.label(&step_l);
-                    if let Some(st) = step.as_ref() {
-                        g.stmt(st, fx)?;
-                    }
-                    g.asm.j(&head);
-                    Ok(())
-                })?;
-                self.asm.label(&end);
-                fx.pending.union(&loop_stores);
-                fx.pending.union(&exit_pending);
-                Ok(())
+                let (init, step) = (init.as_ref().as_ref(), step.as_ref().as_ref());
+                self.lower_for(init, cond.as_ref(), step, body, fx, *line)
             }
             Stmt::Break(_) => {
                 let (_, brk) = fx
@@ -563,6 +535,280 @@ impl Gen<'_> {
         Ok(())
     }
 
+    // ----- counted loops -----
+
+    /// A `for` loop. When its init decides the entry test, the test sits
+    /// at the bottom only (rule R); an innermost counted loop walks its
+    /// global arrays with pointer registers (rule S,
+    /// [`Gen::reduce_addresses`]).
+    fn lower_for(
+        &mut self,
+        init: Option<&Stmt>,
+        cond: Option<&Expr>,
+        step: Option<&Stmt>,
+        body: &[Stmt],
+        fx: &mut FnGen,
+        line: usize,
+    ) -> Result<(), CcError> {
+        if let Some(i) = init {
+            self.stmt(i, fx)?;
+        }
+        let Some(lp) = counted(step, cond, body, fx) else {
+            return self.emit_for(init, cond, step, body, fx, line);
+        };
+        // The loop is written with its pointers; when its expressions
+        // find the scratch pool dry, it is taken back and written again
+        // with one pointer fewer, down to none.
+        let mut most = usize::MAX;
+        loop {
+            let mut taken = 0;
+            let (run, _) = self.trial(fx, Result::is_ok, |g, fx| {
+                taken = g.reduce_addresses(&lp, init, most, fx, line)?;
+                g.emit_for(init, cond, step, body, fx, line)
+            });
+            match run {
+                Err(_) if taken > 0 => most = taken - 1,
+                run => return run,
+            }
+        }
+    }
+
+    /// The loop [`Gen::lower_for`] describes, past its init, walking the
+    /// arrays in `fx.pointers`; hands their registers back at the end.
+    fn emit_for(
+        &mut self,
+        init: Option<&Stmt>,
+        cond: Option<&Expr>,
+        step: Option<&Stmt>,
+        body: &[Stmt],
+        fx: &mut FnGen,
+        line: usize,
+    ) -> Result<(), CcError> {
+        let head = self.fresh("for");
+        let end = self.fresh("fend");
+        let step_l = self.fresh("fstep");
+        let mut loop_stores = stores_of(body, self.cx);
+        if let Some(st) = step {
+            loop_stores.union(&stores_of(std::slice::from_ref(st), self.cx));
+        }
+        let labels = (step_l.as_str(), end.as_str());
+        // Any iteration may observe the previous iteration's stores.
+        fx.pending.union(&loop_stores);
+        if let Some(cond) = cond.filter(|c| enters(init, c, fx)) {
+            // The body runs at least once, so the loop tests at the
+            // bottom only: exact, since the skipped test is true.
+            let entry = fx.pending.clone();
+            self.asm.label(&head);
+            let at = self.asm.mark();
+            self.loop_body(body, step, labels, fx, line)?;
+            let exit = self.exit_when_false(cond, fx)?;
+            self.branch_back(exit, &head, at);
+            self.asm.label(&end);
+            // A `break` carries at most what was pending at the top.
+            fx.pending.union(&entry);
+        } else {
+            self.asm.label(&head);
+            let exit = match cond {
+                Some(c) => self.exit_when_false(c, fx)?,
+                None => Exit::Never,
+            };
+            // The exit taken at the test carries what is pending there.
+            let exit_pending = fx.pending.clone();
+            self.skip_unless(exit, &end, fx, |g, fx| {
+                g.loop_body(body, step, labels, fx, line)?;
+                g.asm.j(&head);
+                Ok(())
+            })?;
+            self.asm.label(&end);
+            fx.pending.union(&loop_stores);
+            fx.pending.union(&exit_pending);
+        }
+        while let Some((.., reg, _)) = fx.pointers.pop() {
+            fx.unreserve(reg);
+        }
+        Ok(())
+    }
+
+    /// A loop's body, its `continue` label, its step and the advances of
+    /// its pointers.
+    fn loop_body(
+        &mut self,
+        body: &[Stmt],
+        step: Option<&Stmt>,
+        (cont, brk): (&str, &str),
+        fx: &mut FnGen,
+        line: usize,
+    ) -> Result<(), CcError> {
+        fx.loop_labels.push((cont.to_owned(), brk.to_owned()));
+        self.block(body, fx)?;
+        fx.loop_labels.pop();
+        self.asm.label(cont);
+        if let Some(st) = step {
+            self.stmt(st, fx)?;
+        }
+        let bumps: Vec<_> = fx.pointers.iter().map(|&(.., reg, by)| (reg, by)).collect();
+        for (reg, by) in bumps {
+            self.add_imm(reg, by, fx, line)?;
+        }
+        Ok(())
+    }
+
+    /// Branches back to `target`, placed at `at`, while the condition
+    /// holds; past a branch's reach, the inverse branch around a `j`.
+    fn branch_back(&mut self, exit: Exit, target: &str, at: Mark) {
+        let (kind, rs1, rs2) = match exit {
+            Exit::Branch(kind, rs1, rs2) => (kind, rs1, rs2),
+            Exit::Zero(rs) => (BranchKind::Eq, rs, Reg::ZERO),
+            Exit::Always => return,
+            Exit::Never => {
+                self.asm.j(target);
+                return;
+            }
+        };
+        if self.asm.words_since(at) <= BRANCH_REACH {
+            branch(&mut self.asm, negated(kind), rs1, rs2, target);
+        } else {
+            let over = self.fresh("far");
+            branch(&mut self.asm, kind, rs1, rs2, &over);
+            self.asm.j(target).label(&over);
+        }
+    }
+
+    /// Rule S. In an innermost loop whose step is `v = v ± c`, a
+    /// global-array access `A[a·v + r]`, with `r` built from constants
+    /// and registers the loop never writes, reads through a pointer
+    /// register: set here to the entry address, advanced by `4·a·c` at
+    /// the step. Exact, since `4·(a·(v ± c) + r) = 4·(a·v + r) ± 4·a·c`
+    /// mod 2^32 on both forms. Equal indices share a pointer; at most
+    /// `most` are taken, each only while the loop's words do not grow.
+    /// The accesses find theirs in `fx.pointers`; returns how many.
+    fn reduce_addresses(
+        &mut self,
+        lp: &Counted,
+        init: Option<&Stmt>,
+        most: usize,
+        fx: &mut FnGen,
+        line: usize,
+    ) -> Result<usize, CcError> {
+        let v = lp.v;
+        let fixed = |n: &str| n != v && fx.local(n).is_some() && !lp.written.contains(&n);
+        // (array, index, `(a, r)`, uses)
+        let mut groups: Vec<(&str, &Expr, (i64, Expr), usize)> = Vec::new();
+        for &(name, idx) in &lp.sites {
+            let global = self.cx.globals.contains_key(name);
+            if !global || fx.array(name).is_some() || fx.local(name).is_some() {
+                continue;
+            }
+            if let Some(g) = groups.iter_mut().find(|g| g.0 == name && g.1 == idx) {
+                g.3 += 1;
+            } else if let Some(ar) = affine(idx, v, &fixed).filter(|&(a, _)| a != 0) {
+                groups.push((name, idx, ar, 1));
+            }
+        }
+        // v at the entry: its init's constant (the address folds), or its
+        // register.
+        let entry = init_value(init, v).map_or(Expr::Var(v.to_owned()), Expr::Int);
+        for (name, idx, (a, r), uses) in groups {
+            if fx.pointers.len() == most {
+                break;
+            }
+            let Some(reg) = fx.reserve_last() else { break };
+            let (off, by) = (
+                scale(add(scale(entry.clone(), a), r), 4),
+                wrap(4 * wrap(a * lp.delta)),
+            );
+            let site = self.trial(
+                fx,
+                |_| false,
+                |g, fx| {
+                    let (addr, _) = g.element_addr(name, idx, fx, line)?;
+                    fx.release(addr);
+                    Ok(())
+                },
+            );
+            let set = self.trial(fx, |_| false, |g, fx| g.point(reg, name, &off, fx, line));
+            // `addi`, or `li` (`lui` and `addi`) and `add` past its range.
+            let bump = match by {
+                0 => 0,
+                by if imm_fits(BinOp::Add, by) => 1,
+                _ => 3,
+            };
+            match (site, set) {
+                ((Ok(()), site), (Ok(()), set)) if set + bump <= uses * site => {
+                    self.point(reg, name, &off, fx, line)?;
+                    fx.pointers.push((name.to_owned(), idx.clone(), reg, by));
+                }
+                _ => fx.unreserve(reg),
+            }
+        }
+        Ok(fx.pointers.len())
+    }
+
+    /// Sets `reg` to the address of `name` plus the byte offset `off`.
+    fn point(
+        &mut self,
+        reg: Reg,
+        name: &str,
+        off: &Expr,
+        fx: &mut FnGen,
+        line: usize,
+    ) -> Result<(), CcError> {
+        match self.expr(off, fx, line)? {
+            Val::Imm(o) => {
+                self.asm.la(reg, name);
+                self.add_imm(reg, o, fx, line)
+            }
+            o => {
+                let base = fx.alloc(line)?;
+                self.asm.la(base, name);
+                self.asm.op(OpKind::Add, reg, reg_of(o), base);
+                fx.free_scratch_reg(base);
+                fx.release(o);
+                Ok(())
+            }
+        }
+    }
+
+    /// `reg += by` mod 2^32: one `addi`, or `li` and `add` past its range.
+    fn add_imm(&mut self, reg: Reg, by: i64, fx: &mut FnGen, line: usize) -> Result<(), CcError> {
+        if by == 0 {
+            return Ok(());
+        }
+        if imm_fits(BinOp::Add, by) {
+            self.asm.op_imm(OpImmKind::Add, reg, reg, by as i32);
+        } else {
+            let t = fx.alloc(line)?;
+            self.asm.li(t, by).op(OpKind::Add, reg, reg, t);
+            fx.free_scratch_reg(t);
+        }
+        Ok(())
+    }
+
+    /// Runs `f` and counts the words it writes; unless `keep` accepts
+    /// its outcome, takes back its code, labels, registers, pending
+    /// stores, loop labels and pointers, as if it had never run. `f`
+    /// must not call or fork: what those add is not taken back.
+    fn trial<T>(
+        &mut self,
+        fx: &mut FnGen,
+        keep: impl FnOnce(&Result<T, CcError>) -> bool,
+        f: impl FnOnce(&mut Self, &mut FnGen) -> Result<T, CcError>,
+    ) -> (Result<T, CcError>, usize) {
+        let at = self.asm.mark();
+        let (labels, free, pending) = (self.label_n, fx.free_scratch.clone(), fx.pending.clone());
+        let (loops, pointers) = (fx.loop_labels.len(), fx.pointers.len());
+        let run = f(self, fx);
+        let words = self.asm.words_since(at);
+        if !keep(&run) {
+            self.asm.truncate(at);
+            self.label_n = labels;
+            (fx.free_scratch, fx.pending) = (free, pending);
+            fx.loop_labels.truncate(loops);
+            fx.pointers.truncate(pointers);
+        }
+        (run, words)
+    }
+
     // ----- places and memory -----
 
     /// Stores `v` into a place.
@@ -590,7 +836,10 @@ impl Gen<'_> {
                 Ok(())
             }
             Place::Index(name, idx_expr) => {
-                let (addr, class) = self.element_addr(name, idx_expr, fx, line)?;
+                let (addr, class) = match fx.pointer(name, idx_expr) {
+                    Some(reg) => (Val::Reg { reg, owned: false }, Alias::Global(name.clone())),
+                    None => self.element_addr(name, idx_expr, fx, line)?,
+                };
                 let vr = self.to_reg(v, fx, line)?;
                 self.asm.sw(reg_of(vr), 0, reg_of(addr));
                 fx.release(vr);
@@ -689,6 +938,11 @@ impl Gen<'_> {
                 Ok(owned(r))
             }
             Expr::Index(name, idx) => {
+                if let Some(p) = fx.pointer(name, idx) {
+                    let r = fx.alloc(line)?;
+                    self.emit_load(r, p, &Alias::Global(name.clone()), fx);
+                    return Ok(owned(r));
+                }
                 let (addr, class) = self.element_addr(name, idx, fx, line)?;
                 let ar = reg_of(addr);
                 self.emit_load(ar, ar, &class, fx);
@@ -716,11 +970,7 @@ impl Gen<'_> {
             Expr::Unary(op, inner) => {
                 let v = self.expr(inner, fx, line)?;
                 if let Val::Imm(i) = v {
-                    return Ok(Val::Imm(match op {
-                        UnOp::Neg => i.wrapping_neg(),
-                        UnOp::Not => (i == 0) as i64,
-                        UnOp::BitNot => !i,
-                    }));
+                    return Ok(Val::Imm(fold_unary(*op, i)));
                 }
                 let r = self.to_owned_reg(v, fx, line)?;
                 let rn = reg_of(r);
@@ -967,20 +1217,13 @@ impl Gen<'_> {
                 return body(self, fx);
             }
         };
-        let zero = matches!(exit, Exit::Zero(_));
         let at = self.asm.mark();
-        match zero {
-            true => self.asm.beqz(rs1, target),
-            false => self.asm.branch(kind, rs1, rs2, target),
-        };
+        branch(&mut self.asm, kind, rs1, rs2, target);
         body(self, fx)?;
         if self.asm.words_since(at) - 1 > BRANCH_REACH {
             let over = self.fresh("far");
             let mut far = Asm::new();
-            match zero {
-                true => far.bnez(rs1, &over),
-                false => far.branch(negated(kind), rs1, rs2, &over),
-            };
+            branch(&mut far, negated(kind), rs1, rs2, &over);
             far.j(target).label(&over);
             self.asm.replace_line(at, far);
         }
@@ -1061,6 +1304,9 @@ struct FnGen {
     epilogue: String,
     /// `(continue_target, break_target)` labels of enclosing loops.
     loop_labels: Vec<(String, String)>,
+    /// The innermost loop's pointer registers, by array and index, and
+    /// what each advances by at the step.
+    pointers: Vec<(String, Expr, Reg, i64)>,
 }
 
 impl FnGen {
@@ -1078,6 +1324,31 @@ impl FnGen {
             CcError::new(line, "expression too complex for the scratch register pool")
         })?;
         Ok(SCRATCH[i])
+    }
+
+    /// Takes the free scratch register nearest the end of the pool.
+    fn reserve_last(&mut self) -> Option<Reg> {
+        let at = (0..self.free_scratch.len()).max_by_key(|&at| self.free_scratch[at])?;
+        Some(SCRATCH[self.free_scratch.remove(at)])
+    }
+
+    /// Hands back a register [`FnGen::reserve_last`] took, last in line
+    /// again (hand several back in the reverse order they were taken).
+    fn unreserve(&mut self, reg: Reg) {
+        let i = SCRATCH
+            .iter()
+            .position(|&s| s == reg)
+            .expect("a scratch register");
+        self.free_scratch.insert(0, i);
+    }
+
+    /// The pointer register the innermost loop walks `name[idx]` with.
+    fn pointer(&self, name: &str, idx: &Expr) -> Option<Reg> {
+        let mut found = self
+            .pointers
+            .iter()
+            .filter(|(n, i, ..)| n == name && i == idx);
+        found.next().map(|&(.., reg, _)| reg)
     }
 
     fn free_scratch_reg(&mut self, reg: Reg) {
@@ -1189,6 +1460,17 @@ fn fold(op: BinOp, x: i64, y: i64) -> i64 {
     }) as i64
 }
 
+/// A unary operation on a constant, as the machine computes it on the
+/// constant's 32-bit word.
+fn fold_unary(op: UnOp, x: i64) -> i64 {
+    let x = x as i32;
+    (match op {
+        UnOp::Neg => x.wrapping_neg(),
+        UnOp::Not => (x == 0) as i32,
+        UnOp::BitNot => !x,
+    }) as i64
+}
+
 /// The `op rd, rs, imm` form of immediate-friendly operations.
 fn imm_kind(op: BinOp) -> Option<OpImmKind> {
     Some(match op {
@@ -1255,15 +1537,25 @@ fn negated(kind: BranchKind) -> BranchKind {
 
 /// Whether an expression contains a function call.
 fn expr_calls(e: &Expr) -> bool {
+    elements(e, &mut Vec::new())
+}
+
+/// Pushes the array elements `e` reads, as `(array, index)`, onto `out`
+/// in the order the generator computes them; whether `e` calls.
+fn elements<'e>(e: &'e Expr, out: &mut Vec<(&'e str, &'e Expr)>) -> bool {
     match e {
         Expr::Call(..) => true,
         Expr::Int(_) | Expr::Var(_) => false,
-        Expr::Index(_, inner) | Expr::Deref(inner) | Expr::Unary(_, inner) => expr_calls(inner),
+        Expr::Index(name, idx) => {
+            out.push((name, idx));
+            elements(idx, out)
+        }
+        Expr::Deref(x) | Expr::Unary(_, x) => elements(x, out),
         Expr::AddrOf(place) => match place.as_ref() {
-            Place::Index(_, inner) | Place::Deref(inner) => expr_calls(inner),
+            Place::Index(_, x) | Place::Deref(x) => elements(x, out),
             Place::Var(_) => false,
         },
-        Expr::Binary(_, a, b) => expr_calls(a) || expr_calls(b),
+        Expr::Binary(_, a, b) => elements(a, out) | elements(b, out),
     }
 }
 
@@ -1323,4 +1615,210 @@ fn stores_of(stmts: &[Stmt], cx: &Checked) -> Pending {
         _ => {}
     });
     p
+}
+
+/// `b<kind> rs1, rs2, target`, written `beqz`/`bnez` against `zero`.
+fn branch(asm: &mut Asm, kind: BranchKind, rs1: Reg, rs2: Reg, target: &str) {
+    match (kind, rs2) {
+        (BranchKind::Eq, Reg::ZERO) => asm.beqz(rs1, target),
+        (BranchKind::Ne, Reg::ZERO) => asm.bnez(rs1, target),
+        _ => asm.branch(kind, rs1, rs2, target),
+    };
+}
+
+/// `x` as a 32-bit word, sign-extended.
+fn wrap(x: i64) -> i64 {
+    i64::from(x as i32)
+}
+
+/// `x + y`, folded when either is 0 or both are constants.
+fn add(x: Expr, y: Expr) -> Expr {
+    match (x, y) {
+        (Expr::Int(a), Expr::Int(b)) => Expr::Int(wrap(a + b)),
+        (Expr::Int(0), e) | (e, Expr::Int(0)) => e,
+        (x, y) => Expr::Binary(BinOp::Add, Box::new(x), Box::new(y)),
+    }
+}
+
+/// `x · m` for a constant `m` (mod 2^32), folded into a constant or into
+/// a product by a constant.
+fn scale(x: Expr, m: i64) -> Expr {
+    let m = wrap(m);
+    match x {
+        _ if m == 0 => Expr::Int(0),
+        x if m == 1 => x,
+        Expr::Int(a) => Expr::Int(wrap(a * m)),
+        Expr::Binary(BinOp::Mul, x, c) if matches!(*c, Expr::Int(_)) => {
+            let Expr::Int(c) = *c else { unreachable!() };
+            scale(*x, wrap(c) * m)
+        }
+        x => Expr::Binary(BinOp::Mul, Box::new(x), Box::new(Expr::Int(m))),
+    }
+}
+
+/// `e` as `a·v + r` (mod 2^32) over a loop counter `v`, if it is one with
+/// an `r` that reads only constants and `fixed` registers: sums,
+/// differences, negations, and products or shifts by constants.
+fn affine(e: &Expr, v: &str, fixed: &dyn Fn(&str) -> bool) -> Option<(i64, Expr)> {
+    let of = |e: &Expr| affine(e, v, fixed);
+    let constant = |(a, r): &(i64, Expr)| match r {
+        Expr::Int(k) if *a == 0 => Some(*k),
+        _ => None,
+    };
+    match e {
+        Expr::Int(c) => Some((0, Expr::Int(wrap(*c)))),
+        Expr::Var(n) if n == v => Some((1, Expr::Int(0))),
+        Expr::Unary(UnOp::Neg, x) => of(x).map(|(a, r)| (wrap(-a), scale(r, -1))),
+        Expr::Binary(op @ (BinOp::Add | BinOp::Sub), x, y) => {
+            let ((a, r), (b, s)) = (of(x)?, of(y)?);
+            let m = if *op == BinOp::Sub { -1 } else { 1 };
+            Some((wrap(a + m * b), add(r, scale(s, m))))
+        }
+        Expr::Binary(op @ (BinOp::Mul | BinOp::Shl), x, y) => {
+            let (x, y) = (of(x)?, of(y)?);
+            let (x, m) = match (constant(&x), constant(&y), op) {
+                // `x << s` is `x · 2^(s mod 32)` mod 2^32.
+                (_, Some(s), BinOp::Shl) => (x, 1 << (s as u32 & 31)),
+                (_, Some(m), _) => (x, m),
+                (Some(m), _, BinOp::Mul) => (y, m),
+                _ => return (x.0 == 0 && y.0 == 0).then(|| (0, e.clone())),
+            };
+            Some((wrap(x.0 * wrap(m)), scale(x.1, m)))
+        }
+        // Any other value of such an `r` is a term of `r` itself.
+        Expr::Var(n) => fixed(n).then(|| (0, e.clone())),
+        Expr::Unary(_, x) => (of(x)?.0 == 0).then(|| (0, e.clone())),
+        Expr::Binary(_, x, y) => (of(x)?.0 == 0 && of(y)?.0 == 0).then(|| (0, e.clone())),
+        _ => None,
+    }
+}
+
+/// An innermost counted loop, as [`counted`] finds it.
+struct Counted<'a> {
+    /// The counter, and what the step adds to it.
+    v: &'a str,
+    delta: i64,
+    /// The array elements the body reads or writes, as `(array, index)`,
+    /// in walk order.
+    sites: Vec<(&'a str, &'a Expr)>,
+    /// The locals the body assigns or declares.
+    written: Vec<&'a str>,
+}
+
+/// The loop, when a `for` is an innermost counted loop: its step is
+/// `v = v ± c` on a register local, and neither its condition nor its
+/// body calls, loops, forks or assigns `v`.
+fn counted<'s>(
+    step: Option<&'s Stmt>,
+    cond: Option<&Expr>,
+    body: &'s [Stmt],
+    fx: &FnGen,
+) -> Option<Counted<'s>> {
+    let (v, Expr::Binary(op, a, b)) = assignment(step?)? else {
+        return None;
+    };
+    fx.local(v)?;
+    let constant = |e: &Expr| const_eval(e, &|_| None);
+    let delta = match (op, a.as_ref(), b.as_ref()) {
+        (BinOp::Add, Expr::Var(x), c) | (BinOp::Add, c, Expr::Var(x)) if x == v => constant(c)?,
+        (BinOp::Sub, Expr::Var(x), c) if x == v => wrap(constant(c)?).wrapping_neg(),
+        _ => return None,
+    };
+    let (mut sites, mut written) = (Vec::new(), Vec::new());
+    let mut plain = !cond.is_some_and(expr_calls);
+    walk(body, &mut |s| {
+        let exprs = match s {
+            Stmt::Decl { name, init, .. } => {
+                written.push(name.as_str());
+                init.iter().collect()
+            }
+            Stmt::Assign { lhs, rhs, .. } => match lhs {
+                Place::Var(n) => {
+                    written.push(n.as_str());
+                    vec![rhs]
+                }
+                Place::Index(name, i) => {
+                    sites.push((name.as_str(), i));
+                    vec![i, rhs]
+                }
+                Place::Deref(p) => vec![p, rhs],
+            },
+            Stmt::Expr(e, _) | Stmt::Return(Some(e), _) | Stmt::If { cond: e, .. } => vec![e],
+            Stmt::For { .. }
+            | Stmt::While { .. }
+            | Stmt::ParallelFor { .. }
+            | Stmt::ParallelSections { .. } => {
+                plain = false;
+                Vec::new()
+            }
+            _ => Vec::new(),
+        };
+        for e in exprs {
+            plain &= !elements(e, &mut sites);
+        }
+    });
+    (plain && !written.contains(&v)).then_some(Counted {
+        v,
+        delta: wrap(delta),
+        sites,
+        written,
+    })
+}
+
+/// Whether a `for` runs its body at least once for certain: `cond` reads
+/// no register but locals `init` sets to constants, and holds at them.
+fn enters(init: Option<&Stmt>, cond: &Expr, fx: &FnGen) -> bool {
+    let value = |n: &str| {
+        fx.local(n)?;
+        init_value(init, n)
+    };
+    const_eval(cond, &value).is_some_and(|c| c != 0)
+}
+
+/// The constant a `for` init leaves in the local `name`, if it does.
+fn init_value(init: Option<&Stmt>, name: &str) -> Option<i64> {
+    let stmts = match init? {
+        // The parser's comma sequence.
+        Stmt::If {
+            cond: Expr::Int(1),
+            then,
+            ..
+        } => then.as_slice(),
+        s => std::slice::from_ref(s),
+    };
+    let (_, e) = stmts
+        .iter()
+        .rev()
+        .filter_map(assignment)
+        .find(|&(n, _)| n == name)?;
+    const_eval(e, &|_| None)
+}
+
+/// The local or global a statement gives a value, and the value.
+fn assignment(s: &Stmt) -> Option<(&str, &Expr)> {
+    match s {
+        Stmt::Assign {
+            lhs: Place::Var(n),
+            rhs: e,
+            ..
+        }
+        | Stmt::Decl {
+            name: n,
+            init: Some(e),
+            ..
+        } => Some((n, e)),
+        _ => None,
+    }
+}
+
+/// `e`'s value when it reads only constants and the registers `var`
+/// knows, folded as the generator folds constants.
+fn const_eval(e: &Expr, var: &dyn Fn(&str) -> Option<i64>) -> Option<i64> {
+    match e {
+        Expr::Int(v) => Some(wrap(*v)),
+        Expr::Var(n) => var(n),
+        Expr::Unary(op, x) => Some(fold_unary(*op, const_eval(x, var)?)),
+        Expr::Binary(op, a, b) => Some(fold(*op, const_eval(a, var)?, const_eval(b, var)?)),
+        _ => None,
+    }
 }

@@ -54,7 +54,7 @@ fn shipped_sources_assemble_to_the_pinned_bytes() {
         [
             (14, 0xc95c_bb9f_6baf_c2e0),
             (3, 0x67b3_fe51_e8d0_3f28),
-            (4, 0x1e13_3382_2516_d8d6)
+            (4, 0xa91a_cbd4_28d1_0ffc)
         ]
     );
 }
@@ -75,7 +75,7 @@ fn generated_programs_assemble_to_the_pinned_bytes() {
     assert_eq!(
         got,
         [
-            ("c", 0xf23a_0290_9ecc_2952),
+            ("c", 0x8e29_b81b_3e14_6acb),
             ("seq", 0x3f60_c1a1_0dbb_592d),
             ("mem", 0x126d_a296_27f5_46e7),
             ("fork", 0xbbb2_d7a3_fc45_aa05)

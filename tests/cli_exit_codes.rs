@@ -280,10 +280,10 @@ fn lbp_cc(args: &[&str]) -> std::process::Output {
         .expect("lbp-cc spawns")
 }
 
-/// An `if` or `while` whose body is longer than a branch reaches (4 KiB)
-/// compiles to the inverse branch around a `j`, and runs as the
-/// interpreter says it should. Each `g = g + 1;` is 8 words, so the 700
-/// of them span 5,600.
+/// An `if`, `while` or bottom-tested `for` whose body is longer than a
+/// branch reaches (4 KiB) compiles to the inverse branch around a `j`,
+/// and runs as the interpreter says it should. Each `g = g + 1;` is 8
+/// words, so the 700 of them span 5,600.
 #[test]
 fn exit_0_a_condition_whose_body_is_past_a_branchs_reach() {
     let body = "        g = g + 1;\n".repeat(700);
@@ -298,6 +298,14 @@ fn exit_0_a_condition_whose_body_is_past_a_branchs_reach() {
             format!(
                 "int g;\nvoid main(void) {{\n    int i;\n    i = 0;\n    while (i < 3) {{\n\
                  {body}        i = i + 1;\n    }}\n}}\n"
+            ),
+            2100,
+        ),
+        (
+            "far_for.c",
+            format!(
+                "int g;\nvoid main(void) {{\n    int i;\n    for (i = 0; i < 3; i++) {{\n\
+                 {body}    }}\n}}\n"
             ),
             2100,
         ),

@@ -442,13 +442,13 @@ fn lbp_cc_interp_diff_and_lint_print_the_pinned_bytes() {
         (
             &["examples/c/matmul.c", "--diff"],
             0,
-            0xcffbe8fdb02707b1,
+            0xbb5cbad7032a61d9,
             EMPTY,
         ),
         (
             &["examples/c/reduce.c", "--diff"],
             0,
-            0x0a39acbcee7570ba,
+            0xa1b56405ac6457e1,
             EMPTY,
         ),
         (
@@ -499,13 +499,13 @@ fn lbp_cc_interp_diff_and_lint_print_the_pinned_bytes() {
         (
             &["examples/c/matmul.c", "--lint", "--diag-json", "-"],
             0,
-            0x8223880e0b939800,
+            0x81431315e92b0b23,
             EMPTY,
         ),
         (
             &["examples/c/reduce.c", "--lint", "--diag-json", "-"],
             0,
-            0x2c1566861e938b5f,
+            0x05eebcd3b3841329,
             EMPTY,
         ),
         (

@@ -172,16 +172,16 @@ const BAD_CHECKPOINT_MUL: &str = "examples/asm/mul.s --cores 1 --fault flip-reg:
 #[rustfmt::skip]
 const ROWS: [Row; 82] = [
     // lbp-run: run, on the default four cores and on fewer and more.
-    run("run", EXAMPLES, &[STATS], Pinned(7, 0xc3ea_fbf9_9c31_bde7)),
+    run("run", EXAMPLES, &[STATS], Pinned(7, 0x0240_956a_c5f3_4b60)),
     run("run-1-core", ASM_1_CORE, &["--cores 1", STATS], Pinned(3, 0xd6fd_fea0_b22a_599c)),
     run("run-32-cores", TRACED, &["--cores 32 --interval 500", STATS],
-        Pinned(2, 0x6f40_91be_fc8e_ca7c)),
+        Pinned(2, 0x740d_1101_0335_594d)),
     run("run-stats-stdout", MUL, &["--stats-json -"], Pinned(1, 0x60d6_9d9a_1719_6b3a)),
-    run("run-dump", MATMUL, &["--dump Z:16"], Pinned(1, 0xbb23_0043_5410_2075)),
+    run("run-dump", MATMUL, &["--dump Z:16"], Pinned(1, 0x657f_082d_8295_bd87)),
     // Observers change nothing: with the sampler on, the stats report,
     // every checkpoint and any crash dump are the same bytes when the
     // profiler, the race witness and a trace sink watch too.
-    run("sampled", EXAMPLES, &[SAMPLED, STATS, DUMP], Pinned(7, 0x1acb_f436_1f38_68b6)),
+    run("sampled", EXAMPLES, &[SAMPLED, STATS, DUMP], Pinned(7, 0xe197_1a13_350e_d2aa)),
     run("sampled-observed", EXAMPLES,
         &[SAMPLED, STATS, DUMP, OBSERVED, "--trace {tmp}/trace --trace-format jsonl"],
         Same("sampled", Files)),
@@ -190,27 +190,27 @@ const ROWS: [Row; 82] = [
     run("sampled-1-core-observed", ONE_CORE, &[SAMPLED_1_CORE, STATS, DUMP, OBSERVED],
         Same("sampled-1-core", Files)),
     // What the observers write.
-    run("profile", EXAMPLES, &["--profile {out}/prof"], Pinned(7, 0xfa60_01c3_3205_f713)),
+    run("profile", EXAMPLES, &["--profile {out}/prof"], Pinned(7, 0xa00d_278b_8ee0_08a6)),
     run("profile-16-cores", FORK2, &["--cores 16 --profile {out}/prof"],
         Pinned(1, 0xd9a9_a01b_50f5_fe92)),
     run("trace-text", TRACED, &["--trace {out}/trace --trace-format text"],
-        Pinned(2, 0x27fd_4850_d6f1_50df)),
+        Pinned(2, 0x366b_f748_2d42_e64f)),
     run("trace-jsonl", TRACED, &["--trace {out}/trace --trace-format jsonl"],
-        Pinned(2, 0x4472_5cc0_1ddd_e024)),
+        Pinned(2, 0xa773_06e3_0d4a_e369)),
     run("trace-chrome", TRACED, &["--trace {out}/trace --trace-format chrome"],
-        Pinned(2, 0xdb0a_f35e_6a60_733b)),
+        Pinned(2, 0xc3e2_a891_4af2_5a5f)),
     run("trace-stdout", MUL, &["--cores 1 --trace - --trace-format jsonl"],
         Pinned(1, 0x2af7_fac2_7900_d398)),
-    run("race-witness", EXAMPLES, &["--race-witness"], Pinned(7, 0x4d8e_13b1_c32e_55a2)),
+    run("race-witness", EXAMPLES, &["--race-witness"], Pinned(7, 0x249f_d3dc_e5be_f8f2)),
     run("race-witness-dynamic-only", DYNAMIC_ONLY, &["--cores 1 --race-witness"],
         Pinned(1, 0xa5d1_d735_a2a5_8dcc)),
     // lbp-run --verify, and lbp-cc --lint as the same function.
     run("verify-asm-examples", ASM_EXAMPLES, &[VERIFY], Pinned(3, 0xeef2_3433_16cf_5e39)),
-    run("verify-c-examples", C_EXAMPLES, &[VERIFY], Pinned(4, 0xbffb_0adb_0feb_913a)),
+    run("verify-c-examples", C_EXAMPLES, &[VERIFY], Pinned(4, 0x5f31_1f40_c4d2_9094)),
     run("verify-asm-fixtures", ASM_FIXTURES, &[VERIFY], Pinned(14, 0xc511_35e8_72b3_0931)),
     run("verify-c-fixtures", C_FIXTURES, &[VERIFY], Pinned(6, 0xb911_51b5_c893_012a)),
     run("verify-matmul-kernels", MATMUL_KERNELS, &[VERIFY], Pinned(10, 0x009b_e40a_c8b2_ec55)),
-    run("verify-generated-c", GEN_C, &[VERIFY], Pinned(100, 0x4a35_ac54_98dd_f0cc)),
+    run("verify-generated-c", GEN_C, &[VERIFY], Pinned(100, 0x5cda_08f7_36d1_8e51)),
     run("verify-generated-seq", GEN_SEQ, &[VERIFY], Pinned(100, 0x33d1_9e7d_f9ea_09f9)),
     run("verify-generated-mem", GEN_MEM, &[VERIFY], Pinned(100, 0xae10_34ef_87d8_8494)),
     run("verify-generated-fork", GEN_FORK, &[VERIFY], Pinned(100, 0xb557_86e1_f49e_83a1)),
@@ -219,19 +219,19 @@ const ROWS: [Row; 82] = [
     cc("lint-c-examples", C_EXAMPLES, &[LINT], Same("verify-c-examples", All)),
     cc("lint-c-fixtures", C_FIXTURES, &[LINT], Same("verify-c-fixtures", All)),
     cc("lint-generated-c", GEN_C, &[LINT], Same("verify-generated-c", All)),
-    cc("lint-plain", MATMUL, &["--lint"], Pinned(1, 0xe556_ae1a_b25a_0fcc)),
+    cc("lint-plain", MATMUL, &["--lint"], Pinned(1, 0xdff4_68a0_33ff_ffe3)),
     // Listings: lbp-run --emit-asm prints what lbp-cc -o writes.
-    run("emit-asm", C_EXAMPLES, &["--emit-asm"], Pinned(4, 0x798c_f779_42d1_1b1e)),
+    run("emit-asm", C_EXAMPLES, &["--emit-asm"], Pinned(4, 0x750e_71d5_1da7_b7cf)),
     cc("compile-stdout", C_EXAMPLES, &["-o -"], Same("emit-asm", All)),
-    cc("compile", C_EXAMPLES, &["-o {out}/prog.s"], Pinned(4, 0xf7cd_acc7_10cd_c9dd)),
+    cc("compile", C_EXAMPLES, &["-o {out}/prog.s"], Pinned(4, 0x8374_126f_ad5c_ea6c)),
     cc("compile-c-fixtures", C_FIXTURES, &["-o {out}/prog.s"], Pinned(6, 0x6a28_c16f_661f_5c14)),
     cc("compile-generated-c", GEN_C_200, &["-o {out}/prog.s"],
-        Pinned(200, 0x75ec_2d9e_1634_b8fd)),
+        Pinned(200, 0x3a23_a5b9_df2a_84ab)),
     cc("compile-witness", WITNESS, &["-o -"], Pinned(1, 0xfec8_ea06_f82e_1b39)),
     cc("no-such-file", Inputs::None, &["examples/c/missing.c"], Pinned(1, 0xfcf9_75aa_939f_1384)),
-    run("disasm", EXAMPLES, &["--disasm"], Pinned(7, 0xd80a_3c70_6a73_3526)),
+    run("disasm", EXAMPLES, &["--disasm"], Pinned(7, 0xa24a_e8f3_9948_f1e0)),
     // Lockstep, clean and sabotaged.
-    run("lockstep", LOCKSTEPPED, &["--lockstep"], Pinned(4, 0x03d2_ea02_4a9c_2a04)),
+    run("lockstep", LOCKSTEPPED, &["--lockstep"], Pinned(4, 0xf9a1_a4ec_c7ba_b774)),
     run("lockstep-sabotage", MATMUL, &["--lockstep --sabotage 68:1024"],
         Pinned(1, 0x5b47_1d43_0e3c_bb38)),
     run("lockstep-sabotage-not-a-code-word", MUL, &["--lockstep --sabotage 4000:1"],
@@ -250,7 +250,7 @@ const ROWS: [Row; 82] = [
     run("fault-none-lockstep-fork2", FORK2, &["--lockstep", DUMP],
         Pinned(1, 0xc7b3_cdb3_3ec1_1e0b)),
     run("fault-none-lockstep-matmul", MATMUL, &["--lockstep", DUMP],
-        Pinned(1, 0xcd17_d6a8_9195_1280)),
+        Pinned(1, 0x3b77_949f_9fe4_cc0d)),
     run("fault-lockstep-flip-mem", FORK2,
         &["--cores 2 --lockstep --fault flip-mem:0x80000000:0:5", DUMP],
         Pinned(1, 0x082a_f4ef_7977_5653)),
@@ -273,7 +273,7 @@ const ROWS: [Row; 82] = [
         &["--resume-from {tmp}/ck-80.lbpsnap --race-witness"],
         Pinned(1, 0x97e2_0539_bbf5_16bb)).after(&[CHECKPOINT_DYNAMIC_ONLY]),
     run("checkpoints", MATMUL, &["--checkpoint-every 5000 --checkpoint-prefix {out}/ck-"],
-        Pinned(1, 0x3626_71cd_92ec_1dcc)),
+        Pinned(1, 0x0f55_63fc_bdb1_404d)),
     run("snap-info", Inputs::None, &["--snap-info {tmp}/ck-10.lbpsnap"],
         Pinned(1, 0xfff5_3819_dfd4_ea06)).after(&[CHECKPOINT_MUL]),
     run("bisect", MUL, &["--cores 1 --fault flip-reg:0:a2:4:14 --bisect"],
@@ -284,10 +284,10 @@ const ROWS: [Row; 82] = [
     // The hybrid engine: --warm and --roi, and the fault plans its
     // handoff refuses as usage errors.
     run("warm", MATMUL, &["--warm 1000", STATS, "--warm-snap {out}/warm.lbpsnap"],
-        Pinned(1, 0x8c4f_645f_62f0_2b50)),
+        Pinned(1, 0xcc2c_2a99_a3b6_00de)),
     run("warm-past-the-exit", EXAMPLES, &["--warm 100000000", STATS],
-        Pinned(7, 0x5a08_a035_a2ac_7416)),
-    run("roi", ROI, &["--cores 2 --roi", STATS], Pinned(1, 0xf537_7277_151c_9c13)),
+        Pinned(7, 0x9997_6dae_04de_3528)),
+    run("roi", ROI, &["--cores 2 --roi", STATS], Pinned(1, 0xb39e_b35c_f6d4_0a6d)),
     run("roi-without-a-marker", MATMUL, &["--roi"], Pinned(1, 0x3c13_b4e9_159f_2842)),
     run("warm-drop-msg", MATMUL, &["--cores 4 --warm 1000 --fault drop-msg:0"],
         Pinned(1, 0x360c_9668_7bfd_d0e1)),
@@ -300,7 +300,7 @@ const ROWS: [Row; 82] = [
     cc("interp-generated-c", GEN_C, &["--interp"], Pinned(100, 0x06ab_769d_736a_6bcb)),
     cc("interp-witness", WITNESS, &["--interp"], Pinned(1, 0x53a1_347c_2b12_9913)),
     // lbp-cc --diff: clean, failed simulations, and each sabotage.
-    cc("diff-c-examples", C_EXAMPLES, &["--diff"], Pinned(4, 0xb8fe_aa08_65b8_81b0)),
+    cc("diff-c-examples", C_EXAMPLES, &["--diff"], Pinned(4, 0x9b73_05dd_ab4d_c4a4)),
     cc("diff-c-fixtures", C_FIXTURES, &["--diff"], Pinned(6, 0x5b03_c37b_afe3_b9cb)),
     cc("diff-witness", WITNESS, &["--diff"], Pinned(1, 0xd5f2_5b5a_faf2_f9ba)),
     cc("diff-timeout", MATMUL, &["--diff --max-cycles 1000"], Pinned(1, 0xb94e_d185_7822_52ef)),

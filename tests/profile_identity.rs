@@ -197,12 +197,12 @@ const PINNED: [Pinned; 2] = [
     Pinned {
         name: "examples/c/matmul.c",
         cores: 4,
-        profile_json: 0x5318_5bce_70d9_169d,
-        folded_txt: 0x611b_8839_714a_3187,
-        timeline_json: 0x5f11_cc4f_dc92_dbbc,
-        trace_text: 0xb333_86a8_922e_f752,
-        trace_jsonl: 0x6a1d_8f75_ae0a_8dec,
-        trace_chrome: 0xb7fd_6480_8104_20fd,
+        profile_json: 0x30e9_10eb_0d5d_e444,
+        folded_txt: 0x6d7c_a7ba_127f_b48c,
+        timeline_json: 0xe8f5_f660_2253_8423,
+        trace_text: 0x08fc_c0e7_53a7_40df,
+        trace_jsonl: 0x5638_f1d8_5a5d_444d,
+        trace_chrome: 0x46be_39cc_542e_744f,
     },
     Pinned {
         name: "examples/asm/fork2.s",

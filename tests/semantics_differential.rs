@@ -306,6 +306,145 @@ fn power_of_two_products_are_identical_on_both_paths() {
     assert_eq!(report.outcome.global("r").unwrap(), want.as_slice());
 }
 
+/// The two loop rules at their edges. An innermost counted loop reads
+/// and writes its global arrays through pointer registers advanced at
+/// the step (`(a7)` in the listing), and a loop whose init decides its
+/// entry test tests at the bottom only (a conditional branch back to
+/// its label). Each row states whether it must take either rule, and
+/// both paths must give `r` as computed here, with `A[i] = 3i + 1`.
+#[test]
+fn reduced_and_bottom_tested_loops_are_identical_on_both_paths() {
+    fn a(i: usize) -> i32 {
+        3 * i as i32 + 1
+    }
+    type Row = (&'static str, &'static str, bool, bool, fn(usize) -> i32);
+    let rows: [Row; 15] = [
+        ("step -1", "for (k = 63; k >= 0; k--) { r[k] = A[k] * 2; }", true, true, |i| 2 * a(i)),
+        ("step +2", "for (k = 0; k < 63; k += 2) { r[k] = A[k + 1]; }", true, true, |i| {
+            if i % 2 == 0 && i < 63 { a(i + 1) } else { 0 }
+        }),
+        ("step -3", "for (k = 63; k > 0; k -= 3) { r[k] = A[k - 1]; }", true, true, |i| {
+            if i % 3 == 0 && i > 0 { a(i - 1) } else { 0 }
+        }),
+        ("2*k+1", "for (k = 0; k < 32; k++) { r[k] = A[2 * k + 1]; }", true, true, |i| {
+            if i < 32 { a(2 * i + 1) } else { 0 }
+        }),
+        ("k*16+j", "j = 3; for (k = 0; k < 4; k++) { r[k * 16 + j] = A[k * 16 + j] + k; }", true, true, |i| {
+            if i % 16 == 3 { a(i) + i as i32 / 16 } else { 0 }
+        }),
+        ("j-k", "j = 40; for (k = 0; k < 32; k++) { r[k] = A[j - k]; }", true, true, |i| {
+            if i < 32 { a(40 - i) } else { 0 }
+        }),
+        ("-k", "for (k = -63; k <= 0; k++) { r[-k] = A[-k] - k; }", true, true, |i| a(i) + i as i32),
+        ("continue", "for (k = 0; k < 64; k++) { if (A[k] % 2 == 0) { continue; } r[k] = A[k]; }", true, true, |i| {
+            if a(i) % 2 == 0 { 0 } else { a(i) }
+        }),
+        ("break", "for (k = 0; k < 64; k++) { if (A[k] > 100) { break; } r[k] = A[k]; }", true, true, |i| {
+            if a(i) > 100 { 0 } else { a(i) }
+        }),
+        ("assigns an index local", "j = 0; for (k = 0; k < 32; k++) { r[k + j] = k; j = j + 1; }", false, true, |i| {
+            if i % 2 == 0 { i as i32 / 2 } else { 0 }
+        }),
+        ("calls", "for (k = 0; k < 32; k++) { r[k] = f(k); }", false, true, |i| {
+            if i < 32 { a(i) + 1 } else { 0 }
+        }),
+        ("entry test false", "for (k = 8; k < 8; k++) { r[k] = A[k]; }", true, false, |_| 0),
+        // The entry test folds on 32-bit words: k is -1 and ~k is 0.
+        ("entry test ~0xffffffff", "for (k = 0xffffffff; ~k; k++) { r[0] = 1; }", false, false, |_| 0),
+        ("entry test not decided", "t = A[0] - 1; for (k = t; k < 8; k++) { r[k] = A[k] + A[k]; }", true, false, |i| {
+            if i < 8 { 2 * a(i) } else { 0 }
+        }),
+        (
+            "wraps through i32::MAX",
+            "for (k = 2147483640; k != -2147483640; k++) { r[k - 2147483640] = A[k - 2147483640] + 1; }",
+            true,
+            true,
+            |i| if i < 16 { a(i) + 1 } else { 0 },
+        ),
+    ];
+    let init: Vec<String> = (0..64).map(|i| a(i).to_string()).collect();
+    for (name, body, reduced, rotated, want) in rows {
+        let src = format!(
+            "int A[64] = {{{}}};\nint r[64];\nint f(int x) {{ return A[x] + 1; }}\n\
+             void main(void) {{\n    int k; int j; int t;\n    {body}\n}}\n",
+            init.join(", ")
+        );
+        let asm = lbp::cc::compile(&src).expect("compiles").asm;
+        let back = asm
+            .lines()
+            .any(|l| l.trim_start().starts_with('b') && l.contains("_cc_for_"));
+        assert_eq!(
+            asm.contains("(a7)"),
+            reduced,
+            "{name}: pointer registers\n{asm}"
+        );
+        assert_eq!(back, rotated, "{name}: bottom test\n{asm}");
+        let report = diff_ok(name, &src);
+        let want: Vec<i32> = (0..64).map(want).collect();
+        assert_eq!(
+            report.outcome.global("r").unwrap(),
+            want.as_slice(),
+            "{name}"
+        );
+    }
+}
+
+/// A unary operation on a constant folds on its 32-bit word, as the
+/// machine computes it: `~0xffffffff` is 0, not −2^32.
+#[test]
+fn unary_constants_fold_on_32_bit_words() {
+    let src = "int r[4];\nvoid main(void) {\n    r[0] = !(~0xffffffff);\n    \
+               r[1] = -(~0xffffffff);\n    r[2] = ~0xffffffff;\n    r[3] = ~(-0x80000000);\n}\n";
+    let report = diff_ok("unary constants", src);
+    assert_eq!(report.outcome.global("r").unwrap(), [1, 0, 0, i32::MAX]);
+}
+
+/// A reduced loop whose expressions run the scratch pool dry gives its
+/// pointers back one by one, down to none: `r[k] = A[k] + (A[k + 1] +
+/// ...)` nested `d` deep compiles as a `for` exactly when it compiles
+/// as the `while` rule S never touches, and both paths agree on it.
+#[test]
+fn a_loop_short_of_registers_gives_its_pointers_back() {
+    let init: Vec<String> = (0..64).map(|i| (3 * i + 1).to_string()).collect();
+    let mut compiled = 0;
+    for d in 2..=8 {
+        let mut sum = format!("A[k + {}]", d - 1);
+        for i in (0..d - 1).rev() {
+            sum = format!("A[k + {i}] + ({sum})");
+        }
+        let body = format!("r[k] = {sum};");
+        let program = |l: String| {
+            format!(
+                "int A[64] = {{{}}};\nint r[64];\nvoid main(void) {{\n    int k;\n    {l}\n}}\n",
+                init.join(", ")
+            )
+        };
+        let for_src = program(format!("for (k = 0; k < 8; k++) {{ {body} }}"));
+        let while_src = program(format!("k = 0; while (k < 8) {{ {body} k = k + 1; }}"));
+        let for_ok = lbp::cc::compile(&for_src).is_ok();
+        assert_eq!(for_ok, lbp::cc::compile(&while_src).is_ok(), "depth {d}");
+        if !for_ok {
+            continue;
+        }
+        compiled += 1;
+        let report = diff_ok(&format!("depth {d}"), &for_src);
+        let want: Vec<i32> = (0..64)
+            .map(|k| match k < 8 {
+                true => (k..k + d).map(|i| 3 * i + 1).sum(),
+                false => 0,
+            })
+            .collect();
+        assert_eq!(
+            report.outcome.global("r").unwrap(),
+            want.as_slice(),
+            "depth {d}"
+        );
+    }
+    // Depths 4 to 6 compile only by giving pointers back; 7 and 8 need
+    // more than the pool without any.
+    assert_eq!(compiled, 5);
+}
+
 // ---------------------------------------------------------------------------
 // Schedule independence
 // ---------------------------------------------------------------------------
