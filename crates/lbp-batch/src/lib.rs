@@ -26,15 +26,17 @@
 //!
 //! `program` paths are resolved relative to the manifest file. `id`
 //! defaults to `job-<index>`; `cores` to 1; `max_cycles` to 1,000,000;
-//! `faults` to none. A number field that is present must be a whole
-//! number, and `cores` at most [`lbp_sim::MAX_CORES`]. Programs ending
-//! in `.c` go through the `lbp-cc` front end, everything else through
-//! the assembler. A job may opt into profiling with `"profile": true`
-//! (default false): the run then carries the `lbp-prof` collectors and
-//! its result line gains a hot-function summary. Profiling is part of
-//! the job's content hash — a profiled job never dedups against an
-//! unprofiled twin — but an unprofiled job's hash is unchanged from
-//! earlier schema revisions.
+//! `faults` to none. A field that is present must have its type (`id`
+//! and `program` strings, `faults` an array of strings, `profile` a
+//! boolean, the numbers whole), `cores` is at most
+//! [`lbp_sim::MAX_CORES`], and a field this section does not name is
+//! refused. Programs ending in `.c` go through the `lbp-cc` front end,
+//! everything else through the assembler. A job may opt into profiling
+//! with `"profile": true` (default false): the run then carries the
+//! `lbp-prof` collectors and its result line gains a hot-function
+//! summary. Profiling is part of the job's content hash — a profiled job
+//! never dedups against an unprofiled twin — but an unprofiled job's hash
+//! is unchanged from earlier schema revisions.
 //! A job may set `"warm": N` to fast-forward its first N retired
 //! instructions on the functional engine (`lbp_sim::FastEngine`) before
 //! the cycle-exact window — hybrid jobs hash apart from cold twins the
@@ -135,13 +137,25 @@ pub fn job_hash(job: &BatchJob) -> u64 {
     lbp_snap::fnv1a64(key.as_bytes())
 }
 
+/// The fields a manifest job may have.
+const JOB_FIELDS: [&str; 7] = [
+    "id",
+    "program",
+    "cores",
+    "max_cycles",
+    "faults",
+    "profile",
+    "warm",
+];
+
 /// Parses a manifest and loads every referenced program, resolving paths
 /// against `base_dir` (normally the manifest's directory).
 ///
 /// # Errors
 ///
-/// Malformed JSON, unknown schema, duplicate ids, or unreadable program
-/// files — all reported with the offending job's id.
+/// Malformed JSON, unknown schema, duplicate ids, a field that is unknown
+/// or of the wrong type, or unreadable program files — all reported with
+/// the offending job's id.
 pub fn load_manifest(text: &str, base_dir: &Path) -> Result<Vec<BatchJob>, BatchError> {
     let bad = |what: String| BatchError(what);
     let v = Json::parse(text).map_err(|e| bad(format!("manifest is not JSON: {e}")))?;
@@ -160,21 +174,31 @@ pub fn load_manifest(text: &str, base_dir: &Path) -> Result<Vec<BatchJob>, Batch
     let mut out = Vec::with_capacity(jobs.len());
     let mut seen = std::collections::HashSet::new();
     for (i, j) in jobs.iter().enumerate() {
-        let id = match j.get("id").and_then(Json::as_str) {
-            Some(id) => id.to_owned(),
+        let id = match j.get("id") {
             None => format!("job-{i}"),
+            Some(id) => id
+                .as_str()
+                .ok_or_else(|| bad(format!("job {i}: id must be a string")))?
+                .to_owned(),
         };
+        // A misspelled field is refused, never run as its default.
+        let Json::Obj(fields) = j else {
+            return Err(bad(format!("job `{id}` is not an object")));
+        };
+        if let Some((field, _)) = fields.iter().find(|(k, _)| !JOB_FIELDS.contains(&&**k)) {
+            return Err(bad(format!(
+                "job `{id}`: unknown field `{field}`; a job's fields are {}",
+                JOB_FIELDS.join(", ")
+            )));
+        }
         if !seen.insert(id.clone()) {
             return Err(bad(format!("duplicate job id `{id}`")));
         }
         let program = j
             .get("program")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad(format!("job `{id}` has no `program`")))?;
-        let path = base_dir.join(program);
-        let source = std::fs::read_to_string(&path)
-            .map_err(|e| bad(format!("job `{id}`: cannot read {}: {e}", path.display())))?;
-        let kind = SourceKind::of(program);
+            .ok_or_else(|| bad(format!("job `{id}` has no `program`")))?
+            .as_str()
+            .ok_or_else(|| bad(format!("job `{id}`: program must be a string")))?;
         // A number field that is present must be a whole number: a
         // mistyped one is refused, never read as its default.
         let whole = |field: &str| match j.get(field) {
@@ -193,11 +217,10 @@ pub fn load_manifest(text: &str, base_dir: &Path) -> Result<Vec<BatchJob>, Batch
         let max_cycles = whole("max_cycles")?.unwrap_or(1_000_000);
         let warm = whole("warm")?;
         let mut faults = Vec::new();
-        if let Some(arr) = j.get("faults").and_then(Json::as_arr) {
-            for f in arr {
-                let spec = f
-                    .as_str()
-                    .ok_or_else(|| bad(format!("job `{id}`: faults must be strings")))?;
+        if let Some(v) = j.get("faults") {
+            let not_strings = || bad(format!("job `{id}`: faults must be an array of strings"));
+            for f in v.as_arr().ok_or_else(not_strings)? {
+                let spec = f.as_str().ok_or_else(not_strings)?;
                 // Validate early so a typo fails the whole batch up front
                 // rather than one job at simulation time.
                 Fault::parse(spec).map_err(|e| bad(format!("job `{id}`: {e}")))?;
@@ -210,10 +233,13 @@ pub fn load_manifest(text: &str, base_dir: &Path) -> Result<Vec<BatchJob>, Batch
                 .as_bool()
                 .ok_or_else(|| bad(format!("job `{id}`: profile must be a boolean")))?,
         };
+        let path = base_dir.join(program);
+        let source = std::fs::read_to_string(&path)
+            .map_err(|e| bad(format!("job `{id}`: cannot read {}: {e}", path.display())))?;
         out.push(BatchJob {
             id,
             source,
-            kind,
+            kind: SourceKind::of(program),
             cores: cores as usize,
             max_cycles,
             faults,
@@ -700,5 +726,41 @@ mod tests {
         let dup = manifest.replace("\"two\"", "\"job-0\"");
         assert!(load_manifest(&dup, &dir).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The error `load_manifest` gives for one job object, whose
+    /// `program` is `examples/asm/mul.s` of the repository.
+    fn refusal(job: &str) -> String {
+        let manifest = format!(r#"{{"schema": "{MANIFEST_SCHEMA}", "jobs": [{job}]}}"#);
+        let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/asm");
+        load_manifest(&manifest, &examples).expect_err(job).0
+    }
+
+    /// Read as absent, a misspelled `max_cycle` would run the job for the
+    /// default 1,000,000 cycles.
+    #[test]
+    fn an_unknown_field_is_refused_naming_the_job_and_the_field() {
+        let err = refusal(r#"{"id": "one", "program": "mul.s", "max_cycle": 10}"#);
+        assert!(
+            err.starts_with("job `one`: unknown field `max_cycle`; "),
+            "{err}"
+        );
+    }
+
+    /// Read as absent, `"drop-msg:0"` would run fault-free and exit `ok`
+    /// where `["drop-msg:0"]` deadlocks.
+    #[test]
+    fn faults_that_are_not_an_array_are_refused() {
+        let err = refusal(r#"{"id": "one", "program": "mul.s", "faults": "drop-msg:0"}"#);
+        assert_eq!(err, "job `one`: faults must be an array of strings");
+    }
+
+    /// Read as absent, `7` would name the job `job-0`.
+    #[test]
+    fn an_id_that_is_not_a_string_is_refused() {
+        assert_eq!(
+            refusal(r#"{"id": 7, "program": "mul.s"}"#),
+            "job 0: id must be a string"
+        );
     }
 }

@@ -21,13 +21,11 @@ type Shape = (usize, usize, usize);
 
 const SHAPE: Shape = (32, 32, 64);
 
-fn example(path: &str) -> String {
-    let path = format!("{}/../../examples/{path}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
-fn fork2() -> Image {
-    lbp_asm::assemble(&example("asm/fork2.s")).unwrap()
+/// Assembles a program of the repository.
+fn assembled(path: &str) -> Image {
+    let path = format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"));
+    let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    lbp_asm::assemble(&source).unwrap()
 }
 
 /// Eight members on two cores: each sums a short loop, stores the sum,
@@ -105,12 +103,9 @@ const PINNED: &[Row] = &[
 #[test]
 fn the_window_ends_in_the_bytes_the_three_containers_did() {
     let programs = [
-        ("fork2.s", fork2(), 2),
-        (
-            "matmul.c",
-            lbp_cc::compile(&example("c/matmul.c")).unwrap().image,
-            4,
-        ),
+        ("fork2.s", assembled("examples/asm/fork2.s"), 2),
+        // `examples/c/matmul.c` as lbp-cc compiled it.
+        ("matmul.c", assembled("tests/fixtures/compiled/matmul.s"), 4),
         ("sync_team", sync_team(), 2),
     ];
     let got: Vec<Row> = (programs.iter())

@@ -366,10 +366,15 @@ fn verify_and_lint_are_one_function_printing_the_same_lines() {
         .iter()
         .map(|n| repo(&format!("examples/c/{n}.c")))
         .collect();
-    for n in ["carried", "const_index", "opaque", "pointer", "scalar"] {
-        programs.push(repo(&format!(
-            "crates/lbp-verify/tests/fixtures/race_{n}.c"
-        )));
+    for n in [
+        "bad_sema",
+        "race_carried",
+        "race_const_index",
+        "race_opaque",
+        "race_pointer",
+        "race_scalar",
+    ] {
+        programs.push(repo(&format!("crates/lbp-verify/tests/fixtures/{n}.c")));
     }
     for program in &programs {
         let p = program.to_str().unwrap();
@@ -398,209 +403,6 @@ fn verify_and_lint_are_one_function_printing_the_same_lines() {
         );
     }
     harness::scratch_cleanup(&dir);
-}
-
-/// `lbp-cc --interp`, `--diff` and `--lint --diag-json -` print these
-/// bytes: one row per command line, with its exit code and the FNV-1a of
-/// its stdout and stderr. Paths are relative to the package root, since
-/// the diagnostics report names the program it judged.
-#[test]
-fn lbp_cc_interp_diff_and_lint_print_the_pinned_bytes() {
-    // FNV-1a of no bytes.
-    const EMPTY: u64 = 0xcbf29ce484222325;
-    const PINS: &[(&[&str], i32, u64, u64)] = &[
-        (
-            &["examples/c/hello_team.c", "--interp"],
-            0,
-            0xb0428e2e4d127f2b,
-            EMPTY,
-        ),
-        (
-            &["examples/c/matmul.c", "--interp"],
-            0,
-            0xc2f6269e4424e3b9,
-            EMPTY,
-        ),
-        (
-            &["examples/c/reduce.c", "--interp"],
-            0,
-            0x35db0d53bdcbd350,
-            EMPTY,
-        ),
-        (
-            &["examples/c/set_get.c", "--interp"],
-            0,
-            0xcc61e7670ceabbfe,
-            EMPTY,
-        ),
-        (
-            &["examples/c/hello_team.c", "--diff"],
-            0,
-            0x833220e9b8cd9366,
-            EMPTY,
-        ),
-        (
-            &["examples/c/matmul.c", "--diff"],
-            0,
-            0xbb5cbad7032a61d9,
-            EMPTY,
-        ),
-        (
-            &["examples/c/reduce.c", "--diff"],
-            0,
-            0xa1b56405ac6457e1,
-            EMPTY,
-        ),
-        (
-            &["examples/c/set_get.c", "--diff"],
-            0,
-            0x67faf3dfc464053a,
-            EMPTY,
-        ),
-        (
-            &[
-                "tests/fixtures/sabotage_witness.c",
-                "--diff",
-                "--sabotage",
-                "codegen:chunk-bounds",
-            ],
-            12,
-            EMPTY,
-            0x4d39a389bdd8840a,
-        ),
-        (
-            &[
-                "tests/fixtures/sabotage_witness.c",
-                "--diff",
-                "--sabotage",
-                "codegen:index-shift",
-            ],
-            12,
-            EMPTY,
-            0x95cc7854017d25ec,
-        ),
-        (
-            &[
-                "tests/fixtures/sabotage_witness.c",
-                "--diff",
-                "--sabotage",
-                "codegen:const-fold",
-            ],
-            12,
-            EMPTY,
-            0xdda4e44bde5a4f07,
-        ),
-        (
-            &["examples/c/hello_team.c", "--lint", "--diag-json", "-"],
-            0,
-            0x4999ba6f6cba9c50,
-            EMPTY,
-        ),
-        (
-            &["examples/c/matmul.c", "--lint", "--diag-json", "-"],
-            0,
-            0x81431315e92b0b23,
-            EMPTY,
-        ),
-        (
-            &["examples/c/reduce.c", "--lint", "--diag-json", "-"],
-            0,
-            0x05eebcd3b3841329,
-            EMPTY,
-        ),
-        (
-            &["examples/c/set_get.c", "--lint", "--diag-json", "-"],
-            0,
-            0x7671af9a27d2efb2,
-            EMPTY,
-        ),
-        (
-            &[
-                "crates/lbp-verify/tests/fixtures/bad_sema.c",
-                "--lint",
-                "--diag-json",
-                "-",
-            ],
-            10,
-            0x0cd5aaa6a0f50045,
-            EMPTY,
-        ),
-        (
-            &[
-                "crates/lbp-verify/tests/fixtures/race_carried.c",
-                "--lint",
-                "--diag-json",
-                "-",
-            ],
-            10,
-            0xe898dcf427663d87,
-            EMPTY,
-        ),
-        (
-            &[
-                "crates/lbp-verify/tests/fixtures/race_const_index.c",
-                "--lint",
-                "--diag-json",
-                "-",
-            ],
-            10,
-            0x1d3b31c19f8507ce,
-            EMPTY,
-        ),
-        (
-            &[
-                "crates/lbp-verify/tests/fixtures/race_opaque.c",
-                "--lint",
-                "--diag-json",
-                "-",
-            ],
-            0,
-            0x1dfb9f066d1826a7,
-            EMPTY,
-        ),
-        (
-            &[
-                "crates/lbp-verify/tests/fixtures/race_pointer.c",
-                "--lint",
-                "--diag-json",
-                "-",
-            ],
-            0,
-            0x6a1096fa050ca4a1,
-            EMPTY,
-        ),
-        (
-            &[
-                "crates/lbp-verify/tests/fixtures/race_scalar.c",
-                "--lint",
-                "--diag-json",
-                "-",
-            ],
-            10,
-            0xa7940eb713c28858,
-            EMPTY,
-        ),
-    ];
-    let mut moved = Vec::new();
-    for &(args, code, stdout, stderr) in PINS {
-        let out = Command::new(LBP_CC)
-            .args(args)
-            .current_dir(repo(""))
-            .output()
-            .expect("lbp-cc spawns");
-        let got = (
-            out.status.code().unwrap_or(-1),
-            lbp::sim::fnv1a64(&out.stdout),
-            lbp::sim::fnv1a64(&out.stderr),
-        );
-        if got != (code, stdout, stderr) {
-            moved.push(format!(
-                "(&{args:?}, {}, {:#018x}, {:#018x}),",
-                got.0, got.1, got.2
-            ));
-        }
-    }
-    assert!(moved.is_empty(), "rows that moved:\n{}", moved.join("\n"));
 }
 
 /// At the parent both die with `fatal runtime error: stack overflow`

@@ -20,13 +20,7 @@ const MAX_CYCLES: u64 = 2_000_000;
 
 fn image_of(path: &str) -> lbp::asm::Image {
     let source = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    if path.ends_with(".c") {
-        lbp::cc::compile(&source)
-            .unwrap_or_else(|e| panic!("{path}: {e}"))
-            .image
-    } else {
-        lbp::asm::assemble(&source).unwrap_or_else(|e| panic!("{path}: {e}"))
-    }
+    lbp::asm::assemble(&source).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
 /// Runs to the end and renders how it ended: the exit flag or the error
@@ -83,9 +77,10 @@ impl std::io::Write for SharedBuf {
     }
 }
 
-/// Every shipped example with the machine sizes it is observed on; the
-/// `bool` says whether the run ends on a whole cycle. On one core, fork2
-/// trips the fork-protocol check mid-cycle, and the machine treats an
+/// Every shipped example with the machine sizes it is observed on, the
+/// C examples as their committed listings; the `bool` says whether the
+/// run ends on a whole cycle. On one core, fork2 trips the
+/// fork-protocol check mid-cycle, and the machine treats an
 /// erroring cycle as never having happened (the cycle counter is not
 /// advanced), so the attribution only partitions whole cycles. On 16 and
 /// 32 cores most cores never get a hart and sleep through the run: the
@@ -96,11 +91,11 @@ const EXAMPLES: [(&str, usize, bool); 10] = [
     ("examples/asm/hung.s", 1, true),
     ("examples/asm/fork2.s", 1, false),
     ("examples/asm/fork2.s", 16, true),
-    ("examples/c/hello_team.c", 2, true),
-    ("examples/c/matmul.c", 4, true),
-    ("examples/c/set_get.c", 4, true),
-    ("examples/c/reduce.c", 2, true),
-    ("examples/c/matmul.c", 32, true),
+    ("tests/fixtures/compiled/hello_team.s", 2, true),
+    ("tests/fixtures/compiled/matmul.s", 4, true),
+    ("tests/fixtures/compiled/set_get.s", 4, true),
+    ("tests/fixtures/compiled/reduce.s", 2, true),
+    ("tests/fixtures/compiled/matmul.s", 32, true),
 ];
 
 /// What a run leaves behind that an observer must not have changed.
@@ -181,7 +176,8 @@ fn all_observers_on_is_bit_identical_to_all_off() {
 /// vocabulary was merged into `lbp_sim::Event`: the merge (and any later
 /// change to the observation surface) is byte-preserving or this fails.
 /// `name` is the program path exactly as `lbp-run` would be given it,
-/// since `profile.json` records it.
+/// since `profile.json` records it: matmul's moved once, when its program
+/// became the committed listing.
 struct Pinned {
     name: &'static str,
     cores: usize,
@@ -195,9 +191,9 @@ struct Pinned {
 
 const PINNED: [Pinned; 2] = [
     Pinned {
-        name: "examples/c/matmul.c",
+        name: "tests/fixtures/compiled/matmul.s",
         cores: 4,
-        profile_json: 0x30e9_10eb_0d5d_e444,
+        profile_json: 0x8f32_3652_8786_4df7,
         folded_txt: 0x6d7c_a7ba_127f_b48c,
         timeline_json: 0xe8f5_f660_2253_8423,
         trace_text: 0x08fc_c0e7_53a7_40df,
