@@ -3,6 +3,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::assemble::WORD;
+
 /// A constant expression: integer literals, symbols, sums/differences, and
 /// the RISC-V `%hi`/`%lo` relocation operators.
 ///
@@ -81,14 +83,8 @@ impl Expr {
                 as i64,
             Expr::Add(a, b) => a.eval(symbols)?.wrapping_add(b.eval(symbols)?),
             Expr::Sub(a, b) => a.eval(symbols)?.wrapping_sub(b.eval(symbols)?),
-            Expr::Hi(e) => {
-                let v = e.eval(symbols)? as u32;
-                hi20(v) as i64
-            }
-            Expr::Lo(e) => {
-                let v = e.eval(symbols)? as u32;
-                lo12(v) as i64
-            }
+            Expr::Hi(e) => narrow(e.eval(symbols)?, |v| hi20(v).into()),
+            Expr::Lo(e) => narrow(e.eval(symbols)?, |v| lo12(v).into()),
         })
     }
 
@@ -107,11 +103,11 @@ impl Expr {
                 (a, b) => a.sub(b),
             },
             Expr::Hi(e) => match e.fold() {
-                Expr::Const(v) => Expr::Const(hi20(v as u32) as i64),
+                Expr::Const(v) => Expr::Const(narrow(v, |v| hi20(v).into())),
                 e => e.hi(),
             },
             Expr::Lo(e) => match e.fold() {
-                Expr::Const(v) => Expr::Const(lo12(v as u32) as i64),
+                Expr::Const(v) => Expr::Const(narrow(v, |v| lo12(v).into())),
                 e => e.lo(),
             },
             leaf => leaf,
@@ -140,6 +136,16 @@ impl fmt::Display for Expr {
             Expr::Hi(e) => write!(f, "%hi({e})"),
             Expr::Lo(e) => write!(f, "%lo({e})"),
         }
+    }
+}
+
+/// `%hi` or `%lo` of a value that fits a word; a wider one passes through
+/// whole, for the assembler's narrowing to refuse with its value.
+fn narrow(v: i64, part: impl Fn(u32) -> i64) -> i64 {
+    if WORD.contains(&v) {
+        part(v as u32)
+    } else {
+        v
     }
 }
 

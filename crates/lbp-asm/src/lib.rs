@@ -2,9 +2,9 @@
 //!
 //! A two-pass assembler for RV32IM + X_PAR assembly text, the symbolic
 //! program model behind it, and the code-generation builder the
-//! Deterministic OpenMP runtime and the mini-C compiler write through: it
-//! holds a program's listing and, beside it, the items the assembler
-//! consumes, so generated code is never parsed back.
+//! Deterministic OpenMP runtime and the mini-C compiler write their lines
+//! through: it holds a program's listing and, beside it, the items the
+//! assembler consumes, each line's items final as soon as it is written.
 //!
 //! The accepted syntax is the GNU-as subset the paper's listings use,
 //! extended with the twelve X_PAR mnemonics (`p_fc`, `p_fn`, `p_swcv`,

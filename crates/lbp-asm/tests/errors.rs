@@ -230,3 +230,24 @@ fn error_lines_skip_comments_and_blanks() {
     let src = "# header comment\n\n    nop\n    bogus a0\n";
     rejected(src, "unknown mnemonic `bogus`", 4);
 }
+
+/// `la` and a symbolic `li` split their value into `%hi` and `%lo`
+/// halves; a value past a word is refused as a whole, not split from
+/// its low 32 bits.
+#[test]
+fn la_and_li_of_a_symbol_past_32_bits_rejected() {
+    for mnemonic in ["la", "li"] {
+        rejected(
+            &format!("main:\n    {mnemonic} a0, main+4294967296\n"),
+            "operand value 4294967296 exceeds 32 bits",
+            2,
+        );
+    }
+    rejected(
+        "    lui a0, %hi(4294967296)\n",
+        "operand value 4294967296 exceeds 32 bits",
+        1,
+    );
+    let image = assemble("main:\n    la a0, main+4294967295\n    li a1, main-2147483648\n");
+    assert!(image.is_ok(), "{image:?}");
+}

@@ -137,6 +137,9 @@ pub fn job_hash(job: &BatchJob) -> u64 {
     lbp_snap::fnv1a64(key.as_bytes())
 }
 
+/// The fields a manifest may have.
+const MANIFEST_FIELDS: [&str; 2] = ["schema", "jobs"];
+
 /// The fields a manifest job may have.
 const JOB_FIELDS: [&str; 7] = [
     "id",
@@ -153,9 +156,9 @@ const JOB_FIELDS: [&str; 7] = [
 ///
 /// # Errors
 ///
-/// Malformed JSON, unknown schema, duplicate ids, a field that is unknown
-/// or of the wrong type, or unreadable program files — all reported with
-/// the offending job's id.
+/// Malformed JSON, unknown schema, a top-level field other than `schema`
+/// and `jobs`, duplicate ids, a job field that is unknown or of the wrong
+/// type, or unreadable program files — a job's error names the job.
 pub fn load_manifest(text: &str, base_dir: &Path) -> Result<Vec<BatchJob>, BatchError> {
     let bad = |what: String| BatchError(what);
     let v = Json::parse(text).map_err(|e| bad(format!("manifest is not JSON: {e}")))?;
@@ -165,6 +168,18 @@ pub fn load_manifest(text: &str, base_dir: &Path) -> Result<Vec<BatchJob>, Batch
             return Err(bad(format!(
                 "manifest schema is {other:?}, expected {MANIFEST_SCHEMA:?}"
             )))
+        }
+    }
+    // A top-level setting is refused, never ignored: jobs carry them all.
+    if let Json::Obj(fields) = &v {
+        if let Some((field, _)) = fields
+            .iter()
+            .find(|(k, _)| !MANIFEST_FIELDS.contains(&&**k))
+        {
+            return Err(bad(format!(
+                "manifest: unknown field `{field}`; a manifest's fields are {}",
+                MANIFEST_FIELDS.join(", ")
+            )));
         }
     }
     let jobs = v
@@ -744,6 +759,23 @@ mod tests {
         assert!(
             err.starts_with("job `one`: unknown field `max_cycle`; "),
             "{err}"
+        );
+    }
+
+    /// Read as absent, a top-level `max_cycles` would run every job for
+    /// the default 1,000,000 cycles.
+    #[test]
+    fn an_unknown_top_level_field_is_refused_naming_it() {
+        let manifest = format!(
+            r#"{{"schema": "{MANIFEST_SCHEMA}", "jobs": [{{"id": "a", "program": "mul.s"}}], "max_cycles": 10}}"#
+        );
+        let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/asm");
+        let err = load_manifest(&manifest, &examples)
+            .expect_err("max_cycles")
+            .0;
+        assert_eq!(
+            err,
+            "manifest: unknown field `max_cycles`; a manifest's fields are schema, jobs"
         );
     }
 

@@ -192,7 +192,7 @@ pub fn compile(source: &str) -> Result<Compiled, CcError> {
 /// compiler bug: a value out of range or a missing label), naming the
 /// generated line.
 pub fn compile_checked(checked: &sema::Checked, opts: &CcOptions) -> Result<Compiled, CcError> {
-    let mut asm = codegen::generate_with(checked, opts.sabotage)?;
+    let asm = codegen::generate_with(checked, opts.sabotage)?;
     let image = asm.items().and_then(lbp_asm::assemble_items).map_err(|e| {
         let line = e
             .line

@@ -163,7 +163,7 @@ pub fn emit_parallel_region(asm: &mut Asm, threads: usize, body: &TeamBody, arg:
 }
 
 /// `p_set t0`.
-fn p_set_t0(asm: &mut Asm) {
+pub(crate) fn p_set_t0(asm: &mut Asm) {
     asm.instr(Instr::PSet {
         rd: Reg::T0,
         rs1: Reg::T0,
@@ -219,10 +219,9 @@ mod tests {
     fn region_assembles() {
         let mut a = Asm::new();
         a.label("main");
-        a.line("li t0, -1");
-        a.line("addi sp, sp, -8");
-        a.line("sw ra, 0(sp)");
-        a.line("sw t0, 4(sp)");
+        a.li(Reg::T0, -1);
+        a.op_imm(OpImmKind::Add, Reg::SP, Reg::SP, -8);
+        a.sw(Reg::RA, 0, Reg::SP).sw(Reg::T0, 4, Reg::SP);
         emit_parallel_region(
             &mut a,
             8,
@@ -231,12 +230,10 @@ mod tests {
             },
             None,
         );
-        a.line("lw ra, 0(sp)");
-        a.line("lw t0, 4(sp)");
-        a.line("addi sp, sp, 8");
-        a.line("p_ret");
-        a.label("thread");
-        a.line("p_ret");
+        a.lw(Reg::RA, 0, Reg::SP).lw(Reg::T0, 4, Reg::SP);
+        a.op_imm(OpImmKind::Add, Reg::SP, Reg::SP, 8);
+        a.p_ret();
+        a.label("thread").p_ret();
         let image = a.assemble().expect("generated region assembles");
         assert!(image.text.len() > 30);
     }

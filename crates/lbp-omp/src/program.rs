@@ -8,9 +8,10 @@
 //! Fig. 3) and are separated from the following step by the hardware
 //! barrier of ordered `p_ret` commits — no locks, no OS.
 
-use lbp_asm::{Asm, AsmError, Image};
+use lbp_asm::{Asm, AsmError, Image, Section};
+use lbp_isa::{BranchKind, Instr, OpImmKind, OpKind, Reg};
 
-use crate::codegen::{emit_parallel_region, TeamBody};
+use crate::codegen::{emit_parallel_region, p_set_t0, TeamBody};
 
 /// A reduction operator for [`DetOmp::collect_reduction`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,14 +28,11 @@ pub enum ReduceOp {
 #[derive(Debug, Clone)]
 enum Step {
     Seq(String),
-    ParallelFor {
-        function: String,
+    /// A `parallel for` or `parallel sections` region.
+    Region {
+        body: TeamBody,
         threads: usize,
         arg: Option<String>,
-    },
-    ParallelSections {
-        table: String,
-        count: usize,
     },
     CollectReduction {
         slot: u32,
@@ -154,8 +152,11 @@ impl DetOmp {
 
     /// Appends a `parallel for` region with an explicit team size.
     pub fn parallel_for_n(mut self, function: impl Into<String>, threads: usize) -> DetOmp {
-        self.steps.push(Step::ParallelFor {
+        let body = TeamBody::Uniform {
             function: function.into(),
+        };
+        self.steps.push(Step::Region {
+            body,
             threads,
             arg: None,
         });
@@ -169,10 +170,12 @@ impl DetOmp {
         function: impl Into<String>,
         arg: impl Into<String>,
     ) -> DetOmp {
-        let threads = self.num_threads;
-        self.steps.push(Step::ParallelFor {
+        let body = TeamBody::Uniform {
             function: function.into(),
-            threads,
+        };
+        self.steps.push(Step::Region {
+            body,
+            threads: self.num_threads,
             arg: Some(arg.into()),
         });
         self
@@ -184,9 +187,12 @@ impl DetOmp {
         assert!(!functions.is_empty(), "sections need at least one function");
         let table = format!("_omp_sections_{}", self.section_tables);
         self.section_tables += 1;
-        self.steps.push(Step::ParallelSections {
-            table: table.clone(),
-            count: functions.len(),
+        self.steps.push(Step::Region {
+            body: TeamBody::Sections {
+                table: table.clone(),
+            },
+            threads: functions.len(),
+            arg: None,
         });
         self.data.push(DataDef::Table {
             name: table,
@@ -219,51 +225,37 @@ impl DetOmp {
         self.num_threads
     }
 
-    /// Generates the complete assembly source.
+    /// Generates the complete assembly source: the runtime's own lines,
+    /// written through [`Asm`], with each user body pasted between them.
     pub fn source(&self) -> String {
-        self.asm().into_text()
-    }
-
-    /// The program's listing and items.
-    fn asm(&self) -> Asm {
         let mut a = Asm::new();
+        // The listing so far: `a`'s text up to byte `taken`, and bodies.
+        let mut out = String::new();
+        let mut taken = 0;
+        let mut paste = |a: &Asm, body: &str| {
+            out.push_str(&a.text()[taken..]);
+            taken = a.text().len();
+            for line in body.lines() {
+                out.push_str("    ");
+                out.push_str(line.trim());
+                out.push('\n');
+            }
+        };
         a.comment("Generated by Deterministic OpenMP (lbp-omp)");
         a.label("main");
-        a.line("li   t0, -1");
-        a.line("addi sp, sp, -8");
-        a.line("sw   ra, 0(sp)");
-        a.line("sw   t0, 4(sp)");
-        a.line("p_set t0");
+        a.li(Reg::T0, -1);
+        a.op_imm(OpImmKind::Add, Reg::SP, Reg::SP, -8);
+        a.sw(Reg::RA, 0, Reg::SP).sw(Reg::T0, 4, Reg::SP);
+        p_set_t0(&mut a);
         for step in &self.steps {
             match step {
                 Step::Seq(body) => {
                     a.blank();
                     a.comment("--- sequential step ---");
-                    a.raw(indent(body));
+                    paste(&a, body);
                 }
-                Step::ParallelFor {
-                    function,
-                    threads,
-                    arg,
-                } => {
-                    emit_parallel_region(
-                        &mut a,
-                        *threads,
-                        &TeamBody::Uniform {
-                            function: function.clone(),
-                        },
-                        arg.as_deref(),
-                    );
-                }
-                Step::ParallelSections { table, count } => {
-                    emit_parallel_region(
-                        &mut a,
-                        *count,
-                        &TeamBody::Sections {
-                            table: table.clone(),
-                        },
-                        None,
-                    );
+                Step::Region { body, threads, arg } => {
+                    emit_parallel_region(&mut a, *threads, body, arg.as_deref());
                 }
                 Step::CollectReduction {
                     slot,
@@ -275,52 +267,56 @@ impl DetOmp {
                     a.comment(format!(
                         "--- collect {count} partial value(s) from slot {slot} ---"
                     ));
+                    let offset = i32::try_from(*slot).unwrap_or(i32::MAX);
                     // The first value seeds the accumulator; the rest fold.
-                    a.line(format!("p_lwre a2, {slot}"));
+                    a.instr(Instr::PLwre {
+                        rd: Reg::A2,
+                        offset,
+                    });
                     for i in 1..*count {
-                        a.line(format!("p_lwre a3, {slot}"));
+                        a.instr(Instr::PLwre {
+                            rd: Reg::A3,
+                            offset,
+                        });
                         match op {
                             ReduceOp::Add => {
-                                a.line("add  a2, a2, a3");
+                                a.op(OpKind::Add, Reg::A2, Reg::A2, Reg::A3);
                             }
                             ReduceOp::Min | ReduceOp::Max => {
                                 let keep = a.fresh_label(&format!("rkeep{i}"));
-                                if matches!(op, ReduceOp::Min) {
-                                    a.line(format!("bge  a3, a2, {keep}"));
-                                } else {
-                                    a.line(format!("bge  a2, a3, {keep}"));
-                                }
-                                a.line("mv   a2, a3");
-                                a.label(&keep);
+                                let (x, y) = match op {
+                                    ReduceOp::Min => (Reg::A3, Reg::A2),
+                                    _ => (Reg::A2, Reg::A3),
+                                };
+                                a.branch(BranchKind::Ge, x, y, &keep);
+                                a.mv(Reg::A2, Reg::A3).label(&keep);
                             }
                         }
                     }
-                    a.line(format!("la   a4, {dest}"));
-                    a.line("sw   a2, 0(a4)");
+                    a.la(Reg::A4, dest).sw(Reg::A2, 0, Reg::A4);
                 }
             }
         }
         a.blank();
         a.comment("--- exit ---");
-        a.line("lw   ra, 0(sp)");
-        a.line("lw   t0, 4(sp)");
-        a.line("addi sp, sp, 8");
-        a.line("p_ret");
+        a.lw(Reg::RA, 0, Reg::SP).lw(Reg::T0, 4, Reg::SP);
+        a.op_imm(OpImmKind::Add, Reg::SP, Reg::SP, 8);
+        a.p_ret();
         // Functions.
         for (name, body) in &self.functions {
             a.blank();
             a.label(name);
-            a.raw(indent(body));
+            paste(&a, body);
         }
         // Data.
         a.blank();
-        a.line(".data");
+        a.section(Section::Data);
         for d in &self.data {
             match d {
                 DataDef::Words { name, values } => {
                     a.label(name);
-                    for v in values {
-                        a.line(format!(".word {v}"));
+                    for &v in values {
+                        a.word(v);
                     }
                 }
                 DataDef::Table { name, functions } => {
@@ -330,13 +326,14 @@ impl DetOmp {
                     }
                 }
                 DataDef::Space { name, bytes } => {
-                    a.line(".align 4");
+                    a.align(4);
                     a.label(name);
-                    a.line(format!(".space {bytes}"));
+                    a.space((*bytes).into());
                 }
             }
         }
-        a
+        out.push_str(&a.text()[taken..]);
+        out
     }
 
     /// Generates and assembles the program.
@@ -346,16 +343,8 @@ impl DetOmp {
     /// Propagates assembler errors (line numbers refer to
     /// [`DetOmp::source`]).
     pub fn build(&self) -> Result<Image, AsmError> {
-        self.asm().assemble()
+        lbp_asm::assemble(&self.source())
     }
-}
-
-/// Indents a raw body so it cannot shadow labels, keeping `name:` lines
-/// at the margin readable in dumps.
-fn indent(body: &str) -> String {
-    body.lines()
-        .map(|l| format!("    {}\n", l.trim()))
-        .collect()
 }
 
 #[cfg(test)]
@@ -404,10 +393,9 @@ mod tests {
         assert!(p.build().is_ok(), "{}", p.source());
     }
 
-    /// `build` assembles the builder's items; its source assembles to the
-    /// same image, and a wrong body fails at the same line either way.
+    /// A wrong body fails at its own line of the listing `source` prints.
     #[test]
-    fn build_equals_assembling_the_source() {
+    fn a_wrong_body_fails_at_its_line_of_the_source() {
         let p = DetOmp::new(6)
             .data_words("out", &[0])
             .function("s0f", "p_swre a0, t1, 1\n p_ret")
@@ -417,10 +405,11 @@ mod tests {
             .collect_reduction(0, 6, ReduceOp::Max, "out")
             .parallel_sections(&["s0f", "s1f"])
             .collect_reduction(1, 2, ReduceOp::Min, "out");
-        assert_eq!(p.build(), lbp_asm::assemble(&p.source()));
-        let bad = p.seq("addi a0, a0, $");
-        assert_eq!(bad.build(), lbp_asm::assemble(&bad.source()));
-        assert!(bad.build().is_err());
+        assert!(p.build().is_ok(), "{}", p.source());
+        let bad = p.seq("nop\n  addi a0, a0, $");
+        let e = bad.build().unwrap_err();
+        let source = bad.source();
+        assert_eq!(source.lines().nth(e.line - 1), Some("    addi a0, a0, $"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Integration tests: Deterministic OpenMP programs running on the LBP
 //! simulator.
 
-use lbp_isa::Reg;
+use lbp_isa::{OpImmKind, Reg};
 use lbp_omp::{DetOmp, ReduceOp};
 use lbp_sim::{LbpConfig, Machine};
 
@@ -339,18 +339,17 @@ fn ordered_channels_build_a_pipeline_across_concurrent_members() {
     let stage = |idx: usize| -> String {
         let mut a = Asm::new();
         if idx == 0 {
-            a.line("li   a2, 7");
+            a.li(Reg::A2, 7);
         } else {
             chans[idx - 1].emit_recv(&mut a, Reg::A2);
-            a.line(format!("addi a2, a2, {}", 10 * idx));
+            a.op_imm(OpImmKind::Add, Reg::A2, Reg::A2, 10 * idx as i32);
         }
         if idx < 3 {
             chans[idx].emit_send(&mut a, Reg::A2);
         } else {
-            a.line("la   a3, pipe_out");
-            a.line("sw   a2, 0(a3)");
+            a.la(Reg::A3, "pipe_out").sw(Reg::A2, 0, Reg::A3);
         }
-        a.line("p_ret");
+        a.p_ret();
         a.into_text()
     };
     let mut p = DetOmp::new(4)
@@ -374,19 +373,18 @@ fn channel_pipelines_replay_cycle_exactly() {
     use lbp_omp::Channel;
     let ch = Channel::new("cx");
     let mut producer = Asm::new();
-    producer.line("li a2, 5");
+    producer.li(Reg::A2, 5);
     // Delay the send so the receiver demonstrably polls.
-    producer.line("li a4, 300");
+    producer.li(Reg::A4, 300);
     producer.label("pdelay");
-    producer.line("addi a4, a4, -1");
-    producer.line("bnez a4, pdelay");
+    producer.op_imm(OpImmKind::Add, Reg::A4, Reg::A4, -1);
+    producer.bnez(Reg::A4, "pdelay");
     ch.emit_send(&mut producer, Reg::A2);
-    producer.line("p_ret");
+    producer.p_ret();
     let mut consumer = Asm::new();
     ch.emit_recv(&mut consumer, Reg::A3);
-    consumer.line("la a4, cx_out");
-    consumer.line("sw a3, 0(a4)");
-    consumer.line("p_ret");
+    consumer.la(Reg::A4, "cx_out").sw(Reg::A3, 0, Reg::A4);
+    consumer.p_ret();
     let p = DetOmp::new(2)
         .data_space("cx", 8)
         .data_space("cx_out", 4)
@@ -414,40 +412,38 @@ fn stream_channel_carries_a_bounded_sequence() {
     use lbp_omp::StreamChannel;
     let stream = StreamChannel::new("strm", 8);
     let mut producer = Asm::new();
-    producer.raw(
+    stream.emit_send_indexed(&mut producer, Reg::A3, Reg::A2);
+    let mut consumer = Asm::new();
+    stream.emit_recv_indexed(&mut consumer, Reg::A4, Reg::A2);
+    let produce = format!(
         "    li   a2, 0
 prod_loop:
     slli a3, a2, 1
-    addi a3, a3, 1        # item = 2i + 1",
-    );
-    stream.emit_send_indexed(&mut producer, Reg::A3, Reg::A2);
-    producer.raw(
-        "    addi a2, a2, 1
+    addi a3, a3, 1        # item = 2i + 1
+{}    addi a2, a2, 1
     li   a4, 8
     bne  a2, a4, prod_loop
     p_ret",
+        producer.text()
     );
-    let mut consumer = Asm::new();
-    consumer.raw(
+    let consume = format!(
         "    li   a2, 0
     li   a5, 0            # running sum
-cons_loop:",
-    );
-    stream.emit_recv_indexed(&mut consumer, Reg::A4, Reg::A2);
-    consumer.raw(
-        "    add  a5, a5, a4
+cons_loop:
+{}    add  a5, a5, a4
     addi a2, a2, 1
     li   a6, 8
     bne  a2, a6, cons_loop
     la   a6, strm_out
     sw   a5, 0(a6)
     p_ret",
+        consumer.text()
     );
     let p = DetOmp::new(2)
         .data_space("strm", stream.data_bytes())
         .data_space("strm_out", 4)
-        .function("produce", producer.into_text())
-        .function("consume", consumer.into_text())
+        .function("produce", produce)
+        .function("consume", consume)
         .parallel_sections(&["produce", "consume"]);
     let m = run(&p, 1);
     let out = p.build().unwrap().symbol("strm_out").unwrap();

@@ -8,7 +8,7 @@
 //! ```
 
 use lbp::asm::Asm;
-use lbp::isa::Reg;
+use lbp::isa::{OpImmKind, Reg};
 use lbp::omp::{Channel, DetOmp};
 use lbp::sim::{LbpConfig, Machine};
 
@@ -31,20 +31,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for item in 0..ITEMS {
             if stage == 0 {
                 // Source: produce item^2 + 1.
-                a.line(format!("li   a2, {}", item * item + 1));
+                a.li(Reg::A2, (item * item + 1) as i64);
             } else {
                 chan(stage - 1, item).emit_recv(&mut a, Reg::A2);
                 // Transform: each stage adds 100*stage.
-                a.line(format!("addi a2, a2, {}", 100 * stage));
+                a.op_imm(OpImmKind::Add, Reg::A2, Reg::A2, 100 * stage as i32);
             }
             if stage < STAGES - 1 {
                 chan(stage, item).emit_send(&mut a, Reg::A2);
             } else {
-                a.line("la   a3, pipe_out");
-                a.line(format!("sw   a2, {}(a3)", 4 * item));
+                a.la(Reg::A3, "pipe_out")
+                    .sw(Reg::A2, 4 * item as i32, Reg::A3);
             }
         }
-        a.line("p_ret");
+        a.p_ret();
         program = program.function(format!("stage{stage}"), a.into_text());
     }
     let names: Vec<String> = (0..STAGES).map(|s| format!("stage{s}")).collect();

@@ -8,7 +8,8 @@
 //! error text of the ones that do not build; and the items or error text
 //! of a table of malformed and odd lines. Any change
 //! to what a line parses to, to an error message or to which error comes
-//! first moves one of them.
+//! first moves one of them. `DETOMP_LISTINGS` pins, apart, the text
+//! `DetOmp::source` prints.
 
 use std::fmt::Write as _;
 
@@ -261,4 +262,98 @@ fn odd_lines_parse_to_the_pinned_items_or_errors() {
         0xe0ac_e9f9_5deb_7094,
         "the table renders as:\n{all}"
     );
+}
+
+/// What `DetOmp::source` prints for each program, one FNV-1a a row:
+/// the five matmul versions at h = 16, 64 and 256, the six
+/// `lbp_kernels::simple` programs, the sensor application and one
+/// program that takes every kind of step and data definition.
+fn detomp_listings() -> Vec<(String, u64)> {
+    use lbp::kernels::matmul::{Matmul, Version};
+    use lbp::kernels::sensor::SensorApp;
+    use lbp::kernels::simple::{self, VectorParams};
+    use lbp::omp::{DetOmp, ReduceOp};
+
+    let mut programs: Vec<(String, DetOmp)> = Vec::new();
+    for harts in [16, 64, 256] {
+        for version in Version::ALL {
+            let name = format!("matmul/{}/h{harts}", version.name());
+            programs.push((name, Matmul::new(harts, version).program()));
+        }
+    }
+    let p = VectorParams::new(4, 32);
+    programs.extend([
+        ("set_get".to_owned(), simple::set_get_program(p, 3)),
+        ("stencil".to_owned(), simple::stencil_program(p)),
+        ("dot_product".to_owned(), simple::dot_product_program(p)),
+        ("prefix_sum".to_owned(), simple::prefix_sum_program(p)),
+        ("histogram".to_owned(), simple::histogram_program(p)),
+        (
+            "odd_even_sort".to_owned(),
+            simple::odd_even_sort_program(4, 7),
+        ),
+        ("sensor".to_owned(), SensorApp::new(2).program()),
+    ]);
+    let every_step = DetOmp::new(6)
+        .data_words("out", &[0, -1, 7])
+        .data_space("buf", 24)
+        .function("s0f", "p_swre a0, t1, 1\n p_ret")
+        .function("s1f", "  p_swre a0, t1, 1\nloop1:\n p_ret")
+        .function(
+            "thread",
+            "slli a2, a0, 2\n add a2, a1, a2\n sw a0, 0(a2)\n p_swre a0, t1, 0\n p_ret",
+        )
+        .seq("li a0, 5\nla a1, out\n  sw a0, 0(a1)")
+        .parallel_for_arg("thread", "buf")
+        .collect_reduction(0, 6, ReduceOp::Add, "out")
+        .parallel_for("thread")
+        .collect_reduction(0, 6, ReduceOp::Max, "out")
+        .parallel_sections(&["s0f", "s1f"])
+        .collect_reduction(1, 2, ReduceOp::Min, "out")
+        .parallel_for_n("thread", 1)
+        .collect_reduction(0, 1, ReduceOp::Add, "out");
+    assert!(every_step.build().is_ok(), "{}", every_step.source());
+    programs.push(("every_step".to_owned(), every_step));
+    programs
+        .into_iter()
+        .map(|(name, program)| {
+            let hash = lbp::snap::fnv1a64(program.source().as_bytes());
+            (name, hash)
+        })
+        .collect()
+}
+
+/// Computed at the commit before `DetOmp` wrote its own lines with
+/// typed calls and assembled the listing it prints.
+const DETOMP_LISTINGS: &[(&str, u64)] = &[
+    ("matmul/base/h16", 0x89b3_a3da_71c5_b899),
+    ("matmul/copy/h16", 0x0f40_2c0a_996a_7e00),
+    ("matmul/distributed/h16", 0x1a55_86d0_6d3f_47fd),
+    ("matmul/d+c/h16", 0x6a14_df9e_19d7_e662),
+    ("matmul/tiled/h16", 0x268e_3270_7d77_fba2),
+    ("matmul/base/h64", 0x7c06_1fcc_41d7_f142),
+    ("matmul/copy/h64", 0xffe3_2bfb_2b1a_8a73),
+    ("matmul/distributed/h64", 0x9cfc_ccfd_68e1_e438),
+    ("matmul/d+c/h64", 0x0943_05f6_ee03_752d),
+    ("matmul/tiled/h64", 0x11b2_1a36_bfd2_d38e),
+    ("matmul/base/h256", 0x604f_6094_cf38_c9b1),
+    ("matmul/copy/h256", 0xe124_0754_8a19_106b),
+    ("matmul/distributed/h256", 0xfb95_1b4b_6722_0d9a),
+    ("matmul/d+c/h256", 0xa54f_d35a_75ab_03de),
+    ("matmul/tiled/h256", 0xaae4_f9da_bc3b_beb4),
+    ("set_get", 0x3c66_5faa_24e8_f9de),
+    ("stencil", 0x4b48_afe2_ae3a_d716),
+    ("dot_product", 0x2e67_3d3c_b8ab_a933),
+    ("prefix_sum", 0x7ce3_0ba4_81f0_5a90),
+    ("histogram", 0xdd57_e31e_58b6_2896),
+    ("odd_even_sort", 0x39b4_0ceb_13f8_6ca0),
+    ("sensor", 0x6025_7239_27f7_45ed),
+    ("every_step", 0xfd07_da23_d1b5_b5f6),
+];
+
+#[test]
+fn detomp_programs_print_the_pinned_listings() {
+    let got = detomp_listings();
+    let got: Vec<(&str, u64)> = got.iter().map(|(n, h)| (n.as_str(), *h)).collect();
+    assert_eq!(got, DETOMP_LISTINGS);
 }

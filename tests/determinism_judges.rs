@@ -170,37 +170,33 @@ fn a_frame_array_reached_through_a_pointer_is_outside_the_join() {
 /// 1, as lbp-sema would on its word store.
 #[test]
 fn members_storing_disjoint_bytes_of_one_word_conflict_on_the_word() {
-    let mut asm = lbp::asm::Asm::new();
-    for line in [
-        "main:",
-        "li t0, -1",
-        "addi sp, sp, -8",
-        "sw ra, 0(sp)",
-        "sw t0, 4(sp)",
-    ] {
-        asm.line(line);
-    }
+    let mut region = lbp::asm::Asm::new();
     let body = TeamBody::Uniform {
         function: "byte".to_owned(),
     };
-    emit_parallel_region(&mut asm, 4, &body, None);
-    for line in [
-        "lw ra, 0(sp)",
-        "lw t0, 4(sp)",
-        "addi sp, sp, 8",
-        "p_ret",
-        "byte:",
-        "la a2, out",
-        "add a2, a2, a0",
-        "sb a0, 0(a2)",
-        "p_ret",
-        ".data",
-        ".align 4",
-        "out: .space 4",
-    ] {
-        asm.line(line);
-    }
-    let image = asm.assemble().unwrap();
+    emit_parallel_region(&mut region, 4, &body, None);
+    let source = format!(
+        "main:
+    li t0, -1
+    addi sp, sp, -8
+    sw ra, 0(sp)
+    sw t0, 4(sp)
+{}    lw ra, 0(sp)
+    lw t0, 4(sp)
+    addi sp, sp, 8
+    p_ret
+byte:
+    la a2, out
+    add a2, a2, a0
+    sb a0, 0(a2)
+    p_ret
+.data
+.align 4
+out: .space 4
+",
+        region.text()
+    );
+    let image = lbp::asm::assemble(&source).unwrap();
     let found = witnesses(1, &image);
     assert_eq!(found.len(), 1, "{found:?}");
     assert_eq!(found[0].overlap, Overlap::Writes(0, 1));
