@@ -2,19 +2,20 @@
 
 use std::collections::BTreeMap;
 
-use lbp_isa::{CODE_BASE, SHARED_BASE};
+use lbp_isa::CODE_BASE;
 
 /// A fully assembled, position-resolved program.
 ///
 /// The text section is a flat array of instruction words based at
 /// [`CODE_BASE`] (every LBP core receives a copy in its code bank); the
-/// data section is a byte array based at [`SHARED_BASE`] (block-distributed
-/// over the cores' shared banks by the simulator).
+/// data section is a byte array based at
+/// [`SHARED_BASE`](lbp_isa::SHARED_BASE) (block-distributed over the
+/// cores' shared banks by the simulator).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Image {
     /// Encoded instruction words, based at [`CODE_BASE`].
     pub text: Vec<u32>,
-    /// Initialized shared data, based at [`SHARED_BASE`].
+    /// Initialized shared data, based at [`SHARED_BASE`](lbp_isa::SHARED_BASE).
     pub data: Vec<u8>,
     /// Resolved symbol table (labels and `.equ` constants). Ordered, so
     /// that walking or dropping it takes the same steps in every process:
@@ -32,11 +33,6 @@ impl Image {
     /// The address one past the last text word.
     pub fn text_end(&self) -> u32 {
         CODE_BASE + (self.text.len() as u32) * 4
-    }
-
-    /// The address one past the last initialized data byte.
-    pub fn data_end(&self) -> u32 {
-        SHARED_BASE + self.data.len() as u32
     }
 
     /// Looks up a resolved symbol address.

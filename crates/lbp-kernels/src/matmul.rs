@@ -251,8 +251,8 @@ impl Matmul {
     }
 
     /// [`Matmul::machine`] on a configuration of the caller's: the way to
-    /// run the same program and inputs with tracing on or a latency
-    /// changed. `cfg` must keep the core count and bank sizes of
+    /// run the same program and inputs with a latency, the sampler or a
+    /// fault plan changed. `cfg` must keep the core count and bank sizes of
     /// [`Matmul::config`], which the layout was computed for.
     ///
     /// # Errors

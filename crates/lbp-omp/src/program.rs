@@ -257,6 +257,8 @@ impl DetOmp {
                 Step::Region { body, threads, arg } => {
                     emit_parallel_region(&mut a, *threads, body, arg.as_deref());
                 }
+                // With no values to fold, `dest` keeps its initial value.
+                Step::CollectReduction { count: 0, .. } => {}
                 Step::CollectReduction {
                     slot,
                     count,

@@ -3,7 +3,7 @@
 
 use lbp_isa::{OpImmKind, Reg};
 use lbp_omp::{DetOmp, ReduceOp};
-use lbp_sim::{LbpConfig, Machine};
+use lbp_sim::{LbpConfig, Machine, Trace};
 
 /// Builds, runs on `cores` cores, and returns the machine.
 fn run(p: &DetOmp, cores: usize) -> Machine {
@@ -301,9 +301,11 @@ fn runs_are_cycle_deterministic() {
     let p = write_indices(12);
     let image = p.build().unwrap();
     let run_once = || {
-        let mut m = Machine::new(LbpConfig::cores(3).with_trace(), &image).unwrap();
+        let mut m = Machine::new(LbpConfig::cores(3), &image).unwrap();
+        m.set_sink(Box::new(Trace::new()));
         m.run(5_000_000).unwrap();
-        (m.stats().cycles, m.stats().retired(), m.trace().clone())
+        let trace = m.sink::<Trace>().unwrap().clone();
+        (m.stats().cycles, m.stats().retired(), trace)
     };
     assert_eq!(run_once(), run_once());
 }
@@ -393,12 +395,13 @@ fn channel_pipelines_replay_cycle_exactly() {
         .parallel_sections(&["produce", "consume"]);
     let image = p.build().unwrap();
     let once = || {
-        let mut m = Machine::new(LbpConfig::cores(1).with_trace(), &image).unwrap();
+        let mut m = Machine::new(LbpConfig::cores(1), &image).unwrap();
+        m.set_sink(Box::new(Trace::new()));
         m.run(5_000_000).unwrap();
         (
             m.stats().cycles,
             m.peek_shared(image.symbol("cx_out").unwrap()).unwrap(),
-            m.trace().len(),
+            m.sink::<Trace>().unwrap().len(),
         )
     };
     let a = once();

@@ -940,9 +940,9 @@ mod tests {
             5,
         );
         // Same-cycle service is not allowed.
-        m.tick(5, &mut Observers::off(false)).unwrap();
+        m.tick(5, &mut Observers::off()).unwrap();
         assert!(take_arrivals(&mut m, 0).is_empty());
-        m.tick(6, &mut Observers::off(false)).unwrap();
+        m.tick(6, &mut Observers::off()).unwrap();
         let resp = take_arrivals(&mut m, 0);
         assert_eq!(
             resp,
@@ -1263,7 +1263,7 @@ mod tests {
         let mut got = None;
         for now in 1..20 {
             m.net.tick();
-            m.tick(now, &mut Observers::off(false)).unwrap();
+            m.tick(now, &mut Observers::off()).unwrap();
             let inbox = take_arrivals(&mut m, 3);
             if !inbox.is_empty() {
                 got = Some((now, inbox));

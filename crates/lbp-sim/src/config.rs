@@ -56,9 +56,6 @@ pub struct LbpConfig {
     /// RV32M multiplication latency in cycles (3 by default: a short
     /// pipelined multiplier).
     pub mul_latency: u32,
-    /// Record a full event trace (costly; for determinism checks and
-    /// debugging).
-    pub trace: bool,
     /// Record one [`crate::IntervalSample`] every this many cycles
     /// (0 disables the interval time series).
     pub sample_interval: u64,
@@ -78,7 +75,6 @@ impl LbpConfig {
             cores,
             shared_bank_bytes: DEFAULT_SHARED_BANK_BYTES,
             mul_latency: 3,
-            trace: false,
             sample_interval: 0,
             faults: FaultPlan::none(),
         }
@@ -92,12 +88,6 @@ impl LbpConfig {
     /// Total bytes of the global shared space.
     pub fn shared_bytes(&self) -> u64 {
         self.shared_bank_bytes as u64 * self.cores as u64
-    }
-
-    /// Enables event tracing.
-    pub fn with_trace(mut self) -> LbpConfig {
-        self.trace = true;
-        self
     }
 
     /// Enables the interval sampler with the given period in cycles.
@@ -116,7 +106,9 @@ impl LbpConfig {
     /// fixed size and latency, and for two latencies nothing reads
     /// (`link_hop`, `bank`, always 1); each holds the one value every
     /// machine has, which keeps every snapshot byte and content hash what
-    /// older containers hold.
+    /// older containers hold. So does the reserved byte where older
+    /// containers kept the in-memory trace's switch: it is written 0, and
+    /// read as 0 or 1 and dropped, for watching is not state.
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
         w.u64(self.cores as u64);
         w.u32(LOCAL_BANK_BYTES);
@@ -127,7 +119,7 @@ impl LbpConfig {
         for latency in [ALU_LATENCY, self.mul_latency, DIV_LATENCY, 1, 1] {
             w.u32(latency);
         }
-        w.bool(self.trace);
+        w.bool(false); // reserved
         w.u64(self.sample_interval);
         // Faults serialize as their (round-tripping) spec strings.
         w.seq(self.faults.faults.len());
@@ -161,7 +153,7 @@ impl LbpConfig {
         check("latencies.div", r.u32()?.into(), DIV_LATENCY.into())?;
         check("reserved latency word `link_hop`", r.u32()?.into(), 1)?;
         check("reserved latency word `bank`", r.u32()?.into(), 1)?;
-        let trace = r.bool()?;
+        r.bool()?; // reserved
         let sample_interval = r.u64()?;
         let mut faults = FaultPlan::none();
         for _ in 0..r.seq()? {
@@ -172,7 +164,6 @@ impl LbpConfig {
             cores,
             shared_bank_bytes,
             mul_latency,
-            trace,
             sample_interval,
             faults,
         })

@@ -166,7 +166,8 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset on malformed input.
+    /// Returns [`JsonError`] with a byte offset on malformed input, and on
+    /// an object that holds a key twice (at the second copy).
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: src.as_bytes(),
@@ -349,7 +350,13 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            // Every reader takes a key's first copy, so a second is refused.
+            if pairs.iter().any(|(k, _)| *k == key) {
+                self.pos = at;
+                return Err(self.err("duplicate key"));
+            }
             self.skip_ws();
             self.expect(b':', "expected ':'")?;
             self.skip_ws();
@@ -477,6 +484,14 @@ mod tests {
         let objs = "{\"k\":".repeat(MAX_DEPTH + 1);
         assert_eq!(Json::parse(&objs).unwrap_err().what, "nested too deep");
         assert_eq!(Json::parse(&"[".repeat(200_000)).unwrap_err().at, MAX_DEPTH);
+    }
+
+    #[test]
+    fn a_repeated_key_is_refused_at_its_second_copy() {
+        let err = Json::parse(r#"{"a":1,"b":{"a":2},"a":3}"#).unwrap_err();
+        let what = "duplicate key";
+        assert_eq!(err, JsonError { at: 19, what });
+        assert!(Json::parse(r#"[{"a":1},{"a":2}]"#).is_ok());
     }
 
     #[test]

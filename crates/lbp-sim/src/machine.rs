@@ -1,5 +1,7 @@
 //! The top-level LBP machine: cores + banks + interconnect + devices.
 
+use std::any::Any;
+
 use lbp_asm::Image;
 use lbp_isa::HartId;
 
@@ -21,7 +23,7 @@ use crate::prof::ProfData;
 use crate::race::{RaceData, RaceWitness};
 use crate::snapshot::{MachineState, SnapError, SnapReader, SnapWriter};
 use crate::stats::{CoreStalls, IntervalSample, StallKind, Stats};
-use crate::trace::{EventKind, Trace, TraceSink};
+use crate::trace::{EventKind, TraceSink};
 use crate::xpar;
 
 /// The result of a completed run.
@@ -112,8 +114,8 @@ pub struct Machine {
     pub(crate) mem: MemSys,
     pub(crate) fabric: Fabric,
     stats: Stats,
-    /// Trace, streaming sink, profiler and race witness: everything that
-    /// watches the run. Never part of a snapshot.
+    /// The sink, profiler and race witness: everything that watches the
+    /// run. Never part of a snapshot.
     obs: Observers,
     cursor: SampleCursor,
     pub(crate) cycle: u64,
@@ -201,7 +203,7 @@ impl Machine {
         Machine {
             fabric,
             stats: Stats::new(cfg.harts()),
-            obs: Observers::off(cfg.trace),
+            obs: Observers::off(),
             cursor: SampleCursor::default(),
             cycle: 0,
             exited: false,
@@ -259,17 +261,22 @@ impl Machine {
         &self.stats
     }
 
-    /// The event trace (empty unless the configuration enables tracing).
-    pub fn trace(&self) -> &Trace {
-        &self.obs.trace
-    }
-
-    /// Attaches a streaming trace sink. Every machine event is forwarded
-    /// to the sink as it happens — independent of the in-memory trace
-    /// toggle (`cfg.trace`), so multi-million-cycle runs can be traced in
-    /// O(1) memory. Call [`Machine::finish_trace`] after the run to flush.
+    /// Attaches an event sink in place of any earlier one. Every machine
+    /// event is handed to it as it happens: a streaming sink writes a
+    /// multi-million-cycle run in O(1) memory, a [`Trace`](crate::Trace)
+    /// keeps the events for [`Machine::sink`] to read back. Like every
+    /// observer it is no part of the machine's state: it never changes a
+    /// snapshot byte, and a restored machine has none. Call
+    /// [`Machine::finish_trace`] after the run to flush.
     pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.obs.sink = Some(sink);
+    }
+
+    /// The attached sink, if one is attached and it is a `T`; with a
+    /// [`Trace`](crate::Trace), the events recorded so far.
+    pub fn sink<T: TraceSink>(&self) -> Option<&T> {
+        let sink: &dyn Any = self.obs.sink.as_deref()?;
+        sink.downcast_ref()
     }
 
     /// Enables guest-program profiling: from now on every core cycle is
@@ -504,23 +511,14 @@ impl Machine {
         }
     }
 
-    /// Toggles in-memory event tracing (the `cfg.trace` flag) on a live
-    /// machine — used by the divergence bisector to capture events only
-    /// around the cycle under inspection.
-    pub fn set_trace(&mut self, on: bool) {
-        self.cfg.trace = on;
-        self.obs.trace_on = on;
-    }
-
     /// Serializes the complete simulation state into a [`MachineState`].
     ///
     /// The snapshot captures everything the machine's evolution depends
     /// on: architectural and micro-architectural hart state, memory banks,
-    /// every in-flight message, statistics, and the fault plan. It does
-    /// *not* capture the in-memory trace, an attached streaming sink, or
-    /// the profiling collectors — a restored machine starts with an empty
-    /// trace, no sink and profiling off, but emits exactly the events the
-    /// original would emit from this cycle on.
+    /// every in-flight message, statistics, and the fault plan. It
+    /// captures no observer — no sink, in-memory or streaming, and neither
+    /// the profiler nor the race witness — so a watched machine snapshots
+    /// to its unwatched twin's bytes.
     ///
     /// The payload has two sections: a *static* one (configuration and
     /// fault plan — fixed at construction) and a *dynamic* one (everything
@@ -562,8 +560,9 @@ impl Machine {
 
     /// Reconstructs a machine from a [`MachineState`], bit-identical to
     /// the one that produced it: `restore(m.snapshot())` then running `M`
-    /// cycles yields the same stats, trace events and memory as running
-    /// the original `M` more cycles.
+    /// cycles yields the same stats, events and memory as running the
+    /// original `M` more cycles. It starts unwatched: attach a sink or
+    /// enable a collector to watch it from the restore on.
     ///
     /// # Errors
     ///
@@ -613,7 +612,7 @@ impl Machine {
         let fabric = Fabric::unsnap_dyn(&mut r, ncores, drop_nth, delay_nth, fabric_faults)?;
         r.finish()?;
         Ok(Machine {
-            obs: Observers::off(cfg.trace),
+            obs: Observers::off(),
             awake: IndexSet::from_fn(ncores, |_| true),
             charged: vec![0; ncores],
             slept_on: vec![(StallKind::Idle, None); ncores],

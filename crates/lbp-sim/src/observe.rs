@@ -1,10 +1,10 @@
 //! The machine's one observation surface.
 //!
 //! Everything that *watches* a run without being part of it lives in one
-//! [`Observers`] value: the in-memory trace and its on/off bit, the
-//! streaming sink, the profiler and the race witness. The machine reports
-//! what happens through the typed hooks below and never asks which
-//! collectors are on. Two rules hold for all of them, argued here once:
+//! [`Observers`] value: the event sink (streaming or in-memory), the
+//! profiler and the race witness. The machine reports what happens
+//! through the typed hooks below and never asks which collectors are on.
+//! Two rules hold for all of them, argued here once:
 //!
 //! - **Zero cost when off.** Every hook is `#[inline]`, returns nothing,
 //!   touches no machine state, and starts with the one test that decides
@@ -12,11 +12,10 @@
 //!   hook, and an observed run is bit-identical to it.
 //! - **Never snapshotted.** [`Observers::off`] is the only constructor
 //!   and both `Machine::new` and `Machine::restore` call it: a restored
-//!   machine starts with an empty trace, no sink and both collectors
-//!   off. The one bit that does cross a snapshot, `cfg.trace`, is
-//!   configuration, which is why the constructor takes it. An observer
-//!   switched on after a restore reports from the restore on, so the
-//!   prefix's output followed by the resumed run's is the unsplit run's
+//!   machine starts with no sink and both collectors off, and no
+//!   observer writes a snapshot byte. An observer switched on after a
+//!   restore reports from the restore on, so the prefix's output followed
+//!   by the resumed run's is the unsplit run's
 //!   (`tests/snapshot_roundtrip.rs`). An observer whose verdict spans an
 //!   interval cannot do that for a restore inside the interval, and
 //!   refuses it: the race witness judges a team from its fork to its
@@ -28,41 +27,34 @@ use lbp_isa::HartId;
 use crate::prof::ProfData;
 use crate::race::RaceData;
 use crate::stats::StallKind;
-use crate::trace::{Event, EventKind, Trace, TraceSink};
+use crate::trace::{Event, EventKind, TraceSink};
 
 /// All observers of one machine (see the module docs).
 pub(crate) struct Observers {
-    pub trace: Trace,
-    /// Mirrors `cfg.trace`; `Machine::set_trace` keeps the two in step.
-    pub trace_on: bool,
     pub sink: Option<Box<dyn TraceSink>>,
     pub prof: Option<Box<ProfData>>,
     pub race: Option<Box<RaceData>>,
 }
 
 impl Observers {
-    /// Everything off, except that the in-memory trace follows the
-    /// machine's `cfg.trace`.
-    pub fn off(trace_on: bool) -> Observers {
+    /// Everything off.
+    pub fn off() -> Observers {
         Observers {
-            trace: Trace::new(),
-            trace_on,
             sink: None,
             prof: None,
             race: None,
         }
     }
 
-    /// One machine event: streamed to the sink, appended to the
-    /// in-memory trace, and — for the hart-lifecycle kinds — to the
-    /// profiler's fork-tree timeline.
+    /// One machine event: recorded by the sink and, for the hart-lifecycle
+    /// kinds, by the profiler's fork-tree timeline.
     #[inline]
     pub fn event(&mut self, cycle: u64, hart: HartId, kind: EventKind) {
         // Every hook site passes a literal variant, so `timeline` folds to
         // `false` at all but the five lifecycle sites and the test is the
-        // trace/sink one alone. `|`, not `||`: one branch, not three.
+        // sink one alone. `|`, not `||`: one branch, not two.
         let timeline = self.prof.is_some() & is_lifecycle(&kind);
-        if self.trace_on | self.sink.is_some() | timeline {
+        if self.sink.is_some() | timeline {
             self.deliver(Event { cycle, hart, kind });
         }
     }
@@ -76,9 +68,6 @@ impl Observers {
         }
         if let Some(sink) = &mut self.sink {
             sink.record(&event);
-        }
-        if self.trace_on {
-            self.trace.push(event.cycle, event.hart, event.kind);
         }
     }
 

@@ -6,13 +6,15 @@
 //! data. The trace captures exactly such statements so tests can assert
 //! bit-identical replay.
 //!
-//! Events can either be buffered in memory ([`Trace`], used by the
-//! determinism tests) or streamed through a [`TraceSink`] in O(1) memory:
-//! [`TextSink`] writes one [`Event::describe`] line per event,
+//! A machine hands its events to the one [`TraceSink`] attached to it
+//! (`Machine::set_sink`). [`Trace`] keeps them in memory, for the
+//! determinism tests to compare; the streaming sinks write them in O(1)
+//! memory: [`TextSink`] writes one [`Event::describe`] line per event,
 //! [`JsonlSink`] one JSON object per line, and [`ChromeSink`] a Chrome
 //! `trace_event` JSON file that opens directly in `chrome://tracing` or
 //! [Perfetto](https://ui.perfetto.dev).
 
+use std::any::Any;
 use std::io::{self, Write};
 
 use lbp_isa::HartId;
@@ -236,8 +238,10 @@ impl Event {
 /// The machine calls [`TraceSink::record`] once per event, in
 /// deterministic order, and [`TraceSink::finish`] exactly once at the end
 /// of the run. Streaming sinks buffer I/O errors internally and report
-/// them from `finish` so the simulation hot path stays infallible.
-pub trait TraceSink {
+/// them from `finish` so the simulation hot path stays infallible. A sink
+/// is [`Any`], so `Machine::sink` can hand the attached one back as its
+/// own type.
+pub trait TraceSink: Any {
     /// Consumes one event.
     fn record(&mut self, event: &Event);
 
@@ -252,7 +256,7 @@ pub trait TraceSink {
     }
 }
 
-/// An append-only in-memory trace buffer (also the memory [`TraceSink`]).
+/// The in-memory [`TraceSink`]: every event it is handed, in order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<Event>,
@@ -262,11 +266,6 @@ impl Trace {
     /// Creates an empty trace.
     pub fn new() -> Trace {
         Trace::default()
-    }
-
-    /// Records an event.
-    pub fn push(&mut self, cycle: u64, hart: HartId, kind: EventKind) {
-        self.events.push(Event { cycle, hart, kind });
     }
 
     /// All recorded events in order.
@@ -332,7 +331,7 @@ impl<W: Write> TextSink<W> {
     }
 }
 
-impl<W: Write> TraceSink for TextSink<W> {
+impl<W: Write + 'static> TraceSink for TextSink<W> {
     fn record(&mut self, event: &Event) {
         let mut line = event.describe();
         line.push('\n');
@@ -359,7 +358,7 @@ impl<W: Write> JsonlSink<W> {
     }
 }
 
-impl<W: Write> TraceSink for JsonlSink<W> {
+impl<W: Write + 'static> TraceSink for JsonlSink<W> {
     fn record(&mut self, event: &Event) {
         let mut line = String::new();
         event.to_json().write(&mut line);
@@ -394,7 +393,7 @@ impl<W: Write> ChromeSink<W> {
     }
 }
 
-impl<W: Write> TraceSink for ChromeSink<W> {
+impl<W: Write + 'static> TraceSink for ChromeSink<W> {
     fn record(&mut self, event: &Event) {
         let mut line = String::new();
         line.push_str(if self.started {
@@ -434,7 +433,30 @@ impl<W: Write> TraceSink for ChromeSink<W> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
+
+    /// A byte buffer a sink writes into and the test reads back.
+    #[derive(Clone, Default)]
+    struct Shared(Rc<RefCell<Vec<u8>>>);
+
+    impl Write for Shared {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.borrow_mut().write(bytes)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Shared {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.borrow().clone()).unwrap()
+        }
+    }
 
     #[test]
     fn describe_matches_the_papers_style() {
@@ -455,12 +477,20 @@ mod tests {
 
     #[test]
     fn traces_compare_bitwise() {
-        let mut a = Trace::new();
-        let mut b = Trace::new();
-        a.push(1, HartId::new(0), EventKind::Fetch { pc: 0 });
-        b.push(1, HartId::new(0), EventKind::Fetch { pc: 0 });
+        let fetch = Event {
+            cycle: 1,
+            hart: HartId::new(0),
+            kind: EventKind::Fetch { pc: 0 },
+        };
+        let (mut a, mut b) = (Trace::new(), Trace::new());
+        a.record(&fetch);
+        b.record(&fetch);
         assert_eq!(a, b);
-        b.push(2, HartId::new(0), EventKind::Exit);
+        b.record(&Event {
+            cycle: 2,
+            kind: EventKind::Exit,
+            ..fetch
+        });
         assert_ne!(a, b);
     }
 
@@ -481,23 +511,20 @@ mod tests {
 
     #[test]
     fn chrome_sink_emits_valid_json() {
-        let mut buf = Vec::new();
-        {
-            let mut sink = ChromeSink::new(&mut buf);
-            sink.record(&Event {
-                cycle: 1,
-                hart: HartId::new(0),
-                kind: EventKind::Fetch { pc: 0x40 },
-            });
-            sink.record(&Event {
-                cycle: 2,
-                hart: HartId::new(1),
-                kind: EventKind::Exit,
-            });
-            sink.finish().unwrap();
-        }
-        let text = String::from_utf8(buf).unwrap();
-        let v = Json::parse(&text).unwrap();
+        let buf = Shared::default();
+        let mut sink = ChromeSink::new(buf.clone());
+        sink.record(&Event {
+            cycle: 1,
+            hart: HartId::new(0),
+            kind: EventKind::Fetch { pc: 0x40 },
+        });
+        sink.record(&Event {
+            cycle: 2,
+            hart: HartId::new(1),
+            kind: EventKind::Exit,
+        });
+        sink.finish().unwrap();
+        let v = Json::parse(&buf.text()).unwrap();
         let events = v.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].get("ph").and_then(|p| p.as_str()), Some("i"));
@@ -539,22 +566,20 @@ mod tests {
             (6, h(2), EventKind::EndSignal),
             (7, h(0), EventKind::Exit),
         ];
-        let mut buf = Vec::new();
-        {
-            let mut sink = ChromeSink::new(&mut buf);
-            for (cycle, hart, kind) in &kinds {
-                sink.record(&Event {
-                    cycle: *cycle,
-                    hart: *hart,
-                    kind: kind.clone(),
-                });
-            }
-            sink.finish().unwrap();
-            // finish() must be idempotent: a second call cannot emit a
-            // second closing bracket.
-            sink.finish().unwrap();
+        let buf = Shared::default();
+        let mut sink = ChromeSink::new(buf.clone());
+        for (cycle, hart, kind) in &kinds {
+            sink.record(&Event {
+                cycle: *cycle,
+                hart: *hart,
+                kind: kind.clone(),
+            });
         }
-        let text = String::from_utf8(buf).unwrap();
+        sink.finish().unwrap();
+        // finish() must be idempotent: a second call cannot emit a
+        // second closing bracket.
+        sink.finish().unwrap();
+        let text = buf.text();
         assert_eq!(text.matches("\"traceEvents\"").count(), 1);
         assert!(text.ends_with("}\n"), "file is closed: {text:?}");
         let v = Json::parse(&text).unwrap();
@@ -598,9 +623,9 @@ mod tests {
 
     #[test]
     fn empty_chrome_trace_is_valid() {
-        let mut buf = Vec::new();
-        ChromeSink::new(&mut buf).finish().unwrap();
-        let v = Json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
+        let buf = Shared::default();
+        ChromeSink::new(buf.clone()).finish().unwrap();
+        let v = Json::parse(&buf.text()).unwrap();
         assert_eq!(
             v.get("traceEvents").and_then(|e| e.as_arr()).unwrap().len(),
             0
@@ -609,19 +634,16 @@ mod tests {
 
     #[test]
     fn text_sink_streams_describe_lines() {
-        let mut buf = Vec::new();
-        {
-            let mut sink = TextSink::new(&mut buf);
-            let e = Event {
-                cycle: 5,
-                hart: HartId::new(0),
-                kind: EventKind::HartEnd,
-            };
-            sink.record(&e);
-            sink.finish().unwrap();
-        }
+        let buf = Shared::default();
+        let mut sink = TextSink::new(buf.clone());
+        sink.record(&Event {
+            cycle: 5,
+            hart: HartId::new(0),
+            kind: EventKind::HartEnd,
+        });
+        sink.finish().unwrap();
         assert_eq!(
-            String::from_utf8(buf).unwrap(),
+            buf.text(),
             "at cycle 5, core 0, hart 0 ends and becomes free\n"
         );
     }

@@ -61,10 +61,11 @@ table: .word 0, 0, 0, 0, 0, 0, 0, 0"
 
 fn traced_run(cores: usize, src: &str) -> (Trace, u64, u64) {
     let image = assemble(src).unwrap();
-    let mut m = Machine::new(LbpConfig::cores(cores).with_trace(), &image).unwrap();
+    let mut m = Machine::new(LbpConfig::cores(cores), &image).unwrap();
+    m.set_sink(Box::new(Trace::new()));
     let report = m.run(1_000_000).unwrap();
     (
-        m.trace().clone(),
+        m.sink::<Trace>().unwrap().clone(),
         report.stats.cycles,
         report.stats.retired(),
     )
@@ -108,6 +109,6 @@ fn trace_is_off_by_default() {
     let image = assemble("main:\n  li t0, -1\n  li ra, 0\n  p_ret").unwrap();
     let mut m = Machine::new(LbpConfig::cores(1), &image).unwrap();
     m.run(10_000).unwrap();
-    assert!(m.trace().is_empty());
+    assert!(m.sink::<Trace>().is_none());
     assert!(m.stats().retired() > 0);
 }

@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use lbp_isa::HartId;
 use lbp_omp::DetOmp;
-use lbp_sim::{Event, EventKind, Json, JsonlSink, LbpConfig, Machine, RunReport, TraceSink};
+use lbp_sim::{Event, EventKind, Json, JsonlSink, LbpConfig, Machine, RunReport, Trace, TraceSink};
 
 /// A `Write` target the test keeps a handle to while the machine owns
 /// the sink.
@@ -117,10 +117,11 @@ fn describe_covers_every_event_kind() {
 #[test]
 fn jsonl_sink_round_trips_the_memory_trace() {
     let buf = SharedBuf::default();
-    let (m, _) = run_with_cfg(
-        LbpConfig::cores(2).with_trace(),
+    run_with_cfg(
+        LbpConfig::cores(2),
         Some(Box::new(JsonlSink::new(buf.clone()))),
     );
+    let (m, _) = run_with_cfg(LbpConfig::cores(2), Some(Box::new(Trace::new())));
     let bytes = buf.0.borrow();
     let text = std::str::from_utf8(&bytes).expect("jsonl is utf-8");
     let parsed: Vec<Event> = text
@@ -133,7 +134,7 @@ fn jsonl_sink_round_trips_the_memory_trace() {
     assert!(!parsed.is_empty());
     assert_eq!(
         parsed,
-        m.trace().events(),
+        m.sink::<Trace>().unwrap().events(),
         "the JSONL stream must decode to exactly the in-memory trace"
     );
 }
@@ -153,7 +154,7 @@ fn stats_json_is_bit_identical_across_runs() {
 #[test]
 fn sink_choice_does_not_change_stats_or_exit() {
     let plain = run_with_cfg(LbpConfig::cores(2), None);
-    let memory = run_with_cfg(LbpConfig::cores(2).with_trace(), None);
+    let memory = run_with_cfg(LbpConfig::cores(2), Some(Box::new(Trace::new())));
     let jsonl = run_with_cfg(
         LbpConfig::cores(2),
         Some(Box::new(JsonlSink::new(SharedBuf::default()))),

@@ -4,7 +4,9 @@
 
 use lbp_asm::assemble;
 use lbp_isa::SHARED_BASE;
-use lbp_sim::{Event, Fault, FaultPlan, LbpConfig, Machine, MachineState, RunReport, SnapError};
+use lbp_sim::{
+    Event, Fault, FaultPlan, LbpConfig, Machine, MachineState, RunReport, SnapError, Trace,
+};
 use lbp_testutil::harness::machine_traced as machine;
 
 fn plan(specs: &[&str]) -> FaultPlan {
@@ -69,7 +71,7 @@ fn reference(cores: usize, src: &str) -> (RunReport, Vec<Event>, u32) {
     let mut m = machine(cores, src);
     let report = m.run(1_000_000).unwrap();
     let word = m.peek_shared(SHARED_BASE).unwrap();
-    (report, m.trace().events().to_vec(), word)
+    (report, m.sink::<Trace>().unwrap().events().to_vec(), word)
 }
 
 /// Snapshot at cycle `at`, restore, run both halves, splice the traces.
@@ -80,10 +82,11 @@ fn split_run(cores: usize, src: &str, at: u64) -> (RunReport, Vec<Event>, u32) {
     let state = prefix.snapshot();
     assert_eq!(state.cycle(), at);
     let mut resumed = Machine::restore(&state).unwrap();
+    resumed.set_sink(Box::new(Trace::new()));
     let report = resumed.run(1_000_000).unwrap();
     let word = resumed.peek_shared(SHARED_BASE).unwrap();
-    let mut events = prefix.trace().events().to_vec();
-    events.extend_from_slice(resumed.trace().events());
+    let mut events = prefix.sink::<Trace>().unwrap().events().to_vec();
+    events.extend_from_slice(resumed.sink::<Trace>().unwrap().events());
     (report, events, word)
 }
 
@@ -116,9 +119,7 @@ fn snapshot_of_restored_machine_is_identical() {
 #[test]
 fn faulted_machine_round_trips() {
     let src = busy_program();
-    let cfg = LbpConfig::cores(2)
-        .with_trace()
-        .with_faults(plan(&["delay-msg:1:3", "flip-mem:0x80000000:4:30"]));
+    let cfg = LbpConfig::cores(2).with_faults(plan(&["delay-msg:1:3", "flip-mem:0x80000000:4:30"]));
     let image = assemble(&src).unwrap();
     let full_report = {
         let mut m = Machine::new(cfg.clone(), &image).unwrap();
@@ -140,11 +141,9 @@ fn dynamic_sections_of_equal_machines_match_across_fault_plans() {
     // have different full payloads but identical dynamic sections.
     let src = busy_program();
     let image = assemble(&src).unwrap();
-    let mut clean = Machine::new(LbpConfig::cores(2).with_trace(), &image).unwrap();
+    let mut clean = Machine::new(LbpConfig::cores(2), &image).unwrap();
     let mut faulted = Machine::new(
-        LbpConfig::cores(2)
-            .with_trace()
-            .with_faults(plan(&["flip-mem:0x80000000:4:90000"])),
+        LbpConfig::cores(2).with_faults(plan(&["flip-mem:0x80000000:4:90000"])),
         &image,
     )
     .unwrap();
@@ -195,14 +194,7 @@ fn reserved_latency_words_other_than_one_are_rejected() {
     let mut m = machine(2, &busy_program());
     m.run_to(20).unwrap();
     let bytes = m.snapshot().as_bytes().to_vec();
-    let words: Vec<u8> = [1u32, 3, 12, 1, 1]
-        .iter()
-        .flat_map(|w| w.to_le_bytes())
-        .collect();
-    let at = bytes
-        .windows(words.len())
-        .position(|w| w == words)
-        .expect("the default latencies are in the static section");
+    let at = latencies_at(&bytes);
     for (word, name) in [(3, "link_hop"), (4, "bank")] {
         let mut bent = bytes.clone();
         bent[at + 4 * word] = 2;
@@ -212,6 +204,34 @@ fn reserved_latency_words_other_than_one_are_rejected() {
             other => panic!("`{name}` = 2 must be refused, got {:?}", other.map(|_| ())),
         }
     }
+}
+
+/// The byte after the latencies held the in-memory trace's switch while
+/// tracing was configuration. It is reserved now: a container with a 1
+/// there restores, to a machine that writes it 0 like every other.
+#[test]
+fn a_reserved_trace_byte_of_one_restores_and_is_written_zero() {
+    let mut m = machine(2, &busy_program());
+    m.run_to(20).unwrap();
+    let bytes = m.snapshot().as_bytes().to_vec();
+    let at = latencies_at(&bytes) + 20;
+    assert_eq!(bytes[at], 0, "a traced machine writes the byte 0");
+    let mut older = bytes.clone();
+    older[at] = 1;
+    let restored = Machine::restore(&MachineState::from_bytes(older).unwrap()).unwrap();
+    assert_eq!(restored.snapshot().as_bytes(), bytes);
+}
+
+/// Where the five default latency words start in a snapshot's bytes.
+fn latencies_at(bytes: &[u8]) -> usize {
+    let words: Vec<u8> = [1u32, 3, 12, 1, 1]
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    bytes
+        .windows(words.len())
+        .position(|w| w == words)
+        .expect("the default latencies are in the static section")
 }
 
 /// The fabric, the network and the memory system each carry their core

@@ -11,7 +11,7 @@
 //! instruction table and 64 renaming registers.
 
 use lbp_asm::Image;
-use lbp_sim::{fnv1a64, EventKind, LbpConfig, Machine};
+use lbp_sim::{fnv1a64, EventKind, LbpConfig, Machine, Trace};
 use lbp_snap::content_hash;
 
 const MAX_CYCLES: u64 = 10_000_000;
@@ -155,20 +155,21 @@ w_done:
 fn a_snapshot_on_every_cycle_of_a_p_ret_in_flight_resumes_to_the_same_bytes() {
     let image = waiting_team();
     let p_ret = image.symbol("w_done").unwrap();
-    let mut whole = Machine::new(LbpConfig::cores(1).with_trace(), &image).unwrap();
+    let mut whole = Machine::new(LbpConfig::cores(1), &image).unwrap();
+    whole.set_sink(Box::new(Trace::new()));
     whole.run(MAX_CYCLES).unwrap();
     let end = whole.stats().cycles;
     // Some member's `p_ret` spends most of the spin in flight.
-    let in_flight = (whole.trace().events().iter())
+    let events = whole.sink::<Trace>().unwrap().events();
+    let in_flight = (events.iter())
         .filter(|e| e.kind == EventKind::Commit { pc: p_ret })
         .map(|commit| {
-            let fetch = (whole.trace().events().iter())
+            let fetch = (events.iter())
                 .find(|e| e.hart == commit.hart && e.kind == EventKind::Fetch { pc: p_ret });
             commit.cycle - fetch.expect("fetched before it committed").cycle
         })
         .max();
     assert!(in_flight > Some(40), "{in_flight:?}");
-    whole.set_trace(false); // `cfg.trace` is snapshot payload
     let last = whole.snapshot();
     let mut stepped = Machine::new(LbpConfig::cores(1), &image).unwrap();
     for cycle in 1..end {

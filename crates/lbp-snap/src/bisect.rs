@@ -16,7 +16,7 @@
 //! configuration-level fault plans — but not yet in behaviour — are
 //! still "equal".
 
-use lbp_sim::{Machine, MachineState, SnapError};
+use lbp_sim::{Machine, MachineState, SnapError, Trace};
 
 /// Where two runs first part ways.
 #[derive(Debug, Clone)]
@@ -199,9 +199,10 @@ fn divergent_events(
 ) -> Result<(Option<String>, Option<String>), SnapError> {
     let trace_one = |state: &MachineState| -> Result<Vec<lbp_sim::Event>, SnapError> {
         let mut m = Machine::restore(state)?;
-        m.set_trace(true);
+        m.set_sink(Box::new(Trace::new()));
         let _ = m.run_to(cycle); // errors still leave the partial trace
-        Ok(m.trace().events().to_vec())
+        let trace = m.sink::<Trace>().expect("the sink attached above");
+        Ok(trace.events().to_vec())
     };
     let ea = trace_one(a_before)?;
     let eb = trace_one(b_before)?;

@@ -29,8 +29,10 @@
 //! must refuse to mix the two.
 //!
 //! The hash makes snapshots *content-addressed*: two machines in the same
-//! state produce byte-identical files with the same
-//! [`content_hash`], which `lbp-batch` exploits to deduplicate jobs.
+//! state produce byte-identical files with the same [`content_hash`],
+//! watched or not, which the fuzzer's oracles and `lbp-run --snap-info`
+//! compare and print. (`lbp-batch` deduplicates jobs before any machine
+//! runs, by `job_hash` over each job's fields.)
 //!
 //! # Examples
 //!

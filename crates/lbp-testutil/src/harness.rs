@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 
 use lbp_asm::Image;
-use lbp_sim::{Fault, FaultPlan, LbpConfig, Machine, MachineState, SimError};
+use lbp_sim::{Fault, FaultPlan, LbpConfig, Machine, MachineState, SimError, Trace};
 
 /// Assembles a test program, panicking with the source on failure.
 pub fn assemble(src: &str) -> Image {
@@ -22,9 +22,11 @@ pub fn machine(cores: usize, src: &str) -> Machine {
     machine_cfg(LbpConfig::cores(cores), src)
 }
 
-/// Builds a machine with default parameters plus event tracing.
+/// Builds a machine with default parameters and a [`Trace`] sink.
 pub fn machine_traced(cores: usize, src: &str) -> Machine {
-    machine_cfg(LbpConfig::cores(cores).with_trace(), src)
+    let mut m = machine(cores, src);
+    m.set_sink(Box::new(Trace::new()));
+    m
 }
 
 /// Builds a machine from an explicit configuration.
@@ -33,10 +35,12 @@ pub fn machine_cfg(cfg: LbpConfig, src: &str) -> Machine {
     Machine::new(cfg, &image).unwrap_or_else(|e| panic!("machine rejected: {e}\n---\n{src}"))
 }
 
-/// Builds a machine from an already-assembled image (tracing on, the
-/// configuration determinism tests want).
+/// Builds a machine from an already-assembled image, with the [`Trace`]
+/// sink determinism tests want.
 pub fn machine_from_image(image: &Image, cores: usize) -> Machine {
-    Machine::new(LbpConfig::cores(cores).with_trace(), image).expect("machine builds")
+    let mut m = Machine::new(LbpConfig::cores(cores), image).expect("machine builds");
+    m.set_sink(Box::new(Trace::new()));
+    m
 }
 
 /// Builds a machine with a deterministic fault plan. Unlike the other

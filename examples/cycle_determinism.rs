@@ -12,7 +12,8 @@ use lbp::sim::{EventKind, Machine, Trace};
 
 fn traced_run(mm: &Matmul) -> Result<(u64, Trace), Box<dyn std::error::Error>> {
     let image = mm.build();
-    let mut machine = Machine::new(mm.config().with_trace(), &image)?;
+    let mut machine = Machine::new(mm.config(), &image)?;
+    machine.set_sink(Box::new(Trace::new()));
     let layout = mm.layout();
     for i in 0..layout.n {
         for k in 0..layout.m {
@@ -25,7 +26,8 @@ fn traced_run(mm: &Matmul) -> Result<(u64, Trace), Box<dyn std::error::Error>> {
         }
     }
     let report = machine.run(100_000_000)?;
-    Ok((report.stats.cycles, machine.trace().clone()))
+    let trace = machine.sink::<Trace>().expect("the sink attached above");
+    Ok((report.stats.cycles, trace.clone()))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 
 use lbp_kernels::matmul::{Matmul, Version};
-use lbp_sim::{LbpConfig, Machine, RunReport, Stats};
+use lbp_sim::{LbpConfig, Machine, RunReport, Stats, Trace};
 
 use crate::baseline::{Activity, LbpEnergyModel, PhiEnergyModel, PhiModel};
 
@@ -319,9 +319,11 @@ pub fn determinism() -> Section {
     let checks = [16, 64].map(|harts| {
         let mm = Matmul::new(harts, Version::Tiled);
         let run = || {
-            let mut m = mm.machine_with(mm.config().with_trace()).expect("machine");
+            let mut m = mm.machine().expect("machine");
+            m.set_sink(Box::new(Trace::new()));
             m.run(1_000_000_000).expect("run");
-            (m.stats().cycles, m.stats().retired(), m.trace().clone())
+            let trace = m.sink::<Trace>().expect("traced").clone();
+            (m.stats().cycles, m.stats().retired(), trace)
         };
         (
             format!("h={harts}: traces, cycles and retired counts bit-identical"),

@@ -3,6 +3,7 @@
 //! one, and the pool must actually buy wall-clock time on a
 //! multi-core host.
 
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use lbp_batch::{load_manifest, run_batch, BatchJob, SourceKind};
@@ -97,5 +98,23 @@ fn manifest_driven_sweep_agrees_with_programmatic_jobs() {
     assert_eq!(loaded.len(), direct.len());
     for (a, b) in loaded.iter().zip(&direct) {
         assert_eq!(lbp_batch::job_hash(a), lbp_batch::job_hash(b), "{}", a.id);
+    }
+}
+
+/// A key given twice is refused at the repeat, not read as its first
+/// copy: a second `jobs` would drop its jobs, a second `cores` its count.
+#[test]
+fn a_manifest_that_repeats_a_key_is_refused_at_the_repeat() {
+    let base = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let jobs = r#"{"schema": "lbp-batch-manifest-v1",
+        "jobs": [{"id": "a", "program": "examples/asm/mul.s"}],
+        "jobs": [{"id": "b", "program": "examples/asm/mul.s"},
+                 {"id": "c", "program": "examples/asm/mul.s"}]}"#;
+    let cores = r#"{"schema": "lbp-batch-manifest-v1", "jobs": [{"id": "a",
+        "program": "examples/asm/mul.s", "cores": 2, "cores": 8}]}"#;
+    for (text, key) in [(jobs, "\"jobs\""), (cores, "\"cores\"")] {
+        let err = load_manifest(text, base).expect_err(text).to_string();
+        let want = format!("at byte {}: duplicate key", text.rfind(key).unwrap());
+        assert!(err.ends_with(&want), "{err}");
     }
 }

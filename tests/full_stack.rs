@@ -3,7 +3,7 @@
 
 use lbp::cc;
 use lbp::kernels::matmul::{Matmul, Version};
-use lbp::omp::DetOmp;
+use lbp::omp::{DetOmp, ReduceOp};
 use lbp::sim::{LbpConfig, Machine};
 
 #[test]
@@ -125,6 +125,20 @@ fn region_team_larger_than_machine_is_a_clean_error() {
     let mut m = Machine::new(LbpConfig::cores(1), &image).unwrap();
     let err = m.run(1_000_000).unwrap_err();
     assert!(matches!(err, lbp::sim::SimError::Protocol { .. }));
+}
+
+/// A reduction nobody contributes to keeps its variable's initial value,
+/// as in OpenMP: the program waits for no partial value and stores none.
+#[test]
+fn a_reduction_of_no_values_leaves_its_destination_as_it_was() {
+    let image = DetOmp::new(1)
+        .data_words("out", &[7])
+        .collect_reduction(0, 0, ReduceOp::Add, "out")
+        .build()
+        .unwrap();
+    let mut m = Machine::new(LbpConfig::cores(1), &image).unwrap();
+    assert!(m.run(1_000_000).expect("runs to its exit").exited);
+    assert_eq!(m.peek_shared(image.symbol("out").unwrap()).unwrap(), 7);
 }
 
 #[test]

@@ -10,6 +10,7 @@ use lbp::kernels::matmul::{Matmul, Version};
 use lbp::omp::DetOmp;
 use lbp::sim::{
     EventKind, FastEngine, FastStop, FastSummary, Fault, FaultPlan, LbpConfig, Machine, SimError,
+    Trace,
 };
 use lbp::snap;
 
@@ -334,7 +335,7 @@ fn warm_zero_materializes_bit_identical_to_fresh() {
 /// commit-stream concatenation property).
 fn commit_streams(m: &Machine, harts: usize) -> Vec<Vec<u32>> {
     let mut streams = vec![Vec::new(); harts];
-    for event in m.trace().events() {
+    for event in m.sink::<Trace>().unwrap().events() {
         if let EventKind::Commit { pc } = event.kind {
             streams[event.hart.global() as usize].push(pc);
         }
@@ -352,7 +353,8 @@ fn per_hart_commit_streams_concatenate() {
     let cfg = LbpConfig::cores(2);
     let harts = cfg.harts();
 
-    let mut pure = Machine::new(cfg.clone().with_trace(), &image).unwrap();
+    let mut pure = Machine::new(cfg.clone(), &image).unwrap();
+    pure.set_sink(Box::new(Trace::new()));
     pure.run(MAX_CYCLES).unwrap();
     let pure_streams = commit_streams(&pure, harts);
 
@@ -361,7 +363,7 @@ fn per_hart_commit_streams_concatenate() {
     fast.enable_commit_log();
     fast.run(FastStop::Retired(retired / 2), MAX_STEPS).unwrap();
     let mut hybrid = fast.materialize(&image).unwrap();
-    hybrid.set_trace(true);
+    hybrid.set_sink(Box::new(Trace::new()));
     hybrid.run(MAX_CYCLES).unwrap();
     let window_streams = commit_streams(&hybrid, harts);
 

@@ -4,7 +4,7 @@
 
 use lbp::cc;
 use lbp::kernels::sensor::SensorApp;
-use lbp::sim::{LbpConfig, Machine};
+use lbp::sim::{LbpConfig, Machine, Trace};
 
 #[test]
 fn sensor_outputs_are_invariant_under_every_tested_jitter() {
@@ -67,13 +67,14 @@ fn identical_device_schedules_give_identical_cycles() {
         ]
     };
     let run = || {
-        let mut m = Machine::new(LbpConfig::cores(1).with_trace(), &image).unwrap();
+        let mut m = Machine::new(LbpConfig::cores(1), &image).unwrap();
+        m.set_sink(Box::new(Trace::new()));
         let out = app.attach_devices(&mut m, schedule());
         let r = m.run(10_000_000).unwrap();
         (
             r.stats.cycles,
             m.io_mut().output(out).values(),
-            m.trace().len(),
+            m.sink::<Trace>().unwrap().len(),
         )
     };
     assert_eq!(run(), run());
@@ -98,14 +99,15 @@ void main(void) {
     )
     .unwrap();
     let run = || {
-        let mut m = Machine::new(LbpConfig::cores(4).with_trace(), &compiled.image).unwrap();
+        let mut m = Machine::new(LbpConfig::cores(4), &compiled.image).unwrap();
+        m.set_sink(Box::new(Trace::new()));
         let r = m.run(10_000_000).unwrap();
         (
             r.stats.cycles,
             r.stats.retired(),
             m.peek_shared(compiled.image.symbol("acc").unwrap())
                 .unwrap(),
-            m.trace().clone(),
+            m.sink::<Trace>().unwrap().clone(),
         )
     };
     let a = run();

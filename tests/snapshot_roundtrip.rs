@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use lbp::sim::{Event, Machine, PcCounters, RaceWitness, RunReport, SimError};
+use lbp::sim::{Event, Machine, PcCounters, RaceWitness, RunReport, SimError, Trace};
 use lbp::snap;
 use lbp_testutil::harness;
 
@@ -73,7 +73,7 @@ fn check_round_trip(name: &str, image: &lbp::asm::Image, cores: usize) -> Vec<Ra
     let total = full.stats().cycles;
     assert!(total > 4, "{name}: too short to checkpoint meaningfully");
     let reference = finish(&mut full, outcome);
-    let events: Vec<Event> = full.trace().events().to_vec();
+    let events: Vec<Event> = full.sink::<Trace>().unwrap().events().to_vec();
     let mut unsplit = Profile::new();
     add_profile(&mut unsplit, &full);
     let mut compared = Vec::new();
@@ -93,6 +93,7 @@ fn check_round_trip(name: &str, image: &lbp::asm::Image, cores: usize) -> Vec<Ra
         assert_eq!(snap::content_hash(&decoded), snap::content_hash(&state));
 
         let mut resumed = Machine::restore(&decoded).unwrap();
+        resumed.set_sink(Box::new(Trace::new()));
         resumed.enable_profiling();
         let witnessed = !prefix.in_parallel_region();
         if witnessed {
@@ -108,8 +109,8 @@ fn check_round_trip(name: &str, image: &lbp::asm::Image, cores: usize) -> Vec<Ra
             reference.state, replay.state,
             "{name}: final machine state diverged across a checkpoint at cycle {at}"
         );
-        let mut spliced = prefix.trace().events().to_vec();
-        spliced.extend_from_slice(resumed.trace().events());
+        let mut spliced = prefix.sink::<Trace>().unwrap().events().to_vec();
+        spliced.extend_from_slice(resumed.sink::<Trace>().unwrap().events());
         assert_eq!(
             events, spliced,
             "{name}: trace diverged across a checkpoint at cycle {at}"
@@ -205,6 +206,31 @@ fn snapshot_bytes_are_pinned_across_commits() {
     assert_eq!(snap::content_hash(&m.snapshot()), PINNED_FRESH, "fresh");
     assert!(!m.run_to(PINNED_PAUSE).unwrap());
     assert_eq!(snap::content_hash(&m.snapshot()), PINNED_PAUSED, "paused");
+}
+
+/// Watching is not state: a machine that records its events snapshots to
+/// the bytes, and so the content hash, of its unwatched twin.
+#[test]
+fn a_traced_machine_snapshots_to_its_untraced_twins_bytes() {
+    let source = std::fs::read_to_string(format!(
+        "{}/examples/asm/fork2.s",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .unwrap();
+    let image = lbp::asm::assemble(&source).unwrap();
+    let mut plain = Machine::new(lbp::sim::LbpConfig::cores(2), &image).unwrap();
+    let mut traced = Machine::new(lbp::sim::LbpConfig::cores(2), &image).unwrap();
+    traced.set_sink(Box::new(Trace::new()));
+    assert!(!plain.run_to(PINNED_PAUSE).unwrap());
+    assert!(!traced.run_to(PINNED_PAUSE).unwrap());
+    let events = traced.sink::<Trace>().unwrap().events();
+    assert!(!events.is_empty(), "nothing traced");
+    let (watched, unwatched) = (traced.snapshot(), plain.snapshot());
+    let (a, b) = (watched.as_bytes(), unwatched.as_bytes());
+    assert_eq!(a.len(), b.len());
+    let first = a.iter().zip(b).position(|(x, y)| x != y);
+    assert!(a == b, "the snapshots first differ at byte {first:?}");
+    assert_eq!(snap::content_hash(&watched), snap::content_hash(&unwatched));
 }
 
 /// `content_hash` of the empty fork-join team of 64 on 16 cores, paused
