@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! <state>/journal.jsonl   the lbp-batch-journal-v1 write-ahead log
-//! <state>/ck/             periodic lbp-snap-v1 checkpoints (2 newest/job)
+//! <state>/ck/             periodic lbp-snap checkpoints (2 newest/job)
 //! <state>/dumps/          lbp-dump-v1 reports for failed/cancelled attempts
 //! <state>/results.jsonl   lbp-batch-v1 lines, manifest order (on completion)
 //! <state>/bench.jsonl     lbp-prof-v1 p50/p99 job-latency rows

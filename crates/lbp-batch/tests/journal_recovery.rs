@@ -6,7 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use lbp_sim::Json;
+use lbp_sim::{Engine, Json};
 
 fn scratch(name: &str) -> PathBuf {
     let dir =
@@ -154,6 +154,69 @@ fn interrupted_job_resumes_from_its_checkpoint() {
     let results = std::fs::read_to_string(state.join("results.jsonl")).unwrap();
     let v = Json::parse(results.lines().next().unwrap()).unwrap();
     assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A warm job's machine descends from the functional engine's clock, so
+/// every checkpoint of it says so: those of the first attempt, and those
+/// of the attempt resumed from one of them.
+#[test]
+fn a_warm_jobs_checkpoints_carry_the_functional_mark_across_a_resume() {
+    let dir = scratch("warm");
+    let matmul = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/c/matmul.c");
+    std::fs::copy(matmul, dir.join("matmul.c")).unwrap();
+    let manifest = dir.join("manifest.json");
+    std::fs::write(
+        &manifest,
+        r#"{"schema": "lbp-batch-manifest-v1",
+            "jobs": [{"program": "matmul.c", "cores": 4, "warm": 5000}]}"#,
+    )
+    .unwrap();
+    let state = dir.join("state");
+    let run = |crash_after: &str| {
+        let mut c = Command::new(env!("CARGO_BIN_EXE_lbp-batch"));
+        c.arg(&manifest).arg("--state-dir").arg(&state);
+        c.args([
+            "--workers",
+            "1",
+            "--checkpoint-every",
+            "1000",
+            "--slice",
+            "500",
+        ]);
+        c.args(["--crash-after-appends", crash_after]);
+        assert_eq!(c.status().unwrap().code(), Some(86));
+    };
+    // Every checkpoint file on disk, with the engine its state records.
+    let checkpoints = || -> Vec<(String, Engine)> {
+        std::fs::read_dir(state.join("ck"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "lbpsnap"))
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (name, lbp_snap::load(&p).unwrap().engine())
+            })
+            .collect()
+    };
+    // Start, manifest, queued, running, then four checkpoints.
+    run("8");
+    let first = checkpoints();
+    assert!(
+        first.iter().any(|(name, _)| name == "job0.c5423.lbpsnap"),
+        "{first:?}"
+    );
+    // Start, running, then one checkpoint of the resumed attempt.
+    run("3");
+    let second = checkpoints();
+    let resumed: Vec<_> = second.iter().filter(|c| !first.contains(c)).collect();
+    assert!(
+        !resumed.is_empty(),
+        "the resumed attempt checkpointed: {second:?}"
+    );
+    for (name, engine) in &second {
+        assert_eq!(*engine, Engine::Functional, "{name}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -5,7 +5,7 @@ use std::fmt::Display;
 use lbp_isa::{HartId, DEFAULT_SHARED_BANK_BYTES, HARTS_PER_CORE, LOCAL_BANK_BYTES, LOCAL_BASE};
 
 use crate::fault::{Fault, FaultPlan};
-use crate::snapshot::{SnapError, SnapReader, SnapWriter};
+use crate::snapshot::{Engine, SnapError, SnapReader, SnapWriter};
 
 /// Renaming (physical) registers per hart: the 32 architectural ones and
 /// 32 to rename into, one bit each in a word of ready flags.
@@ -23,6 +23,10 @@ pub(crate) const ALU_LATENCY: u32 = 1;
 
 /// RV32M division/remainder latency in cycles (an iterative divider).
 pub(crate) const DIV_LATENCY: u32 = 12;
+
+/// Bytes of the configuration section before the engine byte: the core
+/// count, two bank sizes, four sizes and five latencies.
+pub(crate) const FIXED_WORDS_BYTES: usize = 8 + 2 * 4 + 4 * 8 + 5 * 4;
 
 /// The largest core count the tools build a machine for: `lbp-run
 /// --cores` and a batch manifest's `cores` are refused above it.
@@ -102,14 +106,13 @@ impl LbpConfig {
         self
     }
 
-    /// Writes the configuration section. The format has a word for each
-    /// fixed size and latency, and for two latencies nothing reads
-    /// (`link_hop`, `bank`, always 1); each holds the one value every
-    /// machine has, which keeps every snapshot byte and content hash what
-    /// older containers hold. So does the reserved byte where older
-    /// containers kept the in-memory trace's switch: it is written 0, and
-    /// read as 0 or 1 and dropped, for watching is not state.
-    pub(crate) fn snap(&self, w: &mut SnapWriter) {
+    /// Writes the configuration section with the machine's `engine` byte
+    /// after its fixed words ([`MachineState::engine`](crate::MachineState::engine)
+    /// reads it back). The format has a word for each fixed size and
+    /// latency, and for two latencies nothing reads (`link_hop`, `bank`,
+    /// always 1); each holds the one value every machine has, which keeps
+    /// every snapshot byte and content hash what older containers hold.
+    pub(crate) fn snap(&self, w: &mut SnapWriter, engine: Engine) {
         w.u64(self.cores as u64);
         w.u32(LOCAL_BANK_BYTES);
         w.u32(self.shared_bank_bytes);
@@ -119,7 +122,7 @@ impl LbpConfig {
         for latency in [ALU_LATENCY, self.mul_latency, DIV_LATENCY, 1, 1] {
             w.u32(latency);
         }
-        w.bool(false); // reserved
+        w.bool(engine == Engine::Functional);
         w.u64(self.sample_interval);
         // Faults serialize as their (round-tripping) spec strings.
         w.seq(self.faults.faults.len());
@@ -153,7 +156,7 @@ impl LbpConfig {
         check("latencies.div", r.u32()?.into(), DIV_LATENCY.into())?;
         check("reserved latency word `link_hop`", r.u32()?.into(), 1)?;
         check("reserved latency word `bank`", r.u32()?.into(), 1)?;
-        r.bool()?; // reserved
+        r.bool()?; // the engine byte, which `MachineState` holds
         let sample_interval = r.u64()?;
         let mut faults = FaultPlan::none();
         for _ in 0..r.seq()? {
@@ -209,5 +212,20 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn zero_cores_rejected() {
         let _ = LbpConfig::cores(0);
+    }
+
+    /// `MachineState` finds the engine byte at `FIXED_WORDS_BYTES`: the
+    /// two lineages' sections differ there and nowhere else.
+    #[test]
+    fn the_engine_byte_follows_the_fixed_words() {
+        let section = |engine| {
+            let mut w = SnapWriter::new();
+            LbpConfig::cores(4).with_interval(500).snap(&mut w, engine);
+            w.into_bytes()
+        };
+        let (cold, warm) = (section(Engine::CycleExact), section(Engine::Functional));
+        let differ: Vec<usize> = (0..cold.len()).filter(|&i| cold[i] != warm[i]).collect();
+        assert_eq!(differ, [FIXED_WORDS_BYTES]);
+        assert_eq!((cold[FIXED_WORDS_BYTES], warm[FIXED_WORDS_BYTES]), (0, 1));
     }
 }

@@ -1074,8 +1074,11 @@ impl FastEngine {
     /// (`retired + stalls == cycles`) preserved by padding the synthetic
     /// stall budget into the `idle` bucket.
     ///
-    /// At zero retired instructions the materialized machine is
-    /// bit-identical (snapshot bytes) to `Machine::new(cfg, image)`.
+    /// Once the warm phase has retired anything, the machine and every
+    /// snapshot of it carry [`Engine::Functional`](crate::Engine): its
+    /// clock is this engine's estimate. At zero retired instructions the
+    /// materialized machine is bit-identical (snapshot bytes) to
+    /// `Machine::new(cfg, image)`.
     ///
     /// # Errors
     ///

@@ -104,6 +104,6 @@ pub use lockstep::{run_lockstep, Divergence, LockstepError, LockstepReport};
 pub use machine::{Machine, RunPause, RunReport, Watch, Watched};
 pub use prof::{PcCounters, ProfData, ProfInterval};
 pub use race::{Overlap, RaceData, RaceWitness};
-pub use snapshot::{MachineState, SnapError};
+pub use snapshot::{Engine, MachineState, SnapError};
 pub use stats::{CoreStalls, IntervalSample, StallKind, Stats};
 pub use trace::{ChromeSink, Event, EventKind, JsonlSink, TextSink, Trace, TraceSink};

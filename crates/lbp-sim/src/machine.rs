@@ -21,7 +21,7 @@ use crate::msg::{CoreMsg, NetMsg};
 use crate::observe::Observers;
 use crate::prof::ProfData;
 use crate::race::{RaceData, RaceWitness};
-use crate::snapshot::{MachineState, SnapError, SnapReader, SnapWriter};
+use crate::snapshot::{Engine, MachineState, SnapError, SnapReader, SnapWriter};
 use crate::stats::{CoreStalls, IntervalSample, StallKind, Stats};
 use crate::trace::{EventKind, TraceSink};
 use crate::xpar;
@@ -119,6 +119,10 @@ pub struct Machine {
     obs: Observers,
     cursor: SampleCursor,
     pub(crate) cycle: u64,
+    /// The engine the clock descends from: functional once a warm phase
+    /// that retired anything handed this machine over. Carried by every
+    /// snapshot, so a restored machine keeps it.
+    engine: Engine,
     pub(crate) exited: bool,
     /// Cycle-triggered faults from the plan, not yet applied.
     pending_faults: Vec<Fault>,
@@ -206,6 +210,7 @@ impl Machine {
             obs: Observers::off(),
             cursor: SampleCursor::default(),
             cycle: 0,
+            engine: Engine::CycleExact,
             exited: false,
             pending_faults,
             faults_applied: 0,
@@ -520,8 +525,9 @@ impl Machine {
     /// the profiler nor the race witness — so a watched machine snapshots
     /// to its unwatched twin's bytes.
     ///
-    /// The payload has two sections: a *static* one (configuration and
-    /// fault plan — fixed at construction) and a *dynamic* one (everything
+    /// The payload has two sections: a *static* one (configuration, fault
+    /// plan and the [`Engine`] the clock descends from — fixed at
+    /// construction or handoff) and a *dynamic* one (everything
     /// execution-determined). [`MachineState::dynamic_bytes`] exposes the
     /// latter so two machines that differ only in their fault plan can be
     /// compared state-for-state.
@@ -532,7 +538,7 @@ impl Machine {
         let dyn_patch = w.position();
         w.u64(0); // dyn_offset, patched once the static section is written
                   // Static section.
-        self.cfg.snap(&mut w);
+        self.cfg.snap(&mut w, self.engine);
         w.seq(self.pending_faults.len());
         for fault in &self.pending_faults {
             w.str(&fault.to_string());
@@ -623,6 +629,7 @@ impl Machine {
             stats,
             cursor,
             cycle,
+            engine: state.engine(),
             exited,
             pending_faults,
             faults_applied,
@@ -1029,7 +1036,8 @@ impl Machine {
 /// pipelines empty, no message in flight, the clock at the engine's
 /// virtual cycle, and the per-core accounting invariant
 /// (`retired + stalls == cycles`) preserved by padding the synthetic
-/// stall budget into the `idle` bucket.
+/// stall budget into the `idle` bucket. Once the warm phase has retired
+/// anything, the machine is marked [`Engine::Functional`].
 pub(crate) fn materialize_from_fast(
     fast: &crate::fast::FastEngine,
     image: &Image,
@@ -1067,6 +1075,9 @@ pub(crate) fn materialize_from_fast(
     }
     validate_fault_plan(&cfg, image)?;
     let mut m = Machine::around(cfg, image, fast.banks().clone());
+    if fast.retired() > 0 {
+        m.engine = Engine::Functional;
+    }
     m.cycle = vcycle;
     m.stats.cycles = vcycle;
     let (forks, joins, muldiv_ops, local_accesses, remote_accesses) = fast.counters();

@@ -23,7 +23,9 @@
 //! *dynamic* section holds everything the program's execution actually
 //! determines. [`MachineState::dynamic_bytes`] exposes the latter so
 //! two runs under *different* fault plans (e.g. a clean and an injected
-//! run) can still be compared state-for-state.
+//! run) can still be compared state-for-state. The static section also
+//! records the machine's [`Engine`] lineage, which no dynamic comparison
+//! sees: a tool that compares timing checks it apart.
 
 use std::fmt;
 
@@ -52,15 +54,45 @@ impl std::error::Error for SnapError {}
 /// offset (three little-endian u64 values).
 const HEADER_BYTES: usize = 24;
 
+/// Where the engine byte sits in the payload: the configuration section
+/// follows the header.
+const ENGINE_AT: usize = HEADER_BYTES + crate::config::FIXED_WORDS_BYTES;
+
+/// Which engine a machine state's clock descends from.
+///
+/// A machine materialized from the functional engine after a warm phase
+/// that retired anything holds that engine's virtual cycle: its
+/// architectural state is exact, but its cycle count is a model estimate
+/// and its stall ledger synthetic, in every snapshot it or a machine
+/// restored from it takes. Tools that compare timing, the divergence
+/// bisector above all, must not line the two up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// Every cycle ran on the full pipeline, network and bank model.
+    CycleExact,
+    /// A functional warm phase set the clock.
+    Functional,
+}
+
+impl fmt::Display for Engine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Engine::CycleExact => "cycle-exact",
+            Engine::Functional => "functional",
+        })
+    }
+}
+
 /// A full machine state, encoded. Produced by
 /// [`Machine::snapshot`](crate::Machine::snapshot) and consumed by
 /// [`Machine::restore`](crate::Machine::restore).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineState {
-    pub(crate) cycle: u64,
-    pub(crate) cores: usize,
-    pub(crate) dyn_offset: usize,
-    pub(crate) bytes: Vec<u8>,
+    cycle: u64,
+    cores: usize,
+    engine: Engine,
+    dyn_offset: usize,
+    bytes: Vec<u8>,
 }
 
 impl MachineState {
@@ -72,6 +104,11 @@ impl MachineState {
     /// The machine's core count.
     pub fn cores(&self) -> usize {
         self.cores
+    }
+
+    /// The engine the machine's clock descends from.
+    pub fn engine(&self) -> Engine {
+        self.engine
     }
 
     /// The raw encoded payload (what `lbp-snap` wraps into its
@@ -90,14 +127,15 @@ impl MachineState {
     }
 
     /// Reassembles a state from payload bytes (e.g. read back from an
-    /// `lbp-snap-v1` file).
+    /// `lbp-snap` v3 container).
     ///
-    /// Only the header is validated here; full validation happens in
-    /// [`Machine::restore`](crate::Machine::restore).
+    /// Only the header and the engine byte are validated here; full
+    /// validation happens in [`Machine::restore`](crate::Machine::restore).
     ///
     /// # Errors
     ///
-    /// Fails if the header is truncated or self-inconsistent.
+    /// Fails if the header is truncated or self-inconsistent, or the
+    /// engine byte is neither 0 nor 1.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<MachineState, SnapError> {
         let mut r = SnapReader::new(&bytes);
         let cycle = r.u64()?;
@@ -106,14 +144,20 @@ impl MachineState {
         if cores == 0 {
             return Err(SnapError::Corrupt("core count is zero".to_owned()));
         }
-        if dyn_offset < HEADER_BYTES || dyn_offset > bytes.len() {
+        if dyn_offset <= ENGINE_AT || dyn_offset > bytes.len() {
             return Err(SnapError::Corrupt(format!(
                 "dynamic-section offset {dyn_offset} is outside the payload"
             )));
         }
+        let engine = match bytes[ENGINE_AT] {
+            0 => Engine::CycleExact,
+            1 => Engine::Functional,
+            other => return Err(SnapError::Corrupt(format!("bad engine byte {other}"))),
+        };
         Ok(MachineState {
             cycle,
             cores,
+            engine,
             dyn_offset,
             bytes,
         })
@@ -398,11 +442,20 @@ mod tests {
         let mut w = SnapWriter::new();
         w.u64(42); // cycle
         w.u64(4); // cores
-        w.u64(HEADER_BYTES as u64); // dynamic section starts right after
-        let state = MachineState::from_bytes(w.into_bytes()).unwrap();
+        w.u64(ENGINE_AT as u64 + 1); // the static section ends at the engine byte
+        w.zeros(ENGINE_AT - HEADER_BYTES);
+        w.u8(1);
+        let mut bytes = w.into_bytes();
+        let state = MachineState::from_bytes(bytes.clone()).unwrap();
         assert_eq!(state.cycle(), 42);
         assert_eq!(state.cores(), 4);
+        assert_eq!(state.engine(), Engine::Functional);
         assert!(state.dynamic_bytes().is_empty());
+        bytes[ENGINE_AT] = 2;
+        assert!(matches!(
+            MachineState::from_bytes(bytes),
+            Err(SnapError::Corrupt(m)) if m == "bad engine byte 2"
+        ));
         assert!(MachineState::from_bytes(vec![0; 8]).is_err());
     }
 }

@@ -5,7 +5,7 @@
 use lbp_asm::assemble;
 use lbp_isa::SHARED_BASE;
 use lbp_sim::{
-    Event, Fault, FaultPlan, LbpConfig, Machine, MachineState, RunReport, SnapError, Trace,
+    Engine, Event, Fault, FaultPlan, LbpConfig, Machine, MachineState, RunReport, SnapError, Trace,
 };
 use lbp_testutil::harness::machine_traced as machine;
 
@@ -206,20 +206,28 @@ fn reserved_latency_words_other_than_one_are_rejected() {
     }
 }
 
-/// The byte after the latencies held the in-memory trace's switch while
-/// tracing was configuration. It is reserved now: a container with a 1
-/// there restores, to a machine that writes it 0 like every other.
+/// The byte after the latencies records the engine the clock descends
+/// from. It is state: a 1 restores to a machine that writes it 1 again,
+/// and any value but 0 or 1 is refused.
 #[test]
-fn a_reserved_trace_byte_of_one_restores_and_is_written_zero() {
+fn the_engine_byte_is_state_that_a_restore_keeps() {
     let mut m = machine(2, &busy_program());
     m.run_to(20).unwrap();
     let bytes = m.snapshot().as_bytes().to_vec();
     let at = latencies_at(&bytes) + 20;
-    assert_eq!(bytes[at], 0, "a traced machine writes the byte 0");
-    let mut older = bytes.clone();
-    older[at] = 1;
-    let restored = Machine::restore(&MachineState::from_bytes(older).unwrap()).unwrap();
-    assert_eq!(restored.snapshot().as_bytes(), bytes);
+    assert_eq!(bytes[at], 0, "a cold machine is cycle-exact");
+    assert_eq!(m.snapshot().engine(), Engine::CycleExact);
+    let mut warm = bytes.clone();
+    warm[at] = 1;
+    let state = MachineState::from_bytes(warm.clone()).unwrap();
+    assert_eq!(state.engine(), Engine::Functional);
+    let restored = Machine::restore(&state).unwrap();
+    assert_eq!(restored.snapshot().as_bytes(), warm);
+    warm[at] = 2;
+    assert!(matches!(
+        MachineState::from_bytes(warm),
+        Err(SnapError::Corrupt(m)) if m == "bad engine byte 2"
+    ));
 }
 
 /// Where the five default latency words start in a snapshot's bytes.

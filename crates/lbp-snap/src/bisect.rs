@@ -14,9 +14,56 @@
 //! Snapshots compare by their *dynamic* section only
 //! ([`MachineState::dynamic_bytes`]), so two machines that differ in
 //! configuration-level fault plans — but not yet in behaviour — are
-//! still "equal".
+//! still "equal". The one static fact that does matter is checked first:
+//! both starting states must descend from the same [`Engine`], for a
+//! functional clock cannot be lined up against a pipeline's.
 
-use lbp_sim::{Machine, MachineState, SnapError, Trace};
+use lbp_sim::{Engine, Machine, MachineState, SnapError, Trace};
+
+/// Why [`first_divergence`] did not bisect: one of its three refusals of
+/// a sound pair of states, or a failure inside the bisection.
+#[derive(Debug)]
+pub enum BisectError {
+    /// Runs A and B descend from these two different engines.
+    MixedEngines(Engine, Engine),
+    /// Runs A and B start at these two different cycles.
+    DifferentCycles(u64, u64),
+    /// The starting states already differ.
+    AlreadyDiffer,
+    /// A state failed to restore, or the replay did not reproduce what
+    /// the coarse scan saw.
+    Snap(SnapError),
+}
+
+impl std::fmt::Display for BisectError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BisectError::MixedEngines(a, b) => write!(
+                f,
+                "cannot bisect a {a} snapshot against a {b} one: functional snapshots carry \
+                 virtual cycles, not pipeline timing; take both snapshots from the same \
+                 engine (e.g. re-run the warm phase cycle-exact)"
+            ),
+            BisectError::DifferentCycles(a, b) => write!(
+                f,
+                "cannot bisect: the checkpoints are at different cycles ({a} vs {b})"
+            ),
+            BisectError::AlreadyDiffer => f.write_str(
+                "cannot bisect: the starting checkpoints already differ — bisect from an \
+                 earlier one",
+            ),
+            BisectError::Snap(e) => write!(f, "bisection failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for BisectError {}
+
+impl From<SnapError> for BisectError {
+    fn from(e: SnapError) -> BisectError {
+        BisectError::Snap(e)
+    }
+}
 
 /// Where two runs first part ways.
 #[derive(Debug, Clone)]
@@ -87,15 +134,19 @@ impl Stepper {
             Err(failure) => self.outcome = format!("error: {}", failure.error),
         }
     }
-
-    fn state(&self) -> MachineState {
-        self.machine.snapshot()
-    }
 }
 
-/// Whether two steppers are still evolving identically.
-fn in_sync(a: &Stepper, b: &Stepper) -> bool {
-    a.outcome == b.outcome && a.state().dynamic_bytes() == b.state().dynamic_bytes()
+/// Advances both steppers to `target` and snapshots each once: the two
+/// states while the runs still evolve identically, `None` once they part.
+fn advance_both(
+    a: &mut Stepper,
+    b: &mut Stepper,
+    target: u64,
+) -> Option<(MachineState, MachineState)> {
+    a.advance(target);
+    b.advance(target);
+    let (sa, sb) = (a.machine.snapshot(), b.machine.snapshot());
+    (a.outcome == b.outcome && sa.dynamic_bytes() == sb.dynamic_bytes()).then_some((sa, sb))
 }
 
 /// Finds the first cycle at which two runs diverge, comparing their
@@ -113,25 +164,24 @@ fn in_sync(a: &Stepper, b: &Stepper) -> bool {
 ///
 /// # Errors
 ///
-/// [`SnapError`] if either checkpoint fails to restore, or if the two
-/// checkpoints are not at the same cycle or already differ.
+/// A refusal when the two checkpoints descend from different engines,
+/// are not at the same cycle or already differ; [`BisectError::Snap`] if
+/// either fails to restore, or the replay does not reproduce the
+/// divergence.
 pub fn first_divergence(
     a0: &MachineState,
     b0: &MachineState,
     max_cycles: u64,
     stride: u64,
-) -> Result<Option<DivergencePoint>, SnapError> {
+) -> Result<Option<DivergencePoint>, BisectError> {
+    if a0.engine() != b0.engine() {
+        return Err(BisectError::MixedEngines(a0.engine(), b0.engine()));
+    }
     if a0.cycle() != b0.cycle() {
-        return Err(SnapError::Corrupt(format!(
-            "checkpoints are at different cycles ({} vs {})",
-            a0.cycle(),
-            b0.cycle()
-        )));
+        return Err(BisectError::DifferentCycles(a0.cycle(), b0.cycle()));
     }
     if a0.dynamic_bytes() != b0.dynamic_bytes() {
-        return Err(SnapError::Corrupt(
-            "the starting checkpoints already differ — bisect from an earlier one".to_owned(),
-        ));
+        return Err(BisectError::AlreadyDiffer);
     }
     let stride = stride.max(1);
     let start = a0.cycle();
@@ -147,15 +197,13 @@ pub fn first_divergence(
             return Ok(None); // budget exhausted, still in sync
         }
         let target = (cursor + stride).min(end);
-        a.advance(target);
-        b.advance(target);
-        if !in_sync(&a, &b) {
+        let Some(states) = advance_both(&mut a, &mut b, target) else {
             break; // diverged somewhere in (cursor, target]
-        }
+        };
         if a.outcome != "running" {
             return Ok(None); // both finished identically
         }
-        last_equal = (a.state(), b.state());
+        last_equal = states;
         cursor = target;
     }
     // Fine scan: replay the guilty interval one cycle at a time from the
@@ -163,12 +211,10 @@ pub fn first_divergence(
     let mut a = Stepper::restore(&last_equal.0)?;
     let mut b = Stepper::restore(&last_equal.1)?;
     let mut cycle = last_equal.0.cycle();
+    let mut before = last_equal;
     loop {
-        let before = (a.state(), b.state());
         cycle += 1;
-        a.advance(cycle);
-        b.advance(cycle);
-        if !in_sync(&a, &b) {
+        let Some(states) = advance_both(&mut a, &mut b, cycle) else {
             let (event_a, event_b) = divergent_events(&before.0, &before.1, cycle)?;
             return Ok(Some(DivergencePoint {
                 cycle,
@@ -177,7 +223,7 @@ pub fn first_divergence(
                 outcome_a: a.outcome,
                 outcome_b: b.outcome,
             }));
-        }
+        };
         if a.outcome != "running" {
             // The coarse scan saw a divergence but the replay reached the
             // same common end: impossible for a deterministic machine.
@@ -185,8 +231,10 @@ pub fn first_divergence(
                 "replayed interval did not reproduce the divergence — \
                  the machine is not deterministic"
                     .to_owned(),
-            ));
+            )
+            .into());
         }
+        before = states;
     }
 }
 
@@ -261,6 +309,15 @@ mod tests {
         let a = machine(&[]).snapshot();
         let mut m = machine(&[]);
         m.run_to(3).unwrap();
-        assert!(first_divergence(&a, &m.snapshot(), 100, 4).is_err());
+        assert!(matches!(
+            first_divergence(&a, &m.snapshot(), 100, 4),
+            Err(BisectError::DifferentCycles(0, 3))
+        ));
+        let mut b = machine(&["flip-mem:0x80000000:3:1"]);
+        b.run_to(3).unwrap();
+        assert!(matches!(
+            first_divergence(&m.snapshot(), &b.snapshot(), 100, 4),
+            Err(BisectError::AlreadyDiffer)
+        ));
     }
 }

@@ -3,12 +3,13 @@
 //! alters payload bytes under an intact length. Each must be rejected
 //! with its *specific* diagnostic — recovery code in `lbp-batch` picks
 //! a fallback checkpoint based on which one it sees — and never with a
-//! generic parse error or a panic.
+//! generic parse error or a panic. So must a container of the previous
+//! format and one whose intact payload has no machine header.
 
 use std::path::PathBuf;
 
-use lbp_sim::{LbpConfig, Machine};
-use lbp_snap::{SnapFileError, CONTAINER_HEADER_BYTES};
+use lbp_sim::{LbpConfig, Machine, SnapError};
+use lbp_snap::{fnv1a64, SnapFileError, CONTAINER_HEADER_BYTES, MAGIC};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lbp-snap-corruption-{}", std::process::id()));
@@ -108,15 +109,63 @@ fn bit_flipped_container_reports_hash_mismatch_with_both_hashes() {
 
 #[test]
 fn header_hash_field_flip_is_a_mismatch_not_a_parse_error() {
-    // Flipping the *recorded* hash (header offset 35..43) leaves the
-    // payload intact; the diagnostic must still be HashMismatch with
+    // Flipping the *recorded* hash (the header's last eight bytes) leaves
+    // the payload intact; the diagnostic must still be HashMismatch with
     // `expected` carrying the altered header value.
     let (path, bytes) = fixture("header-hash.lbpsnap");
     let mut damaged = bytes.clone();
-    damaged[35] ^= 0x01;
+    damaged[CONTAINER_HEADER_BYTES - 8] ^= 0x01;
     std::fs::write(&path, &damaged).unwrap();
     assert!(matches!(
         lbp_snap::load(&path),
         Err(SnapFileError::HashMismatch { .. })
     ));
+}
+
+#[test]
+fn a_v2_container_is_refused_as_predating_the_layout() {
+    let (path, bytes) = fixture("v2.lbpsnap");
+    let payload = &bytes[CONTAINER_HEADER_BYTES..];
+    // The v2 header restated the payload's engine, cycle and core count
+    // between the version and the length.
+    let mut v2 = MAGIC.to_vec();
+    v2.extend(2u16.to_le_bytes());
+    v2.push(0);
+    v2.extend(20u64.to_le_bytes());
+    v2.extend(2u64.to_le_bytes());
+    v2.extend((payload.len() as u64).to_le_bytes());
+    v2.extend(fnv1a64(payload).to_le_bytes());
+    v2.extend(payload);
+    std::fs::write(&path, &v2).unwrap();
+    match lbp_snap::load(&path) {
+        Err(SnapFileError::Format(msg)) => {
+            assert!(msg.contains("v2 predates"), "diagnostic was: {msg}")
+        }
+        other => panic!("expected a Format refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn an_intact_payload_without_a_machine_header_is_a_payload_refusal() {
+    let (path, _) = fixture("no-machine.lbpsnap");
+    // A container whose length and hash hold, around payloads too short
+    // for the machine header or naming no cores.
+    for payload in [vec![7u8; 5], vec![0u8; 64]] {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(lbp_snap::FORMAT_VERSION.to_le_bytes());
+        bytes.extend((payload.len() as u64).to_le_bytes());
+        bytes.extend(fnv1a64(&payload).to_le_bytes());
+        bytes.extend(&payload);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(
+            matches!(
+                lbp_snap::load(&path),
+                Err(SnapFileError::Snap(
+                    SnapError::Truncated | SnapError::Corrupt(_)
+                ))
+            ),
+            "{} payload bytes",
+            payload.len()
+        );
+    }
 }

@@ -28,6 +28,7 @@ use lbp::sim::{
     LockstepError, Machine, MachineDump, SimFailure, TextSink, TraceSink, WarmError, Watch,
     Watched, MAX_CORES,
 };
+use lbp::snap::BisectError;
 
 const RUN: u32 = 1 << 0;
 const WARM: u32 = 1 << 1;
@@ -93,7 +94,7 @@ lbp::sim::flags! { FLAGS:
          members overlapping on a shared word, one writing,\n\
          are a witness; any witness exits 10");
     CHECKPOINT_EVERY = Flag::new("--checkpoint-every", &["N"], RUNS,
-        "write an lbp-snap-v1 snapshot every N cycles");
+        "write an lbp-snap checkpoint every N cycles");
     CHECKPOINT_PREFIX = Flag::new("--checkpoint-prefix", &["P"], RUNS,
         "checkpoint files are P<cycle>.lbpsnap (default ckpt-)").requires(&[CHECKPOINT_EVERY]);
     RESUME_FROM = Flag::new("--resume-from", &["FILE"], RESUME,
@@ -114,14 +115,14 @@ lbp::sim::flags! { FLAGS:
          `__roi_start` marker (a label; `.c` inputs write it\n\
          with `__roi_start();`)").selects(WARM).excludes(&[WARM_F]);
     WARM_SNAP = Flag::new("--warm-snap", &["FILE"], WARM,
-        "save the handoff snapshot to FILE (container records\n\
+        "save the handoff snapshot to FILE (the state records\n\
          the functional engine)");
     SNAP_INFO_F = Flag::new("--snap-info", &["FILE"], SNAP_INFO,
         "print a snapshot container's metadata (format\n\
          version, producing engine, cycle, cores) and exit").selects(SNAP_INFO);
     BISECT_SNAPS_F = Flag::new("--bisect-snaps", &["A", "B"], BISECT_SNAPS,
         "bisect two same-cycle snapshots of diverging runs;\n\
-         refuses mixed container versions or engines").selects(BISECT_SNAPS);
+         refuses snapshots of different engines").selects(BISECT_SNAPS);
     SABOTAGE = Flag::new("--sabotage", &["PC:XOR"], LOCKSTEP,
         "XOR a code word in the functional copy only\n\
          (repeatable; seeded-divergence validation of the\n\
@@ -409,18 +410,18 @@ fn run_in_slices(machine: &mut Machine, opts: &RunOptions) -> Result<Watched, Bo
     result
 }
 
-/// `--snap-info FILE`: print a container's metadata without restoring
+/// `--snap-info FILE`: print what a container holds without restoring
 /// the machine.
 fn run_snap_info(path: &str) -> ExitCode {
-    match lbp::snap::peek_file(path) {
-        Ok(meta) => {
+    match lbp::snap::load(path) {
+        Ok(state) => {
             println!("snapshot: {path}");
-            println!("format:   lbp-snap v{}", meta.version);
-            println!("engine:   {}", meta.engine);
-            println!("cycle:    {}", meta.cycle);
-            println!("cores:    {}", meta.cores);
-            println!("payload:  {} bytes", meta.payload_len);
-            println!("hash:     {:#018x}", meta.content_hash);
+            println!("format:   lbp-snap v{}", lbp::snap::FORMAT_VERSION);
+            println!("engine:   {}", state.engine());
+            println!("cycle:    {}", state.cycle());
+            println!("cores:    {}", state.cores());
+            println!("payload:  {} bytes", state.as_bytes().len());
+            println!("hash:     {:#018x}", lbp::snap::content_hash(&state));
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -430,44 +431,37 @@ fn run_snap_info(path: &str) -> ExitCode {
     }
 }
 
-/// Prints what a bisection found.
+/// Prints what a bisection found. A pair the bisector refuses is a usage
+/// error; a failure inside the bisection is exit 1.
 fn report_divergence(
-    found: Result<Option<lbp::snap::DivergencePoint>, lbp::sim::SnapError>,
+    found: Result<Option<lbp::snap::DivergencePoint>, BisectError>,
     clean: &str,
 ) -> ExitCode {
     match found {
         Ok(Some(d)) => println!("{d}"),
         Ok(None) => println!("no divergence: {clean}"),
         Err(e) => {
-            eprintln!("lbp-run: bisection failed: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("lbp-run: {e}");
+            return match e {
+                BisectError::Snap(_) => ExitCode::FAILURE,
+                _ => ExitClass::Usage.into(),
+            };
         }
     }
     ExitCode::SUCCESS
 }
 
 /// `--bisect-snaps A B`: bisect two same-cycle snapshots of diverging
-/// runs, refusing incompatible container versions or engines first.
+/// runs.
 fn run_bisect_snaps(a: &str, b: &str, max_cycles: u64) -> ExitCode {
-    let (meta_a, meta_b) = match (lbp::snap::peek_file(a), lbp::snap::peek_file(b)) {
+    let (sa, sb) = match (lbp::snap::load(a), lbp::snap::load(b)) {
         (Ok(x), Ok(y)) => (x, y),
         (Err(e), _) => {
-            eprintln!("lbp-run: cannot inspect `{a}`: {e}");
+            eprintln!("lbp-run: cannot load `{a}`: {e}");
             return ExitCode::FAILURE;
         }
         (_, Err(e)) => {
-            eprintln!("lbp-run: cannot inspect `{b}`: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = lbp::snap::ensure_bisect_compatible(&meta_a, &meta_b) {
-        eprintln!("lbp-run: {e}");
-        return ExitClass::Usage.into();
-    }
-    let (sa, sb) = match (lbp::snap::load(a), lbp::snap::load(b)) {
-        (Ok(x), Ok(y)) => (x, y),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("lbp-run: {e}");
+            eprintln!("lbp-run: cannot load `{b}`: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -530,9 +524,10 @@ fn warm_forward(
     }
     if let Some(path) = snap {
         let state = machine.snapshot();
-        match lbp::snap::save_with_engine(&state, lbp::snap::Engine::Functional, path) {
+        match lbp::snap::save(&state, path) {
             Ok(()) => eprintln!(
-                "lbp-run: handoff snapshot written to {path} (functional, cycle {})",
+                "lbp-run: handoff snapshot written to {path} ({}, cycle {})",
+                state.engine(),
                 state.cycle()
             ),
             Err(e) => eprintln!("lbp-run: cannot write handoff snapshot `{path}`: {e}"),

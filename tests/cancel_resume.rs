@@ -1,6 +1,6 @@
 //! Property test for graceful cancellation: a run cancelled
 //! cooperatively at *any* cycle boundary, snapshotted through the
-//! `lbp-snap-v1` container, and resumed in a fresh machine must be
+//! `lbp-snap` container, and resumed in a fresh machine must be
 //! bit-identical to the uninterrupted run — same report, same final
 //! state bytes. This is the invariant the crash-recoverable batch
 //! service leans on: a worker killed or cancelled mid-job loses wall

@@ -183,11 +183,19 @@ const CHECKPOINT_DYNAMIC_ONLY: &str = "crates/lbp-verify/tests/fixtures/race_dyn
      --cores 1 --checkpoint-every 10 --checkpoint-prefix {tmp}/ck-";
 const BAD_CHECKPOINT_MUL: &str = "examples/asm/mul.s --cores 1 --fault flip-reg:0:a2:4:14 \
      --checkpoint-every 10 --checkpoint-prefix {tmp}/bad-";
+/// Faulted before its first checkpoint.
+const EARLY_BAD_CHECKPOINT_MUL: &str = "examples/asm/mul.s --cores 1 --fault flip-reg:0:a2:4:5 \
+     --checkpoint-every 10 --checkpoint-prefix {tmp}/early-";
+/// A warm and a cold run of matmul that both checkpoint at cycle 2564.
+const WARM_CHECKPOINT_MATMUL: &str = "tests/fixtures/compiled/matmul.s --cores 4 --warm 5000 \
+     --checkpoint-every 641 --checkpoint-prefix {tmp}/warm-";
+const COLD_CHECKPOINT_MATMUL: &str = "tests/fixtures/compiled/matmul.s --cores 4 \
+     --checkpoint-every 641 --checkpoint-prefix {tmp}/cold-";
 
 /// Every mode of both tools over `examples/`, the verifier fixtures,
 /// `tests/fixtures` and the identity corpus.
 #[rustfmt::skip]
-const ROWS: [Row; 84] = [
+const ROWS: [Row; 88] = [
     // lbp-run: run, on the default four cores and on fewer and more.
     run("run", EXAMPLES, &[STATS], Pinned(7, 0x7e2b_ac3c_d7e7_c4b4)),
     run("run-1-core", ASM_1_CORE, &["--cores 1", STATS], Pinned(3, 0xd6fd_fea0_b22a_599c)),
@@ -200,12 +208,12 @@ const ROWS: [Row; 84] = [
     // Observers change nothing: with the sampler on, the stats report,
     // every checkpoint and any crash dump are the same bytes when the
     // profiler, the race witness and a trace sink watch too.
-    run("sampled", EXAMPLES, &[SAMPLED, STATS, DUMP], Pinned(7, 0x82d1_fae1_83a6_c0d2)),
+    run("sampled", EXAMPLES, &[SAMPLED, STATS, DUMP], Pinned(7, 0x2f69_c1fb_a1cf_9b1a)),
     run("sampled-observed", EXAMPLES,
         &[SAMPLED, STATS, DUMP, OBSERVED, "--trace {tmp}/trace --trace-format jsonl"],
         Same("sampled", Files)),
     run("sampled-1-core", ONE_CORE, &[SAMPLED_1_CORE, STATS, DUMP],
-        Pinned(3, 0xe841_c022_b559_cd67)),
+        Pinned(3, 0xc287_6be1_6a2b_c34f)),
     run("sampled-1-core-observed", ONE_CORE, &[SAMPLED_1_CORE, STATS, DUMP, OBSERVED],
         Same("sampled-1-core", Files)),
     // What the observers write.
@@ -275,7 +283,7 @@ const ROWS: [Row; 84] = [
         &["--cores 2 --lockstep --fault flip-mem:0x80000000:0:5", DUMP],
         Pinned(1, 0x082a_f4ef_7977_5653)),
     run("fault-not-a-fault", MUL, &["--fault not-a-fault:1", DUMP],
-        Pinned(1, 0x91e0_fbfd_f3a8_936e)),
+        Pinned(1, 0xeb54_9073_c7cd_e253)),
     // Checkpoint, resume and bisect: checkpointing and resuming print
     // what the uninterrupted run prints.
     run("mul-1-core", MUL, &["--cores 1", STATS], Pinned(1, 0xe212_7e75_5388_f9f2)),
@@ -293,18 +301,33 @@ const ROWS: [Row; 84] = [
         &["--resume-from {tmp}/ck-80.lbpsnap --race-witness"],
         Pinned(1, 0x97e2_0539_bbf5_16bb)).after(&[CHECKPOINT_DYNAMIC_ONLY]),
     run("checkpoints", MATMUL, &["--checkpoint-every 5000 --checkpoint-prefix {out}/ck-"],
-        Pinned(1, 0xeda2_c958_937d_e4be)),
+        Pinned(1, 0x4c8e_b27b_7852_1ae5)),
     run("snap-info", Inputs::None, &["--snap-info {tmp}/ck-10.lbpsnap"],
-        Pinned(1, 0xfff5_3819_dfd4_ea06)).after(&[CHECKPOINT_MUL]),
+        Pinned(1, 0x7e3c_82af_9322_ded7)).after(&[CHECKPOINT_MUL]),
     run("bisect", MUL, &["--cores 1 --fault flip-reg:0:a2:4:14 --bisect"],
         Pinned(1, 0x1907_9fc6_0d09_602d)),
     run("bisect-snaps", Inputs::None,
         &["--bisect-snaps {tmp}/ck-10.lbpsnap {tmp}/bad-10.lbpsnap"],
         Pinned(1, 0xc33a_fbc2_6f60_9bc9)).after(&[CHECKPOINT_MUL, BAD_CHECKPOINT_MUL]),
+    // A warm run's checkpoint descends from the functional clock: it says
+    // so, and the bisector refuses to line it up against a cold one.
+    run("snap-info-warm", Inputs::None, &["--snap-info {tmp}/warm-2564.lbpsnap"],
+        Pinned(1, 0xf8b9_e97e_ac5d_b5bc)).after(&[WARM_CHECKPOINT_MATMUL]),
+    run("bisect-snaps-mixed-engines", Inputs::None,
+        &["--bisect-snaps {tmp}/warm-2564.lbpsnap {tmp}/cold-2564.lbpsnap"],
+        Pinned(1, 0x6dfe_13df_93fe_40f5)).after(&[WARM_CHECKPOINT_MATMUL, COLD_CHECKPOINT_MATMUL]),
+    // The bisector's other refusals of sound snapshots: two cycles, and a
+    // pair whose states differ already.
+    run("bisect-snaps-different-cycles", Inputs::None,
+        &["--bisect-snaps {tmp}/ck-10.lbpsnap {tmp}/ck-80.lbpsnap"],
+        Pinned(1, 0xff1b_0428_dd5f_3488)).after(&[CHECKPOINT_DYNAMIC_ONLY]),
+    run("bisect-snaps-already-differ", Inputs::None,
+        &["--bisect-snaps {tmp}/ck-10.lbpsnap {tmp}/early-10.lbpsnap"],
+        Pinned(1, 0x1674_194a_941c_40b4)).after(&[CHECKPOINT_MUL, EARLY_BAD_CHECKPOINT_MUL]),
     // The hybrid engine: --warm and --roi, and the fault plans its
     // handoff refuses as usage errors.
     run("warm", MATMUL, &["--warm 1000", STATS, "--warm-snap {out}/warm.lbpsnap"],
-        Pinned(1, 0xde6a_34a7_b234_5c7d)),
+        Pinned(1, 0xd3a3_8d70_5724_fa96)),
     run("warm-past-the-exit", EXAMPLES, &["--warm 100000000", STATS],
         Pinned(7, 0x692c_7d04_e568_a7a8)),
     run("roi", ROI, &["--cores 2 --roi", STATS], Pinned(1, 0x1742_9f0e_5483_6845)),

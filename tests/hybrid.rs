@@ -9,8 +9,8 @@ use lbp::asm::Image;
 use lbp::kernels::matmul::{Matmul, Version};
 use lbp::omp::DetOmp;
 use lbp::sim::{
-    EventKind, FastEngine, FastStop, FastSummary, Fault, FaultPlan, LbpConfig, Machine, SimError,
-    Trace,
+    Engine, EventKind, FastEngine, FastStop, FastSummary, Fault, FaultPlan, LbpConfig, Machine,
+    SimError, Trace,
 };
 use lbp::snap;
 
@@ -166,34 +166,40 @@ void main(void) {
 
 /// One pinned handoff: the warm target, then what the functional engine
 /// hands over there — `retired`, `virtual_cycle`, `clamped`, and the
-/// `content_hash` of the machine it materializes.
+/// `content_hash` of the machine it materializes, whose snapshot carries
+/// the functional engine mark.
 type Handoff = (u64, [u64; 4]);
 
 /// `examples/asm/fork2.s` on two cores, mid-fork targets included.
 const FORK2_HANDOFFS: [Handoff; 6] = [
-    (3, [3, 3, 0, 0xe478_cd8f_79d5_6b68]),
-    (10, [10, 10, 0, 0xfc6f_daa3_a73c_21bd]),
-    (17, [17, 16, 0, 0xb3a5_9a16_1226_4f54]),
-    (20, [20, 16, 0, 0x93d9_b33b_336d_148a]),
-    (28, [28, 17, 0, 0x5c0c_4854_d230_ee3a]),
+    (3, [3, 3, 0, 0x7618_2e87_2b81_7ee5]),
+    (10, [10, 10, 0, 0xaadb_17ef_6690_3850]),
+    (17, [17, 16, 0, 0x5983_0a85_0f21_671d]),
+    (20, [20, 16, 0, 0x7b2a_18f6_847c_6233]),
+    (28, [28, 17, 0, 0x02f4_77cc_ed05_4c4b]),
     // Past the end: parked at the exit p_ret.
-    (33, [32, 21, 0, 0x6afb_6ed2_e568_b952]),
+    (33, [32, 21, 0, 0x04be_be36_bfd2_62f3]),
 ];
 
 /// The h=64 tiled matmul (16 cores, all-ones inputs): inside the team's
 /// spawn, mid-run, and the 90 % target the `ff_scale` benchmark warms to.
 const MATMUL64_HANDOFFS: [Handoff; 3] = [
-    (1_000, [1_000, 726, 0, 0x7334_4734_6d93_38c5]),
-    (500_000, [500_000, 34_586, 0, 0x8679_4121_8f36_a539]),
-    (1_539_518, [1_539_518, 99_558, 0, 0x7bcf_cedc_486b_3172]),
+    (1_000, [1_000, 726, 0, 0x5ffb_4fbd_c1ad_165c]),
+    (500_000, [500_000, 34_586, 0, 0x28f7_3bfd_e324_99f0]),
+    (1_539_518, [1_539_518, 99_558, 0, 0x7689_5e0c_c66b_d46b]),
 ];
 
 /// What the engine hands over at `target`.
 fn handoff(mut fast: FastEngine, image: &Image, target: u64) -> [u64; 4] {
     let s: FastSummary = fast.run(FastStop::Retired(target), MAX_STEPS).unwrap();
-    let m = fast.materialize(image).unwrap();
-    let hash = snap::content_hash(&m.snapshot());
-    [s.retired, s.virtual_cycle, s.clamped, hash]
+    let state = fast.materialize(image).unwrap().snapshot();
+    assert_eq!(state.engine(), Engine::Functional, "target {target}");
+    [
+        s.retired,
+        s.virtual_cycle,
+        s.clamped,
+        snap::content_hash(&state),
+    ]
 }
 
 /// The warm handoff state is a function of the functional engine's

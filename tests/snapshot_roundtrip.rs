@@ -1,6 +1,6 @@
 //! Snapshot round-trip smoke over every shipped example program:
 //! for each `examples/asm/*.s` and `examples/c/*.c`, checkpoint the run
-//! at three cycles through the `lbp-snap-v1` container, resume, and demand
+//! at three cycles through the `lbp-snap` container, resume, and demand
 //! the resumed run is bit-identical to the uninterrupted one — run
 //! report, spliced trace events, and the machine's entire final state
 //! (compared as snapshot bytes, which cover all memory and statistics).
