@@ -1,15 +1,28 @@
-//! Divergence bisection over checkpoints.
+//! Divergence bisection over snapshots.
 //!
 //! Given two machines whose evolutions are *expected* to differ — e.g. a
-//! clean run and one with an injected fault, or the two replicas of a
-//! lockstep pair that reported a late divergence — the bisector finds the
-//! **first cycle** where their dynamic states part ways without replaying
-//! either run cycle-by-cycle from reset: a coarse scan advances both
-//! machines `stride` cycles at a time comparing snapshots, then the last
-//! interval that started equal is replayed one cycle at a time, and the
-//! divergent cycle is replayed once more with tracing on to name the
-//! first differing event (typically the corrupted commit or the dropped
-//! message's missing delivery).
+//! clean run and one with an injected fault, or two checkpoints of runs
+//! that later disagree — [`first_divergence`] finds the **first cycle**
+//! where their dynamic states part ways, and the first traced event that
+//! differs on it (typically the corrupted commit or the dropped message's
+//! missing delivery).
+//!
+//! The machine is cycle-deterministic, so any interval replays from a
+//! snapshot to the same states. The search uses that instead of stepping
+//! every cycle. A *probe* restores both machines from the last pair of
+//! states known to be equal, runs them to a target cycle and snapshots
+//! each once. Probe targets first fall 1, 2, 4, … cycles past the last
+//! equal probe, until one differs or both runs end in the same state;
+//! then the interval between the last equal probe and the first differing
+//! one is halved down to one cycle, and that cycle is replayed once more
+//! with a [`Trace`] sink to name the differing events. A search replays
+//! at most about three times the cycles up to the divergence (or up to
+//! the runs' common end), whatever the cycle budget.
+//!
+//! Its one limit: only probes are compared, so a difference that heals
+//! between two probes — a corrupted register overwritten before anything
+//! reads it — is not seen. A run pair that parts at cycle N and stays
+//! apart is always located at N.
 //!
 //! Snapshots compare by their *dynamic* section only
 //! ([`MachineState::dynamic_bytes`]), so two machines that differ in
@@ -18,7 +31,9 @@
 //! both starting states must descend from the same [`Engine`], for a
 //! functional clock cannot be lined up against a pipeline's.
 
-use lbp_sim::{Engine, Machine, MachineState, SnapError, Trace};
+use crate::machine::Machine;
+use crate::snapshot::{Engine, MachineState, SnapError};
+use crate::trace::{Event, Trace};
 
 /// Why [`first_divergence`] did not bisect: one of its three refusals of
 /// a sound pair of states, or a failure inside the bisection.
@@ -30,8 +45,8 @@ pub enum BisectError {
     DifferentCycles(u64, u64),
     /// The starting states already differ.
     AlreadyDiffer,
-    /// A state failed to restore, or the replay did not reproduce what
-    /// the coarse scan saw.
+    /// A state failed to restore, or the final replay did not reproduce
+    /// the difference the search saw.
     Snap(SnapError),
 }
 
@@ -106,61 +121,68 @@ impl std::fmt::Display for DivergencePoint {
     }
 }
 
-/// One machine being stepped through the bisection, with its last
-/// captured state and run status.
-struct Stepper {
+/// One run after a probe.
+struct Probe {
     machine: Machine,
-    /// `running`, `exited`, or `error: …` — once a machine errors it is
-    /// frozen and keeps reporting the same outcome.
+    state: MachineState,
+    /// `running`, `exited`, or `error: …`.
     outcome: String,
 }
 
-impl Stepper {
-    fn restore(state: &MachineState) -> Result<Stepper, SnapError> {
-        Ok(Stepper {
-            machine: Machine::restore(state)?,
-            outcome: "running".to_owned(),
+impl Probe {
+    /// Restores `from` and runs it to cycle `target` (or its exit or
+    /// error, whichever comes first).
+    fn run(from: &MachineState, target: u64, traced: bool) -> Result<Probe, SnapError> {
+        let mut machine = Machine::restore(from)?;
+        if traced {
+            machine.set_sink(Box::new(Trace::new()));
+        }
+        let outcome = match machine.run_to(target) {
+            Ok(true) => "exited".to_owned(),
+            Ok(false) => "running".to_owned(),
+            Err(failure) => format!("error: {}", failure.error),
+        };
+        Ok(Probe {
+            state: machine.snapshot(),
+            machine,
+            outcome,
         })
     }
 
-    /// Advances to `target` cycles (or exit/error, whichever first).
-    fn advance(&mut self, target: u64) {
-        if self.outcome.starts_with("error") {
-            return;
-        }
-        match self.machine.run_to(target) {
-            Ok(true) => self.outcome = "exited".to_owned(),
-            Ok(false) => self.outcome = "running".to_owned(),
-            Err(failure) => self.outcome = format!("error: {}", failure.error),
-        }
+    /// What the run emitted, when the probe was traced.
+    fn events(&self) -> &[Event] {
+        self.machine.sink::<Trace>().map_or(&[], Trace::events)
+    }
+
+    fn same_as(&self, other: &Probe) -> bool {
+        self.outcome == other.outcome && self.state.dynamic_bytes() == other.state.dynamic_bytes()
     }
 }
 
-/// Advances both steppers to `target` and snapshots each once: the two
-/// states while the runs still evolve identically, `None` once they part.
-fn advance_both(
-    a: &mut Stepper,
-    b: &mut Stepper,
+/// Probes both runs from a pair of equal states to cycle `target`.
+fn probe(
+    from: &(MachineState, MachineState),
     target: u64,
-) -> Option<(MachineState, MachineState)> {
-    a.advance(target);
-    b.advance(target);
-    let (sa, sb) = (a.machine.snapshot(), b.machine.snapshot());
-    (a.outcome == b.outcome && sa.dynamic_bytes() == sb.dynamic_bytes()).then_some((sa, sb))
+    traced: bool,
+) -> Result<(Probe, Probe), SnapError> {
+    Ok((
+        Probe::run(&from.0, target, traced)?,
+        Probe::run(&from.1, target, traced)?,
+    ))
 }
 
-/// Finds the first cycle at which two runs diverge, comparing their
-/// dynamic state after every cycle.
+/// Finds the first cycle at which two runs diverge, probing their
+/// dynamic state at doubling, then halving, distances (see the module
+/// docs).
 ///
 /// `a0` and `b0` are starting checkpoints taken **at the same cycle** of
 /// two runs believed identical up to that point (cycle-0 snapshots of two
 /// freshly built machines are the common case). Both runs are advanced up
-/// to `a0.cycle() + max_cycles`; `stride` controls the coarse scan's
-/// checkpoint spacing (clamped to at least 1).
+/// to `a0.cycle() + max_cycles`.
 ///
-/// Returns `None` when the runs never diverge within the budget — they
-/// stayed state-identical every `stride` cycles and ended with the same
-/// outcome.
+/// Returns `None` when no probe within the budget differs: the runs ended
+/// in the same state with the same outcome, or were still equal at the
+/// budget's end.
 ///
 /// # Errors
 ///
@@ -172,7 +194,6 @@ pub fn first_divergence(
     a0: &MachineState,
     b0: &MachineState,
     max_cycles: u64,
-    stride: u64,
 ) -> Result<Option<DivergencePoint>, BisectError> {
     if a0.engine() != b0.engine() {
         return Err(BisectError::MixedEngines(a0.engine(), b0.engine()));
@@ -183,88 +204,61 @@ pub fn first_divergence(
     if a0.dynamic_bytes() != b0.dynamic_bytes() {
         return Err(BisectError::AlreadyDiffer);
     }
-    let stride = stride.max(1);
-    let start = a0.cycle();
-    let end = start.saturating_add(max_cycles);
-    let mut a = Stepper::restore(a0)?;
-    let mut b = Stepper::restore(b0)?;
-    // Coarse scan: advance both by `stride`, remembering the last cycle
-    // where the states still matched.
-    let mut last_equal = (a0.clone(), b0.clone());
-    let mut cursor = start;
-    loop {
-        if cursor >= end {
+    let end = a0.cycle().saturating_add(max_cycles);
+    // The last pair of states known to be equal, and its cycle.
+    let mut equal = (a0.clone(), b0.clone());
+    let mut lo = a0.cycle();
+    // Doubling: probe 1, 2, 4, … cycles past the last equal probe.
+    let mut step = 1u64;
+    let mut hi = loop {
+        if lo >= end {
             return Ok(None); // budget exhausted, still in sync
         }
-        let target = (cursor + stride).min(end);
-        let Some(states) = advance_both(&mut a, &mut b, target) else {
-            break; // diverged somewhere in (cursor, target]
-        };
+        let target = lo.saturating_add(step).min(end);
+        let (a, b) = probe(&equal, target, false)?;
+        if !a.same_as(&b) {
+            break target;
+        }
         if a.outcome != "running" {
             return Ok(None); // both finished identically
         }
-        last_equal = states;
-        cursor = target;
-    }
-    // Fine scan: replay the guilty interval one cycle at a time from the
-    // last equal checkpoint.
-    let mut a = Stepper::restore(&last_equal.0)?;
-    let mut b = Stepper::restore(&last_equal.1)?;
-    let mut cycle = last_equal.0.cycle();
-    let mut before = last_equal;
-    loop {
-        cycle += 1;
-        let Some(states) = advance_both(&mut a, &mut b, cycle) else {
-            let (event_a, event_b) = divergent_events(&before.0, &before.1, cycle)?;
-            return Ok(Some(DivergencePoint {
-                cycle,
-                event_a,
-                event_b,
-                outcome_a: a.outcome,
-                outcome_b: b.outcome,
-            }));
-        };
-        if a.outcome != "running" {
-            // The coarse scan saw a divergence but the replay reached the
-            // same common end: impossible for a deterministic machine.
-            return Err(SnapError::Corrupt(
-                "replayed interval did not reproduce the divergence — \
-                 the machine is not deterministic"
-                    .to_owned(),
-            )
-            .into());
-        }
-        before = states;
-    }
-}
-
-/// Replays the single divergent cycle with tracing on and returns the
-/// first event each machine produces that the other does not.
-fn divergent_events(
-    a_before: &MachineState,
-    b_before: &MachineState,
-    cycle: u64,
-) -> Result<(Option<String>, Option<String>), SnapError> {
-    let trace_one = |state: &MachineState| -> Result<Vec<lbp_sim::Event>, SnapError> {
-        let mut m = Machine::restore(state)?;
-        m.set_sink(Box::new(Trace::new()));
-        let _ = m.run_to(cycle); // errors still leave the partial trace
-        let trace = m.sink::<Trace>().expect("the sink attached above");
-        Ok(trace.events().to_vec())
+        (equal, lo, step) = ((a.state, b.state), target, step.saturating_mul(2));
     };
-    let ea = trace_one(a_before)?;
-    let eb = trace_one(b_before)?;
-    let split = ea.iter().zip(eb.iter()).take_while(|(x, y)| x == y).count();
-    Ok((
-        ea.get(split).map(lbp_sim::Event::describe),
-        eb.get(split).map(lbp_sim::Event::describe),
-    ))
+    // Halving: the first difference lies in (lo, hi].
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        let (a, b) = probe(&equal, mid, false)?;
+        if a.same_as(&b) {
+            (equal, lo) = ((a.state, b.state), mid);
+        } else {
+            hi = mid;
+        }
+    }
+    // Replay the divergent cycle traced, to name the differing events.
+    let (a, b) = probe(&equal, hi, true)?;
+    if a.same_as(&b) {
+        return Err(SnapError::Corrupt(
+            "replayed interval did not reproduce the divergence — \
+             the machine is not deterministic"
+                .to_owned(),
+        )
+        .into());
+    }
+    let (ea, eb) = (a.events(), b.events());
+    let split = ea.iter().zip(eb).take_while(|(x, y)| x == y).count();
+    Ok(Some(DivergencePoint {
+        cycle: hi,
+        event_a: ea.get(split).map(Event::describe),
+        event_b: eb.get(split).map(Event::describe),
+        outcome_a: a.outcome,
+        outcome_b: b.outcome,
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lbp_sim::{Fault, FaultPlan, LbpConfig, Machine};
+    use crate::{FastEngine, FastStop, Fault, FaultPlan, LbpConfig};
 
     fn machine(faults: &[&str]) -> Machine {
         let image = lbp_asm::assemble(
@@ -291,14 +285,14 @@ mod tests {
     fn identical_runs_never_diverge() {
         let a = machine(&[]).snapshot();
         let b = machine(&[]).snapshot();
-        assert!(first_divergence(&a, &b, 100_000, 16).unwrap().is_none());
+        assert!(first_divergence(&a, &b, 100_000).unwrap().is_none());
     }
 
     #[test]
     fn fault_is_located_at_its_trigger_cycle() {
         let a = machine(&[]).snapshot();
         let b = machine(&["flip-mem:0x80000000:3:10"]).snapshot();
-        let d = first_divergence(&a, &b, 100_000, 16)
+        let d = first_divergence(&a, &b, 100_000)
             .unwrap()
             .expect("a flipped bit must diverge");
         assert_eq!(d.cycle, 10, "{d}");
@@ -310,14 +304,47 @@ mod tests {
         let mut m = machine(&[]);
         m.run_to(3).unwrap();
         assert!(matches!(
-            first_divergence(&a, &m.snapshot(), 100, 4),
+            first_divergence(&a, &m.snapshot(), 100),
             Err(BisectError::DifferentCycles(0, 3))
         ));
         let mut b = machine(&["flip-mem:0x80000000:3:1"]);
         b.run_to(3).unwrap();
         assert!(matches!(
-            first_divergence(&m.snapshot(), &b.snapshot(), 100, 4),
+            first_divergence(&m.snapshot(), &b.snapshot(), 100),
             Err(BisectError::AlreadyDiffer)
         ));
+    }
+
+    #[test]
+    fn bisect_refuses_mixed_engines() {
+        let image = lbp_asm::assemble(
+            "main:
+                li   t0, -1
+                li   a0, 0
+                p_ret a0, t0",
+        )
+        .unwrap();
+        let mut fast = FastEngine::new(LbpConfig::cores(1), &image).unwrap();
+        fast.run(FastStop::Retired(1), 100).unwrap();
+        let warm = fast.materialize(&image).unwrap().snapshot();
+        let mut cold = Machine::new(LbpConfig::cores(1), &image).unwrap();
+        cold.run_to(warm.cycle()).unwrap();
+        let cold = cold.snapshot();
+        assert!(matches!(first_divergence(&warm, &warm, 10), Ok(None)));
+        let Err(e) = first_divergence(&cold, &warm, 10) else {
+            panic!("a cycle-exact and a functional snapshot are not bisected");
+        };
+        assert!(
+            matches!(
+                e,
+                BisectError::MixedEngines(Engine::CycleExact, Engine::Functional)
+            ),
+            "{e}"
+        );
+        let msg = e.to_string();
+        assert!(
+            msg.contains("cycle-exact") && msg.contains("functional"),
+            "{msg}"
+        );
     }
 }

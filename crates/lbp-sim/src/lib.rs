@@ -64,6 +64,7 @@
 #![warn(missing_docs)]
 
 mod bank;
+mod bisect;
 pub mod cli;
 mod config;
 mod core;
@@ -92,6 +93,7 @@ mod trace;
 mod xpar;
 
 pub use bank::MemFault;
+pub use bisect::{first_divergence, BisectError, DivergencePoint};
 pub use config::{LbpConfig, CV_FRAME_BYTES, MAX_CORES};
 pub use dump::{HartDump, MachineDump, SimFailure, DUMP_SCHEMA};
 pub use error::{BlockedHart, ExitClass, SimError};

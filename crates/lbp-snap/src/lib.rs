@@ -1,9 +1,8 @@
 //! # lbp-snap — deterministic checkpoint/restore for LBP machines
 //!
 //! A versioned, content-hashed file container (`lbp-snap`, format v3)
-//! around [`lbp_sim::MachineState`], plus a divergence bisector that
-//! scans two runs, a stride then a cycle at a time, for the first cycle —
-//! and the first traced event — where their evolutions part ways.
+//! around [`lbp_sim::MachineState`]. The divergence bisector over two
+//! runs' states is [`lbp_sim::first_divergence`]; it needs no container.
 //!
 //! The container prepends a fixed header to the raw machine payload and
 //! holds nothing the payload already says:
@@ -57,10 +56,6 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use lbp_sim::{MachineState, SnapError};
-
-mod bisect;
-
-pub use bisect::{first_divergence, BisectError, DivergencePoint};
 
 /// The container magic, spelling the format name.
 pub const MAGIC: [u8; 8] = *b"LBPSNAP1";
@@ -365,31 +360,6 @@ mod tests {
                 "{msg}"
             );
         }
-    }
-
-    #[test]
-    fn bisect_refuses_mixed_engines() {
-        let warm = warmed();
-        let image = lbp_asm::assemble(PROGRAM).unwrap();
-        let mut cold = Machine::new(LbpConfig::cores(1), &image).unwrap();
-        cold.run_to(warm.cycle()).unwrap();
-        let cold = cold.snapshot();
-        assert!(matches!(first_divergence(&warm, &warm, 10, 1), Ok(None)));
-        let Err(e) = first_divergence(&cold, &warm, 10, 1) else {
-            panic!("a cycle-exact and a functional snapshot are not bisected");
-        };
-        assert!(
-            matches!(
-                e,
-                BisectError::MixedEngines(Engine::CycleExact, Engine::Functional)
-            ),
-            "{e}"
-        );
-        let msg = e.to_string();
-        assert!(
-            msg.contains("cycle-exact") && msg.contains("functional"),
-            "{msg}"
-        );
     }
 
     #[test]

@@ -24,11 +24,10 @@ use lbp::asm::Image;
 use lbp::cc::{Compiled, SourceKind};
 use lbp::sim::cli::{self, Args, Flag, Grammar, Positional};
 use lbp::sim::{
-    ChromeSink, ExitClass, FastEngine, FastStop, Fault, FaultPlan, JsonlSink, LbpConfig,
-    LockstepError, Machine, MachineDump, SimFailure, TextSink, TraceSink, WarmError, Watch,
-    Watched, MAX_CORES,
+    BisectError, ChromeSink, DivergencePoint, ExitClass, FastEngine, FastStop, Fault, FaultPlan,
+    JsonlSink, LbpConfig, LockstepError, Machine, MachineDump, SimFailure, TextSink, TraceSink,
+    WarmError, Watch, Watched, MAX_CORES,
 };
-use lbp::snap::BisectError;
 
 const RUN: u32 = 1 << 0;
 const WARM: u32 = 1 << 1;
@@ -433,10 +432,7 @@ fn run_snap_info(path: &str) -> ExitCode {
 
 /// Prints what a bisection found. A pair the bisector refuses is a usage
 /// error; a failure inside the bisection is exit 1.
-fn report_divergence(
-    found: Result<Option<lbp::snap::DivergencePoint>, BisectError>,
-    clean: &str,
-) -> ExitCode {
+fn report_divergence(found: Result<Option<DivergencePoint>, BisectError>, clean: &str) -> ExitCode {
     match found {
         Ok(Some(d)) => println!("{d}"),
         Ok(None) => println!("no divergence: {clean}"),
@@ -465,10 +461,9 @@ fn run_bisect_snaps(a: &str, b: &str, max_cycles: u64) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let stride = (max_cycles / 100).clamp(16, 65_536);
     report_divergence(
-        lbp::snap::first_divergence(&sa, &sb, max_cycles, stride),
-        &format!("the two runs stayed state-identical for {max_cycles} cycles"),
+        lbp::sim::first_divergence(&sa, &sb, max_cycles),
+        "the two runs ended in the same state",
     )
 }
 
@@ -552,10 +547,9 @@ fn run_bisect_mode(
             return e.exit_class().into();
         }
     };
-    let stride = (max_cycles / 100).clamp(16, 65_536);
     report_divergence(
-        lbp::snap::first_divergence(&clean.snapshot(), &faulted.snapshot(), max_cycles, stride),
-        &format!("the faulted run stayed state-identical to the clean run for {max_cycles} cycles"),
+        lbp::sim::first_divergence(&clean.snapshot(), &faulted.snapshot(), max_cycles),
+        "the faulted run ended in the clean run's state",
     )
 }
 

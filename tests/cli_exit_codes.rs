@@ -825,21 +825,6 @@ fn exit_1_resuming_a_checkpoint_whose_parts_disagree_on_cores() {
     harness::scratch_cleanup(&dir);
 }
 
-#[test]
-fn bisect_reports_the_divergent_cycle() {
-    let out = lbp_run()
-        .arg(example("mul.s"))
-        .args(["--cores", "1", "--fault", "flip-reg:0:a2:4:14", "--bisect"])
-        .output()
-        .unwrap();
-    assert_eq!(class_of(out.status), ExitClass::Ok);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("first divergence at cycle 14"),
-        "bisect must name the fault's trigger cycle, got:\n{text}"
-    );
-}
-
 /// The race witness judges a team over its whole fork-join interval, and
 /// a checkpoint does not record what the team did before it: enabling the
 /// witness on a run resumed inside a parallel region is a usage refusal

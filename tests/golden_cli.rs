@@ -195,7 +195,7 @@ const COLD_CHECKPOINT_MATMUL: &str = "tests/fixtures/compiled/matmul.s --cores 4
 /// Every mode of both tools over `examples/`, the verifier fixtures,
 /// `tests/fixtures` and the identity corpus.
 #[rustfmt::skip]
-const ROWS: [Row; 88] = [
+const ROWS: [Row; 91] = [
     // lbp-run: run, on the default four cores and on fewer and more.
     run("run", EXAMPLES, &[STATS], Pinned(7, 0x7e2b_ac3c_d7e7_c4b4)),
     run("run-1-core", ASM_1_CORE, &["--cores 1", STATS], Pinned(3, 0xd6fd_fea0_b22a_599c)),
@@ -306,6 +306,16 @@ const ROWS: [Row; 88] = [
         Pinned(1, 0x7e3c_82af_9322_ded7)).after(&[CHECKPOINT_MUL]),
     run("bisect", MUL, &["--cores 1 --fault flip-reg:0:a2:4:14 --bisect"],
         Pinned(1, 0x1907_9fc6_0d09_602d)),
+    // The search's answer does not hang on the cycle budget: a fault
+    // into a register the run later overwrites is found at its trigger
+    // cycle under the default budget and a small one, and a fault after
+    // the exit is none.
+    run("bisect-healed", MATMUL, &["--fault flip-reg:3:a0:2:1 --bisect"],
+        Pinned(1, 0xde0f_c696_75e4_b96d)),
+    run("bisect-healed-small-budget", MATMUL,
+        &["--fault flip-reg:3:a0:2:1 --bisect --max-cycles 8000"], Same("bisect-healed", All)),
+    run("bisect-masked", MATMUL, &["--fault flip-mem:0x80000000:0:30000 --bisect"],
+        Pinned(1, 0xe37a_d162_1c2e_48b4)),
     run("bisect-snaps", Inputs::None,
         &["--bisect-snaps {tmp}/ck-10.lbpsnap {tmp}/bad-10.lbpsnap"],
         Pinned(1, 0xc33a_fbc2_6f60_9bc9)).after(&[CHECKPOINT_MUL, BAD_CHECKPOINT_MUL]),
