@@ -80,7 +80,8 @@ pub struct Mark {
 enum Op<'a> {
     Reg(Reg),
     Imm(i64),
-    Sym(&'a str),
+    /// A symbol plus a constant: `sym`, `sym+4`, `sym-4`.
+    Sym(&'a str, i64),
     /// `offset(base)`.
     Mem(i64, Reg),
 }
@@ -110,7 +111,11 @@ impl Operands for Typed<'_, '_> {
         match self.ops[i] {
             Op::Imm(v) => konst(v, self.line),
             // `typed` parses a line naming anything else.
-            Op::Sym(s) => Ok(Expr::sym(s)),
+            Op::Sym(s, 0) => Ok(Expr::sym(s)),
+            Op::Sym(s, off) if off < 0 => {
+                Ok(Expr::sym(s).sub(konst(off.wrapping_neg(), self.line)?))
+            }
+            Op::Sym(s, off) => Ok(Expr::sym(s).add(konst(off, self.line)?)),
             op => Err(AsmError::new(
                 self.line,
                 format!("{op:?} is not an expression"),
@@ -258,7 +263,7 @@ impl Asm {
             self.text.push('\n');
             return self.parse_from(start);
         }
-        self.directive(".word", Op::Sym(symbol));
+        self.directive(".word", Op::Sym(symbol, 0));
         self.push(Item::Word(Expr::sym(symbol)))
     }
 
@@ -357,28 +362,28 @@ impl Asm {
     pub fn branch(&mut self, kind: BranchKind, rs1: Reg, rs2: Reg, target: &str) -> &mut Asm {
         self.typed(
             kind.mnemonic(),
-            &[Op::Reg(rs1), Op::Reg(rs2), Op::Sym(target)],
+            &[Op::Reg(rs1), Op::Reg(rs2), Op::Sym(target, 0)],
         )
     }
 
     /// `beqz rs, target`.
     pub fn beqz(&mut self, rs: Reg, target: &str) -> &mut Asm {
-        self.typed("beqz", &[Op::Reg(rs), Op::Sym(target)])
+        self.typed("beqz", &[Op::Reg(rs), Op::Sym(target, 0)])
     }
 
     /// `bnez rs, target`.
     pub fn bnez(&mut self, rs: Reg, target: &str) -> &mut Asm {
-        self.typed("bnez", &[Op::Reg(rs), Op::Sym(target)])
+        self.typed("bnez", &[Op::Reg(rs), Op::Sym(target, 0)])
     }
 
     /// `j target`.
     pub fn j(&mut self, target: &str) -> &mut Asm {
-        self.typed("j", &[Op::Sym(target)])
+        self.typed("j", &[Op::Sym(target, 0)])
     }
 
     /// `jal target`: a call that links in `ra`.
     pub fn jal(&mut self, target: &str) -> &mut Asm {
-        self.typed("jal", &[Op::Sym(target)])
+        self.typed("jal", &[Op::Sym(target, 0)])
     }
 
     /// `jalr rs`: a call through `rs` that links in `ra`.
@@ -409,7 +414,13 @@ impl Asm {
 
     /// `la rd, symbol`: `lui` and `addi` of the symbol's address.
     pub fn la(&mut self, rd: Reg, symbol: &str) -> &mut Asm {
-        self.typed("la", &[Op::Reg(rd), Op::Sym(symbol)])
+        self.la_offset(rd, symbol, 0)
+    }
+
+    /// `la rd, symbol+offset` (`symbol-4` for a negative one, `symbol`
+    /// for 0): the same two words, the offset folded into the address.
+    pub fn la_offset(&mut self, rd: Reg, symbol: &str, offset: i64) -> &mut Asm {
+        self.typed("la", &[Op::Reg(rd), Op::Sym(symbol, offset)])
     }
 
     /// `mv rd, rs`.
@@ -463,7 +474,7 @@ impl Asm {
         self.text.push('\n');
         if ops
             .iter()
-            .any(|op| matches!(op, Op::Sym(s) if !is_ident(s)))
+            .any(|op| matches!(op, Op::Sym(s, _) if !is_ident(s)))
         {
             return self.parse_from(start);
         }
@@ -485,7 +496,15 @@ impl Asm {
         match op {
             Op::Reg(r) => self.text.push_str(r.abi_name()),
             Op::Imm(v) => push_int(&mut self.text, v),
-            Op::Sym(s) => self.text.push_str(s),
+            Op::Sym(s, off) => {
+                self.text.push_str(s);
+                if off > 0 {
+                    self.text.push('+');
+                }
+                if off != 0 {
+                    push_int(&mut self.text, off);
+                }
+            }
             Op::Mem(offset, base) => {
                 push_int(&mut self.text, offset);
                 self.text.push('(');
@@ -713,6 +732,8 @@ mod tests {
         a.blank();
         a.li(Reg::T2, 7).li(Reg::T3, 0x1234_5678).li(Reg::T4, -2049);
         a.la(Reg::T5, "data");
+        a.la_offset(Reg::T5, "data", 8)
+            .la_offset(Reg::T6, "data", -4);
         a.label("loop")
             .op_imm(OpImmKind::Add, Reg::T2, Reg::T2, -1)
             .bnez(Reg::T2, "loop");
@@ -767,7 +788,7 @@ mod tests {
         let a = mixed();
         let listing = a.text();
         assert_eq!(parse_program(listing).unwrap(), a.items().unwrap());
-        assert_eq!(a.words, 35);
+        assert_eq!(a.words, 39);
         assert!(
             listing.starts_with("    # mixed\n    # calls\nmain:\n"),
             "{listing}"
@@ -775,6 +796,8 @@ mod tests {
         assert!(listing.contains("\n    ori t2, t2, 5\n"), "{listing}");
         assert!(listing.contains("\n    sw   ra, 0(sp)\n"), "{listing}");
         assert!(listing.contains("\n    p_set t0\n"), "{listing}");
+        assert!(listing.contains("\n    la   t5, data+8\n"), "{listing}");
+        assert!(listing.contains("\n    la   t6, data-4\n"), "{listing}");
         assert_eq!(a.assemble(), crate::assemble(listing), "{listing}");
     }
 

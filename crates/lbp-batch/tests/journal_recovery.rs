@@ -180,7 +180,7 @@ fn a_warm_jobs_checkpoints_carry_the_functional_mark_across_a_resume() {
             "--workers",
             "1",
             "--checkpoint-every",
-            "1000",
+            "500",
             "--slice",
             "500",
         ]);
@@ -203,7 +203,7 @@ fn a_warm_jobs_checkpoints_carry_the_functional_mark_across_a_resume() {
     run("8");
     let first = checkpoints();
     assert!(
-        first.iter().any(|(name, _)| name == "job0.c5423.lbpsnap"),
+        first.iter().any(|(name, _)| name == "job0.c3923.lbpsnap"),
         "{first:?}"
     );
     // Start, running, then one checkpoint of the resumed attempt.

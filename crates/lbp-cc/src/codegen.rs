@@ -261,6 +261,8 @@ impl Gen<'_> {
             epilogue: String::new(),
             loop_labels: Vec::new(),
             pointers: Vec::new(),
+            dead: Vec::new(),
+            body: &f.body,
         };
         fx.epilogue = self.fresh(&format!("{}_end", f.name));
         self.asm.blank();
@@ -398,15 +400,9 @@ impl Gen<'_> {
                 fx.pending.union(&exit_pending);
                 Ok(())
             }
-            Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-                line,
-            } => {
-                let (init, step) = (init.as_ref().as_ref(), step.as_ref().as_ref());
-                self.lower_for(init, cond.as_ref(), step, body, fx, *line)
+            Stmt::For { line, .. } => {
+                let lp = Loop::of(s).expect("a `for`");
+                self.lower_for(lp, fx, *line)
             }
             Stmt::Break(_) => {
                 let (_, brk) = fx
@@ -538,84 +534,156 @@ impl Gen<'_> {
     // ----- counted loops -----
 
     /// A `for` loop. When its init decides the entry test, the test sits
-    /// at the bottom only (rule R); an innermost counted loop walks its
-    /// global arrays with pointer registers (rule S,
-    /// [`Gen::reduce_addresses`]).
-    fn lower_for(
-        &mut self,
-        init: Option<&Stmt>,
-        cond: Option<&Expr>,
-        step: Option<&Stmt>,
-        body: &[Stmt],
-        fx: &mut FnGen,
-        line: usize,
-    ) -> Result<(), CcError> {
-        if let Some(i) = init {
-            self.stmt(i, fx)?;
-        }
-        let Some(lp) = counted(step, cond, body, fx) else {
-            return self.emit_for(init, cond, step, body, fx, line);
+    /// at the bottom only (rule R). A counted loop walks its global arrays
+    /// and its inner loops' entry addresses with pointer registers (rules
+    /// S and S⁺, [`Gen::reduce_addresses`]), and tests an end pointer when
+    /// its trip count is decided (rule E, [`Gen::end_rule`]) or else holds
+    /// a constant bound in a register (rule B).
+    fn lower_for(&mut self, lp: Loop, fx: &mut FnGen, line: usize) -> Result<(), CcError> {
+        let Some(c) = counted(lp, fx) else {
+            if let Some(i) = lp.init {
+                self.stmt(i, fx)?;
+            }
+            return self.emit_for(lp, Plan::default(), fx, line);
         };
-        // The loop is written with its pointers; when its expressions
-        // find the scratch pool dry, it is taken back and written again
-        // with one pointer fewer, down to none.
+        // The loop is written in its shortest shape; when its expressions
+        // find the scratch pool dry, or read the counter rule E dropped,
+        // it is taken back and written again without E, then without B,
+        // then with one pointer fewer, down to none.
+        let (end, bound) = (self.end_rule(&c, fx), lp.cond.and_then(|t| bound(t, fx)));
+        let mut plan = Plan { own: 0, end, bound };
         let mut most = usize::MAX;
         loop {
             let mut taken = 0;
             let (run, _) = self.trial(fx, Result::is_ok, |g, fx| {
-                taken = g.reduce_addresses(&lp, init, most, fx, line)?;
-                g.emit_for(init, cond, step, body, fx, line)
+                // Rule E leaves out the constant the init gives `v`.
+                let dead = plan.end.map(|_| c.v);
+                for s in lp.init.map_or(&[][..], parts) {
+                    if !assignment(s).is_some_and(|(n, e)| Some(n) == dead && konst(e).is_some()) {
+                        g.stmt(s, fx)?;
+                    }
+                }
+                taken = g.reduce_addresses(&c, most, fx, line)?;
+                g.emit_for(lp, Plan { own: taken, ..plan }, fx, line)
             });
             match run {
+                Err(_) if plan.end.is_some() => plan.end = None,
+                Err(_) if plan.bound.is_some() => plan.bound = None,
                 Err(_) if taken > 0 => most = taken - 1,
                 run => return run,
             }
         }
     }
 
+    /// Rule E's decision, made before any code: the trip count n is
+    /// decided ([`trips`]), no `break` leaves the loop, its init does not
+    /// read the counter `v`, and its body reads `v` only in the indices of
+    /// global-array accesses affine in it, which pointers replace.
+    fn end_rule(&self, c: &Counted, fx: &FnGen) -> Option<End> {
+        let (v, body) = (c.v, c.lp.body);
+        let v0 = init_value(c.lp.init, v)?;
+        let trips = trips(c.lp.cond?, v, v0, c.delta)?;
+        let walked = |idx| affine(idx, v, &|_| true).is_some_and(|(a, _)| a != 0);
+        let in_sites: usize = (c.sites.iter())
+            .filter(|&&(name, idx)| self.global_array(name, fx) && walked(idx))
+            .map(|&(_, idx)| reads(idx, v))
+            .sum();
+        let (in_body, in_init) = (
+            stmt_reads(body, v),
+            stmt_reads(c.lp.init.map_or(&[], parts), v),
+        );
+        if in_sites == 0 || in_sites != in_body || in_init > 0 || breaks(body) {
+            return None;
+        }
+        let local = fx.local(v)?;
+        // The test and the step read `v` once each.
+        let live = stmt_reads(fx.body, v) > in_body + 2;
+        let last = live.then_some(v0 + trips * c.delta);
+        Some(End { local, trips, last })
+    }
+
     /// The loop [`Gen::lower_for`] describes, past its init, walking the
-    /// arrays in `fx.pointers`; hands their registers back at the end.
+    /// arrays of its `plan.own` pointers, the last of `fx.pointers`;
+    /// hands their registers back at the end.
     fn emit_for(
         &mut self,
-        init: Option<&Stmt>,
-        cond: Option<&Expr>,
-        step: Option<&Stmt>,
-        body: &[Stmt],
+        lp: Loop,
+        plan: Plan,
         fx: &mut FnGen,
         line: usize,
     ) -> Result<(), CcError> {
         let head = self.fresh("for");
         let end = self.fresh("fend");
         let step_l = self.fresh("fstep");
-        let mut loop_stores = stores_of(body, self.cx);
-        if let Some(st) = step {
+        let mut loop_stores = stores_of(lp.body, self.cx);
+        if let Some(st) = lp.step {
             loop_stores.union(&stores_of(std::slice::from_ref(st), self.cx));
         }
         let labels = (step_l.as_str(), end.as_str());
         // Any iteration may observe the previous iteration's stores.
         fx.pending.union(&loop_stores);
-        if let Some(cond) = cond.filter(|c| enters(init, c, fx)) {
+        // Rule E tests a pointer against its end and drops the step; rule
+        // B sets the bound once, before the head (0 is `zero`).
+        let mut held = None;
+        let test = match (plan.end, plan.bound) {
+            (Some(e), _) => {
+                // The end of the first pointer that moves, `p₀ + n·by`, in
+                // the counter's register; past `addi`'s reach it would
+                // cost words, and is refused.
+                let short = self.sabotage == Some(CodegenSabotage::EndPointer) && e.trips > 1;
+                let trips = e.trips - i64::from(short);
+                let (p, off) = (fx.pointers[fx.pointers.len() - plan.own..].iter())
+                    .find(|&&(.., by)| by != 0 && e.trips.saturating_mul(by.abs()) < 1 << 32)
+                    .map(|&(.., p, by)| (p, wrap(trips * by)))
+                    .filter(|&(_, off)| imm_fits(BinOp::Add, off))
+                    .ok_or_else(|| CcError::new(line, "no pointer ends the loop"))?;
+                let end = LOCALS[e.local];
+                self.asm.op_imm(OpImmKind::Add, end, p, off as i32);
+                fx.dead.push(e.local);
+                Some(Exit::Branch(BranchKind::Eq, p, end))
+            }
+            (None, Some((kind, x, n, swap))) => {
+                let mut reg = Reg::ZERO;
+                if n != 0 {
+                    reg = fx
+                        .reserve_last()
+                        .ok_or_else(|| CcError::new(line, "no bound register"))?;
+                    self.asm.li(reg, n);
+                    held = Some(reg);
+                }
+                let (rs1, rs2) = if swap { (reg, x) } else { (x, reg) };
+                Some(Exit::Branch(kind, rs1, rs2))
+            }
+            (None, None) => None,
+        };
+        let step = lp.step.filter(|_| plan.end.is_none());
+        let decided = lp.cond.filter(|c| enters(lp.init, c, fx));
+        if plan.end.is_some() || decided.is_some() {
             // The body runs at least once, so the loop tests at the
             // bottom only: exact, since the skipped test is true.
             let entry = fx.pending.clone();
             self.asm.label(&head);
             let at = self.asm.mark();
-            self.loop_body(body, step, labels, fx, line)?;
-            let exit = self.exit_when_false(cond, fx)?;
+            self.loop_body(lp.body, step, labels, plan.own, fx, line)?;
+            let exit = match test {
+                Some(test) => test,
+                None => self.exit_when_false(decided.expect("a decided test"), fx)?,
+            };
             self.branch_back(exit, &head, at);
             self.asm.label(&end);
             // A `break` carries at most what was pending at the top.
             fx.pending.union(&entry);
         } else {
             self.asm.label(&head);
-            let exit = match cond {
-                Some(c) => self.exit_when_false(c, fx)?,
-                None => Exit::Never,
+            let exit = match (test, lp.cond) {
+                (Some(test), _) => test,
+                (None, Some(c)) => self.exit_when_false(c, fx)?,
+                (None, None) => Exit::Never,
             };
             // The exit taken at the test carries what is pending there.
             let exit_pending = fx.pending.clone();
             self.skip_unless(exit, &end, fx, |g, fx| {
-                g.loop_body(body, step, labels, fx, line)?;
+                g.loop_body(lp.body, step, labels, plan.own, fx, line)?;
                 g.asm.j(&head);
                 Ok(())
             })?;
@@ -623,19 +691,30 @@ impl Gen<'_> {
             fx.pending.union(&loop_stores);
             fx.pending.union(&exit_pending);
         }
-        while let Some((.., reg, _)) = fx.pointers.pop() {
+        if let Some(e) = plan.end {
+            fx.dead.pop();
+            if let Some(last) = e.last {
+                self.asm.li(LOCALS[e.local], last);
+            }
+        }
+        if let Some(reg) = held {
+            fx.unreserve(reg);
+        }
+        let own = fx.pointers.split_off(fx.pointers.len() - plan.own);
+        for (.., reg, _) in own.into_iter().rev() {
             fx.unreserve(reg);
         }
         Ok(())
     }
 
     /// A loop's body, its `continue` label, its step and the advances of
-    /// its pointers.
+    /// its `own` pointers.
     fn loop_body(
         &mut self,
         body: &[Stmt],
         step: Option<&Stmt>,
         (cont, brk): (&str, &str),
+        own: usize,
         fx: &mut FnGen,
         line: usize,
     ) -> Result<(), CcError> {
@@ -646,7 +725,8 @@ impl Gen<'_> {
         if let Some(st) = step {
             self.stmt(st, fx)?;
         }
-        let bumps: Vec<_> = fx.pointers.iter().map(|&(.., reg, by)| (reg, by)).collect();
+        let mine = &fx.pointers[fx.pointers.len() - own..];
+        let bumps: Vec<_> = mine.iter().map(|&(.., reg, by)| (reg, by)).collect();
         for (reg, by) in bumps {
             self.add_imm(reg, by, fx, line)?;
         }
@@ -674,77 +754,129 @@ impl Gen<'_> {
         }
     }
 
-    /// Rule S. In an innermost loop whose step is `v = v ± c`, a
+    /// Rules S and S⁺. (S) In a counted loop whose step is `v = v ± c`, a
     /// global-array access `A[a·v + r]`, with `r` built from constants
     /// and registers the loop never writes, reads through a pointer
     /// register: set here to the entry address, advanced by `4·a·c` at
     /// the step. Exact, since `4·(a·(v ± c) + r) = 4·(a·v + r) ± 4·a·c`
-    /// mod 2^32 on both forms. Equal indices share a pointer; at most
-    /// `most` are taken, each only while the loop's words do not grow.
-    /// The accesses find theirs in `fx.pointers`; returns how many.
+    /// mod 2^32 on both forms. Equal indices share a pointer. (S⁺) An
+    /// inner counted loop's pointer entry `&A + b·v + s`, with `s` over
+    /// constants and registers this loop never writes, is a register of
+    /// this loop, advanced by `b·c` at the step (never, for `b = 0`),
+    /// which the inner loop copies. At most `most` are taken, each only
+    /// while its set-up and advance take no more words than the address
+    /// computations it replaces. The accesses find theirs in
+    /// `fx.pointers`; returns how many.
     fn reduce_addresses(
         &mut self,
-        lp: &Counted,
-        init: Option<&Stmt>,
+        c: &Counted,
         most: usize,
         fx: &mut FnGen,
         line: usize,
     ) -> Result<usize, CcError> {
-        let v = lp.v;
-        let fixed = |n: &str| n != v && fx.local(n).is_some() && !lp.written.contains(&n);
-        // (array, index, `(a, r)`, uses)
-        let mut groups: Vec<(&str, &Expr, (i64, Expr), usize)> = Vec::new();
-        for &(name, idx) in &lp.sites {
-            let global = self.cx.globals.contains_key(name);
-            if !global || fx.array(name).is_some() || fx.local(name).is_some() {
+        let mut walks = self.walks(c, fx);
+        let inner: Vec<Walk> = (c.inner.iter())
+            .filter_map(|&lp| counted(lp, fx))
+            .flat_map(|m| self.walks(&m, fx))
+            .collect();
+        for w in inner {
+            let Some((b, s)) = affine(&w.off, c.v, &|n| c.fixed(n, fx)) else {
                 continue;
-            }
-            if let Some(g) = groups.iter_mut().find(|g| g.0 == name && g.1 == idx) {
-                g.3 += 1;
-            } else if let Some(ar) = affine(idx, v, &fixed).filter(|&(a, _)| a != 0) {
-                groups.push((name, idx, ar, 1));
+            };
+            if !walks.iter().any(|x| x.name == w.name && x.key == w.off) {
+                let (off, by) = (add(scale(c.entry(), b), s), wrap(b * c.delta));
+                walks.push(Walk {
+                    idx: None,
+                    key: w.off,
+                    off,
+                    by,
+                    ..w
+                });
             }
         }
-        // v at the entry: its init's constant (the address folds), or its
-        // register.
-        let entry = init_value(init, v).map_or(Expr::Var(v.to_owned()), Expr::Int);
-        for (name, idx, (a, r), uses) in groups {
-            if fx.pointers.len() == most {
+        let mut taken = 0;
+        for w in walks {
+            if taken == most {
                 break;
             }
             let Some(reg) = fx.reserve_last() else { break };
-            let (off, by) = (
-                scale(add(scale(entry.clone(), a), r), 4),
-                wrap(4 * wrap(a * lp.delta)),
-            );
-            let site = self.trial(
+            // The accesses' address computations, or the inner loop's
+            // computation of its entry, as written were no counter dropped.
+            let dead = std::mem::take(&mut fx.dead);
+            let replaced = self.trial(
                 fx,
                 |_| false,
-                |g, fx| {
-                    let (addr, _) = g.element_addr(name, idx, fx, line)?;
-                    fx.release(addr);
-                    Ok(())
+                |g, fx| match w.idx {
+                    Some(idx) => {
+                        let (addr, _) = g.element_addr(w.name, idx, fx, line)?;
+                        fx.release(addr);
+                        Ok(w.uses)
+                    }
+                    None => g.point(reg, w.name, &w.key, fx, line).map(|()| 1),
                 },
             );
-            let set = self.trial(fx, |_| false, |g, fx| g.point(reg, name, &off, fx, line));
+            fx.dead = dead;
+            let set = self.trial(
+                fx,
+                |_| false,
+                |g, fx| g.point(reg, w.name, &w.off, fx, line),
+            );
             // `addi`, or `li` (`lui` and `addi`) and `add` past its range.
-            let bump = match by {
+            let bump = match w.by {
                 0 => 0,
                 by if imm_fits(BinOp::Add, by) => 1,
                 _ => 3,
             };
-            match (site, set) {
-                ((Ok(()), site), (Ok(()), set)) if set + bump <= uses * site => {
-                    self.point(reg, name, &off, fx, line)?;
-                    fx.pointers.push((name.to_owned(), idx.clone(), reg, by));
+            match (replaced, set) {
+                ((Ok(uses), site), (Ok(()), set)) if set + bump <= uses * site => {
+                    self.point(reg, w.name, &w.off, fx, line)?;
+                    fx.pointers.push((w.name.to_owned(), w.key, reg, w.by));
+                    taken += 1;
                 }
                 _ => fx.unreserve(reg),
             }
         }
-        Ok(fx.pointers.len())
+        Ok(taken)
     }
 
-    /// Sets `reg` to the address of `name` plus the byte offset `off`.
+    /// The pointers rule S may give a counted loop, in walk order: each
+    /// global-array access `A[a·v + r]` with `a ≠ 0` and `r` over
+    /// constants and registers the loop never writes.
+    fn walks<'s>(&self, c: &Counted<'s>, fx: &FnGen) -> Vec<Walk<'s>> {
+        let mut out: Vec<Walk> = Vec::new();
+        for &(name, idx) in &c.sites {
+            if let Some(w) = out
+                .iter_mut()
+                .find(|w| w.name == name && w.idx == Some(idx))
+            {
+                w.uses += 1;
+                continue;
+            }
+            let Some((a, r)) = affine(idx, c.v, &|n| c.fixed(n, fx)) else {
+                continue;
+            };
+            if a != 0 && self.global_array(name, fx) {
+                out.push(Walk {
+                    name,
+                    idx: Some(idx),
+                    key: scale(idx.clone(), 4),
+                    off: scale(add(scale(c.entry(), a), r), 4),
+                    by: wrap(4 * wrap(a * c.delta)),
+                    uses: 1,
+                });
+            }
+        }
+        out
+    }
+
+    /// Whether `name` is a global array, which rule S may walk.
+    fn global_array(&self, name: &str, fx: &FnGen) -> bool {
+        self.cx.globals.contains_key(name) && fx.array(name).is_none() && fx.local(name).is_none()
+    }
+
+    /// Sets `reg` to the address of `name` plus the byte offset `off`: a
+    /// copy of an enclosing loop's pointer that holds it (rule S⁺), or
+    /// `la` with a constant offset folded in.
     fn point(
         &mut self,
         reg: Reg,
@@ -753,7 +885,15 @@ impl Gen<'_> {
         fx: &mut FnGen,
         line: usize,
     ) -> Result<(), CcError> {
+        if let Some(held) = fx.held(name, off) {
+            self.asm.mv(reg, held);
+            return Ok(());
+        }
         match self.expr(off, fx, line)? {
+            Val::Imm(o) if imm_fits(BinOp::Add, o) => {
+                self.asm.la_offset(reg, name, o);
+                Ok(())
+            }
             Val::Imm(o) => {
                 self.asm.la(reg, name);
                 self.add_imm(reg, o, fx, line)
@@ -786,8 +926,9 @@ impl Gen<'_> {
 
     /// Runs `f` and counts the words it writes; unless `keep` accepts
     /// its outcome, takes back its code, labels, registers, pending
-    /// stores, loop labels and pointers, as if it had never run. `f`
-    /// must not call or fork: what those add is not taken back.
+    /// stores, loop labels, pointers and dropped counters, as if it had
+    /// never run. `f` must not call or fork: what those add is not taken
+    /// back.
     fn trial<T>(
         &mut self,
         fx: &mut FnGen,
@@ -796,7 +937,7 @@ impl Gen<'_> {
     ) -> (Result<T, CcError>, usize) {
         let at = self.asm.mark();
         let (labels, free, pending) = (self.label_n, fx.free_scratch.clone(), fx.pending.clone());
-        let (loops, pointers) = (fx.loop_labels.len(), fx.pointers.len());
+        let (loops, pointers, dead) = (fx.loop_labels.len(), fx.pointers.len(), fx.dead.len());
         let run = f(self, fx);
         let words = self.asm.words_since(at);
         if !keep(&run) {
@@ -805,6 +946,7 @@ impl Gen<'_> {
             (fx.free_scratch, fx.pending) = (free, pending);
             fx.loop_labels.truncate(loops);
             fx.pointers.truncate(pointers);
+            fx.dead.truncate(dead);
         }
         (run, words)
     }
@@ -925,6 +1067,9 @@ impl Gen<'_> {
                     return Ok(owned(r));
                 }
                 if let Some(idx) = fx.local(name) {
+                    if fx.dead.contains(&idx) {
+                        return Err(CcError::new(line, "reads a counter rule E dropped"));
+                    }
                     return Ok(Val::Local(idx));
                 }
                 let is_array = *self.cx.globals.get(name).unwrap_or(&false);
@@ -1038,6 +1183,13 @@ impl Gen<'_> {
             (BinOp::Mul, _, Some(k)) => (BinOp::Shl, va, Val::Imm(k)),
             (BinOp::Mul, Some(k), None) => (BinOp::Shl, vb, Val::Imm(k)),
             _ => (op, va, vb),
+        };
+        // `x - c` is `x + (-c)` mod 2^32: one `addi` while -c fits.
+        let (op, vb) = match (op, vb) {
+            (BinOp::Sub, Val::Imm(y)) if imm_fits(BinOp::Add, y.wrapping_neg()) => {
+                (BinOp::Add, Val::Imm(y.wrapping_neg()))
+            }
+            _ => (op, vb),
         };
         // Immediate forms for commutative/offset-friendly operations. Two
         // constants were folded above, so `va` is a register.
@@ -1291,7 +1443,7 @@ impl Gen<'_> {
 }
 
 /// Per-function emission state.
-struct FnGen {
+struct FnGen<'f> {
     /// Register locals by pool index: parameters, then declarations (at
     /// most eight, so a list).
     locals: Vec<String>,
@@ -1304,12 +1456,18 @@ struct FnGen {
     epilogue: String,
     /// `(continue_target, break_target)` labels of enclosing loops.
     loop_labels: Vec<(String, String)>,
-    /// The innermost loop's pointer registers, by array and index, and
-    /// what each advances by at the step.
+    /// The enclosing counted loops' pointer registers, innermost last:
+    /// the array, the byte offset from it the register holds in the
+    /// loop's body, the register and what it advances by at the step.
     pointers: Vec<(String, Expr, Reg, i64)>,
+    /// The counters of enclosing loops that rule E dropped, by pool index:
+    /// their registers hold end pointers, so reading one is an error.
+    dead: Vec<usize>,
+    /// The function's body.
+    body: &'f [Stmt],
 }
 
-impl FnGen {
+impl FnGen<'_> {
     fn local(&self, name: &str) -> Option<usize> {
         self.locals.iter().position(|l| l == name)
     }
@@ -1342,12 +1500,17 @@ impl FnGen {
         self.free_scratch.insert(0, i);
     }
 
-    /// The pointer register the innermost loop walks `name[idx]` with.
+    /// The pointer register an enclosing loop walks `name[idx]` with.
     fn pointer(&self, name: &str, idx: &Expr) -> Option<Reg> {
-        let mut found = self
-            .pointers
-            .iter()
-            .filter(|(n, i, ..)| n == name && i == idx);
+        (self.pointers.iter().any(|(n, ..)| n == name))
+            .then(|| self.held(name, &scale(idx.clone(), 4)))
+            .flatten()
+    }
+
+    /// The pointer register that holds `&name + off` in an enclosing
+    /// loop's body.
+    fn held(&self, name: &str, off: &Expr) -> Option<Reg> {
+        let mut found = (self.pointers.iter()).filter(|(n, k, ..)| n == name && k == off);
         found.next().map(|&(.., reg, _)| reg)
     }
 
@@ -1693,76 +1856,237 @@ fn affine(e: &Expr, v: &str, fixed: &dyn Fn(&str) -> bool) -> Option<(i64, Expr)
     }
 }
 
-/// An innermost counted loop, as [`counted`] finds it.
+/// A `for` loop's parts.
+#[derive(Clone, Copy)]
+struct Loop<'a> {
+    init: Option<&'a Stmt>,
+    cond: Option<&'a Expr>,
+    step: Option<&'a Stmt>,
+    body: &'a [Stmt],
+}
+
+impl<'a> Loop<'a> {
+    /// The parts of `s`, when it is a `for`.
+    fn of(s: &'a Stmt) -> Option<Loop<'a>> {
+        match s {
+            Stmt::For {
+                init,
+                cond,
+                step,
+                body,
+                ..
+            } => Some(Loop {
+                init: init.as_ref().as_ref(),
+                cond: cond.as_ref(),
+                step: step.as_ref().as_ref(),
+                body,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// A counted loop, as [`counted`] finds it.
 struct Counted<'a> {
+    lp: Loop<'a>,
     /// The counter, and what the step adds to it.
     v: &'a str,
     delta: i64,
-    /// The array elements the body reads or writes, as `(array, index)`,
-    /// in walk order.
+    /// The array elements the body reads or writes, inner loops'
+    /// included, as `(array, index)`, in walk order.
     sites: Vec<(&'a str, &'a Expr)>,
     /// The locals the body assigns or declares.
     written: Vec<&'a str>,
+    /// The `for` loops directly in the body.
+    inner: Vec<Loop<'a>>,
 }
 
-/// The loop, when a `for` is an innermost counted loop: its step is
-/// `v = v ± c` on a register local, and neither its condition nor its
-/// body calls, loops, forks or assigns `v`.
-fn counted<'s>(
-    step: Option<&'s Stmt>,
-    cond: Option<&Expr>,
-    body: &'s [Stmt],
-    fx: &FnGen,
-) -> Option<Counted<'s>> {
-    let (v, Expr::Binary(op, a, b)) = assignment(step?)? else {
+impl Counted<'_> {
+    /// Whether `n` is a register local the loop never writes.
+    fn fixed(&self, n: &str, fx: &FnGen) -> bool {
+        n != self.v && fx.local(n).is_some() && !self.written.contains(&n)
+    }
+
+    /// The counter at the entry: its init's constant, or its register.
+    fn entry(&self) -> Expr {
+        init_value(self.lp.init, self.v).map_or(Expr::Var(self.v.to_owned()), Expr::Int)
+    }
+}
+
+/// A pointer [`Gen::reduce_addresses`] may take: its array, its access
+/// (none for an inner loop's entry), its byte offset from the array in
+/// the body (its key in `fx.pointers`) and at the entry, its advance and
+/// how many accesses share it.
+struct Walk<'a> {
+    name: &'a str,
+    idx: Option<&'a Expr>,
+    key: Expr,
+    off: Expr,
+    by: i64,
+    uses: usize,
+}
+
+/// How [`Gen::emit_for`] writes a loop: its own pointers (the last of
+/// `fx.pointers`), rule E, or rule B's test ([`bound`]).
+#[derive(Clone, Copy, Default)]
+struct Plan {
+    own: usize,
+    end: Option<End>,
+    bound: Option<(BranchKind, Reg, i64, bool)>,
+}
+
+/// Rule E's loop: the counter's pool index, the trip count, and the
+/// counter's last value when the function reads it outside the loop.
+#[derive(Clone, Copy)]
+struct End {
+    local: usize,
+    trips: i64,
+    last: Option<i64>,
+}
+
+/// The loop, when a `for` is a counted loop: its step is `v = v ± c` on
+/// a register local, and neither its condition nor its body calls, forks
+/// or assigns `v`.
+fn counted<'s>(lp: Loop<'s>, fx: &FnGen) -> Option<Counted<'s>> {
+    let (v, Expr::Binary(op, a, b)) = assignment(lp.step?)? else {
         return None;
     };
     fx.local(v)?;
-    let constant = |e: &Expr| const_eval(e, &|_| None);
     let delta = match (op, a.as_ref(), b.as_ref()) {
-        (BinOp::Add, Expr::Var(x), c) | (BinOp::Add, c, Expr::Var(x)) if x == v => constant(c)?,
-        (BinOp::Sub, Expr::Var(x), c) if x == v => wrap(constant(c)?).wrapping_neg(),
+        (BinOp::Add, Expr::Var(x), c) | (BinOp::Add, c, Expr::Var(x)) if x == v => konst(c)?,
+        (BinOp::Sub, Expr::Var(x), c) if x == v => wrap(konst(c)?).wrapping_neg(),
         _ => return None,
     };
     let (mut sites, mut written) = (Vec::new(), Vec::new());
-    let mut plain = !cond.is_some_and(expr_calls);
-    walk(body, &mut |s| {
-        let exprs = match s {
-            Stmt::Decl { name, init, .. } => {
-                written.push(name.as_str());
-                init.iter().collect()
-            }
-            Stmt::Assign { lhs, rhs, .. } => match lhs {
-                Place::Var(n) => {
-                    written.push(n.as_str());
-                    vec![rhs]
-                }
-                Place::Index(name, i) => {
-                    sites.push((name.as_str(), i));
-                    vec![i, rhs]
-                }
-                Place::Deref(p) => vec![p, rhs],
-            },
-            Stmt::Expr(e, _) | Stmt::Return(Some(e), _) | Stmt::If { cond: e, .. } => vec![e],
-            Stmt::For { .. }
-            | Stmt::While { .. }
-            | Stmt::ParallelFor { .. }
-            | Stmt::ParallelSections { .. } => {
-                plain = false;
-                Vec::new()
-            }
-            _ => Vec::new(),
-        };
-        for e in exprs {
+    let mut plain = !lp.cond.is_some_and(expr_calls);
+    walk(lp.body, &mut |s| {
+        match s {
+            Stmt::Decl { name, .. }
+            | Stmt::Assign {
+                lhs: Place::Var(name),
+                ..
+            } => written.push(name.as_str()),
+            Stmt::Assign {
+                lhs: Place::Index(name, i),
+                ..
+            } => sites.push((name.as_str(), i)),
+            Stmt::ParallelFor { .. } | Stmt::ParallelSections { .. } => plain = false,
+            _ => {}
+        }
+        for e in exprs_of(s) {
             plain &= !elements(e, &mut sites);
         }
     });
-    (plain && !written.contains(&v)).then_some(Counted {
+    (plain && !written.contains(&v)).then(|| Counted {
+        lp,
         v,
         delta: wrap(delta),
         sites,
         written,
+        inner: lp.body.iter().filter_map(Loop::of).collect(),
     })
+}
+
+/// The expressions a statement computes itself, not those of the
+/// statements it holds.
+fn exprs_of(s: &Stmt) -> Vec<&Expr> {
+    match s {
+        Stmt::Decl { init, .. } => init.iter().collect(),
+        Stmt::Assign { lhs, rhs, .. } => match lhs {
+            Place::Var(_) => vec![rhs],
+            Place::Index(_, i) | Place::Deref(i) => vec![i, rhs],
+        },
+        Stmt::Expr(e, _)
+        | Stmt::Return(Some(e), _)
+        | Stmt::If { cond: e, .. }
+        | Stmt::While { cond: e, .. } => vec![e],
+        Stmt::For { cond, .. } => cond.iter().collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// How many times `e` reads the local `v`.
+fn reads(e: &Expr, v: &str) -> usize {
+    let of = |x| reads(x, v);
+    match e {
+        Expr::Int(_) => 0,
+        Expr::Var(n) => usize::from(n == v),
+        Expr::Index(n, x) => usize::from(n == v) + of(x),
+        Expr::Deref(x) | Expr::Unary(_, x) => of(x),
+        Expr::AddrOf(place) => match place.as_ref() {
+            Place::Var(n) => usize::from(n == v),
+            Place::Index(n, x) => usize::from(n == v) + of(x),
+            Place::Deref(x) => of(x),
+        },
+        Expr::Binary(_, a, b) => of(a) + of(b),
+        Expr::Call(_, args) => args.iter().map(of).sum(),
+    }
+}
+
+/// How many times `stmts` read the local `v`.
+fn stmt_reads(stmts: &[Stmt], v: &str) -> usize {
+    let mut n = 0;
+    walk(stmts, &mut |s| {
+        if let Stmt::Assign {
+            lhs: Place::Index(name, _),
+            ..
+        } = s
+        {
+            n += usize::from(name == v);
+        }
+        n += exprs_of(s).into_iter().map(|e| reads(e, v)).sum::<usize>();
+    });
+    n
+}
+
+/// Whether a `break` in `stmts` leaves the loop they are the body of.
+fn breaks(stmts: &[Stmt]) -> bool {
+    stmts.iter().any(|s| match s {
+        Stmt::Break(_) => true,
+        Stmt::If { then, els, .. } => breaks(then) || breaks(els),
+        _ => false,
+    })
+}
+
+/// Rule E's trip count: how many times `cond`, `v op n` with a constant
+/// `n`, holds as `v` steps from `v₀` by `delta` before it first fails,
+/// when `v` does not leave the 32-bit range on the way.
+fn trips(cond: &Expr, v: &str, v0: i64, delta: i64) -> Option<i64> {
+    let Expr::Binary(op, x, n) = cond else {
+        return None;
+    };
+    let n = konst(n).filter(|_| matches!(x.as_ref(), Expr::Var(x) if x == v))?;
+    let trips = match op {
+        BinOp::Lt if delta > 0 => (n - v0 + delta - 1).div_euclid(delta),
+        BinOp::Le if delta > 0 => (n - v0).div_euclid(delta) + 1,
+        BinOp::Gt if delta < 0 => (v0 - n - delta - 1).div_euclid(-delta),
+        BinOp::Ge if delta < 0 => (v0 - n).div_euclid(-delta) + 1,
+        BinOp::Ne if delta != 0 && (n - v0) % delta == 0 => (n - v0) / delta,
+        _ => return None,
+    };
+    (trips >= 1 && i32::try_from(v0 + trips * delta).is_ok()).then_some(trips)
+}
+
+/// Rule B's test, a register local compared with a constant `n`: the
+/// branch taken when it is false, the local's register, `n`, and whether
+/// `n`'s register is the branch's first operand.
+fn bound(cond: &Expr, fx: &FnGen) -> Option<(BranchKind, Reg, i64, bool)> {
+    let Expr::Binary(op, a, b) = cond else {
+        return None;
+    };
+    let (kind, swap) = inverse_branch(*op)?;
+    let live = |e: &Expr| match e {
+        Expr::Var(n) => fx
+            .local(n)
+            .filter(|i| !fx.dead.contains(i))
+            .map(|i| LOCALS[i]),
+        _ => None,
+    };
+    match (live(a), konst(b), konst(a), live(b)) {
+        (Some(x), Some(n), ..) => Some((kind, x, n, swap)),
+        (.., Some(n), Some(x)) => Some((kind, x, n, !swap)),
+        _ => None,
+    }
 }
 
 /// Whether a `for` runs its body at least once for certain: `cond` reads
@@ -1777,21 +2101,25 @@ fn enters(init: Option<&Stmt>, cond: &Expr, fx: &FnGen) -> bool {
 
 /// The constant a `for` init leaves in the local `name`, if it does.
 fn init_value(init: Option<&Stmt>, name: &str) -> Option<i64> {
-    let stmts = match init? {
-        // The parser's comma sequence.
-        Stmt::If {
-            cond: Expr::Int(1),
-            then,
-            ..
-        } => then.as_slice(),
-        s => std::slice::from_ref(s),
-    };
-    let (_, e) = stmts
+    let (_, e) = parts(init?)
         .iter()
         .rev()
         .filter_map(assignment)
         .find(|&(n, _)| n == name)?;
-    const_eval(e, &|_| None)
+    konst(e)
+}
+
+/// The statements of a `for` init: the parser's comma sequence, or the
+/// one.
+fn parts(init: &Stmt) -> &[Stmt] {
+    match init {
+        Stmt::If {
+            cond: Expr::Int(1),
+            then,
+            ..
+        } => then,
+        s => std::slice::from_ref(s),
+    }
 }
 
 /// The local or global a statement gives a value, and the value.
@@ -1809,6 +2137,11 @@ fn assignment(s: &Stmt) -> Option<(&str, &Expr)> {
         } => Some((n, e)),
         _ => None,
     }
+}
+
+/// `e`'s value when it is a constant.
+fn konst(e: &Expr) -> Option<i64> {
+    const_eval(e, &|_| None)
 }
 
 /// `e`'s value when it reads only constants and the registers `var`

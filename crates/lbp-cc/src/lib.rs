@@ -126,14 +126,18 @@ pub enum CodegenSabotage {
     /// Constant folding treats `a - b` as `a + b` (runtime subtraction
     /// is untouched).
     ConstFold,
+    /// A loop that tests an end pointer (rule E) sets that end one
+    /// stride short, so its last iteration never runs.
+    EndPointer,
 }
 
 impl CodegenSabotage {
     /// All kinds, for enumeration in tests and CLIs.
-    pub const ALL: [CodegenSabotage; 3] = [
+    pub const ALL: [CodegenSabotage; 4] = [
         CodegenSabotage::ChunkBounds,
         CodegenSabotage::IndexShift,
         CodegenSabotage::ConstFold,
+        CodegenSabotage::EndPointer,
     ];
 
     /// The CLI name of this kind (without the `codegen:` prefix).
@@ -142,6 +146,7 @@ impl CodegenSabotage {
             CodegenSabotage::ChunkBounds => "chunk-bounds",
             CodegenSabotage::IndexShift => "index-shift",
             CodegenSabotage::ConstFold => "const-fold",
+            CodegenSabotage::EndPointer => "end-pointer",
         }
     }
 

@@ -62,8 +62,7 @@ fn a_for_loop_exit_keeps_the_stores_pending_at_its_test() {
     sw   t3, 0(t2)
     li   s4, 0
 _cc_for_2:
-    li   t2, 0
-    bge  s4, t2, _cc_fend_3
+    bge  s4, zero, _cc_fend_3
     la   t2, G
     p_syncm
     lw   t2, 0(t2)
@@ -103,6 +102,7 @@ _cc_wend_3:
 fn a_bottom_tested_body_fences_a_load_of_the_previous_iterations_store() {
     let got = main_listing("    int i; int x;\n    for (i = 0; i < 4; i++) { x = G; G = x + 1; }");
     let want = "    li   s4, 0
+    li   a7, 4
 _cc_for_2:
     la   t2, G
     p_syncm
@@ -113,8 +113,7 @@ _cc_for_2:
     sw   t2, 0(t3)
 _cc_fstep_4:
     addi s4, s4, 1
-    li   t3, 4
-    blt  s4, t3, _cc_for_2
+    blt  s4, a7, _cc_for_2
 _cc_fend_3:
     la   t3, G
     p_syncm
@@ -138,6 +137,7 @@ fn a_bottom_tested_loop_exit_keeps_the_stores_pending_at_its_top() {
     li   t3, 5
     sw   t3, 0(t2)
     li   s4, 0
+    li   a7, 4
 _cc_for_2:
     beqz s4, _cc_else_5
     j    _cc_fend_3
@@ -148,8 +148,7 @@ _cc_else_5:
     mv   s5, t2
 _cc_fstep_4:
     addi s4, s4, 1
-    li   t2, 4
-    blt  s4, t2, _cc_for_2
+    blt  s4, a7, _cc_for_2
 _cc_fend_3:
 ";
     assert_eq!(got, format!("{PROLOGUE}{want}{TAIL}"));
@@ -166,21 +165,18 @@ fn a_load_through_a_pointer_of_an_array_the_loop_stores_keeps_its_fence() {
     let want = "    la   t2, G
     li   t3, 5
     sw   t3, 0(t2)
-    li   s4, 0
-    la   a7, A
-    addi a7, a7, 4
+    la   a7, A+4
     la   a6, A
+    addi s4, a7, 28
 _cc_for_2:
     p_syncm
     lw   t2, 0(a6)
     addi t2, t2, 1
     sw   t2, 0(a7)
 _cc_fstep_4:
-    addi s4, s4, 1
     addi a7, a7, 4
     addi a6, a6, 4
-    li   t2, 7
-    blt  s4, t2, _cc_for_2
+    bne  a7, s4, _cc_for_2
 _cc_fend_3:
 ";
     assert_eq!(got, format!("{PROLOGUE}{want}{TAIL}"));

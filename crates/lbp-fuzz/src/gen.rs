@@ -93,6 +93,7 @@ impl Sabotage {
             Sabotage::Codegen(lbp_cc::CodegenSabotage::ChunkBounds) => "codegen:chunk-bounds",
             Sabotage::Codegen(lbp_cc::CodegenSabotage::IndexShift) => "codegen:index-shift",
             Sabotage::Codegen(lbp_cc::CodegenSabotage::ConstFold) => "codegen:const-fold",
+            Sabotage::Codegen(lbp_cc::CodegenSabotage::EndPointer) => "codegen:end-pointer",
         }
     }
 
@@ -782,6 +783,13 @@ fn gen_c(rng: &mut Rng, cfg: &GenConfig) -> GenProgram {
         // `out` regardless of which removable units survive shrinking.
         segments.push(Segment::Fixed(
             "    acc[1] = acc[1] + (W - 1);\n".to_owned(),
+        ));
+    }
+    if codegen_sabotage == Some(lbp_cc::CodegenSabotage::EndPointer) {
+        // A loop of decided trip count that tests an end pointer: the
+        // sabotaged end leaves `out[W - 1]` one short.
+        segments.push(Segment::Fixed(
+            "    for (i = 0; i < W; i++) out[i] = out[i] + 1;\n".to_owned(),
         ));
     }
     segments.push(Segment::Fixed("}\n".to_owned()));

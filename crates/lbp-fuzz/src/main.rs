@@ -31,7 +31,8 @@ lbp_sim::flags! { FLAGS:
     SABOTAGE = Flag::new("--sabotage", &["KIND"], ALL_MODES,
         "plant a known bug: wild-store | hang |\n\
          codegen:chunk-bounds | codegen:index-shift |\n\
-         codegen:const-fold (miscompilations only the\n\
+         codegen:const-fold | codegen:end-pointer\n\
+                     (miscompilations only the\n\
          semantics oracle can catch)");
     SHRINK_ATTEMPTS = Flag::new("--shrink-attempts", &["N"], ALL_MODES,
         "shrink budget per failure, 0 = off (default 200)");

@@ -121,6 +121,7 @@ fn planted_miscompilations_are_caught_by_the_semantics_oracle() {
         "codegen:chunk-bounds",
         "codegen:index-shift",
         "codegen:const-fold",
+        "codegen:end-pointer",
     ] {
         assert_found(&dir, kind, 5, needle, &files);
     }

@@ -51,7 +51,7 @@ lbp::sim::flags! { FLAGS:
         "interpret AND compile-and-simulate, compare observables").selects(DIFF);
     SABOTAGE = Flag::new("--sabotage", &["codegen:KIND"], COMPILE | DIFF,
         "inject a deliberate miscompilation into generated code\n\
-         (chunk-bounds | index-shift | const-fold)");
+         (chunk-bounds | index-shift | const-fold | end-pointer)");
     MAX_CYCLES = Flag::new("--max-cycles", &["N"], DIFF,
         "simulation budget (default 100000000)");
 }

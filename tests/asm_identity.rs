@@ -55,7 +55,7 @@ fn shipped_sources_assemble_to_the_pinned_bytes() {
         [
             (14, 0xc95c_bb9f_6baf_c2e0),
             (3, 0x67b3_fe51_e8d0_3f28),
-            (4, 0xa91a_cbd4_28d1_0ffc)
+            (4, 0xc8b6_c4cb_eeaf_7b4e)
         ]
     );
 }
@@ -76,7 +76,7 @@ fn generated_programs_assemble_to_the_pinned_bytes() {
     assert_eq!(
         got,
         [
-            ("c", 0x8e29_b81b_3e14_6acb),
+            ("c", 0xe268_91ce_8194_8815),
             ("seq", 0x3f60_c1a1_0dbb_592d),
             ("mem", 0x126d_a296_27f5_46e7),
             ("fork", 0xbbb2_d7a3_fc45_aa05)

@@ -7,6 +7,8 @@
  *   - index-shift: each member writes its neighbour's slot.
  *   - const-fold:  `W - 1` is an immediate-immediate subtraction the
  *     sabotaged folder turns into an addition (4 becomes 6).
+ *   - end-pointer: the last loop tests an end pointer one stride short,
+ *     so acc[7] keeps its zero instead of 1.
  *
  * Unsabotaged it diffs clean, like every shipped example.
  */
@@ -20,4 +22,5 @@ void main(void) {
         acc[t] = t + 1;
     }
     acc[4] = acc[0] + (W - 1);
+    for (t = 4; t < 8; t++) acc[t] = acc[t] + 1;
 }

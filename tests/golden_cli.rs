@@ -195,7 +195,7 @@ const COLD_CHECKPOINT_MATMUL: &str = "tests/fixtures/compiled/matmul.s --cores 4
 /// Every mode of both tools over `examples/`, the verifier fixtures,
 /// `tests/fixtures` and the identity corpus.
 #[rustfmt::skip]
-const ROWS: [Row; 91] = [
+const ROWS: [Row; 93] = [
     // lbp-run: run, on the default four cores and on fewer and more.
     run("run", EXAMPLES, &[STATS], Pinned(7, 0x7e2b_ac3c_d7e7_c4b4)),
     run("run-1-core", ASM_1_CORE, &["--cores 1", STATS], Pinned(3, 0xd6fd_fea0_b22a_599c)),
@@ -204,7 +204,7 @@ const ROWS: [Row; 91] = [
     run("run-stats-stdout", MUL, &["--stats-json -"], Pinned(1, 0x60d6_9d9a_1719_6b3a)),
     run("run-dump", MATMUL, &["--dump Z:16"], Pinned(1, 0x3143_bc73_2f48_116c)),
     // The C examples from their sources, through lbp-cc.
-    run("run-c-examples", C_EXAMPLES, &[STATS], Pinned(4, 0xb479_ab64_96e3_9d4c)),
+    run("run-c-examples", C_EXAMPLES, &[STATS], Pinned(4, 0xfdd5_46d3_05ea_761c)),
     // Observers change nothing: with the sampler on, the stats report,
     // every checkpoint and any crash dump are the same bytes when the
     // profiler, the race witness and a trace sink watch too.
@@ -233,11 +233,11 @@ const ROWS: [Row; 91] = [
         Pinned(1, 0xa5d1_d735_a2a5_8dcc)),
     // lbp-run --verify, and lbp-cc --lint as the same function.
     run("verify-asm-examples", ASM_EXAMPLES, &[VERIFY], Pinned(3, 0xeef2_3433_16cf_5e39)),
-    run("verify-c-examples", C_EXAMPLES, &[VERIFY], Pinned(4, 0x5f31_1f40_c4d2_9094)),
+    run("verify-c-examples", C_EXAMPLES, &[VERIFY], Pinned(4, 0x0144_ac4a_8446_f654)),
     run("verify-asm-fixtures", ASM_FIXTURES, &[VERIFY], Pinned(14, 0xc511_35e8_72b3_0931)),
     run("verify-c-fixtures", C_FIXTURES, &[VERIFY], Pinned(6, 0xb911_51b5_c893_012a)),
     run("verify-matmul-kernels", MATMUL_KERNELS, &[VERIFY], Pinned(10, 0x009b_e40a_c8b2_ec55)),
-    run("verify-generated-c", GEN_C, &[VERIFY], Pinned(100, 0x5cda_08f7_36d1_8e51)),
+    run("verify-generated-c", GEN_C, &[VERIFY], Pinned(100, 0x58a9_2809_f411_6a7c)),
     run("verify-generated-seq", GEN_SEQ, &[VERIFY], Pinned(100, 0x33d1_9e7d_f9ea_09f9)),
     run("verify-generated-mem", GEN_MEM, &[VERIFY], Pinned(100, 0xae10_34ef_87d8_8494)),
     run("verify-generated-fork", GEN_FORK, &[VERIFY], Pinned(100, 0xb557_86e1_f49e_83a1)),
@@ -246,16 +246,16 @@ const ROWS: [Row; 91] = [
     cc("lint-c-examples", C_EXAMPLES, &[LINT], Same("verify-c-examples", All)),
     cc("lint-c-fixtures", C_FIXTURES, &[LINT], Same("verify-c-fixtures", All)),
     cc("lint-generated-c", GEN_C, &[LINT], Same("verify-generated-c", All)),
-    cc("lint-plain", MATMUL_C, &["--lint"], Pinned(1, 0xdff4_68a0_33ff_ffe3)),
-    cc("lint-stdout", C_SOURCES, &["--lint --diag-json -"], Pinned(10, 0x4e65_025e_3e2e_8e53)),
+    cc("lint-plain", MATMUL_C, &["--lint"], Pinned(1, 0xac66_64a6_cd1e_2561)),
+    cc("lint-stdout", C_SOURCES, &["--lint --diag-json -"], Pinned(10, 0x9914_8b42_cfb7_4978)),
     // Listings: lbp-run --emit-asm prints what lbp-cc -o writes.
-    run("emit-asm", C_EXAMPLES, &["--emit-asm"], Pinned(4, 0x750e_71d5_1da7_b7cf)),
+    run("emit-asm", C_EXAMPLES, &["--emit-asm"], Pinned(4, 0x4529_b40e_8242_d9c2)),
     cc("compile-stdout", C_EXAMPLES, &["-o -"], Same("emit-asm", All)),
-    cc("compile", C_EXAMPLES, &["-o {out}/prog.s"], Pinned(4, 0x8374_126f_ad5c_ea6c)),
+    cc("compile", C_EXAMPLES, &["-o {out}/prog.s"], Pinned(4, 0xfff3_26e9_5ee0_e4ea)),
     cc("compile-c-fixtures", C_FIXTURES, &["-o {out}/prog.s"], Pinned(6, 0x6a28_c16f_661f_5c14)),
     cc("compile-generated-c", GEN_C_200, &["-o {out}/prog.s"],
-        Pinned(200, 0x3a23_a5b9_df2a_84ab)),
-    cc("compile-witness", WITNESS, &["-o -"], Pinned(1, 0xfec8_ea06_f82e_1b39)),
+        Pinned(200, 0x1a4c_6838_6de9_60dc)),
+    cc("compile-witness", WITNESS, &["-o -"], Pinned(1, 0x4329_dd64_c200_e71a)),
     cc("no-such-file", Inputs::None, &["examples/c/missing.c"], Pinned(1, 0xfcf9_75aa_939f_1384)),
     run("disasm", EXAMPLES, &["--disasm"], Pinned(7, 0x125d_fb6f_2793_9b50)),
     // Lockstep, clean and sabotaged.
@@ -351,11 +351,11 @@ const ROWS: [Row; 91] = [
     cc("interp-c-examples", C_EXAMPLES, &["--interp"], Pinned(4, 0x0ae2_91ad_f93d_4cd8)),
     cc("interp-c-fixtures", C_FIXTURES, &["--interp"], Pinned(6, 0x60f5_69f1_a56f_2599)),
     cc("interp-generated-c", GEN_C, &["--interp"], Pinned(100, 0x06ab_769d_736a_6bcb)),
-    cc("interp-witness", WITNESS, &["--interp"], Pinned(1, 0x53a1_347c_2b12_9913)),
+    cc("interp-witness", WITNESS, &["--interp"], Pinned(1, 0x1199_5d5b_86c0_0bf6)),
     // lbp-cc --diff: clean, failed simulations, and each sabotage.
-    cc("diff-c-examples", C_EXAMPLES, &["--diff"], Pinned(4, 0x9b73_05dd_ab4d_c4a4)),
+    cc("diff-c-examples", C_EXAMPLES, &["--diff"], Pinned(4, 0xe1b9_c653_7531_67b9)),
     cc("diff-c-fixtures", C_FIXTURES, &["--diff"], Pinned(6, 0x5b03_c37b_afe3_b9cb)),
-    cc("diff-witness", WITNESS, &["--diff"], Pinned(1, 0xd5f2_5b5a_faf2_f9ba)),
+    cc("diff-witness", WITNESS, &["--diff"], Pinned(1, 0x3dd8_88ef_a874_08db)),
     cc("diff-timeout", MATMUL_C, &["--diff --max-cycles 1000"], Pinned(1, 0xb94e_d185_7822_52ef)),
     cc("diff-hang", Inputs::None, &["examples/asm/hung.s --diff"],
         Pinned(1, 0xbc32_14f8_77ae_38a3)),
@@ -364,13 +364,17 @@ const ROWS: [Row; 91] = [
     cc("diff-sabotage-index-shift", WITNESS, &["--diff --sabotage codegen:index-shift"],
         Pinned(1, 0xe36e_cd67_dddf_ca51)),
     cc("diff-sabotage-const-fold", WITNESS, &["--diff --sabotage codegen:const-fold"],
-        Pinned(1, 0xb4c1_6240_2eda_9469)),
+        Pinned(1, 0x25f1_84ee_4683_98fc)),
+    cc("diff-sabotage-end-pointer", WITNESS, &["--diff --sabotage codegen:end-pointer"],
+        Pinned(1, 0xd6a0_1e27_70cf_596a)),
     cc("compile-sabotage-chunk-bounds", WITNESS, &["-o - --sabotage codegen:chunk-bounds"],
-        Pinned(1, 0xe949_fca6_4b11_d0cd)),
+        Pinned(1, 0x5372_2265_2c9a_5eb2)),
     cc("compile-sabotage-index-shift", WITNESS, &["-o - --sabotage codegen:index-shift"],
-        Pinned(1, 0x1c11_7f99_3d26_efca)),
+        Pinned(1, 0x0e70_825c_a0b5_f05d)),
     cc("compile-sabotage-const-fold", WITNESS, &["-o - --sabotage codegen:const-fold"],
-        Pinned(1, 0x42be_95fe_8d10_f92f)),
+        Pinned(1, 0xb997_aa1c_12d7_6c91)),
+    cc("compile-sabotage-end-pointer", WITNESS, &["-o - --sabotage codegen:end-pointer"],
+        Pinned(1, 0xe0bd_bb2d_8254_a666)),
 ];
 
 /// What a row produced: how many inputs ran, and its hash of each

@@ -389,6 +389,116 @@ fn reduced_and_bottom_tested_loops_are_identical_on_both_paths() {
     }
 }
 
+/// Rules B, E and S⁺ at the edges of their exactness arguments. Each row
+/// gives how many of its loops must test an end pointer (rule E: an
+/// `addi` sets a counter's register from a pointer register) and `r` as
+/// computed here, with `A[i] = 3i + 1`; both paths must give it.
+#[test]
+fn end_pointer_and_carried_loops_are_identical_on_both_paths() {
+    fn a(i: usize) -> i32 {
+        3 * i as i32 + 1
+    }
+    type Row = (&'static str, &'static str, usize, fn(usize) -> i32);
+    let rows: [Row; 6] = [
+        ("counter read after the loop", "for (k = 0; k < 8; k++) { r[k] = A[k]; } r[8] = k;", 1, |i| {
+            match i { 0..8 => a(i), 8 => 8, _ => 0 }
+        }),
+        ("break", "for (k = 0; k < 64; k++) { if (A[k] > 100) { break; } r[k] = A[k]; } r[63] = k;", 0, |i| {
+            match i { 0..34 => a(i), 63 => 34, _ => 0 }
+        }),
+        ("k-- to an end pointer", "for (k = 7; k >= 0; k--) { r[k] = A[k]; } r[8] = k;", 1, |i| {
+            match i { 0..8 => a(i), 8 => -1, _ => 0 }
+        }),
+        (
+            "inner entry reads a local the outer body writes",
+            "for (j = 0; j < 4; j++) { t = j * 2; for (k = 0; k < 4; k++) { r[j * 8 + k] = A[k + t]; } }",
+            1,
+            |i| if i < 32 && i % 8 < 4 { a(i % 8 + 2 * (i / 8)) } else { 0 },
+        ),
+        (
+            "carried and hoisted entries",
+            "for (j = 0; j < 4; j++) { s = 0; for (k = 0; k < 8; k++) { s = s + A[k * 4 + j] * A[j * 8 + k]; } r[j] = s; }",
+            2,
+            |i| if i < 4 { (0..8).map(|k| a(k * 4 + i) * a(i * 8 + k)).sum() } else { 0 },
+        ),
+        (
+            "counters read after a nest",
+            "for (j = 3; j >= 0; j--) { for (k = 0; k < 4; k++) { r[j * 4 + k] = A[j + k]; } } r[20] = j; r[21] = k;",
+            2,
+            |i| match i { 0..16 => a(i / 4 + i % 4), 20 => -1, 21 => 4, _ => 0 },
+        ),
+    ];
+    let init: Vec<String> = (0..64).map(|i| a(i).to_string()).collect();
+    for (name, body, ends, want) in rows {
+        let src = format!(
+            "int A[64] = {{{}}};\nint r[64];\nvoid main(void) {{\n    int k; int j; int t; int s;\n    {body}\n}}\n",
+            init.join(", ")
+        );
+        let asm = lbp::cc::compile(&src).expect("compiles").asm;
+        let set_from_pointer = |l: &str| {
+            let ops: Vec<&str> = l.split([' ', ',']).filter(|w| !w.is_empty()).collect();
+            matches!(ops[..], ["addi", e, p, _] if e.starts_with('s') && !p.starts_with('s'))
+        };
+        assert_eq!(
+            asm.lines().filter(|l| set_from_pointer(l)).count(),
+            ends,
+            "{name}: end pointers\n{asm}"
+        );
+        let report = diff_ok(name, &src);
+        let want: Vec<i32> = (0..64).map(want).collect();
+        assert_eq!(
+            report.outcome.global("r").unwrap(),
+            want.as_slice(),
+            "{name}"
+        );
+    }
+}
+
+/// A nest whose inner expressions run the scratch pool dry gives its
+/// pointers back, the outer loop's carried entries included, down to
+/// none: the inner loop compiles as a `for` exactly when it compiles as
+/// a `while`, and both paths agree on it.
+#[test]
+fn a_nest_short_of_registers_gives_its_pointers_back() {
+    let init: Vec<String> = (0..64).map(|i| (3 * i + 1).to_string()).collect();
+    let mut compiled = 0;
+    for d in 2..=8 {
+        let mut sum = format!("A[j + k + {}]", d - 1);
+        for i in (0..d - 1).rev() {
+            sum = format!("A[j + k + {i}] + ({sum})");
+        }
+        let body = format!("r[j * 8 + k] = {sum};");
+        let program = |l: String| {
+            format!(
+                "int A[64] = {{{}}};\nint r[64];\nvoid main(void) {{\n    int j; int k;\n    \
+                 for (j = 0; j < 4; j++) {{ {l} }}\n}}\n",
+                init.join(", ")
+            )
+        };
+        let for_src = program(format!("for (k = 0; k < 8; k++) {{ {body} }}"));
+        let while_src = program(format!("k = 0; while (k < 8) {{ {body} k = k + 1; }}"));
+        let for_ok = lbp::cc::compile(&for_src).is_ok();
+        assert_eq!(for_ok, lbp::cc::compile(&while_src).is_ok(), "depth {d}");
+        if !for_ok {
+            continue;
+        }
+        compiled += 1;
+        let report = diff_ok(&format!("depth {d}"), &for_src);
+        let want: Vec<i32> = (0..64)
+            .map(|i| match (i / 8, i % 8) {
+                (j, k) if j < 4 => (j + k..j + k + d).map(|x| 3 * x + 1).sum(),
+                _ => 0,
+            })
+            .collect();
+        assert_eq!(
+            report.outcome.global("r").unwrap(),
+            want.as_slice(),
+            "depth {d}"
+        );
+    }
+    assert!(compiled >= 5, "{compiled} depths compiled");
+}
+
 /// A unary operation on a constant folds on its 32-bit word, as the
 /// machine computes it: `~0xffffffff` is 0, not −2^32.
 #[test]
