@@ -18,12 +18,16 @@
 //! service) each flag belongs to. Exit code 0 when every job reached a
 //! verdict (even a failing one — its line says so), 1 on
 //! manifest/front-end/state-dir problems, 2 on usage errors, 86 when an
-//! injected crash point fired.
+//! injected crash point fired; a closed stdout cuts the stream short:
+//! exit 1, quietly. The rest is one [`Outcome`], written at the end.
+
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 use lbp_batch::service::ServiceOptions;
-use lbp_sim::cli::{self, Args, Flag, Grammar, Positional, ALL_MODES};
+use lbp_sim::cli::{self, Args, Flag, Grammar, Outcome, Positional, ALL_MODES};
 use lbp_sim::ExitClass;
 
 const BATCH: u32 = 1 << 0;
@@ -99,84 +103,62 @@ fn service_options(args: &Args, workers: usize) -> Result<ServiceOptions, String
     })
 }
 
-fn main() {
-    let args = GRAMMAR.parse_env();
+/// Runs the manifest the command line names: the service under
+/// `--state-dir`, else one shot streaming to `--out`.
+fn run(args: &Args, o: &mut Outcome) -> Result<(), ExitClass> {
     let workers = match args.get::<usize>(WORKERS) {
-        Ok(Some(0)) => GRAMMAR.refuse(&format!("`{}` must be at least 1", WORKERS.name)),
+        Ok(Some(0)) => return Err(o.refuse(&format!("`{}` must be at least 1", WORKERS.name))),
         Ok(n) => n.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
-        Err(what) => GRAMMAR.refuse(&what),
+        Err(what) => return Err(o.refuse(&what)),
     };
-    let service = service_options(&args, workers).unwrap_or_else(|what| GRAMMAR.refuse(&what));
+    let service = service_options(args, workers).map_err(|what| o.refuse(&what))?;
+    let failure = ExitClass::Failure;
     let manifest = Path::new(&args.positional()[0]);
-    let text = match std::fs::read_to_string(manifest) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("lbp-batch: cannot read {}: {e}", manifest.display());
-            ExitClass::Failure.exit();
-        }
-    };
+    let text = std::fs::read_to_string(manifest)
+        .map_err(|e| o.fail(failure, format!("cannot read {}: {e}", manifest.display())))?;
     let base = manifest
         .parent()
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("."));
-    let jobs = match lbp_batch::load_manifest(&text, &base) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("lbp-batch: {e}");
-            ExitClass::Failure.exit();
-        }
-    };
+    let jobs = lbp_batch::load_manifest(&text, &base).map_err(|e| o.fail(failure, e))?;
     let started = std::time::Instant::now();
     if let Some(dir) = args.str(STATE_DIR).map(Path::new) {
-        match lbp_batch::service::run_service(&text, &jobs, dir, &service) {
-            Ok(r) => {
-                eprintln!(
-                    "lbp-batch: epoch {}: {} jobs ({} admitted, {} rejected, {} failed, \
-                     {} quarantined) — {} attempts ({} resumed, {} retries) on {} workers \
-                     in {:.2?}; results in {}",
-                    r.epoch,
-                    r.jobs,
-                    r.admitted,
-                    r.rejected,
-                    r.failed,
-                    r.quarantined,
-                    r.attempted,
-                    r.resumed,
-                    r.retries,
-                    workers,
-                    started.elapsed(),
-                    dir.join("results.jsonl").display()
-                );
-            }
-            Err(e) => {
-                eprintln!("lbp-batch: {e}");
-                ExitClass::Failure.exit();
-            }
-        }
-        return;
+        let r = lbp_batch::service::run_service(&text, &jobs, dir, &service)
+            .map_err(|e| o.fail(failure, e))?;
+        o.note(format!(
+            "epoch {}: {} jobs ({} admitted, {} rejected, {} failed, {} quarantined) — {} \
+             attempts ({} resumed, {} retries) on {} workers in {:.2?}; results in {}",
+            r.epoch,
+            r.jobs,
+            r.admitted,
+            r.rejected,
+            r.failed,
+            r.quarantined,
+            r.attempted,
+            r.resumed,
+            r.retries,
+            workers,
+            started.elapsed(),
+            dir.join("results.jsonl").display()
+        ));
+        return Ok(());
     }
     let out = args.str(OUT).unwrap_or("-");
-    let summary = match cli::open_out(out) {
-        Ok(out) => lbp_batch::run_batch(&jobs, workers, out),
-        Err(e) => {
-            eprintln!("lbp-batch: cannot create {out}: {e}");
-            ExitClass::Failure.exit();
-        }
-    };
-    match summary {
-        Ok(s) => {
-            eprintln!(
-                "lbp-batch: {} jobs ({} unique, {} failed) on {} workers in {:.2?}",
-                s.jobs,
-                s.unique,
-                s.failed,
-                workers,
-                started.elapsed()
-            );
-        }
-        Err(e) => {
-            eprintln!("lbp-batch: writing results failed: {e}");
-            ExitClass::Failure.exit();
-        }
-    }
+    let out =
+        cli::open_out(out).map_err(|e| o.fail(failure, format!("cannot create {out}: {e}")))?;
+    let s = lbp_batch::run_batch(&jobs, workers, out)
+        .map_err(|e| o.stream_failed("writing results failed", &e))?;
+    o.note(format!(
+        "{} jobs ({} unique, {} failed) on {} workers in {:.2?}",
+        s.jobs,
+        s.unique,
+        s.failed,
+        workers,
+        started.elapsed()
+    ));
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    GRAMMAR.outcome(run).finish()
 }

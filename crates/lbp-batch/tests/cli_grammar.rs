@@ -40,6 +40,26 @@ fn service_flags_without_a_state_dir_are_refused_not_ignored() {
     }
 }
 
+/// The result stream is the work a closed stdout cuts short: exit 1, and
+/// no `Broken pipe` message.
+#[test]
+fn a_closed_stdout_cuts_the_stream_short_quietly() {
+    cli_contract::check_closed_stdout(Path::new(LBP_BATCH), &["--help"], 0);
+    let dir = std::env::temp_dir().join(format!("lbp-batch-closed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("m.json");
+    std::fs::write(
+        &manifest,
+        r#"{"schema": "lbp-batch-manifest-v1", "jobs": [{"program": "p.s", "cores": 1}]}"#,
+    )
+    .unwrap();
+    let mul = cli_contract::workspace_root().join("examples/asm/mul.s");
+    std::fs::copy(mul, dir.join("p.s")).unwrap();
+    let manifest = manifest.to_string_lossy();
+    cli_contract::check_closed_stdout(Path::new(LBP_BATCH), &[&manifest, "--workers", "1"], 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// At the parent: `fatal runtime error: stack overflow`, SIGABRT.
 #[test]
 fn lbp_batch_on_a_manifest_of_200_000_brackets_is_a_positioned_failure() {

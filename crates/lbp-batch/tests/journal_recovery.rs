@@ -163,13 +163,17 @@ fn interrupted_job_resumes_from_its_checkpoint() {
 #[test]
 fn a_warm_jobs_checkpoints_carry_the_functional_mark_across_a_resume() {
     let dir = scratch("warm");
-    let matmul = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/c/matmul.c");
-    std::fs::copy(matmul, dir.join("matmul.c")).unwrap();
+    // The committed listing, so a code-generation change cannot move
+    // which checkpoints exist: 7,256 cycles cold, and the cycle-exact
+    // run starts at virtual cycle 1,923 after the warm phase.
+    let matmul =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/compiled/matmul.s");
+    std::fs::copy(matmul, dir.join("matmul.s")).unwrap();
     let manifest = dir.join("manifest.json");
     std::fs::write(
         &manifest,
         r#"{"schema": "lbp-batch-manifest-v1",
-            "jobs": [{"program": "matmul.c", "cores": 4, "warm": 5000}]}"#,
+            "jobs": [{"program": "matmul.s", "cores": 4, "warm": 5000}]}"#,
     )
     .unwrap();
     let state = dir.join("state");
@@ -180,9 +184,9 @@ fn a_warm_jobs_checkpoints_carry_the_functional_mark_across_a_resume() {
             "--workers",
             "1",
             "--checkpoint-every",
-            "500",
+            "1000",
             "--slice",
-            "500",
+            "1000",
         ]);
         c.args(["--crash-after-appends", crash_after]);
         assert_eq!(c.status().unwrap().code(), Some(86));

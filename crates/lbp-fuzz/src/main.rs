@@ -9,11 +9,16 @@
 //! a human summary goes to stderr. The stream and any corpus written
 //! are byte-identical for identical arguments. Exit code 0 when every
 //! case passed, 3 when any oracle tripped, 2 on usage errors, 1 on I/O
-//! problems.
+//! problems; a closed stdout cuts the stream short: exit 1, quietly.
+//! The rest is one [`Outcome`], written at the end.
+
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
+use std::process::ExitCode;
 
 use lbp_fuzz::gen::{Kind, Sabotage};
 use lbp_fuzz::FuzzOptions;
-use lbp_sim::cli::{self, Args, Flag, Grammar, Positional, ALL_MODES};
+use lbp_sim::cli::{self, Args, Flag, Grammar, Outcome, Positional, ALL_MODES};
 use lbp_sim::ExitClass;
 
 lbp_sim::flags! { FLAGS:
@@ -61,34 +66,24 @@ static GRAMMAR: Grammar = Grammar {
 /// `"<final-state-hash:016x> <cycles>"` for the parent to compare. Not
 /// in the flag table — it is an implementation detail of the oracle,
 /// not user surface.
-fn resume_worker(snap: &str, max_cycles: &str) -> ! {
-    let Ok(max_cycles) = max_cycles.parse::<u64>() else {
-        GRAMMAR.refuse("the resume worker wants SNAP MAX_CYCLES")
-    };
-    let state = match lbp_snap::load(snap) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("lbp-fuzz: cannot load snapshot `{snap}`: {e}");
-            ExitClass::Failure.exit();
-        }
-    };
-    let mut machine = match lbp_sim::Machine::restore(&state) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("lbp-fuzz: cannot restore snapshot `{snap}`: {e}");
-            ExitClass::Failure.exit();
-        }
-    };
-    if let Err(fail) = machine.run_diagnosed(max_cycles) {
-        eprintln!("lbp-fuzz: resumed run failed: {}", fail.error);
-        ExitClass::Finding.exit();
-    }
-    println!(
+fn resume_worker(o: &mut Outcome, snap: &str, max_cycles: u64) -> Result<(), ExitClass> {
+    let failure = ExitClass::Failure;
+    let state = lbp_snap::load(snap)
+        .map_err(|e| o.fail(failure, format!("cannot load snapshot `{snap}`: {e}")))?;
+    let mut machine = lbp_sim::Machine::restore(&state)
+        .map_err(|e| o.fail(failure, format!("cannot restore snapshot `{snap}`: {e}")))?;
+    machine.run_diagnosed(max_cycles).map_err(|fail| {
+        o.fail(
+            ExitClass::Finding,
+            format!("resumed run failed: {}", fail.error),
+        )
+    })?;
+    o.say(format!(
         "{:016x} {}",
         lbp_snap::content_hash(&machine.snapshot()),
         machine.stats().cycles
-    );
-    ExitClass::Ok.exit();
+    ));
+    Ok(())
 }
 
 /// The fuzz run the command line describes.
@@ -136,52 +131,46 @@ fn fuzz_options(args: &Args) -> Result<FuzzOptions, String> {
     Ok(opts)
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    if argv.get(1).map(String::as_str) == Some("--resume-worker") {
-        match (argv.get(2), argv.get(3)) {
-            (Some(snap), Some(max)) => resume_worker(snap, max),
-            _ => GRAMMAR.refuse("the resume worker wants SNAP MAX_CYCLES"),
-        }
-    }
-    let args = GRAMMAR.parse_env();
-    let mut opts = fuzz_options(&args).unwrap_or_else(|what| GRAMMAR.refuse(&what));
+/// The sweep: verdicts stream to `--out`, the summary is the outcome's.
+fn run(args: &Args, o: &mut Outcome) -> Result<(), ExitClass> {
+    let mut opts = fuzz_options(args).map_err(|what| o.refuse(&what))?;
     // The CLI always runs the resume oracle across a real process
     // boundary, re-execing itself as the worker.
     opts.resume_exec = std::env::current_exe().ok();
     let out = args.str(OUT).unwrap_or("-");
-    let summary = match cli::open_out(out) {
-        Ok(out) => lbp_fuzz::run_fuzz(&opts, out),
-        Err(e) => {
-            eprintln!("lbp-fuzz: cannot create {out}: {e}");
-            ExitClass::Failure.exit();
-        }
-    };
-    match summary {
-        Ok(s) => {
-            eprintln!(
-                "lbp-fuzz: seed {} -> {} case(s), {} passed, {} failed",
-                opts.seed,
-                s.cases,
-                s.passed,
-                s.failures.len()
-            );
-            for (case, class) in &s.failures {
-                eprintln!(
-                    "lbp-fuzz:   case {case}: {class} (replay: --seed {} --skip {case} --count 1)",
-                    opts.seed
-                );
-            }
-            let class = if s.clean() {
-                ExitClass::Ok
-            } else {
-                ExitClass::Finding
-            };
-            class.exit()
-        }
-        Err(e) => {
-            eprintln!("lbp-fuzz: writing output failed: {e}");
-            ExitClass::Failure.exit();
-        }
+    let out = cli::open_out(out)
+        .map_err(|e| o.fail(ExitClass::Failure, format!("cannot create {out}: {e}")))?;
+    let s =
+        lbp_fuzz::run_fuzz(&opts, out).map_err(|e| o.stream_failed("writing output failed", &e))?;
+    o.note(format!(
+        "seed {} -> {} case(s), {} passed, {} failed",
+        opts.seed,
+        s.cases,
+        s.passed,
+        s.failures.len()
+    ));
+    for (case, class) in &s.failures {
+        o.note(format!(
+            "  case {case}: {class} (replay: --seed {} --skip {case} --count 1)",
+            opts.seed
+        ));
     }
+    if s.clean() {
+        Ok(())
+    } else {
+        Err(ExitClass::Finding)
+    }
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().collect();
+    if argv.get(1).map(String::as_str) != Some("--resume-worker") {
+        return GRAMMAR.outcome(run).finish();
+    }
+    let max_cycles = argv.get(3).and_then(|n| n.parse().ok());
+    Outcome::of(&GRAMMAR, |o| match (argv.get(2), max_cycles) {
+        (Some(snap), Some(max_cycles)) => resume_worker(o, snap, max_cycles),
+        _ => Err(o.refuse("the resume worker wants SNAP MAX_CYCLES")),
+    })
+    .finish()
 }

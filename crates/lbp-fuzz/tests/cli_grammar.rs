@@ -45,3 +45,12 @@ fn a_missing_seed_or_a_value_out_of_range_names_the_flag() {
         assert!(stderr.lines().last().unwrap().contains(names), "{stderr}");
     }
 }
+
+/// The verdict stream is the work a closed stdout cuts short: exit 1, and
+/// no `Broken pipe` message.
+#[test]
+fn a_closed_stdout_cuts_the_stream_short_quietly() {
+    let exe = Path::new(LBP_FUZZ);
+    cli_contract::check_closed_stdout(exe, &["--help"], 0);
+    cli_contract::check_closed_stdout(exe, &["--seed", "1", "--count", "1"], 1);
+}

@@ -5,9 +5,14 @@
 //! ([`Grammar::help`]), the parse ([`Grammar::parse`] → [`Args`] with
 //! typed getters) and the legality check — a flag the selected mode
 //! would never read is a usage error naming the flag and the mode.
+//! What an invocation says is one [`Outcome`], which
+//! [`Outcome::finish`], the only writer of the process's streams, writes.
 
-use std::fmt::Write as _;
-use std::io::Write;
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
+use std::fmt::{self, Write as _};
+use std::io::{self, Write};
+use std::process::ExitCode;
 use std::str::FromStr;
 
 use crate::ExitClass;
@@ -304,25 +309,23 @@ impl Grammar {
         })
     }
 
-    /// Parses the process's own command line. `--help` prints the usage
-    /// on stdout and exits [`ExitClass::Ok`]; a bad command line goes
-    /// through [`Grammar::refuse`].
-    pub fn parse_env(&self) -> Args {
-        match self.parse(std::env::args().skip(1)) {
-            Ok(args) => args,
+    /// One invocation of the tool: the process's command line, parsed
+    /// and handed to `body` with the outcome it says its piece on. `body`
+    /// ends with `Err` for any class but [`ExitClass::Ok`]. A command line
+    /// that runs nothing is the whole outcome: `--help` is the usage on
+    /// stdout, a bad one [`Outcome::refuse`]d.
+    pub fn outcome(
+        &'static self,
+        body: impl FnOnce(&Args, &mut Outcome) -> Result<(), ExitClass>,
+    ) -> Outcome {
+        Outcome::of(self, |o| match self.parse(std::env::args().skip(1)) {
+            Ok(args) => body(&args, o),
             Err(Stop::Help) => {
-                print!("{}", self.help());
-                ExitClass::Ok.exit()
+                o.stdout = self.help();
+                Ok(())
             }
-            Err(Stop::Usage(what)) => self.refuse(&what),
-        }
-    }
-
-    /// Prints the usage and then `what` — last, where it is read — on
-    /// stderr and exits [`ExitClass::Usage`].
-    pub fn refuse(&self, what: &str) -> ! {
-        eprintln!("{}\n{}: {what}", self.help(), self.tool);
-        ExitClass::Usage.exit()
+            Err(Stop::Usage(what)) => Err(o.refuse(&what)),
+        })
     }
 }
 
@@ -369,10 +372,10 @@ impl Args {
     /// # Errors
     ///
     /// As [`Args::all_with`].
-    pub fn get_with<T>(
-        &self,
+    pub fn get_with<'a, T>(
+        &'a self,
         flag: &Flag,
-        parse: impl Fn(&str) -> Result<T, String>,
+        parse: impl Fn(&'a str) -> Result<T, String>,
     ) -> Result<Option<T>, String> {
         Ok(self.all_with(flag, parse)?.pop())
     }
@@ -384,10 +387,10 @@ impl Args {
     ///
     /// What `parse` answered for the first malformed occurrence,
     /// prefixed with the flag and the value.
-    pub fn all_with<T>(
-        &self,
+    pub fn all_with<'a, T>(
+        &'a self,
         flag: &Flag,
-        parse: impl Fn(&str) -> Result<T, String>,
+        parse: impl Fn(&'a str) -> Result<T, String>,
     ) -> Result<Vec<T>, String> {
         let hits = self.given.iter().filter(|(f, _)| f.name == flag.name);
         hits.map(|(_, v)| {
@@ -397,29 +400,129 @@ impl Args {
     }
 }
 
-/// Opens `path` for output; `-` means stdout.
+/// Opens `path` for output; `-` means stdout. Only a stream that must
+/// not wait for the end of the run (a trace, a JSONL result stream) goes
+/// to stdout this way; everything else is [`Outcome`] text.
 ///
 /// # Errors
 ///
 /// The file cannot be created.
-pub fn open_out(path: &str) -> std::io::Result<Box<dyn Write + Send>> {
+pub fn open_out(path: &str) -> io::Result<Box<dyn Write + Send>> {
     if path == "-" {
-        Ok(Box::new(std::io::stdout()))
+        Ok(Box::new(io::stdout()))
     } else {
         let file = std::fs::File::create(path)?;
-        Ok(Box::new(std::io::BufWriter::new(file)))
+        Ok(Box::new(io::BufWriter::new(file)))
     }
 }
 
-/// Writes `text` to `path` (`-` = stdout) and flushes.
-///
-/// # Errors
-///
-/// The file cannot be created or written.
-pub fn write_out(path: &str, text: &str) -> std::io::Result<()> {
-    let mut out = open_out(path)?;
-    out.write_all(text.as_bytes())?;
-    out.flush()
+/// Whether `e` says the reader of a pipe went away: no one is left to tell.
+pub fn closed(e: &io::Error) -> bool {
+    e.kind() == io::ErrorKind::BrokenPipe
+}
+
+/// What one invocation of a tool says and how it ends. A tool builds
+/// exactly one, in order, and [`Outcome::finish`] writes it.
+#[derive(Debug)]
+pub struct Outcome {
+    /// The tool's command line.
+    pub grammar: &'static Grammar,
+    /// The text for stdout.
+    pub stdout: String,
+    /// The text for stderr.
+    pub stderr: String,
+    /// How the invocation ended; the process exit code.
+    pub class: ExitClass,
+}
+
+impl Outcome {
+    /// What `body` says on a fresh outcome of `grammar`'s tool, ending
+    /// with the class of its `Err`, or [`ExitClass::Ok`].
+    pub fn of(
+        grammar: &'static Grammar,
+        body: impl FnOnce(&mut Outcome) -> Result<(), ExitClass>,
+    ) -> Outcome {
+        let mut o = Outcome {
+            grammar,
+            stdout: String::new(),
+            stderr: String::new(),
+            class: ExitClass::Ok,
+        };
+        if let Err(class) = body(&mut o) {
+            o.class = class;
+        }
+        o
+    }
+
+    /// Appends `line` as a line of stdout.
+    pub fn say(&mut self, line: impl fmt::Display) {
+        let _ = writeln!(self.stdout, "{line}");
+    }
+
+    /// Appends `tool: what` as a line of stderr.
+    pub fn note(&mut self, what: impl fmt::Display) {
+        let _ = writeln!(self.stderr, "{}: {what}", self.grammar.tool);
+    }
+
+    /// The usage and then `what` — last, where it is read — on stderr:
+    /// a bad command line, [`ExitClass::Usage`].
+    pub fn refuse(&mut self, what: &str) -> ExitClass {
+        let _ = writeln!(self.stderr, "{}", self.grammar.help());
+        self.fail(ExitClass::Usage, what)
+    }
+
+    /// [`Outcome::note`]s `what` and hands back `class`, for the caller
+    /// to end with.
+    pub fn fail(&mut self, class: ExitClass, what: impl fmt::Display) -> ExitClass {
+        self.note(what);
+        class
+    }
+
+    /// A stream the tool was writing failed: [`ExitClass::Failure`], noted
+    /// as `what: e` unless the reader [`closed`] the pipe.
+    pub fn stream_failed(&mut self, what: &str, e: &io::Error) -> ExitClass {
+        if !closed(e) {
+            self.note(format_args!("{what}: {e}"));
+        }
+        ExitClass::Failure
+    }
+
+    /// Writes `text` to the file at `path`, or appends it to stdout when
+    /// `path` is `-`.
+    ///
+    /// # Errors
+    ///
+    /// The file cannot be written.
+    pub fn write_out(&mut self, path: &str, text: &str) -> io::Result<()> {
+        if path == "-" {
+            self.stdout.push_str(text);
+            Ok(())
+        } else {
+            std::fs::write(path, text)
+        }
+    }
+
+    /// Writes stderr, then stdout, and ends with the class. A stdout whose
+    /// reader [`closed`] the pipe ends quietly with the same class, which
+    /// was decided before the first byte went out.
+    pub fn finish(self) -> ExitCode {
+        self.write_to(&mut io::stdout().lock(), &mut io::stderr().lock())
+            .into()
+    }
+
+    /// [`Outcome::finish`] over any two writers.
+    fn write_to(self, out: &mut impl Write, err: &mut impl Write) -> ExitClass {
+        // A stderr that cannot be written has no one to tell either.
+        let _ = err.write_all(self.stderr.as_bytes());
+        let written = out.write_all(self.stdout.as_bytes());
+        match written.and_then(|()| out.flush()) {
+            Err(e) if !closed(&e) => {
+                let _ = writeln!(err, "{}: cannot write stdout: {e}", self.grammar.tool);
+                ExitClass::Failure
+            }
+            _ => self.class,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -541,6 +644,53 @@ mod tests {
             Ok(Some(4))
         );
         assert_eq!(parse("p.s").unwrap().get::<usize>(CORES), Ok(None));
+    }
+
+    /// A stdout whose reader went away, or a disk that is full.
+    struct Refusing(io::ErrorKind);
+
+    impl Write for Refusing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_ends_quietly_with_the_decided_class() {
+        let outcome = Outcome::of(&TOOL, |o| {
+            o.say("cycles: 7");
+            Err(o.fail(ExitClass::Rejected, "raced"))
+        });
+        let mut err = Vec::new();
+        let closed = Refusing(io::ErrorKind::BrokenPipe);
+        assert_eq!(
+            outcome.write_to(&mut { closed }, &mut err),
+            ExitClass::Rejected
+        );
+        assert_eq!(err, b"demo: raced\n");
+
+        let mut err = Vec::new();
+        let full = Refusing(io::ErrorKind::StorageFull);
+        let ok = Outcome::of(&TOOL, |o| {
+            o.say("x");
+            Ok(())
+        });
+        assert_eq!(ok.write_to(&mut { full }, &mut err), ExitClass::Failure);
+        assert!(String::from_utf8(err)
+            .unwrap()
+            .starts_with("demo: cannot write stdout: "));
+    }
+
+    #[test]
+    fn a_refusal_is_the_usage_then_the_reason() {
+        let refused = Outcome::of(&TOOL, |o| Err(o.refuse("`--nope`")));
+        assert_eq!(refused.class, ExitClass::Usage);
+        assert!(refused.stdout.is_empty());
+        let usage = format!("{}\ndemo: `--nope`\n", TOOL.help());
+        assert_eq!(refused.stderr, usage);
     }
 
     #[test]

@@ -162,11 +162,6 @@ impl ExitClass {
             ExitClass::SemanticsDivergence => "semantics-divergence",
         }
     }
-
-    /// Ends the process with this class's code.
-    pub fn exit(self) -> ! {
-        std::process::exit(self.code() as i32)
-    }
 }
 
 impl From<ExitClass> for std::process::ExitCode {

@@ -1,5 +1,7 @@
 //! Regenerates the paper's evaluation artifacts: stdout of `all` is
 //! `results_reference.txt`; the host time each target took goes to stderr.
+//! Both are written at the end; a closed stdout ends the tool quietly with
+//! the checks' class.
 //!
 //! ```text
 //! cargo run --release --bin figures -- all
@@ -8,12 +10,16 @@
 //! cargo run --release --bin figures -- --help
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
+use std::fmt::Write as _;
 use std::path::Path;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use lbp::figures::{self, Figure, Section};
 use lbp::kernels::matmul::Version;
-use lbp::sim::cli::{Flag, Grammar, Positional, ALL_MODES};
+use lbp::sim::cli::{Args, Flag, Grammar, Outcome, Positional, ALL_MODES};
 use lbp::sim::{ExitClass, Json};
 
 lbp::sim::flags! { FLAGS:
@@ -72,61 +78,65 @@ fn write_stats(fig: &Figure, dir: &str) -> std::io::Result<()> {
 
 /// Figure `fig` as a table with its checks, or as CSV rows, which carry
 /// no checks.
-fn figure(fig: &Figure, csv: bool, stats_dir: Option<&str>) -> Section {
-    if let Some(dir) = stats_dir {
-        if let Err(e) = write_stats(fig, dir) {
-            eprintln!("figures: cannot write stats JSON to `{dir}`: {e}");
-            ExitClass::Failure.exit();
-        }
+fn figure(
+    o: &mut Outcome,
+    fig: &Figure,
+    csv: bool,
+    dir: Option<&str>,
+) -> Result<Section, ExitClass> {
+    if let Some(dir) = dir {
+        let what = |e| format!("cannot write stats JSON to `{dir}`: {e}");
+        write_stats(fig, dir).map_err(|e| o.fail(ExitClass::Failure, what(e)))?;
     }
     if csv {
-        return Section {
+        return Ok(Section {
             text: fig.to_csv(),
             ok: true,
-        };
+        });
     }
-    fig.section()
+    Ok(fig.section())
 }
 
-fn main() {
-    let args = GRAMMAR.parse_env();
-    let csv = args.has(CSV);
-    let stats_dir = args.str(STATS_DIR);
+/// Regenerates the targets in order, each section's text on stdout and
+/// its host time on stderr; a failed check ends the run after its
+/// section, an unknown target is refused where it stands.
+fn run(args: &Args, o: &mut Outcome) -> Result<(), ExitClass> {
+    let (csv, stats_dir) = (args.has(CSV), args.str(STATS_DIR));
+    let targets = args.positional().iter().map(String::as_str);
     // Fig. 20's tiled run, which the energy section reads too.
     let mut tiled_h64 = None;
-    for arg in args.positional() {
-        let targets = if arg == "all" {
-            &ALL[..]
-        } else {
-            &[arg.as_str()][..]
-        };
-        for &target in targets {
-            let t = Instant::now();
-            let section = match target {
-                "fig19" => figure(&figures::reproduce_figure(19), csv, stats_dir),
-                "fig20" => {
-                    let fig = figures::reproduce_figure(20);
-                    tiled_h64 = Some(fig.report(Version::Tiled).clone());
-                    figure(&fig, csv, stats_dir)
-                }
-                "fig21" => figure(&figures::reproduce_figure(21), csv, stats_dir),
-                "determinism" => figures::determinism(),
-                "overhead" => figures::overhead(),
-                "multithreading" => figures::multithreading(),
-                "energy" => figures::energy(
-                    tiled_h64.get_or_insert_with(|| figures::measure(64, Version::Tiled).1),
-                ),
-                "ablation" => figures::ablation(),
-                other => GRAMMAR.refuse(&format!("unknown target `{other}`")),
-            };
-            print!("{}", section.text);
-            eprintln!(
-                "({target} regenerated in {:.1?} of host time; simulated numbers are exact)",
-                t.elapsed()
-            );
-            if !section.ok {
-                ExitClass::Failure.exit();
+    for target in targets.flat_map(|t| if t == "all" { ALL.to_vec() } else { vec![t] }) {
+        let t = Instant::now();
+        let section = match target {
+            "fig19" => figure(o, &figures::reproduce_figure(19), csv, stats_dir)?,
+            "fig20" => {
+                let fig = figures::reproduce_figure(20);
+                tiled_h64 = Some(fig.report(Version::Tiled).clone());
+                figure(o, &fig, csv, stats_dir)?
             }
+            "fig21" => figure(o, &figures::reproduce_figure(21), csv, stats_dir)?,
+            "determinism" => figures::determinism(),
+            "overhead" => figures::overhead(),
+            "multithreading" => figures::multithreading(),
+            "energy" => figures::energy(
+                tiled_h64.get_or_insert_with(|| figures::measure(64, Version::Tiled).1),
+            ),
+            "ablation" => figures::ablation(),
+            other => return Err(o.refuse(&format!("unknown target `{other}`"))),
+        };
+        o.stdout.push_str(&section.text);
+        let _ = writeln!(
+            o.stderr,
+            "({target} regenerated in {:.1?} of host time; simulated numbers are exact)",
+            t.elapsed()
+        );
+        if !section.ok {
+            return Err(ExitClass::Failure);
         }
     }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    GRAMMAR.outcome(run).finish()
 }

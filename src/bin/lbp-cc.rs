@@ -22,6 +22,10 @@
 //! end once and compiles from the unit it built (`--lint` only a program
 //! it accepts); `--interp` lays the globals out where that image puts
 //! them.
+//! One [`Outcome`] is written at the end; a closed stdout ends the tool
+//! quietly with the same class.
+
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 use std::process::ExitCode;
 
@@ -30,7 +34,7 @@ use lbp::cc::sema::Checked;
 use lbp::cc::{CcOptions, CodegenSabotage, SourceKind};
 use lbp::sema::diff::{diff, required_cores, DiffError};
 use lbp::sema::{interp, InterpOptions, Layout};
-use lbp::sim::cli::{self, Flag, Grammar, Positional, ALL_MODES};
+use lbp::sim::cli::{Args, Flag, Grammar, Outcome, Positional, ALL_MODES};
 use lbp::sim::ExitClass;
 
 const COMPILE: u32 = 1 << 0;
@@ -76,38 +80,40 @@ static GRAMMAR: Grammar = Grammar {
 /// `--interp`, or with a cycle budget `--diff`: the outcome under the
 /// executable semantics, then, for `--diff`, the simulated image
 /// compared against it.
-fn run_semantics(checked: &Checked, image: &Image, max_cycles: Option<u64>) -> ExitCode {
+fn run_semantics(
+    o: &mut Outcome,
+    checked: &Checked,
+    image: &Image,
+    max_cycles: Option<u64>,
+) -> Result<(), ExitClass> {
     let opts = InterpOptions::default();
     let ran = match max_cycles {
         None => interp::run(checked, &Layout::from_image(checked, image), &opts)
-            .map(|outcome| (outcome, None))
+            .map(|observed| (observed, None))
             .map_err(DiffError::Trap),
         Some(max) => diff(checked, image, required_cores(checked), max, &opts)
             .map(|report| (report.outcome, Some(report.cycles))),
     };
-    match ran {
-        Ok((outcome, simulated)) => {
-            print!("{}", outcome.render());
-            println!("hash {:016x}", outcome.content_hash());
-            if let Some(cycles) = simulated {
-                println!("diff:     observables agree (simulated in {cycles} cycles)");
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("lbp-cc: {e}");
-            match e {
-                DiffError::Trap(_) => ExitClass::Failure,
-                DiffError::Sim(sim) => sim.exit_class(),
-                DiffError::Divergence(_) => ExitClass::SemanticsDivergence,
-            }
-            .into()
-        }
+    let (observed, simulated) = ran.map_err(|e| {
+        let class = match &e {
+            DiffError::Trap(_) => ExitClass::Failure,
+            DiffError::Sim(sim) => sim.exit_class(),
+            DiffError::Divergence(_) => ExitClass::SemanticsDivergence,
+        };
+        o.fail(class, e)
+    })?;
+    o.stdout.push_str(&observed.render());
+    o.say(format!("hash {:016x}", observed.content_hash()));
+    if let Some(cycles) = simulated {
+        o.say(format!(
+            "diff:     observables agree (simulated in {cycles} cycles)"
+        ));
     }
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let args = GRAMMAR.parse_env();
+/// The selected mode, on the program the command line names.
+fn run(args: &Args, o: &mut Outcome) -> Result<(), ExitClass> {
     let sabotage = args.get_with(SABOTAGE, |spec| {
         spec.strip_prefix("codegen:")
             .and_then(CodegenSabotage::parse)
@@ -115,43 +121,35 @@ fn main() -> ExitCode {
     });
     let (cc_opts, max_cycles) = match (sabotage, args.get::<u64>(MAX_CYCLES)) {
         (Ok(sabotage), Ok(n)) => (CcOptions { sabotage }, n.unwrap_or(100_000_000)),
-        (Err(what), _) | (_, Err(what)) => GRAMMAR.refuse(&what),
+        (Err(what), _) | (_, Err(what)) => return Err(o.refuse(&what)),
     };
     let input = args.positional()[0].as_str();
     if SourceKind::of(input) != SourceKind::C {
-        eprintln!("lbp-cc: input must be a `.c` file, got `{input}`");
-        return ExitClass::Usage.into();
+        let what = format!("input must be a `.c` file, got `{input}`");
+        return Err(o.fail(ExitClass::Usage, what));
     }
-    let source = match std::fs::read_to_string(input) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("lbp-cc: cannot read `{input}`: {e}");
-            return ExitClass::Usage.into();
-        }
-    };
+    let source = std::fs::read_to_string(input)
+        .map_err(|e| o.fail(ExitClass::Usage, format!("cannot read `{input}`: {e}")))?;
     if args.mode() == LINT {
-        return lbp::verdict("lbp-cc", input, &source, args.str(DIAG_JSON)).into();
+        return lbp::verdict(o, input, &source, args.str(DIAG_JSON));
     }
     // The front end once; the back end compiles from the unit it built.
-    let built = lbp::cc::front_end(&source)
-        .and_then(|cx| lbp::cc::compile_checked(&cx, &cc_opts).map(|compiled| (cx, compiled)));
-    let (checked, compiled) = match built {
-        Ok(built) => built,
-        Err(e) => {
-            eprintln!("lbp-cc: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (checked, compiled) = lbp::cc::front_end(&source)
+        .and_then(|cx| lbp::cc::compile_checked(&cx, &cc_opts).map(|compiled| (cx, compiled)))
+        .map_err(|e| o.fail(ExitClass::Failure, e))?;
     match args.mode() {
-        DIFF => run_semantics(&checked, &compiled.image, Some(max_cycles)),
-        INTERP => run_semantics(&checked, &compiled.image, None),
+        DIFF => run_semantics(o, &checked, &compiled.image, Some(max_cycles)),
+        INTERP => run_semantics(o, &checked, &compiled.image, None),
         _ => {
             let dest = args.str(OUTPUT).unwrap_or("-");
-            if let Err(e) = cli::write_out(dest, &compiled.asm) {
-                eprintln!("lbp-cc: cannot write assembly to `{dest}`: {e}");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
+            o.write_out(dest, &compiled.asm).map_err(|e| {
+                let what = format!("cannot write assembly to `{dest}`: {e}");
+                o.fail(ExitClass::Failure, what)
+            })
         }
     }
+}
+
+fn main() -> ExitCode {
+    GRAMMAR.outcome(run).finish()
 }

@@ -17,12 +17,16 @@
 //! flag, which modes read it: a flag the selected mode would ignore is a
 //! usage error. `lbp-run --help` prints the table; the exit code is the
 //! [`ExitClass`] of how the run ended.
+//! The [`Outcome`] is written when the tool ends (only `--trace -`
+//! streams); a closed stdout then ends it quietly with that same class.
+
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 use std::process::ExitCode;
 
 use lbp::asm::Image;
 use lbp::cc::{Compiled, SourceKind};
-use lbp::sim::cli::{self, Args, Flag, Grammar, Positional};
+use lbp::sim::cli::{self, Args, Flag, Grammar, Outcome, Positional};
 use lbp::sim::{
     BisectError, ChromeSink, DivergencePoint, ExitClass, FastEngine, FastStop, Fault, FaultPlan,
     JsonlSink, LbpConfig, LockstepError, Machine, MachineDump, SimFailure, TextSink, TraceSink,
@@ -156,7 +160,7 @@ static GRAMMAR: Grammar = Grammar {
 };
 
 /// Where a run to exit starts.
-enum Start {
+enum Start<'a> {
     /// From reset.
     Cold(LbpConfig),
     /// After a functional warm phase: to `target` retired instructions,
@@ -164,51 +168,40 @@ enum Start {
     Warm {
         cfg: LbpConfig,
         target: Option<u64>,
-        snap: Option<String>,
+        snap: Option<&'a str>,
     },
     /// From the checkpoint at this path.
-    Resume(String),
+    Resume(&'a str),
 }
 
 /// What a run to exit writes and watches besides running.
-struct RunOptions {
+struct RunOptions<'a> {
     max_cycles: u64,
-    trace: Option<(String, String)>,
-    stats_json: Option<String>,
-    dumps: Vec<(String, u32)>,
-    profile: Option<String>,
-    dump_on_error: Option<String>,
+    /// `--trace` with its `--trace-format`.
+    trace: Option<(&'a str, &'a str)>,
+    stats_json: Option<&'a str>,
+    dumps: Vec<(&'a str, u32)>,
+    profile: Option<&'a str>,
+    dump_on_error: Option<&'a str>,
     race_witness: bool,
     /// `--checkpoint-every` with its `--checkpoint-prefix`.
-    checkpoint: Option<(u64, String)>,
+    checkpoint: Option<(u64, &'a str)>,
     wall_ms: Option<u64>,
 }
 
 /// One invocation, with only what its mode reads.
-enum Mode {
-    SnapInfo(String),
-    BisectSnaps {
-        a: String,
-        b: String,
-        max_cycles: u64,
-    },
-    Verify {
-        diag_json: Option<String>,
-    },
+enum Mode<'a> {
+    SnapInfo(&'a str),
+    BisectSnaps(&'a str, &'a str, u64),
+    Verify(Option<&'a str>),
     EmitAsm,
     Disasm,
-    Bisect {
-        clean: LbpConfig,
-        faulted: LbpConfig,
-        max_cycles: u64,
-    },
-    Lockstep {
-        cfg: LbpConfig,
-        max_cycles: u64,
-        sabotage: Vec<(u32, u32)>,
-        dump_on_error: Option<String>,
-    },
-    Run(Start, RunOptions),
+    /// The clean and the faulted configuration.
+    Bisect(LbpConfig, LbpConfig, u64),
+    /// The configuration, the budget, the `--sabotage` words and the
+    /// crash dump's path.
+    Lockstep(LbpConfig, u64, Vec<(u32, u32)>, Option<&'a str>),
+    Run(Start<'a>, RunOptions<'a>),
 }
 
 /// The machine configuration `--cores`/`--interval` (and, when asked,
@@ -232,32 +225,23 @@ fn config(args: &Args, faulted: bool) -> Result<LbpConfig, String> {
     Ok(cfg)
 }
 
-impl Mode {
+impl<'a> Mode<'a> {
     /// Reads the mode the grammar selected and the values it needs.
-    fn decide(args: &Args) -> Result<Mode, String> {
-        let owned = |flag: &Flag| args.str(flag).map(str::to_owned);
+    fn decide(args: &'a Args) -> Result<Mode<'a>, String> {
         let max_cycles = args.get::<u64>(MAX_CYCLES)?.unwrap_or(100_000_000);
-        if let Some(path) = owned(SNAP_INFO_F) {
+        if let Some(path) = args.str(SNAP_INFO_F) {
             return Ok(Mode::SnapInfo(path));
         }
         if let Some([a, b]) = args.values(BISECT_SNAPS_F) {
-            let (a, b) = (a.clone(), b.clone());
-            return Ok(Mode::BisectSnaps { a, b, max_cycles });
+            return Ok(Mode::BisectSnaps(a, b, max_cycles));
         }
         let start = match args.mode() {
-            VERIFY => {
-                return Ok(Mode::Verify {
-                    diag_json: owned(DIAG_JSON),
-                })
-            }
+            VERIFY => return Ok(Mode::Verify(args.str(DIAG_JSON))),
             EMIT_ASM => return Ok(Mode::EmitAsm),
             DISASM => return Ok(Mode::Disasm),
             BISECT => {
-                return Ok(Mode::Bisect {
-                    clean: config(args, false)?,
-                    faulted: config(args, true)?,
-                    max_cycles,
-                })
+                let (clean, faulted) = (config(args, false)?, config(args, true)?);
+                return Ok(Mode::Bisect(clean, faulted, max_cycles));
             }
             LOCKSTEP => {
                 let word = |s: &str| match s.strip_prefix("0x") {
@@ -269,50 +253,43 @@ impl Mode {
                         .and_then(|(pc, xor)| Some((word(pc)?, word(xor)?)))
                         .ok_or("want PC:XOR".to_owned())
                 })?;
-                return Ok(Mode::Lockstep {
-                    cfg: config(args, true)?,
-                    max_cycles,
-                    sabotage,
-                    dump_on_error: owned(DUMP_ON_ERROR),
-                });
+                let (cfg, dump_on_error) = (config(args, true)?, args.str(DUMP_ON_ERROR));
+                return Ok(Mode::Lockstep(cfg, max_cycles, sabotage, dump_on_error));
             }
             WARM => Start::Warm {
                 cfg: config(args, true)?,
                 target: args.get::<u64>(WARM_F)?,
-                snap: owned(WARM_SNAP),
+                snap: args.str(WARM_SNAP),
             },
-            _ => match owned(RESUME_FROM) {
+            _ => match args.str(RESUME_FROM) {
                 Some(path) => Start::Resume(path),
                 None => Start::Cold(config(args, true)?),
             },
         };
-        let format = args.str(TRACE_FORMAT).unwrap_or("text");
-        if !["text", "jsonl", "chrome"].contains(&format) {
-            let name = TRACE_FORMAT.name;
-            return Err(format!(
-                "bad `{name}` value `{format}`: want text, jsonl or chrome"
-            ));
-        }
+        let format = args.get_with(TRACE_FORMAT, |f| match f {
+            "text" | "jsonl" | "chrome" => Ok(f),
+            _ => Err("want text, jsonl or chrome".to_owned()),
+        })?;
         let every = args.get::<u64>(CHECKPOINT_EVERY)?;
         if every == Some(0) {
             return Err(format!("`{}` must be at least 1", CHECKPOINT_EVERY.name));
         }
         let prefix = args.str(CHECKPOINT_PREFIX).unwrap_or("ckpt-");
         let dumps = args.all_with(DUMP, |spec| match spec.split_once(':') {
-            Some((sym, n)) => Ok((sym.to_owned(), n.parse().map_err(|_| "want SYM[:N]")?)),
-            None => Ok((spec.to_owned(), 1)),
+            Some((sym, n)) => Ok((sym, n.parse().map_err(|_| "want SYM[:N]")?)),
+            None => Ok((spec, 1)),
         })?;
         Ok(Mode::Run(
             start,
             RunOptions {
                 max_cycles,
-                trace: owned(TRACE).map(|path| (path, format.to_owned())),
-                stats_json: owned(STATS_JSON),
+                trace: args.str(TRACE).map(|path| (path, format.unwrap_or("text"))),
+                stats_json: args.str(STATS_JSON),
                 dumps,
-                profile: owned(PROFILE),
-                dump_on_error: owned(DUMP_ON_ERROR),
+                profile: args.str(PROFILE),
+                dump_on_error: args.str(DUMP_ON_ERROR),
                 race_witness: args.has(RACE_WITNESS),
-                checkpoint: every.map(|n| (n, prefix.to_owned())),
+                checkpoint: every.map(|n| (n, prefix)),
                 wall_ms: args.get(WALL_MS)?,
             },
         ))
@@ -320,66 +297,33 @@ impl Mode {
 }
 
 /// Writes the `lbp-dump-v1` crash dump as pretty JSON (`-` = stdout).
-fn write_dump(path: &str, dump: &MachineDump) {
+fn write_dump(o: &mut Outcome, path: &str, dump: &MachineDump) {
     let mut text = String::new();
     dump.to_json().write_pretty(&mut text);
     text.push('\n');
-    match cli::write_out(path, &text) {
-        Ok(()) => {
-            if path != "-" {
-                eprintln!("lbp-run: crash dump written to {path}");
-            }
-        }
-        Err(e) => eprintln!("lbp-run: cannot write crash dump to `{path}`: {e}"),
+    match o.write_out(path, &text) {
+        Ok(()) if path == "-" => {}
+        Ok(()) => o.note(format!("crash dump written to {path}")),
+        Err(e) => o.note(format!("cannot write crash dump to `{path}`: {e}")),
     }
 }
 
-/// Prints a stopped run's error, dumps it when asked, and classifies it.
-fn report_failure(fail: &SimFailure, dump_on_error: Option<&str>) -> ExitCode {
-    eprintln!("lbp-run: {}", fail.error);
+/// Notes a stopped run's error, dumps it when asked, and classifies it.
+fn report_failure(o: &mut Outcome, fail: &SimFailure, dump_on_error: Option<&str>) -> ExitClass {
+    o.note(&fail.error);
     if let Some(path) = dump_on_error {
-        write_dump(path, &fail.dump);
+        write_dump(o, path, &fail.dump);
     }
-    fail.error.exit_class().into()
-}
-
-/// `--lockstep`: run the machine and verify it
-/// against the functional engine, hart by hart and commit by commit.
-fn run_lockstep_mode(
-    cfg: LbpConfig,
-    image: &Image,
-    max_cycles: u64,
-    sabotage: &[(u32, u32)],
-    dump_on_error: Option<&str>,
-) -> ExitCode {
-    match lbp::sim::run_lockstep(cfg, image, max_cycles, sabotage) {
-        Ok(ls) => {
-            println!("lockstep: OK ({} commits verified)", ls.commits);
-            println!("exited:   {}", ls.report.exited);
-            println!("cycles:   {}", ls.report.stats.cycles);
-            println!("retired:  {}", ls.report.stats.retired());
-            ExitCode::SUCCESS
-        }
-        Err(LockstepError::Setup(e)) => {
-            eprintln!("lbp-run: {e}");
-            e.exit_class().into()
-        }
-        Err(LockstepError::Machine(fail)) => report_failure(&fail, dump_on_error),
-        Err(e) => {
-            // An oracle fault or an architectural divergence.
-            eprintln!("lbp-run: {e}");
-            ExitClass::Divergence.into()
-        }
-    }
+    fail.error.exit_class()
 }
 
 /// Writes the paused machine's state to `<prefix><cycle>.lbpsnap`.
-fn save_checkpoint(machine: &Machine, prefix: &str) {
+fn save_checkpoint(o: &mut Outcome, machine: &Machine, prefix: &str) {
     let state = machine.snapshot();
     let path = format!("{prefix}{}.lbpsnap", state.cycle());
     match lbp::snap::save(&state, &path) {
-        Ok(()) => eprintln!("lbp-run: checkpoint written to {path}"),
-        Err(e) => eprintln!("lbp-run: cannot write checkpoint `{path}`: {e}"),
+        Ok(()) => o.note(format!("checkpoint written to {path}")),
+        Err(e) => o.note(format!("cannot write checkpoint `{path}`: {e}")),
     }
 }
 
@@ -388,11 +332,12 @@ fn save_checkpoint(machine: &Machine, prefix: &str) {
 /// clock polls), so a snapshot is written at every boundary the run
 /// reaches without exiting — the cycle budget's included, which is what
 /// lets a timed-out run be resumed under a larger budget.
-fn run_in_slices(machine: &mut Machine, opts: &RunOptions) -> Result<Watched, Box<SimFailure>> {
-    let (every, prefix) = match &opts.checkpoint {
-        Some((n, prefix)) => (*n, prefix.as_str()),
-        None => (0, ""),
-    };
+fn run_in_slices(
+    o: &mut Outcome,
+    machine: &mut Machine,
+    opts: &RunOptions,
+) -> Result<Watched, Box<SimFailure>> {
+    let (every, prefix) = opts.checkpoint.unwrap_or((0, ""));
     let watch = Watch {
         slice: if every > 0 { every } else { 10_000 },
         checkpoint_every: every,
@@ -401,194 +346,114 @@ fn run_in_slices(machine: &mut Machine, opts: &RunOptions) -> Result<Watched, Bo
             .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
     };
     let start = machine.stats().cycles;
-    let result = machine.run_watched(opts.max_cycles, &watch, |m| save_checkpoint(m, prefix));
+    let result = machine.run_watched(opts.max_cycles, &watch, |m| save_checkpoint(o, m, prefix));
     let timed_out = matches!(&result, Err(f) if f.error.exit_class() == ExitClass::Timeout);
     if timed_out && every > 0 && machine.stats().cycles > start {
-        save_checkpoint(machine, prefix);
+        save_checkpoint(o, machine, prefix);
     }
     result
 }
 
-/// `--snap-info FILE`: print what a container holds without restoring
-/// the machine.
-fn run_snap_info(path: &str) -> ExitCode {
-    match lbp::snap::load(path) {
-        Ok(state) => {
-            println!("snapshot: {path}");
-            println!("format:   lbp-snap v{}", lbp::snap::FORMAT_VERSION);
-            println!("engine:   {}", state.engine());
-            println!("cycle:    {}", state.cycle());
-            println!("cores:    {}", state.cores());
-            println!("payload:  {} bytes", state.as_bytes().len());
-            println!("hash:     {:#018x}", lbp::snap::content_hash(&state));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("lbp-run: cannot inspect `{path}`: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Prints what a bisection found. A pair the bisector refuses is a usage
-/// error; a failure inside the bisection is exit 1.
-fn report_divergence(found: Result<Option<DivergencePoint>, BisectError>, clean: &str) -> ExitCode {
+/// What a bisection found. A pair the bisector refuses is a usage error;
+/// a failure inside the bisection is exit 1.
+fn report_divergence(
+    o: &mut Outcome,
+    found: Result<Option<DivergencePoint>, BisectError>,
+    clean: &str,
+) -> Result<(), ExitClass> {
     match found {
-        Ok(Some(d)) => println!("{d}"),
-        Ok(None) => println!("no divergence: {clean}"),
+        Ok(Some(d)) => o.say(d),
+        Ok(None) => o.say(format!("no divergence: {clean}")),
         Err(e) => {
-            eprintln!("lbp-run: {e}");
-            return match e {
-                BisectError::Snap(_) => ExitCode::FAILURE,
-                _ => ExitClass::Usage.into(),
+            let class = match e {
+                BisectError::Snap(_) => ExitClass::Failure,
+                _ => ExitClass::Usage,
             };
+            return Err(o.fail(class, e));
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// `--bisect-snaps A B`: bisect two same-cycle snapshots of diverging
-/// runs.
-fn run_bisect_snaps(a: &str, b: &str, max_cycles: u64) -> ExitCode {
-    let (sa, sb) = match (lbp::snap::load(a), lbp::snap::load(b)) {
-        (Ok(x), Ok(y)) => (x, y),
-        (Err(e), _) => {
-            eprintln!("lbp-run: cannot load `{a}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        (_, Err(e)) => {
-            eprintln!("lbp-run: cannot load `{b}`: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    report_divergence(
-        lbp::sim::first_divergence(&sa, &sb, max_cycles),
-        "the two runs ended in the same state",
-    )
-}
-
-/// `--warm N` / `--roi`: [`FastEngine::warm`] to the target, print the
+/// `--warm N` / `--roi`: [`FastEngine::warm`] to the target, note the
 /// warm summary, and save the handoff snapshot when asked.
 fn warm_forward(
+    o: &mut Outcome,
     cfg: LbpConfig,
     image: &Image,
     target: Option<u64>,
     snap: Option<&str>,
     max_cycles: u64,
-) -> Result<Machine, ExitCode> {
+) -> Result<Machine, ExitClass> {
     let stop = match (target, image.symbol("__roi_start")) {
         (Some(retired), _) => FastStop::Retired(retired),
         (None, Some(pc)) => FastStop::Pc(pc),
         (None, None) => {
-            eprintln!(
-                "lbp-run: {} needs a `__roi_start` marker; add `__roi_start();` to \
-                 the C source (or a `__roi_start:` label in assembly)",
+            let what = format!(
+                "{} needs a `__roi_start` marker; add `__roi_start();` to the C source (or a \
+                 `__roi_start:` label in assembly)",
                 ROI.name
             );
-            return Err(ExitClass::Usage.into());
+            return Err(o.fail(ExitClass::Usage, what));
         }
     };
-    let (machine, summary) = match FastEngine::warm(cfg, image, stop, max_cycles) {
-        Ok(warmed) => warmed,
-        Err(e) => {
-            let phase = if matches!(e, WarmError::Run(_)) {
-                "warm phase failed: "
-            } else {
-                ""
-            };
-            eprintln!("lbp-run: {phase}{}", e.sim());
-            return Err(e.sim().exit_class().into());
-        }
-    };
-    eprintln!(
-        "lbp-run: warm phase retired {} instructions (virtual cycle {})",
+    let (machine, summary) = FastEngine::warm(cfg, image, stop, max_cycles).map_err(|e| {
+        let phase = match e {
+            WarmError::Run(_) => "warm phase failed: ",
+            _ => "",
+        };
+        o.fail(e.sim().exit_class(), format!("{phase}{}", e.sim()))
+    })?;
+    o.note(format!(
+        "warm phase retired {} instructions (virtual cycle {})",
         summary.retired, summary.virtual_cycle
-    );
+    ));
     if summary.clamped > 0 {
-        eprintln!(
-            "lbp-run: warm target fell mid-rendezvous; clamped {} instructions forward \
-             to the next rendezvous boundary",
+        o.note(format!(
+            "warm target fell mid-rendezvous; clamped {} instructions forward to the next \
+             rendezvous boundary",
             summary.clamped
-        );
+        ));
     }
     if summary.at_exit {
-        eprintln!(
-            "lbp-run: warm phase reached the exit boundary; the cycle-exact window only \
-             retires the exit p_ret"
+        o.note(
+            "warm phase reached the exit boundary; the cycle-exact window only retires the \
+             exit p_ret",
         );
     }
     if let Some(path) = snap {
         let state = machine.snapshot();
         match lbp::snap::save(&state, path) {
-            Ok(()) => eprintln!(
-                "lbp-run: handoff snapshot written to {path} ({}, cycle {})",
+            Ok(()) => o.note(format!(
+                "handoff snapshot written to {path} ({}, cycle {})",
                 state.engine(),
                 state.cycle()
-            ),
-            Err(e) => eprintln!("lbp-run: cannot write handoff snapshot `{path}`: {e}"),
+            )),
+            Err(e) => o.note(format!("cannot write handoff snapshot `{path}`: {e}")),
         }
     }
     Ok(machine)
 }
 
-/// `--bisect`: build a clean machine and one with the `--fault` plan,
-/// then binary-search their runs (over snapshots) for the first cycle —
-/// and the first traced event — where they diverge.
-fn run_bisect_mode(
-    clean: LbpConfig,
-    faulted: LbpConfig,
-    image: &Image,
-    max_cycles: u64,
-) -> ExitCode {
-    let (clean, faulted) = match (Machine::new(clean, image), Machine::new(faulted, image)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("lbp-run: {e}");
-            return e.exit_class().into();
-        }
-    };
-    report_divergence(
-        lbp::sim::first_divergence(&clean.snapshot(), &faulted.snapshot(), max_cycles),
-        "the faulted run ended in the clean run's state",
-    )
-}
-
-/// `--resume-from FILE`: the machine the checkpoint holds.
-fn resume(path: &str) -> Result<Machine, ExitCode> {
-    let state = lbp::snap::load(path).map_err(|e| {
-        eprintln!("lbp-run: cannot load checkpoint `{path}`: {e}");
-        ExitCode::FAILURE
-    })?;
-    let machine = Machine::restore(&state).map_err(|e| {
-        eprintln!("lbp-run: cannot restore `{path}`: {e}");
-        ExitCode::FAILURE
-    })?;
-    eprintln!("lbp-run: resumed from {path} at cycle {}", state.cycle());
-    Ok(machine)
-}
-
-/// The run modes: run `machine` to its exit and print the report.
+/// The run modes: run `machine` to its exit and report on it.
 fn run_to_exit(
+    o: &mut Outcome,
     mut machine: Machine,
     input: &str,
     program: Option<&Compiled>,
     opts: &RunOptions,
-) -> ExitCode {
+) -> Result<(), ExitClass> {
+    let failure = ExitClass::Failure;
     if opts.profile.is_some() {
         machine.enable_profiling();
     }
     if opts.race_witness {
         machine.enable_race_witness();
     }
-    if let Some((path, format)) = &opts.trace {
-        let out: Box<dyn std::io::Write> = match cli::open_out(path) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("lbp-run: cannot open trace `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let sink: Box<dyn TraceSink> = match format.as_str() {
+    if let Some((path, format)) = opts.trace {
+        let out: Box<dyn std::io::Write> = cli::open_out(path)
+            .map_err(|e| o.fail(failure, format!("cannot open trace `{path}`: {e}")))?;
+        let sink: Box<dyn TraceSink> = match format {
             "jsonl" => Box::new(JsonlSink::new(out)),
             "chrome" => Box::new(ChromeSink::new(out)),
             _ => Box::new(TextSink::new(out)),
@@ -596,7 +461,7 @@ fn run_to_exit(
         machine.set_sink(sink);
     }
     let run_result = if opts.wall_ms.is_some() || opts.checkpoint.is_some() {
-        run_in_slices(&mut machine, opts)
+        run_in_slices(o, &mut machine, opts)
     } else {
         machine.run_diagnosed(opts.max_cycles).map(Watched::Exited)
     };
@@ -611,99 +476,103 @@ fn run_to_exit(
                 "run cancelled: wall-clock budget of {}ms exceeded at cycle {cycle}",
                 opts.wall_ms.unwrap_or(0)
             );
-            eprintln!("lbp-run: {msg}");
-            if let Some(path) = &opts.dump_on_error {
-                write_dump(path, &machine.dump_with("cancelled", msg));
+            o.note(&msg);
+            if let Some(path) = opts.dump_on_error {
+                write_dump(o, path, &machine.dump_with("cancelled", msg));
             }
             let _ = machine.finish_trace();
-            return ExitClass::Cancelled.into();
+            return Err(ExitClass::Cancelled);
         }
         Err(fail) => {
-            let code = report_failure(&fail, opts.dump_on_error.as_deref());
+            let class = report_failure(o, &fail, opts.dump_on_error);
             let _ = machine.finish_trace();
-            return code;
+            return Err(class);
         }
     };
-    if let Err(e) = machine.finish_trace() {
-        eprintln!("lbp-run: cannot write trace: {e}");
-        return ExitCode::FAILURE;
+    // A trace reader that went away is a closed stdout: the report that
+    // follows meets the same pipe, and `finish` ends quietly.
+    match machine.finish_trace() {
+        Err(e) if !cli::closed(&e) => {
+            return Err(o.fail(failure, format!("cannot write trace: {e}")))
+        }
+        _ => {}
     }
-    if let Some((path, _)) = &opts.trace {
+    if let Some((path, _)) = opts.trace {
         if path != "-" {
-            println!("trace:    streamed to {path}");
+            o.say(format!("trace:    streamed to {path}"));
         }
     }
-
-    println!("exited:   {}", report.exited);
-    println!("cycles:   {}", report.stats.cycles);
-    println!("retired:  {}", report.stats.retired());
-    println!(
-        "IPC:      {:.3} (peak {}.0)",
-        report.stats.ipc(),
-        machine.config().cores
-    );
-    println!("forks:    {}", report.stats.forks);
-    println!("locality: {:.2}", report.stats.locality());
+    let stats = &report.stats;
+    o.say(format!(
+        "exited:   {}\ncycles:   {}\nretired:  {}\nIPC:      {:.3} (peak {}.0)\n\
+         forks:    {}\nlocality: {:.2}",
+        report.exited,
+        stats.cycles,
+        stats.retired(),
+        stats.ipc(),
+        machine.config().cores,
+        stats.forks,
+        stats.locality()
+    ));
     let mut raced = false;
     if opts.race_witness {
         let witnesses = machine.race_witnesses();
         if witnesses.is_empty() {
-            println!("races:    none observed");
+            o.say("races:    none observed");
         } else {
             for w in witnesses {
-                println!("race:     {w}");
+                o.say(format!("race:     {w}"));
             }
-            println!(
+            o.say(format!(
                 "races:    {} concrete overlap{} observed",
                 witnesses.len(),
                 if witnesses.len() == 1 { "" } else { "s" }
-            );
+            ));
             raced = true;
         }
     }
 
-    if let Some(path) = &opts.stats_json {
+    if let Some(path) = opts.stats_json {
         let mut text = String::new();
         report.to_json().write_pretty(&mut text);
         text.push('\n');
-        if let Err(e) = cli::write_out(path, &text) {
-            eprintln!("lbp-run: cannot write stats JSON to `{path}`: {e}");
-            return ExitCode::FAILURE;
+        if let Err(e) = o.write_out(path, &text) {
+            let what = format!("cannot write stats JSON to `{path}`: {e}");
+            return Err(o.fail(failure, what));
         }
         if path != "-" {
-            println!("stats:    {path}");
+            o.say(format!("stats:    {path}"));
         }
     }
 
     if !opts.dumps.is_empty() && program.is_none() {
-        eprintln!(
-            "lbp-run: {} needs the program for its symbols; none was given",
+        o.note(format!(
+            "{} needs the program for its symbols; none was given",
             DUMP.name
-        );
+        ));
     }
     for (sym, n) in &opts.dumps {
         let Some(Compiled { image, .. }) = program else {
             break;
         };
-        match image.symbol(sym) {
-            None => eprintln!("lbp-run: no symbol `{sym}`"),
-            Some(addr) => {
-                print!("{sym}:");
-                for i in 0..*n {
-                    match machine.peek_shared(addr + 4 * i) {
-                        Ok(v) => print!(" {}", v as i32),
-                        Err(e) => {
-                            print!(" <{e}>");
-                            break;
-                        }
-                    }
+        let Some(addr) = image.symbol(sym) else {
+            o.note(format!("no symbol `{sym}`"));
+            continue;
+        };
+        let mut line = format!("{sym}:");
+        for i in 0..*n {
+            match machine.peek_shared(addr + 4 * i) {
+                Ok(v) => line += &format!(" {}", v as i32),
+                Err(e) => {
+                    line += &format!(" <{e}>");
+                    break;
                 }
-                println!();
             }
         }
+        o.say(line);
     }
 
-    if let Some(dir) = &opts.profile {
+    if let Some(dir) = opts.profile {
         let prof = machine.profile().expect("profiling was enabled");
         // Symbolize through the program when we have one; a resumed run
         // without a program falls back to raw pc names.
@@ -726,70 +595,117 @@ fn run_to_exit(
             Ok(())
         };
         if let Err(e) = write_all() {
-            eprintln!("lbp-run: cannot write profile to `{dir}`: {e}");
-            return ExitCode::FAILURE;
+            return Err(o.fail(failure, format!("cannot write profile to `{dir}`: {e}")));
         }
-        println!("\nhot spots by function:");
-        print!("{}", lbp::prof::hotspot_table(&report_json, 15));
-        println!("profile:  {dir}/profile.json (+ folded.txt, timeline.json)");
+        o.say(format!(
+            "\nhot spots by function:\n{}profile:  {dir}/profile.json (+ folded.txt, \
+             timeline.json)",
+            lbp::prof::hotspot_table(&report_json, 15)
+        ));
     }
 
     if raced {
         // Determinism violated at runtime: same class as a static
         // verification rejection.
-        return ExitClass::Rejected.into();
+        return Err(ExitClass::Rejected);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Reads the program at `input`.
-fn read(input: &str) -> Result<String, ExitCode> {
-    std::fs::read_to_string(input).map_err(|e| {
-        eprintln!("lbp-run: cannot read `{input}`: {e}");
-        ExitClass::Usage.into()
-    })
+fn read(o: &mut Outcome, input: &str) -> Result<String, ExitClass> {
+    std::fs::read_to_string(input)
+        .map_err(|e| o.fail(ExitClass::Usage, format!("cannot read `{input}`: {e}")))
 }
 
 /// Reads and builds the program at `input`.
-fn load(input: &str) -> Result<Compiled, ExitCode> {
-    lbp::cc::build(SourceKind::of(input), &read(input)?, &Default::default()).map_err(|e| {
-        eprintln!("lbp-run: {e}");
-        ExitCode::FAILURE
-    })
+fn load(o: &mut Outcome, input: &str) -> Result<Compiled, ExitClass> {
+    let source = read(o, input)?;
+    lbp::cc::build(SourceKind::of(input), &source, &Default::default())
+        .map_err(|e| o.fail(ExitClass::Failure, e))
 }
 
-fn run(mode: Mode, input: &str) -> Result<ExitCode, ExitCode> {
-    Ok(match mode {
-        Mode::SnapInfo(path) => run_snap_info(&path),
-        Mode::BisectSnaps { a, b, max_cycles } => run_bisect_snaps(&a, &b, max_cycles),
-        Mode::Verify { diag_json } => {
-            lbp::verdict("lbp-run", input, &read(input)?, diag_json.as_deref()).into()
+/// The selected mode, on the program the command line names.
+fn run(args: &Args, o: &mut Outcome) -> Result<(), ExitClass> {
+    let mode = Mode::decide(args).map_err(|what| o.refuse(&what))?;
+    let input = args.positional().first().map_or("", String::as_str);
+    match mode {
+        Mode::SnapInfo(path) => {
+            // What a container holds, without restoring the machine.
+            let state = lbp::snap::load(path)
+                .map_err(|e| o.fail(ExitClass::Failure, format!("cannot inspect `{path}`: {e}")))?;
+            o.say(format!(
+                "snapshot: {path}\nformat:   lbp-snap v{}\nengine:   {}\ncycle:    {}\n\
+                 cores:    {}\npayload:  {} bytes\nhash:     {:#018x}",
+                lbp::snap::FORMAT_VERSION,
+                state.engine(),
+                state.cycle(),
+                state.cores(),
+                state.as_bytes().len(),
+                lbp::snap::content_hash(&state)
+            ));
+            Ok(())
+        }
+        Mode::BisectSnaps(a, b, max_cycles) => {
+            let load =
+                |path| lbp::snap::load(path).map_err(|e| format!("cannot load `{path}`: {e}"));
+            let (a, b) = match (load(a), load(b)) {
+                (Ok(a), Ok(b)) => (a, b),
+                (Err(what), _) | (_, Err(what)) => return Err(o.fail(ExitClass::Failure, what)),
+            };
+            let found = lbp::sim::first_divergence(&a, &b, max_cycles);
+            report_divergence(o, found, "the two runs ended in the same state")
+        }
+        Mode::Verify(diag_json) => {
+            let source = read(o, input)?;
+            lbp::verdict(o, input, &source, diag_json)
         }
         Mode::EmitAsm => {
-            print!("{}", load(input)?.asm);
-            ExitCode::SUCCESS
+            let asm = load(o, input)?.asm;
+            o.stdout.push_str(&asm);
+            Ok(())
         }
         Mode::Disasm => {
-            print!("{}", load(input)?.image.disassemble());
-            ExitCode::SUCCESS
+            let text = load(o, input)?.image.disassemble();
+            o.stdout.push_str(&text);
+            Ok(())
         }
-        Mode::Bisect {
-            clean,
-            faulted,
-            max_cycles,
-        } => run_bisect_mode(clean, faulted, &load(input)?.image, max_cycles),
-        Mode::Lockstep {
-            cfg,
-            max_cycles,
-            sabotage,
-            dump_on_error,
-        } => run_lockstep_mode(
-            cfg,
-            &load(input)?.image,
-            max_cycles,
-            &sabotage,
-            dump_on_error.as_deref(),
-        ),
+        Mode::Bisect(clean, faulted, max_cycles) => {
+            // The clean run and the one with the `--fault` plan, searched
+            // over snapshots for the first cycle (and traced event) where
+            // they diverge.
+            let image = load(o, input)?.image;
+            let new = |cfg| Machine::new(cfg, &image).map(|m| m.snapshot());
+            let (clean, faulted) = match (new(clean), new(faulted)) {
+                (Ok(a), Ok(b)) => (a, b),
+                (Err(e), _) | (_, Err(e)) => return Err(o.fail(e.exit_class(), e)),
+            };
+            let found = lbp::sim::first_divergence(&clean, &faulted, max_cycles);
+            report_divergence(o, found, "the faulted run ended in the clean run's state")
+        }
+        Mode::Lockstep(cfg, max_cycles, sabotage, dump_on_error) => {
+            // The run against the functional engine, hart by hart and
+            // commit by commit.
+            let image = load(o, input)?.image;
+            let ls = match lbp::sim::run_lockstep(cfg, &image, max_cycles, &sabotage) {
+                Ok(ls) => ls,
+                Err(LockstepError::Setup(e)) => return Err(o.fail(e.exit_class(), e)),
+                Err(LockstepError::Machine(fail)) => {
+                    return Err(report_failure(o, &fail, dump_on_error))
+                }
+                // An oracle fault or an architectural divergence.
+                Err(e) => return Err(o.fail(ExitClass::Divergence, e)),
+            };
+            let stats = &ls.report.stats;
+            o.say(format!(
+                "lockstep: OK ({} commits verified)\nexited:   {}\ncycles:   {}\nretired:  {}",
+                ls.commits,
+                ls.report.exited,
+                stats.cycles,
+                stats.retired()
+            ));
+            Ok(())
+        }
         Mode::Run(start, opts) => {
             let (machine, program) = match start {
                 // The snapshot carries the whole machine; the program,
@@ -797,44 +713,45 @@ fn run(mode: Mode, input: &str) -> Result<ExitCode, ExitCode> {
                 Start::Resume(path) => {
                     let program = match input {
                         "" => None,
-                        _ => Some(load(input)?),
+                        _ => Some(load(o, input)?),
                     };
-                    let machine = resume(&path)?;
+                    let failure = ExitClass::Failure;
+                    let state = lbp::snap::load(path).map_err(|e| {
+                        o.fail(failure, format!("cannot load checkpoint `{path}`: {e}"))
+                    })?;
+                    let machine = Machine::restore(&state)
+                        .map_err(|e| o.fail(failure, format!("cannot restore `{path}`: {e}")))?;
+                    o.note(format!("resumed from {path} at cycle {}", state.cycle()));
                     if opts.race_witness && machine.in_parallel_region() {
-                        eprintln!(
-                            "lbp-run: `{}` cannot judge a run resumed inside a parallel \
-                             region: `{path}` was taken at cycle {}, after a team was forked \
-                             and before its join; resume from a checkpoint outside every region",
+                        let what = format!(
+                            "`{}` cannot judge a run resumed inside a parallel region: `{path}` \
+                             was taken at cycle {}, after a team was forked and before its join; \
+                             resume from a checkpoint outside every region",
                             RACE_WITNESS.name,
                             machine.stats().cycles
                         );
-                        return Err(ExitClass::Usage.into());
+                        return Err(o.fail(ExitClass::Usage, what));
                     }
                     (machine, program)
                 }
                 Start::Cold(cfg) => {
-                    let program = load(input)?;
-                    let machine = Machine::new(cfg, &program.image).map_err(|e| {
-                        eprintln!("lbp-run: {e}");
-                        ExitCode::from(e.exit_class())
-                    })?;
+                    let program = load(o, input)?;
+                    let machine =
+                        Machine::new(cfg, &program.image).map_err(|e| o.fail(e.exit_class(), e))?;
                     (machine, Some(program))
                 }
                 Start::Warm { cfg, target, snap } => {
-                    let program = load(input)?;
-                    let snap = snap.as_deref();
-                    let machine = warm_forward(cfg, &program.image, target, snap, opts.max_cycles)?;
+                    let program = load(o, input)?;
+                    let machine =
+                        warm_forward(o, cfg, &program.image, target, snap, opts.max_cycles)?;
                     (machine, Some(program))
                 }
             };
-            run_to_exit(machine, input, program.as_ref(), &opts)
+            run_to_exit(o, machine, input, program.as_ref(), &opts)
         }
-    })
+    }
 }
 
 fn main() -> ExitCode {
-    let args = GRAMMAR.parse_env();
-    let mode = Mode::decide(&args).unwrap_or_else(|what| GRAMMAR.refuse(&what));
-    let input = args.positional().first().map_or("", String::as_str);
-    run(mode, input).unwrap_or_else(|code| code)
+    GRAMMAR.outcome(run).finish()
 }

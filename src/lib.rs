@@ -1,6 +1,10 @@
 //! Umbrella crate re-exporting the LBP stack.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
+use sim::cli::Outcome;
+use sim::ExitClass;
 
 pub mod baseline;
 pub mod figures;
@@ -17,35 +21,35 @@ pub use lbp_snap as snap;
 pub use lbp_verify as verify;
 
 /// The static verdict of `lbp-run --verify` and `lbp-cc --lint`, one
-/// function so the two print the same lines: [`cc::judge`] the program
-/// at `path`, print [`verify::report_text`] on stdout — unless
-/// `diag_json` is `-`, where the `lbp-diag-v1` report owns stdout and
-/// must stay parseable — and write the report to `diag_json`.
-/// [`ExitClass::Rejected`](sim::ExitClass::Rejected) when an error-class
-/// diagnostic says no.
-pub fn verdict(tool: &str, path: &str, source: &str, diag_json: Option<&str>) -> sim::ExitClass {
-    let diags = match cc::judge(cc::SourceKind::of(path), source, &Default::default()) {
-        Ok(judged) => [judged.lint, judged.binary].concat(),
-        Err(e) => {
-            eprintln!("{tool}: {e}");
-            return sim::ExitClass::Failure;
-        }
-    };
+/// function so the two say the same lines: [`cc::judge`] the program at
+/// `path`, put [`verify::report_text`] on stdout — unless `diag_json` is
+/// `-`, where the `lbp-diag-v1` report owns stdout and must stay
+/// parseable — and write the report to `diag_json`. Ends
+/// [`ExitClass::Rejected`] when an error-class diagnostic says no.
+pub fn verdict(
+    o: &mut Outcome,
+    path: &str,
+    source: &str,
+    diag_json: Option<&str>,
+) -> Result<(), ExitClass> {
+    let failure = ExitClass::Failure;
+    let kind = cc::SourceKind::of(path);
+    let judged = cc::judge(kind, source, &Default::default()).map_err(|e| o.fail(failure, e))?;
+    let diags = [judged.lint, judged.binary].concat();
     if diag_json != Some("-") {
-        print!("{}", verify::report_text(&diags));
+        o.stdout.push_str(&verify::report_text(&diags));
     }
     if let Some(out) = diag_json {
-        if let Err(e) = sim::cli::write_out(out, &verify::report_json(path, &diags)) {
-            eprintln!("{tool}: cannot write diag JSON to `{out}`: {e}");
-            return sim::ExitClass::Failure;
+        if let Err(e) = o.write_out(out, &verify::report_json(path, &diags)) {
+            return Err(o.fail(failure, format!("cannot write diag JSON to `{out}`: {e}")));
         }
         if out != "-" {
-            println!("diags:    {out}");
+            o.say(format!("diags:    {out}"));
         }
     }
     if verify::accepted(&diags) {
-        sim::ExitClass::Ok
+        Ok(())
     } else {
-        sim::ExitClass::Rejected
+        Err(ExitClass::Rejected)
     }
 }

@@ -2,13 +2,14 @@
 //! `#[path]`, lbp-batch's and lbp-fuzz's): the contract every tool's
 //! command line holds, checked on the built binary: `--help` is an answer
 //! (stdout, exit 0) listing exactly the pinned spellings, a bad command
-//! line is a usage error (the same text on stderr, exit 2), and no
-//! document spells a flag the tool's table does not have.
+//! line is a usage error (the same text on stderr, exit 2), no
+//! document spells a flag the tool's table does not have, and a stdout
+//! whose reader has gone ends the tool quietly with its documented code.
 
 #![allow(dead_code)] // each suite uses its share
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// The five tools, for telling where one tool's flags end in a document.
@@ -134,11 +135,7 @@ pub fn check_contract(exe: &Path, tool: &str, pinned: &[&str]) {
         "{stderr}"
     );
 
-    // Compiled into this package and into two tool crates below it.
-    let mut root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    while !root.join("ROADMAP.md").exists() {
-        assert!(root.pop(), "no workspace root above the manifest");
-    }
+    let root = workspace_root();
     for doc in DOCS {
         let body = std::fs::read_to_string(root.join(doc)).expect("document reads");
         for flag in documented_flags(&body, tool) {
@@ -148,6 +145,46 @@ pub fn check_contract(exe: &Path, tool: &str, pinned: &[&str]) {
             );
         }
     }
+}
+
+/// The workspace root: this file is compiled into the root package and
+/// into two tool crates below it.
+pub fn workspace_root() -> PathBuf {
+    let mut root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    while !root.join("ROADMAP.md").exists() {
+        assert!(root.pop(), "no workspace root above the manifest");
+    }
+    root
+}
+
+/// Runs `exe args` from the workspace root with a stdout whose reader
+/// was dropped before the spawn, as `exe args | head -0` would once the
+/// reader is gone, and asserts the tool ends `code` with nothing on
+/// stderr: no panic, no `Broken pipe` message.
+///
+/// # Panics
+///
+/// When the tool says anything on stderr or ends with another code.
+pub fn check_closed_stdout(exe: &Path, args: &[&str], code: i32) {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(exe)
+        .args(args)
+        .current_dir(workspace_root())
+        .stdout(writer)
+        .output()
+        .expect("tool spawns");
+    let tool = exe.file_name().unwrap_or_default().to_string_lossy();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.is_empty(),
+        "{tool} {args:?} on a closed stdout said: {stderr}"
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(code),
+        "{tool} {args:?} on a closed stdout"
+    );
 }
 
 #[cfg(test)]

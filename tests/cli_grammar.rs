@@ -14,7 +14,7 @@ use std::process::{Command, Output};
 
 mod cli_contract;
 
-use cli_contract::{check_contract, help_modes, help_table};
+use cli_contract::{check_closed_stdout, check_contract, help_modes, help_table};
 use lbp::sim::ExitClass;
 use lbp_testutil::harness;
 
@@ -103,6 +103,33 @@ fn lbp_cc_lists_the_7_flags_of_the_parent_and_the_documents_spell_no_other() {
 #[test]
 fn figures_lists_the_2_flags_of_the_parent_and_the_documents_spell_no_other() {
     check_contract(Path::new(FIGURES), "figures", &["--csv", "--stats-dir"]);
+}
+
+/// A closed stdout ends each tool with the class of what it did, which
+/// was decided before the first byte was written, and says nothing: no
+/// panic (exit 101), no `Broken pipe` line.
+#[test]
+fn a_closed_stdout_ends_each_mode_quietly_with_its_class() {
+    let matmul = "tests/fixtures/compiled/matmul.s";
+    for exe in [LBP_RUN, LBP_CC, FIGURES] {
+        check_closed_stdout(Path::new(exe), &["--help"], 0);
+    }
+    for (args, code) in [
+        (&[matmul][..], 0),
+        (&["examples/c/matmul.c", "--verify"], 0),
+        (&["examples/asm/hung.s", "--verify"], 10),
+        (&[matmul, "--fault", "flip-reg:0:a0:2:100", "--bisect"], 0),
+        (&[matmul, "--trace", "-"], 0),
+        (&[matmul, "--stats-json", "-"], 0),
+    ] {
+        check_closed_stdout(Path::new(LBP_RUN), args, code);
+    }
+    for args in [
+        &["examples/c/matmul.c"][..],
+        &["examples/c/matmul.c", "--lint"],
+    ] {
+        check_closed_stdout(Path::new(LBP_CC), args, 0);
+    }
 }
 
 #[test]
