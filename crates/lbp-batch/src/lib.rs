@@ -7,7 +7,7 @@
 //! Each machine is cycle-deterministic, so a job's result line depends
 //! only on the job itself: the output of an N-worker run equals the
 //! output of a 1-worker run after sorting by job id, which
-//! `tests/worker_count.rs` checks byte for byte. For the same reason
+//! `tests/it/worker_count.rs` checks byte for byte. For the same reason
 //! identical jobs are **deduplicated** by content hash — each distinct
 //! job simulates once, and every duplicate's line is emitted from the
 //! one run, marked with `dedup_of`.

@@ -2,11 +2,10 @@
 //! package's `tests/cli_grammar.rs`), and its manifest parser under a
 //! hostile input.
 
-#[path = "../../../tests/cli_contract/mod.rs"]
-mod cli_contract;
-
 use std::path::Path;
 use std::process::Command;
+
+use crate::cli_contract;
 
 const LBP_BATCH: &str = env!("CARGO_BIN_EXE_lbp-batch");
 

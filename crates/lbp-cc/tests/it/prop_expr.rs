@@ -115,35 +115,52 @@ fn arb_expr(rng: &mut Rng, depth: u32) -> E {
     }
 }
 
-#[test]
-fn compiled_expressions_match_reference() {
-    check_cases(48, 0xe4_9123, |rng, case| {
-        let e = arb_expr(rng, 3);
-        let a = rng.range_i32(-100, 99);
-        let b = rng.range_i32(-100, 99);
-        let c = rng.range_i32(-100, 99);
-        let src = format!(
-            "int out[1];
+/// Compiles `out[0] = e` with `a`, `b`, `c` set to `vars`, runs it on one
+/// core and compares the word with the reference evaluator's.
+fn check(case: &str, e: &E, vars: [i32; 3]) {
+    let [a, b, c] = vars;
+    let src = format!(
+        "int out[1];
 void main(void) {{
     int a; int b; int c;
     a = {a}; b = {b}; c = {c};
     out[0] = {};
 }}",
-            e.to_c()
-        );
-        let compiled = compile(&src).unwrap_or_else(|err| panic!("case {case}: {err}\n{src}"));
-        let mut m = Machine::new(LbpConfig::cores(1), &compiled.image).expect("machine");
-        m.run(10_000_000)
-            .unwrap_or_else(|err| panic!("case {case}: {err}\n{}", compiled.asm));
-        let got = m
-            .peek_shared(compiled.image.symbol("out").expect("symbol"))
-            .expect("peek") as i32;
-        let want = e.eval([a, b, c]);
-        assert_eq!(
-            got,
-            want,
-            "case {case}: expr {} with a={a} b={b} c={c}",
-            e.to_c()
-        );
+        e.to_c()
+    );
+    let compiled = compile(&src).unwrap_or_else(|err| panic!("case {case}: {err}\n{src}"));
+    let mut m = Machine::new(LbpConfig::cores(1), &compiled.image).expect("machine");
+    m.run(10_000_000)
+        .unwrap_or_else(|err| panic!("case {case}: {err}\n{}", compiled.asm));
+    let got = m
+        .peek_shared(compiled.image.symbol("out").expect("symbol"))
+        .expect("peek") as i32;
+    let want = e.eval(vars);
+    assert_eq!(
+        got,
+        want,
+        "case {case}: expr {} with a={a} b={b} c={c}",
+        e.to_c()
+    );
+}
+
+#[test]
+fn compiled_expressions_match_reference() {
+    // A case that once failed: `0 + -(a * 0)` with every variable 0.
+    let zero_times = E::Bin(
+        "+",
+        Box::new(E::Const(0)),
+        Box::new(E::Un(
+            "-",
+            Box::new(E::Bin("*", Box::new(E::Var(0)), Box::new(E::Const(0)))),
+        )),
+    );
+    check("regression", &zero_times, [0, 0, 0]);
+    check_cases(48, 0xe4_9123, |rng, case| {
+        let e = arb_expr(rng, 3);
+        let a = rng.range_i32(-100, 99);
+        let b = rng.range_i32(-100, 99);
+        let c = rng.range_i32(-100, 99);
+        check(&case.to_string(), &e, [a, b, c]);
     });
 }

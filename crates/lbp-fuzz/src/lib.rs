@@ -13,7 +13,7 @@
 //! `lbp-testutil`'s SplitMix64, the verdict stream carries no
 //! timestamps, and the corpus names no host state — `lbp-fuzz --seed S
 //! --count N` writes byte-identical output on every machine, every
-//! run. `tests/sweeps.rs` leans on that: it asserts reproducibility by
+//! run. `tests/it/sweeps.rs` leans on that: it asserts reproducibility by
 //! comparing two sweeps byte for byte.
 //!
 //! Case `i` of a run seeds its generator with

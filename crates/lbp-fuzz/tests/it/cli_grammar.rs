@@ -1,11 +1,10 @@
 //! `lbp-fuzz` under the one command-line contract (see the root
 //! package's `tests/cli_grammar.rs`).
 
-#[path = "../../../tests/cli_contract/mod.rs"]
-mod cli_contract;
-
 use std::path::Path;
 use std::process::Command;
+
+use crate::cli_contract;
 
 const LBP_FUZZ: &str = env!("CARGO_BIN_EXE_lbp-fuzz");
 

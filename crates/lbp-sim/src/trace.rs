@@ -301,11 +301,14 @@ impl<W: Write> Stream<W> {
         Stream { out, err: None }
     }
 
-    fn write(&mut self, text: &str) {
-        if self.err.is_none() {
-            if let Err(e) = self.out.write_all(text.as_bytes()) {
-                self.err = Some(e);
-            }
+    /// Writes the text `format` returns. Once the writer has failed,
+    /// nothing is formatted or written: `finish` reports the error.
+    fn write(&mut self, format: impl FnOnce() -> String) {
+        if self.err.is_some() {
+            return;
+        }
+        if let Err(e) = self.out.write_all(format().as_bytes()) {
+            self.err = Some(e);
         }
     }
 
@@ -333,9 +336,11 @@ impl<W: Write> TextSink<W> {
 
 impl<W: Write + 'static> TraceSink for TextSink<W> {
     fn record(&mut self, event: &Event) {
-        let mut line = event.describe();
-        line.push('\n');
-        self.stream.write(&line);
+        self.stream.write(|| {
+            let mut line = event.describe();
+            line.push('\n');
+            line
+        });
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -360,10 +365,12 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write + 'static> TraceSink for JsonlSink<W> {
     fn record(&mut self, event: &Event) {
-        let mut line = String::new();
-        event.to_json().write(&mut line);
-        line.push('\n');
-        self.stream.write(&line);
+        self.stream.write(|| {
+            let mut line = String::new();
+            event.to_json().write(&mut line);
+            line.push('\n');
+            line
+        });
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -395,37 +402,38 @@ impl<W: Write> ChromeSink<W> {
 
 impl<W: Write + 'static> TraceSink for ChromeSink<W> {
     fn record(&mut self, event: &Event) {
-        let mut line = String::new();
-        line.push_str(if self.started {
-            ",\n"
-        } else {
-            "{\"traceEvents\":[\n"
+        let started = std::mem::replace(&mut self.started, true);
+        self.stream.write(|| {
+            let mut line = String::from(if started {
+                ",\n"
+            } else {
+                "{\"traceEvents\":[\n"
+            });
+            let mut args = vec![("describe".to_owned(), Json::Str(event.describe()))];
+            args.extend(event.kind.payload());
+            Json::obj([
+                ("name", Json::Str(event.kind.name().to_owned())),
+                ("ph", Json::Str("i".to_owned())),
+                ("s", Json::Str("t".to_owned())),
+                ("ts", Json::U64(event.cycle)),
+                ("pid", Json::U64(event.hart.core() as u64)),
+                ("tid", Json::U64(event.hart.local() as u64)),
+                ("args", Json::Obj(args)),
+            ])
+            .write(&mut line);
+            line
         });
-        self.started = true;
-        let mut args = vec![("describe".to_owned(), Json::Str(event.describe()))];
-        args.extend(event.kind.payload());
-        Json::obj([
-            ("name", Json::Str(event.kind.name().to_owned())),
-            ("ph", Json::Str("i".to_owned())),
-            ("s", Json::Str("t".to_owned())),
-            ("ts", Json::U64(event.cycle)),
-            ("pid", Json::U64(event.hart.core() as u64)),
-            ("tid", Json::U64(event.hart.local() as u64)),
-            ("args", Json::Obj(args)),
-        ])
-        .write(&mut line);
-        self.stream.write(&line);
     }
 
     fn finish(&mut self) -> io::Result<()> {
         if !self.finished {
             self.finished = true;
-            if self.started {
-                self.stream.write("\n],\"displayTimeUnit\":\"ns\"}\n");
+            let tail = if self.started {
+                "\n],\"displayTimeUnit\":\"ns\"}\n"
             } else {
-                self.stream
-                    .write("{\"traceEvents\":[],\"displayTimeUnit\":\"ns\"}\n");
-            }
+                "{\"traceEvents\":[],\"displayTimeUnit\":\"ns\"}\n"
+            };
+            self.stream.write(|| tail.to_owned());
         }
         self.stream.finish()
     }
@@ -646,5 +654,43 @@ mod tests {
             buf.text(),
             "at cycle 5, core 0, hart 0 ends and becomes free\n"
         );
+    }
+
+    /// A writer whose every write fails, counting the calls it gets.
+    #[derive(Clone, Default)]
+    struct Broken(Rc<RefCell<usize>>);
+
+    impl Write for Broken {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            *self.0.borrow_mut() += 1;
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_writer_is_called_once_and_its_error_is_finished() {
+        let sinks: [fn(Broken) -> Box<dyn TraceSink>; 3] = [
+            |w| Box::new(TextSink::new(w)),
+            |w| Box::new(JsonlSink::new(w)),
+            |w| Box::new(ChromeSink::new(w)),
+        ];
+        for make in sinks {
+            let writer = Broken::default();
+            let mut sink = make(writer.clone());
+            for cycle in 0..1000 {
+                sink.record(&Event {
+                    cycle,
+                    hart: HartId::new(0),
+                    kind: EventKind::HartEnd,
+                });
+            }
+            let err = sink.finish().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+            assert_eq!(*writer.0.borrow(), 1);
+        }
     }
 }

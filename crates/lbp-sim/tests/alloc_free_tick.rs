@@ -4,6 +4,9 @@
 //! lives here, in an integration test, because it needs `unsafe` and the
 //! library forbids it. The count is per thread, so the test harness's own
 //! threads never show up in it.
+//!
+//! Its own binary, not a module of `tests/it`: a `#[global_allocator]`
+//! serves the whole binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

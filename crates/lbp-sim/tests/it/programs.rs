@@ -5,6 +5,8 @@ use lbp_asm::assemble;
 use lbp_isa::{HartId, Reg, SHARED_BASE};
 use lbp_sim::{LbpConfig, Machine, SimError};
 
+use crate::EXIT;
+
 /// Assembles, runs to exit, and returns the machine for inspection.
 fn run(cores: usize, src: &str) -> Machine {
     let image = assemble(src).expect("test program assembles");
@@ -13,9 +15,6 @@ fn run(cores: usize, src: &str) -> Machine {
     assert!(report.exited, "program exits");
     m
 }
-
-/// The exit idiom: `ra`-like 0 in the first operand, -1 in the second.
-const EXIT: &str = "li t0, -1\n    li ra, 0\n    p_ret\n";
 
 #[test]
 fn arithmetic_chain() {

@@ -16,8 +16,7 @@ use lbp_sim::{
 use lbp_testutil::check_cases;
 use lbp_testutil::harness::{machine, machine_with_faults};
 
-/// The exit idiom: 0 in `ra`, the exit sentinel in `t0`.
-const EXIT: &str = "li t0, -1\n    li ra, 0\n    p_ret\n";
+use crate::EXIT;
 
 /// The cycle budget a pre-deadlock-detector run would have burned before
 /// reporting `Timeout`. The acceptance bar is diagnosis in < 1% of this.

@@ -14,8 +14,10 @@
 //! with blocked harts from the commit before those slept (6ccfa35).
 
 use lbp_kernels::matmul::{Matmul, Version};
-use lbp_sim::{fnv1a64, Fault, FaultPlan, LbpConfig, Machine, RunPause};
+use lbp_sim::{fnv1a64, LbpConfig, Machine, RunPause};
 use lbp_testutil::harness::assemble;
+
+use crate::spec;
 
 const MAX_CYCLES: u64 = 1_000_000;
 
@@ -57,10 +59,6 @@ fn assert_partition(m: &Machine, what: &str) {
         let sum = stats.retired_by_core(core) + stats.stalls_of_core(core).total();
         assert_eq!(sum, stats.cycles, "{what}: core {core}");
     }
-}
-
-fn spec(s: &str) -> FaultPlan {
-    [Fault::parse(s).unwrap()].into_iter().collect()
 }
 
 /// (a) `run_to(N)` against N stops of one cycle each, on machines of less
@@ -405,7 +403,7 @@ const GUESTS: [Guest; 7] = [
         name: "hung.s",
         config: || LbpConfig::cores(4),
         machine: |cfg| {
-            let src = include_str!("../../../examples/asm/hung.s");
+            let src = include_str!("../../../../examples/asm/hung.s");
             Machine::new(cfg, &assemble(src)).unwrap()
         },
         stops: &[5, 10],

@@ -9,57 +9,9 @@
 //! so a core that already accounted the failing cycle may be one ahead.
 
 use lbp_asm::assemble;
-use lbp_sim::{Fault, FaultPlan, LbpConfig, Machine, Stats};
+use lbp_sim::{FaultPlan, LbpConfig, Machine, Stats};
 
-fn busy_program() -> String {
-    "main:
-    li    t0, -1
-    addi  sp, sp, -8
-    sw    ra, 0(sp)
-    sw    t0, 4(sp)
-    p_set t0
-    la    ra, rp
-    p_fn   t6
-    p_swcv ra, t6, 0
-    p_swcv t0, t6, 4
-    p_merge t0, t0, t6
-    p_syncm
-    la    a0, worker
-    p_jalr ra, t0, a0
-    p_lwcv ra, 0
-    p_lwcv t0, 4
-    p_set t0
-    la    a0, worker
-    jalr  a0
-    lw    ra, 0(sp)
-    lw    t0, 4(sp)
-    addi  sp, sp, 8
-    p_ret
-rp:
-    lw    ra, 0(sp)
-    lw    t0, 4(sp)
-    addi  sp, sp, 8
-    p_ret
-worker:
-    p_set a1
-    srli  a1, a1, 16
-    andi  a1, a1, 0x7f
-    la    a2, table
-    slli  a3, a1, 2
-    add   a2, a2, a3
-    li    a4, 0
-    li    a5, 25
-wloop:
-    mul   a6, a5, a5
-    add   a4, a4, a6
-    addi  a5, a5, -1
-    bnez  a5, wloop
-    sw    a4, 0(a2)
-    p_ret
-.data
-table: .word 0, 0, 0, 0, 0, 0, 0, 0"
-        .to_string()
-}
+use crate::{busy_program, spec};
 
 /// Asserts the partition for every core of the machine. `exact` demands
 /// equality; otherwise a core may be one cycle ahead of the stale global
@@ -101,10 +53,6 @@ fn check(plan: FaultPlan, max_cycles: u64, label: &str) {
         Err(_) => false,
     };
     assert_partition(m.stats(), cores, exact, label);
-}
-
-fn spec(s: &str) -> FaultPlan {
-    [Fault::parse(s).unwrap()].into_iter().collect()
 }
 
 #[test]
@@ -205,7 +153,7 @@ fn member_13_runs(fatal: &str) -> String {
 fn a_run_that_dies_mid_tick_keeps_the_parents_per_core_counters() {
     use lbp_sim::SimError;
     let empty = "p_ret".to_owned();
-    let hung = assemble(include_str!("../../../examples/asm/hung.s")).unwrap();
+    let hung = assemble(include_str!("../../../../examples/asm/hung.s")).unwrap();
     // (what, program, fault plan, cores charged for the failing cycle, pin)
     let cases = [
         (

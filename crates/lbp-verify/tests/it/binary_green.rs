@@ -7,9 +7,7 @@ use lbp_kernels::sensor::SensorApp;
 use lbp_kernels::simple::{self, VectorParams};
 use lbp_verify::{accepted, verify_image, Severity};
 
-fn repo_path(rel: &str) -> String {
-    format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR"))
-}
+use crate::repo;
 
 fn assert_clean(name: &str, image: &lbp_asm::Image) {
     let diags = verify_image(image);
@@ -28,7 +26,7 @@ fn assert_clean(name: &str, image: &lbp_asm::Image) {
 #[test]
 fn green_asm_examples_verify_clean() {
     for file in ["examples/asm/mul.s", "examples/asm/fork2.s"] {
-        let source = std::fs::read_to_string(repo_path(file)).unwrap();
+        let source = std::fs::read_to_string(repo(file)).unwrap();
         let image = lbp_asm::assemble(&source).unwrap();
         assert_clean(file, &image);
     }
@@ -42,7 +40,7 @@ fn compiled_c_examples_verify_clean() {
         "examples/c/reduce.c",
         "examples/c/set_get.c",
     ] {
-        let source = std::fs::read_to_string(repo_path(file)).unwrap();
+        let source = std::fs::read_to_string(repo(file)).unwrap();
         let compiled = lbp_cc::compile(&source).unwrap();
         assert_clean(file, &compiled.image);
     }

@@ -2,38 +2,9 @@
 //! `lbp-diag-v1` code, and `examples/asm/hung.s` with a precise
 //! wait-reason — statically, before any simulation.
 
-use lbp_verify::{accepted, report_json, verify_image, Diag, Severity};
+use lbp_verify::{accepted, report_json, verify_image};
 
-fn verify_file(path: &str) -> Vec<Diag> {
-    let full = format!("{}/{path}", env!("CARGO_MANIFEST_DIR"));
-    let source = std::fs::read_to_string(&full).unwrap();
-    let image = lbp_asm::assemble(&source).unwrap();
-    verify_image(&image)
-}
-
-/// Asserts the fixture is rejected and its error set is exactly `codes`.
-fn assert_rejected(path: &str, codes: &[&str]) -> Vec<Diag> {
-    let diags = verify_file(path);
-    assert!(!accepted(&diags), "{path} must be rejected");
-    let mut errors: Vec<&str> = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .map(|d| d.code.as_str())
-        .collect();
-    errors.sort_unstable();
-    errors.dedup();
-    assert_eq!(
-        errors,
-        codes,
-        "{path} expected exactly {codes:?}, got:\n{}",
-        diags
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    diags
-}
+use crate::{assert_rejected, verify_file};
 
 #[test]
 fn hung_rejected_with_wait_reason() {

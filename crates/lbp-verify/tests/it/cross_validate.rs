@@ -11,9 +11,7 @@ use lbp_kernels::simple::{self, VectorParams};
 use lbp_sim::{LbpConfig, Machine, SimError};
 use lbp_verify::{accepted, verify_image};
 
-fn repo(rel: &str) -> String {
-    format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR"))
-}
+use crate::repo;
 
 /// Verifies, then runs: accepted programs must exit without deadlock.
 fn verify_then_run(name: &str, image: &lbp_asm::Image, cores: usize) {

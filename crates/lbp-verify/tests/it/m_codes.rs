@@ -6,41 +6,7 @@
 
 use lbp_verify::{accepted, verify_image, Diag, Severity};
 
-fn verify_file(path: &str) -> Vec<Diag> {
-    let full = format!("{}/{path}", env!("CARGO_MANIFEST_DIR"));
-    let source = std::fs::read_to_string(&full).unwrap();
-    let image = lbp_asm::assemble(&source).unwrap();
-    verify_image(&image)
-}
-
-fn render(diags: &[Diag]) -> String {
-    diags
-        .iter()
-        .map(|d| d.to_string())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Asserts the fixture is rejected and its error-code set is exactly
-/// `codes`.
-fn assert_rejected(path: &str, codes: &[&str]) -> Vec<Diag> {
-    let diags = verify_file(path);
-    assert!(!accepted(&diags), "{path} must be rejected");
-    let mut errors: Vec<&str> = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .map(|d| d.code.as_str())
-        .collect();
-    errors.sort_unstable();
-    errors.dedup();
-    assert_eq!(
-        errors,
-        codes,
-        "{path} expected {codes:?}:\n{}",
-        render(&diags)
-    );
-    diags
-}
+use crate::{assert_rejected, render, verify_file};
 
 /// Asserts the fixture is accepted yet every diagnostic it gets carries
 /// exactly the code `code`.

@@ -10,28 +10,15 @@
 //! which cancellation fires, so cut points land on many different cycle
 //! boundaries. Set `LBP_CANCEL_SEED` to replay a particular sequence.
 
-use lbp::sim::{Machine, RunPause, RunReport, SimError};
+use lbp::sim::{Machine, RunPause};
 use lbp::snap;
 use lbp_testutil::{harness, Rng};
 
+mod outcome;
+
+use outcome::{finish, Outcome};
+
 const MAX_CYCLES: u64 = 2_000_000;
-
-/// A run's observable end, comparable across executions.
-#[derive(PartialEq, Debug)]
-struct Outcome {
-    result: String,
-    state: Vec<u8>,
-}
-
-fn finish(m: &mut Machine, outcome: Result<RunReport, SimError>) -> Outcome {
-    Outcome {
-        result: match outcome {
-            Ok(report) => report.to_json().to_string(),
-            Err(e) => e.to_string(),
-        },
-        state: m.snapshot().as_bytes().to_vec(),
-    }
-}
 
 /// Cancels a fresh run after `polls` cooperative polls of width `slice`,
 /// round-trips the snapshot through encode/decode, resumes, and returns

@@ -2,7 +2,7 @@
 //! text, its parser and its legality check, so what a command line does
 //! can be read off the command line. For `lbp-run`, `lbp-cc` and
 //! `figures` (the binaries of this package; `lbp-batch` and `lbp-fuzz`
-//! hold the same contract in their own crates' `tests/cli_grammar.rs`):
+//! hold the same contract in their own crates' `tests/it/cli_grammar.rs`):
 //! nothing was added, removed or renamed against the parent's usage
 //! text; a flag the selected mode would ignore is a usage error naming
 //! both; the documents spell no flag the tables lack; `lbp-run --verify`
@@ -527,7 +527,7 @@ fn lbp_run_on_sizes_past_the_machine_is_a_positioned_failure_not_an_abort() {
     assert_eq!(out.status.code(), Some(i32::from(ExitClass::Ok.code())));
 }
 
-/// The third reproducer; `lbp-batch`'s own `tests/cli_grammar.rs` holds
+/// The third reproducer; `lbp-batch`'s own `tests/it/cli_grammar.rs` holds
 /// the exit class of the binary, this the parser under it.
 #[test]
 fn a_manifest_of_200_000_brackets_is_a_positioned_error() {

@@ -1,6 +1,6 @@
 //! The committed listings the `lbp-run` mode rows run in place of C
 //! sources (`tests/golden_cli.rs`, `tests/profile_identity.rs`,
-//! `crates/lbp-sim/tests/window_identity.rs`). Each C program those rows
+//! `crates/lbp-sim/tests/it/window_identity.rs`). Each C program those rows
 //! need has one, each says which lbp-cc commit wrote it, and each
 //! assembles. What lbp-cc writes today is not compared with them: that
 //! would tie the mode rows to code generation again. CONTRIBUTING.md

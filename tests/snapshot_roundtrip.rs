@@ -11,28 +11,13 @@
 
 use std::collections::BTreeMap;
 
-use lbp::sim::{Event, Machine, PcCounters, RaceWitness, RunReport, SimError, Trace};
+use lbp::sim::{Event, Machine, PcCounters, RaceWitness, Trace};
 use lbp::snap;
 use lbp_testutil::harness;
 
-/// How a run ended, in a form we can compare across the two executions.
-#[derive(PartialEq, Debug)]
-struct Outcome {
-    /// Report JSON for clean exits, error text otherwise (hung.s deadlocks).
-    result: String,
-    /// Full machine state: every register, queue, bank and counter.
-    state: Vec<u8>,
-}
+mod outcome;
 
-fn finish(m: &mut Machine, outcome: Result<RunReport, SimError>) -> Outcome {
-    Outcome {
-        result: match outcome {
-            Ok(report) => report.to_json().to_string(),
-            Err(e) => e.to_string(),
-        },
-        state: m.snapshot().as_bytes().to_vec(),
-    }
-}
+use outcome::finish;
 
 const MAX_CYCLES: u64 = 2_000_000;
 
