@@ -10,7 +10,8 @@
 //! `tests/it/worker_count.rs` checks byte for byte. For the same reason
 //! identical jobs are **deduplicated** by content hash — each distinct
 //! job simulates once, and every duplicate's line is emitted from the
-//! one run, marked with `dedup_of`.
+//! one run, marked with `dedup_of`. Jobs that share a program share its
+//! compilation too: one per distinct program per [`run_batch`] call.
 //!
 //! ## Manifest (`lbp-batch-manifest-v1`)
 //!
@@ -61,7 +62,7 @@ pub mod service;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 pub use lbp_cc::SourceKind;
 use lbp_sim::{
@@ -304,16 +305,26 @@ fn profile_summary(image: &lbp_asm::Image, machine: &Machine, top: usize) -> Jso
     )
 }
 
-/// Compiles a job's program and builds its (profiling-enabled, when
-/// asked) machine. Front-end and configuration failures come back as
-/// the error outcome the job's result line should carry. Shared by the
-/// one-shot runner and the crash-recoverable service worker.
-fn prepare(job: &BatchJob) -> Result<(lbp_asm::Image, Machine), JobOutcome> {
+/// A job's program, compiled: its image, or the error outcome the result
+/// line of every job of that program carries.
+type Compiled = Result<lbp_asm::Image, JobOutcome>;
+
+/// Compiles a job's program. Shared by the one-shot runner, which does it
+/// once per distinct program, and the crash-recoverable service worker.
+fn compile(job: &BatchJob) -> Compiled {
+    lbp_cc::build(job.kind, &job.source, &Default::default())
+        .map(|built| built.image)
+        .map_err(|e| JobOutcome::Err {
+            class: e.stage(),
+            message: e.to_string(),
+        })
+}
+
+/// Builds a job's (profiling-enabled, when asked) machine around its
+/// image. A configuration failure comes back as the error outcome the
+/// job's result line should carry.
+fn machine_for(job: &BatchJob, image: &lbp_asm::Image) -> Result<Machine, JobOutcome> {
     let err = |class: &'static str, message: String| Err(JobOutcome::Err { class, message });
-    let image = match lbp_cc::build(job.kind, &job.source, &Default::default()) {
-        Ok(built) => built.image,
-        Err(e) => return err(e.stage(), e.to_string()),
-    };
     let plan: FaultPlan = job
         .faults
         .iter()
@@ -325,13 +336,13 @@ fn prepare(job: &BatchJob) -> Result<(lbp_asm::Image, Machine), JobOutcome> {
         // materialized machine to the cycle-exact window. Warm-phase
         // refusals (message faults, faults scheduled inside the warm
         // window) land in the job's result line like any other error.
-        match FastEngine::warm(cfg, &image, FastStop::Retired(warm), job.max_cycles) {
+        match FastEngine::warm(cfg, image, FastStop::Retired(warm), job.max_cycles) {
             Ok((machine, _)) => machine,
             Err(WarmError::Setup(e)) => return err(e.class(), e.to_string()),
             Err(e) => return err(e.sim().class(), e.sim().to_string()),
         }
     } else {
-        match Machine::new(cfg, &image) {
+        match Machine::new(cfg, image) {
             Ok(m) => m,
             Err(e) => return err(e.class(), e.to_string()),
         }
@@ -339,20 +350,24 @@ fn prepare(job: &BatchJob) -> Result<(lbp_asm::Image, Machine), JobOutcome> {
     if job.profile {
         machine.enable_profiling();
     }
-    Ok((image, machine))
+    Ok(machine)
 }
 
-/// Simulates one job to completion. Infallible: every failure becomes an
-/// error outcome on the job's result line.
-fn simulate(job: &BatchJob) -> JobOutcome {
-    let (image, mut machine) = match prepare(job) {
-        Ok(pair) => pair,
+/// Simulates one job of a compiled program to completion. Infallible:
+/// every failure becomes an error outcome on the job's result line.
+fn simulate(job: &BatchJob, compiled: &Compiled) -> JobOutcome {
+    let image = match compiled {
+        Ok(image) => image,
+        Err(outcome) => return outcome.clone(),
+    };
+    let mut machine = match machine_for(job, image) {
+        Ok(machine) => machine,
         Err(outcome) => return outcome,
     };
     match machine.run(job.max_cycles) {
         Ok(report) => JobOutcome::Ok {
             report: report.to_json(),
-            profile: job.profile.then(|| profile_summary(&image, &machine, 5)),
+            profile: job.profile.then(|| profile_summary(image, &machine, 5)),
         },
         Err(e) => JobOutcome::Err {
             class: e.class(),
@@ -455,6 +470,19 @@ pub fn run_batch<W: Write + Send>(
         }
     }
     let unique = groups.len();
+    // Jobs of one program compile once, by the first worker to need it.
+    let mut by_program = std::collections::HashMap::new();
+    let program: Vec<usize> = jobs
+        .iter()
+        .map(|j| {
+            let next = by_program.len();
+            *by_program
+                .entry((j.kind, j.source.as_str()))
+                .or_insert(next)
+        })
+        .collect();
+    let compiled: Vec<OnceLock<Compiled>> =
+        (0..by_program.len()).map(|_| OnceLock::new()).collect();
     let queue: Mutex<VecDeque<Vec<usize>>> = Mutex::new(groups.into_iter().collect());
     let writer = Mutex::new(out);
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
@@ -467,7 +495,8 @@ pub fn run_batch<W: Write + Send>(
                     return;
                 };
                 let rep = &jobs[group[0]];
-                let outcome = simulate(rep);
+                let image = compiled[program[group[0]]].get_or_init(|| compile(rep));
+                let outcome = simulate(rep, image);
                 if !matches!(outcome, JobOutcome::Ok { .. }) {
                     *failed.lock().unwrap() += group.len();
                 }
@@ -677,6 +706,68 @@ mod tests {
         let v = Json::parse(&lines(&out)[0]).unwrap();
         assert_eq!(v.get("status").and_then(Json::as_str), Some("assemble"));
         assert!(v.get("error").and_then(Json::as_str).is_some());
+    }
+
+    /// The sorted lines of `jobs` run as one batch on two workers, and
+    /// of each job run as a batch of its own.
+    fn together_and_alone(jobs: &[BatchJob]) -> (Vec<String>, Vec<String>) {
+        let sorted = |jobs: &[BatchJob]| {
+            let mut out = Vec::new();
+            run_batch(jobs, 2, &mut out).unwrap();
+            let mut lines = lines(&out);
+            lines.sort();
+            lines
+        };
+        let one = |j| sorted(std::slice::from_ref(j));
+        let mut alone: Vec<String> = jobs.iter().flat_map(one).collect();
+        alone.sort();
+        (sorted(jobs), alone)
+    }
+
+    /// A job of `examples/c/hello_team.c` on `cores` cores.
+    fn c_job(id: &str, cores: usize) -> BatchJob {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/c/hello_team.c");
+        BatchJob {
+            source: std::fs::read_to_string(path).unwrap(),
+            kind: SourceKind::C,
+            max_cycles: 100_000,
+            ..job(id, cores)
+        }
+    }
+
+    /// Jobs that share a program that does not compile share its
+    /// compilation, and each gets the line it gets alone.
+    #[test]
+    fn jobs_of_a_program_that_does_not_compile_each_fail_as_alone() {
+        let broken = |id, cores| BatchJob {
+            source: "void main(void) { x = 1; }".to_owned(),
+            ..c_job(id, cores)
+        };
+        let (together, alone) = together_and_alone(&[broken("two", 2), broken("four", 4)]);
+        assert_eq!(together, alone);
+        let error = |l: &str| {
+            let v = Json::parse(l).unwrap();
+            let field = |k| v.get(k).and_then(Json::as_str).unwrap().to_owned();
+            (field("status"), field("error"))
+        };
+        assert_ne!(error(&together[0]).0, "ok");
+        assert_eq!(error(&together[0]), error(&together[1]));
+    }
+
+    /// Two programs on three core counts: the batch writes, once sorted,
+    /// the bytes of the six one-job batches.
+    #[test]
+    fn a_batch_of_shared_programs_writes_what_its_jobs_write_alone() {
+        let jobs: Vec<BatchJob> = [2, 4, 8]
+            .into_iter()
+            .flat_map(|c| [job(&format!("asm-{c}"), c), c_job(&format!("c-{c}"), c)])
+            .collect();
+        let (together, alone) = together_and_alone(&jobs);
+        assert_eq!(together, alone);
+        assert!(
+            alone.iter().all(|l| l.contains(r#""status":"ok""#)),
+            "{alone:?}"
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use lbp_sim::{Json, Machine, MachineState, Watch, Watched};
 
 use crate::journal::{Journal, JournalError, Rec};
-use crate::{job_hash, prepare, profile_summary, result_line};
+use crate::{compile, job_hash, machine_for, profile_summary, result_line};
 use crate::{BatchJob, JobOutcome};
 
 /// Exit code of a process that died at its crash-injection point (the
@@ -747,7 +747,8 @@ fn attempt_once(
 ) -> Attempt {
     let job = &shared.jobs[idx];
     let opts = shared.opts;
-    let (image, fresh) = match prepare(job) {
+    let prepared = compile(job).and_then(|image| machine_for(job, &image).map(|m| (image, m)));
+    let (image, fresh) = match prepared {
         Ok(pair) => pair,
         Err(outcome) => {
             return Attempt::Final {
@@ -1072,7 +1073,7 @@ mod tests {
         // directly (floats included).
         let rep = job("rep", 10_000);
         let twin = job("twin", 10_000);
-        let outcome = crate::simulate(&rep);
+        let outcome = crate::simulate(&rep, &compile(&rep));
         let rep_rendered = rep_line(&rep, job_hash(&rep), &outcome);
         let direct = {
             let mut l = result_line(&twin, job_hash(&twin), Some("rep"), &outcome);

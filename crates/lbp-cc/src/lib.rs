@@ -218,7 +218,7 @@ pub fn compile_checked(checked: &sema::Checked, opts: &CcOptions) -> Result<Comp
 }
 
 /// How a program's text reaches the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceKind {
     /// PISC assembly, fed to `lbp-asm`.
     Asm,

@@ -15,9 +15,9 @@
 //! undefined gets the same verdict whichever engine meets it. [`MemSys`]
 //! adds the *timing*: port queues, the r1/r2/r3 network and the devices.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lbp_isa::{HartId, Instr, Region, LOCAL_BANK_BYTES, LOCAL_BASE, SHARED_BASE};
 
@@ -199,15 +199,18 @@ pub(crate) struct Routed {
 const PAGE_BYTES: usize = 4096;
 const PAGE_SHIFT: u32 = PAGE_BYTES.trailing_zeros();
 
-/// Bytes of zeroed banks a thread keeps for the banks it builds next: two
-/// machines of 64 cores.
+/// Bytes of zeroed banks the process keeps for the banks it builds next:
+/// two machines of 64 cores. The pool is one for all threads because
+/// lbp-batch runs each batch on newly spawned scoped workers, whose own
+/// pools would start empty on every call.
 const SPARE_BYTES: usize = 16 << 20;
 
-thread_local! {
-    static SPARES: RefCell<Spares> = RefCell::new(Spares::default());
-}
+static SPARES: Mutex<Spares> = Mutex::new(Spares {
+    bytes: 0,
+    by_size: Vec::new(),
+});
 
-/// The zeroed banks of dropped machines a thread keeps, by size.
+/// The zeroed banks of dropped machines the process keeps, by size.
 #[derive(Default)]
 struct Spares {
     bytes: usize,
@@ -223,7 +226,7 @@ impl Spares {
         Some(bank)
     }
 
-    /// Keeps a zeroed bank, unless the thread keeps enough already.
+    /// Keeps a zeroed bank, unless the pool holds enough already.
     fn keep(&mut self, bank: Vec<u8>) {
         let size = bank.len();
         if self.bytes + size > SPARE_BYTES {
@@ -237,10 +240,16 @@ impl Spares {
     }
 }
 
-/// A zeroed bank of `size` bytes: one the thread kept, else a fresh one.
+/// The pool. Neither `take` nor `keep` panics, so a poisoned lock still
+/// guards a whole pool.
+fn spares() -> MutexGuard<'static, Spares> {
+    SPARES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A zeroed bank of `size` bytes: one the process kept, else a fresh one.
 fn zeroed_bank(size: usize) -> Vec<u8> {
-    let kept = SPARES.try_with(|spares| spares.borrow_mut().take(size));
-    kept.ok().flatten().unwrap_or_else(|| vec![0; size])
+    let kept = spares().take(size);
+    kept.unwrap_or_else(|| vec![0; size])
 }
 
 /// The local and shared banks of every core: their contents, the address
@@ -250,7 +259,7 @@ fn zeroed_bank(size: usize) -> Vec<u8> {
 /// it, so that everything but an access costs what the written pages
 /// cost: the hash, the snapshot and a copy pass over a page never written
 /// without reading it, and dropped banks zero the pages written and leave
-/// the banks to the thread's next ones, which then zero nothing.
+/// the banks to the process's next ones, which then zero nothing.
 #[derive(Debug)]
 pub(crate) struct Banks {
     cores: usize,
@@ -277,21 +286,11 @@ impl Clone for Banks {
 }
 
 impl Drop for Banks {
-    /// Zeroes the pages written and leaves the banks to the thread.
+    /// Zeroes the pages written and leaves the banks to the pool.
     fn drop(&mut self) {
-        let pages = self.written.iter().enumerate();
-        for p in pages.flat_map(|(w, &bits)| members(w, bits)) {
-            let bank = &mut self.banks[p / self.stride];
-            let page = p % self.stride * PAGE_BYTES;
-            let end = bank.len().min(page + PAGE_BYTES);
-            bank[page..end].fill(0);
-        }
-        let banks = std::mem::take(&mut self.banks);
-        // A thread that is ending keeps nothing.
-        let _ = SPARES.try_with(|spares| {
-            let mut spares = spares.borrow_mut();
-            banks.into_iter().for_each(|bank| spares.keep(bank));
-        });
+        self.zero_written();
+        let mut spares = spares();
+        self.banks.drain(..).for_each(|bank| spares.keep(bank));
     }
 }
 
@@ -328,6 +327,18 @@ impl Banks {
             stride,
             written: vec![0; (2 * cores * stride).div_ceil(64)],
         }
+    }
+
+    /// Zeroes the pages written, and forgets that they were.
+    fn zero_written(&mut self) {
+        let pages = self.written.iter().enumerate();
+        for p in pages.flat_map(|(w, &bits)| members(w, bits)) {
+            let bank = &mut self.banks[p / self.stride];
+            let page = p % self.stride * PAGE_BYTES;
+            let end = bank.len().min(page + PAGE_BYTES);
+            bank[page..end].fill(0);
+        }
+        self.written.fill(0);
     }
 
     /// Records a write to byte `off` of bank `bank`.
@@ -1033,31 +1044,91 @@ mod tests {
         assert_eq!(a.first_shared_difference(&b), None);
     }
 
-    /// Banks built after others were dropped on the thread take the banks
-    /// those left, and they hold zeros only.
+    /// Writes a byte every half page of every bank.
+    fn scribble(b: &mut Banks) {
+        for bank in 0..b.banks.len() {
+            for at in (0..b.banks[bank].len()).step_by(PAGE_BYTES / 2) {
+                b.banks[bank][at] = 0xff;
+                b.mark(bank, at);
+            }
+        }
+    }
+
+    /// What dropped banks leave to the pool holds zeros only, and banks
+    /// built after them, whichever banks they take, hold zeros only too.
     #[test]
     fn spare_banks_come_back_zeroed() {
         let cfg = LbpConfig {
             shared_bank_bytes: PAGE_BYTES as u32 + 2052,
             ..LbpConfig::cores(2)
         };
-        let kept = |b: &Banks| b.banks.iter().map(|bank| bank.as_ptr()).collect::<Vec<_>>();
-        let mut used = Banks::new(&cfg, &[]).unwrap();
-        for bank in 0..used.banks.len() {
-            for at in (0..used.banks[bank].len()).step_by(PAGE_BYTES / 2) {
-                used.banks[bank][at] = 0xff;
-                used.mark(bank, at);
-            }
+        let banks = || Banks::new(&cfg, &[]).unwrap();
+        let zeroed = |b: &Banks| {
+            assert!(b.banks.iter().flatten().all(|&byte| byte == 0));
+            assert!(b.written.iter().all(|&w| w == 0));
+        };
+        let (mut used, mut dropped) = (banks(), banks());
+        scribble(&mut used);
+        used.zero_written();
+        zeroed(&used);
+        scribble(&mut dropped);
+        drop((used, dropped));
+        zeroed(&banks());
+    }
+
+    /// The pool is the process's: a machine built on one scoped thread
+    /// after a machine that wrote every page was dropped on another reads
+    /// zeros only, and hashes as the first machine did when it was new.
+    #[test]
+    fn a_machine_reads_zeros_where_a_machine_dropped_on_another_thread_wrote() {
+        let cfg = LbpConfig::cores(4);
+        let image = lbp_asm::assemble("main:\n  li t0, -1\n  li a0, 0\n  p_ret a0, t0").unwrap();
+        let build = || crate::Machine::new(cfg.clone(), &image).unwrap();
+        let new_hash = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut m = build();
+                let hash = m.arch_hash();
+                scribble(&mut m.mem.banks);
+                hash
+            })
+            .join()
+            .unwrap()
+        });
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let m = build();
+                assert!(m.mem.banks.banks.iter().flatten().all(|&b| b == 0));
+                assert_eq!(m.arch_hash(), new_hash);
+            });
+        });
+    }
+
+    /// A pool takes back what it kept, by size, and keeps no more than
+    /// `SPARE_BYTES`.
+    #[test]
+    fn spares_take_what_they_keep_up_to_the_cap() {
+        let mut spares = Spares::default();
+        assert!(spares.take(8).is_none());
+        let (small, large) = (vec![0u8; 8], vec![0u8; 4096]);
+        let kept = [small.as_ptr(), large.as_ptr()];
+        spares.keep(small);
+        spares.keep(large);
+        assert_eq!(spares.bytes, 4104);
+        assert!(spares.take(16).is_none(), "no bank of that size");
+        assert_eq!(spares.take(4096).map(|b| b.as_ptr()), Some(kept[1]));
+        assert_eq!(spares.take(8).map(|b| b.as_ptr()), Some(kept[0]));
+        assert_eq!(spares.bytes, 0);
+        // Filled to the cap, the pool refuses a bank that would pass it.
+        let bank = SPARE_BYTES / 4;
+        for _ in 0..4 {
+            spares.keep(vec![0; bank]);
         }
-        let mut banks = kept(&used);
-        drop(used);
-        let fresh = Banks::new(&cfg, &[]).unwrap();
-        let mut taken = kept(&fresh);
-        banks.sort();
-        taken.sort();
-        assert_eq!(taken, banks, "the dropped banks are taken again");
-        assert!(fresh.banks.iter().flatten().all(|&b| b == 0));
-        assert!(fresh.written.iter().all(|&w| w == 0));
+        assert_eq!(spares.bytes, SPARE_BYTES);
+        spares.keep(vec![0; 1]);
+        assert_eq!(spares.bytes, SPARE_BYTES);
+        assert!(spares.take(1).is_none(), "the bank past the cap is dropped");
+        assert!((0..4).all(|_| spares.take(bank).is_some()));
+        assert_eq!(spares.bytes, 0);
     }
 
     /// The banks as plain dense arrays that record nothing of what was

@@ -417,11 +417,12 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let tail = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = tail.chars().next().expect("nonempty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // The whole run up to the next quote or backslash: both
+                    // are ASCII, so the run ends on a char boundary.
+                    let run = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let run = &rest[..run.unwrap_or(rest.len())];
+                    s.push_str(std::str::from_utf8(run).map_err(|_| self.err("invalid utf-8"))?);
+                    self.pos += run.len();
                 }
             }
         }
@@ -472,6 +473,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lbp_testutil::Rng;
 
     #[test]
     fn nesting_is_bounded_with_a_positioned_error() {
@@ -540,6 +542,99 @@ mod tests {
         let mut s = String::new();
         v.write_pretty(&mut s);
         assert_eq!(Json::parse(&s).unwrap(), v);
+    }
+
+    /// A piece of a string literal's text, and the chars it stands for.
+    fn piece(rng: &mut Rng) -> (String, String) {
+        const ESCAPES: [(&str, char); 8] = [
+            ("\\\"", '"'),
+            ("\\\\", '\\'),
+            ("\\/", '/'),
+            ("\\b", '\u{8}'),
+            ("\\f", '\u{c}'),
+            ("\\n", '\n'),
+            ("\\r", '\r'),
+            ("\\t", '\t'),
+        ];
+        let run = |rng: &mut Rng, from: u32, to: u32| -> String {
+            let n = 1 + rng.index(40);
+            let scalar = |rng: &mut Rng| char::from_u32(rng.range_u32(from, to)).unwrap();
+            (0..n).map(|_| scalar(rng)).collect()
+        };
+        let same = |text: String| (text.clone(), text);
+        match rng.index(7) {
+            0 => same(run(rng, 0x20, 0x7e).replace(['"', '\\'], "_")),
+            1 => same(run(rng, 0x80, 0x7ff)),
+            // 3-byte scalars, below and above the surrogates.
+            2 => {
+                let (from, to) = rng.pick(&[(0x800, 0xd7ff), (0xe000, 0xffff)]);
+                same(run(rng, from, to))
+            }
+            3 => same(run(rng, 0x1_0000, 0x10_ffff)),
+            4 => {
+                let (text, c) = rng.pick(&ESCAPES);
+                (text.to_owned(), c.to_string())
+            }
+            5 => {
+                let code = match rng.flip() {
+                    true => rng.range_u32(0, 0xd7ff),
+                    false => rng.range_u32(0xe000, 0xffff),
+                };
+                let text = match rng.flip() {
+                    true => format!("\\u{code:04x}"),
+                    false => format!("\\u{code:04X}"),
+                };
+                (text, char::from_u32(code).unwrap().to_string())
+            }
+            // Raw control bytes, which the reader takes as they are.
+            _ => same(run(rng, 0, 0x1f)),
+        }
+    }
+
+    /// Strings of every kind of piece read back as the chars they stand
+    /// for, and every value written reads back as itself.
+    #[test]
+    fn seeded_strings_round_trip() {
+        let mut rng = Rng::new(54);
+        for case in 0..500 {
+            let (mut text, mut chars) = (String::from("\""), String::new());
+            for _ in 0..rng.index(12) {
+                let (t, c) = piece(&mut rng);
+                text.push_str(&t);
+                chars.push_str(&c);
+            }
+            text.push('"');
+            let read = Json::parse(&text);
+            assert_eq!(read, Ok(Json::Str(chars.clone())), "case {case}: {text:?}");
+            let v = Json::obj([
+                (chars.as_str(), Json::Str(chars.clone())),
+                ("a", Json::Arr(vec![Json::Str(chars.clone()), Json::U64(1)])),
+            ]);
+            assert_eq!(Json::parse(&v.to_string()), Ok(v), "case {case}");
+        }
+    }
+
+    /// Hostile strings fail where and as they always did.
+    #[test]
+    fn hostile_strings_fail_at_the_pinned_byte() {
+        let long = "é€😀x".repeat(100);
+        let cases: [(String, usize, &str); 8] = [
+            (format!("\"{long}"), 1001, "unterminated string"),
+            (format!("[\"{long}\\"), 1003, "bad escape"),
+            (
+                format!("\"{}{long}\\q\"", "x".repeat(1000)),
+                2003,
+                "bad escape",
+            ),
+            (format!("\"{long}\\é\""), 1003, "bad escape"),
+            ("\"ab\\ud800\"".to_owned(), 9, "bad \\u escape"),
+            ("\"ab\\udfff\\u0041\"".to_owned(), 9, "bad \\u escape"),
+            (format!("\"{long}\\u12\""), 1003, "bad \\u escape"),
+            ("\"\\u00é\"".to_owned(), 3, "bad \\u escape"),
+        ];
+        for (text, at, what) in cases {
+            assert_eq!(Json::parse(&text), Err(JsonError { at, what }), "{text:?}");
+        }
     }
 
     #[test]

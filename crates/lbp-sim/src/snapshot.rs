@@ -175,7 +175,10 @@ impl SnapWriter {
         SnapWriter::default()
     }
 
-    pub fn into_bytes(self) -> Vec<u8> {
+    /// The bytes written, holding no spare capacity: a snapshot kept for
+    /// long would otherwise hold up to as much again, unused.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.shrink_to_fit();
         self.buf
     }
 
