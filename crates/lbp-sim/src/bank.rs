@@ -80,14 +80,20 @@ pub(crate) struct CodeBank {
     /// state, never serialized: built wherever `words` is and patched by
     /// [`CodeBank::corrupt`], the only writer of `words`.
     decoded: Vec<Option<Decoded>>,
+    /// Per word, the length of the straight run that starts there: words
+    /// with no X_PAR part, the last of them alone may jump; capped at 255,
+    /// 0 at an X_PAR or undecodable word. Derived, and rebuilt with `decoded`.
+    runs: Vec<u8>,
 }
 
 impl CodeBank {
     /// Decodes a code image once, so that no fetch decodes again.
     pub fn new(text: &[u32]) -> CodeBank {
+        let decoded: Vec<_> = text.iter().map(|&word| decode_word(word)).collect();
         CodeBank {
             words: text.to_vec(),
-            decoded: text.iter().map(|&word| decode_word(word)).collect(),
+            runs: straight_runs(&decoded),
+            decoded,
         }
     }
 
@@ -120,6 +126,21 @@ impl CodeBank {
         }
     }
 
+    /// The length of the straight run at `pc`; 0 if there is none.
+    #[inline(always)]
+    pub fn run_at(&self, pc: u32) -> u32 {
+        match self.runs.get((pc / 4) as usize) {
+            Some(&run) if pc.is_multiple_of(4) => run.into(),
+            _ => 0,
+        }
+    }
+
+    /// The instruction at `pc`, a word of a straight run.
+    #[inline(always)]
+    pub fn in_run(&self, pc: u32) -> Decoded {
+        self.decoded[(pc / 4) as usize].expect("a straight run is decoded")
+    }
+
     /// XORs the code word at `pc` with `xor` (fault injection, lockstep
     /// sabotage). A `pc` that is not a code word changes nothing — callers
     /// that take one from outside refuse it first.
@@ -128,6 +149,7 @@ impl CodeBank {
             let index = (pc / 4) as usize;
             self.words[index] ^= xor;
             self.decoded[index] = decode_word(self.words[index]);
+            self.runs = straight_runs(&self.decoded);
         }
     }
 
@@ -149,6 +171,19 @@ impl CodeBank {
 
 fn decode_word(word: u32) -> Option<Decoded> {
     Instr::decode(word).ok().map(Decoded::new)
+}
+
+/// [`CodeBank::runs`] of `decoded`, and a 0 past its end.
+fn straight_runs(decoded: &[Option<Decoded>]) -> Vec<u8> {
+    let mut runs = vec![0u8; decoded.len() + 1];
+    for i in (0..decoded.len()).rev() {
+        runs[i] = match decoded[i].map(|d| d.op) {
+            Some(op) if op.is_jump() => 1,
+            Some(op) if !op.is_xpar() => runs[i + 1].saturating_add(1),
+            _ => 0,
+        };
+    }
+    runs
 }
 
 /// Whether `pc` names a word of a text section of `words` words — what a
@@ -1378,6 +1413,25 @@ mod tests {
     }
 
     #[test]
+    fn a_straight_run_ends_at_a_jump_or_before_an_xpar_or_undecodable_word() {
+        let words = "addi a0, a0, 1\nlw a1, 0(a0)\nbeq a0, a1, 0\nsw a1, 0(a0)\n\
+                     p_syncm\nmul a2, a0, a1\njal zero, 0\naddi a0, a0, 1";
+        let mut text = lbp_asm::assemble(words).unwrap().text;
+        text.push(0xffff_ffff);
+        let code = CodeBank::new(&text);
+        let runs: Vec<u32> = (0..=text.len() as u32)
+            .map(|i| code.run_at(4 * i))
+            .collect();
+        assert_eq!(runs, [3, 2, 1, 1, 0, 2, 1, 1, 0, 0]);
+        assert_eq!(code.run_at(2), 0);
+        let long = CodeBank::new(&[0x13; 300]);
+        assert_eq!(
+            [0, 44, 45, 299].map(|i| long.run_at(4 * i)),
+            [255, 255, 255, 1]
+        );
+    }
+
+    #[test]
     fn corrupt_patches_word_and_entry_and_ignores_what_is_not_a_code_word() {
         let mut code = CodeBank::new(&[0x13, 0x13]);
         let h = HartId::FIRST;
@@ -1393,7 +1447,9 @@ mod tests {
                 ..
             })
         ));
+        assert_eq!([code.run_at(0), code.run_at(4)], [1, 0]);
         code.corrupt(4, 0xffff_ffff);
         assert_eq!(code.fetch(4, h).unwrap().instr, Instr::NOP);
+        assert_eq!([code.run_at(0), code.run_at(4)], [2, 1]);
     }
 }

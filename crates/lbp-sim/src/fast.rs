@@ -36,17 +36,17 @@
 //! runs at full fidelity. See `DESIGN.md` for the functional-mode
 //! semantics contract and its precision boundaries.
 //!
-//! Execution is one dispatch per instruction: the code bank keeps a
-//! one-byte opcode beside each predecoded instruction, one per mnemonic,
-//! and `step` is one `match` on it. Round-robin over hundreds of harts
-//! puts a different pc behind every dispatch, so each extra level (the
-//! `Instr` variant, then its kind) would be one more mispredicted jump
-//! per instruction. A run to the exit keeps only the final state, which
-//! any rendezvous-respecting schedule reaches, so there each hart takes
-//! turns of up to `EXIT_TURN` (32) instructions and the jumps see one hart's
-//! loop at a time. A run that stops for a handoff keeps one instruction
-//! per turn: the machine materialized from it continues its clock, and
-//! long turns would leave that machine's cores out of step.
+//! Execution matches on a one-byte opcode beside each predecoded word, one
+//! per mnemonic: round-robin over hundreds of harts puts a different pc
+//! behind every jump, and a level more (the `Instr` variant, then its kind)
+//! would be one more misprediction. A run to the exit keeps only the final
+//! state, which any rendezvous-respecting schedule reaches, so there each
+//! hart takes turns of up to `EXIT_TURN` (32) instructions, and a dispatch
+//! executes a whole straight run (no X_PAR word; a jump only at its end)
+//! with one fetch check and one retire (190 Minstr/s on traced `ff_scale`,
+//! 2-core x86-64). A run that stops for a handoff takes one instruction per
+//! turn and per dispatch: the machine materialized from it continues its
+//! clock, and long turns would leave that machine's cores out of step.
 //!
 //! What is deliberately **not** modeled: cycles, stalls, bank conflicts,
 //! link hops and contention (all zero in the produced statistics), fault
@@ -64,7 +64,7 @@ use crate::bank::{Banks, CodeBank, Route, Routed};
 use crate::config::{cv_base, LbpConfig, RESULT_SLOTS};
 use crate::deadlock::Waiting;
 use crate::error::{BlockedHart, SimError};
-use crate::hart::{HartState, Op};
+use crate::hart::{Decoded, HartState, Op};
 use crate::xpar::{self, Ending};
 
 /// Why a functional hart cannot execute its next instruction right now.
@@ -384,12 +384,14 @@ impl FastEngine {
         }
     }
 
+    /// Retires hart `hi`'s `n` words from `pc` on: one instruction, or the
+    /// head of a straight run, whose pcs are consecutive.
     #[inline(always)]
-    fn retire(&mut self, hi: usize, pc: u32) {
-        self.retired_per_hart[hi] += 1;
-        self.total_retired += 1;
+    fn retire(&mut self, hi: usize, pc: u32, n: u32) {
+        self.retired_per_hart[hi] += u64::from(n);
+        self.total_retired += u64::from(n);
         if let Some(log) = self.commit_log.as_mut() {
-            log[hi].push(pc);
+            log[hi].extend((0..n).map(|j| pc.wrapping_add(4 * j)));
         }
     }
 
@@ -450,7 +452,7 @@ impl FastEngine {
             self.set(req, rd, child as u32);
             self.harts[req].wait = FWait::Ready;
             self.harts[req].pc = pc.wrapping_add(4);
-            self.retire(req, pc);
+            self.retire(req, pc, 1);
         }
     }
 
@@ -623,15 +625,7 @@ impl FastEngine {
     /// Returns whether the hart made progress; `Ok(false)` means it
     /// blocked with zero side effects (or parked at the exit `p_ret`).
     ///
-    /// One `match` on the code-bank entry's opcode byte, one arm per
-    /// mnemonic, so one indirect jump per instruction: round-robin over
-    /// hundreds of harts puts a different pc behind every jump, and each
-    /// further level of dispatch (the `Instr` variant, then its kind)
-    /// would be one more misprediction per instruction.
-    ///
-    /// The arithmetic, comparisons, extension and truncation below are
-    /// this engine's own on purpose — it is the reference the pipeline's
-    /// `OpKind::eval`/`BranchKind::taken` are compared against. The
+    /// The X_PAR arms are here, the others in [`FastEngine::exec`]. The
     /// longer X_PAR arms are helpers of their own for reading's sake, and
     /// `#[inline(always)]`: one that does not inline hands its `Result`
     /// back through memory on every instruction's path, and with `step`
@@ -641,6 +635,100 @@ impl FastEngine {
     fn step(&mut self, hi: usize) -> Result<bool, SimError> {
         let pc = self.harts[hi].pc;
         let d = *self.code.fetch(pc, self.id(hi))?;
+        let i = d.instr;
+        let mut next = pc.wrapping_add(4);
+        match d.op {
+            Op::PLwcv => {
+                let Instr::PLwcv { rd, offset } = i else {
+                    unreachable!()
+                };
+                let addr = cv_base(self.id(hi)).wrapping_add(offset as u32);
+                let v = self.mem_load(hi, addr, 4)?;
+                self.set(hi, rd, v);
+            }
+            Op::PSwcv => self.p_swcv(hi, i)?,
+            Op::PSyncm => {} // functional memory is always drained
+            Op::PSet => {
+                let Instr::PSet { rd, rs1 } = i else {
+                    unreachable!()
+                };
+                let word = IdentityWord::from_bits(self.get(hi, rs1));
+                self.set(hi, rd, word.set(self.id(hi)).bits());
+            }
+            Op::PMerge => {
+                let Instr::PMerge { rd, rs1, rs2 } = i else {
+                    unreachable!()
+                };
+                let word = IdentityWord::from_bits(self.get(hi, rs1));
+                let merged = word.merge(IdentityWord::from_bits(self.get(hi, rs2)));
+                self.set(hi, rd, merged.bits());
+            }
+            Op::PLwre => {
+                let Instr::PLwre { rd, offset } = i else {
+                    unreachable!()
+                };
+                let slot = xpar::slot(offset);
+                let queue = self.harts[hi].recv.get_mut(slot as usize);
+                // Empty or out-of-range slot: issue-gated, blocks with no
+                // side effects (out-of-range blocks forever, like the
+                // cycle-exact machine).
+                let Some(v) = queue.and_then(VecDeque::pop_front) else {
+                    self.harts[hi].wait = FWait::Result { slot };
+                    self.sched_dirty = true;
+                    return Ok(false);
+                };
+                self.set(hi, rd, v);
+            }
+            Op::PSwre => self.p_swre(hi, i)?,
+            Op::PFc => {
+                let Instr::PFc { rd } = i else { unreachable!() };
+                self.fork(hi, hi / HARTS_PER_CORE, rd);
+                return Ok(true); // progress: the request is queued
+            }
+            Op::PFn => {
+                let Instr::PFn { rd } = i else { unreachable!() };
+                let at = xpar::fork_next(self.id(hi), self.cfg.cores)?;
+                self.fork(hi, at as usize, rd);
+                return Ok(true);
+            }
+            Op::PJal => {
+                let Instr::PJal { rd, rs1, offset } = i else {
+                    unreachable!()
+                };
+                self.start_member(hi, self.get(hi, rs1), pc.wrapping_add(4))?;
+                self.set(hi, rd, 0);
+                next = pc.wrapping_add(offset as u32);
+            }
+            Op::PJalr => {
+                let Instr::PJalr { rd, rs1, rs2 } = i else {
+                    unreachable!()
+                };
+                self.start_member(hi, self.get(hi, rs1), pc.wrapping_add(4))?;
+                next = self.get(hi, rs2) & !1;
+                self.set(hi, rd, 0);
+            }
+            Op::PRet => return self.p_ret(hi, i, pc),
+            _ => next = self.exec(hi, d, pc)?,
+        }
+        self.harts[hi].pc = next;
+        self.retire(hi, pc, 1);
+        Ok(true)
+    }
+
+    /// Executes `d`, a word with no X_PAR part at `pc` of hart `hi`, and
+    /// returns the next pc; [`FastEngine::step`] and straight runs share it.
+    ///
+    /// One `match` on the code-bank entry's opcode byte, one arm per
+    /// mnemonic, so one indirect jump per instruction: round-robin over
+    /// hundreds of harts puts a different pc behind every jump, and each
+    /// further level of dispatch (the `Instr` variant, then its kind)
+    /// would be one more misprediction per instruction.
+    ///
+    /// The arithmetic, comparisons, extension and truncation below are
+    /// this engine's own on purpose — it is the reference the pipeline's
+    /// `OpKind::eval`/`BranchKind::taken` are compared against.
+    #[inline(always)]
+    fn exec(&mut self, hi: usize, d: Decoded, pc: u32) -> Result<u32, SimError> {
         let i = d.instr;
         let mut next = pc.wrapping_add(4);
         match d.op {
@@ -733,80 +821,31 @@ impl FastEngine {
             Op::Sb => self.store(hi, i, 1)?,
             Op::Sh => self.store(hi, i, 2)?,
             Op::Sw => self.store(hi, i, 4)?,
-            Op::PLwcv => {
-                let Instr::PLwcv { rd, offset } = i else {
-                    unreachable!()
-                };
-                let addr = cv_base(self.id(hi)).wrapping_add(offset as u32);
-                let v = self.mem_load(hi, addr, 4)?;
-                self.set(hi, rd, v);
-            }
-            Op::PSwcv => self.p_swcv(hi, i)?,
-            Op::PSyncm => {} // functional memory is always drained
-            Op::PSet => {
-                let Instr::PSet { rd, rs1 } = i else {
-                    unreachable!()
-                };
-                let word = IdentityWord::from_bits(self.get(hi, rs1));
-                self.set(hi, rd, word.set(self.id(hi)).bits());
-            }
-            Op::PMerge => {
-                let Instr::PMerge { rd, rs1, rs2 } = i else {
-                    unreachable!()
-                };
-                let word = IdentityWord::from_bits(self.get(hi, rs1));
-                let merged = word.merge(IdentityWord::from_bits(self.get(hi, rs2)));
-                self.set(hi, rd, merged.bits());
-            }
-            Op::PLwre => {
-                let Instr::PLwre { rd, offset } = i else {
-                    unreachable!()
-                };
-                let slot = xpar::slot(offset);
-                let queue = self.harts[hi].recv.get_mut(slot as usize);
-                // Empty or out-of-range slot: issue-gated, blocks with no
-                // side effects (out-of-range blocks forever, like the
-                // cycle-exact machine).
-                let Some(v) = queue.and_then(VecDeque::pop_front) else {
-                    self.harts[hi].wait = FWait::Result { slot };
-                    self.sched_dirty = true;
-                    return Ok(false);
-                };
-                self.set(hi, rd, v);
-            }
-            Op::PSwre => self.p_swre(hi, i)?,
-            Op::PFc => {
-                let Instr::PFc { rd } = i else { unreachable!() };
-                self.fork(hi, hi / HARTS_PER_CORE, rd);
-                return Ok(true); // progress: the request is queued
-            }
-            Op::PFn => {
-                let Instr::PFn { rd } = i else { unreachable!() };
-                let at = xpar::fork_next(self.id(hi), self.cfg.cores)?;
-                self.fork(hi, at as usize, rd);
-                return Ok(true);
-            }
-            Op::PJal => {
-                let Instr::PJal { rd, rs1, offset } = i else {
-                    unreachable!()
-                };
-                self.start_member(hi, self.get(hi, rs1), pc.wrapping_add(4))?;
-                self.set(hi, rd, 0);
-                next = pc.wrapping_add(offset as u32);
-            }
-            Op::PJalr => {
-                let Instr::PJalr { rd, rs1, rs2 } = i else {
-                    unreachable!()
-                };
-                self.start_member(hi, self.get(hi, rs1), pc.wrapping_add(4))?;
-                next = self.get(hi, rs2) & !1;
-                self.set(hi, rd, 0);
-            }
-            Op::PRet => return self.p_ret(hi, i, pc),
+            _ => unreachable!("an X_PAR op"),
         }
-        self.harts[hi].pc = next;
-        self.retire(hi, pc);
-        Ok(true)
+        Ok(next)
+    }
+
+    /// Executes the first `k` words of the straight run at hart `hi`'s pc
+    /// and retires them at once. A fault at the j-th word leaves the hart
+    /// there with j words retired, as one [`FastEngine::step`] at a time.
+    #[inline(always)]
+    fn run_straight(&mut self, hi: usize, k: u32) -> Result<(), SimError> {
+        let start = self.harts[hi].pc;
+        let (mut pc, mut done, mut fault) = (start, 0, Ok(()));
+        while done < k {
+            match self.exec(hi, self.code.in_run(pc), pc) {
+                Ok(next) => pc = next,
+                Err(e) => {
+                    fault = Err(e);
+                    break;
+                }
+            }
+            done += 1;
+        }
+        self.harts[hi].pc = pc;
+        self.retire(hi, start, done);
+        fault
     }
 
     /// `p_swcv`: a continuation value into the target hart's frame — a
@@ -883,7 +922,7 @@ impl FastEngine {
             return Ok(false);
         }
         self.harts[hi].end_signal = false; // consumed
-        self.retire(hi, pc);
+        self.retire(hi, pc, 1);
         match ending {
             Ending::Exit => unreachable!("parked above"),
             Ending::AwaitJoin => {
@@ -964,10 +1003,10 @@ impl FastEngine {
         }
     }
 
-    /// [`FastEngine::run`] with turns of up to `TURN` instructions. The
-    /// turn length is a const parameter so that the `TURN = 1` turn loop
-    /// folds away: a runtime length in this loop made the
-    /// one-instruction path 18–29 % slower.
+    /// [`FastEngine::run`] with turns of up to `TURN` instructions, a const
+    /// so that the `TURN = 1` loop folds away (a runtime length made it
+    /// 18–29 % slower). A dispatch takes the turn's next instructions up to
+    /// the end of a straight run: one in a turn of one, as stop targets need.
     fn run_turns<const TURN: u32>(
         &mut self,
         stop: FastStop,
@@ -996,7 +1035,6 @@ impl FastEngine {
                 // blocked instruction.
                 let mut left = TURN;
                 while left > 0 && self.runnable(hi) {
-                    left -= 1;
                     if stopping {
                         if self.rendezvous_quiet() {
                             break 'outer;
@@ -1012,14 +1050,21 @@ impl FastEngine {
                         }
                     }
                     let before = self.total_retired;
-                    if !self.step(hi)? {
+                    // A straight run per dispatch, cut to the turn and budget.
+                    let run = self.code.run_at(self.harts[hi].pc).min(left);
+                    let run = u64::from(run).min((max_steps - steps).saturating_add(1)) as u32;
+                    if run > 0 {
+                        self.run_straight(hi, run)?;
+                    } else if !self.step(hi)? {
                         if self.at_exit {
                             break 'outer;
                         }
                         break; // parked with a wait reason; pruned on rebuild
                     }
+                    let done = run.max(1);
+                    left -= done;
                     progress = true;
-                    steps += 1;
+                    steps += u64::from(done);
                     if steps > max_steps {
                         return Err(SimError::Timeout { cycles: max_steps });
                     }
@@ -1145,6 +1190,7 @@ pub(crate) struct FastHartView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::MemFault;
     use lbp_asm::assemble;
     use lbp_isa::Reg;
 
@@ -1329,6 +1375,107 @@ mod tests {
         assert_ne!(e.reg(HartId::FIRST, Reg::A2), 13);
         // The image itself is untouched.
         assert_eq!(image.text[2], assemble(src).unwrap().text[2]);
+    }
+
+    /// A load that faults inside a straight run leaves the hart at that
+    /// load with the words before it retired, as one instruction per turn
+    /// does.
+    #[test]
+    fn a_fault_inside_a_run_stops_where_one_step_at_a_time_stops() {
+        for (addr, unaligned) in [("0x80000002", true), ("0xf0000000", false)] {
+            let src = format!(
+                "main:
+                    li   a0, 1
+                    li   t1, {addr}
+                    addi a1, a0, 3
+                    lw   a2, 0(t1)
+                    addi a3, a1, 1
+                    li   t0, -1
+                    li   ra, 0
+                    p_ret"
+            );
+            let (mut long, mut short) = (engine(&src, 1), engine(&src, 1));
+            let fault = long.run(FastStop::Exit, 1_000).unwrap_err();
+            let at = long.harts[0].pc;
+            assert!(at > 0 && at < 4 * long.code.run_at(0), "{addr}: {at}");
+            let one_at_a_time = short.run(FastStop::Retired(u64::MAX), 1_000);
+            assert_eq!(one_at_a_time.unwrap_err(), fault, "{addr}");
+            assert_eq!(short.harts[0].pc, at, "{addr}");
+            assert_eq!(short.retired_per_hart, long.retired_per_hart, "{addr}");
+            assert_eq!(long.retired(), u64::from(at / 4), "{addr}");
+            let SimError::Mem(fault) = fault else {
+                panic!("{addr}: {fault}")
+            };
+            assert_eq!(matches!(fault, MemFault::Unaligned { .. }), unaligned);
+        }
+    }
+
+    /// A step budget that ends inside a straight run times out after the
+    /// instruction one at a time does: the budget's, then the one past it.
+    #[test]
+    fn a_budget_ending_inside_a_run_times_out_at_the_same_instruction() {
+        let src = "main:
+                li   a2, 100
+            spin:
+                addi a3, a3, 1
+                xori a3, a3, 5
+                addi a2, a2, -1
+                bnez a2, spin
+                li   t0, -1
+                li   ra, 0
+                p_ret";
+        // 1 + 2 × 4 + 2: the third run is cut after its first two words.
+        let mut e = engine(src, 1);
+        let err = e.run(FastStop::Exit, 10).unwrap_err();
+        assert_eq!(err, SimError::Timeout { cycles: 10 });
+        assert_eq!((e.retired(), e.harts[0].pc), (11, 12));
+        for budget in [0, 1, 2, 3, 4, 5, 6, 31, 32, 33, 200] {
+            let (mut long, mut short) = (engine(src, 1), engine(src, 1));
+            let err = long.run(FastStop::Exit, budget).unwrap_err();
+            let one_at_a_time = short.run(FastStop::Retired(u64::MAX), budget);
+            assert_eq!(one_at_a_time.unwrap_err(), err, "{budget}");
+            assert_eq!(long.retired(), budget + 1, "{budget}");
+            assert_eq!(long.harts[0].pc, short.harts[0].pc, "{budget}");
+        }
+    }
+
+    /// Sabotage rebuilds the straight runs with the word it changes: a
+    /// word inside a run made undecodable is reported at its pc, and one
+    /// made a `p_lwre` blocks there.
+    #[test]
+    fn sabotage_inside_a_run_reports_or_blocks_at_its_pc() {
+        let src = "main:
+                li   a0, 6
+                li   a1, 7
+                add  a2, a0, a1
+                addi a2, a2, 1
+                li   t0, -1
+                li   ra, 0
+                p_ret";
+        let add = assemble(src).unwrap().text[2];
+        let lwre = assemble("p_lwre a0, 3").unwrap().text[0];
+
+        let mut e = engine(src, 1);
+        assert_eq!(e.code.run_at(0), 6);
+        e.sabotage_code(8, add ^ 0xffff_ffff);
+        assert_eq!(e.code.run_at(0), 2);
+        let err = e.run(FastStop::Exit, 1_000).unwrap_err();
+        let undecodable = SimError::Decode {
+            pc: 8,
+            word: 0xffff_ffff,
+            hart: HartId::FIRST,
+        };
+        assert_eq!(err, undecodable);
+        assert_eq!((e.harts[0].pc, e.retired()), (8, 2));
+
+        let mut e = engine(src, 1);
+        e.sabotage_code(8, add ^ lwre);
+        assert_eq!(e.code.run_at(0), 2);
+        let SimError::Deadlock { blocked, .. } = e.run(FastStop::Exit, 1_000).unwrap_err() else {
+            panic!("expected a deadlock")
+        };
+        assert!(blocked[0].waiting_on.contains("result in slot 3"));
+        assert_eq!((e.harts[0].pc, e.retired()), (8, 2));
     }
 
     #[test]

@@ -36,8 +36,9 @@ pub(crate) enum HartState {
 /// instead of one per level of `Instr` and its `*Kind`. `p_jalr` and
 /// `p_ret` are two mnemonics of one variant and two opcodes here.
 ///
-/// Memory instructions are contiguous (`Lb..=PSwcv`), which makes
-/// [`Op::is_mem`] one range compare.
+/// Memory instructions are contiguous (`Lb..=PSwcv`), and so are X_PAR
+/// instructions (`PLwcv..`) and jumps (`Jal..=Bgeu`), which makes each of
+/// [`Op::is_mem`], [`Op::is_xpar`] and [`Op::is_jump`] one range compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub(crate) enum Op {
@@ -181,6 +182,19 @@ impl Op {
     #[inline]
     pub fn is_mem(self) -> bool {
         (Op::Lb as u8..=Op::PSwcv as u8).contains(&(self as u8))
+    }
+
+    /// An X_PAR instruction (`PLwcv..=PSwre`): the functional engine takes
+    /// it one at a time, never inside a straight run.
+    #[inline]
+    pub fn is_xpar(self) -> bool {
+        self as u8 >= Op::PLwcv as u8
+    }
+
+    /// A jump or a branch (`Jal..=Bgeu`): the last word of a straight run.
+    #[inline]
+    pub fn is_jump(self) -> bool {
+        (Op::Jal as u8..=Op::Bgeu as u8).contains(&(self as u8))
     }
 
     /// [`Instr::is_p_ret`].

@@ -401,9 +401,12 @@ impl Parser<'_> {
                         b'b' => s.push('\u{8}'),
                         b'f' => s.push('\u{c}'),
                         b'u' => {
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a leading `+`.
                             let hex = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
@@ -635,6 +638,20 @@ mod tests {
         for (text, at, what) in cases {
             assert_eq!(Json::parse(&text), Err(JsonError { at, what }), "{text:?}");
         }
+    }
+
+    /// A `\u` escape is four hex digits: a sign is none, and fails where
+    /// any other bad `\u` escape does.
+    #[test]
+    fn a_u_escape_takes_four_hex_digits_and_no_sign() {
+        for (text, at) in [(r#""\u+041""#, 3), (r#""ab\u-041""#, 5), (r#""\u 041""#, 3)] {
+            let bad = JsonError {
+                at,
+                what: "bad \\u escape",
+            };
+            assert_eq!(Json::parse(text), Err(bad), "{text:?}");
+        }
+        assert_eq!(Json::parse(r#""\u0041\u00e9""#), Ok(Json::Str("Aé".into())));
     }
 
     #[test]

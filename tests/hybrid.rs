@@ -383,6 +383,34 @@ fn per_hart_commit_streams_concatenate() {
     }
 }
 
+/// fork2.s's per-hart commit log on an Exit run, where a dispatch takes a
+/// whole straight run: every pc of the run is logged, in order, as when
+/// each instruction was a dispatch of its own.
+const FORK2_EXIT_LOG: [(usize, &[u32]); 2] = [
+    (
+        0,
+        &[
+            0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 124, 100, 104, 108, 112, 116,
+        ],
+    ),
+    (4, &[60, 64, 68, 72, 76, 80, 124, 84, 88, 92, 96]),
+];
+
+#[test]
+fn an_exit_run_logs_every_commit_of_a_straight_run() {
+    let src = std::fs::read_to_string(repo("examples/asm/fork2.s")).unwrap();
+    let image = lbp::asm::assemble(&src).unwrap();
+    let mut fast = FastEngine::new(LbpConfig::cores(2), &image).unwrap();
+    fast.enable_commit_log();
+    assert!(fast.run(FastStop::Exit, MAX_STEPS).unwrap().at_exit);
+    let log = fast.commit_log();
+    let logged: Vec<usize> = (0..log.len()).filter(|&h| !log[h].is_empty()).collect();
+    assert_eq!(logged, FORK2_EXIT_LOG.map(|(h, _)| h));
+    for (h, pcs) in FORK2_EXIT_LOG {
+        assert_eq!(log[h], pcs, "hart {h}");
+    }
+}
+
 #[test]
 fn faults_inside_the_window_ride_through() {
     // A long countdown whose `cookie` word the program never touches
